@@ -11,6 +11,7 @@ use crate::analyze::InstanceOutcome;
 use crate::instance::TomographyInstance;
 use crate::leakage::LeakageReport;
 use crate::pipeline::CensorFinding;
+use churnlab_topology::geo::CountryCode;
 use churnlab_topology::{Asn, Topology};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -32,14 +33,16 @@ impl FindingsAccumulator {
         Self::default()
     }
 
-    /// Fold in one analysed instance given its outcome and the censored
+    /// Fold in one analysed instance given its outcome, the censored
     /// AS-level paths it was built from (deduplicated observation order;
-    /// the set matters, not the order).
+    /// the set matters, not the order), and the AS → registered-country
+    /// lookup the leakage analysis needs (see
+    /// [`LeakageReport::ingest_paths`]).
     pub fn record<'a>(
         &mut self,
         outcome: &InstanceOutcome,
         censored_paths: impl IntoIterator<Item = &'a [Asn]> + Clone,
-        topo: &Topology,
+        country_of: impl Fn(Asn) -> Option<CountryCode>,
     ) {
         for path in censored_paths.clone() {
             self.on_censored_path.extend(path.iter().copied());
@@ -60,7 +63,7 @@ impl FindingsAccumulator {
             f.url_ids.insert(outcome.key.url_id);
             f.n_instances += 1;
         }
-        self.leakage.ingest_paths(censored_paths, outcome, topo);
+        self.leakage.ingest_paths(censored_paths, outcome, country_of);
     }
 
     /// Fold in one analysed instance straight from its
@@ -77,25 +80,31 @@ impl FindingsAccumulator {
             .filter(|o| o.censored)
             .map(|o| o.path.as_slice())
             .collect();
-        self.record(outcome, censored, topo);
+        self.record(outcome, censored, |a| topo.info_by_asn(a).map(|i| i.country));
     }
 
-    /// Merge another accumulator into this one (shard fan-in).
-    pub fn merge(&mut self, other: FindingsAccumulator) {
-        for (asn, f) in other.censor_findings {
-            match self.censor_findings.entry(asn) {
+    /// Merge another accumulator into this one. Findings and victim sets
+    /// union and instance counts add, so folding disjoint sets of
+    /// instances separately and merging gives exactly what one
+    /// accumulator fed all of them would hold — which is what lets the
+    /// engine fold each (URL × window) group once, where its cells are
+    /// built, and only union the results at report time. By reference:
+    /// the engine's per-group folds are shared with later reports.
+    pub fn merge(&mut self, other: &FindingsAccumulator) {
+        for (asn, f) in &other.censor_findings {
+            match self.censor_findings.entry(*asn) {
                 std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(f);
+                    e.insert(f.clone());
                 }
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     let mine = e.get_mut();
-                    mine.anomalies.extend(f.anomalies);
-                    mine.url_ids.extend(f.url_ids);
+                    mine.anomalies.extend(&f.anomalies);
+                    mine.url_ids.extend(&f.url_ids);
                     mine.n_instances += f.n_instances;
                 }
             }
         }
-        self.leakage.merge(other.leakage);
-        self.on_censored_path.extend(other.on_censored_path);
+        self.leakage.merge(&other.leakage);
+        self.on_censored_path.extend(&other.on_censored_path);
     }
 }

@@ -24,6 +24,7 @@ use churnlab_bgp::stats::DistinctPathDist;
 use churnlab_bgp::{Granularity, TimeWindow};
 use churnlab_topology::{AsClass, Asn, Topology};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// One compact path observation (legacy mode).
@@ -33,12 +34,79 @@ struct Sample {
     path_hash: u64,
 }
 
+/// Distinct hashes a window holds without a heap allocation. Windows see
+/// few distinct paths (the paper's Figure 3 tops out at 5+), so all but
+/// the churniest long windows stay inline.
+const INLINE_HASHES: usize = 5;
+
+/// A window's distinct path hashes in insertion order: a linear-scan list
+/// (beats a `HashSet` at these sizes) stored inline up to
+/// [`INLINE_HASHES`] entries, so cloning or dropping a map of partials —
+/// which every engine report does — is a flat copy with no per-entry
+/// allocation. Unused inline slots stay zero, which keeps the derived
+/// equality exact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PathHashes {
+    Inline { len: u8, slots: [u64; INLINE_HASHES] },
+    Spilled(Vec<u64>),
+}
+
+impl Default for PathHashes {
+    fn default() -> Self {
+        PathHashes::Inline { len: 0, slots: [0; INLINE_HASHES] }
+    }
+}
+
+impl From<&[u64]> for PathHashes {
+    fn from(hashes: &[u64]) -> Self {
+        if hashes.len() <= INLINE_HASHES {
+            let mut slots = [0; INLINE_HASHES];
+            slots[..hashes.len()].copy_from_slice(hashes);
+            PathHashes::Inline { len: hashes.len() as u8, slots }
+        } else {
+            PathHashes::Spilled(hashes.to_vec())
+        }
+    }
+}
+
+impl PathHashes {
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            PathHashes::Inline { len, slots } => &slots[..usize::from(*len)],
+            PathHashes::Spilled(v) => v,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Append `h` unless already present.
+    fn insert(&mut self, h: u64) {
+        if self.as_slice().contains(&h) {
+            return;
+        }
+        match self {
+            PathHashes::Inline { len, slots } if usize::from(*len) < INLINE_HASHES => {
+                slots[usize::from(*len)] = h;
+                *len += 1;
+            }
+            PathHashes::Inline { slots, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE_HASHES);
+                v.extend_from_slice(slots);
+                v.push(h);
+                *self = PathHashes::Spilled(v);
+            }
+            PathHashes::Spilled(v) => v.push(h),
+        }
+    }
+}
+
 /// Distinct-path evidence for one still-open (granularity × pair ×
-/// window) combo. Windows see few distinct paths (the paper's Figure 3
-/// tops out at 5+), so a linear-scan `Vec` beats a `HashSet` here.
+/// window) combo.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct WindowAgg {
-    hashes: Vec<u64>,
+    hashes: PathHashes,
     count: u64,
 }
 
@@ -224,9 +292,7 @@ impl ChurnAccumulator {
                         continue;
                     }
                     let e = w.partials.entry((g, (vp, dest), ix)).or_default();
-                    if !e.hashes.contains(&h) {
-                        e.hashes.push(h);
-                    }
+                    e.hashes.insert(h);
                     e.count += 1;
                 }
             }
@@ -279,13 +345,18 @@ impl ChurnAccumulator {
                     "ChurnAccumulator::merge: mismatched window configs",
                 );
                 for (key, agg) in b.partials {
-                    let e = a.partials.entry(key).or_default();
-                    for h in agg.hashes {
-                        if !e.hashes.contains(&h) {
-                            e.hashes.push(h);
+                    match a.partials.entry(key) {
+                        Entry::Vacant(e) => {
+                            e.insert(agg);
+                        }
+                        Entry::Occupied(mut e) => {
+                            let e = e.get_mut();
+                            for &h in agg.hashes.as_slice() {
+                                e.hashes.insert(h);
+                            }
+                            e.count += agg.count;
                         }
                     }
-                    e.count += agg.count;
                 }
                 a.folded_min_hw = a.folded_min_hw.max(b.folded_min_hw);
                 a.retired.merge(&b.retired);
@@ -386,7 +457,7 @@ impl ChurnAccumulator {
                 vp,
                 dest,
                 window,
-                hashes: agg.hashes.clone(),
+                hashes: agg.hashes.as_slice().to_vec(),
                 count: agg.count,
             })
             .collect();
@@ -409,7 +480,7 @@ impl ChurnAccumulator {
         for e in entries {
             let prev = w.partials.insert(
                 (e.granularity, (e.vp, e.dest), e.window),
-                WindowAgg { hashes: e.hashes, count: e.count },
+                WindowAgg { hashes: e.hashes.as_slice().into(), count: e.count },
             );
             assert!(prev.is_none(), "duplicate churn window entry in checkpoint");
         }
@@ -759,6 +830,38 @@ mod tests {
         let (_, _, _, entries2, frontier2, _) = back.export_windowed().expect("windowed");
         assert_eq!(entries, entries2, "export is canonical");
         assert_eq!(frontier, frontier2);
+    }
+
+    #[test]
+    fn windows_past_the_inline_capacity_spill_without_losing_order() {
+        // More distinct paths per window than fit inline: the hash list
+        // spills to the heap mid-stream and must behave exactly like the
+        // legacy per-sample store, through merge and export/import too.
+        let gs = [Granularity::Day, Granularity::Year];
+        let n = INLINE_HASHES as u32 + 4;
+        let mut legacy = ChurnAccumulator::new();
+        let mut windowed = ChurnAccumulator::windowed(&gs, 60, None);
+        let mut halves =
+            [ChurnAccumulator::windowed(&gs, 60, None), ChurnAccumulator::windowed(&gs, 60, None)];
+        for i in 0..2 * n {
+            // Each path twice, so re-inserts hit both representations.
+            let path = asns(&[1, 10 + i % n, 2]);
+            legacy.add(Asn(1), Asn(2), 0, &path);
+            windowed.add(Asn(1), Asn(2), 0, &path);
+            halves[(i % 2) as usize].add(Asn(1), Asn(2), 0, &path);
+        }
+        let expect = legacy.distributions(&gs, 60);
+        assert_eq!(expect[0].buckets, [0, 0, 0, 0, 1], "one day window in the 5+ bucket");
+        assert_eq!(windowed.distributions(&gs, 60), expect);
+        let [mut merged, other] = halves;
+        merged.merge(other);
+        assert_eq!(merged.distributions(&gs, 60), expect);
+
+        let (g, days, h, entries, frontier, late) = windowed.export_windowed().expect("windowed");
+        let first_seen: Vec<u64> = (0..n).map(|i| path_hash(&asns(&[1, 10 + i, 2]))).collect();
+        assert_eq!(entries[0].hashes, first_seen, "insertion order survives the spill");
+        let back = ChurnAccumulator::import_windowed(g, days, h, entries.clone(), frontier, late);
+        assert_eq!(back.export_windowed().expect("windowed").3, entries);
     }
 
     #[test]

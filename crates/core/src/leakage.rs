@@ -58,17 +58,19 @@ impl LeakageReport {
     ) {
         let censored: Vec<&[Asn]> =
             inst.observations.iter().filter(|o| o.censored).map(|o| o.path.as_slice()).collect();
-        self.ingest_paths(censored, outcome, topo);
+        self.ingest_paths(censored, outcome, |a| topo.info_by_asn(a).map(|i| i.country));
     }
 
-    /// [`LeakageReport::ingest`] over bare censored paths — the form the
-    /// sharded engine uses, where the full [`TomographyInstance`] never
-    /// crosses the shard boundary.
+    /// [`LeakageReport::ingest`] over bare censored paths and a bare
+    /// AS → registered-country lookup (`None` for an AS the topology does
+    /// not know) — the form the sharded engine uses, whose `'static`
+    /// shard workers hold neither a [`TomographyInstance`] nor the
+    /// [`Topology`] borrow, only a shared country table.
     pub fn ingest_paths<'a>(
         &mut self,
         censored_paths: impl IntoIterator<Item = &'a [Asn]>,
         outcome: &InstanceOutcome,
-        topo: &Topology,
+        country_of: impl Fn(Asn) -> Option<CountryCode>,
     ) {
         debug_assert_ne!(outcome.solvability, churnlab_sat::Solvability::Unsat);
         let censors: HashSet<Asn> = outcome.censors.iter().copied().collect();
@@ -84,18 +86,12 @@ impl LeakageReport {
                 if !censors.contains(censor) {
                     continue;
                 }
-                let censor_country = match topo.info_by_asn(*censor) {
-                    Some(i) => i.country,
-                    None => continue,
-                };
+                let Some(censor_country) = country_of(*censor) else { continue };
                 for upstream in &path[..ci] {
                     if !exonerated.contains(upstream) {
                         continue; // only False-assigned ASes are victims
                     }
-                    let up_country = match topo.info_by_asn(*upstream) {
-                        Some(i) => i.country,
-                        None => continue,
-                    };
+                    let Some(up_country) = country_of(*upstream) else { continue };
                     // Leakage to other ASes counts regardless of country;
                     // cross-country leaks are tracked separately.
                     self.victims_by_censor.entry(*censor).or_default().insert(*upstream);
@@ -113,12 +109,15 @@ impl LeakageReport {
     /// Merge another report into this one (shard fan-in: victim sets
     /// union, which is exactly what ingesting the shards' instances into
     /// one report would have produced).
-    pub fn merge(&mut self, other: LeakageReport) {
-        for (censor, victims) in other.victims_by_censor {
-            self.victims_by_censor.entry(censor).or_default().extend(victims);
+    pub fn merge(&mut self, other: &LeakageReport) {
+        for (censor, victims) in &other.victims_by_censor {
+            self.victims_by_censor.entry(*censor).or_default().extend(victims);
         }
-        for (censor, countries) in other.victim_countries_by_censor {
-            self.victim_countries_by_censor.entry(censor).or_default().extend(countries);
+        for (censor, countries) in &other.victim_countries_by_censor {
+            self.victim_countries_by_censor
+                .entry(*censor)
+                .or_default()
+                .extend(countries.iter().cloned());
         }
     }
 

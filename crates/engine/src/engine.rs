@@ -5,7 +5,9 @@ use crate::ckpt::{self, Dec, Enc, RestoreError, MAGIC, VERSION};
 use crate::incremental::IncrementalStats;
 use crate::intern::InternStats;
 use crate::obs::{EngineObs, ShardObs, PHASE_NANOS};
-use crate::shard::{run_worker, CompactCut, Msg, ShardReport, ShardState, SolvedCell};
+use crate::shard::{
+    as_countries, cloned_outcomes, run_worker, CompactCut, Msg, ShardReport, ShardState,
+};
 use churnlab_core::accumulate::FindingsAccumulator;
 use churnlab_core::analyze::InstanceOutcome;
 use churnlab_core::convert::ConversionStats;
@@ -16,6 +18,7 @@ use churnlab_platform::{Measurement, Platform};
 use churnlab_sat::CtxStats;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
+use std::marker::PhantomData;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -85,10 +88,13 @@ pub struct EngineBusy {
     /// critical path. Flat scaling shows up here: a serialized engine
     /// has `max ≈ total`.
     pub shard_max_nanos: u64,
-    /// Critical-path cost of the merge that produced this report: the
-    /// merging thread's on-CPU time plus the slowest parallel
-    /// accumulation worker (wall time where the CPU clock is
-    /// unavailable). The serial section at the snapshot boundary.
+    /// Cost of the merge that produced this report: the merging
+    /// thread's on-CPU time (wall time where the CPU clock is
+    /// unavailable) — the serial section at the snapshot boundary. It
+    /// unions the shards' already-folded findings, copies and sorts the
+    /// outcomes, and folds closed churn windows; solving cells and
+    /// folding their findings is shard work, counted in the shard
+    /// times.
     pub merge_nanos: u64,
 }
 
@@ -277,7 +283,10 @@ impl EngineStats {
 /// byte-identical to the batch pipeline's over the same measurement
 /// set.
 pub struct Engine<'c> {
-    topo: &'c churnlab_topology::Topology,
+    /// The engine reads the topology once, at construction (the workers'
+    /// country table); the borrow is kept in the type so a context
+    /// outliving its engine stays part of the contract.
+    topo: PhantomData<&'c churnlab_topology::Topology>,
     cfg: PipelineConfig,
     /// Window-retirement lateness horizon (see
     /// [`EngineConfig::window_horizon`]).
@@ -332,10 +341,12 @@ fn payload_msg(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Cells below this total skip the scoped-thread fan-out at the merge
-/// boundary: spawning per-shard merge threads costs more than resolving
-/// a small report serially.
-const PARALLEL_MERGE_MIN_CELLS: usize = 1024;
+/// The global churn watermark: the *minimum* high-water day across every
+/// shard. `None` if any shard has seen no data yet — then no churn
+/// window can be proven globally closed.
+fn min_watermark(shards: impl Iterator<Item = Option<u32>>) -> Option<u32> {
+    shards.min().flatten()
+}
 
 impl<'c> Engine<'c> {
     /// New engine over a platform (interpret the platform's measurements
@@ -382,20 +393,25 @@ impl<'c> Engine<'c> {
     ) -> Self {
         let obs = obs.map(Arc::new);
         let n = cfg.resolved_shards().max(1);
+        let countries = Arc::new(as_countries(topo));
         let states = (0..n)
             .map(|i| {
                 let shard_obs = obs.as_ref().map(|o| ShardObs::new(o, i));
-                ShardState::new(cfg.pipeline.clone(), cfg.window_horizon, shard_obs)
+                ShardState::new(
+                    cfg.pipeline.clone(),
+                    cfg.window_horizon,
+                    shard_obs,
+                    Arc::clone(&countries),
+                )
             })
             .collect();
-        Self::spawn(db, topo, cfg, obs, states)
+        Self::spawn(db, cfg, obs, states)
     }
 
     /// Spawn workers over pre-built shard states — shared by fresh
     /// construction and checkpoint restore, so both run the same worker.
     fn spawn(
         db: &churnlab_topology::Ip2AsDb,
-        topo: &'c churnlab_topology::Topology,
         cfg: EngineConfig,
         obs: Option<Arc<EngineObs>>,
         states: Vec<ShardState>,
@@ -420,7 +436,7 @@ impl<'c> Engine<'c> {
             workers.push(Some(handle));
         }
         Engine {
-            topo,
+            topo: PhantomData,
             cfg: cfg.pipeline,
             horizon: cfg.window_horizon,
             senders,
@@ -535,25 +551,60 @@ impl<'c> Engine<'c> {
             .collect()
     }
 
+    /// With a horizon configured and every shard reporting a watermark,
+    /// fold the churn windows of `churn` (a merged cut, the persistent
+    /// retired tallies already adopted) that closed below the global
+    /// watermark. Returns the watermark the shards should prune to, if
+    /// it advanced. Runs under the retired lock, so concurrent cuts
+    /// cannot interleave fold frontiers.
+    fn fold_closed_churn(
+        &self,
+        ret: &mut EngineRetired,
+        churn: &mut ChurnAccumulator,
+        min_hw: Option<u32>,
+    ) -> Option<u32> {
+        churn.adopt_retired(&ret.churn, ret.churn_frontier);
+        let hw = min_hw.filter(|_| self.horizon.is_some())?;
+        // Folds even when the watermark has not moved: a cut collected
+        // before its shard pruned still carries partials an earlier cut
+        // folded, and the fold's stale check is what discards them.
+        churn.fold_closed(hw);
+        if hw <= ret.churn_frontier {
+            return None;
+        }
+        let (folded, frontier) = churn.retired_state();
+        ret.churn = folded.clone();
+        ret.churn_frontier = frontier;
+        Some(hw)
+    }
+
+    /// Tell every shard to free its churn partials closed below `hw`.
+    fn prune_churn(&self, hw: Option<u32>) {
+        if let Some(hw) = hw {
+            for shard in 0..self.senders.len() {
+                self.send(shard, Msg::PruneChurn(hw));
+            }
+        }
+    }
+
     fn merge(&self, reports: Vec<ShardReport>) -> (PipelineResults, EngineStats) {
-        // Critical-path accounting, same basis as the shard workers:
-        // the merging thread's on-CPU time (immune to being descheduled
-        // under core oversubscription) plus the slowest parallel
-        // accumulation worker — what an unconstrained machine would
-        // serially wait for. Wall time is the fallback.
+        // The serial section's cost, on the same basis as the shard
+        // workers': on-CPU time (immune to being descheduled under core
+        // oversubscription), wall time as the fallback.
         let cpu0 = thread_cpu_nanos();
         let t0 = Instant::now();
-        let mut par_max_nanos = 0u64;
         let mut stats = EngineStats { shards: self.senders.len(), ..Default::default() };
         let mut conversion = ConversionStats::default();
         let mut churn = ChurnAccumulator::new();
         let mut trivial = 0u64;
-        let mut total_cells = 0usize;
-        // The global fold watermark: the *minimum* high-water day across
-        // every shard. `None` if any shard has seen no data yet — then
-        // no churn window can be proven globally closed.
-        let mut min_hw = Some(u32::MAX);
-        for r in &reports {
+        let min_hw = min_watermark(reports.iter().map(|r| r.high_water));
+        // Every cell was solved, and its findings folded, on its shard:
+        // what is left is a union of small accumulators and one copy of
+        // the outcomes into the report.
+        let mut acc = FindingsAccumulator::new();
+        let n_cells = reports.iter().flat_map(|r| &r.groups).map(|g| g.cells.len()).sum();
+        let mut outcomes = Vec::with_capacity(n_cells);
+        for r in reports {
             stats.observations += r.observations;
             stats.incremental.merge(r.stats);
             stats.interner.merge(r.intern);
@@ -565,103 +616,26 @@ impl<'c> Engine<'c> {
             stats.retire.late_dropped += r.late_dropped;
             conversion.merge(r.conversion);
             trivial += r.trivial;
-            total_cells += r.cells.len();
-            min_hw = match (min_hw, r.high_water) {
-                (Some(m), Some(h)) => Some(m.min(h)),
-                _ => None,
-            };
-        }
-        // Cells carry PathIds; each id is only meaningful against its own
-        // shard's snapshot, so findings accumulate per shard — in
-        // parallel for big reports (scoped threads: the topology is a
-        // borrow) — and fan in through the order-independent
-        // `FindingsAccumulator::merge`. This keeps the snapshot boundary
-        // from serializing on one thread as shard counts grow.
-        let topo = self.topo;
-        let shard_acc = |r: &ShardReport| {
-            let mut acc = FindingsAccumulator::new();
-            for cell in &r.cells {
-                acc.record(
-                    &cell.outcome,
-                    cell.censored_paths.iter().map(|id| r.paths.path(*id)),
-                    topo,
-                );
-            }
-            acc
-        };
-        let accs: Vec<FindingsAccumulator> =
-            if total_cells >= PARALLEL_MERGE_MIN_CELLS && reports.len() > 1 {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = reports
-                        .iter()
-                        .map(|r| {
-                            scope.spawn(|| {
-                                let c0 = thread_cpu_nanos().unwrap_or(0);
-                                let acc = shard_acc(r);
-                                let c1 = thread_cpu_nanos().unwrap_or(0);
-                                (acc, c1.saturating_sub(c0))
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            let (acc, nanos) = h.join().expect("merge worker");
-                            par_max_nanos = par_max_nanos.max(nanos);
-                            acc
-                        })
-                        .collect()
-                })
-            } else {
-                reports.iter().map(shard_acc).collect()
-            };
-        let mut acc = FindingsAccumulator::new();
-        for a in accs {
-            acc.merge(a);
-        }
-        let mut outcomes = Vec::with_capacity(total_cells);
-        for r in reports {
             churn.merge(r.churn);
-            acc.on_censored_path.extend(r.on_censored_path);
-            outcomes.extend(r.cells.into_iter().map(|c: SolvedCell| c.outcome));
+            acc.merge(&r.findings);
+            outcomes.extend(cloned_outcomes(&r.groups));
         }
         // One deterministic global order, whatever the shard layout.
         outcomes.sort_by_key(|o| o.key);
         stats.retire.churn_late_dropped = churn.late_dropped();
-        // Fold in the engine's persistent retired state, then (with a
-        // horizon configured and every shard reporting a watermark) fold
-        // churn windows closed below the global watermark into it and
-        // tell the shards to free their matching partials. The
-        // adopt → fold → write-back happens under one lock hold, so
-        // concurrent snapshots cannot interleave fold frontiers;
-        // re-folding is additionally guarded by the accumulator's stale
-        // check.
-        let mut prune = None;
-        {
+        // Fold in the engine's persistent retired state (what compaction
+        // drained from the shards, and churn windows folded by earlier
+        // cuts).
+        let prune = {
             let mut ret = self.retired.lock().unwrap_or_else(|e| e.into_inner());
-            churn.adopt_retired(&ret.churn, ret.churn_frontier);
-            if self.horizon.is_some() {
-                if let Some(hw) = min_hw {
-                    churn.fold_closed(hw);
-                    let (folded, frontier) = churn.retired_state();
-                    ret.churn = folded.clone();
-                    ret.churn_frontier = frontier;
-                    prune = Some(hw);
-                }
-            }
             trivial += ret.trivial;
-            acc.merge(ret.findings.clone());
-        }
-        if let Some(hw) = prune {
-            for shard in 0..self.senders.len() {
-                self.send(shard, Msg::PruneChurn(hw));
-            }
-        }
+            acc.merge(&ret.findings);
+            self.fold_closed_churn(&mut ret, &mut churn, min_hw)
+        };
+        self.prune_churn(prune);
         let FindingsAccumulator { censor_findings, leakage, on_censored_path } = acc;
         stats.busy.merge_nanos = match (cpu0, thread_cpu_nanos()) {
-            // Caller CPU excludes the scoped workers (and the idle wait
-            // joining them); add back the slowest worker's CPU.
-            (Some(a), Some(b)) => b.saturating_sub(a) + par_max_nanos,
+            (Some(a), Some(b)) => b.saturating_sub(a),
             _ => t0.elapsed().as_nanos() as u64,
         };
         if let Some(obs) = &self.obs {
@@ -715,46 +689,21 @@ impl<'c> Engine<'c> {
             })
             .collect();
         let mut churn = ChurnAccumulator::new();
-        let mut min_hw = Some(u32::MAX);
+        let min_hw = min_watermark(cuts.iter().map(|c| c.high_water));
         let mut outcomes = Vec::new();
         let mut trivial = 0u64;
-        let mut prune = None;
-        {
+        let prune = {
             let mut ret = self.retired.lock().unwrap_or_else(|e| e.into_inner());
             for cut in cuts {
-                let CompactCut { high_water, churn: shard_churn, cells, trivial: t, paths } = cut;
-                min_hw = match (min_hw, high_water) {
-                    (Some(m), Some(h)) => Some(m.min(h)),
-                    _ => None,
-                };
-                churn.merge(shard_churn);
-                trivial += t;
-                ret.trivial += t;
-                for cell in &cells {
-                    ret.findings.record(
-                        &cell.outcome,
-                        cell.censored_paths.iter().map(|id| paths.path(*id)),
-                        self.topo,
-                    );
-                }
-                outcomes.extend(cells.into_iter().map(|c| c.outcome));
+                churn.merge(cut.churn);
+                trivial += cut.trivial;
+                ret.findings.merge(&cut.findings);
+                outcomes.extend(cloned_outcomes(&cut.groups));
             }
-            churn.adopt_retired(&ret.churn, ret.churn_frontier);
-            if self.horizon.is_some() {
-                if let Some(hw) = min_hw {
-                    churn.fold_closed(hw);
-                    let (folded, frontier) = churn.retired_state();
-                    ret.churn = folded.clone();
-                    ret.churn_frontier = frontier;
-                    prune = Some(hw);
-                }
-            }
-        }
-        if let Some(hw) = prune {
-            for shard in 0..self.senders.len() {
-                self.send(shard, Msg::PruneChurn(hw));
-            }
-        }
+            ret.trivial += trivial;
+            self.fold_closed_churn(&mut ret, &mut churn, min_hw)
+        };
+        self.prune_churn(prune);
         outcomes.sort_by_key(|o| o.key);
         CompactReport { outcomes, trivial }
     }
@@ -885,6 +834,7 @@ impl<'c> Engine<'c> {
             trivial: c(d.u64())?,
         };
         let obs = obs.map(Arc::new);
+        let countries = Arc::new(as_countries(topo));
         let mut states = Vec::with_capacity(n_shards);
         for shard in 0..n_shards {
             let blob = c(d.bytes())?;
@@ -893,12 +843,18 @@ impl<'c> Engine<'c> {
                 return Err(RestoreError::Corrupt(format!("shard {shard} blob checksum mismatch")));
             }
             let shard_obs = obs.as_ref().map(|o| ShardObs::new(o, shard));
-            let state = ShardState::decode(cfg.pipeline.clone(), horizon, shard_obs, blob)
-                .map_err(|m| RestoreError::Corrupt(format!("shard {shard}: {m}")))?;
+            let state = ShardState::decode(
+                cfg.pipeline.clone(),
+                horizon,
+                shard_obs,
+                Arc::clone(&countries),
+                blob,
+            )
+            .map_err(|m| RestoreError::Corrupt(format!("shard {shard}: {m}")))?;
             states.push(state);
         }
         c(d.done())?;
-        let engine = Self::spawn(db, topo, cfg, obs, states);
+        let engine = Self::spawn(db, cfg, obs, states);
         *engine.retired.lock().unwrap_or_else(|e| e.into_inner()) = retired;
         Ok(Restored { engine, cursor, user })
     }

@@ -267,7 +267,11 @@ impl InstanceGroup {
     /// each cell's polarity; `table` resolves the path's distinct-AS list
     /// the first time this group sees it; `cap` is the enumeration cap
     /// ([`churnlab_core::analyze::SolveConfig`]); `scratch` is the
-    /// worker-owned reusable solver state.
+    /// worker-owned reusable solver state. Returns whether the
+    /// observation was *effective* — a non-duplicate for at least one
+    /// cell. Only an effective observation can change any cell's
+    /// [`IncrementalInstance::outcome`], so a `false` tells the shard
+    /// its cached solved cells for this group are still current.
     pub fn observe(
         &mut self,
         pid: PathId,
@@ -276,7 +280,7 @@ impl InstanceGroup {
         cap: u64,
         stats: &mut IncrementalStats,
         scratch: &mut SolveScratch,
-    ) {
+    ) -> bool {
         let (start, len);
         // Polarity to apply per cell; `None` = duplicate, skip.
         let mut todo = [None::<bool>; N_CELLS];
@@ -313,12 +317,15 @@ impl InstanceGroup {
         }
         let space = &self.space;
         let vlist = &space.lits[start..start + len];
+        let mut effective = false;
         for (i, censored) in todo.iter().enumerate() {
             if let Some(censored) = *censored {
+                effective = true;
                 stats.updates += 1;
                 self.cells[i].observe(pid, vlist, censored, space, cap, stats, scratch);
             }
         }
+        effective
     }
 
     /// The group's variable numbering (group-local index → AS).

@@ -11,16 +11,15 @@
 //! O(path-len) hashing per instance cell to an O(1) integer probe.
 //!
 //! Id stability: ids are dense, assigned in first-intern order, and never
-//! reassigned, so a [`PathSnapshot`] taken at report time remains a valid
-//! resolver for every id issued before it — and earlier snapshots are
-//! strict prefixes of later ones (see [`PathId`]'s guarantees).
+//! reassigned, so an id held by a retired cell or a checkpoint resolves
+//! to the same path for the table's whole life (see [`PathId`]'s
+//! guarantees).
 
 use churnlab_core::obs::PathId;
 use churnlab_topology::Asn;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 /// A fast multiplicative hasher (FxHash-style) for the engine's hot maps:
 /// small integer keys ([`PathId`], [`Asn`]) and short `u32` sequences
@@ -149,10 +148,6 @@ pub struct PathTable {
     distinct_offsets: Vec<u32>,
     /// Intern calls answered from the table.
     hits: u64,
-    /// Last [`PathTable::snapshot_shared`] result, reused while the table
-    /// has not grown since — a snapshot-heavy polling loop pays one arena
-    /// clone per *table growth*, not one per report.
-    snap_cache: Option<Arc<PathSnapshot>>,
 }
 
 impl PathTable {
@@ -165,7 +160,6 @@ impl PathTable {
             distinct_arena: Vec::new(),
             distinct_offsets: vec![0],
             hits: 0,
-            snap_cache: None,
         }
     }
 
@@ -220,36 +214,12 @@ impl PathTable {
     pub fn stats(&self) -> InternStats {
         InternStats { distinct_paths: self.len() as u64, hits: self.hits }
     }
-
-    /// A read-only resolver for every id issued so far, detached from the
-    /// table (for crossing the shard boundary). Copies only the arena —
-    /// one flat `Asn` buffer over *distinct* paths — never a
-    /// per-observation `Vec<Vec<Asn>>`.
-    pub fn snapshot(&self) -> PathSnapshot {
-        PathSnapshot { arena: self.arena.clone(), offsets: self.offsets.clone() }
-    }
-
-    /// [`PathTable::snapshot`] behind an `Arc`, cached: returns the same
-    /// allocation until the table grows again. Ids are dense and never
-    /// reassigned, so a cached snapshot taken at the current length is
-    /// exactly the snapshot a fresh clone would produce — repeated
-    /// reports of a quiesced shard are allocation-free at this boundary.
-    pub fn snapshot_shared(&mut self) -> Arc<PathSnapshot> {
-        match &self.snap_cache {
-            Some(s) if s.len() == self.len() => Arc::clone(s),
-            _ => {
-                let s = Arc::new(self.snapshot());
-                self.snap_cache = Some(Arc::clone(&s));
-                s
-            }
-        }
-    }
 }
 
 impl PathTable {
     /// Serialize the table for a checkpoint: the CSR arena, offsets, and
-    /// hit counter. The dedup map, distinct lists, and snapshot cache are
-    /// all derivable, so they are rebuilt at decode time.
+    /// hit counter. The dedup map and distinct lists are derivable, so
+    /// they are rebuilt at decode time.
     pub(crate) fn encode(&self, e: &mut crate::ckpt::Enc) {
         e.u64(self.hits);
         e.u32s(&self.offsets);
@@ -283,44 +253,6 @@ impl PathTable {
         }
         t.hits = hits;
         Ok(t)
-    }
-}
-
-/// A detached id → path resolver (see [`PathTable::snapshot`]).
-#[derive(Debug, Clone)]
-pub struct PathSnapshot {
-    arena: Vec<Asn>,
-    offsets: Vec<u32>,
-}
-
-impl Default for PathSnapshot {
-    fn default() -> Self {
-        PathSnapshot { arena: Vec::new(), offsets: vec![0] }
-    }
-}
-
-impl PathSnapshot {
-    /// A snapshot resolving no ids — for reports that carry none, so a
-    /// snapshot of an id-free report never clones an arena.
-    pub fn empty() -> Self {
-        PathSnapshot::default()
-    }
-
-    /// The path for an id issued before this snapshot was taken.
-    #[inline]
-    pub fn path(&self, id: PathId) -> &[Asn] {
-        let i = id.usize();
-        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Number of paths resolvable through this snapshot.
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// True if the snapshot resolves no ids.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -363,35 +295,5 @@ mod tests {
         let short = t.intern(&asns(&[1, 2]));
         assert_ne!(long, short);
         assert_eq!(t.path(short), asns(&[1, 2]).as_slice());
-    }
-
-    #[test]
-    fn snapshot_resolves_all_prior_ids_and_stays_valid() {
-        let mut t = PathTable::new();
-        let a = t.intern(&asns(&[1, 2]));
-        let snap1 = t.snapshot();
-        let b = t.intern(&asns(&[3]));
-        let snap2 = t.snapshot();
-        assert_eq!(snap1.len(), 1);
-        assert_eq!(snap1.path(a), t.path(a), "id stable across snapshots");
-        assert_eq!(snap2.path(a), t.path(a));
-        assert_eq!(snap2.path(b), t.path(b));
-        assert_eq!(t.intern(&asns(&[1, 2])), a, "re-intern after snapshot keeps the id");
-    }
-
-    #[test]
-    fn shared_snapshot_is_cached_until_growth() {
-        let mut t = PathTable::new();
-        let a = t.intern(&asns(&[1, 2]));
-        let s1 = t.snapshot_shared();
-        t.intern(&asns(&[1, 2])); // duplicate: no growth
-        let s2 = t.snapshot_shared();
-        assert!(Arc::ptr_eq(&s1, &s2), "unchanged table reuses the snapshot");
-        let b = t.intern(&asns(&[9]));
-        let s3 = t.snapshot_shared();
-        assert!(!Arc::ptr_eq(&s1, &s3), "growth invalidates the cache");
-        assert_eq!(s3.path(a), t.path(a));
-        assert_eq!(s3.path(b), t.path(b));
-        assert_eq!(s1.path(a), t.path(a), "old snapshot stays valid for old ids");
     }
 }

@@ -31,8 +31,11 @@
 //!   [`PathTable`] (one hash per measurement) and the whole
 //!   granularity×anomaly fan-out works on the dense
 //!   [`churnlab_core::obs::PathId`]: dedup is an integer probe, clause
-//!   literals live in one flat arena, and report cells carry ids that
-//!   are resolved back to paths only at the merge boundary.
+//!   literals live in one flat arena, and ids never leave the shard.
+//! * **Reports cost what changed** — each (URL × window) group's solved
+//!   cells and their findings/leakage fold are built on the shard, once
+//!   per effective update, and shared by pointer with every report until
+//!   the next one; [`Engine::snapshot`] only unions small accumulators.
 //!
 //! [`Engine::snapshot`] / [`Engine::finish`] produce a
 //! [`churnlab_core::pipeline::PipelineResults`], so reports, validation,
@@ -81,7 +84,7 @@ pub use engine::{
     CompactReport, Engine, EngineBusy, EngineConfig, EngineStats, Feeder, Restored, RetireStats,
 };
 pub use incremental::{IncrementalInstance, IncrementalStats, InstanceGroup, SolveScratch};
-pub use intern::{InternStats, PathSnapshot, PathTable};
+pub use intern::{InternStats, PathTable};
 pub use obs::EngineObs;
 // The schedstat on-CPU clock moved into `churnlab-obs`; re-exported so
 // engine consumers keep one import path.

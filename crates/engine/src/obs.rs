@@ -14,7 +14,12 @@
 //!   measurement — the only per-measurement instrumentation);
 //! * `churnlab_phase_nanos_total{phase,shard}` — on-CPU time by phase
 //!   (`convert` / `intern` at batch granularity, `resolve` per re-solve,
-//!   plus the merge thread's `phase="merge"` series);
+//!   `snapshot` per shard report, plus the merge thread's
+//!   `phase="merge"` series);
+//! * `churnlab_snapshot_groups_total{result,shard}` — live (URL × window)
+//!   groups a report served from their cached solved cells
+//!   (`result="reused"`) or had to re-solve because an effective
+//!   observation hit them since the last report (`result="rebuilt"`);
 //! * `churnlab_windows_open{shard}` — live (URL × window) groups;
 //! * `churnlab_resolve_nanos{shard}` — re-solve latency distribution
 //!   (wall-timed: re-solves are rare enough that an `Instant` pair per
@@ -33,6 +38,9 @@ use churnlab_obs::{Counter, Gauge, Histogram, Journal, Registry};
 /// workers and the stats mirror agree on them.
 pub(crate) const PHASE_NANOS: (&str, &str) =
     ("churnlab_phase_nanos_total", "on-CPU nanoseconds by phase");
+
+const SNAPSHOT_GROUPS: (&str, &str) =
+    ("churnlab_snapshot_groups_total", "live groups a shard report reused from cache or re-solved");
 
 /// Observability context for one [`crate::Engine`]: a metrics registry
 /// plus an optional event journal. Cheap to construct; the engine clones
@@ -91,6 +99,9 @@ pub(crate) struct ShardObs {
     pub(crate) observations: Counter,
     pub(crate) phase_convert: Counter,
     pub(crate) phase_intern: Counter,
+    pub(crate) phase_snapshot: Counter,
+    pub(crate) groups_reused: Counter,
+    pub(crate) groups_rebuilt: Counter,
     pub(crate) windows_open: Gauge,
     pub(crate) resolve: ResolveObs,
 }
@@ -123,6 +134,21 @@ impl ShardObs {
                 PHASE_NANOS.0,
                 PHASE_NANOS.1,
                 &[("phase", "intern"), ("shard", &s)],
+            ),
+            phase_snapshot: reg.counter(
+                PHASE_NANOS.0,
+                PHASE_NANOS.1,
+                &[("phase", "snapshot"), ("shard", &s)],
+            ),
+            groups_reused: reg.counter(
+                SNAPSHOT_GROUPS.0,
+                SNAPSHOT_GROUPS.1,
+                &[("result", "reused"), ("shard", &s)],
+            ),
+            groups_rebuilt: reg.counter(
+                SNAPSHOT_GROUPS.0,
+                SNAPSHOT_GROUPS.1,
+                &[("result", "rebuilt"), ("shard", &s)],
             ),
             windows_open: reg.gauge(
                 "churnlab_windows_open",

@@ -5,7 +5,7 @@
 //! requested. A shard receives [`Msg::Raw`]/[`Msg::Batch`] for every
 //! measurement routed to it (any order) and answers [`Msg::Report`] with
 //! a self-contained [`ShardReport`] the engine merges on the caller's
-//! thread (which is where the topology lives — workers are `'static`).
+//! thread.
 //!
 //! The shard is where **conversion** happens: routing needs only the
 //! measurement's `url_id`, so the §3.1 elimination rules (per-hop
@@ -20,9 +20,21 @@
 //! The shard is also where interning happens: every converted path is
 //! resolved to a [`PathId`] against the shard-local [`PathTable`] —
 //! **one hash per measurement** — and the granularity×anomaly fan-out
-//! works on the id alone. Report cells carry ids too; the merger
-//! resolves them back to AS paths through the report's [`PathSnapshot`]
-//! only at the boundary.
+//! works on the id alone.
+//!
+//! **Reports cost what changed.** A deployment reads the report over and
+//! over while data is still arriving, and one ingest step touches a
+//! handful of (URL × window) groups. So a group's report form — its
+//! solved cells plus their censor-findings/leakage fold, a
+//! [`SolvedGroup`] — is built here, where the cells and their paths
+//! live, and kept behind an `Arc`: a report re-solves only the groups an
+//! effective (non-duplicate) observation hit since the last one and
+//! hands out pointer copies of the rest. A retired group moves into
+//! every later report as the `Arc` it retired with, its findings folded
+//! once into a per-shard accumulator that only grows. The merger never
+//! sees a path id: it unions a few small accumulators. All of this is
+//! derived state — never checkpointed, rebuilt after a restore, freed
+//! with the group.
 //!
 //! **Window lifecycle.** The shard tracks a high-water day watermark.
 //! With a lateness horizon configured, any (URL × window) group whose
@@ -39,9 +51,10 @@
 
 use crate::ckpt::{anomaly_from, anomaly_tag, Dec, Enc};
 use crate::incremental::{IncrementalStats, InstanceGroup, SolveScratch};
-use crate::intern::{FxMap, FxSet, InternStats, PathSnapshot, PathTable};
+use crate::intern::{FxMap, FxSet, InternStats, PathTable};
 use crate::obs::ShardObs;
 use churnlab_bgp::TimeWindow;
+use churnlab_core::accumulate::FindingsAccumulator;
 use churnlab_core::analyze::{analyze_with, InstanceOutcome};
 use churnlab_core::batch::{first_path_refs, for_each_instance};
 use churnlab_core::convert::ConversionStats;
@@ -52,7 +65,8 @@ use churnlab_core::ChurnAccumulator;
 use churnlab_obs::{BusyTimer, Counter, Stopwatch};
 use churnlab_platform::Measurement;
 use churnlab_sat::{CtxStats, Solvability};
-use churnlab_topology::{Asn, Ip2AsDb};
+use churnlab_topology::geo::CountryCode;
+use churnlab_topology::{Asn, Ip2AsDb, Topology};
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -89,27 +103,114 @@ pub(crate) enum Msg {
     Poison,
 }
 
-/// One analysed instance crossing the shard boundary: the outcome plus
-/// the ids of the censored paths the merger's leakage analysis needs
-/// (attached only when the instance pinned down a censor; resolved
-/// against the owning [`ShardReport::paths`] snapshot).
-#[derive(Clone)]
+/// AS → registered country: all the leakage analysis needs of the
+/// topology. Shard workers are `'static` and cannot hold the engine's
+/// `&Topology`, so they share this table the way they share the
+/// [`Ip2AsDb`].
+pub(crate) type AsCountries = FxMap<Asn, CountryCode>;
+
+/// Extract the country table from a topology.
+pub(crate) fn as_countries(topo: &Topology) -> AsCountries {
+    topo.ases().iter().map(|info| (info.asn, info.country)).collect()
+}
+
+/// The table as the lookup [`FindingsAccumulator::record`] takes.
+fn country_of(countries: &AsCountries) -> impl Fn(Asn) -> Option<CountryCode> + Copy + '_ {
+    |a| countries.get(&a).copied()
+}
+
+/// One analysed instance: the outcome plus the ids of the censored paths
+/// its leakage fold read (attached only when the instance pinned down a
+/// censor). The ids outlive the fold because a retired cell's checkpoint
+/// row stores them.
 pub(crate) struct SolvedCell {
     pub outcome: InstanceOutcome,
     pub censored_paths: Vec<PathId>,
 }
 
+/// A (URL × window) group's whole contribution to a report: its analysed
+/// cells and their censor-findings/leakage fold. Immutable once built —
+/// shared between the shard's cache, its retired list, and every report
+/// that includes it.
+#[derive(Default)]
+pub(crate) struct SolvedGroup {
+    pub cells: Vec<SolvedCell>,
+    /// Trivial (no-positive) cells skipped under `require_positive`.
+    pub trivial: u64,
+    /// [`FindingsAccumulator::record`] over `cells`.
+    pub findings: FindingsAccumulator,
+}
+
+impl SolvedGroup {
+    /// Solve every cell of a live group.
+    fn of(
+        group: &InstanceGroup,
+        require_positive: bool,
+        table: &PathTable,
+        countries: &AsCountries,
+    ) -> Self {
+        let mut solved = SolvedGroup::default();
+        for inst in group.cells() {
+            if require_positive && !inst.has_positive() {
+                solved.trivial += 1;
+                continue;
+            }
+            let outcome = inst.outcome(group.vars());
+            let censored_paths = if outcome.censors.is_empty() {
+                Vec::new()
+            } else {
+                inst.censored_paths().collect()
+            };
+            solved.push(SolvedCell { outcome, censored_paths }, table, countries);
+        }
+        solved
+    }
+
+    /// Journal the group's close: one `cell_solved` per reported cell,
+    /// then the `window_closed` carrying the tallies.
+    fn journal_close(&self, obs: &ShardObs, url_id: u32, window: TimeWindow) {
+        for cell in &self.cells {
+            obs.cell_solved(&cell.outcome);
+        }
+        obs.window_closed(url_id, window, self.cells.len() as u64, self.trivial);
+    }
+
+    /// Append one cell, folding it into the group's findings.
+    fn push(&mut self, cell: SolvedCell, table: &PathTable, countries: &AsCountries) {
+        self.findings.record(
+            &cell.outcome,
+            cell.censored_paths.iter().map(|id| table.path(*id)),
+            country_of(countries),
+        );
+        self.cells.push(cell);
+    }
+}
+
+/// Copies of every outcome in `groups`, in order — what a report or a
+/// compaction hands the caller to own.
+pub(crate) fn cloned_outcomes(
+    groups: &[Arc<SolvedGroup>],
+) -> impl Iterator<Item = InstanceOutcome> + '_ {
+    groups.iter().flat_map(|g| &g.cells).map(|c| c.outcome.clone())
+}
+
+/// A live group and the report form of its cells as of the last
+/// effective update — `None` until a report (or retirement) first asks
+/// for it, and again after every effective observation.
+struct LiveGroup {
+    group: InstanceGroup,
+    solved: Option<Arc<SolvedGroup>>,
+}
+
 /// Everything a shard contributes to a merged report.
 pub(crate) struct ShardReport {
-    pub cells: Vec<SolvedCell>,
-    /// Resolver for every [`PathId`] in `cells` (one flat arena over the
-    /// shard's *distinct* paths — the report never deep-copies a
-    /// per-observation `Vec<Vec<Asn>>`). Shared: a quiesced shard hands
-    /// out the same cached snapshot allocation report after report.
-    pub paths: Arc<PathSnapshot>,
+    /// Retired (not yet compacted) groups, then live ones.
+    pub groups: Vec<Arc<SolvedGroup>>,
     pub trivial: u64,
     pub churn: ChurnAccumulator,
-    pub on_censored_path: HashSet<Asn>,
+    /// Union of every group's findings, plus the shard's observability
+    /// horizon (ASes on any censored path).
+    pub findings: FindingsAccumulator,
     pub stats: IncrementalStats,
     pub intern: InternStats,
     /// Conversion accounting for every measurement routed here —
@@ -136,17 +237,17 @@ pub(crate) struct ShardReport {
 }
 
 /// A shard's answer to [`Msg::Compact`]: ownership of its retired
-/// outcomes (plus the aggregates the engine folds into its persistent
-/// retired state) — after this cut the shard no longer holds them.
+/// groups and their folded findings — after this cut the shard no longer
+/// holds them.
 pub(crate) struct CompactCut {
     pub high_water: Option<u32>,
     /// Clone of the shard's churn accumulator, so the engine can fold
     /// globally-closed windows during the same cut.
     pub churn: ChurnAccumulator,
-    pub cells: Vec<SolvedCell>,
+    pub groups: Vec<Arc<SolvedGroup>>,
     pub trivial: u64,
-    /// Resolver for the ids in `cells`.
-    pub paths: Arc<PathSnapshot>,
+    /// The drained groups' findings, already folded.
+    pub findings: FindingsAccumulator,
 }
 
 /// One URL's deferred buffer for the Figure-4 ablation, where "first
@@ -192,24 +293,34 @@ pub(crate) struct ShardState {
     /// copied once, everything downstream id-based.
     table: PathTable,
     /// Incrementally solved instance groups (Normal churn mode), one per
-    /// live (URL × window), each holding every anomaly cell.
-    groups: FxMap<(u32, TimeWindow), InstanceGroup>,
+    /// live (URL × window), each holding every anomaly cell — plus the
+    /// cached report form of those cells.
+    groups: FxMap<(u32, TimeWindow), LiveGroup>,
     /// Per-URL buffers for the Figure-4 ablation, processed (without
     /// consuming) at report time over the restored test order.
     deferred: FxMap<u32, DeferredBuf>,
     churn: ChurnAccumulator,
-    /// Ids of paths that carried at least one detected anomaly — the
-    /// observability horizon, expanded to ASes only at report time.
+    /// Ids of paths that carried at least one detected anomaly (the
+    /// checkpointed form of the observability horizon).
     censored_path_ids: FxSet<PathId>,
+    /// The ASes on those paths — the observability horizon itself,
+    /// extended when an id first enters `censored_path_ids`.
+    on_censored_path: HashSet<Asn>,
+    /// Shared AS → country table for the shard-side leakage fold.
+    countries: Arc<AsCountries>,
     stats: IncrementalStats,
     conversion: ConversionStats,
     observations: u64,
     /// Highest day seen so far.
     high_water: Option<u32>,
-    /// Outcomes of retired groups, held until the next report /
-    /// [`ShardState::compact_cut`]. Path ids stay valid: the table never
-    /// reassigns them.
-    retired_cells: Vec<SolvedCell>,
+    /// Retired groups in retirement order, part of every report until
+    /// [`ShardState::compact_cut`] drains them. Path ids stay valid: the
+    /// table never reassigns them.
+    retired: Vec<Arc<SolvedGroup>>,
+    /// Union of the `retired` groups' findings: each group is folded in
+    /// once, when it retires, so a report pays for it by size, not by
+    /// cell count.
+    retired_findings: FindingsAccumulator,
     /// Trivial (no-positive) cells skipped at retirement, not yet
     /// drained by a compact cut.
     retired_trivial: u64,
@@ -229,7 +340,12 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    pub(crate) fn new(cfg: PipelineConfig, horizon: Option<u32>, obs: Option<ShardObs>) -> Self {
+    pub(crate) fn new(
+        cfg: PipelineConfig,
+        horizon: Option<u32>,
+        obs: Option<ShardObs>,
+        countries: Arc<AsCountries>,
+    ) -> Self {
         let mut scratch = SolveScratch::new();
         if let Some(o) = &obs {
             scratch.set_resolve_obs(o.resolve.clone());
@@ -249,11 +365,14 @@ impl ShardState {
             deferred: FxMap::default(),
             churn,
             censored_path_ids: FxSet::default(),
+            on_censored_path: HashSet::new(),
+            countries,
             stats: IncrementalStats::default(),
             conversion: ConversionStats::default(),
             observations: 0,
             high_water: None,
-            retired_cells: Vec::new(),
+            retired: Vec::new(),
+            retired_findings: FindingsAccumulator::new(),
             retired_trivial: 0,
             windows_retired: 0,
             cells_retired: 0,
@@ -300,8 +419,8 @@ impl ShardState {
         // Any censored observation lands in at least one analysed
         // instance (its own anomaly's), so the observability horizon can
         // accumulate here without waiting for the report.
-        if !o.detected.is_empty() {
-            self.censored_path_ids.insert(pid);
+        if !o.detected.is_empty() && self.censored_path_ids.insert(pid) {
+            self.on_censored_path.extend(&o.path);
         }
         let cap = self.cfg.solve.count_cap;
         for &g in &self.cfg.granularities {
@@ -312,16 +431,28 @@ impl ShardState {
                 self.late_dropped += 1;
                 continue;
             }
-            let group = match self.groups.entry((o.url_id, window)) {
+            let live = match self.groups.entry((o.url_id, window)) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => {
                     if let Some(obs) = &self.obs {
                         obs.window_opened(o.url_id, window);
                     }
-                    e.insert(InstanceGroup::new(o.url_id, window))
+                    e.insert(LiveGroup {
+                        group: InstanceGroup::new(o.url_id, window),
+                        solved: None,
+                    })
                 }
             };
-            group.observe(pid, &self.table, o.detected, cap, &mut self.stats, &mut self.scratch);
+            if live.group.observe(
+                pid,
+                &self.table,
+                o.detected,
+                cap,
+                &mut self.stats,
+                &mut self.scratch,
+            ) {
+                live.solved = None;
+            }
         }
         if advanced && self.horizon.is_some() {
             self.retire_closed();
@@ -340,10 +471,10 @@ impl ShardState {
     }
 
     /// Retire every live group whose window fell behind the horizon:
-    /// solve its cells once, emit the journal close, move the outcomes
-    /// to the retired list, and free the solver state. Retirement order
-    /// is sorted by (URL, window) so journal and retired-cell order
-    /// never depend on hash-map iteration.
+    /// solve its cells once, emit the journal close, move them to the
+    /// retired list, and free the solver state. Retirement order is
+    /// sorted by (URL, window) so journal and retired-cell order never
+    /// depend on hash-map iteration.
     fn retire_closed(&mut self) {
         let mut keys: Vec<(u32, TimeWindow)> = self
             .groups
@@ -356,114 +487,74 @@ impl ShardState {
         }
         keys.sort_unstable();
         for key in keys {
-            let group = self.groups.remove(&key).expect("key just listed");
-            self.retire_group(key.0, key.1, &group);
+            let live = self.groups.remove(&key).expect("key just listed");
+            self.retire_group(key.0, key.1, live);
         }
     }
 
-    /// Fold one removed group into the retired accumulators.
-    fn retire_group(&mut self, url_id: u32, window: TimeWindow, group: &InstanceGroup) {
-        let mut reported = 0u64;
-        let mut trivial = 0u64;
-        for inst in group.cells() {
-            if self.cfg.require_positive && !inst.has_positive() {
-                self.retired_trivial += 1;
-                trivial += 1;
-                continue;
-            }
-            let outcome = inst.outcome(group.vars());
-            if let Some(obs) = &self.obs {
-                obs.cell_solved(&outcome);
-            }
-            let censored_paths = if outcome.censors.is_empty() {
-                Vec::new()
-            } else {
-                inst.censored_paths().collect()
-            };
-            self.retired_cells.push(SolvedCell { outcome, censored_paths });
-            reported += 1;
-            self.cells_retired += 1;
-        }
-        self.windows_retired += 1;
+    /// Move one removed group to the retired list — as the `Arc` the
+    /// last report already built, if nothing hit the group since —
+    /// folding its findings into the retired accumulator.
+    fn retire_group(&mut self, url_id: u32, window: TimeWindow, live: LiveGroup) {
+        let solved = live.solved.unwrap_or_else(|| {
+            let require_positive = self.cfg.require_positive;
+            Arc::new(SolvedGroup::of(&live.group, require_positive, &self.table, &self.countries))
+        });
         if let Some(obs) = &self.obs {
-            obs.window_closed(url_id, window, reported, trivial);
+            solved.journal_close(obs, url_id, window);
         }
+        self.retired_trivial += solved.trivial;
+        self.cells_retired += solved.cells.len() as u64;
+        self.windows_retired += 1;
+        self.retired_findings.merge(&solved.findings);
+        self.retired.push(solved);
     }
 
     /// Produce a report of everything processed so far. Non-destructive
     /// for the tomography state — the shard keeps ingesting afterwards;
-    /// `&mut` only so deferred ablation buffers can be sorted in place
-    /// (at most once per out-of-order batch) and the warm scratch solver
-    /// reused. `fin` marks the engine's final cut: only then are journal
-    /// window-closed / cell-solved events emitted for *live* groups
-    /// (retired groups emitted theirs at retirement — once per window,
-    /// once per cell, so the journal reconciles exactly with this
-    /// report).
+    /// `&mut` so stale group caches can be refreshed, deferred ablation
+    /// buffers sorted in place (at most once per out-of-order batch) and
+    /// the warm scratch solver reused. `fin` marks the engine's final
+    /// cut: only then are journal window-closed / cell-solved events
+    /// emitted for *live* groups (retired groups emitted theirs at
+    /// retirement — once per window, once per cell, so the journal
+    /// reconciles exactly with this report).
     pub(crate) fn report(&mut self, fin: bool) -> ShardReport {
-        let mut cells = Vec::new();
+        // Retired groups not yet drained by a compact cut are part of
+        // every report: pointer copies, plus their one-time fold.
+        let mut groups = self.retired.clone();
+        let mut findings = self.retired_findings.clone();
         let mut trivial = self.retired_trivial;
-        let mut on_censored_path: HashSet<Asn> = HashSet::new();
-        for &pid in &self.censored_path_ids {
-            on_censored_path.extend(self.table.path(pid).iter().copied());
-        }
-        // Resolver for the ids in `cells`. Interning is an ingest-path
-        // mechanism, so in Normal mode this is the shard table; the
-        // deferred ablation mode never interns at ingest and instead
-        // resolves report cells against a report-local table, keeping
-        // the shard's `InternStats` an honest description of the
-        // measurement stream (all zeros in that mode) rather than a
-        // count of how many snapshots were taken.
-        let paths = match self.cfg.churn_mode {
+        match self.cfg.churn_mode {
             ChurnMode::Normal => {
-                // Retired outcomes not yet drained by a compact cut are
-                // part of every report; their ids stay resolvable
-                // because the table never reassigns them.
-                cells.extend(self.retired_cells.iter().cloned());
-                for (&(url_id, window), group) in self.groups.iter() {
-                    let mut group_reported = 0u64;
-                    let mut group_trivial = 0u64;
-                    for inst in group.cells() {
-                        if self.cfg.require_positive && !inst.has_positive() {
-                            trivial += 1;
-                            group_trivial += 1;
-                            continue;
-                        }
-                        let outcome = inst.outcome(group.vars());
-                        if fin {
-                            if let Some(obs) = &self.obs {
-                                obs.cell_solved(&outcome);
-                            }
-                        }
-                        let censored_paths = if outcome.censors.is_empty() {
-                            Vec::new()
-                        } else {
-                            inst.censored_paths().collect()
-                        };
-                        cells.push(SolvedCell { outcome, censored_paths });
-                        group_reported += 1;
+                let ShardState { cfg, groups: live_groups, table, countries, obs, .. } = self;
+                let require_positive = cfg.require_positive;
+                let mut rebuilt = 0u64;
+                for (&(url_id, window), live) in live_groups.iter_mut() {
+                    let solved = live.solved.get_or_insert_with(|| {
+                        rebuilt += 1;
+                        Arc::new(SolvedGroup::of(&live.group, require_positive, table, countries))
+                    });
+                    trivial += solved.trivial;
+                    findings.merge(&solved.findings);
+                    if let (true, Some(obs)) = (fin, &*obs) {
+                        solved.journal_close(obs, url_id, window);
                     }
-                    if fin {
-                        if let Some(obs) = &self.obs {
-                            obs.window_closed(url_id, window, group_reported, group_trivial);
-                        }
-                    }
+                    groups.push(Arc::clone(solved));
                 }
-                // No cell carries an id until some instance pins a
-                // censor; until then a snapshot needs no arena clone —
-                // the table only grows, so this is the common case for
-                // frequent polling early in a stream. Once ids do cross,
-                // the shared snapshot is cached per table growth, so a
-                // quiesced shard resolves report after report from one
-                // allocation.
-                if cells.iter().all(|c| c.censored_paths.is_empty()) {
-                    Arc::new(PathSnapshot::empty())
-                } else {
-                    self.table.snapshot_shared()
+                if let Some(obs) = obs {
+                    obs.groups_rebuilt.add(rebuilt);
+                    obs.groups_reused.add(live_groups.len() as u64 - rebuilt);
                 }
+                findings.on_censored_path.extend(&self.on_censored_path);
             }
+            // "First path" is only defined over the whole stream so far,
+            // so the ablation re-derives its cells per report: nothing
+            // here is incremental, and nothing is cached.
             ChurnMode::FirstPathOnly => {
-                let mut report_table = PathTable::new();
-                let ShardState { cfg, deferred, scratch, .. } = self;
+                let ShardState { cfg, deferred, scratch, countries, .. } = self;
+                let country_of = country_of(countries);
+                let mut solved = SolvedGroup::default();
                 for (&url_id, buf) in deferred.iter_mut() {
                     buf.ensure_sorted();
                     // Non-destructive first-path filter over the sorted
@@ -478,31 +569,32 @@ impl ShardState {
                         cfg.total_days,
                         |builder| {
                             if cfg.require_positive && !builder.has_positive() {
-                                trivial += 1;
+                                solved.trivial += 1;
                                 return;
                             }
                             let inst = builder.build().expect("non-empty builder");
                             let outcome = analyze_with(&inst, &cfg.solve, scratch.solver_ctx());
-                            let mut censored_paths = Vec::new();
-                            for ob in inst.observations.iter().filter(|o| o.censored) {
-                                on_censored_path.extend(ob.path.iter().copied());
-                                if !outcome.censors.is_empty() {
-                                    censored_paths.push(report_table.intern(&ob.path));
-                                }
-                            }
-                            cells.push(SolvedCell { outcome, censored_paths });
+                            let censored: Vec<&[Asn]> = inst
+                                .observations
+                                .iter()
+                                .filter(|o| o.censored)
+                                .map(|o| o.path.as_slice())
+                                .collect();
+                            solved.findings.record(&outcome, censored, country_of);
+                            solved.cells.push(SolvedCell { outcome, censored_paths: Vec::new() });
                         },
                     );
                 }
-                Arc::new(report_table.snapshot())
+                trivial += solved.trivial;
+                findings.merge(&solved.findings);
+                groups.push(Arc::new(solved));
             }
-        };
+        }
         ShardReport {
-            cells,
-            paths,
+            groups,
             trivial,
             churn: self.churn.clone(),
-            on_censored_path,
+            findings,
             stats: self.stats,
             intern: self.table.stats(),
             conversion: self.conversion,
@@ -516,19 +608,19 @@ impl ShardState {
         }
     }
 
-    /// Hand the retired outcomes (and the aggregates the engine folds
-    /// into its persistent retired state) to the caller, freeing them
-    /// shard-side. This is the memory-reclamation half of the window
-    /// lifecycle; after this, reports no longer carry the drained cells.
+    /// Hand the retired groups (and their folded findings, which the
+    /// engine unions into its persistent retired state) to the caller,
+    /// freeing them shard-side. This is the memory-reclamation half of
+    /// the window lifecycle; after this, reports no longer carry the
+    /// drained cells.
     pub(crate) fn compact_cut(&mut self) -> CompactCut {
-        let cells = std::mem::take(&mut self.retired_cells);
-        let trivial = std::mem::take(&mut self.retired_trivial);
-        let paths = if cells.iter().all(|c| c.censored_paths.is_empty()) {
-            Arc::new(PathSnapshot::empty())
-        } else {
-            self.table.snapshot_shared()
-        };
-        CompactCut { high_water: self.high_water, churn: self.churn.clone(), cells, trivial, paths }
+        CompactCut {
+            high_water: self.high_water,
+            churn: self.churn.clone(),
+            groups: std::mem::take(&mut self.retired),
+            trivial: std::mem::take(&mut self.retired_trivial),
+            findings: std::mem::take(&mut self.retired_findings),
+        }
     }
 }
 
@@ -684,10 +776,12 @@ impl ShardState {
         for (url_id, window) in keys {
             e.u32(url_id);
             e.window(window);
-            self.groups[&(url_id, window)].encode(&mut e);
+            self.groups[&(url_id, window)].group.encode(&mut e);
         }
-        e.u64(self.retired_cells.len() as u64);
-        for cell in &self.retired_cells {
+        // Retired groups are stored as the flat cell list they are: the
+        // grouping (like every cache here) is derived state.
+        e.u64(self.retired.iter().map(|g| g.cells.len() as u64).sum());
+        for cell in self.retired.iter().flat_map(|g| &g.cells) {
             encode_cell(&mut e, cell);
         }
         let mut urls: Vec<u32> = self.deferred.keys().copied().collect();
@@ -710,14 +804,18 @@ impl ShardState {
     /// they match the checkpointing engine's). The restored `windows_open`
     /// gauge is seeded from the live group count *without* journal
     /// events: a restored journal narrates the post-restore stream only.
+    /// Derived state comes back cold: live groups re-solve at the first
+    /// report that wants them, and the retired cells' findings are
+    /// refolded here, once.
     pub(crate) fn decode(
         cfg: PipelineConfig,
         horizon: Option<u32>,
         obs: Option<ShardObs>,
+        countries: Arc<AsCountries>,
         bytes: &[u8],
     ) -> Result<ShardState, String> {
         let mut d = Dec::new(bytes);
-        let mut state = ShardState::new(cfg, horizon, obs);
+        let mut state = ShardState::new(cfg, horizon, obs, countries);
         state.observations = d.u64()?;
         state.conversion.converted = d.u64()?;
         for dcount in &mut state.conversion.discarded {
@@ -746,6 +844,7 @@ impl ShardState {
                 return Err(format!("censored path id {id} out of range"));
             }
             state.censored_path_ids.insert(PathId(id));
+            state.on_censored_path.extend(state.table.path(PathId(id)));
         }
         let n_gs = d.len()?;
         let mut gs = Vec::with_capacity(n_gs);
@@ -790,13 +889,18 @@ impl ShardState {
             let url_id = d.u32()?;
             let window = d.window()?;
             let group = InstanceGroup::decode(url_id, window, n_paths, &mut d)?;
-            if state.groups.insert((url_id, window), group).is_some() {
+            if state.groups.insert((url_id, window), LiveGroup { group, solved: None }).is_some() {
                 return Err(format!("duplicate group ({url_id}, {window})"));
             }
         }
         let n_retired = d.len()?;
-        for _ in 0..n_retired {
-            state.retired_cells.push(decode_cell(&mut d, n_paths)?);
+        if n_retired > 0 {
+            let mut restored = SolvedGroup::default();
+            for _ in 0..n_retired {
+                restored.push(decode_cell(&mut d, n_paths)?, &state.table, &state.countries);
+            }
+            state.retired_findings.merge(&restored.findings);
+            state.retired.push(Arc::new(restored));
         }
         let n_urls = d.len()?;
         for _ in 0..n_urls {
@@ -830,6 +934,7 @@ struct PhaseCounters {
     measurements: Counter,
     convert: Counter,
     intern: Counter,
+    snapshot: Counter,
 }
 
 /// The worker loop: drain messages until every sender is gone,
@@ -848,6 +953,7 @@ pub(crate) fn run_worker(rx: Receiver<Msg>, mut state: ShardState, db: Arc<Ip2As
         measurements: o.measurements.clone(),
         convert: o.phase_convert.clone(),
         intern: o.phase_intern.clone(),
+        snapshot: o.phase_snapshot.clone(),
     });
     let mut busy = BusyTimer::detect();
     // Instrumented batches convert into this worker-lifetime buffer and
@@ -891,7 +997,15 @@ pub(crate) fn run_worker(rx: Receiver<Msg>, mut state: ShardState, db: Arc<Ip2As
                 }
             }),
             Msg::Report { reply, fin } => {
-                let mut report = busy.interval(|| state.report(fin));
+                let mut report = busy.interval(|| match &phase {
+                    None => state.report(fin),
+                    Some(p) => {
+                        sw.restart();
+                        let report = state.report(fin);
+                        sw.lap(&p.snapshot);
+                        report
+                    }
+                });
                 report.busy_nanos = busy.busy_nanos();
                 // A dropped reply channel means the requester gave up;
                 // the shard itself is still healthy.

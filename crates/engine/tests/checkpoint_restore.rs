@@ -13,6 +13,8 @@ use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
 use churnlab_engine::{Engine, EngineConfig, RestoreError};
 use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
 use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 struct Study {
     world: GeneratedWorld,
@@ -370,4 +372,104 @@ fn compact_drains_outcomes_but_keeps_aggregates_exact() {
         canonical_json(&full_eq),
         "compaction must not change censors, leakage, churn, or trivial counts"
     );
+}
+
+/// Restore fuzz (ROADMAP 4b) over a real mid-stream checkpoint, taken
+/// from an engine with retirement active and warm report caches.
+///
+/// * A clean restore's first snapshot — every cache cold — equals the
+///   checkpointing engine's last one, served warm.
+/// * Every truncation is a [`RestoreError`].
+/// * Every single-bit flip in what the format guards — magic, version,
+///   the configuration echo (pipeline config, shard count, horizon) and
+///   the checksummed shard blobs, over 99% of the bytes — is a
+///   [`RestoreError`].
+/// * A flip in the caller's own payload (cursor, user blob) or the
+///   reserved word restores the engine state intact.
+/// * Nothing panics, wherever the flip lands. That includes the one
+///   section version 1 of the format carries without a checksum, the
+///   engine's folded churn tallies: a flip there can restore to
+///   different tallies, and closing that needs a format bump.
+#[test]
+fn restore_fuzz_truncations_and_bit_flips_never_panic() {
+    let s = study(29);
+    let (platform, mut ms) = measurements(&s);
+    ms.sort_by_key(|m| m.day);
+    let cfg = engine_cfg(&platform, ChurnMode::Normal, 2, Some(3));
+    let user = b"fuzz";
+    let mut blob = Vec::new();
+    let warm = {
+        let engine =
+            Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
+        let half = ms.len() / 2;
+        for (i, m) in ms[..half].iter().enumerate() {
+            engine.ingest(m);
+            if i % (half / 4) == 0 {
+                let _ = engine.snapshot();
+            }
+        }
+        let warm = canonical_json(&engine.snapshot());
+        engine.checkpoint(half as u64, user, &mut blob).expect("checkpoint");
+        warm
+    };
+    let restore = |bytes: &[u8]| {
+        Engine::restore(
+            platform.measured_ip2as(),
+            &s.world.topology,
+            cfg.clone(),
+            &mut Cursor::new(bytes),
+        )
+    };
+    let clean = restore(&blob).expect("clean restore");
+    assert_eq!(
+        canonical_json(&clean.engine.snapshot()),
+        warm,
+        "a restored engine's first (cold) snapshot must equal the last warm one"
+    );
+    drop(clean);
+
+    // Walk the documented layout (see `ckpt.rs`) to the section bounds.
+    let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
+    let payload = 12..16 + 8 + 8 + user.len(); // reserved, cursor, user blob
+    let echo = payload.end..payload.end + 8 + u64_at(payload.end) + 4 + 5; // config, shards, horizon
+    let tallies = u64_at(echo.end);
+    let mut at = echo.end + 8 + tallies * (1 + 4 + 6 * 8) + 4; // churn rows, frontier
+    for _ in 0..4 {
+        assert_eq!(u64_at(at), 0, "this engine never compacted: no drained findings");
+        at += 8;
+    }
+    let unguarded = echo.end..at + 8; // ..., trivial count
+    assert!(tallies > 0, "the snapshots must have folded churn windows");
+    assert!(unguarded.end * 100 < blob.len(), "the shard blobs are the bulk of the bytes");
+
+    let lens = (0..unguarded.end + 64).chain((0..blob.len()).step_by(4099));
+    for len in lens.chain(blob.len() - 64..blob.len()) {
+        assert!(restore(&blob[..len]).is_err(), "truncation to {len} bytes restored");
+    }
+
+    let mut rng = StdRng::seed_from_u64(0xf1);
+    let positions = (0..echo.end)
+        .chain(unguarded.clone().step_by(13))
+        .map(|at| (at, at % 8))
+        .chain((0..400).map(|_| (rng.gen_range(unguarded.end..blob.len()), rng.gen_range(0..8))))
+        .chain((blob.len() - 16..blob.len()).map(|at| (at, 7 - at % 8)));
+    for (at, bit) in positions {
+        let mut flipped = blob.clone();
+        flipped[at] ^= 1 << bit;
+        match restore(&flipped) {
+            Err(_) => assert!(
+                !(12..16).contains(&at) && !(16..24).contains(&at),
+                "a reserved or cursor bit (byte {at}) cannot make a checkpoint unreadable"
+            ),
+            Ok(restored) => {
+                assert!(
+                    payload.contains(&at) || unguarded.contains(&at),
+                    "flipping bit {bit} of guarded byte {at} went unnoticed"
+                );
+                if payload.contains(&at) {
+                    assert_eq!(canonical_json(&restored.engine.snapshot()), warm);
+                }
+            }
+        }
+    }
 }

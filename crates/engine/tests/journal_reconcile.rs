@@ -112,6 +112,20 @@ fn journal_reconciles_with_final_report() {
 /// zero.
 #[test]
 fn journal_reconciles_with_midstream_retirement() {
+    reconcile_with_retirement(None);
+}
+
+/// And again with reads beside the writes: a snapshot every 150
+/// measurements, and one more straight before `finish`, so retirements
+/// hand over cells a snapshot already solved and the final report is
+/// served entirely from cached cells. Cached or not, `cell_solved` and
+/// `window_closed` must still fire exactly once per cell and window.
+#[test]
+fn journal_reconciles_when_reports_are_served_from_cached_cells() {
+    reconcile_with_retirement(Some(150));
+}
+
+fn reconcile_with_retirement(snapshot_every: Option<usize>) {
     let seed = 13;
     let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, seed));
     let mut censor_cfg = CensorConfig::scaled_for(world.topology.countries().len());
@@ -138,8 +152,14 @@ fn journal_reconciles_with_midstream_retirement() {
         .with_shards(3)
         .with_window_horizon(2);
     let engine = Engine::new_with_obs(&platform, cfg, obs);
-    for m in &measurements {
+    for (i, m) in measurements.iter().enumerate() {
         engine.ingest(m);
+        if snapshot_every.is_some_and(|n| (i + 1).is_multiple_of(n)) {
+            let _ = engine.snapshot();
+        }
+    }
+    if snapshot_every.is_some() {
+        let _ = engine.snapshot();
     }
     let (results, stats) = engine.finish_with_stats();
 
@@ -172,8 +192,51 @@ fn journal_reconciles_with_midstream_retirement() {
     assert_eq!(cells_reported, results.outcomes.len() as u64);
     assert_eq!(cells_trivial, results.trivial_instances);
     assert_eq!(solved.len() as u64, cells_reported);
+    // Exactly once per cell, not merely the right total: no cell is
+    // journalled twice (at a snapshot and again at retirement, say)
+    // while another goes missing.
+    let mut solved_keys: Vec<_> = solved
+        .iter()
+        .map(|e| {
+            (
+                e.field("url_id").unwrap(),
+                e.field("window_index").unwrap(),
+                e.tag("anomaly").unwrap().to_string(),
+            )
+        })
+        .collect();
+    let mut outcome_keys: Vec<_> = results
+        .outcomes
+        .iter()
+        .map(|o| {
+            (u64::from(o.key.url_id), u64::from(o.key.window.index), format!("{:?}", o.key.anomaly))
+        })
+        .collect();
+    solved_keys.sort_unstable();
+    outcome_keys.sort_unstable();
+    assert_eq!(solved_keys, outcome_keys, "one cell_solved per reported outcome, no repeats");
 
     let snap = registry.scrape();
+    // The cache counters tell the two runs apart: every report asks each
+    // live group once, and only a run that reads more than once can
+    // reuse anything.
+    let groups = |result: &str| -> u64 {
+        snap.samples
+            .iter()
+            .filter(|s| s.name == "churnlab_snapshot_groups_total")
+            .filter(|s| s.labels.iter().any(|(k, v)| k == "result" && v == result))
+            .map(|s| match &s.value {
+                churnlab_obs::SampleValue::Counter(v) => *v,
+                other => panic!("snapshot_groups should be a counter, got {other:?}"),
+            })
+            .sum()
+    };
+    assert!(groups("rebuilt") > 0, "the first report of a group has to solve it");
+    assert_eq!(
+        groups("reused") > 0,
+        snapshot_every.is_some(),
+        "only repeated reports can be served from cached cells"
+    );
     let windows_open: i64 = snap
         .samples
         .iter()
