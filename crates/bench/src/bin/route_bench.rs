@@ -22,6 +22,10 @@
 //! * `--min-reachability R` — sampled (src, dst, epoch) queries must
 //!   route at rate ≥ R on every tier (the Huge smoke floor is 0.95).
 //!
+//! Always on, gate or no gate: every sampled query's path through
+//! `RoutingSim` must equal the path read off the full `compute_into`
+//! tree for its (dest, epoch), or the run panics.
+//!
 //! The allocation count comes from a counting global allocator wrapped
 //! around the system one; only this binary carries it, the library
 //! crates all remain `forbid(unsafe_code)`.

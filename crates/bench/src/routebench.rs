@@ -16,7 +16,9 @@
 //! Before any timing is trusted the contenders are differentially
 //! checked: the reference tree must agree with the fast tree on every
 //! AS (class, length, and tiebroken next hop) for several destinations
-//! — a contender that diverges is a harness bug, not a speedup.
+//! — a contender that diverges is a harness bug, not a speedup. The
+//! query pass checks the third form the same way: every sampled path
+//! through the simulator's demand-driven trees must be the full tree's.
 //!
 //! The harness deliberately exposes its phases (`warmup` /
 //! [`RouteHarness::fast_pass`] / [`RouteHarness::reference_pass`])
@@ -66,7 +68,7 @@ pub struct RouteBenchRow {
     pub cache_hit_rate: f64,
     /// Fraction of sampled (src, dst, epoch) queries that routed.
     pub reachability: f64,
-    /// Bytes held by one route tree at this scale.
+    /// Bytes held by one cached (demand-driven) route tree at this scale.
     pub peak_tree_bytes: u64,
     /// Heap allocations observed during the steady-state fast pass
     /// (filled in by the `route_bench` bin's counting allocator; the
@@ -227,27 +229,38 @@ impl RouteHarness {
     /// report throughput, cache hit rate, and reachability. Sources are
     /// spread across all ASes; destinations revisit a pool the way the
     /// measurement platform batches vantage points against URLs.
-    pub fn query_pass(&self, queries: usize) -> QueryStats {
-        let topo = &self.world.topology;
-        let sim = RoutingSim::with_cache_capacity(
-            topo,
-            &self.churn_cfg,
-            self.world.config.tree_cache_capacity,
-        );
+    ///
+    /// After the timed pass every sampled path is asked for again and
+    /// held against the path read off the full [`RouteTree`] for its
+    /// (dest, epoch), so the simulator's demand-driven trees are checked
+    /// at this tier's scale.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any divergence.
+    pub fn query_pass(&mut self, queries: usize) -> QueryStats {
+        let RouteHarness { world, churn_cfg, scratch, tree, dests, .. } = self;
+        let topo = &world.topology;
+        let sim =
+            RoutingSim::with_cache_capacity(topo, churn_cfg, world.config.tree_cache_capacity);
         let n = topo.n_ases();
-        let dest_pool: Vec<AsIdx> = self.dests.iter().take(32).copied().collect();
-        let epochs = self.churn.total_epochs();
-        let mut buf = Vec::new();
-        let mut reached = 0usize;
-        let start = Instant::now();
+        let dest_pool: Vec<AsIdx> = dests.iter().take(32).copied().collect();
+        let epochs = sim.churn().total_epochs();
         // 8 sources probe each (dest, epoch) before the epoch advances —
         // the platform's batching shape, and what gives the cache a
         // meaningful hit rate to report.
         let batch = dest_pool.len() * 8;
-        for q in 0..queries {
+        let query = |q: usize| {
             let src = AsIdx((churnlab_bgp::mix64(q as u64) % n as u64) as u32);
             let dst = dest_pool[(q / 8) % dest_pool.len()];
             let epoch = ((q / batch) as u32 * 11) % epochs;
+            (src, dst, epoch)
+        };
+        let mut buf = Vec::new();
+        let mut reached = 0usize;
+        let start = Instant::now();
+        for q in 0..queries {
+            let (src, dst, epoch) = query(q);
             if sim.asn_path_into(src, dst, epoch, &mut buf) {
                 reached += 1;
             }
@@ -255,6 +268,31 @@ impl RouteHarness {
         let secs = start.elapsed().as_secs_f64();
         let stats = sim.cache_stats();
         let lookups = stats.hits + stats.misses;
+
+        let churn = sim.churn();
+        let mut full_buf = Vec::new();
+        let mut computed = None;
+        for q in 0..queries {
+            let (src, dst, epoch) = query(q);
+            if computed != Some((dst, epoch)) {
+                RouteTree::compute_into(
+                    scratch,
+                    topo,
+                    dst,
+                    &|l| churn.link_up(l, epoch),
+                    &|x| churn.te_salt(x, epoch),
+                    tree,
+                );
+                computed = Some((dst, epoch));
+            }
+            let routed = sim.asn_path_into(src, dst, epoch, &mut buf);
+            assert!(
+                routed == tree.asn_path_into(topo, src, &mut full_buf) && buf == full_buf,
+                "simulator and full tree diverged from {src:?} to {dst:?} at epoch {epoch}: \
+                 {buf:?} vs {full_buf:?}"
+            );
+        }
+
         QueryStats {
             paths_per_sec: queries as f64 / secs.max(1e-9),
             cache_hit_rate: if lookups == 0 { 0.0 } else { stats.hits as f64 / lookups as f64 },
@@ -262,9 +300,10 @@ impl RouteHarness {
         }
     }
 
-    /// Bytes one route tree holds at this scale.
+    /// Bytes one cached route tree holds at this scale.
     pub fn peak_tree_bytes(&self) -> u64 {
-        self.tree.route_bytes() as u64
+        let topo = &self.world.topology;
+        churnlab_bgp::sim::cached_tree_bytes(topo.n_ases(), topo.n_links()) as u64
     }
 }
 
@@ -332,7 +371,7 @@ mod tests {
         assert!(row.trees_per_sec > 0.0);
         assert!(row.reachability > 0.9, "reachability {}", row.reachability);
         assert!(row.cache_hit_rate > 0.5, "hit rate {}", row.cache_hit_rate);
-        assert_eq!(row.peak_tree_bytes, 8 * row.n_ases);
+        assert_eq!(row.peak_tree_bytes, 8 * row.n_ases + 8 * row.n_links.div_ceil(64));
         // Same schedule ⇒ same checksum on both paths.
         let (_, fast_sum) = h.fast_pass(6);
         let (_, ref_sum) = h.reference_pass(6);

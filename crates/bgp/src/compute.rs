@@ -22,53 +22,87 @@
 //!
 //! ## Internet-scale layout
 //!
-//! At CAIDA scale (~80k ASes, ~700k edges) a tree is computed hundreds of
-//! thousands of times per study, so this module is built for steady-state
-//! zero allocation and compactness:
+//! At CAIDA scale (~80k ASes, ~700k edges) a study asks for a tree per
+//! (destination, epoch) but reads a few hundred of its routes, so the
+//! simulator caches demand-driven trees (`crate::demand`) — stages 1–2 built
+//! eagerly from the destination's provider cone, the provider stage and
+//! next hops resolved for the ASes a lookup walks through. This module
+//! holds what both tree forms share (the packed route table, stages 1–2,
+//! next-hop selection, the path walk) and the full closure-driven tree,
+//! which benches and the differential suites hold the demand-driven one
+//! against:
 //!
-//! * all per-tree working state lives in a caller-owned [`TreeScratch`]
-//!   that [`RouteTree::compute_into`] reuses — after the first tree no
-//!   allocation happens as long as the world doesn't grow;
-//! * the link-state and salt closures are sampled **once per link / once
-//!   per AS** into flat arrays up front, instead of a dyn-dispatched
-//!   binary search per edge visit (the old dominant cost);
 //! * [`SelectedRoute`] is packed to 8 bytes (`u32` next hop, `u16`
-//!   length, class byte), so a Huge tree is ~500 KB instead of several
-//!   MB of `Option` padding.
+//!   length, class byte) and the route table doubles as every stage's
+//!   working state — an AS's advertised length *is* its route's length —
+//!   so a full Huge tree is ~500 KB and a stage touches one cache line
+//!   per AS;
+//! * what else a tree needs lives in a caller-owned [`TreeScratch`] that
+//!   [`RouteTree::compute_into`] reuses — after the first tree no
+//!   allocation happens as long as the world doesn't grow;
+//! * the link-state closure is sampled **once per link** into a bitmap
+//!   and the salt closure **once per routed AS**, instead of a
+//!   dyn-dispatched binary search per edge visit;
+//! * the peer stage is pushed from the provider cone over its members'
+//!   peer edges — peering adjacency is symmetric on one `LinkId`, so this
+//!   equals every AS pulling from its peers at a fraction of the visits.
 
+use crate::churn::LinkCursor;
 use crate::policy::RouteClass;
 use churnlab_topology::{AsIdx, Asn, LinkId, Topology};
-use std::collections::VecDeque;
 
-const INF: u16 = u16::MAX;
+pub(crate) const INF: u16 = u16::MAX;
 const NO_NEXT: u32 = u32::MAX;
+/// `next` of a routed AS whose next hop is not selected yet.
+pub(crate) const NEXT_PENDING: u32 = NO_NEXT - 1;
+
+const CUSTOMER: u8 = 0;
+const PEER: u8 = 1;
+pub(crate) const PROVIDER: u8 = 2;
+/// `class` of an AS a demand-driven tree resolved to have no route at all
+/// (its `len` stays [`INF`], like an AS nobody asked about).
+pub(crate) const NO_ROUTE: u8 = 3;
 
 /// The route an AS selected toward the tree's destination, packed into
 /// 8 bytes. Unreachable nodes hold a sentinel (`len() == u16::MAX`
 /// internally) and are surfaced as `None` by [`RouteTree::route`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelectedRoute {
-    next: u32,
-    len: u16,
-    class: u8,
+    pub(crate) next: u32,
+    pub(crate) len: u16,
+    pub(crate) class: u8,
 }
 
 const _: () = assert!(std::mem::size_of::<SelectedRoute>() == 8);
 
 impl SelectedRoute {
-    const UNREACHABLE: SelectedRoute = SelectedRoute { next: NO_NEXT, len: INF, class: 0 };
+    /// No route known (yet).
+    pub(crate) const UNROUTED: SelectedRoute = SelectedRoute::pending(INF, CUSTOMER);
+
+    /// A route of `class` and length `len` whose next hop is not selected
+    /// yet.
+    pub(crate) const fn pending(len: u16, class: u8) -> SelectedRoute {
+        SelectedRoute { next: NEXT_PENDING, len, class }
+    }
 
     #[inline]
-    fn reachable(self) -> bool {
+    pub(crate) fn reachable(self) -> bool {
         self.len != INF
+    }
+
+    /// Holds a customer route, i.e. sits in the destination's provider
+    /// cone.
+    #[inline]
+    fn in_cone(self) -> bool {
+        self.len != INF && self.class == CUSTOMER
     }
 
     /// How the route was learned.
     #[inline]
     pub fn class(self) -> RouteClass {
         match self.class {
-            0 => RouteClass::Customer,
-            1 => RouteClass::Peer,
+            CUSTOMER => RouteClass::Customer,
+            PEER => RouteClass::Peer,
             _ => RouteClass::Provider,
         }
     }
@@ -89,28 +123,27 @@ impl SelectedRoute {
     }
 }
 
-/// Reusable working state for [`RouteTree::compute_into`].
+/// Reusable per-thread working state for tree computation.
 ///
-/// Holds the per-stage distance arrays, the BFS queue, the Dijkstra
-/// heap, the link-state bitmap, and the per-AS salt cache. All buffers
-/// grow to the world's size on first use and are then recycled: in
-/// steady state a tree computation performs **zero** heap allocations
-/// (the `route_bench` binary asserts this with a counting allocator).
+/// Holds the provider-cone worklist, the bucket queue and the link-state
+/// bitmap of [`RouteTree::compute_into`], plus the link-state cursor the
+/// simulator's demand-driven trees are built from. All buffers grow to
+/// the world's size on first use and are then recycled: in steady state
+/// a full tree computation performs **zero** heap allocations (the
+/// `route_bench` binary asserts this with a counting allocator).
 #[derive(Debug, Default)]
 pub struct TreeScratch {
-    cust: Vec<u16>,
-    peer: Vec<u16>,
-    prov: Vec<u16>,
-    adv: Vec<u16>,
-    queue: VecDeque<u32>,
+    /// The destination's provider cone in BFS order (stage 1's queue,
+    /// stage 2's source set).
+    pub(crate) cone: Vec<u32>,
     /// Dial's bucket queue for the provider descent: every edge has unit
     /// weight, so a per-length bucket gives O(1) push/pop where a binary
     /// heap pays a log factor per operation.
     buckets: Vec<Vec<u32>>,
-    /// One bit per link: up (1) or down (0) under this snapshot.
+    /// One bit per link: up (1) or down (0) under the closure snapshot.
     up: Vec<u64>,
-    /// Per-AS tiebreak salt under this snapshot.
-    salts: Vec<u64>,
+    /// Link state at some epoch of some churn timeline, moved by deltas.
+    pub(crate) cursor: LinkCursor,
 }
 
 impl TreeScratch {
@@ -118,6 +151,126 @@ impl TreeScratch {
     pub fn new() -> Self {
         TreeScratch::default()
     }
+}
+
+#[inline]
+pub(crate) fn live(up: &[u64], l: LinkId) -> bool {
+    let i = l.0 as usize;
+    (up[i >> 6] >> (i & 63)) & 1 == 1
+}
+
+/// Stages 1–2 under the link state `up`, into a fresh table: customer
+/// routes by BFS from `dest` up live provider edges, then peer routes one
+/// live peering hop off every AS holding a customer route. Next hops are
+/// left pending (the destination has none). `cone` is left holding the
+/// customer-routed ASes in BFS order.
+pub(crate) fn base_stages(
+    topo: &Topology,
+    up: &[u64],
+    dest: AsIdx,
+    routes: &mut Vec<SelectedRoute>,
+    cone: &mut Vec<u32>,
+) {
+    routes.clear();
+    routes.resize(topo.n_ases(), SelectedRoute::UNROUTED);
+    routes[dest.usize()] = SelectedRoute { next: NO_NEXT, len: 0, class: CUSTOMER };
+    cone.clear();
+    cone.push(dest.0);
+    let mut head = 0;
+    while let Some(&x) = cone.get(head) {
+        head += 1;
+        let len = routes[x as usize].len + 1;
+        for adj in topo.provider_edges(AsIdx(x)) {
+            let p = &mut routes[adj.peer.usize()];
+            if !p.reachable() && live(up, adj.link) {
+                *p = SelectedRoute::pending(len, CUSTOMER);
+                cone.push(adj.peer.0);
+            }
+        }
+    }
+    for &x in cone.iter() {
+        let len = routes[x as usize].len + 1;
+        for adj in topo.peer_edges(AsIdx(x)) {
+            let y = &mut routes[adj.peer.usize()];
+            if !y.in_cone() && len < y.len && live(up, adj.link) {
+                *y = SelectedRoute::pending(len, PEER);
+            }
+        }
+    }
+}
+
+/// The next hop `x` selects for the route `routes[x]`, whose class and
+/// length are final, as is the length of every live provider of `x` if
+/// that class is provider.
+///
+/// Within the customer and peer classes, selection follows shortest AS
+/// path (intra-class economics are equal, so length decides). Among
+/// *providers*, real networks choose by local preference — a multihomed
+/// stub prefers one upstream wholesale and re-prefers under traffic
+/// engineering — so every provider holding any route is a candidate and
+/// the salted hash decides. This is what lets TE shifts move a stub's
+/// egress (and with it, the whole tail of the path), producing the
+/// egress-level churn the paper observes.
+pub(crate) fn select_next(
+    topo: &Topology,
+    up: &[u64],
+    routes: &[SelectedRoute],
+    x: AsIdx,
+    salt: u64,
+) -> u32 {
+    let SelectedRoute { len, class, .. } = routes[x.usize()];
+    let want = len.saturating_sub(1);
+    // Candidates live entirely in the slice matching the selected class,
+    // so only that kind's run is scanned.
+    let candidates = match class {
+        CUSTOMER => topo.customer_edges(x),
+        PEER => topo.peer_edges(x),
+        _ => topo.provider_edges(x),
+    };
+    let mut best_key = u64::MAX;
+    let mut best: u32 = NO_NEXT;
+    for adj in candidates {
+        let y = routes[adj.peer.usize()];
+        let matches = if class == PROVIDER { y.reachable() } else { y.in_cone() && y.len == want };
+        if matches && live(up, adj.link) {
+            let key = crate::mix64(salt ^ u64::from(topo.asn(adj.peer).0));
+            if key < best_key || best == NO_NEXT {
+                best_key = key;
+                best = adj.peer.0;
+            }
+        }
+    }
+    debug_assert!(best != NO_NEXT, "finite length implies a candidate");
+    best
+}
+
+/// Follow next hops from `src` until `dest`, handing every AS on the way
+/// (both ends included) to `visit`. `false` if some hop has no next hop.
+pub(crate) fn walk(
+    src: AsIdx,
+    dest: AsIdx,
+    n_ases: usize,
+    mut next_of: impl FnMut(AsIdx) -> Option<AsIdx>,
+    mut visit: impl FnMut(AsIdx),
+) -> bool {
+    visit(src);
+    let mut cur = src;
+    let mut hops = 0usize;
+    while cur != dest {
+        let Some(next) = next_of(cur) else {
+            return false;
+        };
+        visit(next);
+        cur = next;
+        hops += 1;
+        if hops > n_ases {
+            unreachable!(
+                "forwarding loop: the up-phase follows the acyclic provider \
+                 DAG and the down-phase strictly decreases customer length"
+            );
+        }
+    }
+    true
 }
 
 /// All selected routes toward one destination under one link-state/salt
@@ -155,10 +308,11 @@ impl RouteTree {
 
     /// Compute the tree into `out`, reusing `scratch` across calls.
     ///
-    /// `link_up` is sampled exactly once per link and `salt` once per AS
-    /// (into scratch-owned flat arrays), so closure cost is linear in the
-    /// world, not in edge visits. Allocation-free once `scratch` and
-    /// `out` have seen the world's size.
+    /// `link_up` is sampled exactly once per link (into a scratch-owned
+    /// bitmap) and `salt` once per AS that has a next hop to choose, so
+    /// closure cost is linear in the world, not in edge visits.
+    /// Allocation-free once `scratch` and `out` have seen the world's
+    /// size.
     pub fn compute_into(
         scratch: &mut TreeScratch,
         topo: &Topology,
@@ -172,11 +326,9 @@ impl RouteTree {
             "RouteTree::compute_into requires a frozen (CSR) topology: \
              the stages walk per-kind adjacency slices"
         );
-        let n = topo.n_ases();
-        let d = dest.usize();
-        let TreeScratch { cust, peer, prov, adv, queue, buckets, up, salts } = scratch;
+        let TreeScratch { cone, buckets, up, .. } = scratch;
 
-        // --- Snapshot the closures into flat arrays. ---------------------
+        // --- Snapshot the link-state closure into a bitmap. ---------------
         let n_links = topo.n_links();
         up.clear();
         up.resize(n_links.div_ceil(64), 0);
@@ -185,70 +337,17 @@ impl RouteTree {
                 up[l >> 6] |= 1u64 << (l & 63);
             }
         }
-        let live = |l: LinkId| -> bool {
-            let i = l.0 as usize;
-            (up[i >> 6] >> (i & 63)) & 1 == 1
-        };
-        salts.clear();
-        salts.resize(n, 0);
-        for (x, s) in salts.iter_mut().enumerate() {
-            *s = salt(x);
-        }
 
-        // --- Stage 1: customer routes (BFS up). -------------------------
-        cust.clear();
-        cust.resize(n, INF);
-        cust[d] = 0;
-        queue.clear();
-        queue.push_back(d as u32);
-        while let Some(x) = queue.pop_front() {
-            let cx = cust[x as usize];
-            for adj in topo.provider_edges(AsIdx(x)) {
-                if !live(adj.link) {
-                    continue;
-                }
-                let p = adj.peer.usize();
-                if cust[p] == INF {
-                    cust[p] = cx + 1;
-                    queue.push_back(adj.peer.0);
-                }
-            }
-        }
-
-        // --- Stage 2: peer routes (one peering hop). ---------------------
-        peer.clear();
-        peer.resize(n, INF);
-        for (x, px) in peer.iter_mut().enumerate() {
-            for adj in topo.peer_edges(AsIdx(x as u32)) {
-                if !live(adj.link) {
-                    continue;
-                }
-                let y = adj.peer.usize();
-                if cust[y] != INF {
-                    *px = (*px).min(cust[y] + 1);
-                }
-            }
-        }
-        peer[d] = INF; // the destination doesn't route to itself via a peer
-
-        // Base (pre-provider) advertised length per node.
-        let base_len = |x: usize, cust: &[u16], peer: &[u16]| -> u16 {
-            if cust[x] != INF {
-                cust[x]
-            } else {
-                peer[x]
-            }
-        };
+        // --- Stages 1–2: customer routes (BFS up), one peering hop. -------
+        out.dest = dest;
+        let routes = &mut out.routes;
+        base_stages(topo, up, dest, routes, cone);
 
         // --- Stage 3: provider routes (Dial's bucket descent). ------------
         // Every edge has unit weight, so Dijkstra degenerates to processing
         // advertised lengths in increasing order through per-length buckets
         // (O(1) push/pop instead of a heap's log factor). All buckets drain
         // to empty by the end, so no cross-tree cleanup is needed.
-        prov.clear();
-        prov.resize(n, INF);
-        adv.clear();
-        adv.resize(n, INF);
         debug_assert!(buckets.iter().all(Vec::is_empty));
         let push = |buckets: &mut Vec<Vec<u32>>, len: u16, x: u32| {
             let len = len as usize;
@@ -257,102 +356,41 @@ impl RouteTree {
             }
             buckets[len].push(x);
         };
-        for (x, ax) in adv.iter_mut().enumerate() {
-            let b = base_len(x, cust, peer);
-            if b != INF {
-                *ax = b;
-                push(buckets, b, x as u32);
+        for (x, r) in routes.iter().enumerate() {
+            if r.reachable() {
+                push(buckets, r.len, x as u32);
             }
         }
         let mut dist: u16 = 0;
         while (dist as usize) < buckets.len() {
             while let Some(x) = buckets[dist as usize].pop() {
-                if dist > adv[x as usize] {
+                if dist > routes[x as usize].len {
                     continue; // stale entry, improved since queued
                 }
+                let len = dist + 1;
                 for adj in topo.customer_edges(AsIdx(x)) {
-                    if !live(adj.link) {
-                        continue;
-                    }
-                    let c = adj.peer.usize();
-                    let cand = dist + 1;
-                    if cand < prov[c] {
-                        prov[c] = cand;
-                        // Class preference: a node with any base route keeps
-                        // advertising it; only base-less nodes advertise
-                        // provider routes onward.
-                        if base_len(c, cust, peer) == INF && cand < adv[c] {
-                            adv[c] = cand;
-                            push(buckets, cand, adj.peer.0);
-                        }
+                    // Class preference: a node with a customer or peer
+                    // route keeps advertising it; only the others take,
+                    // and advertise onward, provider routes.
+                    let c = &mut routes[adj.peer.usize()];
+                    if (!c.reachable() || c.class == PROVIDER) && len < c.len && live(up, adj.link)
+                    {
+                        *c = SelectedRoute::pending(len, PROVIDER);
+                        push(buckets, len, adj.peer.0);
                     }
                 }
             }
             dist += 1;
         }
 
-        // --- Selection + tiebroken next hops. ------------------------------
-        out.dest = dest;
-        let routes = &mut out.routes;
-        routes.clear();
-        routes.resize(n, SelectedRoute::UNREACHABLE);
-        for x in 0..n {
-            let (class, len) = if cust[x] != INF {
-                (RouteClass::Customer, cust[x])
-            } else if peer[x] != INF {
-                (RouteClass::Peer, peer[x])
-            } else if prov[x] != INF {
-                (RouteClass::Provider, prov[x])
-            } else {
-                continue; // unreachable under this link state
-            };
-            if x == d {
-                routes[x] = SelectedRoute { next: NO_NEXT, len: 0, class: 0 };
-                continue;
+        // --- Tiebroken next hops. `len` is the shortest valley-free length
+        // (a lower bound); the forwarding path through a
+        // preference-selected provider may be longer. `path_from` reports
+        // the real path.
+        for x in 0..routes.len() {
+            if routes[x].next == NEXT_PENDING && routes[x].reachable() {
+                routes[x].next = select_next(topo, up, routes, AsIdx(x as u32), salt(x));
             }
-            // Candidate next hops. Within the customer and peer classes,
-            // selection follows shortest AS path (intra-class economics are
-            // equal, so length decides). Among *providers*, real networks
-            // choose by local preference — a multihomed stub prefers one
-            // upstream wholesale and re-prefers under traffic engineering —
-            // so every provider holding any route is a candidate and the
-            // salted hash decides. This is what lets TE shifts move a
-            // stub's egress (and with it, the whole tail of the path),
-            // producing the egress-level churn the paper observes.
-            let want = len.saturating_sub(1);
-            let sx = salts[x];
-            let mut best_key = u64::MAX;
-            let mut best: u32 = NO_NEXT;
-            // Candidates live entirely in the slice matching the selected
-            // class, so only that kind's run is scanned.
-            let xi = AsIdx(x as u32);
-            let candidates = match class {
-                RouteClass::Customer => topo.customer_edges(xi),
-                RouteClass::Peer => topo.peer_edges(xi),
-                RouteClass::Provider => topo.provider_edges(xi),
-            };
-            for adj in candidates {
-                if !live(adj.link) {
-                    continue;
-                }
-                let yi = adj.peer.usize();
-                let matches = match class {
-                    RouteClass::Customer | RouteClass::Peer => cust[yi] == want,
-                    RouteClass::Provider => adv[yi] != INF,
-                };
-                if matches {
-                    let key = crate::mix64(sx ^ u64::from(topo.asn(adj.peer).0));
-                    if key < best_key || best == NO_NEXT {
-                        best_key = key;
-                        best = adj.peer.0;
-                    }
-                }
-            }
-            debug_assert!(best != NO_NEXT, "finite length implies a candidate");
-            // `len` is the shortest valley-free length (a lower bound);
-            // the forwarding path through a preference-selected provider
-            // may be longer. `path_from` reports the real path.
-            routes[x] = SelectedRoute { next: best, len, class: class.rank() };
         }
     }
 
@@ -362,58 +400,26 @@ impl RouteTree {
         r.reachable().then_some(r)
     }
 
+    /// [`walk`] this tree from `src`; `false` (nothing visited) if the
+    /// destination is unreachable from `src`.
+    fn walk_from(&self, src: AsIdx, visit: impl FnMut(AsIdx)) -> bool {
+        self.routes[src.usize()].reachable()
+            && walk(src, self.dest, self.routes.len(), |x| self.routes[x.usize()].next(), visit)
+    }
+
     /// Append the AS-level forwarding path from `src` to the destination
     /// (inclusive of both ends) onto `out` after clearing it. Returns
     /// `false` — leaving `out` empty — if the destination is unreachable
     /// from `src`. The allocation-free form of [`RouteTree::path_from`].
     pub fn path_into(&self, src: AsIdx, out: &mut Vec<AsIdx>) -> bool {
         out.clear();
-        if !self.routes[src.usize()].reachable() {
-            return false;
-        }
-        out.push(src);
-        let mut cur = src;
-        while cur != self.dest {
-            let r = self.routes[cur.usize()];
-            let Some(next) = r.next() else {
-                out.clear();
-                return false;
-            };
-            out.push(next);
-            cur = next;
-            if out.len() > self.routes.len() {
-                unreachable!(
-                    "forwarding loop: the up-phase follows the acyclic provider \
-                     DAG and the down-phase strictly decreases customer length"
-                );
-            }
-        }
-        true
+        self.walk_from(src, |x| out.push(x))
     }
 
     /// Like [`RouteTree::path_into`], mapped to ASNs.
     pub fn asn_path_into(&self, topo: &Topology, src: AsIdx, out: &mut Vec<Asn>) -> bool {
         out.clear();
-        if !self.routes[src.usize()].reachable() {
-            return false;
-        }
-        out.push(topo.asn(src));
-        let mut cur = src;
-        let mut guard = 0usize;
-        while cur != self.dest {
-            let r = self.routes[cur.usize()];
-            let Some(next) = r.next() else {
-                out.clear();
-                return false;
-            };
-            out.push(topo.asn(next));
-            cur = next;
-            guard += 1;
-            if guard > self.routes.len() {
-                unreachable!("forwarding loop (see path_into)");
-            }
-        }
-        true
+        self.walk_from(src, |x| out.push(topo.asn(x)))
     }
 
     /// The AS-level forwarding path from `src` to the destination,
@@ -433,7 +439,7 @@ impl RouteTree {
         self.routes.iter().filter(|r| r.reachable()).count()
     }
 
-    /// Bytes held by the route table (8 per AS) — cache sizing input.
+    /// Bytes held by the route table (8 per AS).
     pub fn route_bytes(&self) -> usize {
         self.routes.len() * std::mem::size_of::<SelectedRoute>()
     }

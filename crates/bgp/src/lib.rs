@@ -21,7 +21,9 @@
 //!   plus per-AS traffic-engineering shifts that re-roll equal-cost
 //!   tiebreaks, mirroring hot-potato and TE-induced churn in real BGP.
 //! * [`sim`] — [`sim::RoutingSim`], the epoch-indexed path oracle used by
-//!   the measurement platform, with a sharded route-tree cache.
+//!   the measurement platform, with a sharded cache of demand-driven
+//!   route trees (eager provider cone and peers; provider stage and next
+//!   hops resolved for the ASes lookups walk through).
 //! * [`reference`] — the pre-CSR compute path, retained as the benchmark
 //!   baseline and differential oracle for the scratch-reused fast path.
 //! * [`stats`] — distinct-path counting over time windows (Figure 3's
@@ -36,6 +38,7 @@
 
 pub mod churn;
 pub mod compute;
+mod demand;
 pub mod policy;
 pub mod reference;
 pub mod sim;

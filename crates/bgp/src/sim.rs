@@ -2,33 +2,45 @@
 //!
 //! [`RoutingSim`] ties the topology, the churn timeline, and the route
 //! computation together: ask it for the AS-level path between any two ASes
-//! at any epoch. Trees are computed per (destination, epoch) and cached,
+//! at any epoch. Trees are built per (destination, epoch) and cached,
 //! because the measurement platform naturally batches many vantage points
 //! against the same destination in the same epoch.
+//!
+//! ## What a lookup costs
+//!
+//! A cached tree is demand-driven (`crate::demand`): a miss builds
+//! only the destination's provider cone and its peers, under link state
+//! the thread's [`TreeScratch`] cursor carried over from the previous
+//! epoch by XOR-ing the flips in between; the provider stage and the
+//! salted next hop are resolved, once, for the ASes lookups walk through.
+//! A tree weighs 8 bytes per AS plus a bit per link
+//! ([`cached_tree_bytes`]) — ~565 KB in the Huge world.
 //!
 //! ## Cache layout
 //!
 //! At Internet scale the tree cache is the contention point: one worker
-//! thread computing a Huge tree (~0.6 MB, milliseconds) must not stall
-//! every other worker's cache *lookups*. The cache is therefore split
-//! into [`N_SHARDS`] stripes keyed by destination hash, each behind its
-//! own mutex, and trees are computed **outside** any lock. Each stripe is
-//! a true LRU (stamp-based, lazily compacted recency queue — both `get`
-//! and re-`put` promote), unlike the FIFO it replaces, so the platform's
-//! revisit-heavy access pattern keeps hot destinations resident.
+//! thread building a Huge tree must not stall every other worker's cache
+//! *lookups*. The cache is therefore split into [`N_SHARDS`] stripes
+//! keyed by destination hash, each behind its own mutex, and trees are
+//! built **outside** any lock. Each stripe is a true LRU (stamp-based,
+//! lazily compacted recency queue — both `get` and re-`put` promote), so
+//! the platform's revisit-heavy access pattern keeps hot destinations
+//! resident.
 //!
 //! Capacity comes from [`RoutingSim::with_cache_capacity`] (the world
 //! generator exposes `WorldConfig::tree_cache_capacity`); `0` picks an
 //! automatic value from a fixed memory budget and the world size, so a
 //! Huge world doesn't silently pin gigabytes of trees.
 //!
-//! Per-thread [`TreeScratch`] buffers are reused across computes, and
-//! cache traffic is observable through [`RoutingSim::instrument`]
+//! Cache traffic is observable through [`RoutingSim::instrument`]
 //! (`churnlab_route_cache_{hit,miss,evict}`, `churnlab_route_trees_computed`,
-//! and a compute-nanos histogram).
+//! `churnlab_route_nodes_resolved_total`, and a histogram of the eager
+//! build's nanoseconds).
 
 use crate::churn::{ChurnConfig, ChurnTimeline};
-use crate::compute::{RouteTree, TreeScratch};
+use crate::compute::{SelectedRoute, TreeScratch};
+pub use crate::demand::cached_tree_bytes;
+use crate::demand::DemandTree;
 use crate::time::{Epoch, EpochMapper};
 use churnlab_obs::Registry;
 use churnlab_topology::{AsIdx, Asn, Topology};
@@ -41,15 +53,15 @@ use std::sync::{Arc, OnceLock};
 /// Number of cache stripes (destinations hash across them).
 pub const N_SHARDS: usize = 16;
 
-/// Memory budget the automatic capacity targets (route bytes only).
+/// Memory budget the automatic capacity targets.
 const AUTO_CACHE_BUDGET_BYTES: usize = 256 << 20;
 
-/// Cache capacity (total trees) for a world of `n_ases`, when the
+/// Cache capacity (total trees) for a world of this size, when the
 /// configured capacity is `0` (automatic): a 256 MB budget divided by
 /// the per-tree footprint, clamped to `[64, 4096]`. A Small world gets
-/// the old fixed 4096; a Huge world (~640 KB/tree) lands near 410.
-pub fn auto_cache_capacity(n_ases: usize) -> usize {
-    let per_tree = 8 * n_ases.max(1) + 64;
+/// the fixed 4096; the Huge world (~565 KB/tree) lands near 475.
+pub fn auto_cache_capacity(n_ases: usize, n_links: usize) -> usize {
+    let per_tree = cached_tree_bytes(n_ases, n_links).saturating_add(64);
     (AUTO_CACHE_BUDGET_BYTES / per_tree).clamp(64, 4096)
 }
 
@@ -69,7 +81,7 @@ pub struct CacheStats {
 }
 
 struct Entry {
-    tree: Arc<RouteTree>,
+    tree: Arc<DemandTree>,
     stamp: u64,
 }
 
@@ -98,7 +110,7 @@ impl CacheShard {
         self.next_stamp
     }
 
-    fn get(&mut self, key: &(AsIdx, Epoch)) -> Option<Arc<RouteTree>> {
+    fn get(&mut self, key: &(AsIdx, Epoch)) -> Option<Arc<DemandTree>> {
         let stamp = self.stamp();
         let tree = {
             let e = self.map.get_mut(key)?;
@@ -112,7 +124,7 @@ impl CacheShard {
 
     /// Insert (or promote, if racing inserters got here first). Returns
     /// the number of evictions performed.
-    fn put(&mut self, key: (AsIdx, Epoch), tree: Arc<RouteTree>) -> u64 {
+    fn put(&mut self, key: (AsIdx, Epoch), tree: Arc<DemandTree>) -> u64 {
         let stamp = self.stamp();
         if let Some(e) = self.map.get_mut(&key) {
             // Same (dest, epoch) ⇒ identical tree; keep the resident one
@@ -155,6 +167,7 @@ struct RouteMetrics {
     cache_hit: churnlab_obs::Counter,
     cache_miss: churnlab_obs::Counter,
     cache_evict: churnlab_obs::Counter,
+    nodes_resolved: churnlab_obs::Counter,
     compute_nanos: churnlab_obs::Histogram,
 }
 
@@ -181,16 +194,11 @@ impl<'t> RoutingSim<'t> {
     /// `WorldConfig::tree_cache_capacity`.
     pub fn with_cache_capacity(topo: &'t Topology, cfg: &ChurnConfig, capacity: usize) -> Self {
         let churn = ChurnTimeline::build(topo, cfg);
-        RoutingSim::assemble(topo, churn, capacity)
-    }
-
-    /// Construct from an existing timeline (for sharing across sims).
-    pub fn with_timeline(topo: &'t Topology, churn: ChurnTimeline) -> Self {
-        RoutingSim::assemble(topo, churn, 0)
-    }
-
-    fn assemble(topo: &'t Topology, churn: ChurnTimeline, capacity: usize) -> Self {
-        let total = if capacity == 0 { auto_cache_capacity(topo.n_ases()) } else { capacity };
+        let total = if capacity == 0 {
+            auto_cache_capacity(topo.n_ases(), topo.n_links())
+        } else {
+            capacity
+        };
         let per_shard = total.div_ceil(N_SHARDS).max(1);
         let shards = (0..N_SHARDS).map(|_| Mutex::new(CacheShard::new(per_shard))).collect();
         RoutingSim {
@@ -229,9 +237,14 @@ impl<'t> RoutingSim<'t> {
                 "Route trees evicted to stay within capacity",
                 &[],
             ),
+            nodes_resolved: registry.counter(
+                "churnlab_route_nodes_resolved_total",
+                "ASes whose next hop a lookup resolved in a cached tree",
+                &[],
+            ),
             compute_nanos: registry.histogram(
                 "churnlab_route_tree_compute_nanos",
-                "Wall nanoseconds per route-tree computation",
+                "Wall nanoseconds per route-tree build (the eager part)",
                 &[],
             ),
         });
@@ -272,7 +285,7 @@ impl<'t> RoutingSim<'t> {
     }
 
     /// The routing tree toward `dest` at `epoch` (cached).
-    pub fn route_tree(&self, dest: AsIdx, epoch: Epoch) -> Arc<RouteTree> {
+    fn route_tree(&self, dest: AsIdx, epoch: Epoch) -> Arc<DemandTree> {
         let key = (dest, epoch);
         let shard = self.shard_of(dest);
         if let Some(t) = shard.lock().get(&key) {
@@ -283,25 +296,20 @@ impl<'t> RoutingSim<'t> {
             return t;
         }
         self.misses.fetch_add(1, Relaxed);
-        if let Some(m) = self.metrics.get() {
+        let metrics = self.metrics.get();
+        if let Some(m) = metrics {
             m.cache_miss.inc();
         }
 
-        // Compute outside the stripe lock, reusing this thread's scratch.
-        let churn = &self.churn;
+        // Build outside the stripe lock, from this thread's link cursor.
         let started = std::time::Instant::now();
-        let mut tree = RouteTree::empty();
-        SCRATCH.with(|s| {
-            RouteTree::compute_into(
-                &mut s.borrow_mut(),
-                self.topo,
-                dest,
-                &|l| churn.link_up(l, epoch),
-                &|x| churn.te_salt(x, epoch),
-                &mut tree,
-            );
+        let tree = SCRATCH.with(|s| {
+            let TreeScratch { cursor, cone, .. } = &mut *s.borrow_mut();
+            let up = cursor.seek(&self.churn, epoch);
+            let resolved = metrics.map(|m| m.nodes_resolved.clone());
+            DemandTree::build(self.topo, up, dest, cone, resolved)
         });
-        if let Some(m) = self.metrics.get() {
+        if let Some(m) = metrics {
             m.trees_computed.inc();
             m.compute_nanos.observe(started.elapsed().as_nanos() as u64);
         }
@@ -310,34 +318,51 @@ impl<'t> RoutingSim<'t> {
         let evicted = shard.lock().put(key, tree.clone());
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Relaxed);
-            if let Some(m) = self.metrics.get() {
+            if let Some(m) = metrics {
                 m.cache_evict.add(evicted);
             }
         }
         tree
     }
 
+    /// Walk the path from `src` to `dst` at `epoch`, handing each AS to
+    /// `visit`; `false` (nothing visited) if unreachable.
+    fn walk(&self, src: AsIdx, dst: AsIdx, epoch: Epoch, visit: impl FnMut(AsIdx)) -> bool {
+        let churn = &self.churn;
+        self.route_tree(dst, epoch).walk_from(self.topo, &|x| churn.te_salt(x, epoch), src, visit)
+    }
+
+    /// The route `src` selects toward `dst` at `epoch` — class, shortest
+    /// valley-free length and tiebroken next hop; `None` if unreachable.
+    pub fn route(&self, src: AsIdx, dst: AsIdx, epoch: Epoch) -> Option<SelectedRoute> {
+        let churn = &self.churn;
+        self.route_tree(dst, epoch).route(self.topo, &|x| churn.te_salt(x, epoch), src)
+    }
+
     /// AS-level path (inclusive of both endpoints) from `src` to `dst` at
     /// `epoch`; `None` if unreachable under that link state.
     pub fn as_path(&self, src: AsIdx, dst: AsIdx, epoch: Epoch) -> Option<Vec<AsIdx>> {
-        self.route_tree(dst, epoch).path_from(src)
+        let mut path = Vec::new();
+        self.as_path_into(src, dst, epoch, &mut path).then_some(path)
     }
 
     /// Like [`RoutingSim::as_path`] but returning ASNs.
     pub fn asn_path(&self, src: AsIdx, dst: AsIdx, epoch: Epoch) -> Option<Vec<Asn>> {
-        self.as_path(src, dst, epoch)
-            .map(|p| p.into_iter().map(|i| self.topo.asn(i)).collect())
+        let mut path = Vec::new();
+        self.asn_path_into(src, dst, epoch, &mut path).then_some(path)
     }
 
     /// Allocation-free form of [`RoutingSim::as_path`]: fill `out` with
     /// the path, returning `false` (and an empty `out`) if unreachable.
     pub fn as_path_into(&self, src: AsIdx, dst: AsIdx, epoch: Epoch, out: &mut Vec<AsIdx>) -> bool {
-        self.route_tree(dst, epoch).path_into(src, out)
+        out.clear();
+        self.walk(src, dst, epoch, |x| out.push(x))
     }
 
     /// Allocation-free form of [`RoutingSim::asn_path`].
     pub fn asn_path_into(&self, src: AsIdx, dst: AsIdx, epoch: Epoch, out: &mut Vec<Asn>) -> bool {
-        self.route_tree(dst, epoch).asn_path_into(self.topo, src, out)
+        out.clear();
+        self.walk(src, dst, epoch, |x| out.push(self.topo.asn(x)))
     }
 }
 
@@ -456,13 +481,13 @@ mod tests {
 
     #[test]
     fn auto_capacity_scales_down_with_world_size() {
-        assert_eq!(auto_cache_capacity(100), 4096); // small worlds: old fixed cap
-        let huge = auto_cache_capacity(80_000);
+        assert_eq!(auto_cache_capacity(100, 600), 4096); // small worlds: old fixed cap
+        let huge = auto_cache_capacity(80_000, 700_000);
         assert!(
             (64..=512).contains(&huge),
             "Huge worlds must cap residency well below 4096, got {huge}"
         );
-        assert_eq!(auto_cache_capacity(usize::MAX / 16), 64);
+        assert_eq!(auto_cache_capacity(usize::MAX / 16, usize::MAX / 16), 64);
     }
 
     #[test]
@@ -478,6 +503,16 @@ mod tests {
         assert_eq!(snap.counter("churnlab_route_trees_computed", &[]), Some(1));
         assert_eq!(snap.counter("churnlab_route_cache_miss", &[]), Some(1));
         assert_eq!(snap.counter("churnlab_route_cache_hit", &[]), Some(1));
+        // Two paths into one destination: every AS on either, bar the
+        // destination (whose empty next hop is set at build), once.
+        let on_paths: std::collections::HashSet<AsIdx> = [stubs[0], stubs[2]]
+            .into_iter()
+            .flat_map(|s| sim.as_path(s, stubs[1], 0).expect("stubs route"))
+            .collect();
+        assert_eq!(
+            snap.counter("churnlab_route_nodes_resolved_total", &[]),
+            Some(on_paths.len() as u64 - 1)
+        );
         let hist = snap
             .samples
             .iter()

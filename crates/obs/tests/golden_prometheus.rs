@@ -34,6 +34,12 @@ fn exposition_format_is_stable() {
         &[("phase", "convert"), ("shard", "0")],
     )
     .add(42_000);
+    reg.counter(
+        "churnlab_route_nodes_resolved_total",
+        "ASes whose next hop a lookup resolved in a cached tree",
+        &[],
+    )
+    .add(740);
 
     let text = render_prometheus(&reg.scrape());
 
@@ -61,6 +67,9 @@ churnlab_resolve_nanos_bucket{le=\"1023\"} 3
 churnlab_resolve_nanos_bucket{le=\"+Inf\"} 3
 churnlab_resolve_nanos_sum 903
 churnlab_resolve_nanos_count 3
+# HELP churnlab_route_nodes_resolved_total ASes whose next hop a lookup resolved in a cached tree
+# TYPE churnlab_route_nodes_resolved_total counter
+churnlab_route_nodes_resolved_total 740
 # HELP churnlab_windows_open churn windows currently open
 # TYPE churnlab_windows_open gauge
 churnlab_windows_open 5

@@ -862,6 +862,34 @@ mod tests {
     }
 
     #[test]
+    fn parallel_collect_equals_serial_on_pa_world() {
+        // The Huge (preferential-attachment) family shrunk ~40x. Every run
+        // gets a cold simulator, so the cached trees' routes are resolved
+        // in whatever order that run's workers ask for them.
+        let mut wcfg = WorldConfig::preset(WorldScale::Huge, 3);
+        wcfg.n_countries = 20;
+        wcfg.n_tier1 = 5;
+        wcfg.pa_transits = 150;
+        wcfg.pa_stubs = 1_200;
+        wcfg.pa_peering_links = 2_500;
+        wcfg.hosting_orgs = 6;
+        let world = generator::generate(&wcfg);
+        let mut ccfg = CensorConfig::scaled_for(world.topology.countries().len());
+        ccfg.total_days = 60;
+        let scenario = CensorshipScenario::generate_for_world(&world, &ccfg);
+        let pcfg = PlatformConfig::preset(PlatformScale::Smoke, 13);
+        let platform = Platform::new(&world, &scenario, pcfg.clone());
+        let cold = || RoutingSim::new(&world.topology, &churn_cfg(pcfg.total_days));
+        let (serial, serial_stats) = platform.run_collect(&cold());
+        assert!(serial.iter().any(|m| !m.failed));
+        for threads in [1, 4] {
+            let (par, par_stats) = platform.run_collect_parallel(&cold(), threads);
+            assert_eq!(par, serial, "threads={threads}");
+            assert_eq!(par_stats, serial_stats, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn parallel_collect_equals_serial_under_sampling() {
         let (s, scenario, mut pcfg) = smoke_setup(7);
         pcfg.fleet_sample = 5;
