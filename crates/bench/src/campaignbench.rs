@@ -1,8 +1,14 @@
-//! End-to-end campaign throughput: measurements/sec through the **fused**
-//! sim→engine path (`churnlab_engine::campaign::run_fused`) at several
-//! generator thread counts, against a serial `Platform::run` reference.
-//! Shared by the `campaign_bench` binary that writes `BENCH_campaign.json`
-//! in CI.
+//! `bench campaign` — end-to-end campaign throughput: measurements/sec
+//! through the **fused** sim→engine path
+//! (`churnlab_engine::campaign::run_fused`) at several generator thread
+//! counts, against a serial `Platform::run` reference, written as one
+//! JSON document (`BENCH_campaign.json`).
+//!
+//! ```text
+//! bench campaign                                  # smoke, report on stdout
+//! bench campaign --threads 1,2,4,8 --repeats 3 --assert-scaling
+//! bench campaign --baseline BENCH_campaign.json --out BENCH_campaign.json --require-gate
+//! ```
 //!
 //! Where `enginebench` times the engine over a *pre-collected* campaign
 //! (isolating tomography cost), this module times the whole wire:
@@ -11,10 +17,18 @@
 //! actually experiences. Correctness rides along: every row's
 //! [`churnlab_core::report::CanonicalReport`] digest must equal the
 //! serial reference's, so the sweep re-proves the parallel runner's
-//! byte-equality claim at every thread count it times.
+//! byte-equality claim at every thread count it times, and aborts
+//! before any report is written otherwise.
 //!
-//! Each row carries two **scaling efficiency** figures relative to the
-//! 1-thread fused row:
+//! The corpus is [`URLS`] URLs at every scale: the parallel runner
+//! partitions work at URL granularity, so at 8 threads a 16-URL smoke
+//! corpus measures partition skew, not scaling; 64 keeps the skew under
+//! ~12%.
+//!
+//! `--baseline`, `--require-gate`, `--update-baseline` and
+//! `--assert-scaling` are the shared [`crate::gate`]s, over the
+//! speedup-vs-serial ratio. Each row carries two **scaling efficiency**
+//! figures relative to the 1-thread fused row:
 //!
 //! * `wallclock_efficiency` — `(meas/s at N threads) / (meas/s at 1) / N`,
 //!   meaningful only when the machine has at least N cores;
@@ -27,12 +41,40 @@
 //! A flat thread curve — workers contending on a shared lock, or one
 //! worker claiming the whole corpus — fails both.
 
-use crate::Bench;
+use crate::cli::{self, Args, Flag, Kind, Sub, OUT, POSITIVE, REPEATS, SCALE_SMOKE, SEED};
+use crate::gate::{self, AsSweep, Gate, Plan, Sweep, SweepRow};
+use crate::{scale_label, Bench};
 use churnlab_core::pipeline::PipelineConfig;
 use churnlab_engine::{campaign, Engine, EngineConfig};
-use churnlab_platform::{CampaignBusy, Platform};
+use churnlab_platform::{CampaignBusy, Platform, PlatformConfig};
 use serde::{Deserialize, Serialize};
+use std::process::ExitCode;
 use std::time::Instant;
+
+/// URL-corpus size the bench runs over (see the module docs).
+pub const URLS: usize = 64;
+
+/// `bench campaign`.
+pub const SUB: Sub = Sub {
+    name: "campaign",
+    about: "fused sim→engine throughput vs a serial reference; regression and scaling gates",
+    flags: &[
+        SCALE_SMOKE,
+        SEED,
+        Flag::new("--threads", Kind::Counts, "1,2,4,8", "generator thread counts to sweep"),
+        Flag::new("--shards", POSITIVE, "2", "engine shards (fixed across the sweep)"),
+        REPEATS,
+        OUT,
+        gate::BASELINE,
+        gate::REQUIRE_GATE,
+        gate::UPDATE_BASELINE,
+        gate::ASSERT_SCALING,
+        gate::MIN_EFFICIENCY,
+    ],
+    positional: None,
+    rules: &[gate::REFRESH_IS_UNGATED],
+    run,
+};
 
 /// An assembled study plus the fixed tomography config — the workload
 /// every thread count is timed against. The platform and simulator are
@@ -48,15 +90,12 @@ pub struct CampaignHarness<'w> {
 }
 
 impl<'w> CampaignHarness<'w> {
-    /// Assemble from a [`Bench`], optionally overriding the URL-corpus
-    /// size (`urls > 0`). A bigger corpus keeps the parallel runner's
-    /// URL-granularity work units small relative to a worker's share, so
-    /// thread-count sweeps measure scaling rather than partition skew.
-    pub fn assemble(bench: &'w Bench, urls: usize) -> CampaignHarness<'w> {
-        let mut platform_cfg = bench.platform_cfg.clone();
-        if urls > 0 {
-            platform_cfg.n_urls = urls;
-        }
+    /// Assemble from a [`Bench`] over a [`URLS`]-URL corpus, which keeps
+    /// the parallel runner's URL-granularity work units small relative
+    /// to a worker's share: thread-count sweeps then measure scaling
+    /// rather than partition skew.
+    pub fn assemble(bench: &'w Bench) -> CampaignHarness<'w> {
+        let platform_cfg = PlatformConfig { n_urls: URLS, ..bench.platform_cfg.clone() };
         let platform = Platform::new(&bench.world, &bench.scenario, platform_cfg);
         let sim = bench.sim();
         let cfg = PipelineConfig::paper(platform.config().total_days);
@@ -206,14 +245,9 @@ pub fn run_campaign_sweep(
         .zip(&min_crit)
         .find(|(r, _)| r.threads == 1)
         .map(|(r, &c)| (r.meas_per_sec, c));
-    if let Some((base_mps, base_crit)) = base {
-        for (row, &crit) in rows.iter_mut().zip(&min_crit) {
-            let n_threads = row.threads as f64;
-            row.wallclock_efficiency = Some((row.meas_per_sec / base_mps) / n_threads);
-            if base_crit > 0 && crit > 0 {
-                row.model_efficiency = Some(base_crit as f64 / (n_threads * crit as f64));
-            }
-        }
+    for (row, &crit) in rows.iter_mut().zip(&min_crit) {
+        (row.wallclock_efficiency, row.model_efficiency) =
+            gate::efficiency(base, row.threads, row.meas_per_sec, crit);
     }
 
     CampaignReport {
@@ -230,22 +264,80 @@ pub fn run_campaign_sweep(
     }
 }
 
+impl AsSweep for CampaignReport {
+    fn sweep(&self) -> Sweep {
+        let rows = self.rows.iter().map(|r| SweepRow {
+            n: r.threads,
+            speedup: r.speedup_vs_serial,
+            wallclock_efficiency: r.wallclock_efficiency,
+            model_efficiency: r.model_efficiency,
+        });
+        Sweep {
+            unit: "thread",
+            workload: format!("{}/{} urls", self.scale, self.urls),
+            cores: self.available_cores,
+            busy_cpu_attributed: self.busy_cpu_attributed,
+            rows: rows.collect(),
+        }
+    }
+}
+
+fn run(args: &Args) -> ExitCode {
+    let plan = match Plan::from_args::<CampaignReport>(args, "BENCH_campaign.json") {
+        Ok(plan) => plan,
+        Err(msg) => return cli::usage_error(&msg),
+    };
+    let scale = args.scale().expect("--scale has a default");
+    let (seed, shards, repeats): (u64, usize, usize) =
+        (args.req("--seed"), args.req("--shards"), args.req("--repeats"));
+    let threads = args.counts("--threads");
+
+    let bench = Bench::assemble(scale, seed);
+    let harness = CampaignHarness::assemble(&bench);
+    eprintln!(
+        "campaign: scale {}, {URLS} urls, thread counts {threads:?}, {shards} shard(s), best of {repeats}",
+        scale_label(scale),
+    );
+    let report = run_campaign_sweep(&harness, scale_label(scale), seed, &threads, shards, repeats);
+
+    eprintln!(
+        "serial:     {:>10.0} meas/s ({:.3}s, {} measurements, digest {})",
+        report.serial_meas_per_sec, report.serial_secs, report.measurements, report.digest
+    );
+    for row in &report.rows {
+        eprintln!(
+            "fused/{:<2}t  {:>10.0} meas/s ({:.3}s) speedup {:>5.2}x eff wall {} model {}  \
+             [busy max {:.3}s total {:.3}s]",
+            row.threads,
+            row.meas_per_sec,
+            row.secs,
+            row.speedup_vs_serial,
+            gate::show_efficiency(row.wallclock_efficiency),
+            gate::show_efficiency(row.model_efficiency),
+            row.busy_max_nanos as f64 / 1e9,
+            row.busy_total_nanos as f64 / 1e9,
+        );
+    }
+    let gate = Gate { who: "campaign", journal: None };
+    gate::verdict(gate.who, &plan.conclude(&gate, &report.sweep(), &report))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
+    use churnlab_topology::WorldScale;
 
     /// The sweep produces coherent rows: digests anchored to the serial
     /// reference, efficiency figures relative to the 1-thread row, busy
     /// attribution populated.
     #[test]
     fn sweep_is_coherent_and_digest_anchored() {
-        let bench = Bench::assemble(Scale::Smoke, 17);
-        let harness = CampaignHarness::assemble(&bench, 0);
+        let bench = Bench::assemble(WorldScale::Smoke, 17);
+        let harness = CampaignHarness::assemble(&bench);
         let report = run_campaign_sweep(&harness, "smoke", 17, &[1, 2], 2, 1);
         assert_eq!(report.rows.len(), 2);
         assert!(report.measurements > 0);
-        assert_eq!(report.urls, bench.platform_cfg.n_urls);
+        assert_eq!(report.urls, URLS);
         for row in &report.rows {
             assert!(row.digest_matches_serial);
             assert!(row.meas_per_sec > 0.0);
@@ -260,13 +352,5 @@ mod tests {
         let json = serde_json::to_string(&report).expect("report serializes");
         let back: CampaignReport = serde_json::from_str(&json).expect("report parses");
         assert_eq!(back, report);
-    }
-
-    /// The URL override reshapes the corpus (and therefore the campaign).
-    #[test]
-    fn url_override_reshapes_corpus() {
-        let bench = Bench::assemble(Scale::Smoke, 17);
-        let harness = CampaignHarness::assemble(&bench, 24);
-        assert_eq!(harness.platform.config().n_urls, 24);
     }
 }

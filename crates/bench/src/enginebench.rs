@@ -1,8 +1,22 @@
-//! Engine throughput measurement: measurements/sec through the batch
+//! `bench engine` — engine throughput: measurements/sec through the batch
 //! [`Pipeline`] vs the sharded [`Engine`] at several shard counts, over
-//! one pre-collected measurement campaign. Shared by the Criterion bench
-//! (`benches/engine_bench.rs`) and the `engine_bench` binary that writes
-//! `BENCH_engine.json` in CI.
+//! one pre-collected measurement campaign, written as one JSON document
+//! (`BENCH_engine.json`) so CI accumulates a perf trajectory.
+//!
+//! ```text
+//! bench engine                                   # smoke, report on stdout
+//! bench engine --scale small --shards 1,2,4,8 --repeats 5
+//! bench engine --baseline BENCH_engine.json --out BENCH_engine.json --require-gate
+//! bench engine --update-baseline                 # refresh BENCH_engine.json, ungated
+//! bench engine --shards 1,2,4,8 --assert-scaling
+//! bench engine --assert-overhead --scale smoke --shards 4 --repeats 5
+//! ```
+//!
+//! `--feeders 0` (the default) gives every row one feeder thread per
+//! shard — the supply/demand-matched configuration the scaling gate
+//! reasons about. `--baseline`, `--require-gate`, `--update-baseline`
+//! and `--assert-scaling` are the shared [`crate::gate`]s, over the
+//! speedup-vs-pipeline ratio.
 //!
 //! Besides wall-clock throughput, each row carries two **scaling
 //! efficiency** figures relative to the 1-shard row:
@@ -16,18 +30,70 @@
 //!   the work) even on a box with fewer cores than shards, where
 //!   wall-clock cannot.
 //!
-//! A flat shard curve — the bug this module's gate exists to catch —
-//! fails both: wall-clock efficiency at N shards lands near `1/N`, and
-//! the busy-time model shows one shard's busy time not shrinking as N
-//! grows.
+//! A flat shard curve — the bug the scaling gate exists to catch — fails
+//! both: wall-clock efficiency at N shards lands near `1/N`, and the
+//! busy-time model shows one shard's busy time not shrinking as N grows.
+//!
+//! `--assert-overhead` is a dedicated mode: the same workload through a
+//! *stripped* engine (no metrics registry — zero atomic ops) and an
+//! instrumented one, interleaved best-of-`--repeats` with alternating
+//! order, at the highest `--shards` count. Both arms are measured on the
+//! wall clock and on the engine's own busy attribution; the gate arms on
+//! the on-CPU delta (the work instrumentation *adds*, immune to other
+//! processes stealing the core) whenever the thread CPU clock exists,
+//! wall clock otherwise (announced). The run fails (exit 1) if
+//! instrumentation costs more than [`MAX_OVERHEAD`].
+//!
+//! `--metrics-out FILE` makes the run instrumented and keeps FILE
+//! current with the registry's Prometheus text exposition (rewritten
+//! every ~500ms by a scraper thread, final scrape at exit).
+//! `--journal-out FILE` streams the run's JSONL event journal there —
+//! engine events plus the gates' `gate_armed`/`gate_skipped` outcomes.
 
-use crate::obsbench::BenchObs;
-use crate::Bench;
+use crate::cli::{self, Args, Flag, Kind, Rule, Sub, OUT, REPEATS, SCALE_SMOKE, SEED, UINT};
+use crate::gate::{self, AsSweep, Gate, Plan, Sweep, SweepRow};
+use crate::obsbench::{BenchObs, MetricsWriter};
+use crate::{best_of, scale_label, Bench};
 use churnlab_core::pipeline::{Pipeline, PipelineConfig};
 use churnlab_engine::{Engine, EngineConfig, EngineStats};
+use churnlab_obs::Journal;
 use churnlab_platform::{Measurement, Platform};
 use serde::{Deserialize, Serialize};
+use std::process::ExitCode;
 use std::time::Instant;
+
+/// Instrumentation may cost at most this fraction of stripped throughput.
+pub const MAX_OVERHEAD: f64 = 0.02;
+
+/// `bench engine`.
+pub const SUB: Sub = Sub {
+    name: "engine",
+    about: "engine throughput vs the batch pipeline; regression, scaling and overhead gates",
+    flags: &[
+        SCALE_SMOKE,
+        SEED,
+        Flag::new("--shards", Kind::Counts, "1,2,4,8", "shard counts to sweep"),
+        Flag::new("--feeders", UINT, "0", "feeder threads per row (0 = one per shard)"),
+        REPEATS,
+        OUT,
+        gate::BASELINE,
+        gate::REQUIRE_GATE,
+        gate::UPDATE_BASELINE,
+        gate::ASSERT_SCALING,
+        gate::MIN_EFFICIENCY,
+        Flag::new("--assert-overhead", Kind::Switch, "", "stripped-vs-instrumented mode: exit 1 if metrics cost more than 2%"),
+        Flag::new("--metrics-out", Kind::Text, "", "instrument the run; keep this Prometheus text file current"),
+        Flag::new("--journal-out", Kind::Text, "", "instrument the run; stream its JSONL event journal here"),
+    ],
+    positional: None,
+    rules: &[
+        gate::REFRESH_IS_UNGATED,
+        Rule::Conflict("--assert-overhead", "--baseline"),
+        Rule::Conflict("--assert-overhead", "--assert-scaling"),
+        Rule::Conflict("--assert-overhead", "--update-baseline"),
+    ],
+    run,
+};
 
 /// An assembled platform plus its pre-collected measurement campaign —
 /// the fixed workload every contender is timed against.
@@ -68,15 +134,10 @@ impl<'w> ThroughputHarness<'w> {
     /// counters. The per-feeder chunks are cloned *before* the clock
     /// starts: a deployed feeder owns its measurements (they arrive off
     /// the wire), so the copy is harness overhead, not engine work.
-    pub fn time_engine(&self, shards: usize, feeders: usize) -> (f64, EngineStats) {
-        self.time_engine_with(shards, feeders, None)
-    }
-
-    /// [`ThroughputHarness::time_engine`], optionally over an
-    /// observability sink: `Some` builds an *instrumented* engine
-    /// registering its series into the sink's shared registry, `None`
-    /// the *stripped* one — the pair the overhead gate compares.
-    pub fn time_engine_with(
+    /// `Some(obs)` builds an *instrumented* engine registering its series
+    /// into the sink's shared registry, `None` the *stripped* one — the
+    /// pair the overhead gate compares.
+    pub fn time_engine(
         &self,
         shards: usize,
         feeders: usize,
@@ -158,15 +219,6 @@ pub struct ThroughputRow {
     pub stats: EngineStats,
 }
 
-impl ThroughputRow {
-    /// The row's busy-time critical path in nanoseconds: the slowest
-    /// shard worker plus the serial merge. Zero on rows from baselines
-    /// predating busy-time attribution.
-    pub fn critical_nanos(&self) -> u64 {
-        self.stats.busy.shard_max_nanos + self.stats.busy.merge_nanos
-    }
-}
-
 /// The full throughput report (`BENCH_engine.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThroughputReport {
@@ -186,14 +238,21 @@ pub struct ThroughputReport {
     pub engine: Vec<ThroughputRow>,
 }
 
-/// Resolve a feeder spec against a shard count: `0` means "one feeder
-/// per shard" — the configuration the scaling gate reasons about (N
-/// cores' worth of supply driving N shards).
-pub fn resolve_feeders(spec: usize, shards: usize) -> usize {
-    if spec == 0 {
-        shards
-    } else {
-        spec
+impl AsSweep for ThroughputReport {
+    fn sweep(&self) -> Sweep {
+        let rows = self.engine.iter().map(|r| SweepRow {
+            n: r.shards,
+            speedup: r.speedup_vs_pipeline,
+            wallclock_efficiency: r.wallclock_efficiency,
+            model_efficiency: r.model_efficiency,
+        });
+        Sweep {
+            unit: "shard",
+            workload: self.scale.clone(),
+            cores: self.available_cores,
+            busy_cpu_attributed: true,
+            rows: rows.collect(),
+        }
     }
 }
 
@@ -215,17 +274,17 @@ pub fn run_throughput(
     let repeats = repeats.max(1);
     let n = harness.measurements.len() as u64;
 
-    let pipeline_secs = (0..repeats)
-        .map(|_| harness.time_pipeline())
-        .fold(f64::INFINITY, f64::min);
+    let pipeline_secs = best_of(repeats, || harness.time_pipeline());
     let pipeline_meas_per_sec = n as f64 / pipeline_secs;
 
     let mut engine = Vec::new();
     let mut min_crit = Vec::new(); // per-row noise-floor critical path
     for &shards in shard_counts {
-        let row_feeders = resolve_feeders(feeders, shards);
+        // `0` = one feeder per shard: the configuration the scaling gate
+        // reasons about (N cores' worth of supply driving N shards).
+        let row_feeders = if feeders == 0 { shards } else { feeders };
         let runs: Vec<(f64, EngineStats)> =
-            (0..repeats).map(|_| harness.time_engine_with(shards, row_feeders, obs)).collect();
+            (0..repeats).map(|_| harness.time_engine(shards, row_feeders, obs)).collect();
         let crit = |s: &EngineStats| s.busy.shard_max_nanos + s.busy.merge_nanos;
         min_crit.push(runs.iter().map(|(_, s)| crit(s)).min().expect("repeats >= 1"));
         // Keep the stats paired with the repeat they came from: the
@@ -257,15 +316,9 @@ pub fn run_throughput(
         .zip(&min_crit)
         .find(|(r, _)| r.shards == 1)
         .map(|(r, &c)| (r.meas_per_sec, c));
-    if let Some((base_mps, base_crit)) = base {
-        for (row, &crit) in engine.iter_mut().zip(&min_crit) {
-            let n_shards = row.shards as f64;
-            row.wallclock_efficiency = Some((row.meas_per_sec / base_mps) / n_shards);
-            if base_crit > 0 && crit > 0 {
-                row.model_efficiency =
-                    Some(base_crit as f64 / (n_shards * crit as f64));
-            }
-        }
+    for (row, &crit) in engine.iter_mut().zip(&min_crit) {
+        (row.wallclock_efficiency, row.model_efficiency) =
+            gate::efficiency(base, row.shards, row.meas_per_sec, crit);
     }
 
     ThroughputReport {
@@ -343,7 +396,7 @@ pub fn run_overhead(
     obs: Option<&BenchObs>,
 ) -> OverheadReport {
     let repeats = repeats.max(1);
-    let feeders = resolve_feeders(feeders, shards);
+    let feeders = if feeders == 0 { shards } else { feeders };
     let throwaway = BenchObs::new(None);
     let sink = obs.unwrap_or(&throwaway);
     // The measured instrumented arm carries the sink's registry but
@@ -360,7 +413,7 @@ pub fn run_overhead(
     // pass is ~15ms of work, where one mistimed interrupt already costs
     // percents; sums of many passes put the jitter floor well below a
     // 2% budget.
-    let calib = harness.time_engine_with(shards, feeders, None);
+    let calib = harness.time_engine(shards, feeders, None);
     let est = cpu_secs(&calib.1).max(1e-4);
     let passes = ((1.0 / est).ceil() as usize).clamp(1, 100);
     let mut best_wall = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
@@ -380,7 +433,7 @@ pub fn run_overhead(
             }
             for a in order {
                 let arm = if a == 0 { None } else { Some(&measured) };
-                let (secs, stats) = harness.time_engine_with(shards, feeders, arm);
+                let (secs, stats) = harness.time_engine(shards, feeders, arm);
                 wall_sums[a] += secs;
                 cpu_sums[a] += cpu_secs(&stats);
             }
@@ -390,20 +443,19 @@ pub fn run_overhead(
         // environment). The true cost is systematic — present in every
         // repeat — while contamination spikes only inflate a ratio, so
         // the min estimates the cost from the cleanest window.
-        let wall_ratio = wall_sums[1] / wall_sums[0];
-        if wall_ratio < best_wall.0 {
-            best_wall =
-                (wall_ratio, wall_sums[0] / passes as f64, wall_sums[1] / passes as f64);
-        }
-        let cpu_ratio = cpu_sums[1] / cpu_sums[0];
-        if cpu_ratio < best_cpu.0 {
-            best_cpu = (cpu_ratio, cpu_sums[0] / passes as f64, cpu_sums[1] / passes as f64);
-        }
+        let keep_best = |best: &mut (f64, f64, f64), sums: [f64; 2]| {
+            let ratio = sums[1] / sums[0];
+            if ratio < best.0 {
+                *best = (ratio, sums[0] / passes as f64, sums[1] / passes as f64);
+            }
+        };
+        keep_best(&mut best_wall, wall_sums);
+        keep_best(&mut best_cpu, cpu_sums);
     }
     if sink.journal.is_some() {
         // Unmeasured artifact pass: one fully-instrumented run so the
         // caller's journal carries a real event stream.
-        let _ = harness.time_engine_with(shards, feeders, Some(sink));
+        let _ = harness.time_engine(shards, feeders, Some(sink));
     }
     OverheadReport {
         scale: scale_label.to_string(),
@@ -419,5 +471,142 @@ pub fn run_overhead(
         instrumented_cpu_secs: best_cpu.2,
         cpu_overhead_frac: best_cpu.0 - 1.0,
         cpu_attributed: churnlab_obs::thread_cpu_nanos().is_some(),
+    }
+}
+
+fn run(args: &Args) -> ExitCode {
+    let plan = match Plan::from_args::<ThroughputReport>(args, "BENCH_engine.json") {
+        Ok(plan) => plan,
+        Err(msg) => return cli::usage_error(&msg),
+    };
+    let scale = args.scale().expect("--scale has a default");
+    let (seed, feeders, repeats): (u64, usize, usize) =
+        (args.req("--seed"), args.req("--feeders"), args.req("--repeats"));
+    let shards = args.counts("--shards");
+
+    // Observability sink: either output flag makes the run instrumented
+    // (shared registry + optional journal across every engine built).
+    let journal = args.text("--journal-out").map(|path| {
+        Journal::to_file(std::path::Path::new(path))
+            .unwrap_or_else(|e| panic!("create journal {path}: {e}"))
+    });
+    let metrics_out = args.text("--metrics-out");
+    let sink = (metrics_out.is_some() || journal.is_some()).then(|| BenchObs::new(journal.clone()));
+    let metrics_writer =
+        metrics_out.zip(sink.as_ref()).map(|(path, s)| MetricsWriter::spawn(s.registry.clone(), path));
+    let gate = Gate { who: "engine", journal: journal.as_ref() };
+
+    let bench = Bench::assemble(scale, seed);
+    let harness = ThroughputHarness::assemble(&bench);
+    eprintln!(
+        "engine: {} measurements at scale {}, shard counts {shards:?}, feeders {}, best of {repeats}",
+        harness.measurements.len(),
+        scale_label(scale),
+        if feeders == 0 { "match-shards".to_string() } else { feeders.to_string() },
+    );
+    // The engines are done: freeze the metrics file at the terminal
+    // scrape and flush the run's journal events before gating begins
+    // (gate events flush themselves).
+    let settle = |writer: Option<MetricsWriter>| {
+        if let Some(w) = writer {
+            w.finish();
+        }
+        if let Some(j) = &journal {
+            j.flush();
+        }
+    };
+
+    if args.has("--assert-overhead") {
+        // Dedicated mode: the stripped-vs-instrumented comparison is the
+        // whole run — no pipeline control, no sweep, no baseline gate.
+        let top = *shards.iter().max().expect("the parser rejects an empty list");
+        let report = run_overhead(&harness, scale_label(scale), top, feeders, repeats, sink.as_ref());
+        settle(metrics_writer);
+        eprintln!(
+            "engine: overhead — wall: stripped {:.3}s vs instrumented {:.3}s ({:+.2}%); \
+             on-CPU: {:.3}s vs {:.3}s ({:+.2}%) ({} shard(s), {} feeder(s), best of {} × {} pass(es))",
+            report.stripped_secs,
+            report.instrumented_secs,
+            report.overhead_frac * 100.0,
+            report.stripped_cpu_secs,
+            report.instrumented_cpu_secs,
+            report.cpu_overhead_frac * 100.0,
+            report.shards,
+            report.feeders,
+            report.repeats,
+            report.passes,
+        );
+        gate::write_report(gate.who, plan.out.as_deref(), &report);
+        return gate::verdict(gate.who, &judge_overhead(&gate, &report));
+    }
+
+    let report =
+        run_throughput(&harness, scale_label(scale), seed, &shards, feeders, repeats, sink.as_ref());
+    settle(metrics_writer);
+
+    eprintln!(
+        "pipeline: {:>10.0} meas/s ({:.3}s)",
+        report.pipeline_meas_per_sec, report.pipeline_secs
+    );
+    for row in &report.engine {
+        eprintln!(
+            "engine/{:<2} {:>10.0} meas/s ({:.3}s) speedup {:>5.2}x eff wall {} model {}  \
+             [direct {} resolve {} unsat-skip {} | dup {:.1}% distinct-paths {} intern-hit {:.1}%]",
+            row.shards,
+            row.meas_per_sec,
+            row.secs,
+            row.speedup_vs_pipeline,
+            gate::show_efficiency(row.wallclock_efficiency),
+            gate::show_efficiency(row.model_efficiency),
+            row.stats.incremental.direct_updates,
+            row.stats.incremental.resolves,
+            row.stats.incremental.unsat_skips,
+            row.duplicate_ratio * 100.0,
+            row.distinct_paths,
+            row.interner_hit_rate * 100.0,
+        );
+    }
+    gate::verdict(gate.who, &plan.conclude(&gate, &report.sweep(), &report))
+}
+
+/// The overhead gate: instrumentation may cost at most [`MAX_OVERHEAD`].
+/// It judges the added on-CPU work when the busy clock is CPU-attributed
+/// — exactly what the instrumentation costs, where wall clock on a shared
+/// runner also measures every other process. Without a thread CPU clock
+/// the busy figures are wall intervals anyway, so it falls back to the
+/// wall-clock delta and says so.
+fn judge_overhead(gate: &Gate<'_>, report: &OverheadReport) -> Vec<String> {
+    let (basis, measured) = if report.cpu_attributed {
+        ("on-CPU basis", report.cpu_overhead_frac)
+    } else {
+        gate.fallback(
+            "overhead",
+            "on-CPU",
+            "overhead gate: no thread CPU clock on this host — gating on wall clock, \
+             which folds in scheduler noise",
+        );
+        ("wall basis", report.overhead_frac)
+    };
+    // Noise can make the instrumented arm win; that is zero measured
+    // overhead, not a speedup claim.
+    let overhead = measured.max(0.0);
+    let pass = overhead <= MAX_OVERHEAD;
+    gate.armed(
+        "overhead",
+        &format!(
+            "{} — {overhead:.4} vs max {MAX_OVERHEAD:.4} ({basis})",
+            if pass { "pass" } else { "fail" }
+        ),
+    );
+    let summary = format!(
+        "instrumentation overhead {:.2}% against the {:.2}% budget",
+        overhead * 100.0,
+        MAX_OVERHEAD * 100.0
+    );
+    if pass {
+        eprintln!("engine: overhead ok — {summary}");
+        Vec::new()
+    } else {
+        vec![summary]
     }
 }

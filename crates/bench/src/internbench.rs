@@ -1,5 +1,11 @@
-//! Path-interning microbench: the duplicate-heavy `observe` path before
-//! and after interning, in a unit harness.
+//! `bench intern` — path-interning microbench: the duplicate-heavy
+//! `observe` path before and after interning, written as one JSON
+//! document (`BENCH_intern.json`).
+//!
+//! ```text
+//! bench intern                                 # BENCH_intern.json shape on stdout
+//! bench intern --repeats 5 --min-speedup 3 --out BENCH_intern.json
+//! ```
 //!
 //! The contenders are the live interned data plane
 //! ([`PathTable`] + [`InstanceGroup`], where a duplicate costs one `u32`
@@ -10,10 +16,14 @@
 //! any timing is trusted — a contender that diverges is a harness bug,
 //! not a speedup.
 //!
-//! Run in-process and compared as a ratio, the result is
-//! machine-relative, so `path_intern_bench --min-speedup X` is a CI gate
-//! in the same mould as `sat_core_bench`.
+//! `--min-speedup X` turns the run into a gate: exit 1 unless the
+//! interned plane beats the un-interned reference by at least `X`× on
+//! every mix. Run in-process and compared as a ratio, the result is
+//! machine-relative, so the gate is always armed.
 
+use crate::cli::{Args, Sub, MIN_SPEEDUP, OUT, REPEATS, SEED};
+use crate::gate;
+use crate::satbench::CENSUS_CAP;
 use churnlab_bgp::{Granularity, TimeWindow};
 use churnlab_core::analyze::InstanceOutcome;
 use churnlab_engine::incremental::{IncrementalStats, InstanceGroup, SolveScratch};
@@ -25,7 +35,18 @@ use churnlab_topology::Asn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::process::ExitCode;
 use std::time::Instant;
+
+/// `bench intern`.
+pub const SUB: Sub = Sub {
+    name: "intern",
+    about: "interned observe path vs the retained un-interned reference",
+    flags: &[SEED, REPEATS, MIN_SPEEDUP, OUT],
+    positional: None,
+    rules: &[],
+    run,
+};
 
 /// One workload preset: a pool of distinct paths observed many times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,4 +265,28 @@ pub fn run_intern_bench(seed: u64, cap: u64, repeats: usize) -> InternBenchRepor
         });
     }
     InternBenchReport { seed, repeats, rows }
+}
+
+fn run(args: &Args) -> ExitCode {
+    let repeats: usize = args.req("--repeats");
+    eprintln!("intern: cap {CENSUS_CAP}, best of {repeats}");
+    let report = run_intern_bench(args.req("--seed"), CENSUS_CAP, repeats);
+
+    let mut failures = Vec::new();
+    for row in &report.rows {
+        eprintln!(
+            "{:<13} {:>5} paths × {:>6} obs (dup {:>5.1}%)  un-interned {:>10.0} obs/s  \
+             interned {:>10.0} obs/s  speedup {:>5.2}x",
+            row.mix,
+            row.distinct_paths,
+            row.observations,
+            row.duplicate_ratio * 100.0,
+            row.reference_obs_per_sec,
+            row.interned_obs_per_sec,
+            row.speedup,
+        );
+        failures.extend(gate::below_floor(args.get("--min-speedup"), &row.mix, row.speedup));
+    }
+    gate::write_report("intern", args.text("--out"), &report);
+    gate::verdict("intern", &failures)
 }

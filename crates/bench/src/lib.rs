@@ -1,17 +1,35 @@
 //! # churnlab-bench
 //!
-//! Experiment harness regenerating every table and figure of the paper
-//! (see the `experiments` binary: `cargo run -p churnlab-bench --release
-//! --bin experiments -- all`), plus Criterion performance benches and the
-//! design-choice ablations called out in DESIGN.md.
+//! The experiment harness, as one library behind one binary:
+//! `cargo run --release -p churnlab-bench --bin bench -- <subcommand>`.
 //!
-//! This library exposes the study-assembly helpers the binary and benches
-//! share.
+//! | subcommand | module | what it does |
+//! |---|---|---|
+//! | `experiments` | [`experiments`] | the paper's tables and figures, plus the two ablations |
+//! | `matrix` | [`matrix`] | the scenario grid and its invariants |
+//! | `engine` | [`enginebench`] | engine throughput; regression, scaling and overhead gates |
+//! | `campaign` | [`campaignbench`] | fused sim→engine throughput; regression and scaling gates |
+//! | `replay` | [`replaybench`] | JSONL export / replay, verify, checkpoint and resume |
+//! | `longhaul` | [`longhaul`] | 100M-measurement streaming; RSS plateau gate |
+//! | `route` | [`routebench`] | route-tree compute and queries; speedup and zero-alloc gates |
+//! | `sat` | [`satbench`] | SAT-core censuses/sec; speedup gate |
+//! | `intern` | [`internbench`] | path interning; speedup gate |
+//!
+//! Every subcommand declares its flags as a table over the one parser in
+//! [`cli`]; the two sweeps share the gates in [`gate`], and every report
+//! goes through [`gate::write_report`]. End-to-end throughput numbers
+//! live in the repo's `benchmark/` package, not here: the `BENCH_*.json`
+//! files these subcommands write carry ratio, scaling and plateau gates.
+//!
+//! The crate root holds the study-assembly helpers the subcommands share.
 
 #![forbid(unsafe_code)]
 
 pub mod campaignbench;
+pub mod cli;
 pub mod enginebench;
+pub mod experiments;
+pub mod gate;
 pub mod internbench;
 pub mod longhaul;
 pub mod matrix;
@@ -26,56 +44,28 @@ use churnlab_core::pipeline::{Pipeline, PipelineConfig, PipelineResults};
 use churnlab_platform::{DatasetStats, Platform, PlatformConfig, PlatformScale};
 use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
 
-/// Scales the harness understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Seconds.
-    Smoke,
-    /// Under a minute.
-    Small,
-    /// Paper-scale (minutes; ~5M measurements).
-    Paper,
+/// A world tier's label on the command line, in manifests and reports.
+pub fn scale_label(scale: WorldScale) -> &'static str {
+    match scale {
+        WorldScale::Smoke => "smoke",
+        WorldScale::Small => "small",
+        WorldScale::Paper => "paper",
+        WorldScale::Huge => "huge",
+    }
 }
 
-impl Scale {
-    /// Parse from CLI text.
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "smoke" => Some(Scale::Smoke),
-            "small" => Some(Scale::Small),
-            "paper" => Some(Scale::Paper),
-            _ => None,
-        }
-    }
+/// The study scale a label names (`smoke`: seconds, `small`: under a
+/// minute, `paper`: minutes, ~5M measurements). The Huge tier is not a
+/// study scale: only `bench matrix --huge-smoke` and `bench route` build it.
+pub fn parse_scale(label: &str) -> Option<WorldScale> {
+    [WorldScale::Smoke, WorldScale::Small, WorldScale::Paper]
+        .into_iter()
+        .find(|scale| scale_label(*scale) == label)
+}
 
-    /// World preset.
-    pub fn world(self, seed: u64) -> WorldConfig {
-        let w = match self {
-            Scale::Smoke => WorldScale::Smoke,
-            Scale::Small => WorldScale::Small,
-            Scale::Paper => WorldScale::Paper,
-        };
-        WorldConfig::preset(w, seed)
-    }
-
-    /// The CLI/manifest label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scale::Smoke => "smoke",
-            Scale::Small => "small",
-            Scale::Paper => "paper",
-        }
-    }
-
-    /// Platform preset.
-    pub fn platform(self, seed: u64) -> PlatformConfig {
-        let p = match self {
-            Scale::Smoke => PlatformScale::Smoke,
-            Scale::Small => PlatformScale::Small,
-            Scale::Paper => PlatformScale::Paper,
-        };
-        PlatformConfig::preset(p, seed)
-    }
+/// The fastest of `repeats` (at least one) timed passes, in seconds.
+pub fn best_of(repeats: usize, pass: impl FnMut() -> f64) -> f64 {
+    std::iter::repeat_with(pass).take(repeats.max(1)).fold(f64::INFINITY, f64::min)
 }
 
 /// An assembled world + scenario, reusable across pipeline variants.
@@ -92,12 +82,34 @@ pub struct Bench {
 
 impl Bench {
     /// Assemble for a scale and seed.
-    pub fn assemble(scale: Scale, seed: u64) -> Bench {
-        let world_cfg = scale.world(seed);
-        let platform_cfg = scale.platform(seed.wrapping_add(1));
+    pub fn assemble(scale: WorldScale, seed: u64) -> Bench {
+        Bench::assemble_with(scale, seed, |_, _| {})
+    }
+
+    /// Assemble a world tier's study, letting `adjust` reshape the
+    /// platform and censor presets first. Sub-seeds derive from `seed`
+    /// the same way for every caller, so a matrix cell and a bench run
+    /// over the same (tier, seed) see the same world.
+    pub fn assemble_with(
+        scale: WorldScale,
+        seed: u64,
+        adjust: impl FnOnce(&mut PlatformConfig, &mut CensorConfig),
+    ) -> Bench {
+        let world_cfg = WorldConfig::preset(scale, seed);
+        let platform_scale = match scale {
+            WorldScale::Smoke => PlatformScale::Smoke,
+            WorldScale::Small => PlatformScale::Small,
+            WorldScale::Paper => PlatformScale::Paper,
+            // Huge worlds get the genuinely Huge campaign: thousands of
+            // URLs, the ~12k-VP fleet, bounded by the rotating sampling
+            // schedule.
+            WorldScale::Huge => PlatformScale::Huge,
+        };
+        let mut platform_cfg = PlatformConfig::preset(platform_scale, seed.wrapping_add(1));
         let world = generator::generate(&world_cfg);
         let mut censor_cfg = CensorConfig::scaled_for(world_cfg.n_countries);
         censor_cfg.seed = seed.wrapping_add(2);
+        adjust(&mut platform_cfg, &mut censor_cfg);
         censor_cfg.total_days = platform_cfg.total_days;
         let scenario = CensorshipScenario::generate_for_world(&world, &censor_cfg);
         let churn_cfg = ChurnConfig {
@@ -126,10 +138,5 @@ impl Bench {
         let mut pipeline = Pipeline::new(&platform, pipeline_cfg);
         let stats = platform.run(&sim, |m| pipeline.ingest(&m));
         (stats, pipeline.finish())
-    }
-
-    /// Default pipeline config for this bench's period.
-    pub fn pipeline_cfg(&self) -> PipelineConfig {
-        PipelineConfig::paper(self.platform_cfg.total_days)
     }
 }

@@ -13,18 +13,38 @@
 //!   (`false_positives == 0`).
 //!
 //! Every future performance or scaling PR regresses against this fixed
-//! grid: `cargo run --release --bin matrix`.
+//! grid, driven by `bench matrix`:
+//!
+//! ```text
+//! bench matrix                  # 16-cell Smoke grid
+//! bench matrix --full           # 32 cells (adds Small)
+//! bench matrix --engine         # same grid via churnlab-engine
+//! bench matrix --seed 9 --threads 4 --out grid.jsonl
+//! bench matrix --check grid.jsonl   # re-verify saved rows
+//! bench matrix --huge-smoke --budget-secs 900
+//! ```
+//!
+//! One JSON row per cell goes to stdout (or `--out`), a summary table to
+//! stderr, and any invariant violation exits 1. `--huge-smoke` swaps the
+//! grid for the bounded-time Huge pair: the ~62k-AS world with the full
+//! ~12k-VP fleet under the rotating sampling schedule, trimmed
+//! period/corpus, fused sim→engine streaming inside each cell.
+//! `--budget-secs N` fails the run (exit 1) if the whole sweep exceeds
+//! the wall-clock budget — the CI guard that the Huge tier stays inside
+//! its time box.
 
-use churnlab_bgp::{ChurnConfig, RoutingSim};
-use churnlab_censor::{CensorConfig, CensorshipScenario, Mechanism};
+use crate::cli::{self, Args, Flag, Kind, Sub, OUT, SEED, UINT};
+use crate::Bench;
+use churnlab_censor::Mechanism;
 use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig};
 use churnlab_core::validate::validate;
 use churnlab_engine::{Engine, EngineConfig};
-use churnlab_platform::{NoiseConfig, Platform, PlatformConfig, PlatformScale};
+use churnlab_platform::{NoiseConfig, Platform, PlatformConfig};
 use churnlab_sat::Solvability;
-use churnlab_topology::{generator, Asn, WorldConfig, WorldScale};
+use churnlab_topology::{Asn, WorldScale};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -103,12 +123,7 @@ impl CellSpec {
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/{}{}",
-            match self.scale {
-                WorldScale::Smoke => "smoke",
-                WorldScale::Small => "small",
-                WorldScale::Paper => "paper",
-                WorldScale::Huge => "huge",
-            },
+            crate::scale_label(self.scale),
             self.mechanism.label(),
             match self.churn_mode {
                 ChurnMode::Normal => "churn",
@@ -273,58 +288,30 @@ impl MatrixConfig {
     }
 }
 
-fn platform_scale(w: WorldScale) -> PlatformScale {
-    match w {
-        WorldScale::Smoke => PlatformScale::Smoke,
-        WorldScale::Small => PlatformScale::Small,
-        WorldScale::Paper => PlatformScale::Paper,
-        // Huge worlds get the genuinely Huge campaign: thousands of URLs,
-        // the ~12k-VP fleet, bounded by the rotating sampling schedule.
-        WorldScale::Huge => PlatformScale::Huge,
-    }
-}
-
 /// Run one cell end to end: world → scenario (restricted to the cell's
 /// mechanism) → measurement campaign → pipeline → validation.
 pub fn run_cell(spec: &CellSpec) -> CellRow {
     let start = std::time::Instant::now();
 
-    let world_cfg = WorldConfig::preset(spec.scale, spec.seed);
-    let world = generator::generate(&world_cfg);
-
-    let mut platform_cfg =
-        PlatformConfig::preset(platform_scale(spec.scale), spec.seed.wrapping_add(1));
-    if let Some(trim) = &spec.trim {
-        trim.apply(&mut platform_cfg);
-    }
-    let mut censor_cfg = CensorConfig::scaled_for(world_cfg.n_countries);
-    censor_cfg.seed = spec.seed.wrapping_add(2);
-    censor_cfg.total_days = platform_cfg.total_days;
-    if !spec.noise {
-        // The clean counterfactual also freezes policies: a mid-window
-        // policy change produces contradictions indistinguishable from
-        // noise at the CNF level.
-        platform_cfg.noise = NoiseConfig::none();
-        censor_cfg.policy_change_prob = 0.0;
-    }
-
-    let mut scenario = CensorshipScenario::generate_for_world(&world, &censor_cfg);
-    for policy in &mut scenario.policies {
+    let mut bench = Bench::assemble_with(spec.scale, spec.seed, |platform_cfg, censor_cfg| {
+        if let Some(trim) = &spec.trim {
+            trim.apply(platform_cfg);
+        }
+        if !spec.noise {
+            // The clean counterfactual also freezes policies: a mid-window
+            // policy change produces contradictions indistinguishable from
+            // noise at the CNF level.
+            platform_cfg.noise = NoiseConfig::none();
+            censor_cfg.policy_change_prob = 0.0;
+        }
+    });
+    for policy in &mut bench.scenario.policies {
         policy.mechanisms = vec![spec.mechanism];
     }
+    let Bench { world, scenario, platform_cfg, .. } = &bench;
 
-    let churn_cfg = ChurnConfig {
-        seed: spec.seed.wrapping_add(3),
-        total_days: platform_cfg.total_days,
-        ..ChurnConfig::default()
-    };
-
-    let platform = Platform::new(&world, &scenario, platform_cfg.clone());
-    let sim = RoutingSim::with_cache_capacity(
-        &world.topology,
-        &churn_cfg,
-        world.config.tree_cache_capacity,
-    );
+    let platform = Platform::new(world, scenario, platform_cfg.clone());
+    let sim = bench.sim();
     let mut pipeline_cfg = PipelineConfig::paper(platform_cfg.total_days);
     pipeline_cfg.churn_mode = spec.churn_mode;
     let (stats, results) = if spec.engine && spec.scale == WorldScale::Huge {
@@ -353,7 +340,7 @@ pub fn run_cell(spec: &CellSpec) -> CellRow {
     let identified_set: std::collections::HashSet<Asn> =
         results.censor_findings.keys().copied().collect();
     let validation =
-        validate(&identified_set, &scenario, &results.on_censored_path, |a| world.public_asn(a));
+        validate(&identified_set, scenario, &results.on_censored_path, |a| world.public_asn(a));
 
     let cnfs = results.outcomes.len();
     let localized = results.outcomes.iter().filter(|o| !o.censors.is_empty()).count();
@@ -529,6 +516,140 @@ pub fn check_invariants(rows: &[CellRow]) -> Vec<String> {
     }
 
     violations
+}
+
+/// `bench matrix`.
+pub const SUB: Sub = Sub {
+    name: "matrix",
+    about: "sweep the scenario grid, write one JSON row per cell, enforce its invariants",
+    flags: &[
+        Flag::new("--full", Kind::Switch, "", "32 cells: add the Small scale"),
+        Flag::new("--engine", Kind::Switch, "", "localize through the sharded engine"),
+        Flag::new("--huge-smoke", Kind::Switch, "", "the bounded-time Huge churn-ablation pair"),
+        SEED,
+        Flag::new("--threads", UINT, "0", "cells run in parallel (0 = one per core)"),
+        Flag::new("--budget-secs", UINT, "", "exit 1 if the sweep takes longer"),
+        OUT,
+        Flag::new("--check", Kind::Text, "", "re-check the rows saved in this file; run nothing"),
+    ],
+    positional: None,
+    rules: &[],
+    run,
+};
+
+fn run(args: &Args) -> ExitCode {
+    let seed: u64 = args.req("--seed");
+    let start = std::time::Instant::now();
+    let rows = match args.text("--check") {
+        // Re-check previously written rows (one JSON object per line).
+        Some(path) => {
+            let loaded = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read grid file `{path}`: {e}"))
+                .and_then(|text| {
+                    let rows = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
+                    rows.map(|(i, l)| {
+                        serde_json::from_str::<CellRow>(l)
+                            .map_err(|e| format!("`{path}` line {}: not a matrix row: {e}", i + 1))
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+                });
+            match loaded {
+                Ok(rows) => {
+                    eprintln!("matrix: re-checking {} saved cells from {path}", rows.len());
+                    rows
+                }
+                Err(msg) => return cli::usage_error(&msg),
+            }
+        }
+        None => {
+            let huge_smoke = args.has("--huge-smoke");
+            let threads: usize = args.req("--threads");
+            let mut cfg = if huge_smoke {
+                MatrixConfig::huge_smoke_grid(seed)
+            } else if args.has("--full") {
+                MatrixConfig::full_grid(seed)
+            } else {
+                MatrixConfig::default_grid(seed)
+            };
+            if !huge_smoke {
+                cfg.threads = threads;
+                cfg.engine = args.has("--engine");
+            } else if threads != 0 {
+                // The Huge pair parallelizes inside each cell (fused
+                // generator workers); honor an explicit --threads only.
+                cfg.threads = threads;
+            }
+            eprintln!(
+                "matrix: {} cells, seed {seed}{}",
+                cfg.cells().len(),
+                if huge_smoke {
+                    ", Huge smoke (fused engine, sampled fleet)"
+                } else if cfg.engine {
+                    ", sharded engine"
+                } else {
+                    ""
+                }
+            );
+            let rows = run_matrix(&cfg);
+            // One JSON row per cell.
+            let lines: String =
+                rows.iter().map(|r| serde_json::to_string(r).expect("row serializes") + "\n").collect();
+            match args.text("--out") {
+                Some(path) => std::fs::write(path, lines).expect("write output file"),
+                None => print!("{lines}"),
+            }
+            rows
+        }
+    };
+    let elapsed = start.elapsed();
+
+    eprintln!(
+        "{:<42} {:>9} {:>6} {:>6} {:>6} {:>5} {:>5} {:>4} {:>7}",
+        "cell", "meas", "cnfs", "loc", "solv%", "prec", "rec", "fp", "wall_ms"
+    );
+    for row in &rows {
+        eprintln!(
+            "{:<42} {:>9} {:>6} {:>6} {:>5.1}% {:>5.2} {:>5.2} {:>4} {:>7}",
+            row.spec.label(),
+            row.measurements,
+            row.cnfs,
+            row.localized_cnfs,
+            row.solvable_frac * 100.0,
+            row.precision,
+            row.recall,
+            row.false_positives,
+            row.wall_ms
+        );
+    }
+    for row in rows.iter().filter(|r| r.fleet > 0) {
+        eprintln!(
+            "matrix: {}: fleet {}, {} distinct VPs ran tests (floor {}), {} failed routes",
+            row.spec.label(),
+            row.fleet,
+            row.sampled_vps,
+            row.coverage_floor,
+            row.failed
+        );
+    }
+    eprintln!("matrix: {} cells in {elapsed:.2?}", rows.len());
+
+    let violations = check_invariants(&rows);
+    for v in &violations {
+        eprintln!("INVARIANT VIOLATION: {v}");
+    }
+    if !violations.is_empty() {
+        return ExitCode::FAILURE;
+    }
+    eprintln!("matrix: all invariants hold");
+
+    if let Some(budget) = args.get::<u64>("--budget-secs") {
+        if elapsed.as_secs() > budget {
+            eprintln!("matrix: BUDGET EXCEEDED: {elapsed:.2?} > {budget}s wall-clock budget");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("matrix: inside the {budget}s budget ({elapsed:.2?})");
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub struct MetricsWriter {
     registry: Registry,
     path: String,
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    handle: JoinHandle<()>,
 }
 
 impl MetricsWriter {
@@ -63,37 +63,34 @@ impl MetricsWriter {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    // Write errors are deliberately swallowed: a broken
-                    // metrics file must never take down the run it
-                    // observes (same policy as the journal's sink).
-                    export_rss(&registry);
-                    let _ = std::fs::write(&path, render_prometheus(&registry.scrape()));
+                    scrape_to(&registry, &path);
                     std::thread::sleep(SCRAPE_EVERY);
                 }
             })
         };
-        MetricsWriter { registry, path: path.to_string(), stop, handle: Some(handle) }
+        MetricsWriter { registry, path: path.to_string(), stop, handle }
     }
 
     /// Stop the scraper and write the final exposition.
-    pub fn finish(mut self) {
+    pub fn finish(self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        export_rss(&self.registry);
-        let _ = std::fs::write(&self.path, render_prometheus(&self.registry.scrape()));
+        let _ = self.handle.join();
+        scrape_to(&self.registry, &self.path);
     }
 }
 
-/// Refresh the process RSS gauge before a scrape. A `None` reading
-/// (non-Linux) registers nothing — absent beats a lying zero.
-fn export_rss(registry: &Registry) {
+/// Write one scrape to `path`, refreshing the process RSS gauge first. A
+/// `None` RSS reading (non-Linux) registers nothing — absent beats a lying
+/// zero. Write errors are deliberately swallowed: a broken metrics file
+/// must never take down the run it observes (same policy as the journal's
+/// sink).
+fn scrape_to(registry: &Registry, path: &str) {
     if let Some(rss) = rss_bytes() {
         registry
             .gauge("churnlab_rss_bytes", "process resident-set size in bytes", &[])
             .set(rss.min(i64::MAX as u64) as i64);
     }
+    let _ = std::fs::write(path, render_prometheus(&registry.scrape()));
 }
 
 #[cfg(test)]

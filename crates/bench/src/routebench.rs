@@ -1,37 +1,95 @@
-//! Internet-scale routing bench: the scratch-reused CSR compute path vs
-//! the retained pre-CSR reference, plus cached path-query throughput.
+//! `bench route` — Internet-scale routing: the scratch-reused CSR compute
+//! path vs the retained pre-CSR reference, cached path-query throughput,
+//! and the zero-allocation steady-state proof, as one JSON document
+//! (`BENCH_route.json`).
 //!
-//! Two tiers are measured (the `route_bench` bin writes them into
-//! `BENCH_route.json`):
+//! ```text
+//! bench route                                         # small tier, JSON on stdout
+//! bench route --scale both --out BENCH_route.json
+//! bench route --min-speedup 2 --max-steady-allocs 0
+//! bench route --scale huge --min-reachability 0.95
+//! ```
+//!
+//! Two tiers are measured:
 //!
 //! * **small** — the Small world preset, where both contenders are fast
 //!   enough for a best-of-repeats ratio. The `--min-speedup` CI gate
 //!   arms here: both run in the same process, so the *ratio* is
-//!   machine-relative (the `path_intern_bench` mould).
+//!   machine-relative and always armed.
 //! * **huge** — the CAIDA-sized Huge preset (≥50k ASes, ≥500k links):
 //!   the tier that proves the engine routes an Internet-scale graph end
 //!   to end, with a reachability floor over sampled (src, dst, epoch)
 //!   queries standing in for "the world actually routes".
 //!
+//! Gates (exit 1 on failure):
+//!
+//! * `--min-speedup X` — the fast path must beat the reference by ≥ X×
+//!   per tree on every tier that ran a reference pass.
+//! * `--max-steady-allocs N` — heap allocations during the timed
+//!   steady-state pass must not exceed N (the design claim is 0). The
+//!   count comes from the binary's counting allocator, which counts only
+//!   while [`COUNTING`] is set — around that pass.
+//! * `--min-reachability R` — sampled (src, dst, epoch) queries must
+//!   route at rate ≥ R on every tier (the Huge smoke floor is 0.95).
+//!
 //! Before any timing is trusted the contenders are differentially
 //! checked: the reference tree must agree with the fast tree on every
 //! AS (class, length, and tiebroken next hop) for several destinations
 //! — a contender that diverges is a harness bug, not a speedup. The
-//! query pass checks the third form the same way: every sampled path
-//! through the simulator's demand-driven trees must be the full tree's.
+//! query pass checks the third form the same way, gate or no gate: every
+//! sampled path through the simulator's demand-driven trees must be the
+//! full tree's, or the run panics.
 //!
-//! The harness deliberately exposes its phases (`warmup` /
-//! [`RouteHarness::fast_pass`] / [`RouteHarness::reference_pass`])
-//! instead of one opaque run: the bin brackets `fast_pass` with a
-//! counting allocator to enforce the zero-allocation steady state that
-//! the scratch-reuse design promises.
+//! The harness deliberately exposes its phases
+//! ([`RouteHarness::fast_pass`] / [`RouteHarness::reference_pass`])
+//! instead of one opaque run, so the steady state can be bracketed by
+//! the allocation counter.
 
+use crate::cli::{Args, Flag, Kind, Sub, FRACTION, MIN_SPEEDUP, OUT, REPEATS, SEED, UINT};
+use crate::{best_of, gate};
 use churnlab_bgp::{
     ChurnConfig, ChurnTimeline, ReferenceRouter, RouteTree, RoutingSim, TreeScratch,
 };
-use churnlab_topology::{generator, AsIdx, AsRole, GeneratedWorld, WorldConfig, WorldScale};
+use churnlab_topology::{
+    generator, AsIdx, AsRole, GeneratedWorld, Topology, WorldConfig, WorldScale,
+};
 use serde::{Deserialize, Serialize};
+use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
+
+/// The steady-state allocation audit: while `COUNTING` is set, the `bench`
+/// binary's global allocator adds every allocation to `ALLOCS`. Only
+/// [`SUB`]'s run sets it, around one steady-state pass, so every other
+/// subcommand's allocations cost one relaxed load of a flag nobody writes.
+pub static COUNTING: AtomicBool = AtomicBool::new(false);
+/// See [`COUNTING`].
+pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// `bench route`.
+pub const SUB: Sub = Sub {
+    name: "route",
+    about: "route-tree compute vs the reference, cached path queries, zero-allocation steady state",
+    flags: &[
+        SEED,
+        REPEATS,
+        Flag::new("--scale", Kind::Choice(&["small", "huge", "both"]), "small", "world tier(s)"),
+        Flag::new("--queries", UINT, "", "path queries per tier (default: 2000 small, 1000 huge)"),
+        MIN_SPEEDUP,
+        Flag::new("--min-reachability", FRACTION, "", "exit 1 unless this fraction of sampled queries routes"),
+        Flag::new("--max-steady-allocs", UINT, "", "exit 1 if the steady-state pass allocates more often"),
+        OUT,
+    ],
+    positional: None,
+    rules: &[],
+    run,
+};
+
+/// Per-tier workload sizes: (scale, label, timed trees, reference trees,
+/// default path queries). Huge trees cost milliseconds each, so its
+/// counts are small; the Small ratio is what the speedup gate reads.
+const TIERS: [(WorldScale, &str, usize, usize, usize); 2] =
+    [(WorldScale::Small, "small", 60, 60, 2_000), (WorldScale::Huge, "huge", 8, 4, 1_000)];
 
 /// The simulated period benched trees draw epochs from: a full year,
 /// the paper's study period. Tree computation cost depends on it — every
@@ -51,16 +109,15 @@ pub struct RouteBenchRow {
     pub n_links: u64,
     /// Trees computed per timing pass.
     pub trees: u64,
-    /// Reference (pre-CSR, allocating) best-of-repeats seconds; 0 when
-    /// the reference pass was skipped for this tier.
+    /// Reference (pre-CSR, allocating) best-of-repeats seconds.
     pub reference_secs: f64,
     /// Fast-path best-of-repeats seconds.
     pub fast_secs: f64,
-    /// Reference trees per second (0 when skipped).
+    /// Reference trees per second.
     pub reference_trees_per_sec: f64,
     /// Fast-path trees per second.
     pub trees_per_sec: f64,
-    /// `reference_secs / fast_secs` (0 when the reference was skipped).
+    /// Per-tree reference time over per-tree fast time.
     pub speedup: f64,
     /// Cached path queries per second through [`RoutingSim`].
     pub paths_per_sec: f64,
@@ -70,8 +127,7 @@ pub struct RouteBenchRow {
     pub reachability: f64,
     /// Bytes held by one cached (demand-driven) route tree at this scale.
     pub peak_tree_bytes: u64,
-    /// Heap allocations observed during the steady-state fast pass
-    /// (filled in by the `route_bench` bin's counting allocator; the
+    /// Heap allocations observed during the steady-state fast pass (the
     /// committed report proves the zero-allocation claim).
     pub steady_state_allocs: u64,
 }
@@ -87,15 +143,24 @@ pub struct RouteBenchReport {
     pub rows: Vec<RouteBenchRow>,
 }
 
-/// Query-pass results (see [`RouteHarness::query_pass`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryStats {
-    /// Path queries per second.
-    pub paths_per_sec: f64,
-    /// Tree-cache hit rate.
-    pub cache_hit_rate: f64,
-    /// Fraction of queries that routed.
-    pub reachability: f64,
+/// The full route tree to `dest` at `epoch`, into reused scratch and
+/// output buffers.
+fn full_tree(
+    scratch: &mut TreeScratch,
+    topo: &Topology,
+    churn: &ChurnTimeline,
+    dest: AsIdx,
+    epoch: u32,
+    tree: &mut RouteTree,
+) {
+    RouteTree::compute_into(
+        scratch,
+        topo,
+        dest,
+        &|l| churn.link_up(l, epoch),
+        &|x| churn.te_salt(x, epoch),
+        tree,
+    );
 }
 
 /// A generated world plus everything a timing pass needs, with phases
@@ -142,12 +207,6 @@ impl RouteHarness {
         (dest, epoch)
     }
 
-    /// One untimed compute to grow the scratch and output buffers to the
-    /// world's size — everything after this is steady state.
-    pub fn warmup(&mut self) {
-        self.fast_pass(1);
-    }
-
     /// Time `trees` scratch-reused computes. Returns `(secs, checksum)`;
     /// the checksum folds every tree's reachable count so the work can't
     /// be optimized away and repeats can be compared for stability.
@@ -159,14 +218,7 @@ impl RouteHarness {
         for i in 0..trees {
             let dest = dests[i % dests.len()];
             let epoch = ((i * 7) % churn.total_epochs() as usize) as u32;
-            RouteTree::compute_into(
-                scratch,
-                topo,
-                dest,
-                &|l| churn.link_up(l, epoch),
-                &|x| churn.te_salt(x, epoch),
-                tree,
-            );
+            full_tree(scratch, topo, churn, dest, epoch, tree);
             checksum = checksum.wrapping_mul(31).wrapping_add(tree.reachable_count() as u64);
         }
         (start.elapsed().as_secs_f64(), checksum)
@@ -210,14 +262,7 @@ impl RouteHarness {
                 &|x| churn.te_salt(x, epoch),
             );
             let RouteHarness { world, churn, scratch, tree, .. } = &mut *self;
-            RouteTree::compute_into(
-                scratch,
-                &world.topology,
-                dest,
-                &|l| churn.link_up(l, epoch),
-                &|x| churn.te_salt(x, epoch),
-                tree,
-            );
+            full_tree(scratch, &world.topology, churn, dest, epoch, tree);
             assert!(
                 ref_tree.agrees_with(tree),
                 "reference and fast paths diverged at dest {dest:?} epoch {epoch}"
@@ -226,7 +271,8 @@ impl RouteHarness {
     }
 
     /// Run `queries` cached path lookups through [`RoutingSim`] and
-    /// report throughput, cache hit rate, and reachability. Sources are
+    /// report `(paths per second, tree-cache hit rate, fraction of
+    /// queries that routed)`. Sources are
     /// spread across all ASes; destinations revisit a pool the way the
     /// measurement platform batches vantage points against URLs.
     ///
@@ -238,7 +284,7 @@ impl RouteHarness {
     /// # Panics
     ///
     /// Panics on any divergence.
-    pub fn query_pass(&mut self, queries: usize) -> QueryStats {
+    pub fn query_pass(&mut self, queries: usize) -> (f64, f64, f64) {
         let RouteHarness { world, churn_cfg, scratch, tree, dests, .. } = self;
         let topo = &world.topology;
         let sim =
@@ -275,14 +321,7 @@ impl RouteHarness {
         for q in 0..queries {
             let (src, dst, epoch) = query(q);
             if computed != Some((dst, epoch)) {
-                RouteTree::compute_into(
-                    scratch,
-                    topo,
-                    dst,
-                    &|l| churn.link_up(l, epoch),
-                    &|x| churn.te_salt(x, epoch),
-                    tree,
-                );
+                full_tree(scratch, topo, churn, dst, epoch, tree);
                 computed = Some((dst, epoch));
             }
             let routed = sim.asn_path_into(src, dst, epoch, &mut buf);
@@ -293,24 +332,18 @@ impl RouteHarness {
             );
         }
 
-        QueryStats {
-            paths_per_sec: queries as f64 / secs.max(1e-9),
-            cache_hit_rate: if lookups == 0 { 0.0 } else { stats.hits as f64 / lookups as f64 },
-            reachability: reached as f64 / queries.max(1) as f64,
-        }
-    }
-
-    /// Bytes one cached route tree holds at this scale.
-    pub fn peak_tree_bytes(&self) -> u64 {
-        let topo = &self.world.topology;
-        churnlab_bgp::sim::cached_tree_bytes(topo.n_ases(), topo.n_links()) as u64
+        (
+            queries as f64 / secs.max(1e-9),
+            if lookups == 0 { 0.0 } else { stats.hits as f64 / lookups as f64 },
+            reached as f64 / queries.max(1) as f64,
+        )
     }
 }
 
-/// Assemble, differentially check, and time one tier. `ref_trees` may be
-/// smaller than `trees` for expensive tiers; 0 skips the reference pass
-/// (speedup reported as 0). Allocation accounting is the caller's (the
-/// bin brackets its own `fast_pass`).
+/// Assemble, differentially check, and time one tier over `trees` (> 0)
+/// fast computes and `ref_trees` (> 0, may be fewer for expensive tiers)
+/// reference computes. Allocation accounting is the caller's, who
+/// brackets a further `fast_pass` of its own.
 pub fn run_tier(
     label: &str,
     scale: WorldScale,
@@ -321,41 +354,91 @@ pub fn run_tier(
     repeats: usize,
 ) -> (RouteBenchRow, RouteHarness) {
     let mut h = RouteHarness::assemble(scale, seed);
-    h.differential_check(3.min(trees.max(1)));
-    h.warmup();
-    let mut fast_secs = f64::INFINITY;
-    for _ in 0..repeats.max(1) {
-        let (s, _) = h.fast_pass(trees);
-        fast_secs = fast_secs.min(s);
-    }
-    let mut reference_secs = 0.0f64;
-    if ref_trees > 0 {
-        reference_secs = f64::INFINITY;
-        for _ in 0..repeats.max(1) {
-            let (s, _) = h.reference_pass(ref_trees);
-            reference_secs = reference_secs.min(s);
-        }
-    }
-    let q = h.query_pass(queries);
-    let per_ref = if ref_trees > 0 { reference_secs / ref_trees as f64 } else { 0.0 };
-    let per_fast = fast_secs / trees.max(1) as f64;
+    h.differential_check(3.min(trees));
+    // One untimed compute grows the scratch and output buffers to the
+    // world's size — everything after this is steady state.
+    h.fast_pass(1);
+    let fast_secs = best_of(repeats, || h.fast_pass(trees).0);
+    let reference_secs = best_of(repeats, || h.reference_pass(ref_trees).0);
+    let (paths_per_sec, cache_hit_rate, reachability) = h.query_pass(queries);
+    let per_ref = reference_secs / ref_trees as f64;
+    let per_fast = fast_secs / trees as f64;
+    let topo = &h.world.topology;
     let row = RouteBenchRow {
         scale: label.to_string(),
-        n_ases: h.world.topology.n_ases() as u64,
-        n_links: h.world.topology.n_links() as u64,
+        n_ases: topo.n_ases() as u64,
+        n_links: topo.n_links() as u64,
         trees: trees as u64,
         reference_secs,
         fast_secs,
-        reference_trees_per_sec: if per_ref > 0.0 { 1.0 / per_ref } else { 0.0 },
+        reference_trees_per_sec: 1.0 / per_ref.max(1e-12),
         trees_per_sec: 1.0 / per_fast.max(1e-12),
-        speedup: if per_fast > 0.0 && per_ref > 0.0 { per_ref / per_fast } else { 0.0 },
-        paths_per_sec: q.paths_per_sec,
-        cache_hit_rate: q.cache_hit_rate,
-        reachability: q.reachability,
-        peak_tree_bytes: h.peak_tree_bytes(),
+        speedup: per_ref / per_fast.max(1e-12),
+        paths_per_sec,
+        cache_hit_rate,
+        reachability,
+        peak_tree_bytes: churnlab_bgp::sim::cached_tree_bytes(topo.n_ases(), topo.n_links()) as u64,
         steady_state_allocs: 0,
     };
     (row, h)
+}
+
+fn run(args: &Args) -> ExitCode {
+    let (seed, repeats): (u64, usize) = (args.req("--seed"), args.req("--repeats"));
+    let wanted = args.text("--scale").expect("--scale has a default");
+    let mut rows = Vec::new();
+    let mut failures = Vec::new();
+    let wanted = |tier: &(WorldScale, &str, usize, usize, usize)| wanted == tier.1 || wanted == "both";
+    for (scale, label, trees, ref_trees, queries) in TIERS.into_iter().filter(wanted) {
+        eprintln!("route: assembling {label} world…");
+        let queries = args.get("--queries").unwrap_or(queries);
+        let (mut row, mut harness) = run_tier(label, scale, seed, trees, ref_trees, queries, repeats);
+
+        // Steady-state allocation audit: everything is warm after
+        // run_tier, so a fresh timed pass must not touch the allocator.
+        ALLOCS.store(0, Relaxed);
+        COUNTING.store(true, Relaxed);
+        harness.fast_pass(trees);
+        COUNTING.store(false, Relaxed);
+        row.steady_state_allocs = ALLOCS.load(Relaxed);
+
+        eprintln!(
+            "{:<6} {:>6} ASes {:>7} links  reference {:>7.1} trees/s  fast {:>8.1} trees/s  \
+             speedup {:>5.2}x  {:>9.0} paths/s  hit {:>5.1}%  reach {:>5.1}%  tree {} KB  \
+             steady allocs {}",
+            row.scale,
+            row.n_ases,
+            row.n_links,
+            row.reference_trees_per_sec,
+            row.trees_per_sec,
+            row.speedup,
+            row.paths_per_sec,
+            row.cache_hit_rate * 100.0,
+            row.reachability * 100.0,
+            row.peak_tree_bytes / 1024,
+            row.steady_state_allocs,
+        );
+        failures.extend(gate::below_floor(args.get("--min-speedup"), label, row.speedup));
+        if let Some(floor) = args.get("--min-reachability") {
+            if row.reachability < floor {
+                failures.push(format!(
+                    "{label} reachability {:.3} is below the {floor} floor",
+                    row.reachability
+                ));
+            }
+        }
+        if let Some(ceiling) = args.get::<u64>("--max-steady-allocs") {
+            if row.steady_state_allocs > ceiling {
+                failures.push(format!(
+                    "{label} steady-state pass performed {} allocations (ceiling {ceiling})",
+                    row.steady_state_allocs
+                ));
+            }
+        }
+        rows.push(row);
+    }
+    gate::write_report("route", args.text("--out"), &RouteBenchReport { seed, repeats, rows });
+    gate::verdict("route", &failures)
 }
 
 #[cfg(test)]

@@ -1,15 +1,46 @@
-//! SAT-core throughput measurement: censuses/sec through the
+//! `bench sat` — SAT-core throughput: censuses/sec through the
 //! watched-literal [`SolverCtx`] (cold and warm) and through the retained
 //! full-rescan reference core, over fixed mixes of tomography-shaped
-//! instances. Shared by the `sat_core_bench` binary that writes
-//! `BENCH_sat.json` in CI; the Criterion `sat_bench` covers the same
-//! ground per-instance.
+//! instances, written as one JSON document (`BENCH_sat.json`).
+//!
+//! ```text
+//! bench sat                                   # BENCH_sat.json shape on stdout
+//! bench sat --instances 5000 --repeats 5 --min-speedup 3 --out BENCH_sat.json
+//! ```
+//!
+//! `--min-speedup X` turns the run into a gate: exit 1 unless the warm
+//! context beats the reference core by at least `X`× on every mix. Both
+//! run in this process, so the ratio is machine-relative and always
+//! armed.
 
+use crate::cli::{Args, Flag, Sub, MIN_SPEEDUP, OUT, POSITIVE, REPEATS, SEED};
+use crate::{best_of, gate};
 use churnlab_sat::{reference, Cnf, CompiledCnf, SolverCtx, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::Instant;
+
+/// Enumeration cap of every census the sat and intern benches run.
+pub const CENSUS_CAP: u64 = 64;
+
+/// `bench sat`.
+pub const SUB: Sub = Sub {
+    name: "sat",
+    about: "SAT-core censuses/sec: warm and cold context vs the full-rescan reference",
+    flags: &[
+        Flag::new("--instances", POSITIVE, "2000", "instances per mix"),
+        SEED,
+        REPEATS,
+        MIN_SPEEDUP,
+        OUT,
+    ],
+    positional: None,
+    rules: &[],
+    run,
+};
 
 /// One instance-mix preset: how many variables and clauses each generated
 /// instance gets.
@@ -32,11 +63,13 @@ pub const MIXES: [InstanceMix; 2] = [
     InstanceMix { label: "medium", vars: (24, 40), pos: (4, 8), neg: (6, 12) },
 ];
 
-/// Generate one tomography-shaped CNF: `n_pos` censored paths of mixed
-/// length 3–6 sharing a censor (positive clauses), plus `n_neg` clean
-/// paths of mixed length 2–5 (unit negations). Shared by this harness
-/// and the Criterion `sat_bench` so both measure the same workload shape.
-pub fn tomography_cnf(n_vars: usize, n_pos: usize, n_neg: usize, rng: &mut StdRng) -> Cnf {
+/// Generate one tomography-shaped CNF from a mix's ranges: censored
+/// paths of mixed length 3–6 sharing a censor (positive clauses), plus
+/// clean paths of mixed length 2–5 (unit negations).
+fn tomography_cnf(mix: InstanceMix, rng: &mut StdRng) -> Cnf {
+    let n_vars = rng.gen_range(mix.vars.0..=mix.vars.1);
+    let n_pos = rng.gen_range(mix.pos.0..=mix.pos.1);
+    let n_neg = rng.gen_range(mix.neg.0..=mix.neg.1);
     let mut f = Cnf::new(n_vars);
     let censor = Var(0);
     for _ in 0..n_pos {
@@ -54,60 +87,14 @@ pub fn tomography_cnf(n_vars: usize, n_pos: usize, n_neg: usize, rng: &mut StdRn
     f
 }
 
-/// One instance drawn from a mix's ranges.
-fn mix_cnf(mix: InstanceMix, rng: &mut StdRng) -> Cnf {
-    let n_vars = rng.gen_range(mix.vars.0..=mix.vars.1);
-    let n_pos = rng.gen_range(mix.pos.0..=mix.pos.1);
-    let n_neg = rng.gen_range(mix.neg.0..=mix.neg.1);
-    tomography_cnf(n_vars, n_pos, n_neg, rng)
-}
-
 /// A fixed workload: `n_instances` pre-generated instances of one mix,
-/// pre-compiled so timing measures solving, not formula building.
-pub struct SatWorkload {
-    /// The mix that generated it.
-    pub mix: InstanceMix,
-    /// The instances (uncompiled, for the reference core).
-    pub cnfs: Vec<Cnf>,
-    /// The same instances compiled to CSR.
-    pub compiled: Vec<CompiledCnf>,
-}
-
-impl SatWorkload {
-    /// Generate a deterministic workload.
-    pub fn generate(mix: InstanceMix, n_instances: usize, seed: u64) -> SatWorkload {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cnfs: Vec<Cnf> = (0..n_instances).map(|_| mix_cnf(mix, &mut rng)).collect();
-        let compiled = cnfs.iter().map(CompiledCnf::from_cnf).collect();
-        SatWorkload { mix, cnfs, compiled }
-    }
-
-    /// Time one full pass with a warm (reused) context; seconds.
-    pub fn time_warm(&self, ctx: &mut SolverCtx, cap: u64) -> f64 {
-        let start = Instant::now();
-        for c in &self.compiled {
-            std::hint::black_box(ctx.census(c, cap));
-        }
-        start.elapsed().as_secs_f64()
-    }
-
-    /// Time one full pass with a cold context per census; seconds.
-    pub fn time_cold(&self, cap: u64) -> f64 {
-        let start = Instant::now();
-        for c in &self.compiled {
-            std::hint::black_box(SolverCtx::new().census(c, cap));
-        }
-        start.elapsed().as_secs_f64()
-    }
-
-    /// Time one full pass through the full-rescan reference core; seconds.
-    pub fn time_reference(&self, cap: u64) -> f64 {
-        let start = Instant::now();
-        for f in &self.cnfs {
-            std::hint::black_box(reference::census(f, cap));
-        }
-        start.elapsed().as_secs_f64()
-    }
+/// and the same instances compiled to CSR so timing measures solving,
+/// not formula building.
+pub fn workload(mix: InstanceMix, n_instances: usize, seed: u64) -> (Vec<Cnf>, Vec<CompiledCnf>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cnfs: Vec<Cnf> = (0..n_instances).map(|_| tomography_cnf(mix, &mut rng)).collect();
+    let compiled = cnfs.iter().map(CompiledCnf::from_cnf).collect();
+    (cnfs, compiled)
 }
 
 /// One mix's timing row.
@@ -140,21 +127,37 @@ pub struct SatBenchReport {
     pub rows: Vec<SatBenchRow>,
 }
 
-/// Run the sweep: best-of-`repeats` passes per mix and contender.
+/// Run the sweep: best-of-`repeats` passes per mix and contender (warm
+/// reused context, cold context per census, full-rescan reference).
 pub fn run_sat_bench(n_instances: usize, seed: u64, cap: u64, repeats: usize) -> SatBenchReport {
-    let repeats = repeats.max(1);
-    let best = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
+    // Censuses/sec of one full pass over the workload, best of `repeats`.
+    let rate = |pass: &mut dyn FnMut()| {
+        let timed = || {
+            let start = Instant::now();
+            pass();
+            start.elapsed().as_secs_f64()
+        };
+        n_instances as f64 / best_of(repeats, timed)
+    };
     let mut rows = Vec::new();
     for mix in MIXES {
-        let workload = SatWorkload::generate(mix, n_instances, seed);
+        let (cnfs, compiled) = workload(mix, n_instances, seed);
         let mut ctx = SolverCtx::new();
-        let warm: Vec<f64> = (0..repeats).map(|_| workload.time_warm(&mut ctx, cap)).collect();
-        let cold: Vec<f64> = (0..repeats).map(|_| workload.time_cold(cap)).collect();
-        let reference: Vec<f64> = (0..repeats).map(|_| workload.time_reference(cap)).collect();
-        let n = n_instances as f64;
-        let warm_census_per_sec = n / best(&warm);
-        let cold_census_per_sec = n / best(&cold);
-        let reference_census_per_sec = n / best(&reference);
+        let warm_census_per_sec = rate(&mut || {
+            for c in &compiled {
+                black_box(ctx.census(c, cap));
+            }
+        });
+        let cold_census_per_sec = rate(&mut || {
+            for c in &compiled {
+                black_box(SolverCtx::new().census(c, cap));
+            }
+        });
+        let reference_census_per_sec = rate(&mut || {
+            for f in &cnfs {
+                black_box(reference::census(f, cap));
+            }
+        });
         rows.push(SatBenchRow {
             mix: mix.label.to_string(),
             instances: n_instances as u64,
@@ -168,6 +171,29 @@ pub fn run_sat_bench(n_instances: usize, seed: u64, cap: u64, repeats: usize) ->
     SatBenchReport { seed, cap, rows }
 }
 
+fn run(args: &Args) -> ExitCode {
+    let (instances, repeats): (usize, usize) = (args.req("--instances"), args.req("--repeats"));
+    eprintln!("sat: {instances} instances per mix, cap {CENSUS_CAP}, best of {repeats}");
+    let report = run_sat_bench(instances, args.req("--seed"), CENSUS_CAP, repeats);
+
+    let (floor, mut failures) = (args.get("--min-speedup"), Vec::new());
+    for row in &report.rows {
+        eprintln!(
+            "{:<7} warm {:>10.0} census/s  cold {:>10.0}  reference {:>10.0}  \
+             speedup warm {:>5.2}x cold {:>5.2}x",
+            row.mix,
+            row.warm_census_per_sec,
+            row.cold_census_per_sec,
+            row.reference_census_per_sec,
+            row.speedup_warm_vs_reference,
+            row.speedup_cold_vs_reference,
+        );
+        failures.extend(gate::below_floor(floor, &row.mix, row.speedup_warm_vs_reference));
+    }
+    gate::write_report("sat", args.text("--out"), &report);
+    gate::verdict("sat", &failures)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,9 +203,9 @@ mod tests {
     #[test]
     fn contenders_agree_on_the_workload() {
         for mix in MIXES {
-            let w = SatWorkload::generate(mix, 20, 11);
+            let (cnfs, compiled) = workload(mix, 20, 11);
             let mut ctx = SolverCtx::new();
-            for (f, c) in w.cnfs.iter().zip(&w.compiled) {
+            for (f, c) in cnfs.iter().zip(&compiled) {
                 let warm = ctx.census(c, 64);
                 assert_eq!(warm, churnlab_sat::census(f, 64), "{}: warm vs cold", mix.label);
                 assert_eq!(warm, reference::census(f, 64), "{}: warm vs reference", mix.label);
