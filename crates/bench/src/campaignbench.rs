@@ -40,19 +40,36 @@
 //!
 //! A flat thread curve — workers contending on a shared lock, or one
 //! worker claiming the whole corpus — fails both.
+//!
+//! The report also carries `gen_allocs_per_meas`: heap allocations per
+//! measurement over one serial `Platform::run` pass on the warm simulator
+//! into a dropping sink, counted by the binary's allocator (the one
+//! `bench route` audits with). A run gated against a `--baseline` fails
+//! above [`MAX_GEN_ALLOCS_PER_MEAS`] — the generator's steady state is
+//! its per-test scratch, not the allocator.
 
 use crate::cli::{self, Args, Flag, Kind, Sub, OUT, POSITIVE, REPEATS, SCALE_SMOKE, SEED};
 use crate::gate::{self, AsSweep, Gate, Plan, Sweep, SweepRow};
+use crate::routebench::{ALLOCS, COUNTING};
 use crate::{scale_label, Bench};
 use churnlab_core::pipeline::PipelineConfig;
 use churnlab_engine::{campaign, Engine, EngineConfig};
 use churnlab_platform::{CampaignBusy, Platform, PlatformConfig};
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
 /// URL-corpus size the bench runs over (see the module docs).
 pub const URLS: usize = 64;
+
+/// Ceiling on the generator's steady-state heap allocations per
+/// measurement. What is left under it is what a [`Measurement`] owns
+/// (its traceroute vectors), the two DNS wires stamped with the test's
+/// transaction id, and whatever an injecting censor forges.
+///
+/// [`Measurement`]: churnlab_platform::Measurement
+pub const MAX_GEN_ALLOCS_PER_MEAS: f64 = 40.0;
 
 /// `bench campaign`.
 pub const SUB: Sub = Sub {
@@ -124,6 +141,18 @@ impl<'w> CampaignHarness<'w> {
         let digest = engine.finish().canonical_report().digest();
         (start.elapsed().as_secs_f64(), digest, run.busy)
     }
+
+    /// Heap allocations per measurement over one serial generator pass
+    /// into a dropping sink. Call it after a timed pass, so the
+    /// simulator's route trees are cached; reads zero unless the process
+    /// runs the `bench` binary's counting allocator.
+    pub fn gen_allocs_per_meas(&self) -> f64 {
+        ALLOCS.store(0, Relaxed);
+        COUNTING.store(true, Relaxed);
+        let stats = self.platform.run(&self.sim, drop);
+        COUNTING.store(false, Relaxed);
+        ALLOCS.load(Relaxed) as f64 / stats.measurements.max(1) as f64
+    }
 }
 
 /// One fused timing row.
@@ -180,6 +209,10 @@ pub struct CampaignReport {
     pub serial_meas_per_sec: f64,
     /// The serial reference's canonical-report digest (hex).
     pub digest: String,
+    /// Generator heap allocations per measurement, steady state (see
+    /// [`CampaignHarness::gen_allocs_per_meas`]).
+    #[serde(default)]
+    pub gen_allocs_per_meas: f64,
     /// One row per thread count.
     pub rows: Vec<CampaignRow>,
 }
@@ -260,6 +293,7 @@ pub fn run_campaign_sweep(
         serial_secs,
         serial_meas_per_sec,
         digest: format!("{digest:016x}"),
+        gen_allocs_per_meas: harness.gen_allocs_per_meas(),
         rows,
     }
 }
@@ -318,8 +352,18 @@ fn run(args: &Args) -> ExitCode {
             row.busy_total_nanos as f64 / 1e9,
         );
     }
+    eprintln!("generator:  {:>10.1} allocations/measurement, steady state", report.gen_allocs_per_meas);
     let gate = Gate { who: "campaign", journal: None };
-    gate::verdict(gate.who, &plan.conclude(&gate, &report.sweep(), &report))
+    let over_ceiling = (plan.baseline.is_some()
+        && report.gen_allocs_per_meas > MAX_GEN_ALLOCS_PER_MEAS)
+        .then(|| {
+            format!(
+                "generator allocates {:.1} times per measurement (ceiling {MAX_GEN_ALLOCS_PER_MEAS})",
+                report.gen_allocs_per_meas
+            )
+        });
+    let failures = plan.conclude(&gate, &report.sweep(), &report, over_ceiling.into_iter().collect());
+    gate::verdict(gate.who, &failures)
 }
 
 #[cfg(test)]

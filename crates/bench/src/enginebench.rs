@@ -566,7 +566,7 @@ fn run(args: &Args) -> ExitCode {
             row.interner_hit_rate * 100.0,
         );
     }
-    gate::verdict(gate.who, &plan.conclude(&gate, &report.sweep(), &report))
+    gate::verdict(gate.who, &plan.conclude(&gate, &report.sweep(), &report, Vec::new()))
 }
 
 /// The overhead gate: instrumentation may cost at most [`MAX_OVERHEAD`].

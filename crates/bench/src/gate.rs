@@ -320,11 +320,17 @@ impl Plan {
     }
 
     /// Judge a finished run — `run` is the gates' view of `report` — then
-    /// write the report. Returns the failures of the gates that were
-    /// asked for.
-    pub fn conclude(&self, gate: &Gate<'_>, run: &Sweep, report: &impl Serialize) -> Vec<String> {
+    /// write the report. `failures` holds what the caller's own checks
+    /// already found; returned with the failures of the gates that were
+    /// asked for added.
+    pub fn conclude(
+        &self,
+        gate: &Gate<'_>,
+        run: &Sweep,
+        report: &impl Serialize,
+        mut failures: Vec<String>,
+    ) -> Vec<String> {
         let who = gate.who;
-        let mut failures = Vec::new();
         if let Some(min_efficiency) = self.min_efficiency {
             failures.extend(assert_scaling(gate, run, min_efficiency).err());
         }
@@ -447,17 +453,17 @@ mod tests {
             min_efficiency: None,
         };
         let regressed = sweep("small", 1, &[(1, 2.0, 1.0, 1.0)]);
-        assert_eq!(plan.conclude(&QUIET, &regressed, &"rejected").len(), 1);
+        assert_eq!(plan.conclude(&QUIET, &regressed, &"rejected", vec![]).len(), 1);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "the committed baseline\n");
         // `--require-gate` with nothing armed is a failure too, and protects too.
-        let skipped = plan.conclude(&QUIET, &sweep("smoke", 1, &[(1, 9.0, 1.0, 1.0)]), &"rejected");
+        let skipped = plan.conclude(&QUIET, &sweep("smoke", 1, &[(1, 9.0, 1.0, 1.0)]), &"rejected", vec![]);
         assert!(skipped[0].contains("no regression gate armed"), "{skipped:?}");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "the committed baseline\n");
         // A run that passes replaces it.
-        assert!(plan.conclude(&QUIET, &base, &"accepted").is_empty());
+        assert!(plan.conclude(&QUIET, &base, &"accepted", vec![]).is_empty());
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "\"accepted\"\n");
         std::fs::remove_file(&path).unwrap();
         let ungated = Plan { baseline: None, out: None, ..plan };
-        assert!(ungated.conclude(&QUIET, &base, &"unwritten")[0].contains("no --baseline given"));
+        assert!(ungated.conclude(&QUIET, &base, &"unwritten", vec![])[0].contains("no --baseline given"));
     }
 }

@@ -5,8 +5,10 @@
 //! one position on one path) and implements
 //! [`churnlab_net::OnPathObserver`]. It is *honest middlebox hardware*: it
 //! learns the DNS qname and the HTTP Host header by decoding the wire
-//! bytes of packets it forwards — never from simulator ground truth — and
-//! its forged packets carry the artifacts the ICLab detectors key on:
+//! bytes of packets it forwards — never from simulator ground truth — in
+//! place ([`DnsMessage::peek`], [`HttpRequest::parse_borrowed`]): it
+//! builds a message only when it forges one. Its forged packets carry the
+//! artifacts the ICLab detectors key on:
 //!
 //! * forged DNS responses race the resolver's (two responses at the
 //!   client ⇒ DNS anomaly);
@@ -24,7 +26,7 @@ use crate::mechanism::Mechanism;
 use crate::policy::CompiledCensor;
 use churnlab_net::{
     DnsMessage, HttpRequest, InjectedPacket, Ipv4Packet, ObserverVerdict, OnPathObserver,
-    Payload, TcpFlags, TcpSegment, UdpDatagram,
+    Payload, SharedBytes, TcpFlags, TcpSegment, UdpDatagram,
 };
 
 /// Deterministic mixer (splitmix64) — keeps the censor crate free of RNG
@@ -62,12 +64,14 @@ pub struct TestContext {
 pub struct ActiveCensor<'c> {
     censor: &'c CompiledCensor,
     ctx: TestContext,
+    /// The question name of the DNS query being inspected.
+    qname: String,
 }
 
 impl<'c> ActiveCensor<'c> {
     /// Arm `censor` for a flow measured under `ctx`.
     pub fn new(censor: &'c CompiledCensor, ctx: TestContext) -> Self {
-        ActiveCensor { censor, ctx }
+        ActiveCensor { censor, ctx, qname: String::new() }
     }
 
     fn init_ttl(&self) -> u8 {
@@ -134,17 +138,18 @@ impl<'c> ActiveCensor<'c> {
         unreachable!("roll < total by construction")
     }
 
-    fn on_dns(&self, pkt: &Ipv4Packet, udp: &UdpDatagram) -> ObserverVerdict {
-        let query = match DnsMessage::decode(&udp.payload) {
-            Ok(q) if !q.is_response => q,
+    fn on_dns(&mut self, pkt: &Ipv4Packet, udp: &UdpDatagram) -> ObserverVerdict {
+        match DnsMessage::peek(&udp.payload, Some(&mut self.qname)) {
+            Ok(q) if !q.is_response => {}
             _ => return ObserverVerdict::pass(),
-        };
-        if !self.censor.blocks_domain(&query.qname, self.ctx.day) {
+        }
+        if !self.censor.blocks_domain(&self.qname, self.ctx.day) {
             return ObserverVerdict::pass();
         }
-        if self.mechanism_for(&query.qname) != Some(Mechanism::DnsInjection) {
+        if self.mechanism_for(&self.qname) != Some(Mechanism::DnsInjection) {
             return ObserverVerdict::pass();
         }
+        let query = DnsMessage::decode(&udp.payload).expect("peeked as a valid query");
         let forged = DnsMessage::answer(&query, self.bogus_addr(), 300);
         let wire = forged.encode().expect("forged answers are well-formed");
         ObserverVerdict {
@@ -164,18 +169,17 @@ impl<'c> ActiveCensor<'c> {
     }
 
     fn on_tcp(&self, pkt: &Ipv4Packet, seg: &TcpSegment) -> ObserverVerdict {
-        let request = match HttpRequest::parse(&seg.payload) {
-            Some(r) => r,
-            None => return ObserverVerdict::pass(),
+        let Some((host, _path)) = HttpRequest::parse_borrowed(&seg.payload) else {
+            return ObserverVerdict::pass();
         };
-        if !self.censor.blocks_domain(&request.host, self.ctx.day) {
+        if !self.censor.blocks_domain(host, self.ctx.day) {
             return ObserverVerdict::pass();
         }
-        let mech = match self.mechanism_for(&request.host) {
+        let mech = match self.mechanism_for(host) {
             Some(m) if m != Mechanism::DnsInjection => m,
             _ => return ObserverVerdict::pass(),
         };
-        let fuzz = self.seq_fuzz_for(&request.host);
+        let fuzz = self.seq_fuzz_for(host);
         let forged_seq = (i64::from(seg.ack) + fuzz) as u32;
         match mech {
             Mechanism::RstInjection => {
@@ -191,7 +195,7 @@ impl<'c> ActiveCensor<'c> {
                             ack: seg.seq_end(),
                             flags: TcpFlags::RST | TcpFlags::ACK,
                             window: 0,
-                            payload: vec![],
+                            payload: SharedBytes::new(),
                         }),
                     });
                 }
@@ -200,7 +204,7 @@ impl<'c> ActiveCensor<'c> {
             Mechanism::Blockpage => {
                 let template = &crate::blockpage::corpus()
                     [self.censor.profile.blockpage_id % crate::blockpage::corpus().len()];
-                let body = template.render(&request.host).serialize();
+                let body = SharedBytes::from(template.render(host).serialize());
                 let mut inject = vec![InjectedPacket {
                     delay_us: self.censor.profile.delay_us,
                     initial_ttl: self.init_ttl(),
@@ -224,7 +228,7 @@ impl<'c> ActiveCensor<'c> {
                         ack: seg.seq_end(),
                         flags: TcpFlags::FIN | TcpFlags::ACK,
                         window: 65535,
-                        payload: vec![],
+                        payload: SharedBytes::new(),
                     }),
                 });
                 // Race-based injection (GFW-style): the request still
@@ -253,7 +257,7 @@ impl<'c> ActiveCensor<'c> {
                             ack: seg.seq_end(),
                             flags: TcpFlags::PSH | TcpFlags::ACK,
                             window: 65535,
-                            payload: garbage,
+                            payload: garbage.into(),
                         }),
                     }],
                 }
@@ -316,7 +320,7 @@ mod tests {
                 ack: 5_000_001,
                 flags: TcpFlags::PSH | TcpFlags::ACK,
                 window: 65535,
-                payload: HttpRequest::get(host, "/").serialize(),
+                payload: HttpRequest::get(host, "/").serialize().into(),
             },
         )
     }
@@ -449,7 +453,7 @@ mod tests {
         let mut a = ActiveCensor::new(&c, ctx());
         let mut pkt = get_packet("banned.example");
         if let Payload::Tcp(seg) = &mut pkt.payload {
-            seg.payload = b"\x16\x03\x01 not http at all".to_vec();
+            seg.payload = b"\x16\x03\x01 not http at all".to_vec().into();
         }
         assert_eq!(a.observe(&pkt, 0), ObserverVerdict::pass());
     }

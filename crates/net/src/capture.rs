@@ -43,6 +43,11 @@ impl Capture {
         Capture::default()
     }
 
+    /// Forget every packet, keeping the buffer for the next flow.
+    pub fn clear(&mut self) {
+        self.packets.clear();
+    }
+
     /// Append a packet (keeps timestamp order by insertion point).
     pub fn push(&mut self, t_us: u64, dir: Direction, pkt: Ipv4Packet) {
         let at = self.packets.partition_point(|p| p.t_us <= t_us);

@@ -7,9 +7,11 @@
 //! encoding (label format) and parsing (with compression-pointer support,
 //! since real injectors use pointers to look legitimate).
 
+use crate::shared::SharedBytes;
 use crate::WireError;
 use bytes::{BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Query type (subset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -168,58 +170,107 @@ impl DnsMessage {
 
     /// Parse from wire bytes. Non-A answer records are skipped.
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
-        if data.len() < 12 {
-            return Err(WireError::Truncated("dns header"));
-        }
-        let id = u16::from_be_bytes([data[0], data[1]]);
-        let flags = u16::from_be_bytes([data[2], data[3]]);
-        let qd = u16::from_be_bytes([data[4], data[5]]);
-        let an = u16::from_be_bytes([data[6], data[7]]);
-        if qd != 1 {
-            return Err(WireError::Unsupported("dns qdcount"));
-        }
-        let mut pos = 12usize;
-        let qname = decode_name(data, &mut pos)?;
-        if pos + 4 > data.len() {
-            return Err(WireError::Truncated("dns question"));
-        }
-        let qtype = DnsQType::from_u16(u16::from_be_bytes([data[pos], data[pos + 1]]));
-        pos += 4; // type + class
+        let mut qname = String::new();
         let mut answers = Vec::new();
-        for _ in 0..an {
-            let name = decode_name(data, &mut pos)?;
-            if pos + 10 > data.len() {
-                return Err(WireError::Truncated("dns answer"));
-            }
-            let rtype = u16::from_be_bytes([data[pos], data[pos + 1]]);
-            let ttl =
-                u32::from_be_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
-            let rdlen = u16::from_be_bytes([data[pos + 8], data[pos + 9]]) as usize;
-            pos += 10;
-            if pos + rdlen > data.len() {
-                return Err(WireError::Truncated("dns rdata"));
-            }
-            if rtype == 1 && rdlen == 4 {
-                let addr = u32::from_be_bytes([
-                    data[pos],
-                    data[pos + 1],
-                    data[pos + 2],
-                    data[pos + 3],
-                ]);
-                answers.push(DnsAnswer { name, ttl, addr });
-            }
-            pos += rdlen;
-        }
+        let head = walk(data, Some(&mut qname), Some(&mut answers))?;
         Ok(DnsMessage {
-            id,
-            is_response: flags & 0x8000 != 0,
-            recursion: flags & 0x0100 != 0,
-            rcode: DnsRcode::from_u8((flags & 0x0f) as u8),
+            id: head.id,
+            is_response: head.is_response,
+            recursion: head.flags & 0x0100 != 0,
+            rcode: DnsRcode::from_u8((head.flags & 0x0f) as u8),
             qname,
-            qtype,
+            qtype: head.qtype,
             answers,
         })
     }
+
+    /// Validate `data` exactly as [`DnsMessage::decode`] does and return
+    /// its transaction id and direction without building the message. The
+    /// question name (lowercase, dotted) replaces the contents of `qname`
+    /// when one is passed — a middlebox matching queries against a
+    /// blocklist keeps one buffer, not one message per packet.
+    pub fn peek(data: &[u8], qname: Option<&mut String>) -> Result<DnsPeek, WireError> {
+        let head = walk(data, qname, None)?;
+        Ok(DnsPeek { id: head.id, is_response: head.is_response })
+    }
+
+    /// `wire` — an encoded message — under transaction id `id`: how every
+    /// test of a URL sends the one question encoded for it.
+    pub fn stamp_id(wire: &[u8], id: u16) -> SharedBytes {
+        let mut stamped: Arc<[u8]> = Arc::from(wire);
+        let bytes = Arc::get_mut(&mut stamped).expect("a fresh buffer has one owner");
+        bytes[..2].copy_from_slice(&id.to_be_bytes());
+        SharedBytes::from(stamped)
+    }
+}
+
+/// What [`DnsMessage::peek`] reads off a valid message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DnsPeek {
+    /// Transaction ID.
+    pub id: u16,
+    /// True for responses.
+    pub is_response: bool,
+}
+
+/// The fixed fields [`walk`] reads.
+struct Walked {
+    id: u16,
+    flags: u16,
+    is_response: bool,
+    qtype: DnsQType,
+}
+
+/// Walk a message, checking everything a decoder must check, and fill in
+/// whichever of the question name and the A answers the caller wants.
+fn walk(
+    data: &[u8],
+    mut qname: Option<&mut String>,
+    mut answers: Option<&mut Vec<DnsAnswer>>,
+) -> Result<Walked, WireError> {
+    if data.len() < 12 {
+        return Err(WireError::Truncated("dns header"));
+    }
+    let id = u16::from_be_bytes([data[0], data[1]]);
+    let flags = u16::from_be_bytes([data[2], data[3]]);
+    let qd = u16::from_be_bytes([data[4], data[5]]);
+    let an = u16::from_be_bytes([data[6], data[7]]);
+    if qd != 1 {
+        return Err(WireError::Unsupported("dns qdcount"));
+    }
+    let mut pos = 12usize;
+    if let Some(q) = qname.as_deref_mut() {
+        q.clear();
+    }
+    decode_name(data, &mut pos, qname)?;
+    if pos + 4 > data.len() {
+        return Err(WireError::Truncated("dns question"));
+    }
+    let qtype = DnsQType::from_u16(u16::from_be_bytes([data[pos], data[pos + 1]]));
+    pos += 4; // type + class
+    for _ in 0..an {
+        let mut name = answers.is_some().then(String::new);
+        decode_name(data, &mut pos, name.as_mut())?;
+        if pos + 10 > data.len() {
+            return Err(WireError::Truncated("dns answer"));
+        }
+        let rtype = u16::from_be_bytes([data[pos], data[pos + 1]]);
+        let ttl = u32::from_be_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
+        let rdlen = u16::from_be_bytes([data[pos + 8], data[pos + 9]]) as usize;
+        pos += 10;
+        if pos + rdlen > data.len() {
+            return Err(WireError::Truncated("dns rdata"));
+        }
+        if rtype == 1 && rdlen == 4 {
+            if let (Some(answers), Some(name)) = (answers.as_deref_mut(), name) {
+                let addr =
+                    u32::from_be_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
+                answers.push(DnsAnswer { name, ttl, addr });
+            }
+        }
+        pos += rdlen;
+    }
+    Ok(Walked { id, flags, is_response: flags & 0x8000 != 0, qtype })
 }
 
 fn encode_name(name: &str, buf: &mut BytesMut) -> Result<(), WireError> {
@@ -237,8 +288,10 @@ fn encode_name(name: &str, buf: &mut BytesMut) -> Result<(), WireError> {
     Ok(())
 }
 
-fn decode_name(data: &[u8], pos: &mut usize) -> Result<String, WireError> {
-    let mut out = String::new();
+/// Walk one (possibly compressed) name starting at `*pos`, appending it
+/// to `out` when the caller wants it.
+fn decode_name(data: &[u8], pos: &mut usize, mut out: Option<&mut String>) -> Result<(), WireError> {
+    let mut first = true;
     let mut cursor = *pos;
     let mut jumped = false;
     let mut jumps = 0;
@@ -268,19 +321,22 @@ fn decode_name(data: &[u8], pos: &mut usize) -> Result<String, WireError> {
             if !jumped {
                 *pos = cursor + 1;
             }
-            return Ok(out);
+            return Ok(());
         }
         if len > 63 || cursor + 1 + len > data.len() {
             return Err(WireError::BadName);
-        }
-        if !out.is_empty() {
-            out.push('.');
         }
         let label = &data[cursor + 1..cursor + 1 + len];
         if !label.iter().all(|b| b.is_ascii() && *b != b'.') {
             return Err(WireError::BadName);
         }
-        out.push_str(&String::from_utf8_lossy(label).to_ascii_lowercase());
+        if let Some(out) = out.as_deref_mut() {
+            if !first {
+                out.push('.');
+            }
+            out.extend(label.iter().map(|b| char::from(b.to_ascii_lowercase())));
+        }
+        first = false;
         cursor += 1 + len;
     }
 }
@@ -375,6 +431,48 @@ mod tests {
         #[test]
         fn prop_dns_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..96)) {
             let _ = DnsMessage::decode(&data);
+        }
+
+        /// `peek` accepts exactly what `decode` accepts and reads the same
+        /// id, direction and question name — over valid messages, valid
+        /// messages with one byte damaged, and noise.
+        #[test]
+        fn prop_peek_agrees_with_decode(
+            id in any::<u16>(),
+            labels in proptest::collection::vec("[a-zA-Z0-9]{1,12}", 1..5),
+            answered in any::<bool>(),
+            damage in proptest::collection::vec((0usize..96, any::<u8>()), 0..3),
+            noise in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let q = DnsMessage::query(id, &labels.join("."));
+            let m = if answered { DnsMessage::answer(&q, 0x0102_0304, 60) } else { q };
+            let mut wire = m.encode().unwrap();
+            for (at, byte) in damage {
+                let at = at % wire.len();
+                wire[at] = byte;
+            }
+            let mut qname = String::from("left over from the last packet");
+            for data in [&wire, &noise] {
+                match (DnsMessage::decode(data), DnsMessage::peek(data, Some(&mut qname))) {
+                    (Ok(full), Ok(peeked)) => {
+                        prop_assert_eq!(peeked, DnsPeek { id: full.id, is_response: full.is_response });
+                        prop_assert_eq!(&qname, &full.qname);
+                        prop_assert_eq!(DnsMessage::peek(data, None), Ok(peeked));
+                    }
+                    (Err(full), Err(peeked)) => prop_assert_eq!(full, peeked),
+                    (full, peeked) => prop_assert!(false, "decode {:?} but peek {:?}", full, peeked),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stamped_wire_is_the_message_under_the_new_id() {
+        let q = DnsMessage::query(0, "site.example.org");
+        let a = DnsMessage::answer(&q, 0x0808_0404, 300);
+        for m in [q, a] {
+            let stamped = DnsMessage::stamp_id(&m.encode().unwrap(), 0xbeef);
+            assert_eq!(*stamped, *DnsMessage { id: 0xbeef, ..m }.encode().unwrap());
         }
     }
 }

@@ -27,8 +27,11 @@ pub struct Hop {
 /// A router-level path from a client to a server.
 ///
 /// `hops` excludes the client itself and ends with the server interface,
-/// mirroring what traceroute shows.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// mirroring what traceroute shows. Build one with [`HopPath::expand`] or
+/// refill one with [`HopPath::expand_into`]: expansion also records each
+/// hop's cumulative delay and each AS's first hop, which the flow
+/// simulator asks for several times per forwarded packet per observer.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HopPath {
     /// The AS-level path, client's AS first, server's AS last.
     pub as_path: Vec<Asn>,
@@ -38,6 +41,10 @@ pub struct HopPath {
     pub server_ip: u32,
     /// The client address (inside `as_path[0]`).
     pub client_ip: u32,
+    /// One-way delay to each hop, microseconds (parallel to `hops`).
+    delay_us: Vec<u64>,
+    /// Index of the first hop of each AS (parallel to `as_path`).
+    first_hop: Vec<u32>,
 }
 
 impl HopPath {
@@ -49,6 +56,10 @@ impl HopPath {
     /// * `routers_per_as` — inclusive range of router hops each transit AS
     ///   contributes (the first AS contributes its egress only; the last
     ///   contributes ingress routers plus the server).
+    ///
+    /// # Panics
+    /// If the path expands to more router hops than an 8-bit TTL can
+    /// cross (see [`HopPath::expand_into`]).
     pub fn expand<R: Rng>(
         as_path: &[Asn],
         prefixes: &HashMap<Asn, Vec<Ipv4Prefix>>,
@@ -57,14 +68,38 @@ impl HopPath {
         routers_per_as: (usize, usize),
         rng: &mut R,
     ) -> Self {
+        let mut path = HopPath::default();
+        path.expand_into(as_path, prefixes, client_ip, server_ip, routers_per_as, rng);
+        path
+    }
+
+    /// [`HopPath::expand`] into `self`, reusing its vectors: the
+    /// measurement loop expands one path per test.
+    ///
+    /// # Panics
+    /// If the expansion has more than 256 hops: every TTL computed over
+    /// the path counts hops in a `u8`, and the server's packets could not
+    /// reach the client anyway.
+    pub fn expand_into<R: Rng>(
+        &mut self,
+        as_path: &[Asn],
+        prefixes: &HashMap<Asn, Vec<Ipv4Prefix>>,
+        client_ip: u32,
+        server_ip: u32,
+        routers_per_as: (usize, usize),
+        rng: &mut R,
+    ) {
         assert!(!as_path.is_empty(), "AS path must be non-empty");
-        let mut hops = Vec::new();
+        let HopPath { hops, delay_us, first_hop, .. } = self;
+        hops.clear();
+        first_hop.clear();
         for (pos, asn) in as_path.iter().enumerate() {
             let n = if pos == 0 {
                 1 // client-side egress router
             } else {
                 rng.gen_range(routers_per_as.0.max(1)..=routers_per_as.1.max(1))
             };
+            first_hop.push(hops.len() as u32);
             for _ in 0..n {
                 let ip = match prefixes.get(asn).filter(|ps| !ps.is_empty()) {
                     Some(ps) => {
@@ -81,7 +116,26 @@ impl HopPath {
         // Final hop: the server itself.
         let last_pos = as_path.len() - 1;
         hops.push(Hop { ip: server_ip, asn: as_path[last_pos], as_pos: last_pos });
-        HopPath { as_path: as_path.to_vec(), hops, server_ip, client_ip }
+        assert!(
+            u8::try_from(hops.len() - 1).is_ok(),
+            "an AS path of {} ASes expands to {} router hops; a TTL counts at most 255",
+            as_path.len(),
+            hops.len(),
+        );
+        // 2 ms-scale cost per router hop within a region; AS boundaries
+        // cost more (long-haul). Deterministic: depends only on hop
+        // structure.
+        delay_us.clear();
+        let mut us = 0u64;
+        for (i, h) in hops.iter().enumerate() {
+            let boundary = i == 0 || hops[i - 1].as_pos != h.as_pos;
+            us += if boundary { 6_000 } else { 1_500 };
+            delay_us.push(us);
+        }
+        self.as_path.clear();
+        self.as_path.extend_from_slice(as_path);
+        self.server_ip = server_ip;
+        self.client_ip = client_ip;
     }
 
     /// Number of router hops between client and server (forward direction).
@@ -105,7 +159,7 @@ impl HopPath {
     /// does not decrement). This asymmetry between an on-path injector and
     /// the distant server is exactly the paper's TTL side channel.
     pub fn ttl_at_client_from_hop(&self, hop_index: usize, initial: u8) -> u8 {
-        initial.saturating_sub(hop_index as u8)
+        u8::try_from(hop_index).map_or(0, |crossed| initial.saturating_sub(crossed))
     }
 
     /// Remaining TTL observed at the client for a packet sent by the
@@ -115,23 +169,25 @@ impl HopPath {
         self.ttl_at_client_from_hop(self.hops.len() - 1, initial)
     }
 
+    /// The initial TTL that makes a packet injected at `hop_index` reach
+    /// the client with the remaining TTL of the server's packets (sent
+    /// with `server_initial`) — what a TTL-mimicking injector stamps.
+    pub fn mimic_init_ttl(&self, hop_index: usize, server_initial: u8) -> u8 {
+        let crossed = u8::try_from(hop_index).unwrap_or(u8::MAX);
+        self.ttl_at_client_from_server(server_initial).saturating_add(crossed)
+    }
+
     /// The first hop index owned by the AS at `as_pos` in the AS path, if
     /// any hop belongs to it.
     pub fn first_hop_of_as(&self, as_pos: usize) -> Option<usize> {
-        self.hops.iter().position(|h| h.as_pos == as_pos)
+        self.first_hop.get(as_pos).map(|&h| h as usize)
     }
 
     /// One-way propagation delay to hop `i`, microseconds, under a simple
     /// per-hop cost model (deterministic per path shape).
     pub fn delay_to_hop_us(&self, hop_index: usize) -> u64 {
-        // 2 ms per router hop within a region; AS boundaries cost more
-        // (long-haul). Deterministic: depends only on hop structure.
-        let mut us = 0u64;
-        for (i, h) in self.hops.iter().enumerate().take(hop_index + 1) {
-            let boundary = i == 0 || self.hops[i - 1].as_pos != h.as_pos;
-            us += if boundary { 6_000 } else { 1_500 };
-        }
-        us
+        // Past the server there is nothing further to cross.
+        self.delay_us.get(hop_index).or(self.delay_us.last()).copied().unwrap_or(0)
     }
 
     /// Round-trip time client↔server in microseconds.
@@ -226,6 +282,66 @@ mod tests {
             last = d;
         }
         assert_eq!(p.rtt_us(), 2 * p.delay_to_hop_us(p.len() - 1));
+    }
+
+    #[test]
+    fn recorded_delays_and_first_hops_equal_the_linear_scans() {
+        let prefixes = prefix_map(&[10, 20, 30, 40, 50]);
+        let asns = [10, 20, 30, 40, 50].map(Asn);
+        let mut reused = HopPath::default();
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 1 + (seed as usize) % asns.len();
+            reused.expand_into(&asns[..n], &prefixes, 1, 2, (1, 3), &mut rng);
+            let fresh =
+                HopPath::expand(&asns[..n], &prefixes, 1, 2, (1, 3), &mut StdRng::seed_from_u64(seed));
+            assert_eq!(reused, fresh, "a refilled path equals a fresh expansion");
+            for pos in 0..n + 2 {
+                assert_eq!(
+                    reused.first_hop_of_as(pos),
+                    reused.hops.iter().position(|h| h.as_pos == pos),
+                    "seed {seed} AS position {pos}"
+                );
+            }
+            let mut us = 0;
+            for (i, h) in reused.hops.iter().enumerate() {
+                let boundary = i == 0 || reused.hops[i - 1].as_pos != h.as_pos;
+                us += if boundary { 6_000 } else { 1_500 };
+                assert_eq!(reused.delay_to_hop_us(i), us, "seed {seed} hop {i}");
+            }
+            assert_eq!(reused.delay_to_hop_us(reused.len() + 5), us);
+        }
+    }
+
+    #[test]
+    fn mimic_ttl_cancels_the_injector_position() {
+        let p = sample_path();
+        for hop in 0..p.len() {
+            let init = p.mimic_init_ttl(hop, 64);
+            assert_eq!(p.ttl_at_client_from_hop(hop, init), p.ttl_at_client_from_server(64));
+        }
+    }
+
+    /// `n` ASes at one router each: `n + 1` hops.
+    fn straight_path(n: u32) -> HopPath {
+        let asns: Vec<Asn> = (1..=n).map(Asn).collect();
+        HopPath::expand(&asns, &HashMap::new(), 1, 2, (1, 1), &mut StdRng::seed_from_u64(1))
+    }
+
+    #[test]
+    fn longest_path_a_ttl_can_cross_still_expands() {
+        let p = straight_path(255);
+        assert_eq!(p.len(), 256);
+        assert_eq!(p.ttl_at_client_from_server(255), 0);
+        assert_eq!(p.ttl_at_client_from_server(64), 0);
+        assert_eq!(p.ttl_at_client_from_hop(1000, 64), 0, "a hop count past u8 saturates, never wraps");
+        assert_eq!(p.mimic_init_ttl(255, 255), 255);
+    }
+
+    #[test]
+    #[should_panic(expected = "an AS path of 256 ASes expands to 257 router hops")]
+    fn path_too_long_for_a_ttl_fails_loudly() {
+        straight_path(256);
     }
 
     #[test]

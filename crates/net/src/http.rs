@@ -33,6 +33,14 @@ impl HttpRequest {
     /// Parse from wire text (lenient: only the request line and Host header
     /// are required).
     pub fn parse(data: &[u8]) -> Option<Self> {
+        let (host, path) = Self::parse_borrowed(data)?;
+        Some(HttpRequest { host: host.to_string(), path: path.to_string() })
+    }
+
+    /// What [`HttpRequest::parse`] reads, as `(host, path)` slices of
+    /// `data` — for a middlebox that matches the Host of every request it
+    /// forwards and keeps none of them.
+    pub fn parse_borrowed(data: &[u8]) -> Option<(&str, &str)> {
         let text = std::str::from_utf8(data).ok()?;
         let mut lines = text.split("\r\n");
         let request_line = lines.next()?;
@@ -40,12 +48,51 @@ impl HttpRequest {
         if parts.next()? != "GET" {
             return None;
         }
-        let path = parts.next()?.to_string();
+        let path = parts.next()?;
         let host = lines
             .filter_map(|l| l.split_once(':'))
             .find(|(k, _)| k.eq_ignore_ascii_case("host"))
-            .map(|(_, v)| v.trim().to_string())?;
-        Some(HttpRequest { host, path })
+            .map(|(_, v)| v.trim())?;
+        Some((host, path))
+    }
+}
+
+/// The blank line that ends a message head.
+pub(crate) const HEAD_END: &[u8] = b"\r\n\r\n";
+
+/// A response head (status line and header lines, without the blank
+/// line) read in place: what [`HttpResponse::parse`] builds from, and
+/// all that stream reassembly needs to know when a response is complete.
+pub(crate) struct ResponseHead<'a> {
+    status: u16,
+    reason: &'a str,
+    header_lines: &'a str,
+}
+
+impl<'a> ResponseHead<'a> {
+    pub(crate) fn parse(head: &'a [u8]) -> Option<Self> {
+        let head = std::str::from_utf8(head).ok()?;
+        let (status_line, header_lines) = head.split_once("\r\n").unwrap_or((head, ""));
+        let mut parts = status_line.splitn(3, ' ');
+        let version = parts.next()?;
+        if !version.starts_with("HTTP/") {
+            return None;
+        }
+        let status: u16 = parts.next()?.parse().ok()?;
+        Some(ResponseHead { status, reason: parts.next().unwrap_or(""), header_lines })
+    }
+
+    /// `(name, value)` of every header line, trimmed, in order.
+    pub(crate) fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        self.header_lines
+            .split("\r\n")
+            .filter_map(|l| l.split_once(':'))
+            .map(|(k, v)| (k.trim(), v.trim()))
+    }
+
+    /// Value of a header (case-insensitive), if present.
+    pub(crate) fn header(&self, name: &str) -> Option<&'a str> {
+        self.headers().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v)
     }
 }
 
@@ -94,23 +141,14 @@ impl HttpResponse {
     /// Parse from wire text (lenient; body is everything after the blank
     /// line).
     pub fn parse(data: &[u8]) -> Option<Self> {
-        let split = data.windows(4).position(|w| w == b"\r\n\r\n")?;
-        let head = std::str::from_utf8(&data[..split]).ok()?;
-        let body = data[split + 4..].to_vec();
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next()?;
-        let mut parts = status_line.splitn(3, ' ');
-        let version = parts.next()?;
-        if !version.starts_with("HTTP/") {
-            return None;
-        }
-        let status: u16 = parts.next()?.parse().ok()?;
-        let reason = parts.next().unwrap_or("").to_string();
-        let headers = lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-            .collect();
-        Some(HttpResponse { status, reason, headers, body })
+        let split = data.windows(4).position(|w| w == HEAD_END)?;
+        let head = ResponseHead::parse(&data[..split])?;
+        Some(HttpResponse {
+            status: head.status,
+            reason: head.reason.to_string(),
+            headers: head.headers().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            body: data[split + HEAD_END.len()..].to_vec(),
+        })
     }
 
     /// Body as text (lossy).

@@ -166,7 +166,7 @@ mod tests {
                 ack: 0x01020304,
                 flags: TcpFlags::SYN | TcpFlags::ACK,
                 window: 65535,
-                payload: vec![],
+                payload: vec![].into(),
             },
         )
     }
@@ -223,7 +223,7 @@ mod tests {
             let p = Ipv4Packet::tcp(src, dst, ttl, ident, TcpSegment {
                 src_port: sport, dst_port: dport, seq, ack,
                 flags: TcpFlags::from_bits(flags_bits),
-                window, payload,
+                window, payload: payload.into(),
             });
             let back = Ipv4Packet::decode(&p.encode()).unwrap();
             prop_assert_eq!(p, back);
@@ -236,7 +236,7 @@ mod tests {
             payload in proptest::collection::vec(any::<u8>(), 0..256),
         ) {
             let p = Ipv4Packet::udp(src, dst, ttl, 0, UdpDatagram {
-                src_port: sport, dst_port: dport, payload,
+                src_port: sport, dst_port: dport, payload: payload.into(),
             });
             let back = Ipv4Packet::decode(&p.encode()).unwrap();
             prop_assert_eq!(p, back);

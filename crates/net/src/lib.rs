@@ -22,6 +22,8 @@
 //! * [`hops`] — router-level paths: each AS on an AS-level path expands to
 //!   one or more router hops with interface addresses drawn from that AS's
 //!   prefixes; TTL arithmetic happens here.
+//! * [`shared`] — [`SharedBytes`], the payload of every segment and
+//!   datagram: a reference-counted buffer and a range of it.
 //! * [`flow`] — clean TCP/DNS flow synthesis over a hop path, with an
 //!   [`flow::OnPathObserver`] hook through which middleboxes (the censor
 //!   engine in `churnlab-censor`) inspect forward packets and inject
@@ -32,9 +34,21 @@
 //!   non-responsive hops and failures (the raw material for the paper's
 //!   path-elimination rules).
 //!
-//! The simulation hot path passes structured packets around; the wire
-//! formats exist for realism, interop (pcap export) and are
-//! property-tested for roundtripping.
+//! The simulation hot path passes structured packets around, and what
+//! they carry costs what the wire would: a payload is a [`SharedBytes`]
+//! slice, so the segments of a response are ranges of the one serialised
+//! page, and the capture's copy of a packet, a retransmission, and every
+//! further test of the same URL share its buffer instead of copying it.
+//! The hot entry points take caller-owned buffers and fill them —
+//! [`HopPath::expand_into`], [`FlowSimulator::dns_lookup_into`],
+//! [`FlowSimulator::http_get_into`] over a [`Capture`] and a
+//! [`Reassembly`] — and readers that keep nothing parse in place
+//! ([`DnsMessage::peek`], [`HttpRequest::parse_borrowed`]). The
+//! signatures that return owned values ([`HopPath::expand`],
+//! [`FlowSimulator::dns_lookup`], [`FlowSimulator::http_get`],
+//! [`DnsMessage::decode`], [`HttpRequest::parse`]) are adapters over
+//! those: one implementation each. The wire formats exist for realism,
+//! interop (pcap export) and are property-tested for roundtripping.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,17 +59,22 @@ pub mod flow;
 pub mod hops;
 pub mod http;
 pub mod ip;
+pub mod shared;
 pub mod tcp;
 pub mod traceroute;
 pub mod udp;
 
 pub use capture::{Capture, CapturedPacket, Direction};
-pub use dns::{DnsMessage, DnsQType, DnsRcode};
-pub use flow::{FlowConfig, FlowOutcome, FlowSimulator, InjectedPacket, ObserverVerdict, OnPathObserver};
+pub use dns::{DnsMessage, DnsPeek, DnsQType, DnsRcode};
+pub use flow::{
+    Fetched, FlowConfig, FlowOutcome, FlowSimulator, InjectedPacket, ObserverVerdict,
+    OnPathObserver, Reassembly,
+};
 pub use hops::{Hop, HopPath};
 pub use http::{HttpRequest, HttpResponse};
 pub use ip::{Ipv4Packet, Payload};
-pub use tcp::{TcpFlags, TcpSegment};
+pub use shared::SharedBytes;
+pub use tcp::{TcpFlags, TcpSegment, STREAM_WINDOW};
 pub use traceroute::{Traceroute, TracerouteConfig, TracerouteError};
 pub use udp::UdpDatagram;
 

@@ -1,6 +1,7 @@
 //! TCP segments: flags, sequence space, wire format with pseudo-header
 //! checksum.
 
+use crate::shared::SharedBytes;
 use crate::{internet_checksum, WireError};
 use bytes::{BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -89,6 +90,14 @@ impl std::fmt::Display for TcpFlags {
     }
 }
 
+/// The plausible-stream window: a sequence number belongs to a
+/// connection's server → client stream only if it lies fewer than this
+/// many bytes past the stream's first byte. Reassembly ignores data
+/// outside it, and the SEQNO detector neither collects such data nor
+/// judges an RST there (short of the few KB just *before* the stream,
+/// where sloppy injectors undershoot).
+pub const STREAM_WINDOW: u32 = 1 << 24;
+
 /// A TCP segment (no options modelled; data offset always 5).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TcpSegment {
@@ -105,7 +114,7 @@ pub struct TcpSegment {
     /// Receive window.
     pub window: u16,
     /// Payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: SharedBytes,
 }
 
 impl TcpSegment {
@@ -118,7 +127,7 @@ impl TcpSegment {
             ack: 0,
             flags: TcpFlags::SYN,
             window: 65535,
-            payload: vec![],
+            payload: SharedBytes::new(),
         }
     }
 
@@ -179,7 +188,7 @@ impl TcpSegment {
             ack: u32::from_be_bytes([data[8], data[9], data[10], data[11]]),
             flags: TcpFlags::from_bits(data[13]),
             window: u16::from_be_bytes([data[14], data[15]]),
-            payload: data[off..].to_vec(),
+            payload: SharedBytes::from(&data[off..]),
         })
     }
 }
@@ -222,7 +231,7 @@ mod tests {
         let mut s = TcpSegment::syn(1, 2, 100);
         assert_eq!(s.seq_end(), 101, "SYN consumes one sequence number");
         s.flags = TcpFlags::ACK;
-        s.payload = vec![0; 10];
+        s.payload = vec![0; 10].into();
         assert_eq!(s.seq_end(), 110);
         s.flags = TcpFlags::ACK | TcpFlags::FIN;
         assert_eq!(s.seq_end(), 111);
@@ -237,7 +246,7 @@ mod tests {
             ack: 0,
             flags: TcpFlags::ACK,
             window: 0,
-            payload: vec![0; 4],
+            payload: vec![0; 4].into(),
         };
         assert_eq!(s.seq_end(), 2);
     }
@@ -251,7 +260,7 @@ mod tests {
             ack: 2,
             flags: TcpFlags::ACK | TcpFlags::PSH,
             window: 100,
-            payload: b"hello world".to_vec(),
+            payload: b"hello world".to_vec().into(),
         };
         let mut wire = seg.encode(1, 2);
         let last = wire.len() - 1;
@@ -280,7 +289,7 @@ mod tests {
         ) {
             let seg = TcpSegment {
                 src_port: sport, dst_port: dport, seq, ack,
-                flags: TcpFlags::from_bits(bits), window, payload,
+                flags: TcpFlags::from_bits(bits), window, payload: payload.into(),
             };
             let back = TcpSegment::decode(&seg.encode(src, dst), src, dst).unwrap();
             prop_assert_eq!(seg, back);

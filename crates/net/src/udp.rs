@@ -1,5 +1,6 @@
 //! UDP datagrams (carrier for DNS in the measurement flows).
 
+use crate::shared::SharedBytes;
 use crate::tcp::pseudo_checksum;
 use crate::WireError;
 use bytes::{BufMut, BytesMut};
@@ -13,13 +14,13 @@ pub struct UdpDatagram {
     /// Destination port.
     pub dst_port: u16,
     /// Payload bytes (e.g. an encoded DNS message).
-    pub payload: Vec<u8>,
+    pub payload: SharedBytes,
 }
 
 impl UdpDatagram {
     /// Construct a datagram.
-    pub fn new(src_port: u16, dst_port: u16, payload: Vec<u8>) -> Self {
-        UdpDatagram { src_port, dst_port, payload }
+    pub fn new(src_port: u16, dst_port: u16, payload: impl Into<SharedBytes>) -> Self {
+        UdpDatagram { src_port, dst_port, payload: payload.into() }
     }
 
     /// Encode to wire bytes with a correct pseudo-header checksum.
@@ -58,7 +59,7 @@ impl UdpDatagram {
         Ok(UdpDatagram {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: data[8..len].to_vec(),
+            payload: SharedBytes::from(&data[8..len]),
         })
     }
 }

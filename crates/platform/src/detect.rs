@@ -22,9 +22,20 @@
 //!   Jones-et-al length-ratio fallback against the censor-free US control
 //!   body — which catches unfingerprinted blockpages but misses nothing
 //!   else in a noise-free world.
+//!
+//! The detectors run once per measurement, so each has one
+//! implementation in the form the measurement loop wants:
+//! [`detect_all_into`] takes the fingerprint list compiled
+//! ([`FingerprintSet`], built once per platform), the assembled body as a
+//! borrowed slice, and a [`DetectScratch`] it clears and refills; it reads
+//! payloads in place (they are shared slices of the capture) and decodes
+//! no message it only needs the id of. [`detect_all`], [`detect_block`]
+//! and [`detect_seqno`] keep the signatures that take a phrase list, a
+//! [`FlowOutcome`] and nothing else: they compile, borrow and delegate.
 
 use crate::anomaly::{AnomalySet, AnomalyType};
-use churnlab_net::{Capture, FlowOutcome, TcpFlags};
+use crate::fingerprint::FingerprintSet;
+use churnlab_net::{Capture, Direction, DnsMessage, FlowOutcome, TcpFlags, STREAM_WINDOW};
 
 /// DNS anomaly window from the paper: a second response within 2 s.
 const DNS_WINDOW_US: u64 = 2_000_000;
@@ -32,15 +43,17 @@ const DNS_WINDOW_US: u64 = 2_000_000;
 /// Detect DNS injection: ≥2 responses for the same transaction id within
 /// the 2-second window.
 pub fn detect_dns(dns_capture: &Capture) -> bool {
-    let responses = dns_capture.dns_responses();
-    for (i, (t1, m1)) in responses.iter().enumerate() {
-        for (t2, m2) in responses.iter().skip(i + 1) {
-            if m1.id == m2.id && t2.saturating_sub(*t1) <= DNS_WINDOW_US {
-                return true;
-            }
-        }
-    }
-    false
+    // (arrival time, transaction id) of every well-formed response.
+    let responses = || {
+        dns_capture.incoming().filter_map(|p| {
+            let udp = p.pkt.as_udp().filter(|udp| udp.src_port == 53)?;
+            let msg = DnsMessage::peek(&udp.payload, None).ok()?;
+            msg.is_response.then_some((p.t_us, msg.id))
+        })
+    };
+    responses().enumerate().any(|(i, (t1, id1))| {
+        responses().skip(i + 1).any(|(t2, id2)| id1 == id2 && t2.saturating_sub(t1) <= DNS_WINDOW_US)
+    })
 }
 
 /// Detect TTL anomalies: any incoming TCP packet whose TTL differs from
@@ -59,8 +72,34 @@ pub fn detect_ttl(http_capture: &Capture) -> bool {
     })
 }
 
+/// Buffers the detectors fill per measurement, reused from one to the
+/// next.
+#[derive(Debug, Default)]
+pub struct DetectScratch {
+    /// Incoming data segments inside the stream window.
+    segments: Vec<DataSegment>,
+    /// Stream offsets of incoming RSTs.
+    rsts: Vec<u32>,
+}
+
+/// One incoming data segment, as a range of the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct DataSegment {
+    /// Offset of its first byte from the stream's first.
+    off: u32,
+    /// Offset one past its last byte.
+    end: u32,
+    /// Index of its packet in the capture (where its bytes are).
+    at: u32,
+}
+
 /// Detect sequence-number anomalies.
 pub fn detect_seqno(http_capture: &Capture) -> bool {
+    detect_seqno_into(http_capture, &mut DetectScratch::default())
+}
+
+/// [`detect_seqno`] over caller-owned buffers.
+pub fn detect_seqno_into(http_capture: &Capture, scratch: &mut DetectScratch) -> bool {
     // Establish the stream origin from the SYNACK.
     let stream_start = match http_capture
         .incoming_tcp()
@@ -73,74 +112,59 @@ pub fn detect_seqno(http_capture: &Capture) -> bool {
     let rel = |seq: u32| seq.wrapping_sub(stream_start);
 
     // Collect incoming data segments as relative ranges.
-    let mut segments: Vec<(u32, Vec<u8>)> = Vec::new();
-    let mut rsts: Vec<u32> = Vec::new();
-    for (_, seg) in http_capture.incoming_tcp() {
+    let DetectScratch { segments, rsts } = scratch;
+    segments.clear();
+    rsts.clear();
+    for (at, cp) in http_capture.packets.iter().enumerate() {
+        let Some(seg) = cp.pkt.as_tcp().filter(|_| cp.dir == Direction::In) else { continue };
         if seg.flags.contains(TcpFlags::RST) {
             rsts.push(rel(seg.seq));
         } else if seg.has_data() {
             let off = rel(seg.seq);
-            if off < 1 << 24 {
-                segments.push((off, seg.payload.clone()));
+            if off < STREAM_WINDOW {
+                segments.push(DataSegment { off, end: off + seg.payload.len() as u32, at: at as u32 });
             }
         }
     }
+    let bytes = |s: &DataSegment| -> &[u8] {
+        &http_capture.packets[s.at as usize].pkt.as_tcp().expect("collected from TCP packets").payload
+    };
 
     // Rule 1: overlapping ranges with differing content.
-    for (i, (a_off, a_pay)) in segments.iter().enumerate() {
-        for (b_off, b_pay) in segments.iter().skip(i + 1) {
-            let a_end = a_off + a_pay.len() as u32;
-            let b_end = b_off + b_pay.len() as u32;
-            let lo = (*a_off).max(*b_off);
-            let hi = a_end.min(b_end);
+    for (i, a) in segments.iter().enumerate() {
+        for b in segments.iter().skip(i + 1) {
+            let lo = a.off.max(b.off);
+            let hi = a.end.min(b.end);
             if lo >= hi {
                 continue; // disjoint
             }
-            let a_slice = &a_pay[(lo - a_off) as usize..(hi - a_off) as usize];
-            let b_slice = &b_pay[(lo - b_off) as usize..(hi - b_off) as usize];
+            let a_slice = &bytes(a)[(lo - a.off) as usize..(hi - a.off) as usize];
+            let b_slice = &bytes(b)[(lo - b.off) as usize..(hi - b.off) as usize];
             if a_slice != b_slice {
                 return true;
             }
         }
     }
 
-    // Rule 2: a gap in the stream that never fills.
-    if !segments.is_empty() {
-        let mut ranges: Vec<(u32, u32)> =
-            segments.iter().map(|(o, p)| (*o, *o + p.len() as u32)).collect();
-        ranges.sort();
-        let mut covered_end = 0u32;
-        let mut gap = false;
-        for (s, e) in ranges {
-            if s > covered_end {
-                gap = true;
-                break;
-            }
-            covered_end = covered_end.max(e);
-        }
-        if gap {
+    // Rule 2: a gap in the stream that never fills. (Capture order has
+    // served its purpose; rule 3 asks only which boundaries exist.)
+    segments.sort_unstable();
+    let mut covered_end = 0u32;
+    for s in segments.iter() {
+        if s.off > covered_end {
             return true;
         }
+        covered_end = covered_end.max(s.end);
     }
 
     // Rule 3: an RST whose sequence number aligns with no segment boundary.
-    if !rsts.is_empty() {
-        let mut boundaries: Vec<u32> = vec![0];
-        for (o, p) in &segments {
-            boundaries.push(*o);
-            boundaries.push(*o + p.len() as u32);
-        }
-        for r in rsts {
-            // Plausible positions: within the stream (small positive
-            // offsets) or just before it (small negative offsets — sloppy
-            // injectors undershoot too).
-            let plausible = !(1 << 24..=u32::MAX - 4096).contains(&r);
-            if plausible && !boundaries.contains(&r) {
-                return true;
-            }
-        }
-    }
-    false
+    rsts.iter().any(|&r| {
+        // Plausible positions: within the stream (small positive
+        // offsets) or just before it (small negative offsets — sloppy
+        // injectors undershoot too).
+        let plausible = !(STREAM_WINDOW..=u32::MAX - 4096).contains(&r);
+        plausible && r != 0 && !segments.iter().any(|s| s.off == r || s.end == r)
+    })
 }
 
 /// Detect RESET anomalies: any incoming RST on the measured connection.
@@ -155,48 +179,82 @@ pub fn detect_reset(http_capture: &Capture) -> bool {
 /// race — or arrived after an injected RST — is still visible), plus the
 /// Jones-et-al length heuristic against the censor-free US control body
 /// for pages the fingerprint list does not know.
+///
+/// The adapter over [`detect_block_compiled`].
 pub fn detect_block(
     http_capture: &Capture,
     outcome: &FlowOutcome,
     fingerprints: &[&str],
     control_body: Option<&[u8]>,
 ) -> bool {
+    detect_block_compiled(
+        http_capture,
+        assembled_body(outcome),
+        &FingerprintSet::compile(fingerprints),
+        control_body,
+    )
+}
+
+/// The body the browser assembled, if the fetch completed.
+fn assembled_body(outcome: &FlowOutcome) -> Option<&[u8]> {
+    match outcome {
+        FlowOutcome::HttpOk(r) => Some(&r.body),
+        _ => None,
+    }
+}
+
+/// [`detect_block`] over a compiled fingerprint list and the assembled
+/// body (`None` when the fetch did not complete).
+pub fn detect_block_compiled(
+    http_capture: &Capture,
+    body: Option<&[u8]>,
+    fingerprints: &FingerprintSet,
+    control_body: Option<&[u8]>,
+) -> bool {
     // Raw-capture fingerprint scan.
-    for (_, seg) in http_capture.incoming_tcp() {
-        if !seg.has_data() {
-            continue;
-        }
-        let text = String::from_utf8_lossy(&seg.payload);
-        if fingerprints.iter().any(|f| text.contains(f)) {
-            return true;
-        }
+    if http_capture.incoming_tcp().any(|(_, seg)| seg.has_data() && fingerprints.is_match(&seg.payload)) {
+        return true;
     }
     // Length heuristic on what the browser actually assembled.
-    let resp = match outcome {
-        FlowOutcome::HttpOk(r) => r,
-        _ => return false,
-    };
-    let body = resp.body_text();
-    if let Some(control) = control_body {
-        // Jones et al.: blockpages differ starkly in length from the real
-        // page. Flag HTML bodies under 30% / over 333% of the control size.
-        let got = resp.body.len() as f64;
-        let want = control.len().max(1) as f64;
-        let ratio = got / want;
-        if !(0.30..=3.33).contains(&ratio) && body.to_ascii_lowercase().contains("<html") {
-            return true;
-        }
-    }
-    false
+    let (Some(body), Some(control)) = (body, control_body) else { return false };
+    // Jones et al.: blockpages differ starkly in length from the real
+    // page. Flag HTML bodies under 30% / over 333% of the control size.
+    let got = body.len() as f64;
+    let want = control.len().max(1) as f64;
+    let ratio = got / want;
+    !(0.30..=3.33).contains(&ratio)
+        && String::from_utf8_lossy(body).to_ascii_lowercase().contains("<html")
 }
 
 /// Run all five detectors over one measurement's artifacts.
+///
+/// The adapter over [`detect_all_into`].
 pub fn detect_all(
     dns_capture: &Capture,
     http_capture: &Capture,
     http_outcome: &FlowOutcome,
     fingerprints: &[&str],
     control_body: Option<&[u8]>,
+) -> AnomalySet {
+    detect_all_into(
+        dns_capture,
+        http_capture,
+        assembled_body(http_outcome),
+        &FingerprintSet::compile(fingerprints),
+        control_body,
+        &mut DetectScratch::default(),
+    )
+}
+
+/// [`detect_all`] over a compiled fingerprint list, the assembled body
+/// (`None` when the fetch did not complete) and caller-owned buffers.
+pub fn detect_all_into(
+    dns_capture: &Capture,
+    http_capture: &Capture,
+    body: Option<&[u8]>,
+    fingerprints: &FingerprintSet,
+    control_body: Option<&[u8]>,
+    scratch: &mut DetectScratch,
 ) -> AnomalySet {
     let mut set = AnomalySet::empty();
     if detect_dns(dns_capture) {
@@ -205,13 +263,13 @@ pub fn detect_all(
     if detect_ttl(http_capture) {
         set.insert(AnomalyType::Ttl);
     }
-    if detect_seqno(http_capture) {
+    if detect_seqno_into(http_capture, scratch) {
         set.insert(AnomalyType::Seqno);
     }
     if detect_reset(http_capture) {
         set.insert(AnomalyType::Reset);
     }
-    if detect_block(http_capture, http_outcome, fingerprints, control_body) {
+    if detect_block_compiled(http_capture, body, fingerprints, control_body) {
         set.insert(AnomalyType::Block);
     }
     set
@@ -395,6 +453,54 @@ mod tests {
         assert!(detect_dns(&cap));
         // The injected response arrives first (closer).
         assert_ne!(responses[0].answers[0].addr, p.server_ip);
+    }
+
+    /// A SYNACK, then whatever `then` holds, as `(stream offset, flags,
+    /// payload)` arrivals.
+    fn stream_capture(then: &[(u32, TcpFlags, &[u8])]) -> Capture {
+        let isn = 77u32;
+        let mut cap = Capture::new();
+        let mut push = |t: u64, seq: u32, flags: TcpFlags, payload: &[u8]| {
+            let seg = churnlab_net::TcpSegment {
+                src_port: 80,
+                dst_port: 4000,
+                seq,
+                ack: 0,
+                flags,
+                window: 0,
+                payload: payload.into(),
+            };
+            cap.push(t, Direction::In, churnlab_net::Ipv4Packet::tcp(2, 1, 60, 0, seg));
+        };
+        push(0, isn, TcpFlags::SYN | TcpFlags::ACK, b"");
+        for (i, &(off, flags, payload)) in then.iter().enumerate() {
+            push(10 + i as u64, isn.wrapping_add(1).wrapping_add(off), flags, payload);
+        }
+        cap
+    }
+
+    /// Reassembly and both SEQNO rules draw the plausible-stream window
+    /// at the same offset: `STREAM_WINDOW - 1` is inside, `STREAM_WINDOW`
+    /// is not (`flow.rs` holds reassembly to the same boundary).
+    #[test]
+    fn seqno_rules_share_the_stream_window_boundary() {
+        let data = TcpFlags::PSH | TcpFlags::ACK;
+        const X: &[u8] = b"x";
+        const NONE: &[u8] = b"";
+        let head: (u32, TcpFlags, &[u8]) = (0, data, b"in order");
+        assert!(!detect_seqno(&stream_capture(&[head])));
+        // Data just inside the window is a segment the stream never
+        // reaches — an unfilled gap; at the window it is not collected.
+        assert!(detect_seqno(&stream_capture(&[head, (STREAM_WINDOW - 1, data, X)])));
+        assert!(!detect_seqno(&stream_capture(&[head, (STREAM_WINDOW, data, X)])));
+        // An RST just inside the window aligns with no boundary; at the
+        // window it is not judged; on a boundary it is fine.
+        assert!(detect_seqno(&stream_capture(&[head, (STREAM_WINDOW - 1, TcpFlags::RST, NONE)])));
+        assert!(!detect_seqno(&stream_capture(&[head, (STREAM_WINDOW, TcpFlags::RST, NONE)])));
+        assert!(!detect_seqno(&stream_capture(&[head, (8, TcpFlags::RST, NONE)])));
+        // Just before the stream is judged too (sloppy injectors undershoot).
+        assert!(detect_seqno(&stream_capture(&[head, (0u32.wrapping_sub(4096), TcpFlags::RST, NONE)])));
+        assert!(!detect_seqno(&stream_capture(&[head, (0u32.wrapping_sub(4097), TcpFlags::RST, NONE)])));
     }
 
     #[test]

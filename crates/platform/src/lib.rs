@@ -20,6 +20,8 @@
 //!   with the SYNACK, overlapping/gapped sequence ranges, spurious RSTs,
 //!   and blockpage fingerprint/length matching (Jones et al. style, with
 //!   a censor-free US control body).
+//! * [`fingerprint`] — the blockpage fingerprint list compiled into a
+//!   one-pass multi-pattern scan over raw payload bytes.
 //! * [`noise`] — measurement imperfection: detector false
 //!   positives/negatives, organic server RSTs (the paper's explanation for
 //!   unsolvable RST CNFs), organic loss/retransmission, traceroute
@@ -36,6 +38,7 @@
 
 pub mod anomaly;
 pub mod detect;
+pub mod fingerprint;
 pub mod measurement;
 pub mod noise;
 pub mod obs;
@@ -46,6 +49,7 @@ pub mod urls;
 pub mod vantage;
 
 pub use anomaly::{AnomalySet, AnomalyType};
+pub use fingerprint::FingerprintSet;
 pub use measurement::{Measurement, TracerouteRecord};
 pub use noise::NoiseConfig;
 pub use obs::CampaignObs;

@@ -15,9 +15,18 @@
 //!
 //! Measurements stream to a sink (the paper-scale run produces millions of
 //! records; holding them all is the *caller's* choice).
+//!
+//! A test costs what its packets carry. What every test of a URL shares —
+//! the serialised GET and page, the encoded DNS question and answer — is
+//! built once per URL campaign, and steps 2–4 run in per-worker buffers
+//! (hop path, armed censors, both captures, reassembly and detector
+//! scratch) that the next test clears and refills; what a test allocates
+//! is the record it returns and the two DNS wires it stamps its
+//! transaction id on.
 
 use crate::anomaly::{AnomalySet, AnomalyType};
-use crate::detect;
+use crate::detect::{self, DetectScratch};
+use crate::fingerprint::FingerprintSet;
 use crate::measurement::{Measurement, TracerouteRecord};
 use crate::noise::NoiseConfig;
 use crate::obs::{CampaignObs, CampaignWorkerObs};
@@ -28,8 +37,8 @@ use crate::vantage::{self, VantagePoint};
 use churnlab_bgp::RoutingSim;
 use churnlab_censor::{ActiveCensor, CensorshipScenario, CompiledCensor, TestContext};
 use churnlab_net::{
-    DnsMessage, FlowConfig, FlowSimulator, HopPath, HttpRequest, HttpResponse, OnPathObserver,
-    Traceroute,
+    Capture, DnsMessage, FlowConfig, FlowSimulator, HopPath, HttpRequest, HttpResponse,
+    Reassembly, SharedBytes, Traceroute,
 };
 use churnlab_topology::{Asn, GeneratedWorld, Ip2AsDb};
 use rand::rngs::StdRng;
@@ -51,15 +60,72 @@ struct PathBuffers {
     alt: Vec<Asn>,
 }
 
-/// Per-worker mutable state for the campaign loop: the reused path
-/// buffers, the reused day-subset buffer, and the worker's private stats
-/// accumulator (merged after the join — workers never share mutable
-/// state).
+/// What every test of one URL puts on the wire, built once per URL
+/// campaign: a worker holds one of these at a time, so a 2,400-URL corpus
+/// costs a page of memory per worker, not per URL.
 #[derive(Default)]
-struct WorkerCtx {
-    paths: PathBuffers,
+struct UrlWire {
+    /// The encoded A query for the URL's domain, transaction id 0 (each
+    /// test stamps its own).
+    dns_query: Vec<u8>,
+    /// The honest resolver's encoded answer, transaction id 0.
+    dns_answer: Vec<u8>,
+    /// The serialised GET.
+    get: SharedBytes,
+    /// The serialised genuine response; its segments are slices of it.
+    page: SharedBytes,
+    /// Where the body — the detector's censor-free control — starts in
+    /// `page`.
+    body_at: usize,
+}
+
+impl UrlWire {
+    fn of(url: &UrlEntry) -> Self {
+        let query = DnsMessage::query(0, &url.domain);
+        let honest = DnsMessage::answer(&query, url.server_ip, 300);
+        let body = url.body();
+        let page = SharedBytes::from(HttpResponse::ok(&body).serialize());
+        UrlWire {
+            dns_query: query.encode().expect("corpus domains are valid names"),
+            dns_answer: honest.encode().expect("corpus domains are valid names"),
+            get: HttpRequest::get(&url.domain, &url.path).serialize().into(),
+            body_at: page.len() - body.len(),
+            page,
+        }
+    }
+
+    /// The genuine page body.
+    fn body(&self) -> &[u8] {
+        &self.page[self.body_at..]
+    }
+}
+
+/// Per-worker mutable state for the campaign loop: the reused
+/// day-subset buffer, the worker's private stats accumulator (merged
+/// after the join — workers never share mutable state), and the buffers
+/// its tests run in.
+#[derive(Default)]
+struct WorkerCtx<'p> {
     day_vps: Vec<usize>,
     acc: StatsAccumulator,
+    test: TestBuffers<'p>,
+}
+
+/// What one test reads and fills: the current URL's wire bytes, and every
+/// buffer a test needs — cleared by the next test, not reallocated.
+#[derive(Default)]
+struct TestBuffers<'p> {
+    paths: PathBuffers,
+    wire: UrlWire,
+    /// The test's router-level path, and the route-shift traceroute's.
+    hops: HopPath,
+    alt_hops: HopPath,
+    /// Censors armed on the test's path, with their AS positions.
+    armed: Vec<(usize, ActiveCensor<'p>)>,
+    dns_cap: Capture,
+    http_cap: Capture,
+    reassembly: Reassembly,
+    detect: DetectScratch,
 }
 
 /// Per-worker busy-time attribution for a parallel campaign run — the
@@ -249,7 +315,7 @@ pub struct Platform<'w> {
     corpus: UrlCorpus,
     vantage: Vec<VantagePoint>,
     compiled: HashMap<Asn, CompiledCensor>,
-    fingerprints: Vec<&'static str>,
+    fingerprints: FingerprintSet,
     measured_ip2as: Ip2AsDb,
 }
 
@@ -306,7 +372,8 @@ impl<'w> Platform<'w> {
         // the staleness noise model).
         let measured_ip2as =
             world.registry_ip2as().degraded(cfg.noise.ip2as, &all_asns, &mut db_rng);
-        let platform = Platform { world, cfg, corpus, vantage, compiled, fingerprints: churnlab_censor::blockpage::fingerprint_list(), measured_ip2as };
+        let fingerprints = FingerprintSet::compile(&churnlab_censor::blockpage::fingerprint_list());
+        let platform = Platform { world, cfg, corpus, vantage, compiled, fingerprints, measured_ip2as };
         // A sampling schedule must honor its configured coverage floor.
         // The rotation's per-pair pick count is exact (see [`crate::schedule`]),
         // so this is a static check at assembly time, not a runtime hope.
@@ -367,15 +434,16 @@ impl<'w> Platform<'w> {
     /// is the unit of work both the serial and the parallel runner share —
     /// all randomness is derived from (seed, url, day), so a URL's stream
     /// is identical no matter which worker runs it.
-    fn run_url_campaign(
-        &self,
+    fn run_url_campaign<'p>(
+        &'p self,
         sim: &RoutingSim,
         url: &UrlEntry,
         schedule: &FleetSchedule,
-        ctx: &mut WorkerCtx,
+        ctx: &mut WorkerCtx<'p>,
         obs: Option<&CampaignWorkerObs>,
         sink: &mut impl FnMut(Measurement),
     ) {
+        ctx.test.wire = UrlWire::of(url);
         let interval = self.cfg.testing_interval_days();
         // URL-list sweeps: every scheduled vantage point tests a URL on
         // the same testing days (the platform walks its list on a global
@@ -411,7 +479,7 @@ impl<'w> Platform<'w> {
                     // route changes are observable.
                     let seg = (epochs_per_day * t / k, (epochs_per_day * (t + 1) / k).max(epochs_per_day * t / k + 1));
                     let slot = rng.gen_range(seg.0..seg.1.min(epochs_per_day));
-                    let m = self.run_test(sim, vp, url.id, day, slot, &mut rng, &mut ctx.paths);
+                    let m = self.run_test(sim, vp, url, day, slot, &mut rng, &mut ctx.test);
                     ctx.acc.add(&m);
                     if let Some(o) = obs {
                         o.run.inc();
@@ -425,9 +493,9 @@ impl<'w> Platform<'w> {
     /// Run the full measurement campaign, streaming records to `sink`.
     pub fn run(&self, sim: &RoutingSim, mut sink: impl FnMut(Measurement)) -> DatasetStats {
         let schedule = self.fleet_schedule();
-        // Path buffers and the day-subset buffer are reused across every
-        // test in the campaign (the routing layer fills paths in place —
-        // no per-measurement Vec).
+        // One context for the whole campaign: every buffer a test fills
+        // is reused by the next (the routing layer fills paths in place,
+        // the flow simulator captures in place — no per-measurement Vec).
         let mut ctx = WorkerCtx::default();
         for url in self.corpus.entries() {
             self.run_url_campaign(sim, url, &schedule, &mut ctx, None, &mut sink);
@@ -435,11 +503,11 @@ impl<'w> Platform<'w> {
         ctx.acc.finish(&self.world.topology)
     }
 
-    /// Run the campaign across `threads` scoped worker threads. URLs are
-    /// the unit of work, claimed from a shared atomic counter (dynamic
-    /// load balancing); each worker owns its own [`PathBuffers`] and
-    /// [`StatsAccumulator`] and streams into its own sink from
-    /// `make_sink(worker_index)`. Because every per-(url, day) RNG is
+    /// Run the campaign across `threads` workers: the calling thread and
+    /// `threads - 1` scoped threads. URLs are the unit of work, claimed
+    /// from a shared atomic counter (dynamic load balancing); each worker
+    /// owns its own test buffers and [`StatsAccumulator`] and streams into
+    /// its own sink from `make_sink(worker_index)`. Because every per-(url, day) RNG is
     /// reseeded from (seed, url, day), a URL's measurement stream is
     /// byte-identical no matter which worker runs it — the parallel run
     /// produces exactly the serial run's records, partitioned.
@@ -473,55 +541,49 @@ impl<'w> Platform<'w> {
         let schedule = self.fleet_schedule();
         let entries = self.corpus.entries();
         let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let schedule = &schedule;
-                    let next = &next;
-                    let make_sink = &make_sink;
-                    scope.spawn(move || {
-                        let wall0 = Instant::now();
-                        let cpu0 = churnlab_obs::thread_cpu_nanos();
-                        let mut sink = make_sink(w);
-                        let wobs = obs.map(|o| o.worker(w));
-                        let mut ctx = WorkerCtx::default();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(url) = entries.get(i) else { break };
-                            self.run_url_campaign(
-                                sim,
-                                url,
-                                schedule,
-                                &mut ctx,
-                                wobs.as_ref(),
-                                &mut sink,
-                            );
-                        }
-                        // Flush buffering sinks (e.g. engine feeders)
-                        // before the clock stops: the flush is part of
-                        // this worker's generation work.
-                        drop(sink);
-                        let (busy, cpu_clock) = match (cpu0, churnlab_obs::thread_cpu_nanos()) {
-                            (Some(a), Some(b)) => (b.saturating_sub(a), true),
-                            _ => (wall0.elapsed().as_nanos() as u64, false),
-                        };
-                        if let Some(o) = &wobs {
-                            o.busy.add(busy);
-                        }
-                        (ctx.acc, busy, cpu_clock)
-                    })
-                })
-                .collect();
-            let mut acc = StatsAccumulator::new();
-            let mut busy = CampaignBusy { per_worker_nanos: Vec::with_capacity(threads), cpu_clock: true };
-            for h in handles {
-                let (a, nanos, cpu_clock) = h.join().expect("campaign worker panicked");
-                acc.merge(a);
-                busy.per_worker_nanos.push(nanos);
-                busy.cpu_clock &= cpu_clock;
+        let worker = |w: usize| {
+            let wall0 = Instant::now();
+            let cpu0 = churnlab_obs::thread_cpu_nanos();
+            let mut sink = make_sink(w);
+            let wobs = obs.map(|o| o.worker(w));
+            let mut ctx = WorkerCtx::default();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(url) = entries.get(i) else { break };
+                self.run_url_campaign(sim, url, &schedule, &mut ctx, wobs.as_ref(), &mut sink);
             }
-            ParallelRun { stats: acc.finish(&self.world.topology), busy }
-        })
+            // Flush buffering sinks (e.g. engine feeders) before the
+            // clock stops: the flush is part of this worker's generation
+            // work.
+            drop(sink);
+            let (busy, cpu_clock) = match (cpu0, churnlab_obs::thread_cpu_nanos()) {
+                (Some(a), Some(b)) => (b.saturating_sub(a), true),
+                _ => (wall0.elapsed().as_nanos() as u64, false),
+            };
+            if let Some(o) = &wobs {
+                o.busy.add(busy);
+            }
+            (ctx.acc, busy, cpu_clock)
+        };
+        // The caller is worker 0: N workers keep N threads busy, not N
+        // and one parked in `join` — and a one-worker campaign allocates
+        // what it streams where the caller will free it, not in a heap
+        // of its own that outlives every pass at its high-water mark.
+        let results = std::thread::scope(|scope| {
+            let worker = &worker;
+            let spawned: Vec<_> = (1..threads).map(|w| scope.spawn(move || worker(w))).collect();
+            let mut results = vec![worker(0)];
+            results.extend(spawned.into_iter().map(|h| h.join().expect("campaign worker panicked")));
+            results
+        });
+        let mut acc = StatsAccumulator::new();
+        let mut busy = CampaignBusy { per_worker_nanos: Vec::with_capacity(threads), cpu_clock: true };
+        for (a, nanos, cpu_clock) in results {
+            acc.merge(a);
+            busy.per_worker_nanos.push(nanos);
+            busy.cpu_clock &= cpu_clock;
+        }
+        ParallelRun { stats: acc.finish(&self.world.topology), busy }
     }
 
     /// Run the full measurement campaign, handing each measurement to
@@ -575,19 +637,22 @@ impl<'w> Platform<'w> {
         (out, run.stats)
     }
 
-    /// Execute one test.
+    /// Execute one test of `url` — the URL `bufs.wire` was built for.
     #[allow(clippy::too_many_arguments)]
-    fn run_test(
-        &self,
+    fn run_test<'p>(
+        &'p self,
         sim: &RoutingSim,
         vp: &VantagePoint,
-        url_id: u32,
+        url: &UrlEntry,
         day: u32,
         slot: u32,
         rng: &mut StdRng,
-        paths: &mut PathBuffers,
+        bufs: &mut TestBuffers<'p>,
     ) -> Measurement {
-        let url = self.corpus.get(url_id);
+        let TestBuffers {
+            paths, wire, hops, alt_hops, armed, dns_cap, http_cap, reassembly, detect: scratch,
+        } = bufs;
+        let url_id = url.id;
         let epoch = sim.mapper().epoch(day, slot);
         let topo = &self.world.topology;
         let vp_idx = topo.idx(vp.asn).expect("vantage AS exists");
@@ -611,7 +676,7 @@ impl<'w> Platform<'w> {
         }
         let asn_path: &[Asn] = &paths.main;
 
-        let hop_path = HopPath::expand(
+        hops.expand_into(
             asn_path,
             &self.world.prefixes,
             vp.ip,
@@ -619,6 +684,7 @@ impl<'w> Platform<'w> {
             self.cfg.routers_per_as,
             rng,
         );
+        let hop_path: &HopPath = hops;
 
         // Arm every censoring AS on the path.
         let flow_cfg = FlowConfig {
@@ -629,13 +695,11 @@ impl<'w> Platform<'w> {
             organic_loss: rng.gen_bool(self.cfg.noise.organic_loss_prob.clamp(0.0, 1.0)),
             ..FlowConfig::default()
         };
-        let server_remaining =
-            flow_cfg.server_init_ttl.saturating_sub(hop_path.len() as u8 - 1);
-        let mut armed: Vec<(usize, ActiveCensor)> = Vec::new();
+        armed.clear();
         for (pos, asn) in asn_path.iter().enumerate() {
             if let Some(compiled) = self.compiled.get(asn) {
                 let hop = hop_path.first_hop_of_as(pos).expect("AS on path has hops");
-                let mimic = server_remaining.saturating_add(hop as u8);
+                let mimic = hop_path.mimic_init_ttl(hop, flow_cfg.server_init_ttl);
                 armed.push((
                     pos,
                     ActiveCensor::new(compiled, TestContext { day, mimic_init_ttl: mimic }),
@@ -644,29 +708,29 @@ impl<'w> Platform<'w> {
         }
 
         // --- DNS test -----------------------------------------------------
-        let query = DnsMessage::query(rng.gen(), &url.domain);
-        let honest = DnsMessage::answer(&query, url.server_ip, 300);
-        let mut observers: Vec<(usize, &mut dyn OnPathObserver)> =
-            armed.iter_mut().map(|(p, c)| (*p, c as &mut dyn OnPathObserver)).collect();
-        let (dns_cap, _responses) =
-            FlowSimulator::dns_lookup(&hop_path, &flow_cfg, &query, Some(&honest), &mut observers);
+        let id: u16 = rng.gen();
+        FlowSimulator::dns_lookup_into(
+            hop_path,
+            &flow_cfg,
+            DnsMessage::stamp_id(&wire.dns_query, id),
+            Some(DnsMessage::stamp_id(&wire.dns_answer, id)),
+            armed,
+            dns_cap,
+        );
 
         // --- HTTP test ----------------------------------------------------
-        let request = HttpRequest::get(&url.domain, &url.path);
-        let genuine_body = url.body();
-        let genuine = HttpResponse::ok(&genuine_body);
-        let mut observers: Vec<(usize, &mut dyn OnPathObserver)> =
-            armed.iter_mut().map(|(p, c)| (*p, c as &mut dyn OnPathObserver)).collect();
-        let (http_cap, outcome) =
-            FlowSimulator::http_get(&hop_path, &flow_cfg, &request, &genuine, &mut observers);
+        let fetched = FlowSimulator::http_get_into(
+            hop_path, &flow_cfg, &wire.get, &wire.page, armed, http_cap, reassembly,
+        );
 
         // --- Detection -----------------------------------------------------
-        let mut detected = detect::detect_all(
-            &dns_cap,
-            &http_cap,
-            &outcome,
+        let mut detected = detect::detect_all_into(
+            dns_cap,
+            http_cap,
+            fetched.body(),
             &self.fingerprints,
-            Some(genuine_body.as_bytes()),
+            Some(wire.body()),
+            scratch,
         );
         // Detector noise. Real detector failures are *systematic* — a
         // vantage whose capture setup mangles TTLs mangles them every time;
@@ -702,7 +766,7 @@ impl<'w> Platform<'w> {
                 let changed = sim.asn_path_into(vp_idx, dest_idx, epoch + 1, &mut paths.alt)
                     && paths.alt != asn_path;
                 if changed {
-                    let alt_path = HopPath::expand(
+                    alt_hops.expand_into(
                         &paths.alt,
                         &self.world.prefixes,
                         vp.ip,
@@ -710,14 +774,14 @@ impl<'w> Platform<'w> {
                         self.cfg.routers_per_as,
                         rng,
                     );
-                    let t = Traceroute::run(&alt_path, &self.cfg.noise.traceroute, rng);
+                    let t = Traceroute::run(alt_hops, &self.cfg.noise.traceroute, rng);
                     TracerouteRecord { hops: t.hops, error: t.error }
                 } else {
-                    let t = Traceroute::run(&hop_path, &self.cfg.noise.traceroute, rng);
+                    let t = Traceroute::run(hop_path, &self.cfg.noise.traceroute, rng);
                     TracerouteRecord { hops: t.hops, error: t.error }
                 }
             } else {
-                let t = Traceroute::run(&hop_path, &self.cfg.noise.traceroute, rng);
+                let t = Traceroute::run(hop_path, &self.cfg.noise.traceroute, rng);
                 TracerouteRecord { hops: t.hops, error: t.error }
             };
             traceroutes.push(record);
