@@ -50,14 +50,13 @@
 
 use crate::cli::{self, Args, Flag, Kind, Sub, OUT, POSITIVE, REPEATS, SCALE_SMOKE, SEED};
 use crate::gate::{self, AsSweep, Gate, Plan, Sweep, SweepRow};
-use crate::routebench::{ALLOCS, COUNTING};
+use crate::routebench::counting_allocs;
 use crate::{scale_label, Bench};
 use churnlab_core::pipeline::PipelineConfig;
 use churnlab_engine::{campaign, Engine, EngineConfig};
 use churnlab_platform::{CampaignBusy, Platform, PlatformConfig};
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
-use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
 /// URL-corpus size the bench runs over (see the module docs).
@@ -69,7 +68,7 @@ pub const URLS: usize = 64;
 /// transaction id, and whatever an injecting censor forges.
 ///
 /// [`Measurement`]: churnlab_platform::Measurement
-pub const MAX_GEN_ALLOCS_PER_MEAS: f64 = 40.0;
+pub const MAX_GEN_ALLOCS_PER_MEAS: f64 = 12.0;
 
 /// `bench campaign`.
 pub const SUB: Sub = Sub {
@@ -147,11 +146,8 @@ impl<'w> CampaignHarness<'w> {
     /// simulator's route trees are cached; reads zero unless the process
     /// runs the `bench` binary's counting allocator.
     pub fn gen_allocs_per_meas(&self) -> f64 {
-        ALLOCS.store(0, Relaxed);
-        COUNTING.store(true, Relaxed);
-        let stats = self.platform.run(&self.sim, drop);
-        COUNTING.store(false, Relaxed);
-        ALLOCS.load(Relaxed) as f64 / stats.measurements.max(1) as f64
+        let (stats, allocs) = counting_allocs(|| self.platform.run(&self.sim, drop));
+        allocs as f64 / stats.measurements.max(1) as f64
     }
 }
 

@@ -34,6 +34,14 @@
 //! both: wall-clock efficiency at N shards lands near `1/N`, and the
 //! busy-time model shows one shard's busy time not shrinking as N grows.
 //!
+//! The report also carries the conversion stage's unit cost over the
+//! same campaign — `convert_ns_per_meas` and `convert_allocs_per_meas`,
+//! one warm [`convert_into`] pass on the calling thread, allocations
+//! counted by the binary's allocator (the one `bench route` audits
+//! with). A run gated against a `--baseline` fails above
+//! [`MAX_CONVERT_ALLOCS_PER_MEAS`]: the shard's conversion runs in its
+//! scratch, not the allocator.
+//!
 //! `--assert-overhead` is a dedicated mode: the same workload through a
 //! *stripped* engine (no metrics registry — zero atomic ops) and an
 //! instrumented one, interleaved best-of-`--repeats` with alternating
@@ -53,7 +61,9 @@
 use crate::cli::{self, Args, Flag, Kind, Rule, Sub, OUT, REPEATS, SCALE_SMOKE, SEED, UINT};
 use crate::gate::{self, AsSweep, Gate, Plan, Sweep, SweepRow};
 use crate::obsbench::{BenchObs, MetricsWriter};
+use crate::routebench::counting_allocs;
 use crate::{best_of, scale_label, Bench};
+use churnlab_core::convert::{convert_into, ConversionStats, ConvertScratch};
 use churnlab_core::pipeline::{Pipeline, PipelineConfig};
 use churnlab_engine::{Engine, EngineConfig, EngineStats};
 use churnlab_obs::Journal;
@@ -64,6 +74,9 @@ use std::time::Instant;
 
 /// Instrumentation may cost at most this fraction of stripped throughput.
 pub const MAX_OVERHEAD: f64 = 0.02;
+
+/// Ceiling on warm-path conversion's heap allocations per measurement.
+pub const MAX_CONVERT_ALLOCS_PER_MEAS: f64 = 0.0;
 
 /// `bench engine`.
 pub const SUB: Sub = Sub {
@@ -127,6 +140,30 @@ impl<'w> ThroughputHarness<'w> {
         let secs = start.elapsed().as_secs_f64();
         assert!(!results.outcomes.is_empty(), "pipeline produced no CNFs");
         secs
+    }
+
+    /// What conversion alone costs over the campaign: nanoseconds and
+    /// heap allocations per measurement of one [`convert_into`] pass on
+    /// this thread, after a first pass has sized the scratch. The
+    /// allocation count reads zero unless the process runs the `bench`
+    /// binary's counting allocator.
+    pub fn convert_cost(&self) -> (f64, f64) {
+        let db = self.platform.measured_ip2as();
+        let mut scratch = ConvertScratch::default();
+        let mut pass = || {
+            let mut stats = ConversionStats::default();
+            for m in &self.measurements {
+                std::hint::black_box(convert_into(m, db, &mut stats, &mut scratch));
+            }
+            stats
+        };
+        let warm = pass();
+        let start = Instant::now();
+        let (timed, allocs) = counting_allocs(&mut pass);
+        let nanos = start.elapsed().as_nanos() as f64;
+        assert_eq!(warm, timed, "conversion is a function of the measurement");
+        let n = self.measurements.len().max(1) as f64;
+        (nanos / n, allocs as f64 / n)
     }
 
     /// Time one engine pass with `shards` workers fed from `feeders`
@@ -234,6 +271,13 @@ pub struct ThroughputReport {
     pub pipeline_secs: f64,
     /// Batch pipeline measurements/sec.
     pub pipeline_meas_per_sec: f64,
+    /// Conversion alone, nanoseconds per measurement (see
+    /// [`ThroughputHarness::convert_cost`]).
+    #[serde(default)]
+    pub convert_ns_per_meas: f64,
+    /// Conversion alone, heap allocations per measurement, warm.
+    #[serde(default)]
+    pub convert_allocs_per_meas: f64,
     /// One row per shard count.
     pub engine: Vec<ThroughputRow>,
 }
@@ -321,6 +365,7 @@ pub fn run_throughput(
             gate::efficiency(base, row.shards, row.meas_per_sec, crit);
     }
 
+    let (convert_ns_per_meas, convert_allocs_per_meas) = harness.convert_cost();
     ThroughputReport {
         scale: scale_label.to_string(),
         seed,
@@ -328,6 +373,8 @@ pub fn run_throughput(
         available_cores: std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1),
         pipeline_secs,
         pipeline_meas_per_sec,
+        convert_ns_per_meas,
+        convert_allocs_per_meas,
         engine,
     }
 }
@@ -566,7 +613,20 @@ fn run(args: &Args) -> ExitCode {
             row.interner_hit_rate * 100.0,
         );
     }
-    gate::verdict(gate.who, &plan.conclude(&gate, &report.sweep(), &report, Vec::new()))
+    eprintln!(
+        "convert:  {:>10.0} ns/measurement, {:.3} allocations/measurement, warm",
+        report.convert_ns_per_meas, report.convert_allocs_per_meas
+    );
+    let over_ceiling = (plan.baseline.is_some()
+        && report.convert_allocs_per_meas > MAX_CONVERT_ALLOCS_PER_MEAS)
+        .then(|| {
+            format!(
+                "conversion allocates {:.3} times per measurement (ceiling {MAX_CONVERT_ALLOCS_PER_MEAS})",
+                report.convert_allocs_per_meas
+            )
+        });
+    let failures = plan.conclude(&gate, &report.sweep(), &report, over_ceiling.into_iter().collect());
+    gate::verdict(gate.who, &failures)
 }
 
 /// The overhead gate: instrumentation may cost at most [`MAX_OVERHEAD`].

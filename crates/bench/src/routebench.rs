@@ -66,6 +66,17 @@ pub static COUNTING: AtomicBool = AtomicBool::new(false);
 /// See [`COUNTING`].
 pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// Run `f` with the audit on: its result and the heap allocations made
+/// meanwhile (by any thread; zero unless the process runs the `bench`
+/// binary's allocator).
+pub fn counting_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.store(0, Relaxed);
+    COUNTING.store(true, Relaxed);
+    let out = f();
+    COUNTING.store(false, Relaxed);
+    (out, ALLOCS.load(Relaxed))
+}
+
 /// `bench route`.
 pub const SUB: Sub = Sub {
     name: "route",
@@ -396,11 +407,7 @@ fn run(args: &Args) -> ExitCode {
 
         // Steady-state allocation audit: everything is warm after
         // run_tier, so a fresh timed pass must not touch the allocator.
-        ALLOCS.store(0, Relaxed);
-        COUNTING.store(true, Relaxed);
-        harness.fast_pass(trees);
-        COUNTING.store(false, Relaxed);
-        row.steady_state_allocs = ALLOCS.load(Relaxed);
+        (_, row.steady_state_allocs) = counting_allocs(|| harness.fast_pass(trees));
 
         eprintln!(
             "{:<6} {:>6} ASes {:>7} links  reference {:>7.1} trees/s  fast {:>8.1} trees/s  \

@@ -12,6 +12,16 @@
 //!
 //! The vantage point's own AS is known to the platform operator (it is in
 //! the record) and anchors the front of every converted path.
+//!
+//! Every measurement of a study passes through here before a clause is
+//! written, so conversion is one streaming pass per traceroute
+//! ([`convert_into`]): each hop is looked up as it is read and collapsed
+//! straight into the AS sequence — the first traceroute into a
+//! caller-owned [`ConvertScratch`], the second and third compared
+//! against it in place. No per-hop vector, no per-traceroute path, no
+//! sort to learn that three paths agree, and — with the scratch reused —
+//! no allocation. [`convert_measurement`] is the same pass handing back
+//! an owned path.
 
 use churnlab_platform::{Measurement, TracerouteRecord};
 use churnlab_topology::{Asn, Ip2AsDb};
@@ -88,84 +98,137 @@ impl ConversionStats {
     }
 }
 
-/// Convert a single traceroute to an AS-level path.
-fn convert_one(
+/// Caller-owned working memory for [`convert_into`]: the converted path
+/// of the last call. Reused across calls, so steady-state conversion
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct ConvertScratch {
+    path: Vec<Asn>,
+}
+
+impl ConvertScratch {
+    /// Give up the buffer: the path of the last successful
+    /// [`convert_into`] call, owned.
+    pub fn into_path(self) -> Vec<Asn> {
+        self.path
+    }
+}
+
+/// Map and collapse one traceroute in a single pass: each hop goes
+/// through `db` as it is read and every AS boundary crossed is handed to
+/// `emit` — the vantage AS itself is the implied first element and is not
+/// emitted. Non-responsive and unmappable hops both count as unknown; a
+/// run of them is absorbed when the same AS flanks it and is ambiguous
+/// (rule 3) otherwise, as is an unknown final hop — the destination
+/// server, without which the path has no endpoint.
+fn collapse(
     tr: &TracerouteRecord,
     vp_asn: Asn,
     db: &Ip2AsDb,
-) -> Result<Vec<Asn>, DiscardReason> {
+    mut emit: impl FnMut(Asn),
+) -> Result<(), DiscardReason> {
     if tr.error.is_some() || tr.hops.is_empty() {
         return Err(DiscardReason::TracerouteError);
     }
-    // Map each hop; non-responsive and unmappable hops both become None.
-    let mapped: Vec<Option<Asn>> = tr
-        .hops
-        .iter()
-        .map(|h| h.and_then(|ip| db.lookup(ip)))
-        .collect();
-    if mapped.iter().all(|m| m.is_none()) {
-        return Err(DiscardReason::MappingImpossible);
-    }
-    // The final hop is the destination server; if it can't be identified
-    // the path's endpoint is unknown (inference impossible).
-    if mapped.last().expect("non-empty").is_none() {
-        return Err(DiscardReason::InferenceAmbiguous);
-    }
-    // Collapse into an AS sequence anchored at the vantage AS, checking
-    // that every None-run is flanked by the same AS on both sides.
-    let mut path = vec![vp_asn];
+    let mut last = vp_asn;
+    let mut any_mapped = false;
     let mut pending_gap = false;
-    for m in &mapped {
-        match m {
+    for hop in &tr.hops {
+        match hop.and_then(|ip| db.lookup(ip)) {
             None => pending_gap = true,
             Some(asn) => {
-                let last = *path.last().expect("anchored at vp");
-                if *asn == last {
-                    pending_gap = false; // gap inside one AS: absorbed
-                } else {
+                any_mapped = true;
+                if asn != last {
                     if pending_gap {
                         // Unknown hops between two different ASes: cannot
                         // infer who owns them.
                         return Err(DiscardReason::InferenceAmbiguous);
                     }
-                    path.push(*asn);
+                    emit(asn);
+                    last = asn;
                 }
+                pending_gap = false; // a gap inside one AS is absorbed
             }
         }
     }
-    Ok(path)
+    if !any_mapped {
+        Err(DiscardReason::MappingImpossible)
+    } else if pending_gap {
+        Err(DiscardReason::InferenceAmbiguous) // the final hop is unknown
+    } else {
+        Ok(())
+    }
 }
 
-/// Convert a full measurement (three traceroutes) under the paper's rules.
+/// Convert a full measurement (three traceroutes) under the paper's
+/// rules, into `scratch`: the first traceroute that converts is written
+/// to the scratch buffer, and every later one is checked against it hop
+/// by hop as it streams past — nothing else is stored, sorted or
+/// compared. Returns the AS-level path, vantage AS first, borrowed from
+/// `scratch` until the next call; `None` (with the reason counted in
+/// `stats`) when a rule discards the test. This is the one conversion;
+/// [`convert_measurement`] and
+/// [`crate::obs::ConvertedObs::from_measurement`] wrap it.
+pub fn convert_into<'s>(
+    m: &Measurement,
+    db: &Ip2AsDb,
+    stats: &mut ConversionStats,
+    scratch: &'s mut ConvertScratch,
+) -> Option<&'s [Asn]> {
+    if m.failed {
+        stats.discard(DiscardReason::TracerouteError);
+        return None;
+    }
+    let path = &mut scratch.path;
+    let mut have_path = false;
+    let mut diverged = false;
+    let mut first_err: Option<DiscardReason> = None;
+    for tr in &m.traceroutes {
+        let converted = if have_path {
+            // Walk the kept path in step with this traceroute's.
+            let mut at = 1;
+            let mut same = true;
+            let r = collapse(tr, m.vp_asn, db, |asn| {
+                same &= path.get(at) == Some(&asn);
+                at += 1;
+            });
+            // A traceroute that errors is no second path, whatever it
+            // emitted on the way.
+            diverged |= r.is_ok() && !(same && at == path.len());
+            r
+        } else {
+            path.clear();
+            path.push(m.vp_asn);
+            let r = collapse(tr, m.vp_asn, db, |asn| path.push(asn));
+            have_path = r.is_ok();
+            r
+        };
+        if let Err(e) = converted {
+            first_err = first_err.or(Some(e));
+        }
+    }
+    if !have_path {
+        stats.discard(first_err.unwrap_or(DiscardReason::TracerouteError));
+        return None;
+    }
+    if diverged {
+        stats.discard(DiscardReason::MultipleAsPaths);
+        return None;
+    }
+    stats.converted += 1;
+    Some(path)
+}
+
+/// [`convert_into`] for callers that want the path owned.
 pub fn convert_measurement(
     m: &Measurement,
     db: &Ip2AsDb,
     stats: &mut ConversionStats,
 ) -> Option<Vec<Asn>> {
-    if m.failed {
-        stats.discard(DiscardReason::TracerouteError);
-        return None;
-    }
-    let mut paths: Vec<Vec<Asn>> = Vec::with_capacity(3);
-    let mut first_err: Option<DiscardReason> = None;
-    for tr in &m.traceroutes {
-        match convert_one(tr, m.vp_asn, db) {
-            Ok(p) => paths.push(p),
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    if paths.is_empty() {
-        stats.discard(first_err.unwrap_or(DiscardReason::TracerouteError));
-        return None;
-    }
-    paths.sort();
-    paths.dedup();
-    if paths.len() > 1 {
-        stats.discard(DiscardReason::MultipleAsPaths);
-        return None;
-    }
-    stats.converted += 1;
-    paths.pop()
+    // Room for a typical path up front: one allocation, not a growth chain.
+    let mut scratch = ConvertScratch { path: Vec::with_capacity(8) };
+    convert_into(m, db, stats, &mut scratch)?;
+    Some(scratch.into_path())
 }
 
 #[cfg(test)]
@@ -173,6 +236,8 @@ mod tests {
     use super::*;
     use churnlab_platform::AnomalySet;
     use churnlab_topology::Ipv4Prefix;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn db() -> Ip2AsDb {
         Ip2AsDb::from_entries([
@@ -325,5 +390,150 @@ mod tests {
         s.discard(DiscardReason::MappingImpossible);
         assert!((s.conversion_rate() - 0.75).abs() < 1e-9);
         assert_eq!(ConversionStats::default().conversion_rate(), 0.0);
+    }
+
+    /// The conversion [`convert_into`] replaced, verbatim: a mapped vector
+    /// and a path vector per traceroute, then sort + dedup to learn that
+    /// the paths agree.
+    mod oracle {
+        use super::*;
+
+        /// Convert a single traceroute to an AS-level path.
+        fn convert_one(
+            tr: &TracerouteRecord,
+            vp_asn: Asn,
+            db: &Ip2AsDb,
+        ) -> Result<Vec<Asn>, DiscardReason> {
+            if tr.error.is_some() || tr.hops.is_empty() {
+                return Err(DiscardReason::TracerouteError);
+            }
+            // Map each hop; non-responsive and unmappable hops both become None.
+            let mapped: Vec<Option<Asn>> = tr
+                .hops
+                .iter()
+                .map(|h| h.and_then(|ip| db.lookup(ip)))
+                .collect();
+            if mapped.iter().all(|m| m.is_none()) {
+                return Err(DiscardReason::MappingImpossible);
+            }
+            // The final hop is the destination server; if it can't be identified
+            // the path's endpoint is unknown (inference impossible).
+            if mapped.last().expect("non-empty").is_none() {
+                return Err(DiscardReason::InferenceAmbiguous);
+            }
+            // Collapse into an AS sequence anchored at the vantage AS, checking
+            // that every None-run is flanked by the same AS on both sides.
+            let mut path = vec![vp_asn];
+            let mut pending_gap = false;
+            for m in &mapped {
+                match m {
+                    None => pending_gap = true,
+                    Some(asn) => {
+                        let last = *path.last().expect("anchored at vp");
+                        if *asn == last {
+                            pending_gap = false; // gap inside one AS: absorbed
+                        } else {
+                            if pending_gap {
+                                // Unknown hops between two different ASes: cannot
+                                // infer who owns them.
+                                return Err(DiscardReason::InferenceAmbiguous);
+                            }
+                            path.push(*asn);
+                        }
+                    }
+                }
+            }
+            Ok(path)
+        }
+
+        /// Convert a full measurement (three traceroutes) under the paper's rules.
+        pub fn convert_measurement(
+            m: &Measurement,
+            db: &Ip2AsDb,
+            stats: &mut ConversionStats,
+        ) -> Option<Vec<Asn>> {
+            if m.failed {
+                stats.discard(DiscardReason::TracerouteError);
+                return None;
+            }
+            let mut paths: Vec<Vec<Asn>> = Vec::with_capacity(3);
+            let mut first_err: Option<DiscardReason> = None;
+            for tr in &m.traceroutes {
+                match convert_one(tr, m.vp_asn, db) {
+                    Ok(p) => paths.push(p),
+                    Err(e) => first_err = first_err.or(Some(e)),
+                }
+            }
+            if paths.is_empty() {
+                stats.discard(first_err.unwrap_or(DiscardReason::TracerouteError));
+                return None;
+            }
+            paths.sort();
+            paths.dedup();
+            if paths.len() > 1 {
+                stats.discard(DiscardReason::MultipleAsPaths);
+                return None;
+            }
+            stats.converted += 1;
+            paths.pop()
+        }
+    }
+
+    /// One seeded traceroute over the test database's three ASes (10, 20,
+    /// 30) plus an unmapped /8: mostly the clean 10 → 20 → 30 walk, with
+    /// every way of going wrong mixed in.
+    fn arb_traceroute(rng: &mut StdRng) -> TracerouteRecord {
+        let mut ases: Vec<u8> = vec![1, 2, 3];
+        match rng.gen_range(0..10) {
+            0 => ases = vec![1, 3],                       // a different path
+            1 => ases = vec![2, 3],                       // leaves the vantage AS at once
+            2 => ases = vec![1, 2, 9, 2, 3],              // unmapped inside one AS
+            3 => ases = vec![1, 9, 2, 3],                 // unmapped between two
+            4 => ases = vec![9, 9],                       // nothing maps
+            _ => {}
+        }
+        let mut hops: Vec<Option<u32>> = Vec::new();
+        for top in ases {
+            for _ in 0..rng.gen_range(1..4) {
+                hops.push(Some(ip(top, rng.gen())));
+            }
+        }
+        // `None` runs at the head, in the middle, at the tail.
+        for _ in 0..rng.gen_range(0..3) {
+            let run = rng.gen_range(1..3);
+            let at = match rng.gen_range(0..4) {
+                0 => 0,
+                1 => hops.len(),
+                _ => rng.gen_range(0..=hops.len()),
+            };
+            hops.splice(at..at, std::iter::repeat_n(None, run));
+        }
+        match rng.gen_range(0..12) {
+            0 => TracerouteRecord::failed(),
+            1 => TracerouteRecord { hops, ..TracerouteRecord::failed() }, // errored, with output
+            2 => tr(Vec::new()),
+            _ => tr(hops),
+        }
+    }
+
+    #[test]
+    fn streaming_conversion_matches_the_oracle_call_by_call() {
+        let db = db();
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let (mut stats, mut want_stats) = (ConversionStats::default(), ConversionStats::default());
+        let mut scratch = ConvertScratch::default();
+        for case in 0..4_000 {
+            let n = rng.gen_range(0..=3);
+            let mut m = measurement((0..n).map(|_| arb_traceroute(&mut rng)).collect());
+            m.failed = rng.gen_range(0..20) == 0;
+            let want = oracle::convert_measurement(&m, &db, &mut want_stats);
+            let got = convert_into(&m, &db, &mut stats, &mut scratch);
+            assert_eq!(got, want.as_deref(), "case {case}: {m:?}");
+            assert_eq!(stats, want_stats, "case {case}: {m:?}");
+            assert_eq!(convert_measurement(&m, &db, &mut ConversionStats::default()), want);
+        }
+        // The mix reached every outcome.
+        assert!(stats.converted > 500, "{stats:?}");
+        assert!(stats.discarded.iter().all(|&d| d > 50), "{stats:?}");
     }
 }

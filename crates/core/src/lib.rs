@@ -44,7 +44,9 @@ pub mod validate;
 pub use accumulate::FindingsAccumulator;
 pub use analyze::{InstanceOutcome, SolveConfig};
 pub use churnstats::{ChurnAccumulator, ChurnTally, ChurnWindowEntry, RetiredChurn};
-pub use convert::{convert_measurement, ConversionStats, DiscardReason};
+pub use convert::{
+    convert_into, convert_measurement, ConversionStats, ConvertScratch, DiscardReason,
+};
 pub use instance::{InstanceBuilder, InstanceKey, TomographyInstance};
 pub use leakage::{CountryFlow, LeakageReport};
 pub use obs::{ConvertedObs, PathId};

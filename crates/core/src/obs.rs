@@ -70,8 +70,12 @@ impl ConvertedObs {
         db: &Ip2AsDb,
         stats: &mut ConversionStats,
     ) -> Option<ConvertedObs> {
-        let path = convert_measurement(m, db, stats)?;
-        Some(ConvertedObs {
+        Some(Self::with_path(m, convert_measurement(m, db, stats)?))
+    }
+
+    /// The observation of `m`, given the path it converted to.
+    pub fn with_path(m: &Measurement, path: Vec<Asn>) -> ConvertedObs {
+        ConvertedObs {
             vp_id: m.vp_id,
             vp_asn: m.vp_asn,
             url_id: m.url_id,
@@ -80,7 +84,7 @@ impl ConvertedObs {
             epoch: m.epoch,
             path,
             detected: m.detected,
-        })
+        }
     }
 
     /// The total order in which the platform runner performs tests within

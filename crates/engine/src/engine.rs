@@ -368,9 +368,10 @@ impl<'c> Engine<'c> {
 
     /// New engine over externally supplied context — the entry point for
     /// imported measurement records, mirroring
-    /// [`churnlab_core::pipeline::Pipeline::with_context`]. The IP-to-AS
-    /// database is cloned once into the shard workers (they convert on
-    /// their own threads and outlive the borrow).
+    /// [`churnlab_core::pipeline::Pipeline::with_context`]. The shard
+    /// workers convert on their own threads and outlive the borrow, so
+    /// each holds a handle on the IP-to-AS database's shared table —
+    /// nothing is copied.
     pub fn with_context(
         db: &churnlab_topology::Ip2AsDb,
         topo: &'c churnlab_topology::Topology,
@@ -422,12 +423,11 @@ impl<'c> Engine<'c> {
              \"first path\" is only defined over the whole stream, so its \
              windows can never retire"
         );
-        let db = Arc::new(db.clone());
         let mut senders = Vec::with_capacity(states.len());
         let mut workers = Vec::with_capacity(states.len());
         for (i, state) in states.into_iter().enumerate() {
             let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
-            let worker_db = Arc::clone(&db);
+            let worker_db = db.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("churnlab-shard-{i}"))
                 .spawn(move || run_worker(rx, state, worker_db))

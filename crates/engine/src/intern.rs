@@ -150,6 +150,13 @@ pub struct PathTable {
     hits: u64,
 }
 
+/// Ids and CSR offsets are `u32`: a count or arena length that no longer
+/// fits must stop the shard, not wrap into an id some other path owns.
+fn checked_u32(n: usize, what: &str) -> Result<u32, String> {
+    u32::try_from(n)
+        .map_err(|_| format!("PathTable: {what} is {n}, past the u32 limit of {}", u32::MAX))
+}
+
 impl PathTable {
     /// Fresh empty table.
     pub fn new() -> Self {
@@ -165,14 +172,20 @@ impl PathTable {
 
     /// Intern one path: one hash probe; a copy into the arena only the
     /// first time this exact path is seen.
+    ///
+    /// # Panics
+    ///
+    /// When the table outgrows its `u32` ids or offsets (2^32 − 1 paths
+    /// or arena entries).
     pub fn intern(&mut self, path: &[Asn]) -> PathId {
         if let Some(&id) = self.ids.get(path) {
             self.hits += 1;
             return id;
         }
-        let id = PathId(self.offsets.len() as u32 - 1);
+        let checked = |n, what| checked_u32(n, what).unwrap_or_else(|e| panic!("{e}"));
+        let id = PathId(checked(self.len(), "the path count"));
         self.arena.extend_from_slice(path);
-        self.offsets.push(self.arena.len() as u32);
+        self.offsets.push(checked(self.arena.len(), "the path arena's length"));
         // Distinct-AS sublist: paths are short, so a linear scan over the
         // part already appended beats hashing.
         let start = self.distinct_arena.len();
@@ -181,7 +194,8 @@ impl PathTable {
                 self.distinct_arena.push(*a);
             }
         }
-        self.distinct_offsets.push(self.distinct_arena.len() as u32);
+        let distinct_end = checked(self.distinct_arena.len(), "the distinct-AS arena's length");
+        self.distinct_offsets.push(distinct_end);
         self.ids.insert(path.into(), id);
         id
     }
@@ -285,6 +299,15 @@ mod tests {
         let id = t.intern(&asns(&[7, 3, 7, 9, 3]));
         assert_eq!(t.path(id), asns(&[7, 3, 7, 9, 3]).as_slice(), "full path kept verbatim");
         assert_eq!(t.distinct(id), asns(&[7, 3, 9]).as_slice(), "first-occurrence dedup");
+    }
+
+    #[test]
+    fn lengths_past_u32_are_refused_by_name() {
+        assert_eq!(checked_u32(0, "the path count"), Ok(0));
+        assert_eq!(checked_u32(u32::MAX as usize, "the path count"), Ok(u32::MAX));
+        let err = checked_u32(u32::MAX as usize + 1, "the path arena's length").unwrap_err();
+        assert!(err.contains("the path arena's length is 4294967296"), "{err}");
+        assert!(err.contains("u32 limit of 4294967295"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
 use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig, PipelineResults};
-use churnlab_engine::{Engine, EngineConfig};
+use churnlab_engine::{Engine, EngineConfig, EngineObs};
 use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
 use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
 use proptest::prelude::*;
@@ -176,6 +176,47 @@ fn first_path_ablation_is_order_independent_too() {
 
 /// Concurrent feeder threads — the multi-vantage regime — agree with the
 /// single-threaded batch pipeline too.
+/// A worker converts a feeder's whole chunk into a staging arena and
+/// folds it in afterwards (instrumented, it times the two phases apart);
+/// a measurement sent on its own is converted and folded in one step, the
+/// path never leaving the conversion scratch. One study through each
+/// gives one digest and one conversion account — the pipeline's, which
+/// converts through the owned-path adapter — in both churn modes (the
+/// ablation is the one consumer that copies the borrowed path).
+#[test]
+fn staged_and_direct_ingest_agree_with_the_pipeline() {
+    let s = study(23);
+    let (platform, ms) = measurements(&s);
+    for mode in [ChurnMode::Normal, ChurnMode::FirstPathOnly] {
+        let reference = pipeline_results(&platform, &ms, mode);
+        assert!(reference.conversion.total_discarded() > 0, "the study exercises the discard rules");
+        for (chunked, instrumented) in [(false, false), (true, false), (true, true)] {
+            let mut cfg = PipelineConfig::paper(platform.config().total_days);
+            cfg.churn_mode = mode;
+            let cfg = EngineConfig::new(cfg).with_shards(2);
+            let engine = if instrumented {
+                Engine::new_with_obs(&platform, cfg, EngineObs::new(churnlab_obs::Registry::new()))
+            } else {
+                Engine::new(&platform, cfg)
+            };
+            if chunked {
+                let mut feeder = engine.feeder();
+                ms.iter().for_each(|m| feeder.ingest(m));
+            } else {
+                ms.iter().for_each(|m| engine.ingest(m));
+            }
+            let got = engine.finish();
+            let arm = format!("{mode:?}, chunked {chunked}, instrumented {instrumented}");
+            assert_eq!(got.conversion, reference.conversion, "{arm}");
+            assert_eq!(
+                got.canonical_report().digest(),
+                reference.canonical_report().digest(),
+                "{arm}"
+            );
+        }
+    }
+}
+
 #[test]
 fn concurrent_feeders_match_pipeline() {
     let s = study(53);

@@ -1218,6 +1218,22 @@ mod tests {
     }
 
     #[test]
+    fn generated_ip2as_tables_match_the_lookup_oracles() {
+        // The tables conversion actually reads: the ground-truth mapping
+        // of a hierarchical and a PA-shaped world, and the registry view
+        // degraded the way `Platform::new` degrades it.
+        let noise = crate::Ip2AsNoise { drop_frac: 0.05, stale_frac: 0.05 };
+        for cfg in [WorldConfig::preset(WorldScale::Small, 6), mini_pa(7)] {
+            let w = generate(&cfg);
+            crate::ip2as::oracle::assert_agrees(&w.ip2as);
+            let degraded =
+                w.registry_ip2as().degraded(noise, &w.asns(), &mut StdRng::seed_from_u64(3));
+            assert!(degraded.len() < w.ip2as.len());
+            crate::ip2as::oracle::assert_agrees(&degraded);
+        }
+    }
+
+    #[test]
     fn huge_preset_meets_scale_floors() {
         // ≥50k ASes / ≥500k links by construction: clique + uplink floors
         // + the peering mesh. (Generating Huge is a release-mode job; unit
