@@ -1,5 +1,6 @@
-//! The one gate module behind `bench engine` and `bench campaign`, and
-//! the one report writer behind every subcommand.
+//! The one gate module behind `bench engine` and `bench campaign`, the
+//! baseline handling `bench route` shares with them, and the one report
+//! writer behind every subcommand.
 //!
 //! Both sweeps produce rows keyed by a worker count (shards, generator
 //! threads) that carry a speedup over an in-process control and two
@@ -271,6 +272,52 @@ pub fn write_report(who: &str, out: Option<&str>, report: &impl Serialize) {
     }
 }
 
+/// Where a run reads its baseline and writes its report: `--baseline`
+/// and `--out` as given, unless `--update-baseline` makes the run the new
+/// baseline — then nothing is read, and the report goes to the file either
+/// flag names, or to `committed` when neither does.
+pub fn targets<'a>(
+    args: &'a Args,
+    committed: &'a str,
+) -> Result<(Option<&'a str>, Option<&'a str>), String> {
+    let (baseline, out) = (args.text("--baseline"), args.text("--out"));
+    if !args.has("--update-baseline") {
+        return Ok((baseline, out));
+    }
+    if baseline.is_some() && out.is_some() && baseline != out {
+        return Err("--update-baseline with --baseline and --out naming different files \
+                    is ambiguous; name the target once"
+            .into());
+    }
+    Ok((None, Some(baseline.or(out).unwrap_or(committed))))
+}
+
+/// Read the report a `--baseline` names.
+pub fn read_baseline<R: Deserialize>(path: &str) -> Result<R, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read baseline {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("parse baseline {path}: {e}"))
+}
+
+/// Write a judged run's report — except over the baseline that rejected
+/// it: `--baseline X --out X` leaves `X` as it was when a gate failed, and
+/// the rejected report goes to stdout.
+pub fn write_judged(
+    who: &str,
+    out: Option<&str>,
+    baseline: Option<&str>,
+    rejected: bool,
+    report: &impl Serialize,
+) {
+    // (The baseline was read, so its path resolves; `--out` need not.)
+    let resolve = |path: &str| std::fs::canonicalize(path).ok();
+    let protected = rejected
+        && out.zip(baseline).is_some_and(|(out, baseline)| resolve(baseline) == resolve(out));
+    if protected {
+        eprintln!("{who}: a gate failed — the baseline is left as it was; the rejected report follows on stdout");
+    }
+    write_report(who, out.filter(|_| !protected), report);
+}
+
 /// What a gated sweep was asked to do with its report, settled — and the
 /// baseline read — before the run starts.
 pub struct Plan {
@@ -290,25 +337,9 @@ impl Plan {
     /// `committed` is the baseline `--update-baseline` refreshes when no
     /// path is named.
     pub fn from_args<R: AsSweep + Deserialize>(args: &Args, committed: &str) -> Result<Plan, String> {
-        let (mut baseline, mut out) = (args.text("--baseline"), args.text("--out"));
-        if args.has("--update-baseline") {
-            if baseline.is_some() && out.is_some() && baseline != out {
-                return Err("--update-baseline with --baseline and --out naming different files \
-                            is ambiguous; name the target once"
-                    .into());
-            }
-            // The run is the new baseline: nothing to gate it against.
-            out = Some(baseline.or(out).unwrap_or(committed));
-            baseline = None;
-        }
+        let (baseline, out) = targets(args, committed)?;
         let baseline = match baseline {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("read baseline {path}: {e}"))?;
-                let report: R = serde_json::from_str(&text)
-                    .map_err(|e| format!("parse baseline {path}: {e}"))?;
-                Some((path.to_string(), report.sweep()))
-            }
+            Some(path) => Some((path.to_string(), read_baseline::<R>(path)?.sweep())),
             None => None,
         };
         Ok(Plan {
@@ -361,15 +392,8 @@ impl Plan {
         }
 
         // A rejected run never replaces the baseline that rejected it.
-        // (The baseline was read, so its path resolves; `--out` need not.)
-        let resolve = |path: &str| std::fs::canonicalize(path).ok();
-        let protected = self.out.as_deref().zip(self.baseline.as_ref()).is_some_and(
-            |(out, (baseline, _))| !failures.is_empty() && resolve(baseline) == resolve(out),
-        );
-        if protected {
-            eprintln!("{who}: a gate failed — the baseline is left as it was; the rejected report follows on stdout");
-        }
-        write_report(who, self.out.as_deref().filter(|_| !protected), report);
+        let baseline = self.baseline.as_ref().map(|(path, _)| path.as_str());
+        write_judged(who, self.out.as_deref(), baseline, !failures.is_empty(), report);
         failures
     }
 }

@@ -1,13 +1,15 @@
 //! `bench route` — Internet-scale routing: the scratch-reused CSR compute
 //! path vs the retained pre-CSR reference, cached path-query throughput,
-//! and the zero-allocation steady-state proof, as one JSON document
-//! (`BENCH_route.json`).
+//! the zero-allocation steady-state proof, and what a churn timeline
+//! costs to build and hold, as one JSON document (`BENCH_route.json`).
 //!
 //! ```text
 //! bench route                                         # small tier, JSON on stdout
 //! bench route --scale both --out BENCH_route.json
 //! bench route --min-speedup 2 --max-steady-allocs 0
 //! bench route --scale huge --min-reachability 0.95
+//! bench route --scale both --baseline BENCH_route.json   # + the timeline-size ceiling
+//! bench route --scale both --update-baseline             # refresh BENCH_route.json
 //! ```
 //!
 //! Two tiers are measured:
@@ -31,6 +33,11 @@
 //!   while [`COUNTING`] is set — around that pass.
 //! * `--min-reachability R` — sampled (src, dst, epoch) queries must
 //!   route at rate ≥ R on every tier (the Huge smoke floor is 0.95).
+//! * `--baseline FILE` — the committed report must still parse, and the
+//!   Huge year-long timeline may hold at most
+//!   [`MAX_HUGE_YEAR_TIMELINE_MB`]. Its size is a function of the seed,
+//!   so the ceiling is absolute; its build time is the machine's, and is
+//!   reported, not gated. A rejected run leaves `FILE` as it was.
 //!
 //! Before any timing is trusted the contenders are differentially
 //! checked: the reference tree must agree with the fast tree on every
@@ -45,7 +52,7 @@
 //! instead of one opaque run, so the steady state can be bracketed by
 //! the allocation counter.
 
-use crate::cli::{Args, Flag, Kind, Sub, FRACTION, MIN_SPEEDUP, OUT, REPEATS, SEED, UINT};
+use crate::cli::{self, Args, Flag, Kind, Sub, FRACTION, MIN_SPEEDUP, OUT, REPEATS, SEED, UINT};
 use crate::{best_of, gate};
 use churnlab_bgp::{
     ChurnConfig, ChurnTimeline, ReferenceRouter, RouteTree, RoutingSim, TreeScratch,
@@ -89,6 +96,8 @@ pub const SUB: Sub = Sub {
         MIN_SPEEDUP,
         Flag::new("--min-reachability", FRACTION, "", "exit 1 unless this fraction of sampled queries routes"),
         Flag::new("--max-steady-allocs", UINT, "", "exit 1 if the steady-state pass allocates more often"),
+        Flag::new("--baseline", Kind::Text, "", "committed report: must parse, and arms the timeline-size ceiling"),
+        gate::UPDATE_BASELINE,
         OUT,
     ],
     positional: None,
@@ -108,6 +117,33 @@ const TIERS: [(WorldScale, &str, usize, usize, usize); 2] =
 /// so benching on a short timeline would understate the very cost the
 /// scratch-reused path batches away.
 pub const BENCH_DAYS: u32 = 365;
+
+/// The periods a tier's timeline is sized and timed over: the
+/// `benchmark/` package's `fused-huge` workload simulates 60 days, the
+/// paper's study a year.
+pub const TIMELINE_DAYS: [u32; 2] = [60, BENCH_DAYS];
+
+/// Ceiling on [`TimelineRow::timeline_mb`] of the Huge year-long timeline
+/// in a `--baseline`-gated run. Measured ~37; ~104 when every TE shift of
+/// an AS that shifts at every epoch was a listed event.
+pub const MAX_HUGE_YEAR_TIMELINE_MB: f64 = 48.0;
+
+/// What one tier's churn timeline over one period costs.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TimelineRow {
+    /// Tier label (`small` / `huge`).
+    pub scale: String,
+    /// Days simulated.
+    pub days: u32,
+    /// `ChurnTimeline::build`, best-of-repeats milliseconds.
+    pub timeline_build_ms: f64,
+    /// Heap the timeline holds, MB (10⁶ bytes).
+    pub timeline_mb: f64,
+    /// Link up/down transitions over the period.
+    pub link_events: u64,
+    /// TE shifts over the period, listed or kept as a rate.
+    pub te_events: u64,
+}
 
 /// One tier's numbers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -152,6 +188,10 @@ pub struct RouteBenchReport {
     pub repeats: usize,
     /// One row per tier.
     pub rows: Vec<RouteBenchRow>,
+    /// One row per tier and period of [`TIMELINE_DAYS`] (absent from
+    /// reports older than the rows).
+    #[serde(default)]
+    pub timelines: Vec<TimelineRow>,
 }
 
 /// The full route tree to `dest` at `epoch`, into reused scratch and
@@ -186,15 +226,37 @@ pub struct RouteHarness {
     dests: Vec<AsIdx>,
 }
 
+/// The churn process benched worlds run under, over `total_days`.
+fn churn_cfg(seed: u64, total_days: u32) -> ChurnConfig {
+    ChurnConfig { seed: seed.wrapping_add(3), total_days, ..ChurnConfig::default() }
+}
+
+/// Build `topo`'s timeline over `days`, `repeats` times: what the fastest
+/// build took and what any of them holds.
+pub fn timeline_row(label: &str, topo: &Topology, seed: u64, days: u32, repeats: usize) -> TimelineRow {
+    let cfg = churn_cfg(seed, days);
+    let mut built = None;
+    let timeline_build_ms = 1e3
+        * best_of(repeats, || {
+            let timeline = built.insert(ChurnTimeline::build(topo, &cfg));
+            timeline.build_nanos() as f64 / 1e9
+        });
+    let built = built.expect("best_of makes at least one pass");
+    TimelineRow {
+        scale: label.to_string(),
+        days,
+        timeline_build_ms,
+        timeline_mb: built.heap_bytes() as f64 / 1e6,
+        link_events: built.total_link_events() as u64,
+        te_events: built.total_te_events() as u64,
+    }
+}
+
 impl RouteHarness {
     /// Generate the world and churn timeline for a tier.
     pub fn assemble(scale: WorldScale, seed: u64) -> RouteHarness {
         let world = generator::generate(&WorldConfig::preset(scale, seed));
-        let churn_cfg = ChurnConfig {
-            seed: seed.wrapping_add(3),
-            total_days: BENCH_DAYS,
-            ..ChurnConfig::default()
-        };
+        let churn_cfg = churn_cfg(seed, BENCH_DAYS);
         let churn = ChurnTimeline::build(&world.topology, &churn_cfg);
         // Destinations cycle over stubs spread across the index space,
         // each paired with a distinct epoch, so no two timed computes
@@ -395,9 +457,18 @@ pub fn run_tier(
 }
 
 fn run(args: &Args) -> ExitCode {
+    let (baseline, out) = match gate::targets(args, "BENCH_route.json") {
+        Ok(targets) => targets,
+        Err(msg) => return cli::usage_error(&msg),
+    };
+    // Judge first, write second: the baseline is read before the run.
+    if let Some(Err(msg)) = baseline.map(gate::read_baseline::<RouteBenchReport>) {
+        return cli::usage_error(&msg);
+    }
     let (seed, repeats): (u64, usize) = (args.req("--seed"), args.req("--repeats"));
     let wanted = args.text("--scale").expect("--scale has a default");
     let mut rows = Vec::new();
+    let mut timelines = Vec::new();
     let mut failures = Vec::new();
     let wanted = |tier: &(WorldScale, &str, usize, usize, usize)| wanted == tier.1 || wanted == "both";
     for (scale, label, trees, ref_trees, queries) in TIERS.into_iter().filter(wanted) {
@@ -443,8 +514,25 @@ fn run(args: &Args) -> ExitCode {
             }
         }
         rows.push(row);
+
+        for days in TIMELINE_DAYS {
+            let t = timeline_row(label, &harness.world.topology, seed, days, repeats);
+            eprintln!(
+                "{:<6} timeline {:>3} days  build {:>7.2} ms  {:>7.2} MB  {:>8} link events  {:>9} TE events",
+                t.scale, t.days, t.timeline_build_ms, t.timeline_mb, t.link_events, t.te_events
+            );
+            let gated = baseline.is_some() && scale == WorldScale::Huge && days == BENCH_DAYS;
+            if gated && t.timeline_mb > MAX_HUGE_YEAR_TIMELINE_MB {
+                failures.push(format!(
+                    "the huge {days}-day timeline holds {:.1} MB (ceiling {MAX_HUGE_YEAR_TIMELINE_MB})",
+                    t.timeline_mb
+                ));
+            }
+            timelines.push(t);
+        }
     }
-    gate::write_report("route", args.text("--out"), &RouteBenchReport { seed, repeats, rows });
+    let report = RouteBenchReport { seed, repeats, rows, timelines };
+    gate::write_judged("route", out, baseline, !failures.is_empty(), &report);
     gate::verdict("route", &failures)
 }
 
@@ -466,5 +554,19 @@ mod tests {
         let (_, fast_sum) = h.fast_pass(6);
         let (_, ref_sum) = h.reference_pass(6);
         assert_eq!(fast_sum, ref_sum, "contenders saw different route trees");
+    }
+
+    #[test]
+    fn timeline_rows_count_what_was_built_and_old_reports_still_parse() {
+        let topo = generator::generate(&WorldConfig::preset(WorldScale::Smoke, 7)).topology;
+        let [short, year] = TIMELINE_DAYS.map(|days| timeline_row("smoke", &topo, 7, days, 2));
+        assert_eq!((short.days, year.days), (60, BENCH_DAYS));
+        assert!(short.timeline_build_ms > 0.0 && short.timeline_mb > 0.0);
+        assert!(year.link_events > short.link_events && year.te_events > short.te_events);
+        assert!(year.timeline_mb > short.timeline_mb);
+        // A report written before the rows existed reads as having none.
+        let old = r#"{"seed":42,"repeats":3,"rows":[]}"#;
+        let parsed: RouteBenchReport = serde_json::from_str(old).expect("pre-timeline report");
+        assert!(parsed.timelines.is_empty());
     }
 }

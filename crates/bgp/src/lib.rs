@@ -45,7 +45,7 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 
-pub use churn::{ChurnConfig, ChurnTimeline};
+pub use churn::{ChurnConfig, ChurnConfigError, ChurnTimeline};
 pub use compute::{RouteTree, SelectedRoute, TreeScratch};
 pub use reference::{ReferenceRouter, ReferenceTree};
 pub use policy::RouteClass;

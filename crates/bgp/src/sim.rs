@@ -16,6 +16,24 @@
 //! A tree weighs 8 bytes per AS plus a bit per link
 //! ([`cached_tree_bytes`]) — ~565 KB in the Huge world.
 //!
+//! ## What a simulator costs to make
+//!
+//! [`RoutingSim::with_cache_capacity`] materialises the whole period's
+//! [`ChurnTimeline`] — every campaign's first step, and once the top line
+//! of a Huge pass. It costs what flips (`crate::churn`): an AS whose shift
+//! probability saturates shifts at every epoch, so it is stored as a rate
+//! (one bit; `te_salt` reads its version as `min(epoch, total − 1)`
+//! without a search) and the generator is stepped past its draws; a
+//! link's logarithms are computed once per distinct stability profile;
+//! and a first draw `u < exp(total · ln q)` — nine links in ten — means
+//! the link outlasts the period without computing `ceil(ln u / ln q)`,
+//! which only has to exceed `total − 1` for that to be so: a whole epoch
+//! of slack against a rounding error of millionths of one. Every flip,
+//! salt and later draw is what listing everything produced (the old
+//! sampler is the tests' oracle), in about a quarter of the time and,
+//! over a year at Huge, a third of the memory (README, *What a timeline
+//! costs*).
+//!
 //! ## Cache layout
 //!
 //! At Internet scale the tree cache is the contention point: one worker
@@ -35,7 +53,10 @@
 //! Cache traffic is observable through [`RoutingSim::instrument`]
 //! (`churnlab_route_cache_{hit,miss,evict}`, `churnlab_route_trees_computed`,
 //! `churnlab_route_nodes_resolved_total`, and a histogram of the eager
-//! build's nanoseconds).
+//! build's nanoseconds), and so is the set-up:
+//! `churnlab_route_timeline_build_nanos` and
+//! `churnlab_route_timeline_events{kind="link"|"te"}`. A campaign run with
+//! a `CampaignObs` instruments the simulator it is handed.
 
 use crate::churn::{ChurnConfig, ChurnTimeline};
 use crate::compute::{SelectedRoute, TreeScratch};
@@ -212,10 +233,29 @@ impl<'t> RoutingSim<'t> {
         }
     }
 
-    /// Register this simulator's counters and the tree-compute-time
-    /// histogram in `registry`. Call once, before the hot loop; later
-    /// calls are ignored (counters keep feeding the first registry).
+    /// Register this simulator's counters, the tree-compute-time
+    /// histogram and what its timeline took to build in `registry`. Call
+    /// before the hot loop; the counters keep feeding the first registry
+    /// they were given.
     pub fn instrument(&self, registry: &Registry) {
+        registry
+            .gauge(
+                "churnlab_route_timeline_build_nanos",
+                "Wall nanoseconds the churn timeline took to build",
+                &[],
+            )
+            .set(self.churn.build_nanos() as i64);
+        let events =
+            [("link", self.churn.total_link_events()), ("te", self.churn.total_te_events())];
+        for (kind, n) in events {
+            registry
+                .gauge(
+                    "churnlab_route_timeline_events",
+                    "Events of the churn timeline over the whole period, by kind",
+                    &[("kind", kind)],
+                )
+                .set(n as i64);
+        }
         let _ = self.metrics.set(RouteMetrics {
             trees_computed: registry.counter(
                 "churnlab_route_trees_computed",
@@ -521,6 +561,13 @@ mod tests {
         match &hist.value {
             churnlab_obs::SampleValue::Histogram(h) => assert_eq!(h.count, 1),
             other => panic!("expected histogram, got {other:?}"),
+        }
+        // The set-up is in the scrape too.
+        let churn = sim.churn();
+        assert!(snap.gauge("churnlab_route_timeline_build_nanos", &[]) > Some(0));
+        for (kind, n) in [("link", churn.total_link_events()), ("te", churn.total_te_events())] {
+            let events = snap.gauge("churnlab_route_timeline_events", &[("kind", kind)]);
+            assert_eq!(events, Some(n as i64), "{kind} events");
         }
     }
 }

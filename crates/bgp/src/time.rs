@@ -140,9 +140,17 @@ impl EpochMapper {
         EpochMapper { epochs_per_day }
     }
 
-    /// Epoch of `slot` (0-based) within `day`.
+    /// Epoch of `slot` (0-based) within `day`; panics, naming the day,
+    /// if the index does not fit the `u32` epoch clock.
     pub fn epoch(&self, day: Day, slot: u32) -> Epoch {
-        day * self.epochs_per_day + (slot % self.epochs_per_day)
+        day.checked_mul(self.epochs_per_day)
+            .and_then(|e| e.checked_add(slot % self.epochs_per_day))
+            .unwrap_or_else(|| {
+                panic!(
+                    "day {day} at {} epochs per day exceeds the u32 epoch clock",
+                    self.epochs_per_day
+                )
+            })
     }
 
     /// The day an epoch belongs to.
@@ -150,9 +158,22 @@ impl EpochMapper {
         epoch / self.epochs_per_day
     }
 
-    /// Total epochs in `total_days`.
+    /// Total epochs in `total_days`, or `None` if the count does not fit
+    /// the `u32` epoch clock.
+    pub fn checked_total_epochs(&self, total_days: u32) -> Option<u32> {
+        total_days.checked_mul(self.epochs_per_day)
+    }
+
+    /// Total epochs in `total_days`; panics, naming both factors, if the
+    /// count does not fit the `u32` epoch clock
+    /// ([`EpochMapper::checked_total_epochs`] asks first).
     pub fn total_epochs(&self, total_days: u32) -> u32 {
-        total_days * self.epochs_per_day
+        self.checked_total_epochs(total_days).unwrap_or_else(|| {
+            panic!(
+                "{total_days} days at {} epochs per day exceed the u32 epoch clock",
+                self.epochs_per_day
+            )
+        })
     }
 }
 
@@ -217,6 +238,25 @@ mod tests {
         assert_eq!(m.total_epochs(365), 2190);
         // Slot overflow wraps within the day rather than spilling over.
         assert_eq!(m.epoch(3, 7), m.epoch(3, 1));
+    }
+
+    #[test]
+    fn epoch_clock_overflow_is_refused_not_wrapped() {
+        let m = EpochMapper::new(24);
+        // The last day that fits, and the first that does not.
+        let last = u32::MAX / 24;
+        assert_eq!(m.checked_total_epochs(last), Some(last * 24));
+        assert_eq!(m.checked_total_epochs(last + 1), None);
+        assert_eq!(m.epoch(last - 1, 23), last * 24 - 1);
+        for wraps in [
+            std::panic::catch_unwind(|| m.total_epochs(last + 1)),
+            std::panic::catch_unwind(|| m.epoch(last + 1, 0)),
+            // The multiply fits, the slot's add does not.
+            std::panic::catch_unwind(|| EpochMapper::new(u32::MAX).epoch(1, u32::MAX - 1)),
+        ] {
+            let msg = *wraps.expect_err("must not wrap").downcast::<String>().unwrap();
+            assert!(msg.contains("exceed") && msg.contains("u32 epoch clock"), "{msg}");
+        }
     }
 
     #[test]

@@ -40,6 +40,20 @@ fn exposition_format_is_stable() {
         &[],
     )
     .add(740);
+    reg.gauge(
+        "churnlab_route_timeline_build_nanos",
+        "Wall nanoseconds the churn timeline took to build",
+        &[],
+    )
+    .set(25_900_000);
+    for (kind, events) in [("link", 402_117), ("te", 2_731_446)] {
+        reg.gauge(
+            "churnlab_route_timeline_events",
+            "Events of the churn timeline over the whole period, by kind",
+            &[("kind", kind)],
+        )
+        .set(events);
+    }
 
     let text = render_prometheus(&reg.scrape());
 
@@ -70,6 +84,13 @@ churnlab_resolve_nanos_count 3
 # HELP churnlab_route_nodes_resolved_total ASes whose next hop a lookup resolved in a cached tree
 # TYPE churnlab_route_nodes_resolved_total counter
 churnlab_route_nodes_resolved_total 740
+# HELP churnlab_route_timeline_build_nanos Wall nanoseconds the churn timeline took to build
+# TYPE churnlab_route_timeline_build_nanos gauge
+churnlab_route_timeline_build_nanos 25900000
+# HELP churnlab_route_timeline_events Events of the churn timeline over the whole period, by kind
+# TYPE churnlab_route_timeline_events gauge
+churnlab_route_timeline_events{kind=\"link\"} 402117
+churnlab_route_timeline_events{kind=\"te\"} 2731446
 # HELP churnlab_windows_open churn windows currently open
 # TYPE churnlab_windows_open gauge
 churnlab_windows_open 5

@@ -4,7 +4,10 @@
 //! the runner becomes attributable in a `--metrics-out` scrape: how many
 //! tests the schedule planned, how many actually executed, how many the
 //! fleet-sampling schedule skipped, and each worker's on-CPU generation
-//! time (the campaign-side analogue of the engine's `EngineBusy`).
+//! time (the campaign-side analogue of the engine's `EngineBusy`). The
+//! routing simulator the campaign is handed is instrumented on the same
+//! registry (`churnlab_route_*`: tree-cache traffic, and what its churn
+//! timeline took to build).
 
 use churnlab_obs::{Counter, Registry};
 
@@ -38,6 +41,11 @@ impl CampaignObs {
             ),
             registry: registry.clone(),
         }
+    }
+
+    /// The registry the campaign's series are registered in.
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// Per-worker handle set (registers the labeled busy counter).

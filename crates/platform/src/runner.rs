@@ -521,7 +521,8 @@ impl<'w> Platform<'w> {
         self.run_parallel_obs(sim, threads, None, make_sink)
     }
 
-    /// [`Platform::run_parallel`] with campaign counters attached.
+    /// [`Platform::run_parallel`] with campaign counters attached, and
+    /// `sim`'s own (`RoutingSim::instrument`) on the same registry.
     pub fn run_parallel_obs<S, F>(
         &self,
         sim: &RoutingSim,
@@ -538,6 +539,9 @@ impl<'w> Platform<'w> {
         } else {
             threads
         };
+        if let Some(o) = obs {
+            sim.instrument(o.registry());
+        }
         let schedule = self.fleet_schedule();
         let entries = self.corpus.entries();
         let next = AtomicUsize::new(0);
@@ -1054,6 +1058,26 @@ mod tests {
         assert!(text.contains("churnlab_campaign_worker_busy_nanos_total{worker=\"0\"}"));
         assert!(text.contains("churnlab_campaign_worker_busy_nanos_total{worker=\"1\"}"));
         assert_eq!(value("churnlab_campaign_worker_busy_nanos_total"), run.busy.total_nanos());
+        // The simulator it was handed reports on the same registry: the
+        // scrape's cache traffic is the simulator's own count, and the
+        // timeline set-up is there.
+        let cache = sim.cache_stats();
+        assert!(cache.hits > 0 && cache.misses > 0, "{cache:?}");
+        assert_eq!(value("churnlab_route_cache_hit"), cache.hits);
+        assert_eq!(value("churnlab_route_cache_miss"), cache.misses);
+        assert_eq!(value("churnlab_route_cache_evict"), cache.evictions);
+        assert_eq!(value("churnlab_route_trees_computed"), cache.misses);
+        assert!(value("churnlab_route_nodes_resolved_total") > 0);
+        assert!(value("churnlab_route_timeline_build_nanos") > 0);
+        let churn = sim.churn();
+        assert_eq!(
+            value("churnlab_route_timeline_events{kind=\"link\"}"),
+            churn.total_link_events() as u64
+        );
+        assert_eq!(
+            value("churnlab_route_timeline_events{kind=\"te\"}"),
+            churn.total_te_events() as u64
+        );
     }
 
     #[test]
