@@ -42,6 +42,15 @@
 //! [`MAX_CONVERT_ALLOCS_PER_MEAS`]: the shard's conversion runs in its
 //! scratch, not the allocator.
 //!
+//! And it carries the read path: `snapshot_ms` and `snapshot_allocs` of
+//! one quiescent `Engine::snapshot()` + drop once the whole campaign is
+//! in a one-shard engine (best of [`SNAPSHOT_REPEATS`]), without a
+//! lateness horizon and with [`SNAPSHOT_HORIZON_DAYS`] over the
+//! day-sorted stream. The time is reported; the allocation count is
+//! deterministic, and a `--baseline`-gated run fails if the retiring
+//! engine's exceeds [`MAX_HORIZON_SNAPSHOT_ALLOCS`] — a report shares the
+//! engine's solved cells and churn windows, it does not copy them.
+//!
 //! `--assert-overhead` is a dedicated mode: the same workload through a
 //! *stripped* engine (no metrics registry — zero atomic ops) and an
 //! instrumented one, interleaved best-of-`--repeats` with alternating
@@ -77,6 +86,18 @@ pub const MAX_OVERHEAD: f64 = 0.02;
 
 /// Ceiling on warm-path conversion's heap allocations per measurement.
 pub const MAX_CONVERT_ALLOCS_PER_MEAS: f64 = 0.0;
+
+/// Quiescent snapshots timed per [`SnapshotCost`] row (best of).
+pub const SNAPSHOT_REPEATS: usize = 20;
+
+/// Lateness horizon of the retiring engine's [`SnapshotCost`] row, days.
+pub const SNAPSHOT_HORIZON_DAYS: u32 = 7;
+
+/// Ceiling on one quiescent snapshot's heap allocations at
+/// [`SNAPSHOT_HORIZON_DAYS`]: what a report still allocates is its own
+/// small accumulators and pointer lists, whatever the study's size
+/// (measured 49,626 when reports deep-copied, 912 since).
+pub const MAX_HORIZON_SNAPSHOT_ALLOCS: u64 = 2_000;
 
 /// `bench engine`.
 pub const SUB: Sub = Sub {
@@ -164,6 +185,35 @@ impl<'w> ThroughputHarness<'w> {
         assert_eq!(warm, timed, "conversion is a function of the measurement");
         let n = self.measurements.len().max(1) as f64;
         (nanos / n, allocs as f64 / n)
+    }
+
+    /// What reading the report costs once the whole campaign is in: one
+    /// one-shard engine fed the day-sorted stream (a live deployment's
+    /// order, so a horizon actually retires windows), warmed by a first
+    /// snapshot that solves every group, then [`SNAPSHOT_REPEATS`]
+    /// quiescent `snapshot()` + drop calls — best wall time, and heap
+    /// allocations by any thread (zero unless the process runs the
+    /// `bench` binary's counting allocator).
+    pub fn snapshot_cost(&self, horizon: Option<u32>) -> SnapshotCost {
+        let mut cfg = EngineConfig::new(self.cfg.clone()).with_shards(1);
+        cfg.window_horizon = horizon;
+        let engine = Engine::new(&self.platform, cfg);
+        let mut by_day: Vec<&Measurement> = self.measurements.iter().collect();
+        by_day.sort_by_key(|m| m.day);
+        let mut feeder = engine.feeder();
+        for m in by_day {
+            feeder.ingest(m);
+        }
+        drop(feeder);
+        drop(engine.snapshot());
+        let mut cost = SnapshotCost { horizon, snapshot_ms: f64::INFINITY, snapshot_allocs: u64::MAX };
+        for _ in 0..SNAPSHOT_REPEATS {
+            let start = Instant::now();
+            let ((), allocs) = counting_allocs(|| drop(engine.snapshot()));
+            cost.snapshot_ms = cost.snapshot_ms.min(start.elapsed().as_secs_f64() * 1e3);
+            cost.snapshot_allocs = cost.snapshot_allocs.min(allocs);
+        }
+        cost
     }
 
     /// Time one engine pass with `shards` workers fed from `feeders`
@@ -256,6 +306,18 @@ pub struct ThroughputRow {
     pub stats: EngineStats,
 }
 
+/// What one read of the report costs with the whole campaign ingested
+/// (see [`ThroughputHarness::snapshot_cost`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SnapshotCost {
+    /// The engine's lateness horizon, days; `None` = nothing retires.
+    pub horizon: Option<u32>,
+    /// Best wall milliseconds of one quiescent `snapshot()` + drop.
+    pub snapshot_ms: f64,
+    /// Fewest heap allocations of one such call, over all threads.
+    pub snapshot_allocs: u64,
+}
+
 /// The full throughput report (`BENCH_engine.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThroughputReport {
@@ -278,6 +340,11 @@ pub struct ThroughputReport {
     /// Conversion alone, heap allocations per measurement, warm.
     #[serde(default)]
     pub convert_allocs_per_meas: f64,
+    /// The read path: one row without a horizon, one at
+    /// [`SNAPSHOT_HORIZON_DAYS`]. Defaults to none so pre-read-path
+    /// baseline files still parse.
+    #[serde(default)]
+    pub snapshot: Vec<SnapshotCost>,
     /// One row per shard count.
     pub engine: Vec<ThroughputRow>,
 }
@@ -375,6 +442,7 @@ pub fn run_throughput(
         pipeline_meas_per_sec,
         convert_ns_per_meas,
         convert_allocs_per_meas,
+        snapshot: [None, Some(SNAPSHOT_HORIZON_DAYS)].map(|h| harness.snapshot_cost(h)).to_vec(),
         engine,
     }
 }
@@ -617,15 +685,33 @@ fn run(args: &Args) -> ExitCode {
         "convert:  {:>10.0} ns/measurement, {:.3} allocations/measurement, warm",
         report.convert_ns_per_meas, report.convert_allocs_per_meas
     );
-    let over_ceiling = (plan.baseline.is_some()
-        && report.convert_allocs_per_meas > MAX_CONVERT_ALLOCS_PER_MEAS)
-        .then(|| {
-            format!(
+    for cost in &report.snapshot {
+        eprintln!(
+            "snapshot: {:>10.3} ms, {} allocations, quiescent, {}",
+            cost.snapshot_ms,
+            cost.snapshot_allocs,
+            cost.horizon.map_or_else(|| "no horizon".to_string(), |h| format!("horizon {h} days")),
+        );
+    }
+    let mut over_ceiling = Vec::new();
+    if plan.baseline.is_some() {
+        if report.convert_allocs_per_meas > MAX_CONVERT_ALLOCS_PER_MEAS {
+            over_ceiling.push(format!(
                 "conversion allocates {:.3} times per measurement (ceiling {MAX_CONVERT_ALLOCS_PER_MEAS})",
                 report.convert_allocs_per_meas
-            )
-        });
-    let failures = plan.conclude(&gate, &report.sweep(), &report, over_ceiling.into_iter().collect());
+            ));
+        }
+        for cost in report.snapshot.iter().filter(|c| c.horizon.is_some()) {
+            if cost.snapshot_allocs > MAX_HORIZON_SNAPSHOT_ALLOCS {
+                over_ceiling.push(format!(
+                    "a quiescent snapshot of the retiring engine allocates {} times \
+                     (ceiling {MAX_HORIZON_SNAPSHOT_ALLOCS})",
+                    cost.snapshot_allocs
+                ));
+            }
+        }
+    }
+    let failures = plan.conclude(&gate, &report.sweep(), &report, over_ceiling);
     gate::verdict(gate.who, &failures)
 }
 

@@ -10,7 +10,7 @@
 //!   is proportional to the measurement count.
 //! - **Windowed** ([`ChurnAccumulator::windowed`]): granularities are
 //!   fixed up front and each observation folds straight into its
-//!   per-(granularity × pair × window) partial — a distinct-hash set plus
+//!   per-(granularity × window × pair) partial — a distinct-hash set plus
 //!   an observation count. Closed windows can then be *retired*: their
 //!   partials collapse into per-(granularity × destination) bucket
 //!   tallies ([`RetiredChurn`]) and the hashes are freed, so a
@@ -19,13 +19,44 @@
 //!   exactly what the legacy mode would report from the full sample set,
 //!   because a window is only folded once it can receive no further
 //!   observation.
+//!
+//! **Windowed storage: one map per open window, copy-on-write.** Each
+//! granularity keeps an ordered index of its *open* windows only — window
+//! index → that window's `(vantage, destination) → evidence` map behind
+//! an [`Arc`]. A window enters the index with its first observation and
+//! leaves it when it closes, so the index is as large as what is open,
+//! never as large as the configured period (a run-forever engine names a
+//! period of centuries and holds a horizon's worth of windows). That
+//! shape is what makes a report cheap:
+//!
+//! - *A clone shares every window.* Cloning the accumulator (every engine
+//!   report does) copies one pointer per open window and no evidence, and
+//!   the clone is frozen: nothing done to the original afterwards shows in
+//!   it.
+//! - *A write copies only what it touches, only while someone is looking.*
+//!   An observation lands in one window per granularity — at most four —
+//!   through [`Arc::make_mut`]: a window no clone still holds is updated
+//!   in place, one a live report still shares is copied first, and every
+//!   other window stays shared. Dropping the report ends the copying.
+//! - *A merge adopts by pointer* every window the receiver has nothing
+//!   for (all of them, when one shard reports into an empty merger) and
+//!   unions pair by pair only where both sides hold evidence.
+//! - *Closing costs what closed.* A window's end day grows with its
+//!   index, so [`ChurnAccumulator::fold_closed`] and
+//!   [`ChurnAccumulator::prune_closed`] pop each granularity's windows
+//!   from the front of its index, stop at the first one still open, and
+//!   free a closed window by dropping its whole map: O(closed windows +
+//!   closed partials) — nothing already closed is looked at again, and
+//!   there is no key list, no rehash, and no table keeping the capacity
+//!   of everything it ever held.
 
 use churnlab_bgp::stats::DistinctPathDist;
 use churnlab_bgp::{Granularity, TimeWindow};
-use churnlab_topology::{AsClass, Asn, Topology};
+use churnlab_topology::{AsClass, Asn, FxMap, FxSet, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{btree_map, BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// One compact path observation (legacy mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,10 +72,9 @@ const INLINE_HASHES: usize = 5;
 
 /// A window's distinct path hashes in insertion order: a linear-scan list
 /// (beats a `HashSet` at these sizes) stored inline up to
-/// [`INLINE_HASHES`] entries, so cloning or dropping a map of partials —
-/// which every engine report does — is a flat copy with no per-entry
-/// allocation. Unused inline slots stay zero, which keeps the derived
-/// equality exact.
+/// [`INLINE_HASHES`] entries, so copying a window's map on write, or
+/// dropping it when the window closes, is flat: no per-entry allocation.
+/// Unused inline slots stay zero, which keeps the derived equality exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum PathHashes {
     Inline { len: u8, slots: [u64; INLINE_HASHES] },
@@ -170,15 +200,24 @@ impl RetiredChurn {
     }
 }
 
+/// One open window's partials: (vantage, destination) → evidence. Keys
+/// are ASNs the pipeline's own conversion produced, hence the fast
+/// hasher.
+type WindowMap = FxMap<(Asn, Asn), WindowAgg>;
+
 /// Windowed-mode state: live partials plus the retirement frontier.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct Windowed {
     granularities: Vec<Granularity>,
     total_days: u32,
     /// Lateness horizon in days; `None` disables folding entirely.
     horizon: Option<u32>,
-    /// Live (granularity, (vp, dest), window index) partials.
-    partials: HashMap<(Granularity, (Asn, Asn), u32), WindowAgg>,
+    /// `partials[slot][&window index]`, `slot` being the granularity's
+    /// position in `granularities`: the window's live partials, absent
+    /// before its first observation and after it is folded or pruned.
+    /// Maps are shared with every clone of the accumulator and copied on
+    /// write (see the module docs); a held map is never empty.
+    partials: Vec<BTreeMap<u32, Arc<WindowMap>>>,
     /// Fold frontier: every window whose `end_day + horizon` is below
     /// this watermark has been folded (or pruned) and takes no further
     /// observations.
@@ -193,15 +232,123 @@ struct Windowed {
 }
 
 impl Windowed {
-    /// Whether `window` of `g` is behind the fold frontier.
-    fn folded(&self, g: Granularity, window: u32) -> bool {
+    /// Whether window `index` of `g` closed below watermark `hw`: it can
+    /// end, and `end_day + horizon < hw`. Never without a horizon.
+    fn closed_below(&self, g: Granularity, index: u32, hw: u32) -> bool {
         let Some(h) = self.horizon else { return false };
-        match (TimeWindow { granularity: g, index: window }).end_day(self.total_days) {
-            Some(end) => (end as u64) + (h as u64) < self.folded_min_hw as u64,
-            None => false,
+        (TimeWindow { granularity: g, index })
+            .end_day(self.total_days)
+            .is_some_and(|end| u64::from(end) + u64::from(h) < u64::from(hw))
+    }
+
+    /// Position of `g` among the configured granularities.
+    fn slot(&self, g: Granularity) -> Option<usize> {
+        self.granularities.iter().position(|&x| x == g)
+    }
+
+    /// Every window that holds evidence, with its granularity and index.
+    fn live(&self) -> impl Iterator<Item = (Granularity, u32, &WindowMap)> {
+        self.granularities
+            .iter()
+            .zip(&self.partials)
+            .flat_map(|(&g, windows)| windows.iter().map(move |(&ix, map)| (g, ix, &**map)))
+    }
+
+    /// Free every window that closed below `min_hw` and advance the fold
+    /// frontier to it. With `fold`, each freed combo is first tallied
+    /// into the retired store — unless its window was already behind the
+    /// frontier, i.e. folded by an earlier cut. A window's end day grows
+    /// with its index, so each granularity pops from the front of its
+    /// index until the first window still open: O(closed windows + closed
+    /// partials). No-op without a horizon.
+    fn close_below(&mut self, min_hw: u32, fold: bool) {
+        if self.horizon.is_none() {
+            return;
+        }
+        let frontier = self.folded_min_hw;
+        for slot in 0..self.granularities.len() {
+            let g = self.granularities[slot];
+            while let Some((&ix, _)) = self.partials[slot].first_key_value() {
+                if !self.closed_below(g, ix, min_hw) {
+                    break;
+                }
+                let (_, map) = self.partials[slot].pop_first().expect("just seen");
+                // A window already behind the adopted frontier was
+                // folded by an earlier cut; these partials are a stale
+                // copy (a report collected before its shard pruned) and
+                // must be discarded, not folded twice.
+                if !fold || self.closed_below(g, ix, frontier) {
+                    continue;
+                }
+                // The ≥2-observations rule is final here: the window is
+                // closed, so a combo that never reached two observations
+                // never will.
+                for (&(_, dest), agg) in map.iter().filter(|(_, agg)| agg.count >= 2) {
+                    self.retired.record(g, dest, agg.hashes.len());
+                }
+            }
+        }
+        self.folded_min_hw = frontier.max(min_hw);
+    }
+}
+
+/// Why [`ChurnAccumulator::import_windowed`] refused a row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChurnImportError {
+    /// The row names a granularity the accumulator was not built with.
+    UnknownGranularity(Granularity),
+    /// The row's window index is past the period's last window.
+    WindowOutOfRange {
+        /// Granularity of the row.
+        granularity: Granularity,
+        /// The index it names.
+        window: u32,
+        /// Windows that granularity has ([`TimeWindow::count`]).
+        count: u32,
+    },
+    /// Two rows name the same (granularity, vantage, destination, window).
+    DuplicateRow {
+        /// Granularity of the row.
+        granularity: Granularity,
+        /// Vantage AS.
+        vp: Asn,
+        /// Destination AS.
+        dest: Asn,
+        /// Window index.
+        window: u32,
+    },
+    /// The row carries no path hash: no observation could have made it,
+    /// and every reader buckets a combo by its (non-zero) hash count.
+    NoHashes {
+        /// Granularity of the row.
+        granularity: Granularity,
+        /// Window index.
+        window: u32,
+    },
+}
+
+impl std::fmt::Display for ChurnImportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ChurnImportError::UnknownGranularity(g) => {
+                write!(f, "churn window row names unconfigured granularity {g}")
+            }
+            ChurnImportError::WindowOutOfRange { granularity, window, count } => write!(
+                f,
+                "churn window row names {granularity} window {window}, past the period's {count}"
+            ),
+            ChurnImportError::DuplicateRow { granularity, vp, dest, window } => write!(
+                f,
+                "duplicate churn window row ({granularity}, {vp}, {dest}, window {window})"
+            ),
+            ChurnImportError::NoHashes { granularity, window } => {
+                write!(f, "churn window row ({granularity}, window {window}) has no path hash")
+            }
         }
     }
 }
+
+impl std::error::Error for ChurnImportError {}
 
 /// Streaming accumulator of per-pair path observations. Pairs are keyed
 /// by the *vantage AS* — the source field the paper's measurement records
@@ -254,20 +401,22 @@ impl ChurnAccumulator {
     }
 
     /// Fresh windowed-mode accumulator: observations fold straight into
-    /// per-(granularity × pair × window) partials. Only the listed
+    /// per-(granularity × window × pair) partials. Only the listed
     /// granularities can be queried afterwards. `horizon` (days) arms
     /// retirement: once a watermark passes `window end + horizon`, the
     /// window's partials may be folded ([`ChurnAccumulator::fold_closed`])
     /// or pruned ([`ChurnAccumulator::prune_closed`]) and later
-    /// observations for it are dropped as late.
+    /// observations for it are dropped as late. Costs the same for any
+    /// `total_days`: nothing is held for a window before it is observed.
     pub fn windowed(granularities: &[Granularity], total_days: u32, horizon: Option<u32>) -> Self {
+        let partials = vec![BTreeMap::new(); granularities.len()];
         ChurnAccumulator {
             per_pair: HashMap::new(),
             windows: Some(Windowed {
                 granularities: granularities.to_vec(),
                 total_days,
                 horizon,
-                partials: HashMap::new(),
+                partials,
                 folded_min_hw: 0,
                 retired: RetiredChurn::default(),
                 late_dropped: 0,
@@ -284,14 +433,15 @@ impl ChurnAccumulator {
                 self.per_pair.entry((vp, dest)).or_default().push(Sample { day, path_hash: h });
             }
             Some(w) => {
-                for i in 0..w.granularities.len() {
-                    let g = w.granularities[i];
+                for slot in 0..w.granularities.len() {
+                    let g = w.granularities[slot];
                     let ix = TimeWindow::of(day, g, w.total_days).index;
-                    if w.folded(g, ix) {
+                    if w.closed_below(g, ix, w.folded_min_hw) {
                         w.late_dropped += 1;
                         continue;
                     }
-                    let e = w.partials.entry((g, (vp, dest), ix)).or_default();
+                    let map = w.partials[slot].entry(ix).or_default();
+                    let e = Arc::make_mut(map).entry((vp, dest)).or_default();
                     e.hashes.insert(h);
                     e.count += 1;
                 }
@@ -306,8 +456,8 @@ impl ChurnAccumulator {
         match &self.windows {
             None => self.per_pair.len(),
             Some(w) => {
-                let pairs: HashSet<(Asn, Asn)> =
-                    w.partials.keys().map(|&(_, pair, _)| pair).collect();
+                let pairs: FxSet<(Asn, Asn)> =
+                    w.live().flat_map(|(_, _, map)| map.keys().copied()).collect();
                 pairs.len()
             }
         }
@@ -324,8 +474,10 @@ impl ChurnAccumulator {
     /// shards; per-window distinct-path sets and observation counts are
     /// unions/sums, so merging partials (or concatenating sample lists)
     /// reproduces exactly what single-stream accumulation would have
-    /// recorded. An empty legacy accumulator (the `Default`) adopts the
-    /// other side's mode; otherwise modes and window configs must match.
+    /// recorded. A window the receiver holds nothing for is adopted by
+    /// pointer, not copied. An empty legacy accumulator (the `Default`)
+    /// adopts the other side's mode; otherwise modes and window configs
+    /// must match.
     pub fn merge(&mut self, other: ChurnAccumulator) {
         if self.windows.is_none() && self.per_pair.is_empty() && other.windows.is_some() {
             *self = other;
@@ -344,17 +496,29 @@ impl ChurnAccumulator {
                         && a.horizon == b.horizon,
                     "ChurnAccumulator::merge: mismatched window configs",
                 );
-                for (key, agg) in b.partials {
-                    match a.partials.entry(key) {
-                        Entry::Vacant(e) => {
-                            e.insert(agg);
-                        }
-                        Entry::Occupied(mut e) => {
-                            let e = e.get_mut();
-                            for &h in agg.hashes.as_slice() {
-                                e.hashes.insert(h);
+                // Equal configs, so slot for slot the same granularity.
+                for (mine, theirs) in a.partials.iter_mut().zip(b.partials) {
+                    for (ix, theirs) in theirs {
+                        let mine = match mine.entry(ix) {
+                            btree_map::Entry::Vacant(e) => {
+                                e.insert(theirs);
+                                continue;
                             }
-                            e.count += agg.count;
+                            btree_map::Entry::Occupied(e) => Arc::make_mut(e.into_mut()),
+                        };
+                        for (&pair, agg) in theirs.iter() {
+                            match mine.entry(pair) {
+                                Entry::Vacant(e) => {
+                                    e.insert(agg.clone());
+                                }
+                                Entry::Occupied(mut e) => {
+                                    let e = e.get_mut();
+                                    for &h in agg.hashes.as_slice() {
+                                        e.hashes.insert(h);
+                                    }
+                                    e.count += agg.count;
+                                }
+                            }
                         }
                     }
                 }
@@ -385,34 +549,7 @@ impl ChurnAccumulator {
     /// only.
     pub fn fold_closed(&mut self, min_hw: u32) {
         let w = self.windows.as_mut().expect("fold_closed requires windowed mode");
-        let Some(h) = w.horizon else { return };
-        let total_days = w.total_days;
-        let pre_frontier = w.folded_min_hw;
-        let end_of = |g: Granularity, ix: u32| {
-            (TimeWindow { granularity: g, index: ix }).end_day(total_days)
-        };
-        let closes = |g: Granularity, ix: u32| {
-            end_of(g, ix).is_some_and(|end| (end as u64) + (h as u64) < min_hw as u64)
-        };
-        let keys: Vec<_> =
-            w.partials.keys().filter(|&&(g, _, ix)| closes(g, ix)).copied().collect();
-        for key in keys {
-            let agg = w.partials.remove(&key).expect("key just listed");
-            let (g, (_, dest), ix) = key;
-            // A window already behind the adopted frontier was folded by
-            // an earlier cut; these partials are a stale copy (a report
-            // collected before its shard pruned) and must be discarded,
-            // not folded twice.
-            let stale = end_of(g, ix)
-                .is_some_and(|end| (end as u64) + (h as u64) < pre_frontier as u64);
-            // The ≥2-observations rule is final here: the window is
-            // closed, so a combo that never reached two observations
-            // never will.
-            if !stale && agg.count >= 2 {
-                w.retired.record(g, dest, agg.hashes.len());
-            }
-        }
-        w.folded_min_hw = w.folded_min_hw.max(min_hw);
+        w.close_below(min_hw, true);
     }
 
     /// Like [`ChurnAccumulator::fold_closed`] but *discards* the closed
@@ -422,14 +559,7 @@ impl ChurnAccumulator {
     /// below the frontier. Windowed mode only.
     pub fn prune_closed(&mut self, min_hw: u32) {
         let w = self.windows.as_mut().expect("prune_closed requires windowed mode");
-        let Some(h) = w.horizon else { return };
-        let total_days = w.total_days;
-        w.partials.retain(|&(g, _, ix), _| {
-            (TimeWindow { granularity: g, index: ix })
-                .end_day(total_days)
-                .is_none_or(|end| (end as u64) + (h as u64) >= min_hw as u64)
-        });
-        w.folded_min_hw = w.folded_min_hw.max(min_hw);
+        w.close_below(min_hw, false);
     }
 
     /// The folded tallies and fold frontier (engine checkpoint state).
@@ -449,24 +579,26 @@ impl ChurnAccumulator {
         &self,
     ) -> Option<(&[Granularity], u32, Option<u32>, Vec<ChurnWindowEntry>, u32, u64)> {
         let w = self.windows.as_ref()?;
-        let mut entries: Vec<ChurnWindowEntry> = w
-            .partials
-            .iter()
-            .map(|(&(g, (vp, dest), window), agg)| ChurnWindowEntry {
-                granularity: g,
+        let mut entries = Vec::with_capacity(w.live().map(|(_, _, map)| map.len()).sum());
+        entries.extend(w.live().flat_map(|(granularity, window, map)| {
+            map.iter().map(move |(&(vp, dest), agg)| ChurnWindowEntry {
+                granularity,
                 vp,
                 dest,
                 window,
                 hashes: agg.hashes.as_slice().to_vec(),
                 count: agg.count,
             })
-            .collect();
+        }));
         entries.sort_by_key(|e| (e.granularity, e.vp, e.dest, e.window));
         Some((&w.granularities, w.total_days, w.horizon, entries, w.folded_min_hw, w.late_dropped))
     }
 
     /// Rebuild a windowed accumulator from exported rows (checkpoint
-    /// decoding). Inverse of [`ChurnAccumulator::export_windowed`].
+    /// decoding). Inverse of [`ChurnAccumulator::export_windowed`]. The
+    /// rows come from outside the program: one that fits no window of
+    /// this configuration, repeats another, or carries no hash is an
+    /// error, never a panic.
     pub fn import_windowed(
         granularities: &[Granularity],
         total_days: u32,
@@ -474,19 +606,33 @@ impl ChurnAccumulator {
         entries: Vec<ChurnWindowEntry>,
         folded_min_hw: u32,
         late_dropped: u64,
-    ) -> Self {
+    ) -> Result<Self, ChurnImportError> {
         let mut acc = Self::windowed(granularities, total_days, horizon);
         let w = acc.windows.as_mut().expect("just built windowed");
         for e in entries {
-            let prev = w.partials.insert(
-                (e.granularity, (e.vp, e.dest), e.window),
-                WindowAgg { hashes: e.hashes.as_slice().into(), count: e.count },
-            );
-            assert!(prev.is_none(), "duplicate churn window entry in checkpoint");
+            let ChurnWindowEntry { granularity, vp, dest, window, .. } = e;
+            let slot =
+                w.slot(granularity).ok_or(ChurnImportError::UnknownGranularity(granularity))?;
+            let count = TimeWindow::count(granularity, total_days);
+            if window >= count {
+                return Err(ChurnImportError::WindowOutOfRange { granularity, window, count });
+            }
+            if e.hashes.is_empty() {
+                return Err(ChurnImportError::NoHashes { granularity, window });
+            }
+            let map = w.partials[slot].entry(window).or_default();
+            match Arc::make_mut(map).entry((vp, dest)) {
+                Entry::Occupied(_) => {
+                    return Err(ChurnImportError::DuplicateRow { granularity, vp, dest, window });
+                }
+                Entry::Vacant(v) => {
+                    v.insert(WindowAgg { hashes: e.hashes.as_slice().into(), count: e.count });
+                }
+            }
         }
         w.folded_min_hw = folded_min_hw;
         w.late_dropped = late_dropped;
-        acc
+        Ok(acc)
     }
 
     /// Distinct-path distributions at the given granularities. A (pair,
@@ -516,14 +662,14 @@ impl ChurnAccumulator {
             Some(w) => granularities
                 .iter()
                 .map(|&g| {
-                    assert!(
-                        w.granularities.contains(&g),
-                        "granularity {g} not configured on this windowed churn accumulator",
-                    );
+                    let slot = w.slot(g).unwrap_or_else(|| {
+                        panic!("granularity {g} not configured on this windowed churn accumulator")
+                    });
                     let mut buckets = [0u64; 5];
                     let mut total = 0u64;
-                    for (&(pg, (_, dest), _), agg) in &w.partials {
-                        if pg != g || agg.count < 2 || !keep(dest) {
+                    let combos = w.partials[slot].values().flat_map(|map| map.iter());
+                    for (&(_, dest), agg) in combos {
+                        if agg.count < 2 || !keep(dest) {
                             continue;
                         }
                         buckets[agg.hashes.len().min(5) - 1] += 1;
@@ -677,21 +823,128 @@ mod tests {
 
     #[test]
     fn windowed_matches_legacy_exactly() {
-        let gs = Granularity::ALL;
-        let mut legacy = ChurnAccumulator::new();
-        let mut windowed = ChurnAccumulator::windowed(&gs, 60, None);
-        for (vp, dest, day, path) in workload() {
-            legacy.add(vp, dest, day, &path);
-            windowed.add(vp, dest, day, &path);
+        // The workload's days run 0..60: a 45-day period clamps the tail
+        // into each granularity's last window, a 0-day period clamps
+        // everything into window 0, and one granularity is one slot.
+        let all = Granularity::ALL.as_slice();
+        for (gs, total_days) in [(all, 60), (all, 45), (all, 0), (&[Granularity::Week][..], 60)] {
+            let mut legacy = ChurnAccumulator::new();
+            let mut windowed = ChurnAccumulator::windowed(gs, total_days, None);
+            for (vp, dest, day, path) in workload() {
+                legacy.add(vp, dest, day, &path);
+                windowed.add(vp, dest, day, &path);
+            }
+            assert_eq!(
+                legacy.distributions(gs, total_days),
+                windowed.distributions(gs, total_days),
+                "{gs:?} over {total_days} days",
+            );
+            assert_eq!(legacy.n_pairs(), windowed.n_pairs());
+            // Filtered views agree too.
+            let f = |d: Asn| d.0.is_multiple_of(2);
+            assert_eq!(
+                legacy.distributions_filtered(gs, total_days, f),
+                windowed.distributions_filtered(gs, total_days, f),
+            );
         }
-        assert_eq!(legacy.distributions(&gs, 60), windowed.distributions(&gs, 60));
-        assert_eq!(legacy.n_pairs(), windowed.n_pairs());
-        // Filtered views agree too.
-        let f = |d: Asn| d.0.is_multiple_of(2);
-        assert_eq!(
-            legacy.distributions_filtered(&gs, 60, f),
-            windowed.distributions_filtered(&gs, 60, f),
+    }
+
+    /// Window `ix` of `g`, if open (tests look at allocations).
+    fn window_of(acc: &ChurnAccumulator, g: Granularity, ix: u32) -> Option<&Arc<WindowMap>> {
+        let w = acc.windows.as_ref().expect("windowed");
+        w.partials[w.slot(g).expect("configured")].get(&ix)
+    }
+
+    #[test]
+    fn a_clone_is_frozen_and_shares_what_no_write_touched() {
+        let gs = Granularity::ALL;
+        let mut work = workload();
+        work.sort_by_key(|&(_, _, day, _)| day);
+        let (early, late): (Vec<_>, Vec<_>) = work.into_iter().partition(|&(_, _, d, _)| d < 40);
+        let mut acc = ChurnAccumulator::windowed(&gs, 60, Some(3));
+        for (vp, dest, day, path) in &early {
+            acc.add(*vp, *dest, *day, path);
+        }
+        let report = acc.clone();
+        let frozen = (
+            report.distributions(&gs, 60),
+            report.n_pairs(),
+            report.export_windowed().expect("windowed").3,
         );
+        let same = |a: &ChurnAccumulator, b: &ChurnAccumulator, g, ix| {
+            match (window_of(a, g, ix), window_of(b, g, ix)) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (a, b) => panic!("window {g} {ix} empty: {} / {}", a.is_none(), b.is_none()),
+            }
+        };
+        assert!(same(&acc, &report, Granularity::Day, 39), "a clone copies pointers");
+
+        // Days 40.. open day windows 40.. and write to week 5 (days
+        // 35–41), month 1 and the year.
+        for (vp, dest, day, path) in &late {
+            acc.add(*vp, *dest, *day, path);
+        }
+        assert_ne!(acc.distributions(&gs, 60), frozen.0, "the original moved on");
+        assert_eq!(report.distributions(&gs, 60), frozen.0);
+        assert_eq!(report.n_pairs(), frozen.1);
+        assert_eq!(report.export_windowed().expect("windowed").3, frozen.2);
+        let (day, week, month, year) = Granularity::ALL.into();
+        for (g, ix) in [(day, 0), (day, 39), (week, 4), (month, 0)] {
+            assert!(same(&acc, &report, g, ix), "{g} window {ix} was not written to");
+        }
+        for (g, ix) in [(week, 5), (month, 1), (year, 0)] {
+            assert!(!same(&acc, &report, g, ix), "{g} window {ix} was copied on write");
+        }
+        assert!(window_of(&report, day, 40).is_none(), "opened after the clone");
+
+        // An empty receiver adopts every window by pointer.
+        let mut merged = ChurnAccumulator::default();
+        merged.merge(report.clone());
+        assert!(same(&merged, &report, Granularity::Day, 0));
+        assert!(same(&merged, &report, Granularity::Year, 0));
+
+        // Closing windows on either side leaves the held clone whole.
+        merged.fold_closed(59);
+        acc.prune_closed(59);
+        assert!(window_of(&merged, Granularity::Day, 0).is_none(), "the fold freed it");
+        assert!(window_of(&acc, Granularity::Day, 0).is_none(), "the prune freed it");
+        assert_eq!(report.distributions(&gs, 60), frozen.0);
+        assert_eq!(report.n_pairs(), frozen.1);
+        assert_eq!(report.export_windowed().expect("windowed").3, frozen.2);
+        // ... and folding lost nothing: the merged copy still reports the
+        // prefix it was cloned at.
+        assert_eq!(merged.distributions(&gs, 60), frozen.0);
+    }
+
+    #[test]
+    fn what_is_held_follows_what_is_open_not_the_period() {
+        // A run-forever configuration: the longest period there is, a
+        // week's horizon. One pair observed twice a day for three years,
+        // closing behind the watermark as a shard (prune) and a merger
+        // (fold) do.
+        let gs = Granularity::ALL;
+        let total_days = u32::MAX;
+        let held = |acc: &ChurnAccumulator| {
+            let w = acc.windows.as_ref().expect("windowed");
+            w.partials.iter().map(BTreeMap::len).sum::<usize>()
+        };
+        let mut shard = ChurnAccumulator::windowed(&gs, total_days, Some(7));
+        let mut merged = ChurnAccumulator::windowed(&gs, total_days, Some(7));
+        assert_eq!(held(&shard), 0, "nothing is held before it is observed");
+        for day in 0..3 * 365 {
+            for hop in [5, 6] {
+                shard.add(Asn(1), Asn(2), day, &asns(&[1, hop, 2]));
+                merged.add(Asn(1), Asn(2), day, &asns(&[1, hop, 2]));
+            }
+            shard.prune_closed(day);
+            merged.fold_closed(day);
+            // Open at any time: the horizon's eight day windows plus the
+            // one filling, up to three weeks, up to two months, the year.
+            assert!(held(&shard) <= 9 + 3 + 2 + 1, "day {day}: {} windows held", held(&shard));
+            assert_eq!(held(&shard), held(&merged));
+        }
+        let day = &merged.distributions(&gs, total_days)[0];
+        assert_eq!(day.buckets, [0, 3 * 365, 0, 0, 0], "every day window, open or folded");
     }
 
     #[test]
@@ -823,8 +1076,8 @@ mod tests {
         }
         acc.prune_closed(20);
         let (g, days, h, entries, frontier, late) = acc.export_windowed().expect("windowed");
-        let back =
-            ChurnAccumulator::import_windowed(g, days, h, entries.clone(), frontier, late);
+        let back = ChurnAccumulator::import_windowed(g, days, h, entries.clone(), frontier, late)
+            .expect("exported rows import");
         assert_eq!(acc.distributions(&gs, 60), back.distributions(&gs, 60));
         assert_eq!(acc.late_dropped(), back.late_dropped());
         let (_, _, _, entries2, frontier2, _) = back.export_windowed().expect("windowed");
@@ -860,8 +1113,60 @@ mod tests {
         let (g, days, h, entries, frontier, late) = windowed.export_windowed().expect("windowed");
         let first_seen: Vec<u64> = (0..n).map(|i| path_hash(&asns(&[1, 10 + i, 2]))).collect();
         assert_eq!(entries[0].hashes, first_seen, "insertion order survives the spill");
-        let back = ChurnAccumulator::import_windowed(g, days, h, entries.clone(), frontier, late);
+        let back = ChurnAccumulator::import_windowed(g, days, h, entries.clone(), frontier, late)
+            .expect("exported rows import");
         assert_eq!(back.export_windowed().expect("windowed").3, entries);
+    }
+
+    #[test]
+    fn import_refuses_rows_that_fit_no_window() {
+        let gs = [Granularity::Day, Granularity::Month];
+        let row = |granularity, window, hashes: &[u64]| ChurnWindowEntry {
+            granularity,
+            vp: Asn(1),
+            dest: Asn(2),
+            window,
+            hashes: hashes.to_vec(),
+            count: 2,
+        };
+        let import = |rows| ChurnAccumulator::import_windowed(&gs, 60, Some(3), rows, 0, 0);
+        // The last window of each granularity is the last row that fits.
+        let ok = import(vec![row(Granularity::Day, 59, &[7]), row(Granularity::Month, 1, &[7])]);
+        assert_eq!(ok.expect("in range").n_pairs(), 1);
+        assert_eq!(
+            import(vec![row(Granularity::Week, 0, &[7])]).unwrap_err(),
+            ChurnImportError::UnknownGranularity(Granularity::Week),
+        );
+        assert_eq!(
+            import(vec![row(Granularity::Month, 2, &[7])]).unwrap_err(),
+            ChurnImportError::WindowOutOfRange {
+                granularity: Granularity::Month,
+                window: 2,
+                count: 2
+            },
+        );
+        assert_eq!(
+            import(vec![row(Granularity::Day, u32::MAX, &[7])]).unwrap_err(),
+            ChurnImportError::WindowOutOfRange {
+                granularity: Granularity::Day,
+                window: u32::MAX,
+                count: 60
+            },
+        );
+        assert_eq!(
+            import(vec![row(Granularity::Day, 4, &[7]), row(Granularity::Day, 4, &[8])])
+                .unwrap_err(),
+            ChurnImportError::DuplicateRow {
+                granularity: Granularity::Day,
+                vp: Asn(1),
+                dest: Asn(2),
+                window: 4
+            },
+        );
+        // A hashless row would underflow every reader's bucket index.
+        let err = import(vec![row(Granularity::Day, 4, &[])]).unwrap_err();
+        assert_eq!(err, ChurnImportError::NoHashes { granularity: Granularity::Day, window: 4 });
+        assert!(err.to_string().contains("no path hash"), "{err}");
     }
 
     #[test]

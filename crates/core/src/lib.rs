@@ -43,7 +43,9 @@ pub mod validate;
 
 pub use accumulate::FindingsAccumulator;
 pub use analyze::{InstanceOutcome, SolveConfig};
-pub use churnstats::{ChurnAccumulator, ChurnTally, ChurnWindowEntry, RetiredChurn};
+pub use churnstats::{
+    ChurnAccumulator, ChurnImportError, ChurnTally, ChurnWindowEntry, RetiredChurn,
+};
 pub use convert::{
     convert_into, convert_measurement, ConversionStats, ConvertScratch, DiscardReason,
 };

@@ -25,6 +25,7 @@ use churnlab_sat::{Solvability, SolverCtx};
 use churnlab_topology::Asn;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Whether to exploit path churn (the paper's approach) or suppress it
 /// (Figure 4's ablation).
@@ -83,8 +84,10 @@ pub struct CensorFinding {
 /// The full pipeline output.
 #[derive(Debug)]
 pub struct PipelineResults {
-    /// Per-instance outcomes (interesting instances only).
-    pub outcomes: Vec<InstanceOutcome>,
+    /// Per-instance outcomes (interesting instances only). Shared, not
+    /// owned: the engine hands every report the allocation its shard
+    /// solved the cell into, so a report costs a pointer a cell.
+    pub outcomes: Vec<Arc<InstanceOutcome>>,
     /// Traceroute-conversion statistics (elimination rules).
     pub conversion: ConversionStats,
     /// Identified censors: backbone-definite in at least one CNF (every
@@ -205,7 +208,7 @@ pub struct Pipeline<'p> {
     current_url: Option<u32>,
     flushed: HashSet<u32>,
     buffer: Vec<ConvertedObs>,
-    outcomes: Vec<InstanceOutcome>,
+    outcomes: Vec<Arc<InstanceOutcome>>,
     acc: FindingsAccumulator,
     trivial: u64,
     /// Reusable solver context: every flushed instance is analysed on the
@@ -320,7 +323,7 @@ impl<'p> Pipeline<'p> {
             let inst = builder.build().expect("non-empty builder");
             let outcome = analyze_with(&inst, &cfg.solve, ctx);
             acc.record_instance(&inst, &outcome, topo);
-            outcomes.push(outcome);
+            outcomes.push(Arc::new(outcome));
         });
     }
 }

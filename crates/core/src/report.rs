@@ -12,6 +12,7 @@ use churnlab_platform::AnomalyType;
 use churnlab_topology::{Asn, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One Table-2 row: a country and its identified censoring ASes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -151,8 +152,10 @@ pub struct CanonicalReport {
     pub conversion: ConversionStats,
     /// CNFs skipped for lacking a censored observation.
     pub trivial_instances: u64,
-    /// Per-instance outcomes, sorted by [`crate::instance::InstanceKey`].
-    pub outcomes: Vec<InstanceOutcome>,
+    /// Per-instance outcomes, sorted by [`crate::instance::InstanceKey`]
+    /// — the results' own allocations (serialized as the outcomes
+    /// themselves).
+    pub outcomes: Vec<Arc<InstanceOutcome>>,
     /// Censor findings, sorted by ASN.
     pub censor_findings: Vec<CensorFinding>,
     /// Observability horizon, sorted.

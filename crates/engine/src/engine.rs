@@ -4,7 +4,7 @@
 use crate::ckpt::{self, Dec, Enc, RestoreError, MAGIC, VERSION};
 use crate::incremental::IncrementalStats;
 use crate::intern::InternStats;
-use crate::obs::{EngineObs, ShardObs, PHASE_NANOS};
+use crate::obs::{EngineObs, ShardObs};
 use crate::shard::{
     as_countries, cloned_outcomes, run_worker, CompactCut, Msg, ShardReport, ShardState,
 };
@@ -91,10 +91,10 @@ pub struct EngineBusy {
     /// Cost of the merge that produced this report: the merging
     /// thread's on-CPU time (wall time where the CPU clock is
     /// unavailable) — the serial section at the snapshot boundary. It
-    /// unions the shards' already-folded findings, copies and sorts the
-    /// outcomes, and folds closed churn windows; solving cells and
-    /// folding their findings is shard work, counted in the shard
-    /// times.
+    /// unions the shards' already-folded findings, gathers and sorts
+    /// pointers to the outcomes, and folds closed churn windows; solving
+    /// cells and folding their findings is shard work, counted in the
+    /// shard times.
     pub merge_nanos: u64,
 }
 
@@ -599,8 +599,8 @@ impl<'c> Engine<'c> {
         let mut trivial = 0u64;
         let min_hw = min_watermark(reports.iter().map(|r| r.high_water));
         // Every cell was solved, and its findings folded, on its shard:
-        // what is left is a union of small accumulators and one copy of
-        // the outcomes into the report.
+        // what is left is a union of small accumulators and one pointer
+        // to each outcome.
         let mut acc = FindingsAccumulator::new();
         let n_cells = reports.iter().flat_map(|r| &r.groups).map(|g| g.cells.len()).sum();
         let mut outcomes = Vec::with_capacity(n_cells);
@@ -639,9 +639,7 @@ impl<'c> Engine<'c> {
             _ => t0.elapsed().as_nanos() as u64,
         };
         if let Some(obs) = &self.obs {
-            obs.registry()
-                .counter(PHASE_NANOS.0, PHASE_NANOS.1, &[("phase", "merge")])
-                .add(stats.busy.merge_nanos);
+            obs.phase_merge.add(stats.busy.merge_nanos);
         }
         let results = PipelineResults {
             outcomes,
@@ -662,7 +660,12 @@ impl<'c> Engine<'c> {
     /// counters agree exactly with the cut (a [`Feeder`]'s unflushed
     /// tail is excluded from both).
     pub fn snapshot(&self) -> PipelineResults {
-        self.merge(self.collect_reports(false)).0
+        let t0 = Instant::now();
+        let results = self.merge(self.collect_reports(false)).0;
+        if let Some(obs) = &self.obs {
+            obs.snapshot_nanos.observe(t0.elapsed().as_nanos() as u64);
+        }
+        results
     }
 
     /// Drain every shard's retired outcomes — the daemon's memory
@@ -906,8 +909,9 @@ impl Drop for Engine<'_> {
 /// remain inside the engine and keep appearing in later reports.
 #[derive(Debug, Clone, Default)]
 pub struct CompactReport {
-    /// Solved outcomes of the drained retired cells, sorted by key.
-    pub outcomes: Vec<InstanceOutcome>,
+    /// Solved outcomes of the drained retired cells, sorted by key — the
+    /// allocations the shards solved them into.
+    pub outcomes: Vec<Arc<InstanceOutcome>>,
     /// Trivial (all-clean) cells drained along with them.
     pub trivial: u64,
 }

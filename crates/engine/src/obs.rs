@@ -20,6 +20,9 @@
 //!   groups a report served from their cached solved cells
 //!   (`result="reused"`) or had to re-solve because an effective
 //!   observation hit them since the last report (`result="rebuilt"`);
+//! * `churnlab_snapshot_nanos` — wall time of each
+//!   [`crate::Engine::snapshot`] on the calling thread, collecting the
+//!   shards' reports and merging them: the read latency a caller sees;
 //! * `churnlab_windows_open{shard}` — live (URL × window) groups;
 //! * `churnlab_resolve_nanos{shard}` — re-solve latency distribution
 //!   (wall-timed: re-solves are rare enough that an `Instant` pair per
@@ -35,9 +38,8 @@ use churnlab_core::analyze::InstanceOutcome;
 use churnlab_obs::{Counter, Gauge, Histogram, Journal, Registry};
 
 /// Names/help shared by every series the engine registers, so the shard
-/// workers and the stats mirror agree on them.
-pub(crate) const PHASE_NANOS: (&str, &str) =
-    ("churnlab_phase_nanos_total", "on-CPU nanoseconds by phase");
+/// workers and the merging thread agree on them.
+const PHASE_NANOS: (&str, &str) = ("churnlab_phase_nanos_total", "on-CPU nanoseconds by phase");
 
 const SNAPSHOT_GROUPS: (&str, &str) =
     ("churnlab_snapshot_groups_total", "live groups a shard report reused from cache or re-solved");
@@ -48,12 +50,22 @@ const SNAPSHOT_GROUPS: (&str, &str) =
 pub struct EngineObs {
     registry: Registry,
     journal: Option<Journal>,
+    /// The merging thread's `phase="merge"` series.
+    pub(crate) phase_merge: Counter,
+    /// Wall time of each whole `snapshot()` call.
+    pub(crate) snapshot_nanos: Histogram,
 }
 
 impl EngineObs {
     /// Observability over `registry`, with no journal.
     pub fn new(registry: Registry) -> Self {
-        EngineObs { registry, journal: None }
+        let phase_merge = registry.counter(PHASE_NANOS.0, PHASE_NANOS.1, &[("phase", "merge")]);
+        let snapshot_nanos = registry.histogram(
+            "churnlab_snapshot_nanos",
+            "wall nanoseconds of each Engine::snapshot call, collect + merge",
+            &[],
+        );
+        EngineObs { registry, journal: None, phase_merge, snapshot_nanos }
     }
 
     /// Attach an event journal.

@@ -41,6 +41,19 @@
 //! derived state — never checkpointed, rebuilt after a restore, freed
 //! with the group.
 //!
+//! The two parts a report used to copy whole are shared the same way.
+//! Each cell's [`InstanceOutcome`] sits behind its own `Arc` from the
+//! moment it is solved, so the outcome list a report (or a compaction)
+//! hands out is one pointer a cell — through the merger's sort and the
+//! canonical report's, down to the digest — instead of three `Vec`s a
+//! cell, every retired cell, every time. And the shard's
+//! [`ChurnAccumulator`] keeps its partials one map per open window
+//! behind copy-on-write: `churn.clone()` copies one pointer per open
+//! window (however long the configured period), the one-shard merger
+//! adopts those pointers, and an ingest that follows copies a window
+//! only if it writes to it while a report still holds it — at most one
+//! window a granularity.
+//!
 //! **Window lifecycle.** The shard tracks a high-water day watermark.
 //! With a lateness horizon configured, any (URL × window) group whose
 //! window ended more than `horizon` days below the watermark is
@@ -54,7 +67,7 @@
 //! through [`Msg::Compact`], which is what bounds shard memory on an
 //! unbounded stream.
 
-use crate::ckpt::{anomaly_from, anomaly_tag, Dec, Enc};
+use crate::ckpt::{anomaly_from, anomaly_tag, granularity_from, granularity_tag, Dec, Enc};
 use crate::incremental::{IncrementalStats, InstanceGroup, SolveScratch};
 use crate::intern::{FxMap, FxSet, InternStats, PathTable};
 use crate::obs::ShardObs;
@@ -66,7 +79,7 @@ use churnlab_core::convert::{convert_into, ConversionStats, ConvertScratch};
 use churnlab_core::instance::InstanceKey;
 use churnlab_core::obs::{ConvertedObs, PathId};
 use churnlab_core::pipeline::{ChurnMode, PipelineConfig};
-use churnlab_core::ChurnAccumulator;
+use churnlab_core::{ChurnAccumulator, ChurnWindowEntry};
 use churnlab_obs::{BusyTimer, Counter, Stopwatch};
 use churnlab_platform::Measurement;
 use churnlab_sat::{CtxStats, Solvability};
@@ -129,7 +142,7 @@ fn country_of(countries: &AsCountries) -> impl Fn(Asn) -> Option<CountryCode> + 
 /// censor). The ids outlive the fold because a retired cell's checkpoint
 /// row stores them.
 pub(crate) struct SolvedCell {
-    pub outcome: InstanceOutcome,
+    pub outcome: Arc<InstanceOutcome>,
     pub censored_paths: Vec<PathId>,
 }
 
@@ -160,7 +173,7 @@ impl SolvedGroup {
                 solved.trivial += 1;
                 continue;
             }
-            let outcome = inst.outcome(group.vars());
+            let outcome = Arc::new(inst.outcome(group.vars()));
             let censored_paths = if outcome.censors.is_empty() {
                 Vec::new()
             } else {
@@ -191,12 +204,12 @@ impl SolvedGroup {
     }
 }
 
-/// Copies of every outcome in `groups`, in order — what a report or a
-/// compaction hands the caller to own.
+/// Every outcome in `groups`, in order, by pointer — what a report or a
+/// compaction hands the caller.
 pub(crate) fn cloned_outcomes(
     groups: &[Arc<SolvedGroup>],
-) -> impl Iterator<Item = InstanceOutcome> + '_ {
-    groups.iter().flat_map(|g| &g.cells).map(|c| c.outcome.clone())
+) -> impl Iterator<Item = Arc<InstanceOutcome>> + '_ {
+    groups.iter().flat_map(|g| &g.cells).map(|c| Arc::clone(&c.outcome))
 }
 
 /// A live group and the report form of its cells as of the last
@@ -246,8 +259,9 @@ pub(crate) struct ShardReport {
 /// holds them.
 pub(crate) struct CompactCut {
     pub high_water: Option<u32>,
-    /// Clone of the shard's churn accumulator, so the engine can fold
-    /// globally-closed windows during the same cut.
+    /// Clone of the shard's churn accumulator (its windows shared, not
+    /// copied), so the engine can fold globally-closed windows during
+    /// the same cut.
     pub churn: ChurnAccumulator,
     pub groups: Vec<Arc<SolvedGroup>>,
     pub trivial: u64,
@@ -625,7 +639,10 @@ impl ShardState {
                                 .map(|o| o.path.as_slice())
                                 .collect();
                             solved.findings.record(&outcome, censored, country_of);
-                            solved.cells.push(SolvedCell { outcome, censored_paths: Vec::new() });
+                            solved.cells.push(SolvedCell {
+                                outcome: Arc::new(outcome),
+                                censored_paths: Vec::new(),
+                            });
                         },
                     );
                 }
@@ -730,7 +747,7 @@ fn encode_cell(e: &mut Enc, c: &SolvedCell) {
 }
 
 fn decode_cell(d: &mut Dec, n_paths: usize) -> Result<SolvedCell, String> {
-    let outcome = decode_outcome(d)?;
+    let outcome = Arc::new(decode_outcome(d)?);
     let mut censored_paths = Vec::new();
     for id in d.u32s()? {
         if id as usize >= n_paths {
@@ -739,6 +756,26 @@ fn decode_cell(d: &mut Dec, n_paths: usize) -> Result<SolvedCell, String> {
         censored_paths.push(PathId(id));
     }
     Ok(SolvedCell { outcome, censored_paths })
+}
+
+fn encode_churn_row(e: &mut Enc, row: &ChurnWindowEntry) {
+    e.u8(granularity_tag(row.granularity));
+    e.u32(row.vp.0);
+    e.u32(row.dest.0);
+    e.u32(row.window);
+    e.u64s(&row.hashes);
+    e.u64(row.count);
+}
+
+fn decode_churn_row(d: &mut Dec) -> Result<ChurnWindowEntry, String> {
+    Ok(ChurnWindowEntry {
+        granularity: granularity_from(d.u8()?)?,
+        vp: Asn(d.u32()?),
+        dest: Asn(d.u32()?),
+        window: d.u32()?,
+        hashes: d.u64s()?,
+        count: d.u64()?,
+    })
 }
 
 fn encode_converted(e: &mut Enc, o: &ConvertedObs) {
@@ -799,18 +836,13 @@ impl ShardState {
             self.churn.export_windowed().expect("shard churn is always windowed");
         e.u64(gs.len() as u64);
         for g in gs {
-            e.u8(crate::ckpt::granularity_tag(*g));
+            e.u8(granularity_tag(*g));
         }
         e.u32(total_days);
         e.opt_u32(horizon);
         e.u64(entries.len() as u64);
         for entry in &entries {
-            e.u8(crate::ckpt::granularity_tag(entry.granularity));
-            e.u32(entry.vp.0);
-            e.u32(entry.dest.0);
-            e.u32(entry.window);
-            e.u64s(&entry.hashes);
-            e.u64(entry.count);
+            encode_churn_row(&mut e, entry);
         }
         e.u32(frontier);
         e.u64(late);
@@ -893,7 +925,7 @@ impl ShardState {
         let n_gs = d.len()?;
         let mut gs = Vec::with_capacity(n_gs);
         for _ in 0..n_gs {
-            gs.push(crate::ckpt::granularity_from(d.u8()?)?);
+            gs.push(granularity_from(d.u8()?)?);
         }
         let total_days = d.u32()?;
         let churn_horizon = d.opt_u32()?;
@@ -903,20 +935,7 @@ impl ShardState {
         let n_entries = d.len()?;
         let mut entries = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
-            let granularity = crate::ckpt::granularity_from(d.u8()?)?;
-            let vp = Asn(d.u32()?);
-            let dest = Asn(d.u32()?);
-            let window = d.u32()?;
-            let hashes = d.u64s()?;
-            let count = d.u64()?;
-            entries.push(churnlab_core::ChurnWindowEntry {
-                granularity,
-                vp,
-                dest,
-                window,
-                hashes,
-                count,
-            });
+            entries.push(decode_churn_row(&mut d)?);
         }
         let frontier = d.u32()?;
         let late = d.u64()?;
@@ -927,7 +946,8 @@ impl ShardState {
             entries,
             frontier,
             late,
-        );
+        )
+        .map_err(|e| e.to_string())?;
         let n_groups = d.len()?;
         for _ in 0..n_groups {
             let url_id = d.u32()?;
@@ -1061,6 +1081,94 @@ pub(crate) fn run_worker(rx: Receiver<Msg>, mut state: ShardState, db: Ip2AsDb) 
             }
             #[cfg(feature = "test-instrumentation")]
             Msg::Poison => panic!("poisoned by test instrumentation"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use churnlab_bgp::{ChurnConfig, Granularity, RoutingSim};
+    use churnlab_censor::{CensorConfig, CensorshipScenario};
+    use churnlab_platform::{Platform, PlatformConfig, PlatformScale};
+    use churnlab_topology::{generator, WorldConfig, WorldScale};
+
+    fn row_bytes(row: &ChurnWindowEntry) -> Vec<u8> {
+        let mut e = Enc::default();
+        encode_churn_row(&mut e, row);
+        e.buf
+    }
+
+    /// `blob` with its one occurrence of `old` overwritten by `new`.
+    fn splice(blob: &[u8], old: &[u8], new: &[u8]) -> Vec<u8> {
+        assert_eq!(old.len(), new.len(), "an in-place fault keeps every length prefix true");
+        let at: Vec<usize> =
+            (0..=blob.len() - old.len()).filter(|&i| blob[i..].starts_with(old)).collect();
+        assert_eq!(at.len(), 1, "the row's bytes (a 64-bit path hash among them) occur once");
+        let mut out = blob.to_vec();
+        out[at[0]..at[0] + new.len()].copy_from_slice(new);
+        out
+    }
+
+    /// A real shard's blob, re-encoded with each fault a churn row can
+    /// carry, is refused with the fault's name — never a panic, never a
+    /// silent restore.
+    #[test]
+    fn decode_refuses_churn_rows_that_fit_no_window() {
+        let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, 23));
+        let mut censor_cfg = CensorConfig::scaled_for(world.topology.countries().len());
+        let mut platform_cfg = PlatformConfig::preset(PlatformScale::Smoke, 24);
+        platform_cfg.n_urls = 4;
+        censor_cfg.total_days = platform_cfg.total_days;
+        let scenario = CensorshipScenario::generate_for_world(&world, &censor_cfg);
+        let platform = Platform::new(&world, &scenario, platform_cfg.clone());
+        let churn_cfg =
+            ChurnConfig { total_days: platform_cfg.total_days, ..ChurnConfig::default() };
+        let (ms, _) = platform.run_collect(&RoutingSim::new(&world.topology, &churn_cfg));
+
+        // No year granularity, so a row can name one the shard lacks.
+        let mut cfg = PipelineConfig::paper(platform_cfg.total_days);
+        cfg.granularities = Granularity::SUB_YEAR.to_vec();
+        let countries = Arc::new(as_countries(&world.topology));
+        let mut state = ShardState::new(cfg.clone(), Some(7), None, Arc::clone(&countries));
+        for m in &ms {
+            state.ingest_raw(m, platform.measured_ip2as());
+        }
+        let blob = state.encode();
+        let decode = |bytes: &[u8]| {
+            ShardState::decode(cfg.clone(), Some(7), None, Arc::clone(&countries), bytes)
+        };
+        let restored = decode(&blob).unwrap_or_else(|e| panic!("the untouched blob restores: {e}"));
+        assert_eq!(restored.encode(), blob, "restore → encode reproduces the bytes");
+
+        let rows = state.churn.export_windowed().expect("shard churn is windowed").3;
+        let first = &rows[0];
+        let faulty = |row: ChurnWindowEntry| splice(&blob, &row_bytes(first), &row_bytes(&row));
+        let twice = rows
+            .windows(2)
+            .find(|w| w[0].hashes.len() == w[1].hashes.len())
+            .expect("two neighbouring rows of one length");
+        for (what, bytes, names) in [
+            (
+                "a granularity the shard was not built with",
+                faulty(ChurnWindowEntry { granularity: Granularity::Year, ..first.clone() }),
+                "unconfigured granularity year",
+            ),
+            (
+                "a window past the period's last",
+                faulty(ChurnWindowEntry { window: platform_cfg.total_days, ..first.clone() }),
+                "past the period's",
+            ),
+            (
+                "a repeated row",
+                splice(&blob, &row_bytes(&twice[1]), &row_bytes(&twice[0])),
+                "duplicate churn window row",
+            ),
+        ] {
+            match decode(&bytes) {
+                Ok(_) => panic!("{what} restored"),
+                Err(e) => assert!(e.contains(names), "{what}: {e}"),
+            }
         }
     }
 }

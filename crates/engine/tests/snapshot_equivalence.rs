@@ -8,14 +8,18 @@
 //! stale or cold: back-to-back snapshots (everything reused), a cut right
 //! after a retirement (groups moved between lists), after `compact()`
 //! (retired caches drained), and after checkpoint → drop → restore
-//! (every cache gone).
+//! (every cache gone). And because a report *shares* those caches — its
+//! outcomes and churn windows are the shard's own allocations — one cut's
+//! report is held to the end of the script and must still read as the
+//! batch pipeline's over its prefix, whatever the engine did afterwards.
 
 use std::io::Cursor;
+use std::sync::Arc;
 
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
 use churnlab_core::analyze::InstanceOutcome;
-use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
+use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig, PipelineResults};
 use churnlab_engine::{Engine, EngineConfig};
 use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
 use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
@@ -64,9 +68,13 @@ enum Op {
     Compact,
     /// Checkpoint, drop the engine, restore: every cache starts cold.
     Restore,
+    /// Keep this cut's report while the script runs on — more ingest,
+    /// retirement, compaction, checkpoint → restore — and read it again
+    /// at the end: a report is frozen when it is handed out.
+    Hold,
 }
 
-const OPS: [Op; 4] = [Op::Snapshot, Op::SnapshotAgain, Op::Compact, Op::Restore];
+const OPS: [Op; 5] = [Op::Snapshot, Op::SnapshotAgain, Op::Compact, Op::Restore, Op::Hold];
 
 /// Cut positions and what to do at each: every op at least once, two
 /// cuts placed right after the first measurement of a new day (in a
@@ -77,10 +85,12 @@ fn schedule(ms: &[Measurement], rng: &mut StdRng) -> Vec<(usize, Op)> {
         .filter(|&i| ms[i].day > ms[i - 1].day && ms[i].day > 12)
         .map(|i| i + 1)
         .collect();
-    let mut cuts: Vec<usize> = (0..5).map(|_| rng.gen_range(1..ms.len())).collect();
+    let mut cuts: Vec<usize> = (0..OPS.len() + 1).map(|_| rng.gen_range(1..ms.len())).collect();
     cuts.extend((0..2).filter_map(|_| day_starts.choose(rng)));
     cuts.sort_unstable();
     cuts.dedup();
+    // The zip below drops whatever has no cut to run at.
+    assert!(cuts.len() >= OPS.len(), "{} cuts for {} ops", cuts.len(), OPS.len());
     let mut ops: Vec<Op> = OPS.to_vec();
     while ops.len() < cuts.len() {
         ops.push(OPS[rng.gen_range(0..OPS.len())]);
@@ -115,13 +125,35 @@ impl<'a> Case<'a> {
         canonical_json(&engine.finish())
     }
 
-    /// `engine`'s snapshot must equal the oracle's report of the same
-    /// prefix. Outcomes `compact()` drained are added back first: a
-    /// compacted engine stops re-listing them by design, and every
-    /// aggregate must still count them.
-    fn check(&self, engine: &Engine<'_>, drained: &[InstanceOutcome], cut: usize, what: &str) {
+    /// The batch pipeline's report of `ms[..cut]`, regrouped by URL in
+    /// the runner's test order as its contract asks.
+    fn batch(&self, cut: usize) -> String {
+        let mut prefix: Vec<&Measurement> = self.ms[..cut].iter().collect();
+        prefix.sort_by_key(|m| (m.url_id, m.day, m.vp_id, m.epoch));
+        let mut pipeline = Pipeline::with_context(
+            self.platform.measured_ip2as(),
+            &self.study.world.topology,
+            self.cfg.pipeline.clone(),
+        );
+        for m in prefix {
+            pipeline.ingest(m);
+        }
+        canonical_json(&pipeline.finish())
+    }
+
+    /// `engine`'s snapshot with the outcomes `compact()` drained added
+    /// back: a compacted engine stops re-listing them by design, and
+    /// every aggregate must still count them.
+    fn snapshot(&self, engine: &Engine<'_>, drained: &[Arc<InstanceOutcome>]) -> PipelineResults {
         let mut snap = engine.snapshot();
         snap.outcomes.extend(drained.iter().cloned());
+        snap
+    }
+
+    /// `engine`'s snapshot must equal the oracle's report of the same
+    /// prefix.
+    fn check(&self, engine: &Engine<'_>, drained: &[Arc<InstanceOutcome>], cut: usize, what: &str) {
+        let snap = self.snapshot(engine, drained);
         assert_eq!(
             canonical_json(&snap),
             self.oracle(cut),
@@ -132,7 +164,8 @@ impl<'a> Case<'a> {
 
     fn run(&self, rng: &mut StdRng) {
         let mut engine = self.fresh();
-        let mut drained: Vec<InstanceOutcome> = Vec::new();
+        let mut drained: Vec<Arc<InstanceOutcome>> = Vec::new();
+        let mut held: Vec<(usize, PipelineResults)> = Vec::new();
         let mut fed = 0;
         for (cut, op) in schedule(self.ms, rng) {
             {
@@ -146,6 +179,7 @@ impl<'a> Case<'a> {
                 Op::Snapshot => {}
                 Op::SnapshotAgain => self.check(&engine, &drained, cut, "first of two"),
                 Op::Compact => drained.extend(engine.compact().outcomes),
+                Op::Hold => held.push((cut, self.snapshot(&engine, &drained))),
                 Op::Restore => {
                     let mut blob = Vec::new();
                     engine.checkpoint(cut as u64, &[], &mut blob).expect("checkpoint to memory");
@@ -173,6 +207,14 @@ impl<'a> Case<'a> {
             "{}: the final report differs",
             self.label
         );
+        for (cut, snap) in held {
+            assert_eq!(
+                canonical_json(&snap),
+                self.batch(cut),
+                "{}: the report held since {cut} no longer equals the batch pipeline's",
+                self.label
+            );
+        }
     }
 }
 

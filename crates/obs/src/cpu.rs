@@ -13,6 +13,7 @@
 //! for compatibility) so every crate shares one clock and one tested
 //! parse.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide test override: when set, [`thread_cpu_nanos`] reports
@@ -36,24 +37,33 @@ pub fn parse_schedstat(text: &str) -> Option<u64> {
     text.split_whitespace().next()?.parse().ok()
 }
 
+thread_local! {
+    /// The calling thread's clock, opened at its first reading and
+    /// re-read in place after that. Per thread because
+    /// `/proc/thread-self` binds to whichever thread opens it; opened
+    /// whatever the test override says, which [`CpuClock::now`] checks
+    /// at every reading.
+    static THREAD_CLOCK: RefCell<CpuClock> = RefCell::new(CpuClock::open());
+}
+
 /// Cumulative on-CPU time of the calling thread, in nanoseconds. `None`
 /// where `/proc/thread-self/schedstat` is absent or unreadable (non-Linux
-/// hosts), or while the test override forces the fallback.
+/// hosts), or while the test override forces the fallback. One `pread`
+/// a call: the thread's schedstat stays open between calls, because an
+/// open, a read and a close cost ~40 µs and callers read the clock per
+/// engine snapshot and per shard report.
 pub fn thread_cpu_nanos() -> Option<u64> {
-    if FORCE_WALL.load(Ordering::Relaxed) {
-        return None;
-    }
-    let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    parse_schedstat(&text)
+    // `try_with`: a span dropped while the thread's locals are being torn
+    // down falls back to wall time instead of panicking.
+    THREAD_CLOCK.try_with(|clock| clock.borrow_mut().now()).ok().flatten()
 }
 
 /// A reusable handle on the calling thread's on-CPU clock: the
 /// schedstat pseudo-file opened once and re-read in place (`pread` at
 /// offset 0 — the kernel regenerates a seq_file on every read from the
-/// start), so each reading costs one syscall instead of the
-/// open/read/close triple behind [`thread_cpu_nanos`]. That matters in
-/// per-batch phase timers, where clock reads are the dominant
-/// instrumentation cost.
+/// start), so each reading costs one syscall. [`thread_cpu_nanos`] reads
+/// through one of these kept per thread; a per-batch phase timer holds
+/// its own and skips the thread-local lookup.
 ///
 /// `/proc/thread-self` resolves to the *opening* thread's entry at open
 /// time, so a clock must stay on the thread that built it — keep it in
@@ -70,6 +80,10 @@ impl CpuClock {
         if FORCE_WALL.load(Ordering::Relaxed) {
             return CpuClock { file: None };
         }
+        CpuClock::open()
+    }
+
+    fn open() -> CpuClock {
         CpuClock { file: std::fs::File::open("/proc/thread-self/schedstat").ok() }
     }
 
@@ -102,6 +116,15 @@ fn read_fresh(_file: &std::fs::File) -> Option<u64> {
 mod tests {
     use super::*;
 
+    /// The override is process-wide and the harness runs tests on
+    /// several threads: every test that sets it or reads a clock holds
+    /// this.
+    static OVERRIDE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn override_lock() -> std::sync::MutexGuard<'static, ()> {
+        OVERRIDE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn parses_well_formed_line() {
         assert_eq!(parse_schedstat("123456789 42 7\n"), Some(123456789));
@@ -122,6 +145,7 @@ mod tests {
 
     #[test]
     fn cpu_clock_rereads_fresh_values() {
+        let _guard = override_lock();
         let mut clock = CpuClock::detect();
         let Some(first) = clock.now() else {
             return; // no schedstat on this host: nothing to assert
@@ -146,6 +170,7 @@ mod tests {
 
     #[test]
     fn cpu_clock_honors_wall_override() {
+        let _guard = override_lock();
         let mut live = CpuClock::detect();
         force_wall_clock_for_tests(true);
         assert_eq!(CpuClock::detect().now(), None, "detect under override");
@@ -156,9 +181,17 @@ mod tests {
     #[test]
     fn missing_file_falls_back_to_none() {
         // Simulate the file being absent via the test override: every
-        // consumer must treat `None` as "use the wall clock".
-        force_wall_clock_for_tests(true);
-        assert_eq!(thread_cpu_nanos(), None);
-        force_wall_clock_for_tests(false);
+        // consumer must treat `None` as "use the wall clock". A thread
+        // whose first reading happened under the override still finds
+        // the clock once it lifts.
+        let _guard = override_lock();
+        std::thread::spawn(|| {
+            force_wall_clock_for_tests(true);
+            assert_eq!(thread_cpu_nanos(), None);
+            force_wall_clock_for_tests(false);
+            assert_eq!(thread_cpu_nanos().is_some(), CpuClock::detect().now().is_some());
+        })
+        .join()
+        .expect("no panic");
     }
 }

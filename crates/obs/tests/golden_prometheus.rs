@@ -54,6 +54,13 @@ fn exposition_format_is_stable() {
         )
         .set(events);
     }
+    let s = reg.histogram(
+        "churnlab_snapshot_nanos",
+        "wall nanoseconds of each Engine::snapshot call, collect + merge",
+        &[],
+    );
+    s.observe(600);
+    s.observe(1000);
 
     let text = render_prometheus(&reg.scrape());
 
@@ -91,6 +98,22 @@ churnlab_route_timeline_build_nanos 25900000
 # TYPE churnlab_route_timeline_events gauge
 churnlab_route_timeline_events{kind=\"link\"} 402117
 churnlab_route_timeline_events{kind=\"te\"} 2731446
+# HELP churnlab_snapshot_nanos wall nanoseconds of each Engine::snapshot call, collect + merge
+# TYPE churnlab_snapshot_nanos histogram
+churnlab_snapshot_nanos_bucket{le=\"0\"} 0
+churnlab_snapshot_nanos_bucket{le=\"1\"} 0
+churnlab_snapshot_nanos_bucket{le=\"3\"} 0
+churnlab_snapshot_nanos_bucket{le=\"7\"} 0
+churnlab_snapshot_nanos_bucket{le=\"15\"} 0
+churnlab_snapshot_nanos_bucket{le=\"31\"} 0
+churnlab_snapshot_nanos_bucket{le=\"63\"} 0
+churnlab_snapshot_nanos_bucket{le=\"127\"} 0
+churnlab_snapshot_nanos_bucket{le=\"255\"} 0
+churnlab_snapshot_nanos_bucket{le=\"511\"} 0
+churnlab_snapshot_nanos_bucket{le=\"1023\"} 2
+churnlab_snapshot_nanos_bucket{le=\"+Inf\"} 2
+churnlab_snapshot_nanos_sum 1600
+churnlab_snapshot_nanos_count 2
 # HELP churnlab_windows_open churn windows currently open
 # TYPE churnlab_windows_open gauge
 churnlab_windows_open 5

@@ -500,6 +500,17 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn serialize(&self) -> Value {
+        (**self).serialize()
+    }
+}
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        T::deserialize(v).map(std::sync::Arc::new)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Text encoding (shared with the serde_json shim)
 // ---------------------------------------------------------------------------
@@ -877,5 +888,20 @@ mod tests {
         assert_eq!(back, m);
         assert_eq!(Option::<u32>::deserialize(&Value::Null).unwrap(), None);
         assert_eq!(Option::<u32>::deserialize(&Value::U64(3)).unwrap(), Some(3));
+    }
+
+    #[test]
+    fn arc_is_transparent() {
+        let plain = vec![(7u32, "x".to_string()), (9, "y".to_string())];
+        let shared: Vec<std::sync::Arc<(u32, String)>> =
+            plain.iter().cloned().map(std::sync::Arc::new).collect();
+        let v = shared.serialize();
+        assert_eq!(
+            text::encode_compact(&v),
+            text::encode_compact(&plain.serialize()),
+            "an Arc<T> serializes to the bytes of T"
+        );
+        let back: Vec<std::sync::Arc<(u32, String)>> = Deserialize::deserialize(&v).unwrap();
+        assert_eq!(back, shared);
     }
 }
