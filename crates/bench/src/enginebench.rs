@@ -145,7 +145,7 @@ impl<'w> ThroughputHarness<'w> {
     pub fn assemble(bench: &'w Bench) -> ThroughputHarness<'w> {
         let platform = Platform::new(&bench.world, &bench.scenario, bench.platform_cfg.clone());
         let sim = bench.sim();
-        let (measurements, _) = platform.run_collect(&sim);
+        let (measurements, _) = platform.run_collect_parallel(&sim, 1);
         let cfg = PipelineConfig::paper(bench.platform_cfg.total_days);
         ThroughputHarness { platform, measurements, cfg }
     }
@@ -202,7 +202,7 @@ impl<'w> ThroughputHarness<'w> {
         by_day.sort_by_key(|m| m.day);
         let mut feeder = engine.feeder();
         for m in by_day {
-            feeder.ingest(m);
+            feeder.ingest_owned(m.clone());
         }
         drop(feeder);
         drop(engine.snapshot());
@@ -237,11 +237,11 @@ impl<'w> ThroughputHarness<'w> {
             .map(<[Measurement]>::to_vec)
             .collect();
         let start = Instant::now();
-        let cfg = EngineConfig::new(self.cfg.clone()).with_shards(shards);
-        let engine = match obs {
-            Some(sink) => Engine::new_with_obs(&self.platform, cfg, sink.engine_obs()),
-            None => Engine::new(&self.platform, cfg),
-        };
+        let mut cfg = EngineConfig::new(self.cfg.clone()).with_shards(shards);
+        if let Some(sink) = obs {
+            cfg = cfg.with_obs(sink.engine_obs());
+        }
+        let engine = Engine::new(&self.platform, cfg);
         std::thread::scope(|scope| {
             for chunk in chunks {
                 let engine = &engine;

@@ -226,11 +226,13 @@ fn run(args: &Args) -> ExitCode {
     // a scraper thread keeping the file current during the run).
     let registry = Registry::new();
     let metrics_out = args.text("--metrics-out");
-    let obs = metrics_out.map(|_| EngineObs::new(registry.clone()));
     let writer = metrics_out.map(|out| MetricsWriter::spawn(registry.clone(), out));
 
     let mut engine_cfg = EngineConfig::new(cfg.clone()).with_shards(args.req("--shards"));
     engine_cfg.window_horizon = args.get("--window-horizon");
+    if metrics_out.is_some() {
+        engine_cfg = engine_cfg.with_obs(EngineObs::new(registry.clone()));
+    }
     let checkpoint = args.text("--checkpoint");
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     let mut opts = ResumeReplayOptions {
@@ -250,9 +252,8 @@ fn run(args: &Args) -> ExitCode {
         // checkpointing run's (restore refuses loudly otherwise).
         Some(ck) => {
             let file = std::fs::File::open(ck).unwrap_or_else(|e| panic!("open {ck}: {e}"));
-            let restored =
-                Engine::restore_with_obs(db, topo, engine_cfg, &mut BufReader::new(file), obs)
-                    .unwrap_or_else(|e| panic!("restore {ck}: {e}"));
+            let restored = Engine::restore(db, topo, engine_cfg, &mut BufReader::new(file))
+                .unwrap_or_else(|e| panic!("restore {ck}: {e}"));
             opts.skip_lines = restored.cursor;
             // The user blob is the import accounting at the cut; an
             // empty blob (foreign checkpoint) just restarts the counts.
@@ -262,7 +263,7 @@ fn run(args: &Args) -> ExitCode {
                 .unwrap_or_default();
             restored.engine
         }
-        None => Engine::with_context_obs(db, topo, engine_cfg, obs),
+        None => Engine::with_context(db, topo, engine_cfg),
     };
     let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("open {path}: {e}"));
     // Digest-identical resume under a finite horizon requires one feeder

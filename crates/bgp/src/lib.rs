@@ -24,7 +24,7 @@
 //!   the measurement platform, with a sharded cache of demand-driven
 //!   route trees (eager provider cone and peers; provider stage and next
 //!   hops resolved for the ASes lookups walk through).
-//! * [`reference`] — the pre-CSR compute path, retained as the benchmark
+//! * [`mod@reference`] — the pre-CSR compute path, retained as the benchmark
 //!   baseline and differential oracle for the scratch-reused fast path.
 //! * [`stats`] — distinct-path counting over time windows (Figure 3's
 //!   statistic) and churn summaries.

@@ -55,8 +55,8 @@
 //! `churnlab_route_nodes_resolved_total`, and a histogram of the eager
 //! build's nanoseconds), and so is the set-up:
 //! `churnlab_route_timeline_build_nanos` and
-//! `churnlab_route_timeline_events{kind="link"|"te"}`. A campaign run with
-//! a `CampaignObs` instruments the simulator it is handed.
+//! `churnlab_route_timeline_events{kind="link"|"te"}`. A campaign run on an
+//! instrumented platform instruments the simulator it is handed.
 
 use crate::churn::{ChurnConfig, ChurnTimeline};
 use crate::compute::{SelectedRoute, TreeScratch};

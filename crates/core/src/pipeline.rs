@@ -434,7 +434,7 @@ mod tests {
             &world.topology,
             &ChurnConfig { total_days: pcfg.total_days, ..ChurnConfig::default() },
         );
-        let (ms, _) = platform.run_collect(&sim);
+        let (ms, _) = platform.run_collect_parallel(&sim, 1);
         let mut pipeline = Pipeline::new(&platform, PipelineConfig::paper(pcfg.total_days));
         // Interleave two URLs: A, B, A — the third ingest revisits a
         // flushed URL and must panic.

@@ -20,12 +20,14 @@
 
 use crate::Engine;
 use churnlab_bgp::RoutingSim;
-use churnlab_platform::{CampaignObs, ParallelRun, Platform};
+use churnlab_platform::{ParallelRun, Platform};
 
 /// Run the full campaign across `threads` generator workers, each
 /// feeding the engine through its own [`Engine::feeder`]. Returns the
 /// platform-side stats and per-worker busy accounting; the engine is
-/// left loaded — snapshot or finish it for results.
+/// left loaded — snapshot or finish it for results. A platform that was
+/// [`Platform::instrument`]ed publishes its `churnlab_campaign_*`
+/// counters here as in any other run.
 ///
 /// `threads == 0` means one worker per available core.
 pub fn run_fused(
@@ -34,18 +36,7 @@ pub fn run_fused(
     engine: &Engine<'_>,
     threads: usize,
 ) -> ParallelRun {
-    run_fused_obs(platform, sim, engine, threads, None)
-}
-
-/// [`run_fused`] with `churnlab_campaign_*` counters attached.
-pub fn run_fused_obs(
-    platform: &Platform<'_>,
-    sim: &RoutingSim<'_>,
-    engine: &Engine<'_>,
-    threads: usize,
-    obs: Option<&CampaignObs>,
-) -> ParallelRun {
-    platform.run_parallel_obs(sim, threads, obs, |_worker| {
+    platform.run_parallel(sim, threads, |_worker| {
         let mut feeder = engine.feeder();
         move |m| feeder.ingest_owned(m)
     })

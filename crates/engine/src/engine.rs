@@ -24,31 +24,35 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+/// Bounded per-shard queue depth in messages (backpressure: sends block
+/// when a shard falls this far behind; a message is one direct ingest or
+/// one feeder chunk).
+const QUEUE_CAPACITY: usize = 1024;
+
 /// Engine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// The tomography configuration (identical semantics to the batch
     /// [`churnlab_core::pipeline::Pipeline`]).
     pub pipeline: PipelineConfig,
     /// Shard worker count; `0` means one per available core.
     pub shards: usize,
-    /// Bounded per-shard queue depth in messages (backpressure: sends
-    /// block when a shard falls this far behind; a message is one direct
-    /// ingest or one feeder chunk).
-    pub queue_capacity: usize,
     /// Lateness horizon in days: a (URL × window) group retires — its
     /// cells solved once, its solver state freed — when the shard's
     /// high-water day passes `window end + horizon`. `None` (default)
     /// keeps every group live forever, reproducing pre-lifecycle results
-    /// byte for byte. Defaults on deserialize so stored configs parse.
-    #[serde(default)]
+    /// byte for byte.
     pub window_horizon: Option<u32>,
+    /// Observability context (see [`EngineConfig::with_obs`]); clones of
+    /// the configuration share it.
+    obs: Option<Arc<EngineObs>>,
 }
 
 impl EngineConfig {
-    /// Default shard/queue sizing over a pipeline configuration.
+    /// Default shard sizing over a pipeline configuration: no horizon,
+    /// no observability.
     pub fn new(pipeline: PipelineConfig) -> Self {
-        EngineConfig { pipeline, shards: 0, queue_capacity: 1024, window_horizon: None }
+        EngineConfig { pipeline, shards: 0, window_horizon: None, obs: None }
     }
 
     /// Override the shard count.
@@ -60,6 +64,21 @@ impl EngineConfig {
     /// Set a window-retirement lateness horizon (days).
     pub fn with_window_horizon(mut self, days: u32) -> Self {
         self.window_horizon = Some(days);
+        self
+    }
+
+    /// Attach an observability context: the engine built (or restored)
+    /// from this configuration publishes live metrics — and journal
+    /// events, when `obs` carries a journal — through it. Without one the
+    /// engine is the *stripped* configuration — no registry, no atomic
+    /// ops, one predictable branch per instrumentation site — which is
+    /// what the bench's overhead gate compares the instrumented engine
+    /// against. A restored engine seeds the `churnlab_windows_open` gauge
+    /// from its live group count but emits no journal events for
+    /// pre-checkpoint history: its journal narrates the post-restore
+    /// stream only.
+    pub fn with_obs(mut self, obs: EngineObs) -> Self {
+        self.obs = Some(Arc::new(obs));
         self
     }
 
@@ -266,11 +285,12 @@ impl EngineStats {
 /// Unlike the batch [`churnlab_core::pipeline::Pipeline`], the engine
 /// accepts measurements in **any order** — there is no URL-grouping
 /// contract — and keeps every (URL × window × anomaly) instance
-/// incrementally solved as observations stream in. `ingest` routes the
-/// *raw* measurement to a shard worker by `hash(url_id)` over a bounded
-/// channel; conversion (the §3.1 elimination rules — the most expensive
-/// per-measurement stage) runs **on the shard's thread**, so one
-/// ingesting caller drives N shards' worth of conversion in parallel.
+/// incrementally solved as observations stream in.
+/// [`Engine::ingest_owned`] routes the *raw* measurement to a shard
+/// worker by `hash(url_id)` over a bounded channel; conversion (the
+/// §3.1 elimination rules — the most expensive per-measurement stage)
+/// runs **on the shard's thread**, so one ingesting caller drives N
+/// shards' worth of conversion in parallel.
 /// `&self` ingestion means any number of feeder threads can share one
 /// engine.
 ///
@@ -355,17 +375,6 @@ impl<'c> Engine<'c> {
         Self::with_context(platform.measured_ip2as(), &platform.world().topology, cfg)
     }
 
-    /// [`Engine::new`] with an observability context (see
-    /// [`Engine::with_context_obs`]).
-    pub fn new_with_obs(platform: &'c Platform<'c>, cfg: EngineConfig, obs: EngineObs) -> Self {
-        Self::with_context_obs(
-            platform.measured_ip2as(),
-            &platform.world().topology,
-            cfg,
-            Some(obs),
-        )
-    }
-
     /// New engine over externally supplied context — the entry point for
     /// imported measurement records, mirroring
     /// [`churnlab_core::pipeline::Pipeline::with_context`]. The shard
@@ -377,27 +386,11 @@ impl<'c> Engine<'c> {
         topo: &'c churnlab_topology::Topology,
         cfg: EngineConfig,
     ) -> Self {
-        Self::with_context_obs(db, topo, cfg, None)
-    }
-
-    /// [`Engine::with_context`] with an observability context: shard
-    /// workers publish live metrics (and journal events, when a journal
-    /// is attached) through `obs`. Passing `None` is the *stripped*
-    /// configuration — no registry, no atomic ops, one predictable
-    /// branch per instrumentation site — which is what the bench's
-    /// overhead gate compares the instrumented engine against.
-    pub fn with_context_obs(
-        db: &churnlab_topology::Ip2AsDb,
-        topo: &'c churnlab_topology::Topology,
-        cfg: EngineConfig,
-        obs: Option<EngineObs>,
-    ) -> Self {
-        let obs = obs.map(Arc::new);
         let n = cfg.resolved_shards().max(1);
         let countries = Arc::new(as_countries(topo));
         let states = (0..n)
             .map(|i| {
-                let shard_obs = obs.as_ref().map(|o| ShardObs::new(o, i));
+                let shard_obs = cfg.obs.as_ref().map(|o| ShardObs::new(o, i));
                 ShardState::new(
                     cfg.pipeline.clone(),
                     cfg.window_horizon,
@@ -406,7 +399,7 @@ impl<'c> Engine<'c> {
                 )
             })
             .collect();
-        Self::spawn(db, cfg, obs, states)
+        Self::spawn(db, cfg, states)
     }
 
     /// Spawn workers over pre-built shard states — shared by fresh
@@ -414,7 +407,6 @@ impl<'c> Engine<'c> {
     fn spawn(
         db: &churnlab_topology::Ip2AsDb,
         cfg: EngineConfig,
-        obs: Option<Arc<EngineObs>>,
         states: Vec<ShardState>,
     ) -> Self {
         assert!(
@@ -426,7 +418,7 @@ impl<'c> Engine<'c> {
         let mut senders = Vec::with_capacity(states.len());
         let mut workers = Vec::with_capacity(states.len());
         for (i, state) in states.into_iter().enumerate() {
-            let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
+            let (tx, rx) = sync_channel(QUEUE_CAPACITY);
             let worker_db = db.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("churnlab-shard-{i}"))
@@ -442,7 +434,7 @@ impl<'c> Engine<'c> {
             senders,
             workers: Mutex::new(workers),
             retired: Mutex::new(EngineRetired::default()),
-            obs,
+            obs: cfg.obs,
         }
     }
 
@@ -504,13 +496,7 @@ impl<'c> Engine<'c> {
     /// Ingest one measurement, in any order relative to any other. The
     /// raw measurement is routed to its URL's shard and converted (the
     /// §3.1 elimination rules) on the shard's own thread. Blocks only
-    /// when that shard's bounded queue is full. Copies the measurement —
-    /// callers that own theirs should prefer [`Engine::ingest_owned`].
-    pub fn ingest(&self, m: &Measurement) {
-        self.ingest_owned(m.clone());
-    }
-
-    /// [`Engine::ingest`] without the copy.
+    /// when that shard's bounded queue is full.
     pub fn ingest_owned(&self, m: Measurement) {
         let shard = shard_of(m.url_id, self.senders.len());
         self.send(shard, Msg::Raw(m));
@@ -518,11 +504,11 @@ impl<'c> Engine<'c> {
 
     /// A buffering ingest handle for one feeder thread: measurements
     /// accumulate locally and ship to shards in chunks, amortizing the
-    /// channel synchronization that per-measurement `ingest` pays. Spawn
-    /// one per feeder thread; buffered measurements reach the shards when
-    /// a chunk fills, at [`Feeder::flush`], or on drop — flush (or drop)
-    /// every feeder before `snapshot` if the snapshot must include its
-    /// tail.
+    /// channel synchronization that [`Engine::ingest_owned`] pays per
+    /// measurement. Spawn one per feeder thread; buffered measurements
+    /// reach the shards when a chunk fills, at [`Feeder::flush`], or on
+    /// drop — flush (or drop) every feeder before `snapshot` if the
+    /// snapshot must include its tail.
     pub fn feeder(&self) -> Feeder<'_, 'c> {
         Feeder {
             engine: self,
@@ -531,24 +517,28 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// Collect one report per shard. Each shard replies after draining
-    /// everything enqueued before the request — a consistent cut per
-    /// shard even while feeders keep ingesting.
-    fn collect_reports(&self, fin: bool) -> Vec<ShardReport> {
-        let mut pending = Vec::with_capacity(self.senders.len());
-        for shard in 0..self.senders.len() {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            self.send(shard, Msg::Report { reply: reply_tx, fin });
-            pending.push(reply_rx);
-        }
+    /// Send every shard the request `msg` builds around a reply channel
+    /// and collect the answers in shard order. Each shard replies after
+    /// draining everything enqueued before the request — a consistent cut
+    /// per shard even while feeders keep ingesting.
+    fn ask_shards<T>(&self, msg: impl Fn(SyncSender<T>) -> Msg) -> Vec<T> {
+        let pending: Vec<_> = (0..self.senders.len())
+            .map(|shard| {
+                let (reply, rx) = sync_channel(1);
+                self.send(shard, msg(reply));
+                rx
+            })
+            .collect();
         pending
             .into_iter()
             .enumerate()
-            .map(|(shard, rx)| match rx.recv() {
-                Ok(report) => report,
-                Err(_) => self.worker_died(shard),
-            })
+            .map(|(shard, rx)| rx.recv().unwrap_or_else(|_| self.worker_died(shard)))
             .collect()
+    }
+
+    /// Collect one report per shard.
+    fn collect_reports(&self, fin: bool) -> Vec<ShardReport> {
+        self.ask_shards(|reply| Msg::Report { reply, fin })
     }
 
     /// With a horizon configured and every shard reporting a watermark,
@@ -677,20 +667,7 @@ impl<'c> Engine<'c> {
     /// only the per-cell `outcomes` list of later reports no longer
     /// re-lists what was drained here.
     pub fn compact(&self) -> CompactReport {
-        let mut pending = Vec::with_capacity(self.senders.len());
-        for shard in 0..self.senders.len() {
-            let (tx, rx) = sync_channel(1);
-            self.send(shard, Msg::Compact { reply: tx });
-            pending.push(rx);
-        }
-        let cuts: Vec<CompactCut> = pending
-            .into_iter()
-            .enumerate()
-            .map(|(shard, rx)| match rx.recv() {
-                Ok(cut) => cut,
-                Err(_) => self.worker_died(shard),
-            })
-            .collect();
+        let cuts: Vec<CompactCut> = self.ask_shards(|reply| Msg::Compact { reply });
         let mut churn = ChurnAccumulator::new();
         let min_hw = min_watermark(cuts.iter().map(|c| c.high_water));
         let mut outcomes = Vec::new();
@@ -722,20 +699,7 @@ impl<'c> Engine<'c> {
     /// exactly with `cursor`. Checkpointing the same logical state twice
     /// produces byte-identical output.
     pub fn checkpoint<W: Write>(&self, cursor: u64, user: &[u8], w: &mut W) -> std::io::Result<()> {
-        let mut pending = Vec::with_capacity(self.senders.len());
-        for shard in 0..self.senders.len() {
-            let (tx, rx) = sync_channel(1);
-            self.send(shard, Msg::Checkpoint { reply: tx });
-            pending.push(rx);
-        }
-        let blobs: Vec<Vec<u8>> = pending
-            .into_iter()
-            .enumerate()
-            .map(|(shard, rx)| match rx.recv() {
-                Ok(blob) => blob,
-                Err(_) => self.worker_died(shard),
-            })
-            .collect();
+        let blobs: Vec<Vec<u8>> = self.ask_shards(|reply| Msg::Checkpoint { reply });
         let mut e = Enc::default();
         e.buf.extend_from_slice(&MAGIC);
         e.u32(VERSION);
@@ -763,30 +727,14 @@ impl<'c> Engine<'c> {
     /// [`Engine::checkpoint`]. The configuration must match the
     /// checkpointing engine's — same pipeline config, same shard count
     /// (path ids and URL routing are shard-local, so resharding a
-    /// checkpoint is not defined), same horizon; `queue_capacity` is
-    /// free. Returns the engine plus the stored cursor and user blob.
-    /// Continuing the stream from `cursor` produces reports identical to
-    /// an uninterrupted run's.
+    /// checkpoint is not defined), same horizon. Returns the engine plus
+    /// the stored cursor and user blob. Continuing the stream from
+    /// `cursor` produces reports identical to an uninterrupted run's.
     pub fn restore(
         db: &churnlab_topology::Ip2AsDb,
         topo: &'c churnlab_topology::Topology,
         cfg: EngineConfig,
         r: &mut impl Read,
-    ) -> Result<Restored<'c>, RestoreError> {
-        Self::restore_with_obs(db, topo, cfg, r, None)
-    }
-
-    /// [`Engine::restore`] with an observability context. Restored
-    /// shards seed the `churnlab_windows_open` gauge from their live
-    /// group count, but emit no journal events for pre-checkpoint
-    /// history: a restored journal narrates the post-restore stream
-    /// only.
-    pub fn restore_with_obs(
-        db: &churnlab_topology::Ip2AsDb,
-        topo: &'c churnlab_topology::Topology,
-        cfg: EngineConfig,
-        r: &mut impl Read,
-        obs: Option<EngineObs>,
     ) -> Result<Restored<'c>, RestoreError> {
         fn c<T>(r: Result<T, String>) -> Result<T, RestoreError> {
             r.map_err(RestoreError::Corrupt)
@@ -836,7 +784,6 @@ impl<'c> Engine<'c> {
             findings: c(ckpt::decode_findings(&mut d))?,
             trivial: c(d.u64())?,
         };
-        let obs = obs.map(Arc::new);
         let countries = Arc::new(as_countries(topo));
         let mut states = Vec::with_capacity(n_shards);
         for shard in 0..n_shards {
@@ -845,7 +792,7 @@ impl<'c> Engine<'c> {
             if ckpt::fnv64(blob) != checksum {
                 return Err(RestoreError::Corrupt(format!("shard {shard} blob checksum mismatch")));
             }
-            let shard_obs = obs.as_ref().map(|o| ShardObs::new(o, shard));
+            let shard_obs = cfg.obs.as_ref().map(|o| ShardObs::new(o, shard));
             let state = ShardState::decode(
                 cfg.pipeline.clone(),
                 horizon,
@@ -857,7 +804,7 @@ impl<'c> Engine<'c> {
             states.push(state);
         }
         c(d.done())?;
-        let engine = Self::spawn(db, cfg, obs, states);
+        let engine = Self::spawn(db, cfg, states);
         *engine.retired.lock().unwrap_or_else(|e| e.into_inner()) = retired;
         Ok(Restored { engine, cursor, user })
     }
@@ -952,13 +899,6 @@ impl Feeder<'_, '_> {
     }
 
     /// Ingest one measurement through this feeder's local buffers.
-    /// Copies the measurement — callers that own theirs should prefer
-    /// [`Feeder::ingest_owned`].
-    pub fn ingest(&mut self, m: &Measurement) {
-        self.ingest_owned(m.clone());
-    }
-
-    /// [`Feeder::ingest`] without the copy.
     pub fn ingest_owned(&mut self, m: Measurement) {
         let shard = shard_of(m.url_id, self.buffers.len());
         let buf = &mut self.buffers[shard];

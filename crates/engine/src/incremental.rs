@@ -239,7 +239,7 @@ struct ObsRec {
 }
 
 /// All [`AnomalyType::ALL`] instances of one (URL × window), sharing one
-/// [`VarSpace`]. The group is the dedup and resolution point: an
+/// `VarSpace`. The group is the dedup and resolution point: an
 /// observation is resolved to its variable-index list (and checked
 /// against every cell's dedup mask) with a single `PathId` probe.
 #[derive(Debug, Clone)]
@@ -348,7 +348,7 @@ impl InstanceGroup {
 /// One (URL × window × anomaly) instance kept incrementally solved, all
 /// state id- and index-based: `(PathId, polarity)` observation records,
 /// `PathId` clauses read out of the group's literal arena, and a dense
-/// per-variable [`Fate`] memo. Lives inside an [`InstanceGroup`], which
+/// per-variable `Fate` memo. Lives inside an [`InstanceGroup`], which
 /// owns dedup and variable resolution.
 #[derive(Debug, Clone)]
 pub struct IncrementalInstance {

@@ -12,8 +12,8 @@
 //! concurrently, interleaved across URLs, with reports wanted *before*
 //! the stream ends. The engine removes both restrictions:
 //!
-//! * **Any order** — [`Engine::ingest`] accepts measurements in whatever
-//!   order they arrive; instance state is keyed, not positional.
+//! * **Any order** — [`Engine::ingest_owned`] accepts measurements in
+//!   whatever order they arrive; instance state is keyed, not positional.
 //! * **Sharded** — each *raw* measurement is routed by `hash(url_id)`
 //!   to a shard worker over a bounded channel; shards own their
 //!   instances outright (no locks on the hot path) and both **convert**

@@ -4,8 +4,8 @@
 //! The engine itself stays obs-optional: constructed plainly it holds no
 //! registry, takes no atomic ops, and emits nothing — that *stripped*
 //! configuration is the baseline the bench's overhead gate compares
-//! against. Constructed with [`EngineObs`]
-//! ([`crate::Engine::with_context_obs`]), each shard worker gets a
+//! against. Constructed from a configuration carrying an [`EngineObs`]
+//! ([`crate::EngineConfig::with_obs`]), each shard worker gets a
 //! [`ShardObs`] of pre-registered handles:
 //!
 //! * `churnlab_measurements_total{shard}` — raw measurements routed in;
@@ -54,6 +54,12 @@ pub struct EngineObs {
     pub(crate) phase_merge: Counter,
     /// Wall time of each whole `snapshot()` call.
     pub(crate) snapshot_nanos: Histogram,
+}
+
+impl std::fmt::Debug for EngineObs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EngineObs").field("journal", &self.journal).finish_non_exhaustive()
+    }
 }
 
 impl EngineObs {

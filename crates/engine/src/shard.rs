@@ -21,11 +21,12 @@
 //! **one hash per measurement** — and the granularity×anomaly fan-out
 //! works on the id alone. Between the two no observation is built:
 //! conversion writes the path into the shard's [`ConvertScratch`] (a
-//! feeder's chunk is converted whole, into one [`Staged`] arena) and
-//! churn accounting, the interner and the observability horizon read
-//! that slice beside the measurement's own scalar fields. Only a path
-//! the table has not seen is copied into its arena, and only the
-//! Figure-4 ablation's deferred buffer owns whole observations.
+//! batch — a feeder's chunk, or a lone measurement — is converted whole,
+//! into one [`Staged`] arena) and churn accounting, the interner and the
+//! observability horizon read that slice beside the measurement's own
+//! scalar fields. Only a path the table has not seen is copied into its
+//! arena, and only the Figure-4 ablation's deferred buffer owns whole
+//! observations.
 //!
 //! **Reports cost what changed.** A deployment reads the report over and
 //! over while data is still arriving, and one ingest step touches a
@@ -93,8 +94,8 @@ use std::sync::Arc;
 /// A message to a shard worker.
 pub(crate) enum Msg {
     /// One raw measurement for this shard's URL subset (direct
-    /// [`crate::Engine::ingest`] — carried inline: no per-measurement
-    /// heap allocation on the send side).
+    /// [`crate::Engine::ingest_owned`] — carried inline: no
+    /// per-measurement heap allocation on the send side).
     Raw(Measurement),
     /// A feeder's chunk of raw measurements.
     Batch(Vec<Measurement>),
@@ -416,18 +417,38 @@ impl ShardState {
         }
     }
 
-    /// Convert one raw measurement (the §3.1 elimination rules) and fold
-    /// the surviving observation in. This is the engine's conversion
-    /// site: it runs on the shard's own thread, in parallel across
-    /// shards, whatever the feeder count.
-    pub(crate) fn ingest_raw(&mut self, m: &Measurement, db: &Ip2AsDb) {
-        // The path lives in the scratch while `ingest` needs the rest of
-        // the shard: lend the scratch out for the call.
-        let mut convert = std::mem::take(&mut self.convert);
-        if let Some(path) = convert_into(m, db, &mut self.conversion, &mut convert) {
-            self.ingest(m, path);
+    /// Convert a batch (the §3.1 elimination rules) and fold the
+    /// surviving observations in. This is the engine's conversion site:
+    /// it runs on the shard's own thread, in parallel across shards,
+    /// whatever the feeder count — and it is the only one: a lone
+    /// measurement is a batch of one.
+    ///
+    /// The batch is converted whole into the worker-lifetime arena, then
+    /// folded in: two tight loops cost ~8% less shard time than one that
+    /// alternates (measured), and an instrumented worker times the
+    /// phases apart with one chained stopwatch — three clock reads per
+    /// batch, which is per measurement only for one sent on its own.
+    /// Conversion order and fold order are those of
+    /// measurement-by-measurement ingest, so results stay byte-identical.
+    fn ingest_batch(
+        &mut self,
+        batch: &[Measurement],
+        db: &Ip2AsDb,
+        staged: &mut Staged,
+        mut phase: Option<&mut PhaseClock>,
+    ) {
+        if let Some(p) = &mut phase {
+            p.measurements.add(batch.len() as u64);
+            p.sw.restart();
         }
-        self.convert = convert;
+        self.convert_batch(batch, db, staged);
+        if let Some(p) = &mut phase {
+            p.sw.lap(&p.convert);
+        }
+        self.ingest_staged(batch, staged);
+        if let Some(p) = &mut phase {
+            p.sw.lap(&p.intern);
+        }
     }
 
     /// Convert a batch into `staged` without folding it in.
@@ -993,12 +1014,15 @@ impl ShardState {
 
 /// Phase-attribution handles the worker loop drives directly (cloned
 /// out of the shard's [`ShardObs`] so the loop can time around `&mut
-/// state` calls).
-struct PhaseCounters {
+/// state` calls) and the worker-lifetime stopwatch that laps them: one
+/// schedstat open per instrumented worker, none per batch, none at all
+/// in the stripped configuration.
+struct PhaseClock {
     measurements: Counter,
     convert: Counter,
     intern: Counter,
     snapshot: Counter,
+    sw: Stopwatch,
 }
 
 /// The worker loop: drain messages until every sender is gone,
@@ -1013,55 +1037,32 @@ struct PhaseCounters {
 /// wall intervals around each message elsewhere (overstated under core
 /// oversubscription, but better than nothing on non-Linux hosts).
 pub(crate) fn run_worker(rx: Receiver<Msg>, mut state: ShardState, db: Ip2AsDb) {
-    let phase = state.obs.as_ref().map(|o| PhaseCounters {
+    let mut phase = state.obs.as_ref().map(|o| PhaseClock {
         measurements: o.measurements.clone(),
         convert: o.phase_convert.clone(),
         intern: o.phase_intern.clone(),
         snapshot: o.phase_snapshot.clone(),
+        sw: Stopwatch::new(),
     });
     let mut busy = BusyTimer::detect();
-    // Batches convert into this worker-lifetime arena, and instrumented
-    // ones lap this worker-lifetime stopwatch, so a batch costs no
-    // allocation and the phase split no per-batch schedstat open.
+    // Batches convert into this worker-lifetime arena, so a batch costs
+    // no allocation.
     let mut staged = Staged::default();
-    let mut sw = Stopwatch::new();
     while let Ok(msg) = rx.recv() {
         match msg {
             Msg::Raw(m) => busy.interval(|| {
-                if let Some(p) = &phase {
-                    p.measurements.inc();
-                }
-                state.ingest_raw(&m, &db);
+                state.ingest_batch(std::slice::from_ref(&m), &db, &mut staged, phase.as_mut())
             }),
-            Msg::Batch(batch) => busy.interval(|| {
-                // A chunk is converted whole into the worker-lifetime
-                // arena, then folded in: two tight loops cost ~8% less
-                // shard time than one that alternates (measured), and an
-                // instrumented worker times the phases apart with one
-                // chained stopwatch — three clock reads per chunk, not
-                // per measurement. Conversion order and fold order are
-                // those of measurement-by-measurement ingest, so results
-                // stay byte-identical.
-                if let Some(p) = &phase {
-                    p.measurements.add(batch.len() as u64);
-                    sw.restart();
-                }
-                state.convert_batch(&batch, &db, &mut staged);
-                if let Some(p) = &phase {
-                    sw.lap(&p.convert);
-                }
-                state.ingest_staged(&batch, &staged);
-                if let Some(p) = &phase {
-                    sw.lap(&p.intern);
-                }
-            }),
+            Msg::Batch(batch) => {
+                busy.interval(|| state.ingest_batch(&batch, &db, &mut staged, phase.as_mut()))
+            }
             Msg::Report { reply, fin } => {
-                let mut report = busy.interval(|| match &phase {
+                let mut report = busy.interval(|| match &mut phase {
                     None => state.report(fin),
                     Some(p) => {
-                        sw.restart();
+                        p.sw.restart();
                         let report = state.report(fin);
-                        sw.lap(&p.snapshot);
+                        p.sw.lap(&p.snapshot);
                         report
                     }
                 });
@@ -1124,16 +1125,15 @@ mod tests {
         let platform = Platform::new(&world, &scenario, platform_cfg.clone());
         let churn_cfg =
             ChurnConfig { total_days: platform_cfg.total_days, ..ChurnConfig::default() };
-        let (ms, _) = platform.run_collect(&RoutingSim::new(&world.topology, &churn_cfg));
+        let sim = RoutingSim::new(&world.topology, &churn_cfg);
+        let (ms, _) = platform.run_collect_parallel(&sim, 1);
 
         // No year granularity, so a row can name one the shard lacks.
         let mut cfg = PipelineConfig::paper(platform_cfg.total_days);
         cfg.granularities = Granularity::SUB_YEAR.to_vec();
         let countries = Arc::new(as_countries(&world.topology));
         let mut state = ShardState::new(cfg.clone(), Some(7), None, Arc::clone(&countries));
-        for m in &ms {
-            state.ingest_raw(m, platform.measured_ip2as());
-        }
+        state.ingest_batch(&ms, platform.measured_ip2as(), &mut Staged::default(), None);
         let blob = state.encode();
         let decode = |bytes: &[u8]| {
             ShardState::decode(cfg.clone(), Some(7), None, Arc::clone(&countries), bytes)

@@ -35,36 +35,48 @@ fn busy_accounting_survives_missing_cpu_clock() {
     };
     let platform = Platform::new(&world, &scenario, platform_cfg.clone());
     let sim = RoutingSim::new(&world.topology, &churn_cfg);
-    let (measurements, _) = platform.run_collect(&sim);
+    let (measurements, _) = platform.run_collect_parallel(&sim, 1);
 
-    let registry = Registry::new();
-    let cfg = EngineConfig::new(PipelineConfig::paper(platform_cfg.total_days)).with_shards(2);
-    let engine = Engine::new_with_obs(&platform, cfg, EngineObs::new(registry.clone()));
-    {
-        let mut feeder = engine.feeder();
-        for m in &measurements {
-            feeder.ingest_owned(m.clone());
+    // A feeder's chunks and lone measurements take one arm through the
+    // shard worker, so both ingest forms attribute both phases.
+    for chunked in [true, false] {
+        let registry = Registry::new();
+        let cfg = EngineConfig::new(PipelineConfig::paper(platform_cfg.total_days))
+            .with_shards(2)
+            .with_obs(EngineObs::new(registry.clone()));
+        let engine = Engine::new(&platform, cfg);
+        if chunked {
+            let mut feeder = engine.feeder();
+            measurements.iter().for_each(|m| feeder.ingest_owned(m.clone()));
+        } else {
+            measurements.iter().for_each(|m| engine.ingest_owned(m.clone()));
         }
+        let (results, stats) = engine.finish_with_stats();
+        assert!(!results.outcomes.is_empty(), "campaign produced no instances");
+
+        // Wall-interval fallback still attributes real busy time, with the
+        // same invariants the CPU clock provides.
+        assert!(stats.busy.shard_total_nanos > 0, "fallback lost all shard busy time");
+        assert!(stats.busy.shard_max_nanos > 0);
+        assert!(
+            stats.busy.shard_max_nanos <= stats.busy.shard_total_nanos,
+            "max shard busy cannot exceed the sum over shards"
+        );
+
+        // Stopwatch-driven phase counters degrade to wall laps, not zero.
+        let snap = registry.scrape();
+        for phase in ["convert", "intern"] {
+            let nanos: u64 = ["0", "1"]
+                .iter()
+                .filter_map(|shard| {
+                    let labels = [("phase", phase), ("shard", *shard)];
+                    snap.counter("churnlab_phase_nanos_total", &labels)
+                })
+                .sum();
+            assert!(nanos > 0, "chunked {chunked}: no {phase} time under wall fallback");
+        }
+        assert_eq!(snap.counter_sum("churnlab_measurements_total"), measurements.len() as u64);
     }
-    let (results, stats) = engine.finish_with_stats();
-    assert!(!results.outcomes.is_empty(), "campaign produced no instances");
-
-    // Wall-interval fallback still attributes real busy time, with the
-    // same invariants the CPU clock provides.
-    assert!(stats.busy.shard_total_nanos > 0, "fallback lost all shard busy time");
-    assert!(stats.busy.shard_max_nanos > 0);
-    assert!(
-        stats.busy.shard_max_nanos <= stats.busy.shard_total_nanos,
-        "max shard busy cannot exceed the sum over shards"
-    );
-
-    // Stopwatch-driven phase counters degrade to wall laps, not zero.
-    let snap = registry.scrape();
-    assert!(
-        snap.counter_sum("churnlab_phase_nanos_total") > 0,
-        "phase attribution vanished under wall fallback"
-    );
-    assert_eq!(snap.counter_sum("churnlab_measurements_total"), measurements.len() as u64);
 
     force_wall_clock_for_tests(false);
 }

@@ -41,7 +41,7 @@ fn study(seed: u64) -> Study {
 fn measurements(s: &Study) -> (Platform<'_>, Vec<Measurement>) {
     let platform = Platform::new(&s.world, &s.scenario, s.platform_cfg.clone());
     let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
-    let (ms, _) = platform.run_collect(&sim);
+    let (ms, _) = platform.run_collect_parallel(&sim, 1);
     (platform, ms)
 }
 
@@ -71,7 +71,7 @@ fn uninterrupted(
 ) -> String {
     let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg);
     for m in ms {
-        engine.ingest(m);
+        engine.ingest_owned(m.clone());
     }
     canonical_json(&engine.finish())
 }
@@ -90,7 +90,7 @@ fn interrupted(
         let engine =
             Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
         for m in &ms[..cut] {
-            engine.ingest(m);
+            engine.ingest_owned(m.clone());
         }
         engine
             .checkpoint(cut as u64, b"import-state", &mut blob)
@@ -103,7 +103,7 @@ fn interrupted(
     assert_eq!(restored.cursor, cut as u64);
     assert_eq!(restored.user, b"import-state");
     for m in &ms[restored.cursor as usize..] {
-        restored.engine.ingest(m);
+        restored.engine.ingest_owned(m.clone());
     }
     canonical_json(&restored.engine.finish())
 }
@@ -191,11 +191,11 @@ fn checkpoint_with_unflushed_feeder_tails() {
         let engine =
             Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
         for m in &ms[..shipped] {
-            engine.ingest(m);
+            engine.ingest_owned(m.clone());
         }
         let mut feeder = engine.feeder().with_chunk(ms.len());
         for m in &ms[shipped..cut] {
-            feeder.ingest(m);
+            feeder.ingest_owned(m.clone());
         }
         tail = feeder.take_pending();
         assert_eq!(tail.len(), cut - shipped, "the whole span must still be pending");
@@ -206,10 +206,10 @@ fn checkpoint_with_unflushed_feeder_tails() {
             .expect("restore");
     let mut feeder = restored.engine.feeder();
     for m in &tail {
-        feeder.ingest(m);
+        feeder.ingest_owned(m.clone());
     }
     for m in &ms[cut..] {
-        feeder.ingest(m);
+        feeder.ingest_owned(m.clone());
     }
     drop(feeder);
     assert_eq!(canonical_json(&restored.engine.finish()), expected);
@@ -227,7 +227,7 @@ fn restore_into_different_shard_count_is_a_loud_error() {
         let engine =
             Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
         for m in &ms[..ms.len() / 2] {
-            engine.ingest(m);
+            engine.ingest_owned(m.clone());
         }
         engine.checkpoint(0, &[], &mut blob).expect("checkpoint");
     }
@@ -295,7 +295,7 @@ fn checkpoint_bytes_are_deterministic() {
     let cfg = engine_cfg(&platform, ChurnMode::Normal, 2, Some(3));
     let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
     for m in &ms[..ms.len() / 2] {
-        engine.ingest(m);
+        engine.ingest_owned(m.clone());
     }
     let (mut a, mut b) = (Vec::new(), Vec::new());
     engine.checkpoint(7, b"x", &mut a).expect("checkpoint");
@@ -326,7 +326,7 @@ fn compact_drains_outcomes_but_keeps_aggregates_exact() {
         let engine =
             Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
         for m in &ms {
-            engine.ingest(m);
+            engine.ingest_owned(m.clone());
         }
         engine.finish()
     };
@@ -335,7 +335,7 @@ fn compact_drains_outcomes_but_keeps_aggregates_exact() {
     let mut drained = Vec::new();
     let mut drained_trivial = 0u64;
     for (i, m) in ms.iter().enumerate() {
-        engine.ingest(m);
+        engine.ingest_owned(m.clone());
         if i % (ms.len() / 4).max(1) == 0 {
             let c = engine.compact();
             drained.extend(c.outcomes);
@@ -403,7 +403,7 @@ fn restore_fuzz_truncations_and_bit_flips_never_panic() {
             Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
         let half = ms.len() / 2;
         for (i, m) in ms[..half].iter().enumerate() {
-            engine.ingest(m);
+            engine.ingest_owned(m.clone());
             if i % (half / 4) == 0 {
                 let _ = engine.snapshot();
             }

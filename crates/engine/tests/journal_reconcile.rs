@@ -32,13 +32,15 @@ fn journal_reconciles_with_final_report() {
     };
     let platform = Platform::new(&world, &scenario, platform_cfg.clone());
     let sim = RoutingSim::new(&world.topology, &churn_cfg);
-    let (measurements, _) = platform.run_collect(&sim);
+    let (measurements, _) = platform.run_collect_parallel(&sim, 1);
 
     let sink = MemorySink::new();
     let registry = Registry::new();
     let obs = EngineObs::new(registry.clone()).with_journal(Journal::to_writer(sink.clone()));
-    let cfg = EngineConfig::new(PipelineConfig::paper(platform_cfg.total_days)).with_shards(3);
-    let engine = Engine::new_with_obs(&platform, cfg, obs);
+    let cfg = EngineConfig::new(PipelineConfig::paper(platform_cfg.total_days))
+        .with_shards(3)
+        .with_obs(obs);
+    let engine = Engine::new(&platform, cfg);
 
     // A mid-stream snapshot must NOT close windows: only the final
     // report freezes per-cell tallies.
@@ -140,7 +142,7 @@ fn reconcile_with_retirement(snapshot_every: Option<usize>) {
     };
     let platform = Platform::new(&world, &scenario, platform_cfg.clone());
     let sim = RoutingSim::new(&world.topology, &churn_cfg);
-    let (mut measurements, _) = platform.run_collect(&sim);
+    let (mut measurements, _) = platform.run_collect_parallel(&sim, 1);
     // Retirement needs an advancing watermark: feed in day order, the
     // shape a live deployment's stream has.
     measurements.sort_by_key(|m| m.day);
@@ -150,10 +152,11 @@ fn reconcile_with_retirement(snapshot_every: Option<usize>) {
     let obs = EngineObs::new(registry.clone()).with_journal(Journal::to_writer(sink.clone()));
     let cfg = EngineConfig::new(PipelineConfig::paper(platform_cfg.total_days))
         .with_shards(3)
-        .with_window_horizon(2);
-    let engine = Engine::new_with_obs(&platform, cfg, obs);
+        .with_window_horizon(2)
+        .with_obs(obs);
+    let engine = Engine::new(&platform, cfg);
     for (i, m) in measurements.iter().enumerate() {
-        engine.ingest(m);
+        engine.ingest_owned(m.clone());
         if snapshot_every.is_some_and(|n| (i + 1).is_multiple_of(n)) {
             let _ = engine.snapshot();
         }

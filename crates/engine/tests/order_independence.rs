@@ -40,7 +40,7 @@ fn study(seed: u64) -> Study {
 fn measurements(s: &Study) -> (Platform<'_>, Vec<Measurement>) {
     let platform = Platform::new(&s.world, &s.scenario, s.platform_cfg.clone());
     let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
-    let (ms, _) = platform.run_collect(&sim);
+    let (ms, _) = platform.run_collect_parallel(&sim, 1);
     (platform, ms)
 }
 
@@ -68,7 +68,7 @@ fn engine_results(
     cfg.churn_mode = mode;
     let engine = Engine::new(platform, EngineConfig::new(cfg).with_shards(shards));
     for m in ms {
-        engine.ingest(m);
+        engine.ingest_owned(m.clone());
     }
     engine.finish()
 }
@@ -147,13 +147,13 @@ fn repeated_snapshots_are_stable_in_both_modes() {
         shuffled.shuffle(&mut StdRng::seed_from_u64(7));
         let half = shuffled.len() / 2;
         for m in &shuffled[..half] {
-            engine.ingest(m);
+            engine.ingest_owned(m.clone());
         }
         let snap1 = canonical_json(&engine.snapshot());
         let snap2 = canonical_json(&engine.snapshot());
         assert_eq!(snap1, snap2, "mode {mode:?}: identical prefix, diverging snapshots");
         for m in &shuffled[half..] {
-            engine.ingest(m);
+            engine.ingest_owned(m.clone());
         }
         let full = canonical_json(&engine.finish());
         let expected = canonical_json(&pipeline_results(&platform, &ms, mode));
@@ -174,15 +174,14 @@ fn first_path_ablation_is_order_independent_too() {
     assert_eq!(got, expected, "ablation mode diverged under shuffle");
 }
 
-/// Concurrent feeder threads — the multi-vantage regime — agree with the
-/// single-threaded batch pipeline too.
-/// A worker converts a feeder's whole chunk into a staging arena and
-/// folds it in afterwards (instrumented, it times the two phases apart);
-/// a measurement sent on its own is converted and folded in one step, the
-/// path never leaving the conversion scratch. One study through each
-/// gives one digest and one conversion account — the pipeline's, which
-/// converts through the owned-path adapter — in both churn modes (the
-/// ablation is the one consumer that copies the borrowed path).
+/// A worker converts a batch whole into a staging arena and folds it in
+/// afterwards, timing the two phases apart when instrumented — and a
+/// measurement sent on its own is a batch of one through the same code.
+/// One study through each gives one digest and one conversion account —
+/// the pipeline's, which converts through the owned-path adapter — in
+/// both churn modes (the ablation is the one consumer that copies the
+/// borrowed path), and every instrumented arm counts each measurement
+/// once.
 #[test]
 fn staged_and_direct_ingest_agree_with_the_pipeline() {
     let s = study(23);
@@ -190,20 +189,20 @@ fn staged_and_direct_ingest_agree_with_the_pipeline() {
     for mode in [ChurnMode::Normal, ChurnMode::FirstPathOnly] {
         let reference = pipeline_results(&platform, &ms, mode);
         assert!(reference.conversion.total_discarded() > 0, "the study exercises the discard rules");
-        for (chunked, instrumented) in [(false, false), (true, false), (true, true)] {
+        for (chunked, instrumented) in [(false, false), (false, true), (true, false), (true, true)] {
             let mut cfg = PipelineConfig::paper(platform.config().total_days);
             cfg.churn_mode = mode;
-            let cfg = EngineConfig::new(cfg).with_shards(2);
-            let engine = if instrumented {
-                Engine::new_with_obs(&platform, cfg, EngineObs::new(churnlab_obs::Registry::new()))
-            } else {
-                Engine::new(&platform, cfg)
-            };
+            let mut cfg = EngineConfig::new(cfg).with_shards(2);
+            let registry = churnlab_obs::Registry::new();
+            if instrumented {
+                cfg = cfg.with_obs(EngineObs::new(registry.clone()));
+            }
+            let engine = Engine::new(&platform, cfg);
             if chunked {
                 let mut feeder = engine.feeder();
-                ms.iter().for_each(|m| feeder.ingest(m));
+                ms.iter().for_each(|m| feeder.ingest_owned(m.clone()));
             } else {
-                ms.iter().for_each(|m| engine.ingest(m));
+                ms.iter().for_each(|m| engine.ingest_owned(m.clone()));
             }
             let got = engine.finish();
             let arm = format!("{mode:?}, chunked {chunked}, instrumented {instrumented}");
@@ -213,10 +212,20 @@ fn staged_and_direct_ingest_agree_with_the_pipeline() {
                 reference.canonical_report().digest(),
                 "{arm}"
             );
+            if instrumented {
+                // Phase nanos are not asserted here: this binary runs on
+                // the tick-granular on-CPU clock, where a study this
+                // short can read zero in any phase. `busy_fallback.rs`
+                // holds both arms' phases above zero on the wall clock.
+                let measured = registry.scrape().counter_sum("churnlab_measurements_total");
+                assert_eq!(measured, ms.len() as u64, "{arm}");
+            }
         }
     }
 }
 
+/// Concurrent feeder threads — the multi-vantage regime — agree with the
+/// single-threaded batch pipeline too.
 #[test]
 fn concurrent_feeders_match_pipeline() {
     let s = study(53);
@@ -233,7 +242,7 @@ fn concurrent_feeders_match_pipeline() {
                 // Buffering feeder handle: chunked sends, flushed on drop.
                 let mut feeder = engine.feeder();
                 for m in chunk {
-                    feeder.ingest(m);
+                    feeder.ingest_owned(m.clone());
                 }
             });
         }
@@ -259,7 +268,7 @@ fn snapshot_cut_respects_feeder_tails() {
     // A chunk bigger than the stream: nothing ships until we say so.
     let mut feeder = engine.feeder().with_chunk(ms.len() + 1);
     for m in &ms[..half] {
-        feeder.ingest(m);
+        feeder.ingest_owned(m.clone());
     }
     // Unflushed tail: the cut must be empty.
     let before = engine.snapshot();
@@ -275,7 +284,7 @@ fn snapshot_cut_respects_feeder_tails() {
 
     // Drop implies flush: the rest of the stream arrives via drop alone.
     for m in &ms[half..] {
-        feeder.ingest(m);
+        feeder.ingest_owned(m.clone());
     }
     drop(feeder);
     let full = engine.finish();
@@ -294,7 +303,7 @@ fn snapshot_then_continue() {
     let engine = Engine::new(&platform, EngineConfig::new(cfg.clone()).with_shards(2));
     let half = ms.len() / 2;
     for m in &ms[..half] {
-        engine.ingest(m);
+        engine.ingest_owned(m.clone());
     }
     let mid = engine.snapshot();
     // The snapshot equals a batch run over the same prefix (the prefix of
@@ -302,7 +311,7 @@ fn snapshot_then_continue() {
     let mid_expected = pipeline_results(&platform, &ms[..half], ChurnMode::Normal);
     assert_eq!(canonical_json(&mid), canonical_json(&mid_expected));
     for m in &ms[half..] {
-        engine.ingest(m);
+        engine.ingest_owned(m.clone());
     }
     let full = engine.finish();
     let full_expected = pipeline_results(&platform, &ms, ChurnMode::Normal);

@@ -120,7 +120,7 @@ impl<'a> Case<'a> {
     fn oracle(&self, cut: usize) -> String {
         let engine = self.fresh();
         for m in &self.ms[..cut] {
-            engine.ingest(m);
+            engine.ingest_owned(m.clone());
         }
         canonical_json(&engine.finish())
     }
@@ -171,7 +171,7 @@ impl<'a> Case<'a> {
             {
                 let mut feeder = engine.feeder();
                 for m in &self.ms[fed..cut] {
-                    feeder.ingest(m);
+                    feeder.ingest_owned(m.clone());
                 }
             }
             fed = cut;
@@ -197,7 +197,7 @@ impl<'a> Case<'a> {
             self.check(&engine, &drained, cut, &format!("{op:?}"));
         }
         for m in &self.ms[fed..] {
-            engine.ingest(m);
+            engine.ingest_owned(m.clone());
         }
         let mut last = engine.finish();
         last.outcomes.extend(drained);
@@ -226,7 +226,7 @@ fn every_snapshot_equals_a_fresh_engine_fed_the_same_prefix() {
         let s = study(seed);
         let platform = Platform::new(&s.world, &s.scenario, s.platform_cfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
-        let (mut ms, _) = platform.run_collect(&sim);
+        let (mut ms, _) = platform.run_collect_parallel(&sim, 1);
         // A live deployment's stream: the watermark advances, so a
         // horizon actually retires windows.
         ms.sort_by_key(|m| m.day);

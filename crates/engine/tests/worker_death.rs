@@ -38,7 +38,7 @@ fn dead_worker_panic_propagates_with_shard_context() {
         &world.topology,
         &ChurnConfig { total_days: platform_cfg.total_days, ..ChurnConfig::default() },
     );
-    let (ms, _) = platform.run_collect(&sim);
+    let (ms, _) = platform.run_collect_parallel(&sim, 1);
 
     let cfg = PipelineConfig::paper(platform_cfg.total_days);
     let engine = Engine::new(&platform, EngineConfig::new(cfg).with_shards(2));
@@ -49,7 +49,7 @@ fn dead_worker_panic_propagates_with_shard_context() {
     // instead of a bare SendError unwrap.
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         for m in &ms {
-            engine.ingest(m);
+            engine.ingest_owned(m.clone());
         }
         // Every send missed shard 0 (unlikely but possible): a report
         // request touches every shard.

@@ -48,10 +48,13 @@ pub fn export_study<W: Write>(
 ) -> std::io::Result<(u64, DatasetStats)> {
     let mut records = 0u64;
     let mut err: Option<std::io::Error> = None;
-    let stats = platform.run_with_domains(sim, |m, domain| {
+    let stats = platform.run(sim, |m| {
         if err.is_some() {
             return;
         }
+        // The record carries its tested domain, so a dump is
+        // interpretable without the generating corpus.
+        let domain = &platform.corpus().get(m.url_id).domain;
         let rec = NativeRecord::from_measurement(&m, domain);
         let line = serde_json::to_string(&rec).expect("NativeRecord always serializes");
         let result = w.write_all(line.as_bytes()).and_then(|()| w.write_all(b"\n"));
@@ -93,7 +96,7 @@ mod tests {
         assert_eq!(records, stats.measurements);
 
         // The dump re-imports losslessly and the domains match the corpus.
-        let (collected, _) = platform.run_collect(&sim);
+        let (collected, _) = platform.run_collect_parallel(&sim, 1);
         let mut back = Vec::new();
         let import = read_jsonl(&buf[..], |m, d| back.push((m, d.to_string()))).unwrap();
         assert_eq!(import.ok, records);

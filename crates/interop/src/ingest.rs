@@ -83,10 +83,12 @@ pub struct ReplayReport {
 /// tail of a file.
 const DEAL_BATCH: usize = 256;
 
-/// Per-feeder metric handles, registered (cold path) before the feeder
-/// thread starts chewing lines. Present only when the engine was built
-/// with an [`churnlab_engine::EngineObs`]; the stripped replay path takes
-/// no atomic ops.
+/// Per-feeder metric handles and the stopwatch that laps them, built
+/// (cold path) on the feeder thread before it starts chewing lines — a
+/// stopwatch is bound to the thread that made it, and one per thread
+/// means one schedstat open per feeder. Present only when the engine was
+/// built with an [`churnlab_engine::EngineObs`]; the stripped replay path
+/// takes no atomic ops.
 struct FeederObs {
     /// `churnlab_phase_nanos_total{phase="feeder_parse",feeder=i}` — the
     /// feeder's on-CPU parse/deserialize time, accumulated per dealt
@@ -95,6 +97,7 @@ struct FeederObs {
     /// `churnlab_feeder_records_total{feeder=i}` — lines this feeder
     /// processed, showing how evenly the deal spread the work.
     records: Counter,
+    sw: Stopwatch,
 }
 
 impl FeederObs {
@@ -113,6 +116,7 @@ impl FeederObs {
                 "replay lines processed, per feeder thread",
                 &[("feeder", &f)],
             ),
+            sw: Stopwatch::new(),
         })
     }
 }
@@ -163,31 +167,22 @@ fn deal_lines<I: Iterator<Item = std::io::Result<String>>>(
         for i in 0..n {
             let (tx, rx) = sync_channel::<Vec<String>>(4);
             senders.push(tx);
-            let obs = FeederObs::new(engine, i);
             handles.push(scope.spawn(move || {
                 let mut stats = ImportStats::default();
                 let mut feeder = engine.feeder();
-                // Thread-lifetime stopwatch: one schedstat open per
-                // feeder, restarted per batch.
-                let mut sw = obs.as_ref().map(|_| Stopwatch::new());
+                let mut obs = FeederObs::new(engine, i);
                 while let Ok(batch) = rx.recv() {
-                    // Instrumented and stripped loops kept separate so the
-                    // common (stripped) replay takes no atomic ops.
-                    if let (Some(obs), Some(sw)) = (&obs, &mut sw) {
-                        sw.restart();
-                        for line in &batch {
-                            if let Some((m, _domain)) = format.import_line(line, &mut stats) {
-                                feeder.ingest_owned(m);
-                            }
+                    if let Some(o) = &mut obs {
+                        o.sw.restart();
+                    }
+                    for line in &batch {
+                        if let Some((m, _domain)) = format.import_line(line, &mut stats) {
+                            feeder.ingest_owned(m);
                         }
-                        sw.lap(&obs.parse_nanos);
-                        obs.records.add(batch.len() as u64);
-                    } else {
-                        for line in &batch {
-                            if let Some((m, _domain)) = format.import_line(line, &mut stats) {
-                                feeder.ingest_owned(m);
-                            }
-                        }
+                    }
+                    if let Some(o) = &mut obs {
+                        o.sw.lap(&o.parse_nanos);
+                        o.records.add(batch.len() as u64);
                     }
                 }
                 stats

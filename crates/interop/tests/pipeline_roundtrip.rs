@@ -25,7 +25,7 @@ fn exported_records_localize_identically() {
 
     // Direct run.
     let mut direct = Pipeline::new(&platform, PipelineConfig::paper(pcfg.total_days));
-    let (measurements, _) = platform.run_collect(&sim);
+    let (measurements, _) = platform.run_collect_parallel(&sim, 1);
     for m in &measurements {
         direct.ingest(m);
     }

@@ -16,7 +16,7 @@ impl TcpFlags {
     /// SYN: synchronize sequence numbers.
     pub const SYN: TcpFlags = TcpFlags(0x02);
     /// RST: reset the connection. The censorship mechanism of choice for
-    /// several nation-state filters (§2, [2,21,34]).
+    /// several nation-state filters (§2, refs. 2, 21, 34).
     pub const RST: TcpFlags = TcpFlags(0x04);
     /// PSH: push buffered data.
     pub const PSH: TcpFlags = TcpFlags(0x08);

@@ -53,8 +53,8 @@ thread_local! {
 /// open, a read and a close cost ~40 µs and callers read the clock per
 /// engine snapshot and per shard report.
 pub fn thread_cpu_nanos() -> Option<u64> {
-    // `try_with`: a span dropped while the thread's locals are being torn
-    // down falls back to wall time instead of panicking.
+    // `try_with`: a reading taken while the thread's locals are being
+    // torn down falls back to wall time instead of panicking.
     THREAD_CLOCK.try_with(|clock| clock.borrow_mut().now()).ok().flatten()
 }
 

@@ -1,13 +1,7 @@
 //! Phase timers over the on-CPU clock.
 //!
-//! Three shapes, all feeding nanosecond [`Counter`]s:
+//! Two shapes:
 //!
-//! * [`Span`] — RAII: time from construction to drop, attributed to one
-//!   phase counter. `Span::cpu` reads the schedstat clock twice (use at
-//!   message/report granularity — a `/proc` read costs ~1µs, far too hot
-//!   for per-measurement use); `Span::wall` reads `Instant` twice (cheap
-//!   enough for rare-but-interesting events like a reduced-formula
-//!   re-solve).
 //! * [`Stopwatch`] — chained laps: one clock read per phase *boundary*
 //!   instead of two per phase, for worker loops that run several phases
 //!   back to back over one batch.
@@ -22,36 +16,6 @@
 use crate::cpu::{thread_cpu_nanos, CpuClock};
 use crate::metrics::Counter;
 use std::time::Instant;
-
-/// RAII phase timer: attributes its lifetime to a counter on drop.
-pub struct Span<'a> {
-    counter: &'a Counter,
-    wall0: Instant,
-    /// `Some` = CPU mode (schedstat at construction); `None` = wall mode.
-    cpu0: Option<u64>,
-}
-
-impl<'a> Span<'a> {
-    /// On-CPU span (falls back to wall time where schedstat is absent).
-    pub fn cpu(counter: &'a Counter) -> Span<'a> {
-        Span { counter, wall0: Instant::now(), cpu0: thread_cpu_nanos() }
-    }
-
-    /// Wall-clock span.
-    pub fn wall(counter: &'a Counter) -> Span<'a> {
-        Span { counter, wall0: Instant::now(), cpu0: None }
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let nanos = match self.cpu0.and_then(|c0| Some(thread_cpu_nanos()?.saturating_sub(c0))) {
-            Some(cpu) => cpu,
-            None => self.wall0.elapsed().as_nanos() as u64,
-        };
-        self.counter.add(nanos);
-    }
-}
 
 /// Chained phase laps: `lap(counter)` attributes everything since the
 /// previous boundary (construction, last lap, or last [`restart`]) to
@@ -178,23 +142,6 @@ mod tests {
             n -= 1;
         }
         acc
-    }
-
-    #[test]
-    fn span_attributes_time() {
-        let reg = Registry::new();
-        let c = reg.counter("phase_nanos_total", "test", &[]);
-        {
-            let _s = Span::wall(&c);
-            std::hint::black_box(spin(100_000));
-        }
-        assert!(c.value() > 0, "a wall span over real work records time");
-        let before = c.value();
-        {
-            let _s = Span::cpu(&c);
-            std::hint::black_box(spin(100_000));
-        }
-        assert!(c.value() >= before, "cpu span never subtracts");
     }
 
     /// Spin for at least `ms` of wall time — long enough that even the

@@ -41,7 +41,7 @@ pub mod detect;
 pub mod fingerprint;
 pub mod measurement;
 pub mod noise;
-pub mod obs;
+mod obs;
 pub mod runner;
 pub mod schedule;
 pub mod stats;
@@ -52,7 +52,6 @@ pub use anomaly::{AnomalySet, AnomalyType};
 pub use fingerprint::FingerprintSet;
 pub use measurement::{Measurement, TracerouteRecord};
 pub use noise::NoiseConfig;
-pub use obs::CampaignObs;
 pub use runner::{CampaignBusy, ParallelRun, Platform, PlatformConfig, PlatformScale};
 pub use schedule::{FleetSchedule, UrlFleetPlan};
 pub use stats::DatasetStats;

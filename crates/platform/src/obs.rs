@@ -1,8 +1,8 @@
 //! Campaign observability: `churnlab_campaign_*` counters.
 //!
-//! Wire a [`CampaignObs`] into [`crate::Platform::run_parallel_obs`] and
-//! the runner becomes attributable in a `--metrics-out` scrape: how many
-//! tests the schedule planned, how many actually executed, how many the
+//! Attach a registry with [`crate::Platform::instrument`] and the runner
+//! becomes attributable in a `--metrics-out` scrape: how many tests the
+//! schedule planned, how many actually executed, how many the
 //! fleet-sampling schedule skipped, and each worker's on-CPU generation
 //! time (the campaign-side analogue of the engine's `EngineBusy`). The
 //! routing simulator the campaign is handed is instrumented on the same
@@ -13,7 +13,7 @@ use churnlab_obs::{Counter, Registry};
 
 /// Handles for the campaign-level counters. Cheap to clone per worker;
 /// all clones share storage.
-pub struct CampaignObs {
+pub(crate) struct CampaignObs {
     scheduled: Counter,
     run: Counter,
     sampled_out: Counter,
@@ -22,7 +22,7 @@ pub struct CampaignObs {
 
 impl CampaignObs {
     /// Register the campaign counters on `registry`.
-    pub fn new(registry: &Registry) -> Self {
+    pub(crate) fn new(registry: &Registry) -> Self {
         CampaignObs {
             scheduled: registry.counter(
                 "churnlab_campaign_tests_scheduled_total",

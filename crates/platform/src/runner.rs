@@ -40,13 +40,14 @@ use churnlab_net::{
     Capture, DnsMessage, FlowConfig, FlowSimulator, HopPath, HttpRequest, HttpResponse,
     Reassembly, SharedBytes, Traceroute,
 };
+use churnlab_obs::Registry;
 use churnlab_topology::{Asn, GeneratedWorld, Ip2AsDb};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Reusable AS-path buffers for the measurement loop: one campaign runs
@@ -317,6 +318,8 @@ pub struct Platform<'w> {
     compiled: HashMap<Asn, CompiledCensor>,
     fingerprints: FingerprintSet,
     measured_ip2as: Ip2AsDb,
+    /// Campaign counters, once [`Platform::instrument`] attached them.
+    obs: OnceLock<CampaignObs>,
 }
 
 impl<'w> Platform<'w> {
@@ -373,7 +376,16 @@ impl<'w> Platform<'w> {
         let measured_ip2as =
             world.registry_ip2as().degraded(cfg.noise.ip2as, &all_asns, &mut db_rng);
         let fingerprints = FingerprintSet::compile(&churnlab_censor::blockpage::fingerprint_list());
-        let platform = Platform { world, cfg, corpus, vantage, compiled, fingerprints, measured_ip2as };
+        let platform = Platform {
+            world,
+            cfg,
+            corpus,
+            vantage,
+            compiled,
+            fingerprints,
+            measured_ip2as,
+            obs: OnceLock::new(),
+        };
         // A sampling schedule must honor its configured coverage floor.
         // The rotation's per-pair pick count is exact (see [`crate::schedule`]),
         // so this is a static check at assembly time, not a runtime hope.
@@ -427,6 +439,17 @@ impl<'w> Platform<'w> {
     /// The world under measurement.
     pub fn world(&self) -> &GeneratedWorld {
         self.world
+    }
+
+    /// Register the `churnlab_campaign_*` counters on `registry`: every
+    /// later [`Platform::run`] / [`Platform::run_parallel`] counts the
+    /// tests its schedule planned, ran and sampled out and each worker's
+    /// on-CPU generation time, and instruments the simulator it is handed
+    /// ([`RoutingSim::instrument`], `churnlab_route_*`) on the same
+    /// registry. Call before the campaign; the counters keep feeding the
+    /// first registry they were given, and a later call does nothing.
+    pub fn instrument(&self, registry: &Registry) {
+        self.obs.get_or_init(|| CampaignObs::new(registry));
     }
 
     /// Run one URL's full campaign: every testing day in its cadence, the
@@ -490,17 +513,57 @@ impl<'w> Platform<'w> {
         }
     }
 
-    /// Run the full measurement campaign, streaming records to `sink`.
-    pub fn run(&self, sim: &RoutingSim, mut sink: impl FnMut(Measurement)) -> DatasetStats {
-        let schedule = self.fleet_schedule();
-        // One context for the whole campaign: every buffer a test fills
-        // is reused by the next (the routing layer fills paths in place,
-        // the flow simulator captures in place — no per-measurement Vec).
+    /// One campaign worker: claim URLs off `next` until none are left,
+    /// streaming each one's campaign into `sink`. Returns the worker's
+    /// private stats, its on-CPU time (wall time where no thread CPU
+    /// clock exists) and which of the two it measured.
+    fn run_worker(
+        &self,
+        sim: &RoutingSim,
+        schedule: &FleetSchedule,
+        next: &AtomicUsize,
+        obs: Option<CampaignWorkerObs>,
+        mut sink: impl FnMut(Measurement),
+    ) -> (StatsAccumulator, u64, bool) {
+        let wall0 = Instant::now();
+        let cpu0 = churnlab_obs::thread_cpu_nanos();
+        // One context for the worker's whole share: every buffer a test
+        // fills is reused by the next (the routing layer fills paths in
+        // place, the flow simulator captures in place — no
+        // per-measurement Vec).
         let mut ctx = WorkerCtx::default();
-        for url in self.corpus.entries() {
-            self.run_url_campaign(sim, url, &schedule, &mut ctx, None, &mut sink);
+        let entries = self.corpus.entries();
+        while let Some(url) = entries.get(next.fetch_add(1, Ordering::Relaxed)) {
+            self.run_url_campaign(sim, url, schedule, &mut ctx, obs.as_ref(), &mut sink);
         }
-        ctx.acc.finish(&self.world.topology)
+        // Flush buffering sinks (e.g. engine feeders) before the clock
+        // stops: the flush is part of this worker's generation work.
+        drop(sink);
+        let (busy, cpu_clock) = match (cpu0, churnlab_obs::thread_cpu_nanos()) {
+            (Some(a), Some(b)) => (b.saturating_sub(a), true),
+            _ => (wall0.elapsed().as_nanos() as u64, false),
+        };
+        if let Some(o) = &obs {
+            o.busy.add(busy);
+        }
+        (ctx.acc, busy, cpu_clock)
+    }
+
+    /// The attached campaign counters, with `sim` instrumented on their
+    /// registry — read once per run.
+    fn campaign_obs(&self, sim: &RoutingSim) -> Option<&CampaignObs> {
+        let obs = self.obs.get()?;
+        sim.instrument(obs.registry());
+        Some(obs)
+    }
+
+    /// Run the full measurement campaign on the calling thread, streaming
+    /// records to `sink` in corpus order — the one-worker campaign.
+    pub fn run(&self, sim: &RoutingSim, sink: impl FnMut(Measurement)) -> DatasetStats {
+        let obs = self.campaign_obs(sim).map(|o| o.worker(0));
+        let (acc, ..) =
+            self.run_worker(sim, &self.fleet_schedule(), &AtomicUsize::new(0), obs, sink);
+        acc.finish(&self.world.topology)
     }
 
     /// Run the campaign across `threads` workers: the calling thread and
@@ -518,57 +581,16 @@ impl<'w> Platform<'w> {
         F: Fn(usize) -> S + Sync,
         S: FnMut(Measurement) + Send,
     {
-        self.run_parallel_obs(sim, threads, None, make_sink)
-    }
-
-    /// [`Platform::run_parallel`] with campaign counters attached, and
-    /// `sim`'s own (`RoutingSim::instrument`) on the same registry.
-    pub fn run_parallel_obs<S, F>(
-        &self,
-        sim: &RoutingSim,
-        threads: usize,
-        obs: Option<&CampaignObs>,
-        make_sink: F,
-    ) -> ParallelRun
-    where
-        F: Fn(usize) -> S + Sync,
-        S: FnMut(Measurement) + Send,
-    {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
             threads
         };
-        if let Some(o) = obs {
-            sim.instrument(o.registry());
-        }
+        let obs = self.campaign_obs(sim);
         let schedule = self.fleet_schedule();
-        let entries = self.corpus.entries();
         let next = AtomicUsize::new(0);
-        let worker = |w: usize| {
-            let wall0 = Instant::now();
-            let cpu0 = churnlab_obs::thread_cpu_nanos();
-            let mut sink = make_sink(w);
-            let wobs = obs.map(|o| o.worker(w));
-            let mut ctx = WorkerCtx::default();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(url) = entries.get(i) else { break };
-                self.run_url_campaign(sim, url, &schedule, &mut ctx, wobs.as_ref(), &mut sink);
-            }
-            // Flush buffering sinks (e.g. engine feeders) before the
-            // clock stops: the flush is part of this worker's generation
-            // work.
-            drop(sink);
-            let (busy, cpu_clock) = match (cpu0, churnlab_obs::thread_cpu_nanos()) {
-                (Some(a), Some(b)) => (b.saturating_sub(a), true),
-                _ => (wall0.elapsed().as_nanos() as u64, false),
-            };
-            if let Some(o) = &wobs {
-                o.busy.add(busy);
-            }
-            (ctx.acc, busy, cpu_clock)
-        };
+        let worker =
+            |w: usize| self.run_worker(sim, &schedule, &next, obs.map(|o| o.worker(w)), make_sink(w));
         // The caller is worker 0: N workers keep N threads busy, not N
         // and one parked in `join` — and a one-worker campaign allocates
         // what it streams where the caller will free it, not in a heap
@@ -590,36 +612,14 @@ impl<'w> Platform<'w> {
         ParallelRun { stats: acc.finish(&self.world.topology), busy }
     }
 
-    /// Run the full measurement campaign, handing each measurement to
-    /// `sink` together with its tested domain — the export hook: a record
-    /// written from this sink is self-contained (interpretable without
-    /// the generating corpus), which is what interchange dumps need.
-    pub fn run_with_domains(
-        &self,
-        sim: &RoutingSim,
-        mut sink: impl FnMut(Measurement, &str),
-    ) -> DatasetStats {
-        let corpus = &self.corpus;
-        self.run(sim, move |m| {
-            let domain = &corpus.get(m.url_id).domain;
-            sink(m, domain)
-        })
-    }
-
-    /// Run the campaign and collect everything (small scales only).
-    pub fn run_collect(&self, sim: &RoutingSim) -> (Vec<Measurement>, DatasetStats) {
-        let mut out = Vec::new();
-        let stats = self.run(sim, |m| out.push(m));
-        (out, stats)
-    }
-
-    /// Parallel [`Platform::run_collect`], deterministic regardless of
-    /// worker interleaving: each URL's stream lands in its own slot
-    /// (URL ids are dense corpus indices, and one worker owns a URL at a
-    /// time), slots are flattened in corpus order, and the result is
-    /// stable-sorted by (url, day, vantage, slot) as the documented
-    /// ordering contract. Equal to [`Platform::run_collect`]'s output for
-    /// any thread count.
+    /// Run the campaign across `threads` workers and collect everything
+    /// (small scales only), deterministic regardless of worker
+    /// interleaving: each URL's stream lands in its own slot (URL ids are
+    /// dense corpus indices, and one worker owns a URL at a time), slots
+    /// are flattened in corpus order, and the result is stable-sorted by
+    /// (url, day, vantage, slot) as the documented ordering contract —
+    /// the same output for any thread count, and the order
+    /// [`Platform::run`] streams in.
     pub fn run_collect_parallel(
         &self,
         sim: &RoutingSim,
@@ -824,6 +824,16 @@ mod tests {
         ChurnConfig { total_days, ..ChurnConfig::default() }
     }
 
+    /// The serial reference the collect tests hold `run_collect_parallel`
+    /// against: `run` pushing into a `Vec`, which comes out in the
+    /// documented (url, day, vantage, slot) order.
+    fn serial_collect(platform: &Platform, sim: &RoutingSim) -> (Vec<Measurement>, DatasetStats) {
+        let mut out = Vec::new();
+        let stats = platform.run(sim, |m| out.push(m));
+        assert!(out.is_sorted_by_key(|m| (m.url_id, m.day, m.vp_id, m.epoch)));
+        (out, stats)
+    }
+
     #[test]
     fn smoke_run_produces_measurements() {
         let s = world();
@@ -833,7 +843,7 @@ mod tests {
         let pcfg = PlatformConfig::preset(PlatformScale::Smoke, 5);
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
-        let (ms, stats) = platform.run_collect(&sim);
+        let (ms, stats) = platform.run_collect_parallel(&sim, 1);
         let expected = platform.vantage_points().len() as u64
             * platform.corpus().len() as u64
             * u64::from(pcfg.tests_per_pair);
@@ -852,8 +862,8 @@ mod tests {
         let pcfg = PlatformConfig::preset(PlatformScale::Smoke, 5);
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
-        let (a, _) = platform.run_collect(&sim);
-        let (b, _) = platform.run_collect(&sim);
+        let (a, _) = platform.run_collect_parallel(&sim, 1);
+        let (b, _) = platform.run_collect_parallel(&sim, 1);
         assert_eq!(a, b);
     }
 
@@ -868,7 +878,7 @@ mod tests {
         pcfg.noise = NoiseConfig::none();
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
-        let (ms, stats) = platform.run_collect(&sim);
+        let (ms, stats) = platform.run_collect_parallel(&sim, 1);
         assert!(stats.total_anomalies() > 0, "no anomalies at all — censors unobserved");
         // In a noise-free world every detected anomaly must trace back to a
         // real censor somewhere on the measured path: verify via ground
@@ -898,7 +908,7 @@ mod tests {
         let pcfg = PlatformConfig::preset(PlatformScale::Smoke, 6);
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
-        let (ms, stats) = platform.run_collect(&sim);
+        let (ms, stats) = platform.run_collect_parallel(&sim, 1);
         let failed = ms.iter().filter(|m| m.failed).count() as u64;
         assert_eq!(stats.failed, failed);
         for m in ms.iter().filter(|m| m.failed) {
@@ -921,7 +931,7 @@ mod tests {
         let (s, scenario, pcfg) = smoke_setup(5);
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
-        let (serial, serial_stats) = platform.run_collect(&sim);
+        let (serial, serial_stats) = serial_collect(&platform, &sim);
         for threads in [1, 4] {
             let (par, par_stats) = platform.run_collect_parallel(&sim, threads);
             assert_eq!(par, serial, "threads={threads}");
@@ -948,7 +958,7 @@ mod tests {
         let pcfg = PlatformConfig::preset(PlatformScale::Smoke, 13);
         let platform = Platform::new(&world, &scenario, pcfg.clone());
         let cold = || RoutingSim::new(&world.topology, &churn_cfg(pcfg.total_days));
-        let (serial, serial_stats) = platform.run_collect(&cold());
+        let (serial, serial_stats) = serial_collect(&platform, &cold());
         assert!(serial.iter().any(|m| !m.failed));
         for threads in [1, 4] {
             let (par, par_stats) = platform.run_collect_parallel(&cold(), threads);
@@ -964,7 +974,7 @@ mod tests {
         pcfg.tests_per_pair_floor = 2;
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
-        let (serial, serial_stats) = platform.run_collect(&sim);
+        let (serial, serial_stats) = serial_collect(&platform, &sim);
         let (par, par_stats) = platform.run_collect_parallel(&sim, 3);
         assert_eq!(par, serial);
         assert_eq!(par_stats, serial_stats);
@@ -977,7 +987,7 @@ mod tests {
         pcfg.tests_per_pair_floor = 2;
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
-        let (ms, stats) = platform.run_collect(&sim);
+        let (ms, stats) = platform.run_collect_parallel(&sim, 1);
         let fleet = platform.vantage_points().len();
         assert!(fleet > 5, "smoke fleet must be bigger than the sample");
         // Per-day work is bounded by k, not the fleet.
@@ -1036,9 +1046,14 @@ mod tests {
         pcfg.tests_per_pair_floor = 2;
         let platform = Platform::new(&s.world, &scenario, pcfg.clone());
         let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
-        let registry = churnlab_obs::Registry::new();
-        let obs = CampaignObs::new(&registry);
-        let run = platform.run_parallel_obs(&sim, 2, Some(&obs), |_| |_m| {});
+        let registry = Registry::new();
+        platform.instrument(&registry);
+        // A second attach is a no-op: the counters keep feeding the
+        // first registry, and the second sees none of them.
+        let second = Registry::new();
+        platform.instrument(&second);
+        let run = platform.run_parallel(&sim, 2, |_| |_m| {});
+        assert!(second.scrape().samples.is_empty(), "the second registry stays empty");
         let text = churnlab_obs::render_prometheus(&registry.scrape());
         let value = |name: &str| -> u64 {
             text.lines()
@@ -1077,6 +1092,12 @@ mod tests {
         assert_eq!(
             value("churnlab_route_timeline_events{kind=\"te\"}"),
             churn.total_te_events() as u64
+        );
+        // `run` is the one-worker campaign and counts on the same series.
+        let serial = platform.run(&sim, |_m| {});
+        assert_eq!(
+            registry.scrape().counter("churnlab_campaign_tests_run_total", &[]),
+            Some(run_total + serial.measurements)
         );
     }
 

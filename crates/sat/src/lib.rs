@@ -28,7 +28,7 @@
 //!   serves any number of instances with zero steady-state allocations.
 //! * [`solver`] / [`enumerate`] — the historical one-shot API ([`solve`],
 //!   [`census`], …), now thin cold-context wrappers over [`ctx`].
-//! * [`reference`] — the original full-rescan solver core, retained as a
+//! * [`mod@reference`] — the original full-rescan solver core, retained as a
 //!   differential-testing oracle and in-run performance baseline.
 //! * [`brute`] — an exhaustive reference implementation used by the
 //!   property tests to cross-check everything above.

@@ -21,7 +21,7 @@ fn converted_paths_are_real_routing_paths_when_noise_free() {
         &world.topology,
         &ChurnConfig { total_days: pcfg.total_days, ..ChurnConfig::default() },
     );
-    let (measurements, _) = platform.run_collect(&sim);
+    let (measurements, _) = platform.run_collect_parallel(&sim, 1);
     let mut stats = ConversionStats::default();
     let mut checked = 0;
     for m in measurements.iter().take(500) {
@@ -84,7 +84,7 @@ fn platform_dataset_shape_matches_config() {
         &world.topology,
         &ChurnConfig { total_days: pcfg.total_days, ..ChurnConfig::default() },
     );
-    let (_, stats) = platform.run_collect(&sim);
+    let stats = platform.run(&sim, |_m| {});
     assert_eq!(stats.unique_urls, platform.corpus().len());
     // VP ASes count *registered* ASNs: hosting-org exits collapse onto
     // their org's public ASN (the paper's ~1,000 VPs in 539 ASes).
