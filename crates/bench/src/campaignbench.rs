@@ -47,6 +47,18 @@
 //! `bench route` audits with). A run gated against a `--baseline` fails
 //! above [`MAX_GEN_ALLOCS_PER_MEAS`] — the generator's steady state is
 //! its per-test scratch, not the allocator.
+//!
+//! And `fusion_inflation`: what feeding the engine costs the generator
+//! *on its own thread* — the 1-thread fused row's generator busy time
+//! over the busy time of the same pass into a dropping sink. The wire
+//! hands the shard flat copies and frees each measurement where it was
+//! made, so the ratio should read ~1.0; when measurements crossed the
+//! channel themselves, to be freed by the shard, it read 1.37 on two
+//! cores (glibc's cross-thread free path, paid by the allocating
+//! thread). With both threads on one core (`taskset -c 0`) they share a
+//! cache and the penalty mostly vanishes, so there the number is a
+//! diagnostic; a gated run with two or more cores fails above
+//! `MAX_FUSION_INFLATION` (1.15).
 
 use crate::cli::{self, Args, Flag, Kind, Sub, OUT, POSITIVE, REPEATS, SCALE_SMOKE, SEED};
 use crate::gate::{self, AsSweep, Gate, Plan, Sweep, SweepRow};
@@ -69,6 +81,10 @@ pub const URLS: usize = 64;
 ///
 /// [`Measurement`]: churnlab_platform::Measurement
 pub const MAX_GEN_ALLOCS_PER_MEAS: f64 = 12.0;
+
+/// Ceiling on [`CampaignReport::fusion_inflation`] where the generator
+/// and the shard can run on cores of their own.
+const MAX_FUSION_INFLATION: f64 = 1.15;
 
 /// `bench campaign`.
 pub const SUB: Sub = Sub {
@@ -141,6 +157,14 @@ impl<'w> CampaignHarness<'w> {
         (start.elapsed().as_secs_f64(), digest, run.busy)
     }
 
+    /// The generator's busy nanoseconds over one pass into a dropping
+    /// sink — the denominator of [`CampaignReport::fusion_inflation`],
+    /// on the clock the fused rows' busy attribution reads. Call it after
+    /// a timed pass, so the simulator's route trees are cached.
+    pub fn gen_alone_nanos(&self) -> u64 {
+        self.platform.run_parallel(&self.sim, 1, |_worker| drop).busy.max_nanos()
+    }
+
     /// Heap allocations per measurement over one serial generator pass
     /// into a dropping sink. Call it after a timed pass, so the
     /// simulator's route trees are cached; reads zero unless the process
@@ -209,6 +233,12 @@ pub struct CampaignReport {
     /// [`CampaignHarness::gen_allocs_per_meas`]).
     #[serde(default)]
     pub gen_allocs_per_meas: f64,
+    /// The 1-thread fused row's generator busy time over the busy time of
+    /// a generator pass into a dropping sink, each the least of its
+    /// repeats: what the wire costs the generating thread (see the module
+    /// docs). Absent when the sweep has no 1-thread row.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub fusion_inflation: Option<f64>,
     /// One row per thread count.
     pub rows: Vec<CampaignRow>,
 }
@@ -278,6 +308,10 @@ pub fn run_campaign_sweep(
         (row.wallclock_efficiency, row.model_efficiency) =
             gate::efficiency(base, row.threads, row.meas_per_sec, crit);
     }
+    let fusion_inflation = base.map(|(_, fused_nanos)| {
+        let alone = (0..repeats).map(|_| harness.gen_alone_nanos()).min().expect("repeats >= 1");
+        fused_nanos as f64 / alone.max(1) as f64
+    });
 
     CampaignReport {
         scale: scale_label.to_string(),
@@ -290,6 +324,7 @@ pub fn run_campaign_sweep(
         serial_meas_per_sec,
         digest: format!("{digest:016x}"),
         gen_allocs_per_meas: harness.gen_allocs_per_meas(),
+        fusion_inflation,
         rows,
     }
 }
@@ -349,16 +384,31 @@ fn run(args: &Args) -> ExitCode {
         );
     }
     eprintln!("generator:  {:>10.1} allocations/measurement, steady state", report.gen_allocs_per_meas);
+    if let Some(inflation) = report.fusion_inflation {
+        eprintln!("wire:       {inflation:>10.2}x generator busy, fused over a dropping sink");
+    }
     let gate = Gate { who: "campaign", journal: None };
-    let over_ceiling = (plan.baseline.is_some()
-        && report.gen_allocs_per_meas > MAX_GEN_ALLOCS_PER_MEAS)
-        .then(|| {
-            format!(
+    let mut over_ceiling = Vec::new();
+    if plan.baseline.is_some() {
+        if report.gen_allocs_per_meas > MAX_GEN_ALLOCS_PER_MEAS {
+            over_ceiling.push(format!(
                 "generator allocates {:.1} times per measurement (ceiling {MAX_GEN_ALLOCS_PER_MEAS})",
                 report.gen_allocs_per_meas
-            )
-        });
-    let failures = plan.conclude(&gate, &report.sweep(), &report, over_ceiling.into_iter().collect());
+            ));
+        }
+        // On one core the two threads share a cache and the number says
+        // little; off the on-CPU clock it is not a busy ratio at all.
+        let inflation = report
+            .fusion_inflation
+            .filter(|_| report.available_cores >= 2 && report.busy_cpu_attributed);
+        if let Some(inflation) = inflation.filter(|&i| i > MAX_FUSION_INFLATION) {
+            over_ceiling.push(format!(
+                "feeding the engine inflates the generator's busy time {inflation:.2}x \
+                 (ceiling {MAX_FUSION_INFLATION})"
+            ));
+        }
+    }
+    let failures = plan.conclude(&gate, &report.sweep(), &report, over_ceiling);
     gate::verdict(gate.who, &failures)
 }
 
@@ -388,6 +438,8 @@ mod tests {
         assert_eq!(one.threads, 1);
         assert!((one.wallclock_efficiency.unwrap() - 1.0).abs() < 1e-9);
         assert!((one.model_efficiency.unwrap() - 1.0).abs() < 1e-9);
+        let inflation = report.fusion_inflation.expect("the sweep has a 1-thread row");
+        assert!(inflation > 0.5 && inflation < 3.0, "fused/alone generator busy: {inflation}");
         // The report round-trips (the regression gate reads it back).
         let json = serde_json::to_string(&report).expect("report serializes");
         let back: CampaignReport = serde_json::from_str(&json).expect("report parses");

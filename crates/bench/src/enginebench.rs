@@ -486,10 +486,9 @@ pub struct OverheadReport {
     /// other processes, so this is the gate's preferred basis whenever
     /// the busy clock is CPU-attributed.
     pub cpu_overhead_frac: f64,
-    /// Whether the busy clock was the per-thread on-CPU time
-    /// (`schedstat`) rather than the wall-interval fallback. When false
-    /// the CPU figures above are really wall intervals and the gate
-    /// falls back to `overhead_frac`.
+    /// Whether the busy clock was the per-thread on-CPU time rather than
+    /// the wall-interval fallback. When false the CPU figures above are
+    /// really wall intervals and the gate falls back to `overhead_frac`.
     pub cpu_attributed: bool,
 }
 

@@ -15,15 +15,18 @@
 //!
 //! Every measurement of a study passes through here before a clause is
 //! written, so conversion is one streaming pass per traceroute
-//! ([`convert_into`]): each hop is looked up as it is read and collapsed
-//! straight into the AS sequence — the first traceroute into a
+//! ([`convert_traceroutes`]): each hop is looked up as it is read and
+//! collapsed straight into the AS sequence — the first traceroute into a
 //! caller-owned [`ConvertScratch`], the second and third compared
 //! against it in place. No per-hop vector, no per-traceroute path, no
 //! sort to learn that three paths agree, and — with the scratch reused —
-//! no allocation. [`convert_measurement`] is the same pass handing back
-//! an owned path.
+//! no allocation. The pass reads *borrowed* hop slices, so it runs the
+//! same over a [`Measurement`]'s own vectors ([`convert_into`]) and over
+//! a flat hop arena that holds many measurements' traceroutes end to end
+//! (the engine's wire block). [`convert_measurement`] is the same pass
+//! handing back an owned path.
 
-use churnlab_platform::{Measurement, TracerouteRecord};
+use churnlab_platform::Measurement;
 use churnlab_topology::{Asn, Ip2AsDb};
 use serde::{Deserialize, Serialize};
 
@@ -114,26 +117,28 @@ impl ConvertScratch {
     }
 }
 
-/// Map and collapse one traceroute in a single pass: each hop goes
-/// through `db` as it is read and every AS boundary crossed is handed to
-/// `emit` — the vantage AS itself is the implied first element and is not
-/// emitted. Non-responsive and unmappable hops both count as unknown; a
-/// run of them is absorbed when the same AS flanks it and is ambiguous
-/// (rule 3) otherwise, as is an unknown final hop — the destination
-/// server, without which the path has no endpoint.
+/// Map and collapse one traceroute — its hops, and whether the run
+/// errored — in a single pass: each hop goes through `db` as it is read
+/// and every AS boundary crossed is handed to `emit` — the vantage AS
+/// itself is the implied first element and is not emitted.
+/// Non-responsive and unmappable hops both count as unknown; a run of
+/// them is absorbed when the same AS flanks it and is ambiguous (rule 3)
+/// otherwise, as is an unknown final hop — the destination server,
+/// without which the path has no endpoint.
 fn collapse(
-    tr: &TracerouteRecord,
+    hops: &[Option<u32>],
+    errored: bool,
     vp_asn: Asn,
     db: &Ip2AsDb,
     mut emit: impl FnMut(Asn),
 ) -> Result<(), DiscardReason> {
-    if tr.error.is_some() || tr.hops.is_empty() {
+    if errored || hops.is_empty() {
         return Err(DiscardReason::TracerouteError);
     }
     let mut last = vp_asn;
     let mut any_mapped = false;
     let mut pending_gap = false;
-    for hop in &tr.hops {
+    for hop in hops {
         match hop.and_then(|ip| db.lookup(ip)) {
             None => pending_gap = true,
             Some(asn) => {
@@ -160,22 +165,25 @@ fn collapse(
     }
 }
 
-/// Convert a full measurement (three traceroutes) under the paper's
-/// rules, into `scratch`: the first traceroute that converts is written
-/// to the scratch buffer, and every later one is checked against it hop
-/// by hop as it streams past — nothing else is stored, sorted or
-/// compared. Returns the AS-level path, vantage AS first, borrowed from
-/// `scratch` until the next call; `None` (with the reason counted in
-/// `stats`) when a rule discards the test. This is the one conversion;
-/// [`convert_measurement`] and
+/// Convert one test — whether it `failed` outright, its vantage AS and
+/// its traceroutes, each as (hops, errored) — under the paper's rules,
+/// into `scratch`: the first traceroute that converts is written to the
+/// scratch buffer, and every later one is checked against it hop by hop
+/// as it streams past — nothing else is stored, sorted or compared.
+/// Returns the AS-level path, vantage AS first, borrowed from `scratch`
+/// until the next call; `None` (with the reason counted in `stats`) when
+/// a rule discards the test. This is the one conversion;
+/// [`convert_into`], [`convert_measurement`] and
 /// [`crate::obs::ConvertedObs::from_measurement`] wrap it.
-pub fn convert_into<'s>(
-    m: &Measurement,
+pub fn convert_traceroutes<'t, 's>(
+    failed: bool,
+    vp_asn: Asn,
+    traceroutes: impl IntoIterator<Item = (&'t [Option<u32>], bool)>,
     db: &Ip2AsDb,
     stats: &mut ConversionStats,
     scratch: &'s mut ConvertScratch,
 ) -> Option<&'s [Asn]> {
-    if m.failed {
+    if failed {
         stats.discard(DiscardReason::TracerouteError);
         return None;
     }
@@ -183,12 +191,12 @@ pub fn convert_into<'s>(
     let mut have_path = false;
     let mut diverged = false;
     let mut first_err: Option<DiscardReason> = None;
-    for tr in &m.traceroutes {
+    for (hops, errored) in traceroutes {
         let converted = if have_path {
             // Walk the kept path in step with this traceroute's.
             let mut at = 1;
             let mut same = true;
-            let r = collapse(tr, m.vp_asn, db, |asn| {
+            let r = collapse(hops, errored, vp_asn, db, |asn| {
                 same &= path.get(at) == Some(&asn);
                 at += 1;
             });
@@ -198,8 +206,8 @@ pub fn convert_into<'s>(
             r
         } else {
             path.clear();
-            path.push(m.vp_asn);
-            let r = collapse(tr, m.vp_asn, db, |asn| path.push(asn));
+            path.push(vp_asn);
+            let r = collapse(hops, errored, vp_asn, db, |asn| path.push(asn));
             have_path = r.is_ok();
             r
         };
@@ -219,6 +227,17 @@ pub fn convert_into<'s>(
     Some(path)
 }
 
+/// [`convert_traceroutes`] over a [`Measurement`]'s own vectors.
+pub fn convert_into<'s>(
+    m: &Measurement,
+    db: &Ip2AsDb,
+    stats: &mut ConversionStats,
+    scratch: &'s mut ConvertScratch,
+) -> Option<&'s [Asn]> {
+    let traceroutes = m.traceroutes.iter().map(|tr| (tr.hops.as_slice(), tr.error.is_some()));
+    convert_traceroutes(m.failed, m.vp_asn, traceroutes, db, stats, scratch)
+}
+
 /// [`convert_into`] for callers that want the path owned.
 pub fn convert_measurement(
     m: &Measurement,
@@ -234,7 +253,7 @@ pub fn convert_measurement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use churnlab_platform::AnomalySet;
+    use churnlab_platform::{AnomalySet, TracerouteRecord};
     use churnlab_topology::Ipv4Prefix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -521,7 +540,11 @@ mod tests {
         let db = db();
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let (mut stats, mut want_stats) = (ConversionStats::default(), ConversionStats::default());
+        let mut flat_stats = ConversionStats::default();
         let mut scratch = ConvertScratch::default();
+        // Every case's hops end to end in one arena, the way a wire block
+        // carries them: the conversion reads slices wherever they live.
+        let mut arena: Vec<Option<u32>> = Vec::new();
         for case in 0..4_000 {
             let n = rng.gen_range(0..=3);
             let mut m = measurement((0..n).map(|_| arb_traceroute(&mut rng)).collect());
@@ -531,6 +554,23 @@ mod tests {
             assert_eq!(got, want.as_deref(), "case {case}: {m:?}");
             assert_eq!(stats, want_stats, "case {case}: {m:?}");
             assert_eq!(convert_measurement(&m, &db, &mut ConversionStats::default()), want);
+
+            let mut start = arena.len();
+            let ends: Vec<(usize, bool)> = (m.traceroutes.iter())
+                .map(|tr| {
+                    arena.extend_from_slice(&tr.hops);
+                    (arena.len(), tr.error.is_some())
+                })
+                .collect();
+            let borrowed = ends.iter().map(|&(end, errored)| {
+                let hops = &arena[start..end];
+                start = end;
+                (hops, errored)
+            });
+            let (failed, vp) = (m.failed, m.vp_asn);
+            let flat = convert_traceroutes(failed, vp, borrowed, &db, &mut flat_stats, &mut scratch);
+            assert_eq!(flat, want.as_deref(), "case {case}, off the arena: {m:?}");
+            assert_eq!(flat_stats, want_stats, "case {case}, off the arena: {m:?}");
         }
         // The mix reached every outcome.
         assert!(stats.converted > 500, "{stats:?}");

@@ -47,7 +47,8 @@ pub use churnstats::{
     ChurnAccumulator, ChurnImportError, ChurnTally, ChurnWindowEntry, RetiredChurn,
 };
 pub use convert::{
-    convert_into, convert_measurement, ConversionStats, ConvertScratch, DiscardReason,
+    convert_into, convert_measurement, convert_traceroutes, ConversionStats, ConvertScratch,
+    DiscardReason,
 };
 pub use instance::{InstanceBuilder, InstanceKey, TomographyInstance};
 pub use leakage::{CountryFlow, LeakageReport};

@@ -7,7 +7,12 @@
 //! Fused mode deletes the intermediate: each runner worker owns an
 //! [`Engine::feeder`] handle (per-thread buffering, chunked sends), so
 //! measurement generation and conversion/solving overlap on the same
-//! machine with no copy of the stream ever materialized.
+//! machine and the stream as a whole is never materialized. What is
+//! copied is one chunk at a time: the feeder lays each measurement flat
+//! into a recycled block and frees it on the generator's own thread, the
+//! block crosses to the shard, and the shard hands it back — a
+//! generator thread never waits on memory another thread is freeing, so
+//! it costs the same fused as it does feeding a dropping sink.
 //!
 //! Correctness rides on two already-proven properties: the runner's
 //! per-(url, day) RNG reseeding makes the parallel measurement *set*

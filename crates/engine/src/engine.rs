@@ -1,6 +1,7 @@
 //! The sharded engine: ingestion routing, shard workers, report merging,
 //! the window-retirement fold protocol, and checkpoint/restore.
 
+use crate::block::{Block, BlockPool};
 use crate::ckpt::{self, Dec, Enc, RestoreError, MAGIC, VERSION};
 use crate::incremental::IncrementalStats;
 use crate::intern::InternStats;
@@ -25,8 +26,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Bounded per-shard queue depth in messages (backpressure: sends block
-/// when a shard falls this far behind; a message is one direct ingest or
-/// one feeder chunk).
+/// when a shard falls this far behind; a message is one directly
+/// ingested measurement or one feeder block of up to a chunk of them).
 const QUEUE_CAPACITY: usize = 1024;
 
 /// Engine configuration.
@@ -290,7 +291,9 @@ impl EngineStats {
 /// worker by `hash(url_id)` over a bounded channel; conversion (the
 /// §3.1 elimination rules — the most expensive per-measurement stage)
 /// runs **on the shard's thread**, so one ingesting caller drives N
-/// shards' worth of conversion in parallel.
+/// shards' worth of conversion in parallel. A [`Feeder`] sends flat,
+/// recycled blocks of measurements instead of the measurements
+/// themselves, so what a feeding thread allocates it also frees.
 /// `&self` ingestion means any number of feeder threads can share one
 /// engine.
 ///
@@ -325,6 +328,8 @@ pub struct Engine<'c> {
     /// Observability context; `None` is the stripped configuration the
     /// overhead gate baselines against (no registry, no atomics).
     obs: Option<Arc<EngineObs>>,
+    /// Spent wire blocks: the workers give back what the feeders take.
+    pool: Arc<BlockPool>,
 }
 
 /// See [`Engine::retired`].
@@ -415,14 +420,15 @@ impl<'c> Engine<'c> {
              \"first path\" is only defined over the whole stream, so its \
              windows can never retire"
         );
+        let pool = Arc::new(BlockPool::new(cfg.obs.as_ref().map(|o| o.wire_blocks.clone())));
         let mut senders = Vec::with_capacity(states.len());
         let mut workers = Vec::with_capacity(states.len());
         for (i, state) in states.into_iter().enumerate() {
             let (tx, rx) = sync_channel(QUEUE_CAPACITY);
-            let worker_db = db.clone();
+            let (worker_db, worker_pool) = (db.clone(), Arc::clone(&pool));
             let handle = std::thread::Builder::new()
                 .name(format!("churnlab-shard-{i}"))
-                .spawn(move || run_worker(rx, state, worker_db))
+                .spawn(move || run_worker(rx, state, worker_db, worker_pool))
                 .expect("spawn shard worker");
             senders.push(tx);
             workers.push(Some(handle));
@@ -435,6 +441,7 @@ impl<'c> Engine<'c> {
             workers: Mutex::new(workers),
             retired: Mutex::new(EngineRetired::default()),
             obs: cfg.obs,
+            pool,
         }
     }
 
@@ -494,9 +501,11 @@ impl<'c> Engine<'c> {
     }
 
     /// Ingest one measurement, in any order relative to any other. The
-    /// raw measurement is routed to its URL's shard and converted (the
-    /// §3.1 elimination rules) on the shard's own thread. Blocks only
-    /// when that shard's bounded queue is full.
+    /// raw measurement is routed to its URL's shard — moved into the
+    /// channel as it is, so the shard's thread frees it — and converted
+    /// (the §3.1 elimination rules) there. Blocks only when that shard's
+    /// bounded queue is full. A thread that ingests a stream should do it
+    /// through a [`Feeder`].
     pub fn ingest_owned(&self, m: Measurement) {
         let shard = shard_of(m.url_id, self.senders.len());
         self.send(shard, Msg::Raw(m));
@@ -505,14 +514,15 @@ impl<'c> Engine<'c> {
     /// A buffering ingest handle for one feeder thread: measurements
     /// accumulate locally and ship to shards in chunks, amortizing the
     /// channel synchronization that [`Engine::ingest_owned`] pays per
-    /// measurement. Spawn one per feeder thread; buffered measurements
-    /// reach the shards when a chunk fills, at [`Feeder::flush`], or on
-    /// drop — flush (or drop) every feeder before `snapshot` if the
-    /// snapshot must include its tail.
+    /// measurement — and keeping every measurement's allocations on the
+    /// thread that made them. Spawn one per feeder thread; buffered
+    /// measurements reach the shards when a chunk fills, at
+    /// [`Feeder::flush`], or on drop — flush (or drop) every feeder
+    /// before `snapshot` if the snapshot must include its tail.
     pub fn feeder(&self) -> Feeder<'_, 'c> {
         Feeder {
             engine: self,
-            buffers: vec![Vec::new(); self.senders.len()],
+            blocks: (0..self.senders.len()).map(|_| self.pool.take()).collect(),
             chunk: Feeder::DEFAULT_CHUNK,
         }
     }
@@ -874,12 +884,25 @@ pub struct Restored<'c> {
     pub user: Vec<u8>,
 }
 
-/// A per-thread buffering ingest handle (see [`Engine::feeder`]). Holds
-/// raw measurements — conversion happens shard-side — so its only
-/// per-measurement work is a hash and a buffer push.
+/// A per-thread buffering ingest handle (see [`Engine::feeder`]).
+///
+/// What crosses the channel is not the measurements but a flat copy of
+/// them: each one's scalars, hops and traceroute errors are copied into
+/// the feeder's current block for the measurement's shard (conversion
+/// happens shard-side), and the measurement itself is dropped at once,
+/// here, on the thread that allocated it. A block that reaches the chunk
+/// size ships as one message; the shard converts off it, folds, and
+/// returns it to the engine's small pool, where this feeder — at every
+/// ship and every flush — finds its next one. So per measurement a
+/// feeder pays a routing modulo and a copy of ~30 hops into memory it
+/// already owns, a feeder and a shard that keep pace allocate nothing on
+/// the wire, and a feeder that flushes every few hundred measurements
+/// before a snapshot reuses its blocks instead of regrowing a buffer
+/// each time.
 pub struct Feeder<'e, 'c> {
     engine: &'e Engine<'c>,
-    buffers: Vec<Vec<Measurement>>,
+    /// The block being filled for each shard.
+    blocks: Vec<Block>,
     chunk: usize,
 }
 
@@ -891,30 +914,35 @@ impl Feeder<'_, '_> {
     pub const DEFAULT_CHUNK: usize = 512;
 
     /// Override the per-shard chunk size (measurements buffered before a
-    /// channel send). Larger chunks amortize synchronization further at
-    /// the cost of a longer unflushed tail before `snapshot`.
+    /// channel send; nothing ships before that many, short of a flush).
+    /// Larger chunks amortize synchronization further at the cost of a
+    /// longer unflushed tail before `snapshot`.
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk.max(1);
         self
     }
 
-    /// Ingest one measurement through this feeder's local buffers.
+    /// Ingest one measurement through this feeder's local blocks: copy
+    /// it in, and free it here.
     pub fn ingest_owned(&mut self, m: Measurement) {
-        let shard = shard_of(m.url_id, self.buffers.len());
-        let buf = &mut self.buffers[shard];
-        buf.push(m);
-        if buf.len() >= self.chunk {
-            let batch = std::mem::replace(buf, Vec::with_capacity(self.chunk));
-            self.engine.send(shard, Msg::Batch(batch));
+        let shard = shard_of(m.url_id, self.blocks.len());
+        self.blocks[shard].push(&m);
+        if self.blocks[shard].len() >= self.chunk {
+            self.ship(shard);
         }
+    }
+
+    /// Send `shard` its block and start on a spent one from the pool.
+    fn ship(&mut self, shard: usize) {
+        let full = std::mem::replace(&mut self.blocks[shard], self.engine.pool.take());
+        self.engine.send(shard, Msg::Block(full));
     }
 
     /// Ship every buffered measurement to its shard.
     pub fn flush(&mut self) {
-        for (shard, buf) in self.buffers.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                let batch = std::mem::take(buf);
-                self.engine.send(shard, Msg::Batch(batch));
+        for shard in 0..self.blocks.len() {
+            if !self.blocks[shard].is_empty() {
+                self.ship(shard);
             }
         }
     }
@@ -922,11 +950,12 @@ impl Feeder<'_, '_> {
     /// Take the unflushed tail instead of shipping it — the checkpoint
     /// cut protocol: take the tail, checkpoint the engine with a cursor
     /// that excludes it, then re-ingest the tail (or drop it, if the
-    /// stream will be replayed from the cursor).
+    /// stream will be replayed from the cursor). The measurements come
+    /// back as they went in, rebuilt from the blocks.
     pub fn take_pending(&mut self) -> Vec<Measurement> {
         let mut out = Vec::new();
-        for buf in &mut self.buffers {
-            out.append(buf);
+        for block in &mut self.blocks {
+            block.drain_into(&mut out);
         }
         out
     }
@@ -934,17 +963,17 @@ impl Feeder<'_, '_> {
 
 impl Drop for Feeder<'_, '_> {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            // Best-effort tail delivery while unwinding: a dead worker
-            // must not turn one panic into an abort.
-            for (shard, buf) in self.buffers.iter_mut().enumerate() {
-                if !buf.is_empty() {
-                    let batch = std::mem::take(buf);
-                    let _ = self.engine.senders[shard].send(Msg::Batch(batch));
-                }
+        let unwinding = std::thread::panicking();
+        for (shard, block) in std::mem::take(&mut self.blocks).into_iter().enumerate() {
+            if block.is_empty() {
+                self.engine.pool.give(block);
+            } else if unwinding {
+                // Best-effort tail delivery while unwinding: a dead worker
+                // must not turn one panic into an abort.
+                let _ = self.engine.senders[shard].send(Msg::Block(block));
+            } else {
+                self.engine.send(shard, Msg::Block(block));
             }
-        } else {
-            self.flush();
         }
     }
 }

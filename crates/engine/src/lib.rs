@@ -19,7 +19,10 @@
 //!   instances outright (no locks on the hot path) and both **convert**
 //!   (the §3.1 elimination rules — the most expensive per-measurement
 //!   stage) and solve in parallel, so one ingesting thread drives N
-//!   cores' worth of work.
+//!   cores' worth of work. A [`Feeder`] sends flat, recycled blocks of
+//!   measurements rather than the measurements themselves, so a feeding
+//!   thread frees what it allocated and the wire allocates nothing in
+//!   steady state.
 //! * **Incremental** — every instance keeps a memoized
 //!   unit-propagation/backbone state ([`IncrementalInstance`]), so a new
 //!   observation is usually a constant-time state transition
@@ -70,6 +73,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block;
 pub mod campaign;
 mod ckpt;
 mod engine;
@@ -86,6 +90,6 @@ pub use engine::{
 pub use incremental::{IncrementalInstance, IncrementalStats, InstanceGroup, SolveScratch};
 pub use intern::{InternStats, PathTable};
 pub use obs::EngineObs;
-// The schedstat on-CPU clock moved into `churnlab-obs`; re-exported so
+// The per-thread on-CPU clock moved into `churnlab-obs`; re-exported so
 // engine consumers keep one import path.
 pub use churnlab_obs::thread_cpu_nanos;

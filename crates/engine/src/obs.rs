@@ -23,6 +23,10 @@
 //! * `churnlab_snapshot_nanos` — wall time of each
 //!   [`crate::Engine::snapshot`] on the calling thread, collecting the
 //!   shards' reports and merging them: the read latency a caller sees;
+//! * `churnlab_wire_blocks_total{source}` — blocks feeders drew for the
+//!   feeder→shard wire: `source="pool"` recycled from the engine's pool
+//!   of spent blocks, `source="fresh"` new (a feeder and a shard that
+//!   keep pace stop drawing fresh ones after the first few);
 //! * `churnlab_windows_open{shard}` — live (URL × window) groups;
 //! * `churnlab_resolve_nanos{shard}` — re-solve latency distribution
 //!   (wall-timed: re-solves are rare enough that an `Instant` pair per
@@ -54,6 +58,8 @@ pub struct EngineObs {
     pub(crate) phase_merge: Counter,
     /// Wall time of each whole `snapshot()` call.
     pub(crate) snapshot_nanos: Histogram,
+    /// Wire blocks feeders took, `source="pool"` then `source="fresh"`.
+    pub(crate) wire_blocks: (Counter, Counter),
 }
 
 impl std::fmt::Debug for EngineObs {
@@ -71,7 +77,15 @@ impl EngineObs {
             "wall nanoseconds of each Engine::snapshot call, collect + merge",
             &[],
         );
-        EngineObs { registry, journal: None, phase_merge, snapshot_nanos }
+        let wire_blocks = |source| {
+            registry.counter(
+                "churnlab_wire_blocks_total",
+                "wire blocks taken by feeders: recycled from the engine's pool, or new",
+                &[("source", source)],
+            )
+        };
+        let wire_blocks = (wire_blocks("pool"), wire_blocks("fresh"));
+        EngineObs { registry, journal: None, phase_merge, snapshot_nanos, wire_blocks }
     }
 
     /// Attach an event journal.

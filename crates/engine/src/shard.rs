@@ -2,10 +2,16 @@
 //!
 //! Each shard owns the instances of its URL subset outright — no locks,
 //! no sharing; cross-shard aggregation happens only when a report is
-//! requested. A shard receives [`Msg::Raw`]/[`Msg::Batch`] for every
-//! measurement routed to it (any order) and answers [`Msg::Report`] with
-//! a self-contained [`ShardReport`] the engine merges on the caller's
-//! thread.
+//! requested. A shard receives every measurement routed to it (any
+//! order) — a feeder's flat [`Block`] of them as one [`Msg::Block`], a
+//! directly ingested one inline as [`Msg::Raw`] — and answers
+//! [`Msg::Report`] with a self-contained [`ShardReport`] the engine
+//! merges on the caller's thread. Either way the worker reads the
+//! measurements out of a block: a lone one is copied into a
+//! worker-lifetime block of its own first, so there is one
+//! convert-and-fold path. A feeder's block goes back to the engine's
+//! [`BlockPool`] once folded, for the feeder to fill again; nothing the
+//! feeder's thread allocated is freed here.
 //!
 //! The shard is where **conversion** happens: routing needs only the
 //! measurement's `url_id`, so the §3.1 elimination rules (a per-hop
@@ -20,11 +26,12 @@
 //! resolved to a [`PathId`] against the shard-local [`PathTable`] —
 //! **one hash per measurement** — and the granularity×anomaly fan-out
 //! works on the id alone. Between the two no observation is built:
-//! conversion writes the path into the shard's [`ConvertScratch`] (a
-//! batch — a feeder's chunk, or a lone measurement — is converted whole,
-//! into one [`Staged`] arena) and churn accounting, the interner and the
-//! observability horizon read that slice beside the measurement's own
-//! scalar fields. Only a path the table has not seen is copied into its
+//! conversion reads the hops straight off the block's arena and writes
+//! the path into the shard's [`ConvertScratch`] (a block — a feeder's
+//! chunk, or a lone measurement — is converted whole, into one
+//! [`Staged`] arena) and churn accounting, the interner and the
+//! observability horizon read that slice beside the measurement's
+//! scalar fields, the block's [`Head`]. Only a path the table has not seen is copied into its
 //! arena, and only the Figure-4 ablation's deferred buffer owns whole
 //! observations.
 //!
@@ -68,6 +75,7 @@
 //! through [`Msg::Compact`], which is what bounds shard memory on an
 //! unbounded stream.
 
+use crate::block::{Block, BlockPool, Head};
 use crate::ckpt::{anomaly_from, anomaly_tag, granularity_from, granularity_tag, Dec, Enc};
 use crate::incremental::{IncrementalStats, InstanceGroup, SolveScratch};
 use crate::intern::{FxMap, FxSet, InternStats, PathTable};
@@ -76,7 +84,7 @@ use churnlab_bgp::TimeWindow;
 use churnlab_core::accumulate::FindingsAccumulator;
 use churnlab_core::analyze::{analyze_with, InstanceOutcome};
 use churnlab_core::batch::{first_path_refs, for_each_instance};
-use churnlab_core::convert::{convert_into, ConversionStats, ConvertScratch};
+use churnlab_core::convert::{ConversionStats, ConvertScratch};
 use churnlab_core::instance::InstanceKey;
 use churnlab_core::obs::{ConvertedObs, PathId};
 use churnlab_core::pipeline::{ChurnMode, PipelineConfig};
@@ -95,10 +103,12 @@ use std::sync::Arc;
 pub(crate) enum Msg {
     /// One raw measurement for this shard's URL subset (direct
     /// [`crate::Engine::ingest_owned`] — carried inline: no
-    /// per-measurement heap allocation on the send side).
+    /// per-measurement heap allocation on the send side; its vectors are
+    /// freed here, on the worker's thread).
     Raw(Measurement),
-    /// A feeder's chunk of raw measurements.
-    Batch(Vec<Measurement>),
+    /// A feeder's chunk of raw measurements, flat; the worker returns
+    /// the block to the engine's pool.
+    Block(Block),
     /// Produce a report of everything processed so far. `fin` marks the
     /// engine's final cut: journal window-closed/cell-solved events are
     /// emitted only then (or earlier, at retirement), so the event
@@ -302,10 +312,10 @@ impl DeferredBuf {
     }
 }
 
-/// A batch's conversions, staged between the worker's convert and fold
-/// phases: for each measurement that converted, its index in the batch
+/// A block's conversions, staged between the worker's convert and fold
+/// phases: for each measurement that converted, its index in the block
 /// and the end of its path in one shared arena. Worker-lifetime, so a
-/// batch costs no allocation.
+/// block costs no allocation.
 #[derive(Default)]
 pub(crate) struct Staged {
     converted: Vec<(usize, usize)>,
@@ -417,64 +427,65 @@ impl ShardState {
         }
     }
 
-    /// Convert a batch (the §3.1 elimination rules) and fold the
+    /// Convert a block (the §3.1 elimination rules) and fold the
     /// surviving observations in. This is the engine's conversion site:
     /// it runs on the shard's own thread, in parallel across shards,
     /// whatever the feeder count — and it is the only one: a lone
-    /// measurement is a batch of one.
+    /// measurement is a block of one.
     ///
-    /// The batch is converted whole into the worker-lifetime arena, then
+    /// The block is converted whole into the worker-lifetime arena, then
     /// folded in: two tight loops cost ~8% less shard time than one that
     /// alternates (measured), and an instrumented worker times the
     /// phases apart with one chained stopwatch — three clock reads per
-    /// batch, which is per measurement only for one sent on its own.
+    /// block, which is per measurement only for one sent on its own.
     /// Conversion order and fold order are those of
     /// measurement-by-measurement ingest, so results stay byte-identical.
-    fn ingest_batch(
+    fn ingest_block(
         &mut self,
-        batch: &[Measurement],
+        block: &Block,
         db: &Ip2AsDb,
         staged: &mut Staged,
         mut phase: Option<&mut PhaseClock>,
     ) {
         if let Some(p) = &mut phase {
-            p.measurements.add(batch.len() as u64);
+            p.measurements.add(block.len() as u64);
             p.sw.restart();
         }
-        self.convert_batch(batch, db, staged);
+        self.convert_block(block, db, staged);
         if let Some(p) = &mut phase {
             p.sw.lap(&p.convert);
         }
-        self.ingest_staged(batch, staged);
+        self.ingest_staged(block, staged);
         if let Some(p) = &mut phase {
             p.sw.lap(&p.intern);
         }
     }
 
-    /// Convert a batch into `staged` without folding it in.
-    fn convert_batch(&mut self, batch: &[Measurement], db: &Ip2AsDb, staged: &mut Staged) {
+    /// Convert a block, straight off its hop arena, into `staged`
+    /// without folding it in.
+    fn convert_block(&mut self, block: &Block, db: &Ip2AsDb, staged: &mut Staged) {
         staged.converted.clear();
         staged.paths.clear();
-        for (i, m) in batch.iter().enumerate() {
-            if let Some(path) = convert_into(m, db, &mut self.conversion, &mut self.convert) {
+        for (i, row) in block.rows().enumerate() {
+            if let Some(path) = row.convert(db, &mut self.conversion, &mut self.convert) {
                 staged.paths.extend_from_slice(path);
                 staged.converted.push((i, staged.paths.len()));
             }
         }
     }
 
-    /// Fold `batch`'s staged conversions in, in conversion order.
-    fn ingest_staged(&mut self, batch: &[Measurement], staged: &Staged) {
+    /// Fold `block`'s staged conversions in, in conversion order.
+    fn ingest_staged(&mut self, block: &Block, staged: &Staged) {
         let mut start = 0;
         for &(i, end) in &staged.converted {
-            self.ingest(&batch[i], &staged.paths[start..end]);
+            self.ingest(block.head(i), &staged.paths[start..end]);
             start = end;
         }
     }
 
     /// Fold one converted measurement into the shard: `o`'s scalar
     /// fields beside the path it converted to.
-    fn ingest(&mut self, o: &Measurement, path: &[Asn]) {
+    fn ingest(&mut self, o: &Head, path: &[Asn]) {
         self.observations += 1;
         if let Some(obs) = &self.obs {
             // The only per-measurement instrumentation: one relaxed
@@ -490,7 +501,16 @@ impl ShardState {
             self.deferred
                 .entry(o.url_id)
                 .or_insert_with(|| DeferredBuf { obs: Vec::new(), sorted: true })
-                .push(ConvertedObs::with_path(o, path.to_vec()));
+                .push(ConvertedObs {
+                    vp_id: o.vp_id,
+                    vp_asn: o.vp_asn,
+                    url_id: o.url_id,
+                    dest_asn: o.dest_asn,
+                    day: o.day,
+                    epoch: o.epoch,
+                    path: path.to_vec(),
+                    detected: o.detected,
+                });
             return;
         }
         // One hash per measurement: everything below works on the id.
@@ -1015,8 +1035,8 @@ impl ShardState {
 /// Phase-attribution handles the worker loop drives directly (cloned
 /// out of the shard's [`ShardObs`] so the loop can time around `&mut
 /// state` calls) and the worker-lifetime stopwatch that laps them: one
-/// schedstat open per instrumented worker, none per batch, none at all
-/// in the stripped configuration.
+/// clock probe per instrumented worker, none per block, none at all in
+/// the stripped configuration.
 struct PhaseClock {
     measurements: Counter,
     convert: Counter,
@@ -1032,11 +1052,16 @@ struct PhaseClock {
 /// restored engine and a fresh one share one worker.
 ///
 /// Busy accounting runs on [`BusyTimer`]: the thread's cumulative
-/// on-CPU clock where `schedstat` exists (a blocked `recv` costs no
-/// CPU, so the whole on-CPU time is the shard's busy time), accumulated
-/// wall intervals around each message elsewhere (overstated under core
+/// on-CPU clock where there is one (a blocked `recv` costs no CPU, so
+/// the whole on-CPU time is the shard's busy time), accumulated wall
+/// intervals around each message elsewhere (overstated under core
 /// oversubscription, but better than nothing on non-Linux hosts).
-pub(crate) fn run_worker(rx: Receiver<Msg>, mut state: ShardState, db: Ip2AsDb) {
+pub(crate) fn run_worker(
+    rx: Receiver<Msg>,
+    mut state: ShardState,
+    db: Ip2AsDb,
+    pool: Arc<BlockPool>,
+) {
     let mut phase = state.obs.as_ref().map(|o| PhaseClock {
         measurements: o.measurements.clone(),
         convert: o.phase_convert.clone(),
@@ -1045,16 +1070,22 @@ pub(crate) fn run_worker(rx: Receiver<Msg>, mut state: ShardState, db: Ip2AsDb) 
         sw: Stopwatch::new(),
     });
     let mut busy = BusyTimer::detect();
-    // Batches convert into this worker-lifetime arena, so a batch costs
+    // Blocks convert into this worker-lifetime arena, so a block costs
     // no allocation.
     let mut staged = Staged::default();
+    // Where a measurement sent on its own is laid flat, so it takes the
+    // blocks' arm.
+    let mut lone = Block::default();
     while let Ok(msg) = rx.recv() {
         match msg {
             Msg::Raw(m) => busy.interval(|| {
-                state.ingest_batch(std::slice::from_ref(&m), &db, &mut staged, phase.as_mut())
+                lone.clear();
+                lone.push(&m);
+                state.ingest_block(&lone, &db, &mut staged, phase.as_mut())
             }),
-            Msg::Batch(batch) => {
-                busy.interval(|| state.ingest_batch(&batch, &db, &mut staged, phase.as_mut()))
+            Msg::Block(block) => {
+                busy.interval(|| state.ingest_block(&block, &db, &mut staged, phase.as_mut()));
+                pool.give(block);
             }
             Msg::Report { reply, fin } => {
                 let mut report = busy.interval(|| match &mut phase {
@@ -1133,7 +1164,9 @@ mod tests {
         cfg.granularities = Granularity::SUB_YEAR.to_vec();
         let countries = Arc::new(as_countries(&world.topology));
         let mut state = ShardState::new(cfg.clone(), Some(7), None, Arc::clone(&countries));
-        state.ingest_batch(&ms, platform.measured_ip2as(), &mut Staged::default(), None);
+        let mut block = Block::default();
+        ms.iter().for_each(|m| block.push(m));
+        state.ingest_block(&block, platform.measured_ip2as(), &mut Staged::default(), None);
         let blob = state.encode();
         let decode = |bytes: &[u8]| {
             ShardState::decode(cfg.clone(), Some(7), None, Arc::clone(&countries), bytes)

@@ -1,5 +1,5 @@
 //! Busy-time accounting when the per-thread CPU clock is unavailable:
-//! with `/proc/<tid>/schedstat` forced away, every timer in the stack
+//! with both on-CPU sources forced away, every timer in the stack
 //! (shard workers' `BusyTimer`, the instrumented path's `Stopwatch`
 //! laps, the merge accounting) must degrade to wall-interval accounting
 //! and still produce sane, non-zero numbers.
@@ -19,7 +19,7 @@ use churnlab_topology::{generator, WorldConfig, WorldScale};
 #[test]
 fn busy_accounting_survives_missing_cpu_clock() {
     force_wall_clock_for_tests(true);
-    assert_eq!(thread_cpu_nanos(), None, "forcing must hide the schedstat clock");
+    assert_eq!(thread_cpu_nanos(), None, "forcing must hide the on-CPU clock");
 
     let seed = 11;
     let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, seed));

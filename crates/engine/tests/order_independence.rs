@@ -213,12 +213,23 @@ fn staged_and_direct_ingest_agree_with_the_pipeline() {
                 "{arm}"
             );
             if instrumented {
-                // Phase nanos are not asserted here: this binary runs on
-                // the tick-granular on-CPU clock, where a study this
-                // short can read zero in any phase. `busy_fallback.rs`
-                // holds both arms' phases above zero on the wall clock.
-                let measured = registry.scrape().counter_sum("churnlab_measurements_total");
+                let snap = registry.scrape();
+                let measured = snap.counter_sum("churnlab_measurements_total");
                 assert_eq!(measured, ms.len() as u64, "{arm}");
+                // On the real clock: the thread CPU-time clock is exact,
+                // so a study this short still reads time in both phases,
+                // in both arms. (`busy_fallback.rs` holds the wall
+                // fallback to the same.)
+                for phase in ["convert", "intern"] {
+                    let nanos: u64 = ["0", "1"]
+                        .iter()
+                        .filter_map(|shard| {
+                            let labels = [("phase", phase), ("shard", *shard)];
+                            snap.counter("churnlab_phase_nanos_total", &labels)
+                        })
+                        .sum();
+                    assert!(nanos > 0, "{arm}: no {phase} time on the on-CPU clock");
+                }
             }
         }
     }

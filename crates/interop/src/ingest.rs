@@ -86,7 +86,7 @@ const DEAL_BATCH: usize = 256;
 /// Per-feeder metric handles and the stopwatch that laps them, built
 /// (cold path) on the feeder thread before it starts chewing lines — a
 /// stopwatch is bound to the thread that made it, and one per thread
-/// means one schedstat open per feeder. Present only when the engine was
+/// means one clock probe per feeder. Present only when the engine was
 /// built with an [`churnlab_engine::EngineObs`]; the stripped replay path
 /// takes no atomic ops.
 struct FeederObs {

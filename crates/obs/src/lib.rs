@@ -11,9 +11,11 @@
 //!   the per-measurement hot loop: a counter increment is a single
 //!   relaxed `fetch_add` on a cache-padded per-thread slot (no locks, no
 //!   hashing — slots are aggregated only at scrape time).
-//! * [`cpu`] — the `/proc/thread-self/schedstat` on-CPU clock, hoisted
-//!   out of `churnlab-engine`'s shard worker, with the parse unit-tested
-//!   and a process-wide test override forcing the wall-clock fallback.
+//! * [`cpu`] — the per-thread on-CPU clock
+//!   (`clock_gettime(CLOCK_THREAD_CPUTIME_ID)`, then
+//!   `/proc/thread-self/schedstat`), hoisted out of `churnlab-engine`'s
+//!   shard worker, with the parse unit-tested and a process-wide test
+//!   override forcing the wall-clock fallback.
 //! * [`span`] — the chained phase timer ([`Stopwatch`]) attributing
 //!   on-CPU nanoseconds to named phases (convert, intern, snapshot,
 //!   feeder-parse), and the [`BusyTimer`] busy-accounting abstraction the

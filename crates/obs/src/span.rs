@@ -6,7 +6,7 @@
 //!   instead of two per phase, for worker loops that run several phases
 //!   back to back over one batch.
 //! * [`BusyTimer`] — cumulative busy accounting for a whole worker
-//!   thread: on-CPU time where schedstat exists, accumulated wall
+//!   thread: on-CPU time where a per-thread clock exists, accumulated wall
 //!   intervals elsewhere (overstated under core oversubscription, but
 //!   better than nothing on non-Linux hosts). This is the abstraction
 //!   `churnlab-engine`'s scaling-efficiency model runs on; the wall
@@ -20,12 +20,12 @@ use std::time::Instant;
 /// Chained phase laps: `lap(counter)` attributes everything since the
 /// previous boundary (construction, last lap, or last [`restart`]) to
 /// `counter` — one clock read per boundary, through a held [`CpuClock`]
-/// (one syscall, no open/close). CPU-mode when schedstat exists, wall
-/// otherwise; the mode is probed once at construction.
+/// (one syscall, no open/close). CPU-mode when a per-thread clock
+/// exists, wall otherwise; the mode is probed once at construction.
 ///
 /// Hot loops should build one stopwatch per worker thread and
-/// [`restart`] it per batch, so the schedstat open happens once per
-/// thread, not once per batch. The held clock binds the stopwatch to
+/// [`restart`] it per batch, so the clock is probed once per thread,
+/// not once per batch. The held clock binds the stopwatch to
 /// its constructing thread — don't move one across threads.
 ///
 /// [`restart`]: Stopwatch::restart
@@ -88,7 +88,7 @@ impl Stopwatch {
 /// monotone and usable.
 #[derive(Debug)]
 pub enum BusyTimer {
-    /// Schedstat-backed: read the cumulative clock on demand.
+    /// Clock-backed: read the cumulative on-CPU clock on demand.
     Cpu,
     /// Wall fallback: accumulate measured intervals.
     Wall {

@@ -50,6 +50,9 @@ pub mod vantage;
 
 pub use anomaly::{AnomalySet, AnomalyType};
 pub use fingerprint::FingerprintSet;
+// A [`TracerouteRecord`] field's type: re-exported so a consumer of
+// measurements can name it without depending on `churnlab-net`.
+pub use churnlab_net::TracerouteError;
 pub use measurement::{Measurement, TracerouteRecord};
 pub use noise::NoiseConfig;
 pub use runner::{CampaignBusy, ParallelRun, Platform, PlatformConfig, PlatformScale};
