@@ -42,6 +42,12 @@
 //! [`MAX_CONVERT_ALLOCS_PER_MEAS`]: the shard's conversion runs in its
 //! scratch, not the allocator.
 //!
+//! It carries the fold's split — `phase_us_per_meas`, shard on-CPU
+//! microseconds per measurement in each of the four passes a block is
+//! folded in ([`FOLD_PHASES`]) — read off the registry scrape of one
+//! instrumented one-shard pass: the numbers a Prometheus scrape of a
+//! deployed engine shows, not a second set of books.
+//!
 //! And it carries the read path: `snapshot_ms` and `snapshot_allocs` of
 //! one quiescent `Engine::snapshot()` + drop once the whole campaign is
 //! in a one-shard engine (best of [`SNAPSHOT_REPEATS`]), without a
@@ -78,6 +84,7 @@ use churnlab_engine::{Engine, EngineConfig, EngineStats};
 use churnlab_obs::Journal;
 use churnlab_platform::{Measurement, Platform};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -98,6 +105,10 @@ pub const SNAPSHOT_HORIZON_DAYS: u32 = 7;
 /// small accumulators and pointer lists, whatever the study's size
 /// (measured 49,626 when reports deep-copied, 912 since).
 pub const MAX_HORIZON_SNAPSHOT_ALLOCS: u64 = 2_000;
+
+/// The four passes a shard folds a block in, as the `phase` label of
+/// `churnlab_phase_nanos_total` names them.
+pub const FOLD_PHASES: [&str; 4] = ["convert", "intern", "churn", "observe"];
 
 /// `bench engine`.
 pub const SUB: Sub = Sub {
@@ -185,6 +196,25 @@ impl<'w> ThroughputHarness<'w> {
         assert_eq!(warm, timed, "conversion is a function of the measurement");
         let n = self.measurements.len().max(1) as f64;
         (nanos / n, allocs as f64 / n)
+    }
+
+    /// Where a shard's time goes: one instrumented one-shard, one-feeder
+    /// pass, then each of [`FOLD_PHASES`] read off the scrape of the
+    /// registry that pass published into, in microseconds per measurement
+    /// the same scrape counted.
+    pub fn phase_split(&self) -> BTreeMap<String, f64> {
+        let sink = BenchObs::new(None);
+        self.time_engine(1, 1, Some(&sink));
+        let scrape = sink.registry.scrape();
+        let n = scrape.counter_sum("churnlab_measurements_total").max(1) as f64;
+        FOLD_PHASES
+            .iter()
+            .map(|&phase| {
+                let labels = [("phase", phase), ("shard", "0")];
+                let nanos = scrape.counter("churnlab_phase_nanos_total", &labels).unwrap_or(0);
+                (phase.to_string(), nanos as f64 / 1e3 / n)
+            })
+            .collect()
     }
 
     /// What reading the report costs once the whole campaign is in: one
@@ -340,6 +370,10 @@ pub struct ThroughputReport {
     /// Conversion alone, heap allocations per measurement, warm.
     #[serde(default)]
     pub convert_allocs_per_meas: f64,
+    /// The fold's split (see [`ThroughputHarness::phase_split`]), keyed
+    /// by phase. Defaults to none so earlier baseline files still parse.
+    #[serde(default)]
+    pub phase_us_per_meas: BTreeMap<String, f64>,
     /// The read path: one row without a horizon, one at
     /// [`SNAPSHOT_HORIZON_DAYS`]. Defaults to none so pre-read-path
     /// baseline files still parse.
@@ -442,6 +476,7 @@ pub fn run_throughput(
         pipeline_meas_per_sec,
         convert_ns_per_meas,
         convert_allocs_per_meas,
+        phase_us_per_meas: harness.phase_split(),
         snapshot: [None, Some(SNAPSHOT_HORIZON_DAYS)].map(|h| harness.snapshot_cost(h)).to_vec(),
         engine,
     }
@@ -684,6 +719,8 @@ fn run(args: &Args) -> ExitCode {
         "convert:  {:>10.0} ns/measurement, {:.3} allocations/measurement, warm",
         report.convert_ns_per_meas, report.convert_allocs_per_meas
     );
+    let split = FOLD_PHASES.map(|p| format!("{p} {:.3}", report.phase_us_per_meas[p]));
+    eprintln!("fold:     {} us/measurement of shard time, one shard", split.join(", "));
     for cost in &report.snapshot {
         eprintln!(
             "snapshot: {:>10.3} ms, {} allocations, quiescent, {}",

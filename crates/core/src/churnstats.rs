@@ -33,11 +33,19 @@
 //!   report does) copies one pointer per open window and no evidence, and
 //!   the clone is frozen: nothing done to the original afterwards shows in
 //!   it.
-//! - *A write copies only what it touches, only while someone is looking.*
-//!   An observation lands in one window per granularity — at most four —
-//!   through [`Arc::make_mut`]: a window no clone still holds is updated
-//!   in place, one a live report still shares is copied first, and every
-//!   other window stays shared. Dropping the report ends the copying.
+//! - *A write copies only what it touches, only while someone is looking,
+//!   once per window per batch.* [`ChurnAccumulator::add_batch`] folds a
+//!   block of observations one granularity at a time, one window at a
+//!   time: the block is ordered by window index (stably, so a window's
+//!   observations keep their arrival order; a block that sits in one
+//!   window — the day-ordered stream — is not sorted at all), each touched
+//!   window's map is taken through [`Arc::make_mut`] once, and the
+//!   window's observations are applied to it back to back. A window no
+//!   clone still holds is updated in place, one a live report still shares
+//!   is copied first, and every other window stays shared; dropping the
+//!   report ends the copying. [`ChurnAccumulator::add`] is the same window
+//!   step with one observation in it — at most four windows, one per
+//!   granularity.
 //! - *A merge adopts by pointer* every window the receiver has nothing
 //!   for (all of them, when one shard reports into an empty merger) and
 //!   unions pair by pair only where both sides hold evidence.
@@ -254,6 +262,30 @@ impl Windowed {
             .flat_map(|(&g, windows)| windows.iter().map(move |(&ix, map)| (g, ix, &**map)))
     }
 
+    /// The window step every write goes through: fold `obs` — all of them
+    /// in window `ix` of granularity slot `slot`, at least one — into that
+    /// window's map, in order. A window behind the fold frontier takes
+    /// nothing and counts each observation late; otherwise the map is made
+    /// this accumulator's own once, however many observations follow.
+    fn fold_window<'a>(
+        &mut self,
+        slot: usize,
+        ix: u32,
+        obs: impl ExactSizeIterator<Item = &'a ChurnObs>,
+    ) {
+        debug_assert!(obs.len() > 0, "a held map is never empty");
+        if self.closed_below(self.granularities[slot], ix, self.folded_min_hw) {
+            self.late_dropped += obs.len() as u64;
+            return;
+        }
+        let map = Arc::make_mut(self.partials[slot].entry(ix).or_default());
+        for &(vp, dest, _, hash) in obs {
+            let e = map.entry((vp, dest)).or_default();
+            e.hashes.insert(hash);
+            e.count += 1;
+        }
+    }
+
     /// Free every window that closed below `min_hw` and advance the fold
     /// frontier to it. With `fold`, each freed combo is first tallied
     /// into the retired store — unless its window was already behind the
@@ -376,6 +408,82 @@ pub fn path_hash(path: &[Asn]) -> u64 {
     h
 }
 
+/// One converted measurement as [`ChurnAccumulator::add_batch`] takes it:
+/// vantage AS, destination AS, day, and the [`path_hash`] of its path.
+pub type ChurnObs = (Asn, Asn, u32, u64);
+
+/// The order [`ChurnAccumulator::add_batch`] walks a block in — its
+/// positions by window index, a window's positions in arrival order —
+/// and the buffers that order is built in. The caller keeps one for as
+/// long as it has blocks to fold.
+#[derive(Debug, Default)]
+pub struct BatchOrder {
+    /// Window index of each batch position.
+    windows: Vec<u32>,
+    /// Batch positions, ordered by (window, position).
+    sorted: Vec<u32>,
+    /// The counting sort's bucket cursors, one per window in the block's
+    /// range.
+    cursors: Vec<u32>,
+}
+
+impl BatchOrder {
+    /// A block whose windows span more than this many times its length
+    /// is ordered by comparison instead of by counting: the counting sort
+    /// walks the whole range, and days come from outside the program —
+    /// two measurements a century apart must not size a buffer.
+    const DENSE: usize = 8;
+
+    /// Take each position's window index. `Some(window)` when the whole
+    /// block sits in one — nothing is ordered then; otherwise the
+    /// positions are sorted, ready for [`BatchOrder::runs`].
+    fn by_window(&mut self, windows: impl Iterator<Item = u32>) -> Option<u32> {
+        self.windows.clear();
+        self.windows.extend(windows);
+        self.sorted.clear();
+        let n = self.windows.len();
+        assert!(u32::try_from(n).is_ok(), "a churn batch of {n} outgrows u32 positions");
+        // An empty block is sorted as it stands: no runs.
+        let lo = self.windows.iter().copied().min()?;
+        let hi = self.windows.iter().copied().max()?;
+        if lo == hi {
+            return Some(lo);
+        }
+        let range = (hi - lo) as usize + 1;
+        if range <= Self::DENSE * n {
+            // Stable counting sort: count, prefix-sum into bucket starts,
+            // place in arrival order.
+            self.cursors.clear();
+            self.cursors.resize(range, 0);
+            for w in &self.windows {
+                self.cursors[(w - lo) as usize] += 1;
+            }
+            let mut start = 0;
+            for c in &mut self.cursors {
+                start += std::mem::replace(c, start);
+            }
+            self.sorted.resize(n, 0);
+            for (at, w) in self.windows.iter().enumerate() {
+                let cursor = &mut self.cursors[(w - lo) as usize];
+                self.sorted[*cursor as usize] = at as u32;
+                *cursor += 1;
+            }
+        } else {
+            self.sorted.extend(0..n as u32);
+            self.sorted.sort_unstable_by_key(|&at| (self.windows[at as usize], at));
+        }
+        None
+    }
+
+    /// The sorted block as runs: each window that has observations, lowest
+    /// first, with its batch positions in arrival order.
+    fn runs(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        let window = |at: &u32| self.windows[*at as usize];
+        let runs = self.sorted.chunk_by(move |a, b| window(a) == window(b));
+        runs.map(move |run| (window(&run[0]), run))
+    }
+}
+
 /// One windowed-mode partial, flattened for checkpoint encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnWindowEntry {
@@ -427,26 +535,47 @@ impl ChurnAccumulator {
     /// Record one converted measurement (`vp` = the vantage AS as
     /// registered, i.e. [`churnlab_platform::Measurement::vp_asn`]).
     pub fn add(&mut self, vp: Asn, dest: Asn, day: u32, path: &[Asn]) {
-        let h = path_hash(path);
+        let obs = (vp, dest, day, path_hash(path));
         match &mut self.windows {
-            None => {
-                self.per_pair.entry((vp, dest)).or_default().push(Sample { day, path_hash: h });
-            }
+            None => self.add_sample(&obs),
             Some(w) => {
                 for slot in 0..w.granularities.len() {
-                    let g = w.granularities[slot];
-                    let ix = TimeWindow::of(day, g, w.total_days).index;
-                    if w.closed_below(g, ix, w.folded_min_hw) {
-                        w.late_dropped += 1;
-                        continue;
-                    }
-                    let map = w.partials[slot].entry(ix).or_default();
-                    let e = Arc::make_mut(map).entry((vp, dest)).or_default();
-                    e.hashes.insert(h);
-                    e.count += 1;
+                    let ix = TimeWindow::of(day, w.granularities[slot], w.total_days).index;
+                    w.fold_window(slot, ix, std::iter::once(&obs));
                 }
             }
         }
+    }
+
+    /// Record a block of converted measurements, each with its path
+    /// already hashed ([`path_hash`]). Leaves exactly what calling
+    /// [`ChurnAccumulator::add`] on each in order leaves — every window's
+    /// hash lists in the same order, the same counts, the same late
+    /// drops — but walks the open windows once per granularity instead
+    /// of once per measurement: see the module docs. `order` is the
+    /// caller's to keep between calls, so a block costs no allocation.
+    pub fn add_batch(&mut self, batch: &[ChurnObs], order: &mut BatchOrder) {
+        let Some(w) = &mut self.windows else {
+            batch.iter().for_each(|obs| self.add_sample(obs));
+            return;
+        };
+        for slot in 0..w.granularities.len() {
+            let (g, total_days) = (w.granularities[slot], w.total_days);
+            let windows = batch.iter().map(|obs| TimeWindow::of(obs.2, g, total_days).index);
+            match order.by_window(windows) {
+                Some(only) => w.fold_window(slot, only, batch.iter()),
+                None => {
+                    for (ix, run) in order.runs() {
+                        w.fold_window(slot, ix, run.iter().map(|&at| &batch[at as usize]));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Legacy mode's whole write.
+    fn add_sample(&mut self, &(vp, dest, day, path_hash): &ChurnObs) {
+        self.per_pair.entry((vp, dest)).or_default().push(Sample { day, path_hash });
     }
 
     /// Number of (vantage, destination) pairs with live evidence. In
@@ -749,6 +878,7 @@ impl ChurnAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn asns(v: &[u32]) -> Vec<Asn> {
         v.iter().map(|x| Asn(*x)).collect()
@@ -1167,6 +1297,68 @@ mod tests {
         let err = import(vec![row(Granularity::Day, 4, &[])]).unwrap_err();
         assert_eq!(err, ChurnImportError::NoHashes { granularity: Granularity::Day, window: 4 });
         assert!(err.to_string().contains("no path hash"), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The batch is the loop. Blocks of observations — empty ones,
+        /// ones that sit in a single window (`spread` 0: no sort), ones
+        /// over many windows (80 days: the counting sort), ones over a
+        /// range too wide to count (days × 50M in the longest period: the
+        /// comparison sort) — through `add_batch` and through `add` one
+        /// by one leave the same rows (hash lists in the same order), the
+        /// same late drops and the same distributions, with the fold
+        /// frontier pruned forward between blocks so some arrive late;
+        /// and a clone taken before a block does not see it.
+        #[test]
+        fn prop_a_batch_leaves_what_the_loop_leaves(
+            blocks in proptest::collection::vec(
+                (
+                    proptest::collection::vec((1u32..4, 100u32..103, 0u32..80, 0u32..4), 0..40),
+                    proptest::option::of(0u32..80),
+                ),
+                1..6,
+            ),
+            horizon in proptest::option::of(0u32..5),
+            total_days in prop_oneof![Just(60u32), Just(45u32), Just(u32::MAX)],
+            spread in prop_oneof![Just(0u32), Just(1u32), Just(50_000_000u32)],
+            windowed in any::<bool>(),
+        ) {
+            let gs = Granularity::ALL;
+            let fresh = || match windowed {
+                true => ChurnAccumulator::windowed(&gs, total_days, horizon),
+                false => ChurnAccumulator::new(),
+            };
+            let rows = |acc: &ChurnAccumulator| {
+                acc.export_windowed().map(|(_, _, _, rows, frontier, late)| (rows, frontier, late))
+            };
+            let (mut looped, mut batched) = (fresh(), fresh());
+            let mut order = BatchOrder::default();
+            for (block, prune) in blocks {
+                let held = batched.clone();
+                let before = (rows(&held), held.distributions(&gs, total_days));
+                let mut batch = Vec::new();
+                for (vp, dest, day, hop) in block {
+                    let day = (7 + day * spread.min(1)).saturating_mul(spread.max(1));
+                    let path = asns(&[vp, 10 + hop, dest]);
+                    looped.add(Asn(vp), Asn(dest), day, &path);
+                    batch.push((Asn(vp), Asn(dest), day, path_hash(&path)));
+                }
+                batched.add_batch(&batch, &mut order);
+                prop_assert_eq!(rows(&batched), rows(&looped));
+                prop_assert_eq!(batched.late_dropped(), looped.late_dropped());
+                prop_assert_eq!(
+                    batched.distributions(&gs, total_days),
+                    looped.distributions(&gs, total_days)
+                );
+                prop_assert_eq!((rows(&held), held.distributions(&gs, total_days)), before);
+                if let (true, Some(hw)) = (windowed, prune) {
+                    looped.prune_closed(hw);
+                    batched.prune_closed(hw);
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,8 @@ pub mod validate;
 pub use accumulate::FindingsAccumulator;
 pub use analyze::{InstanceOutcome, SolveConfig};
 pub use churnstats::{
-    ChurnAccumulator, ChurnImportError, ChurnTally, ChurnWindowEntry, RetiredChurn,
+    BatchOrder, ChurnAccumulator, ChurnImportError, ChurnObs, ChurnTally, ChurnWindowEntry,
+    RetiredChurn,
 };
 pub use convert::{
     convert_into, convert_measurement, convert_traceroutes, ConversionStats, ConvertScratch,

@@ -23,22 +23,36 @@
 //! Since PR 5, the data plane is id-based. A shard interns each incoming
 //! path once ([`crate::PathTable`], one hash per measurement); the
 //! granularity×anomaly fan-out then works entirely on the dense
-//! [`PathId`]:
+//! [`PathId`]. An [`InstanceGroup`] is one (URL × window) and its
+//! [`AnomalyType::ALL`] cells, and it **owns what the five cells share**:
 //!
-//! * an [`InstanceGroup`] holds the one (URL × window) **variable space**
-//!   shared by its [`AnomalyType::ALL`] cells — every cell sees the same
-//!   observation stream, so the distinct-AS set (and hence the variable
-//!   numbering) is provably identical across the anomaly fan-out. The
-//!   group resolves a path to its group-local variable-index list
-//!   **once**, amortized across all cells;
-//! * per-cell dedup is a polarity bitmask looked up with the *same*
-//!   group probe — a duplicate observation costs one `u32` map probe for
+//! * the **variable space** — every cell sees the same observation
+//!   stream, so the distinct-AS set (and hence the variable numbering) is
+//!   provably identical across the anomaly fan-out. The group resolves a
+//!   path to its group-local variable-index list **once**, amortized
+//!   across all cells;
+//! * **dedup** — a per-cell polarity bitmask looked up with the *same*
+//!   group probe: a duplicate observation costs one `u32` map probe for
 //!   all five cells together, not five full-path hashes;
-//! * each [`IncrementalInstance`] stores `(PathId, polarity)` records,
-//!   clause literals are read out of the group's flat index arena, and
-//!   the per-AS backbone memo is a dense `Vec<Fate>` indexed by
-//!   group-local variable index — no per-AS hashing anywhere on the
-//!   update path.
+//! * the **observation log** — one record per *effective* observation:
+//!   the `PathId`, the 5-bit set of cells it was new for, and the 5-bit
+//!   set of those that saw it censored. A cell's own log (what a
+//!   checkpoint stores, what the leakage fold reads) is the projection on
+//!   its bit;
+//! * the **exoneration mask** — one byte per group variable, bit *i* =
+//!   "a clean path for anomaly *i* carried this AS". Almost every
+//!   observation is a clean path, and it exonerates the same ASes for
+//!   every anomaly it is clean for: the group marks them in one pass over
+//!   the path's variable list, for all those cells together.
+//!
+//! An [`IncrementalInstance`] keeps only what differs between anomalies:
+//! two counters, the ids of its censored paths (its positive clauses,
+//! literals read out of the group's flat index arena), and the per-AS
+//! backbone memo, a dense `Vec<Fate>` indexed by group-local variable
+//! index. It reads its bit of the exoneration mask when a censored path
+//! arrives or a re-solve runs, so a clean path into a cell that has never
+//! seen a censored one costs that cell one counter — and there is no
+//! per-AS hashing anywhere on the update path.
 //!
 //! The produced [`InstanceOutcome`] is exactly what
 //! [`churnlab_core::analyze::analyze`] computes for the same observation
@@ -220,6 +234,9 @@ struct VarSpace {
     lits: Vec<u32>,
     /// Path → its span in `lits` + dedup masks.
     resolved: FxMap<PathId, Resolved>,
+    /// Per variable, the cells (bit `i` = cell `i`) in which a clean path
+    /// carried it — the axiom unit negations. As long as `vars`.
+    exonerated: Vec<u8>,
 }
 
 impl VarSpace {
@@ -231,20 +248,26 @@ impl VarSpace {
     }
 }
 
-/// One observation record: which interned path, which polarity.
+/// One effective observation: which interned path, the cells it was new
+/// for, and those of them that saw it censored (`censored ⊆ new_for`; bit
+/// `i` is cell `i`).
 #[derive(Debug, Clone, Copy)]
-struct ObsRec {
+struct LogRec {
     path: PathId,
-    censored: bool,
+    new_for: u8,
+    censored: u8,
 }
 
 /// All [`AnomalyType::ALL`] instances of one (URL × window), sharing one
-/// `VarSpace`. The group is the dedup and resolution point: an
-/// observation is resolved to its variable-index list (and checked
-/// against every cell's dedup mask) with a single `PathId` probe.
+/// `VarSpace` and one observation log. The group is the dedup and
+/// resolution point: an observation is resolved to its variable-index
+/// list (and checked against every cell's dedup mask) with a single
+/// `PathId` probe, logged once, and its exonerations marked once.
 #[derive(Debug, Clone)]
 pub struct InstanceGroup {
     space: VarSpace,
+    /// Effective observations in arrival order.
+    log: Vec<LogRec>,
     cells: [IncrementalInstance; N_CELLS],
 }
 
@@ -253,12 +276,10 @@ impl InstanceGroup {
     pub fn new(url_id: u32, window: TimeWindow) -> Self {
         InstanceGroup {
             space: VarSpace::default(),
+            log: Vec::new(),
             cells: std::array::from_fn(|i| {
-                IncrementalInstance::new(InstanceKey {
-                    url_id,
-                    anomaly: AnomalyType::ALL[i],
-                    window,
-                })
+                let key = InstanceKey { url_id, anomaly: AnomalyType::ALL[i], window };
+                IncrementalInstance::new(key, 1 << i)
             }),
         }
     }
@@ -282,10 +303,9 @@ impl InstanceGroup {
         scratch: &mut SolveScratch,
     ) -> bool {
         let (start, len);
-        // Polarity to apply per cell; `None` = duplicate, skip.
-        let mut todo = [None::<bool>; N_CELLS];
+        let mut rec = LogRec { path: pid, new_for: 0, censored: 0 };
         {
-            let VarSpace { vars, var_ix, lits, resolved } = &mut self.space;
+            let VarSpace { vars, var_ix, lits, resolved, exonerated } = &mut self.space;
             let entry = resolved.entry(pid).or_insert_with(|| {
                 // First sight of this path in the group: resolve its
                 // distinct ASes to group-local variable indices once,
@@ -306,26 +326,39 @@ impl InstanceGroup {
             len = entry.len as usize;
             for (i, anomaly) in AnomalyType::ALL.into_iter().enumerate() {
                 let censored = detected.contains(anomaly);
-                let bit = if censored { SEEN_CENSORED } else { SEEN_CLEAN };
-                if entry.masks[i] & bit != 0 {
+                let seen = if censored { SEEN_CENSORED } else { SEEN_CLEAN };
+                if entry.masks[i] & seen != 0 {
                     stats.duplicates += 1;
                 } else {
-                    entry.masks[i] |= bit;
-                    todo[i] = Some(censored);
+                    entry.masks[i] |= seen;
+                    rec.new_for |= 1 << i;
+                    rec.censored |= u8::from(censored) << i;
+                }
+            }
+            if rec.new_for == 0 {
+                return false;
+            }
+            // One pass over the path exonerates its ASes for every cell
+            // the path is a new clean observation of.
+            exonerated.resize(vars.len(), 0);
+            let clean = rec.new_for & !rec.censored;
+            if clean != 0 {
+                for &ix in &lits[start..start + len] {
+                    exonerated[ix as usize] |= clean;
                 }
             }
         }
+        self.log.push(rec);
         let space = &self.space;
         let vlist = &space.lits[start..start + len];
-        let mut effective = false;
-        for (i, censored) in todo.iter().enumerate() {
-            if let Some(censored) = *censored {
-                effective = true;
+        for cell in &mut self.cells {
+            if rec.new_for & cell.bit != 0 {
                 stats.updates += 1;
-                self.cells[i].observe(pid, vlist, censored, space, cap, stats, scratch);
+                let censored = rec.censored & cell.bit != 0;
+                cell.observe(pid, vlist, censored, space, cap, stats, scratch);
             }
         }
-        effective
+        true
     }
 
     /// The group's variable numbering (group-local index → AS).
@@ -343,23 +376,32 @@ impl InstanceGroup {
         let i = AnomalyType::ALL.iter().position(|a| *a == anomaly).expect("known anomaly");
         &self.cells[i]
     }
+
+    /// The deduplicated censored paths of one cell, in arrival order
+    /// (leakage analysis input), as ids against the shard's [`PathTable`]
+    /// — resolved back to AS paths only at the report boundary.
+    pub fn censored_paths(&self, anomaly: AnomalyType) -> impl Iterator<Item = PathId> + '_ {
+        let bit = self.cell(anomaly).bit;
+        self.log.iter().filter(move |rec| rec.censored & bit != 0).map(|rec| rec.path)
+    }
 }
 
-/// One (URL × window × anomaly) instance kept incrementally solved, all
-/// state id- and index-based: `(PathId, polarity)` observation records,
-/// `PathId` clauses read out of the group's literal arena, and a dense
-/// per-variable `Fate` memo. Lives inside an [`InstanceGroup`], which
-/// owns dedup and variable resolution.
+/// One (URL × window × anomaly) instance kept incrementally solved — what
+/// differs between the anomalies of a group, all of it id- and
+/// index-based: two counters, `PathId` clauses read out of the group's
+/// literal arena, and a dense per-variable `Fate` memo. Lives inside an
+/// [`InstanceGroup`], which owns dedup, variable resolution, the
+/// observation log and the clean-path exonerations.
 #[derive(Debug, Clone)]
 pub struct IncrementalInstance {
     key: InstanceKey,
-    observations: Vec<ObsRec>,
+    /// This cell's bit in the group's masks.
+    bit: u8,
+    /// Distinct observations: the group's log records with this bit.
+    n_obs: usize,
     n_positive: usize,
     /// Deduplicated censored paths (the positive clauses), by id.
     pos_clauses: Vec<PathId>,
-    /// Variables appearing on some clean path — axiom unit negations
-    /// (dense over group-local variable indices, lazily grown).
-    neg_forced: Vec<bool>,
     memo: Memo,
 }
 
@@ -393,13 +435,13 @@ fn pow2(n: usize) -> u128 {
 
 impl IncrementalInstance {
     /// Fresh instance.
-    fn new(key: InstanceKey) -> Self {
+    fn new(key: InstanceKey, bit: u8) -> Self {
         IncrementalInstance {
             key,
-            observations: Vec::new(),
+            bit,
+            n_obs: 0,
             n_positive: 0,
             pos_clauses: Vec::new(),
-            neg_forced: Vec::new(),
             memo: Memo::Trivial,
         }
     }
@@ -416,29 +458,24 @@ impl IncrementalInstance {
 
     /// Distinct observations so far.
     pub fn len(&self) -> usize {
-        self.observations.len()
+        self.n_obs
     }
 
     /// True if nothing observed.
     pub fn is_empty(&self) -> bool {
-        self.observations.is_empty()
+        self.n_obs == 0
     }
 
-    /// The deduplicated censored paths (leakage analysis input), as ids
-    /// against the shard's [`PathTable`] — resolved back to AS paths only
-    /// at the report boundary.
-    pub fn censored_paths(&self) -> impl Iterator<Item = PathId> + '_ {
-        self.observations.iter().filter(|o| o.censored).map(|o| o.path)
-    }
-
+    /// Whether a clean path of this cell's anomaly carried variable `ix`.
     #[inline]
-    fn is_neg_forced(&self, ix: u32) -> bool {
-        self.neg_forced.get(ix as usize).copied().unwrap_or(false)
+    fn is_exonerated(&self, space: &VarSpace, ix: u32) -> bool {
+        space.exonerated[ix as usize] & self.bit != 0
     }
 
-    /// Fold in one non-duplicate observation. `vlist` is the path's
-    /// group-resolved variable-index list; `space` resolves clause ids
-    /// during re-solves.
+    /// Fold in one non-duplicate observation, already logged and — if
+    /// clean — already marked in the group's exoneration mask. `vlist` is
+    /// the path's group-resolved variable-index list; `space` resolves
+    /// clause ids during re-solves.
     #[allow(clippy::too_many_arguments)]
     fn observe(
         &mut self,
@@ -450,20 +487,11 @@ impl IncrementalInstance {
         stats: &mut IncrementalStats,
         scratch: &mut SolveScratch,
     ) {
-        self.observations.push(ObsRec { path: pid, censored });
+        self.n_obs += 1;
         if censored {
             self.n_positive += 1;
             self.pos_clauses.push(pid);
-        } else {
-            for &ix in vlist {
-                let ix = ix as usize;
-                if ix >= self.neg_forced.len() {
-                    self.neg_forced.resize(ix + 1, false);
-                }
-                self.neg_forced[ix] = true;
-            }
         }
-
         if matches!(self.memo, Memo::Unsat) {
             stats.unsat_skips += 1;
             return;
@@ -493,7 +521,7 @@ impl IncrementalInstance {
                 // a clean-path axiom (False), so the models are exactly
                 // the non-empty subsets of the path's unexonerated ASes.
                 stats.direct_updates += 1;
-                let n_cand = vlist.iter().filter(|&&ix| !self.is_neg_forced(ix)).count();
+                let n_cand = vlist.iter().filter(|&&ix| !self.is_exonerated(space, ix)).count();
                 if n_cand == 0 {
                     self.memo = Memo::Unsat;
                     return;
@@ -503,13 +531,13 @@ impl IncrementalInstance {
                     let ix = vlist
                         .iter()
                         .copied()
-                        .find(|&ix| !self.is_neg_forced(ix))
+                        .find(|&ix| !self.is_exonerated(space, ix))
                         .expect("one candidate");
                     fate[ix as usize] = Fate::AlwaysTrue;
                     self.memo = Memo::Solved { count: SolutionCount::Exact(1), fate };
                 } else {
                     for &ix in vlist {
-                        if !self.is_neg_forced(ix) {
+                        if !self.is_exonerated(space, ix) {
                             fate[ix as usize] = Fate::Both;
                         }
                     }
@@ -655,9 +683,9 @@ impl IncrementalInstance {
         let fixed = &mut scratch.fixed;
         fixed.clear();
         fixed.resize(n_vars, UNFIXED);
-        for (ix, neg) in self.neg_forced.iter().enumerate() {
-            if *neg {
-                fixed[ix] = FIXED_FALSE;
+        for (f, cells) in fixed.iter_mut().zip(&space.exonerated) {
+            if cells & self.bit != 0 {
+                *f = FIXED_FALSE;
             }
         }
         // Take the memo (leaving the absorbing Unsat in place, which every
@@ -814,7 +842,7 @@ impl IncrementalInstance {
         InstanceOutcome {
             key: self.key,
             n_vars,
-            n_observations: self.observations.len(),
+            n_observations: self.n_obs,
             n_positive: self.n_positive,
             solvability,
             bucket,
@@ -833,10 +861,21 @@ impl IncrementalInstance {
 // is canonical (resolved spans written sorted by `PathId`); decoding
 // revalidates every index and tag so a corrupt checkpoint surfaces as an
 // error at restore time instead of a panic deep inside a later solve.
+//
+// The format predates the shared log and has not moved: each cell's
+// section opens with *its* observation log, `(PathId, polarity)` in
+// arrival order. Encoding projects the group's log on the cell's bit;
+// decoding merges the five stored logs back into one.
+
+/// What a cell's stored log says of one observation.
+type CellObs = (PathId, bool);
 
 impl InstanceGroup {
     /// Serialize the group: variable space, resolved spans, and the five
-    /// cells in [`AnomalyType::ALL`] order.
+    /// cells in [`AnomalyType::ALL`] order, each as its projection of the
+    /// log and then its memo. Derived state (positive clauses, the
+    /// exoneration mask) is not stored — it replays deterministically
+    /// from the log at decode time.
     pub(crate) fn encode(&self, e: &mut Enc) {
         e.asns(&self.space.vars);
         e.u32s(&self.space.lits);
@@ -853,7 +892,12 @@ impl InstanceGroup {
             }
         }
         for cell in &self.cells {
-            cell.encode(e);
+            e.u64(cell.n_obs as u64);
+            for rec in self.log.iter().filter(|rec| rec.new_for & cell.bit != 0) {
+                e.u32(rec.path.0);
+                e.u8(u8::from(rec.censored & cell.bit != 0));
+            }
+            cell.memo.encode(e);
         }
     }
 
@@ -903,29 +947,120 @@ impl InstanceGroup {
                 return Err(format!("duplicate resolved path {}", pid.0));
             }
         }
-        let space = VarSpace { vars, var_ix, lits, resolved };
+        let exonerated = vec![0; vars.len()];
+        let mut space = VarSpace { vars, var_ix, lits, resolved, exonerated };
+        let mut logs: [Vec<CellObs>; N_CELLS] = Default::default();
         let mut cells = Vec::with_capacity(N_CELLS);
-        for anomaly in AnomalyType::ALL {
+        for (i, anomaly) in AnomalyType::ALL.into_iter().enumerate() {
+            let n = d.len()?;
+            for _ in 0..n {
+                let pid = PathId(d.u32()?);
+                let censored = match d.u8()? {
+                    0 => false,
+                    1 => true,
+                    t => return Err(format!("bad polarity tag {t}")),
+                };
+                if !space.resolved.contains_key(&pid) {
+                    return Err(format!("observation of unresolved path {}", pid.0));
+                }
+                logs[i].push((pid, censored));
+            }
             let key = InstanceKey { url_id, anomaly, window };
-            cells.push(IncrementalInstance::decode(key, &space, d)?);
+            let mut cell = IncrementalInstance::new(key, 1 << i);
+            cell.n_obs = logs[i].len();
+            cell.pos_clauses = logs[i].iter().filter(|o| o.1).map(|o| o.0).collect();
+            cell.n_positive = cell.pos_clauses.len();
+            cell.memo = Memo::decode(space.vars.len(), d)?;
+            if matches!(cell.memo, Memo::Trivial) && cell.n_positive > 0 {
+                return Err("trivial memo alongside censored observations".to_string());
+            }
+            cells.push(cell);
+        }
+        let log = merge_logs(&space, &logs)
+            .map_err(|fault| format!("group (url {url_id}, {window}): {fault}"))?;
+        for rec in &log {
+            let clean = rec.new_for & !rec.censored;
+            let Resolved { start, len, .. } = space.resolved[&rec.path];
+            for &ix in &space.lits[start as usize..start as usize + len as usize] {
+                space.exonerated[ix as usize] |= clean;
+            }
         }
         let cells: [IncrementalInstance; N_CELLS] =
             cells.try_into().expect("exactly N_CELLS cells decoded");
-        Ok(InstanceGroup { space, cells })
+        Ok(InstanceGroup { space, log, cells })
     }
 }
 
-impl IncrementalInstance {
-    /// Serialize the cell: the observation log plus the memo. Derived
-    /// state (positive clauses, clean-path axiom units) is not stored —
-    /// it replays deterministically from the log at decode time.
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.observations.len() as u64);
-        for o in &self.observations {
-            e.u32(o.path.0);
-            e.u8(u8::from(o.censored));
+/// Merge the five cells' stored logs back into the group's one, keeping
+/// each cell's order (so re-encoding reproduces the bytes) and putting
+/// entries of one path that sit at the head of several cells' logs into
+/// one record, as the ingest that wrote them did.
+///
+/// Every entry is checked off against the path's dedup masks on the way:
+/// an ingest sets a mask bit exactly when it logs the entry, so a log
+/// that repeats a (path, polarity), lists one its mask does not carry, or
+/// leaves a mask bit unaccounted for is a state no ingest produces — a
+/// fault naming the cell and the path, not a restore.
+fn merge_logs(space: &VarSpace, logs: &[Vec<CellObs>; N_CELLS]) -> Result<Vec<LogRec>, String> {
+    // Per path and cell, the polarities logged but not yet merged.
+    let mut pending: FxMap<PathId, [u8; N_CELLS]> =
+        space.resolved.iter().map(|(pid, r)| (*pid, r.masks)).collect();
+    let mut at = [0usize; N_CELLS];
+    let mut log = Vec::with_capacity(logs.iter().map(Vec::len).max().unwrap_or(0));
+    loop {
+        let head = |cell: usize| logs[cell].get(at[cell]).map(|obs| obs.0);
+        // Next, a path at the head of every log that still holds it — an
+        // all-cells record comes back whole even when one cell's log runs
+        // a few single-cell records behind. Failing that (two cells hold
+        // each other's head further down), the first head there is.
+        let heads = || (0..N_CELLS).filter_map(head);
+        let whole = heads().find(|pid| {
+            let left = &pending[pid];
+            (0..N_CELLS).all(|cell| head(cell) == Some(*pid) || left[cell] == 0)
+        });
+        let Some(pid) = whole.or_else(|| heads().next()) else { break };
+        let left = pending.get_mut(&pid).expect("logged paths are resolved");
+        let mut rec = LogRec { path: pid, new_for: 0, censored: 0 };
+        for cell in 0..N_CELLS {
+            let Some(&(_, censored)) = logs[cell].get(at[cell]).filter(|obs| obs.0 == pid) else {
+                continue;
+            };
+            let seen = if censored { SEEN_CENSORED } else { SEEN_CLEAN };
+            if left[cell] & seen == 0 {
+                let polarity = if censored { "censored" } else { "clean" };
+                let anomaly = AnomalyType::ALL[cell];
+                let logs = format!("cell {anomaly:?} logs path {} {polarity}", pid.0);
+                return Err(if space.resolved[&pid].masks[cell] & seen == 0 {
+                    format!("{logs}, its dedup mask does not")
+                } else {
+                    format!("{logs} twice")
+                });
+            }
+            left[cell] &= !seen;
+            rec.new_for |= 1 << cell;
+            rec.censored |= u8::from(censored) << cell;
+            at[cell] += 1;
         }
-        match &self.memo {
+        log.push(rec);
+    }
+    let unlogged = pending
+        .iter()
+        .flat_map(|(pid, left)| left.iter().enumerate().map(move |(cell, m)| (*pid, cell, *m)))
+        .filter(|&(_, _, m)| m != 0)
+        .min();
+    if let Some((pid, cell, _)) = unlogged {
+        return Err(format!(
+            "cell {:?}'s dedup mask has seen path {}, its log has not",
+            AnomalyType::ALL[cell],
+            pid.0
+        ));
+    }
+    Ok(log)
+}
+
+impl Memo {
+    fn encode(&self, e: &mut Enc) {
+        match self {
             Memo::Trivial => e.u8(0),
             Memo::Unsat => e.u8(1),
             Memo::Solved { count, fate } => {
@@ -952,35 +1087,9 @@ impl IncrementalInstance {
         }
     }
 
-    /// Rebuild a cell against its group's already-decoded space.
-    fn decode(key: InstanceKey, space: &VarSpace, d: &mut Dec) -> Result<Self, String> {
-        let n = d.len()?;
-        let mut inst = IncrementalInstance::new(key);
-        for _ in 0..n {
-            let pid = PathId(d.u32()?);
-            let censored = match d.u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(format!("bad polarity tag {t}")),
-            };
-            if !space.resolved.contains_key(&pid) {
-                return Err(format!("observation of unresolved path {}", pid.0));
-            }
-            inst.observations.push(ObsRec { path: pid, censored });
-            if censored {
-                inst.n_positive += 1;
-                inst.pos_clauses.push(pid);
-            } else {
-                for &ix in space.lit_slice(pid) {
-                    let ix = ix as usize;
-                    if ix >= inst.neg_forced.len() {
-                        inst.neg_forced.resize(ix + 1, false);
-                    }
-                    inst.neg_forced[ix] = true;
-                }
-            }
-        }
-        inst.memo = match d.u8()? {
+    /// A memo over a group of `n_vars` variables.
+    fn decode(n_vars: usize, d: &mut Dec) -> Result<Memo, String> {
+        Ok(match d.u8()? {
             0 => Memo::Trivial,
             1 => Memo::Unsat,
             2 => {
@@ -990,11 +1099,8 @@ impl IncrementalInstance {
                     t => return Err(format!("bad count tag {t}")),
                 };
                 let n_fate = d.len()?;
-                if n_fate != space.vars.len() {
-                    return Err(format!(
-                        "memo covers {n_fate} variables, group has {}",
-                        space.vars.len()
-                    ));
+                if n_fate != n_vars {
+                    return Err(format!("memo covers {n_fate} variables, group has {n_vars}"));
                 }
                 let mut fate = Vec::with_capacity(n_fate);
                 for _ in 0..n_fate {
@@ -1008,11 +1114,7 @@ impl IncrementalInstance {
                 Memo::Solved { count, fate }
             }
             t => return Err(format!("bad memo tag {t}")),
-        };
-        if matches!(inst.memo, Memo::Trivial) && inst.n_positive > 0 {
-            return Err("trivial memo alongside censored observations".to_string());
-        }
-        Ok(inst)
+        })
     }
 }
 
@@ -1236,6 +1338,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_restored_log_is_as_short_as_the_one_ingest_wrote() {
+        // Records for one cell, then for four of the five, between
+        // all-cell records: whichever cell's stored log runs ahead, the
+        // merge waits for the others, so every all-cell record comes back
+        // whole — one entry, not five.
+        let all = |skip: usize| -> AnomalySet { AnomalyType::ALL.into_iter().skip(skip).collect() };
+        let mut h = Harness::new();
+        let cap = SolveConfig::default().count_cap;
+        for (path, detected) in [
+            (&[1, 2][..], AnomalySet::empty()),
+            (&[1, 2], [AnomalyType::ALL[3]].into_iter().collect()), // new for cell 3 only
+            (&[2, 3], AnomalySet::empty()),
+            (&[3, 4], all(1)),
+            (&[3, 4], AnomalySet::empty()), // new for cells 1..5
+            (&[4, 5], all(0)),
+        ] {
+            let pid = h.table.intern(&asns(path));
+            assert!(h.group.observe(pid, &h.table, detected, cap, &mut h.stats, &mut h.scratch));
+        }
+        let new_for: Vec<u8> = h.group.log.iter().map(|rec| rec.new_for).collect();
+        assert_eq!(new_for, [0b11111, 0b01000, 0b11111, 0b11111, 0b11110, 0b11111]);
+        let (restored, _) = round_trip(&h);
+        assert_eq!(restored.log.len(), h.group.log.len());
+        assert_eq!(restored.space.exonerated, h.group.space.exonerated);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1262,5 +1391,100 @@ mod tests {
             let reversed: Vec<_> = obs.iter().rev().cloned().collect();
             prop_assert_eq!(incremental_outcome(&reversed), batch);
         }
+
+        /// The group is its five cells. Any observe sequence — every
+        /// one of the 32 anomaly sets, paths that repeat, one path under
+        /// both polarities — leaves each cell what the un-interned
+        /// reference leaves an instance of its own fed that cell's
+        /// polarity: the same outcome, counts and censored paths in
+        /// arrival order, and the same work counters summed over the
+        /// five. A group checkpointed and restored part-way (`cut`) is
+        /// the same again, carries on to the same end state as one never
+        /// interrupted, and re-encodes to the bytes it was read from.
+        #[test]
+        fn prop_group_is_five_reference_cells_across_a_round_trip(
+            observations in proptest::collection::vec(
+                (proptest::collection::vec(1u32..6, 1..5), 0u8..32),
+                1..24,
+            ),
+            cut in 0usize..24,
+        ) {
+            let cap = SolveConfig::default().count_cap;
+            let observations: Vec<(Vec<Asn>, AnomalySet)> = observations
+                .into_iter()
+                .map(|(path, bits)| {
+                    let detected = AnomalyType::ALL.into_iter().enumerate();
+                    let detected = detected.filter(|(i, _)| bits >> i & 1 == 1).map(|(_, a)| a);
+                    (asns(&path), detected.collect())
+                })
+                .collect();
+            let cut = cut.min(observations.len());
+
+            // The oracle: five instances, each with its own dedup, plus
+            // each cell's censored paths as first seen.
+            let mut reference = AnomalyType::ALL.map(|anomaly| {
+                UninternedInstance::new(InstanceKey { url_id: 3, anomaly, window: window() })
+            });
+            let mut censored: [Vec<&[Asn]>; N_CELLS] = Default::default();
+            let mut ref_stats = IncrementalStats::default();
+            let mut ref_scratch = ReferenceScratch::new();
+
+            let mut h = Harness::new();
+            let mut restored = None;
+            for (at, (path, detected)) in observations.iter().enumerate() {
+                if at == cut {
+                    restored = Some(round_trip(&h));
+                }
+                let pid = h.table.intern(path);
+                h.group.observe(pid, &h.table, *detected, cap, &mut h.stats, &mut h.scratch);
+                if let Some((group, stats)) = &mut restored {
+                    group.observe(pid, &h.table, *detected, cap, stats, &mut h.scratch);
+                }
+                for (i, anomaly) in AnomalyType::ALL.into_iter().enumerate() {
+                    let hit = detected.contains(anomaly);
+                    reference[i].observe(path, hit, cap, &mut ref_stats, &mut ref_scratch);
+                    if hit && !censored[i].contains(&path.as_slice()) {
+                        censored[i].push(path);
+                    }
+                }
+            }
+            let (after, after_stats) = match restored {
+                Some(restored) => restored,
+                None => round_trip(&h),
+            };
+            prop_assert_eq!(h.stats, ref_stats);
+            prop_assert_eq!(after_stats, ref_stats);
+            for group in [&h.group, &after] {
+                for (i, anomaly) in AnomalyType::ALL.into_iter().enumerate() {
+                    let (cell, expect) = (group.cell(anomaly), reference[i].outcome());
+                    prop_assert_eq!(cell.len(), reference[i].len());
+                    prop_assert_eq!(cell.has_positive(), expect.n_positive > 0);
+                    prop_assert_eq!(cell.outcome(group.vars()), expect);
+                    let paths: Vec<&[Asn]> =
+                        group.censored_paths(anomaly).map(|pid| h.table.path(pid)).collect();
+                    prop_assert_eq!(&paths, &censored[i]);
+                }
+            }
+            prop_assert_eq!(&after.space.exonerated, &h.group.space.exonerated);
+            prop_assert_eq!(encoded(&after), encoded(&h.group));
+        }
+    }
+
+    fn encoded(group: &InstanceGroup) -> Vec<u8> {
+        let mut e = Enc::default();
+        group.encode(&mut e);
+        e.buf
+    }
+
+    /// The harness's group through `encode → decode` (whole blob read,
+    /// re-encoding to the same bytes), with its counters so far.
+    fn round_trip(h: &Harness) -> (InstanceGroup, IncrementalStats) {
+        let bytes = encoded(&h.group);
+        let mut d = Dec::new(&bytes);
+        let group = InstanceGroup::decode(3, window(), h.table.len(), &mut d)
+            .unwrap_or_else(|e| panic!("a group's own bytes restore: {e}"));
+        d.done().expect("the group is the whole blob");
+        assert_eq!(encoded(&group), bytes, "encode → decode → encode moved the bytes");
+        (group, h.stats)
     }
 }

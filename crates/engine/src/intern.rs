@@ -10,11 +10,20 @@
 //! works on the `u32` id: the duplicate-dominated observe path drops from
 //! O(path-len) hashing per instance cell to an O(1) integer probe.
 //!
+//! The table also keeps each distinct path's churn hash
+//! ([`churnlab_core::churnstats::path_hash`], the 64 bits churn accounting
+//! stores per path), computed when the path is first interned: the shard
+//! reads it back by id for every later measurement over the same path, so
+//! the FNV pass over the ASNs runs once per distinct path, not once per
+//! measurement. It is derived state — not checkpointed, recomputed when a
+//! restore re-interns the arena.
+//!
 //! Id stability: ids are dense, assigned in first-intern order, and never
 //! reassigned, so an id held by a retired cell or a checkpoint resolves
 //! to the same path for the table's whole life (see [`PathId`]'s
 //! guarantees).
 
+use churnlab_core::churnstats::path_hash;
 use churnlab_core::obs::PathId;
 use churnlab_topology::Asn;
 use serde::{Deserialize, Serialize};
@@ -146,6 +155,8 @@ pub struct PathTable {
     /// Distinct list `i` occupies
     /// `distinct_arena[distinct_offsets[i] .. distinct_offsets[i + 1]]`.
     distinct_offsets: Vec<u32>,
+    /// Path `i`'s churn hash.
+    churn_hashes: Vec<u64>,
     /// Intern calls answered from the table.
     hits: u64,
 }
@@ -166,6 +177,7 @@ impl PathTable {
             offsets: vec![0],
             distinct_arena: Vec::new(),
             distinct_offsets: vec![0],
+            churn_hashes: Vec::new(),
             hits: 0,
         }
     }
@@ -196,6 +208,7 @@ impl PathTable {
         }
         let distinct_end = checked(self.distinct_arena.len(), "the distinct-AS arena's length");
         self.distinct_offsets.push(distinct_end);
+        self.churn_hashes.push(path_hash(path));
         self.ids.insert(path.into(), id);
         id
     }
@@ -212,6 +225,12 @@ impl PathTable {
     pub fn distinct(&self, id: PathId) -> &[Asn] {
         let i = id.usize();
         &self.distinct_arena[self.distinct_offsets[i] as usize..self.distinct_offsets[i + 1] as usize]
+    }
+
+    /// The path's churn hash: [`path_hash`] of [`PathTable::path`].
+    #[inline]
+    pub fn churn_hash(&self, id: PathId) -> u64 {
+        self.churn_hashes[id.usize()]
     }
 
     /// Number of distinct paths interned.
@@ -290,6 +309,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.path(a), asns(&[1, 2, 3]).as_slice());
         assert_eq!(t.path(b), asns(&[4, 5]).as_slice());
+        assert_eq!(t.churn_hash(b), path_hash(&asns(&[4, 5])), "hashed once, read back by id");
         assert_eq!(t.stats(), InternStats { distinct_paths: 2, hits: 1 });
     }
 

@@ -12,10 +12,14 @@
 //! * `churnlab_observations_total{shard}` — conversions that survived
 //!   the §3.1 elimination rules (one relaxed `fetch_add` per
 //!   measurement — the only per-measurement instrumentation);
-//! * `churnlab_phase_nanos_total{phase,shard}` — on-CPU time by phase
-//!   (`convert` / `intern` at batch granularity, `resolve` per re-solve,
-//!   `snapshot` per shard report, plus the merge thread's
-//!   `phase="merge"` series);
+//! * `churnlab_phase_nanos_total{phase,shard}` — on-CPU time by phase:
+//!   a block's four passes, lapped once each per block — `convert` (the
+//!   §3.1 rules), `intern` (paths to ids), `churn` (the block's churn
+//!   batch, window by window), `observe` (watermark, groups, retirement;
+//!   it contains `resolve`) — then `resolve` per re-solve, `snapshot` per
+//!   shard report, plus the merge thread's `phase="merge"` series. The
+//!   four passes and `snapshot` sum to the shards' busy time, short of
+//!   compaction, pruning and checkpoint encoding;
 //! * `churnlab_snapshot_groups_total{result,shard}` — live (URL × window)
 //!   groups a report served from their cached solved cells
 //!   (`result="reused"`) or had to re-solve because an effective
@@ -131,6 +135,8 @@ pub(crate) struct ShardObs {
     pub(crate) observations: Counter,
     pub(crate) phase_convert: Counter,
     pub(crate) phase_intern: Counter,
+    pub(crate) phase_churn: Counter,
+    pub(crate) phase_observe: Counter,
     pub(crate) phase_snapshot: Counter,
     pub(crate) groups_reused: Counter,
     pub(crate) groups_rebuilt: Counter,
@@ -144,6 +150,8 @@ impl ShardObs {
         let reg = &obs.registry;
         let s = shard.to_string();
         let shard_label: &[(&str, &str)] = &[("shard", &s)];
+        let phase =
+            |phase| reg.counter(PHASE_NANOS.0, PHASE_NANOS.1, &[("phase", phase), ("shard", &s)]);
         ShardObs {
             shard: shard as u64,
             journal: obs.journal.clone(),
@@ -157,21 +165,11 @@ impl ShardObs {
                 "converted observations folded into shard state",
                 shard_label,
             ),
-            phase_convert: reg.counter(
-                PHASE_NANOS.0,
-                PHASE_NANOS.1,
-                &[("phase", "convert"), ("shard", &s)],
-            ),
-            phase_intern: reg.counter(
-                PHASE_NANOS.0,
-                PHASE_NANOS.1,
-                &[("phase", "intern"), ("shard", &s)],
-            ),
-            phase_snapshot: reg.counter(
-                PHASE_NANOS.0,
-                PHASE_NANOS.1,
-                &[("phase", "snapshot"), ("shard", &s)],
-            ),
+            phase_convert: phase("convert"),
+            phase_intern: phase("intern"),
+            phase_churn: phase("churn"),
+            phase_observe: phase("observe"),
+            phase_snapshot: phase("snapshot"),
             groups_reused: reg.counter(
                 SNAPSHOT_GROUPS.0,
                 SNAPSHOT_GROUPS.1,
@@ -193,11 +191,7 @@ impl ShardObs {
                     "incremental re-solve latency, nanoseconds",
                     shard_label,
                 ),
-                nanos: reg.counter(
-                    PHASE_NANOS.0,
-                    PHASE_NANOS.1,
-                    &[("phase", "resolve"), ("shard", &s)],
-                ),
+                nanos: phase("resolve"),
             },
         }
     }

@@ -23,17 +23,31 @@
 //! conversion accounting is exactly consistent with its cut.
 //!
 //! The shard is also where interning happens: every converted path is
-//! resolved to a [`PathId`] against the shard-local [`PathTable`] —
-//! **one hash per measurement** — and the granularity×anomaly fan-out
-//! works on the id alone. Between the two no observation is built:
-//! conversion reads the hops straight off the block's arena and writes
-//! the path into the shard's [`ConvertScratch`] (a block — a feeder's
-//! chunk, or a lone measurement — is converted whole, into one
-//! [`Staged`] arena) and churn accounting, the interner and the
-//! observability horizon read that slice beside the measurement's
-//! scalar fields, the block's [`Head`]. Only a path the table has not seen is copied into its
-//! arena, and only the Figure-4 ablation's deferred buffer owns whole
-//! observations.
+//! resolved to a [`PathId`] against the shard-local [`PathTable`] — one
+//! table probe per measurement, the path's churn hash read back by id
+//! rather than recomputed — and the granularity×anomaly fan-out works on
+//! the id alone. No observation is built on the way. **A block — a
+//! feeder's chunk, or a lone measurement — is folded in four passes**,
+//! each a tight loop over the whole block, each its own
+//! `churnlab_phase_nanos_total` phase:
+//!
+//! 1. *convert*: the hops straight off the block's arena, through the
+//!    shard's [`ConvertScratch`], into one [`Staged`] arena of paths;
+//! 2. *intern*: every staged path to its [`PathId`], in block order (so
+//!    ids are those of measurement-by-measurement ingest), and with it
+//!    the block's churn batch — the measurement's scalar fields, the
+//!    block's [`Head`], beside the path's stored hash;
+//! 3. *churn*: the batch into the [`ChurnAccumulator`] in one
+//!    [`ChurnAccumulator::add_batch`], window by window — churn never
+//!    reads the shard's watermark, and its fold frontier moves only
+//!    between blocks ([`Msg::PruneChurn`]), so it commutes with the rest;
+//! 4. *observe*: measurement by measurement, in order — watermark,
+//!    late drops, the (URL × window) groups' observe fan-out, retirement.
+//!
+//! Only a path the table has not seen is copied into its arena, and only
+//! the Figure-4 ablation's deferred buffer owns whole observations (the
+//! ablation interns nothing: its pass 2 hashes each path for the churn
+//! batch directly).
 //!
 //! **Reports cost what changed.** A deployment reads the report over and
 //! over while data is still arriving, and one ingest step touches a
@@ -58,9 +72,9 @@
 //! [`ChurnAccumulator`] keeps its partials one map per open window
 //! behind copy-on-write: `churn.clone()` copies one pointer per open
 //! window (however long the configured period), the one-shard merger
-//! adopts those pointers, and an ingest that follows copies a window
-//! only if it writes to it while a report still holds it — at most one
-//! window a granularity.
+//! adopts those pointers, and a block folded afterwards copies a window
+//! only if it writes to it while a report still holds it — once for the
+//! block, however many of its measurements land there.
 //!
 //! **Window lifecycle.** The shard tracks a high-water day watermark.
 //! With a lateness horizon configured, any (URL × window) group whose
@@ -88,7 +102,8 @@ use churnlab_core::convert::{ConversionStats, ConvertScratch};
 use churnlab_core::instance::InstanceKey;
 use churnlab_core::obs::{ConvertedObs, PathId};
 use churnlab_core::pipeline::{ChurnMode, PipelineConfig};
-use churnlab_core::{ChurnAccumulator, ChurnWindowEntry};
+use churnlab_core::churnstats::path_hash;
+use churnlab_core::{BatchOrder, ChurnAccumulator, ChurnObs, ChurnWindowEntry};
 use churnlab_obs::{BusyTimer, Counter, Stopwatch};
 use churnlab_platform::Measurement;
 use churnlab_sat::{CtxStats, Solvability};
@@ -188,7 +203,7 @@ impl SolvedGroup {
             let censored_paths = if outcome.censors.is_empty() {
                 Vec::new()
             } else {
-                inst.censored_paths().collect()
+                group.censored_paths(inst.key().anomaly).collect()
             };
             solved.push(SolvedCell { outcome, censored_paths }, table, countries);
         }
@@ -312,14 +327,18 @@ impl DeferredBuf {
     }
 }
 
-/// A block's conversions, staged between the worker's convert and fold
-/// phases: for each measurement that converted, its index in the block
-/// and the end of its path in one shared arena. Worker-lifetime, so a
-/// block costs no allocation.
+/// A block between the worker's passes: for each measurement that
+/// converted, its index in the block and the end of its path in one
+/// shared arena (pass 1); its path's id — none under the ablation — and
+/// its row of the churn batch (pass 2); and the order pass 3 folds that
+/// batch in. Worker-lifetime, so a block costs no allocation.
 #[derive(Default)]
 pub(crate) struct Staged {
     converted: Vec<(usize, usize)>,
     paths: Vec<Asn>,
+    ids: Vec<PathId>,
+    churn: Vec<ChurnObs>,
+    churn_order: BatchOrder,
 }
 
 /// Shard-local state.
@@ -433,13 +452,14 @@ impl ShardState {
     /// whatever the feeder count — and it is the only one: a lone
     /// measurement is a block of one.
     ///
-    /// The block is converted whole into the worker-lifetime arena, then
-    /// folded in: two tight loops cost ~8% less shard time than one that
-    /// alternates (measured), and an instrumented worker times the
-    /// phases apart with one chained stopwatch — three clock reads per
-    /// block, which is per measurement only for one sent on its own.
-    /// Conversion order and fold order are those of
-    /// measurement-by-measurement ingest, so results stay byte-identical.
+    /// The block goes through the module docs' four passes, each over
+    /// the whole block: tight loops cost less shard time than one that
+    /// alternates (measured, PRs 14 and 22), and an instrumented worker
+    /// times the passes apart with one chained stopwatch — five clock
+    /// reads per block, which is per measurement only for one sent on its
+    /// own. Conversion, interning and group-fold order are those of
+    /// measurement-by-measurement ingest, and the churn batch leaves what
+    /// one-by-one adds leave, so results stay byte-identical.
     fn ingest_block(
         &mut self,
         block: &Block,
@@ -455,9 +475,17 @@ impl ShardState {
         if let Some(p) = &mut phase {
             p.sw.lap(&p.convert);
         }
-        self.ingest_staged(block, staged);
+        self.intern_staged(block, staged);
         if let Some(p) = &mut phase {
             p.sw.lap(&p.intern);
+        }
+        self.churn.add_batch(&staged.churn, &mut staged.churn_order);
+        if let Some(p) = &mut phase {
+            p.sw.lap(&p.churn);
+        }
+        self.observe_staged(block, staged);
+        if let Some(p) = &mut phase {
+            p.sw.lap(&p.observe);
         }
     }
 
@@ -474,47 +502,76 @@ impl ShardState {
         }
     }
 
-    /// Fold `block`'s staged conversions in, in conversion order.
-    fn ingest_staged(&mut self, block: &Block, staged: &Staged) {
+    /// Intern `block`'s staged paths, in conversion order, and lay out
+    /// its churn batch — each path hashed once, when the table first sees
+    /// it. The ablation interns nothing and hashes here.
+    fn intern_staged(&mut self, block: &Block, staged: &mut Staged) {
+        let Staged { converted, paths, ids, churn, .. } = staged;
+        let ablation = self.cfg.churn_mode == ChurnMode::FirstPathOnly;
+        ids.clear();
+        churn.clear();
         let mut start = 0;
-        for &(i, end) in &staged.converted {
-            self.ingest(block.head(i), &staged.paths[start..end]);
+        for &(i, end) in converted.iter() {
+            let path = &paths[start..end];
             start = end;
+            let hash = if ablation {
+                path_hash(path)
+            } else {
+                let pid = self.table.intern(path);
+                ids.push(pid);
+                self.table.churn_hash(pid)
+            };
+            let o = block.head(i);
+            churn.push((o.vp_asn, o.dest_asn, o.day, hash));
         }
     }
 
-    /// Fold one converted measurement into the shard: `o`'s scalar
-    /// fields beside the path it converted to.
-    fn ingest(&mut self, o: &Head, path: &[Asn]) {
-        self.observations += 1;
-        if let Some(obs) = &self.obs {
-            // The only per-measurement instrumentation: one relaxed
-            // fetch_add on a thread-local counter slot.
-            obs.observations.inc();
+    /// Fold `block`'s staged, interned conversions into the shard's
+    /// watermark and groups, one measurement at a time, in conversion
+    /// order.
+    fn observe_staged(&mut self, block: &Block, staged: &Staged) {
+        let mut start = 0;
+        for (k, &(i, end)) in staged.converted.iter().enumerate() {
+            let (o, path) = (block.head(i), &staged.paths[start..end]);
+            start = end;
+            self.observations += 1;
+            if let Some(obs) = &self.obs {
+                // The only per-measurement instrumentation: one relaxed
+                // fetch_add on a thread-local counter slot.
+                obs.observations.inc();
+            }
+            let advanced = self.high_water.is_none_or(|hw| o.day > hw);
+            if advanced {
+                self.high_water = Some(o.day);
+            }
+            match staged.ids.get(k) {
+                Some(&pid) => self.observe(o, path, pid, advanced),
+                None => self.defer(o, path),
+            }
         }
-        self.churn.add(o.vp_asn, o.dest_asn, o.day, path);
-        let advanced = self.high_water.is_none_or(|hw| o.day > hw);
-        if advanced {
-            self.high_water = Some(o.day);
-        }
-        if self.cfg.churn_mode == ChurnMode::FirstPathOnly {
-            self.deferred
-                .entry(o.url_id)
-                .or_insert_with(|| DeferredBuf { obs: Vec::new(), sorted: true })
-                .push(ConvertedObs {
-                    vp_id: o.vp_id,
-                    vp_asn: o.vp_asn,
-                    url_id: o.url_id,
-                    dest_asn: o.dest_asn,
-                    day: o.day,
-                    epoch: o.epoch,
-                    path: path.to_vec(),
-                    detected: o.detected,
-                });
-            return;
-        }
-        // One hash per measurement: everything below works on the id.
-        let pid = self.table.intern(path);
+    }
+
+    /// The ablation's whole fold: keep the observation for report time.
+    fn defer(&mut self, o: &Head, path: &[Asn]) {
+        self.deferred
+            .entry(o.url_id)
+            .or_insert_with(|| DeferredBuf { obs: Vec::new(), sorted: true })
+            .push(ConvertedObs {
+                vp_id: o.vp_id,
+                vp_asn: o.vp_asn,
+                url_id: o.url_id,
+                dest_asn: o.dest_asn,
+                day: o.day,
+                epoch: o.epoch,
+                path: path.to_vec(),
+                detected: o.detected,
+            });
+    }
+
+    /// Fold one interned measurement into its (URL × window) groups:
+    /// `o`'s scalar fields beside the path it converted to and that
+    /// path's id. `advanced` = it moved the watermark.
+    fn observe(&mut self, o: &Head, path: &[Asn], pid: PathId, advanced: bool) {
         // Any censored observation lands in at least one analysed
         // instance (its own anomaly's), so the observability horizon can
         // accumulate here without waiting for the report.
@@ -1041,6 +1098,8 @@ struct PhaseClock {
     measurements: Counter,
     convert: Counter,
     intern: Counter,
+    churn: Counter,
+    observe: Counter,
     snapshot: Counter,
     sw: Stopwatch,
 }
@@ -1066,6 +1125,8 @@ pub(crate) fn run_worker(
         measurements: o.measurements.clone(),
         convert: o.phase_convert.clone(),
         intern: o.phase_intern.clone(),
+        churn: o.phase_churn.clone(),
+        observe: o.phase_observe.clone(),
         snapshot: o.phase_snapshot.clone(),
         sw: Stopwatch::new(),
     });
@@ -1122,7 +1183,7 @@ mod tests {
     use super::*;
     use churnlab_bgp::{ChurnConfig, Granularity, RoutingSim};
     use churnlab_censor::{CensorConfig, CensorshipScenario};
-    use churnlab_platform::{Platform, PlatformConfig, PlatformScale};
+    use churnlab_platform::{AnomalyType, Platform, PlatformConfig, PlatformScale};
     use churnlab_topology::{generator, WorldConfig, WorldScale};
 
     fn row_bytes(row: &ChurnWindowEntry) -> Vec<u8> {
@@ -1142,66 +1203,189 @@ mod tests {
         out
     }
 
+    /// A Smoke study folded into one shard as one block, horizon 7, and
+    /// what a test needs to restore its blob.
+    struct RealShard {
+        cfg: PipelineConfig,
+        total_days: u32,
+        countries: Arc<AsCountries>,
+        db: Ip2AsDb,
+        measurements: Vec<Measurement>,
+        state: ShardState,
+        blob: Vec<u8>,
+    }
+
+    impl RealShard {
+        fn build() -> RealShard {
+            let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, 23));
+            let mut censor_cfg = CensorConfig::scaled_for(world.topology.countries().len());
+            let mut platform_cfg = PlatformConfig::preset(PlatformScale::Smoke, 24);
+            platform_cfg.n_urls = 4;
+            censor_cfg.total_days = platform_cfg.total_days;
+            let scenario = CensorshipScenario::generate_for_world(&world, &censor_cfg);
+            let platform = Platform::new(&world, &scenario, platform_cfg.clone());
+            let churn_cfg =
+                ChurnConfig { total_days: platform_cfg.total_days, ..ChurnConfig::default() };
+            let sim = RoutingSim::new(&world.topology, &churn_cfg);
+            let (measurements, _) = platform.run_collect_parallel(&sim, 1);
+
+            // No year granularity, so a row can name one the shard lacks.
+            let mut cfg = PipelineConfig::paper(platform_cfg.total_days);
+            cfg.granularities = Granularity::SUB_YEAR.to_vec();
+            let countries = Arc::new(as_countries(&world.topology));
+            let db = platform.measured_ip2as().clone();
+            let mut shard = RealShard {
+                state: ShardState::new(cfg.clone(), Some(7), None, Arc::clone(&countries)),
+                cfg,
+                total_days: platform_cfg.total_days,
+                countries,
+                db,
+                measurements,
+                blob: Vec::new(),
+            };
+            let mut block = Block::default();
+            shard.measurements.iter().for_each(|m| block.push(m));
+            shard.state.ingest_block(&block, &shard.db, &mut Staged::default(), None);
+            shard.blob = shard.state.encode();
+            let restored = shard
+                .decode(&shard.blob)
+                .unwrap_or_else(|e| panic!("the untouched blob restores: {e}"));
+            assert_eq!(restored.encode(), shard.blob, "restore → encode reproduces the bytes");
+            shard
+        }
+
+        fn fresh(&self) -> ShardState {
+            ShardState::new(self.cfg.clone(), Some(7), None, Arc::clone(&self.countries))
+        }
+
+        fn decode(&self, bytes: &[u8]) -> Result<ShardState, String> {
+            ShardState::decode(self.cfg.clone(), Some(7), None, Arc::clone(&self.countries), bytes)
+        }
+
+        /// Each fault in turn restores to an error carrying its name —
+        /// never a panic, never a silent restore.
+        fn refuses(&self, faults: impl IntoIterator<Item = (&'static str, Vec<u8>, String)>) {
+            for (what, bytes, names) in faults {
+                match self.decode(&bytes) {
+                    Ok(_) => panic!("{what} restored"),
+                    Err(e) => assert!(e.contains(&names), "{what}: {e}"),
+                }
+            }
+        }
+    }
+
     /// A real shard's blob, re-encoded with each fault a churn row can
-    /// carry, is refused with the fault's name — never a panic, never a
-    /// silent restore.
+    /// carry, is refused with the fault's name.
     #[test]
     fn decode_refuses_churn_rows_that_fit_no_window() {
-        let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, 23));
-        let mut censor_cfg = CensorConfig::scaled_for(world.topology.countries().len());
-        let mut platform_cfg = PlatformConfig::preset(PlatformScale::Smoke, 24);
-        platform_cfg.n_urls = 4;
-        censor_cfg.total_days = platform_cfg.total_days;
-        let scenario = CensorshipScenario::generate_for_world(&world, &censor_cfg);
-        let platform = Platform::new(&world, &scenario, platform_cfg.clone());
-        let churn_cfg =
-            ChurnConfig { total_days: platform_cfg.total_days, ..ChurnConfig::default() };
-        let sim = RoutingSim::new(&world.topology, &churn_cfg);
-        let (ms, _) = platform.run_collect_parallel(&sim, 1);
-
-        // No year granularity, so a row can name one the shard lacks.
-        let mut cfg = PipelineConfig::paper(platform_cfg.total_days);
-        cfg.granularities = Granularity::SUB_YEAR.to_vec();
-        let countries = Arc::new(as_countries(&world.topology));
-        let mut state = ShardState::new(cfg.clone(), Some(7), None, Arc::clone(&countries));
-        let mut block = Block::default();
-        ms.iter().for_each(|m| block.push(m));
-        state.ingest_block(&block, platform.measured_ip2as(), &mut Staged::default(), None);
-        let blob = state.encode();
-        let decode = |bytes: &[u8]| {
-            ShardState::decode(cfg.clone(), Some(7), None, Arc::clone(&countries), bytes)
-        };
-        let restored = decode(&blob).unwrap_or_else(|e| panic!("the untouched blob restores: {e}"));
-        assert_eq!(restored.encode(), blob, "restore → encode reproduces the bytes");
-
+        let shard = RealShard::build();
+        let RealShard { state, blob, .. } = &shard;
         let rows = state.churn.export_windowed().expect("shard churn is windowed").3;
         let first = &rows[0];
-        let faulty = |row: ChurnWindowEntry| splice(&blob, &row_bytes(first), &row_bytes(&row));
+        let faulty = |row: ChurnWindowEntry| splice(blob, &row_bytes(first), &row_bytes(&row));
         let twice = rows
             .windows(2)
             .find(|w| w[0].hashes.len() == w[1].hashes.len())
             .expect("two neighbouring rows of one length");
-        for (what, bytes, names) in [
+        shard.refuses([
             (
                 "a granularity the shard was not built with",
                 faulty(ChurnWindowEntry { granularity: Granularity::Year, ..first.clone() }),
-                "unconfigured granularity year",
+                "unconfigured granularity year".to_string(),
             ),
             (
                 "a window past the period's last",
-                faulty(ChurnWindowEntry { window: platform_cfg.total_days, ..first.clone() }),
-                "past the period's",
+                faulty(ChurnWindowEntry { window: shard.total_days, ..first.clone() }),
+                "past the period's".to_string(),
             ),
             (
                 "a repeated row",
-                splice(&blob, &row_bytes(&twice[1]), &row_bytes(&twice[0])),
-                "duplicate churn window row",
+                splice(blob, &row_bytes(&twice[1]), &row_bytes(&twice[0])),
+                "duplicate churn window row".to_string(),
             ),
-        ] {
-            match decode(&bytes) {
-                Ok(_) => panic!("{what} restored"),
-                Err(e) => assert!(e.contains(names), "{what}: {e}"),
-            }
+        ]);
+    }
+
+    /// A group whose cell logs and dedup masks disagree is a state no
+    /// ingest produces. Each way they can — spliced into a real shard's
+    /// blob, lengths and checks before the merge untouched — is refused
+    /// naming the group, the cell and the path.
+    #[test]
+    fn decode_refuses_a_group_whose_logs_and_masks_disagree() {
+        let shard = RealShard::build();
+        let cell = AnomalyType::ALL[0];
+        let (&(url_id, window), live) = shard
+            .state
+            .groups
+            .iter()
+            .max_by_key(|(key, live)| (live.group.cell(cell).len(), **key))
+            .expect("the study opens groups");
+        let mut good = Enc::default();
+        live.group.encode(&mut good);
+        let good = good.buf;
+
+        // Walk the group's layout (`InstanceGroup::encode`) to the
+        // resolved rows and to the first cell's log.
+        let u64_at = |at: usize| u64::from_le_bytes(good[at..at + 8].try_into().unwrap()) as usize;
+        let u32_at = |at: usize| u32::from_le_bytes(good[at..at + 4].try_into().unwrap());
+        let vars = 0;
+        let lits = vars + 8 + 4 * u64_at(vars);
+        let resolved = lits + 8 + 4 * u64_at(lits);
+        let row = 3 * 4 + AnomalyType::ALL.len(); // id, start, len, a mask a cell
+        let log = resolved + 8 + row * u64_at(resolved);
+        assert!(u64_at(log) >= 2, "the busiest group saw two paths");
+        let entry = |k: usize| log + 8 + 5 * k; // id, polarity
+        let (pid, censored) = (u32_at(entry(0)), good[entry(0) + 4]);
+        assert_ne!(good[entry(0)..entry(1)], good[entry(1)..entry(2)]);
+        let mask = (0..u64_at(resolved))
+            .map(|k| resolved + 8 + row * k)
+            .find(|&at| u32_at(at) == pid)
+            .expect("a logged path is resolved")
+            + 3 * 4;
+        let seen = 1 << censored; // SEEN_CLEAN = 1, SEEN_CENSORED = 2
+        assert_eq!(good[mask], seen, "the cell saw the path under that one polarity");
+
+        let fault = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            splice(&shard.blob, &good, &bad)
+        };
+        let polarity = ["clean", "censored"][usize::from(censored)];
+        let names = |fault: String| format!("group (url {url_id}, {window}): cell {cell:?}{fault}");
+        shard.refuses([
+            (
+                "a log that repeats a (path, polarity)",
+                fault(&|bad| bad.copy_within(entry(0)..entry(1), entry(1))),
+                names(format!(" logs path {pid} {polarity} twice")),
+            ),
+            (
+                "a log entry its dedup mask does not carry",
+                fault(&|bad| bad[mask] &= !seen),
+                names(format!(" logs path {pid} {polarity}, its dedup mask does not")),
+            ),
+            (
+                "a dedup mask bit with no log entry",
+                fault(&|bad| bad[mask] = 3),
+                names(format!("'s dedup mask has seen path {pid}, its log has not")),
+            ),
+        ]);
+    }
+
+    /// A block in which nothing converts — every test failed outright —
+    /// folds as a no-op: the empty churn batch and the empty group pass
+    /// touch nothing but the conversion account.
+    #[test]
+    fn a_block_in_which_nothing_converts_is_a_noop() {
+        let shard = RealShard::build();
+        let mut block = Block::default();
+        for m in &shard.measurements {
+            block.push(&Measurement { failed: true, ..m.clone() });
         }
+        let mut state = shard.fresh();
+        state.ingest_block(&block, &shard.db, &mut Staged::default(), None);
+        assert_eq!(state.conversion.converted, 0);
+        assert_eq!(state.conversion.total_discarded(), shard.measurements.len() as u64);
+        state.conversion = ConversionStats::default();
+        assert_eq!(state.encode(), shard.fresh().encode(), "nothing else moved");
     }
 }

@@ -310,6 +310,35 @@ fn checkpoint_bytes_are_deterministic() {
     assert_eq!(again, a, "restore → checkpoint must reproduce the original bytes");
 }
 
+/// The checkpoint format, pinned by name: FNV-1a of one mid-stream blob
+/// (seed-42 Smoke study in day order, two shards, horizon 7, one feeder —
+/// so the watermark, and with it what has retired, is a function of the
+/// input). The value was computed before PR 22 moved the observation log
+/// from the cells to the group; a change to what `encode` writes fails
+/// here rather than as a resumed digest somewhere downstream.
+#[test]
+fn checkpoint_blob_is_pinned() {
+    let s = study(42);
+    let (platform, mut ms) = measurements(&s);
+    ms.sort_by_key(|m| m.day);
+    let cfg = engine_cfg(&platform, ChurnMode::Normal, 2, Some(7));
+    let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg);
+    let cut = ms.len() / 2;
+    let mut feeder = engine.feeder();
+    ms[..cut].iter().for_each(|m| feeder.ingest_owned(m.clone()));
+    drop(feeder);
+    let mut blob = Vec::new();
+    engine.checkpoint(cut as u64, b"pin", &mut blob).expect("checkpoint");
+    let fnv = blob.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3)
+    });
+    assert_eq!(
+        (blob.len(), format!("{fnv:016x}")),
+        (275_136, "149aacffe58e0819".to_string()),
+        "the checkpoint bytes moved: bump `VERSION` or restore the encoding"
+    );
+}
+
 /// [`Engine::compact`] drains retired per-cell outcomes without losing
 /// anything: drained outcomes plus the final report's outcomes equal the
 /// uninterrupted outcome set, and every aggregate (censors, leakage,

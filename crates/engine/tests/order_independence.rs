@@ -174,9 +174,9 @@ fn first_path_ablation_is_order_independent_too() {
     assert_eq!(got, expected, "ablation mode diverged under shuffle");
 }
 
-/// A worker converts a batch whole into a staging arena and folds it in
-/// afterwards, timing the two phases apart when instrumented — and a
-/// measurement sent on its own is a batch of one through the same code.
+/// A worker folds a batch in four passes — convert, intern, churn,
+/// observe — timing them apart when instrumented, and a measurement sent
+/// on its own is a batch of one through the same code.
 /// One study through each gives one digest and one conversion account —
 /// the pipeline's, which converts through the owned-path adapter — in
 /// both churn modes (the ablation is the one consumer that copies the
@@ -217,10 +217,10 @@ fn staged_and_direct_ingest_agree_with_the_pipeline() {
                 let measured = snap.counter_sum("churnlab_measurements_total");
                 assert_eq!(measured, ms.len() as u64, "{arm}");
                 // On the real clock: the thread CPU-time clock is exact,
-                // so a study this short still reads time in both phases,
-                // in both arms. (`busy_fallback.rs` holds the wall
-                // fallback to the same.)
-                for phase in ["convert", "intern"] {
+                // so a study this short still reads time in each of a
+                // block's four passes, in both arms. (`busy_fallback.rs`
+                // holds the wall fallback to the same.)
+                for phase in ["convert", "intern", "churn", "observe"] {
                     let nanos: u64 = ["0", "1"]
                         .iter()
                         .filter_map(|shard| {
