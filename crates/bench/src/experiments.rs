@@ -186,7 +186,7 @@ fn fig2(run: &Run) {
 
 fn fig3(run: &Run) {
     println!("== Figure 3: distinct paths per (src,dst) pair over time windows ==");
-    let dists = run.results.churn.distributions(&Granularity::ALL, run.bench.platform_cfg.total_days);
+    let dists = run.results.churn.distributions(&Granularity::ALL);
     println!("{:<8} {:>8} {:>8} {:>8} {:>8} {:>8}  {:>10}", "window", "1", "2", "3", "4", "5+", "churn%");
     let mut rows = vec![];
     for d in &dists {
@@ -205,11 +205,8 @@ fn fig3(run: &Run) {
         }));
     }
     println!("(paper: 25% day, 30% week, 38% month, 67% year; 35% of pairs see 5+ paths/year)");
-    let by_class = run.results.churn.churn_by_dest_class(
-        &run.bench.world.topology,
-        Granularity::Year,
-        run.bench.platform_cfg.total_days,
-    );
+    let by_class =
+        run.results.churn.churn_by_dest_class(&run.bench.world.topology, Granularity::Year);
     println!("churn by destination class (year): {}",
         by_class.iter().map(|(c, f)| format!("{c}={:.0}%", f * 100.0)).collect::<Vec<_>>().join("  "));
     run.write_json("fig3", &json!({"rows": rows, "by_dest_class": by_class.iter().map(|(c, f)| json!({"class": c.label(), "churn": f})).collect::<Vec<_>>()}));
@@ -348,7 +345,7 @@ fn ablation_churn() {
         let results = study(&wcfg, &ccfg, pcfg, churn);
         let f = results.solvability_fractions(None, None);
         let churn_frac =
-            results.churn.distributions(&[Granularity::Day], total_days)[0].churn_fraction();
+            results.churn.distributions(&[Granularity::Day])[0].churn_fraction();
         println!(
             "{:>11.2} {:>9.1}% {:>9.1}% {:>9.1}% {:>11.1}% {:>11.1}%",
             scale,

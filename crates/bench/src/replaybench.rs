@@ -46,7 +46,7 @@
 //! uninterrupted report byte for byte.
 
 use crate::cli::{self, Args, Flag, Kind, Rule, Sub, DAYS, POSITIVE, SCALES, UINT};
-use crate::obsbench::MetricsWriter;
+use crate::obsbench::{record_stats, MetricsWriter};
 use crate::{gate, parse_scale, scale_label, Bench};
 use churnlab_core::pipeline::PipelineConfig;
 use churnlab_engine::{Engine, EngineConfig, EngineObs, EngineStats};
@@ -296,8 +296,8 @@ fn run(args: &Args) -> ExitCode {
     let (results, engine_stats) = engine.finish_with_stats();
     let secs = start.elapsed().as_secs_f64();
 
-    engine_stats.record_into(&registry);
-    replayed.report.stats.record_into(&registry);
+    record_stats(&registry, "churnlab_stats", &engine_stats);
+    record_stats(&registry, "churnlab_stats_import", &replayed.report.stats);
     let metrics = registry.scrape();
     if let Some(w) = writer {
         w.finish();

@@ -52,15 +52,7 @@ pub use policy::RouteClass;
 pub use sim::RoutingSim;
 pub use time::{Day, Epoch, Granularity, TimeWindow};
 
-/// splitmix64 — the deterministic mixer used for salted tiebreaks.
-/// (Private hashing that must not depend on `std`'s hasher stability.)
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+pub use churnlab_topology::mix64;
 
 #[cfg(test)]
 mod tests {

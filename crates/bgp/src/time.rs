@@ -118,6 +118,15 @@ impl TimeWindow {
             Some((self.index + 1) * len - 1)
         }
     }
+
+    /// Whether this window closed below `watermark` under a lateness
+    /// `horizon` (days): it can end, and `end_day + horizon < watermark`.
+    /// The one retirement rule — the shard retires cells by it, the churn
+    /// store folds and prunes by it.
+    pub fn closed_below(self, total_days: u32, horizon: u32, watermark: Day) -> bool {
+        self.end_day(total_days)
+            .is_some_and(|end| u64::from(end) + u64::from(horizon) < u64::from(watermark))
+    }
 }
 
 impl std::fmt::Display for TimeWindow {
@@ -226,6 +235,17 @@ mod tests {
         assert_eq!(TimeWindow::of(3, Granularity::Year, 60).end_day(60), None);
         // Clamped future days land in the last (open) window.
         assert_eq!(TimeWindow::of(1000, Granularity::Day, 60).end_day(60), None);
+    }
+
+    #[test]
+    fn closed_below_is_strict_and_never_for_a_last_window() {
+        let day3 = TimeWindow::of(3, Granularity::Day, 60);
+        assert!(!day3.closed_below(60, 2, 5), "3 + 2 < 5 is false");
+        assert!(day3.closed_below(60, 2, 6));
+        assert!(!TimeWindow::of(59, Granularity::Day, 60).closed_below(60, 0, u32::MAX));
+        assert!(!TimeWindow::of(3, Granularity::Year, 60).closed_below(60, 0, u32::MAX));
+        // The sum is taken wide: a huge horizon never wraps into "closed".
+        assert!(!day3.closed_below(60, u32::MAX, u32::MAX));
     }
 
     #[test]

@@ -28,25 +28,7 @@ use churnlab_net::{
     DnsMessage, HttpRequest, InjectedPacket, Ipv4Packet, ObserverVerdict, OnPathObserver,
     Payload, SharedBytes, TcpFlags, TcpSegment, UdpDatagram,
 };
-
-/// Deterministic mixer (splitmix64) — keeps the censor crate free of RNG
-/// state while still varying behaviour across censors/domains.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn hash_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+use churnlab_topology::{fnv1a, mix64};
 
 /// Per-flow context the platform provides when arming a censor on a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +72,7 @@ impl<'c> ActiveCensor<'c> {
         if fuzz == 0 {
             return 0;
         }
-        let h = mix64(self.censor.blocklist_key ^ hash_str(domain));
+        let h = mix64(self.censor.blocklist_key ^ fnv1a(domain.bytes()));
         let span = 2 * fuzz;
         let off = (h % span as u64) as i64 - fuzz; // in [-fuzz, fuzz)
         if off == 0 {
@@ -126,7 +108,7 @@ impl<'c> ActiveCensor<'c> {
             return None;
         }
         let total: u64 = mechs.iter().map(|m| weight(*m)).sum();
-        let h = mix64(self.censor.blocklist_key.wrapping_mul(31) ^ hash_str(domain));
+        let h = mix64(self.censor.blocklist_key.wrapping_mul(31) ^ fnv1a(domain.bytes()));
         let mut roll = h % total;
         for m in mechs {
             let w = weight(*m);
@@ -351,6 +333,20 @@ mod tests {
         assert_eq!(msg.id, 77, "must echo the query id to be believed");
         assert_eq!(msg.qname, "banned.example");
         assert_eq!(msg.answers[0].addr & 0xffc0_0000, 0x6440_0000, "bogus addr in 100.64/10");
+    }
+
+    #[test]
+    fn per_domain_choices_are_pinned() {
+        // Both ride on FNV-1a of the domain mixed with the blocklist key:
+        // a different string hash reshuffles every censor's behaviour.
+        let profile = MechanismProfile { seq_fuzz: 500, ..Default::default() };
+        let c = compiled(Mechanism::ALL.to_vec(), profile);
+        let a = ActiveCensor::new(&c, ctx());
+        let picks: Vec<_> = ["banned.example", "a.example", "foobar"]
+            .map(|d| (a.mechanism_for(d).unwrap(), a.seq_fuzz_for(d)))
+            .into();
+        let (rst, dns) = (Mechanism::RstInjection, Mechanism::DnsInjection);
+        assert_eq!(picks, [(rst, 27), (dns, 151), (dns, -136)]);
     }
 
     #[test]

@@ -1,26 +1,20 @@
 //! Measured path-churn accounting (Figure 3), memory-bounded for
-//! paper-scale runs — and, in windowed mode, for *unbounded* runs.
+//! *unbounded* runs.
 //!
-//! Two storage modes share one accumulator type:
+//! One store, the one the batch pipeline, every shard, every engine merge
+//! and every checkpoint count in: granularities are fixed up front and
+//! each observation folds straight into its per-(granularity × window ×
+//! pair) partial — a distinct-hash list plus an observation count. Closed
+//! windows can then be *retired*: their partials collapse into
+//! per-(granularity × destination) bucket tallies ([`RetiredChurn`]) and
+//! the hashes are freed, so a run-forever engine holds only the windows
+//! still inside its lateness horizon. Distributions computed from
+//! partials + retired tallies are exactly what a recount of the full
+//! sample set would report, because a window is only folded once it can
+//! receive no further observation. Without a horizon (the batch pipeline)
+//! nothing is ever retired.
 //!
-//! - **Legacy** ([`ChurnAccumulator::new`]): one compact record per
-//!   converted measurement — the (vantage point, destination) pair, the
-//!   day, and a 64-bit hash of the AS-level path. Any granularity can be
-//!   queried after the fact. This is what the batch pipeline uses; memory
-//!   is proportional to the measurement count.
-//! - **Windowed** ([`ChurnAccumulator::windowed`]): granularities are
-//!   fixed up front and each observation folds straight into its
-//!   per-(granularity × window × pair) partial — a distinct-hash set plus
-//!   an observation count. Closed windows can then be *retired*: their
-//!   partials collapse into per-(granularity × destination) bucket
-//!   tallies ([`RetiredChurn`]) and the hashes are freed, so a
-//!   run-forever engine holds only the windows still inside its lateness
-//!   horizon. Distributions computed from partials + retired tallies are
-//!   exactly what the legacy mode would report from the full sample set,
-//!   because a window is only folded once it can receive no further
-//!   observation.
-//!
-//! **Windowed storage: one map per open window, copy-on-write.** Each
+//! **Storage: one map per open window, copy-on-write.** Each
 //! granularity keeps an ordered index of its *open* windows only — window
 //! index → that window's `(vantage, destination) → evidence` map behind
 //! an [`Arc`]. A window enters the index with its first observation and
@@ -60,18 +54,10 @@
 
 use churnlab_bgp::stats::DistinctPathDist;
 use churnlab_bgp::{Granularity, TimeWindow};
-use churnlab_topology::{AsClass, Asn, FxMap, FxSet, Topology};
-use serde::{Deserialize, Serialize};
+use churnlab_topology::{fnv1a, AsClass, Asn, FxMap, FxSet, Topology};
 use std::collections::hash_map::Entry;
-use std::collections::{btree_map, BTreeMap, HashMap, HashSet};
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// One compact path observation (legacy mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct Sample {
-    day: u32,
-    path_hash: u64,
-}
 
 /// Distinct hashes a window holds without a heap allocation. Windows see
 /// few distinct paths (the paper's Figure 3 tops out at 5+), so all but
@@ -213,117 +199,6 @@ impl RetiredChurn {
 /// hasher.
 type WindowMap = FxMap<(Asn, Asn), WindowAgg>;
 
-/// Windowed-mode state: live partials plus the retirement frontier.
-#[derive(Debug, Clone)]
-struct Windowed {
-    granularities: Vec<Granularity>,
-    total_days: u32,
-    /// Lateness horizon in days; `None` disables folding entirely.
-    horizon: Option<u32>,
-    /// `partials[slot][&window index]`, `slot` being the granularity's
-    /// position in `granularities`: the window's live partials, absent
-    /// before its first observation and after it is folded or pruned.
-    /// Maps are shared with every clone of the accumulator and copied on
-    /// write (see the module docs); a held map is never empty.
-    partials: Vec<BTreeMap<u32, Arc<WindowMap>>>,
-    /// Fold frontier: every window whose `end_day + horizon` is below
-    /// this watermark has been folded (or pruned) and takes no further
-    /// observations.
-    folded_min_hw: u32,
-    /// Tallies of folded combos (engine-side merged accumulators only;
-    /// shard-local accumulators prune instead of folding).
-    retired: RetiredChurn,
-    /// Observations that arrived for an already-folded window and were
-    /// dropped (per granularity: one measurement can be late for its day
-    /// window yet land in its still-open month window).
-    late_dropped: u64,
-}
-
-impl Windowed {
-    /// Whether window `index` of `g` closed below watermark `hw`: it can
-    /// end, and `end_day + horizon < hw`. Never without a horizon.
-    fn closed_below(&self, g: Granularity, index: u32, hw: u32) -> bool {
-        let Some(h) = self.horizon else { return false };
-        (TimeWindow { granularity: g, index })
-            .end_day(self.total_days)
-            .is_some_and(|end| u64::from(end) + u64::from(h) < u64::from(hw))
-    }
-
-    /// Position of `g` among the configured granularities.
-    fn slot(&self, g: Granularity) -> Option<usize> {
-        self.granularities.iter().position(|&x| x == g)
-    }
-
-    /// Every window that holds evidence, with its granularity and index.
-    fn live(&self) -> impl Iterator<Item = (Granularity, u32, &WindowMap)> {
-        self.granularities
-            .iter()
-            .zip(&self.partials)
-            .flat_map(|(&g, windows)| windows.iter().map(move |(&ix, map)| (g, ix, &**map)))
-    }
-
-    /// The window step every write goes through: fold `obs` — all of them
-    /// in window `ix` of granularity slot `slot`, at least one — into that
-    /// window's map, in order. A window behind the fold frontier takes
-    /// nothing and counts each observation late; otherwise the map is made
-    /// this accumulator's own once, however many observations follow.
-    fn fold_window<'a>(
-        &mut self,
-        slot: usize,
-        ix: u32,
-        obs: impl ExactSizeIterator<Item = &'a ChurnObs>,
-    ) {
-        debug_assert!(obs.len() > 0, "a held map is never empty");
-        if self.closed_below(self.granularities[slot], ix, self.folded_min_hw) {
-            self.late_dropped += obs.len() as u64;
-            return;
-        }
-        let map = Arc::make_mut(self.partials[slot].entry(ix).or_default());
-        for &(vp, dest, _, hash) in obs {
-            let e = map.entry((vp, dest)).or_default();
-            e.hashes.insert(hash);
-            e.count += 1;
-        }
-    }
-
-    /// Free every window that closed below `min_hw` and advance the fold
-    /// frontier to it. With `fold`, each freed combo is first tallied
-    /// into the retired store — unless its window was already behind the
-    /// frontier, i.e. folded by an earlier cut. A window's end day grows
-    /// with its index, so each granularity pops from the front of its
-    /// index until the first window still open: O(closed windows + closed
-    /// partials). No-op without a horizon.
-    fn close_below(&mut self, min_hw: u32, fold: bool) {
-        if self.horizon.is_none() {
-            return;
-        }
-        let frontier = self.folded_min_hw;
-        for slot in 0..self.granularities.len() {
-            let g = self.granularities[slot];
-            while let Some((&ix, _)) = self.partials[slot].first_key_value() {
-                if !self.closed_below(g, ix, min_hw) {
-                    break;
-                }
-                let (_, map) = self.partials[slot].pop_first().expect("just seen");
-                // A window already behind the adopted frontier was
-                // folded by an earlier cut; these partials are a stale
-                // copy (a report collected before its shard pruned) and
-                // must be discarded, not folded twice.
-                if !fold || self.closed_below(g, ix, frontier) {
-                    continue;
-                }
-                // The ≥2-observations rule is final here: the window is
-                // closed, so a combo that never reached two observations
-                // never will.
-                for (&(_, dest), agg) in map.iter().filter(|(_, agg)| agg.count >= 2) {
-                    self.retired.record(g, dest, agg.hashes.len());
-                }
-            }
-        }
-        self.folded_min_hw = frontier.max(min_hw);
-    }
-}
-
 /// Why [`ChurnAccumulator::import_windowed`] refused a row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChurnImportError {
@@ -357,6 +232,18 @@ pub enum ChurnImportError {
         /// Window index.
         window: u32,
     },
+    /// The row's window already closed below the stored fold frontier.
+    /// Ingest pops every closed window before the frontier advances and
+    /// admits nothing behind it, so no run writes such a row — and a
+    /// reader would count it until the next prune silently dropped it.
+    BehindFrontier {
+        /// Granularity of the row.
+        granularity: Granularity,
+        /// Window index.
+        window: u32,
+        /// The stored fold frontier.
+        frontier: u32,
+    },
 }
 
 impl std::fmt::Display for ChurnImportError {
@@ -376,6 +263,11 @@ impl std::fmt::Display for ChurnImportError {
             ChurnImportError::NoHashes { granularity, window } => {
                 write!(f, "churn window row ({granularity}, window {window}) has no path hash")
             }
+            ChurnImportError::BehindFrontier { granularity, window, frontier } => write!(
+                f,
+                "churn window row ({granularity}, window {window}) closed below the fold \
+                 frontier {frontier}"
+            ),
         }
     }
 }
@@ -390,22 +282,34 @@ impl std::error::Error for ChurnImportError {}
 /// several distinct AS-level paths per window; that exit diversity is part
 /// of the path diversity the paper's Figure 3 measures and Figure 4
 /// removes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ChurnAccumulator {
-    per_pair: HashMap<(Asn, Asn), Vec<Sample>>,
-    windows: Option<Windowed>,
+    granularities: Vec<Granularity>,
+    total_days: u32,
+    /// Lateness horizon in days; `None` disables folding entirely.
+    horizon: Option<u32>,
+    /// `partials[slot][&window index]`, `slot` being the granularity's
+    /// position in `granularities`: the window's live partials, absent
+    /// before its first observation and after it is folded or pruned.
+    /// Maps are shared with every clone of the accumulator and copied on
+    /// write (see the module docs); a held map is never empty.
+    partials: Vec<BTreeMap<u32, Arc<WindowMap>>>,
+    /// Fold frontier: every window whose `end_day + horizon` is below
+    /// this watermark has been folded (or pruned) and takes no further
+    /// observations.
+    folded_min_hw: u32,
+    /// Tallies of folded combos (engine-side merged accumulators only;
+    /// shard-local accumulators prune instead of folding).
+    retired: RetiredChurn,
+    /// Observations that arrived for an already-folded window and were
+    /// dropped (per granularity: one measurement can be late for its day
+    /// window yet land in its still-open month window).
+    late_dropped: u64,
 }
 
 /// Hash an AS path (FNV-1a over ASNs — stable across runs).
 pub fn path_hash(path: &[Asn]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for a in path {
-        for b in a.0.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    fnv1a(path.iter().flat_map(|a| a.0.to_le_bytes()))
 }
 
 /// One converted measurement as [`ChurnAccumulator::add_batch`] takes it:
@@ -484,7 +388,7 @@ impl BatchOrder {
     }
 }
 
-/// One windowed-mode partial, flattened for checkpoint encoding.
+/// One partial, flattened for checkpoint encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnWindowEntry {
     /// CNF granularity of the window.
@@ -502,13 +406,7 @@ pub struct ChurnWindowEntry {
 }
 
 impl ChurnAccumulator {
-    /// Fresh legacy-mode accumulator (per-sample storage, arbitrary
-    /// granularities queryable later).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fresh windowed-mode accumulator: observations fold straight into
+    /// Fresh accumulator: observations fold straight into
     /// per-(granularity × window × pair) partials. Only the listed
     /// granularities can be queried afterwards. `horizon` (days) arms
     /// retirement: once a watermark passes `window end + horizon`, the
@@ -517,33 +415,106 @@ impl ChurnAccumulator {
     /// observations for it are dropped as late. Costs the same for any
     /// `total_days`: nothing is held for a window before it is observed.
     pub fn windowed(granularities: &[Granularity], total_days: u32, horizon: Option<u32>) -> Self {
-        let partials = vec![BTreeMap::new(); granularities.len()];
         ChurnAccumulator {
-            per_pair: HashMap::new(),
-            windows: Some(Windowed {
-                granularities: granularities.to_vec(),
-                total_days,
-                horizon,
-                partials,
-                folded_min_hw: 0,
-                retired: RetiredChurn::default(),
-                late_dropped: 0,
-            }),
+            granularities: granularities.to_vec(),
+            total_days,
+            horizon,
+            partials: vec![BTreeMap::new(); granularities.len()],
+            folded_min_hw: 0,
+            retired: RetiredChurn::default(),
+            late_dropped: 0,
         }
+    }
+
+    /// Whether window `index` of `g` closed below watermark `hw`
+    /// ([`TimeWindow::closed_below`]). Never without a horizon.
+    fn closed_below(&self, g: Granularity, index: u32, hw: u32) -> bool {
+        self.horizon.is_some_and(|h| {
+            (TimeWindow { granularity: g, index }).closed_below(self.total_days, h, hw)
+        })
+    }
+
+    /// Position of `g` among the configured granularities.
+    fn slot(&self, g: Granularity) -> Option<usize> {
+        self.granularities.iter().position(|&x| x == g)
+    }
+
+    /// Every window that holds evidence, with its granularity and index.
+    fn live(&self) -> impl Iterator<Item = (Granularity, u32, &WindowMap)> {
+        self.granularities
+            .iter()
+            .zip(&self.partials)
+            .flat_map(|(&g, windows)| windows.iter().map(move |(&ix, map)| (g, ix, &**map)))
+    }
+
+    /// The window step every write goes through: fold `obs` — all of them
+    /// in window `ix` of granularity slot `slot`, at least one — into that
+    /// window's map, in order. A window behind the fold frontier takes
+    /// nothing and counts each observation late; otherwise the map is made
+    /// this accumulator's own once, however many observations follow.
+    fn fold_window<'a>(
+        &mut self,
+        slot: usize,
+        ix: u32,
+        obs: impl ExactSizeIterator<Item = &'a ChurnObs>,
+    ) {
+        debug_assert!(obs.len() > 0, "a held map is never empty");
+        if self.closed_below(self.granularities[slot], ix, self.folded_min_hw) {
+            self.late_dropped += obs.len() as u64;
+            return;
+        }
+        let map = Arc::make_mut(self.partials[slot].entry(ix).or_default());
+        for &(vp, dest, _, hash) in obs {
+            let e = map.entry((vp, dest)).or_default();
+            e.hashes.insert(hash);
+            e.count += 1;
+        }
+    }
+
+    /// Free every window that closed below `min_hw` and advance the fold
+    /// frontier to it. With `fold`, each freed combo is first tallied
+    /// into the retired store — unless its window was already behind the
+    /// frontier, i.e. folded by an earlier cut. A window's end day grows
+    /// with its index, so each granularity pops from the front of its
+    /// index until the first window still open: O(closed windows + closed
+    /// partials). No-op without a horizon.
+    fn close_below(&mut self, min_hw: u32, fold: bool) {
+        if self.horizon.is_none() {
+            return;
+        }
+        let frontier = self.folded_min_hw;
+        for slot in 0..self.granularities.len() {
+            let g = self.granularities[slot];
+            while let Some((&ix, _)) = self.partials[slot].first_key_value() {
+                if !self.closed_below(g, ix, min_hw) {
+                    break;
+                }
+                let (_, map) = self.partials[slot].pop_first().expect("just seen");
+                // A window already behind the adopted frontier was
+                // folded by an earlier cut; these partials are a stale
+                // copy (a report collected before its shard pruned) and
+                // must be discarded, not folded twice.
+                if !fold || self.closed_below(g, ix, frontier) {
+                    continue;
+                }
+                // The ≥2-observations rule is final here: the window is
+                // closed, so a combo that never reached two observations
+                // never will.
+                for (&(_, dest), agg) in map.iter().filter(|(_, agg)| agg.count >= 2) {
+                    self.retired.record(g, dest, agg.hashes.len());
+                }
+            }
+        }
+        self.folded_min_hw = frontier.max(min_hw);
     }
 
     /// Record one converted measurement (`vp` = the vantage AS as
     /// registered, i.e. [`churnlab_platform::Measurement::vp_asn`]).
     pub fn add(&mut self, vp: Asn, dest: Asn, day: u32, path: &[Asn]) {
         let obs = (vp, dest, day, path_hash(path));
-        match &mut self.windows {
-            None => self.add_sample(&obs),
-            Some(w) => {
-                for slot in 0..w.granularities.len() {
-                    let ix = TimeWindow::of(day, w.granularities[slot], w.total_days).index;
-                    w.fold_window(slot, ix, std::iter::once(&obs));
-                }
-            }
+        for slot in 0..self.granularities.len() {
+            let ix = TimeWindow::of(day, self.granularities[slot], self.total_days).index;
+            self.fold_window(slot, ix, std::iter::once(&obs));
         }
     }
 
@@ -555,117 +526,85 @@ impl ChurnAccumulator {
     /// of once per measurement: see the module docs. `order` is the
     /// caller's to keep between calls, so a block costs no allocation.
     pub fn add_batch(&mut self, batch: &[ChurnObs], order: &mut BatchOrder) {
-        let Some(w) = &mut self.windows else {
-            batch.iter().for_each(|obs| self.add_sample(obs));
-            return;
-        };
-        for slot in 0..w.granularities.len() {
-            let (g, total_days) = (w.granularities[slot], w.total_days);
+        for slot in 0..self.granularities.len() {
+            let (g, total_days) = (self.granularities[slot], self.total_days);
             let windows = batch.iter().map(|obs| TimeWindow::of(obs.2, g, total_days).index);
             match order.by_window(windows) {
-                Some(only) => w.fold_window(slot, only, batch.iter()),
+                Some(only) => self.fold_window(slot, only, batch.iter()),
                 None => {
                     for (ix, run) in order.runs() {
-                        w.fold_window(slot, ix, run.iter().map(|&at| &batch[at as usize]));
+                        self.fold_window(slot, ix, run.iter().map(|&at| &batch[at as usize]));
                     }
                 }
             }
         }
     }
 
-    /// Legacy mode's whole write.
-    fn add_sample(&mut self, &(vp, dest, day, path_hash): &ChurnObs) {
-        self.per_pair.entry((vp, dest)).or_default().push(Sample { day, path_hash });
-    }
-
-    /// Number of (vantage, destination) pairs with live evidence. In
-    /// windowed mode, pairs whose every window has been retired no longer
-    /// count (their identity was folded away by design).
+    /// Number of (vantage, destination) pairs with live evidence. Pairs
+    /// whose every window has been retired no longer count (their
+    /// identity was folded away by design).
     pub fn n_pairs(&self) -> usize {
-        match &self.windows {
-            None => self.per_pair.len(),
-            Some(w) => {
-                let pairs: FxSet<(Asn, Asn)> =
-                    w.live().flat_map(|(_, _, map)| map.keys().copied()).collect();
-                pairs.len()
-            }
-        }
+        let pairs: FxSet<(Asn, Asn)> =
+            self.live().flat_map(|(_, _, map)| map.keys().copied()).collect();
+        pairs.len()
     }
 
-    /// Observations dropped because their window was already folded
-    /// (windowed mode; always 0 in legacy mode).
+    /// Observations dropped because their window was already folded.
     pub fn late_dropped(&self) -> u64 {
-        self.windows.as_ref().map_or(0, |w| w.late_dropped)
+        self.late_dropped
     }
 
     /// Merge another accumulator into this one (shard fan-in). URL-keyed
     /// sharding splits a (vantage, destination) pair's samples across
     /// shards; per-window distinct-path sets and observation counts are
-    /// unions/sums, so merging partials (or concatenating sample lists)
-    /// reproduces exactly what single-stream accumulation would have
-    /// recorded. A window the receiver holds nothing for is adopted by
-    /// pointer, not copied. An empty legacy accumulator (the `Default`)
-    /// adopts the other side's mode; otherwise modes and window configs
-    /// must match.
+    /// unions/sums, so merging partials reproduces exactly what
+    /// single-stream accumulation would have recorded. A window the
+    /// receiver holds nothing for is adopted by pointer, not copied.
+    /// Window configs must match.
     pub fn merge(&mut self, other: ChurnAccumulator) {
-        if self.windows.is_none() && self.per_pair.is_empty() && other.windows.is_some() {
-            *self = other;
-            return;
-        }
-        match (&mut self.windows, other.windows) {
-            (None, None) => {
-                for (pair, samples) in other.per_pair {
-                    self.per_pair.entry(pair).or_default().extend(samples);
-                }
-            }
-            (Some(a), Some(b)) => {
-                assert!(
-                    a.granularities == b.granularities
-                        && a.total_days == b.total_days
-                        && a.horizon == b.horizon,
-                    "ChurnAccumulator::merge: mismatched window configs",
-                );
-                // Equal configs, so slot for slot the same granularity.
-                for (mine, theirs) in a.partials.iter_mut().zip(b.partials) {
-                    for (ix, theirs) in theirs {
-                        let mine = match mine.entry(ix) {
-                            btree_map::Entry::Vacant(e) => {
-                                e.insert(theirs);
-                                continue;
+        assert!(
+            self.granularities == other.granularities
+                && self.total_days == other.total_days
+                && self.horizon == other.horizon,
+            "ChurnAccumulator::merge: mismatched window configs",
+        );
+        // Equal configs, so slot for slot the same granularity.
+        for (mine, theirs) in self.partials.iter_mut().zip(other.partials) {
+            for (ix, theirs) in theirs {
+                let mine = match mine.entry(ix) {
+                    btree_map::Entry::Vacant(e) => {
+                        e.insert(theirs);
+                        continue;
+                    }
+                    btree_map::Entry::Occupied(e) => Arc::make_mut(e.into_mut()),
+                };
+                for (&pair, agg) in theirs.iter() {
+                    match mine.entry(pair) {
+                        Entry::Vacant(e) => {
+                            e.insert(agg.clone());
+                        }
+                        Entry::Occupied(mut e) => {
+                            let e = e.get_mut();
+                            for &h in agg.hashes.as_slice() {
+                                e.hashes.insert(h);
                             }
-                            btree_map::Entry::Occupied(e) => Arc::make_mut(e.into_mut()),
-                        };
-                        for (&pair, agg) in theirs.iter() {
-                            match mine.entry(pair) {
-                                Entry::Vacant(e) => {
-                                    e.insert(agg.clone());
-                                }
-                                Entry::Occupied(mut e) => {
-                                    let e = e.get_mut();
-                                    for &h in agg.hashes.as_slice() {
-                                        e.hashes.insert(h);
-                                    }
-                                    e.count += agg.count;
-                                }
-                            }
+                            e.count += agg.count;
                         }
                     }
                 }
-                a.folded_min_hw = a.folded_min_hw.max(b.folded_min_hw);
-                a.retired.merge(&b.retired);
-                a.late_dropped += b.late_dropped;
             }
-            _ => panic!("ChurnAccumulator::merge: cannot merge legacy and windowed modes"),
         }
+        self.folded_min_hw = self.folded_min_hw.max(other.folded_min_hw);
+        self.retired.merge(&other.retired);
+        self.late_dropped += other.late_dropped;
     }
 
     /// Adopt previously folded tallies and their frontier (the engine
     /// re-injects its persistent retired store into each merged cut so
-    /// reports keep covering folded windows). Windowed mode only.
+    /// reports keep covering folded windows).
     pub fn adopt_retired(&mut self, retired: &RetiredChurn, folded_min_hw: u32) {
-        let w = self.windows.as_mut().expect("adopt_retired requires windowed mode");
-        w.retired.merge(retired);
-        w.folded_min_hw = w.folded_min_hw.max(folded_min_hw);
+        self.retired.merge(retired);
+        self.folded_min_hw = self.folded_min_hw.max(folded_min_hw);
     }
 
     /// Fold every combo whose window closed below the `min_hw` watermark
@@ -674,42 +613,35 @@ impl ChurnAccumulator {
     /// guarantee the folded windows are *complete* — every observation
     /// that will ever legally count for them has been merged in — which
     /// is exactly what a minimum over all shard watermarks at a
-    /// consistent cut guarantees. No-op without a horizon. Windowed mode
-    /// only.
+    /// consistent cut guarantees. No-op without a horizon.
     pub fn fold_closed(&mut self, min_hw: u32) {
-        let w = self.windows.as_mut().expect("fold_closed requires windowed mode");
-        w.close_below(min_hw, true);
+        self.close_below(min_hw, true);
     }
 
     /// Like [`ChurnAccumulator::fold_closed`] but *discards* the closed
     /// partials instead of folding them — the shard-side half of the
     /// protocol: the engine folds the merged (global) partials once, then
     /// tells every shard to drop its local copies and late-drop anything
-    /// below the frontier. Windowed mode only.
+    /// below the frontier.
     pub fn prune_closed(&mut self, min_hw: u32) {
-        let w = self.windows.as_mut().expect("prune_closed requires windowed mode");
-        w.close_below(min_hw, false);
+        self.close_below(min_hw, false);
     }
 
     /// The folded tallies and fold frontier (engine checkpoint state).
-    /// Windowed mode only.
     pub fn retired_state(&self) -> (&RetiredChurn, u32) {
-        let w = self.windows.as_ref().expect("retired_state requires windowed mode");
-        (&w.retired, w.folded_min_hw)
+        (&self.retired, self.folded_min_hw)
     }
 
-    /// Dump windowed-mode state as sorted rows for checkpoint encoding:
+    /// Dump the live state as sorted rows for checkpoint encoding:
     /// `(config granularities, total_days, horizon, partials, frontier,
-    /// late count)`. `None` in legacy mode. The retired store is *not*
-    /// included — shard accumulators never hold one (see
-    /// [`ChurnAccumulator::prune_closed`]).
+    /// late count)`. The retired store is *not* included — shard
+    /// accumulators never hold one (see [`ChurnAccumulator::prune_closed`]).
     #[allow(clippy::type_complexity)]
     pub fn export_windowed(
         &self,
-    ) -> Option<(&[Granularity], u32, Option<u32>, Vec<ChurnWindowEntry>, u32, u64)> {
-        let w = self.windows.as_ref()?;
-        let mut entries = Vec::with_capacity(w.live().map(|(_, _, map)| map.len()).sum());
-        entries.extend(w.live().flat_map(|(granularity, window, map)| {
+    ) -> (&[Granularity], u32, Option<u32>, Vec<ChurnWindowEntry>, u32, u64) {
+        let mut entries = Vec::with_capacity(self.live().map(|(_, _, map)| map.len()).sum());
+        entries.extend(self.live().flat_map(|(granularity, window, map)| {
             map.iter().map(move |(&(vp, dest), agg)| ChurnWindowEntry {
                 granularity,
                 vp,
@@ -720,10 +652,11 @@ impl ChurnAccumulator {
             })
         }));
         entries.sort_by_key(|e| (e.granularity, e.vp, e.dest, e.window));
-        Some((&w.granularities, w.total_days, w.horizon, entries, w.folded_min_hw, w.late_dropped))
+        let Self { granularities, total_days, horizon, folded_min_hw, late_dropped, .. } = self;
+        (granularities, *total_days, *horizon, entries, *folded_min_hw, *late_dropped)
     }
 
-    /// Rebuild a windowed accumulator from exported rows (checkpoint
+    /// Rebuild an accumulator from exported rows (checkpoint
     /// decoding). Inverse of [`ChurnAccumulator::export_windowed`]. The
     /// rows come from outside the program: one that fits no window of
     /// this configuration, repeats another, or carries no hash is an
@@ -737,11 +670,10 @@ impl ChurnAccumulator {
         late_dropped: u64,
     ) -> Result<Self, ChurnImportError> {
         let mut acc = Self::windowed(granularities, total_days, horizon);
-        let w = acc.windows.as_mut().expect("just built windowed");
         for e in entries {
             let ChurnWindowEntry { granularity, vp, dest, window, .. } = e;
             let slot =
-                w.slot(granularity).ok_or(ChurnImportError::UnknownGranularity(granularity))?;
+                acc.slot(granularity).ok_or(ChurnImportError::UnknownGranularity(granularity))?;
             let count = TimeWindow::count(granularity, total_days);
             if window >= count {
                 return Err(ChurnImportError::WindowOutOfRange { granularity, window, count });
@@ -749,7 +681,14 @@ impl ChurnAccumulator {
             if e.hashes.is_empty() {
                 return Err(ChurnImportError::NoHashes { granularity, window });
             }
-            let map = w.partials[slot].entry(window).or_default();
+            if acc.closed_below(granularity, window, folded_min_hw) {
+                return Err(ChurnImportError::BehindFrontier {
+                    granularity,
+                    window,
+                    frontier: folded_min_hw,
+                });
+            }
+            let map = acc.partials[slot].entry(window).or_default();
             match Arc::make_mut(map).entry((vp, dest)) {
                 Entry::Occupied(_) => {
                     return Err(ChurnImportError::DuplicateRow { granularity, vp, dest, window });
@@ -759,22 +698,17 @@ impl ChurnAccumulator {
                 }
             }
         }
-        w.folded_min_hw = folded_min_hw;
-        w.late_dropped = late_dropped;
+        acc.folded_min_hw = folded_min_hw;
+        acc.late_dropped = late_dropped;
         Ok(acc)
     }
 
-    /// Distinct-path distributions at the given granularities. A (pair,
-    /// window) combo participates only when observed at least twice
-    /// (churn is unobservable from a single measurement). In windowed
-    /// mode every queried granularity must be one the accumulator was
-    /// built with.
-    pub fn distributions(
-        &self,
-        granularities: &[Granularity],
-        total_days: u32,
-    ) -> Vec<DistinctPathDist> {
-        self.distributions_filtered(granularities, total_days, |_| true)
+    /// Distinct-path distributions at the given granularities, each one
+    /// the accumulator was built with. A (pair, window) combo participates
+    /// only when observed at least twice (churn is unobservable from a
+    /// single measurement).
+    pub fn distributions(&self, granularities: &[Granularity]) -> Vec<DistinctPathDist> {
+        self.distributions_filtered(granularities, |_| true)
     }
 
     /// Like [`ChurnAccumulator::distributions`], restricted to pairs whose
@@ -783,71 +717,32 @@ impl ChurnAccumulator {
     pub fn distributions_filtered(
         &self,
         granularities: &[Granularity],
-        total_days: u32,
-        keep: impl Fn(Asn) -> bool,
-    ) -> Vec<DistinctPathDist> {
-        match &self.windows {
-            None => self.distributions_legacy(granularities, total_days, keep),
-            Some(w) => granularities
-                .iter()
-                .map(|&g| {
-                    let slot = w.slot(g).unwrap_or_else(|| {
-                        panic!("granularity {g} not configured on this windowed churn accumulator")
-                    });
-                    let mut buckets = [0u64; 5];
-                    let mut total = 0u64;
-                    let combos = w.partials[slot].values().flat_map(|map| map.iter());
-                    for (&(_, dest), agg) in combos {
-                        if agg.count < 2 || !keep(dest) {
-                            continue;
-                        }
-                        buckets[agg.hashes.len().min(5) - 1] += 1;
-                        total += 1;
-                    }
-                    for (&(rg, dest), tally) in &w.retired.per_dest {
-                        if rg != g || !keep(dest) {
-                            continue;
-                        }
-                        for (a, b) in buckets.iter_mut().zip(tally.buckets) {
-                            *a += b;
-                        }
-                        total += tally.total;
-                    }
-                    DistinctPathDist { granularity: g, buckets, total }
-                })
-                .collect(),
-        }
-    }
-
-    fn distributions_legacy(
-        &self,
-        granularities: &[Granularity],
-        total_days: u32,
         keep: impl Fn(Asn) -> bool,
     ) -> Vec<DistinctPathDist> {
         granularities
             .iter()
             .map(|&g| {
+                let slot = self.slot(g).unwrap_or_else(|| {
+                    panic!("granularity {g} not configured on this churn accumulator")
+                });
                 let mut buckets = [0u64; 5];
                 let mut total = 0u64;
-                for ((_, dest), samples) in &self.per_pair {
-                    if !keep(*dest) {
+                let combos = self.partials[slot].values().flat_map(|map| map.iter());
+                for (&(_, dest), agg) in combos {
+                    if agg.count < 2 || !keep(dest) {
                         continue;
                     }
-                    let mut windows: HashMap<TimeWindow, (HashSet<u64>, u32)> = HashMap::new();
-                    for s in samples {
-                        let w = TimeWindow::of(s.day, g, total_days);
-                        let e = windows.entry(w).or_default();
-                        e.0.insert(s.path_hash);
-                        e.1 += 1;
+                    buckets[agg.hashes.len().min(5) - 1] += 1;
+                    total += 1;
+                }
+                for (&(rg, dest), tally) in &self.retired.per_dest {
+                    if rg != g || !keep(dest) {
+                        continue;
                     }
-                    for (paths, n_obs) in windows.values() {
-                        if *n_obs < 2 {
-                            continue;
-                        }
-                        buckets[paths.len().min(5) - 1] += 1;
-                        total += 1;
+                    for (a, b) in buckets.iter_mut().zip(tally.buckets) {
+                        *a += b;
                     }
+                    total += tally.total;
                 }
                 DistinctPathDist { granularity: g, buckets, total }
             })
@@ -861,12 +756,11 @@ impl ChurnAccumulator {
         &self,
         topo: &Topology,
         granularity: Granularity,
-        total_days: u32,
     ) -> Vec<(AsClass, f64)> {
         AsClass::ALL
             .iter()
             .map(|&class| {
-                let d = self.distributions_filtered(&[granularity], total_days, |dest| {
+                let d = self.distributions_filtered(&[granularity], |dest| {
                     topo.info_by_asn(dest).map(|i| i.class == class).unwrap_or(false)
                 });
                 (class, d[0].churn_fraction())
@@ -879,6 +773,7 @@ impl ChurnAccumulator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn asns(v: &[u32]) -> Vec<Asn> {
         v.iter().map(|x| Asn(*x)).collect()
@@ -889,43 +784,47 @@ mod tests {
         assert_eq!(path_hash(&asns(&[1, 2, 3])), path_hash(&asns(&[1, 2, 3])));
         assert_ne!(path_hash(&asns(&[1, 2, 3])), path_hash(&asns(&[1, 3, 2])));
         assert_ne!(path_hash(&asns(&[1, 2])), path_hash(&asns(&[1, 2, 3])));
+        // FNV-1a over each ASN's little-endian bytes: checkpoints store it.
+        assert_eq!(path_hash(&asns(&[1, 2, 3])), 0xfd1f_0f43_81eb_0395);
     }
 
     #[test]
     fn stable_pair_no_churn() {
-        let mut acc = ChurnAccumulator::new();
+        let gs = [Granularity::Day, Granularity::Year];
+        let mut acc = ChurnAccumulator::windowed(&gs, 365, None);
         for d in 0..20 {
             acc.add(Asn(1), Asn(2), d, &asns(&[1, 5, 2]));
             acc.add(Asn(1), Asn(2), d, &asns(&[1, 5, 2]));
         }
-        let dist = acc.distributions(&[Granularity::Day, Granularity::Year], 365);
+        let dist = acc.distributions(&gs);
         assert_eq!(dist[0].churn_fraction(), 0.0);
         assert_eq!(dist[1].churn_fraction(), 0.0);
     }
 
     #[test]
     fn churny_pair_counts() {
-        let mut acc = ChurnAccumulator::new();
+        let mut acc = ChurnAccumulator::windowed(&[Granularity::Day], 365, None);
         acc.add(Asn(1), Asn(2), 0, &asns(&[1, 5, 2]));
         acc.add(Asn(1), Asn(2), 0, &asns(&[1, 6, 2]));
-        let dist = acc.distributions(&[Granularity::Day], 365);
+        let dist = acc.distributions(&[Granularity::Day]);
         assert_eq!(dist[0].buckets, [0, 1, 0, 0, 0]);
         assert_eq!(dist[0].churn_fraction(), 1.0);
     }
 
     #[test]
     fn single_observation_windows_skipped() {
-        let mut acc = ChurnAccumulator::new();
+        let gs = [Granularity::Day, Granularity::Year];
+        let mut acc = ChurnAccumulator::windowed(&gs, 365, None);
         acc.add(Asn(1), Asn(2), 0, &asns(&[1, 2]));
         acc.add(Asn(1), Asn(2), 100, &asns(&[1, 9, 2]));
-        let dist = acc.distributions(&[Granularity::Day, Granularity::Year], 365);
+        let dist = acc.distributions(&gs);
         assert_eq!(dist[0].total, 0, "day windows each saw one observation");
         assert_eq!(dist[1].buckets, [0, 1, 0, 0, 0], "year window sees both");
     }
 
     #[test]
     fn n_pairs_counts_pairs() {
-        let mut acc = ChurnAccumulator::new();
+        let mut acc = ChurnAccumulator::windowed(&Granularity::ALL, 365, None);
         acc.add(Asn(1), Asn(2), 0, &asns(&[1, 2]));
         acc.add(Asn(1), Asn(3), 0, &asns(&[1, 3]));
         acc.add(Asn(1), Asn(2), 1, &asns(&[1, 2]));
@@ -951,38 +850,48 @@ mod tests {
         out
     }
 
-    #[test]
-    fn windowed_matches_legacy_exactly() {
-        // The workload's days run 0..60: a 45-day period clamps the tail
-        // into each granularity's last window, a 0-day period clamps
-        // everything into window 0, and one granularity is one slot.
-        let all = Granularity::ALL.as_slice();
-        for (gs, total_days) in [(all, 60), (all, 45), (all, 0), (&[Granularity::Week][..], 60)] {
-            let mut legacy = ChurnAccumulator::new();
-            let mut windowed = ChurnAccumulator::windowed(gs, total_days, None);
-            for (vp, dest, day, path) in workload() {
-                legacy.add(vp, dest, day, &path);
-                windowed.add(vp, dest, day, &path);
-            }
-            assert_eq!(
-                legacy.distributions(gs, total_days),
-                windowed.distributions(gs, total_days),
-                "{gs:?} over {total_days} days",
-            );
-            assert_eq!(legacy.n_pairs(), windowed.n_pairs());
-            // Filtered views agree too.
-            let f = |d: Asn| d.0.is_multiple_of(2);
-            assert_eq!(
-                legacy.distributions_filtered(gs, total_days, f),
-                windowed.distributions_filtered(gs, total_days, f),
-            );
-        }
+    /// One observation as the oracle takes it: vantage, destination, day,
+    /// and the middle hop that tells its path from the pair's others.
+    type Seen = (u32, u32, u32, u32);
+
+    fn path_of(&(vp, dest, _, hop): &Seen) -> Vec<Asn> {
+        asns(&[vp, 10 + hop, dest])
+    }
+
+    /// Figure 3 recounted from the raw samples, sharing nothing with the
+    /// accumulator: every (pair, window) keeps the set of hops it saw and
+    /// how often it was observed, and the ≥ 2-observations rule is applied
+    /// at the end.
+    fn recount(
+        seen: &[Seen],
+        gs: &[Granularity],
+        total_days: u32,
+        keep: impl Fn(Asn) -> bool,
+    ) -> Vec<DistinctPathDist> {
+        gs.iter()
+            .map(|&granularity| {
+                // (vantage, destination, window) → the hops seen, how often.
+                let mut hops = HashMap::<_, HashSet<u32>>::new();
+                let mut n_obs = HashMap::<_, u64>::new();
+                for &(vp, dest, day, hop) in seen.iter().filter(|s| keep(Asn(s.1))) {
+                    let combo = (vp, dest, TimeWindow::of(day, granularity, total_days));
+                    hops.entry(combo).or_default().insert(hop);
+                    *n_obs.entry(combo).or_default() += 1;
+                }
+                let mut buckets = [0u64; 5];
+                for (combo, hops) in &hops {
+                    if n_obs[combo] >= 2 {
+                        buckets[hops.len().min(5) - 1] += 1;
+                    }
+                }
+                DistinctPathDist { granularity, buckets, total: buckets.iter().sum() }
+            })
+            .collect()
     }
 
     /// Window `ix` of `g`, if open (tests look at allocations).
     fn window_of(acc: &ChurnAccumulator, g: Granularity, ix: u32) -> Option<&Arc<WindowMap>> {
-        let w = acc.windows.as_ref().expect("windowed");
-        w.partials[w.slot(g).expect("configured")].get(&ix)
+        acc.partials[acc.slot(g).expect("configured")].get(&ix)
     }
 
     #[test]
@@ -997,9 +906,9 @@ mod tests {
         }
         let report = acc.clone();
         let frozen = (
-            report.distributions(&gs, 60),
+            report.distributions(&gs),
             report.n_pairs(),
-            report.export_windowed().expect("windowed").3,
+            report.export_windowed().3,
         );
         let same = |a: &ChurnAccumulator, b: &ChurnAccumulator, g, ix| {
             match (window_of(a, g, ix), window_of(b, g, ix)) {
@@ -1014,10 +923,10 @@ mod tests {
         for (vp, dest, day, path) in &late {
             acc.add(*vp, *dest, *day, path);
         }
-        assert_ne!(acc.distributions(&gs, 60), frozen.0, "the original moved on");
-        assert_eq!(report.distributions(&gs, 60), frozen.0);
+        assert_ne!(acc.distributions(&gs), frozen.0, "the original moved on");
+        assert_eq!(report.distributions(&gs), frozen.0);
         assert_eq!(report.n_pairs(), frozen.1);
-        assert_eq!(report.export_windowed().expect("windowed").3, frozen.2);
+        assert_eq!(report.export_windowed().3, frozen.2);
         let (day, week, month, year) = Granularity::ALL.into();
         for (g, ix) in [(day, 0), (day, 39), (week, 4), (month, 0)] {
             assert!(same(&acc, &report, g, ix), "{g} window {ix} was not written to");
@@ -1028,7 +937,7 @@ mod tests {
         assert!(window_of(&report, day, 40).is_none(), "opened after the clone");
 
         // An empty receiver adopts every window by pointer.
-        let mut merged = ChurnAccumulator::default();
+        let mut merged = ChurnAccumulator::windowed(&gs, 60, Some(3));
         merged.merge(report.clone());
         assert!(same(&merged, &report, Granularity::Day, 0));
         assert!(same(&merged, &report, Granularity::Year, 0));
@@ -1038,12 +947,12 @@ mod tests {
         acc.prune_closed(59);
         assert!(window_of(&merged, Granularity::Day, 0).is_none(), "the fold freed it");
         assert!(window_of(&acc, Granularity::Day, 0).is_none(), "the prune freed it");
-        assert_eq!(report.distributions(&gs, 60), frozen.0);
+        assert_eq!(report.distributions(&gs), frozen.0);
         assert_eq!(report.n_pairs(), frozen.1);
-        assert_eq!(report.export_windowed().expect("windowed").3, frozen.2);
+        assert_eq!(report.export_windowed().3, frozen.2);
         // ... and folding lost nothing: the merged copy still reports the
         // prefix it was cloned at.
-        assert_eq!(merged.distributions(&gs, 60), frozen.0);
+        assert_eq!(merged.distributions(&gs), frozen.0);
     }
 
     #[test]
@@ -1055,8 +964,7 @@ mod tests {
         let gs = Granularity::ALL;
         let total_days = u32::MAX;
         let held = |acc: &ChurnAccumulator| {
-            let w = acc.windows.as_ref().expect("windowed");
-            w.partials.iter().map(BTreeMap::len).sum::<usize>()
+            acc.partials.iter().map(BTreeMap::len).sum::<usize>()
         };
         let mut shard = ChurnAccumulator::windowed(&gs, total_days, Some(7));
         let mut merged = ChurnAccumulator::windowed(&gs, total_days, Some(7));
@@ -1073,7 +981,7 @@ mod tests {
             assert!(held(&shard) <= 9 + 3 + 2 + 1, "day {day}: {} windows held", held(&shard));
             assert_eq!(held(&shard), held(&merged));
         }
-        let day = &merged.distributions(&gs, total_days)[0];
+        let day = &merged.distributions(&gs)[0];
         assert_eq!(day.buckets, [0, 3 * 365, 0, 0, 0], "every day window, open or folded");
     }
 
@@ -1097,7 +1005,7 @@ mod tests {
             !folding.retired_state().0.is_empty(),
             "the workload must actually close windows",
         );
-        assert_eq!(plain.distributions(&gs, 60), folding.distributions(&gs, 60));
+        assert_eq!(plain.distributions(&gs), folding.distributions(&gs));
         assert_eq!(plain.late_dropped(), 0, "in-order feed has no late observations");
     }
 
@@ -1123,7 +1031,7 @@ mod tests {
         }
         // First cut: merge, fold at the global watermark, prune shards.
         let min_hw = 29;
-        let mut merged = ChurnAccumulator::default();
+        let mut merged = ChurnAccumulator::windowed(&gs, 60, horizon);
         merged.merge(shard[0].clone());
         merged.merge(shard[1].clone());
         merged.fold_closed(min_hw);
@@ -1140,12 +1048,12 @@ mod tests {
             shard[(dest.0 % 2) as usize].add(*vp, *dest, *day, path);
         }
         // Second cut re-adopts the persistent tallies.
-        let mut merged = ChurnAccumulator::default();
+        let mut merged = ChurnAccumulator::windowed(&gs, 60, horizon);
         merged.merge(shard[0].clone());
         merged.merge(shard[1].clone());
         merged.adopt_retired(&retired, frontier);
         merged.fold_closed(59);
-        assert_eq!(reference.distributions(&gs, 60), merged.distributions(&gs, 60));
+        assert_eq!(reference.distributions(&gs), merged.distributions(&gs));
     }
 
     #[test]
@@ -1161,23 +1069,23 @@ mod tests {
         shard.add(Asn(1), Asn(2), 0, &asns(&[1, 9, 2]));
         shard.add(Asn(1), Asn(2), 10, &asns(&[1, 2]));
         // Cut A folds day 0 at watermark 10.
-        let mut cut_a = ChurnAccumulator::default();
+        let mut cut_a = ChurnAccumulator::windowed(&gs, 60, horizon);
         cut_a.merge(shard.clone());
         cut_a.fold_closed(10);
         let (retired, frontier) = {
             let (r, f) = cut_a.retired_state();
             (r.clone(), f)
         };
-        assert_eq!(cut_a.distributions(&gs, 60)[0].buckets, [0, 1, 0, 0, 0]);
+        assert_eq!(cut_a.distributions(&gs)[0].buckets, [0, 1, 0, 0, 0]);
         // Cut B was collected before the shard pruned: same stale
         // partials, plus the adopted tallies from cut A.
-        let mut cut_b = ChurnAccumulator::default();
+        let mut cut_b = ChurnAccumulator::windowed(&gs, 60, horizon);
         cut_b.merge(shard.clone());
         cut_b.adopt_retired(&retired, frontier);
         cut_b.fold_closed(10);
         assert_eq!(
-            cut_b.distributions(&gs, 60),
-            cut_a.distributions(&gs, 60),
+            cut_b.distributions(&gs),
+            cut_a.distributions(&gs),
             "stale partials must be dropped, not re-folded",
         );
     }
@@ -1192,7 +1100,7 @@ mod tests {
         // is still open — exactly one of the two granularities drops it.
         acc.add(Asn(1), Asn(2), 3, &asns(&[1, 7, 2]));
         assert_eq!(acc.late_dropped(), 1);
-        let dist = acc.distributions(&gs, 60);
+        let dist = acc.distributions(&gs);
         assert_eq!(dist[0].total, 0, "late day-window observation dropped");
         assert_eq!(dist[1].buckets, [0, 1, 0, 0, 0], "year window kept both");
     }
@@ -1205,12 +1113,12 @@ mod tests {
             acc.add(vp, dest, day, &path);
         }
         acc.prune_closed(20);
-        let (g, days, h, entries, frontier, late) = acc.export_windowed().expect("windowed");
+        let (g, days, h, entries, frontier, late) = acc.export_windowed();
         let back = ChurnAccumulator::import_windowed(g, days, h, entries.clone(), frontier, late)
             .expect("exported rows import");
-        assert_eq!(acc.distributions(&gs, 60), back.distributions(&gs, 60));
+        assert_eq!(acc.distributions(&gs), back.distributions(&gs));
         assert_eq!(acc.late_dropped(), back.late_dropped());
-        let (_, _, _, entries2, frontier2, _) = back.export_windowed().expect("windowed");
+        let (_, _, _, entries2, frontier2, _) = back.export_windowed();
         assert_eq!(entries, entries2, "export is canonical");
         assert_eq!(frontier, frontier2);
     }
@@ -1218,34 +1126,34 @@ mod tests {
     #[test]
     fn windows_past_the_inline_capacity_spill_without_losing_order() {
         // More distinct paths per window than fit inline: the hash list
-        // spills to the heap mid-stream and must behave exactly like the
-        // legacy per-sample store, through merge and export/import too.
+        // spills to the heap mid-stream and must still count every one,
+        // through merge and export/import too.
         let gs = [Granularity::Day, Granularity::Year];
         let n = INLINE_HASHES as u32 + 4;
-        let mut legacy = ChurnAccumulator::new();
+        let mut seen = Vec::new();
         let mut windowed = ChurnAccumulator::windowed(&gs, 60, None);
         let mut halves =
             [ChurnAccumulator::windowed(&gs, 60, None), ChurnAccumulator::windowed(&gs, 60, None)];
         for i in 0..2 * n {
             // Each path twice, so re-inserts hit both representations.
             let path = asns(&[1, 10 + i % n, 2]);
-            legacy.add(Asn(1), Asn(2), 0, &path);
+            seen.push((1, 2, 0, i % n));
             windowed.add(Asn(1), Asn(2), 0, &path);
             halves[(i % 2) as usize].add(Asn(1), Asn(2), 0, &path);
         }
-        let expect = legacy.distributions(&gs, 60);
+        let expect = recount(&seen, &gs, 60, |_| true);
         assert_eq!(expect[0].buckets, [0, 0, 0, 0, 1], "one day window in the 5+ bucket");
-        assert_eq!(windowed.distributions(&gs, 60), expect);
+        assert_eq!(windowed.distributions(&gs), expect);
         let [mut merged, other] = halves;
         merged.merge(other);
-        assert_eq!(merged.distributions(&gs, 60), expect);
+        assert_eq!(merged.distributions(&gs), expect);
 
-        let (g, days, h, entries, frontier, late) = windowed.export_windowed().expect("windowed");
+        let (g, days, h, entries, frontier, late) = windowed.export_windowed();
         let first_seen: Vec<u64> = (0..n).map(|i| path_hash(&asns(&[1, 10 + i, 2]))).collect();
         assert_eq!(entries[0].hashes, first_seen, "insertion order survives the spill");
         let back = ChurnAccumulator::import_windowed(g, days, h, entries.clone(), frontier, late)
             .expect("exported rows import");
-        assert_eq!(back.export_windowed().expect("windowed").3, entries);
+        assert_eq!(back.export_windowed().3, entries);
     }
 
     #[test]
@@ -1297,6 +1205,20 @@ mod tests {
         let err = import(vec![row(Granularity::Day, 4, &[])]).unwrap_err();
         assert_eq!(err, ChurnImportError::NoHashes { granularity: Granularity::Day, window: 4 });
         assert!(err.to_string().contains("no path hash"), "{err}");
+        // Horizon 3, frontier 8: day window 4 (4 + 3 < 8) was popped before
+        // the frontier got there; day window 5 is the oldest still open.
+        let behind = |rows| ChurnAccumulator::import_windowed(&gs, 60, Some(3), rows, 8, 0);
+        assert_eq!(behind(vec![row(Granularity::Day, 5, &[7])]).expect("open").n_pairs(), 1);
+        let err = behind(vec![row(Granularity::Day, 4, &[7])]).unwrap_err();
+        assert_eq!(
+            err,
+            ChurnImportError::BehindFrontier {
+                granularity: Granularity::Day,
+                window: 4,
+                frontier: 8
+            },
+        );
+        assert!(err.to_string().contains("fold frontier 8"), "{err}");
     }
 
     proptest! {
@@ -1323,21 +1245,18 @@ mod tests {
             horizon in proptest::option::of(0u32..5),
             total_days in prop_oneof![Just(60u32), Just(45u32), Just(u32::MAX)],
             spread in prop_oneof![Just(0u32), Just(1u32), Just(50_000_000u32)],
-            windowed in any::<bool>(),
         ) {
             let gs = Granularity::ALL;
-            let fresh = || match windowed {
-                true => ChurnAccumulator::windowed(&gs, total_days, horizon),
-                false => ChurnAccumulator::new(),
-            };
+            let fresh = || ChurnAccumulator::windowed(&gs, total_days, horizon);
             let rows = |acc: &ChurnAccumulator| {
-                acc.export_windowed().map(|(_, _, _, rows, frontier, late)| (rows, frontier, late))
+                let (_, _, _, rows, frontier, late) = acc.export_windowed();
+                (rows, frontier, late)
             };
             let (mut looped, mut batched) = (fresh(), fresh());
             let mut order = BatchOrder::default();
             for (block, prune) in blocks {
                 let held = batched.clone();
-                let before = (rows(&held), held.distributions(&gs, total_days));
+                let before = (rows(&held), held.distributions(&gs));
                 let mut batch = Vec::new();
                 for (vp, dest, day, hop) in block {
                     let day = (7 + day * spread.min(1)).saturating_mul(spread.max(1));
@@ -1349,14 +1268,57 @@ mod tests {
                 prop_assert_eq!(rows(&batched), rows(&looped));
                 prop_assert_eq!(batched.late_dropped(), looped.late_dropped());
                 prop_assert_eq!(
-                    batched.distributions(&gs, total_days),
-                    looped.distributions(&gs, total_days)
+                    batched.distributions(&gs),
+                    looped.distributions(&gs)
                 );
-                prop_assert_eq!((rows(&held), held.distributions(&gs, total_days)), before);
-                if let (true, Some(hw)) = (windowed, prune) {
+                prop_assert_eq!((rows(&held), held.distributions(&gs)), before);
+                if let Some(hw) = prune {
                     looped.prune_closed(hw);
                     batched.prune_closed(hw);
                 }
+            }
+        }
+
+        /// The store is the recount. Random samples — days past the period
+        /// included, so the last window's clamp is exercised (a 0-day
+        /// period clamps everything into window 0) — over any non-empty
+        /// subset of the granularities and four period lengths,
+        /// fed one by one, as one batch, and dealt over `k` accumulators
+        /// then merged: every route reports what [`recount`] reads off the
+        /// raw samples, whole and restricted to one destination.
+        #[test]
+        fn prop_the_store_reports_what_a_recount_of_the_samples_reports(
+            seen in proptest::collection::vec((1u32..5, 100u32..104, 0u32..1100, 0u32..7), 0..300),
+            subset in 1usize..16,
+            total_days in prop_oneof![Just(0u32), Just(60u32), Just(365u32), Just(1000u32)],
+            k in 1usize..5,
+        ) {
+            let gs: Vec<Granularity> = Granularity::ALL
+                .into_iter()
+                .enumerate()
+                .filter_map(|(bit, g)| (subset >> bit & 1 == 1).then_some(g))
+                .collect();
+            let fresh = || ChurnAccumulator::windowed(&gs, total_days, None);
+            let (mut looped, mut batched) = (fresh(), fresh());
+            let mut dealt: Vec<_> = (0..k).map(|_| fresh()).collect();
+            let mut batch = Vec::new();
+            for (at, s) in seen.iter().enumerate() {
+                let (vp, dest, day, path) = (Asn(s.0), Asn(s.1), s.2, path_of(s));
+                looped.add(vp, dest, day, &path);
+                dealt[at % k].add(vp, dest, day, &path);
+                batch.push((vp, dest, day, path_hash(&path)));
+            }
+            batched.add_batch(&batch, &mut BatchOrder::default());
+            let mut merged = fresh();
+            dealt.into_iter().for_each(|part| merged.merge(part));
+
+            let whole = recount(&seen, &gs, total_days, |_| true);
+            let one_dest = recount(&seen, &gs, total_days, |d| d == Asn(101));
+            let n_pairs = seen.iter().map(|s| (s.0, s.1)).collect::<HashSet<_>>().len();
+            for acc in [&looped, &batched, &merged] {
+                prop_assert_eq!(&acc.distributions(&gs), &whole);
+                prop_assert_eq!(&acc.distributions_filtered(&gs, |d| d == Asn(101)), &one_dest);
+                prop_assert_eq!(acc.n_pairs(), n_pairs);
             }
         }
     }
@@ -1365,14 +1327,6 @@ mod tests {
     #[should_panic(expected = "not configured")]
     fn windowed_rejects_unconfigured_granularity() {
         let acc = ChurnAccumulator::windowed(&[Granularity::Day], 60, None);
-        acc.distributions(&[Granularity::Week], 60);
-    }
-
-    #[test]
-    #[should_panic(expected = "legacy and windowed")]
-    fn mixed_mode_merge_rejected() {
-        let mut legacy = ChurnAccumulator::new();
-        legacy.add(Asn(1), Asn(2), 0, &asns(&[1, 2]));
-        legacy.merge(ChurnAccumulator::windowed(&[Granularity::Day], 60, None));
+        acc.distributions(&[Granularity::Week]);
     }
 }

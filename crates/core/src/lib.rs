@@ -12,8 +12,10 @@
 //!    boolean clause over per-AS literals, True if the measurement
 //!    observed the anomaly, False otherwise; one CNF per
 //!    (URL × time-window × anomaly-type).
-//! 3. [`churnstats`] — distinct-path accounting per (vantage, URL) pair
-//!    and window (Figure 3), computed from the *measured* paths.
+//! 3. [`churnstats`] — distinct-path accounting per (vantage,
+//!    destination) pair and window (Figure 3), computed from the
+//!    *measured* paths in one per-window store: the batch pipeline here
+//!    and every `churnlab-engine` shard, merge and checkpoint count in it.
 //! 4. [`analyze`] — solving and solution analysis: Unsat / Unique /
 //!    Multiple classification, censor extraction from unique models,
 //!    potential-censor sets and candidate-set reduction from backbones

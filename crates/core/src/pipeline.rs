@@ -96,7 +96,9 @@ pub struct PipelineResults {
     pub censor_findings: HashMap<Asn, CensorFinding>,
     /// Leakage analysis (CNFs with definite censors).
     pub leakage: LeakageReport,
-    /// Path-churn accumulator (Figure 3 inputs).
+    /// Path-churn accumulator (Figure 3 inputs), built over
+    /// `config.granularities` and `config.total_days` — only those
+    /// granularities can be queried.
     pub churn: ChurnAccumulator,
     /// CNFs skipped because they had no censored observation.
     pub trivial_instances: u64,
@@ -242,9 +244,9 @@ impl<'p> Pipeline<'p> {
         Pipeline {
             db,
             topo,
-            cfg,
             conversion: ConversionStats::default(),
-            churn: ChurnAccumulator::new(),
+            churn: ChurnAccumulator::windowed(&cfg.granularities, cfg.total_days, None),
+            cfg,
             current_url: None,
             flushed: HashSet::new(),
             buffer: Vec::new(),

@@ -9,7 +9,7 @@ use crate::leakage::CountryFlow;
 use crate::pipeline::{CensorFinding, PipelineConfig, PipelineResults};
 use churnlab_bgp::stats::DistinctPathDist;
 use churnlab_platform::AnomalyType;
-use churnlab_topology::{Asn, Topology};
+use churnlab_topology::{fnv1a, Asn, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -180,12 +180,7 @@ impl CanonicalReport {
     /// equality token for logs and bench reports (byte-identical JSON ⇔
     /// equal digests, modulo the usual 64-bit collision caveat).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_json().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a(self.to_json().bytes())
     }
 }
 
@@ -230,7 +225,7 @@ impl PipelineResults {
             on_censored_path,
             leak_victims,
             leak_victim_countries,
-            churn: self.churn.distributions(&self.config.granularities, self.config.total_days),
+            churn: self.churn.distributions(&self.config.granularities),
         }
     }
 }
@@ -254,15 +249,16 @@ mod tests {
                 n_instances: 3,
             },
         );
+        let config = PipelineConfig::paper(365);
         PipelineResults {
             outcomes: vec![],
             conversion: ConversionStats::default(),
             censor_findings,
             leakage: LeakageReport::new(),
-            churn: ChurnAccumulator::new(),
+            churn: ChurnAccumulator::windowed(&config.granularities, config.total_days, None),
             trivial_instances: 0,
             on_censored_path: HashSet::new(),
-            config: PipelineConfig::paper(365),
+            config,
         }
     }
 

@@ -57,16 +57,6 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// FNV-1a 64 over a byte slice (per-shard blob checksums).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Encoder: appends little-endian primitives to a byte buffer.
 #[derive(Debug, Default)]
 pub(crate) struct Enc {

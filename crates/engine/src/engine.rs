@@ -14,7 +14,8 @@ use churnlab_core::analyze::InstanceOutcome;
 use churnlab_core::convert::ConversionStats;
 use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
 use churnlab_core::{ChurnAccumulator, RetiredChurn};
-use churnlab_obs::{thread_cpu_nanos, Registry};
+use churnlab_obs::thread_cpu_nanos;
+use churnlab_topology::fnv1a;
 use churnlab_platform::{Measurement, Platform};
 use churnlab_sat::CtxStats;
 use serde::{Deserialize, Serialize};
@@ -133,6 +134,10 @@ pub struct RetireStats {
 }
 
 /// Aggregate engine-side work counters (incremental-solve effectiveness).
+/// The `Serialize` derive is the one list of them: bench reports print
+/// it, and `bench replay` mirrors it into `churnlab_stats_<field path>`
+/// gauges by walking the same serialization, so a field added here
+/// reaches report and scrape alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Shard workers used.
@@ -162,123 +167,6 @@ pub struct EngineStats {
     /// pre-lifecycle stats blobs still parse.
     #[serde(default)]
     pub retire: RetireStats,
-}
-
-/// Mirror a `u64` counter value into an absolute gauge (gauges are
-/// `i64`; values past `i64::MAX` saturate, which nothing real reaches).
-fn stats_gauge(reg: &Registry, name: &str, help: &str, v: u64) {
-    reg.gauge(name, help, &[]).set(v.min(i64::MAX as u64) as i64);
-}
-
-impl EngineStats {
-    /// Mirror this stats block into `churnlab_stats_*` gauges on
-    /// `registry` — the *uniform stats surface* the binaries publish
-    /// instead of hand-formatted text blocks. Gauges, not counters, on
-    /// purpose: these are absolute cumulative values from a finished
-    /// cut, so re-recording after a later cut must overwrite, not add.
-    /// The namespace is disjoint from the live `churnlab_*_total{shard}`
-    /// series so the two never collide on metric kind.
-    pub fn record_into(&self, registry: &Registry) {
-        stats_gauge(registry, "churnlab_stats_shards", "shard workers used", self.shards as u64);
-        stats_gauge(
-            registry,
-            "churnlab_stats_observations",
-            "converted observations routed to shards",
-            self.observations,
-        );
-        let inc = &self.incremental;
-        stats_gauge(
-            registry,
-            "churnlab_stats_updates",
-            "observations that changed an instance (post-dedup)",
-            inc.updates,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_duplicates",
-            "duplicate observations dropped by dedup",
-            inc.duplicates,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_direct_updates",
-            "updates resolved by a closed-form state transition",
-            inc.direct_updates,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_unsat_skips",
-            "updates skipped on already-unsat instances",
-            inc.unsat_skips,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_resolves",
-            "updates that ran a reduced-formula re-solve",
-            inc.resolves,
-        );
-        self.interner.record_into(registry);
-        stats_gauge(
-            registry,
-            "churnlab_stats_shard_total_nanos",
-            "sum of shard workers' busy nanoseconds",
-            self.busy.shard_total_nanos,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_shard_max_nanos",
-            "slowest shard worker's busy nanoseconds",
-            self.busy.shard_max_nanos,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_merge_nanos",
-            "critical-path nanoseconds of the merge",
-            self.busy.merge_nanos,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_sat_propagations",
-            "SAT trail entries processed by unit propagation",
-            self.sat.propagations,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_sat_backtracks",
-            "SAT decision levels undone",
-            self.sat.backtracks,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_sat_censuses",
-            "SAT census queries answered",
-            self.sat.censuses,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_sat_census_models",
-            "models counted across all SAT censuses",
-            self.sat.census_models,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_windows_retired",
-            "(URL x window) groups retired under the lateness horizon",
-            self.retire.windows_retired,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_cells_retired",
-            "cells solved at retirement time",
-            self.retire.cells_retired,
-        );
-        stats_gauge(
-            registry,
-            "churnlab_stats_late_dropped",
-            "observations dropped for already-retired windows",
-            self.retire.late_dropped,
-        );
-    }
 }
 
 /// The sharded, order-independent, incremental tomography engine.
@@ -578,6 +466,13 @@ impl<'c> Engine<'c> {
         Some(hw)
     }
 
+    /// What a cut's shard accumulators merge into: the shards' own window
+    /// config, nothing observed, so the first shard's windows are adopted
+    /// by pointer.
+    fn empty_churn(&self) -> ChurnAccumulator {
+        ChurnAccumulator::windowed(&self.cfg.granularities, self.cfg.total_days, self.horizon)
+    }
+
     /// Tell every shard to free its churn partials closed below `hw`.
     fn prune_churn(&self, hw: Option<u32>) {
         if let Some(hw) = hw {
@@ -595,7 +490,7 @@ impl<'c> Engine<'c> {
         let t0 = Instant::now();
         let mut stats = EngineStats { shards: self.senders.len(), ..Default::default() };
         let mut conversion = ConversionStats::default();
-        let mut churn = ChurnAccumulator::new();
+        let mut churn = self.empty_churn();
         let mut trivial = 0u64;
         let min_hw = min_watermark(reports.iter().map(|r| r.high_water));
         // Every cell was solved, and its findings folded, on its shard:
@@ -678,7 +573,7 @@ impl<'c> Engine<'c> {
     /// re-lists what was drained here.
     pub fn compact(&self) -> CompactReport {
         let cuts: Vec<CompactCut> = self.ask_shards(|reply| Msg::Compact { reply });
-        let mut churn = ChurnAccumulator::new();
+        let mut churn = self.empty_churn();
         let min_hw = min_watermark(cuts.iter().map(|c| c.high_water));
         let mut outcomes = Vec::new();
         let mut trivial = 0u64;
@@ -728,7 +623,7 @@ impl<'c> Engine<'c> {
         }
         for blob in &blobs {
             e.bytes(blob);
-            e.u64(ckpt::fnv64(blob));
+            e.u64(fnv1a(blob.iter().copied()));
         }
         w.write_all(&e.buf)
     }
@@ -799,7 +694,7 @@ impl<'c> Engine<'c> {
         for shard in 0..n_shards {
             let blob = c(d.bytes())?;
             let checksum = c(d.u64())?;
-            if ckpt::fnv64(blob) != checksum {
+            if fnv1a(blob.iter().copied()) != checksum {
                 return Err(RestoreError::Corrupt(format!("shard {shard} blob checksum mismatch")));
             }
             let shard_obs = cfg.obs.as_ref().map(|o| ShardObs::new(o, shard));

@@ -62,7 +62,7 @@
 //! differentially).
 
 use crate::ckpt::{Dec, Enc};
-use crate::intern::{FxMap, PathTable};
+use crate::intern::PathTable;
 use crate::obs::ResolveObs;
 use churnlab_bgp::TimeWindow;
 use churnlab_core::analyze::InstanceOutcome;
@@ -70,7 +70,7 @@ use churnlab_core::instance::InstanceKey;
 use churnlab_core::obs::PathId;
 use churnlab_platform::{AnomalySet, AnomalyType};
 use churnlab_sat::{CompiledCnf, CtxStats, Lit, SolutionCount, Solvability, SolverCtx, Var};
-use churnlab_topology::Asn;
+use churnlab_topology::{Asn, FxMap};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 

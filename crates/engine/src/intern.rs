@@ -25,74 +25,8 @@
 
 use churnlab_core::churnstats::path_hash;
 use churnlab_core::obs::PathId;
-use churnlab_topology::Asn;
+use churnlab_topology::{Asn, FxMap};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// A fast multiplicative hasher (FxHash-style) for the engine's hot maps:
-/// small integer keys ([`PathId`], [`Asn`]) and short `u32` sequences
-/// (AS-path slices). Not DoS-resistant — fine for shard-local state keyed
-/// by data the shard itself produced.
-#[derive(Debug, Default, Clone)]
-pub struct FxHasher(u64);
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Final avalanche so the map's bucket-index truncation sees
-        // well-mixed low bits even for tiny keys.
-        let mut x = self.0;
-        x ^= x >> 32;
-        x = x.wrapping_mul(0xd6e8_feb8_6659_fd93);
-        x ^= x >> 32;
-        x
-    }
-}
-
-/// `HashMap` with the engine's fast hasher.
-pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// `HashSet` with the engine's fast hasher.
-pub type FxSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 /// Interner work counters (hit rate = how duplicate-dominated the stream
 /// was at *measurement* granularity, before the instance fan-out).
@@ -122,17 +56,6 @@ impl InternStats {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Mirror these counters into `churnlab_stats_*` gauges on
-    /// `registry` (absolute values — repeat-safe, later cuts overwrite).
-    pub fn record_into(&self, registry: &churnlab_obs::Registry) {
-        registry
-            .gauge("churnlab_stats_distinct_paths", "distinct paths interned, summed over shards", &[])
-            .set(self.distinct_paths.min(i64::MAX as u64) as i64);
-        registry
-            .gauge("churnlab_stats_intern_hits", "intern calls answered from the table", &[])
-            .set(self.hits.min(i64::MAX as u64) as i64);
     }
 }
 

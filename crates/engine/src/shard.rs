@@ -92,7 +92,7 @@
 use crate::block::{Block, BlockPool, Head};
 use crate::ckpt::{anomaly_from, anomaly_tag, granularity_from, granularity_tag, Dec, Enc};
 use crate::incremental::{IncrementalStats, InstanceGroup, SolveScratch};
-use crate::intern::{FxMap, FxSet, InternStats, PathTable};
+use crate::intern::{InternStats, PathTable};
 use crate::obs::ShardObs;
 use churnlab_bgp::TimeWindow;
 use churnlab_core::accumulate::FindingsAccumulator;
@@ -108,7 +108,7 @@ use churnlab_obs::{BusyTimer, Counter, Stopwatch};
 use churnlab_platform::Measurement;
 use churnlab_sat::{CtxStats, Solvability};
 use churnlab_topology::geo::CountryCode;
-use churnlab_topology::{Asn, Ip2AsDb, Topology};
+use churnlab_topology::{Asn, FxMap, FxSet, Ip2AsDb, Topology};
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -411,14 +411,10 @@ impl ShardState {
         if let Some(o) = &obs {
             scratch.set_resolve_obs(o.resolve.clone());
         }
-        // Both churn modes run the windowed accumulator so shard state is
-        // checkpointable; the ablation simply never retires churn
-        // windows (no horizon).
-        let churn_horizon = match cfg.churn_mode {
-            ChurnMode::Normal => horizon,
-            ChurnMode::FirstPathOnly => None,
-        };
-        let churn = ChurnAccumulator::windowed(&cfg.granularities, cfg.total_days, churn_horizon);
+        // The engine merges shard accumulators into one of this very
+        // config (`Engine::empty_churn`). The ablation never retires churn
+        // windows because it never runs with a horizon (`Engine::spawn`).
+        let churn = ChurnAccumulator::windowed(&cfg.granularities, cfg.total_days, horizon);
         ShardState {
             horizon,
             table: PathTable::new(),
@@ -621,9 +617,7 @@ impl ShardState {
         let (Some(h), Some(hw)) = (self.horizon, self.high_water) else {
             return false;
         };
-        window
-            .end_day(self.cfg.total_days)
-            .is_some_and(|end| u64::from(end) + u64::from(h) < u64::from(hw))
+        window.closed_below(self.cfg.total_days, h, hw)
     }
 
     /// Retire every live group whose window fell behind the horizon:
@@ -931,7 +925,7 @@ impl ShardState {
         censored.sort_unstable();
         e.u32s(&censored);
         let (gs, total_days, horizon, entries, frontier, late) =
-            self.churn.export_windowed().expect("shard churn is always windowed");
+            self.churn.export_windowed();
         e.u64(gs.len() as u64);
         for g in gs {
             e.u8(granularity_tag(*g));
@@ -1027,11 +1021,16 @@ impl ShardState {
         }
         let total_days = d.u32()?;
         let churn_horizon = d.opt_u32()?;
-        if gs != state.cfg.granularities || total_days != state.cfg.total_days {
-            return Err("churn window config does not match the pipeline config".to_string());
+        if gs != state.cfg.granularities
+            || total_days != state.cfg.total_days
+            || churn_horizon != state.horizon
+        {
+            return Err("churn window config does not match the engine's".to_string());
         }
+        // `len` bounds the count by the bytes left, and a row is ~48 bytes
+        // in memory: cap what a corrupt count can reserve up front.
         let n_entries = d.len()?;
-        let mut entries = Vec::with_capacity(n_entries);
+        let mut entries = Vec::with_capacity(n_entries.min(1 << 20));
         for _ in 0..n_entries {
             entries.push(decode_churn_row(&mut d)?);
         }
@@ -1280,7 +1279,7 @@ mod tests {
     fn decode_refuses_churn_rows_that_fit_no_window() {
         let shard = RealShard::build();
         let RealShard { state, blob, .. } = &shard;
-        let rows = state.churn.export_windowed().expect("shard churn is windowed").3;
+        let rows = state.churn.export_windowed().3;
         let first = &rows[0];
         let faulty = |row: ChurnWindowEntry| splice(blob, &row_bytes(first), &row_bytes(&row));
         let twice = rows
@@ -1304,6 +1303,50 @@ mod tests {
                 "duplicate churn window row".to_string(),
             ),
         ]);
+    }
+
+    /// Three more blobs no run writes: a churn row left behind the fold
+    /// frontier (a prune pops every closed window before the frontier
+    /// moves), a row count the bytes cannot hold, and a churn horizon that
+    /// is not the engine's (the merge would meet two window configs).
+    #[test]
+    fn decode_refuses_churn_state_no_run_can_write() {
+        let mut shard = RealShard::build();
+        shard.state.churn.prune_closed(30);
+        let blob = shard.state.encode();
+        assert!(shard.decode(&blob).is_ok(), "the pruned shard's own blob restores");
+        let rows = shard.state.churn.export_windowed().3;
+        let first = &rows[0];
+        assert!(first.window > 22, "day windows 0..=22 closed below 30 and were pruned");
+        shard.refuses([(
+            "a row behind the fold frontier",
+            splice(
+                &blob,
+                &row_bytes(first),
+                &row_bytes(&ChurnWindowEntry { window: 0, ..first.clone() }),
+            ),
+            "(day, window 0) closed below the fold frontier 30".to_string(),
+        )]);
+
+        // The count sits in the eight bytes before the first row; the
+        // largest one `Dec::len` lets through is every byte after it.
+        let count = (rows.len() as u64).to_le_bytes();
+        let mut old = count.to_vec();
+        old.extend(row_bytes(first));
+        let at = blob.windows(old.len()).position(|w| w == old).expect("count, then rows");
+        let mut oversized = blob.clone();
+        let left = (blob.len() - at - count.len()) as u64;
+        oversized[at..at + count.len()].copy_from_slice(&left.to_le_bytes());
+        assert!(shard.decode(&oversized).is_err(), "the rows run out before the count does");
+
+        let other_horizon = ShardState::decode(
+            shard.cfg.clone(),
+            Some(8),
+            None,
+            Arc::clone(&shard.countries),
+            &blob,
+        );
+        assert!(other_horizon.is_err_and(|e| e.contains("churn window config")));
     }
 
     /// A group whose cell logs and dedup masks disagree is a state no

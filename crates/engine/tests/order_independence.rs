@@ -4,16 +4,17 @@
 //! to the batch [`Pipeline`] fed the platform runner's URL-grouped order
 //! — across seeds, shard counts, churn modes, and concurrent feeders.
 
-use churnlab_bgp::{ChurnConfig, RoutingSim};
+use churnlab_bgp::{ChurnConfig, Granularity, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
 use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig, PipelineResults};
 use churnlab_engine::{Engine, EngineConfig, EngineObs};
 use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
-use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
+use churnlab_topology::{generator, Asn, GeneratedWorld, WorldConfig, WorldScale};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 struct Study {
     world: GeneratedWorld,
@@ -77,26 +78,41 @@ fn canonical_json(r: &PipelineResults) -> String {
     serde_json::to_string(&r.canonical_report()).expect("canonical report serializes")
 }
 
+/// The churn store's rows, order-free: a window's hash list is in arrival
+/// order, which a shuffle and a merge legitimately change.
+fn churn_rows(r: &PipelineResults) -> Vec<(Granularity, Asn, Asn, u32, BTreeSet<u64>, u64)> {
+    let rows = r.churn.export_windowed().3;
+    rows.into_iter()
+        .map(|e| (e.granularity, e.vp, e.dest, e.window, e.hashes.into_iter().collect(), e.count))
+        .collect()
+}
+
 /// The satellite acceptance test: shuffled engine ingest is byte-identical
-/// to the ordered batch pipeline, for several seeds and shard counts.
+/// to the ordered batch pipeline, for several seeds and shard counts —
+/// and, both counting path churn in the one store, leaves the same
+/// evidence in it row for row (every window's distinct hashes and
+/// observation count), which is more than the digest's distributions see.
 #[test]
 fn shuffled_engine_matches_ordered_pipeline_byte_identically() {
     for seed in [11u64, 23, 47] {
         let s = study(seed);
         let (platform, ms) = measurements(&s);
-        let expected = canonical_json(&pipeline_results(&platform, &ms, ChurnMode::Normal));
+        let expected = pipeline_results(&platform, &ms, ChurnMode::Normal);
+        let expected_rows = churn_rows(&expected);
+        assert!(!expected_rows.is_empty(), "the study observes paths");
         for (shards, shuffle_seed) in [(1usize, seed ^ 0xA), (3, seed ^ 0xB)] {
             let mut shuffled = ms.clone();
             shuffled.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
-            let got = canonical_json(&engine_results(
-                &platform,
-                &shuffled,
-                ChurnMode::Normal,
-                shards,
-            ));
+            let got = engine_results(&platform, &shuffled, ChurnMode::Normal, shards);
             assert_eq!(
-                got, expected,
+                canonical_json(&got),
+                canonical_json(&expected),
                 "seed {seed}, {shards} shard(s): shuffled engine diverged from pipeline"
+            );
+            assert_eq!(
+                churn_rows(&got),
+                expected_rows,
+                "seed {seed}, {shards} shard(s): the churn stores hold different evidence"
             );
         }
     }

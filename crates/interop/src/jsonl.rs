@@ -52,34 +52,6 @@ impl ImportStats {
         self.unknown_verdicts += other.unknown_verdicts;
         self.rejected += other.rejected;
     }
-
-    /// Mirror the accounting into `registry` as `churnlab_stats_import_*`
-    /// gauges (absolute values, set-semantics — safe to call repeatedly),
-    /// so binaries expose one uniform stats surface next to the engine's
-    /// live series.
-    pub fn record_into(&self, registry: &churnlab_obs::Registry) {
-        let set = |name: &str, help: &str, v: u64| {
-            registry.gauge(name, help, &[]).set(v.min(i64::MAX as u64) as i64);
-        };
-        set("churnlab_stats_import_ok", "records imported successfully", self.ok);
-        set("churnlab_stats_import_malformed", "lines that failed to parse", self.malformed);
-        set("churnlab_stats_import_blank", "blank lines skipped", self.blank);
-        set(
-            "churnlab_stats_import_unknown_anomalies",
-            "unrecognized anomaly labels dropped",
-            self.unknown_anomalies,
-        );
-        set(
-            "churnlab_stats_import_unknown_verdicts",
-            "unrecognized OONI blocking verdicts (record kept, marked failed)",
-            self.unknown_verdicts,
-        );
-        set(
-            "churnlab_stats_import_rejected",
-            "well-formed records tomography could not convert",
-            self.rejected,
-        );
-    }
 }
 
 /// Write records as JSON lines.

@@ -41,7 +41,7 @@ use churnlab_net::{
     Reassembly, SharedBytes, Traceroute,
 };
 use churnlab_obs::Registry;
-use churnlab_topology::{Asn, GeneratedWorld, Ip2AsDb};
+use churnlab_topology::{mix64, Asn, GeneratedWorld, Ip2AsDb};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -298,15 +298,6 @@ impl PlatformConfig {
         let testing_days = (self.tests_per_pair / self.tests_per_testing_day).max(1);
         (self.total_days / testing_days).max(1)
     }
-}
-
-/// Deterministic mixer for scheduling phases and per-group RNG seeds.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The assembled measurement platform.

@@ -23,19 +23,10 @@
 //! parallel runner's byte-equality argument does not depend on sampling
 //! being on or off.
 
+use churnlab_topology::mix64;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Deterministic mixer (splitmix64 finalizer), kept in sync with the
-/// runner's `mix64`.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// The campaign-wide sampling schedule: which k of the fleet's vantage
 /// points test a given URL on a given testing day.

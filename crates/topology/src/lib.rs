@@ -18,7 +18,8 @@
 //!   queries (CSR-frozen for routing) and structural validation.
 //! * [`asrel`] — CAIDA AS-REL2 edge-list loader/writer, so worlds can be
 //!   swapped with the real inferred AS graph or exported to it.
-//! * [`hash`] — the fast integer-key hasher shared by the hot maps.
+//! * [`hash`] — the fast integer-key hasher shared by the hot maps, and
+//!   the run-stable `mix64` / `fnv1a` every layer seeds and digests with.
 //! * [`prefix`] — IPv4 prefixes and per-AS address allocation.
 //! * [`ip2as`] — a longest-prefix-match IP-to-AS database (the CAIDA
 //!   mapping substitute), with optional staleness to exercise the paper's
@@ -47,7 +48,7 @@ pub use asys::{AsClass, AsInfo, AsRole, Asn};
 pub use generator::{GeneratedWorld, HostingOrg, WorldConfig, WorldScale};
 pub use geo::{Country, CountryCode, Region};
 pub use graph::{AsIdx, Topology};
-pub use hash::{FxMap, FxSet};
+pub use hash::{fnv1a, mix64, FxMap, FxSet};
 pub use ip2as::{Ip2AsDb, Ip2AsNoise};
 pub use links::{Link, LinkId, LinkStability, Relationship};
 pub use prefix::Ipv4Prefix;
