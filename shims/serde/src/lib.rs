@@ -593,47 +593,6 @@ pub mod text {
         s
     }
 
-    fn write_pretty(v: &Value, indent: usize, out: &mut String) {
-        match v {
-            Value::Array(a) if !a.is_empty() => {
-                out.push_str("[\n");
-                for (i, x) in a.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_pretty(x, indent + 1, out);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Value::Object(o) if !o.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, x)) in o.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    out.push_str(&"  ".repeat(indent + 1));
-                    escape_into(k, out);
-                    out.push_str(": ");
-                    write_pretty(x, indent + 1, out);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-            other => write_compact(other, out),
-        }
-    }
-
-    /// Pretty (2-space indented) JSON text.
-    pub fn encode_pretty(v: &Value) -> String {
-        let mut s = String::new();
-        write_pretty(v, 0, &mut s);
-        s
-    }
-
     /// Parse JSON text into a [`Value`].
     pub fn parse(input: &str) -> Result<Value, super::Error> {
         let bytes = input.as_bytes();
@@ -875,8 +834,6 @@ mod tests {
         ]);
         let text = text::encode_compact(&v);
         assert_eq!(text::parse(&text).unwrap(), v);
-        let pretty = text::encode_pretty(&v);
-        assert_eq!(text::parse(&pretty).unwrap(), v);
     }
 
     #[test]

@@ -22,11 +22,6 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
     Ok(serde::text::encode_compact(&value.serialize()))
 }
 
-/// Serialize to pretty-printed JSON text.
-pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(serde::text::encode_pretty(&value.serialize()))
-}
-
 /// Convert any serializable value into a [`Value`].
 pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value> {
     Ok(value.serialize())
@@ -35,11 +30,6 @@ pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value> {
 /// Parse JSON text into any deserializable type.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     let v = serde::text::parse(s)?;
-    T::deserialize(&v)
-}
-
-/// Rebuild a typed value from a [`Value`].
-pub fn from_value<T: serde::Deserialize>(v: Value) -> Result<T> {
     T::deserialize(&v)
 }
 
