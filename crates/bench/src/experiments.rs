@@ -112,7 +112,7 @@ impl Run {
         Run { bench, dataset, results, seed, out: args.text("--out").map(str::to_string) }
     }
 
-    fn write_json(&self, name: &str, value: &serde_json::Value) {
+    fn write_json(&self, name: &str, value: &impl serde::Serialize) {
         if let Some(dir) = &self.out {
             std::fs::create_dir_all(dir).expect("create output dir");
             gate::write_report("experiments", Some(&format!("{dir}/{name}.json")), value);
@@ -123,7 +123,7 @@ impl Run {
 fn table1(run: &Run) {
     println!("== Table 1: dataset characteristics ==");
     println!("{}", run.dataset.render_table1("simulated year (2016-05 ~ 2017-05)"));
-    run.write_json("table1", &serde_json::to_value(&run.dataset).expect("json"));
+    run.write_json("table1", &run.dataset);
 }
 
 fn fig1a(run: &Run) {
@@ -245,7 +245,7 @@ fn table2(run: &Run) {
         "total: {} censoring ASes in {} countries (paper: 65 in 30)",
         report.n_censors, report.n_countries
     );
-    run.write_json("table2", &serde_json::to_value(&report.regions).expect("json"));
+    run.write_json("table2", &report.regions);
 }
 
 fn table3(run: &Run) {
@@ -269,7 +269,7 @@ fn fig5(run: &Run) {
     println!("== Figure 5: flow of censorship (country-level leak edges) ==");
     let report = CensorshipReport::assemble(&run.results, &run.bench.world.topology);
     print!("{}", report.render_flow(15));
-    run.write_json("fig5", &serde_json::to_value(&report.country_flow).expect("json"));
+    run.write_json("fig5", &report.country_flow);
 }
 
 fn validation(run: &Run) {
@@ -292,7 +292,7 @@ fn validation(run: &Run) {
         run.results.conversion.discarded,
         run.results.conversion.conversion_rate() * 100.0
     );
-    run.write_json("validation", &serde_json::to_value(&v).expect("json"));
+    run.write_json("validation", &v);
 }
 
 /// One study through the batch pipeline — the ablations' unit of work.

@@ -74,6 +74,9 @@ fn arb_line() -> impl Strategy<Value = Line> {
         // the suffix; `[1,2]` is valid JSON of the wrong shape.
         "[a-z ,:0-9]{0,16}".prop_map(|s| Line::Malformed(format!("{{{s}"))),
         Just(Line::Malformed("[1,2]".to_string())),
+        // Nesting far past the parser's depth cap: one malformed line,
+        // not a stack overflow in whichever thread parses it.
+        Just(Line::Malformed("[".repeat(200_000))),
         "[ \t]{0,4}".prop_map(Line::Blank),
     ]
 }

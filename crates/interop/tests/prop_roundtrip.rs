@@ -58,6 +58,8 @@ proptest! {
     fn native_record_roundtrips_every_measurement(m in arb_measurement()) {
         let rec = NativeRecord::from_measurement(&m, "prop.example");
         let line = serde_json::to_string(&rec).unwrap();
+        let value = serde_json::to_value(&rec).unwrap();
+        prop_assert_eq!(&serde_json::to_string(&value).unwrap(), &line);
         let parsed: NativeRecord = serde_json::from_str(&line).unwrap();
         let (back, unknown) = parsed.into_measurement();
         prop_assert_eq!(unknown, 0);

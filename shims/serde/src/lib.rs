@@ -2,9 +2,11 @@
 //!
 //! The sandbox cannot fetch crates.io, so churnlab ships a minimal
 //! serde-compatible facade: the same `use serde::{Serialize, Deserialize}`
-//! imports and `#[derive(...)]` attributes work, but the data model is a
-//! single concrete JSON [`Value`] instead of serde's visitor machinery.
-//! `serde_json` (also shimmed) renders and parses that `Value`.
+//! imports and `#[derive(...)]` attributes work, without serde's visitor
+//! machinery. Typed data goes straight to text — [`Serialize`] appends
+//! compact JSON to a `String` — while [`Value`] is the parse model that
+//! [`Deserialize`] reads and `json!` builds. `serde_json` (also shimmed)
+//! wraps both directions.
 //!
 //! Determinism guarantees (the scenario-matrix and determinism tests rely
 //! on these):
@@ -18,12 +20,13 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
 // Value
 // ---------------------------------------------------------------------------
 
-/// A JSON value: the entire serde data model of this shim.
+/// A parsed JSON value: the read model of this shim.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -152,10 +155,10 @@ impl std::error::Error for Error {}
 // Traits
 // ---------------------------------------------------------------------------
 
-/// Convert a value into the JSON data model.
+/// Write a value as JSON text.
 pub trait Serialize {
-    /// Produce the JSON representation.
-    fn serialize(&self) -> Value;
+    /// Append this value's compact JSON text to `out`.
+    fn serialize(&self, out: &mut String);
 }
 
 /// Rebuild a value from the JSON data model.
@@ -164,46 +167,55 @@ pub trait Deserialize: Sized {
     fn deserialize(v: &Value) -> Result<Self, Error>;
 }
 
+/// The [`Value`] that `x`'s JSON text parses to — by construction, the
+/// bytes `x` serializes to. `json!` builds its non-literal members this
+/// way. Fails only on text nested deeper than the parser allows.
+pub fn to_value<T: Serialize + ?Sized>(x: &T) -> Result<Value, Error> {
+    text::parse(&encode(x))
+}
+
+/// `x`'s JSON text in a fresh `String`.
+fn encode<T: Serialize + ?Sized>(x: &T) -> String {
+    let mut out = String::new();
+    x.serialize(&mut out);
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Primitive impls
 // ---------------------------------------------------------------------------
 
-macro_rules! ser_de_unsigned {
-    ($($t:ty),*) => {$(
+macro_rules! ser_de_int {
+    ($view:ident: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value { Value::U64(*self as u64) }
+            fn serialize(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
         }
         impl Deserialize for $t {
             fn deserialize(v: &Value) -> Result<Self, Error> {
-                let n = v.as_u64().ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
+                let n = v.$view().ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
                 <$t>::try_from(n).map_err(|_| Error::custom(concat!("out of range for ", stringify!($t))))
             }
         }
     )*};
 }
-ser_de_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! ser_de_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 { Value::U64(v as u64) } else { Value::I64(v) }
-            }
-        }
-        impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                let n = v.as_i64().ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(n).map_err(|_| Error::custom(concat!("out of range for ", stringify!($t))))
-            }
-        }
-    )*};
-}
-ser_de_signed!(i8, i16, i32, i64, isize);
+ser_de_int!(as_u64: u8, u16, u32, u64, usize);
+ser_de_int!(as_i64: i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::F64(*self)
+    fn serialize(&self, out: &mut String) {
+        if !self.is_finite() {
+            // serde_json renders non-finite floats as null.
+            out.push_str("null");
+            return;
+        }
+        let start = out.len();
+        let _ = write!(out, "{self}");
+        // Keep a float marker so the value re-parses as F64.
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
     }
 }
 impl Deserialize for f64 {
@@ -212,8 +224,8 @@ impl Deserialize for f64 {
     }
 }
 impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::F64(f64::from(*self))
+    fn serialize(&self, out: &mut String) {
+        f64::from(*self).serialize(out)
     }
 }
 impl Deserialize for f32 {
@@ -223,8 +235,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" })
     }
 }
 impl Deserialize for bool {
@@ -234,8 +246,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, out: &mut String) {
+        self.encode_utf8(&mut [0; 4]).serialize(out)
     }
 }
 impl Deserialize for char {
@@ -249,19 +261,35 @@ impl Deserialize for char {
     }
 }
 
+impl Serialize for str {
+    fn serialize(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, out: &mut String) {
+        self.as_str().serialize(out)
     }
 }
 impl Deserialize for String {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         v.as_str().map(str::to_string).ok_or_else(|| Error::custom("expected string"))
-    }
-}
-impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
     }
 }
 impl Deserialize for &'static str {
@@ -274,15 +302,22 @@ impl Deserialize for &'static str {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
-
 impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
+    fn serialize(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.serialize(out),
+            Value::I64(n) => n.serialize(out),
+            Value::U64(n) => n.serialize(out),
+            Value::F64(n) => n.serialize(out),
+            Value::Str(s) => s.serialize(out),
+            Value::Array(a) => a.serialize(out),
+            Value::Object(o) => write_list(out, '{', o, '}', |(k, x), out| {
+                k.serialize(out);
+                out.push(':');
+                x.serialize(out);
+            }),
+        }
     }
 }
 impl Deserialize for Value {
@@ -295,11 +330,33 @@ impl Deserialize for Value {
 // Containers
 // ---------------------------------------------------------------------------
 
+macro_rules! ser_forward {
+    ($($wrapper:ty),*) => {$(
+        impl<T: Serialize + ?Sized> Serialize for $wrapper {
+            fn serialize(&self, out: &mut String) {
+                (**self).serialize(out)
+            }
+        }
+    )*};
+}
+ser_forward!(&T, Box<T>, std::sync::Arc<T>);
+
+impl<T: Deserialize> Deserialize for Box<T> {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        T::deserialize(v).map(Box::new)
+    }
+}
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        T::deserialize(v).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self, out: &mut String) {
         match self {
-            Some(x) => x.serialize(),
-            None => Value::Null,
+            Some(x) => x.serialize(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -312,11 +369,45 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+/// `open`, each of `items` written by `write` with commas between, `close`.
+fn write_list<I>(
+    out: &mut String,
+    open: char,
+    items: impl IntoIterator<Item = I>,
+    close: char,
+    mut write: impl FnMut(I, &mut String),
+) {
+    out.push(open);
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(x, out);
     }
+    out.push(close);
 }
+
+/// A JSON array of `items`.
+fn write_seq<'a, T: Serialize + ?Sized + 'a>(items: impl IntoIterator<Item = &'a T>, out: &mut String) {
+    write_list(out, '[', items, ']', |x, out| x.serialize(out))
+}
+
+macro_rules! ser_seq {
+    ($([$($generics:tt)*] $seq:ty),*) => {$(
+        impl<$($generics)*> Serialize for $seq {
+            fn serialize(&self, out: &mut String) {
+                write_seq(self, out)
+            }
+        }
+    )*};
+}
+ser_seq!(
+    [T: Serialize] [T],
+    [T: Serialize] Vec<T>,
+    [T: Serialize, const N: usize] [T; N],
+    [T: Serialize] BTreeSet<T>
+);
+
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         v.as_array()
@@ -327,17 +418,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         let items: Vec<T> = Vec::deserialize(v)?;
@@ -348,8 +428,8 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 macro_rules! ser_de_tuple {
     ($(($($t:ident . $idx:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn serialize(&self) -> Value {
-                Value::Array(vec![$(self.$idx.serialize()),+])
+            fn serialize(&self, out: &mut String) {
+                write_seq([$(&self.$idx as &dyn Serialize),+], out)
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -379,25 +459,24 @@ ser_de_tuple!(
     (A.0, B.1, C.2, D.3, E.4, F.5, G.6, H.7, I.8, J.9, K.10, L.11)
 );
 
-/// Maps serialize as an object when every key encodes to a string, and as
-/// an array of `[key, value]` pairs otherwise (roundtrips any key type).
-fn serialize_map<'a, K: Serialize + 'a, V: Serialize + 'a>(
-    entries: impl Iterator<Item = (&'a K, &'a V)>,
-) -> Value {
-    let pairs: Vec<(Value, Value)> =
-        entries.map(|(k, v)| (k.serialize(), v.serialize())).collect();
-    if pairs.iter().all(|(k, _)| matches!(k, Value::Str(_))) {
-        Value::Object(
-            pairs
-                .into_iter()
-                .map(|(k, v)| match k {
-                    Value::Str(s) => (s, v),
-                    _ => unreachable!(),
-                })
-                .collect(),
-        )
+/// A map of `(encoded key, value)` entries, in the order given: an object
+/// when every key encodes to a JSON string, and an array of `[key, value]`
+/// pairs otherwise (roundtrips any key type).
+fn write_map<V: Serialize>(entries: &[(String, &V)], out: &mut String) {
+    if entries.iter().all(|(k, _)| k.starts_with('"')) {
+        write_list(out, '{', entries, '}', |(k, v), out| {
+            out.push_str(k);
+            out.push(':');
+            v.serialize(out);
+        })
     } else {
-        Value::Array(pairs.into_iter().map(|(k, v)| Value::Array(vec![k, v])).collect())
+        write_list(out, '[', entries, ']', |(k, v), out| {
+            out.push('[');
+            out.push_str(k);
+            out.push(',');
+            v.serialize(out);
+            out.push(']');
+        })
     }
 }
 
@@ -422,8 +501,9 @@ fn deserialize_map<K: Deserialize, V: Deserialize>(v: &Value) -> Result<Vec<(K, 
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn serialize(&self) -> Value {
-        serialize_map(self.iter())
+    fn serialize(&self, out: &mut String) {
+        let entries: Vec<(String, &V)> = self.iter().map(|(k, v)| (encode(k), v)).collect();
+        write_map(&entries, out)
     }
 }
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
@@ -433,24 +513,11 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 }
 
 impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self, out: &mut String) {
         // Sort by encoded key for deterministic output.
-        let mut pairs: Vec<(Value, Value)> =
-            self.iter().map(|(k, v)| (k.serialize(), v.serialize())).collect();
-        pairs.sort_by_key(|(a, _)| crate::text::encode_compact(a));
-        if pairs.iter().all(|(k, _)| matches!(k, Value::Str(_))) {
-            Value::Object(
-                pairs
-                    .into_iter()
-                    .map(|(k, v)| match k {
-                        Value::Str(s) => (s, v),
-                        _ => unreachable!(),
-                    })
-                    .collect(),
-            )
-        } else {
-            Value::Array(pairs.into_iter().map(|(k, v)| Value::Array(vec![k, v])).collect())
-        }
+        let mut entries: Vec<(String, &V)> = self.iter().map(|(k, v)| (encode(k), v)).collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        write_map(&entries, out)
     }
 }
 impl<K: Deserialize + Eq + std::hash::Hash, V: Deserialize, S> Deserialize for HashMap<K, V, S>
@@ -462,11 +529,6 @@ where
     }
 }
 
-impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
 impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         Ok(Vec::<T>::deserialize(v)?.into_iter().collect())
@@ -474,10 +536,10 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
 }
 
 impl<T: Serialize, S> Serialize for HashSet<T, S> {
-    fn serialize(&self) -> Value {
-        let mut items: Vec<Value> = self.iter().map(Serialize::serialize).collect();
-        items.sort_by_key(crate::text::encode_compact);
-        Value::Array(items)
+    fn serialize(&self, out: &mut String) {
+        let mut items: Vec<String> = self.iter().map(encode).collect();
+        items.sort();
+        write_list(out, '[', &items, ']', |x, out| out.push_str(x))
     }
 }
 impl<T: Deserialize + Eq + std::hash::Hash, S> Deserialize for HashSet<T, S>
@@ -489,119 +551,28 @@ where
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        T::deserialize(v).map(Box::new)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
-impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        T::deserialize(v).map(std::sync::Arc::new)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Text encoding (shared with the serde_json shim)
+// Text parsing (shared with the serde_json shim)
 // ---------------------------------------------------------------------------
 
-/// JSON text rendering and parsing over [`Value`].
+/// JSON text parsing into [`Value`].
 pub mod text {
-    use super::Value;
+    use super::{Error, Value};
 
-    fn escape_into(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                '\u{08}' => out.push_str("\\b"),
-                '\u{0C}' => out.push_str("\\f"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    fn number_to_string(v: f64) -> String {
-        if !v.is_finite() {
-            // serde_json renders non-finite floats as null.
-            return "null".to_string();
-        }
-        let s = format!("{v}");
-        // Keep a float marker so the value re-parses as F64.
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    }
-
-    fn write_compact(v: &Value, out: &mut String) {
-        match v {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::I64(n) => out.push_str(&n.to_string()),
-            Value::U64(n) => out.push_str(&n.to_string()),
-            Value::F64(n) => out.push_str(&number_to_string(*n)),
-            Value::Str(s) => escape_into(s, out),
-            Value::Array(a) => {
-                out.push('[');
-                for (i, x) in a.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_compact(x, out);
-                }
-                out.push(']');
-            }
-            Value::Object(o) => {
-                out.push('{');
-                for (i, (k, x)) in o.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    escape_into(k, out);
-                    out.push(':');
-                    write_compact(x, out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Compact (single-line) JSON text.
-    pub fn encode_compact(v: &Value) -> String {
-        let mut s = String::new();
-        write_compact(v, &mut s);
-        s
-    }
+    /// How deeply arrays and objects may nest (serde_json's default
+    /// recursion limit): the parser recurses once per level, so a hostile
+    /// line of brackets must fail as an error, not overflow the stack.
+    pub(crate) const MAX_DEPTH: usize = 128;
 
     /// Parse JSON text into a [`Value`].
-    pub fn parse(input: &str) -> Result<Value, super::Error> {
+    pub fn parse(input: &str) -> Result<Value, Error> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
         if p.pos != bytes.len() {
-            return Err(super::Error::custom("trailing characters after JSON value"));
+            return Err(Error::custom("trailing characters after JSON value"));
         }
         Ok(v)
     }
@@ -609,11 +580,13 @@ pub mod text {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects open around `pos`.
+        depth: usize,
     }
 
     impl Parser<'_> {
-        fn err(&self, msg: &str) -> super::Error {
-            super::Error::custom(format!("{msg} at byte {}", self.pos))
+        fn err(&self, msg: &str) -> Error {
+            Error::custom(format!("{msg} at byte {}", self.pos))
         }
 
         fn peek(&self) -> Option<u8> {
@@ -626,7 +599,7 @@ pub mod text {
             }
         }
 
-        fn expect(&mut self, b: u8) -> Result<(), super::Error> {
+        fn expect(&mut self, b: u8) -> Result<(), Error> {
             if self.peek() == Some(b) {
                 self.pos += 1;
                 Ok(())
@@ -635,7 +608,7 @@ pub mod text {
             }
         }
 
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, super::Error> {
+        fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
             if self.bytes[self.pos..].starts_with(word.as_bytes()) {
                 self.pos += word.len();
                 Ok(v)
@@ -644,20 +617,27 @@ pub mod text {
             }
         }
 
-        fn value(&mut self) -> Result<Value, super::Error> {
+        fn value(&mut self) -> Result<Value, Error> {
             match self.peek() {
                 Some(b'n') => self.literal("null", Value::Null),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
                 Some(b'"') => self.string().map(Value::Str),
-                Some(b'[') => self.array(),
-                Some(b'{') => self.object(),
+                Some(open @ (b'[' | b'{')) => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                    }
+                    self.depth += 1;
+                    let v = if open == b'[' { self.array() } else { self.object() };
+                    self.depth -= 1;
+                    v
+                }
                 Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
                 _ => Err(self.err("unexpected character")),
             }
         }
 
-        fn array(&mut self) -> Result<Value, super::Error> {
+        fn array(&mut self) -> Result<Value, Error> {
             self.expect(b'[')?;
             let mut items = Vec::new();
             self.skip_ws();
@@ -680,7 +660,7 @@ pub mod text {
             }
         }
 
-        fn object(&mut self) -> Result<Value, super::Error> {
+        fn object(&mut self) -> Result<Value, Error> {
             self.expect(b'{')?;
             let mut entries = Vec::new();
             self.skip_ws();
@@ -708,7 +688,7 @@ pub mod text {
             }
         }
 
-        fn string(&mut self) -> Result<String, super::Error> {
+        fn string(&mut self) -> Result<String, Error> {
             self.expect(b'"')?;
             let mut s = String::new();
             loop {
@@ -719,35 +699,20 @@ pub mod text {
                         return Ok(s);
                     }
                     Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'b') => s.push('\u{08}'),
-                            Some(b'f') => s.push('\u{0C}'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or_else(|| self.err("bad \\u escape"))?;
-                                let hex = std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("bad \\u escape"))?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| self.err("bad \\u escape"))?;
-                                // Surrogate pairs: only BMP escapes are
-                                // produced by our encoder; reject others.
-                                let c = char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?;
-                                s.push(c);
-                                self.pos += 4;
-                            }
+                        let escape = self.bytes.get(self.pos + 1).copied();
+                        self.pos += 2;
+                        s.push(match escape {
+                            Some(b'"') => '"',
+                            Some(b'\\') => '\\',
+                            Some(b'/') => '/',
+                            Some(b'n') => '\n',
+                            Some(b'r') => '\r',
+                            Some(b't') => '\t',
+                            Some(b'b') => '\u{08}',
+                            Some(b'f') => '\u{0C}',
+                            Some(b'u') => self.unicode_escape()?,
                             _ => return Err(self.err("bad escape")),
-                        }
-                        self.pos += 1;
+                        });
                     }
                     Some(_) => {
                         // Bulk-copy up to the next quote or escape; the
@@ -768,7 +733,31 @@ pub mod text {
             }
         }
 
-        fn number(&mut self) -> Result<Value, super::Error> {
+        /// The character a `\u` escape names, its digits starting at
+        /// `pos`. A high surrogate followed by an escaped low one decodes
+        /// as the pair; any surrogate left unpaired is an error.
+        fn unicode_escape(&mut self) -> Result<char, Error> {
+            let mut code = self.hex4()?;
+            if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+                self.pos += 2;
+                let low = self.hex4()?;
+                if (0xDC00..0xE000).contains(&low) {
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                }
+            }
+            // An unpaired surrogate is the one code `from_u32` refuses.
+            char::from_u32(code).ok_or_else(|| self.err("lone surrogate in \\u escape"))
+        }
+
+        /// Exactly four ASCII hex digits at `pos`, as a number.
+        fn hex4(&mut self) -> Result<u32, Error> {
+            let digits = self.bytes.get(self.pos..self.pos + 4).filter(|d| d.iter().all(u8::is_ascii_hexdigit));
+            let digits = digits.ok_or_else(|| self.err("bad \\u escape"))?;
+            self.pos += 4;
+            Ok(digits.iter().fold(0, |n, &d| n * 16 + char::from(d).to_digit(16).unwrap_or(0)))
+        }
+
+        fn number(&mut self) -> Result<Value, Error> {
             let start = self.pos;
             if self.peek() == Some(b'-') {
                 self.pos += 1;
@@ -803,27 +792,28 @@ pub mod text {
 mod tests {
     use super::*;
 
+    /// `x`'s text, and the [`Value`] that text parses back to.
+    fn text_and_value(x: &impl Serialize) -> (String, Value) {
+        (encode(x), to_value(x).unwrap())
+    }
+
     #[test]
     fn primitives_roundtrip() {
         for v in [Value::Null, Value::Bool(true), Value::U64(42), Value::I64(-7)] {
-            let text = text::encode_compact(&v);
-            assert_eq!(text::parse(&text).unwrap(), v);
+            assert_eq!(text_and_value(&v).1, v);
         }
     }
 
     #[test]
     fn float_roundtrip_keeps_f64() {
         let v = Value::F64(3.0);
-        let text = text::encode_compact(&v);
-        assert_eq!(text, "3.0");
-        assert_eq!(text::parse(&text).unwrap(), v);
+        assert_eq!(text_and_value(&v), ("3.0".to_string(), v));
     }
 
     #[test]
     fn string_escapes_roundtrip() {
         let v = Value::Str("a\"b\\c\nd\u{1}é".to_string());
-        let text = text::encode_compact(&v);
-        assert_eq!(text::parse(&text).unwrap(), v);
+        assert_eq!(text_and_value(&v).1, v);
     }
 
     #[test]
@@ -832,16 +822,15 @@ mod tests {
             ("a".into(), Value::Array(vec![Value::U64(1), Value::Null])),
             ("b".into(), Value::Object(vec![("c".into(), Value::Bool(false))])),
         ]);
-        let text = text::encode_compact(&v);
-        assert_eq!(text::parse(&text).unwrap(), v);
+        assert_eq!(text_and_value(&v), (r#"{"a":[1,null],"b":{"c":false}}"#.to_string(), v));
     }
 
     #[test]
     fn option_and_map_impls() {
         let m: std::collections::BTreeMap<u32, String> =
             [(1, "x".to_string()), (2, "y".to_string())].into_iter().collect();
-        let v = m.serialize();
-        let back: std::collections::BTreeMap<u32, String> = Deserialize::deserialize(&v).unwrap();
+        let back: std::collections::BTreeMap<u32, String> =
+            Deserialize::deserialize(&to_value(&m).unwrap()).unwrap();
         assert_eq!(back, m);
         assert_eq!(Option::<u32>::deserialize(&Value::Null).unwrap(), None);
         assert_eq!(Option::<u32>::deserialize(&Value::U64(3)).unwrap(), Some(3));
@@ -852,13 +841,43 @@ mod tests {
         let plain = vec![(7u32, "x".to_string()), (9, "y".to_string())];
         let shared: Vec<std::sync::Arc<(u32, String)>> =
             plain.iter().cloned().map(std::sync::Arc::new).collect();
-        let v = shared.serialize();
-        assert_eq!(
-            text::encode_compact(&v),
-            text::encode_compact(&plain.serialize()),
-            "an Arc<T> serializes to the bytes of T"
-        );
-        let back: Vec<std::sync::Arc<(u32, String)>> = Deserialize::deserialize(&v).unwrap();
+        assert_eq!(encode(&shared), encode(&plain), "an Arc<T> serializes to the bytes of T");
+        let back: Vec<std::sync::Arc<(u32, String)>> =
+            Deserialize::deserialize(&to_value(&shared).unwrap()).unwrap();
         assert_eq!(back, shared);
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        assert_eq!(text::parse(r#""\ud83d\ude00""#).unwrap(), Value::Str("😀".to_string()));
+        assert_eq!(text::parse(r#""a\ud83d\ude00b""#).unwrap(), Value::Str("a😀b".to_string()));
+    }
+
+    #[test]
+    fn lone_surrogates_are_rejected() {
+        for lone in [r#""\ud83d""#, r#""\ud83dx""#, r#""\ud83dA""#, r#""\ude00""#, r#""\ude00\ud83d""#] {
+            let err = text::parse(lone).unwrap_err().to_string();
+            assert!(err.contains("lone surrogate"), "{lone}: {err}");
+        }
+    }
+
+    #[test]
+    fn u_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(text::parse(r#""\u0041\u00e9""#).unwrap(), Value::Str("Aé".to_string()));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#, r#""\u04g1""#] {
+            let err = text::parse(bad).unwrap_err().to_string();
+            assert!(err.contains("bad \\u escape"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_naming_the_byte() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(text::parse(&deep(text::MAX_DEPTH)).is_ok());
+        let err = text::parse(&deep(text::MAX_DEPTH + 1)).unwrap_err().to_string();
+        assert_eq!(err, format!("nesting deeper than 128 at byte {}", text::MAX_DEPTH));
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(200_000), "}".repeat(200_000));
+        assert!(text::parse(&objects).unwrap_err().to_string().starts_with("nesting deeper"));
+        assert!(text::parse(&"[".repeat(200_000)).is_err());
     }
 }

@@ -5,9 +5,12 @@
 //! local `serde` shim's single-method traits:
 //!
 //! ```ignore
-//! trait Serialize   { fn serialize(&self) -> serde::Value; }
+//! trait Serialize   { fn serialize(&self, out: &mut String); }
 //! trait Deserialize { fn deserialize(v: &serde::Value) -> Result<Self, serde::Error>; }
 //! ```
+//!
+//! Typed data goes straight to text; `serde::Value` is the parse model a
+//! derived `Deserialize` reads and `json!` builds.
 //!
 //! Parsing is done directly over `proc_macro::TokenTree`s (no `syn`).
 //! Supported shapes cover everything churnlab derives: named structs,
@@ -330,84 +333,85 @@ fn impl_header(item: &Item, trait_name: &str) -> String {
     }
 }
 
+/// `__out.push_str(<text>);` — `text` spelled as a Rust string literal.
+fn push_text(text: &str) -> String {
+    format!("__out.push_str({text:?});\n")
+}
+
+/// Writes for `open`, then each `(key, expr)` of `members` — `key`'s text
+/// and `expr`'s value, comma-separated — then `close`. All the text
+/// between two values goes out as one literal.
+fn member_writes(open: &str, members: impl Iterator<Item = (String, String)>, close: &str) -> String {
+    let mut s = String::new();
+    let mut text = open.to_string();
+    for (k, (key, expr)) in members.enumerate() {
+        if k > 0 {
+            text.push(',');
+        }
+        text.push_str(&key);
+        s += &push_text(&text);
+        s += &format!("::serde::Serialize::serialize({expr}, __out);\n");
+        text.clear();
+    }
+    text.push_str(close);
+    s + &push_text(&text)
+}
+
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
-        Kind::Unit => "::serde::Value::Null".to_string(),
+        Kind::Unit => push_text("null"),
         Kind::NamedStruct(fields) => {
-            let mut s = String::from(
-                "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-            );
+            // A skipped field leaves no comma, so a field needs one unless
+            // the text still ends in the object's `{` (no value ends so).
+            let mut s = push_text("{");
             for f in fields {
-                let push = format!(
-                    "__fields.push((::std::string::String::from(\"{0}\"), ::serde::Serialize::serialize(&self.{0})));",
+                let write = format!(
+                    "if !__out.ends_with('{{') {{ __out.push(','); }}\n{}::serde::Serialize::serialize(&self.{}, __out);\n",
+                    push_text(&format!("\"{}\":", f.name)),
                     f.name
                 );
                 match &f.skip_if {
-                    Some(path) => {
-                        s.push_str(&format!("if !({path})(&self.{}) {{ {push} }}\n", f.name))
-                    }
-                    None => {
-                        s.push_str(&push);
-                        s.push('\n');
-                    }
+                    Some(path) => s.push_str(&format!("if !({path})(&self.{}) {{\n{write}}}\n", f.name)),
+                    None => s.push_str(&write),
                 }
             }
-            s.push_str("::serde::Value::Object(__fields)");
-            s
+            s + &push_text("}")
         }
-        Kind::TupleStruct(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
+        Kind::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __out);\n".to_string(),
         Kind::TupleStruct(n) => {
-            let elems: Vec<String> =
-                (0..*n).map(|k| format!("::serde::Serialize::serialize(&self.{k})")).collect();
-            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
+            member_writes("[", (0..*n).map(|k| (String::new(), format!("&self.{k}"))), "]")
         }
         Kind::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.shape {
-                    VariantShape::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::Str(::std::string::String::from(\"{vn}\")),\n"
-                    )),
-                    VariantShape::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vn}(__f0) => ::serde::Value::Object(vec![(::std::string::String::from(\"{vn}\"), ::serde::Serialize::serialize(__f0))]),\n"
-                    )),
+                let (pattern, writes) = match &v.shape {
+                    VariantShape::Unit => (String::new(), push_text(&format!("\"{vn}\""))),
+                    // One field is written bare, several as an array.
                     VariantShape::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let sers: Vec<String> = (0..*n)
-                            .map(|k| format!("::serde::Serialize::serialize(__f{k})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({}) => ::serde::Value::Object(vec![(::std::string::String::from(\"{vn}\"), ::serde::Value::Array(vec![{}]))]),\n",
-                            binds.join(", "),
-                            sers.join(", ")
-                        ));
+                        let elems = binds.iter().map(|b| (String::new(), b.clone()));
+                        let (open, close) = if *n == 1 { ("", "}") } else { ("[", "]}") };
+                        let writes = member_writes(&format!("{{\"{vn}\":{open}"), elems, close);
+                        (format!("({})", binds.join(", ")), writes)
                     }
+                    // Unlike a struct's, a variant's fields are written
+                    // even when `skip_serializing_if` holds.
                     VariantShape::Named(fields) => {
-                        let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let sers: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(::std::string::String::from(\"{0}\"), ::serde::Serialize::serialize({0}))",
-                                    f.name
-                                )
-                            })
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => ::serde::Value::Object(vec![(::std::string::String::from(\"{vn}\"), ::serde::Value::Object(vec![{}]))]),\n",
-                            binds.join(", "),
-                            sers.join(", ")
-                        ));
+                        let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        let members = binds.iter().map(|f| (format!("\"{f}\":"), f.to_string()));
+                        let writes = member_writes(&format!("{{\"{vn}\":{{"), members, "}}");
+                        (format!(" {{ {} }}", binds.join(", ")), writes)
                     }
-                }
+                };
+                arms.push_str(&format!("{name}::{vn}{pattern} => {{\n{writes}}}\n"));
             }
-            format!("match self {{\n{arms}}}")
+            format!("match self {{\n{arms}}}\n")
         }
     };
     format!(
-        "{header} {{\n fn serialize(&self) -> ::serde::Value {{\n {body}\n }}\n }}",
+        "{header} {{\n fn serialize(&self, __out: &mut ::std::string::String) {{\n {body} }}\n }}",
         header = impl_header(item, "Serialize")
     )
 }
@@ -566,7 +570,7 @@ fn json_value_expr(trees: &[TokenTree]) -> String {
             _ => {}
         }
     }
-    format!("::serde::Serialize::serialize(&({}))", tokens_to_expr(trees))
+    format!("::serde::to_value(&({})).expect(\"json!: member text parses\")", tokens_to_expr(trees))
 }
 
 fn json_object_expr(group: &proc_macro::Group) -> String {
@@ -591,8 +595,9 @@ fn json_object_expr(group: &proc_macro::Group) -> String {
     format!("::serde::Value::Object(vec![{}])", entries.join(", "))
 }
 
-/// `json!` macro: builds a `serde::Value` from JSON-ish syntax; non-literal
-/// expressions are converted through `Serialize`.
+/// `json!` macro: builds a `serde::Value` from JSON-ish syntax; a
+/// non-literal expression becomes the `Value` its serialized text parses
+/// to (`serde::to_value`).
 #[proc_macro]
 pub fn json(input: TokenStream) -> TokenStream {
     let trees: Vec<TokenTree> = input.into_iter().collect();
