@@ -55,9 +55,6 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
-#[cfg(test)]
-mod oracle;
-
 /// Configuration of the churn process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChurnConfig {
@@ -637,6 +634,9 @@ impl LinkCursor {
         self.up.resize(churn.links.len().div_ceil(64), !0);
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -31,8 +31,6 @@ use crate::dns::DnsMessage;
 use crate::hops::HopPath;
 use crate::http::{HttpRequest, HttpResponse, ResponseHead, HEAD_END};
 use crate::ip::Ipv4Packet;
-#[cfg(test)]
-use crate::ip::Payload;
 use crate::shared::SharedBytes;
 use crate::tcp::{TcpFlags, TcpSegment, STREAM_WINDOW};
 use crate::udp::UdpDatagram;
@@ -603,6 +601,7 @@ impl FlowSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ip::Payload;
     use churnlab_topology::{Asn, Ipv4Prefix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
