@@ -175,7 +175,10 @@ fn run_interned(pool: &[Vec<Asn>], draws: &[Draw], cap: u64) -> (f64, Vec<Instan
     let secs = start.elapsed().as_secs_f64();
     let outcomes = groups
         .iter()
-        .flat_map(|g| g.cells().map(|c| c.outcome(g.vars())))
+        .flat_map(|g| {
+            let vars = g.vars_by_asn();
+            g.cells().map(move |c| c.outcome(&vars))
+        })
         .collect();
     (secs, outcomes, stats)
 }

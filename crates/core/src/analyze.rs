@@ -36,12 +36,14 @@ pub struct InstanceOutcome {
     /// Solution-count bucket (0,1,2,3,4 exact; 5 = five or more).
     pub bucket: u8,
     /// Censoring ASes — True in *every* model (the whole model for unique
-    /// solutions; the backbone's definite variables otherwise).
+    /// solutions; the backbone's definite variables otherwise). Strictly
+    /// ascending.
     pub censors: Vec<Asn>,
     /// Potential censors — True in some models but not all (multiple
-    /// solutions only).
+    /// solutions only). Strictly ascending.
     pub potential_censors: Vec<Asn>,
-    /// Definite non-censors — False in every model.
+    /// Definite non-censors — False in every model. Strictly ascending:
+    /// [`crate::leakage::LeakageReport::ingest_paths`] searches it.
     pub eliminated: Vec<Asn>,
     /// Fraction of the CNF's ASes eliminated as definite non-censors
     /// (Figure 2's statistic; meaningful for 2+-solution CNFs).

@@ -199,7 +199,7 @@ impl RetiredChurn {
 /// hasher.
 type WindowMap = FxMap<(Asn, Asn), WindowAgg>;
 
-/// Why [`ChurnAccumulator::import_windowed`] refused a row.
+/// Why a [`ChurnImport`] refused a row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChurnImportError {
     /// The row names a granularity the accumulator was not built with.
@@ -388,9 +388,10 @@ impl BatchOrder {
     }
 }
 
-/// One partial, flattened for checkpoint encoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChurnWindowEntry {
+/// One partial, flattened for checkpoint encoding: borrowed from the
+/// accumulator it was exported from, or from the decoder that imports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChurnWindowEntry<'a> {
     /// CNF granularity of the window.
     pub granularity: Granularity,
     /// Vantage AS.
@@ -400,9 +401,80 @@ pub struct ChurnWindowEntry {
     /// Window index within the period.
     pub window: u32,
     /// Distinct path hashes seen (insertion order preserved).
-    pub hashes: Vec<u64>,
+    pub hashes: &'a [u64],
     /// Observation count.
     pub count: u64,
+}
+
+/// An accumulator being rebuilt from checkpoint rows, one row at a time
+/// straight into its window maps ([`ChurnAccumulator::import_windowed`]).
+/// The maps are the importer's own until [`ChurnImport::finish`] puts
+/// each behind its `Arc`, so a row costs no copy-on-write check.
+#[derive(Debug)]
+pub struct ChurnImport {
+    acc: ChurnAccumulator,
+    /// Per granularity slot, the window maps the rows have opened.
+    windows: Vec<BTreeMap<u32, WindowMap>>,
+}
+
+impl ChurnImport {
+    /// Add one row. The rows come from outside the program: one that fits
+    /// no window of this configuration, repeats another, or carries no
+    /// hash is an error, never a panic.
+    pub fn row(&mut self, row: ChurnWindowEntry<'_>) -> Result<(), ChurnImportError> {
+        let ChurnWindowEntry { granularity, vp, dest, window, hashes, count } = row;
+        let slot =
+            self.acc.slot(granularity).ok_or(ChurnImportError::UnknownGranularity(granularity))?;
+        let n_windows = TimeWindow::count(granularity, self.acc.total_days);
+        if window >= n_windows {
+            return Err(ChurnImportError::WindowOutOfRange {
+                granularity,
+                window,
+                count: n_windows,
+            });
+        }
+        if hashes.is_empty() {
+            return Err(ChurnImportError::NoHashes { granularity, window });
+        }
+        match self.windows[slot].entry(window).or_default().entry((vp, dest)) {
+            Entry::Occupied(_) => {
+                Err(ChurnImportError::DuplicateRow { granularity, vp, dest, window })
+            }
+            Entry::Vacant(v) => {
+                v.insert(WindowAgg { hashes: hashes.into(), count });
+                Ok(())
+            }
+        }
+    }
+
+    /// The rebuilt accumulator, its fold frontier and late count set. A
+    /// row whose window already closed below the frontier is refused:
+    /// ingest pops every closed window before the frontier advances, and
+    /// a window's end day grows with its index, so only the oldest open
+    /// window of each granularity needs looking at.
+    pub fn finish(
+        self,
+        folded_min_hw: u32,
+        late_dropped: u64,
+    ) -> Result<ChurnAccumulator, ChurnImportError> {
+        let ChurnImport { mut acc, windows } = self;
+        for (slot, windows) in windows.into_iter().enumerate() {
+            let granularity = acc.granularities[slot];
+            if let Some((&window, _)) = windows.first_key_value() {
+                if acc.closed_below(granularity, window, folded_min_hw) {
+                    return Err(ChurnImportError::BehindFrontier {
+                        granularity,
+                        window,
+                        frontier: folded_min_hw,
+                    });
+                }
+            }
+            acc.partials[slot] = windows.into_iter().map(|(ix, map)| (ix, Arc::new(map))).collect();
+        }
+        acc.folded_min_hw = folded_min_hw;
+        acc.late_dropped = late_dropped;
+        Ok(acc)
+    }
 }
 
 impl ChurnAccumulator {
@@ -634,12 +706,13 @@ impl ChurnAccumulator {
 
     /// Dump the live state as sorted rows for checkpoint encoding:
     /// `(config granularities, total_days, horizon, partials, frontier,
-    /// late count)`. The retired store is *not* included — shard
-    /// accumulators never hold one (see [`ChurnAccumulator::prune_closed`]).
+    /// late count)`. The rows borrow their hash lists. The retired store
+    /// is *not* included — shard accumulators never hold one (see
+    /// [`ChurnAccumulator::prune_closed`]).
     #[allow(clippy::type_complexity)]
     pub fn export_windowed(
         &self,
-    ) -> (&[Granularity], u32, Option<u32>, Vec<ChurnWindowEntry>, u32, u64) {
+    ) -> (&[Granularity], u32, Option<u32>, Vec<ChurnWindowEntry<'_>>, u32, u64) {
         let mut entries = Vec::with_capacity(self.live().map(|(_, _, map)| map.len()).sum());
         entries.extend(self.live().flat_map(|(granularity, window, map)| {
             map.iter().map(move |(&(vp, dest), agg)| ChurnWindowEntry {
@@ -647,60 +720,36 @@ impl ChurnAccumulator {
                 vp,
                 dest,
                 window,
-                hashes: agg.hashes.as_slice().to_vec(),
+                hashes: agg.hashes.as_slice(),
                 count: agg.count,
             })
         }));
-        entries.sort_by_key(|e| (e.granularity, e.vp, e.dest, e.window));
+        // Keys are unique, so the unstable sort is as canonical as a
+        // stable one, and (granularity, vantage, destination, window)
+        // compares as one packed integer.
+        entries.sort_unstable_by_key(|e| {
+            (e.granularity as u128) << 96
+                | u128::from(e.vp.0) << 64
+                | u128::from(e.dest.0) << 32
+                | u128::from(e.window)
+        });
         let Self { granularities, total_days, horizon, folded_min_hw, late_dropped, .. } = self;
         (granularities, *total_days, *horizon, entries, *folded_min_hw, *late_dropped)
     }
 
-    /// Rebuild an accumulator from exported rows (checkpoint
-    /// decoding). Inverse of [`ChurnAccumulator::export_windowed`]. The
-    /// rows come from outside the program: one that fits no window of
-    /// this configuration, repeats another, or carries no hash is an
-    /// error, never a panic.
+    /// Start rebuilding an accumulator from exported rows (checkpoint
+    /// decoding): the inverse of [`ChurnAccumulator::export_windowed`],
+    /// fed one [`ChurnImport::row`] at a time and closed by
+    /// [`ChurnImport::finish`].
     pub fn import_windowed(
         granularities: &[Granularity],
         total_days: u32,
         horizon: Option<u32>,
-        entries: Vec<ChurnWindowEntry>,
-        folded_min_hw: u32,
-        late_dropped: u64,
-    ) -> Result<Self, ChurnImportError> {
-        let mut acc = Self::windowed(granularities, total_days, horizon);
-        for e in entries {
-            let ChurnWindowEntry { granularity, vp, dest, window, .. } = e;
-            let slot =
-                acc.slot(granularity).ok_or(ChurnImportError::UnknownGranularity(granularity))?;
-            let count = TimeWindow::count(granularity, total_days);
-            if window >= count {
-                return Err(ChurnImportError::WindowOutOfRange { granularity, window, count });
-            }
-            if e.hashes.is_empty() {
-                return Err(ChurnImportError::NoHashes { granularity, window });
-            }
-            if acc.closed_below(granularity, window, folded_min_hw) {
-                return Err(ChurnImportError::BehindFrontier {
-                    granularity,
-                    window,
-                    frontier: folded_min_hw,
-                });
-            }
-            let map = acc.partials[slot].entry(window).or_default();
-            match Arc::make_mut(map).entry((vp, dest)) {
-                Entry::Occupied(_) => {
-                    return Err(ChurnImportError::DuplicateRow { granularity, vp, dest, window });
-                }
-                Entry::Vacant(v) => {
-                    v.insert(WindowAgg { hashes: e.hashes.as_slice().into(), count: e.count });
-                }
-            }
+    ) -> ChurnImport {
+        ChurnImport {
+            acc: Self::windowed(granularities, total_days, horizon),
+            windows: vec![BTreeMap::new(); granularities.len()],
         }
-        acc.folded_min_hw = folded_min_hw;
-        acc.late_dropped = late_dropped;
-        Ok(acc)
     }
 
     /// Distinct-path distributions at the given granularities, each one
@@ -887,6 +936,23 @@ mod tests {
                 DistinctPathDist { granularity, buckets, total: buckets.iter().sum() }
             })
             .collect()
+    }
+
+    /// Rows through [`ChurnAccumulator::import_windowed`], as a checkpoint
+    /// decoder feeds them.
+    fn import(
+        gs: &[Granularity],
+        total_days: u32,
+        horizon: Option<u32>,
+        rows: &[ChurnWindowEntry<'_>],
+        frontier: u32,
+        late: u64,
+    ) -> Result<ChurnAccumulator, ChurnImportError> {
+        let mut import = ChurnAccumulator::import_windowed(gs, total_days, horizon);
+        for row in rows {
+            import.row(*row)?;
+        }
+        import.finish(frontier, late)
     }
 
     /// Window `ix` of `g`, if open (tests look at allocations).
@@ -1114,8 +1180,7 @@ mod tests {
         }
         acc.prune_closed(20);
         let (g, days, h, entries, frontier, late) = acc.export_windowed();
-        let back = ChurnAccumulator::import_windowed(g, days, h, entries.clone(), frontier, late)
-            .expect("exported rows import");
+        let back = import(g, days, h, &entries, frontier, late).expect("exported rows import");
         assert_eq!(acc.distributions(&gs), back.distributions(&gs));
         assert_eq!(acc.late_dropped(), back.late_dropped());
         let (_, _, _, entries2, frontier2, _) = back.export_windowed();
@@ -1151,23 +1216,22 @@ mod tests {
         let (g, days, h, entries, frontier, late) = windowed.export_windowed();
         let first_seen: Vec<u64> = (0..n).map(|i| path_hash(&asns(&[1, 10 + i, 2]))).collect();
         assert_eq!(entries[0].hashes, first_seen, "insertion order survives the spill");
-        let back = ChurnAccumulator::import_windowed(g, days, h, entries.clone(), frontier, late)
-            .expect("exported rows import");
+        let back = import(g, days, h, &entries, frontier, late).expect("exported rows import");
         assert_eq!(back.export_windowed().3, entries);
     }
 
     #[test]
     fn import_refuses_rows_that_fit_no_window() {
         let gs = [Granularity::Day, Granularity::Month];
-        let row = |granularity, window, hashes: &[u64]| ChurnWindowEntry {
+        let row = |granularity, window, hashes| ChurnWindowEntry {
             granularity,
             vp: Asn(1),
             dest: Asn(2),
             window,
-            hashes: hashes.to_vec(),
+            hashes,
             count: 2,
         };
-        let import = |rows| ChurnAccumulator::import_windowed(&gs, 60, Some(3), rows, 0, 0);
+        let import = |rows: Vec<_>| import(&gs, 60, Some(3), &rows, 0, 0);
         // The last window of each granularity is the last row that fits.
         let ok = import(vec![row(Granularity::Day, 59, &[7]), row(Granularity::Month, 1, &[7])]);
         assert_eq!(ok.expect("in range").n_pairs(), 1);
@@ -1207,7 +1271,7 @@ mod tests {
         assert!(err.to_string().contains("no path hash"), "{err}");
         // Horizon 3, frontier 8: day window 4 (4 + 3 < 8) was popped before
         // the frontier got there; day window 5 is the oldest still open.
-        let behind = |rows| ChurnAccumulator::import_windowed(&gs, 60, Some(3), rows, 8, 0);
+        let behind = |rows: Vec<_>| self::import(&gs, 60, Some(3), &rows, 8, 0);
         assert_eq!(behind(vec![row(Granularity::Day, 5, &[7])]).expect("open").n_pairs(), 1);
         let err = behind(vec![row(Granularity::Day, 4, &[7])]).unwrap_err();
         assert_eq!(
@@ -1248,10 +1312,10 @@ mod tests {
         ) {
             let gs = Granularity::ALL;
             let fresh = || ChurnAccumulator::windowed(&gs, total_days, horizon);
-            let rows = |acc: &ChurnAccumulator| {
+            fn rows(acc: &ChurnAccumulator) -> (Vec<ChurnWindowEntry<'_>>, u32, u64) {
                 let (_, _, _, rows, frontier, late) = acc.export_windowed();
                 (rows, frontier, late)
-            };
+            }
             let (mut looped, mut batched) = (fresh(), fresh());
             let mut order = BatchOrder::default();
             for (block, prune) in blocks {

@@ -66,6 +66,14 @@ impl LeakageReport {
     /// not know) — the form the sharded engine uses, whose `'static`
     /// shard workers hold neither a [`TomographyInstance`] nor the
     /// [`Topology`] borrow, only a shared country table.
+    ///
+    /// The outcome's `censors` and `eliminated` lists are searched, not
+    /// hashed: both are strictly ascending, as every producer of an
+    /// [`InstanceOutcome`] writes them.
+    ///
+    /// # Panics
+    ///
+    /// If either list is not strictly ascending.
     pub fn ingest_paths<'a>(
         &mut self,
         censored_paths: impl IntoIterator<Item = &'a [Asn]>,
@@ -73,33 +81,39 @@ impl LeakageReport {
         country_of: impl Fn(Asn) -> Option<CountryCode>,
     ) {
         debug_assert_ne!(outcome.solvability, churnlab_sat::Solvability::Unsat);
-        let censors: HashSet<Asn> = outcome.censors.iter().copied().collect();
+        let (censors, eliminated) = (&outcome.censors, &outcome.eliminated);
+        let ascending = |v: &[Asn]| v.is_sorted_by(|a, b| a < b);
+        assert!(
+            ascending(censors) && ascending(eliminated),
+            "an outcome's censors and eliminated ASes are strictly ascending"
+        );
         if censors.is_empty() {
             return;
         }
-        // "Assigned False": in multi-solution CNFs only the definitely
-        // eliminated ASes qualify (in unique-solution CNFs that is every
-        // non-censor, so this matches the original unique-only behavior).
-        let exonerated: HashSet<Asn> = outcome.eliminated.iter().copied().collect();
         for path in censored_paths {
             for (ci, censor) in path.iter().enumerate() {
-                if !censors.contains(censor) {
+                if censors.binary_search(censor).is_err() {
                     continue;
                 }
                 let Some(censor_country) = country_of(*censor) else { continue };
                 for upstream in &path[..ci] {
-                    if !exonerated.contains(upstream) {
-                        continue; // only False-assigned ASes are victims
+                    // "Assigned False": in multi-solution CNFs only the
+                    // definitely eliminated ASes qualify (in
+                    // unique-solution CNFs that is every non-censor, so
+                    // this matches the original unique-only behavior).
+                    if eliminated.binary_search(upstream).is_err() {
+                        continue;
                     }
                     let Some(up_country) = country_of(*upstream) else { continue };
                     // Leakage to other ASes counts regardless of country;
                     // cross-country leaks are tracked separately.
                     self.victims_by_censor.entry(*censor).or_default().insert(*upstream);
                     if up_country != censor_country {
-                        self.victim_countries_by_censor
-                            .entry(*censor)
-                            .or_default()
-                            .insert(up_country.as_str().to_string());
+                        let countries =
+                            self.victim_countries_by_censor.entry(*censor).or_default();
+                        if !countries.contains(up_country.as_str()) {
+                            countries.insert(up_country.as_str().to_string());
+                        }
                     }
                 }
             }
@@ -281,6 +295,18 @@ mod tests {
         report.ingest(&inst, &out, &t);
         assert_eq!(report.censors_leaking_to_ases(), 1, "AS-level leak recorded");
         assert_eq!(report.censors_leaking_to_countries(), 0, "no country crossed");
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn an_outcome_whose_lists_do_not_ascend_is_refused() {
+        let mut b = InstanceBuilder::new(key());
+        b.observe(&asns(&[1, 3, 2, 4]), true);
+        b.observe(&asns(&[1, 3, 4]), false);
+        let mut out = analyze(&b.build().unwrap(), &SolveConfig::default());
+        assert_eq!(out.eliminated, asns(&[1, 3, 4]));
+        out.eliminated.reverse();
+        LeakageReport::new().ingest_paths([asns(&[1, 3, 2, 4]).as_slice()], &out, |_| None);
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub mod validate;
 pub use accumulate::FindingsAccumulator;
 pub use analyze::{InstanceOutcome, SolveConfig};
 pub use churnstats::{
-    BatchOrder, ChurnAccumulator, ChurnImportError, ChurnObs, ChurnTally, ChurnWindowEntry,
-    RetiredChurn,
+    BatchOrder, ChurnAccumulator, ChurnImport, ChurnImportError, ChurnObs, ChurnTally,
+    ChurnWindowEntry, RetiredChurn,
 };
 pub use convert::{
     convert_into, convert_measurement, convert_traceroutes, ConversionStats, ConvertScratch,

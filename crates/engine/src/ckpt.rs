@@ -13,8 +13,11 @@
 //!
 //! Every collection is written in a sorted order, so checkpointing the
 //! same logical state twice produces byte-identical files. Decoding
-//! validates lengths, enum tags, and per-shard checksums; any violation
-//! surfaces as [`RestoreError::Corrupt`] rather than a panic.
+//! validates lengths, enum tags, and per-shard checksums — and, in the
+//! engine's retired state, which carries no checksum, the order every
+//! list is written in and that each churn tally adds up; any violation
+//! surfaces as [`RestoreError::Corrupt`] rather than a panic. A list is
+//! written with its room reserved once and read as one checked slice.
 
 use churnlab_bgp::{Granularity, TimeWindow};
 use churnlab_core::accumulate::FindingsAccumulator;
@@ -22,7 +25,6 @@ use churnlab_core::pipeline::CensorFinding;
 use churnlab_core::{ChurnTally, RetiredChurn};
 use churnlab_platform::{AnomalySet, AnomalyType};
 use churnlab_topology::Asn;
-use std::collections::BTreeSet;
 
 /// File magic, first eight bytes of every checkpoint.
 pub(crate) const MAGIC: [u8; 8] = *b"CHRNCKPT";
@@ -90,6 +92,16 @@ impl Enc {
         }
     }
 
+    /// Hand `ship` what has been written once it reaches `at` bytes, and
+    /// go on writing into a fresh buffer of `at` twice over: a blob
+    /// encoded this way leaves in pieces while the rest is still being
+    /// written.
+    pub(crate) fn ship_at(&mut self, at: usize, ship: &mut impl FnMut(Vec<u8>)) {
+        if self.buf.len() >= at {
+            ship(std::mem::replace(&mut self.buf, Vec::with_capacity(2 * at)));
+        }
+    }
+
     pub(crate) fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
         self.buf.extend_from_slice(b);
@@ -99,25 +111,25 @@ impl Enc {
         self.bytes(s.as_bytes());
     }
 
-    pub(crate) fn u32s(&mut self, v: &[u32]) {
+    /// A count-prefixed list, its room reserved once for the whole list.
+    fn list<T: Copy, const N: usize>(&mut self, v: &[T], le: impl Fn(T) -> [u8; N]) {
+        self.buf.reserve(8 + N * v.len());
         self.u64(v.len() as u64);
-        for x in v {
-            self.u32(*x);
+        for &x in v {
+            self.buf.extend_from_slice(&le(x));
         }
+    }
+
+    pub(crate) fn u32s(&mut self, v: &[u32]) {
+        self.list(v, u32::to_le_bytes);
     }
 
     pub(crate) fn u64s(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for x in v {
-            self.u64(*x);
-        }
+        self.list(v, u64::to_le_bytes);
     }
 
     pub(crate) fn asns(&mut self, v: &[Asn]) {
-        self.u64(v.len() as u64);
-        for a in v {
-            self.u32(a.0);
-        }
+        self.list(v, |a| a.0.to_le_bytes());
     }
 
     pub(crate) fn window(&mut self, w: TimeWindow) {
@@ -148,7 +160,8 @@ impl<'a> Dec<'a> {
         Dec { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    /// The next `n` bytes.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.buf.len() - self.pos < n {
             return Err(format!(
                 "truncated: wanted {n} bytes at offset {}, have {}",
@@ -166,13 +179,11 @@ impl<'a> Dec<'a> {
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(le_u32(self.take(4)?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        Ok(le_u64(self.take(8)?))
     }
 
     pub(crate) fn f64(&mut self) -> Result<f64, String> {
@@ -191,11 +202,24 @@ impl<'a> Dec<'a> {
     /// by the remaining bytes so a corrupt length cannot trigger an
     /// enormous allocation.
     pub(crate) fn len(&mut self) -> Result<usize, String> {
+        self.count(1)
+    }
+
+    /// [`Dec::len`] for a collection whose every item takes at least
+    /// `width` bytes: the count is bounded by what the remaining bytes can
+    /// hold, so the collection may be reserved whole up front.
+    pub(crate) fn count(&mut self, width: usize) -> Result<usize, String> {
         let n = self.u64()?;
-        if n > (self.buf.len() - self.pos) as u64 {
-            return Err(format!("implausible collection length {n}"));
+        match usize::try_from(n).ok().and_then(|n| n.checked_mul(width)) {
+            Some(bytes) if bytes <= self.buf.len() - self.pos => Ok(n as usize),
+            _ => Err(format!("implausible collection length {n}")),
         }
-        Ok(n as usize)
+    }
+
+    /// A count-prefixed list of `width`-byte items, as one checked slice.
+    fn list(&mut self, width: usize) -> Result<&'a [u8], String> {
+        let n = self.count(width)?;
+        self.take(n * width)
     }
 
     pub(crate) fn bytes(&mut self) -> Result<&'a [u8], String> {
@@ -209,25 +233,16 @@ impl<'a> Dec<'a> {
     }
 
     pub(crate) fn u32s(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.len()?;
-        let mut v = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            v.push(self.u32()?);
-        }
-        Ok(v)
-    }
-
-    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, String> {
-        let n = self.len()?;
-        let mut v = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            v.push(self.u64()?);
-        }
-        Ok(v)
+        Ok(self.list(4)?.chunks_exact(4).map(le_u32).collect())
     }
 
     pub(crate) fn asns(&mut self) -> Result<Vec<Asn>, String> {
-        Ok(self.u32s()?.into_iter().map(Asn).collect())
+        Ok(self.list(4)?.chunks_exact(4).map(|b| Asn(le_u32(b))).collect())
+    }
+
+    /// A `u64` list as its items, without collecting them.
+    pub(crate) fn u64_items(&mut self) -> Result<impl ExactSizeIterator<Item = u64> + 'a, String> {
+        Ok(self.list(8)?.chunks_exact(8).map(le_u64))
     }
 
     pub(crate) fn window(&mut self) -> Result<TimeWindow, String> {
@@ -258,6 +273,40 @@ impl<'a> Dec<'a> {
             Err(format!("{} trailing bytes after checkpoint body", self.buf.len() - self.pos))
         }
     }
+}
+
+/// A little-endian `u32` from a 4-byte chunk.
+pub(crate) fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("a 4-byte chunk"))
+}
+
+/// A little-endian `u64` from an 8-byte chunk.
+pub(crate) fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("an 8-byte chunk"))
+}
+
+/// `Err` unless `v` is strictly ascending: every list an encoder writes
+/// sorted, read back.
+pub(crate) fn ascending<T: Ord>(v: &[T], what: &str) -> Result<(), String> {
+    if v.is_sorted_by(|a, b| a < b) {
+        Ok(())
+    } else {
+        Err(format!("{what} are not strictly ascending"))
+    }
+}
+
+/// `Err` unless `next` comes strictly after the item before it in a
+/// sorted list; remembers `next` for the item after.
+fn strictly_after<T: Ord + Copy + std::fmt::Debug>(
+    prev: &mut Option<T>,
+    next: T,
+    what: &str,
+) -> Result<(), String> {
+    if prev.is_some_and(|p| p >= next) {
+        return Err(format!("{what} not strictly ascending at {next:?}"));
+    }
+    *prev = Some(next);
+    Ok(())
 }
 
 /// Granularity → stable wire tag (index in [`Granularity::ALL`]).
@@ -300,18 +349,29 @@ pub(crate) fn encode_retired_churn(e: &mut Enc, r: &RetiredChurn) {
     }
 }
 
-/// Decode retired churn tallies.
+/// Decode retired churn tallies. The section carries no checksum, so
+/// what the encoder guarantees is checked instead: rows strictly
+/// ascending by (granularity, destination), and each tally's five
+/// buckets summing to its total.
 pub(crate) fn decode_retired_churn(d: &mut Dec) -> Result<RetiredChurn, String> {
-    let n = d.len()?;
+    const ROW: usize = 1 + 4 + 6 * 8;
+    let n = d.count(ROW)?;
     let mut r = RetiredChurn::default();
+    let mut prev = None;
     for _ in 0..n {
         let g = granularity_from(d.u8()?)?;
         let dest = Asn(d.u32()?);
+        strictly_after(&mut prev, (g, dest), "retired churn rows")?;
         let mut buckets = [0u64; 5];
         for b in &mut buckets {
             *b = d.u64()?;
         }
         let total = d.u64()?;
+        if buckets.iter().try_fold(0u64, |sum, &b| sum.checked_add(b)) != Some(total) {
+            return Err(format!(
+                "retired churn tally ({g}, {dest}): buckets {buckets:?} do not sum to {total}"
+            ));
+        }
         r.insert(g, dest, ChurnTally { buckets, total });
     }
     Ok(r)
@@ -374,40 +434,46 @@ pub(crate) fn encode_findings(e: &mut Enc, f: &FindingsAccumulator) {
     e.u32s(&horizon);
 }
 
-/// Decode a findings accumulator.
+/// Decode a findings accumulator. Like the retired churn tallies this
+/// section carries no checksum, so every list must come back in the
+/// strictly ascending order the encoder writes it in.
 pub(crate) fn decode_findings(d: &mut Dec) -> Result<FindingsAccumulator, String> {
     let mut f = FindingsAccumulator::new();
     let n = d.len()?;
+    let mut prev = None;
     for _ in 0..n {
         let asn = Asn(d.u32()?);
-        let bits = d.u8()?;
-        let mut anomalies = BTreeSet::new();
-        for (i, a) in AnomalyType::ALL.into_iter().enumerate() {
-            if bits & (1 << i) != 0 {
-                anomalies.insert(a);
-            }
-        }
-        let url_ids: BTreeSet<u32> = d.u32s()?.into_iter().collect();
+        strictly_after(&mut prev, asn, "censor findings")?;
+        let set = d.anomaly_set()?;
+        let anomalies = AnomalyType::ALL.into_iter().filter(|a| set.contains(*a)).collect();
+        let url_ids = d.u32s()?;
+        ascending(&url_ids, "a censor's url ids")?;
         let n_instances = d.u64()?;
+        let url_ids = url_ids.into_iter().collect();
         f.censor_findings.insert(asn, CensorFinding { asn, anomalies, url_ids, n_instances });
     }
     let n = d.len()?;
+    let mut prev = None;
     for _ in 0..n {
         let censor = Asn(d.u32()?);
-        let victims = d.u32s()?.into_iter().map(Asn).collect();
-        f.leakage.victims_by_censor.insert(censor, victims);
+        strictly_after(&mut prev, censor, "leakage victim lists")?;
+        let victims = d.asns()?;
+        ascending(&victims, "a censor's victims")?;
+        f.leakage.victims_by_censor.insert(censor, victims.into_iter().collect());
     }
     let n = d.len()?;
+    let mut prev = None;
     for _ in 0..n {
         let censor = Asn(d.u32()?);
+        strictly_after(&mut prev, censor, "victim country lists")?;
         let m = d.len()?;
-        let mut set = std::collections::HashSet::new();
-        for _ in 0..m {
-            set.insert(d.str()?);
-        }
-        f.leakage.victim_countries_by_censor.insert(censor, set);
+        let countries = (0..m).map(|_| d.str()).collect::<Result<Vec<_>, _>>()?;
+        ascending(&countries, "a censor's victim countries")?;
+        f.leakage.victim_countries_by_censor.insert(censor, countries.into_iter().collect());
     }
-    f.on_censored_path = d.u32s()?.into_iter().map(Asn).collect();
+    let horizon = d.asns()?;
+    ascending(&horizon, "the observability horizon's ASes")?;
+    f.on_censored_path = horizon.into_iter().collect();
     Ok(f)
 }
 
@@ -440,7 +506,7 @@ mod tests {
         assert_eq!(d.opt_u32().unwrap(), Some(42));
         assert_eq!(d.str().unwrap(), "hello");
         assert_eq!(d.u32s().unwrap(), vec![1, 2, 3]);
-        assert_eq!(d.u64s().unwrap(), vec![9]);
+        assert_eq!(d.u64_items().unwrap().collect::<Vec<_>>(), vec![9]);
         assert_eq!(
             d.window().unwrap(),
             TimeWindow { granularity: Granularity::Week, index: 5 }
@@ -479,5 +545,86 @@ mod tests {
         let mut e2 = Enc::default();
         encode_retired_churn(&mut e2, &back);
         assert_eq!(e.buf, e2.buf, "encoding is canonical");
+    }
+
+    /// A retired churn section of `(destination, buckets, total)` day
+    /// rows, in the order given.
+    fn tally_rows(rows: &[(u32, [u64; 5], u64)]) -> Result<RetiredChurn, String> {
+        let mut e = Enc::default();
+        e.u64(rows.len() as u64);
+        for &(dest, buckets, total) in rows {
+            e.u8(granularity_tag(Granularity::Day));
+            e.u32(dest);
+            buckets.into_iter().for_each(|b| e.u64(b));
+            e.u64(total);
+        }
+        decode_retired_churn(&mut Dec::new(&e.buf))
+    }
+
+    #[test]
+    fn retired_churn_rows_ascend_and_tallies_add_up() {
+        let ok = [1, 0, 2, 0, 0];
+        assert!(tally_rows(&[(2, ok, 3), (9, ok, 3)]).is_ok());
+        let out_of_order = tally_rows(&[(9, ok, 3), (2, ok, 3)]).unwrap_err();
+        assert!(out_of_order.contains("not strictly ascending"), "{out_of_order}");
+        assert!(tally_rows(&[(2, ok, 3), (2, ok, 3)]).is_err(), "a repeated row");
+        let short = tally_rows(&[(2, ok, 4)]).unwrap_err();
+        assert!(short.contains("do not sum to 4"), "{short}");
+        assert!(tally_rows(&[(2, [u64::MAX, 1, 0, 0, 0], 0)]).is_err(), "buckets that overflow");
+    }
+
+    /// A findings section: censors with their url ids, victims and victim
+    /// countries per censor, then the horizon.
+    fn findings(
+        censors: &[(u32, &[u32])],
+        victims: &[(u32, &[u32])],
+        countries: &[(u32, &[&str])],
+        horizon: &[u32],
+    ) -> Result<FindingsAccumulator, String> {
+        let mut e = Enc::default();
+        e.u64(censors.len() as u64);
+        for &(asn, urls) in censors {
+            e.u32(asn);
+            e.u8(1);
+            e.u32s(urls);
+            e.u64(1);
+        }
+        e.u64(victims.len() as u64);
+        for &(asn, v) in victims {
+            e.u32(asn);
+            e.u32s(v);
+        }
+        e.u64(countries.len() as u64);
+        for &(asn, cs) in countries {
+            e.u32(asn);
+            e.u64(cs.len() as u64);
+            cs.iter().for_each(|c| e.str(c));
+        }
+        e.u32s(horizon);
+        let mut d = Dec::new(&e.buf);
+        let f = decode_findings(&mut d)?;
+        d.done()?;
+        Ok(f)
+    }
+
+    #[test]
+    fn every_findings_list_must_ascend() {
+        let ok = findings(&[(3, &[1, 2])], &[(3, &[1, 4])], &[(3, &["DE", "PL"])], &[1, 3, 4]);
+        let f = ok.expect("sorted lists decode");
+        assert_eq!(f.censor_findings[&Asn(3)].url_ids.len(), 2);
+        assert_eq!(f.on_censored_path.len(), 3);
+        let faults = [
+            ("censors", findings(&[(5, &[]), (3, &[])], &[], &[], &[])),
+            ("url ids", findings(&[(3, &[2, 1])], &[], &[], &[])),
+            ("victim lists", findings(&[], &[(5, &[]), (3, &[])], &[], &[])),
+            ("victims", findings(&[], &[(3, &[4, 4])], &[], &[])),
+            ("country lists", findings(&[], &[], &[(5, &[]), (5, &[])], &[])),
+            ("countries", findings(&[], &[], &[(3, &["PL", "DE"])], &[])),
+            ("horizon", findings(&[], &[], &[], &[4, 1])),
+        ];
+        for (what, decoded) in faults {
+            let err = decoded.err().unwrap_or_else(|| panic!("unsorted {what} decoded"));
+            assert!(err.contains("not strictly ascending"), "{what}: {err}");
+        }
     }
 }

@@ -15,13 +15,13 @@ use churnlab_core::convert::ConversionStats;
 use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
 use churnlab_core::{ChurnAccumulator, RetiredChurn};
 use churnlab_obs::thread_cpu_nanos;
-use churnlab_topology::fnv1a;
+use churnlab_topology::{fnv1a, fnv1a_extend};
 use churnlab_platform::{Measurement, Platform};
 use churnlab_sat::CtxStats;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::marker::PhantomData;
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -603,8 +603,35 @@ impl<'c> Engine<'c> {
     /// or [`Feeder::take_pending`]) first if the checkpoint must line up
     /// exactly with `cursor`. Checkpointing the same logical state twice
     /// produces byte-identical output.
+    ///
+    /// Each shard encodes its blob on its own thread and sends it in
+    /// pieces as they are written; this thread checksums each piece as it
+    /// arrives, then writes the header and the pieces, never gathered
+    /// into one buffer, to `w`.
     pub fn checkpoint<W: Write>(&self, cursor: u64, user: &[u8], w: &mut W) -> std::io::Result<()> {
-        let blobs: Vec<Vec<u8>> = self.ask_shards(|reply| Msg::Checkpoint { reply });
+        let t0 = Instant::now();
+        let requests: Vec<_> = (0..self.senders.len())
+            .map(|shard| {
+                let (pieces, rx) = channel();
+                self.send(shard, Msg::Checkpoint { pieces });
+                rx
+            })
+            .collect();
+        let blobs: Vec<(Vec<Vec<u8>>, u64)> = requests
+            .into_iter()
+            .enumerate()
+            .map(|(shard, rx)| {
+                let (mut pieces, mut checksum) = (Vec::new(), fnv1a([]));
+                loop {
+                    let piece: Vec<u8> = rx.recv().unwrap_or_else(|_| self.worker_died(shard));
+                    if piece.is_empty() {
+                        break (pieces, checksum);
+                    }
+                    checksum = fnv1a_extend(checksum, piece.iter().copied());
+                    pieces.push(piece);
+                }
+            })
+            .collect();
         let mut e = Enc::default();
         e.buf.extend_from_slice(&MAGIC);
         e.u32(VERSION);
@@ -621,11 +648,19 @@ impl<'c> Engine<'c> {
             ckpt::encode_findings(&mut e, &ret.findings);
             e.u64(ret.trivial);
         }
-        for blob in &blobs {
-            e.bytes(blob);
-            e.u64(fnv1a(blob.iter().copied()));
+        w.write_all(&e.buf)?;
+        for (pieces, checksum) in &blobs {
+            let len: usize = pieces.iter().map(Vec::len).sum();
+            w.write_all(&(len as u64).to_le_bytes())?;
+            for piece in pieces {
+                w.write_all(piece)?;
+            }
+            w.write_all(&checksum.to_le_bytes())?;
         }
-        w.write_all(&e.buf)
+        if let Some(obs) = &self.obs {
+            obs.checkpoint_nanos.observe(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(())
     }
 
     /// Restore an engine from a checkpoint written by
@@ -635,6 +670,12 @@ impl<'c> Engine<'c> {
     /// checkpoint is not defined), same horizon. Returns the engine plus
     /// the stored cursor and user blob. Continuing the stream from
     /// `cursor` produces reports identical to an uninterrupted run's.
+    ///
+    /// The shard blobs' checksums are verified on a second thread while
+    /// this one decodes the blobs. Errors come out as a serial restore
+    /// would report them: shard by shard, a blob's checksum mismatch
+    /// before its decode error, then a malformed blob frame, then
+    /// trailing bytes.
     pub fn restore(
         db: &churnlab_topology::Ip2AsDb,
         topo: &'c churnlab_topology::Topology,
@@ -644,6 +685,7 @@ impl<'c> Engine<'c> {
         fn c<T>(r: Result<T, String>) -> Result<T, RestoreError> {
             r.map_err(RestoreError::Corrupt)
         }
+        let t0 = Instant::now();
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes).map_err(RestoreError::Io)?;
         if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
@@ -689,28 +731,60 @@ impl<'c> Engine<'c> {
             findings: c(ckpt::decode_findings(&mut d))?,
             trivial: c(d.u64())?,
         };
-        let countries = Arc::new(as_countries(topo));
-        let mut states = Vec::with_capacity(n_shards);
-        for shard in 0..n_shards {
-            let blob = c(d.bytes())?;
-            let checksum = c(d.u64())?;
-            if fnv1a(blob.iter().copied()) != checksum {
-                return Err(RestoreError::Corrupt(format!("shard {shard} blob checksum mismatch")));
+        // Each shard's frame: its blob, then the blob's checksum. A frame
+        // that does not parse is reported after the shards before it.
+        let mut frames = Vec::with_capacity(n_shards);
+        let mut framing = Ok(());
+        for _ in 0..n_shards {
+            match d.bytes().and_then(|blob| Ok((blob, d.u64()?))) {
+                Ok(frame) => frames.push(frame),
+                Err(e) => {
+                    framing = Err(e);
+                    break;
+                }
             }
-            let shard_obs = cfg.obs.as_ref().map(|o| ShardObs::new(o, shard));
-            let state = ShardState::decode(
-                cfg.pipeline.clone(),
-                horizon,
-                shard_obs,
-                Arc::clone(&countries),
-                blob,
-            )
-            .map_err(|m| RestoreError::Corrupt(format!("shard {shard}: {m}")))?;
-            states.push(state);
         }
+        let countries = Arc::new(as_countries(topo));
+        let (mismatch, (states, failed)) = std::thread::scope(|scope| {
+            let sums = scope.spawn(|| {
+                frames.iter().position(|(blob, checksum)| fnv1a(blob.iter().copied()) != *checksum)
+            });
+            let mut states = Vec::with_capacity(frames.len());
+            let mut failed = None;
+            for (shard, (blob, _)) in frames.iter().enumerate() {
+                let shard_obs = cfg.obs.as_ref().map(|o| ShardObs::new(o, shard));
+                let state = ShardState::decode(
+                    cfg.pipeline.clone(),
+                    horizon,
+                    shard_obs,
+                    Arc::clone(&countries),
+                    blob,
+                );
+                match state {
+                    Ok(state) => states.push(state),
+                    Err(m) => {
+                        failed = Some((shard, m));
+                        break;
+                    }
+                }
+            }
+            let mismatch = sums.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            (mismatch, (states, failed))
+        });
+        let first_failed = failed.as_ref().map_or(frames.len(), |(shard, _)| *shard);
+        if let Some(shard) = mismatch.filter(|&shard| shard <= first_failed) {
+            return Err(RestoreError::Corrupt(format!("shard {shard} blob checksum mismatch")));
+        }
+        if let Some((shard, m)) = failed {
+            return Err(RestoreError::Corrupt(format!("shard {shard}: {m}")));
+        }
+        c(framing)?;
         c(d.done())?;
         let engine = Self::spawn(db, cfg, states);
         *engine.retired.lock().unwrap_or_else(|e| e.into_inner()) = retired;
+        if let Some(obs) = &engine.obs {
+            obs.restore_nanos.observe(t0.elapsed().as_nanos() as u64);
+        }
         Ok(Restored { engine, cursor, user })
     }
 

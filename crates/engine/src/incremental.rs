@@ -61,7 +61,7 @@
 //! check the retained un-interned [`crate::reference`] implementation
 //! differentially).
 
-use crate::ckpt::{Dec, Enc};
+use crate::ckpt::{le_u32, Dec, Enc};
 use crate::intern::PathTable;
 use crate::obs::ResolveObs;
 use churnlab_bgp::TimeWindow;
@@ -361,9 +361,15 @@ impl InstanceGroup {
         true
     }
 
-    /// The group's variable numbering (group-local index → AS).
-    pub fn vars(&self) -> &[Asn] {
-        &self.space.vars
+    /// The group's variables in ascending AS order, each beside its
+    /// group-local index: what every cell's
+    /// [`IncrementalInstance::outcome`] walks, so the group sorts once
+    /// for all five.
+    pub fn vars_by_asn(&self) -> VarsByAsn {
+        let mut v: Vec<(Asn, u32)> = self.space.vars.iter().copied().zip(0..).collect();
+        // The variables are distinct ASes, so the order is total.
+        v.sort_unstable();
+        VarsByAsn(v)
     }
 
     /// The group's cells, in [`AnomalyType::ALL`] order.
@@ -385,6 +391,11 @@ impl InstanceGroup {
         self.log.iter().filter(move |rec| rec.censored & bit != 0).map(|rec| rec.path)
     }
 }
+
+/// A group's variables, ascending by AS, each with its group-local index
+/// ([`InstanceGroup::vars_by_asn`]).
+#[derive(Debug, Clone)]
+pub struct VarsByAsn(Vec<(Asn, u32)>);
 
 /// One (URL × window × anomaly) instance kept incrementally solved — what
 /// differs between the anomalies of a group, all of it id- and
@@ -800,16 +811,19 @@ impl IncrementalInstance {
     /// The analysed outcome — identical to running
     /// [`churnlab_core::analyze::analyze`] on the batch-built instance
     /// over the same observation set. `vars` is the owning group's
-    /// variable numbering ([`InstanceGroup::vars`]); every cell of a
-    /// group shares it, since every cell sees every observation.
-    pub fn outcome(&self, vars: &[Asn]) -> InstanceOutcome {
+    /// variables in AS order ([`InstanceGroup::vars_by_asn`]); every cell
+    /// of a group shares them, since every cell sees every observation.
+    /// Walking them in that order is what makes `censors`,
+    /// `potential_censors` and `eliminated` come out strictly ascending
+    /// without a sort.
+    pub fn outcome(&self, vars: &VarsByAsn) -> InstanceOutcome {
+        let vars = &vars.0;
         let n_vars = vars.len();
         let (solvability, bucket, censors, potential, eliminated) = match &self.memo {
             Memo::Trivial => {
                 // Clean observations only: the all-False assignment is
                 // the unique model and every AS is exonerated.
-                let mut elim = vars.to_vec();
-                elim.sort();
+                let elim = vars.iter().map(|&(a, _)| a).collect();
                 (Solvability::Unique, 1u8, Vec::new(), Vec::new(), elim)
             }
             Memo::Unsat => (Solvability::Unsat, 0, Vec::new(), Vec::new(), Vec::new()),
@@ -819,21 +833,18 @@ impl IncrementalInstance {
                 debug_assert_ne!(solvability, Solvability::Unsat, "Solved memo is satisfiable");
                 let mut censors = Vec::new();
                 let mut potential = Vec::new();
-                let mut eliminated = Vec::new();
-                for (ix, f) in fate.iter().enumerate() {
-                    match f {
-                        Fate::AlwaysTrue => censors.push(vars[ix]),
-                        Fate::AlwaysFalse => eliminated.push(vars[ix]),
-                        Fate::Both => potential.push(vars[ix]),
+                let mut eliminated = Vec::with_capacity(n_vars);
+                for &(a, ix) in vars {
+                    match fate[ix as usize] {
+                        Fate::AlwaysTrue => censors.push(a),
+                        Fate::AlwaysFalse => eliminated.push(a),
+                        Fate::Both => potential.push(a),
                     }
                 }
                 debug_assert!(
                     solvability != Solvability::Unique || potential.is_empty(),
                     "a unique model fixes every variable"
                 );
-                censors.sort();
-                potential.sort();
-                eliminated.sort();
                 (solvability, count.bucket(), censors, potential, eliminated)
             }
         };
@@ -867,8 +878,20 @@ impl IncrementalInstance {
 // arrival order. Encoding projects the group's log on the cell's bit;
 // decoding merges the five stored logs back into one.
 
-/// What a cell's stored log says of one observation.
-type CellObs = (PathId, bool);
+/// What a cell's stored log says of one observation: the row of its path
+/// among the group's resolved paths (the position in the stored list,
+/// not the `PathId`), and its polarity.
+type CellObs = (u32, bool);
+
+/// Bytes a resolved-path row takes: id, span start, span length, one
+/// dedup mask a cell.
+const RESOLVED_ROW: usize = 3 * 4 + N_CELLS;
+
+/// Bytes a cell's log entry takes: path id, polarity.
+const LOG_ENTRY: usize = 4 + 1;
+
+/// A path with no row in the group being decoded.
+const NO_ROW: u32 = u32::MAX;
 
 impl InstanceGroup {
     /// Serialize the group: variable space, resolved spans, and the five
@@ -881,110 +904,157 @@ impl InstanceGroup {
         e.u32s(&self.space.lits);
         let mut resolved: Vec<(PathId, Resolved)> =
             self.space.resolved.iter().map(|(p, r)| (*p, *r)).collect();
-        resolved.sort_by_key(|(p, _)| p.0);
+        resolved.sort_unstable_by_key(|(p, _)| p.0);
         e.u64(resolved.len() as u64);
         for (pid, r) in resolved {
-            e.u32(pid.0);
-            e.u32(r.start);
-            e.u32(r.len);
-            for m in r.masks {
-                e.u8(m);
-            }
+            let mut row = [0; RESOLVED_ROW];
+            row[..4].copy_from_slice(&pid.0.to_le_bytes());
+            row[4..8].copy_from_slice(&r.start.to_le_bytes());
+            row[8..12].copy_from_slice(&r.len.to_le_bytes());
+            row[12..].copy_from_slice(&r.masks);
+            e.buf.extend_from_slice(&row);
         }
         for cell in &self.cells {
             e.u64(cell.n_obs as u64);
             for rec in self.log.iter().filter(|rec| rec.new_for & cell.bit != 0) {
-                e.u32(rec.path.0);
-                e.u8(u8::from(rec.censored & cell.bit != 0));
+                let [a, b, c, d] = rec.path.0.to_le_bytes();
+                e.buf.extend_from_slice(&[a, b, c, d, u8::from(rec.censored & cell.bit != 0)]);
             }
             cell.memo.encode(e);
         }
     }
+}
+
+/// Decodes one shard's groups, reusing its buffers from group to group:
+/// a table from each of the shard's path ids to the path's row among the
+/// resolved paths of the group being decoded — so a logged path is found
+/// by index, with no map probe — and the rows and five logs themselves.
+#[derive(Debug)]
+pub(crate) struct GroupDecoder {
+    /// Per path of the shard's table, its row in `rows`, or [`NO_ROW`].
+    /// Every slot is [`NO_ROW`] between groups.
+    row_of: Vec<u32>,
+    rows: Vec<(PathId, Resolved)>,
+    logs: [Vec<CellObs>; N_CELLS],
+}
+
+impl GroupDecoder {
+    /// A decoder for the groups of a shard whose table holds `n_paths`
+    /// paths, bounding every path id a group may reference.
+    pub(crate) fn new(n_paths: usize) -> Self {
+        GroupDecoder { row_of: vec![NO_ROW; n_paths], rows: Vec::new(), logs: Default::default() }
+    }
 
     /// Rebuild a group from its encoded form. The identity (URL and
     /// window) comes from the enclosing shard map key, so it is not
-    /// stored per group; `n_paths` is the restored shard table's size,
-    /// bounding every path id the group may reference.
+    /// stored per group. Each list is read as one checked slice, and
+    /// every map and arena the group keeps is reserved whole.
     pub(crate) fn decode(
+        &mut self,
         url_id: u32,
         window: TimeWindow,
-        n_paths: usize,
         d: &mut Dec,
-    ) -> Result<Self, String> {
+    ) -> Result<InstanceGroup, String> {
+        let group = self.decode_group(url_id, window, d);
+        for &(pid, _) in &self.rows {
+            self.row_of[pid.usize()] = NO_ROW;
+        }
+        group
+    }
+
+    fn decode_group(
+        &mut self,
+        url_id: u32,
+        window: TimeWindow,
+        d: &mut Dec,
+    ) -> Result<InstanceGroup, String> {
+        let GroupDecoder { row_of, rows, logs } = self;
+        rows.clear();
         let vars = d.asns()?;
-        let mut var_ix = FxMap::default();
+        let mut var_ix = FxMap::with_capacity_and_hasher(vars.len(), Default::default());
         for (ix, a) in vars.iter().enumerate() {
             if var_ix.insert(*a, ix as u32).is_some() {
                 return Err(format!("duplicate group variable AS{}", a.0));
             }
         }
         let lits = d.u32s()?;
-        for &ix in &lits {
-            if ix as usize >= vars.len() {
-                return Err(format!("literal index {ix} out of variable range"));
-            }
+        if let Some(ix) = lits.iter().find(|&&ix| ix as usize >= vars.len()) {
+            return Err(format!("literal index {ix} out of variable range"));
         }
-        let n = d.len()?;
-        let mut resolved = FxMap::default();
-        for _ in 0..n {
-            let pid = PathId(d.u32()?);
-            if pid.usize() >= n_paths {
+        let n = d.count(RESOLVED_ROW)?;
+        rows.reserve(n);
+        for row in d.take(n * RESOLVED_ROW)?.chunks_exact(RESOLVED_ROW) {
+            let pid = PathId(le_u32(&row[..4]));
+            let Some(slot) = row_of.get_mut(pid.usize()) else {
                 return Err(format!("resolved path {} out of table range", pid.0));
+            };
+            if *slot != NO_ROW {
+                return Err(format!("duplicate resolved path {}", pid.0));
             }
-            let start = d.u32()?;
-            let len = d.u32()?;
+            let (start, len) = (le_u32(&row[4..8]), le_u32(&row[8..12]));
             if u64::from(start) + u64::from(len) > lits.len() as u64 {
                 return Err(format!("resolved span {start}+{len} exceeds literal arena"));
             }
-            let mut masks = [0u8; N_CELLS];
-            for m in &mut masks {
-                *m = d.u8()?;
-                if *m & !(SEEN_CLEAN | SEEN_CENSORED) != 0 {
-                    return Err(format!("bad dedup mask {m:#x}"));
-                }
+            let masks: [u8; N_CELLS] = row[12..].try_into().expect("one mask a cell");
+            if let Some(m) = masks.iter().find(|&&m| m & !(SEEN_CLEAN | SEEN_CENSORED) != 0) {
+                return Err(format!("bad dedup mask {m:#x}"));
             }
-            if resolved.insert(pid, Resolved { start, len, masks }).is_some() {
-                return Err(format!("duplicate resolved path {}", pid.0));
-            }
+            *slot = rows.len() as u32;
+            rows.push((pid, Resolved { start, len, masks }));
         }
-        let exonerated = vec![0; vars.len()];
-        let mut space = VarSpace { vars, var_ix, lits, resolved, exonerated };
-        let mut logs: [Vec<CellObs>; N_CELLS] = Default::default();
         let mut cells = Vec::with_capacity(N_CELLS);
         for (i, anomaly) in AnomalyType::ALL.into_iter().enumerate() {
-            let n = d.len()?;
-            for _ in 0..n {
-                let pid = PathId(d.u32()?);
-                let censored = match d.u8()? {
+            let log = &mut logs[i];
+            log.clear();
+            let n = d.count(LOG_ENTRY)?;
+            log.reserve(n);
+            let mut pos_clauses = Vec::new();
+            for obs in d.take(n * LOG_ENTRY)?.chunks_exact(LOG_ENTRY) {
+                let pid = PathId(le_u32(&obs[..4]));
+                let censored = match obs[4] {
                     0 => false,
                     1 => true,
                     t => return Err(format!("bad polarity tag {t}")),
                 };
-                if !space.resolved.contains_key(&pid) {
+                let row = row_of.get(pid.usize()).copied().unwrap_or(NO_ROW);
+                if row == NO_ROW {
                     return Err(format!("observation of unresolved path {}", pid.0));
                 }
-                logs[i].push((pid, censored));
+                log.push((row, censored));
+                if censored {
+                    pos_clauses.push(pid);
+                }
             }
             let key = InstanceKey { url_id, anomaly, window };
             let mut cell = IncrementalInstance::new(key, 1 << i);
-            cell.n_obs = logs[i].len();
-            cell.pos_clauses = logs[i].iter().filter(|o| o.1).map(|o| o.0).collect();
-            cell.n_positive = cell.pos_clauses.len();
-            cell.memo = Memo::decode(space.vars.len(), d)?;
+            cell.n_obs = log.len();
+            cell.n_positive = pos_clauses.len();
+            cell.pos_clauses = pos_clauses;
+            cell.memo = Memo::decode(vars.len(), d)?;
             if matches!(cell.memo, Memo::Trivial) && cell.n_positive > 0 {
                 return Err("trivial memo alongside censored observations".to_string());
             }
             cells.push(cell);
         }
-        let log = merge_logs(&space, &logs)
+        let log = merge_logs(rows, logs)
             .map_err(|fault| format!("group (url {url_id}, {window}): {fault}"))?;
-        for rec in &log {
-            let clean = rec.new_for & !rec.censored;
-            let Resolved { start, len, .. } = space.resolved[&rec.path];
-            for &ix in &space.lits[start as usize..start as usize + len as usize] {
-                space.exonerated[ix as usize] |= clean;
+        // The merge checked every mask bit against a log entry, so a
+        // path's clean bits are exactly the cells a clean log entry of it
+        // exonerates for.
+        let mut exonerated = vec![0; vars.len()];
+        for (_, r) in rows.iter() {
+            let clean = (0..N_CELLS).fold(0u8, |bits, cell| {
+                bits | u8::from(r.masks[cell] & SEEN_CLEAN != 0) << cell
+            });
+            if clean != 0 {
+                for &ix in &lits[r.start as usize..r.start as usize + r.len as usize] {
+                    exonerated[ix as usize] |= clean;
+                }
             }
         }
+        let mut resolved = FxMap::with_capacity_and_hasher(rows.len(), Default::default());
+        resolved.extend(rows.iter().copied());
+        let space = VarSpace { vars, var_ix, lits, resolved, exonerated };
         let cells: [IncrementalInstance; N_CELLS] =
             cells.try_into().expect("exactly N_CELLS cells decoded");
         Ok(InstanceGroup { space, log, cells })
@@ -994,17 +1064,20 @@ impl InstanceGroup {
 /// Merge the five cells' stored logs back into the group's one, keeping
 /// each cell's order (so re-encoding reproduces the bytes) and putting
 /// entries of one path that sit at the head of several cells' logs into
-/// one record, as the ingest that wrote them did.
+/// one record, as the ingest that wrote them did. Log entries name their
+/// path by its row in `rows`, the group's resolved paths.
 ///
 /// Every entry is checked off against the path's dedup masks on the way:
 /// an ingest sets a mask bit exactly when it logs the entry, so a log
 /// that repeats a (path, polarity), lists one its mask does not carry, or
 /// leaves a mask bit unaccounted for is a state no ingest produces — a
 /// fault naming the cell and the path, not a restore.
-fn merge_logs(space: &VarSpace, logs: &[Vec<CellObs>; N_CELLS]) -> Result<Vec<LogRec>, String> {
-    // Per path and cell, the polarities logged but not yet merged.
-    let mut pending: FxMap<PathId, [u8; N_CELLS]> =
-        space.resolved.iter().map(|(pid, r)| (*pid, r.masks)).collect();
+fn merge_logs(
+    rows: &[(PathId, Resolved)],
+    logs: &[Vec<CellObs>; N_CELLS],
+) -> Result<Vec<LogRec>, String> {
+    // Per row and cell, the polarities logged but not yet merged.
+    let mut pending: Vec<[u8; N_CELLS]> = rows.iter().map(|(_, r)| r.masks).collect();
     let mut at = [0usize; N_CELLS];
     let mut log = Vec::with_capacity(logs.iter().map(Vec::len).max().unwrap_or(0));
     loop {
@@ -1014,15 +1087,16 @@ fn merge_logs(space: &VarSpace, logs: &[Vec<CellObs>; N_CELLS]) -> Result<Vec<Lo
         // a few single-cell records behind. Failing that (two cells hold
         // each other's head further down), the first head there is.
         let heads = || (0..N_CELLS).filter_map(head);
-        let whole = heads().find(|pid| {
-            let left = &pending[pid];
-            (0..N_CELLS).all(|cell| head(cell) == Some(*pid) || left[cell] == 0)
+        let whole = heads().find(|&row| {
+            let left = &pending[row as usize];
+            (0..N_CELLS).all(|cell| head(cell) == Some(row) || left[cell] == 0)
         });
-        let Some(pid) = whole.or_else(|| heads().next()) else { break };
-        let left = pending.get_mut(&pid).expect("logged paths are resolved");
+        let Some(row) = whole.or_else(|| heads().next()) else { break };
+        let (pid, masks) = (rows[row as usize].0, rows[row as usize].1.masks);
+        let left = &mut pending[row as usize];
         let mut rec = LogRec { path: pid, new_for: 0, censored: 0 };
         for cell in 0..N_CELLS {
-            let Some(&(_, censored)) = logs[cell].get(at[cell]).filter(|obs| obs.0 == pid) else {
+            let Some(&(_, censored)) = logs[cell].get(at[cell]).filter(|obs| obs.0 == row) else {
                 continue;
             };
             let seen = if censored { SEEN_CENSORED } else { SEEN_CLEAN };
@@ -1030,7 +1104,7 @@ fn merge_logs(space: &VarSpace, logs: &[Vec<CellObs>; N_CELLS]) -> Result<Vec<Lo
                 let polarity = if censored { "censored" } else { "clean" };
                 let anomaly = AnomalyType::ALL[cell];
                 let logs = format!("cell {anomaly:?} logs path {} {polarity}", pid.0);
-                return Err(if space.resolved[&pid].masks[cell] & seen == 0 {
+                return Err(if masks[cell] & seen == 0 {
                     format!("{logs}, its dedup mask does not")
                 } else {
                     format!("{logs} twice")
@@ -1045,10 +1119,10 @@ fn merge_logs(space: &VarSpace, logs: &[Vec<CellObs>; N_CELLS]) -> Result<Vec<Lo
     }
     let unlogged = pending
         .iter()
-        .flat_map(|(pid, left)| left.iter().enumerate().map(move |(cell, m)| (*pid, cell, *m)))
-        .filter(|&(_, _, m)| m != 0)
+        .enumerate()
+        .filter_map(|(row, left)| left.iter().position(|&m| m != 0).map(|cell| (rows[row].0, cell)))
         .min();
-    if let Some((pid, cell, _)) = unlogged {
+    if let Some((pid, cell)) = unlogged {
         return Err(format!(
             "cell {:?}'s dedup mask has seen path {}, its log has not",
             AnomalyType::ALL[cell],
@@ -1076,13 +1150,11 @@ impl Memo {
                     }
                 }
                 e.u64(fate.len() as u64);
-                for f in fate {
-                    e.u8(match f {
-                        Fate::AlwaysTrue => 0,
-                        Fate::AlwaysFalse => 1,
-                        Fate::Both => 2,
-                    });
-                }
+                e.buf.extend(fate.iter().map(|f| match f {
+                    Fate::AlwaysTrue => 0u8,
+                    Fate::AlwaysFalse => 1,
+                    Fate::Both => 2,
+                }));
             }
         }
     }
@@ -1102,16 +1174,13 @@ impl Memo {
                 if n_fate != n_vars {
                     return Err(format!("memo covers {n_fate} variables, group has {n_vars}"));
                 }
-                let mut fate = Vec::with_capacity(n_fate);
-                for _ in 0..n_fate {
-                    fate.push(match d.u8()? {
-                        0 => Fate::AlwaysTrue,
-                        1 => Fate::AlwaysFalse,
-                        2 => Fate::Both,
-                        t => return Err(format!("bad fate tag {t}")),
-                    });
-                }
-                Memo::Solved { count, fate }
+                let fate = d.take(n_fate)?.iter().map(|&t| match t {
+                    0 => Ok(Fate::AlwaysTrue),
+                    1 => Ok(Fate::AlwaysFalse),
+                    2 => Ok(Fate::Both),
+                    t => Err(format!("bad fate tag {t}")),
+                });
+                Memo::Solved { count, fate: fate.collect::<Result<_, _>>()? }
             }
             t => return Err(format!("bad memo tag {t}")),
         })
@@ -1177,7 +1246,7 @@ mod tests {
         }
 
         fn outcome(&self) -> InstanceOutcome {
-            self.dns().outcome(self.group.vars())
+            self.dns().outcome(&self.group.vars_by_asn())
         }
     }
 
@@ -1459,7 +1528,7 @@ mod tests {
                     let (cell, expect) = (group.cell(anomaly), reference[i].outcome());
                     prop_assert_eq!(cell.len(), reference[i].len());
                     prop_assert_eq!(cell.has_positive(), expect.n_positive > 0);
-                    prop_assert_eq!(cell.outcome(group.vars()), expect);
+                    prop_assert_eq!(cell.outcome(&group.vars_by_asn()), expect);
                     let paths: Vec<&[Asn]> =
                         group.censored_paths(anomaly).map(|pid| h.table.path(pid)).collect();
                     prop_assert_eq!(&paths, &censored[i]);
@@ -1481,7 +1550,8 @@ mod tests {
     fn round_trip(h: &Harness) -> (InstanceGroup, IncrementalStats) {
         let bytes = encoded(&h.group);
         let mut d = Dec::new(&bytes);
-        let group = InstanceGroup::decode(3, window(), h.table.len(), &mut d)
+        let group = GroupDecoder::new(h.table.len())
+            .decode(3, window(), &mut d)
             .unwrap_or_else(|e| panic!("a group's own bytes restore: {e}"));
         d.done().expect("the group is the whole blob");
         assert_eq!(encoded(&group), bytes, "encode → decode → encode moved the bytes");

@@ -121,19 +121,28 @@ impl PathTable {
         let id = PathId(checked(self.len(), "the path count"));
         self.arena.extend_from_slice(path);
         self.offsets.push(checked(self.arena.len(), "the path arena's length"));
-        // Distinct-AS sublist: paths are short, so a linear scan over the
-        // part already appended beats hashing.
-        let start = self.distinct_arena.len();
-        for a in path {
-            if !self.distinct_arena[start..].contains(a) {
-                self.distinct_arena.push(*a);
-            }
-        }
-        let distinct_end = checked(self.distinct_arena.len(), "the distinct-AS arena's length");
-        self.distinct_offsets.push(distinct_end);
-        self.churn_hashes.push(path_hash(path));
+        self.derive(id);
         self.ids.insert(path.into(), id);
         id
+    }
+
+    /// Append what the table derives from path `id`, the last one in the
+    /// arena: its distinct-AS sublist and its churn hash.
+    fn derive(&mut self, id: PathId) {
+        let Self { arena, offsets, distinct_arena, distinct_offsets, churn_hashes, .. } = self;
+        let i = id.usize();
+        let path = &arena[offsets[i] as usize..offsets[i + 1] as usize];
+        // Paths are short, so a linear scan over the part already
+        // appended beats hashing.
+        let start = distinct_arena.len();
+        for a in path {
+            if !distinct_arena[start..].contains(a) {
+                distinct_arena.push(*a);
+            }
+        }
+        // Never past the path arena's length, which `offsets` holds.
+        distinct_offsets.push(distinct_arena.len() as u32);
+        churn_hashes.push(path_hash(path));
     }
 
     /// The interned path, vantage AS first.
@@ -182,10 +191,11 @@ impl PathTable {
         e.asns(&self.arena);
     }
 
-    /// Rebuild a table by re-interning every stored path in id order —
-    /// ids are dense and assigned in first-intern order, so path `i`
-    /// regains id `i` and every `PathId` referenced elsewhere in the
-    /// checkpoint stays valid.
+    /// Rebuild a table from its stored arena, every path keeping its id —
+    /// ids are dense and assigned in first-intern order, so path `i` is
+    /// id `i` and every `PathId` referenced elsewhere in the checkpoint
+    /// stays valid. The decoded arena and offsets are adopted as they
+    /// are; the map and the derived lists are reserved whole up front.
     pub(crate) fn decode(d: &mut crate::ckpt::Dec) -> Result<PathTable, String> {
         let hits = d.u64()?;
         let offsets = d.u32s()?;
@@ -199,15 +209,24 @@ impl PathTable {
         if offsets.last().copied().unwrap_or(0) as usize != arena.len() {
             return Err("path arena offsets do not cover the arena".to_string());
         }
-        let mut t = PathTable::new();
-        for i in 0..offsets.len() - 1 {
-            let path = &arena[offsets[i] as usize..offsets[i + 1] as usize];
-            let id = t.intern(path);
-            if id.usize() != i {
+        let n = offsets.len() - 1;
+        let mut t = PathTable {
+            ids: FxMap::with_capacity_and_hasher(n, Default::default()),
+            distinct_arena: Vec::with_capacity(arena.len()),
+            distinct_offsets: Vec::with_capacity(n + 1),
+            churn_hashes: Vec::with_capacity(n),
+            arena,
+            offsets,
+            hits,
+        };
+        t.distinct_offsets.push(0);
+        for i in 0..n {
+            let id = PathId(i as u32);
+            if t.ids.insert(t.path(id).into(), id).is_some() {
                 return Err(format!("duplicate path in arena at id {i}"));
             }
+            t.derive(id);
         }
-        t.hits = hits;
         Ok(t)
     }
 }

@@ -87,7 +87,9 @@ pub use ckpt::RestoreError;
 pub use engine::{
     CompactReport, Engine, EngineBusy, EngineConfig, EngineStats, Feeder, Restored, RetireStats,
 };
-pub use incremental::{IncrementalInstance, IncrementalStats, InstanceGroup, SolveScratch};
+pub use incremental::{
+    IncrementalInstance, IncrementalStats, InstanceGroup, SolveScratch, VarsByAsn,
+};
 pub use intern::{InternStats, PathTable};
 pub use obs::EngineObs;
 // The per-thread on-CPU clock moved into `churnlab-obs`; re-exported so

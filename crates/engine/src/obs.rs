@@ -27,6 +27,10 @@
 //! * `churnlab_snapshot_nanos` — wall time of each
 //!   [`crate::Engine::snapshot`] on the calling thread, collecting the
 //!   shards' reports and merging them: the read latency a caller sees;
+//! * `churnlab_checkpoint_nanos` / `churnlab_restore_nanos` — wall time
+//!   of each [`crate::Engine::checkpoint`] (the shards' encode, then the
+//!   write) and each successful [`crate::Engine::restore`] (the read,
+//!   the decode and the workers' spawn) on the calling thread;
 //! * `churnlab_wire_blocks_total{source}` — blocks feeders drew for the
 //!   feeder→shard wire: `source="pool"` recycled from the engine's pool
 //!   of spent blocks, `source="fresh"` new (a feeder and a shard that
@@ -62,6 +66,10 @@ pub struct EngineObs {
     pub(crate) phase_merge: Counter,
     /// Wall time of each whole `snapshot()` call.
     pub(crate) snapshot_nanos: Histogram,
+    /// Wall time of each whole `checkpoint()` call.
+    pub(crate) checkpoint_nanos: Histogram,
+    /// Wall time of each successful `restore()` call.
+    pub(crate) restore_nanos: Histogram,
     /// Wire blocks feeders took, `source="pool"` then `source="fresh"`.
     pub(crate) wire_blocks: (Counter, Counter),
 }
@@ -81,6 +89,16 @@ impl EngineObs {
             "wall nanoseconds of each Engine::snapshot call, collect + merge",
             &[],
         );
+        let checkpoint_nanos = registry.histogram(
+            "churnlab_checkpoint_nanos",
+            "wall nanoseconds of each Engine::checkpoint call, encode + write",
+            &[],
+        );
+        let restore_nanos = registry.histogram(
+            "churnlab_restore_nanos",
+            "wall nanoseconds of each Engine::restore call, read + decode + spawn",
+            &[],
+        );
         let wire_blocks = |source| {
             registry.counter(
                 "churnlab_wire_blocks_total",
@@ -89,7 +107,15 @@ impl EngineObs {
             )
         };
         let wire_blocks = (wire_blocks("pool"), wire_blocks("fresh"));
-        EngineObs { registry, journal: None, phase_merge, snapshot_nanos, wire_blocks }
+        EngineObs {
+            registry,
+            journal: None,
+            phase_merge,
+            snapshot_nanos,
+            checkpoint_nanos,
+            restore_nanos,
+            wire_blocks,
+        }
     }
 
     /// Attach an event journal.

@@ -90,8 +90,10 @@
 //! unbounded stream.
 
 use crate::block::{Block, BlockPool, Head};
-use crate::ckpt::{anomaly_from, anomaly_tag, granularity_from, granularity_tag, Dec, Enc};
-use crate::incremental::{IncrementalStats, InstanceGroup, SolveScratch};
+use crate::ckpt::{
+    anomaly_from, anomaly_tag, ascending, granularity_from, granularity_tag, Dec, Enc,
+};
+use crate::incremental::{GroupDecoder, IncrementalStats, InstanceGroup, SolveScratch};
 use crate::intern::{InternStats, PathTable};
 use crate::obs::ShardObs;
 use churnlab_bgp::TimeWindow;
@@ -111,7 +113,7 @@ use churnlab_topology::geo::CountryCode;
 use churnlab_topology::{Asn, FxMap, FxSet, Ip2AsDb, Topology};
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
 /// A message to a shard worker.
@@ -139,13 +141,19 @@ pub(crate) enum Msg {
     /// watermark into its retired tallies; the shard can free its
     /// matching partials.
     PruneChurn(u32),
-    /// Serialize the shard's full state for a checkpoint.
-    Checkpoint { reply: SyncSender<Vec<u8>> },
+    /// Serialize the shard's full state for a checkpoint, sending the
+    /// blob in pieces as they are written; an empty piece ends it.
+    Checkpoint { pieces: Sender<Vec<u8>> },
     /// Test instrumentation: panic the worker, so the engine's
     /// worker-death propagation can be exercised deterministically.
     #[cfg(feature = "test-instrumentation")]
     Poison,
 }
+
+/// Bytes a checkpoint blob is shipped in ([`ShardState::encode`]): small
+/// enough that its checksum starts early, big enough that a blob is a
+/// few dozen messages.
+const PIECE: usize = 64 << 10;
 
 /// AS → registered country: all the leakage analysis needs of the
 /// topology. Shard workers are `'static` and cannot hold the engine's
@@ -186,7 +194,8 @@ pub(crate) struct SolvedGroup {
 }
 
 impl SolvedGroup {
-    /// Solve every cell of a live group.
+    /// Solve every cell of a live group. The group's variables are put
+    /// in AS order once, for every cell it reports.
     fn of(
         group: &InstanceGroup,
         require_positive: bool,
@@ -194,12 +203,14 @@ impl SolvedGroup {
         countries: &AsCountries,
     ) -> Self {
         let mut solved = SolvedGroup::default();
+        let mut vars = None;
         for inst in group.cells() {
             if require_positive && !inst.has_positive() {
                 solved.trivial += 1;
                 continue;
             }
-            let outcome = Arc::new(inst.outcome(group.vars()));
+            let vars = vars.get_or_insert_with(|| group.vars_by_asn());
+            let outcome = Arc::new(inst.outcome(vars));
             let censored_paths = if outcome.censors.is_empty() {
                 Vec::new()
             } else {
@@ -818,6 +829,16 @@ fn decode_outcome(d: &mut Dec) -> Result<InstanceOutcome, String> {
     let potential_censors = d.asns()?;
     let eliminated = d.asns()?;
     let eliminated_frac = d.f64()?;
+    // What every producer of an outcome guarantees, and the findings
+    // fold the retired cells are refolded through relies on.
+    ascending(&censors, "an outcome's censors")?;
+    ascending(&potential_censors, "an outcome's potential censors")?;
+    ascending(&eliminated, "an outcome's eliminated ASes")?;
+    if solvability == Solvability::Unsat
+        && !(censors.is_empty() && potential_censors.is_empty() && eliminated.is_empty())
+    {
+        return Err("an unsatisfiable outcome lists ASes".to_string());
+    }
     Ok(InstanceOutcome {
         key: InstanceKey { url_id, anomaly, window },
         n_vars,
@@ -831,6 +852,10 @@ fn decode_outcome(d: &mut Dec) -> Result<InstanceOutcome, String> {
         eliminated_frac,
     })
 }
+
+/// Bytes a retired cell takes at the least: an outcome with three empty
+/// AS lists, and an empty censored-path list.
+const RETIRED_CELL_MIN: usize = 4 + 1 + 5 + 3 * 8 + 2 + 3 * 8 + 8 + 8;
 
 fn encode_cell(e: &mut Enc, c: &SolvedCell) {
     encode_outcome(e, &c.outcome);
@@ -855,20 +880,13 @@ fn encode_churn_row(e: &mut Enc, row: &ChurnWindowEntry) {
     e.u32(row.vp.0);
     e.u32(row.dest.0);
     e.u32(row.window);
-    e.u64s(&row.hashes);
+    e.u64s(row.hashes);
     e.u64(row.count);
 }
 
-fn decode_churn_row(d: &mut Dec) -> Result<ChurnWindowEntry, String> {
-    Ok(ChurnWindowEntry {
-        granularity: granularity_from(d.u8()?)?,
-        vp: Asn(d.u32()?),
-        dest: Asn(d.u32()?),
-        window: d.u32()?,
-        hashes: d.u64s()?,
-        count: d.u64()?,
-    })
-}
+/// Bytes a churn row takes at the least: tag, vantage, destination,
+/// window, hash count, observation count.
+const CHURN_ROW_MIN: usize = 1 + 3 * 4 + 2 * 8;
 
 fn encode_converted(e: &mut Enc, o: &ConvertedObs) {
     e.u32(o.vp_id);
@@ -895,11 +913,13 @@ fn decode_converted(d: &mut Dec) -> Result<ConvertedObs, String> {
 }
 
 impl ShardState {
-    /// Serialize the shard's full state. Every collection is written in
-    /// sorted order, so encoding the same logical state twice yields
-    /// identical bytes.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+    /// Serialize the shard's full state, handing `ship` the blob in
+    /// pieces of about [`PIECE`] bytes, in order, as they are written —
+    /// so whoever checksums the blob can start before it is finished.
+    /// Every collection is written in sorted order, so encoding the same
+    /// logical state twice yields identical bytes.
+    pub(crate) fn encode(&self, mut ship: impl FnMut(Vec<u8>)) {
+        let mut e = Enc { buf: Vec::with_capacity(2 * PIECE) };
         e.u64(self.observations);
         e.u64(self.conversion.converted);
         for dcount in self.conversion.discarded {
@@ -921,6 +941,9 @@ impl ShardState {
         e.u64(self.late_dropped);
         e.u64(self.retired_trivial);
         self.table.encode(&mut e);
+        // The table is the largest section written before the churn rows
+        // are sorted: ship it first.
+        e.ship_at(PIECE, &mut ship);
         let mut censored: Vec<u32> = self.censored_path_ids.iter().map(|p| p.0).collect();
         censored.sort_unstable();
         e.u32s(&censored);
@@ -942,6 +965,7 @@ impl ShardState {
         keys.sort_unstable();
         e.u64(keys.len() as u64);
         for (url_id, window) in keys {
+            e.ship_at(PIECE, &mut ship);
             e.u32(url_id);
             e.window(window);
             self.groups[&(url_id, window)].group.encode(&mut e);
@@ -964,7 +988,17 @@ impl ShardState {
                 encode_converted(&mut e, o);
             }
         }
-        e.buf
+        if !e.buf.is_empty() {
+            ship(e.buf);
+        }
+    }
+
+    /// The whole blob [`ShardState::encode`] ships in pieces.
+    #[cfg(test)]
+    pub(crate) fn blob(&self) -> Vec<u8> {
+        let mut blob = Vec::new();
+        self.encode(|piece| blob.extend_from_slice(&piece));
+        blob
     }
 
     /// Rebuild a shard from its encoded form. `cfg`/`horizon`/`obs` come
@@ -1027,36 +1061,39 @@ impl ShardState {
         {
             return Err("churn window config does not match the engine's".to_string());
         }
-        // `len` bounds the count by the bytes left, and a row is ~48 bytes
-        // in memory: cap what a corrupt count can reserve up front.
-        let n_entries = d.len()?;
-        let mut entries = Vec::with_capacity(n_entries.min(1 << 20));
+        // Each row goes straight into its window's map: its hashes are
+        // read into one buffer reused for every row, and copied once, into
+        // the map's inline slots (or one spilled list).
+        let n_entries = d.count(CHURN_ROW_MIN)?;
+        let mut import = ChurnAccumulator::import_windowed(&gs, total_days, churn_horizon);
+        let mut hashes = Vec::new();
         for _ in 0..n_entries {
-            entries.push(decode_churn_row(&mut d)?);
+            let granularity = granularity_from(d.u8()?)?;
+            let (vp, dest, window) = (Asn(d.u32()?), Asn(d.u32()?), d.u32()?);
+            hashes.clear();
+            hashes.extend(d.u64_items()?);
+            let count = d.u64()?;
+            let row = ChurnWindowEntry { granularity, vp, dest, window, hashes: &hashes, count };
+            import.row(row).map_err(|e| e.to_string())?;
         }
         let frontier = d.u32()?;
         let late = d.u64()?;
-        state.churn = ChurnAccumulator::import_windowed(
-            &gs,
-            total_days,
-            churn_horizon,
-            entries,
-            frontier,
-            late,
-        )
-        .map_err(|e| e.to_string())?;
+        state.churn = import.finish(frontier, late).map_err(|e| e.to_string())?;
         let n_groups = d.len()?;
+        state.groups.reserve(n_groups);
+        let mut groups = GroupDecoder::new(n_paths);
         for _ in 0..n_groups {
             let url_id = d.u32()?;
             let window = d.window()?;
-            let group = InstanceGroup::decode(url_id, window, n_paths, &mut d)?;
+            let group = groups.decode(url_id, window, &mut d)?;
             if state.groups.insert((url_id, window), LiveGroup { group, solved: None }).is_some() {
                 return Err(format!("duplicate group ({url_id}, {window})"));
             }
         }
-        let n_retired = d.len()?;
+        let n_retired = d.count(RETIRED_CELL_MIN)?;
         if n_retired > 0 {
             let mut restored = SolvedGroup::default();
+            restored.cells.reserve_exact(n_retired);
             for _ in 0..n_retired {
                 restored.push(decode_cell(&mut d, n_paths)?, &state.table, &state.countries);
             }
@@ -1167,9 +1204,10 @@ pub(crate) fn run_worker(
                 drop(reply.send(cut));
             }
             Msg::PruneChurn(min_hw) => busy.interval(|| state.churn.prune_closed(min_hw)),
-            Msg::Checkpoint { reply } => {
-                let blob = busy.interval(|| state.encode());
-                drop(reply.send(blob));
+            Msg::Checkpoint { pieces } => {
+                // A failed send means the requester gave up.
+                busy.interval(|| state.encode(|piece| drop(pieces.send(piece))));
+                drop(pieces.send(Vec::new()));
             }
             #[cfg(feature = "test-instrumentation")]
             Msg::Poison => panic!("poisoned by test instrumentation"),
@@ -1245,11 +1283,11 @@ mod tests {
             let mut block = Block::default();
             shard.measurements.iter().for_each(|m| block.push(m));
             shard.state.ingest_block(&block, &shard.db, &mut Staged::default(), None);
-            shard.blob = shard.state.encode();
+            shard.blob = shard.state.blob();
             let restored = shard
                 .decode(&shard.blob)
                 .unwrap_or_else(|e| panic!("the untouched blob restores: {e}"));
-            assert_eq!(restored.encode(), shard.blob, "restore → encode reproduces the bytes");
+            assert_eq!(restored.blob(), shard.blob, "restore → encode reproduces the bytes");
             shard
         }
 
@@ -1289,12 +1327,12 @@ mod tests {
         shard.refuses([
             (
                 "a granularity the shard was not built with",
-                faulty(ChurnWindowEntry { granularity: Granularity::Year, ..first.clone() }),
+                faulty(ChurnWindowEntry { granularity: Granularity::Year, ..*first }),
                 "unconfigured granularity year".to_string(),
             ),
             (
                 "a window past the period's last",
-                faulty(ChurnWindowEntry { window: shard.total_days, ..first.clone() }),
+                faulty(ChurnWindowEntry { window: shard.total_days, ..*first }),
                 "past the period's".to_string(),
             ),
             (
@@ -1313,7 +1351,7 @@ mod tests {
     fn decode_refuses_churn_state_no_run_can_write() {
         let mut shard = RealShard::build();
         shard.state.churn.prune_closed(30);
-        let blob = shard.state.encode();
+        let blob = shard.state.blob();
         assert!(shard.decode(&blob).is_ok(), "the pruned shard's own blob restores");
         let rows = shard.state.churn.export_windowed().3;
         let first = &rows[0];
@@ -1323,7 +1361,7 @@ mod tests {
             splice(
                 &blob,
                 &row_bytes(first),
-                &row_bytes(&ChurnWindowEntry { window: 0, ..first.clone() }),
+                &row_bytes(&ChurnWindowEntry { window: 0, ..*first }),
             ),
             "(day, window 0) closed below the fold frontier 30".to_string(),
         )]);
@@ -1429,6 +1467,6 @@ mod tests {
         assert_eq!(state.conversion.converted, 0);
         assert_eq!(state.conversion.total_discarded(), shard.measurements.len() as u64);
         state.conversion = ConversionStats::default();
-        assert_eq!(state.encode(), shard.fresh().encode(), "nothing else moved");
+        assert_eq!(state.blob(), shard.fresh().blob(), "nothing else moved");
     }
 }

@@ -6,13 +6,15 @@
 //! retirement active, and with unflushed feeder tails at the cut.
 
 use std::io::Cursor;
+use std::ops::Range;
 
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
 use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
-use churnlab_engine::{Engine, EngineConfig, RestoreError};
+use churnlab_engine::{Engine, EngineConfig, EngineObs, RestoreError};
+use churnlab_obs::{Registry, SampleValue};
 use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
-use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
+use churnlab_topology::{fnv1a, generator, GeneratedWorld, WorldConfig, WorldScale};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,6 +62,48 @@ fn engine_cfg(
 
 fn canonical_json(r: &PipelineResults) -> String {
     serde_json::to_string(&r.canonical_report()).expect("canonical report serializes")
+}
+
+/// Where the sections of a checkpoint sit (the layout `ckpt.rs`
+/// documents), for an engine with a horizon that never compacted.
+struct Layout {
+    /// The caller's own: reserved word, cursor, user blob.
+    payload: Range<usize>,
+    /// The configuration echo: pipeline config, shard count, horizon.
+    echo: Range<usize>,
+    /// The engine's retired state, the one section version 1 carries
+    /// without a checksum: churn tallies, fold frontier, drained findings
+    /// (empty), trivial count.
+    unguarded: Range<usize>,
+    /// Each retired churn tally's 48 bytes: five buckets, then the total.
+    tallies: Vec<Range<usize>>,
+    /// Each shard's blob, between its length prefix and its checksum.
+    blobs: Vec<Range<usize>>,
+}
+
+fn layout(blob: &[u8], user: &[u8], shards: usize) -> Layout {
+    let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
+    let payload = 12..16 + 8 + 8 + user.len();
+    let echo = payload.end..payload.end + 8 + u64_at(payload.end) + 4 + 5;
+    const ROW: usize = 1 + 4 + 6 * 8; // granularity, destination, tally
+    let rows = echo.end + 8;
+    let tallies =
+        (0..u64_at(echo.end)).map(|r| rows + r * ROW + 5..rows + (r + 1) * ROW).collect();
+    let mut at = rows + u64_at(echo.end) * ROW + 4; // the rows, the frontier
+    for _ in 0..4 {
+        assert_eq!(u64_at(at), 0, "this engine never compacted: no drained findings");
+        at += 8;
+    }
+    let unguarded = echo.end..at + 8; // ..., trivial count
+    let mut blobs = Vec::new();
+    let mut at = unguarded.end;
+    for _ in 0..shards {
+        let blob = at + 8..at + 8 + u64_at(at); // length prefix, blob
+        at = blob.end + 8; // checksum
+        blobs.push(blob);
+    }
+    assert_eq!(at, blob.len(), "the shard blobs end the file");
+    Layout { payload, echo, unguarded, tallies, blobs }
 }
 
 /// Run the whole stream through one engine, no interruption.
@@ -413,12 +457,18 @@ fn compact_drains_outcomes_but_keeps_aggregates_exact() {
 ///   the configuration echo (pipeline config, shard count, horizon) and
 ///   the checksummed shard blobs, over 99% of the bytes — is a
 ///   [`RestoreError`].
+/// * The engine's retired state is the one section version 1 of the
+///   format carries without a checksum. Decoding checks what its encoder
+///   guarantees instead — rows and lists strictly ascending, each churn
+///   tally's buckets summing to its total — so every single-bit flip
+///   inside a tally is a [`RestoreError`] too. A flip elsewhere in the
+///   section can still restore to different state; closing that needs a
+///   format bump.
 /// * A flip in the caller's own payload (cursor, user blob) or the
 ///   reserved word restores the engine state intact.
-/// * Nothing panics, wherever the flip lands. That includes the one
-///   section version 1 of the format carries without a checksum, the
-///   engine's folded churn tallies: a flip there can restore to
-///   different tallies, and closing that needs a format bump.
+/// * Nothing panics, wherever the flip lands — the shard blobs decode
+///   while their checksums are verified, so decoding a flipped blob must
+///   fail cleanly too.
 #[test]
 fn restore_fuzz_truncations_and_bit_flips_never_panic() {
     let s = study(29);
@@ -457,23 +507,22 @@ fn restore_fuzz_truncations_and_bit_flips_never_panic() {
     );
     drop(clean);
 
-    // Walk the documented layout (see `ckpt.rs`) to the section bounds.
-    let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
-    let payload = 12..16 + 8 + 8 + user.len(); // reserved, cursor, user blob
-    let echo = payload.end..payload.end + 8 + u64_at(payload.end) + 4 + 5; // config, shards, horizon
-    let tallies = u64_at(echo.end);
-    let mut at = echo.end + 8 + tallies * (1 + 4 + 6 * 8) + 4; // churn rows, frontier
-    for _ in 0..4 {
-        assert_eq!(u64_at(at), 0, "this engine never compacted: no drained findings");
-        at += 8;
-    }
-    let unguarded = echo.end..at + 8; // ..., trivial count
-    assert!(tallies > 0, "the snapshots must have folded churn windows");
+    let Layout { payload, echo, unguarded, tallies, .. } = layout(&blob, user, 2);
+    assert!(!tallies.is_empty(), "the snapshots must have folded churn windows");
     assert!(unguarded.end * 100 < blob.len(), "the shard blobs are the bulk of the bytes");
 
     let lens = (0..unguarded.end + 64).chain((0..blob.len()).step_by(4099));
     for len in lens.chain(blob.len() - 64..blob.len()) {
         assert!(restore(&blob[..len]).is_err(), "truncation to {len} bytes restored");
+    }
+
+    let mut flipped = blob.clone();
+    for at in tallies.into_iter().flatten() {
+        for bit in 0..8 {
+            flipped[at] ^= 1 << bit;
+            assert!(restore(&flipped).is_err(), "flipping bit {bit} of tally byte {at} restored");
+            flipped[at] ^= 1 << bit;
+        }
     }
 
     let mut rng = StdRng::seed_from_u64(0xf1);
@@ -483,7 +532,6 @@ fn restore_fuzz_truncations_and_bit_flips_never_panic() {
         .chain((0..400).map(|_| (rng.gen_range(unguarded.end..blob.len()), rng.gen_range(0..8))))
         .chain((blob.len() - 16..blob.len()).map(|at| (at, 7 - at % 8)));
     for (at, bit) in positions {
-        let mut flipped = blob.clone();
         flipped[at] ^= 1 << bit;
         match restore(&flipped) {
             Err(_) => assert!(
@@ -500,5 +548,93 @@ fn restore_fuzz_truncations_and_bit_flips_never_panic() {
                 }
             }
         }
+        flipped[at] ^= 1 << bit;
     }
+}
+
+/// Restore checks the shard blobs' checksums on a second thread while
+/// it decodes them, and still reports what a serial restore reports:
+/// shard by shard, a blob's checksum mismatch before its decode error,
+/// and trailing bytes only once every shard has restored.
+#[test]
+fn restore_reports_errors_in_serial_order() {
+    let s = study(31);
+    let (platform, mut ms) = measurements(&s);
+    ms.sort_by_key(|m| m.day);
+    let cfg = engine_cfg(&platform, ChurnMode::Normal, 2, Some(3));
+    let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
+    for m in &ms[..ms.len() / 2] {
+        engine.ingest_owned(m.clone());
+    }
+    let mut blob = Vec::new();
+    engine.checkpoint(1, b"", &mut blob).expect("checkpoint");
+    drop(engine);
+    let restore_err = |bytes: &[u8]| {
+        let restored = Engine::restore(
+            platform.measured_ip2as(),
+            &s.world.topology,
+            cfg.clone(),
+            &mut Cursor::new(bytes),
+        );
+        restored.err().expect("a damaged checkpoint does not restore").to_string()
+    };
+    let shard1 = layout(&blob, b"", 2).blobs[1].clone();
+
+    let mut flipped = blob.clone();
+    flipped[shard1.start + shard1.len() / 2] ^= 0x10;
+    assert_eq!(restore_err(&flipped), "corrupt checkpoint: shard 1 blob checksum mismatch");
+
+    // Shard 1's blob with a byte its decoder does not expect after it,
+    // framed and checksummed as if it were whole.
+    let mut bad = blob[shard1.clone()].to_vec();
+    bad.push(0);
+    let mut reframed = blob[..shard1.start - 8].to_vec();
+    reframed.extend((bad.len() as u64).to_le_bytes());
+    reframed.extend(&bad);
+    reframed.extend(fnv1a(bad.iter().copied()).to_le_bytes());
+    assert_eq!(
+        restore_err(&reframed),
+        "corrupt checkpoint: shard 1: 1 trailing bytes after checkpoint body"
+    );
+
+    let mut trailing = blob.clone();
+    trailing.push(0);
+    assert_eq!(
+        restore_err(&trailing),
+        "corrupt checkpoint: 1 trailing bytes after checkpoint body"
+    );
+}
+
+/// An engine with observability attached times every checkpoint and
+/// every successful restore, in histograms beside the snapshot's.
+#[test]
+fn checkpoint_and_restore_are_timed() {
+    let s = study(37);
+    let (platform, ms) = measurements(&s);
+    let registry = Registry::new();
+    let cfg = engine_cfg(&platform, ChurnMode::Normal, 2, None)
+        .with_obs(EngineObs::new(registry.clone()));
+    let engine = Engine::with_context(platform.measured_ip2as(), &s.world.topology, cfg.clone());
+    for m in &ms[..ms.len() / 2] {
+        engine.ingest_owned(m.clone());
+    }
+    let mut blob = Vec::new();
+    engine.checkpoint(0, b"", &mut Vec::new()).expect("checkpoint");
+    engine.checkpoint(0, b"", &mut blob).expect("checkpoint");
+    drop(engine);
+    let restore = |bytes: &[u8]| {
+        let db = platform.measured_ip2as();
+        Engine::restore(db, &s.world.topology, cfg.clone(), &mut Cursor::new(bytes))
+    };
+    assert!(restore(&blob[..blob.len() - 1]).is_err());
+    drop(restore(&blob).expect("restore"));
+    let observed = |name: &str| {
+        let snap = registry.scrape();
+        match snap.samples.iter().find(|s| s.name == name).map(|s| &s.value) {
+            Some(SampleValue::Histogram(h)) => (h.count, h.sum > 0),
+            other => panic!("{name} is not a histogram: {other:?}"),
+        }
+    };
+    assert_eq!(observed("churnlab_checkpoint_nanos"), (2, true));
+    assert_eq!(observed("churnlab_restore_nanos"), (1, true), "a failed restore is not timed");
 }

@@ -83,7 +83,9 @@ fn canonical_json(r: &PipelineResults) -> String {
 fn churn_rows(r: &PipelineResults) -> Vec<(Granularity, Asn, Asn, u32, BTreeSet<u64>, u64)> {
     let rows = r.churn.export_windowed().3;
     rows.into_iter()
-        .map(|e| (e.granularity, e.vp, e.dest, e.window, e.hashes.into_iter().collect(), e.count))
+        .map(|e| {
+            (e.granularity, e.vp, e.dest, e.window, e.hashes.iter().copied().collect(), e.count)
+        })
         .collect()
 }
 

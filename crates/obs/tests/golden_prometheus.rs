@@ -61,10 +61,38 @@ fn exposition_format_is_stable() {
     );
     s.observe(600);
     s.observe(1000);
+    reg.histogram(
+        "churnlab_checkpoint_nanos",
+        "wall nanoseconds of each Engine::checkpoint call, encode + write",
+        &[],
+    )
+    .observe(900);
+    reg.histogram(
+        "churnlab_restore_nanos",
+        "wall nanoseconds of each Engine::restore call, read + decode + spawn",
+        &[],
+    )
+    .observe(200);
 
     let text = render_prometheus(&reg.scrape());
 
     let golden = "\
+# HELP churnlab_checkpoint_nanos wall nanoseconds of each Engine::checkpoint call, encode + write
+# TYPE churnlab_checkpoint_nanos histogram
+churnlab_checkpoint_nanos_bucket{le=\"0\"} 0
+churnlab_checkpoint_nanos_bucket{le=\"1\"} 0
+churnlab_checkpoint_nanos_bucket{le=\"3\"} 0
+churnlab_checkpoint_nanos_bucket{le=\"7\"} 0
+churnlab_checkpoint_nanos_bucket{le=\"15\"} 0
+churnlab_checkpoint_nanos_bucket{le=\"31\"} 0
+churnlab_checkpoint_nanos_bucket{le=\"63\"} 0
+churnlab_checkpoint_nanos_bucket{le=\"127\"} 0
+churnlab_checkpoint_nanos_bucket{le=\"255\"} 0
+churnlab_checkpoint_nanos_bucket{le=\"511\"} 0
+churnlab_checkpoint_nanos_bucket{le=\"1023\"} 1
+churnlab_checkpoint_nanos_bucket{le=\"+Inf\"} 1
+churnlab_checkpoint_nanos_sum 900
+churnlab_checkpoint_nanos_count 1
 # HELP churnlab_measurements_total raw measurements ingested, per shard
 # TYPE churnlab_measurements_total counter
 churnlab_measurements_total{shard=\"0\"} 1200
@@ -88,6 +116,20 @@ churnlab_resolve_nanos_bucket{le=\"1023\"} 3
 churnlab_resolve_nanos_bucket{le=\"+Inf\"} 3
 churnlab_resolve_nanos_sum 903
 churnlab_resolve_nanos_count 3
+# HELP churnlab_restore_nanos wall nanoseconds of each Engine::restore call, read + decode + spawn
+# TYPE churnlab_restore_nanos histogram
+churnlab_restore_nanos_bucket{le=\"0\"} 0
+churnlab_restore_nanos_bucket{le=\"1\"} 0
+churnlab_restore_nanos_bucket{le=\"3\"} 0
+churnlab_restore_nanos_bucket{le=\"7\"} 0
+churnlab_restore_nanos_bucket{le=\"15\"} 0
+churnlab_restore_nanos_bucket{le=\"31\"} 0
+churnlab_restore_nanos_bucket{le=\"63\"} 0
+churnlab_restore_nanos_bucket{le=\"127\"} 0
+churnlab_restore_nanos_bucket{le=\"255\"} 1
+churnlab_restore_nanos_bucket{le=\"+Inf\"} 1
+churnlab_restore_nanos_sum 200
+churnlab_restore_nanos_count 1
 # HELP churnlab_route_nodes_resolved_total ASes whose next hop a lookup resolved in a cached tree
 # TYPE churnlab_route_nodes_resolved_total counter
 churnlab_route_nodes_resolved_total 740

@@ -89,9 +89,15 @@ pub fn mix64(mut x: u64) -> u64 {
 /// digests, checkpoint checksums and path fingerprints can be pinned.
 #[inline]
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// [`fnv1a`] carried on from `h`, the hash of the bytes before these:
+/// `fnv1a_extend(fnv1a(a), b)` is `fnv1a` of `a` then `b`, so a stream
+/// that arrives in pieces is hashed as they arrive.
+#[inline]
+pub fn fnv1a_extend(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 #[cfg(test)]
@@ -111,6 +117,7 @@ mod tests {
         assert_eq!(fnv1a([]), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(*b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_extend(fnv1a(*b"foo"), *b"bar"), fnv1a(*b"foobar"), "in pieces");
     }
 
     #[test]

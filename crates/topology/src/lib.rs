@@ -48,7 +48,7 @@ pub use asys::{AsClass, AsInfo, AsRole, Asn};
 pub use generator::{GeneratedWorld, HostingOrg, WorldConfig, WorldScale};
 pub use geo::{Country, CountryCode, Region};
 pub use graph::{AsIdx, Topology};
-pub use hash::{fnv1a, mix64, FxMap, FxSet};
+pub use hash::{fnv1a, fnv1a_extend, mix64, FxMap, FxSet};
 pub use ip2as::{Ip2AsDb, Ip2AsNoise};
 pub use links::{Link, LinkId, LinkStability, Relationship};
 pub use prefix::Ipv4Prefix;
