@@ -20,10 +20,11 @@
 //! byte-equality claim at every thread count it times, and aborts
 //! before any report is written otherwise.
 //!
-//! The corpus is [`URLS`] URLs at every scale: the parallel runner
-//! partitions work at URL granularity, so at 8 threads a 16-URL smoke
-//! corpus measures partition skew, not scaling; 64 keeps the skew under
-//! ~12%.
+//! The corpus is [`URLS`] URLs at every scale. The parallel runner deals
+//! (URL, testing day) units round-robin, so every worker gets a slice of
+//! every URL: a URL whose paths cross an acting censor costs several
+//! times a quiet one, and whole URLs as units would make an 8-thread row
+//! measure which worker drew the costly URLs, not scaling.
 //!
 //! `--baseline`, `--require-gate`, `--update-baseline` and
 //! `--assert-scaling` are the shared [`crate::gate`]s, over the
@@ -122,10 +123,7 @@ pub struct CampaignHarness<'w> {
 }
 
 impl<'w> CampaignHarness<'w> {
-    /// Assemble from a [`Bench`] over a [`URLS`]-URL corpus, which keeps
-    /// the parallel runner's URL-granularity work units small relative
-    /// to a worker's share: thread-count sweeps then measure scaling
-    /// rather than partition skew.
+    /// Assemble from a [`Bench`] over a [`URLS`]-URL corpus.
     pub fn assemble(bench: &'w Bench) -> CampaignHarness<'w> {
         let platform_cfg = PlatformConfig { n_urls: URLS, ..bench.platform_cfg.clone() };
         let platform = Platform::new(&bench.world, &bench.scenario, platform_cfg);

@@ -21,6 +21,10 @@
 //! A censor with several TCP mechanisms applies one per domain (stable
 //! choice, hashed from ASN and domain), so a heavy censor shows up across
 //! many anomaly types over a URL list — matching Table 2's "All" rows.
+//!
+//! Since a censor acts only on a name it blocks, [`FlowNames`] answers
+//! before any packet is built whether arming one on a flow can change
+//! that flow.
 
 use crate::mechanism::Mechanism;
 use crate::policy::CompiledCensor;
@@ -40,6 +44,51 @@ pub struct TestContext {
     /// (the platform computes this from the path; used when the censor's
     /// profile has `mimic_ttl`).
     pub mimic_init_ttl: u8,
+}
+
+/// The two names a flow puts on the wire, read back by the decoders an
+/// [`ActiveCensor`] reads them with: the DNS query's question name
+/// ([`DnsMessage::peek`]) and the GET's Host header
+/// ([`HttpRequest::parse_borrowed`]). `None` where the censor reads no
+/// name (the bytes are not a query, or not a GET).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FlowNames {
+    /// The question name `on_dns` matches.
+    pub qname: Option<String>,
+    /// The Host `on_tcp` matches.
+    pub host: Option<String>,
+}
+
+impl FlowNames {
+    /// Decode both names off the bytes a flow sends: `dns_query`, an
+    /// encoded query under any transaction id, and `get`, a serialised
+    /// request.
+    pub fn read(dns_query: &[u8], get: &[u8]) -> Self {
+        let mut qname = String::new();
+        let qname = match DnsMessage::peek(dns_query, Some(&mut qname)) {
+            Ok(q) if !q.is_response => Some(qname),
+            _ => None,
+        };
+        let host = HttpRequest::parse_borrowed(get).map(|(host, _)| host.to_owned());
+        FlowNames { qname, host }
+    }
+
+    /// Whether `censor`, armed for `day`, acts on a flow that sends these
+    /// names: whether it blocks either of them that day.
+    ///
+    /// Exact, not an estimate. An [`ActiveCensor`] changes a flow only
+    /// through the verdicts it returns, and both of its hooks return
+    /// [`ObserverVerdict::pass`] — having forged nothing — unless
+    /// [`CompiledCensor::blocks_domain`] holds for the name just decoded:
+    /// `on_dns` for a DNS query's question, `on_tcp` for a data segment's
+    /// Host. A flow's forward packets carry one DNS query and one request
+    /// payload (the GET, resent unchanged when dropped), so these are the
+    /// only names the censor is ever asked about. When it blocks neither,
+    /// it passes every packet, and the flow it observes is the flow no
+    /// censor observes.
+    pub fn acted_on_by(&self, censor: &CompiledCensor, day: u32) -> bool {
+        self.qname.iter().chain(&self.host).any(|name| censor.blocks_domain(name, day))
+    }
 }
 
 /// A censor armed on one path for one measurement flow.
@@ -441,6 +490,88 @@ mod tests {
         let m1 = a.mechanism_for("banned.example");
         let m2 = a.mechanism_for("banned.example");
         assert_eq!(m1, m2);
+    }
+
+    /// An armed censor that must pass every packet it is shown.
+    struct MustPass<'c>(ActiveCensor<'c>);
+
+    impl OnPathObserver for MustPass<'_> {
+        fn observe(&mut self, pkt: &Ipv4Packet, t_us: u64) -> ObserverVerdict {
+            let verdict = self.0.observe(pkt, t_us);
+            assert_eq!(verdict, ObserverVerdict::pass(), "a censor the predicate rules out acted");
+            verdict
+        }
+    }
+
+    #[test]
+    fn a_censor_the_predicate_rules_out_passes_both_flows() {
+        use churnlab_net::{Capture, FlowConfig, FlowSimulator, HopPath, HttpResponse, Reassembly};
+        use churnlab_topology::Ipv4Prefix;
+        use rand::{rngs::StdRng, SeedableRng};
+        use std::collections::HashMap;
+
+        let asns = [Asn(10), Asn(4134), Asn(30), Asn(40)];
+        let prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = asns
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| (a, vec![Ipv4Prefix::new(((i as u32) + 1) << 24, 16).unwrap()]))
+            .collect();
+        let path = HopPath::expand(
+            &asns,
+            &prefixes,
+            prefixes[&Asn(10)][0].nth_host(1),
+            prefixes[&Asn(40)][0].nth_host(1),
+            (1, 3),
+            &mut StdRng::seed_from_u64(9),
+        );
+        let mut mechanism_sets: Vec<Vec<Mechanism>> = Mechanism::ALL.map(|m| vec![m]).into();
+        mechanism_sets.push(Mechanism::ALL.to_vec());
+        let profiles = [
+            MechanismProfile::default(),
+            MechanismProfile { mimic_ttl: true, ..Default::default() },
+            MechanismProfile { seq_fuzz: 500, rst_burst: 1, ..Default::default() },
+            MechanismProfile { init_ttl: 255, delay_us: 0, blockpage_id: 3, ..Default::default() },
+        ];
+        let flows = [
+            FlowConfig::default(),
+            FlowConfig { organic_rst: true, ..FlowConfig::default() },
+            FlowConfig { organic_loss: true, mss: 100, ..FlowConfig::default() },
+        ];
+        let page = SharedBytes::from(HttpResponse::ok(&"<html>page</html>".repeat(40)).serialize());
+        let (mut want, mut got) = (Capture::new(), Capture::new());
+        let (mut want_re, mut got_re) = (Reassembly::default(), Reassembly::default());
+        for mechanisms in &mechanism_sets {
+            for profile in &profiles {
+                let c = compiled(mechanisms.clone(), profile.clone());
+                // An unlisted domain, and a listed one on a dormant day.
+                for (domain, day) in [("fine.example", 5), ("banned.example", 200)] {
+                    let query = DnsMessage::query(0, domain).encode().unwrap();
+                    let get = SharedBytes::from(HttpRequest::get(domain, "/").serialize());
+                    let names = FlowNames::read(&query, &get);
+                    assert_eq!(names.qname.as_deref(), Some(domain));
+                    assert_eq!(names.host.as_deref(), Some(domain));
+                    assert!(!names.acted_on_by(&c, day));
+                    assert!(names.acted_on_by(&c, 5) == (domain == "banned.example"));
+                    let ctx = TestContext { day, mimic_init_ttl: 77 };
+                    for cfg in &flows {
+                        let query = DnsMessage::stamp_id(&query, 0x4242);
+                        let none: &mut [(usize, MustPass)] = &mut [];
+                        FlowSimulator::dns_lookup_into(&path, cfg, query.clone(), None, none, &mut want);
+                        let armed = &mut [(1, MustPass(ActiveCensor::new(&c, ctx)))];
+                        FlowSimulator::dns_lookup_into(&path, cfg, query, None, armed, &mut got);
+                        assert_eq!(got, want);
+                        let want_fetch = FlowSimulator::http_get_into(
+                            &path, cfg, &get, &page, none, &mut want, &mut want_re,
+                        );
+                        let got_fetch = FlowSimulator::http_get_into(
+                            &path, cfg, &get, &page, armed, &mut got, &mut got_re,
+                        );
+                        assert_eq!(got_fetch, want_fetch);
+                        assert_eq!(got, want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

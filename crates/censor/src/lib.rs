@@ -41,7 +41,7 @@ pub mod scenario;
 pub mod urlcat;
 
 pub use blockpage::BlockpageTemplate;
-pub use engine::{ActiveCensor, TestContext};
+pub use engine::{ActiveCensor, FlowNames, TestContext};
 pub use mechanism::{Mechanism, MechanismProfile};
 pub use policy::{CensorPolicy, CompiledCensor, PolicyPhase};
 pub use scenario::{CensorConfig, CensorshipScenario};

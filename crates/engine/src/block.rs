@@ -371,7 +371,7 @@ mod tests {
     /// A 9k-measurement smoke study and an instrumented two-shard engine
     /// over it, handed to `drive` with the study; returns how many blocks
     /// feeders took from the pool and how many fresh.
-    fn wire_blocks(drive: impl FnOnce(&Engine<'_>, Vec<Measurement>)) -> (u64, u64) {
+    fn wire_blocks(shards: usize, drive: impl FnOnce(&Engine<'_>, Vec<Measurement>)) -> (u64, u64) {
         let world = generator::generate(&WorldConfig::preset(WorldScale::Smoke, 5));
         let mut censor_cfg = CensorConfig::scaled_for(world.topology.countries().len());
         let platform_cfg = PlatformConfig::preset(PlatformScale::Smoke, 6);
@@ -385,7 +385,7 @@ mod tests {
 
         let registry = Registry::new();
         let cfg = EngineConfig::new(PipelineConfig::paper(platform_cfg.total_days))
-            .with_shards(SHARDS)
+            .with_shards(shards)
             .with_obs(EngineObs::new(registry.clone()));
         let engine = Engine::new(&platform, cfg);
         drive(&engine, ms);
@@ -403,7 +403,7 @@ mod tests {
     /// in its hands, one a shard in flight — however many it ships.
     #[test]
     fn a_feeder_shipping_full_chunks_recycles_its_blocks() {
-        let (pool, fresh) = wire_blocks(|engine, ms| {
+        let (pool, fresh) = wire_blocks(SHARDS, |engine, ms| {
             let mut feeder = engine.feeder().with_chunk(64);
             for chunk in ms.chunks(64) {
                 chunk.iter().for_each(|m| feeder.ingest_owned(m.clone()));
@@ -419,7 +419,7 @@ mod tests {
     /// drawn from the pool at every flush, not regrown from nothing.
     #[test]
     fn a_feeder_flushing_every_200_recycles_its_blocks() {
-        let (pool, fresh) = wire_blocks(|engine, ms| {
+        let (pool, fresh) = wire_blocks(SHARDS, |engine, ms| {
             let mut feeder = engine.feeder();
             for chunk in ms.chunks(200) {
                 chunk.iter().for_each(|m| feeder.ingest_owned(m.clone()));
@@ -429,6 +429,22 @@ mod tests {
         });
         assert!(pool + fresh >= 50, "{pool} + {fresh} taken");
         assert!(fresh <= 2 * SHARDS as u64, "{fresh} fresh, {pool} pooled");
+    }
+
+    /// A feeder that outruns its shard — small blocks, never waiting on
+    /// a report — makes no more blocks than the shard's slots and the pool
+    /// hold, however many it ships: past those, every block it fills is
+    /// one the shard gave back. (With no slots it made one for nearly
+    /// every block it shipped.)
+    #[test]
+    fn a_feeder_outrunning_its_shard_is_held_to_its_slots() {
+        let (pool, fresh) = wire_blocks(1, |engine, ms| {
+            let mut feeder = engine.feeder().with_chunk(16);
+            ms.into_iter().for_each(|m| feeder.ingest_owned(m));
+        });
+        assert!(pool + fresh >= 500, "{pool} + {fresh} taken");
+        let bound = (crate::engine::QUEUED_BLOCKS + POOL_BLOCKS) as u64;
+        assert!(fresh <= bound, "{fresh} fresh, {pool} pooled, bound {bound}");
     }
 
     #[test]

@@ -31,6 +31,25 @@ use std::time::Instant;
 /// ingested measurement or one feeder block of up to a chunk of them).
 const QUEUE_CAPACITY: usize = 1024;
 
+/// Feeder blocks a shard may have queued or in hand at once: a feeder
+/// shipping to a shard that has this many waits until the shard has
+/// folded one. This, not [`QUEUE_CAPACITY`], is what bounds the memory in
+/// flight when feeders outrun a shard — as the fused generator does once
+/// tests no censor acts on build no flow. A full block of 512 Small
+/// measurements holds ~155 KiB (160–230 KiB allocated), so a shard's
+/// backlog stays under ~3.7 MiB, where 1,024 let the whole 95-block
+/// Small study queue. Measured on `fused-small` (28 s runs on a 2-core
+/// box, peak RSS against the parent's 20.8 MiB median): 16 read 22.2
+/// MiB, 24 read 23.4–24.7, 32 read 25.9–27.0 and no bound 25.6–27.5.
+/// The price is paid where a feeder outruns its shard by the most:
+/// `replay-small` read 12–15% fewer measurements a second than with no
+/// bound (freeing slots eight at a time instead of one did not win it
+/// back). A bound on
+/// messages would throttle directly ingested measurements, one a
+/// message, 512 times as hard: a 16-deep queue cost `bench longhaul`'s
+/// four-shard direct ingest a third of its throughput.
+pub(crate) const QUEUED_BLOCKS: usize = 16;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -203,6 +222,9 @@ pub struct Engine<'c> {
     /// [`EngineConfig::window_horizon`]).
     horizon: Option<u32>,
     senders: Vec<SyncSender<Msg>>,
+    /// Per shard, one slot a queued feeder block holds (see
+    /// [`QUEUED_BLOCKS`]); the worker frees it once the block is folded.
+    block_slots: Vec<SyncSender<()>>,
     /// Joined on shutdown, or eagerly by [`Engine::worker_died`] when a
     /// send fails — `Mutex` because `&self` senders may hit a dead
     /// worker concurrently and exactly one of them gets to join it.
@@ -310,15 +332,18 @@ impl<'c> Engine<'c> {
         );
         let pool = Arc::new(BlockPool::new(cfg.obs.as_ref().map(|o| o.wire_blocks.clone())));
         let mut senders = Vec::with_capacity(states.len());
+        let mut block_slots = Vec::with_capacity(states.len());
         let mut workers = Vec::with_capacity(states.len());
         for (i, state) in states.into_iter().enumerate() {
             let (tx, rx) = sync_channel(QUEUE_CAPACITY);
+            let (slot_tx, slot_rx) = sync_channel(QUEUED_BLOCKS);
             let (worker_db, worker_pool) = (db.clone(), Arc::clone(&pool));
             let handle = std::thread::Builder::new()
                 .name(format!("churnlab-shard-{i}"))
-                .spawn(move || run_worker(rx, state, worker_db, worker_pool))
+                .spawn(move || run_worker(rx, slot_rx, state, worker_db, worker_pool))
                 .expect("spawn shard worker");
             senders.push(tx);
+            block_slots.push(slot_tx);
             workers.push(Some(handle));
         }
         Engine {
@@ -326,6 +351,7 @@ impl<'c> Engine<'c> {
             cfg: cfg.pipeline,
             horizon: cfg.window_horizon,
             senders,
+            block_slots,
             workers: Mutex::new(workers),
             retired: Mutex::new(EngineRetired::default()),
             obs: cfg.obs,
@@ -347,6 +373,14 @@ impl<'c> Engine<'c> {
     /// instead of an unrelated `SendError` unwrap.
     pub(crate) fn send(&self, shard: usize, msg: Msg) {
         if self.senders[shard].send(msg).is_err() {
+            self.worker_died(shard);
+        }
+    }
+
+    /// Take one of `shard`'s [`QUEUED_BLOCKS`] slots for a feeder block
+    /// about to ship, waiting while the shard holds them all.
+    fn take_block_slot(&self, shard: usize) {
+        if self.block_slots[shard].send(()).is_err() {
             self.worker_died(shard);
         }
     }
@@ -867,7 +901,8 @@ pub struct Restored<'c> {
 /// already owns, a feeder and a shard that keep pace allocate nothing on
 /// the wire, and a feeder that flushes every few hundred measurements
 /// before a snapshot reuses its blocks instead of regrowing a buffer
-/// each time.
+/// each time. A feeder that outruns a shard waits while the shard has 16
+/// feeder blocks queued, until it folds one.
 pub struct Feeder<'e, 'c> {
     engine: &'e Engine<'c>,
     /// The block being filled for each shard.
@@ -903,6 +938,9 @@ impl Feeder<'_, '_> {
 
     /// Send `shard` its block and start on a spent one from the pool.
     fn ship(&mut self, shard: usize) {
+        // The slot first: once it is free the shard has given a block
+        // back, so the refill comes from the pool.
+        self.engine.take_block_slot(shard);
         let full = std::mem::replace(&mut self.blocks[shard], self.engine.pool.take());
         self.engine.send(shard, Msg::Block(full));
     }
@@ -937,10 +975,12 @@ impl Drop for Feeder<'_, '_> {
             if block.is_empty() {
                 self.engine.pool.give(block);
             } else if unwinding {
-                // Best-effort tail delivery while unwinding: a dead worker
-                // must not turn one panic into an abort.
+                // Best-effort tail delivery while unwinding, without a
+                // slot: a dead worker must not turn one panic into an
+                // abort.
                 let _ = self.engine.senders[shard].send(Msg::Block(block));
             } else {
+                self.engine.take_block_slot(shard);
                 self.engine.send(shard, Msg::Block(block));
             }
         }

@@ -1153,6 +1153,7 @@ struct PhaseClock {
 /// oversubscription, but better than nothing on non-Linux hosts).
 pub(crate) fn run_worker(
     rx: Receiver<Msg>,
+    block_slots: Receiver<()>,
     mut state: ShardState,
     db: Ip2AsDb,
     pool: Arc<BlockPool>,
@@ -1183,6 +1184,9 @@ pub(crate) fn run_worker(
             Msg::Block(block) => {
                 busy.interval(|| state.ingest_block(&block, &db, &mut staged, phase.as_mut()));
                 pool.give(block);
+                // Free the block's slot (a feeder unwinding ships its
+                // tail without one, so there may be none to free).
+                let _ = block_slots.try_recv();
             }
             Msg::Report { reply, fin } => {
                 let mut report = busy.interval(|| match &mut phase {

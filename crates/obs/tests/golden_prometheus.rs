@@ -24,6 +24,18 @@ fn exposition_format_is_stable() {
     )
     .add(1100);
     reg.gauge("churnlab_windows_open", "churn windows currently open", &[]).set(5);
+    reg.counter(
+        "churnlab_campaign_tests_run_total",
+        "Tests actually executed, including failed-route records",
+        &[],
+    )
+    .add(36_864);
+    reg.counter(
+        "churnlab_campaign_tests_quiet_total",
+        "Routed tests whose verdict needed no packet flow: no censor on the path acts on the URL that day and no organic noise fired",
+        &[],
+    )
+    .add(30_406);
     let h = reg.histogram("churnlab_resolve_nanos", "incremental re-solve latency", &[]);
     h.observe(0);
     h.observe(3);
@@ -77,6 +89,12 @@ fn exposition_format_is_stable() {
     let text = render_prometheus(&reg.scrape());
 
     let golden = "\
+# HELP churnlab_campaign_tests_quiet_total Routed tests whose verdict needed no packet flow: no censor on the path acts on the URL that day and no organic noise fired
+# TYPE churnlab_campaign_tests_quiet_total counter
+churnlab_campaign_tests_quiet_total 30406
+# HELP churnlab_campaign_tests_run_total Tests actually executed, including failed-route records
+# TYPE churnlab_campaign_tests_run_total counter
+churnlab_campaign_tests_run_total 36864
 # HELP churnlab_checkpoint_nanos wall nanoseconds of each Engine::checkpoint call, encode + write
 # TYPE churnlab_checkpoint_nanos histogram
 churnlab_checkpoint_nanos_bucket{le=\"0\"} 0

@@ -512,4 +512,76 @@ mod tests {
             FlowSimulator::dns_lookup(&p, &FlowConfig::default(), &q, Some(&honest), &mut []);
         assert!(!detect_dns(&cap));
     }
+
+    proptest::proptest! {
+        /// A flow no censor touches and no organic noise disturbs gives
+        /// the five detectors nothing — the premise of a quiet test's empty
+        /// verdict — over any hop path and flow parameters.
+        #[test]
+        fn prop_detectors_are_silent_on_clean_flows(
+            n_ases in 1usize..8,
+            routers in (1usize..4, 0usize..3),
+            path_seed in proptest::prelude::any::<u64>(),
+            client_port in proptest::prelude::any::<u16>(),
+            isn_client in proptest::prelude::any::<u32>(),
+            isn_server in proptest::prelude::any::<u32>(),
+            client_init_ttl in 1u8..=255,
+            server_init_ttl in 1u8..=255,
+            mss in 1usize..3000,
+            body_len in 0usize..9000,
+            id in proptest::prelude::any::<u16>(),
+        ) {
+            let asns: Vec<Asn> = (1..=n_ases as u32).map(|i| Asn(i * 10)).collect();
+            let prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = asns
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| (a, vec![Ipv4Prefix::new(((i as u32) + 1) << 24, 16).unwrap()]))
+                .collect();
+            let client = prefixes[&asns[0]][0].nth_host(1);
+            let server = prefixes[&asns[n_ases - 1]][0].nth_host(2);
+            let (lo, extra) = routers;
+            let mut rng = StdRng::seed_from_u64(path_seed);
+            let p = HopPath::expand(&asns, &prefixes, client, server, (lo, lo + extra), &mut rng);
+            let cfg = FlowConfig {
+                client_init_ttl,
+                server_init_ttl,
+                client_port,
+                isn_client,
+                isn_server,
+                mss,
+                organic_rst: false,
+                organic_loss: false,
+            };
+            let body = "<html>".chars().chain("clean page ".chars().cycle()).take(body_len).collect::<String>();
+            let page = churnlab_net::SharedBytes::from(HttpResponse::ok(&body).serialize());
+            let get = churnlab_net::SharedBytes::from(HttpRequest::get("quiet.example", "/").serialize());
+            let query = DnsMessage::query(id, "quiet.example");
+            let answer = DnsMessage::answer(&query, server, 300);
+            let none: &mut [(usize, &mut dyn OnPathObserver)] = &mut [];
+            let mut dns_cap = churnlab_net::Capture::new();
+            FlowSimulator::dns_lookup_into(
+                &p,
+                &cfg,
+                query.encode().unwrap().into(),
+                Some(answer.encode().unwrap().into()),
+                none,
+                &mut dns_cap,
+            );
+            let (mut http_cap, mut reassembly) =
+                (churnlab_net::Capture::new(), churnlab_net::Reassembly::default());
+            let fetched =
+                FlowSimulator::http_get_into(&p, &cfg, &get, &page, none, &mut http_cap, &mut reassembly);
+            let fingerprints =
+                FingerprintSet::compile(&churnlab_censor::blockpage::fingerprint_list());
+            let detected = detect_all_into(
+                &dns_cap,
+                &http_cap,
+                fetched.body(),
+                &fingerprints,
+                Some(body.as_bytes()),
+                &mut DetectScratch::default(),
+            );
+            proptest::prop_assert_eq!(detected, AnomalySet::empty());
+        }
+    }
 }

@@ -3,7 +3,8 @@
 //! Attach a registry with [`crate::Platform::instrument`] and the runner
 //! becomes attributable in a `--metrics-out` scrape: how many tests the
 //! schedule planned, how many actually executed, how many the
-//! fleet-sampling schedule skipped, and each worker's on-CPU generation
+//! fleet-sampling schedule skipped, how many of the executed needed no
+//! packet flow to reach their verdict, and each worker's on-CPU generation
 //! time (the campaign-side analogue of the engine's `EngineBusy`). The
 //! routing simulator the campaign is handed is instrumented on the same
 //! registry (`churnlab_route_*`: tree-cache traffic, and what its churn
@@ -16,6 +17,7 @@ use churnlab_obs::{Counter, Registry};
 pub(crate) struct CampaignObs {
     scheduled: Counter,
     run: Counter,
+    quiet: Counter,
     sampled_out: Counter,
     registry: Registry,
 }
@@ -32,6 +34,11 @@ impl CampaignObs {
             run: registry.counter(
                 "churnlab_campaign_tests_run_total",
                 "Tests actually executed, including failed-route records",
+                &[],
+            ),
+            quiet: registry.counter(
+                "churnlab_campaign_tests_quiet_total",
+                "Routed tests whose verdict needed no packet flow: no censor on the path acts on the URL that day and no organic noise fired",
                 &[],
             ),
             sampled_out: registry.counter(
@@ -53,6 +60,7 @@ impl CampaignObs {
         CampaignWorkerObs {
             scheduled: self.scheduled.clone(),
             run: self.run.clone(),
+            quiet: self.quiet.clone(),
             sampled_out: self.sampled_out.clone(),
             busy: self.registry.counter(
                 "churnlab_campaign_worker_busy_nanos_total",
@@ -67,6 +75,7 @@ impl CampaignObs {
 pub(crate) struct CampaignWorkerObs {
     pub(crate) scheduled: Counter,
     pub(crate) run: Counter,
+    pub(crate) quiet: Counter,
     pub(crate) sampled_out: Counter,
     pub(crate) busy: Counter,
 }

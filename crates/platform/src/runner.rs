@@ -7,22 +7,32 @@
 //! *observable*, Figure 3's per-day series). Each test:
 //!
 //! 1. resolves the AS path from the routing simulator at the test's epoch,
-//! 2. expands it to router hops and arms every censoring AS on the path,
-//! 3. runs a DNS lookup and an HTTP GET at the packet level,
-//! 4. runs the five detectors over the captures,
+//! 2. expands it to router hops and arms the censoring ASes on the path
+//!    that act on the URL that day — those that block the qname or Host
+//!    its flows carry ([`churnlab_censor::FlowNames::acted_on_by`]; every
+//!    other censor would pass every packet),
+//! 3. builds the flows — a DNS lookup and an HTTP GET at the packet level
+//!    — only when a censor is armed or organic noise (a server reset, a
+//!    lost segment) fired; otherwise both flows would be clean,
+//! 4. runs the five detectors over those captures; a test that built no
+//!    flow has the empty verdict, which is what they return on clean
+//!    flows,
 //! 5. applies detector noise, and
 //! 6. records the §3.1 measurement tuple with three traceroutes.
+//!
+//! Steps 3–4 draw nothing from the test's RNG, so a test that skips them
+//! draws what one that runs them does, in the same order.
 //!
 //! Measurements stream to a sink (the paper-scale run produces millions of
 //! records; holding them all is the *caller's* choice).
 //!
 //! A test costs what its packets carry. What every test of a URL shares —
-//! the serialised GET and page, the encoded DNS question and answer — is
-//! built once per URL campaign, and steps 2–4 run in per-worker buffers
-//! (hop path, armed censors, both captures, reassembly and detector
-//! scratch) that the next test clears and refills; what a test allocates
-//! is the record it returns and the two DNS wires it stamps its
-//! transaction id on.
+//! the serialised GET and page, the encoded DNS question and answer, the
+//! names a censor reads off them — is built once per URL, and steps 2–4
+//! run in per-worker buffers (hop path, armed censors, both captures,
+//! reassembly and detector scratch) that the next test clears and
+//! refills; what a test allocates is the record it returns and, when it
+//! builds flows, the two DNS wires it stamps its transaction id on.
 
 use crate::anomaly::{AnomalySet, AnomalyType};
 use crate::detect::{self, DetectScratch};
@@ -30,12 +40,12 @@ use crate::fingerprint::FingerprintSet;
 use crate::measurement::{Measurement, TracerouteRecord};
 use crate::noise::NoiseConfig;
 use crate::obs::{CampaignObs, CampaignWorkerObs};
-use crate::schedule::FleetSchedule;
+use crate::schedule::{FleetSchedule, UrlFleetPlan};
 use crate::stats::{DatasetStats, StatsAccumulator};
 use crate::urls::{UrlCorpus, UrlEntry};
 use crate::vantage::{self, VantagePoint};
 use churnlab_bgp::RoutingSim;
-use churnlab_censor::{ActiveCensor, CensorshipScenario, CompiledCensor, TestContext};
+use churnlab_censor::{ActiveCensor, CensorshipScenario, CompiledCensor, FlowNames, TestContext};
 use churnlab_net::{
     Capture, DnsMessage, FlowConfig, FlowSimulator, HopPath, HttpRequest, HttpResponse,
     Reassembly, SharedBytes, Traceroute,
@@ -46,7 +56,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -61,9 +70,9 @@ struct PathBuffers {
     alt: Vec<Asn>,
 }
 
-/// What every test of one URL puts on the wire, built once per URL
-/// campaign: a worker holds one of these at a time, so a 2,400-URL corpus
-/// costs a page of memory per worker, not per URL.
+/// What every test of one URL puts on the wire, built once per URL a
+/// worker runs a unit of: a worker holds one of these at a time, so a
+/// 2,400-URL corpus costs a page of memory per worker, not per URL.
 #[derive(Default)]
 struct UrlWire {
     /// The encoded A query for the URL's domain, transaction id 0 (each
@@ -78,6 +87,9 @@ struct UrlWire {
     /// Where the body — the detector's censor-free control — starts in
     /// `page`.
     body_at: usize,
+    /// The qname and Host a censor decodes off `dns_query` and `get`:
+    /// what arming asks every censor on a test's path about.
+    names: FlowNames,
 }
 
 impl UrlWire {
@@ -86,10 +98,13 @@ impl UrlWire {
         let honest = DnsMessage::answer(&query, url.server_ip, 300);
         let body = url.body();
         let page = SharedBytes::from(HttpResponse::ok(&body).serialize());
+        let dns_query = query.encode().expect("corpus domains are valid names");
+        let get = SharedBytes::from(HttpRequest::get(&url.domain, &url.path).serialize());
         UrlWire {
-            dns_query: query.encode().expect("corpus domains are valid names"),
+            names: FlowNames::read(&dns_query, &get),
+            dns_query,
             dns_answer: honest.encode().expect("corpus domains are valid names"),
-            get: HttpRequest::get(&url.domain, &url.path).serialize().into(),
+            get,
             body_at: page.len() - body.len(),
             page,
         }
@@ -103,12 +118,16 @@ impl UrlWire {
 
 /// Per-worker mutable state for the campaign loop: the reused
 /// day-subset buffer, the worker's private stats accumulator (merged
-/// after the join — workers never share mutable state), and the buffers
-/// its tests run in.
+/// after the join — workers never share mutable state), the fleet plan
+/// of the URL `test.wire` was built for, and the buffers its tests run
+/// in.
 #[derive(Default)]
 struct WorkerCtx<'p> {
     day_vps: Vec<usize>,
     acc: StatsAccumulator,
+    /// The URL `plan` and `test.wire` belong to.
+    url: Option<u32>,
+    plan: UrlFleetPlan,
     test: TestBuffers<'p>,
 }
 
@@ -443,22 +462,22 @@ impl<'w> Platform<'w> {
         self.obs.get_or_init(|| CampaignObs::new(registry));
     }
 
-    /// Run one URL's full campaign: every testing day in its cadence, the
-    /// scheduled vantage subset, `tests_per_testing_day` tests each. This
-    /// is the unit of work both the serial and the parallel runner share —
-    /// all randomness is derived from (seed, url, day), so a URL's stream
-    /// is identical no matter which worker runs it.
-    fn run_url_campaign<'p>(
+    /// Run one unit of work: the `j`-th testing day of `url`'s cadence,
+    /// the scheduled vantage subset, `tests_per_testing_day` tests each.
+    /// The serial and the parallel runner share it, and all randomness is
+    /// derived from (seed, url, day), so a unit's stream is identical no
+    /// matter which worker runs it, or what it ran before.
+    #[allow(clippy::too_many_arguments)]
+    fn run_unit<'p>(
         &'p self,
         sim: &RoutingSim,
         url: &UrlEntry,
+        j: u32,
         schedule: &FleetSchedule,
         ctx: &mut WorkerCtx<'p>,
         obs: Option<&CampaignWorkerObs>,
         sink: &mut impl FnMut(Measurement),
     ) {
-        ctx.test.wire = UrlWire::of(url);
-        let interval = self.cfg.testing_interval_days();
         // URL-list sweeps: every scheduled vantage point tests a URL on
         // the same testing days (the platform walks its list on a global
         // cadence, like ICLab's repeated full-list suites). The sweep
@@ -468,51 +487,57 @@ impl<'w> Platform<'w> {
         // cross-vantage coverage that lets one vantage's clean path
         // exonerate ASes on another vantage's censored path now accrues
         // over a few rotations instead of within every single day.
+        let interval = self.cfg.testing_interval_days();
         let phase = (mix64(self.cfg.seed ^ u64::from(url.id)) % u64::from(interval)) as u32;
-        let plan = schedule.plan_for_url(url.id);
-        let epochs_per_day = sim.mapper().epochs_per_day;
+        let day = phase + j * interval;
+        if day >= self.cfg.total_days {
+            return;
+        }
+        if ctx.url != Some(url.id) {
+            ctx.test.wire = UrlWire::of(url);
+            ctx.plan = schedule.plan_for_url(url.id);
+            ctx.url = Some(url.id);
+        }
+        ctx.plan.day_subset_into(j, &mut ctx.day_vps);
         let k = self.cfg.tests_per_testing_day.max(1);
-        for day in 0..self.cfg.total_days {
-            if day % interval != phase {
-                continue;
-            }
-            plan.day_subset_into(day / interval, &mut ctx.day_vps);
-            if let Some(o) = obs {
-                o.scheduled.add(ctx.day_vps.len() as u64 * u64::from(k));
-                o.sampled_out
-                    .add((schedule.fleet() - ctx.day_vps.len()) as u64 * u64::from(k));
-            }
-            let mut rng = StdRng::seed_from_u64(mix64(
-                self.cfg.seed ^ (u64::from(url.id) << 32) ^ u64::from(day),
-            ));
-            for &vi in &ctx.day_vps {
-                let vp = &self.vantage[vi];
-                for t in 0..k {
-                    // Spread the day's tests across day segments
-                    // (measurement suites run hours apart), so intra-day
-                    // route changes are observable.
-                    let seg = (epochs_per_day * t / k, (epochs_per_day * (t + 1) / k).max(epochs_per_day * t / k + 1));
-                    let slot = rng.gen_range(seg.0..seg.1.min(epochs_per_day));
-                    let m = self.run_test(sim, vp, url, day, slot, &mut rng, &mut ctx.test);
-                    ctx.acc.add(&m);
-                    if let Some(o) = obs {
-                        o.run.inc();
+        if let Some(o) = obs {
+            o.scheduled.add(ctx.day_vps.len() as u64 * u64::from(k));
+            o.sampled_out.add((schedule.fleet() - ctx.day_vps.len()) as u64 * u64::from(k));
+        }
+        let epochs_per_day = sim.mapper().epochs_per_day;
+        let mut rng =
+            StdRng::seed_from_u64(mix64(self.cfg.seed ^ (u64::from(url.id) << 32) ^ u64::from(day)));
+        for &vi in &ctx.day_vps {
+            let vp = &self.vantage[vi];
+            for t in 0..k {
+                // Spread the day's tests across day segments
+                // (measurement suites run hours apart), so intra-day
+                // route changes are observable.
+                let seg = (epochs_per_day * t / k, (epochs_per_day * (t + 1) / k).max(epochs_per_day * t / k + 1));
+                let slot = rng.gen_range(seg.0..seg.1.min(epochs_per_day));
+                let (m, quiet) = self.run_test(sim, vp, url, day, slot, &mut rng, &mut ctx.test);
+                ctx.acc.add(&m);
+                if let Some(o) = obs {
+                    o.run.inc();
+                    if quiet {
+                        o.quiet.inc();
                     }
-                    sink(m);
                 }
+                sink(m);
             }
         }
     }
 
-    /// One campaign worker: claim URLs off `next` until none are left,
-    /// streaming each one's campaign into `sink`. Returns the worker's
-    /// private stats, its on-CPU time (wall time where no thread CPU
-    /// clock exists) and which of the two it measured.
+    /// Worker `worker` of `workers`: run every `workers`-th unit —
+    /// (URL, testing day), numbered in corpus-then-day order — starting
+    /// at unit `worker`, streaming each one's tests into `sink`. Returns
+    /// the worker's private stats, its on-CPU time (wall time where no
+    /// thread CPU clock exists) and which of the two it measured.
     fn run_worker(
         &self,
         sim: &RoutingSim,
         schedule: &FleetSchedule,
-        next: &AtomicUsize,
+        (worker, workers): (usize, usize),
         obs: Option<CampaignWorkerObs>,
         mut sink: impl FnMut(Measurement),
     ) -> (StatsAccumulator, u64, bool) {
@@ -521,11 +546,17 @@ impl<'w> Platform<'w> {
         // One context for the worker's whole share: every buffer a test
         // fills is reused by the next (the routing layer fills paths in
         // place, the flow simulator captures in place — no
-        // per-measurement Vec).
+        // per-measurement Vec), and a URL's wire bytes and fleet plan are
+        // rebuilt only when the worker's next unit is another URL's.
         let mut ctx = WorkerCtx::default();
         let entries = self.corpus.entries();
-        while let Some(url) = entries.get(next.fetch_add(1, Ordering::Relaxed)) {
-            self.run_url_campaign(sim, url, schedule, &mut ctx, obs.as_ref(), &mut sink);
+        // Testing days a URL's cadence can hold: unit `u` is testing day
+        // `u % days` of URL `u / days`.
+        let days = self.cfg.total_days.div_ceil(self.cfg.testing_interval_days()).max(1) as usize;
+        for unit in (worker..entries.len() * days).step_by(workers) {
+            let url = &entries[unit / days];
+            let j = (unit % days) as u32;
+            self.run_unit(sim, url, j, schedule, &mut ctx, obs.as_ref(), &mut sink);
         }
         // Flush buffering sinks (e.g. engine feeders) before the clock
         // stops: the flush is part of this worker's generation work.
@@ -552,17 +583,21 @@ impl<'w> Platform<'w> {
     /// records to `sink` in corpus order — the one-worker campaign.
     pub fn run(&self, sim: &RoutingSim, sink: impl FnMut(Measurement)) -> DatasetStats {
         let obs = self.campaign_obs(sim).map(|o| o.worker(0));
-        let (acc, ..) =
-            self.run_worker(sim, &self.fleet_schedule(), &AtomicUsize::new(0), obs, sink);
+        let (acc, ..) = self.run_worker(sim, &self.fleet_schedule(), (0, 1), obs, sink);
         acc.finish(&self.world.topology)
     }
 
     /// Run the campaign across `threads` workers: the calling thread and
-    /// `threads - 1` scoped threads. URLs are the unit of work, claimed
-    /// from a shared atomic counter (dynamic load balancing); each worker
-    /// owns its own test buffers and [`StatsAccumulator`] and streams into
-    /// its own sink from `make_sink(worker_index)`. Because every per-(url, day) RNG is
-    /// reseeded from (seed, url, day), a URL's measurement stream is
+    /// `threads - 1` scoped threads. A (URL, testing day) is the unit of
+    /// work, and units are dealt round-robin: worker `w` runs units `w`,
+    /// `w + threads`, … A URL whose paths cross an acting censor costs
+    /// several times a quiet one, so whole URLs would leave one worker
+    /// the long tail; dealt by day, every worker gets a slice of every
+    /// URL, and its share's cost does not depend on how much of the
+    /// machine the scheduler gave it while it ran. Each worker owns its
+    /// own test buffers and [`StatsAccumulator`] and streams into its own
+    /// sink from `make_sink(worker_index)`. Because every per-(url, day) RNG is
+    /// reseeded from (seed, url, day), a unit's measurement stream is
     /// byte-identical no matter which worker runs it — the parallel run
     /// produces exactly the serial run's records, partitioned.
     ///
@@ -579,9 +614,9 @@ impl<'w> Platform<'w> {
         };
         let obs = self.campaign_obs(sim);
         let schedule = self.fleet_schedule();
-        let next = AtomicUsize::new(0);
-        let worker =
-            |w: usize| self.run_worker(sim, &schedule, &next, obs.map(|o| o.worker(w)), make_sink(w));
+        let worker = |w: usize| {
+            self.run_worker(sim, &schedule, (w, threads), obs.map(|o| o.worker(w)), make_sink(w))
+        };
         // The caller is worker 0: N workers keep N threads busy, not N
         // and one parked in `join` — and a one-worker campaign allocates
         // what it streams where the caller will free it, not in a heap
@@ -605,12 +640,13 @@ impl<'w> Platform<'w> {
 
     /// Run the campaign across `threads` workers and collect everything
     /// (small scales only), deterministic regardless of worker
-    /// interleaving: each URL's stream lands in its own slot (URL ids are
-    /// dense corpus indices, and one worker owns a URL at a time), slots
-    /// are flattened in corpus order, and the result is stable-sorted by
-    /// (url, day, vantage, slot) as the documented ordering contract —
-    /// the same output for any thread count, and the order
-    /// [`Platform::run`] streams in.
+    /// interleaving: each URL's units land in its own slot (URL ids are
+    /// dense corpus indices), slots are flattened in corpus order, and the
+    /// result is stable-sorted by (url, day, vantage, slot) as the
+    /// documented ordering contract. Records that tie on that key share a
+    /// (url, day) unit, which one worker streams in order, so the output
+    /// is the same for any thread count, and the order [`Platform::run`]
+    /// streams in.
     pub fn run_collect_parallel(
         &self,
         sim: &RoutingSim,
@@ -632,7 +668,9 @@ impl<'w> Platform<'w> {
         (out, run.stats)
     }
 
-    /// Execute one test of `url` — the URL `bufs.wire` was built for.
+    /// Execute one test of `url` — the URL `bufs.wire` was built for —
+    /// and say whether it was quiet: routed, with a verdict that needed no
+    /// flow.
     #[allow(clippy::too_many_arguments)]
     fn run_test<'p>(
         &'p self,
@@ -643,7 +681,7 @@ impl<'w> Platform<'w> {
         slot: u32,
         rng: &mut StdRng,
         bufs: &mut TestBuffers<'p>,
-    ) -> Measurement {
+    ) -> (Measurement, bool) {
         let TestBuffers {
             paths, wire, hops, alt_hops, armed, dns_cap, http_cap, reassembly, detect: scratch,
         } = bufs;
@@ -653,7 +691,7 @@ impl<'w> Platform<'w> {
         let vp_idx = topo.idx(vp.asn).expect("vantage AS exists");
         let dest_idx = topo.idx(url.server_asn).expect("dest AS exists");
         if !sim.asn_path_into(vp_idx, dest_idx, epoch, &mut paths.main) {
-            return Measurement {
+            let failed = Measurement {
                 vp_id: vp.id,
                 vp_asn: vp.public_asn,
                 url_id,
@@ -668,6 +706,7 @@ impl<'w> Platform<'w> {
                 ],
                 failed: true,
             };
+            return (failed, false);
         }
         let asn_path: &[Asn] = &paths.main;
 
@@ -681,7 +720,9 @@ impl<'w> Platform<'w> {
         );
         let hop_path: &HopPath = hops;
 
-        // Arm every censoring AS on the path.
+        // Arm the censoring ASes on the path that act on this URL today
+        // (`FlowNames::acted_on_by` says why the rest would pass every
+        // packet).
         let flow_cfg = FlowConfig {
             client_port: rng.gen_range(32768..61000),
             isn_client: rng.gen(),
@@ -692,41 +733,49 @@ impl<'w> Platform<'w> {
         };
         armed.clear();
         for (pos, asn) in asn_path.iter().enumerate() {
-            if let Some(compiled) = self.compiled.get(asn) {
-                let hop = hop_path.first_hop_of_as(pos).expect("AS on path has hops");
-                let mimic = hop_path.mimic_init_ttl(hop, flow_cfg.server_init_ttl);
-                armed.push((
-                    pos,
-                    ActiveCensor::new(compiled, TestContext { day, mimic_init_ttl: mimic }),
-                ));
+            let Some(compiled) = self.compiled.get(asn) else { continue };
+            if !wire.names.acted_on_by(compiled, day) {
+                continue;
             }
+            let hop = hop_path.first_hop_of_as(pos).expect("AS on path has hops");
+            let mimic = hop_path.mimic_init_ttl(hop, flow_cfg.server_init_ttl);
+            armed.push((pos, ActiveCensor::new(compiled, TestContext { day, mimic_init_ttl: mimic })));
         }
-
-        // --- DNS test -----------------------------------------------------
         let id: u16 = rng.gen();
-        FlowSimulator::dns_lookup_into(
-            hop_path,
-            &flow_cfg,
-            DnsMessage::stamp_id(&wire.dns_query, id),
-            Some(DnsMessage::stamp_id(&wire.dns_answer, id)),
-            armed,
-            dns_cap,
-        );
 
-        // --- HTTP test ----------------------------------------------------
-        let fetched = FlowSimulator::http_get_into(
-            hop_path, &flow_cfg, &wire.get, &wire.page, armed, http_cap, reassembly,
-        );
+        // With nothing armed and no organic noise, both flows are clean
+        // and the five detectors are silent on clean flows: the verdict
+        // is empty without building a packet. The flows draw nothing from
+        // `rng`, so skipping them moves no later draw.
+        let quiet = armed.is_empty() && !flow_cfg.organic_rst && !flow_cfg.organic_loss;
+        let mut detected = if quiet {
+            AnomalySet::empty()
+        } else {
+            // --- DNS test -------------------------------------------------
+            FlowSimulator::dns_lookup_into(
+                hop_path,
+                &flow_cfg,
+                DnsMessage::stamp_id(&wire.dns_query, id),
+                Some(DnsMessage::stamp_id(&wire.dns_answer, id)),
+                armed,
+                dns_cap,
+            );
 
-        // --- Detection -----------------------------------------------------
-        let mut detected = detect::detect_all_into(
-            dns_cap,
-            http_cap,
-            fetched.body(),
-            &self.fingerprints,
-            Some(wire.body()),
-            scratch,
-        );
+            // --- HTTP test ------------------------------------------------
+            let fetched = FlowSimulator::http_get_into(
+                hop_path, &flow_cfg, &wire.get, &wire.page, armed, http_cap, reassembly,
+            );
+
+            // --- Detection -------------------------------------------------
+            detect::detect_all_into(
+                dns_cap,
+                http_cap,
+                fetched.body(),
+                &self.fingerprints,
+                Some(wire.body()),
+                scratch,
+            )
+        };
         // Detector noise. Real detector failures are *systematic* — a
         // vantage whose capture setup mangles TTLs mangles them every time;
         // a page variant the blockpage matcher misses is missed every time.
@@ -782,7 +831,7 @@ impl<'w> Platform<'w> {
             traceroutes.push(record);
         }
 
-        Measurement {
+        let m = Measurement {
             vp_id: vp.id,
             vp_asn: vp.public_asn,
             url_id,
@@ -792,7 +841,8 @@ impl<'w> Platform<'w> {
             detected,
             traceroutes,
             failed: false,
-        }
+        };
+        (m, quiet)
     }
 }
 
@@ -802,6 +852,7 @@ mod tests {
     use churnlab_bgp::ChurnConfig;
     use churnlab_censor::CensorConfig;
     use churnlab_topology::{generator, WorldConfig, WorldScale};
+    use std::sync::atomic::Ordering;
 
     struct Setup {
         world: GeneratedWorld,
@@ -1058,6 +1109,8 @@ mod tests {
         // record), and sampling must have left some of the fleet out.
         let run_total = value("churnlab_campaign_tests_run_total");
         assert_eq!(run_total, run.stats.measurements);
+        let quiet = value("churnlab_campaign_tests_quiet_total");
+        assert!(0 < quiet && quiet < run_total, "{quiet} of {run_total} tests quiet");
         assert_eq!(value("churnlab_campaign_tests_scheduled_total"), run_total);
         assert!(value("churnlab_campaign_tests_sampled_out_total") > 0);
         // Per-worker busy attribution reached the registry too.
@@ -1092,6 +1145,93 @@ mod tests {
         );
     }
 
+    /// The noise settings the oracle is held at: the realistic default,
+    /// none at all, and organic noise on most flows — so quiet tests are
+    /// the exception and built flows with no acting censor the rule.
+    fn oracle_noise() -> [NoiseConfig; 3] {
+        let organic = NoiseConfig {
+            organic_rst_prob: 0.2,
+            organic_loss_prob: 0.5,
+            intra_test_shift_prob: 0.3,
+            ..NoiseConfig::realistic()
+        };
+        [NoiseConfig::realistic(), NoiseConfig::none(), organic]
+    }
+
+    /// Hold the product runner against the all-armed oracle, and check
+    /// the comparison covered quiet tests and built flows both.
+    fn assert_equals_oracle(platform: &Platform, sim: &RoutingSim) {
+        let registry = Registry::new();
+        platform.instrument(&registry);
+        let compared = oracle::assert_runner_equals_oracle(platform, sim);
+        let scrape = registry.scrape();
+        let run = scrape.counter("churnlab_campaign_tests_run_total", &[]).expect("run");
+        let quiet = scrape.counter("churnlab_campaign_tests_quiet_total", &[]).expect("quiet");
+        assert_eq!(run, compared);
+        assert!(0 < quiet && quiet < run, "{quiet} of {run} tests quiet");
+    }
+
+    #[test]
+    fn runner_equals_the_all_armed_oracle_on_the_smoke_study() {
+        for seed in [5, 7, 11] {
+            for noise in oracle_noise() {
+                let (s, scenario, mut pcfg) = smoke_setup(seed);
+                pcfg.noise = noise;
+                let platform = Platform::new(&s.world, &scenario, pcfg.clone());
+                let sim = RoutingSim::new(&s.world.topology, &churn_cfg(pcfg.total_days));
+                assert_equals_oracle(&platform, &sim);
+            }
+        }
+    }
+
+    /// The oracle over the Small study, ~1.6M tests per noise setting:
+    /// run it in a release build (`cargo test --release -p
+    /// churnlab-platform -- --ignored all_armed_oracle`).
+    #[test]
+    #[ignore = "the Small study: run it in a release build"]
+    fn runner_equals_the_all_armed_oracle_on_the_small_study() {
+        let world = generator::generate(&WorldConfig::preset(WorldScale::Small, 42));
+        let mut ccfg = CensorConfig::scaled_for(world.topology.countries().len());
+        ccfg.seed = 44;
+        let scenario = CensorshipScenario::generate_for_world(&world, &ccfg);
+        for noise in oracle_noise() {
+            let pcfg = PlatformConfig { noise, ..PlatformConfig::preset(PlatformScale::Small, 43) };
+            let platform = Platform::new(&world, &scenario, pcfg.clone());
+            let sim = RoutingSim::new(&world.topology, &churn_cfg(pcfg.total_days));
+            assert_equals_oracle(&platform, &sim);
+        }
+    }
+
+    #[test]
+    fn every_genuine_page_is_clean_and_its_names_are_what_censors_read() {
+        let s = world();
+        let fingerprints =
+            FingerprintSet::compile(&churnlab_censor::blockpage::fingerprint_list());
+        let corpus = UrlCorpus::generate(&s.world, 400, 3);
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut hops, mut cap, mut reassembly) =
+            (HopPath::default(), Capture::new(), Reassembly::default());
+        let none: &mut [(usize, ActiveCensor)] = &mut [];
+        for url in corpus.entries() {
+            let wire = UrlWire::of(url);
+            let domain = Some(url.domain.clone());
+            assert_eq!(wire.names, FlowNames { qname: domain.clone(), host: domain });
+            // A test stamps its own transaction id; the qname stays.
+            let stamped = DnsMessage::stamp_id(&wire.dns_query, rng.gen());
+            assert_eq!(FlowNames::read(&stamped, &wire.get), wire.names);
+            // No segmentation can show a fingerprint the page lacks.
+            assert!(!fingerprints.is_match(&wire.page), "{} carries a fingerprint", url.domain);
+            let client = s.world.prefixes[&url.server_asn][0].nth_host(7);
+            hops.expand_into(&[url.server_asn], &s.world.prefixes, client, url.server_ip, (1, 3), &mut rng);
+            let cfg = FlowConfig { mss: rng.gen_range(200..1500), ..FlowConfig::default() };
+            let fetched = FlowSimulator::http_get_into(
+                &hops, &cfg, &wire.get, &wire.page, none, &mut cap, &mut reassembly,
+            );
+            assert_eq!(fetched.body(), Some(wire.body()));
+            assert!(!detect::detect_block_compiled(&cap, fetched.body(), &fingerprints, Some(wire.body())));
+        }
+    }
+
     #[test]
     fn interval_math() {
         let mut cfg = PlatformConfig::preset(PlatformScale::Small, 1);
@@ -1101,3 +1241,6 @@ mod tests {
         assert_eq!(cfg.testing_interval_days(), 365);
     }
 }
+
+#[cfg(test)]
+mod oracle;

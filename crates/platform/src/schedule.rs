@@ -96,7 +96,7 @@ impl FleetSchedule {
 }
 
 /// One URL's rotation through the fleet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UrlFleetPlan {
     /// Seeded permutation of 0..fleet (empty when not sampling).
     perm: Vec<u32>,
