@@ -177,8 +177,11 @@ pub struct EngineStats {
     /// deserialize so pre-accounting stats blobs still parse.
     #[serde(default)]
     pub busy: EngineBusy,
-    /// SAT-solver work counters, summed over the shards' warm contexts
-    /// (propagations, backtracks, censuses, models). Defaults on
+    /// SAT-solver work counters (propagations, backtracks, censuses,
+    /// models), summed over the shards. They count only the batch solves
+    /// of the [`churnlab_core::pipeline::ChurnMode::FirstPathOnly`]
+    /// ablation: the incremental re-solve is closed form and runs no
+    /// solver, so on every other path they read zero. Defaults on
     /// deserialize so pre-solver-stats blobs still parse.
     #[serde(default)]
     pub sat: CtxStats,
@@ -239,7 +242,7 @@ pub struct Engine<'c> {
     /// overhead gate baselines against (no registry, no atomics).
     obs: Option<Arc<EngineObs>>,
     /// Spent wire blocks: the workers give back what the feeders take.
-    pool: Arc<BlockPool>,
+    pub(crate) pool: Arc<BlockPool>,
 }
 
 /// See [`Engine::retired`].

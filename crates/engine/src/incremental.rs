@@ -15,10 +15,15 @@
 //!   (clean path over always-False ASes) or changes in a closed form
 //!   (positive clause satisfied by an always-True AS, or needing exactly
 //!   the observation's fresh ASes);
-//! * otherwise an **incremental re-solve** runs: the memoized backbone
-//!   literals — valid under clause addition, since models only shrink —
-//!   seed unit propagation, and the census runs over the *reduced*
-//!   formula (free ASes only) instead of the raw clause set.
+//! * otherwise an **incremental re-solve** runs, and it is arithmetic:
+//!   the memoized backbone literals — valid under clause addition, since
+//!   models only shrink — seed unit propagation, run to fixpoint. What
+//!   is left is monotone (every clause all-positive, each unhit one
+//!   keeping two free ASes), so all-True and every all-True-minus-one
+//!   are models: each free AS is `Both`, and the count is H × 2^k — H
+//!   the hitting sets of the unhit clauses, k the free ASes on none of
+//!   them. No solver runs; `churnlab_sat`'s census is the oracle the
+//!   tests hold this against.
 //!
 //! Since PR 5, the data plane is id-based. A shard interns each incoming
 //! path once ([`crate::PathTable`], one hash per measurement); the
@@ -69,7 +74,7 @@ use churnlab_core::analyze::InstanceOutcome;
 use churnlab_core::instance::InstanceKey;
 use churnlab_core::obs::PathId;
 use churnlab_platform::{AnomalySet, AnomalyType};
-use churnlab_sat::{CompiledCnf, CtxStats, Lit, SolutionCount, Solvability, SolverCtx, Var};
+use churnlab_sat::{SolutionCount, Solvability};
 use churnlab_topology::{Asn, FxMap};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -114,7 +119,8 @@ pub struct IncrementalStats {
     pub updates: u64,
     /// Duplicate observations dropped by dedup.
     pub duplicates: u64,
-    /// Updates resolved by a closed-form state transition (no solver).
+    /// Updates resolved by a constant-time state transition (no
+    /// re-solve).
     pub direct_updates: u64,
     /// Updates skipped because the instance was already unsatisfiable.
     pub unsat_skips: u64,
@@ -145,24 +151,22 @@ impl IncrementalStats {
     }
 }
 
-/// Reusable solving scratch shared by every instance a worker owns: the
-/// watched-literal [`SolverCtx`], a [`CompiledCnf`] the reduced formulas
-/// are built into, and dense per-variable assignment/mapping buffers
-/// (indexed by group-local variable index — no hashing). All of it is
-/// rewound per re-solve, never freed, so a steady-state shard performs
-/// zero solver allocations per observation.
+/// Reusable re-solve scratch shared by every instance a worker owns:
+/// dense per-variable state (indexed by group-local variable index — no
+/// hashing), the cell's clauses as spans of the group's literal arena,
+/// and the count's branch stack. All of it is rewound per re-solve,
+/// never freed, so a steady-state shard allocates nothing per
+/// observation.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
-    ctx: SolverCtx,
-    cnf: CompiledCnf,
-    /// Per-variable assignment during a re-solve: `FIXED_FALSE`,
-    /// `FIXED_TRUE`, or `UNFIXED`.
+    /// Per-variable state during a re-solve: `FIXED_FALSE`, `FIXED_TRUE`,
+    /// `UNFIXED`, or — on an unhit clause while counting — `OPEN`.
     fixed: Vec<u8>,
-    /// Group-local variable index → reduced-formula [`Var`] (or
-    /// `u32::MAX` for fixed variables).
-    var_map: Vec<u32>,
-    /// Reduced-formula variable → group-local variable index.
-    free_vars: Vec<u32>,
+    /// The cell's positive clauses, `(start, end)` in the group's
+    /// literal arena; after propagation, only the unhit ones.
+    clauses: Vec<(u32, u32)>,
+    /// The count's branch stack: the ASes it has set, in order.
+    branch: Vec<u32>,
     /// Re-solve timing handles (latency histogram + phase counter),
     /// `None` when the owning engine runs stripped. Wall-clock timed:
     /// re-solves are rare (tens of thousands per millions of updates),
@@ -176,29 +180,16 @@ impl SolveScratch {
         SolveScratch::default()
     }
 
-    /// The scratch's warm solver context, for callers (the shard's
-    /// deferred Figure-4 report path) that run batch [`analyze`]
-    /// alongside incremental updates.
-    ///
-    /// [`analyze`]: churnlab_core::analyze::analyze_with
-    pub fn solver_ctx(&mut self) -> &mut SolverCtx {
-        &mut self.ctx
-    }
-
     /// Thread re-solve timing handles in (worker construction path).
     pub(crate) fn set_resolve_obs(&mut self, obs: ResolveObs) {
         self.resolve_obs = Some(obs);
-    }
-
-    /// Cumulative SAT work counters of the warm context.
-    pub(crate) fn sat_stats(&self) -> CtxStats {
-        self.ctx.stats()
     }
 }
 
 const FIXED_FALSE: u8 = 0;
 const FIXED_TRUE: u8 = 1;
 const UNFIXED: u8 = 2;
+const OPEN: u8 = 3;
 
 /// `seen` mask bit: a clean observation of the path was recorded.
 const SEEN_CLEAN: u8 = 1;
@@ -240,11 +231,17 @@ struct VarSpace {
 }
 
 impl VarSpace {
-    /// The var-index list of a path previously resolved in this space.
-    #[inline]
-    fn lit_slice(&self, pid: PathId) -> &[u32] {
+    /// Where the var-index list of a path previously resolved in this
+    /// space sits in `lits`: `(start, end)`.
+    fn span(&self, pid: PathId) -> (u32, u32) {
         let r = &self.resolved[&pid];
-        &self.lits[r.start as usize..r.start as usize + r.len as usize]
+        (r.start, r.start + r.len)
+    }
+
+    /// The var-index list at a [`VarSpace::span`].
+    #[inline]
+    fn clause(&self, (start, end): (u32, u32)) -> &[u32] {
+        &self.lits[start as usize..end as usize]
     }
 }
 
@@ -288,7 +285,7 @@ impl InstanceGroup {
     /// each cell's polarity; `table` resolves the path's distinct-AS list
     /// the first time this group sees it; `cap` is the enumeration cap
     /// ([`churnlab_core::analyze::SolveConfig`]); `scratch` is the
-    /// worker-owned reusable solver state. Returns whether the
+    /// worker-owned re-solve scratch. Returns whether the
     /// observation was *effective* — a non-duplicate for at least one
     /// cell. Only an effective observation can change any cell's
     /// [`IncrementalInstance::outcome`], so a `false` tells the shard
@@ -444,6 +441,72 @@ fn pow2(n: usize) -> u128 {
     }
 }
 
+impl SolveScratch {
+    /// The capped model count left after a re-solve's propagation (module
+    /// doc): H × 2^k. H ≥ 1 + m for the m open ASes, so past the cap that
+    /// answers at once; below it a search exact up to the cap counts H,
+    /// branching like the enumerator — the first open AS of the first
+    /// unhit clause, True first — and counting a leaf's 2^open at once.
+    fn count_models(&mut self, space: &VarSpace, cap: u64) -> SolutionCount {
+        let SolveScratch { fixed: state, clauses, branch, .. } = self;
+        clauses.retain(|&span| space.clause(span).iter().all(|&ix| state[ix as usize] != FIXED_TRUE));
+        let mut m = 0;
+        for &ix in clauses.iter().flat_map(|&span| space.clause(span)) {
+            if state[ix as usize] == UNFIXED {
+                state[ix as usize] = OPEN;
+                m += 1;
+            }
+        }
+        let k = state.iter().filter(|&&f| f == UNFIXED).count();
+        let (block, cap) = (pow2(k), u128::from(cap));
+        if (m as u128 + 1).saturating_mul(block) > cap {
+            return SolutionCount::AtLeast(cap as u64);
+        }
+        branch.clear();
+        let (mut open, mut total) = (m, 0u128);
+        loop {
+            let mut next = None;
+            let mut dead = false;
+            for clause in clauses.iter().map(|&span| space.clause(span)) {
+                if clause.iter().any(|&ix| state[ix as usize] == FIXED_TRUE) {
+                    continue;
+                }
+                let Some(&ix) = clause.iter().find(|&&ix| state[ix as usize] == OPEN) else {
+                    dead = true;
+                    break;
+                };
+                next.get_or_insert(ix);
+            }
+            if let (false, Some(ix)) = (dead, next) {
+                state[ix as usize] = FIXED_TRUE;
+                open -= 1;
+                branch.push(ix);
+                continue;
+            }
+            if !dead {
+                total = total.saturating_add(pow2(open).saturating_mul(block));
+                if total > cap {
+                    return SolutionCount::AtLeast(cap as u64);
+                }
+            }
+            // Backtrack: the deepest AS still True flips to False; those
+            // below it, both branches done, reopen.
+            loop {
+                let Some(&ix) = branch.last() else {
+                    return SolutionCount::Exact(total as u64);
+                };
+                if state[ix as usize] == FIXED_TRUE {
+                    state[ix as usize] = FIXED_FALSE;
+                    break;
+                }
+                state[ix as usize] = OPEN;
+                open += 1;
+                branch.pop();
+            }
+        }
+    }
+}
+
 impl IncrementalInstance {
     /// Fresh instance.
     fn new(key: InstanceKey, bit: u8) -> Self {
@@ -475,12 +538,6 @@ impl IncrementalInstance {
     /// True if nothing observed.
     pub fn is_empty(&self) -> bool {
         self.n_obs == 0
-    }
-
-    /// Whether a clean path of this cell's anomaly carried variable `ix`.
-    #[inline]
-    fn is_exonerated(&self, space: &VarSpace, ix: u32) -> bool {
-        space.exonerated[ix as usize] & self.bit != 0
     }
 
     /// Fold in one non-duplicate observation, already logged and — if
@@ -528,33 +585,10 @@ impl IncrementalInstance {
         match &mut self.memo {
             Memo::Unsat => unreachable!("handled by caller"),
             Memo::Trivial => {
-                // First censored observation: every previously seen AS is
-                // a clean-path axiom (False), so the models are exactly
-                // the non-empty subsets of the path's unexonerated ASes.
+                // First censored observation: every AS seen before is on
+                // a clean path, so the re-solve counts one clause.
                 stats.direct_updates += 1;
-                let n_cand = vlist.iter().filter(|&&ix| !self.is_exonerated(space, ix)).count();
-                if n_cand == 0 {
-                    self.memo = Memo::Unsat;
-                    return;
-                }
-                let mut fate = vec![Fate::AlwaysFalse; n_vars];
-                if n_cand == 1 {
-                    let ix = vlist
-                        .iter()
-                        .copied()
-                        .find(|&ix| !self.is_exonerated(space, ix))
-                        .expect("one candidate");
-                    fate[ix as usize] = Fate::AlwaysTrue;
-                    self.memo = Memo::Solved { count: SolutionCount::Exact(1), fate };
-                } else {
-                    for &ix in vlist {
-                        if !self.is_exonerated(space, ix) {
-                            fate[ix as usize] = Fate::Both;
-                        }
-                    }
-                    let count = cap_count(pow2(n_cand) - 1, cap);
-                    self.memo = Memo::Solved { count, fate };
-                }
+                self.resolve_inner(n_vars, space, cap, scratch);
             }
             Memo::Solved { count, fate } => {
                 // Variables beyond the memo's coverage are exactly this
@@ -683,27 +717,22 @@ impl IncrementalInstance {
         }
     }
 
-    /// Incremental re-solve: seed unit propagation with the axiom units
-    /// and the memoized backbone (both survive clause addition), then run
-    /// the census over the reduced formula only — on the worker's warm
-    /// [`SolverCtx`], building the reduced CNF into its reusable CSR
-    /// arena, with all per-variable state in dense scratch vectors. The
-    /// only per-call heap traffic is the recycled buffers' occasional
-    /// growth.
+    /// Incremental re-solve, in closed form: seed unit propagation with
+    /// the axiom units and the memoized backbone (both survive clause
+    /// addition) and run it to fixpoint. Every free AS is then `Both`
+    /// (see the module doc), and [`SolveScratch::count_models`] counts
+    /// what is left — all in the worker's dense scratch vectors, with no
+    /// per-call heap traffic beyond the recycled buffers' growth.
     fn resolve_inner(&mut self, n_vars: usize, space: &VarSpace, cap: u64, scratch: &mut SolveScratch) {
-        let fixed = &mut scratch.fixed;
+        let SolveScratch { fixed, clauses, .. } = scratch;
         fixed.clear();
-        fixed.resize(n_vars, UNFIXED);
-        for (f, cells) in fixed.iter_mut().zip(&space.exonerated) {
-            if cells & self.bit != 0 {
-                *f = FIXED_FALSE;
-            }
-        }
+        let axiom = |cells: &u8| if cells & self.bit != 0 { FIXED_FALSE } else { UNFIXED };
+        fixed.extend(space.exonerated.iter().map(axiom));
         // Take the memo (leaving the absorbing Unsat in place, which every
         // early return below wants): its fate seeds the fixed set, and its
         // vector is recycled as the next memo's allocation.
         let mut fate = match std::mem::replace(&mut self.memo, Memo::Unsat) {
-            Memo::Solved { fate, .. } => {
+            Memo::Solved { mut fate, .. } => {
                 for (ix, f) in fate.iter().enumerate() {
                     match f {
                         Fate::AlwaysTrue => {
@@ -716,96 +745,45 @@ impl IncrementalInstance {
                         Fate::Both => {}
                     }
                 }
-                let mut fate = fate;
                 fate.clear();
                 fate
             }
             _ => Vec::with_capacity(n_vars),
         };
+        clauses.clear();
+        clauses.extend(self.pos_clauses.iter().map(|&pid| space.span(pid)));
         // Unit propagation over the positive clauses to fixpoint. Clause
         // literal lists are pre-deduplicated (the group resolves distinct
         // ASes only), so a clause is unit when exactly one literal is
         // unfixed.
         loop {
             let mut changed = false;
-            for &pid in &self.pos_clauses {
-                let clause = space.lit_slice(pid);
+            for &span in clauses.iter() {
+                let clause = space.clause(span);
                 if clause.iter().any(|&ix| fixed[ix as usize] == FIXED_TRUE) {
                     continue;
                 }
-                let mut first_free: Option<u32> = None;
-                let mut multi = false;
-                for &ix in clause {
-                    if fixed[ix as usize] != UNFIXED {
-                        continue;
-                    }
-                    if first_free.is_some() {
-                        multi = true;
-                        break;
-                    }
-                    first_free = Some(ix);
-                }
-                match first_free {
-                    None => return, // conflict: memo stays Unsat
-                    Some(ix) if !multi => {
+                let mut free = clause.iter().filter(|&&ix| fixed[ix as usize] == UNFIXED);
+                match (free.next(), free.next()) {
+                    (None, _) => return, // conflict: memo stays Unsat
+                    (Some(&ix), None) => {
                         fixed[ix as usize] = FIXED_TRUE;
                         changed = true;
                     }
-                    Some(_) => {}
+                    _ => {}
                 }
             }
             if !changed {
                 break;
             }
         }
-        // Census over the reduced formula. Unconstrained free ASes count
-        // as 2^k model blocks, exactly as the batch census sees them.
-        let var_map = &mut scratch.var_map;
-        var_map.clear();
-        var_map.resize(n_vars, u32::MAX);
-        let free_vars = &mut scratch.free_vars;
-        free_vars.clear();
-        for (ix, f) in fixed.iter().enumerate() {
-            if *f == UNFIXED {
-                var_map[ix] = free_vars.len() as u32;
-                free_vars.push(ix as u32);
-            }
-        }
-        scratch.cnf.reset(free_vars.len());
-        for &pid in &self.pos_clauses {
-            let clause = space.lit_slice(pid);
-            if clause.iter().any(|&ix| fixed[ix as usize] == FIXED_TRUE) {
-                continue;
-            }
-            scratch.cnf.push_clause(
-                clause
-                    .iter()
-                    .filter(|&&ix| fixed[ix as usize] == UNFIXED)
-                    .map(|&ix| Lit::pos(Var(var_map[ix as usize]))),
-            );
-        }
-        let result = scratch.ctx.census(&scratch.cnf, cap);
-        let Some(backbone) = result.backbone else {
-            return; // memo stays Unsat
-        };
-        fate.reserve(n_vars);
-        for (ix, f) in fixed.iter().enumerate() {
-            let fate_ix = match *f {
-                FIXED_TRUE => Fate::AlwaysTrue,
-                FIXED_FALSE => Fate::AlwaysFalse,
-                _ => {
-                    let v = var_map[ix] as usize;
-                    match (backbone.ever_true[v], backbone.ever_false[v]) {
-                        (true, false) => Fate::AlwaysTrue,
-                        (false, true) => Fate::AlwaysFalse,
-                        // (false, false) cannot happen when satisfiable.
-                        _ => Fate::Both,
-                    }
-                }
-            };
-            fate.push(fate_ix);
-        }
-        self.memo = Memo::Solved { count: result.count, fate };
+        fate.extend(fixed.iter().map(|&f| match f {
+            FIXED_TRUE => Fate::AlwaysTrue,
+            FIXED_FALSE => Fate::AlwaysFalse,
+            _ => Fate::Both,
+        }));
+        let count = scratch.count_models(space, cap);
+        self.memo = Memo::Solved { count, fate };
     }
 
     /// The analysed outcome — identical to running
@@ -1194,6 +1172,7 @@ mod tests {
     use churnlab_bgp::Granularity;
     use churnlab_core::analyze::{analyze, SolveConfig};
     use churnlab_core::instance::InstanceBuilder;
+    use churnlab_sat::{brute, census, Cnf, SolutionCensus, Var};
     use proptest::prelude::*;
 
     fn key() -> InstanceKey {
@@ -1203,6 +1182,9 @@ mod tests {
             window: window(),
         }
     }
+
+    /// The default enumeration cap ([`SolveConfig::default`]).
+    const CAP: u64 = 64;
 
     fn window() -> TimeWindow {
         TimeWindow::of(0, Granularity::Day, 365)
@@ -1220,25 +1202,70 @@ mod tests {
         group: InstanceGroup,
         stats: IncrementalStats,
         scratch: SolveScratch,
+        cap: u64,
     }
 
     impl Harness {
         fn new() -> Self {
+            Harness::with_cap(CAP)
+        }
+
+        fn with_cap(cap: u64) -> Self {
             Harness {
                 table: PathTable::new(),
                 group: InstanceGroup::new(3, window()),
                 stats: IncrementalStats::default(),
                 scratch: SolveScratch::new(),
+                cap,
             }
         }
 
+        /// One observation, after which the Dns cell's memo is held
+        /// against the SAT census ([`Harness::check_memo`]).
         fn observe(&mut self, path: &[Asn], censored: bool) {
             let pid = self.table.intern(path);
             let mut detected = AnomalySet::empty();
             if censored {
                 detected.insert(AnomalyType::Dns);
             }
-            self.group.observe(pid, &self.table, detected, 64, &mut self.stats, &mut self.scratch);
+            let Harness { table, group, stats, scratch, cap } = self;
+            group.observe(pid, table, detected, *cap, stats, scratch);
+            self.check_memo(false);
+        }
+
+        /// The Dns cell's memo — count, and per variable whether some
+        /// model sets it True and whether some sets it False — is what
+        /// both SAT cores' census reports for the cell's CNF, and, when
+        /// `exhaustive` and the CNF is small, what brute-force
+        /// enumeration does.
+        fn check_memo(&self, exhaustive: bool) {
+            let (cell, space, cap) = (self.dns(), &self.group.space, self.cap);
+            let n = space.vars.len();
+            let mut cnf = Cnf::new(n);
+            for &pid in &cell.pos_clauses {
+                cnf.add_positive_clause(space.clause(space.span(pid)).iter().map(|&ix| Var(ix)));
+            }
+            let exonerated = (0..n as u32).filter(|&ix| space.exonerated[ix as usize] & cell.bit != 0);
+            cnf.add_negative_facts(exonerated.map(Var));
+            let memo = match &cell.memo {
+                Memo::Trivial => (SolutionCount::Exact(1), Some(vec![(false, true); n])),
+                Memo::Unsat => (SolutionCount::Exact(0), None),
+                Memo::Solved { count, fate } => {
+                    let sides = fate.iter().map(|&f| (f != Fate::AlwaysFalse, f != Fate::AlwaysTrue));
+                    (*count, Some(sides.collect()))
+                }
+            };
+            let sides = |b: Option<churnlab_sat::Backbone>| {
+                b.map(|b| b.ever_true.into_iter().zip(b.ever_false).collect::<Vec<_>>())
+            };
+            let of = |c: SolutionCensus| (c.count, sides(c.backbone));
+            assert_eq!(memo, of(census(&cnf, cap)), "census, cap {cap}: {cnf:?}");
+            let reference = churnlab_sat::reference::census(&cnf, cap);
+            assert_eq!(memo, of(reference), "reference census, cap {cap}: {cnf:?}");
+            if exhaustive && n <= 20 {
+                let all = (cap_count(brute::count(&cnf).into(), cap), sides(brute::backbone(&cnf)));
+                assert_eq!(memo, all, "brute, cap {cap}: {cnf:?}");
+            }
         }
 
         fn dns(&self) -> &IncrementalInstance {
@@ -1252,19 +1279,20 @@ mod tests {
 
     /// Batch-analyse the same observation sequence with the pipeline's
     /// builder.
-    fn batch_outcome(observations: &[(Vec<Asn>, bool)]) -> Option<InstanceOutcome> {
+    fn batch_outcome(observations: &[(Vec<Asn>, bool)], cap: u64) -> Option<InstanceOutcome> {
         let mut b = InstanceBuilder::new(key());
         for (path, censored) in observations {
             b.observe(path, *censored);
         }
-        b.build().map(|inst| analyze(&inst, &SolveConfig::default()))
+        b.build().map(|inst| analyze(&inst, &SolveConfig { count_cap: cap }))
     }
 
-    fn incremental_outcome(observations: &[(Vec<Asn>, bool)]) -> Option<InstanceOutcome> {
-        let mut h = Harness::new();
+    fn incremental_outcome(observations: &[(Vec<Asn>, bool)], cap: u64) -> Option<InstanceOutcome> {
+        let mut h = Harness::with_cap(cap);
         for (path, censored) in observations {
             h.observe(path, *censored);
         }
+        h.check_memo(true);
         if h.dns().is_empty() {
             None
         } else {
@@ -1273,12 +1301,12 @@ mod tests {
     }
 
     /// The retained un-interned implementation, as differential oracle.
-    fn reference_outcome(observations: &[(Vec<Asn>, bool)]) -> Option<InstanceOutcome> {
+    fn reference_outcome(observations: &[(Vec<Asn>, bool)], cap: u64) -> Option<InstanceOutcome> {
         let mut inst = UninternedInstance::new(key());
         let mut stats = IncrementalStats::default();
         let mut scratch = ReferenceScratch::new();
         for (path, censored) in observations {
-            inst.observe(path, *censored, SolveConfig::default().count_cap, &mut stats, &mut scratch);
+            inst.observe(path, *censored, cap, &mut stats, &mut scratch);
         }
         if inst.is_empty() {
             None
@@ -1348,8 +1376,8 @@ mod tests {
         // and once per clause — so [9, 9] censored has models {9}, i.e.
         // a unique censor, exactly as the batch builder sees it.
         let seq = vec![(asns(&[9, 9]), true)];
-        let batch = batch_outcome(&seq).expect("non-empty");
-        let inc = incremental_outcome(&seq).expect("non-empty");
+        let batch = batch_outcome(&seq, CAP).expect("non-empty");
+        let inc = incremental_outcome(&seq, CAP).expect("non-empty");
         assert_eq!(inc, batch);
         assert_eq!(inc.censors, asns(&[9]));
         assert_eq!(inc.n_vars, 1);
@@ -1359,15 +1387,15 @@ mod tests {
             (asns(&[1, 1]), false),
             (asns(&[3, 3, 3]), false),
         ];
-        assert_eq!(incremental_outcome(&seq), batch_outcome(&seq));
+        assert_eq!(incremental_outcome(&seq, CAP), batch_outcome(&seq, CAP));
     }
 
     #[test]
     fn clean_paths_arriving_first_are_equivalent() {
         let seq_a = vec![(asns(&[1, 2, 3]), true), (asns(&[1, 2, 4]), false)];
         let seq_b = vec![(asns(&[1, 2, 4]), false), (asns(&[1, 2, 3]), true)];
-        assert_eq!(incremental_outcome(&seq_a), incremental_outcome(&seq_b));
-        assert_eq!(incremental_outcome(&seq_a), batch_outcome(&seq_a));
+        assert_eq!(incremental_outcome(&seq_a, CAP), incremental_outcome(&seq_b, CAP));
+        assert_eq!(incremental_outcome(&seq_a, CAP), batch_outcome(&seq_a, CAP));
     }
 
     #[test]
@@ -1382,8 +1410,8 @@ mod tests {
     #[test]
     fn trivial_instance_matches_batch_when_analysed() {
         let seq = vec![(asns(&[1, 2]), false), (asns(&[2, 3]), false)];
-        assert_eq!(incremental_outcome(&seq), batch_outcome(&seq));
-        let out = incremental_outcome(&seq).unwrap();
+        assert_eq!(incremental_outcome(&seq, CAP), batch_outcome(&seq, CAP));
+        let out = incremental_outcome(&seq, CAP).unwrap();
         assert_eq!(out.solvability, Solvability::Unique);
         assert!(out.censors.is_empty());
         assert_eq!(out.eliminated_frac, 1.0);
@@ -1399,11 +1427,11 @@ mod tests {
         // All 6 arrival orders agree with the batch result.
         let orders: [[usize; 3]; 6] =
             [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-        let expect = batch_outcome(&obs).unwrap();
+        let expect = batch_outcome(&obs, CAP).unwrap();
         assert_eq!(expect.censors, asns(&[9]));
         for order in orders {
             let seq: Vec<_> = order.iter().map(|&i| obs[i].clone()).collect();
-            assert_eq!(incremental_outcome(&seq).unwrap(), expect, "order {order:?}");
+            assert_eq!(incremental_outcome(&seq, CAP).unwrap(), expect, "order {order:?}");
         }
     }
 
@@ -1437,28 +1465,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Over a small AS universe (model counts stay below the cap, so
-        /// outcomes are exact), the interned state machine agrees with
-        /// the batch analyze() AND the retained un-interned reference
-        /// for the same observations — in the given order AND reversed
-        /// (order independence). Paths draw with repetition from a tiny
-        /// universe, so repeated ASes within a path are exercised.
+        /// See [`interned_matches_batch_and_reference`].
         #[test]
-        fn prop_interned_matches_batch_and_reference(
-            observations in proptest::collection::vec(
-                (proptest::collection::vec(1u32..6, 1..5), any::<bool>()),
-                1..10,
-            ),
-        ) {
-            let obs: Vec<(Vec<Asn>, bool)> = observations
-                .into_iter()
-                .map(|(path, censored)| (asns(&path), censored))
-                .collect();
-            let batch = batch_outcome(&obs);
-            prop_assert_eq!(incremental_outcome(&obs), batch.clone());
-            prop_assert_eq!(reference_outcome(&obs), batch.clone());
-            let reversed: Vec<_> = obs.iter().rev().cloned().collect();
-            prop_assert_eq!(incremental_outcome(&reversed), batch);
+        fn prop_interned_matches_batch_and_reference(obs in observations(), cap in caps()) {
+            interned_matches_batch_and_reference(obs, cap);
         }
 
         /// The group is its five cells. Any observe sequence — every
@@ -1537,6 +1547,47 @@ mod tests {
             prop_assert_eq!(&after.space.exonerated, &h.group.space.exonerated);
             prop_assert_eq!(encoded(&after), encoded(&h.group));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// [`prop_interned_matches_batch_and_reference`] at 20,000 cases
+        /// (`cargo test --release -p churnlab-engine --lib -- --ignored
+        /// interned_matches`).
+        #[test]
+        #[ignore = "20,000 cases, run in release"]
+        fn prop_interned_matches_batch_and_reference_20k(obs in observations(), cap in caps()) {
+            interned_matches_batch_and_reference(obs, cap);
+        }
+    }
+
+    /// Up to 23 observations of paths of up to seven ASes drawn, with
+    /// repeats, from a universe of 13, censored three times in four: wide
+    /// enough that re-solves run and counts pass the cap.
+    fn observations() -> impl Strategy<Value = Vec<(Vec<u32>, bool)>> {
+        let censored = (0u8..4).prop_map(|x| x != 0);
+        proptest::collection::vec((proptest::collection::vec(1u32..14, 1..8), censored), 1..24)
+    }
+
+    /// Enumeration caps from the smallest the census takes to the default.
+    fn caps() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(2u64), Just(3), Just(5), Just(8), Just(64)]
+    }
+
+    /// The interned state machine agrees with the batch analyze() AND the
+    /// retained un-interned reference for the same observations — in the
+    /// given order AND reversed (order independence) — and after every
+    /// observation its memo is what the SAT census makes of the same CNF
+    /// ([`Harness::check_memo`]).
+    fn interned_matches_batch_and_reference(observations: Vec<(Vec<u32>, bool)>, cap: u64) {
+        let obs: Vec<(Vec<Asn>, bool)> =
+            observations.into_iter().map(|(path, censored)| (asns(&path), censored)).collect();
+        let batch = batch_outcome(&obs, cap);
+        assert_eq!(incremental_outcome(&obs, cap), batch.clone());
+        assert_eq!(reference_outcome(&obs, cap), batch.clone());
+        let reversed: Vec<_> = obs.iter().rev().cloned().collect();
+        assert_eq!(incremental_outcome(&reversed, cap), batch);
     }
 
     fn encoded(group: &InstanceGroup) -> Vec<u8> {

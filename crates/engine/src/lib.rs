@@ -27,8 +27,8 @@
 //!   unit-propagation/backbone state ([`IncrementalInstance`]), so a new
 //!   observation is usually a constant-time state transition
 //!   (early-unsat and already-decided instances short-circuit), and
-//!   otherwise a census over the *reduced* formula — never a from-scratch
-//!   AllSAT pass over a whole URL buffer.
+//!   otherwise a closed-form re-solve — unit propagation, then a count
+//!   of the monotone formula left — never a SAT solver pass.
 //! * **Interned** — path churn means few distinct paths observed many
 //!   times, so each shard interns every distinct AS path once into a
 //!   [`PathTable`] (one hash per measurement) and the whole

@@ -108,7 +108,7 @@ use churnlab_core::churnstats::path_hash;
 use churnlab_core::{BatchOrder, ChurnAccumulator, ChurnObs, ChurnWindowEntry};
 use churnlab_obs::{BusyTimer, Counter, Stopwatch};
 use churnlab_platform::Measurement;
-use churnlab_sat::{CtxStats, Solvability};
+use churnlab_sat::{CtxStats, Solvability, SolverCtx};
 use churnlab_topology::geo::CountryCode;
 use churnlab_topology::{Asn, FxMap, FxSet, Ip2AsDb, Topology};
 use std::collections::hash_map::Entry;
@@ -271,8 +271,9 @@ pub(crate) struct ShardReport {
     /// Conversion accounting for every measurement routed here —
     /// exactly consistent with this report's cut.
     pub conversion: ConversionStats,
-    /// Cumulative SAT-solver work counters of this shard's warm context
-    /// (plus any work restored from a checkpoint).
+    /// Cumulative SAT-solver work counters of the first-path ablation's
+    /// context (plus any work restored from a checkpoint); zero on every
+    /// other path.
     pub sat: CtxStats,
     pub observations: u64,
     /// Highest day observed by this shard, `None` until data arrives.
@@ -397,12 +398,15 @@ pub(crate) struct ShardState {
     windows_retired: u64,
     cells_retired: u64,
     late_dropped: u64,
-    /// SAT work counters restored from a checkpoint — the warm scratch
-    /// context restarts at zero, so reports add this base back in.
+    /// SAT work counters restored from a checkpoint — `ctx` restarts at
+    /// zero, so reports add this base back in.
     sat_base: CtxStats,
-    /// Worker-owned reusable solver state: every re-solve of every
-    /// instance on this shard runs on one warm watched-literal context.
+    /// Worker-owned re-solve scratch, shared by every instance on this
+    /// shard.
     scratch: SolveScratch,
+    /// The first-path ablation's solver: its batch `analyze` is the one
+    /// place a shard runs a SAT census.
+    ctx: SolverCtx,
     /// Where conversion writes each measurement's path.
     convert: ConvertScratch,
     /// Observability handles, `None` in the stripped configuration (the
@@ -447,6 +451,7 @@ impl ShardState {
             late_dropped: 0,
             sat_base: CtxStats::default(),
             scratch,
+            ctx: SolverCtx::new(),
             convert: ConvertScratch::default(),
             obs,
             cfg,
@@ -675,7 +680,7 @@ impl ShardState {
     /// for the tomography state — the shard keeps ingesting afterwards;
     /// `&mut` so stale group caches can be refreshed, deferred ablation
     /// buffers sorted in place (at most once per out-of-order batch) and
-    /// the warm scratch solver reused. `fin` marks the engine's final
+    /// the ablation's solver reused. `fin` marks the engine's final
     /// cut: only then are journal window-closed / cell-solved events
     /// emitted for *live* groups (retired groups emitted theirs at
     /// retirement — once per window, once per cell, so the journal
@@ -713,7 +718,7 @@ impl ShardState {
             // so the ablation re-derives its cells per report: nothing
             // here is incremental, and nothing is cached.
             ChurnMode::FirstPathOnly => {
-                let ShardState { cfg, deferred, scratch, countries, .. } = self;
+                let ShardState { cfg, deferred, ctx, countries, .. } = self;
                 let country_of = country_of(countries);
                 let mut solved = SolvedGroup::default();
                 for (&url_id, buf) in deferred.iter_mut() {
@@ -734,7 +739,7 @@ impl ShardState {
                                 return;
                             }
                             let inst = builder.build().expect("non-empty builder");
-                            let outcome = analyze_with(&inst, &cfg.solve, scratch.solver_ctx());
+                            let outcome = analyze_with(&inst, &cfg.solve, ctx);
                             let censored: Vec<&[Asn]> = inst
                                 .observations
                                 .iter()
@@ -762,7 +767,7 @@ impl ShardState {
             stats: self.stats,
             intern: self.table.stats(),
             conversion: self.conversion,
-            sat: self.sat_base.merged(self.scratch.sat_stats()),
+            sat: self.sat_base.merged(self.ctx.stats()),
             observations: self.observations,
             high_water: self.high_water,
             windows_retired: self.windows_retired,
@@ -930,7 +935,7 @@ impl ShardState {
         e.u64(self.stats.direct_updates);
         e.u64(self.stats.unsat_skips);
         e.u64(self.stats.resolves);
-        let sat = self.sat_base.merged(self.scratch.sat_stats());
+        let sat = self.sat_base.merged(self.ctx.stats());
         e.u64(sat.propagations);
         e.u64(sat.backtracks);
         e.u64(sat.censuses);

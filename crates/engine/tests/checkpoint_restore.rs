@@ -357,9 +357,12 @@ fn checkpoint_bytes_are_deterministic() {
 /// The checkpoint format, pinned by name: FNV-1a of one mid-stream blob
 /// (seed-42 Smoke study in day order, two shards, horizon 7, one feeder —
 /// so the watermark, and with it what has retired, is a function of the
-/// input). The value was computed before PR 22 moved the observation log
-/// from the cells to the group; a change to what `encode` writes fails
-/// here rather than as a resumed digest somewhere downstream.
+/// input). A change to what `encode` writes fails here rather than as a
+/// resumed digest somewhere downstream. The layout predates the group's
+/// shared observation log; the value last moved when the engine's
+/// re-solve became closed form and stopped calling the SAT census: ten
+/// bytes changed — shard 0's `censuses` (47 → 0) and `census_models`
+/// (59 → 0) counters and that shard's checksum — at the same length.
 #[test]
 fn checkpoint_blob_is_pinned() {
     let s = study(42);
@@ -378,7 +381,7 @@ fn checkpoint_blob_is_pinned() {
     });
     assert_eq!(
         (blob.len(), format!("{fnv:016x}")),
-        (275_136, "149aacffe58e0819".to_string()),
+        (275_136, "63a904daa4ed1404".to_string()),
         "the checkpoint bytes moved: bump `VERSION` or restore the encoding"
     );
 }
