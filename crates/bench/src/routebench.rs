@@ -172,7 +172,9 @@ pub struct RouteBenchRow {
     pub cache_hit_rate: f64,
     /// Fraction of sampled (src, dst, epoch) queries that routed.
     pub reachability: f64,
-    /// Bytes held by one cached (demand-driven) route tree at this scale.
+    /// Heap bytes of the largest demand-driven tree the query pass's
+    /// cache held: what its lookups memoized, at most
+    /// `churnlab_bgp::sim::cached_tree_bytes` at this scale.
     pub peak_tree_bytes: u64,
     /// Heap allocations observed during the steady-state fast pass (the
     /// committed report proves the zero-allocation claim).
@@ -345,7 +347,8 @@ impl RouteHarness {
 
     /// Run `queries` cached path lookups through [`RoutingSim`] and
     /// report `(paths per second, tree-cache hit rate, fraction of
-    /// queries that routed)`. Sources are
+    /// queries that routed, heap bytes of the largest cached tree)`.
+    /// Sources are
     /// spread across all ASes; destinations revisit a pool the way the
     /// measurement platform batches vantage points against URLs.
     ///
@@ -357,7 +360,7 @@ impl RouteHarness {
     /// # Panics
     ///
     /// Panics on any divergence.
-    pub fn query_pass(&mut self, queries: usize) -> (f64, f64, f64) {
+    pub fn query_pass(&mut self, queries: usize) -> (f64, f64, f64, usize) {
         let RouteHarness { world, churn_cfg, scratch, tree, dests, .. } = self;
         let topo = &world.topology;
         let sim =
@@ -409,6 +412,7 @@ impl RouteHarness {
             queries as f64 / secs.max(1e-9),
             if lookups == 0 { 0.0 } else { stats.hits as f64 / lookups as f64 },
             reached as f64 / queries.max(1) as f64,
+            sim.largest_cached_tree_bytes(),
         )
     }
 }
@@ -433,7 +437,7 @@ pub fn run_tier(
     h.fast_pass(1);
     let fast_secs = best_of(repeats, || h.fast_pass(trees).0);
     let reference_secs = best_of(repeats, || h.reference_pass(ref_trees).0);
-    let (paths_per_sec, cache_hit_rate, reachability) = h.query_pass(queries);
+    let (paths_per_sec, cache_hit_rate, reachability, peak_tree_bytes) = h.query_pass(queries);
     let per_ref = reference_secs / ref_trees as f64;
     let per_fast = fast_secs / trees as f64;
     let topo = &h.world.topology;
@@ -450,7 +454,7 @@ pub fn run_tier(
         paths_per_sec,
         cache_hit_rate,
         reachability,
-        peak_tree_bytes: churnlab_bgp::sim::cached_tree_bytes(topo.n_ases(), topo.n_links()) as u64,
+        peak_tree_bytes: peak_tree_bytes as u64,
         steady_state_allocs: 0,
     };
     (row, h)
@@ -549,7 +553,8 @@ mod tests {
         assert!(row.trees_per_sec > 0.0);
         assert!(row.reachability > 0.9, "reachability {}", row.reachability);
         assert!(row.cache_hit_rate > 0.5, "hit rate {}", row.cache_hit_rate);
-        assert_eq!(row.peak_tree_bytes, 8 * row.n_ases + 8 * row.n_links.div_ceil(64));
+        let most = churnlab_bgp::sim::cached_tree_bytes(row.n_ases as usize, row.n_links as usize);
+        assert!((1..=most as u64).contains(&row.peak_tree_bytes), "{} > {most}", row.peak_tree_bytes);
         // Same schedule ⇒ same checksum on both paths.
         let (_, fast_sum) = h.fast_pass(6);
         let (_, ref_sum) = h.reference_pass(6);

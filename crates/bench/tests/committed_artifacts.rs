@@ -303,7 +303,7 @@ fn render(root: &Path) -> String {
         "cached paths/s",
         "cache hit rate",
         "reachability",
-        "cached tree bytes",
+        "largest cached tree bytes",
         "steady-state allocations",
     ];
     table(&mut s, &head, rows);

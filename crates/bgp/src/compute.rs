@@ -27,16 +27,19 @@
 //! simulator caches demand-driven trees (`crate::demand`) — stages 1–2 built
 //! eagerly from the destination's provider cone, the provider stage and
 //! next hops resolved for the ASes a lookup walks through. This module
-//! holds what both tree forms share (the packed route table, stages 1–2,
-//! next-hop selection, the path walk) and the full closure-driven tree,
-//! which benches and the differential suites hold the demand-driven one
-//! against:
+//! holds what both tree forms share (the packed route, stages 1–2,
+//! provider next-hop selection, the path walk) and the full
+//! closure-driven tree, which benches and the differential suites hold
+//! the demand-driven one against:
 //!
 //! * [`SelectedRoute`] is packed to 8 bytes (`u32` next hop, `u16`
 //!   length, class byte) and the route table doubles as every stage's
-//!   working state — an AS's advertised length *is* its route's length —
-//!   so a full Huge tree is ~500 KB and a stage touches one cache line
-//!   per AS;
+//!   working state — an AS's advertised length *is* its route's length.
+//!   The stages read and write it through `RouteTable`, so one algorithm
+//!   runs over two kinds of storage: the full tree's dense slice — the
+//!   only ~500 KB table at Huge, one cache line per AS a stage touches —
+//!   and a demand tree's paged memo, which holds only the 8-AS blocks its
+//!   lookups wrote;
 //! * what else a tree needs lives in a caller-owned [`TreeScratch`] that
 //!   [`RouteTree::compute_into`] reuses — after the first tree no
 //!   allocation happens as long as the world doesn't grow;
@@ -52,11 +55,11 @@ use crate::policy::RouteClass;
 use churnlab_topology::{AsIdx, Asn, LinkId, Topology};
 
 pub(crate) const INF: u16 = u16::MAX;
-const NO_NEXT: u32 = u32::MAX;
+pub(crate) const NO_NEXT: u32 = u32::MAX;
 /// `next` of a routed AS whose next hop is not selected yet.
 pub(crate) const NEXT_PENDING: u32 = NO_NEXT - 1;
 
-const CUSTOMER: u8 = 0;
+pub(crate) const CUSTOMER: u8 = 0;
 const PEER: u8 = 1;
 pub(crate) const PROVIDER: u8 = 2;
 /// `class` of an AS a demand-driven tree resolved to have no route at all
@@ -159,41 +162,57 @@ pub(crate) fn live(up: &[u64], l: LinkId) -> bool {
     (up[i >> 6] >> (i & 63)) & 1 == 1
 }
 
-/// Stages 1–2 under the link state `up`, into a fresh table: customer
-/// routes by BFS from `dest` up live provider edges, then peer routes one
-/// live peering hop off every AS holding a customer route. Next hops are
-/// left pending (the destination has none). `cone` is left holding the
-/// customer-routed ASes in BFS order.
-pub(crate) fn base_stages(
+/// Per-AS route storage the stages read and write.
+pub(crate) trait RouteTable {
+    /// The route of AS `x`; [`SelectedRoute::UNROUTED`] until written.
+    fn read(&self, x: u32) -> SelectedRoute;
+    /// Overwrite the route of AS `x`.
+    fn write(&mut self, x: u32, r: SelectedRoute);
+}
+
+impl RouteTable for [SelectedRoute] {
+    fn read(&self, x: u32) -> SelectedRoute {
+        self[x as usize]
+    }
+
+    fn write(&mut self, x: u32, r: SelectedRoute) {
+        self[x as usize] = r;
+    }
+}
+
+/// Stages 1–2 under the link state `up`, into `routes`, which must read
+/// [`SelectedRoute::UNROUTED`] everywhere: customer routes by BFS from
+/// `dest` up live provider edges, then peer routes one live peering hop
+/// off every AS holding a customer route. Next hops are left pending (the
+/// destination has none). `cone` is left holding the customer-routed ASes
+/// in BFS order, so their lengths never decrease along it.
+pub(crate) fn base_stages<T: RouteTable + ?Sized>(
     topo: &Topology,
     up: &[u64],
     dest: AsIdx,
-    routes: &mut Vec<SelectedRoute>,
+    routes: &mut T,
     cone: &mut Vec<u32>,
 ) {
-    routes.clear();
-    routes.resize(topo.n_ases(), SelectedRoute::UNROUTED);
-    routes[dest.usize()] = SelectedRoute { next: NO_NEXT, len: 0, class: CUSTOMER };
+    routes.write(dest.0, SelectedRoute { next: NO_NEXT, len: 0, class: CUSTOMER });
     cone.clear();
     cone.push(dest.0);
     let mut head = 0;
     while let Some(&x) = cone.get(head) {
         head += 1;
-        let len = routes[x as usize].len + 1;
+        let len = routes.read(x).len + 1;
         for adj in topo.provider_edges(AsIdx(x)) {
-            let p = &mut routes[adj.peer.usize()];
-            if !p.reachable() && live(up, adj.link) {
-                *p = SelectedRoute::pending(len, CUSTOMER);
+            if !routes.read(adj.peer.0).reachable() && live(up, adj.link) {
+                routes.write(adj.peer.0, SelectedRoute::pending(len, CUSTOMER));
                 cone.push(adj.peer.0);
             }
         }
     }
     for &x in cone.iter() {
-        let len = routes[x as usize].len + 1;
+        let len = routes.read(x).len + 1;
         for adj in topo.peer_edges(AsIdx(x)) {
-            let y = &mut routes[adj.peer.usize()];
+            let y = routes.read(adj.peer.0);
             if !y.in_cone() && len < y.len && live(up, adj.link) {
-                *y = SelectedRoute::pending(len, PEER);
+                routes.write(adj.peer.0, SelectedRoute::pending(len, PEER));
             }
         }
     }
@@ -211,14 +230,14 @@ pub(crate) fn base_stages(
 /// the salted hash decides. This is what lets TE shifts move a stub's
 /// egress (and with it, the whole tail of the path), producing the
 /// egress-level churn the paper observes.
-pub(crate) fn select_next(
+pub(crate) fn select_next<T: RouteTable + ?Sized>(
     topo: &Topology,
     up: &[u64],
-    routes: &[SelectedRoute],
+    routes: &T,
     x: AsIdx,
     salt: u64,
 ) -> u32 {
-    let SelectedRoute { len, class, .. } = routes[x.usize()];
+    let SelectedRoute { len, class, .. } = routes.read(x.0);
     let want = len.saturating_sub(1);
     // Candidates live entirely in the slice matching the selected class,
     // so only that kind's run is scanned.
@@ -230,7 +249,7 @@ pub(crate) fn select_next(
     let mut best_key = u64::MAX;
     let mut best: u32 = NO_NEXT;
     for adj in candidates {
-        let y = routes[adj.peer.usize()];
+        let y = routes.read(adj.peer.0);
         let matches = if class == PROVIDER { y.reachable() } else { y.in_cone() && y.len == want };
         if matches && live(up, adj.link) {
             let key = crate::mix64(salt ^ u64::from(topo.asn(adj.peer).0));
@@ -341,7 +360,9 @@ impl RouteTree {
         // --- Stages 1–2: customer routes (BFS up), one peering hop. -------
         out.dest = dest;
         let routes = &mut out.routes;
-        base_stages(topo, up, dest, routes, cone);
+        routes.clear();
+        routes.resize(topo.n_ases(), SelectedRoute::UNROUTED);
+        base_stages(topo, up, dest, routes.as_mut_slice(), cone);
 
         // --- Stage 3: provider routes (Dial's bucket descent). ------------
         // Every edge has unit weight, so Dijkstra degenerates to processing
@@ -389,7 +410,7 @@ impl RouteTree {
         // the real path.
         for x in 0..routes.len() {
             if routes[x].next == NEXT_PENDING && routes[x].reachable() {
-                routes[x].next = select_next(topo, up, routes, AsIdx(x as u32), salt(x));
+                routes[x].next = select_next(topo, up, routes.as_slice(), AsIdx(x as u32), salt(x));
             }
         }
     }

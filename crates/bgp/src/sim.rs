@@ -13,8 +13,11 @@
 //! the thread's [`TreeScratch`] cursor carried over from the previous
 //! epoch by XOR-ing the flips in between; the provider stage and the
 //! salted next hop are resolved, once, for the ASes lookups walk through.
-//! A tree weighs 8 bytes per AS plus a bit per link
-//! ([`cached_tree_bytes`]) — ~565 KB in the Huge world.
+//! A tree holds a bit per link and a paged route memo: 4 bytes of block
+//! index per 8 ASes, and a 64-byte block for each 8 ASes its lookups
+//! wrote into. A Huge tree's lookups write ~900 of its 7,772 blocks, so it
+//! weighs ~160 KB; [`cached_tree_bytes`] is the most one can weigh (~596
+//! KB at Huge, every block written).
 //!
 //! ## What a simulator costs to make
 //!
@@ -52,8 +55,10 @@
 //!
 //! Cache traffic is observable through [`RoutingSim::instrument`]
 //! (`churnlab_route_cache_{hit,miss,evict}`, `churnlab_route_trees_computed`,
-//! `churnlab_route_nodes_resolved_total`, and a histogram of the eager
-//! build's nanoseconds), and so is the set-up:
+//! `churnlab_route_nodes_resolved_total`, a histogram of the eager
+//! build's nanoseconds, and one of the heap bytes each tree held when it
+//! left the cache, evicted or dropped with the simulator), and so is the
+//! set-up:
 //! `churnlab_route_timeline_build_nanos` and
 //! `churnlab_route_timeline_events{kind="link"|"te"}`. A campaign run on an
 //! instrumented platform instruments the simulator it is handed.
@@ -79,8 +84,9 @@ const AUTO_CACHE_BUDGET_BYTES: usize = 256 << 20;
 
 /// Cache capacity (total trees) for a world of this size, when the
 /// configured capacity is `0` (automatic): a 256 MB budget divided by
-/// the per-tree footprint, clamped to `[64, 4096]`. A Small world gets
-/// the fixed 4096; the Huge world (~565 KB/tree) lands near 475.
+/// the most a tree can hold ([`cached_tree_bytes`]: a tree may still
+/// memoize every AS), clamped to `[64, 4096]`. A Small world gets the
+/// fixed 4096; the Huge world (at most ~596 KB a tree) lands near 450.
 pub fn auto_cache_capacity(n_ases: usize, n_links: usize) -> usize {
     let per_tree = cached_tree_bytes(n_ases, n_links).saturating_add(64);
     (AUTO_CACHE_BUDGET_BYTES / per_tree).clamp(64, 4096)
@@ -144,26 +150,25 @@ impl CacheShard {
     }
 
     /// Insert (or promote, if racing inserters got here first). Returns
-    /// the number of evictions performed.
-    fn put(&mut self, key: (AsIdx, Epoch), tree: Arc<DemandTree>) -> u64 {
+    /// the trees evicted to make room.
+    fn put(&mut self, key: (AsIdx, Epoch), tree: Arc<DemandTree>) -> Vec<Arc<DemandTree>> {
         let stamp = self.stamp();
+        let mut evicted = Vec::new();
         if let Some(e) = self.map.get_mut(&key) {
             // Same (dest, epoch) ⇒ identical tree; keep the resident one
             // but refresh its recency.
             e.stamp = stamp;
             self.recency.push_back((key, stamp));
             self.maybe_compact();
-            return 0;
+            return evicted;
         }
-        let mut evicted = 0;
         while self.map.len() >= self.capacity {
             let Some((k, s)) = self.recency.pop_front() else {
                 break; // every map entry has a queue position, so unreachable
             };
             // Stale position (the entry was promoted since): skip.
             if self.map.get(&k).is_some_and(|e| e.stamp == s) {
-                self.map.remove(&k);
-                evicted += 1;
+                evicted.extend(self.map.remove(&k).map(|e| e.tree));
             }
         }
         self.map.insert(key, Entry { tree, stamp });
@@ -190,6 +195,7 @@ struct RouteMetrics {
     cache_evict: churnlab_obs::Counter,
     nodes_resolved: churnlab_obs::Counter,
     compute_nanos: churnlab_obs::Histogram,
+    tree_bytes: churnlab_obs::Histogram,
 }
 
 /// Routing simulator: path oracle over (src, dst, epoch).
@@ -287,6 +293,11 @@ impl<'t> RoutingSim<'t> {
                 "Wall nanoseconds per route-tree build (the eager part)",
                 &[],
             ),
+            tree_bytes: registry.histogram(
+                "churnlab_route_tree_bytes",
+                "Heap bytes a route tree held when it left the cache (evicted or dropped)",
+                &[],
+            ),
         });
     }
 
@@ -308,6 +319,20 @@ impl<'t> RoutingSim<'t> {
     /// Total tree capacity across all cache stripes.
     pub fn cache_capacity(&self) -> usize {
         self.shards.iter().map(|s| s.lock().capacity).sum()
+    }
+
+    /// Heap bytes of the largest tree the cache holds now (0 if none), at
+    /// most [`cached_tree_bytes`].
+    pub fn largest_cached_tree_bytes(&self) -> usize {
+        let mut largest = 0;
+        self.each_cached_tree_bytes(|b| largest = largest.max(b));
+        largest
+    }
+
+    fn each_cached_tree_bytes(&self, mut f: impl FnMut(usize)) {
+        for shard in &self.shards {
+            shard.lock().map.values().for_each(|e| f(e.tree.heap_bytes()));
+        }
     }
 
     /// Cumulative cache-traffic counters for this simulator.
@@ -356,10 +381,13 @@ impl<'t> RoutingSim<'t> {
 
         let tree = Arc::new(tree);
         let evicted = shard.lock().put(key, tree.clone());
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Relaxed);
+        if !evicted.is_empty() {
+            self.evictions.fetch_add(evicted.len() as u64, Relaxed);
             if let Some(m) = metrics {
-                m.cache_evict.add(evicted);
+                m.cache_evict.add(evicted.len() as u64);
+                for t in &evicted {
+                    m.tree_bytes.observe(t.heap_bytes() as u64);
+                }
             }
         }
         tree
@@ -403,6 +431,15 @@ impl<'t> RoutingSim<'t> {
     pub fn asn_path_into(&self, src: AsIdx, dst: AsIdx, epoch: Epoch, out: &mut Vec<Asn>) -> bool {
         out.clear();
         self.walk(src, dst, epoch, |x| out.push(self.topo.asn(x)))
+    }
+}
+
+/// Trees still cached leave the cache with the simulator.
+impl Drop for RoutingSim<'_> {
+    fn drop(&mut self) {
+        if let Some(m) = self.metrics.get() {
+            self.each_cached_tree_bytes(|b| m.tree_bytes.observe(b as u64));
+        }
     }
 }
 
@@ -517,6 +554,42 @@ mod tests {
         // LRU: re-touching the resident epoch keeps it resident.
         sim.route_tree(d, 5);
         assert_eq!(sim.cache_stats().hits, 1);
+    }
+
+    #[test]
+    fn tree_bytes_are_observed_when_trees_leave_the_cache() {
+        let w = generator::generate(&WorldConfig::preset(WorldScale::Smoke, 4));
+        let t = &w.topology;
+        let most = cached_tree_bytes(t.n_ases(), t.n_links()) as u64;
+        let reg = Registry::new();
+        let observed = || {
+            let snap = reg.scrape();
+            match snap.samples.iter().find(|s| s.name == "churnlab_route_tree_bytes") {
+                Some(churnlab_obs::Sample {
+                    value: churnlab_obs::SampleValue::Histogram(h), ..
+                }) => (h.count, h.sum),
+                other => panic!("expected the tree-bytes histogram, got {other:?}"),
+            }
+        };
+        let stubs = t.select(|a| a.role == AsRole::Stub);
+        let largest = {
+            // One destination over six epochs lands in one stripe of
+            // capacity 1: five evictions, and one tree left to drop.
+            let sim = RoutingSim::with_cache_capacity(t, &ChurnConfig::default(), N_SHARDS);
+            sim.instrument(&reg);
+            assert_eq!(sim.largest_cached_tree_bytes(), 0);
+            for e in 0..6 {
+                sim.asn_path(stubs[0], stubs[1], e);
+            }
+            let (count, sum) = observed();
+            assert_eq!(count, 5);
+            assert!(sum <= 5 * most);
+            sim.largest_cached_tree_bytes() as u64
+        };
+        assert!((1..=most).contains(&largest), "{largest} of at most {most}");
+        let (count, sum) = observed();
+        assert_eq!(count, 6, "the resident tree is observed when the simulator drops");
+        assert!(sum <= 6 * most);
     }
 
     #[test]

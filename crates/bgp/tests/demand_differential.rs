@@ -258,3 +258,110 @@ fn destination_routes_to_itself_with_no_next_hop() {
         }
     }
 }
+
+#[test]
+fn transit_and_tier1_destinations_match_full_tree_and_reference() {
+    // `jobs` draws stubs, whose cones are thin; a transit's cone has
+    // several members at each length and a tier-1's is the tier-1 alone.
+    let transit = |a: &AsInfo| !matches!(a.role, AsRole::Stub | AsRole::Tier1);
+    for (w, topo) in worlds().iter().enumerate() {
+        let sim =
+            RoutingSim::new(topo, &ChurnConfig { seed: 57 + w as u64, ..ChurnConfig::default() });
+        let router = ReferenceRouter::build(topo);
+        let total = u64::from(sim.churn().total_epochs());
+        let kinds = [topo.select(transit), topo.select(|a| a.role == AsRole::Tier1)];
+        for (k, dests) in kinds.iter().enumerate() {
+            let key = mix64((w as u64) << 4 ^ k as u64);
+            let dest = dests[(key % dests.len() as u64) as usize];
+            let epoch = (mix64(key) % total) as Epoch;
+            let full = full_tree(&sim, &router, dest, epoch);
+            assert_matches(&sim, &full, epoch, &scrambled(topo, key));
+        }
+    }
+}
+
+#[test]
+fn cone_selection_skips_dead_links_and_other_lengths() {
+    // Destination stub 2 buys from 11 and 12; 12 buys from 13. Tier-1 1
+    // buys nothing and serves 11 (over a link that fails at epoch 1 for
+    // good), 12, 13 and forty stubs outside the cone. National 3 peers
+    // with 11 (the same doomed way), 12 and 13. So 1 and 3 each reach
+    // two cone members of length 1, one over a dead link from epoch 1,
+    // and 13 at length 2, one too long.
+    let s = LinkStability::stable;
+    let doomed = || LinkStability { flap_rate: 1e3, mean_downtime_days: 1e6 };
+    let mut ases = vec![
+        (1, AsRole::Tier1),
+        (2, AsRole::Stub),
+        (3, AsRole::NationalTransit),
+        (11, AsRole::NationalTransit),
+        (12, AsRole::NationalTransit),
+        (13, AsRole::NationalTransit),
+    ];
+    let mut links = vec![
+        Link::transit(Asn(2), Asn(11), s()),
+        Link::transit(Asn(2), Asn(12), s()),
+        Link::transit(Asn(12), Asn(13), s()),
+        Link::transit(Asn(11), Asn(1), doomed()),
+        Link::transit(Asn(12), Asn(1), s()),
+        Link::transit(Asn(13), Asn(1), s()),
+        Link::peering(Asn(3), Asn(11), doomed()),
+        Link::peering(Asn(3), Asn(12), s()),
+        Link::peering(Asn(3), Asn(13), s()),
+    ];
+    for stub in 100..140 {
+        ases.push((stub, AsRole::Stub));
+        links.push(Link::transit(Asn(stub), Asn(1), s()));
+    }
+    let t = fixture(&ases, links);
+    let router = ReferenceRouter::build(&t);
+    let idx = |asn: u32| t.idx(Asn(asn)).unwrap();
+    let dest = idx(2);
+    let mut first_hops = std::collections::HashSet::new();
+    for seed in 0..16u64 {
+        let sim = RoutingSim::new(&t, &short_churn(seed));
+        assert!(sim.churn().link_up(LinkId(3), 0) && !sim.churn().link_up(LinkId(3), 1));
+        for epoch in [0, 1] {
+            let full = full_tree(&sim, &router, dest, epoch);
+            let mut order = vec![idx(1), idx(3)];
+            order.extend(scrambled(&t, seed));
+            assert_matches(&sim, &full, epoch, &order);
+        }
+        for (asn, class) in [(1, RouteClass::Customer), (3, RouteClass::Peer)] {
+            let at = |epoch| sim.route(idx(asn), dest, epoch).expect("routed");
+            assert_eq!((at(0).class(), at(0).len()), (class, 2));
+            first_hops.insert((asn, at(0).next()));
+            assert_eq!(at(1).next(), Some(idx(12)), "AS{asn} at epoch 1");
+        }
+    }
+    // Every salt-drawn pick above was between 11 and 12, and both won
+    // somewhere, so a dead or too-long candidate would have been taken.
+    for asn in [1, 3] {
+        for via in [11, 12] {
+            assert!(first_hops.contains(&(asn, Some(idx(via)))), "AS{asn} never picked {via}");
+        }
+    }
+}
+
+/// `mini_pa` about four times larger.
+fn larger_pa(seed: u64) -> WorldConfig {
+    let mut cfg = mini_pa(seed);
+    cfg.pa_transits = 600;
+    cfg.pa_stubs = 5_000;
+    cfg.pa_peering_links = 10_000;
+    cfg
+}
+
+#[test]
+#[ignore = "a release-mode CI step: two worlds of ~5,600 ASes"]
+fn every_as_in_scrambled_order_matches_full_tree_and_reference_on_larger_pa_worlds() {
+    for seed in 0..2u64 {
+        let topo = generator::generate(&larger_pa(seed)).topology;
+        let sim = RoutingSim::new(&topo, &ChurnConfig { seed: 70 + seed, ..ChurnConfig::default() });
+        let router = ReferenceRouter::build(&topo);
+        for (dest, epoch) in jobs(&topo, &sim, 70 + seed, 4) {
+            let full = full_tree(&sim, &router, dest, epoch);
+            assert_matches(&sim, &full, epoch, &scrambled(&topo, mix64(epoch.into())));
+        }
+    }
+}

@@ -100,8 +100,9 @@ impl HopPath {
                 rng.gen_range(routers_per_as.0.max(1)..=routers_per_as.1.max(1))
             };
             first_hop.push(hops.len() as u32);
+            let announced = prefixes.get(asn).filter(|ps| !ps.is_empty());
             for _ in 0..n {
-                let ip = match prefixes.get(asn).filter(|ps| !ps.is_empty()) {
+                let ip = match announced {
                     Some(ps) => {
                         let p = ps[rng.gen_range(0..ps.len())];
                         p.nth_host(rng.gen::<u32>())

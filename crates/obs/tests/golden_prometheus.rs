@@ -66,6 +66,13 @@ fn exposition_format_is_stable() {
         )
         .set(events);
     }
+    let b = reg.histogram(
+        "churnlab_route_tree_bytes",
+        "Heap bytes a route tree held when it left the cache (evicted or dropped)",
+        &[],
+    );
+    b.observe(2_400);
+    b.observe(2_672);
     let s = reg.histogram(
         "churnlab_snapshot_nanos",
         "wall nanoseconds of each Engine::snapshot call, collect + merge",
@@ -158,6 +165,24 @@ churnlab_route_timeline_build_nanos 25900000
 # TYPE churnlab_route_timeline_events gauge
 churnlab_route_timeline_events{kind=\"link\"} 402117
 churnlab_route_timeline_events{kind=\"te\"} 2731446
+# HELP churnlab_route_tree_bytes Heap bytes a route tree held when it left the cache (evicted or dropped)
+# TYPE churnlab_route_tree_bytes histogram
+churnlab_route_tree_bytes_bucket{le=\"0\"} 0
+churnlab_route_tree_bytes_bucket{le=\"1\"} 0
+churnlab_route_tree_bytes_bucket{le=\"3\"} 0
+churnlab_route_tree_bytes_bucket{le=\"7\"} 0
+churnlab_route_tree_bytes_bucket{le=\"15\"} 0
+churnlab_route_tree_bytes_bucket{le=\"31\"} 0
+churnlab_route_tree_bytes_bucket{le=\"63\"} 0
+churnlab_route_tree_bytes_bucket{le=\"127\"} 0
+churnlab_route_tree_bytes_bucket{le=\"255\"} 0
+churnlab_route_tree_bytes_bucket{le=\"511\"} 0
+churnlab_route_tree_bytes_bucket{le=\"1023\"} 0
+churnlab_route_tree_bytes_bucket{le=\"2047\"} 0
+churnlab_route_tree_bytes_bucket{le=\"4095\"} 2
+churnlab_route_tree_bytes_bucket{le=\"+Inf\"} 2
+churnlab_route_tree_bytes_sum 5072
+churnlab_route_tree_bytes_count 2
 # HELP churnlab_snapshot_nanos wall nanoseconds of each Engine::snapshot call, collect + merge
 # TYPE churnlab_snapshot_nanos histogram
 churnlab_snapshot_nanos_bucket{le=\"0\"} 0
