@@ -305,9 +305,18 @@ fn draw_unit(rng: &mut StdRng) -> f64 {
     rng.gen::<f64>().max(LN_FLOOR)
 }
 
-/// The Geometric holding time draw `u` stands for, at least 1 epoch.
+/// The Geometric holding time draw `u` stands for, at least 1 epoch:
+/// `ceil(ln u / ln q)`, rounded up without `f64::ceil` (a libm call on
+/// the baseline x86-64 target) — truncate, then step up if anything was
+/// cut off. The same integer for every quotient the sampler forms: a
+/// negative one, the `−∞` of `ln q = 0` and a NaN all truncate to 0 and
+/// hold 1, as `ceil(x).max(1.0)` does; and a positive one is below
+/// `|ln LN_FLOOR| · 2⁵³ < 2⁵⁸` (the smallest nonzero `|ln q|` is that of
+/// the largest `q` below 1, about `2⁻⁵³`), so the step cannot overflow.
 fn hold(u: f64, ln_q: f64) -> u64 {
-    (u.ln() / ln_q).ceil().max(1.0) as u64
+    let x = u.ln() / ln_q;
+    let t = x as u64;
+    (t + u64::from((t as f64) < x)).max(1)
 }
 
 /// The first hold is squeezed only where `|ln q|` is at least this (a

@@ -69,10 +69,10 @@ pub use crate::demand::cached_tree_bytes;
 use crate::demand::DemandTree;
 use crate::time::{Epoch, EpochMapper};
 use churnlab_obs::Registry;
-use churnlab_topology::{AsIdx, Asn, Topology};
+use churnlab_topology::{AsIdx, Asn, FxMap, Topology};
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
@@ -116,7 +116,7 @@ struct Entry {
 /// compacted recency queue (a promoted entry's old queue positions go
 /// stale and are skipped at eviction time).
 struct CacheShard {
-    map: HashMap<(AsIdx, Epoch), Entry>,
+    map: FxMap<(AsIdx, Epoch), Entry>,
     recency: VecDeque<((AsIdx, Epoch), u64)>,
     next_stamp: u64,
     capacity: usize,
@@ -125,7 +125,7 @@ struct CacheShard {
 impl CacheShard {
     fn new(capacity: usize) -> Self {
         CacheShard {
-            map: HashMap::new(),
+            map: FxMap::default(),
             recency: VecDeque::new(),
             next_stamp: 0,
             capacity: capacity.max(1),

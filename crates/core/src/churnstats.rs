@@ -56,7 +56,7 @@ use churnlab_bgp::stats::DistinctPathDist;
 use churnlab_bgp::{Granularity, TimeWindow};
 use churnlab_topology::{fnv1a, AsClass, Asn, FxMap, FxSet, Topology};
 use std::collections::hash_map::Entry;
-use std::collections::{btree_map, BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap};
 use std::sync::Arc;
 
 /// Distinct hashes a window holds without a heap allocation. Windows see
@@ -145,10 +145,14 @@ pub struct ChurnTally {
 
 /// Bucket tallies of retired (pair × window) combos, grouped by
 /// (granularity, destination AS) so the per-destination-class breakdowns
-/// stay exact after the underlying hash sets are gone.
+/// stay exact after the underlying hash sets are gone. Shared behind
+/// copy-on-write: a clone, and a merge into an empty store — the
+/// engine's persistent tallies into every report — copy one pointer, and
+/// the table is copied only when one holder writes to it while another
+/// still holds it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RetiredChurn {
-    per_dest: HashMap<(Granularity, Asn), ChurnTally>,
+    per_dest: Arc<FxMap<(Granularity, Asn), ChurnTally>>,
 }
 
 impl RetiredChurn {
@@ -159,19 +163,19 @@ impl RetiredChurn {
 
     /// Fold one closed combo with `n_paths` distinct paths.
     pub fn record(&mut self, granularity: Granularity, dest: Asn, n_paths: usize) {
-        let t = self.per_dest.entry((granularity, dest)).or_default();
+        let t = Arc::make_mut(&mut self.per_dest).entry((granularity, dest)).or_default();
         t.buckets[n_paths.min(5) - 1] += 1;
         t.total += 1;
     }
 
     /// Sum another retired store into this one.
     pub fn merge(&mut self, other: &RetiredChurn) {
-        for (&key, tally) in &other.per_dest {
-            let t = self.per_dest.entry(key).or_default();
-            for (a, b) in t.buckets.iter_mut().zip(tally.buckets) {
-                *a += b;
-            }
-            t.total += tally.total;
+        if self.is_empty() {
+            self.per_dest = Arc::clone(&other.per_dest);
+            return;
+        }
+        for (&(granularity, dest), &tally) in other.per_dest.iter() {
+            self.insert(granularity, dest, tally);
         }
     }
 
@@ -186,7 +190,7 @@ impl RetiredChurn {
     /// Insert one row verbatim (checkpoint decoding). Sums if the cell
     /// already exists.
     pub fn insert(&mut self, granularity: Granularity, dest: Asn, tally: ChurnTally) {
-        let t = self.per_dest.entry((granularity, dest)).or_default();
+        let t = Arc::make_mut(&mut self.per_dest).entry((granularity, dest)).or_default();
         for (a, b) in t.buckets.iter_mut().zip(tally.buckets) {
             *a += b;
         }
@@ -784,7 +788,7 @@ impl ChurnAccumulator {
                     buckets[agg.hashes.len().min(5) - 1] += 1;
                     total += 1;
                 }
-                for (&(rg, dest), tally) in &self.retired.per_dest {
+                for (&(rg, dest), tally) in self.retired.per_dest.iter() {
                     if rg != g || !keep(dest) {
                         continue;
                     }
@@ -822,7 +826,7 @@ impl ChurnAccumulator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     fn asns(v: &[u32]) -> Vec<Asn> {
         v.iter().map(|x| Asn(*x)).collect()

@@ -63,9 +63,7 @@ impl LeakageReport {
 
     /// [`LeakageReport::ingest`] over bare censored paths and a bare
     /// AS → registered-country lookup (`None` for an AS the topology does
-    /// not know) — the form the sharded engine uses, whose `'static`
-    /// shard workers hold neither a [`TomographyInstance`] nor the
-    /// [`Topology`] borrow, only a shared country table.
+    /// not know): [`for_each_leak`]'s facts, folded into sets.
     ///
     /// The outcome's `censors` and `eliminated` lists are searched, not
     /// hashed: both are strictly ascending, as every producer of an
@@ -80,42 +78,18 @@ impl LeakageReport {
         outcome: &InstanceOutcome,
         country_of: impl Fn(Asn) -> Option<CountryCode>,
     ) {
-        debug_assert_ne!(outcome.solvability, churnlab_sat::Solvability::Unsat);
-        let (censors, eliminated) = (&outcome.censors, &outcome.eliminated);
-        let ascending = |v: &[Asn]| v.is_sorted_by(|a, b| a < b);
-        assert!(
-            ascending(censors) && ascending(eliminated),
-            "an outcome's censors and eliminated ASes are strictly ascending"
-        );
-        if censors.is_empty() {
-            return;
-        }
-        for path in censored_paths {
-            for (ci, censor) in path.iter().enumerate() {
-                if censors.binary_search(censor).is_err() {
-                    continue;
-                }
-                let Some(censor_country) = country_of(*censor) else { continue };
-                for upstream in &path[..ci] {
-                    // "Assigned False": in multi-solution CNFs only the
-                    // definitely eliminated ASes qualify (in
-                    // unique-solution CNFs that is every non-censor, so
-                    // this matches the original unique-only behavior).
-                    if eliminated.binary_search(upstream).is_err() {
-                        continue;
-                    }
-                    let Some(up_country) = country_of(*upstream) else { continue };
-                    // Leakage to other ASes counts regardless of country;
-                    // cross-country leaks are tracked separately.
-                    self.victims_by_censor.entry(*censor).or_default().insert(*upstream);
-                    if up_country != censor_country {
-                        let countries =
-                            self.victim_countries_by_censor.entry(*censor).or_default();
-                        if !countries.contains(up_country.as_str()) {
-                            countries.insert(up_country.as_str().to_string());
-                        }
-                    }
-                }
+        for_each_leak(censored_paths, outcome, country_of, |censor, victim, foreign| {
+            self.insert(censor, victim, foreign)
+        });
+    }
+
+    /// Record one [`for_each_leak`] fact.
+    pub(crate) fn insert(&mut self, censor: Asn, victim: Asn, foreign: Option<CountryCode>) {
+        self.victims_by_censor.entry(censor).or_default().insert(victim);
+        if let Some(country) = foreign {
+            let countries = self.victim_countries_by_censor.entry(censor).or_default();
+            if !countries.contains(country.as_str()) {
+                countries.insert(country.as_str().to_string());
             }
         }
     }
@@ -212,6 +186,57 @@ impl LeakageReport {
             }
         }
         Some(regional as f64 / total as f64)
+    }
+}
+
+/// The §3.3 rule, as facts: calls `leak(censor, victim, foreign)` for
+/// every AS `victim` strictly before a censor on one of
+/// `censored_paths`, assigned False in every model and registered in a
+/// known country — `foreign` is that country when it differs from the
+/// censor's. A leak reached along several paths is reported each time.
+/// [`LeakageReport::ingest_paths`] folds these facts into sets;
+/// [`crate::accumulate::FindingsTally`] counts them.
+///
+/// # Panics
+///
+/// If the outcome's `censors` or `eliminated` list is not strictly
+/// ascending.
+pub fn for_each_leak<'a>(
+    censored_paths: impl IntoIterator<Item = &'a [Asn]>,
+    outcome: &InstanceOutcome,
+    country_of: impl Fn(Asn) -> Option<CountryCode>,
+    mut leak: impl FnMut(Asn, Asn, Option<CountryCode>),
+) {
+    debug_assert_ne!(outcome.solvability, churnlab_sat::Solvability::Unsat);
+    let (censors, eliminated) = (&outcome.censors, &outcome.eliminated);
+    let ascending = |v: &[Asn]| v.is_sorted_by(|a, b| a < b);
+    assert!(
+        ascending(censors) && ascending(eliminated),
+        "an outcome's censors and eliminated ASes are strictly ascending"
+    );
+    if censors.is_empty() {
+        return;
+    }
+    for path in censored_paths {
+        for (ci, censor) in path.iter().enumerate() {
+            if censors.binary_search(censor).is_err() {
+                continue;
+            }
+            let Some(censor_country) = country_of(*censor) else { continue };
+            for upstream in &path[..ci] {
+                // "Assigned False": in multi-solution CNFs only the
+                // definitely eliminated ASes qualify (in unique-solution
+                // CNFs that is every non-censor, so this matches the
+                // original unique-only behavior).
+                if eliminated.binary_search(upstream).is_err() {
+                    continue;
+                }
+                let Some(up_country) = country_of(*upstream) else { continue };
+                // Leakage to other ASes counts regardless of country;
+                // cross-country leaks are tracked separately.
+                leak(*censor, *upstream, Some(up_country).filter(|&c| c != censor_country));
+            }
+        }
     }
 }
 

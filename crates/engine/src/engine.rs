@@ -131,10 +131,10 @@ pub struct EngineBusy {
     /// Cost of the merge that produced this report: the merging
     /// thread's on-CPU time (wall time where the CPU clock is
     /// unavailable) — the serial section at the snapshot boundary. It
-    /// unions the shards' already-folded findings, gathers and sorts
-    /// pointers to the outcomes, and folds closed churn windows; solving
-    /// cells and folding their findings is shard work, counted in the
-    /// shard times.
+    /// takes one shard's report as it comes, or unions several shards'
+    /// findings and merges their sorted outcome lists, and folds closed
+    /// churn windows; solving cells and counting their findings is shard
+    /// work, counted in the shard times.
     pub merge_nanos: u64,
 }
 
@@ -488,19 +488,23 @@ impl<'c> Engine<'c> {
         churn: &mut ChurnAccumulator,
         min_hw: Option<u32>,
     ) -> Option<u32> {
-        churn.adopt_retired(&ret.churn, ret.churn_frontier);
-        let hw = min_hw.filter(|_| self.horizon.is_some())?;
+        // Taken, not shared, while the cut adopts it: unless a report
+        // still holds the store, a fold writes it in place.
+        churn.adopt_retired(&std::mem::take(&mut ret.churn), ret.churn_frontier);
+        let hw = min_hw.filter(|_| self.horizon.is_some());
         // Folds even when the watermark has not moved: a cut collected
         // before its shard pruned still carries partials an earlier cut
         // folded, and the fold's stale check is what discards them.
-        churn.fold_closed(hw);
-        if hw <= ret.churn_frontier {
-            return None;
+        if let Some(hw) = hw {
+            churn.fold_closed(hw);
         }
+        // A watermark at or below the frontier folded nothing: the store
+        // and the frontier go back as they were.
+        let advanced = hw.filter(|&hw| hw > ret.churn_frontier);
         let (folded, frontier) = churn.retired_state();
         ret.churn = folded.clone();
         ret.churn_frontier = frontier;
-        Some(hw)
+        advanced
     }
 
     /// What a cut's shard accumulators merge into: the shards' own window
@@ -530,12 +534,12 @@ impl<'c> Engine<'c> {
         let mut churn = self.empty_churn();
         let mut trivial = 0u64;
         let min_hw = min_watermark(reports.iter().map(|r| r.high_water));
-        // Every cell was solved, and its findings folded, on its shard:
-        // what is left is a union of small accumulators and one pointer
-        // to each outcome.
-        let mut acc = FindingsAccumulator::new();
-        let n_cells = reports.iter().flat_map(|r| &r.groups).map(|g| g.cells.len()).sum();
-        let mut outcomes = Vec::with_capacity(n_cells);
+        // Every cell was solved, and the findings union counted, on its
+        // shard: one shard's report moves in whole, and N shards' are N
+        // unions — of findings, and of outcome lists each in key order.
+        let several = reports.len() > 1;
+        let mut acc: Option<FindingsAccumulator> = None;
+        let mut outcomes = Vec::new();
         for r in reports {
             stats.observations += r.observations;
             stats.incremental.merge(r.stats);
@@ -549,11 +553,23 @@ impl<'c> Engine<'c> {
             conversion.merge(r.conversion);
             trivial += r.trivial;
             churn.merge(r.churn);
-            acc.merge(&r.findings);
-            outcomes.extend(cloned_outcomes(&r.groups));
+            match &mut acc {
+                None => acc = Some(r.findings),
+                Some(acc) => acc.merge(&r.findings),
+            }
+            if outcomes.is_empty() {
+                outcomes = r.outcomes;
+            } else {
+                outcomes.extend(r.outcomes);
+            }
         }
-        // One deterministic global order, whatever the shard layout.
-        outcomes.sort_by_key(|o| o.key);
+        // One deterministic global order, whatever the shard layout. The
+        // shards own disjoint URLs, so their lists are the sorted runs a
+        // stable sort merges.
+        if several {
+            outcomes.sort_by_key(|o| o.key);
+        }
+        let mut acc = acc.expect("an engine has a shard");
         stats.retire.churn_late_dropped = churn.late_dropped();
         // Fold in the engine's persistent retired state (what compaction
         // drained from the shards, and churn windows folded by earlier
@@ -591,6 +607,13 @@ impl<'c> Engine<'c> {
     /// included — and because conversion is shard state, the conversion
     /// counters agree exactly with the cut (a [`Feeder`]'s unflushed
     /// tail is excluded from both).
+    ///
+    /// A snapshot costs what changed since the last one, plus one
+    /// pointer copy per outcome: each shard re-solves only the groups an
+    /// effective observation hit since, swaps their counts in its
+    /// findings tally, and hands back its outcomes already in key order
+    /// and its findings materialized from the counts; one shard's report
+    /// becomes the result as it is.
     pub fn snapshot(&self) -> PipelineResults {
         let t0 = Instant::now();
         let results = self.merge(self.collect_reports(false)).0;

@@ -51,24 +51,30 @@
 //!
 //! **Reports cost what changed.** A deployment reads the report over and
 //! over while data is still arriving, and one ingest step touches a
-//! handful of (URL × window) groups. So a group's report form — its
-//! solved cells plus their censor-findings/leakage fold, a
-//! [`SolvedGroup`] — is built here, where the cells and their paths
-//! live, and kept behind an `Arc`: a report re-solves only the groups an
-//! effective (non-duplicate) observation hit since the last one and
-//! hands out pointer copies of the rest. A retired group moves into
-//! every later report as the `Arc` it retired with, its findings folded
-//! once into a per-shard accumulator that only grows. The merger never
-//! sees a path id: it unions a few small accumulators. All of this is
-//! derived state — never checkpointed, rebuilt after a restore, freed
-//! with the group.
+//! handful of (URL × window) groups. So the shard keeps its report
+//! current ([`Counted`]): every solved group's outcomes in an index
+//! ordered by [`InstanceKey`], its findings union — censor findings,
+//! leakage victims and victim countries — as counts in a
+//! [`FindingsTally`], and the trivial cells as a sum. A group's report
+//! form, a [`SolvedGroup`] (its solved cells and their findings as a
+//! short list of facts), is built here, where the cells and their paths
+//! live. An effective (non-duplicate) observation only marks its group
+//! stale; the next report re-solves the stale groups and swaps each
+//! one's contribution, retirement changes nothing, and a compaction
+//! counts out what it drains. A report then costs the re-solves, one
+//! [`FindingsAccumulator`] materialized from the counts and a pointer
+//! per outcome, already in key order; the shard's observability horizon
+//! covers every group's censored paths, so no group's is unioned, and
+//! the merger never sees a path id. All of this is derived state —
+//! never checkpointed, counted back in at a restored shard's first
+//! report, freed with the group.
 //!
 //! The two parts a report used to copy whole are shared the same way.
 //! Each cell's [`InstanceOutcome`] sits behind its own `Arc` from the
 //! moment it is solved, so the outcome list a report (or a compaction)
-//! hands out is one pointer a cell — through the merger's sort and the
-//! canonical report's, down to the digest — instead of three `Vec`s a
-//! cell, every retired cell, every time. And the shard's
+//! hands out is one pointer a cell — through the merge and the canonical
+//! report's sort, down to the digest — instead of three `Vec`s a cell,
+//! every retired cell, every time. And the shard's
 //! [`ChurnAccumulator`] keeps its partials one map per open window
 //! behind copy-on-write: `churn.clone()` copies one pointer per open
 //! window (however long the configured period), the one-shard merger
@@ -97,7 +103,7 @@ use crate::incremental::{GroupDecoder, IncrementalStats, InstanceGroup, SolveScr
 use crate::intern::{InternStats, PathTable};
 use crate::obs::ShardObs;
 use churnlab_bgp::TimeWindow;
-use churnlab_core::accumulate::FindingsAccumulator;
+use churnlab_core::accumulate::{FindingFacts, FindingsAccumulator, FindingsTally};
 use churnlab_core::analyze::{analyze_with, InstanceOutcome};
 use churnlab_core::batch::{first_path_refs, for_each_instance};
 use churnlab_core::convert::{ConversionStats, ConvertScratch};
@@ -112,7 +118,7 @@ use churnlab_sat::{CtxStats, Solvability, SolverCtx};
 use churnlab_topology::geo::CountryCode;
 use churnlab_topology::{Asn, FxMap, FxSet, Ip2AsDb, Topology};
 use std::collections::hash_map::Entry;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
@@ -166,31 +172,31 @@ pub(crate) fn as_countries(topo: &Topology) -> AsCountries {
     topo.ases().iter().map(|info| (info.asn, info.country)).collect()
 }
 
-/// The table as the lookup [`FindingsAccumulator::record`] takes.
+/// The table as the lookup [`FindingFacts::record`] takes.
 fn country_of(countries: &AsCountries) -> impl Fn(Asn) -> Option<CountryCode> + Copy + '_ {
     |a| countries.get(&a).copied()
 }
 
 /// One analysed instance: the outcome plus the ids of the censored paths
-/// its leakage fold read (attached only when the instance pinned down a
-/// censor). The ids outlive the fold because a retired cell's checkpoint
-/// row stores them.
+/// its leakage facts were read off (attached only when the instance
+/// pinned down a censor). The ids outlive the facts because a retired
+/// cell's checkpoint row stores them.
 pub(crate) struct SolvedCell {
     pub outcome: Arc<InstanceOutcome>,
     pub censored_paths: Vec<PathId>,
 }
 
 /// A (URL × window) group's whole contribution to a report: its analysed
-/// cells and their censor-findings/leakage fold. Immutable once built —
-/// shared between the shard's cache, its retired list, and every report
-/// that includes it.
+/// cells and their censor-finding/leakage facts. Immutable once built —
+/// shared between the shard's cache, its retired list and its
+/// [`Counted`] swaps.
 #[derive(Default)]
 pub(crate) struct SolvedGroup {
     pub cells: Vec<SolvedCell>,
     /// Trivial (no-positive) cells skipped under `require_positive`.
     pub trivial: u64,
-    /// [`FindingsAccumulator::record`] over `cells`.
-    pub findings: FindingsAccumulator,
+    /// [`FindingFacts::record`] over `cells`.
+    pub facts: FindingFacts,
 }
 
 impl SolvedGroup {
@@ -230,9 +236,9 @@ impl SolvedGroup {
         obs.window_closed(url_id, window, self.cells.len() as u64, self.trivial);
     }
 
-    /// Append one cell, folding it into the group's findings.
+    /// Append one cell, adding its facts to the group's.
     fn push(&mut self, cell: SolvedCell, table: &PathTable, countries: &AsCountries) {
-        self.findings.record(
+        self.facts.record(
             &cell.outcome,
             cell.censored_paths.iter().map(|id| table.path(*id)),
             country_of(countries),
@@ -241,29 +247,81 @@ impl SolvedGroup {
     }
 }
 
-/// Every outcome in `groups`, in order, by pointer — what a report or a
-/// compaction hands the caller.
+/// Every outcome in `groups`, in order, by pointer — what a compaction
+/// hands the caller.
 pub(crate) fn cloned_outcomes(
     groups: &[Arc<SolvedGroup>],
 ) -> impl Iterator<Item = Arc<InstanceOutcome>> + '_ {
     groups.iter().flat_map(|g| &g.cells).map(|c| Arc::clone(&c.outcome))
 }
 
-/// A live group and the report form of its cells as of the last
-/// effective update — `None` until a report (or retirement) first asks
-/// for it, and again after every effective observation.
+/// A live group and the report form of its cells as last solved — `None`
+/// until a report (or retirement) first asks for it. What `solved` adds
+/// is what the shard's [`Counted`] holds for the group.
 struct LiveGroup {
     group: InstanceGroup,
     solved: Option<Arc<SolvedGroup>>,
+    /// An effective observation hit the group since `solved` was built
+    /// (or it never was): the next report re-solves it.
+    stale: bool,
+}
+
+/// What a report says, kept current: every counted group's outcomes in
+/// key order, its findings as counts, its trivial cells. A group is
+/// counted from its first solve until a compaction drains it; a re-solve
+/// swaps its old contribution for the new one, and retirement changes
+/// nothing.
+#[derive(Default)]
+struct Counted {
+    outcomes: BTreeMap<InstanceKey, Arc<InstanceOutcome>>,
+    tally: FindingsTally,
+    trivial: u64,
+    /// Swaps made off the report path — a stale group solved as it
+    /// retires (with what it was counted as, if anything), a restored
+    /// shard's retired cells — for the next report or compaction to
+    /// count, so the observe path never touches the counts.
+    due: Vec<(Option<Arc<SolvedGroup>>, Arc<SolvedGroup>)>,
+}
+
+impl Counted {
+    /// Count `new` in, in place of `old`.
+    fn swap(&mut self, old: Option<&SolvedGroup>, new: &SolvedGroup) {
+        // In before out: a fact both hold keeps its entry.
+        self.tally.add(&new.facts);
+        self.trivial += new.trivial;
+        if let Some(old) = old {
+            self.take_out(old);
+        }
+        for cell in &new.cells {
+            self.outcomes.insert(cell.outcome.key, Arc::clone(&cell.outcome));
+        }
+    }
+
+    /// Count a group out.
+    fn take_out(&mut self, group: &SolvedGroup) {
+        self.tally.remove(&group.facts);
+        self.trivial -= group.trivial;
+        for cell in &group.cells {
+            self.outcomes.remove(&cell.outcome.key);
+        }
+    }
+
+    /// Count the swaps that are due.
+    fn settle(&mut self) {
+        for (old, new) in std::mem::take(&mut self.due) {
+            self.swap(old.as_deref(), &new);
+        }
+    }
 }
 
 /// Everything a shard contributes to a merged report.
 pub(crate) struct ShardReport {
-    /// Retired (not yet compacted) groups, then live ones.
-    pub groups: Vec<Arc<SolvedGroup>>,
+    /// Retired (not yet compacted) and live cells' outcomes, in key
+    /// order.
+    pub outcomes: Vec<Arc<InstanceOutcome>>,
     pub trivial: u64,
     pub churn: ChurnAccumulator,
-    /// Union of every group's findings, plus the shard's observability
+    /// The findings union of every cell, and the shard's observability
     /// horizon (ASes on any censored path).
     pub findings: FindingsAccumulator,
     pub stats: IncrementalStats,
@@ -293,7 +351,7 @@ pub(crate) struct ShardReport {
 }
 
 /// A shard's answer to [`Msg::Compact`]: ownership of its retired
-/// groups and their folded findings — after this cut the shard no longer
+/// groups and their findings union — after this cut the shard no longer
 /// holds them.
 pub(crate) struct CompactCut {
     pub high_water: Option<u32>,
@@ -303,7 +361,8 @@ pub(crate) struct CompactCut {
     pub churn: ChurnAccumulator,
     pub groups: Vec<Arc<SolvedGroup>>,
     pub trivial: u64,
-    /// The drained groups' findings, already folded.
+    /// The drained groups' findings union, with the ASes on their
+    /// censored paths.
     pub findings: FindingsAccumulator,
 }
 
@@ -367,6 +426,8 @@ pub(crate) struct ShardState {
     /// live (URL × window), each holding every anomaly cell — plus the
     /// cached report form of those cells.
     groups: FxMap<(u32, TimeWindow), LiveGroup>,
+    /// The report the solved live groups and the retired ones add up to.
+    counted: Counted,
     /// Per-URL buffers for the Figure-4 ablation, processed (without
     /// consuming) at report time over the restored test order.
     deferred: FxMap<u32, DeferredBuf>,
@@ -388,13 +449,6 @@ pub(crate) struct ShardState {
     /// [`ShardState::compact_cut`] drains them. Path ids stay valid: the
     /// table never reassigns them.
     retired: Vec<Arc<SolvedGroup>>,
-    /// Union of the `retired` groups' findings: each group is folded in
-    /// once, when it retires, so a report pays for it by size, not by
-    /// cell count.
-    retired_findings: FindingsAccumulator,
-    /// Trivial (no-positive) cells skipped at retirement, not yet
-    /// drained by a compact cut.
-    retired_trivial: u64,
     windows_retired: u64,
     cells_retired: u64,
     late_dropped: u64,
@@ -434,6 +488,7 @@ impl ShardState {
             horizon,
             table: PathTable::new(),
             groups: FxMap::default(),
+            counted: Counted::default(),
             deferred: FxMap::default(),
             churn,
             censored_path_ids: FxSet::default(),
@@ -444,8 +499,6 @@ impl ShardState {
             observations: 0,
             high_water: None,
             retired: Vec::new(),
-            retired_findings: FindingsAccumulator::new(),
-            retired_trivial: 0,
             windows_retired: 0,
             cells_retired: 0,
             late_dropped: 0,
@@ -608,6 +661,7 @@ impl ShardState {
                     e.insert(LiveGroup {
                         group: InstanceGroup::new(o.url_id, window),
                         solved: None,
+                        stale: true,
                     })
                 }
             };
@@ -619,7 +673,7 @@ impl ShardState {
                 &mut self.stats,
                 &mut self.scratch,
             ) {
-                live.solved = None;
+                live.stale = true;
             }
         }
         if advanced && self.horizon.is_some() {
@@ -659,68 +713,80 @@ impl ShardState {
     }
 
     /// Move one removed group to the retired list — as the `Arc` the
-    /// last report already built, if nothing hit the group since —
-    /// folding its findings into the retired accumulator.
+    /// last report already built, if nothing hit the group since. A stale
+    /// group is solved here, and its swap left to the next report.
     fn retire_group(&mut self, url_id: u32, window: TimeWindow, live: LiveGroup) {
-        let solved = live.solved.unwrap_or_else(|| {
-            let require_positive = self.cfg.require_positive;
-            Arc::new(SolvedGroup::of(&live.group, require_positive, &self.table, &self.countries))
-        });
+        let solved = match live.solved {
+            Some(solved) if !live.stale => solved,
+            counted => {
+                let solved = Arc::new(SolvedGroup::of(
+                    &live.group,
+                    self.cfg.require_positive,
+                    &self.table,
+                    &self.countries,
+                ));
+                self.counted.due.push((counted, Arc::clone(&solved)));
+                solved
+            }
+        };
         if let Some(obs) = &self.obs {
             solved.journal_close(obs, url_id, window);
         }
-        self.retired_trivial += solved.trivial;
         self.cells_retired += solved.cells.len() as u64;
         self.windows_retired += 1;
-        self.retired_findings.merge(&solved.findings);
         self.retired.push(solved);
     }
 
     /// Produce a report of everything processed so far. Non-destructive
     /// for the tomography state — the shard keeps ingesting afterwards;
-    /// `&mut` so stale group caches can be refreshed, deferred ablation
-    /// buffers sorted in place (at most once per out-of-order batch) and
-    /// the ablation's solver reused. `fin` marks the engine's final
-    /// cut: only then are journal window-closed / cell-solved events
-    /// emitted for *live* groups (retired groups emitted theirs at
+    /// `&mut` so stale groups can be re-solved and counted, deferred
+    /// ablation buffers sorted in place (at most once per out-of-order
+    /// batch) and the ablation's solver reused. `fin` marks the engine's
+    /// final cut: only then are journal window-closed / cell-solved
+    /// events emitted for *live* groups (retired groups emitted theirs at
     /// retirement — once per window, once per cell, so the journal
     /// reconciles exactly with this report).
     pub(crate) fn report(&mut self, fin: bool) -> ShardReport {
-        // Retired groups not yet drained by a compact cut are part of
-        // every report: pointer copies, plus their one-time fold.
-        let mut groups = self.retired.clone();
-        let mut findings = self.retired_findings.clone();
-        let mut trivial = self.retired_trivial;
-        match self.cfg.churn_mode {
+        let (outcomes, findings, trivial) = match self.cfg.churn_mode {
             ChurnMode::Normal => {
-                let ShardState { cfg, groups: live_groups, table, countries, obs, .. } = self;
-                let require_positive = cfg.require_positive;
+                let ShardState { cfg, groups, counted, table, countries, obs, .. } = self;
+                counted.settle();
                 let mut rebuilt = 0u64;
-                for (&(url_id, window), live) in live_groups.iter_mut() {
-                    let solved = live.solved.get_or_insert_with(|| {
-                        rebuilt += 1;
-                        Arc::new(SolvedGroup::of(&live.group, require_positive, table, countries))
-                    });
-                    trivial += solved.trivial;
-                    findings.merge(&solved.findings);
+                for (&(url_id, window), live) in groups.iter_mut() {
+                    let solved = match &mut live.solved {
+                        Some(solved) if !live.stale => solved,
+                        slot => {
+                            let require_positive = cfg.require_positive;
+                            let solved =
+                                SolvedGroup::of(&live.group, require_positive, table, countries);
+                            counted.swap(slot.as_deref(), &solved);
+                            live.stale = false;
+                            rebuilt += 1;
+                            slot.insert(Arc::new(solved))
+                        }
+                    };
                     if let (true, Some(obs)) = (fin, &*obs) {
                         solved.journal_close(obs, url_id, window);
                     }
-                    groups.push(Arc::clone(solved));
                 }
                 if let Some(obs) = obs {
                     obs.groups_rebuilt.add(rebuilt);
-                    obs.groups_reused.add(live_groups.len() as u64 - rebuilt);
+                    obs.groups_reused.add(groups.len() as u64 - rebuilt);
                 }
-                findings.on_censored_path.extend(&self.on_censored_path);
+                let mut findings = counted.tally.materialize();
+                findings.on_censored_path.clone_from(&self.on_censored_path);
+                let outcomes = counted.outcomes.values().cloned().collect();
+                (outcomes, findings, counted.trivial)
             }
             // "First path" is only defined over the whole stream so far,
             // so the ablation re-derives its cells per report: nothing
-            // here is incremental, and nothing is cached.
+            // here is incremental, nothing is cached, and nothing retires.
             ChurnMode::FirstPathOnly => {
                 let ShardState { cfg, deferred, ctx, countries, .. } = self;
                 let country_of = country_of(countries);
-                let mut solved = SolvedGroup::default();
+                let mut outcomes = Vec::new();
+                let mut findings = FindingsAccumulator::new();
+                let mut trivial = 0;
                 for (&url_id, buf) in deferred.iter_mut() {
                     buf.ensure_sorted();
                     // Non-destructive first-path filter over the sorted
@@ -735,7 +801,7 @@ impl ShardState {
                         cfg.total_days,
                         |builder| {
                             if cfg.require_positive && !builder.has_positive() {
-                                solved.trivial += 1;
+                                trivial += 1;
                                 return;
                             }
                             let inst = builder.build().expect("non-empty builder");
@@ -746,21 +812,17 @@ impl ShardState {
                                 .filter(|o| o.censored)
                                 .map(|o| o.path.as_slice())
                                 .collect();
-                            solved.findings.record(&outcome, censored, country_of);
-                            solved.cells.push(SolvedCell {
-                                outcome: Arc::new(outcome),
-                                censored_paths: Vec::new(),
-                            });
+                            findings.record(&outcome, censored, country_of);
+                            outcomes.push(Arc::new(outcome));
                         },
                     );
                 }
-                trivial += solved.trivial;
-                findings.merge(&solved.findings);
-                groups.push(Arc::new(solved));
+                outcomes.sort_by_key(|o| o.key);
+                (outcomes, findings, trivial)
             }
-        }
-        ShardReport {
-            groups,
+        };
+        let report = ShardReport {
+            outcomes,
             trivial,
             churn: self.churn.clone(),
             findings,
@@ -774,21 +836,36 @@ impl ShardState {
             cells_retired: self.cells_retired,
             late_dropped: self.late_dropped,
             busy_nanos: 0, // stamped by the worker loop
-        }
+        };
+        #[cfg(test)]
+        self.audit(&report);
+        report
     }
 
-    /// Hand the retired groups (and their folded findings, which the
-    /// engine unions into its persistent retired state) to the caller,
-    /// freeing them shard-side. This is the memory-reclamation half of
-    /// the window lifecycle; after this, reports no longer carry the
-    /// drained cells.
+    /// Hand the retired groups (and their findings union, which the
+    /// engine keeps in its persistent retired state) to the caller,
+    /// counting them out and freeing them shard-side. This is the
+    /// memory-reclamation half of the window lifecycle; after this,
+    /// reports no longer carry the drained cells.
     pub(crate) fn compact_cut(&mut self) -> CompactCut {
+        self.counted.settle();
+        let groups = std::mem::take(&mut self.retired);
+        let mut drained = FindingsTally::default();
+        let mut trivial = 0;
+        for group in &groups {
+            self.counted.take_out(group);
+            drained.add(&group.facts);
+            trivial += group.trivial;
+        }
+        let mut findings = drained.materialize();
+        let censored = groups.iter().flat_map(|g| &g.cells).flat_map(|c| &c.censored_paths);
+        findings.on_censored_path.extend(censored.flat_map(|&id| self.table.path(id)));
         CompactCut {
             high_water: self.high_water,
             churn: self.churn.clone(),
-            groups: std::mem::take(&mut self.retired),
-            trivial: std::mem::take(&mut self.retired_trivial),
-            findings: std::mem::take(&mut self.retired_findings),
+            groups,
+            trivial,
+            findings,
         }
     }
 }
@@ -944,7 +1021,7 @@ impl ShardState {
         e.u64(self.windows_retired);
         e.u64(self.cells_retired);
         e.u64(self.late_dropped);
-        e.u64(self.retired_trivial);
+        e.u64(self.retired.iter().map(|g| g.trivial).sum());
         self.table.encode(&mut e);
         // The table is the largest section written before the churn rows
         // are sorted: ship it first.
@@ -1012,8 +1089,8 @@ impl ShardState {
     /// gauge is seeded from the live group count *without* journal
     /// events: a restored journal narrates the post-restore stream only.
     /// Derived state comes back cold: live groups re-solve at the first
-    /// report that wants them, and the retired cells' findings are
-    /// refolded here, once.
+    /// report, the retired cells' facts are gathered here, once, and the
+    /// first report counts them all in.
     pub(crate) fn decode(
         cfg: PipelineConfig,
         horizon: Option<u32>,
@@ -1043,7 +1120,7 @@ impl ShardState {
         state.windows_retired = d.u64()?;
         state.cells_retired = d.u64()?;
         state.late_dropped = d.u64()?;
-        state.retired_trivial = d.u64()?;
+        let retired_trivial = d.u64()?;
         state.table = PathTable::decode(&mut d)?;
         let n_paths = state.table.len();
         for id in d.u32s()? {
@@ -1091,19 +1168,21 @@ impl ShardState {
             let url_id = d.u32()?;
             let window = d.window()?;
             let group = groups.decode(url_id, window, &mut d)?;
-            if state.groups.insert((url_id, window), LiveGroup { group, solved: None }).is_some() {
+            let live = LiveGroup { group, solved: None, stale: true };
+            if state.groups.insert((url_id, window), live).is_some() {
                 return Err(format!("duplicate group ({url_id}, {window})"));
             }
         }
         let n_retired = d.count(RETIRED_CELL_MIN)?;
-        if n_retired > 0 {
-            let mut restored = SolvedGroup::default();
+        if n_retired > 0 || retired_trivial > 0 {
+            let mut restored = SolvedGroup { trivial: retired_trivial, ..SolvedGroup::default() };
             restored.cells.reserve_exact(n_retired);
             for _ in 0..n_retired {
                 restored.push(decode_cell(&mut d, n_paths)?, &state.table, &state.countries);
             }
-            state.retired_findings.merge(&restored.findings);
-            state.retired.push(Arc::new(restored));
+            let restored = Arc::new(restored);
+            state.counted.due.push((None, Arc::clone(&restored)));
+            state.retired.push(restored);
         }
         let n_urls = d.len()?;
         for _ in 0..n_urls {
@@ -1249,9 +1328,54 @@ mod tests {
         out
     }
 
+    impl ShardState {
+        /// The per-report union the counts replace, from scratch: every
+        /// retired group's cells and every live group solved anew, folded
+        /// through [`FindingsAccumulator::record`], the outcomes sorted.
+        /// Panics unless `report` says the same, or if a group's censored
+        /// paths leave the shard's observability horizon — which the
+        /// report ships instead of unioning the groups'. Every report a
+        /// unit test asks for is audited.
+        pub(super) fn audit(&self, report: &ShardReport) {
+            if self.cfg.churn_mode != ChurnMode::Normal {
+                return;
+            }
+            let (table, countries) = (&self.table, &self.countries);
+            let live: Vec<SolvedGroup> = self
+                .groups
+                .values()
+                .map(|l| SolvedGroup::of(&l.group, self.cfg.require_positive, table, countries))
+                .collect();
+            let mut findings = FindingsAccumulator::new();
+            let mut trivial = 0;
+            let mut outcomes = Vec::new();
+            for group in self.retired.iter().map(Arc::as_ref).chain(&live) {
+                trivial += group.trivial;
+                for cell in &group.cells {
+                    let paths = cell.censored_paths.iter().map(|id| table.path(*id));
+                    findings.record(&cell.outcome, paths, country_of(countries));
+                    outcomes.push(cell.outcome.as_ref());
+                }
+            }
+            outcomes.sort_by_key(|o| o.key);
+            assert!(
+                findings.on_censored_path.is_subset(&self.on_censored_path),
+                "a group's censored path has ASes outside the shard's observability horizon"
+            );
+            findings.on_censored_path.clone_from(&self.on_censored_path);
+            assert_eq!(report.trivial, trivial, "the counted trivial cells");
+            assert!(
+                report.outcomes.iter().map(Arc::as_ref).eq(outcomes),
+                "the outcomes, in key order"
+            );
+            assert_eq!(report.findings, findings, "the findings union");
+        }
+    }
+
     /// A Smoke study folded into one shard as one block, horizon 7, and
     /// what a test needs to restore its blob.
     struct RealShard {
+        topology: Topology,
         cfg: PipelineConfig,
         total_days: u32,
         countries: Arc<AsCountries>,
@@ -1281,6 +1405,7 @@ mod tests {
             let countries = Arc::new(as_countries(&world.topology));
             let db = platform.measured_ip2as().clone();
             let mut shard = RealShard {
+                topology: world.topology.clone(),
                 state: ShardState::new(cfg.clone(), Some(7), None, Arc::clone(&countries)),
                 cfg,
                 total_days: platform_cfg.total_days,
@@ -1459,6 +1584,89 @@ mod tests {
                 names(format!("'s dedup mask has seen path {pid}, its log has not")),
             ),
         ]);
+    }
+
+    /// A report ships the shard's own observability horizon instead of
+    /// unioning its groups' — so every AS on a censored path a cell read
+    /// is in it, for retired and live groups, before and after a restore.
+    #[test]
+    fn the_shard_horizon_covers_every_groups_censored_paths() {
+        let mut shard = RealShard::build();
+        let mut restored = shard.decode(&shard.blob).expect("the untouched blob restores");
+        for state in [&mut shard.state, &mut restored] {
+            state.report(false);
+            assert!(!state.retired.is_empty() && !state.groups.is_empty());
+            let live = state.groups.values().filter_map(|l| l.solved.as_ref());
+            let cells = state.retired.iter().chain(live).flat_map(|g| &g.cells);
+            let ases: Vec<Asn> = cells
+                .flat_map(|c| &c.censored_paths)
+                .flat_map(|&id| state.table.path(id).iter().copied())
+                .collect();
+            assert!(!ases.is_empty(), "the study's cells read censored paths");
+            assert!(ases.iter().all(|a| state.on_censored_path.contains(a)));
+        }
+    }
+
+    /// A service's read pattern, where the counts change between reads:
+    /// the study in day order through a retiring engine (horizon 7), a
+    /// snapshot every `k` ∈ {1, 13, 200} measurements, two compactions
+    /// and two checkpoint → restore cuts, on 1 and 4 shards. Every
+    /// snapshot is audited shard by shard against the from-scratch fold
+    /// ([`ShardState::audit`]); every 50th, and the last, is also held
+    /// against a fresh engine fed the same prefix and asked once, with
+    /// the outcomes compaction drained added back.
+    #[test]
+    fn every_snapshot_of_a_service_schedule_is_the_from_scratch_fold() {
+        use crate::{Engine, EngineConfig};
+        let shard = RealShard::build();
+        let topology = &shard.topology;
+        let mut ms = shard.measurements.clone();
+        ms.sort_by_key(|m| (m.day, m.url_id, m.vp_id, m.epoch));
+        let n = ms.len();
+        let (compact_at, restore_at) = ([n / 5, 3 * n / 5], [2 * n / 5, 4 * n / 5]);
+        let canonical = |r: &churnlab_core::pipeline::PipelineResults| r.canonical_report();
+        for shards in [1, 4] {
+            let cfg = EngineConfig::new(shard.cfg.clone()).with_shards(shards);
+            let cfg = cfg.with_window_horizon(7);
+            let fresh = || Engine::with_context(&shard.db, topology, cfg.clone());
+            for k in [1, 13, 200] {
+                let (mut engine, mut drained, mut fed, mut snapshots) = (fresh(), Vec::new(), 0, 0);
+                while fed < n {
+                    let cuts = compact_at.iter().chain(&restore_at).filter(|&&c| c > fed);
+                    let next = cuts.fold((fed / k + 1) * k, |next, &c| next.min(c)).min(n);
+                    let mut feeder = engine.feeder();
+                    ms[fed..next].iter().for_each(|m| feeder.ingest_owned(m.clone()));
+                    drop(feeder);
+                    fed = next;
+                    if compact_at.contains(&fed) {
+                        drained.extend(engine.compact().outcomes);
+                    }
+                    if restore_at.contains(&fed) {
+                        let mut blob = Vec::new();
+                        engine.checkpoint(fed as u64, &[], &mut blob).expect("to memory");
+                        drop(engine);
+                        let restored =
+                            Engine::restore(&shard.db, topology, cfg.clone(), &mut &blob[..]);
+                        engine = restored.expect("a checkpoint just written restores").engine;
+                    }
+                    if fed % k != 0 && fed != n {
+                        continue;
+                    }
+                    let mut snapshot = engine.snapshot();
+                    snapshots += 1;
+                    if snapshots % 50 == 0 || fed == n {
+                        snapshot.outcomes.extend(drained.iter().cloned());
+                        let oracle = fresh();
+                        ms[..fed].iter().for_each(|m| oracle.ingest_owned(m.clone()));
+                        assert_eq!(
+                            canonical(&snapshot),
+                            canonical(&oracle.finish()),
+                            "{shards} shards, a snapshot every {k}: snapshot {snapshots}, at {fed}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// A block in which nothing converts — every test failed outright —

@@ -51,11 +51,10 @@ use churnlab_net::{
     Reassembly, SharedBytes, Traceroute,
 };
 use churnlab_obs::Registry;
-use churnlab_topology::{mix64, Asn, GeneratedWorld, Ip2AsDb};
+use churnlab_topology::{mix64, Asn, FxMap, GeneratedWorld, Ip2AsDb};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -325,7 +324,7 @@ pub struct Platform<'w> {
     cfg: PlatformConfig,
     corpus: UrlCorpus,
     vantage: Vec<VantagePoint>,
-    compiled: HashMap<Asn, CompiledCensor>,
+    compiled: FxMap<Asn, CompiledCensor>,
     fingerprints: FingerprintSet,
     measured_ip2as: Ip2AsDb,
     /// Campaign counters, once [`Platform::instrument`] attached them.
@@ -852,6 +851,7 @@ mod tests {
     use churnlab_bgp::ChurnConfig;
     use churnlab_censor::CensorConfig;
     use churnlab_topology::{generator, WorldConfig, WorldScale};
+    use std::collections::HashMap;
     use std::sync::atomic::Ordering;
 
     struct Setup {

@@ -2,7 +2,7 @@
 
 use crate::anomaly::{AnomalySet, AnomalyType};
 use crate::measurement::Measurement;
-use churnlab_topology::{Asn, Topology};
+use churnlab_topology::{Asn, FxSet, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -84,10 +84,10 @@ impl DatasetStats {
 /// Incremental accumulator used by the streaming runner.
 #[derive(Debug, Default)]
 pub struct StatsAccumulator {
-    urls: HashSet<u32>,
-    vps: HashSet<u32>,
-    vp_ases: HashSet<Asn>,
-    dest_ases: HashSet<Asn>,
+    urls: FxSet<u32>,
+    vps: FxSet<u32>,
+    vp_ases: FxSet<Asn>,
+    dest_ases: FxSet<Asn>,
     measurements: u64,
     failed: u64,
     anomalies: [u64; 5],
