@@ -23,9 +23,8 @@
 
 use crate::cli::{Args, Sub, MIN_SPEEDUP, OUT, REPEATS, SEED};
 use crate::gate;
-use crate::satbench::CENSUS_CAP;
 use churnlab_bgp::{Granularity, TimeWindow};
-use churnlab_core::analyze::InstanceOutcome;
+use churnlab_core::analyze::{InstanceOutcome, SolveConfig};
 use churnlab_engine::incremental::{IncrementalStats, InstanceGroup, SolveScratch};
 use churnlab_engine::reference::{ReferenceScratch, UninternedInstance};
 use churnlab_engine::PathTable;
@@ -272,8 +271,9 @@ pub fn run_intern_bench(seed: u64, cap: u64, repeats: usize) -> InternBenchRepor
 
 fn run(args: &Args) -> ExitCode {
     let repeats: usize = args.req("--repeats");
-    eprintln!("intern: cap {CENSUS_CAP}, best of {repeats}");
-    let report = run_intern_bench(args.req("--seed"), CENSUS_CAP, repeats);
+    let cap = SolveConfig::default().count_cap;
+    eprintln!("intern: cap {cap}, best of {repeats}");
+    let report = run_intern_bench(args.req("--seed"), cap, repeats);
 
     let mut failures = Vec::new();
     for row in &report.rows {

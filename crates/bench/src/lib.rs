@@ -12,7 +12,6 @@
 //! | `replay` | [`replaybench`] | JSONL export / replay, verify, checkpoint and resume |
 //! | `longhaul` | [`longhaul`] | 100M-measurement streaming; RSS plateau gate |
 //! | `route` | [`routebench`] | route-tree compute and queries; speedup and zero-alloc gates |
-//! | `sat` | [`satbench`] | SAT-core censuses/sec; speedup gate |
 //! | `intern` | [`internbench`] | path interning; speedup gate |
 //!
 //! Every subcommand declares its flags as a table over the one parser in
@@ -36,7 +35,6 @@ pub mod matrix;
 pub mod obsbench;
 pub mod replaybench;
 pub mod routebench;
-pub mod satbench;
 
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};

@@ -18,7 +18,6 @@ use churnlab_bench::enginebench::ThroughputReport;
 use churnlab_bench::internbench::InternBenchReport;
 use churnlab_bench::longhaul::LonghaulReport;
 use churnlab_bench::routebench::RouteBenchReport;
-use churnlab_bench::satbench::SatBenchReport;
 use churnlab_topology::hash::fnv1a;
 use serde_json::Value;
 use std::fmt::Write;
@@ -47,7 +46,7 @@ fn committed_json_rewrites_byte_identically() {
     let root = root();
     let mut files = files_in(&root, |n| n.starts_with("BENCH_") && n.ends_with(".json"));
     files.extend(files_in(&root.join("benchmark/results"), |n| n.ends_with(".jsonl")));
-    assert!(files.len() >= 9, "expected the committed records, found {files:?}");
+    assert!(files.len() >= 8, "expected the committed records, found {files:?}");
     for file in &files {
         let text = read(file);
         for (i, line) in text.lines().enumerate() {
@@ -239,24 +238,6 @@ fn render(root: &Path) -> String {
     ];
     table(&mut s, &head, rows);
 
-    let sat: SatBenchReport = parse(root, "BENCH_sat.json");
-    let src = source(root, "BENCH_sat.json", "bench sat");
-    writeln!(s, "**SAT core.** {src}: censuses a second on one core, seed {}, cap {}:\n", sat.seed, sat.cap)
-        .unwrap();
-    let rows = sat.rows.iter().map(|r| {
-        vec![
-            r.mix.clone(),
-            count(r.instances as f64),
-            count(r.warm_census_per_sec),
-            count(r.cold_census_per_sec),
-            count(r.reference_census_per_sec),
-            times(r.speedup_warm_vs_reference),
-            times(r.speedup_cold_vs_reference),
-        ]
-    });
-    let head = ["mix", "instances", "warm context", "cold context", "reference", "warm vs reference", "cold vs reference"];
-    table(&mut s, &head, rows);
-
     let intern: InternBenchReport = parse(root, "BENCH_intern.json");
     let src = source(root, "BENCH_intern.json", "bench intern");
     writeln!(s, "**Path interning.** {src}: cell observes a second, seed {}, best of {}:\n", intern.seed, intern.repeats)
@@ -410,7 +391,7 @@ fn the_figure_check_catches_throughput_and_speedups() {
     for line in ["engine/1 runs 280k meas/s", "a 3.7× speedup", "≥2x trees/s", "took it 4x"] {
         assert!(hand_written_figure(line).is_some(), "{line}");
     }
-    for line in ["prints records/s + meas/s", "(URL × window)", "digest 0x1f", "`bench sat` --min-speedup 3"] {
+    for line in ["prints records/s + meas/s", "(URL × window)", "digest 0x1f", "`bench intern` --min-speedup 3"] {
         assert_eq!(hand_written_figure(line), None, "{line}");
     }
 }

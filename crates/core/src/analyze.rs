@@ -1,7 +1,7 @@
 //! Solving and solution analysis (§3.2).
 
 use crate::instance::{InstanceKey, TomographyInstance};
-use churnlab_sat::{Solvability, SolverCtx, Var};
+use churnlab_sat::{monotone, Solvability, Var};
 use churnlab_topology::Asn;
 use serde::{Deserialize, Serialize};
 
@@ -55,21 +55,11 @@ pub struct InstanceOutcome {
 /// variables True in *every* model (backbone-definite) are still
 /// *censors*, variables True in some models but not all are *potential
 /// censors*, and variables False in all models are eliminated; unsat ⇒
-/// noise or policy change.
+/// noise or policy change. The census is [`monotone::census`]'s closed
+/// form, which every instance [`crate::instance::InstanceBuilder`]
+/// builds admits.
 pub fn analyze(inst: &TomographyInstance, cfg: &SolveConfig) -> InstanceOutcome {
-    analyze_with(inst, cfg, &mut SolverCtx::new())
-}
-
-/// [`analyze`] on a caller-owned [`SolverCtx`]: the solver's watch lists,
-/// trail, and scratch buffers are rewound instead of reallocated, so a
-/// loop analysing many instances (the pipeline's flush, the engine's
-/// shard workers) performs no solver allocations in steady state.
-pub fn analyze_with(
-    inst: &TomographyInstance,
-    cfg: &SolveConfig,
-    ctx: &mut SolverCtx,
-) -> InstanceOutcome {
-    let result = ctx.census_cnf(&inst.cnf, cfg.count_cap);
+    let result = monotone::census(&inst.cnf, cfg.count_cap);
     let solvability = result.solvability();
     let mut censors = Vec::new();
     let mut potential = Vec::new();

@@ -139,10 +139,10 @@ impl InstanceBuilder {
             if obs.censored {
                 cnf.add_positive_clause(vars);
             } else {
-                // Dedup is at observation level; identical unit negations
-                // from overlapping clean paths are merged by Cnf itself? No
-                // — Cnf keeps duplicates across add calls; that is harmless
-                // for solving but wasteful, so filter here.
+                // Dedup is at observation level, so two clean paths
+                // sharing an AS (or one path revisiting it) write its
+                // unit negation twice. Both are kept: the census reads
+                // them as one fact, and DIMACS export writes each.
                 cnf.add_negative_facts(vars);
             }
         }

@@ -13,7 +13,7 @@
 //! collapses without path churn.
 
 use crate::accumulate::FindingsAccumulator;
-use crate::analyze::{analyze_with, InstanceOutcome, SolveConfig};
+use crate::analyze::{analyze, InstanceOutcome, SolveConfig};
 use crate::batch::split_url_buffer;
 use crate::churnstats::ChurnAccumulator;
 use crate::convert::ConversionStats;
@@ -21,7 +21,7 @@ use crate::leakage::LeakageReport;
 use crate::obs::ConvertedObs;
 use churnlab_bgp::Granularity;
 use churnlab_platform::{AnomalyType, Measurement, Platform};
-use churnlab_sat::{Solvability, SolverCtx};
+use churnlab_sat::Solvability;
 use churnlab_topology::Asn;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -213,9 +213,6 @@ pub struct Pipeline<'p> {
     outcomes: Vec<Arc<InstanceOutcome>>,
     acc: FindingsAccumulator,
     trivial: u64,
-    /// Reusable solver context: every flushed instance is analysed on the
-    /// same warm watch lists and scratch buffers.
-    ctx: SolverCtx,
 }
 
 impl<'p> Pipeline<'p> {
@@ -253,7 +250,6 @@ impl<'p> Pipeline<'p> {
             outcomes: Vec::new(),
             acc: FindingsAccumulator::new(),
             trivial: 0,
-            ctx: SolverCtx::new(),
         }
     }
 
@@ -316,14 +312,14 @@ impl<'p> Pipeline<'p> {
         // Disjoint field borrows: the instance loop below reads the config
         // while mutating the accumulators, so borrow fields individually
         // instead of cloning the granularity list per flush.
-        let Pipeline { cfg, topo, outcomes, acc, trivial, ctx, .. } = self;
+        let Pipeline { cfg, topo, outcomes, acc, trivial, .. } = self;
         split_url_buffer(url_id, buffer, cfg.churn_mode, &cfg.granularities, cfg.total_days, |builder| {
             if cfg.require_positive && !builder.has_positive() {
                 *trivial += 1;
                 return;
             }
             let inst = builder.build().expect("non-empty builder");
-            let outcome = analyze_with(&inst, &cfg.solve, ctx);
+            let outcome = analyze(&inst, &cfg.solve);
             acc.record_instance(&inst, &outcome, topo);
             outcomes.push(Arc::new(outcome));
         });

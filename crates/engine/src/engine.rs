@@ -17,7 +17,6 @@ use churnlab_core::{ChurnAccumulator, RetiredChurn};
 use churnlab_obs::thread_cpu_nanos;
 use churnlab_topology::{fnv1a, fnv1a_extend};
 use churnlab_platform::{Measurement, Platform};
-use churnlab_sat::CtxStats;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::marker::PhantomData;
@@ -177,18 +176,44 @@ pub struct EngineStats {
     /// deserialize so pre-accounting stats blobs still parse.
     #[serde(default)]
     pub busy: EngineBusy,
-    /// SAT-solver work counters (propagations, backtracks, censuses,
-    /// models), summed over the shards. They count only the batch solves
-    /// of the [`churnlab_core::pipeline::ChurnMode::FirstPathOnly`]
-    /// ablation: the incremental re-solve is closed form and runs no
-    /// solver, so on every other path they read zero. Defaults on
-    /// deserialize so pre-solver-stats blobs still parse.
+    /// The frozen checkpoint-v1 SAT-solver counters, summed over the
+    /// shards ([`SatCounters`]). Defaults on deserialize so
+    /// pre-solver-stats blobs still parse.
     #[serde(default)]
-    pub sat: CtxStats,
+    pub sat: SatCounters,
     /// Window-lifecycle counters. Defaults on deserialize so
     /// pre-lifecycle stats blobs still parse.
     #[serde(default)]
     pub retire: RetireStats,
+}
+
+/// The four SAT-solver work counters checkpoint format v1 stores. Nothing
+/// counts them any more — the incremental re-solve and the first-path
+/// ablation's census are both closed form and run no solver — so they
+/// read zero, or what a restored checkpoint carried, until the format
+/// drops them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SatCounters {
+    /// Trail entries processed by unit propagation.
+    pub propagations: u64,
+    /// Decision levels undone.
+    pub backtracks: u64,
+    /// Census queries answered.
+    pub censuses: u64,
+    /// Models counted across all censuses.
+    pub census_models: u64,
+}
+
+impl SatCounters {
+    /// Field-wise sum, for merging per-shard counters.
+    pub fn merged(self, other: SatCounters) -> SatCounters {
+        SatCounters {
+            propagations: self.propagations + other.propagations,
+            backtracks: self.backtracks + other.backtracks,
+            censuses: self.censuses + other.censuses,
+            census_models: self.census_models + other.census_models,
+        }
+    }
 }
 
 /// The sharded, order-independent, incremental tomography engine.

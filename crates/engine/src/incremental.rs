@@ -1,7 +1,7 @@
 //! Incremental per-instance tomography state, interned end to end.
 //!
-//! The batch pipeline buffers a URL's observations and runs a full
-//! census (AllSAT count + backbone probes) per instance at flush time.
+//! The batch pipeline buffers a URL's observations and runs the census
+//! per instance, from scratch, at flush time.
 //! The engine instead keeps every instance *solved at all times*: each
 //! new observation is folded into a memoized unit-propagation/backbone
 //! state, and in the common cases the update is a constant-time state
@@ -17,13 +17,11 @@
 //!   the observation's fresh ASes);
 //! * otherwise an **incremental re-solve** runs, and it is arithmetic:
 //!   the memoized backbone literals — valid under clause addition, since
-//!   models only shrink — seed unit propagation, run to fixpoint. What
-//!   is left is monotone (every clause all-positive, each unhit one
-//!   keeping two free ASes), so all-True and every all-True-minus-one
-//!   are models: each free AS is `Both`, and the count is H × 2^k — H
-//!   the hitting sets of the unhit clauses, k the free ASes on none of
-//!   them. No solver runs; `churnlab_sat`'s census is the oracle the
-//!   tests hold this against.
+//!   models only shrink — seed [`churnlab_sat::monotone`]'s closed form
+//!   (unit propagation to fixpoint, then every free AS is `Both` and the
+//!   count is H × 2^k; its module doc has the argument). No solver runs;
+//!   `churnlab_sat::reference`'s census is the oracle the tests hold
+//!   this against.
 //!
 //! Since PR 5, the data plane is id-based. A shard interns each incoming
 //! path once ([`crate::PathTable`], one hash per measurement); the
@@ -74,6 +72,7 @@ use churnlab_core::analyze::InstanceOutcome;
 use churnlab_core::instance::InstanceKey;
 use churnlab_core::obs::PathId;
 use churnlab_platform::{AnomalySet, AnomalyType};
+use churnlab_sat::monotone::Monotone;
 use churnlab_sat::{SolutionCount, Solvability};
 use churnlab_topology::{Asn, FxMap};
 use serde::{Deserialize, Serialize};
@@ -151,22 +150,14 @@ impl IncrementalStats {
     }
 }
 
-/// Reusable re-solve scratch shared by every instance a worker owns:
-/// dense per-variable state (indexed by group-local variable index — no
-/// hashing), the cell's clauses as spans of the group's literal arena,
-/// and the count's branch stack. All of it is rewound per re-solve,
-/// never freed, so a steady-state shard allocates nothing per
-/// observation.
+/// Reusable re-solve scratch shared by every instance a worker owns: the
+/// closed form's [`Monotone`] scratch, indexed by group-local variable
+/// index — no hashing — and rewound per re-solve, never freed, so a
+/// steady-state shard allocates nothing per observation.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
-    /// Per-variable state during a re-solve: `FIXED_FALSE`, `FIXED_TRUE`,
-    /// `UNFIXED`, or — on an unhit clause while counting — `OPEN`.
-    fixed: Vec<u8>,
-    /// The cell's positive clauses, `(start, end)` in the group's
-    /// literal arena; after propagation, only the unhit ones.
-    clauses: Vec<(u32, u32)>,
-    /// The count's branch stack: the ASes it has set, in order.
-    branch: Vec<u32>,
+    /// Per-AS state, the cell's clauses and the count's branch stack.
+    mono: Monotone,
     /// Re-solve timing handles (latency histogram + phase counter),
     /// `None` when the owning engine runs stripped. Wall-clock timed:
     /// re-solves are rare (tens of thousands per millions of updates),
@@ -185,11 +176,6 @@ impl SolveScratch {
         self.resolve_obs = Some(obs);
     }
 }
-
-const FIXED_FALSE: u8 = 0;
-const FIXED_TRUE: u8 = 1;
-const UNFIXED: u8 = 2;
-const OPEN: u8 = 3;
 
 /// `seen` mask bit: a clean observation of the path was recorded.
 const SEEN_CLEAN: u8 = 1;
@@ -441,72 +427,6 @@ fn pow2(n: usize) -> u128 {
     }
 }
 
-impl SolveScratch {
-    /// The capped model count left after a re-solve's propagation (module
-    /// doc): H × 2^k. H ≥ 1 + m for the m open ASes, so past the cap that
-    /// answers at once; below it a search exact up to the cap counts H,
-    /// branching like the enumerator — the first open AS of the first
-    /// unhit clause, True first — and counting a leaf's 2^open at once.
-    fn count_models(&mut self, space: &VarSpace, cap: u64) -> SolutionCount {
-        let SolveScratch { fixed: state, clauses, branch, .. } = self;
-        clauses.retain(|&span| space.clause(span).iter().all(|&ix| state[ix as usize] != FIXED_TRUE));
-        let mut m = 0;
-        for &ix in clauses.iter().flat_map(|&span| space.clause(span)) {
-            if state[ix as usize] == UNFIXED {
-                state[ix as usize] = OPEN;
-                m += 1;
-            }
-        }
-        let k = state.iter().filter(|&&f| f == UNFIXED).count();
-        let (block, cap) = (pow2(k), u128::from(cap));
-        if (m as u128 + 1).saturating_mul(block) > cap {
-            return SolutionCount::AtLeast(cap as u64);
-        }
-        branch.clear();
-        let (mut open, mut total) = (m, 0u128);
-        loop {
-            let mut next = None;
-            let mut dead = false;
-            for clause in clauses.iter().map(|&span| space.clause(span)) {
-                if clause.iter().any(|&ix| state[ix as usize] == FIXED_TRUE) {
-                    continue;
-                }
-                let Some(&ix) = clause.iter().find(|&&ix| state[ix as usize] == OPEN) else {
-                    dead = true;
-                    break;
-                };
-                next.get_or_insert(ix);
-            }
-            if let (false, Some(ix)) = (dead, next) {
-                state[ix as usize] = FIXED_TRUE;
-                open -= 1;
-                branch.push(ix);
-                continue;
-            }
-            if !dead {
-                total = total.saturating_add(pow2(open).saturating_mul(block));
-                if total > cap {
-                    return SolutionCount::AtLeast(cap as u64);
-                }
-            }
-            // Backtrack: the deepest AS still True flips to False; those
-            // below it, both branches done, reopen.
-            loop {
-                let Some(&ix) = branch.last() else {
-                    return SolutionCount::Exact(total as u64);
-                };
-                if state[ix as usize] == FIXED_TRUE {
-                    state[ix as usize] = FIXED_FALSE;
-                    break;
-                }
-                state[ix as usize] = OPEN;
-                open += 1;
-                branch.pop();
-            }
-        }
-    }
-}
-
 impl IncrementalInstance {
     /// Fresh instance.
     fn new(key: InstanceKey, bit: u8) -> Self {
@@ -717,32 +637,33 @@ impl IncrementalInstance {
         }
     }
 
-    /// Incremental re-solve, in closed form: seed unit propagation with
-    /// the axiom units and the memoized backbone (both survive clause
-    /// addition) and run it to fixpoint. Every free AS is then `Both`
-    /// (see the module doc), and [`SolveScratch::count_models`] counts
-    /// what is left — all in the worker's dense scratch vectors, with no
-    /// per-call heap traffic beyond the recycled buffers' growth.
+    /// Incremental re-solve, in closed form: seed
+    /// [`churnlab_sat::monotone`]'s propagation with the axiom units and
+    /// the memoized backbone (both survive clause addition), read every
+    /// AS's fate off its fixpoint and count what is left — all in the
+    /// worker's recycled scratch, with no per-call heap traffic beyond
+    /// the buffers' growth.
     fn resolve_inner(&mut self, n_vars: usize, space: &VarSpace, cap: u64, scratch: &mut SolveScratch) {
-        let SolveScratch { fixed, clauses, .. } = scratch;
-        fixed.clear();
-        let axiom = |cells: &u8| if cells & self.bit != 0 { FIXED_FALSE } else { UNFIXED };
-        fixed.extend(space.exonerated.iter().map(axiom));
+        let mono = &mut scratch.mono;
+        mono.reset(n_vars);
+        for (ix, &cells) in space.exonerated.iter().enumerate() {
+            if cells & self.bit != 0 {
+                mono.fix(ix as u32, false);
+            }
+        }
         // Take the memo (leaving the absorbing Unsat in place, which every
         // early return below wants): its fate seeds the fixed set, and its
         // vector is recycled as the next memo's allocation.
         let mut fate = match std::mem::replace(&mut self.memo, Memo::Unsat) {
             Memo::Solved { mut fate, .. } => {
                 for (ix, f) in fate.iter().enumerate() {
-                    match f {
-                        Fate::AlwaysTrue => {
-                            if fixed[ix] == FIXED_FALSE {
-                                return; // exonerated definite censor: unsat
-                            }
-                            fixed[ix] = FIXED_TRUE;
-                        }
-                        Fate::AlwaysFalse => fixed[ix] = FIXED_FALSE,
-                        Fate::Both => {}
+                    let value = match f {
+                        Fate::AlwaysTrue => true,
+                        Fate::AlwaysFalse => false,
+                        Fate::Both => continue,
+                    };
+                    if !mono.fix(ix as u32, value) {
+                        return; // exonerated definite censor: unsat
                     }
                 }
                 fate.clear();
@@ -750,39 +671,18 @@ impl IncrementalInstance {
             }
             _ => Vec::with_capacity(n_vars),
         };
-        clauses.clear();
-        clauses.extend(self.pos_clauses.iter().map(|&pid| space.span(pid)));
-        // Unit propagation over the positive clauses to fixpoint. Clause
-        // literal lists are pre-deduplicated (the group resolves distinct
-        // ASes only), so a clause is unit when exactly one literal is
-        // unfixed.
-        loop {
-            let mut changed = false;
-            for &span in clauses.iter() {
-                let clause = space.clause(span);
-                if clause.iter().any(|&ix| fixed[ix as usize] == FIXED_TRUE) {
-                    continue;
-                }
-                let mut free = clause.iter().filter(|&&ix| fixed[ix as usize] == UNFIXED);
-                match (free.next(), free.next()) {
-                    (None, _) => return, // conflict: memo stays Unsat
-                    (Some(&ix), None) => {
-                        fixed[ix as usize] = FIXED_TRUE;
-                        changed = true;
-                    }
-                    _ => {}
-                }
-            }
-            if !changed {
-                break;
-            }
+        for &pid in &self.pos_clauses {
+            mono.add_clause(space.clause(space.span(pid)).iter().copied());
         }
-        fate.extend(fixed.iter().map(|&f| match f {
-            FIXED_TRUE => Fate::AlwaysTrue,
-            FIXED_FALSE => Fate::AlwaysFalse,
-            _ => Fate::Both,
+        if !mono.propagate() {
+            return; // conflict: memo stays Unsat
+        }
+        fate.extend(mono.values().map(|value| match value {
+            Some(true) => Fate::AlwaysTrue,
+            Some(false) => Fate::AlwaysFalse,
+            None => Fate::Both,
         }));
-        let count = scratch.count_models(space, cap);
+        let count = mono.count(cap);
         self.memo = Memo::Solved { count, fate };
     }
 
@@ -1172,7 +1072,7 @@ mod tests {
     use churnlab_bgp::Granularity;
     use churnlab_core::analyze::{analyze, SolveConfig};
     use churnlab_core::instance::InstanceBuilder;
-    use churnlab_sat::{brute, census, Cnf, SolutionCensus, Var};
+    use churnlab_sat::{brute, Cnf, SolutionCensus, Var};
     use proptest::prelude::*;
 
     fn key() -> InstanceKey {
@@ -1235,7 +1135,7 @@ mod tests {
 
         /// The Dns cell's memo — count, and per variable whether some
         /// model sets it True and whether some sets it False — is what
-        /// both SAT cores' census reports for the cell's CNF, and, when
+        /// the oracle's census reports for the cell's CNF, and, when
         /// `exhaustive` and the CNF is small, what brute-force
         /// enumeration does.
         fn check_memo(&self, exhaustive: bool) {
@@ -1259,7 +1159,6 @@ mod tests {
                 b.map(|b| b.ever_true.into_iter().zip(b.ever_false).collect::<Vec<_>>())
             };
             let of = |c: SolutionCensus| (c.count, sides(c.backbone));
-            assert_eq!(memo, of(census(&cnf, cap)), "census, cap {cap}: {cnf:?}");
             let reference = churnlab_sat::reference::census(&cnf, cap);
             assert_eq!(memo, of(reference), "reference census, cap {cap}: {cnf:?}");
             if exhaustive && n <= 20 {

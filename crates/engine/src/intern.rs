@@ -5,7 +5,7 @@
 //! duplicates). The [`PathTable`] exploits that: each distinct path is
 //! hashed and copied **once per shard**, yielding a dense
 //! [`PathId`] plus a precomputed flat slice into a single [`Asn`] arena
-//! (CSR layout, mirroring `churnlab_sat::CompiledCnf`). Everything
+//! (CSR layout: one arena, one offset per path). Everything
 //! downstream — per-instance dedup, clause storage, report cells — then
 //! works on the `u32` id: the duplicate-dominated observe path drops from
 //! O(path-len) hashing per instance cell to an O(1) integer probe.

@@ -86,6 +86,7 @@ mod shard;
 pub use ckpt::RestoreError;
 pub use engine::{
     CompactReport, Engine, EngineBusy, EngineConfig, EngineStats, Feeder, Restored, RetireStats,
+    SatCounters,
 };
 pub use incremental::{
     IncrementalInstance, IncrementalStats, InstanceGroup, SolveScratch, VarsByAsn,

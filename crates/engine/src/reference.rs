@@ -19,7 +19,8 @@
 use crate::incremental::IncrementalStats;
 use churnlab_core::analyze::InstanceOutcome;
 use churnlab_core::instance::{InstanceKey, Observation};
-use churnlab_sat::{CompiledCnf, Lit, SolutionCount, Solvability, SolverCtx, Var};
+use churnlab_sat::monotone::Monotone;
+use churnlab_sat::{SolutionCount, Solvability, Var};
 use churnlab_topology::Asn;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -41,11 +42,11 @@ enum Memo {
 
 /// Reusable solving scratch for the reference path: the old map-heavy
 /// layout (`HashMap` AS↔var mappings), kept as-is so the baseline's cost
-/// model is preserved.
+/// model is preserved, and the closed form's scratch for the residual
+/// count.
 #[derive(Debug, Default)]
 pub struct ReferenceScratch {
-    ctx: SolverCtx,
-    cnf: CompiledCnf,
+    mono: Monotone,
     var_of: HashMap<Asn, Var>,
     fixed: HashMap<Asn, bool>,
     free_vars: Vec<Asn>,
@@ -343,31 +344,25 @@ impl UninternedInstance {
                 free_vars.push(*a);
             }
         }
-        scratch.cnf.reset(free_vars.len());
+        // What propagation leaves is monotone with two free ASes on every
+        // unhit clause: every free AS is `Both`, and the closed form
+        // counts the models.
+        let mono = &mut scratch.mono;
+        mono.reset(free_vars.len());
         for clause in &self.pos_clauses {
             if clause.iter().any(|a| fixed.get(a) == Some(&true)) {
                 continue;
             }
-            scratch
-                .cnf
-                .push_clause(clause.iter().filter_map(|a| var_of.get(a)).map(|v| Lit::pos(*v)));
+            mono.add_clause(clause.iter().filter_map(|a| var_of.get(a)).map(|v| v.0));
         }
-        let result = scratch.ctx.census(&scratch.cnf, cap);
-        let Some(backbone) = result.backbone else {
-            return;
-        };
+        let count = mono.count(cap);
         for (a, v) in fixed.iter() {
             fate.insert(*a, if *v { Fate::AlwaysTrue } else { Fate::AlwaysFalse });
         }
-        for (i, a) in free_vars.iter().enumerate() {
-            let f = match (backbone.ever_true[i], backbone.ever_false[i]) {
-                (true, false) => Fate::AlwaysTrue,
-                (false, true) => Fate::AlwaysFalse,
-                _ => Fate::Both,
-            };
-            fate.insert(*a, f);
+        for a in free_vars.iter() {
+            fate.insert(*a, Fate::Both);
         }
-        self.memo = Memo::Solved { count: result.count, fate };
+        self.memo = Memo::Solved { count, fate };
     }
 
     /// The analysed outcome (see `crate::incremental` for the contract).

@@ -99,12 +99,13 @@ use crate::block::{Block, BlockPool, Head};
 use crate::ckpt::{
     anomaly_from, anomaly_tag, ascending, granularity_from, granularity_tag, Dec, Enc,
 };
+use crate::engine::SatCounters;
 use crate::incremental::{GroupDecoder, IncrementalStats, InstanceGroup, SolveScratch};
 use crate::intern::{InternStats, PathTable};
 use crate::obs::ShardObs;
 use churnlab_bgp::TimeWindow;
 use churnlab_core::accumulate::{FindingFacts, FindingsAccumulator, FindingsTally};
-use churnlab_core::analyze::{analyze_with, InstanceOutcome};
+use churnlab_core::analyze::{analyze, InstanceOutcome};
 use churnlab_core::batch::{first_path_refs, for_each_instance};
 use churnlab_core::convert::{ConversionStats, ConvertScratch};
 use churnlab_core::instance::InstanceKey;
@@ -114,7 +115,7 @@ use churnlab_core::churnstats::path_hash;
 use churnlab_core::{BatchOrder, ChurnAccumulator, ChurnObs, ChurnWindowEntry};
 use churnlab_obs::{BusyTimer, Counter, Stopwatch};
 use churnlab_platform::Measurement;
-use churnlab_sat::{CtxStats, Solvability, SolverCtx};
+use churnlab_sat::Solvability;
 use churnlab_topology::geo::CountryCode;
 use churnlab_topology::{Asn, FxMap, FxSet, Ip2AsDb, Topology};
 use std::collections::hash_map::Entry;
@@ -329,10 +330,9 @@ pub(crate) struct ShardReport {
     /// Conversion accounting for every measurement routed here —
     /// exactly consistent with this report's cut.
     pub conversion: ConversionStats,
-    /// Cumulative SAT-solver work counters of the first-path ablation's
-    /// context (plus any work restored from a checkpoint); zero on every
-    /// other path.
-    pub sat: CtxStats,
+    /// The frozen SAT-solver counters this shard restored from a
+    /// checkpoint; zero on a shard that never restored.
+    pub sat: SatCounters,
     pub observations: u64,
     /// Highest day observed by this shard, `None` until data arrives.
     /// The engine folds churn windows only below the *minimum* watermark
@@ -452,15 +452,12 @@ pub(crate) struct ShardState {
     windows_retired: u64,
     cells_retired: u64,
     late_dropped: u64,
-    /// SAT work counters restored from a checkpoint — `ctx` restarts at
-    /// zero, so reports add this base back in.
-    sat_base: CtxStats,
+    /// The frozen SAT-solver counters restored from a checkpoint, carried
+    /// so the shard re-encodes them.
+    sat_base: SatCounters,
     /// Worker-owned re-solve scratch, shared by every instance on this
     /// shard.
     scratch: SolveScratch,
-    /// The first-path ablation's solver: its batch `analyze` is the one
-    /// place a shard runs a SAT census.
-    ctx: SolverCtx,
     /// Where conversion writes each measurement's path.
     convert: ConvertScratch,
     /// Observability handles, `None` in the stripped configuration (the
@@ -502,9 +499,8 @@ impl ShardState {
             windows_retired: 0,
             cells_retired: 0,
             late_dropped: 0,
-            sat_base: CtxStats::default(),
+            sat_base: SatCounters::default(),
             scratch,
-            ctx: SolverCtx::new(),
             convert: ConvertScratch::default(),
             obs,
             cfg,
@@ -782,7 +778,7 @@ impl ShardState {
             // so the ablation re-derives its cells per report: nothing
             // here is incremental, nothing is cached, and nothing retires.
             ChurnMode::FirstPathOnly => {
-                let ShardState { cfg, deferred, ctx, countries, .. } = self;
+                let ShardState { cfg, deferred, countries, .. } = self;
                 let country_of = country_of(countries);
                 let mut outcomes = Vec::new();
                 let mut findings = FindingsAccumulator::new();
@@ -805,7 +801,7 @@ impl ShardState {
                                 return;
                             }
                             let inst = builder.build().expect("non-empty builder");
-                            let outcome = analyze_with(&inst, &cfg.solve, ctx);
+                            let outcome = analyze(&inst, &cfg.solve);
                             let censored: Vec<&[Asn]> = inst
                                 .observations
                                 .iter()
@@ -829,7 +825,7 @@ impl ShardState {
             stats: self.stats,
             intern: self.table.stats(),
             conversion: self.conversion,
-            sat: self.sat_base.merged(self.ctx.stats()),
+            sat: self.sat_base,
             observations: self.observations,
             high_water: self.high_water,
             windows_retired: self.windows_retired,
@@ -1012,7 +1008,7 @@ impl ShardState {
         e.u64(self.stats.direct_updates);
         e.u64(self.stats.unsat_skips);
         e.u64(self.stats.resolves);
-        let sat = self.sat_base.merged(self.ctx.stats());
+        let sat = self.sat_base;
         e.u64(sat.propagations);
         e.u64(sat.backtracks);
         e.u64(sat.censuses);
@@ -1110,7 +1106,7 @@ impl ShardState {
         state.stats.direct_updates = d.u64()?;
         state.stats.unsat_skips = d.u64()?;
         state.stats.resolves = d.u64()?;
-        state.sat_base = CtxStats {
+        state.sat_base = SatCounters {
             propagations: d.u64()?,
             backtracks: d.u64()?,
             censuses: d.u64()?,

@@ -1,7 +1,7 @@
-//! Exhaustive reference implementations for cross-checking the solver.
+//! Exhaustive evaluation, for cross-checking both solvers.
 //!
 //! Only usable for small variable counts (≤ 24); the property tests pit
-//! [`crate::solver`] and [`crate::enumerate`] against these.
+//! [`crate::reference`] and [`crate::monotone`] against these.
 
 use crate::cnf::Cnf;
 use crate::enumerate::Backbone;
@@ -49,20 +49,6 @@ pub fn backbone(cnf: &Cnf) -> Option<Backbone> {
     any.then_some(Backbone { ever_true, ever_false })
 }
 
-/// All models, materialised (for debugging small instances).
-pub fn models(cnf: &Cnf) -> Vec<Vec<bool>> {
-    let n = cnf.n_vars();
-    assert!(n <= 16, "model listing limited to 16 vars, got {n}");
-    let mut out = Vec::new();
-    for bits in 0..(1u64 << n) {
-        let a: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-        if cnf.eval(&a) {
-            out.push(a);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,7 +64,6 @@ mod tests {
         let mut f = Cnf::new(2);
         f.add_positive_clause([Var(0), Var(1)]);
         assert_eq!(count(&f), 3);
-        assert_eq!(models(&f).len(), 3);
     }
 
     #[test]

@@ -159,6 +159,11 @@ impl Cnf {
                 }
                 let n_vars: usize =
                     parts[2].parse().map_err(|_| DimacsError::new(lineno, "bad var count"))?;
+                // `Var` is a u32 index: variables 1..=2^32 are all it can
+                // name, and a larger count would wrap literals onto them.
+                if n_vars as u64 > 1 << 32 {
+                    return Err(DimacsError::new(lineno, "more variables than a Var can name"));
+                }
                 declared_clauses =
                     parts[3].parse().map_err(|_| DimacsError::new(lineno, "bad clause count"))?;
                 cnf = Some(Cnf::new(n_vars));
@@ -271,6 +276,15 @@ mod tests {
         assert!(Cnf::from_dimacs("p cnf 1 1\n2 0\n").is_err());
         assert!(Cnf::from_dimacs("p cnf 1 1\n1\n").is_err());
         assert!(Cnf::from_dimacs("p cnf 2 1\n1 0\n2 0\n").is_err());
+    }
+
+    #[test]
+    fn dimacs_rejects_variable_counts_past_u32() {
+        let err = Cnf::from_dimacs("p cnf 4294967297 1\n4294967297 0\n").unwrap_err();
+        assert_eq!(err, DimacsError { line: 0, message: "more variables than a Var can name" });
+        // 2^32 variables is the most a `Var` names: the last is Var(u32::MAX).
+        let f = Cnf::from_dimacs("p cnf 4294967296 1\n-4294967296 0\n").unwrap();
+        assert_eq!(f.clauses(), [vec![Lit::neg(Var(u32::MAX))]]);
     }
 
     #[test]

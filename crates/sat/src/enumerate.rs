@@ -1,25 +1,11 @@
-//! Solution counting, AllSAT with a cap, and backbone extraction.
-//!
-//! The tomography pipeline needs (§3.2):
-//!
-//! * the number of satisfying assignments, bucketed as 0 / 1 / 2 / … / 5+
-//!   (Figures 1 and 4) — [`count_solutions`] enumerates with a cap,
-//!   counting blocks of free variables in bulk (`2^k` completions at
-//!   once) so the cap is reached quickly even on wide instances;
-//! * the unique model when there is exactly one — carried by
-//!   [`SolutionCensus`];
-//! * the set of variables that are **false in every** solution — the
-//!   "definite non-censors" that shrink the candidate set (Figure 2).
-//!   [`backbone`] computes this *exactly* with assumption probes rather
-//!   than relying on possibly-capped enumeration.
-//!
-//! These free functions are one-shot conveniences over a cold
-//! [`SolverCtx`]; hot paths should hold a context of their own and call
-//! [`SolverCtx::census`] directly so watch lists, trails, and scratch
-//! buffers are reused across instances (see the crate docs).
+//! What a census reports (§3.2): the model count, bucketed as
+//! 0 / 1 / 2 / … / 5+ (Figures 1 and 4); the unique model when there is
+//! exactly one; and the backbone — the variables False in **every** model
+//! are the "definite non-censors" that shrink the candidate set
+//! (Figure 2). [`crate::monotone`] computes it in closed form and
+//! [`crate::reference`] by search.
 
-use crate::cnf::{Cnf, Var};
-use crate::ctx::SolverCtx;
+use crate::cnf::Var;
 use crate::Solvability;
 use serde::{Deserialize, Serialize};
 
@@ -55,15 +41,7 @@ impl SolutionCount {
     }
 }
 
-/// Count satisfying assignments up to `cap` (≥ 2). Counting is exact
-/// whenever the result is **at or below** the cap: a formula with exactly
-/// `cap` models reports `Exact(cap)`, and `AtLeast(cap)` is returned only
-/// when a `cap + 1`-th model provably exists.
-pub fn count_solutions(cnf: &Cnf, cap: u64) -> SolutionCount {
-    SolverCtx::new().count_solutions_cnf(cnf, cap)
-}
-
-/// Exact ever-true / ever-false sets, computed with assumption probes.
+/// Exact ever-true / ever-false sets.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Backbone {
     /// `ever_true[v]`: some model assigns `v = true` (a *potential censor*).
@@ -97,13 +75,6 @@ impl Backbone {
     }
 }
 
-/// Compute the backbone (exact, at most one probe per variable per
-/// polarity — probes already witnessed by a discovered model are
-/// skipped). Returns `None` when the formula is unsatisfiable.
-pub fn backbone(cnf: &Cnf) -> Option<Backbone> {
-    SolverCtx::new().backbone_cnf(cnf)
-}
-
 /// The full census the tomography pipeline consumes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolutionCensus {
@@ -122,40 +93,18 @@ impl SolutionCensus {
     }
 }
 
-/// Compute the census: count (capped), unique model, and exact backbone.
-///
-/// The paper's §3.1 example, end to end: the AS path X→Y→Z saw DNS
-/// censorship — clause (X ∨ Y ∨ Z) = T — while a second test over X→Y
-/// came back clean, which contributes unit negations ¬X ∧ ¬Y:
-///
-/// ```
-/// use churnlab_sat::{census, Cnf, Solvability, Var};
-///
-/// let (x, y, z) = (Var(0), Var(1), Var(2));
-/// let mut cnf = Cnf::new(3);
-/// cnf.add_positive_clause([x, y, z]); // censored path
-/// cnf.add_negative_facts([x, y]);     // clean path
-///
-/// let result = census(&cnf, 64);
-/// assert_eq!(result.solvability(), Solvability::Unique);
-/// // The single model names Z — and only Z — as the censor.
-/// assert_eq!(result.unique_model.unwrap(), vec![false, false, true]);
-/// ```
-pub fn census(cnf: &Cnf, cap: u64) -> SolutionCensus {
-    SolverCtx::new().census_cnf(cnf, cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute;
-    use crate::cnf::Lit;
+    use crate::cnf::{Cnf, Lit};
+    use crate::{backbone, brute, census, count_solutions, monotone};
     use proptest::prelude::*;
 
     #[test]
     fn empty_formula_counts_all_assignments() {
         let f = Cnf::new(3);
         assert_eq!(count_solutions(&f, 100), SolutionCount::Exact(8));
+        assert_eq!(monotone::census(&f, 100), census(&f, 100));
     }
 
     #[test]
@@ -168,6 +117,7 @@ mod tests {
         let c = census(&f, 10);
         assert_eq!(c.solvability(), Solvability::Unsat);
         assert!(c.unique_model.is_none());
+        assert_eq!(monotone::census(&f, 10), c);
     }
 
     #[test]
@@ -176,6 +126,7 @@ mod tests {
         f.add_positive_clause([Var(0), Var(1), Var(2)]);
         f.add_negative_facts([Var(0), Var(1)]);
         let c = census(&f, 10);
+        assert_eq!(monotone::census(&f, 10), c);
         assert_eq!(c.count, SolutionCount::Exact(1));
         assert_eq!(c.unique_model, Some(vec![false, false, true]));
         assert_eq!(c.solvability(), Solvability::Unique);
@@ -189,6 +140,7 @@ mod tests {
         let mut f = Cnf::new(3);
         f.add_positive_clause([Var(0), Var(1), Var(2)]);
         assert_eq!(count_solutions(&f, 100), SolutionCount::Exact(7));
+        assert_eq!(monotone::census(&f, 100), census(&f, 100));
         let b = backbone(&f).unwrap();
         assert!(b.ever_true.iter().all(|t| *t), "every var can censor");
         assert!(b.always_false().is_empty());
@@ -200,6 +152,7 @@ mod tests {
         let f = Cnf::new(20); // 2^20 models
         let c = count_solutions(&f, 64);
         assert_eq!(c, SolutionCount::AtLeast(64));
+        assert_eq!(monotone::census(&f, 64), census(&f, 64));
         assert_eq!(c.bucket(), 5);
         assert_eq!(c.solvability(), Solvability::Multiple);
     }
@@ -223,6 +176,7 @@ mod tests {
         assert_eq!(count_solutions(&g, 6), SolutionCount::AtLeast(6));
         // The census agrees, and its solvability stays Multiple.
         let c = census(&g, 7);
+        assert_eq!(monotone::census(&g, 7), c);
         assert_eq!(c.count, SolutionCount::Exact(7));
         assert_eq!(c.solvability(), Solvability::Multiple);
     }
@@ -246,6 +200,7 @@ mod tests {
         f.add_positive_clause([Var(1), Var(2)]);
         f.add_negative_facts([Var(0)]);
         let c = census(&f, 100);
+        assert_eq!(monotone::census(&f, 100), c);
         assert_eq!(c.count, SolutionCount::Exact(2));
         let b = c.backbone.unwrap();
         assert_eq!(b.always_false(), vec![Var(0)]);

@@ -13,48 +13,36 @@
 //!    95.2% on average, Figure 2);
 //! 3. **solution counts** (Figure 4 buckets 0,1,2,3,4,5+).
 //!
-//! Modules:
+//! Every CNF the paper builds is monotone — positive path clauses plus
+//! negative unit facts — so all three have a closed form, and the crate
+//! keeps one product solver and one oracle:
 //!
+//! * [`monotone`] — the closed form: unit propagation, then H × 2^k
+//!   models (the module doc has the argument). `churnlab-core`'s
+//!   `analyze` and the engine's incremental re-solve both run it.
+//! * [`mod@reference`] — a DPLL solver, AllSAT counter and probe-based
+//!   backbone for *any* CNF: the oracle the closed form is held against,
+//!   re-exported at the crate root as [`solve`], [`solve_with`],
+//!   [`count_solutions`], [`backbone`] and [`census`].
+//! * [`brute`] — exhaustive evaluation, which holds the oracle itself.
 //! * [`cnf`] — literals, clauses, formulas, and DIMACS import/export
 //!   (interoperates with real off-the-shelf solvers; see the
 //!   `dimacs_export` example).
-//! * [`compiled`] — [`CompiledCnf`]: flat CSR clause storage (one literal
-//!   arena plus clause offsets), built once per instance and reusable as
-//!   a builder without reallocating.
-//! * [`ctx`] — [`SolverCtx`]: the reusable watched-literal solver
-//!   context. Two-watched-literal unit propagation, trail-based undo,
-//!   assumption push/pop, epoch-stamped branch scoring, and a census that
-//!   harvests every enumerated model into the backbone. One context
-//!   serves any number of instances with zero steady-state allocations.
-//! * [`solver`] / [`enumerate`] — the historical one-shot API ([`solve`],
-//!   [`census`], …), now thin cold-context wrappers over [`ctx`].
-//! * [`mod@reference`] — the original full-rescan solver core, retained as a
-//!   differential-testing oracle and in-run performance baseline.
-//! * [`brute`] — an exhaustive reference implementation used by the
-//!   property tests to cross-check everything above.
-//!
-//! Instances here are small (tens of variables, hundreds of clauses) but
-//! solved millions of times — every localization result funnels through
-//! [`census`] — so the hot path is engineered: no recursion, no
-//! per-decision allocation, saturating counters, and explicit handling of
-//! empty formulas and tautological inputs.
+//! * [`enumerate`] — the result types: [`SolutionCount`], [`Backbone`],
+//!   [`SolutionCensus`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod brute;
 pub mod cnf;
-pub mod compiled;
-pub mod ctx;
 pub mod enumerate;
+pub mod monotone;
 pub mod reference;
-pub mod solver;
 
 pub use cnf::{Clause, Cnf, DimacsError, Lit, Var};
-pub use compiled::CompiledCnf;
-pub use ctx::{CtxStats, SolverCtx};
-pub use enumerate::{backbone, census, count_solutions, Backbone, SolutionCensus, SolutionCount};
-pub use solver::{solve, solve_with};
+pub use enumerate::{Backbone, SolutionCensus, SolutionCount};
+pub use reference::{backbone, census, count_solutions, solve, solve_with};
 
 /// Solvability classes the tomography pipeline distinguishes (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]

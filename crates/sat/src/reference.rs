@@ -1,36 +1,23 @@
-//! The pre-watched-literal solver core, retained as a reference.
+//! A DPLL solver and AllSAT census for any CNF, kept as the oracle.
 //!
-//! These are the original full-rescan implementations that shipped before
-//! [`crate::ctx::SolverCtx`]: unit propagation re-evaluates every clause
-//! per fixpoint pass, the enumerator clones the assignment at every DFS
-//! node, and the branch heuristic builds a `HashMap` per decision. They
-//! are kept — unoptimized on purpose — for two jobs:
+//! Full-rescan and unoptimized on purpose: unit propagation re-evaluates
+//! every clause per fixpoint pass, the enumerator clones the assignment
+//! at every DFS node, and the branch heuristic builds a `HashMap` per
+//! decision. It shares no code with [`crate::monotone`] and assumes
+//! nothing about clause shape, which is what makes it the oracle the
+//! closed form is held against; [`crate::brute`] holds it in turn. The
+//! crate root re-exports its functions as the one-shot API.
 //!
-//! 1. **Differential testing**: the property tests drive the
-//!    watched-literal core against these on instances too large for
-//!    [`crate::brute`]'s exhaustive evaluation.
-//! 2. **Performance baseline**: `sat_core_bench` and the Criterion
-//!    `sat_bench` report the new core's speedup as a ratio against these,
-//!    so the number is measured in one run instead of across commits.
-//!
-//! One deliberate divergence from the historical code: the enumeration
-//! cap is exact at the boundary (a formula with exactly `cap` models
-//! reports `Exact(cap)`), matching the fixed semantics of the new core.
-//! The historical version misreported that case as `AtLeast(cap)`.
+//! The enumeration cap is exact at the boundary: a formula with exactly
+//! `cap` models reports `Exact(cap)`, and `AtLeast(cap)` only when a
+//! `cap + 1`-th model exists.
 
 use crate::cnf::{Cnf, Lit, Var};
 use crate::enumerate::{Backbone, SolutionCensus, SolutionCount};
 
-/// Result of unit propagation over a partial assignment.
-enum Propagation {
-    /// Assignment extended without conflict.
-    Ok,
-    /// A clause became empty: the branch is dead.
-    Conflict,
-}
-
 /// Propagate unit clauses until fixpoint by rescanning every clause.
-fn propagate(cnf: &Cnf, assignment: &mut [Option<bool>], trail: &mut Vec<Var>) -> Propagation {
+/// Returns false when a clause has every literal false.
+fn propagate(cnf: &Cnf, assignment: &mut [Option<bool>]) -> bool {
     loop {
         let mut changed = false;
         for clause in cnf.clauses() {
@@ -54,18 +41,17 @@ fn propagate(cnf: &Cnf, assignment: &mut [Option<bool>], trail: &mut Vec<Var>) -
                 continue;
             }
             match n_unassigned {
-                0 => return Propagation::Conflict,
+                0 => return false,
                 1 => {
                     let l = unassigned.expect("counted one unassigned literal");
                     assignment[l.var.usize()] = Some(l.positive);
-                    trail.push(l.var);
                     changed = true;
                 }
                 _ => {}
             }
         }
         if !changed {
-            return Propagation::Ok;
+            return true;
         }
     }
 }
@@ -91,73 +77,44 @@ fn pick_branch_var(cnf: &Cnf, assignment: &[Option<bool>]) -> Option<Var> {
         .map(|(v, _)| v)
 }
 
-/// Reference DPLL solve under assumptions; see [`crate::solver::solve_with`].
+/// Solve under assumptions (forced literals): a complete satisfying
+/// assignment, unconstrained variables `false`, or `None`.
 pub fn solve_with(cnf: &Cnf, assumptions: &[Lit]) -> Option<Vec<bool>> {
-    let n = cnf.n_vars();
-    let mut assignment: Vec<Option<bool>> = vec![None; n];
+    let mut assignment: Vec<Option<bool>> = vec![None; cnf.n_vars()];
     for a in assumptions {
         match assignment[a.var.usize()] {
             Some(v) if v != a.positive => return None, // contradictory assumptions
             _ => assignment[a.var.usize()] = Some(a.positive),
         }
     }
+    dpll(cnf, &mut assignment).then(|| {
+        let out: Vec<bool> = assignment.iter().map(|v| v.unwrap_or(false)).collect();
+        debug_assert!(cnf.eval(&out));
+        out
+    })
+}
 
-    struct Frame {
-        var: Var,
-        tried_second: bool,
-        trail_mark: usize,
-    }
-    let mut trail: Vec<Var> = Vec::new();
-    let mut stack: Vec<Frame> = Vec::new();
-
-    if matches!(propagate(cnf, &mut assignment, &mut trail), Propagation::Conflict) {
-        return None;
-    }
-
-    loop {
-        match pick_branch_var(cnf, &assignment) {
-            None => {
-                let out: Vec<bool> = assignment.iter().map(|v| v.unwrap_or(false)).collect();
-                debug_assert!(cnf.eval(&out));
-                return Some(out);
-            }
-            Some(var) => {
-                let mark = trail.len();
-                assignment[var.usize()] = Some(true);
-                trail.push(var);
-                stack.push(Frame { var, tried_second: false, trail_mark: mark });
-                loop {
-                    if matches!(propagate(cnf, &mut assignment, &mut trail), Propagation::Ok) {
-                        break;
-                    }
-                    loop {
-                        match stack.pop() {
-                            None => return None,
-                            Some(f) => {
-                                while trail.len() > f.trail_mark {
-                                    let v = trail.pop().expect("trail bounded by mark");
-                                    assignment[v.usize()] = None;
-                                }
-                                if !f.tried_second {
-                                    assignment[f.var.usize()] = Some(false);
-                                    trail.push(f.var);
-                                    stack.push(Frame {
-                                        var: f.var,
-                                        tried_second: true,
-                                        trail_mark: f.trail_mark,
-                                    });
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
+/// Recursive snapshot-cloning DPLL: propagate, then branch on
+/// [`pick_branch_var`], True first. On success the assignment satisfies
+/// every clause; on failure it is restored to what it was on entry.
+fn dpll(cnf: &Cnf, assignment: &mut Vec<Option<bool>>) -> bool {
+    let snapshot = assignment.clone();
+    if propagate(cnf, assignment) {
+        let Some(var) = pick_branch_var(cnf, assignment) else {
+            return true;
+        };
+        for value in [true, false] {
+            assignment[var.usize()] = Some(value);
+            if dpll(cnf, assignment) {
+                return true;
             }
         }
     }
+    *assignment = snapshot;
+    false
 }
 
-/// Reference solve without assumptions.
+/// Solve without assumptions.
 pub fn solve(cnf: &Cnf) -> Option<Vec<bool>> {
     solve_with(cnf, &[])
 }
@@ -176,44 +133,9 @@ fn enumerate_rec(
         return;
     }
     let snapshot = assignment.clone();
-    loop {
-        let mut changed = false;
-        for clause in cnf.clauses() {
-            let mut satisfied = false;
-            let mut unassigned: Option<Lit> = None;
-            let mut n_un = 0;
-            for l in clause {
-                match l.eval(assignment) {
-                    Some(true) => {
-                        satisfied = true;
-                        break;
-                    }
-                    Some(false) => {}
-                    None => {
-                        n_un += 1;
-                        unassigned = Some(*l);
-                    }
-                }
-            }
-            if satisfied {
-                continue;
-            }
-            match n_un {
-                0 => {
-                    *assignment = snapshot;
-                    return; // conflict
-                }
-                1 => {
-                    let l = unassigned.expect("single unassigned literal");
-                    assignment[l.var.usize()] = Some(l.positive);
-                    changed = true;
-                }
-                _ => {}
-            }
-        }
-        if !changed {
-            break;
-        }
+    if !propagate(cnf, assignment) {
+        *assignment = snapshot;
+        return; // conflict
     }
 
     let branch_var = {
@@ -255,7 +177,8 @@ fn enumerate_rec(
     *assignment = snapshot;
 }
 
-/// Reference capped model count; see [`crate::enumerate::count_solutions`].
+/// Count satisfying assignments up to `cap` (≥ 2): exact at or below the
+/// cap, `AtLeast(cap)` when a `cap + 1`-th model exists.
 pub fn count_solutions(cnf: &Cnf, cap: u64) -> SolutionCount {
     assert!(cap >= 2, "a cap below 2 cannot distinguish unique from multiple");
     let n = cnf.n_vars();
@@ -270,8 +193,8 @@ pub fn count_solutions(cnf: &Cnf, cap: u64) -> SolutionCount {
     }
 }
 
-/// Reference exact backbone via per-variable assumption probes on cold
-/// solver runs; see [`crate::enumerate::backbone`].
+/// Exact backbone via per-variable assumption probes; `None` when the
+/// formula is unsatisfiable.
 pub fn backbone(cnf: &Cnf) -> Option<Backbone> {
     let base = solve(cnf)?;
     let n = cnf.n_vars();
@@ -295,8 +218,7 @@ pub fn backbone(cnf: &Cnf) -> Option<Backbone> {
     Some(Backbone { ever_true, ever_false })
 }
 
-/// Reference census: capped count plus exact probe-based backbone; see
-/// [`crate::enumerate::census`].
+/// Census: capped count, unique model and exact probe-based backbone.
 pub fn census(cnf: &Cnf, cap: u64) -> SolutionCensus {
     let count = count_solutions(cnf, cap);
     let backbone = backbone(cnf);
@@ -328,5 +250,104 @@ mod tests {
         let c = census(&f, 10);
         assert_eq!(c.solvability(), Solvability::Unique);
         assert_eq!(c.unique_model, Some(vec![false, false, true]));
+    }
+
+    #[test]
+    fn empty_formula_sat() {
+        let f = Cnf::new(3);
+        let m = solve(&f).unwrap();
+        assert_eq!(m, vec![false, false, false]);
+    }
+
+    #[test]
+    fn unit_contradiction_unsat() {
+        let mut f = Cnf::new(1);
+        f.add_clause(vec![Lit::pos(Var(0))]);
+        f.add_clause(vec![Lit::neg(Var(0))]);
+        assert!(solve(&f).is_none());
+    }
+
+    #[test]
+    fn paper_style_instance() {
+        // Path X→Y→Z censored, X→Y clean: (X∨Y∨Z) ∧ ¬X ∧ ¬Y ⇒ Z.
+        let mut f = Cnf::new(3);
+        f.add_positive_clause([Var(0), Var(1), Var(2)]);
+        f.add_negative_facts([Var(0), Var(1)]);
+        let m = solve(&f).unwrap();
+        assert_eq!(m, vec![false, false, true]);
+    }
+
+    #[test]
+    fn assumptions_respected() {
+        let mut f = Cnf::new(2);
+        f.add_positive_clause([Var(0), Var(1)]);
+        let m = solve_with(&f, &[Lit::neg(Var(0))]).unwrap();
+        assert!(!m[0]);
+        assert!(m[1]);
+        // Assume both false: unsat.
+        assert!(solve_with(&f, &[Lit::neg(Var(0)), Lit::neg(Var(1))]).is_none());
+        // Contradictory assumptions.
+        assert!(solve_with(&f, &[Lit::pos(Var(0)), Lit::neg(Var(0))]).is_none());
+    }
+
+    #[test]
+    fn needs_real_backtracking() {
+        // (a∨b) ∧ (¬a∨c) ∧ (¬b∨c) ∧ (¬c∨a) ∧ (¬c∨¬b): forces a=c=true, b=false.
+        let mut f = Cnf::new(3);
+        let (a, b, c) = (Var(0), Var(1), Var(2));
+        f.add_clause(vec![Lit::pos(a), Lit::pos(b)]);
+        f.add_clause(vec![Lit::neg(a), Lit::pos(c)]);
+        f.add_clause(vec![Lit::neg(b), Lit::pos(c)]);
+        f.add_clause(vec![Lit::neg(c), Lit::pos(a)]);
+        f.add_clause(vec![Lit::neg(c), Lit::neg(b)]);
+        let m = solve(&f).unwrap();
+        assert!(f.eval(&m));
+        assert_eq!(m, vec![true, false, true]);
+    }
+
+    #[test]
+    fn pigeonhole_2_into_1_unsat() {
+        // Two pigeons, one hole: p0h0 ∧ p1h0 both needed but mutually
+        // exclusive. vars: x0 = pigeon0 in hole, x1 = pigeon1 in hole.
+        let mut f = Cnf::new(2);
+        f.add_clause(vec![Lit::pos(Var(0))]);
+        f.add_clause(vec![Lit::pos(Var(1))]);
+        f.add_clause(vec![Lit::neg(Var(0)), Lit::neg(Var(1))]);
+        assert!(solve(&f).is_none());
+    }
+
+    #[test]
+    fn larger_random_instances_agree_with_eval() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(99);
+        for _ in 0..100 {
+            let n = rng.gen_range(1..12usize);
+            let mut f = Cnf::new(n);
+            for _ in 0..rng.gen_range(0..20usize) {
+                let len = rng.gen_range(1..=3.min(n));
+                let clause: Vec<Lit> = (0..len)
+                    .map(|_| Lit {
+                        var: Var(rng.gen_range(0..n as u32)),
+                        positive: rng.gen_bool(0.5),
+                    })
+                    .collect();
+                f.add_clause(clause);
+            }
+            if let Some(m) = solve(&f) {
+                assert!(f.eval(&m), "solver returned a non-model");
+            } else {
+                // Cross-check with brute force.
+                let mut found = false;
+                for bits in 0..(1u32 << n) {
+                    let a: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
+                    if f.eval(&a) {
+                        found = true;
+                        break;
+                    }
+                }
+                assert!(!found, "solver claimed UNSAT on a satisfiable formula");
+            }
+        }
     }
 }

@@ -1,20 +1,13 @@
-//! Differential tests: the watched-literal core vs the exhaustive brute
-//! force, vs the retained full-rescan reference core, and warm vs cold
-//! contexts.
+//! Differential tests: the closed form against the DPLL oracle, and the
+//! oracle against exhaustive enumeration.
 //!
-//! Three oracles at three scales:
-//!
-//! * `brute` (exhaustive evaluation) pins exact counts and backbones up
-//!   to 14 variables;
-//! * `reference` (the old-style census) cross-checks larger instances —
-//!   up to 20 variables, mixed clause lengths, small caps so the capped
-//!   paths are exercised;
-//! * a warm reused [`SolverCtx`] must serialize byte-identical census
-//!   results to a cold one on every instance.
+//! * `brute` (exhaustive evaluation) pins the oracle's exact counts and
+//!   backbones on general mixed-polarity formulas up to 14 variables;
+//! * `reference` (the oracle's census, re-exported as `census`) pins
+//!   [`monotone::census`] on tomography-shaped instances up to 20
+//!   variables, with caps small enough to exercise the capped paths.
 
-use churnlab_sat::{
-    brute, census, reference, solve_with, Cnf, CompiledCnf, Lit, SolutionCensus, SolverCtx, Var,
-};
+use churnlab_sat::{brute, census, monotone, reference, Cnf, Lit, Var};
 use proptest::prelude::*;
 
 /// Random CNF over `n` variables from proptest-generated raw clauses.
@@ -83,21 +76,9 @@ proptest! {
         }
     }
 
-    /// Against the old-style census on larger instances (n up to 20,
-    /// mixed clause lengths) with a small cap, so both the exact and the
-    /// capped reporting paths are compared.
-    #[test]
-    fn prop_census_matches_reference(
-        n in 1usize..21,
-        clauses in raw_clauses(21, 6, 24),
-        cap in 2u64..40,
-    ) {
-        let f = build_cnf(n, clauses);
-        prop_assert_eq!(census(&f, cap), reference::census(&f, cap));
-    }
-
-    /// Same comparison on tomography-shaped instances (the production
-    /// clause mix: positive paths + unit negations).
+    /// The closed form against the oracle on larger tomography-shaped
+    /// instances (the production clause mix: positive paths + unit
+    /// negations), n up to 20, caps from 2 up.
     #[test]
     fn prop_tomography_census_matches_reference(
         n in 2usize..21,
@@ -108,96 +89,17 @@ proptest! {
         cap in 2u64..65,
     ) {
         let f = build_tomography(n, paths);
-        prop_assert_eq!(census(&f, cap), reference::census(&f, cap));
-    }
-
-    /// Assumption stacks: solving under random assumption sets agrees
-    /// with the reference on satisfiability, and every model returned
-    /// satisfies both the formula and the assumptions.
-    #[test]
-    fn prop_assumption_solving_matches_reference(
-        n in 1usize..16,
-        clauses in raw_clauses(16, 5, 18),
-        assumptions in proptest::collection::vec((0u32..16, any::<bool>()), 0..6),
-    ) {
-        let f = build_cnf(n, clauses);
-        let assumptions: Vec<Lit> = assumptions
-            .into_iter()
-            .map(|(v, p)| Lit { var: Var(v % n as u32), positive: p })
-            .collect();
-        let new = solve_with(&f, &assumptions);
-        let old = reference::solve_with(&f, &assumptions);
-        prop_assert_eq!(new.is_some(), old.is_some(), "sat/unsat disagreement");
-        if let Some(m) = new {
-            prop_assert!(f.eval(&m), "returned a non-model");
-            for a in &assumptions {
-                prop_assert_eq!(m[a.var.usize()], a.positive, "assumption violated");
-            }
-        }
-    }
-
-    /// A warm, reused context returns byte-identical censuses to a cold
-    /// one — across a whole sequence of differently-shaped instances on
-    /// the same context, with assumption probes and enumerations between.
-    #[test]
-    fn prop_warm_context_byte_identical_to_cold(
-        instances in proptest::collection::vec(
-            (2usize..18, raw_clauses(18, 5, 16), 2u64..50),
-            1..6,
-        ),
-    ) {
-        let mut warm = SolverCtx::new();
-        for (n, clauses, cap) in instances {
-            let f = build_cnf(n, clauses);
-            let compiled = CompiledCnf::from_cnf(&f);
-            let from_warm: SolutionCensus = warm.census(&compiled, cap);
-            let from_cold: SolutionCensus = SolverCtx::new().census(&compiled, cap);
-            let warm_bytes = serde_json::to_string(&from_warm).expect("census serializes");
-            let cold_bytes = serde_json::to_string(&from_cold).expect("census serializes");
-            prop_assert_eq!(warm_bytes, cold_bytes, "warm/cold census bytes differ");
-        }
+        prop_assert_eq!(monotone::census(&f, cap), reference::census(&f, cap));
     }
 }
 
-/// Deterministic warm-vs-cold check on the paper's canonical instances
-/// (kept non-property so a failure names the exact instance).
-#[test]
-fn warm_context_byte_identical_on_canonical_instances() {
-    let mut warm = SolverCtx::new();
-    let mut instances: Vec<Cnf> = Vec::new();
-    // §3.1: censored X→Y→Z, clean X→Y ⇒ unique model {Z}.
-    let mut a = Cnf::new(3);
-    a.add_positive_clause([Var(0), Var(1), Var(2)]);
-    a.add_negative_facts([Var(0), Var(1)]);
-    instances.push(a);
-    // Contradiction (policy change): unsat.
-    let mut b = Cnf::new(2);
-    b.add_positive_clause([Var(0), Var(1)]);
-    b.add_negative_facts([Var(0), Var(1)]);
-    instances.push(b);
-    // No clean paths: 2^3 - 1 models, all potential censors.
-    let mut c = Cnf::new(3);
-    c.add_positive_clause([Var(0), Var(1), Var(2)]);
-    instances.push(c);
-    // Wide instance that hits the cap.
-    let mut d = Cnf::new(30);
-    d.add_positive_clause((0..30).map(Var));
-    instances.push(d);
-    for (i, f) in instances.iter().enumerate() {
-        let compiled = CompiledCnf::from_cnf(f);
-        let w = serde_json::to_string(&warm.census(&compiled, 64)).unwrap();
-        let cold = serde_json::to_string(&SolverCtx::new().census(&compiled, 64)).unwrap();
-        assert_eq!(w, cold, "instance {i}: warm census must be byte-identical to cold");
-    }
-}
-
-/// The reference core keeps the fixed cap-boundary semantics too, so the
-/// differential tests compare like for like.
+/// Both keep the exact cap boundary, so the differential tests compare
+/// like for like.
 #[test]
 fn reference_and_new_agree_at_cap_boundary() {
     let mut g = Cnf::new(3);
     g.add_positive_clause([Var(0), Var(1), Var(2)]); // exactly 7 models
     for cap in [2u64, 6, 7, 8, 64] {
-        assert_eq!(census(&g, cap), reference::census(&g, cap), "cap {cap}");
+        assert_eq!(monotone::census(&g, cap), reference::census(&g, cap), "cap {cap}");
     }
 }

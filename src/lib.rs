@@ -26,7 +26,7 @@
 //! * [`net`] — IPv4/TCP/UDP/DNS wire formats, flows, traceroute.
 //! * [`censor`] — censorship policies and injection mechanics.
 //! * [`platform`] — the measurement platform (ICLab analogue).
-//! * [`sat`] — DPLL, AllSAT, backbones, DIMACS.
+//! * [`sat`] — the closed-form census, its DPLL/AllSAT oracle, DIMACS.
 //! * [`core`] — the tomography pipeline (the paper's contribution).
 //! * [`engine`] — the sharded, order-independent, incremental streaming
 //!   engine (production-shaped counterpart of `core`'s batch pipeline).
