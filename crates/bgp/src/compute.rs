@@ -340,11 +340,6 @@ impl RouteTree {
         salt: &dyn Fn(usize) -> u64,
         out: &mut RouteTree,
     ) {
-        assert!(
-            topo.is_frozen(),
-            "RouteTree::compute_into requires a frozen (CSR) topology: \
-             the stages walk per-kind adjacency slices"
-        );
         let TreeScratch { cone, buckets, up, .. } = scratch;
 
         // --- Snapshot the link-state closure into a bitmap. ---------------
@@ -664,7 +659,7 @@ mod tests {
         let mut t = diamond();
         t.add_as(mk(7, AsRole::Stub)).unwrap();
         t.add_link(Link::transit(Asn(7), Asn(1), LinkStability::stable())).unwrap();
-        t.freeze(); // mutation thawed the topology; compute needs CSR
+        t.freeze();
         let dest = t.idx(Asn(7)).unwrap();
         let src = t.idx(Asn(5)).unwrap();
         // 5→2→1→7 and 5→3→1→7 are both provider routes of length 3.

@@ -142,7 +142,6 @@ impl DemandTree {
         cone: &mut Vec<u32>,
         resolved: Option<Counter>,
     ) -> DemandTree {
-        assert!(topo.is_frozen(), "route trees require a frozen (CSR) topology");
         let mut routes = PagedRoutes::new(topo.n_ases());
         base_stages(topo, up, dest, &mut routes, cone);
         let depth = cone.last().map_or(0, |&m| usize::from(routes.read(m).len));

@@ -30,6 +30,7 @@ use crate::geo::{Country, Region};
 use crate::graph::Topology;
 use crate::hash::FxMap;
 use crate::links::{Link, LinkStability, Relationship};
+use crate::TopologyError;
 use std::io::{self, BufRead, Write};
 
 fn bad(line_no: usize, msg: &str) -> io::Error {
@@ -40,11 +41,14 @@ fn bad(line_no: usize, msg: &str) -> io::Error {
 ///
 /// Accepts `#` comments and blank lines anywhere. Errors on malformed
 /// lines, unknown relationship codes, self-edges, and duplicate
-/// unordered pairs.
+/// unordered pairs; every error names its file line, and a duplicate
+/// pair also names the line that listed the pair first, and whether it
+/// repeats that line's relationship or contradicts it.
 pub fn load_asrel2(r: impl BufRead) -> io::Result<Topology> {
-    // Pass 1: parse every edge; roles need global degree knowledge before
-    // any AS can be inserted.
+    // Pass 1: parse every edge, with its file line; roles need global
+    // degree knowledge before any AS can be inserted.
     let mut edges: Vec<(u32, u32, i8)> = Vec::new();
+    let mut edge_lines: Vec<usize> = Vec::new();
     for (i, line) in r.lines().enumerate() {
         let line = line?;
         let line_no = i + 1;
@@ -72,6 +76,7 @@ pub fn load_asrel2(r: impl BufRead) -> io::Result<Topology> {
             return Err(bad(line_no, "self edge"));
         }
         edges.push((a, b, rel));
+        edge_lines.push(line_no);
     }
 
     // Degree profile per ASN: (has_provider, has_customer).
@@ -107,6 +112,7 @@ pub fn load_asrel2(r: impl BufRead) -> io::Result<Topology> {
         })
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("as-rel2: {e}")))?;
     }
+    topo.reserve(0, edges.len());
     for (i, &(a, b, rel)) in edges.iter().enumerate() {
         let link = if rel == -1 {
             // a provider-of b: the Link orientation is customer → provider.
@@ -114,7 +120,20 @@ pub fn load_asrel2(r: impl BufRead) -> io::Result<Topology> {
         } else {
             Link::peering(Asn(a), Asn(b), LinkStability::stable())
         };
-        topo.add_link(link).map_err(|e| bad(i + 1, &format!("{e}")))?;
+        topo.add_link(link).map_err(|e| match e {
+            TopologyError::DuplicateLink(..) => {
+                // Only a pair listed on an earlier line is a duplicate.
+                let first = edges[..i]
+                    .iter()
+                    .position(|&(x, y, _)| (x, y) == (a, b) || (x, y) == (b, a))
+                    .expect("a duplicate pair was listed before");
+                let (x, y, r) = edges[first];
+                let same = r == rel && (rel == 0 || (x, y) == (a, b));
+                let how = if same { "repeats" } else { "contradicts" };
+                bad(edge_lines[i], &format!("{e}: {how} line {}", edge_lines[first]))
+            }
+            e => bad(edge_lines[i], &format!("{e}")),
+        })?;
     }
     topo.freeze();
     Ok(topo)
@@ -205,6 +224,32 @@ mod tests {
         write_asrel2(&a, &mut wa).unwrap();
         write_asrel2(&b, &mut wb).unwrap();
         assert_eq!(wa, wb);
+    }
+
+    #[test]
+    fn errors_name_file_lines_past_comments_and_blanks() {
+        let file = "\
+# as-rel2 header
+# <as0>|<as1>|<rel>
+1|2|-1
+
+1|3|-1
+# a comment between edges
+2|3|0
+
+3|2|0
+";
+        let err = load_asrel2(file.as_bytes()).unwrap_err().to_string();
+        assert_eq!(err, "as-rel2 line 9: duplicate link AS3-AS2: repeats line 7");
+        let file = "# header\n\n1|2|-1\n1|3|-1\n\n# flipped\n2|1|-1\n";
+        let err = load_asrel2(file.as_bytes()).unwrap_err().to_string();
+        assert_eq!(err, "as-rel2 line 7: duplicate link AS1-AS2: contradicts line 3");
+        let file = "# header\n1|2|-1\n\n2|1|0\n";
+        let err = load_asrel2(file.as_bytes()).unwrap_err().to_string();
+        assert_eq!(err, "as-rel2 line 4: duplicate link AS2-AS1: contradicts line 2");
+        let file = "# header\n\n1|2|-1\n# next\n7|7|0\n";
+        let err = load_asrel2(file.as_bytes()).unwrap_err().to_string();
+        assert_eq!(err, "as-rel2 line 5: self edge");
     }
 
     #[test]

@@ -688,12 +688,13 @@ pub fn generate(config: &WorldConfig) -> GeneratedWorld {
     }
 
     // --- Prefix allocation -------------------------------------------------
-    for info in topology.ases().to_vec() {
+    prefixes.reserve(topology.n_ases());
+    for &AsInfo { asn, role, .. } in topology.ases() {
         let n = rng.gen_range(config.prefixes_per_as.0..=config.prefixes_per_as.1).max(1);
         let mut ps = Vec::with_capacity(n);
         for _ in 0..n {
             // Transit networks announce bigger blocks.
-            let len = match info.role {
+            let len = match role {
                 AsRole::Tier1 => 14,
                 AsRole::NationalTransit => rng.gen_range(15..=17),
                 AsRole::RegionalIsp => rng.gen_range(17..=19),
@@ -701,7 +702,7 @@ pub fn generate(config: &WorldConfig) -> GeneratedWorld {
             };
             ps.push(alloc.alloc(len));
         }
-        prefixes.insert(info.asn, ps);
+        prefixes.insert(asn, ps);
     }
     let ip2as = Ip2AsDb::from_entries(
         prefixes.iter().flat_map(|(asn, ps)| ps.iter().map(move |p| (*p, *asn))),
@@ -736,6 +737,18 @@ fn generate_pa(config: &WorldConfig) -> GeneratedWorld {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let countries = geo::countries(config.n_countries);
     let mut topology = Topology::new(countries.clone());
+    // Every AS, and at most: the clique, two uplinks a transit, three a
+    // stub and two a hosting PoP, and the peering mesh.
+    let n_tier1 = config.n_tier1.max(2);
+    let max_pops = config.hosting_orgs * config.pops_per_org.1.max(config.pops_per_org.0.max(1));
+    topology.reserve(
+        n_tier1 + config.pa_transits + config.pa_stubs + max_pops,
+        n_tier1 * (n_tier1 - 1) / 2
+            + 2 * config.pa_transits
+            + 3 * config.pa_stubs
+            + 2 * max_pops
+            + config.pa_peering_links,
+    );
     let mut next_asn = 100u32;
     let mut alloc = PrefixAllocator::new();
     let mut prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = HashMap::new();
@@ -760,7 +773,7 @@ fn generate_pa(config: &WorldConfig) -> GeneratedWorld {
 
     // --- Tier-1 clique ---------------------------------------------------
     let mut tier1s: Vec<Asn> = Vec::new();
-    for i in 0..config.n_tier1.max(2) {
+    for i in 0..n_tier1 {
         let cc = countries[i % countries.len()].code;
         let asn = mk_asn(&mut rng);
         topology
@@ -933,11 +946,12 @@ fn generate_pa(config: &WorldConfig) -> GeneratedWorld {
     }
 
     // --- Prefixes ---------------------------------------------------------
-    for info in topology.ases().to_vec() {
+    prefixes.reserve(topology.n_ases());
+    for &AsInfo { asn, role, .. } in topology.ases() {
         let n = rng.gen_range(config.prefixes_per_as.0..=config.prefixes_per_as.1).max(1);
         let mut ps = Vec::with_capacity(n);
         for _ in 0..n {
-            let len = match info.role {
+            let len = match role {
                 AsRole::Tier1 => 14,
                 AsRole::NationalTransit => rng.gen_range(16..=18),
                 AsRole::RegionalIsp => rng.gen_range(17..=19),
@@ -945,7 +959,7 @@ fn generate_pa(config: &WorldConfig) -> GeneratedWorld {
             };
             ps.push(alloc.alloc(len));
         }
-        prefixes.insert(info.asn, ps);
+        prefixes.insert(asn, ps);
     }
     let ip2as = Ip2AsDb::from_entries(
         prefixes.iter().flat_map(|(asn, ps)| ps.iter().map(move |p| (*p, *asn))),

@@ -1,14 +1,17 @@
 //! The topology container: AS metadata, links, relationship-aware
 //! adjacency, and structural validation.
 //!
-//! Adjacency lives in one of two layouts. While a topology is being
-//! built (`add_as`/`add_link`) it is a per-AS `Vec<Vec<Adjacency>>` —
-//! cheap to append to, expensive to walk. [`Topology::freeze`] compacts
-//! it into CSR form (one flat `Adjacency` arena plus per-AS offsets) so
-//! the routing layer's BFS/Dijkstra passes stream contiguous memory
-//! instead of chasing one heap pointer per AS. Freezing is idempotent
-//! and transparent: every query works in either layout, and a mutation
-//! after freeze thaws back to the building layout automatically.
+//! A topology is built by appending: `add_as` records an AS and
+//! `add_link` a link with its two endpoint indices, while a set of the
+//! linked pairs catches duplicates. Adjacency has one layout, a
+//! kind-grouped CSR — one flat `Adjacency` arena plus per-AS offsets,
+//! each AS's run holding its providers, then its peers, then its
+//! customers, each in link-id order — so the routing layer's passes
+//! stream contiguous memory and walk exactly the edge kind they
+//! propagate. It is made from the link list by a counting sort, either
+//! by [`Topology::freeze`] (which also drops the pair set) or by the
+//! first query after a mutation; a mutation drops it. An `add_link`
+//! after a freeze rebuilds the pair set from the link list, once.
 
 use crate::asys::{AsInfo, AsRole, Asn};
 use crate::geo::{Country, CountryCode};
@@ -16,6 +19,8 @@ use crate::hash::{FxMap, FxSet};
 use crate::links::{Link, LinkId, Relationship};
 use crate::TopologyError;
 use serde::{Deserialize, Serialize};
+use std::mem::size_of;
+use std::sync::OnceLock;
 
 /// Dense index of an AS inside a [`Topology`] (stable for the lifetime of
 /// the topology; used by the routing simulator for array-indexed state).
@@ -42,6 +47,25 @@ pub enum EdgeKind {
     ToPeer,
 }
 
+impl EdgeKind {
+    /// The kinds of a link's entries at its `a` and `b` ends.
+    fn of(rel: Relationship) -> (EdgeKind, EdgeKind) {
+        match rel {
+            Relationship::CustomerToProvider => (EdgeKind::ToProvider, EdgeKind::ToCustomer),
+            Relationship::PeerToPeer => (EdgeKind::ToPeer, EdgeKind::ToPeer),
+        }
+    }
+
+    /// Position of this kind's run inside an AS's adjacency.
+    fn run(self) -> usize {
+        match self {
+            EdgeKind::ToProvider => 0,
+            EdgeKind::ToPeer => 1,
+            EdgeKind::ToCustomer => 2,
+        }
+    }
+}
+
 /// One adjacency entry: neighbour, the link it rides on, and its kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Adjacency {
@@ -53,41 +77,122 @@ pub struct Adjacency {
     pub kind: EdgeKind,
 }
 
-/// Adjacency storage: append-friendly while building, CSR once frozen.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum AdjStore {
-    /// One growable list per AS.
-    Building(Vec<Vec<Adjacency>>),
-    /// Compressed sparse row: AS `i`'s neighbours are
-    /// `flat[off[i]..off[i + 1]]`, grouped by kind — providers first,
-    /// then peers, then customers (insertion order within each kind) —
-    /// so the routing passes can walk exactly the edge kind they need:
-    /// providers are `flat[off[i]..prov_end[i]]`, peers
-    /// `flat[prov_end[i]..peer_end[i]]`, customers
-    /// `flat[peer_end[i]..off[i + 1]]`.
-    Csr {
-        /// Per-AS start offsets into `flat`, plus the terminal length.
-        off: Vec<u32>,
-        /// Per-AS end of the provider run (= start of the peer run).
-        prov_end: Vec<u32>,
-        /// Per-AS end of the peer run (= start of the customer run).
-        peer_end: Vec<u32>,
-        /// All adjacency entries, grouped by owning AS, then by kind.
-        flat: Vec<Adjacency>,
-    },
+/// `count` as a `u32` index or offset, or [`TopologyError::TooMany`].
+fn checked_u32(count: usize, what: &'static str) -> Result<u32, TopologyError> {
+    u32::try_from(count).map_err(|_| TopologyError::TooMany { what, count })
+}
+
+/// The CSR's length for `links` links: two entries a link, as a `u32`
+/// offset.
+fn csr_len(links: usize) -> Result<u32, TopologyError> {
+    checked_u32(links.saturating_mul(2), "adjacency entries")
+}
+
+/// Compressed sparse row adjacency: AS `i`'s neighbours are
+/// `flat[off[i]..off[i + 1]]` — providers `flat[off[i]..prov_end[i]]`,
+/// peers `flat[prov_end[i]..peer_end[i]]`, customers
+/// `flat[peer_end[i]..off[i + 1]]` — each run in link-id order.
+#[derive(Debug, Clone)]
+struct Csr {
+    /// Per-AS start offsets into `flat`, plus the terminal length.
+    off: Vec<u32>,
+    /// Per-AS end of the provider run (= start of the peer run).
+    prov_end: Vec<u32>,
+    /// Per-AS end of the peer run (= start of the customer run).
+    peer_end: Vec<u32>,
+    /// All adjacency entries, grouped by owning AS, then by kind.
+    flat: Vec<Adjacency>,
+}
+
+impl Csr {
+    /// Counting sort of the link list: count each AS's entries of each
+    /// kind, turn the counts into run starts, then drop every link into
+    /// its two endpoints' runs in link-id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two entries a link do not fit a `u32` offset.
+    fn build(n_ases: usize, links: &[Link], ends: &[(AsIdx, AsIdx)]) -> Csr {
+        let total = csr_len(links.len()).unwrap_or_else(|e| panic!("cannot build the CSR: {e}"));
+        // Per AS and run: first the entry count, then the write cursor.
+        let mut at = vec![[0u32; 3]; n_ases];
+        for (l, &(a, b)) in links.iter().zip(ends) {
+            let (ka, kb) = EdgeKind::of(l.rel);
+            at[a.usize()][ka.run()] += 1;
+            at[b.usize()][kb.run()] += 1;
+        }
+        let mut off = Vec::with_capacity(n_ases + 1);
+        let mut prov_end = Vec::with_capacity(n_ases);
+        let mut peer_end = Vec::with_capacity(n_ases);
+        let mut next = 0u32;
+        for runs in &mut at {
+            off.push(next);
+            for r in runs.iter_mut() {
+                let len = *r;
+                *r = next;
+                next += len;
+            }
+            prov_end.push(runs[1]);
+            peer_end.push(runs[2]);
+        }
+        off.push(next);
+        debug_assert_eq!(next, total);
+        let blank = Adjacency { peer: AsIdx(0), link: LinkId(0), kind: EdgeKind::ToPeer };
+        let mut flat = vec![blank; total as usize];
+        for (id, (l, &(a, b))) in links.iter().zip(ends).enumerate() {
+            let link = LinkId(id as u32);
+            let (ka, kb) = EdgeKind::of(l.rel);
+            for (owner, peer, kind) in [(a, b, ka), (b, a, kb)] {
+                let slot = &mut at[owner.usize()][kind.run()];
+                flat[*slot as usize] = Adjacency { peer, link, kind };
+                *slot += 1;
+            }
+        }
+        Csr { off, prov_end, peer_end, flat }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.off)
+            + vec_bytes(&self.prov_end)
+            + vec_bytes(&self.peer_end)
+            + vec_bytes(&self.flat)
+    }
+}
+
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * size_of::<T>()
+}
+
+/// What a std hash table of `capacity` holds on the heap: a slot and a
+/// control byte per bucket (a power of two, at most 7/8 full), plus one
+/// group of trailing control bytes.
+fn table_bytes(capacity: usize, slot: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = if capacity < 7 { capacity + 1 } else { capacity * 8 / 7 }.next_power_of_two();
+    buckets * (slot + 1) + 16
+}
+
+/// The duplicate-pair key of a link between `a` and `b`: the unordered
+/// index pair, low index in the high half.
+fn pair_key(a: AsIdx, b: AsIdx) -> u64 {
+    (u64::from(a.0.min(b.0)) << 32) | u64::from(a.0.max(b.0))
 }
 
 /// An AS-level topology: the synthetic Internet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     ases: Vec<AsInfo>,
     asn_to_idx: FxMap<Asn, AsIdx>,
     links: Vec<Link>,
-    adj: AdjStore,
-    /// Normalized (low, high) index pairs of existing links, for O(1)
-    /// duplicate detection (`add_link` used to scan the endpoint's whole
-    /// adjacency list, which is quadratic on high-degree tier-1s).
-    link_keys: FxSet<(u32, u32)>,
+    /// Each link's endpoint indices `(a, b)`, in [`LinkId`] order.
+    ends: Vec<(AsIdx, AsIdx)>,
+    /// The adjacency, built from `links` on first use after a mutation.
+    csr: OnceLock<Csr>,
+    /// [`pair_key`]s of the links, for O(1) duplicate detection while
+    /// links are being added; `None` once frozen.
+    link_keys: Option<FxSet<u64>>,
     countries: Vec<Country>,
     country_idx: FxMap<CountryCode, usize>,
 }
@@ -101,8 +206,9 @@ impl Topology {
             ases: Vec::new(),
             asn_to_idx: FxMap::default(),
             links: Vec::new(),
-            adj: AdjStore::Building(Vec::new()),
-            link_keys: FxSet::default(),
+            ends: Vec::new(),
+            csr: OnceLock::new(),
+            link_keys: None,
             countries,
             country_idx,
         }
@@ -138,92 +244,88 @@ impl Topology {
         self.country_idx.get(&code).map(|&i| &self.countries[i])
     }
 
-    /// Add an AS. Errors on duplicate ASN.
+    /// Add an AS. Errors on a duplicate ASN, and past `u32::MAX` ASes.
     pub fn add_as(&mut self, info: AsInfo) -> Result<AsIdx, TopologyError> {
         if self.asn_to_idx.contains_key(&info.asn) {
             return Err(TopologyError::DuplicateAsn(info.asn));
         }
-        let idx = AsIdx(self.ases.len() as u32);
+        let idx = AsIdx(checked_u32(self.ases.len(), "ASes")?);
         self.asn_to_idx.insert(info.asn, idx);
         self.ases.push(info);
-        self.thaw();
-        match &mut self.adj {
-            AdjStore::Building(lists) => lists.push(Vec::new()),
-            AdjStore::Csr { .. } => unreachable!("thawed above"),
-        }
+        self.csr.take();
         Ok(idx)
     }
 
-    /// Add a link. Errors on unknown endpoints, self-links, and duplicate
-    /// unordered pairs.
+    /// Add a link. Errors on unknown endpoints, self-links, duplicate
+    /// unordered pairs, and past `u32::MAX` links.
     pub fn add_link(&mut self, link: Link) -> Result<LinkId, TopologyError> {
         if link.a == link.b {
             return Err(TopologyError::SelfLink(link.a));
         }
         let ia = self.idx(link.a).ok_or(TopologyError::UnknownAsn(link.a))?;
         let ib = self.idx(link.b).ok_or(TopologyError::UnknownAsn(link.b))?;
-        if !self.link_keys.insert((ia.0.min(ib.0), ia.0.max(ib.0))) {
+        let id = LinkId(checked_u32(self.links.len(), "links")?);
+        if !self.pair_set().insert(pair_key(ia, ib)) {
             return Err(TopologyError::DuplicateLink(link.a, link.b));
         }
-        let id = LinkId(self.links.len() as u32);
-        let (kind_a, kind_b) = match link.rel {
-            Relationship::CustomerToProvider => (EdgeKind::ToProvider, EdgeKind::ToCustomer),
-            Relationship::PeerToPeer => (EdgeKind::ToPeer, EdgeKind::ToPeer),
-        };
-        self.thaw();
-        match &mut self.adj {
-            AdjStore::Building(lists) => {
-                lists[ia.usize()].push(Adjacency { peer: ib, link: id, kind: kind_a });
-                lists[ib.usize()].push(Adjacency { peer: ia, link: id, kind: kind_b });
-            }
-            AdjStore::Csr { .. } => unreachable!("thawed above"),
-        }
+        self.csr.take();
         self.links.push(link);
+        self.ends.push((ia, ib));
         Ok(id)
     }
 
-    /// Compact adjacency into CSR form. Idempotent; call once the graph
-    /// is fully built (the generator and AS-REL2 loader do). Queries work
-    /// either way, but the routing layer's tree computation is
-    /// substantially faster over the frozen layout.
+    /// Room for `ases` more ASes and `links` more links, so a builder
+    /// that knows its size fills each table without regrowing it.
+    pub fn reserve(&mut self, ases: usize, links: usize) {
+        self.ases.reserve(ases);
+        self.asn_to_idx.reserve(ases);
+        self.links.reserve(links);
+        self.ends.reserve(links);
+        self.pair_set().reserve(links);
+    }
+
+    /// The duplicate-pair set, rebuilt from the link list if a freeze
+    /// dropped it.
+    fn pair_set(&mut self) -> &mut FxSet<u64> {
+        let ends = &self.ends;
+        self.link_keys.get_or_insert_with(|| ends.iter().map(|&(a, b)| pair_key(a, b)).collect())
+    }
+
+    /// Build the CSR adjacency, if no query has since the last mutation,
+    /// drop the duplicate-pair set and give back what the link tables
+    /// reserved past their length. Idempotent; call once the graph is
+    /// fully built (the generator and the AS-REL2 loader do).
     pub fn freeze(&mut self) {
-        if let AdjStore::Building(lists) = &self.adj {
-            let total: usize = lists.iter().map(Vec::len).sum();
-            let mut off = Vec::with_capacity(lists.len() + 1);
-            let mut prov_end = Vec::with_capacity(lists.len());
-            let mut peer_end = Vec::with_capacity(lists.len());
-            let mut flat = Vec::with_capacity(total);
-            off.push(0u32);
-            for list in lists {
-                // Group each AS's run by kind (stable within a kind), so
-                // routing stages can walk only the kind they propagate.
-                flat.extend(list.iter().filter(|a| a.kind == EdgeKind::ToProvider));
-                prov_end.push(flat.len() as u32);
-                flat.extend(list.iter().filter(|a| a.kind == EdgeKind::ToPeer));
-                peer_end.push(flat.len() as u32);
-                flat.extend(list.iter().filter(|a| a.kind == EdgeKind::ToCustomer));
-                off.push(flat.len() as u32);
-            }
-            self.adj = AdjStore::Csr { off, prov_end, peer_end, flat };
-        }
+        self.link_keys = None;
+        self.links.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.csr();
     }
 
-    /// Whether adjacency is in frozen (CSR) form.
+    /// Whether the CSR adjacency is built: by [`freeze`](Self::freeze),
+    /// or by a query since the last mutation.
     pub fn is_frozen(&self) -> bool {
-        matches!(self.adj, AdjStore::Csr { .. })
+        self.csr.get().is_some()
     }
 
-    /// Inverse of [`freeze`](Self::freeze): back to per-AS lists so
-    /// mutation can append. No-op while building.
-    fn thaw(&mut self) {
-        if let AdjStore::Csr { off, flat, .. } = &self.adj {
-            let n = off.len().saturating_sub(1);
-            let mut lists = Vec::with_capacity(n);
-            for i in 0..n {
-                lists.push(flat[off[i] as usize..off[i + 1] as usize].to_vec());
-            }
-            self.adj = AdjStore::Building(lists);
-        }
+    #[inline]
+    fn csr(&self) -> &Csr {
+        self.csr.get_or_init(|| Csr::build(self.ases.len(), &self.links, &self.ends))
+    }
+
+    /// Bytes held on the heap: the AS table (names included), the links
+    /// and their endpoint indices, the CSR once built, the ASN index, and
+    /// the duplicate-pair set while it exists. Hash tables are counted by
+    /// their bucket arrays; the country table (a few KB) is left out.
+    pub fn heap_bytes(&self) -> usize {
+        let names: usize = self.ases.iter().map(|a| a.name.capacity()).sum();
+        vec_bytes(&self.ases)
+            + names
+            + vec_bytes(&self.links)
+            + vec_bytes(&self.ends)
+            + self.csr.get().map_or(0, Csr::heap_bytes)
+            + table_bytes(self.asn_to_idx.capacity(), size_of::<(Asn, AsIdx)>())
+            + self.link_keys.as_ref().map_or(0, |k| table_bytes(k.capacity(), size_of::<u64>()))
     }
 
     /// Dense index for an ASN.
@@ -251,77 +353,55 @@ impl Topology {
         &self.links[id.0 as usize]
     }
 
-    /// Adjacency list of an AS. While building, entries are in insertion
-    /// order; once [frozen](Self::freeze) they are grouped by kind
-    /// (providers, then peers, then customers).
+    /// Adjacency list of an AS: its providers, then its peers, then its
+    /// customers, each in link-id order.
     #[inline]
     pub fn neighbors(&self, idx: AsIdx) -> &[Adjacency] {
-        match &self.adj {
-            AdjStore::Building(lists) => &lists[idx.usize()],
-            AdjStore::Csr { off, flat, .. } => {
-                let i = idx.usize();
-                &flat[off[i] as usize..off[i + 1] as usize]
-            }
-        }
+        let c = self.csr();
+        let i = idx.usize();
+        &c.flat[c.off[i] as usize..c.off[i + 1] as usize]
     }
 
-    /// The provider run of a frozen AS's adjacency — only the
-    /// `ToProvider` entries, contiguous.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the topology is [frozen](Self::freeze); the routing
-    /// hot path is CSR-only by design.
+    /// The provider run of an AS's adjacency — only the `ToProvider`
+    /// entries, contiguous.
     #[inline]
     pub fn provider_edges(&self, idx: AsIdx) -> &[Adjacency] {
-        match &self.adj {
-            AdjStore::Building(_) => panic!("provider_edges requires a frozen topology"),
-            AdjStore::Csr { off, prov_end, flat, .. } => {
-                let i = idx.usize();
-                &flat[off[i] as usize..prov_end[i] as usize]
-            }
-        }
+        let c = self.csr();
+        let i = idx.usize();
+        &c.flat[c.off[i] as usize..c.prov_end[i] as usize]
     }
 
-    /// The peer run of a frozen AS's adjacency (see
+    /// The peer run of an AS's adjacency (see
     /// [`provider_edges`](Self::provider_edges)).
     #[inline]
     pub fn peer_edges(&self, idx: AsIdx) -> &[Adjacency] {
-        match &self.adj {
-            AdjStore::Building(_) => panic!("peer_edges requires a frozen topology"),
-            AdjStore::Csr { prov_end, peer_end, flat, .. } => {
-                let i = idx.usize();
-                &flat[prov_end[i] as usize..peer_end[i] as usize]
-            }
-        }
+        let c = self.csr();
+        let i = idx.usize();
+        &c.flat[c.prov_end[i] as usize..c.peer_end[i] as usize]
     }
 
-    /// The customer run of a frozen AS's adjacency (see
+    /// The customer run of an AS's adjacency (see
     /// [`provider_edges`](Self::provider_edges)).
     #[inline]
     pub fn customer_edges(&self, idx: AsIdx) -> &[Adjacency] {
-        match &self.adj {
-            AdjStore::Building(_) => panic!("customer_edges requires a frozen topology"),
-            AdjStore::Csr { off, peer_end, flat, .. } => {
-                let i = idx.usize();
-                &flat[peer_end[i] as usize..off[i + 1] as usize]
-            }
-        }
+        let c = self.csr();
+        let i = idx.usize();
+        &c.flat[c.peer_end[i] as usize..c.off[i + 1] as usize]
     }
 
     /// The providers of an AS.
     pub fn providers(&self, idx: AsIdx) -> impl Iterator<Item = AsIdx> + '_ {
-        self.neighbors(idx).iter().filter(|a| a.kind == EdgeKind::ToProvider).map(|a| a.peer)
+        self.provider_edges(idx).iter().map(|a| a.peer)
     }
 
     /// The customers of an AS.
     pub fn customers(&self, idx: AsIdx) -> impl Iterator<Item = AsIdx> + '_ {
-        self.neighbors(idx).iter().filter(|a| a.kind == EdgeKind::ToCustomer).map(|a| a.peer)
+        self.customer_edges(idx).iter().map(|a| a.peer)
     }
 
     /// The peers of an AS.
     pub fn peers(&self, idx: AsIdx) -> impl Iterator<Item = AsIdx> + '_ {
-        self.neighbors(idx).iter().filter(|a| a.kind == EdgeKind::ToPeer).map(|a| a.peer)
+        self.peer_edges(idx).iter().map(|a| a.peer)
     }
 
     /// Indices of all ASes satisfying a predicate.
@@ -355,9 +435,8 @@ impl Topology {
     }
 
     fn check_provider_dag(&self) -> Result<(), TopologyError> {
-        // Iterative DFS three-colour cycle detection over provider edges.
-        // The cursor indexes the full adjacency slice (skipping non-provider
-        // entries inline) so no per-visit provider list is materialized.
+        // Iterative DFS three-colour cycle detection over provider edges;
+        // the cursor indexes the node's provider run.
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
@@ -367,19 +446,14 @@ impl Topology {
             if color[start] != WHITE {
                 continue;
             }
-            // stack of (node, next-adjacency-cursor)
+            // stack of (node, next-provider cursor)
             let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
             color[start] = GRAY;
             while let Some(top) = stack.len().checked_sub(1) {
                 let (node, cursor) = stack[top];
-                let neigh = self.neighbors(AsIdx(node as u32));
-                let mut c = cursor;
-                while c < neigh.len() && neigh[c].kind != EdgeKind::ToProvider {
-                    c += 1;
-                }
-                if c < neigh.len() {
-                    stack[top].1 = c + 1;
-                    let next = neigh[c].peer.usize();
+                if let Some(up) = self.provider_edges(AsIdx(node as u32)).get(cursor) {
+                    stack[top].1 = cursor + 1;
+                    let next = up.peer.usize();
                     match color[next] {
                         WHITE => {
                             color[next] = GRAY;
@@ -403,12 +477,7 @@ impl Topology {
         // Every non-tier-1 AS must transitively reach a tier-1 via providers.
         let n = self.n_ases();
         // reach[i] = true if i reaches tier1 via provider edges.
-        let mut reach = vec![false; n];
-        for (i, info) in self.ases.iter().enumerate() {
-            if info.role == AsRole::Tier1 {
-                reach[i] = true;
-            }
-        }
+        let mut reach: Vec<bool> = self.ases.iter().map(|info| info.role == AsRole::Tier1).collect();
         // Fixed-point: propagate down customer edges (provider reach implies
         // customer reach). Iterate until stable; the provider DAG bounds the
         // iteration count by the hierarchy depth.
@@ -419,7 +488,8 @@ impl Topology {
                 if reach[i] {
                     continue;
                 }
-                if self.providers(AsIdx(i as u32)).any(|p| reach[p.usize()]) {
+                let provs = self.provider_edges(AsIdx(i as u32));
+                if provs.iter().any(|p| reach[p.peer.usize()]) {
                     reach[i] = true;
                     changed = true;
                 }
@@ -509,22 +579,17 @@ mod tests {
     #[test]
     fn freeze_preserves_queries_and_validation() {
         let mut t = tiny();
+        assert!(!t.is_frozen());
         let before: Vec<Vec<Adjacency>> =
             (0..t.n_ases()).map(|i| t.neighbors(AsIdx(i as u32)).to_vec()).collect();
-        assert!(!t.is_frozen());
+        assert!(t.is_frozen(), "a query builds the CSR");
         t.freeze();
         assert!(t.is_frozen());
         t.freeze(); // idempotent
         for (i, want) in before.iter().enumerate() {
             let idx = AsIdx(i as u32);
-            // Freezing groups each run by kind; the entry *set* is intact.
-            let mut got = t.neighbors(idx).to_vec();
-            let mut want = want.clone();
-            let key = |a: &Adjacency| (a.kind as u8, a.peer.0, a.link.0);
-            got.sort_by_key(key);
-            want.sort_by_key(key);
-            assert_eq!(got, want);
-            // And the kind slices partition the run in grouped order.
+            assert_eq!(t.neighbors(idx), &want[..]);
+            // The kind slices partition the run in grouped order.
             let run = t.neighbors(idx);
             let (p, r, c) =
                 (t.provider_edges(idx), t.peer_edges(idx), t.customer_edges(idx));
@@ -537,6 +602,52 @@ mod tests {
             assert_eq!(run[p.len() + r.len()..], *c);
         }
         assert!(t.validate().is_ok());
+    }
+
+    #[test]
+    fn freezing_releases_the_pair_set() {
+        let mut t = tiny();
+        let keys = t.link_keys.as_ref().expect("adding links builds the pair set");
+        let key_bytes = table_bytes(keys.capacity(), size_of::<u64>());
+        assert!(key_bytes > 0);
+        let building = t.heap_bytes();
+        t.freeze();
+        assert!(t.link_keys.is_none());
+        let csr_bytes = t.csr.get().map_or(0, Csr::heap_bytes);
+        assert!(csr_bytes > 0);
+        assert_eq!(t.heap_bytes(), building - key_bytes + csr_bytes);
+        // A query does not bring it back; only the next `add_link` does,
+        // rebuilt from the link list, so duplicates are still caught.
+        assert!(t.validate().is_ok());
+        assert!(t.link_keys.is_none());
+        assert_eq!(
+            t.add_link(Link::peering(Asn(4), Asn(2), LinkStability::stable())),
+            Err(TopologyError::DuplicateLink(Asn(4), Asn(2)))
+        );
+        assert_eq!(t.link_keys.as_ref().map(FxSet::len), Some(t.n_links()));
+        assert!(t.is_frozen(), "a rejected link changes nothing");
+    }
+
+    #[test]
+    fn widths_are_checked_at_the_u32_boundary() {
+        let max = u32::MAX as usize;
+        assert_eq!(checked_u32(max, "links"), Ok(u32::MAX));
+        assert_eq!(
+            checked_u32(max + 1, "links"),
+            Err(TopologyError::TooMany { what: "links", count: max + 1 })
+        );
+        // Two CSR entries a link: the last link count that fits, the first
+        // that does not, and one whose doubling would overflow `usize`.
+        assert_eq!(csr_len(max / 2), Ok(u32::MAX - 1));
+        assert_eq!(
+            csr_len(max / 2 + 1),
+            Err(TopologyError::TooMany { what: "adjacency entries", count: max + 1 })
+        );
+        assert!(matches!(csr_len(usize::MAX), Err(TopologyError::TooMany { .. })));
+        assert_eq!(
+            checked_u32(max + 1, "ASes").unwrap_err().to_string(),
+            format!("{} ASes do not fit a u32 index", max + 1)
+        );
     }
 
     #[test]

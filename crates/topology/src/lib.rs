@@ -15,7 +15,8 @@
 //!   peer-to-peer, following Gao–Rexford) and per-link stability
 //!   parameters that later drive BGP path churn.
 //! * [`graph`] — the topology container with relationship-aware adjacency
-//!   queries (CSR-frozen for routing) and structural validation.
+//!   queries (one kind-grouped CSR, built from the link list at freeze)
+//!   and structural validation.
 //! * [`asrel`] — CAIDA AS-REL2 edge-list loader/writer, so worlds can be
 //!   swapped with the real inferred AS graph or exported to it.
 //! * [`hash`] — the fast integer-key hasher shared by the hot maps, and
@@ -73,6 +74,14 @@ pub enum TopologyError {
     PrefixConflict(Ipv4Prefix),
     /// Invalid prefix length (> 32).
     BadPrefixLen(u8),
+    /// `count` items of a kind (ASes, links, adjacency entries) do not
+    /// fit the `u32` indices and offsets they are stored under.
+    TooMany {
+        /// What was counted.
+        what: &'static str,
+        /// How many there would be.
+        count: usize,
+    },
 }
 
 impl std::fmt::Display for TopologyError {
@@ -86,6 +95,9 @@ impl std::fmt::Display for TopologyError {
             TopologyError::Disconnected(a) => write!(f, "{a} is disconnected from the core"),
             TopologyError::PrefixConflict(p) => write!(f, "prefix {p} allocated twice"),
             TopologyError::BadPrefixLen(l) => write!(f, "bad prefix length /{l}"),
+            TopologyError::TooMany { what, count } => {
+                write!(f, "{count} {what} do not fit a u32 index")
+            }
         }
     }
 }
