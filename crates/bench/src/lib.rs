@@ -11,7 +11,7 @@
 //! | `campaign` | [`campaignbench`] | fused sim→engine throughput; regression and scaling gates |
 //! | `replay` | [`replaybench`] | JSONL export / replay, verify, checkpoint and resume |
 //! | `longhaul` | [`longhaul`] | 100M-measurement streaming; RSS plateau gate |
-//! | `route` | [`routebench`] | route-tree compute and queries; speedup and zero-alloc gates |
+//! | `route` | [`routebench`] | cached path lookups vs full route trees; speedup and zero-alloc gates |
 //! | `intern` | [`internbench`] | path interning; speedup gate |
 //!
 //! Every subcommand declares its flags as a table over the one parser in

@@ -258,16 +258,21 @@ fn render(root: &Path) -> String {
 
     let route: RouteBenchReport = parse(root, "BENCH_route.json");
     let src = source(root, "BENCH_route.json", "bench route");
-    writeln!(s, "**Routing.** {src}: route trees, seed {}, best of {}:\n", route.seed, route.repeats).unwrap();
+    writeln!(
+        s,
+        "**Routing.** {src}: path lookups through the simulator's cached trees and off full \
+         route trees, seed {}, best of {}:\n",
+        route.seed, route.repeats
+    )
+    .unwrap();
     let rows = route.rows.iter().map(|r| {
         vec![
             r.scale.clone(),
             count(r.n_ases as f64),
             count(r.n_links as f64),
-            count(r.reference_trees_per_sec),
-            count(r.trees_per_sec),
-            times(r.speedup),
             count(r.paths_per_sec),
+            count(r.full_tree_paths_per_sec),
+            times(r.speedup),
             fixed(r.cache_hit_rate, 3),
             fixed(r.reachability, 4),
             count(r.peak_tree_bytes as f64),
@@ -278,10 +283,9 @@ fn render(root: &Path) -> String {
         "tier",
         "ASes",
         "links",
-        "reference trees/s",
-        "trees/s",
-        "speedup",
         "cached paths/s",
+        "full-tree paths/s",
+        "speedup",
         "cache hit rate",
         "reachability",
         "largest cached tree bytes",

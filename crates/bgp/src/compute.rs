@@ -10,61 +10,64 @@
 //! 2. **peer routes** — one peering hop off any AS holding a customer
 //!    route (peer-learned routes are only exported to customers, so at
 //!    most one peer edge appears, and only at the top of the path);
-//! 3. **provider routes** — Dijkstra descending customer edges, where each
-//!    AS advertises its *selected* route (class preference first: an AS
-//!    with a customer route advertises that one even when a shorter
-//!    provider route exists).
+//! 3. **provider routes** — the least solution of `len[m] = 1 + min
+//!    len[p]` over `m`'s live providers `p`, where each AS advertises its
+//!    *selected* route (class preference first: an AS with a customer
+//!    route advertises that one even when a shorter provider route
+//!    exists).
 //!
 //! Selection: customer > peer > provider, then shortest AS path, then a
 //! **salted tiebreak** over the next-hop ASN. The salt comes from the
 //! churn timeline's TE-shift process, so equal-cost choices drift over
 //! time exactly like hot-potato routing does.
 //!
-//! ## Internet-scale layout
+//! ## One resolution, two tables
 //!
-//! At CAIDA scale (~80k ASes, ~700k edges) a study asks for a tree per
-//! (destination, epoch) but reads a few hundred of its routes, so the
-//! simulator caches demand-driven trees (`crate::demand`) — stages 1–2 built
-//! eagerly from the destination's provider cone, the provider stage and
-//! next hops resolved for the ASes a lookup walks through. This module
-//! holds what both tree forms share (the packed route, stages 1–2,
-//! provider next-hop selection, the path walk) and the full
-//! closure-driven tree, which benches and the differential suites hold
-//! the demand-driven one against:
+//! A study asks for a tree per (destination, epoch) but reads a few
+//! hundred of its routes, so the simulator caches demand-driven trees
+//! (`crate::demand`): stages 1–2 built eagerly, stage 3 and the next hop
+//! resolved for an AS when a lookup first walks through it. That
+//! resolution (`Resolver::route`) is the only one: the full
+//! [`RouteTree::compute_into`] runs stages 1–2 and asks it about every
+//! AS. `crate::reference` shares none of this code and is the oracle both
+//! tree forms are held against.
 //!
-//! * [`SelectedRoute`] is packed to 8 bytes (`u32` next hop, `u16`
-//!   length, class byte) and the route table doubles as every stage's
-//!   working state — an AS's advertised length *is* its route's length.
-//!   The stages read and write it through `RouteTable`, so one algorithm
-//!   runs over two kinds of storage: the full tree's dense slice — the
-//!   only ~500 KB table at Huge, one cache line per AS a stage touches —
-//!   and a demand tree's paged memo, which holds only the 8-AS blocks its
-//!   lookups wrote;
-//! * what else a tree needs lives in a caller-owned [`TreeScratch`] that
-//!   [`RouteTree::compute_into`] reuses — after the first tree no
-//!   allocation happens as long as the world doesn't grow;
-//! * the link-state closure is sampled **once per link** into a bitmap
-//!   and the salt closure **once per routed AS**, instead of a
-//!   dyn-dispatched binary search per edge visit;
+//! * [`SelectedRoute`] is packed to 8 bytes and doubles as every stage's
+//!   working state, read and written through `RouteTable`: a dense slice
+//!   in the full tree, a paged memo in a demand tree. A length reaching
+//!   the `u16`'s last value, which marks no route, panics;
+//! * a full tree's other buffers live in a caller-owned [`TreeScratch`],
+//!   so after the first tree it allocates nothing; the link-state closure
+//!   is sampled once per link into a bitmap, the salt once per routed AS;
 //! * the peer stage is pushed from the provider cone over its members'
-//!   peer edges — peering adjacency is symmetric on one `LinkId`, so this
-//!   equals every AS pulling from its peers at a fraction of the visits.
+//!   peer edges (peering is symmetric on one `LinkId`);
+//! * stage 3 for an AS is the least solution restricted to its closure of
+//!   live providers without a customer or peer route — a shortest descent
+//!   into it passes only such ASes — found by relaxing down from no
+//!   route, which reaches it on any graph, provider cycles included;
+//! * a customer (peer) next hop is picked among the cone members one hop
+//!   shorter with a live provider (peer) edge to the AS — the cone is in
+//!   BFS order with each length's offset — not from the AS's own list
+//!   (thousands of edges at a tier-1). The key `mix64(salt ^ asn)` is a
+//!   bijection of the ASN, so the pick does not depend on the list
+//!   scanned.
 
 use crate::churn::LinkCursor;
 use crate::policy::RouteClass;
+use churnlab_obs::Counter;
 use churnlab_topology::{AsIdx, Asn, LinkId, Topology};
 
-pub(crate) const INF: u16 = u16::MAX;
-pub(crate) const NO_NEXT: u32 = u32::MAX;
+const INF: u16 = u16::MAX;
+const NO_NEXT: u32 = u32::MAX;
 /// `next` of a routed AS whose next hop is not selected yet.
-pub(crate) const NEXT_PENDING: u32 = NO_NEXT - 1;
+const NEXT_PENDING: u32 = NO_NEXT - 1;
 
-pub(crate) const CUSTOMER: u8 = 0;
+const CUSTOMER: u8 = 0;
 const PEER: u8 = 1;
 pub(crate) const PROVIDER: u8 = 2;
-/// `class` of an AS a demand-driven tree resolved to have no route at all
-/// (its `len` stays [`INF`], like an AS nobody asked about).
-pub(crate) const NO_ROUTE: u8 = 3;
+/// `class` of an AS resolved to have no route at all (its `len` stays
+/// [`INF`], like an AS nobody asked about).
+const NO_ROUTE: u8 = 3;
 
 /// The route an AS selected toward the tree's destination, packed into
 /// 8 bytes. Unreachable nodes hold a sentinel (`len() == u16::MAX`
@@ -91,6 +94,17 @@ impl SelectedRoute {
     #[inline]
     pub(crate) fn reachable(self) -> bool {
         self.len != INF
+    }
+
+    /// The length, `u32::MAX` without a route: what a candidate one hop
+    /// longer than some route is compared with.
+    #[inline]
+    fn dist(self) -> u32 {
+        if self.reachable() {
+            u32::from(self.len)
+        } else {
+            u32::MAX
+        }
     }
 
     /// Holds a customer route, i.e. sits in the destination's provider
@@ -126,23 +140,44 @@ impl SelectedRoute {
     }
 }
 
+/// `len` as a packed route length. Panics ([`too_long`]) if it reaches
+/// [`INF`], the `u16` value that means no route: such a route would read
+/// as unrouted and the next hop onto it would wrap.
+#[inline]
+fn fit(len: u32) -> u16 {
+    if len >= u32::from(INF) {
+        too_long();
+    }
+    len as u16
+}
+
+/// A length is one hop past a stored one, so the first too long is [`INF`].
+#[cold]
+fn too_long() -> ! {
+    panic!(
+        "a route of {INF} AS hops does not fit SelectedRoute's u16 length (at most {} hops)",
+        INF - 1
+    )
+}
+
 /// Reusable per-thread working state for tree computation.
 ///
-/// Holds the provider-cone worklist, the bucket queue and the link-state
-/// bitmap of [`RouteTree::compute_into`], plus the link-state cursor the
-/// simulator's demand-driven trees are built from. All buffers grow to
-/// the world's size on first use and are then recycled: in steady state
-/// a full tree computation performs **zero** heap allocations (the
-/// `route_bench` binary asserts this with a counting allocator).
+/// Holds the provider cone and its length offsets, the provider-stage
+/// worklist and the link-state bitmap of [`RouteTree::compute_into`],
+/// plus the link-state cursor the simulator's demand-driven trees are
+/// built from. All buffers grow to the world's size on first use and are
+/// then recycled: in steady state a full tree computation performs
+/// **zero** heap allocations (`bench route --max-steady-allocs 0` checks
+/// this with a counting allocator).
 #[derive(Debug, Default)]
 pub struct TreeScratch {
     /// The destination's provider cone in BFS order (stage 1's queue,
     /// stage 2's source set).
     pub(crate) cone: Vec<u32>,
-    /// Dial's bucket queue for the provider descent: every edge has unit
-    /// weight, so a per-length bucket gives O(1) push/pop where a binary
-    /// heap pays a log factor per operation.
-    buckets: Vec<Vec<u32>>,
+    /// `cone[levels[l]..levels[l + 1]]` are the members of length `l`.
+    pub(crate) levels: Vec<u32>,
+    /// Stage 3's worklist (`Resolver::route`).
+    closure: Vec<u32>,
     /// One bit per link: up (1) or down (0) under the closure snapshot.
     up: Vec<u64>,
     /// Link state at some epoch of some churn timeline, moved by deltas.
@@ -185,108 +220,227 @@ impl RouteTable for [SelectedRoute] {
 /// `dest` up live provider edges, then peer routes one live peering hop
 /// off every AS holding a customer route. Next hops are left pending (the
 /// destination has none). `cone` is left holding the customer-routed ASes
-/// in BFS order, so their lengths never decrease along it.
+/// in BFS order, so their lengths never decrease along it, and `levels`
+/// the offset in `cone` of each length, then `cone.len()`.
 pub(crate) fn base_stages<T: RouteTable + ?Sized>(
     topo: &Topology,
     up: &[u64],
     dest: AsIdx,
     routes: &mut T,
     cone: &mut Vec<u32>,
+    levels: &mut Vec<u32>,
 ) {
     routes.write(dest.0, SelectedRoute { next: NO_NEXT, len: 0, class: CUSTOMER });
     cone.clear();
     cone.push(dest.0);
+    levels.clear();
+    levels.push(0);
     let mut head = 0;
     while let Some(&x) = cone.get(head) {
         head += 1;
-        let len = routes.read(x).len + 1;
+        let len = u32::from(routes.read(x).len) + 1;
         for adj in topo.provider_edges(AsIdx(x)) {
             if !routes.read(adj.peer.0).reachable() && live(up, adj.link) {
-                routes.write(adj.peer.0, SelectedRoute::pending(len, CUSTOMER));
+                routes.write(adj.peer.0, SelectedRoute::pending(fit(len), CUSTOMER));
+                if levels.len() == len as usize {
+                    levels.push(cone.len() as u32);
+                }
                 cone.push(adj.peer.0);
             }
         }
     }
+    levels.push(cone.len() as u32);
     for &x in cone.iter() {
-        let len = routes.read(x).len + 1;
+        let len = u32::from(routes.read(x).len) + 1;
         for adj in topo.peer_edges(AsIdx(x)) {
             let y = routes.read(adj.peer.0);
-            if !y.in_cone() && len < y.len && live(up, adj.link) {
-                routes.write(adj.peer.0, SelectedRoute::pending(len, PEER));
+            if !y.in_cone() && len < y.dist() && live(up, adj.link) {
+                routes.write(adj.peer.0, SelectedRoute::pending(fit(len), PEER));
             }
         }
     }
 }
 
-/// The next hop `x` selects for the route `routes[x]`, whose class and
-/// length are final, as is the length of every live provider of `x` if
-/// that class is provider.
-///
-/// Within the customer and peer classes, selection follows shortest AS
-/// path (intra-class economics are equal, so length decides). Among
-/// *providers*, real networks choose by local preference — a multihomed
-/// stub prefers one upstream wholesale and re-prefers under traffic
-/// engineering — so every provider holding any route is a candidate and
-/// the salted hash decides. This is what lets TE shifts move a stub's
-/// egress (and with it, the whole tail of the path), producing the
-/// egress-level churn the paper observes.
-pub(crate) fn select_next<T: RouteTable + ?Sized>(
-    topo: &Topology,
-    up: &[u64],
-    routes: &T,
-    x: AsIdx,
-    salt: u64,
-) -> u32 {
-    let SelectedRoute { len, class, .. } = routes.read(x.0);
-    let want = len.saturating_sub(1);
-    // Candidates live entirely in the slice matching the selected class,
-    // so only that kind's run is scanned.
-    let candidates = match class {
-        CUSTOMER => topo.customer_edges(x),
-        PEER => topo.peer_edges(x),
-        _ => topo.provider_edges(x),
-    };
-    let mut best_key = u64::MAX;
-    let mut best: u32 = NO_NEXT;
-    for adj in candidates {
-        let y = routes.read(adj.peer.0);
-        let matches = if class == PROVIDER { y.reachable() } else { y.in_cone() && y.len == want };
-        if matches && live(up, adj.link) {
-            let key = crate::mix64(salt ^ u64::from(topo.asn(adj.peer).0));
-            if key < best_key || best == NO_NEXT {
-                best_key = key;
-                best = adj.peer.0;
+/// What resolving a route reads besides the route table: the world, the
+/// link state, and the destination's provider cone and its length
+/// offsets as [`base_stages`] left them.
+pub(crate) struct Resolver<'a> {
+    pub(crate) topo: &'a Topology,
+    pub(crate) up: &'a [u64],
+    pub(crate) cone: &'a [u32],
+    pub(crate) levels: &'a [u32],
+    /// Counts the next hops selected, when the simulator is instrumented.
+    pub(crate) resolved: Option<&'a Counter>,
+}
+
+impl Resolver<'_> {
+    /// The route `x` selects, if it can reach the destination. On first
+    /// ask this resolves into `routes` the provider stage of `x` and of
+    /// every unrouted AS above it, and the salted next hop of `x`;
+    /// `salt(as_index)` is the per-AS tiebreak salt and `closure` is
+    /// scratch.
+    pub(crate) fn route<T: RouteTable + ?Sized>(
+        &self,
+        routes: &mut T,
+        closure: &mut Vec<u32>,
+        salt: &dyn Fn(usize) -> u64,
+        x: AsIdx,
+    ) -> Option<SelectedRoute> {
+        let mut r = routes.read(x.0);
+        if r == SelectedRoute::UNROUTED {
+            self.resolve_provider_stage(routes, closure, x);
+            r = routes.read(x.0);
+        }
+        if !r.reachable() {
+            return None;
+        }
+        if r.next == NEXT_PENDING {
+            let salt = salt(x.usize());
+            r.next = if r.class == PROVIDER {
+                // Resolving a provider route resolved the whole closure
+                // above it, so every live provider's length is final.
+                self.select_provider(routes, x, salt)
+            } else {
+                self.select_in_cone(x, r, salt)
+            };
+            routes.write(x.0, r);
+            if let Some(c) = self.resolved {
+                c.inc();
+            }
+        }
+        Some(r)
+    }
+
+    /// Resolve the provider route of unrouted `x` and of every unrouted
+    /// AS in its closure of live providers (see the module doc). Panics
+    /// if a member's route is too long for the `u16` length, after setting
+    /// every member back to unrouted: a caller that catches it reads no
+    /// tentative length.
+    fn resolve_provider_stage<T: RouteTable + ?Sized>(
+        &self,
+        routes: &mut T,
+        closure: &mut Vec<u32>,
+        x: AsIdx,
+    ) {
+        let tentative = SelectedRoute::pending(INF, PROVIDER);
+        closure.clear();
+        closure.push(x.0);
+        routes.write(x.0, tentative);
+        let mut head = 0;
+        while let Some(&m) = closure.get(head) {
+            head += 1;
+            for adj in self.topo.provider_edges(AsIdx(m)) {
+                if routes.read(adj.peer.0) == SelectedRoute::UNROUTED && live(self.up, adj.link) {
+                    routes.write(adj.peer.0, tentative);
+                    closure.push(adj.peer.0);
+                }
+            }
+        }
+        // BFS order is not topological (a provider also reached a shorter
+        // way sits before its customer; a cycle has no order), so a sweep
+        // may read a member before it settles: repeat until a pass changes
+        // nothing. All but ~0.2% (Small) and ~0.001% (Huge) of closures
+        // over `bench route`'s lookups settle in the first pass. A member
+        // one hop past the longest route stays unwritten; one still so on
+        // the last pass is too long.
+        let (mut changed, mut too_far) = (true, false);
+        while changed {
+            (changed, too_far) = (false, false);
+            for &m in closure.iter().rev() {
+                let mut best = u32::MAX;
+                for adj in self.topo.provider_edges(AsIdx(m)) {
+                    let p = routes.read(adj.peer.0);
+                    if p.reachable() && live(self.up, adj.link) {
+                        best = best.min(u32::from(p.len) + 1);
+                    }
+                }
+                let r = routes.read(m);
+                if best == u32::from(INF) {
+                    too_far = true;
+                } else if best < r.dist() {
+                    routes.write(m, SelectedRoute { len: best as u16, ..r });
+                    changed = true;
+                }
+            }
+        }
+        if too_far {
+            closure.iter().for_each(|&m| routes.write(m, SelectedRoute::UNROUTED));
+            too_long();
+        }
+        for &m in closure.iter() {
+            let r = routes.read(m);
+            if !r.reachable() {
+                routes.write(m, SelectedRoute { class: NO_ROUTE, ..r });
             }
         }
     }
-    debug_assert!(best != NO_NEXT, "finite length implies a candidate");
-    best
+
+    /// The next hop `x` selects for its provider route: every live
+    /// provider holding any route is a candidate and the salted key
+    /// decides, not length. Real networks choose among providers by local
+    /// preference — a multihomed stub prefers one upstream wholesale and
+    /// re-prefers under traffic engineering. This is what lets
+    /// TE shifts move a stub's egress (and with it, the whole tail of the
+    /// path), producing the egress-level churn the paper observes.
+    fn select_provider<T: RouteTable + ?Sized>(&self, routes: &T, x: AsIdx, salt: u64) -> u32 {
+        let candidates = self.topo.provider_edges(x).iter().filter(|adj| {
+            routes.read(adj.peer.0).reachable() && live(self.up, adj.link)
+        });
+        self.pick(salt, candidates.map(|adj| adj.peer.0))
+    }
+
+    /// The next hop `x` selects for its customer or peer route `r`: by
+    /// salted key among the cone members of length `r.len − 1` with a live
+    /// provider (for a customer route) or peer edge to `x` — the neighbours
+    /// that offer a route of that class and length.
+    fn select_in_cone(&self, x: AsIdx, r: SelectedRoute, salt: u64) -> u32 {
+        let want = usize::from(r.len - 1);
+        let members = &self.cone[self.levels[want] as usize..self.levels[want + 1] as usize];
+        let edges =
+            if r.class == CUSTOMER { Topology::provider_edges } else { Topology::peer_edges };
+        let reaches_x = |y: &&u32| {
+            edges(self.topo, AsIdx(**y)).iter().any(|adj| adj.peer == x && live(self.up, adj.link))
+        };
+        self.pick(salt, members.iter().filter(reaches_x).copied())
+    }
+
+    /// The candidate with the least key `mix64(salt ^ asn)`.
+    fn pick(&self, salt: u64, candidates: impl Iterator<Item = u32>) -> u32 {
+        let key = |y: &u32| crate::mix64(salt ^ u64::from(self.topo.asn(AsIdx(*y)).0));
+        let best = candidates.min_by_key(key);
+        debug_assert!(best.is_some(), "finite length implies a candidate");
+        best.unwrap_or(NO_NEXT)
+    }
 }
 
-/// Follow next hops from `src` until `dest`, handing every AS on the way
-/// (both ends included) to `visit`. `false` if some hop has no next hop.
-pub(crate) fn walk(
+/// Follow next hops from `src` until `dest` into `out` (cleared first),
+/// each AS on the way mapped by `map`, both ends included. `false`,
+/// leaving `out` empty, if some hop has no next hop (`src` cannot reach
+/// `dest`) or the hops never reach `dest`: on a graph with a provider
+/// cycle (an AS-REL2 file can hold one) preference-selected providers can
+/// forward in a loop, and a loop is no path.
+pub(crate) fn walk<T>(
     src: AsIdx,
     dest: AsIdx,
     n_ases: usize,
     mut next_of: impl FnMut(AsIdx) -> Option<AsIdx>,
-    mut visit: impl FnMut(AsIdx),
+    map: impl Fn(AsIdx) -> T,
+    out: &mut Vec<T>,
 ) -> bool {
-    visit(src);
+    out.clear();
+    out.push(map(src));
     let mut cur = src;
-    let mut hops = 0usize;
     while cur != dest {
-        let Some(next) = next_of(cur) else {
-            return false;
-        };
-        visit(next);
-        cur = next;
-        hops += 1;
-        if hops > n_ases {
-            unreachable!(
-                "forwarding loop: the up-phase follows the acyclic provider \
-                 DAG and the down-phase strictly decreases customer length"
-            );
+        match next_of(cur) {
+            // A loop-free path visits each AS at most once.
+            Some(next) if out.len() < n_ases => {
+                out.push(map(next));
+                cur = next;
+            }
+            _ => {
+                out.clear();
+                return false;
+            }
         }
     }
     true
@@ -325,7 +479,9 @@ impl RouteTree {
         tree
     }
 
-    /// Compute the tree into `out`, reusing `scratch` across calls.
+    /// Compute the tree into `out`, reusing `scratch` across calls:
+    /// stages 1–2, then the demand tree's resolution asked about every AS,
+    /// over a dense table.
     ///
     /// `link_up` is sampled exactly once per link (into a scratch-owned
     /// bitmap) and `salt` once per AS that has a next hop to choose, so
@@ -340,9 +496,7 @@ impl RouteTree {
         salt: &dyn Fn(usize) -> u64,
         out: &mut RouteTree,
     ) {
-        let TreeScratch { cone, buckets, up, .. } = scratch;
-
-        // --- Snapshot the link-state closure into a bitmap. ---------------
+        let TreeScratch { cone, levels, closure, up, .. } = scratch;
         let n_links = topo.n_links();
         up.clear();
         up.resize(n_links.div_ceil(64), 0);
@@ -351,62 +505,14 @@ impl RouteTree {
                 up[l >> 6] |= 1u64 << (l & 63);
             }
         }
-
-        // --- Stages 1–2: customer routes (BFS up), one peering hop. -------
         out.dest = dest;
         let routes = &mut out.routes;
         routes.clear();
         routes.resize(topo.n_ases(), SelectedRoute::UNROUTED);
-        base_stages(topo, up, dest, routes.as_mut_slice(), cone);
-
-        // --- Stage 3: provider routes (Dial's bucket descent). ------------
-        // Every edge has unit weight, so Dijkstra degenerates to processing
-        // advertised lengths in increasing order through per-length buckets
-        // (O(1) push/pop instead of a heap's log factor). All buckets drain
-        // to empty by the end, so no cross-tree cleanup is needed.
-        debug_assert!(buckets.iter().all(Vec::is_empty));
-        let push = |buckets: &mut Vec<Vec<u32>>, len: u16, x: u32| {
-            let len = len as usize;
-            if buckets.len() <= len {
-                buckets.resize_with(len + 1, Vec::new);
-            }
-            buckets[len].push(x);
-        };
-        for (x, r) in routes.iter().enumerate() {
-            if r.reachable() {
-                push(buckets, r.len, x as u32);
-            }
-        }
-        let mut dist: u16 = 0;
-        while (dist as usize) < buckets.len() {
-            while let Some(x) = buckets[dist as usize].pop() {
-                if dist > routes[x as usize].len {
-                    continue; // stale entry, improved since queued
-                }
-                let len = dist + 1;
-                for adj in topo.customer_edges(AsIdx(x)) {
-                    // Class preference: a node with a customer or peer
-                    // route keeps advertising it; only the others take,
-                    // and advertise onward, provider routes.
-                    let c = &mut routes[adj.peer.usize()];
-                    if (!c.reachable() || c.class == PROVIDER) && len < c.len && live(up, adj.link)
-                    {
-                        *c = SelectedRoute::pending(len, PROVIDER);
-                        push(buckets, len, adj.peer.0);
-                    }
-                }
-            }
-            dist += 1;
-        }
-
-        // --- Tiebroken next hops. `len` is the shortest valley-free length
-        // (a lower bound); the forwarding path through a
-        // preference-selected provider may be longer. `path_from` reports
-        // the real path.
-        for x in 0..routes.len() {
-            if routes[x].next == NEXT_PENDING && routes[x].reachable() {
-                routes[x].next = select_next(topo, up, routes.as_slice(), AsIdx(x as u32), salt(x));
-            }
+        base_stages(topo, up, dest, routes.as_mut_slice(), cone, levels);
+        let resolver = Resolver { topo, up, cone, levels, resolved: None };
+        for x in 0..topo.n_ases() {
+            resolver.route(routes.as_mut_slice(), closure, salt, AsIdx(x as u32));
         }
     }
 
@@ -416,26 +522,23 @@ impl RouteTree {
         r.reachable().then_some(r)
     }
 
-    /// [`walk`] this tree from `src`; `false` (nothing visited) if the
-    /// destination is unreachable from `src`.
-    fn walk_from(&self, src: AsIdx, visit: impl FnMut(AsIdx)) -> bool {
-        self.routes[src.usize()].reachable()
-            && walk(src, self.dest, self.routes.len(), |x| self.routes[x.usize()].next(), visit)
+    /// [`walk`] this tree from `src` into `out`.
+    fn walk_into<T>(&self, src: AsIdx, map: impl Fn(AsIdx) -> T, out: &mut Vec<T>) -> bool {
+        walk(src, self.dest, self.routes.len(), |x| self.route(x)?.next(), map, out)
     }
 
     /// Append the AS-level forwarding path from `src` to the destination
     /// (inclusive of both ends) onto `out` after clearing it. Returns
     /// `false` — leaving `out` empty — if the destination is unreachable
-    /// from `src`. The allocation-free form of [`RouteTree::path_from`].
+    /// from `src` or its next hops loop. The allocation-free form of
+    /// [`RouteTree::path_from`].
     pub fn path_into(&self, src: AsIdx, out: &mut Vec<AsIdx>) -> bool {
-        out.clear();
-        self.walk_from(src, |x| out.push(x))
+        self.walk_into(src, |x| x, out)
     }
 
     /// Like [`RouteTree::path_into`], mapped to ASNs.
     pub fn asn_path_into(&self, topo: &Topology, src: AsIdx, out: &mut Vec<Asn>) -> bool {
-        out.clear();
-        self.walk_from(src, |x| out.push(topo.asn(x)))
+        self.walk_into(src, |x| topo.asn(x), out)
     }
 
     /// The AS-level forwarding path from `src` to the destination,

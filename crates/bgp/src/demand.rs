@@ -6,10 +6,12 @@
 //! stages 1–2, which touch the destination's provider cone and its peers
 //! — and resolves the provider stage and the salted next hop for an AS
 //! when a lookup first walks through it, memoizing both in the route
-//! table. Every memoized value is a pure function of (topology, link
-//! state, salts, destination), so answers do not depend on query order
-//! or on which thread asked; the differential suite holds them equal to
-//! [`RouteTree::compute_into`].
+//! table. The resolution is `crate::compute`'s, the one the full
+//! [`RouteTree::compute_into`] asks about every AS. Every memoized value
+//! is a pure function of (topology, link state, salts, destination), so
+//! answers do not depend on query order or on which thread asked; the
+//! differential suite holds them equal to the full tree's and to
+//! `crate::reference`'s.
 //!
 //! The memo is paged, because a Huge tree's lookups touch ~2,100 of its
 //! 62,169 routes: a `u32` index entry per 8 ASes points into an arena of
@@ -17,24 +19,9 @@
 //! an AS without a block reads as unrouted. There is no hashing and no
 //! size threshold: Small and Huge trees are paged alike.
 //!
-//! A customer (peer) route of length `len` selects among the AS's live
-//! customers (peers) that hold a customer route of length `len − 1`: the
-//! cone members of that length with a live provider (peer) edge to the
-//! AS. The tree keeps the cone in BFS order — lengths never decrease —
-//! with the offset of each length, and scans that run instead of the AS's
-//! own list (thousands of edges at a tier-1). It picks what the full tree
-//! picks: the key `mix64(salt ^ asn)` is a bijection of the ASN, so the
-//! minimum does not depend on which list is scanned or in what order.
-//! For a peer route the members' peer lists can be the longer side, but
-//! scanning one compares link ends where the AS's own list would cost a
-//! memo read per candidate, and measured faster.
-//!
 //! [`RouteTree::compute_into`]: crate::compute::RouteTree::compute_into
 
-use crate::compute::{
-    base_stages, live, select_next, walk, RouteTable, SelectedRoute, CUSTOMER, INF, NEXT_PENDING,
-    NO_NEXT, NO_ROUTE, PROVIDER,
-};
+use crate::compute::{base_stages, walk, Resolver, RouteTable, SelectedRoute};
 use churnlab_obs::Counter;
 use churnlab_topology::{AsIdx, Topology};
 use parking_lot::Mutex;
@@ -106,9 +93,9 @@ impl RouteTable for PagedRoutes {
 struct Memo {
     /// Customer and peer routes are complete from the start, their next
     /// hops pending. An AS with neither stays unrouted until asked about;
-    /// then it holds its provider route or is marked [`NO_ROUTE`].
+    /// then it holds its provider route or is marked as having none.
     routes: PagedRoutes,
-    /// Worklist of [`DemandTree::resolve_provider_stage`].
+    /// The resolution's provider-stage worklist.
     closure: Vec<u32>,
 }
 
@@ -124,34 +111,31 @@ pub(crate) struct DemandTree {
     /// `cone[levels[l]..levels[l + 1]]` are the members of length `l`.
     levels: Box<[u32]>,
     /// The lock does not poison, and need not: routes hold tentative
-    /// lengths only inside [`DemandTree::resolve_provider_stage`], which
-    /// calls nothing that can panic; the caller's `salt` and `visit` run
-    /// between final states.
+    /// lengths only inside the provider-stage resolution, which sets them
+    /// back to unrouted before its one panic (a route longer than the
+    /// `u16` length holds); the caller's `salt` and the path's `map` run
+    /// between final states. A lookup that panicked panics again when
+    /// asked again.
     memo: Mutex<Memo>,
     /// Counts memoized next hops, when the simulator is instrumented.
     resolved: Option<Counter>,
 }
 
 impl DemandTree {
-    /// Build the eager part under link state `up`. `cone` is scratch; the
-    /// tree keeps a copy of the cone it is left holding.
+    /// Build the eager part under link state `up`. `cone` and `levels` are
+    /// scratch; the tree keeps a copy of what they are left holding.
     pub(crate) fn build(
         topo: &Topology,
         up: &[u64],
         dest: AsIdx,
         cone: &mut Vec<u32>,
+        levels: &mut Vec<u32>,
         resolved: Option<Counter>,
     ) -> DemandTree {
         let mut routes = PagedRoutes::new(topo.n_ases());
-        base_stages(topo, up, dest, &mut routes, cone);
-        let depth = cone.last().map_or(0, |&m| usize::from(routes.read(m).len));
-        let mut levels = Vec::with_capacity(depth + 2);
-        for (i, &m) in cone.iter().enumerate() {
-            levels.resize(usize::from(routes.read(m).len) + 1, i as u32);
-        }
-        levels.push(cone.len() as u32);
+        base_stages(topo, up, dest, &mut routes, cone, levels);
         let memo = Mutex::new(Memo { routes, closure: Vec::new() });
-        let (cone, levels) = (cone.as_slice().into(), levels.into());
+        let (cone, levels) = (cone.as_slice().into(), levels.as_slice().into());
         DemandTree { dest, up: up.to_vec(), cone, levels, memo, resolved }
     }
 
@@ -162,109 +146,9 @@ impl DemandTree {
         self.up.capacity() * size_of::<u64>() + memo
     }
 
-    /// Resolve the provider route of unrouted `x` and of every unrouted
-    /// AS above it.
-    ///
-    /// The bucket descent of the full tree computes the least solution of
-    /// `len[m] = 1 + min len[p]` over `m`'s live providers `p`, with
-    /// `len[p]` pinned where `p` holds a customer or peer route. A
-    /// shortest descent into `m` passes only ASes without one below its
-    /// source, all of them above `m`, so the same solution restricted to
-    /// `x`'s closure of such live providers is exact — and relaxing down
-    /// from `INF` reaches it on any graph, provider cycles included.
-    fn resolve_provider_stage(&self, topo: &Topology, memo: &mut Memo, x: AsIdx) {
-        let Memo { routes, closure } = memo;
-        let tentative = SelectedRoute::pending(INF, PROVIDER);
-        closure.clear();
-        closure.push(x.0);
-        routes.write(x.0, tentative);
-        let mut head = 0;
-        while let Some(&m) = closure.get(head) {
-            head += 1;
-            for adj in topo.provider_edges(AsIdx(m)) {
-                if routes.read(adj.peer.0) == SelectedRoute::UNROUTED && live(&self.up, adj.link) {
-                    routes.write(adj.peer.0, tentative);
-                    closure.push(adj.peer.0);
-                }
-            }
-        }
-        // Later members sit higher, so sweeping in reverse settles a DAG
-        // in one pass; the loop ends on the pass that changes nothing.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &m in closure.iter().rev() {
-                let mut best = INF;
-                for adj in topo.provider_edges(AsIdx(m)) {
-                    if live(&self.up, adj.link) {
-                        best = best.min(routes.read(adj.peer.0).len.saturating_add(1));
-                    }
-                }
-                let r = routes.read(m);
-                if best < r.len {
-                    routes.write(m, SelectedRoute { len: best, ..r });
-                    changed = true;
-                }
-            }
-        }
-        for &m in closure.iter() {
-            let r = routes.read(m);
-            if !r.reachable() {
-                routes.write(m, SelectedRoute { class: NO_ROUTE, ..r });
-            }
-        }
-    }
-
-    /// The next hop `x` selects for its customer or peer route `r`: the
-    /// least salted key among the cone members of length `r.len − 1` with
-    /// a live provider (for a customer route) or peer edge to `x`.
-    fn select_in_cone(&self, topo: &Topology, x: AsIdx, r: SelectedRoute, salt: u64) -> u32 {
-        let want = usize::from(r.len - 1);
-        let (from, to) = (self.levels[want] as usize, self.levels[want + 1] as usize);
-        let edges = if r.class == CUSTOMER { Topology::provider_edges } else { Topology::peer_edges };
-        let (mut best_key, mut best) = (u64::MAX, NO_NEXT);
-        for &y in &self.cone[from..to] {
-            if edges(topo, AsIdx(y)).iter().any(|adj| adj.peer == x && live(&self.up, adj.link)) {
-                let key = crate::mix64(salt ^ u64::from(topo.asn(AsIdx(y)).0));
-                if key < best_key || best == NO_NEXT {
-                    (best_key, best) = (key, y);
-                }
-            }
-        }
-        debug_assert!(best != NO_NEXT, "finite length implies a candidate");
-        best
-    }
-
-    fn route_locked(
-        &self,
-        topo: &Topology,
-        salt: &dyn Fn(usize) -> u64,
-        memo: &mut Memo,
-        src: AsIdx,
-    ) -> Option<SelectedRoute> {
-        let mut r = memo.routes.read(src.0);
-        if r == SelectedRoute::UNROUTED {
-            self.resolve_provider_stage(topo, memo, src);
-            r = memo.routes.read(src.0);
-        }
-        if !r.reachable() {
-            return None;
-        }
-        if r.next == NEXT_PENDING {
-            let salt = salt(src.usize());
-            r.next = if r.class == PROVIDER {
-                // Resolving a provider route resolved the whole closure
-                // above it, so every live provider's length is final.
-                select_next(topo, &self.up, &memo.routes, src, salt)
-            } else {
-                self.select_in_cone(topo, src, r, salt)
-            };
-            memo.routes.write(src.0, r);
-            if let Some(c) = &self.resolved {
-                c.inc();
-            }
-        }
-        Some(r)
+    fn resolver<'a>(&'a self, topo: &'a Topology) -> Resolver<'a> {
+        let (up, cone, levels) = (&self.up[..], &self.cone[..], &self.levels[..]);
+        Resolver { topo, up, cone, levels, resolved: self.resolved.as_ref() }
     }
 
     /// The route `src` selects, if it can reach the destination.
@@ -275,31 +159,32 @@ impl DemandTree {
         salt: &dyn Fn(usize) -> u64,
         src: AsIdx,
     ) -> Option<SelectedRoute> {
-        let mut memo = self.memo.lock();
-        self.route_locked(topo, salt, &mut memo, src)
+        let Memo { routes, closure } = &mut *self.memo.lock();
+        self.resolver(topo).route(routes, closure, salt, src)
     }
 
-    /// Hand every AS on the forwarding path from `src` to the destination
-    /// (both ends included) to `visit`; `false` — nothing visited — if the
-    /// destination is unreachable from `src`.
-    pub(crate) fn walk_from(
+    /// The forwarding path from `src` to the destination into `out`, each
+    /// AS mapped by `map`, both ends included; `false`, leaving `out`
+    /// empty, if there is none (see [`walk`]).
+    pub(crate) fn path_into<T>(
         &self,
         topo: &Topology,
         salt: &dyn Fn(usize) -> u64,
         src: AsIdx,
-        visit: impl FnMut(AsIdx),
+        map: impl Fn(AsIdx) -> T,
+        out: &mut Vec<T>,
     ) -> bool {
-        let mut guard = self.memo.lock();
-        let memo = &mut *guard;
-        let n = topo.n_ases();
-        self.route_locked(topo, salt, memo, src).is_some()
-            && walk(src, self.dest, n, |x| self.route_locked(topo, salt, memo, x)?.next(), visit)
+        let Memo { routes, closure } = &mut *self.memo.lock();
+        let resolver = self.resolver(topo);
+        let next_of = |x| resolver.route(routes, closure, salt, x)?.next();
+        walk(src, self.dest, topo.n_ases(), next_of, map, out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compute::PROVIDER;
 
     #[test]
     fn paged_routes_read_back_every_write_and_hold_at_most_the_bound() {

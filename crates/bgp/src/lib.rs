@@ -15,7 +15,8 @@
 //!   peer > provider, then shortest AS path, then a salted tiebreak).
 //! * [`compute`] — per-destination routing trees via the standard
 //!   three-stage valley-free propagation (customer routes up, one peer
-//!   hop, provider routes down), parameterised by live link state.
+//!   hop, provider routes down), parameterised by live link state: the
+//!   one route algorithm, resolved per AS on demand or for every AS.
 //! * [`churn`] — the event process: per-link up/down timelines (two-state
 //!   Markov chains driven by each link's [`churnlab_topology::LinkStability`])
 //!   plus per-AS traffic-engineering shifts that re-roll equal-cost
@@ -24,8 +25,8 @@
 //!   the measurement platform, with a sharded cache of demand-driven
 //!   route trees (eager provider cone and peers; provider stage and next
 //!   hops resolved for the ASes lookups walk through).
-//! * [`mod@reference`] — the pre-CSR compute path, retained as the benchmark
-//!   baseline and differential oracle for the scratch-reused fast path.
+//! * [`mod@reference`] — the pre-CSR compute path, retained as the
+//!   independent oracle both tree forms are held against.
 //! * [`stats`] — distinct-path counting over time windows (Figure 3's
 //!   statistic) and churn summaries.
 //! * [`time`] — simulation time: epochs, days, and the day/week/month/year

@@ -1,14 +1,16 @@
-//! The pre-CSR route computation path, retained as the benchmark
-//! baseline and differential-testing oracle.
+//! The pre-CSR route computation path, retained as the routing layer's
+//! one independent oracle.
 //!
 //! This is the algorithm as it stood before the Internet-scale rework:
 //! adjacency in per-AS `Vec<Vec<Adjacency>>`, every working array
-//! allocated per call, and the link-state / salt closures dyn-dispatched
-//! at every edge visit (each of which, with a real churn timeline behind
-//! it, is a binary search over that link's flip history). `route_bench`
-//! measures [`RouteTree::compute_into`] against this to enforce the
-//! committed speedup floor, and tests assert the two produce identical
-//! trees — same selections, same tiebreaks — on every world they share.
+//! allocated per call, the provider stage a binary-heap Dijkstra, and the
+//! link-state / salt closures dyn-dispatched at every edge visit. It
+//! shares no code with `crate::compute`, whose one resolution both the
+//! simulator's demand-driven trees and the full [`RouteTree`] run. Tests
+//! (`tests/demand_differential.rs`, this module's own) and `bench route`'s
+//! differential check assert that a full tree selects what this one
+//! selects — same classes, lengths and tiebroken next hops — at every AS.
+//! Nothing times it.
 //!
 //! Do not "improve" this module: its value is being a faithful snapshot.
 

@@ -369,10 +369,10 @@ impl<'t> RoutingSim<'t> {
         // Build outside the stripe lock, from this thread's link cursor.
         let started = std::time::Instant::now();
         let tree = SCRATCH.with(|s| {
-            let TreeScratch { cursor, cone, .. } = &mut *s.borrow_mut();
+            let TreeScratch { cursor, cone, levels, .. } = &mut *s.borrow_mut();
             let up = cursor.seek(&self.churn, epoch);
             let resolved = metrics.map(|m| m.nodes_resolved.clone());
-            DemandTree::build(self.topo, up, dest, cone, resolved)
+            DemandTree::build(self.topo, up, dest, cone, levels, resolved)
         });
         if let Some(m) = metrics {
             m.trees_computed.inc();
@@ -393,11 +393,18 @@ impl<'t> RoutingSim<'t> {
         tree
     }
 
-    /// Walk the path from `src` to `dst` at `epoch`, handing each AS to
-    /// `visit`; `false` (nothing visited) if unreachable.
-    fn walk(&self, src: AsIdx, dst: AsIdx, epoch: Epoch, visit: impl FnMut(AsIdx)) -> bool {
-        let churn = &self.churn;
-        self.route_tree(dst, epoch).walk_from(self.topo, &|x| churn.te_salt(x, epoch), src, visit)
+    /// The path from `src` to `dst` at `epoch` into `out`, each AS mapped
+    /// by `map`; `false`, leaving `out` empty, if there is none.
+    fn path_into<T>(
+        &self,
+        src: AsIdx,
+        dst: AsIdx,
+        epoch: Epoch,
+        map: impl Fn(AsIdx) -> T,
+        out: &mut Vec<T>,
+    ) -> bool {
+        let salt = |x| self.churn.te_salt(x, epoch);
+        self.route_tree(dst, epoch).path_into(self.topo, &salt, src, map, out)
     }
 
     /// The route `src` selects toward `dst` at `epoch` — class, shortest
@@ -421,16 +428,15 @@ impl<'t> RoutingSim<'t> {
     }
 
     /// Allocation-free form of [`RoutingSim::as_path`]: fill `out` with
-    /// the path, returning `false` (and an empty `out`) if unreachable.
+    /// the path, returning `false` (and an empty `out`) if unreachable,
+    /// or if the selected next hops loop (a provider cycle can close one).
     pub fn as_path_into(&self, src: AsIdx, dst: AsIdx, epoch: Epoch, out: &mut Vec<AsIdx>) -> bool {
-        out.clear();
-        self.walk(src, dst, epoch, |x| out.push(x))
+        self.path_into(src, dst, epoch, |x| x, out)
     }
 
     /// Allocation-free form of [`RoutingSim::asn_path`].
     pub fn asn_path_into(&self, src: AsIdx, dst: AsIdx, epoch: Epoch, out: &mut Vec<Asn>) -> bool {
-        out.clear();
-        self.walk(src, dst, epoch, |x| out.push(self.topo.asn(x)))
+        self.path_into(src, dst, epoch, |x| self.topo.asn(x), out)
     }
 }
 

@@ -1,7 +1,9 @@
 //! The demand-driven trees `RoutingSim` caches, held against the full
-//! closure-driven tree (`RouteTree::compute`) and the pre-CSR reference:
-//! whatever order routes are asked in, every AS's class, length, tiebroken
-//! next hop and forwarding path must be the full tree's.
+//! tree (`RouteTree::compute`, the same resolution asked about every AS)
+//! and the pre-CSR reference, which shares no code with either: whatever
+//! order routes are asked in, every AS's class, length, tiebroken next hop
+//! and forwarding path must be the full tree's, and every full tree's
+//! routes the reference's.
 
 use churnlab_bgp::{mix64, ChurnConfig, Epoch, ReferenceRouter, RouteClass, RouteTree, RoutingSim};
 use churnlab_topology::asys::{AsClass, AsInfo, AsRole};
@@ -60,22 +62,7 @@ fn full_tree(sim: &RoutingSim, router: &ReferenceRouter, dest: AsIdx, epoch: Epo
     tree
 }
 
-/// Does following `full`'s next hops from `src` reach the destination?
-/// (On a graph with a provider cycle, preference-selected providers can
-/// forward in a loop; both tree forms refuse to walk one.)
-fn forwards(full: &RouteTree, src: AsIdx, n_ases: usize) -> bool {
-    let mut cur = src;
-    for _ in 0..=n_ases {
-        match full.route(cur).and_then(|r| r.next()) {
-            Some(next) => cur = next,
-            None => return true,
-        }
-    }
-    false
-}
-
 fn assert_matches(sim: &RoutingSim, full: &RouteTree, epoch: Epoch, order: &[AsIdx]) {
-    let n = sim.topology().n_ases();
     for &src in order {
         assert_eq!(
             sim.route(src, full.dest, epoch),
@@ -83,13 +70,8 @@ fn assert_matches(sim: &RoutingSim, full: &RouteTree, epoch: Epoch, order: &[AsI
             "route of {src:?} toward {:?} at epoch {epoch}",
             full.dest
         );
-        if forwards(full, src, n) {
-            assert_eq!(sim.as_path(src, full.dest, epoch), full.path_from(src));
-            assert_eq!(
-                sim.asn_path(src, full.dest, epoch),
-                full.asn_path_from(sim.topology(), src)
-            );
-        }
+        assert_eq!(sim.as_path(src, full.dest, epoch), full.path_from(src));
+        assert_eq!(sim.asn_path(src, full.dest, epoch), full.asn_path_from(sim.topology(), src));
     }
 }
 
@@ -182,24 +164,45 @@ fn provider_cycle_resolves_to_the_least_fixpoint() {
             Link::transit(Asn(23), Asn(21), s()),
         ],
     );
-    let dest = t.idx(Asn(2)).unwrap();
+    let idx = |asn: u32| t.idx(Asn(asn)).unwrap();
+    let dest = idx(2);
     let router = ReferenceRouter::build(&t);
+    let mut looped = Vec::new();
     // Start the resolver inside the ring, below it, and at the dead ring;
     // several seeds move 13's salted choice between 1 and 11.
     for seed in 0..8u64 {
         for first in [13, 14, 11, 21] {
             let sim = RoutingSim::new(&t, &short_churn(seed));
             let full = full_tree(&sim, &router, dest, 0);
-            let mut order = vec![t.idx(Asn(first)).unwrap()];
+            let mut order = vec![idx(first)];
             order.extend(scrambled(&t, seed));
             assert_matches(&sim, &full, 0, &order);
-            let len = |asn: u32| sim.route(t.idx(Asn(asn)).unwrap(), dest, 0).map(|r| r.len());
+            let len = |asn: u32| sim.route(idx(asn), dest, 0).map(|r| r.len());
             assert_eq!(
                 [len(13), len(12), len(11), len(14), len(21), len(22), len(23)],
                 [Some(2), Some(3), Some(4), Some(5), None, None, None]
             );
         }
+        // Where 13 forwards to 11, the ring's next hops loop: every AS
+        // whose path enters it has no path, in both forms, and a failed
+        // lookup leaves its buffer empty.
+        let sim = RoutingSim::new(&t, &short_churn(seed));
+        let loops = sim.route(idx(13), dest, 0).unwrap().next() == Some(idx(11));
+        let (mut path, mut asns) = (Vec::new(), Vec::new());
+        for src in scrambled(&t, seed) {
+            path.push(src);
+            asns.push(Asn(0));
+            let routed = sim.as_path_into(src, dest, 0, &mut path);
+            assert_eq!(sim.asn_path_into(src, dest, 0, &mut asns), routed);
+            assert_eq!((path.is_empty(), asns.is_empty()), (!routed, !routed));
+            let in_ring = [11, 12, 13, 14].map(idx).contains(&src);
+            assert_eq!(routed, sim.route(src, dest, 0).is_some() && !(loops && in_ring), "{src:?}");
+        }
+        if loops {
+            looped.push(seed);
+        }
     }
+    assert!(!looped.is_empty() && looped.len() < 8, "13 forwards to 11 at seeds {looped:?}");
 }
 
 #[test]
@@ -363,5 +366,62 @@ fn every_as_in_scrambled_order_matches_full_tree_and_reference_on_larger_pa_worl
             let full = full_tree(&sim, &router, dest, epoch);
             assert_matches(&sim, &full, epoch, &scrambled(&topo, mix64(epoch.into())));
         }
+    }
+}
+
+/// A provider chain of `n` ASes: AS 1 buys from AS 2, …, AS n − 1 from
+/// AS n.
+fn chain(n: u32) -> Topology {
+    let s = LinkStability::stable;
+    let ases: Vec<(u32, AsRole)> = (1..=n).map(|asn| (asn, AsRole::NationalTransit)).collect();
+    fixture(&ases, (1..n).map(|asn| Link::transit(Asn(asn), Asn(asn + 1), s())).collect())
+}
+
+/// What `f` panicked with.
+fn panic_message(f: impl FnOnce()) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must panic");
+    err.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
+#[test]
+fn a_route_past_the_u16_length_panics_in_both_tree_forms() {
+    // The packed length's last value means no route, so 65,534 hops is
+    // the longest route. A chain one AS taller than that routes end to
+    // end; one more AS and the far end's route reaches the sentinel,
+    // toward the bottom (stage 1) and toward the top (stage 3) alike.
+    let top = u32::from(u16::MAX);
+    let fits = chain(top);
+    let (bottom, peak) = (fits.idx(Asn(1)).unwrap(), fits.idx(Asn(top)).unwrap());
+    let sim = RoutingSim::new(&fits, &short_churn(1));
+    for (src, dest) in [(peak, bottom), (bottom, peak)] {
+        assert_eq!(sim.route(src, dest, 0).map(|r| r.len()), Some(u16::MAX - 1));
+        assert_eq!(sim.as_path(src, dest, 0).map(|p| p.len()), Some(top as usize));
+        let full = RouteTree::compute(&fits, dest, &|_| true, &|_| 0);
+        assert_eq!(full.route(src).map(|r| r.len()), Some(u16::MAX - 1));
+    }
+    drop(sim);
+
+    let too_tall = chain(top + 1);
+    let (bottom, peak) = (too_tall.idx(Asn(1)).unwrap(), too_tall.idx(Asn(top + 1)).unwrap());
+    for (src, dest) in [(peak, bottom), (bottom, peak)] {
+        let sim = RoutingSim::new(&too_tall, &short_churn(1));
+        // Asked again, the simulator panics again: the first panic left
+        // no tentative route behind to read as "no route".
+        for _ in 0..2 {
+            let msg = panic_message(|| {
+                sim.route(src, dest, 0);
+            });
+            assert!(msg.contains("65535 AS hops") && msg.contains("u16"), "{msg}");
+        }
+        if dest == peak {
+            // Only the provider stage overflowed: the AS one hop below
+            // the top still routes, whole.
+            let near = too_tall.idx(Asn(top)).unwrap();
+            assert_eq!(sim.as_path(near, dest, 0), Some(vec![near, dest]));
+        }
+        let msg = panic_message(|| {
+            RouteTree::compute(&too_tall, dest, &|_| true, &|_| 0);
+        });
+        assert!(msg.contains("65535 AS hops") && msg.contains("u16"), "{msg}");
     }
 }

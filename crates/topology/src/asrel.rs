@@ -22,8 +22,10 @@
 //! The loaded topology is [frozen](Topology::freeze) but **not**
 //! validated: real CAIDA snapshots contain provider cycles and ASes with
 //! no route to a clique member, which [`Topology::validate`] would
-//! reject. Round-tripping is canonical: `write → load → write` is
-//! byte-identical.
+//! reject. `churnlab-bgp` routes such a graph anyway: a provider route is
+//! the least solution over the cycle, and a forwarding path on which
+//! preference-chosen providers loop is reported as no path. Round-tripping
+//! is canonical: `write → load → write` is byte-identical.
 
 use crate::asys::{AsClass, AsInfo, AsRole, Asn};
 use crate::geo::{Country, Region};
