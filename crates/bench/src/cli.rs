@@ -127,7 +127,7 @@ pub struct Sub {
 }
 
 /// Every subcommand of the `bench` binary.
-pub const SUBCOMMANDS: [&Sub; 8] = [
+pub const SUBCOMMANDS: [&Sub; 7] = [
     &crate::experiments::SUB,
     &crate::matrix::SUB,
     &crate::enginebench::SUB,
@@ -135,7 +135,6 @@ pub const SUBCOMMANDS: [&Sub; 8] = [
     &crate::replaybench::SUB,
     &crate::longhaul::SUB,
     &crate::routebench::SUB,
-    &crate::internbench::SUB,
 ];
 
 /// Why parsing stopped without arguments to run on.
@@ -341,7 +340,7 @@ mod tests {
             ("replay --in d --window-horizon 4294967296", "an integer in 0..=4294967295"),
             ("experiments fig9", "bad value `fig9` for COMMAND: expected all|table1|fig1a|"),
             ("matrix fig4", "unknown argument `fig4`"),
-            ("intern --cap 64", "unknown argument `--cap`"),
+            ("route --cap 64", "unknown argument `--cap`"),
             ("nonesuch", "unknown subcommand `nonesuch`"),
         ] {
             match outcome(line) {
@@ -370,7 +369,7 @@ mod tests {
     fn documented_command_lines_parse() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
         for (file, at_least) in
-            [(".github/workflows/ci.yml", 18), ("README.md", 23), (".claude/skills/verify/SKILL.md", 5)]
+            [(".github/workflows/ci.yml", 17), ("README.md", 23), (".claude/skills/verify/SKILL.md", 5)]
         {
             let text = std::fs::read_to_string(format!("{root}{file}")).unwrap();
             let lines: Vec<&str> = text.lines().collect();

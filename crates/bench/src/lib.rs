@@ -12,7 +12,6 @@
 //! | `replay` | [`replaybench`] | JSONL export / replay, verify, checkpoint and resume |
 //! | `longhaul` | [`longhaul`] | 100M-measurement streaming; RSS plateau gate |
 //! | `route` | [`routebench`] | cached path lookups vs full route trees; speedup and zero-alloc gates |
-//! | `intern` | [`internbench`] | path interning; speedup gate |
 //!
 //! Every subcommand declares its flags as a table over the one parser in
 //! [`cli`]; the two sweeps share the gates in [`gate`], and every report
@@ -29,7 +28,6 @@ pub mod cli;
 pub mod enginebench;
 pub mod experiments;
 pub mod gate;
-pub mod internbench;
 pub mod longhaul;
 pub mod matrix;
 pub mod obsbench;

@@ -15,7 +15,6 @@
 
 use churnlab_bench::campaignbench::CampaignReport;
 use churnlab_bench::enginebench::ThroughputReport;
-use churnlab_bench::internbench::InternBenchReport;
 use churnlab_bench::longhaul::LonghaulReport;
 use churnlab_bench::routebench::RouteBenchReport;
 use churnlab_topology::hash::fnv1a;
@@ -46,7 +45,7 @@ fn committed_json_rewrites_byte_identically() {
     let root = root();
     let mut files = files_in(&root, |n| n.starts_with("BENCH_") && n.ends_with(".json"));
     files.extend(files_in(&root.join("benchmark/results"), |n| n.ends_with(".jsonl")));
-    assert!(files.len() >= 8, "expected the committed records, found {files:?}");
+    assert!(files.len() >= 7, "expected the committed records, found {files:?}");
     for file in &files {
         let text = read(file);
         for (i, line) in text.lines().enumerate() {
@@ -238,24 +237,6 @@ fn render(root: &Path) -> String {
     ];
     table(&mut s, &head, rows);
 
-    let intern: InternBenchReport = parse(root, "BENCH_intern.json");
-    let src = source(root, "BENCH_intern.json", "bench intern");
-    writeln!(s, "**Path interning.** {src}: cell observes a second, seed {}, best of {}:\n", intern.seed, intern.repeats)
-        .unwrap();
-    let rows = intern.rows.iter().map(|r| {
-        vec![
-            r.mix.clone(),
-            count(r.distinct_paths as f64),
-            count(r.observations as f64),
-            fixed(r.duplicate_ratio, 3),
-            count(r.reference_obs_per_sec),
-            count(r.interned_obs_per_sec),
-            times(r.speedup),
-        ]
-    });
-    let head = ["mix", "distinct paths", "observations", "duplicate ratio", "un-interned", "interned", "speedup"];
-    table(&mut s, &head, rows);
-
     let route: RouteBenchReport = parse(root, "BENCH_route.json");
     let src = source(root, "BENCH_route.json", "bench route");
     writeln!(
@@ -395,7 +376,7 @@ fn the_figure_check_catches_throughput_and_speedups() {
     for line in ["engine/1 runs 280k meas/s", "a 3.7× speedup", "≥2x trees/s", "took it 4x"] {
         assert!(hand_written_figure(line).is_some(), "{line}");
     }
-    for line in ["prints records/s + meas/s", "(URL × window)", "digest 0x1f", "`bench intern` --min-speedup 3"] {
+    for line in ["prints records/s + meas/s", "(URL × window)", "digest 0x1f", "`bench route` --min-speedup 2"] {
         assert_eq!(hand_written_figure(line), None, "{line}");
     }
 }

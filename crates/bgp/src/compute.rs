@@ -340,7 +340,9 @@ impl Resolver<'_> {
         // way sits before its customer; a cycle has no order), so a sweep
         // may read a member before it settles: repeat until a pass changes
         // nothing. All but ~0.2% (Small) and ~0.001% (Huge) of closures
-        // over `bench route`'s lookups settle in the first pass. A member
+        // over `bench route`'s lookups settle in the first pass, and a
+        // one-member closure (the common case) needs no confirming pass:
+        // its live providers all sit outside it, already final. A member
         // one hop past the longest route stays unwritten; one still so on
         // the last pass is too long.
         let (mut changed, mut too_far) = (true, false);
@@ -362,6 +364,7 @@ impl Resolver<'_> {
                     changed = true;
                 }
             }
+            changed &= closure.len() > 1;
         }
         if too_far {
             closure.iter().for_each(|&m| routes.write(m, SelectedRoute::UNROUTED));

@@ -61,8 +61,8 @@
 //! [`churnlab_core::analyze::analyze`] computes for the same observation
 //! set, in any arrival order — the engine's order-independence proof
 //! leans on this equivalence (see the crate's property tests, which also
-//! check the retained un-interned [`crate::reference`] implementation
-//! differentially).
+//! hold every cell's memo against `churnlab_sat::reference`'s census of
+//! the cell's CNF after every observation).
 
 use crate::ckpt::{le_u32, Dec, Enc};
 use crate::intern::PathTable;
@@ -1068,11 +1068,10 @@ impl Memo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{ReferenceScratch, UninternedInstance};
     use churnlab_bgp::Granularity;
     use churnlab_core::analyze::{analyze, SolveConfig};
-    use churnlab_core::instance::InstanceBuilder;
-    use churnlab_sat::{brute, Cnf, SolutionCensus, Var};
+    use churnlab_core::instance::{InstanceBuilder, TomographyInstance};
+    use churnlab_sat::brute;
     use proptest::prelude::*;
 
     fn key() -> InstanceKey {
@@ -1094,15 +1093,28 @@ mod tests {
         v.iter().map(|x| Asn(*x)).collect()
     }
 
-    /// Drives an [`InstanceGroup`] the way a shard does, reporting the
-    /// Dns cell (whose polarity tracks the `censored` flag; the other
-    /// four cells see the same paths all-clean).
+    /// Drives an [`InstanceGroup`] the way a shard does, and beside it
+    /// the oracle: per cell, the batch [`InstanceBuilder`] fed that
+    /// cell's polarity of every observation, and the work counters that
+    /// follow from those builders alone.
     struct Harness {
         table: PathTable,
         group: InstanceGroup,
         stats: IncrementalStats,
         scratch: SolveScratch,
         cap: u64,
+        /// Per cell, the builder of its observations.
+        oracle: [InstanceBuilder; N_CELLS],
+        /// Per cell, whether its census read no model after the last
+        /// observation.
+        unsat: [bool; N_CELLS],
+        /// What the oracle says `stats` must read: `updates` are the
+        /// (path, polarity) pairs new to a cell, `duplicates` the rest of
+        /// the cell observes, `unsat_skips` the updates reaching a cell
+        /// whose census already read zero. The split of the remaining
+        /// updates into re-solves and direct updates is the engine's own
+        /// (`checkpoint_blob_is_pinned` pins it on a real study).
+        expect: IncrementalStats,
     }
 
     impl Harness {
@@ -1117,54 +1129,106 @@ mod tests {
                 stats: IncrementalStats::default(),
                 scratch: SolveScratch::new(),
                 cap,
+                oracle: AnomalyType::ALL.map(|anomaly| {
+                    InstanceBuilder::new(InstanceKey { url_id: 3, anomaly, window: window() })
+                }),
+                unsat: [false; N_CELLS],
+                expect: IncrementalStats::default(),
             }
         }
 
-        /// One observation, after which the Dns cell's memo is held
-        /// against the SAT census ([`Harness::check_memo`]).
+        /// One observation censored for the Dns cell alone (the other four
+        /// cells see the same paths all-clean).
         fn observe(&mut self, path: &[Asn], censored: bool) {
-            let pid = self.table.intern(path);
             let mut detected = AnomalySet::empty();
             if censored {
                 detected.insert(AnomalyType::Dns);
             }
-            let Harness { table, group, stats, scratch, cap } = self;
-            group.observe(pid, table, detected, *cap, stats, scratch);
-            self.check_memo(false);
+            self.observe_set(path, detected);
         }
 
-        /// The Dns cell's memo — count, and per variable whether some
-        /// model sets it True and whether some sets it False — is what
-        /// the oracle's census reports for the cell's CNF, and, when
-        /// `exhaustive` and the CNF is small, what brute-force
-        /// enumeration does.
-        fn check_memo(&self, exhaustive: bool) {
-            let (cell, space, cap) = (self.dns(), &self.group.space, self.cap);
-            let n = space.vars.len();
-            let mut cnf = Cnf::new(n);
-            for &pid in &cell.pos_clauses {
-                cnf.add_positive_clause(space.clause(space.span(pid)).iter().map(|&ix| Var(ix)));
-            }
-            let exonerated = (0..n as u32).filter(|&ix| space.exonerated[ix as usize] & cell.bit != 0);
-            cnf.add_negative_facts(exonerated.map(Var));
-            let memo = match &cell.memo {
-                Memo::Trivial => (SolutionCount::Exact(1), Some(vec![(false, true); n])),
-                Memo::Unsat => (SolutionCount::Exact(0), None),
-                Memo::Solved { count, fate } => {
-                    let sides = fate.iter().map(|&f| (f != Fate::AlwaysFalse, f != Fate::AlwaysTrue));
-                    (*count, Some(sides.collect()))
+        /// One observation censored for the cells in `detected`, after
+        /// which every cell's memo is held against the census
+        /// ([`Harness::check_memos`]). Returns the path's id.
+        fn observe_set(&mut self, path: &[Asn], detected: AnomalySet) -> PathId {
+            let pid = self.table.intern(path);
+            let Harness { table, group, stats, scratch, cap, .. } = self;
+            group.observe(pid, table, detected, *cap, stats, scratch);
+            for (i, anomaly) in AnomalyType::ALL.into_iter().enumerate() {
+                let before = self.oracle[i].len();
+                self.oracle[i].observe(path, detected.contains(anomaly));
+                if self.oracle[i].len() == before {
+                    self.expect.duplicates += 1;
+                } else {
+                    self.expect.updates += 1;
+                    self.expect.unsat_skips += u64::from(self.unsat[i]);
                 }
-            };
+            }
+            let counts = self.check_memos(&self.group, false);
+            self.unsat = counts.map(|count| count == SolutionCount::Exact(0));
+            pid
+        }
+
+        /// Each cell of `group` — the harness's own, or one restored from
+        /// it — holds the memo the census makes of the cell's CNF as the
+        /// batch builder makes it: the count, and per variable whether
+        /// some model sets it True and whether some sets it False; when
+        /// `exhaustive` and the CNF is small, brute-force enumeration
+        /// agrees. A cell with no censored observation has unit negations
+        /// alone, whose one model is all False; that needs no census.
+        /// Every path reaches every cell the first time it is seen, so the
+        /// builders number the variables in the group's first-appearance
+        /// order. Returns the five counts.
+        fn check_memos(&self, group: &InstanceGroup, exhaustive: bool) -> [SolutionCount; N_CELLS] {
+            let (cap, n) = (self.cap, group.space.vars.len());
             let sides = |b: Option<churnlab_sat::Backbone>| {
                 b.map(|b| b.ever_true.into_iter().zip(b.ever_false).collect::<Vec<_>>())
             };
-            let of = |c: SolutionCensus| (c.count, sides(c.backbone));
-            let reference = churnlab_sat::reference::census(&cnf, cap);
-            assert_eq!(memo, of(reference), "reference census, cap {cap}: {cnf:?}");
-            if exhaustive && n <= 20 {
-                let all = (cap_count(brute::count(&cnf).into(), cap), sides(brute::backbone(&cnf)));
-                assert_eq!(memo, all, "brute, cap {cap}: {cnf:?}");
-            }
+            let all_false = (SolutionCount::Exact(1), Some(vec![(false, true); n]));
+            std::array::from_fn(|i| {
+                let memo = match &group.cells[i].memo {
+                    Memo::Trivial => all_false.clone(),
+                    Memo::Unsat => (SolutionCount::Exact(0), None),
+                    Memo::Solved { count, fate } => {
+                        let sides = fate.iter().map(|&f| (f != Fate::AlwaysFalse, f != Fate::AlwaysTrue));
+                        (*count, Some(sides.collect()))
+                    }
+                };
+                let anomaly = AnomalyType::ALL[i];
+                if !self.oracle[i].has_positive() {
+                    assert_eq!(memo, all_false, "{anomaly:?} cell without a censored observation");
+                    return memo.0;
+                }
+                let cnf = self.oracle[i].clone().build().expect("observed").cnf;
+                let census = churnlab_sat::reference::census(&cnf, cap);
+                let census = (census.count, sides(census.backbone));
+                assert_eq!(memo, census, "{anomaly:?} cell, reference census, cap {cap}: {cnf:?}");
+                if exhaustive && n <= 20 {
+                    let all = (cap_count(brute::count(&cnf).into(), cap), sides(brute::backbone(&cnf)));
+                    assert_eq!(memo, all, "{anomaly:?} cell, brute, cap {cap}: {cnf:?}");
+                }
+                census.0
+            })
+        }
+
+        /// The counters read what the oracle derives.
+        fn check_stats(&self) {
+            let (got, want) = (self.stats, self.expect);
+            assert_eq!(
+                (got.updates, got.duplicates, got.unsat_skips),
+                (want.updates, want.duplicates, want.unsat_skips)
+            );
+            assert_eq!(got.resolves + got.direct_updates, want.updates - want.unsat_skips);
+        }
+
+        /// Each cell's outcome as the batch analyze makes it, and the
+        /// built instance it is made of.
+        fn batch(&self) -> [(InstanceOutcome, TomographyInstance); N_CELLS] {
+            let cfg = SolveConfig { count_cap: self.cap };
+            std::array::from_fn(|i| {
+                let inst = self.oracle[i].clone().build().expect("every cell has observed");
+                (analyze(&inst, &cfg), inst)
+            })
         }
 
         fn dns(&self) -> &IncrementalInstance {
@@ -1191,27 +1255,12 @@ mod tests {
         for (path, censored) in observations {
             h.observe(path, *censored);
         }
-        h.check_memo(true);
         if h.dns().is_empty() {
-            None
-        } else {
-            Some(h.outcome())
+            return None;
         }
-    }
-
-    /// The retained un-interned implementation, as differential oracle.
-    fn reference_outcome(observations: &[(Vec<Asn>, bool)], cap: u64) -> Option<InstanceOutcome> {
-        let mut inst = UninternedInstance::new(key());
-        let mut stats = IncrementalStats::default();
-        let mut scratch = ReferenceScratch::new();
-        for (path, censored) in observations {
-            inst.observe(path, *censored, cap, &mut stats, &mut scratch);
-        }
-        if inst.is_empty() {
-            None
-        } else {
-            Some(inst.outcome())
-        }
+        h.check_memos(&h.group, true);
+        h.check_stats();
+        Some(h.outcome())
     }
 
     #[test]
@@ -1372,13 +1421,17 @@ mod tests {
 
         /// The group is its five cells. Any observe sequence — every
         /// one of the 32 anomaly sets, paths that repeat, one path under
-        /// both polarities — leaves each cell what the un-interned
-        /// reference leaves an instance of its own fed that cell's
-        /// polarity: the same outcome, counts and censored paths in
-        /// arrival order, and the same work counters summed over the
-        /// five. A group checkpointed and restored part-way (`cut`) is
-        /// the same again, carries on to the same end state as one never
-        /// interrupted, and re-encodes to the bytes it was read from.
+        /// both polarities — leaves each cell what the batch analyze
+        /// makes of that cell's polarity of the stream: the same outcome,
+        /// counts and censored paths in arrival order; after every
+        /// observation each cell's memo is what the census makes of the
+        /// cell's CNF ([`Harness::check_memos`]), and the work counters
+        /// are what the oracle derives ([`Harness::check_stats`]). A group
+        /// checkpointed and restored part-way (`cut`) is held the same way
+        /// after every later observation, carries on to the same end
+        /// state and counters as one never interrupted, and re-encodes to
+        /// the bytes it was read from. The `reference` of its name is the
+        /// census, `churnlab_sat::reference`.
         #[test]
         fn prop_group_is_five_reference_cells_across_a_round_trip(
             observations in proptest::collection::vec(
@@ -1398,49 +1451,36 @@ mod tests {
                 .collect();
             let cut = cut.min(observations.len());
 
-            // The oracle: five instances, each with its own dedup, plus
-            // each cell's censored paths as first seen.
-            let mut reference = AnomalyType::ALL.map(|anomaly| {
-                UninternedInstance::new(InstanceKey { url_id: 3, anomaly, window: window() })
-            });
-            let mut censored: [Vec<&[Asn]>; N_CELLS] = Default::default();
-            let mut ref_stats = IncrementalStats::default();
-            let mut ref_scratch = ReferenceScratch::new();
-
             let mut h = Harness::new();
             let mut restored = None;
             for (at, (path, detected)) in observations.iter().enumerate() {
                 if at == cut {
                     restored = Some(round_trip(&h));
                 }
-                let pid = h.table.intern(path);
-                h.group.observe(pid, &h.table, *detected, cap, &mut h.stats, &mut h.scratch);
+                let pid = h.observe_set(path, *detected);
                 if let Some((group, stats)) = &mut restored {
                     group.observe(pid, &h.table, *detected, cap, stats, &mut h.scratch);
-                }
-                for (i, anomaly) in AnomalyType::ALL.into_iter().enumerate() {
-                    let hit = detected.contains(anomaly);
-                    reference[i].observe(path, hit, cap, &mut ref_stats, &mut ref_scratch);
-                    if hit && !censored[i].contains(&path.as_slice()) {
-                        censored[i].push(path);
-                    }
+                    h.check_memos(group, false);
                 }
             }
             let (after, after_stats) = match restored {
                 Some(restored) => restored,
                 None => round_trip(&h),
             };
-            prop_assert_eq!(h.stats, ref_stats);
-            prop_assert_eq!(after_stats, ref_stats);
+            h.check_stats();
+            prop_assert_eq!(after_stats, h.stats);
+            let batch = h.batch();
             for group in [&h.group, &after] {
+                h.check_memos(group, true);
                 for (i, anomaly) in AnomalyType::ALL.into_iter().enumerate() {
-                    let (cell, expect) = (group.cell(anomaly), reference[i].outcome());
-                    prop_assert_eq!(cell.len(), reference[i].len());
+                    let (cell, (expect, inst)) = (&group.cells[i], &batch[i]);
+                    prop_assert_eq!(cell.len(), expect.n_observations);
                     prop_assert_eq!(cell.has_positive(), expect.n_positive > 0);
-                    prop_assert_eq!(cell.outcome(&group.vars_by_asn()), expect);
+                    prop_assert_eq!(&cell.outcome(&group.vars_by_asn()), expect);
                     let paths: Vec<&[Asn]> =
                         group.censored_paths(anomaly).map(|pid| h.table.path(pid)).collect();
-                    prop_assert_eq!(&paths, &censored[i]);
+                    let censored = inst.observations.iter().filter(|o| o.censored);
+                    prop_assert_eq!(paths, censored.map(|o| o.path.as_slice()).collect::<Vec<_>>());
                 }
             }
             prop_assert_eq!(&after.space.exonerated, &h.group.space.exonerated);
@@ -1474,17 +1514,18 @@ mod tests {
         prop_oneof![Just(2u64), Just(3), Just(5), Just(8), Just(64)]
     }
 
-    /// The interned state machine agrees with the batch analyze() AND the
-    /// retained un-interned reference for the same observations — in the
-    /// given order AND reversed (order independence) — and after every
-    /// observation its memo is what the SAT census makes of the same CNF
-    /// ([`Harness::check_memo`]).
+    /// The interned state machine agrees with the batch analyze() for the
+    /// same observations — in the given order AND reversed (order
+    /// independence) — and after every observation its memos are what
+    /// the SAT oracle, `churnlab_sat::reference` (the `reference` of its
+    /// name), makes of the same CNFs ([`Harness::check_memos`]); at each
+    /// stream's end brute-force enumeration agrees and the counters are
+    /// the oracle's ([`Harness::check_stats`]).
     fn interned_matches_batch_and_reference(observations: Vec<(Vec<u32>, bool)>, cap: u64) {
         let obs: Vec<(Vec<Asn>, bool)> =
             observations.into_iter().map(|(path, censored)| (asns(&path), censored)).collect();
         let batch = batch_outcome(&obs, cap);
         assert_eq!(incremental_outcome(&obs, cap), batch.clone());
-        assert_eq!(reference_outcome(&obs, cap), batch.clone());
         let reversed: Vec<_> = obs.iter().rev().cloned().collect();
         assert_eq!(incremental_outcome(&reversed, cap), batch);
     }

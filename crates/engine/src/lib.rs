@@ -80,7 +80,6 @@ mod engine;
 pub mod incremental;
 pub mod intern;
 mod obs;
-pub mod reference;
 mod shard;
 
 pub use ckpt::RestoreError;
