@@ -11,7 +11,7 @@
 //! | `campaign` | [`campaignbench`] | fused sim→engine throughput; regression and scaling gates |
 //! | `replay` | [`replaybench`] | JSONL export / replay, verify, checkpoint and resume |
 //! | `longhaul` | [`longhaul`] | 100M-measurement streaming; RSS plateau gate |
-//! | `route` | [`routebench`] | cached path lookups vs full route trees; speedup and zero-alloc gates |
+//! | `route` | [`routebench`] | a campaign unit's path lookups vs full route trees; speedup and zero-alloc gates |
 //!
 //! Every subcommand declares its flags as a table over the one parser in
 //! [`cli`]; the two sweeps share the gates in [`gate`], and every report

@@ -1,8 +1,8 @@
-//! `bench route` — routing as campaigns run it: path lookups through
-//! [`RoutingSim`]'s demand-driven trees, timed against full route trees
-//! answering the same lookups; the zero-allocation steady state of a full
-//! tree; and what a churn timeline costs to build and hold, as one JSON
-//! document (`BENCH_route.json`).
+//! `bench route` — routing as campaigns run it: path lookups through a
+//! campaign unit's demand-driven trees ([`Routes`]), timed against full
+//! route trees answering the same lookups; the zero-allocation steady
+//! state of both; and what a churn timeline costs to build and hold, as
+//! one JSON document (`BENCH_route.json`).
 //!
 //! ```text
 //! bench route                                         # small tier, JSON on stdout
@@ -29,12 +29,14 @@
 //! spread over every AS, destinations revisiting a pool, and as many
 //! lookups a (dst, epoch) as the tier's campaign makes (measured, see
 //! `TIERS`): the ratio hangs on that number, since a full tree costs the
-//! same however few of its routes are read. The *query pass* asks a cold
-//! [`RoutingSim`], whose cache builds a demand-driven tree at each new
-//! (dst, epoch); the *full-tree pass* computes a full [`RouteTree`]
-//! there into reused scratch instead and reads every path off it. Both
-//! record every answer the same way, and the two passes' answers must be
-//! equal or the run panics.
+//! same however few of its routes are read. The *query pass* answers
+//! each (dst, epoch) run through one [`Routes`] set over a
+//! [`RoutingSim`], cleared before the next run as a campaign unit's is
+//! when the unit ends, so every run builds its demand-driven tree in the
+//! buffers of the last; the *full-tree pass* computes a full
+//! [`RouteTree`] there into reused scratch instead and reads every path
+//! off it. Both record every answer the same way, and the two passes'
+//! answers must be equal or the run panics.
 //!
 //! Gates (exit 1 on failure):
 //!
@@ -45,10 +47,11 @@
 //!   over every AS, so the ratio guards what the demand tree saves by
 //!   resolving only what lookups touch; it cannot see the resolution
 //!   itself get slower (that slows the denominator more).
-//! * `--max-steady-allocs N` — a warm repeat of the full-tree pass must
-//!   not allocate more than N times (the design claim is 0). The count
-//!   comes from the binary's counting allocator, which counts only while
-//!   [`COUNTING`] is set — around that pass.
+//! * `--max-steady-allocs N` — a warm repeat of the query pass and of
+//!   the full-tree pass together must not allocate more than N times (the
+//!   design claim is 0). The count comes from the binary's counting
+//!   allocator, which counts only while [`COUNTING`] is set — around
+//!   those passes.
 //! * `--min-reachability R` — the sampled lookups must route at rate ≥ R
 //!   on every tier (the Huge smoke floor is 0.95).
 //! * `--baseline FILE` — the committed report must still parse, and the
@@ -65,7 +68,7 @@
 use crate::cli::{self, Args, Flag, Kind, Sub, FRACTION, MIN_SPEEDUP, OUT, REPEATS, SEED, UINT};
 use crate::{best_of, gate};
 use churnlab_bgp::{
-    ChurnConfig, ChurnTimeline, ReferenceRouter, RouteTree, RoutingSim, TreeScratch,
+    ChurnConfig, ChurnTimeline, ReferenceRouter, RouteTree, Routes, RoutingSim, TreeScratch,
 };
 use churnlab_topology::{
     generator, AsIdx, AsRole, Asn, GeneratedWorld, Topology, WorldConfig, WorldScale,
@@ -97,7 +100,7 @@ pub fn counting_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// `bench route`.
 pub const SUB: Sub = Sub {
     name: "route",
-    about: "cached path lookups vs full route trees, zero-allocation steady state",
+    about: "a unit's path lookups vs full route trees, zero-allocation steady state",
     flags: &[
         SEED,
         REPEATS,
@@ -105,7 +108,7 @@ pub const SUB: Sub = Sub {
         Flag::new("--queries", UINT, "", "path lookups per tier (default: 2000 small, 3000 huge)"),
         MIN_SPEEDUP,
         Flag::new("--min-reachability", FRACTION, "", "exit 1 unless this fraction of lookups routes"),
-        Flag::new("--max-steady-allocs", UINT, "", "exit 1 if a warm full-tree pass allocates more"),
+        Flag::new("--max-steady-allocs", UINT, "", "exit 1 if warm repeated passes allocate more"),
         Flag::new("--baseline", Kind::Text, "", "committed report: must parse, and arms the timeline-size ceiling"),
         gate::UPDATE_BASELINE,
         OUT,
@@ -164,23 +167,26 @@ pub struct RouteBenchRow {
     pub n_ases: u64,
     /// Links in the world.
     pub n_links: u64,
-    /// Lookups per second through a cold [`RoutingSim`], best of repeats.
+    /// Lookups per second through a unit's [`Routes`], cleared between
+    /// (dst, epoch) runs, best of repeats.
     pub paths_per_sec: f64,
     /// The same lookups per second read off full route trees, best of
     /// repeats.
     pub full_tree_paths_per_sec: f64,
     /// `paths_per_sec / full_tree_paths_per_sec`.
     pub speedup: f64,
-    /// Tree-cache hit rate over the query pass.
+    /// Share of the query pass's lookups answered by a tree the set
+    /// already held.
     pub cache_hit_rate: f64,
     /// Fraction of sampled lookups that routed.
     pub reachability: f64,
-    /// Heap bytes of the largest demand-driven tree the query pass's
-    /// cache held: what its lookups memoized, at most
+    /// Heap bytes of the largest demand-driven tree the query pass held:
+    /// what its lookups memoized, at most
     /// `churnlab_bgp::sim::cached_tree_bytes` at this scale.
     pub peak_tree_bytes: u64,
-    /// Heap allocations during a warm full-tree pass (the committed
-    /// report proves the zero-allocation claim).
+    /// Heap allocations during a warm repeat of the query pass and of the
+    /// full-tree pass (the committed report proves the zero-allocation
+    /// claim).
     pub steady_state_allocs: u64,
 }
 
@@ -253,17 +259,21 @@ impl Answers {
     }
 }
 
-/// A generated world, its lookups and the full-tree pass's reused
-/// buffers.
+/// A generated world, its timeline and its lookups.
 struct RouteHarness {
     world: GeneratedWorld,
     churn_cfg: ChurnConfig,
-    /// The timeline every pass's simulator builds from `churn_cfg`.
+    /// The timeline the full trees are computed under; the simulator
+    /// builds an equal one from `churn_cfg`.
     churn: ChurnTimeline,
     lookups: Vec<Lookup>,
+}
+
+/// A full route tree and the scratch it is computed into, reused from
+/// one (dst, epoch) to the next.
+struct FullTree {
     scratch: TreeScratch,
     tree: RouteTree,
-    path: Vec<Asn>,
 }
 
 impl RouteHarness {
@@ -290,8 +300,13 @@ impl RouteHarness {
                 (src, pool[(q / per_tree) % pool.len()], ((q / batch) as u32 * 11) % epochs)
             })
             .collect();
-        let (scratch, tree, path) = (TreeScratch::new(), RouteTree::empty(), Vec::new());
-        RouteHarness { world, churn_cfg, churn, lookups, scratch, tree, path }
+        RouteHarness { world, churn_cfg, churn, lookups }
+    }
+
+    /// A simulator over the harness's world and churn.
+    fn sim(&self) -> RoutingSim<'_> {
+        let (topo, capacity) = (&self.world.topology, self.world.config.tree_cache_capacity);
+        RoutingSim::with_cache_capacity(topo, &self.churn_cfg, capacity)
     }
 
     /// The (dst, epoch) of each run of lookups that shares one.
@@ -301,11 +316,12 @@ impl RouteHarness {
         keys.filter(move |&key| last.replace(key) != Some(key))
     }
 
-    /// The full route tree to `dest` at `epoch`, into the reused tree.
-    fn compute(&mut self, dest: AsIdx, epoch: u32) {
-        let RouteHarness { world, churn, scratch, tree, .. } = self;
+    /// The full route tree to `dest` at `epoch`, into `full`.
+    fn compute(&self, full: &mut FullTree, dest: AsIdx, epoch: u32) {
+        let churn = &self.churn;
         let (link_up, salt) = (|l| churn.link_up(l, epoch), |x| churn.te_salt(x, epoch));
-        RouteTree::compute_into(scratch, &world.topology, dest, &link_up, &salt, tree);
+        let (topo, FullTree { scratch, tree }) = (&self.world.topology, full);
+        RouteTree::compute_into(scratch, topo, dest, &link_up, &salt, tree);
     }
 
     /// Hold `trees` full trees, spread over the lookups' (dst, epoch),
@@ -314,55 +330,60 @@ impl RouteHarness {
     /// # Panics
     ///
     /// Panics on any divergence.
-    fn differential_check(&mut self, trees: usize) {
+    fn differential_check(&self, full: &mut FullTree, trees: usize) {
         let router = ReferenceRouter::build(&self.world.topology);
         let keys: Vec<(AsIdx, u32)> = self.trees().collect();
         for i in 0..trees.min(keys.len()) {
             let (dest, epoch) = keys[i * keys.len() / trees];
-            self.compute(dest, epoch);
+            self.compute(full, dest, epoch);
             let churn = &self.churn;
             let (link_up, salt) = (|l| churn.link_up(l, epoch), |x| churn.te_salt(x, epoch));
             let reference = router.compute(dest, &link_up, &salt);
             assert!(
-                reference.agrees_with(&self.tree),
+                reference.agrees_with(&full.tree),
                 "the full tree and the reference diverged at dest {dest:?} epoch {epoch}"
             );
         }
     }
 
-    /// Answer every lookup through a cold [`RoutingSim`] into `answers`.
-    /// Returns the pass's seconds (the simulator's timeline is built
-    /// outside them), its tree-cache hit rate, and the heap bytes of the
-    /// largest tree its cache held.
-    fn query_pass(&mut self, answers: &mut Answers) -> (f64, f64, usize) {
-        let (topo, capacity) = (&self.world.topology, self.world.config.tree_cache_capacity);
-        let sim = RoutingSim::with_cache_capacity(topo, &self.churn_cfg, capacity);
+    /// Answer every lookup into `answers` as a campaign unit does: each
+    /// (dst, epoch) run through `routes`, cleared before the next, so
+    /// every run builds its tree in the buffers of the last. Returns the
+    /// pass's seconds and the heap bytes of the largest tree it held.
+    fn query_pass(
+        &self,
+        routes: &mut Routes,
+        answers: &mut Answers,
+        path: &mut Vec<Asn>,
+    ) -> (f64, usize) {
         answers.clear();
+        let (mut last, mut largest) = (None, 0);
         let start = Instant::now();
         for &(src, dst, epoch) in &self.lookups {
-            sim.asn_path_into(src, dst, epoch, &mut self.path);
-            answers.record(&self.path);
+            if last.replace((dst, epoch)).is_some_and(|key| key != (dst, epoch)) {
+                largest = largest.max(routes.largest_tree_bytes());
+                routes.clear();
+            }
+            routes.asn_path_into(src, dst, epoch, path);
+            answers.record(path);
         }
-        let secs = start.elapsed().as_secs_f64();
-        let stats = sim.cache_stats();
-        let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
-        (secs, hit_rate, sim.largest_cached_tree_bytes())
+        largest = largest.max(routes.largest_tree_bytes());
+        routes.clear();
+        (start.elapsed().as_secs_f64(), largest)
     }
 
     /// Answer every lookup off full route trees into `answers`: one tree
-    /// computed per (dst, epoch), into reused scratch. Returns the
-    /// pass's seconds.
-    fn full_pass(&mut self, answers: &mut Answers) -> f64 {
+    /// computed per (dst, epoch), into `full`. Returns the pass's seconds.
+    fn full_pass(&self, full: &mut FullTree, answers: &mut Answers, path: &mut Vec<Asn>) -> f64 {
         answers.clear();
         let mut last = None;
         let start = Instant::now();
-        for q in 0..self.lookups.len() {
-            let (src, dst, epoch) = self.lookups[q];
+        for &(src, dst, epoch) in &self.lookups {
             if last.replace((dst, epoch)) != Some((dst, epoch)) {
-                self.compute(dst, epoch);
+                self.compute(full, dst, epoch);
             }
-            self.tree.asn_path_into(&self.world.topology, src, &mut self.path);
-            answers.record(&self.path);
+            full.tree.asn_path_into(&self.world.topology, src, path);
+            answers.record(path);
         }
         start.elapsed().as_secs_f64()
     }
@@ -370,7 +391,7 @@ impl RouteHarness {
 
 /// Assemble a tier, check it against the reference, time `queries`
 /// lookups, `per_tree` a (dst, epoch), both ways (best of `repeats`),
-/// hold their answers equal, and audit a warm full-tree pass's
+/// hold their answers equal, and audit a warm repeat of both passes'
 /// allocations.
 ///
 /// # Panics
@@ -384,16 +405,19 @@ fn run_tier(
     per_tree: usize,
     repeats: usize,
 ) -> (RouteBenchRow, RouteHarness) {
-    let mut h = RouteHarness::assemble(scale, seed, queries, per_tree);
-    h.differential_check(3);
-    let (mut cached, mut full) = (Answers::default(), Answers::default());
-    let mut cache = (0.0, 0);
+    let h = RouteHarness::assemble(scale, seed, queries, per_tree);
+    let mut full_tree = FullTree { scratch: TreeScratch::new(), tree: RouteTree::empty() };
+    h.differential_check(&mut full_tree, 3);
+    let (mut cached, mut full, mut path) = (Answers::default(), Answers::default(), Vec::new());
+    let sim = h.sim();
+    let mut routes = Routes::new(&sim);
+    let mut peak_tree_bytes = 0;
     let sim_secs = best_of(repeats, || {
-        let (secs, hit_rate, tree_bytes) = h.query_pass(&mut cached);
-        cache = (hit_rate, tree_bytes);
+        let (secs, tree_bytes) = h.query_pass(&mut routes, &mut cached, &mut path);
+        peak_tree_bytes = peak_tree_bytes.max(tree_bytes);
         secs
     });
-    let full_secs = best_of(repeats, || h.full_pass(&mut full));
+    let full_secs = best_of(repeats, || h.full_pass(&mut full_tree, &mut full, &mut path));
     if let Some(q) = (0..queries).find(|&q| cached.path(q) != full.path(q)) {
         let (src, dst, epoch) = h.lookups[q];
         panic!(
@@ -403,9 +427,14 @@ fn run_tier(
             full.path(q)
         );
     }
-    // The timed passes left every buffer warm, so a further full-tree
-    // pass must not touch the allocator.
-    let (_, steady_state_allocs) = counting_allocs(|| h.full_pass(&mut full));
+    // The timed passes left every buffer warm, so a further pass of
+    // either kind must not touch the allocator.
+    let (_, query_allocs) = counting_allocs(|| h.query_pass(&mut routes, &mut cached, &mut path));
+    let (_, full_allocs) = counting_allocs(|| h.full_pass(&mut full_tree, &mut full, &mut path));
+    drop(routes);
+    let stats = sim.cache_stats();
+    let cache_hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
+    drop(sim);
     let topo = &h.world.topology;
     let reached = (0..queries).filter(|&q| !cached.path(q).is_empty()).count();
     let row = RouteBenchRow {
@@ -415,10 +444,10 @@ fn run_tier(
         paths_per_sec: queries as f64 / sim_secs.max(1e-9),
         full_tree_paths_per_sec: queries as f64 / full_secs.max(1e-9),
         speedup: full_secs / sim_secs.max(1e-12),
-        cache_hit_rate: cache.0,
+        cache_hit_rate,
         reachability: reached as f64 / queries.max(1) as f64,
-        peak_tree_bytes: cache.1 as u64,
-        steady_state_allocs,
+        peak_tree_bytes: peak_tree_bytes as u64,
+        steady_state_allocs: query_allocs + full_allocs,
     };
     (row, h)
 }
@@ -505,18 +534,23 @@ mod tests {
     fn harness_phases_agree_and_query_pass_routes() {
         // Smoke-sized so debug-mode tests stay fast; the real tiers run
         // in the release-mode bin.
-        let (row, mut h) = run_tier("smoke", WorldScale::Smoke, 7, 200, 40, 1);
+        let (row, h) = run_tier("smoke", WorldScale::Smoke, 7, 200, 40, 1);
         assert!(row.speedup > 0.0 && row.full_tree_paths_per_sec > 0.0);
         assert!(row.reachability > 0.9, "reachability {}", row.reachability);
-        assert!(row.cache_hit_rate > 0.5, "hit rate {}", row.cache_hit_rate);
+        // 40 lookups a tree: one builds it, 39 hit.
+        assert!((row.cache_hit_rate - 39.0 / 40.0).abs() < 1e-9, "hit rate {}", row.cache_hit_rate);
         let most = churnlab_bgp::sim::cached_tree_bytes(row.n_ases as usize, row.n_links as usize);
         assert!((1..=most as u64).contains(&row.peak_tree_bytes), "{} > {most}", row.peak_tree_bytes);
         assert_eq!(h.trees().count(), 5, "200 lookups, 40 a tree");
-        let (mut cached, mut full) = (Answers::default(), Answers::default());
-        h.query_pass(&mut cached);
-        h.full_pass(&mut full);
+        let (mut cached, mut full, mut path) = (Answers::default(), Answers::default(), Vec::new());
+        let sim = h.sim();
+        h.query_pass(&mut Routes::new(&sim), &mut cached, &mut path);
+        let mut full_tree = FullTree { scratch: TreeScratch::new(), tree: RouteTree::empty() };
+        h.full_pass(&mut full_tree, &mut full, &mut path);
         assert_eq!(cached, full);
         assert_eq!(cached.ends.len(), 200);
+        // Each run's tree was built once and cleared before the next.
+        assert_eq!(sim.cache_stats().misses, 5);
     }
 
     #[test]

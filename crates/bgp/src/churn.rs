@@ -593,7 +593,7 @@ impl ChurnTimeline {
 const FAR_JUMP_FLIPS_PER_FLAPPY_LINK: usize = 32;
 
 /// The up/down state of every link at one epoch of one timeline, one bit
-/// per link, kept by a thread across route-tree builds. Consecutive
+/// per link, kept by a set of route trees across their builds. Consecutive
 /// epochs differ by a few flips, so [`LinkCursor::seek`] reaches a nearby
 /// epoch by XOR-ing the flips in between, in either direction.
 #[derive(Debug, Default)]

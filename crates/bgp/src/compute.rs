@@ -52,7 +52,6 @@
 //!   bijection of the ASN, so the pick does not depend on the list
 //!   scanned.
 
-use crate::churn::LinkCursor;
 use crate::policy::RouteClass;
 use churnlab_obs::Counter;
 use churnlab_topology::{AsIdx, Asn, LinkId, Topology};
@@ -160,13 +159,12 @@ fn too_long() -> ! {
     )
 }
 
-/// Reusable per-thread working state for tree computation.
+/// Reusable working state for full tree computation.
 ///
 /// Holds the provider cone and its length offsets, the provider-stage
-/// worklist and the link-state bitmap of [`RouteTree::compute_into`],
-/// plus the link-state cursor the simulator's demand-driven trees are
-/// built from. All buffers grow to the world's size on first use and are
-/// then recycled: in steady state a full tree computation performs
+/// worklist and the link-state bitmap of [`RouteTree::compute_into`].
+/// All buffers grow to the world's size on first use and are then
+/// recycled: in steady state a full tree computation performs
 /// **zero** heap allocations (`bench route --max-steady-allocs 0` checks
 /// this with a counting allocator).
 #[derive(Debug, Default)]
@@ -180,8 +178,6 @@ pub struct TreeScratch {
     closure: Vec<u32>,
     /// One bit per link: up (1) or down (0) under the closure snapshot.
     up: Vec<u64>,
-    /// Link state at some epoch of some churn timeline, moved by deltas.
-    pub(crate) cursor: LinkCursor,
 }
 
 impl TreeScratch {

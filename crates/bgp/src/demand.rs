@@ -1,4 +1,5 @@
-//! Demand-driven route trees: what [`crate::sim::RoutingSim`] caches.
+//! Demand-driven route trees: what a campaign unit's [`crate::sim::Routes`]
+//! and [`crate::sim::RoutingSim`]'s own lookups route through.
 //!
 //! A study asks for a tree per (destination, epoch) and then reads the
 //! routes of the few hundred ASes its vantage points' paths pass through,
@@ -24,7 +25,6 @@
 use crate::compute::{base_stages, walk, Resolver, RouteTable, SelectedRoute};
 use churnlab_obs::Counter;
 use churnlab_topology::{AsIdx, Topology};
-use parking_lot::Mutex;
 use std::mem::size_of;
 
 /// ASes per memo block.
@@ -88,96 +88,87 @@ impl RouteTable for PagedRoutes {
     }
 }
 
-/// The route table as far as lookups have resolved it.
-#[derive(Debug)]
-struct Memo {
-    /// Customer and peer routes are complete from the start, their next
-    /// hops pending. An AS with neither stays unrouted until asked about;
-    /// then it holds its provider route or is marked as having none.
-    routes: PagedRoutes,
-    /// The resolution's provider-stage worklist.
-    closure: Vec<u32>,
-}
-
 /// Routes toward one destination under one link-state snapshot, resolved
-/// per AS on first use.
+/// per AS on first use. Its buffers outlive the snapshot: [`Self::rebuild`]
+/// refills them in place for another.
 #[derive(Debug)]
 pub(crate) struct DemandTree {
     dest: AsIdx,
     /// Link state the tree was built under, one bit per link.
     up: Vec<u64>,
     /// The destination's provider cone in BFS order.
-    cone: Box<[u32]>,
+    cone: Vec<u32>,
     /// `cone[levels[l]..levels[l + 1]]` are the members of length `l`.
-    levels: Box<[u32]>,
-    /// The lock does not poison, and need not: routes hold tentative
-    /// lengths only inside the provider-stage resolution, which sets them
-    /// back to unrouted before its one panic (a route longer than the
-    /// `u16` length holds); the caller's `salt` and the path's `map` run
-    /// between final states. A lookup that panicked panics again when
-    /// asked again.
-    memo: Mutex<Memo>,
-    /// Counts memoized next hops, when the simulator is instrumented.
-    resolved: Option<Counter>,
+    levels: Vec<u32>,
+    /// The route table as far as lookups have resolved it. Customer and
+    /// peer routes are complete from the start, their next hops pending.
+    /// An AS with neither stays unrouted until asked about; then it holds
+    /// its provider route or is marked as having none. Routes hold
+    /// tentative lengths only inside the provider-stage resolution, which
+    /// sets them back to unrouted before its one panic (a route longer
+    /// than the `u16` length holds), so a lookup that panicked panics
+    /// again when asked again.
+    routes: PagedRoutes,
+    /// The provider stage's worklist.
+    closure: Vec<u32>,
 }
 
 impl DemandTree {
-    /// Build the eager part under link state `up`. `cone` and `levels` are
-    /// scratch; the tree keeps a copy of what they are left holding.
-    pub(crate) fn build(
-        topo: &Topology,
-        up: &[u64],
-        dest: AsIdx,
-        cone: &mut Vec<u32>,
-        levels: &mut Vec<u32>,
-        resolved: Option<Counter>,
-    ) -> DemandTree {
-        let mut routes = PagedRoutes::new(topo.n_ases());
-        base_stages(topo, up, dest, &mut routes, cone, levels);
-        let memo = Mutex::new(Memo { routes, closure: Vec::new() });
-        let (cone, levels) = (cone.as_slice().into(), levels.as_slice().into());
-        DemandTree { dest, up: up.to_vec(), cone, levels, memo, resolved }
+    /// A tree toward no destination yet, sized for `topo`.
+    pub(crate) fn new(topo: &Topology) -> DemandTree {
+        let (up, routes) = (vec![0; topo.n_links().div_ceil(64)], PagedRoutes::new(topo.n_ases()));
+        let (cone, levels, closure) = (Vec::new(), Vec::new(), Vec::new());
+        DemandTree { dest: AsIdx(0), up, cone, levels, routes, closure }
+    }
+
+    /// Forget what the tree held and build the eager part toward `dest`
+    /// under link state `up`, into the buffers it already has.
+    pub(crate) fn rebuild(&mut self, topo: &Topology, up: &[u64], dest: AsIdx) {
+        self.dest = dest;
+        self.up.copy_from_slice(up);
+        self.routes.index.fill(NO_BLOCK);
+        self.routes.blocks.clear();
+        base_stages(topo, up, dest, &mut self.routes, &mut self.cone, &mut self.levels);
     }
 
     /// Heap bytes the tree holds: its link bitmap, block index and blocks.
     pub(crate) fn heap_bytes(&self) -> usize {
-        let PagedRoutes { index, blocks } = &self.memo.lock().routes;
+        let PagedRoutes { index, blocks } = &self.routes;
         let memo = index.capacity() * size_of::<u32>() + blocks.capacity() * size_of::<Block>();
         self.up.capacity() * size_of::<u64>() + memo
     }
 
-    fn resolver<'a>(&'a self, topo: &'a Topology) -> Resolver<'a> {
-        let (up, cone, levels) = (&self.up[..], &self.cone[..], &self.levels[..]);
-        Resolver { topo, up, cone, levels, resolved: self.resolved.as_ref() }
-    }
-
     /// The route `src` selects, if it can reach the destination.
-    /// `salt(as_index)` is the per-AS tiebreak salt of the tree's epoch.
+    /// `salt(as_index)` is the per-AS tiebreak salt of the tree's epoch and
+    /// `resolved` counts the next hops memoized.
     pub(crate) fn route(
-        &self,
+        &mut self,
         topo: &Topology,
         salt: &dyn Fn(usize) -> u64,
+        resolved: Option<&Counter>,
         src: AsIdx,
     ) -> Option<SelectedRoute> {
-        let Memo { routes, closure } = &mut *self.memo.lock();
-        self.resolver(topo).route(routes, closure, salt, src)
+        let DemandTree { up, cone, levels, routes, closure, .. } = self;
+        let resolver = Resolver { topo, up, cone, levels, resolved };
+        resolver.route(routes, closure, salt, src)
     }
 
     /// The forwarding path from `src` to the destination into `out`, each
     /// AS mapped by `map`, both ends included; `false`, leaving `out`
     /// empty, if there is none (see [`walk`]).
     pub(crate) fn path_into<T>(
-        &self,
+        &mut self,
         topo: &Topology,
         salt: &dyn Fn(usize) -> u64,
+        resolved: Option<&Counter>,
         src: AsIdx,
         map: impl Fn(AsIdx) -> T,
         out: &mut Vec<T>,
     ) -> bool {
-        let Memo { routes, closure } = &mut *self.memo.lock();
-        let resolver = self.resolver(topo);
+        let DemandTree { dest, up, cone, levels, routes, closure } = self;
+        let resolver = Resolver { topo, up, cone, levels, resolved };
         let next_of = |x| resolver.route(routes, closure, salt, x)?.next();
-        walk(src, self.dest, topo.n_ases(), next_of, map, out)
+        walk(src, *dest, topo.n_ases(), next_of, map, out)
     }
 }
 

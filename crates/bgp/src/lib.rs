@@ -21,10 +21,10 @@
 //!   Markov chains driven by each link's [`churnlab_topology::LinkStability`])
 //!   plus per-AS traffic-engineering shifts that re-roll equal-cost
 //!   tiebreaks, mirroring hot-potato and TE-induced churn in real BGP.
-//! * [`sim`] — [`sim::RoutingSim`], the epoch-indexed path oracle used by
-//!   the measurement platform, with a sharded cache of demand-driven
-//!   route trees (eager provider cone and peers; provider stage and next
-//!   hops resolved for the ASes lookups walk through).
+//! * [`sim`] — [`sim::RoutingSim`], the epoch-indexed path oracle, and
+//!   [`sim::Routes`], a campaign unit's demand-driven route trees (eager
+//!   provider cone and peers; provider stage and next hops resolved for
+//!   the ASes lookups walk through), cleared when the unit ends.
 //! * [`mod@reference`] — the pre-CSR compute path, retained as the
 //!   independent oracle both tree forms are held against.
 //! * [`stats`] — distinct-path counting over time windows (Figure 3's
@@ -50,7 +50,7 @@ pub use churn::{ChurnConfig, ChurnConfigError, ChurnTimeline};
 pub use compute::{RouteTree, SelectedRoute, TreeScratch};
 pub use reference::{ReferenceRouter, ReferenceTree};
 pub use policy::RouteClass;
-pub use sim::RoutingSim;
+pub use sim::{Routes, RoutingSim};
 pub use time::{Day, Epoch, Granularity, TimeWindow};
 
 pub use churnlab_topology::mix64;

@@ -2,22 +2,22 @@
 //!
 //! [`RoutingSim`] ties the topology, the churn timeline, and the route
 //! computation together: ask it for the AS-level path between any two ASes
-//! at any epoch. Trees are built per (destination, epoch) and cached,
-//! because the measurement platform naturally batches many vantage points
-//! against the same destination in the same epoch.
+//! at any epoch. Trees are built per (destination, epoch) and kept while
+//! they are asked about, because the measurement platform batches many
+//! vantage points against the same destination in the same epoch.
 //!
 //! ## What a lookup costs
 //!
-//! A cached tree is demand-driven (`crate::demand`): a miss builds
-//! only the destination's provider cone and its peers, under link state
-//! the thread's [`TreeScratch`] cursor carried over from the previous
-//! epoch by XOR-ing the flips in between; the provider stage and the
-//! salted next hop are resolved, once, for the ASes lookups walk through.
-//! A tree holds a bit per link and a paged route memo: 4 bytes of block
-//! index per 8 ASes, and a 64-byte block for each 8 ASes its lookups
-//! wrote into. A Huge tree's lookups write ~900 of its 7,772 blocks, so it
-//! weighs ~160 KB; [`cached_tree_bytes`] is the most one can weigh (~596
-//! KB at Huge, every block written).
+//! A tree is demand-driven (`crate::demand`): a miss builds only the
+//! destination's provider cone and its peers, under link state its set's
+//! cursor carried over from the previous epoch by XOR-ing the flips in
+//! between; the provider stage and the salted next hop are resolved, once,
+//! for the ASes lookups walk through. A hit is one hash probe. A tree holds
+//! a bit per link and a paged route memo: 4 bytes of block index per 8
+//! ASes, and a 64-byte block for each 8 ASes its lookups wrote into. A Huge
+//! tree's lookups write ~900 of its 7,772 blocks, so it weighs ~160 KB;
+//! [`cached_tree_bytes`] is the most one can weigh (~596 KB at Huge, every
+//! block written).
 //!
 //! ## What a simulator costs to make
 //!
@@ -37,157 +37,161 @@
 //! over a year at Huge, a third of the memory (README, *What a timeline
 //! costs*).
 //!
-//! ## Cache layout
+//! ## Who holds the trees
 //!
-//! At Internet scale the tree cache is the contention point: one worker
-//! thread building a Huge tree must not stall every other worker's cache
-//! *lookups*. The cache is therefore split into [`N_SHARDS`] stripes
-//! keyed by destination hash, each behind its own mutex, and trees are
-//! built **outside** any lock. Each stripe is a true LRU (stamp-based,
-//! lazily compacted recency queue — both `get` and re-`put` promote), so
-//! the platform's revisit-heavy access pattern keeps hot destinations
-//! resident.
+//! A campaign's (URL, testing day) unit asks about (destination, epoch)s
+//! no other unit asks about, bar a few (two URLs on one server, a
+//! route-shift probe's `epoch + 1`), so trees held per unit are as many
+//! built as one cache shared by the pass builds (1,109 over the seed-42
+//! Small campaign, 56 over the Huge one). A campaign worker routes through
+//! a [`Routes`] set: a tree is built on first ask and read through `&mut
+//! self` (no lock, no reference count, no eviction), and the unit clears
+//! the set when it ends, keeping every tree's buffers to rebuild in.
 //!
-//! Capacity comes from [`RoutingSim::with_cache_capacity`] (the world
-//! generator exposes `WorldConfig::tree_cache_capacity`); `0` picks an
-//! automatic value from a fixed memory budget and the world size, so a
-//! Huge world doesn't silently pin gigabytes of trees.
+//! [`RoutingSim`]'s own `&self` lookups go through one set behind a mutex,
+//! holding at most [`RoutingSim::with_cache_capacity`]'s bound
+//! (`WorldConfig::tree_cache_capacity`; `0` = [`auto_cache_capacity`]);
+//! a full set drops every tree, counted as evicted. A unit's set adds its
+//! lookups to [`RoutingSim::cache_stats`] when it clears or drops: a hit
+//! is a lookup its set's trees answered, a miss one that built a tree.
 //!
-//! Cache traffic is observable through [`RoutingSim::instrument`]
+//! All of it is observable through [`RoutingSim::instrument`]
 //! (`churnlab_route_cache_{hit,miss,evict}`, `churnlab_route_trees_computed`,
 //! `churnlab_route_nodes_resolved_total`, a histogram of the eager
-//! build's nanoseconds, and one of the heap bytes each tree held when it
-//! left the cache, evicted or dropped with the simulator), and so is the
-//! set-up:
+//! build's nanoseconds, and one of the heap bytes each tree held when its
+//! set let it go), and so is the set-up:
 //! `churnlab_route_timeline_build_nanos` and
 //! `churnlab_route_timeline_events{kind="link"|"te"}`. A campaign run on an
 //! instrumented platform instruments the simulator it is handed.
 
-use crate::churn::{ChurnConfig, ChurnTimeline};
-use crate::compute::{SelectedRoute, TreeScratch};
+use crate::churn::{ChurnConfig, ChurnTimeline, LinkCursor};
+use crate::compute::SelectedRoute;
 pub use crate::demand::cached_tree_bytes;
 use crate::demand::DemandTree;
 use crate::time::{Epoch, EpochMapper};
 use churnlab_obs::Registry;
 use churnlab_topology::{AsIdx, Asn, FxMap, Topology};
 use parking_lot::Mutex;
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
-
-/// Number of cache stripes (destinations hash across them).
-pub const N_SHARDS: usize = 16;
+use std::sync::OnceLock;
 
 /// Memory budget the automatic capacity targets.
 const AUTO_CACHE_BUDGET_BYTES: usize = 256 << 20;
 
-/// Cache capacity (total trees) for a world of this size, when the
-/// configured capacity is `0` (automatic): a 256 MB budget divided by
-/// the most a tree can hold ([`cached_tree_bytes`]: a tree may still
-/// memoize every AS), clamped to `[64, 4096]`. A Small world gets the
-/// fixed 4096; the Huge world (at most ~596 KB a tree) lands near 450.
+/// Trees a simulator's own set holds (see the module doc) in a world of
+/// this size, when the configured capacity is `0` (automatic): a 256 MB
+/// budget divided by the most a tree can hold ([`cached_tree_bytes`]: a
+/// tree may still memoize every AS), clamped to `[64, 4096]`. A Small
+/// world gets the fixed 4096; the Huge world (at most ~596 KB a tree)
+/// lands near 450.
 pub fn auto_cache_capacity(n_ases: usize, n_links: usize) -> usize {
     let per_tree = cached_tree_bytes(n_ases, n_links).saturating_add(64);
     (AUTO_CACHE_BUDGET_BYTES / per_tree).clamp(64, 4096)
 }
 
-thread_local! {
-    static SCRATCH: RefCell<TreeScratch> = RefCell::new(TreeScratch::new());
-}
-
-/// Cumulative cache-traffic counters (see [`RoutingSim::cache_stats`]).
+/// Cumulative lookup counters (see [`RoutingSim::cache_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups served from the cache.
+    /// Lookups answered by a tree their set already held.
     pub hits: u64,
-    /// Lookups that required a tree computation.
+    /// Lookups that built a tree.
     pub misses: u64,
-    /// Trees evicted to stay within capacity.
+    /// Trees the simulator's own set dropped because it was full.
     pub evictions: u64,
 }
 
-struct Entry {
-    tree: Arc<DemandTree>,
-    stamp: u64,
+/// Trees toward the (destination, epoch)s asked about since the set was
+/// last cleared, and the buffers of the trees it let go.
+#[derive(Default)]
+struct TreeSet {
+    /// `trees[keys[&key]]` is the tree of `key`; the trees from
+    /// `keys.len()` on are buffers the next misses rebuild in place.
+    trees: Vec<DemandTree>,
+    keys: FxMap<(AsIdx, Epoch), usize>,
+    /// Link state at the epoch of the last tree built.
+    cursor: LinkCursor,
+    /// Lookups since the counts were last taken ([`TreeSet::take_counts`]).
+    hits: u64,
+    misses: u64,
 }
 
-/// One cache stripe: LRU via a monotone stamp per entry and a lazily
-/// compacted recency queue (a promoted entry's old queue positions go
-/// stale and are skipped at eviction time).
-struct CacheShard {
-    map: FxMap<(AsIdx, Epoch), Entry>,
-    recency: VecDeque<((AsIdx, Epoch), u64)>,
-    next_stamp: u64,
-    capacity: usize,
+impl TreeSet {
+    /// The tree toward `dest` at `epoch`, built if the set lacks it. The
+    /// key joins the set only once its tree is built: a build that panics
+    /// leaves nothing to read.
+    fn tree(&mut self, sim: &RoutingSim, dest: AsIdx, epoch: Epoch) -> &mut DemandTree {
+        let TreeSet { trees, keys, cursor, hits, misses } = self;
+        if let Some(&slot) = keys.get(&(dest, epoch)) {
+            *hits += 1;
+            return &mut trees[slot];
+        }
+        *misses += 1;
+        let slot = keys.len();
+        if slot == trees.len() {
+            trees.push(DemandTree::new(sim.topo));
+        }
+        let started = std::time::Instant::now();
+        trees[slot].rebuild(sim.topo, cursor.seek(&sim.churn, epoch), dest);
+        if let Some(m) = sim.metrics.get() {
+            m.trees_computed.inc();
+            m.compute_nanos.observe(started.elapsed().as_nanos() as u64);
+        }
+        keys.insert((dest, epoch), slot);
+        &mut trees[slot]
+    }
+
+    /// The route `src` selects toward `dst` at `epoch`.
+    fn route(
+        &mut self,
+        sim: &RoutingSim,
+        src: AsIdx,
+        dst: AsIdx,
+        epoch: Epoch,
+    ) -> Option<SelectedRoute> {
+        let salt = |x| sim.churn.te_salt(x, epoch);
+        let resolved = sim.metrics.get().map(|m| &m.nodes_resolved);
+        self.tree(sim, dst, epoch).route(sim.topo, &salt, resolved, src)
+    }
+
+    /// The path from `src` to `dst` at `epoch` into `out`, each AS mapped
+    /// by `map`; `false`, leaving `out` empty, if there is none.
+    fn path_into<T>(
+        &mut self,
+        sim: &RoutingSim,
+        src: AsIdx,
+        dst: AsIdx,
+        epoch: Epoch,
+        map: impl Fn(AsIdx) -> T,
+        out: &mut Vec<T>,
+    ) -> bool {
+        let salt = |x| sim.churn.te_salt(x, epoch);
+        let resolved = sim.metrics.get().map(|m| &m.nodes_resolved);
+        self.tree(sim, dst, epoch).path_into(sim.topo, &salt, resolved, src, map, out)
+    }
+
+    /// Let every tree go, keeping its buffers, each observed into the
+    /// tree-bytes histogram when instrumented.
+    fn clear(&mut self, metrics: Option<&RouteMetrics>) {
+        if let Some(m) = metrics {
+            let held = &self.trees[..self.keys.len()];
+            held.iter().for_each(|t| m.tree_bytes.observe(t.heap_bytes() as u64));
+        }
+        self.keys.clear();
+    }
+
+    /// Add the lookups made since the last call to `sim`'s counts.
+    fn take_counts(&mut self, sim: &RoutingSim) {
+        let (hits, misses) = (std::mem::take(&mut self.hits), std::mem::take(&mut self.misses));
+        sim.hits.fetch_add(hits, Relaxed);
+        sim.misses.fetch_add(misses, Relaxed);
+        if let Some(m) = sim.metrics.get() {
+            m.cache_hit.add(hits);
+            m.cache_miss.add(misses);
+        }
+    }
 }
 
-impl CacheShard {
-    fn new(capacity: usize) -> Self {
-        CacheShard {
-            map: FxMap::default(),
-            recency: VecDeque::new(),
-            next_stamp: 0,
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn stamp(&mut self) -> u64 {
-        self.next_stamp += 1;
-        self.next_stamp
-    }
-
-    fn get(&mut self, key: &(AsIdx, Epoch)) -> Option<Arc<DemandTree>> {
-        let stamp = self.stamp();
-        let tree = {
-            let e = self.map.get_mut(key)?;
-            e.stamp = stamp;
-            e.tree.clone()
-        };
-        self.recency.push_back((*key, stamp));
-        self.maybe_compact();
-        Some(tree)
-    }
-
-    /// Insert (or promote, if racing inserters got here first). Returns
-    /// the trees evicted to make room.
-    fn put(&mut self, key: (AsIdx, Epoch), tree: Arc<DemandTree>) -> Vec<Arc<DemandTree>> {
-        let stamp = self.stamp();
-        let mut evicted = Vec::new();
-        if let Some(e) = self.map.get_mut(&key) {
-            // Same (dest, epoch) ⇒ identical tree; keep the resident one
-            // but refresh its recency.
-            e.stamp = stamp;
-            self.recency.push_back((key, stamp));
-            self.maybe_compact();
-            return evicted;
-        }
-        while self.map.len() >= self.capacity {
-            let Some((k, s)) = self.recency.pop_front() else {
-                break; // every map entry has a queue position, so unreachable
-            };
-            // Stale position (the entry was promoted since): skip.
-            if self.map.get(&k).is_some_and(|e| e.stamp == s) {
-                evicted.extend(self.map.remove(&k).map(|e| e.tree));
-            }
-        }
-        self.map.insert(key, Entry { tree, stamp });
-        self.recency.push_back((key, stamp));
-        self.maybe_compact();
-        evicted
-    }
-
-    /// Drop stale queue positions once they dominate, bounding the queue
-    /// at ~4× capacity without per-promotion O(n) shuffling.
-    fn maybe_compact(&mut self) {
-        if self.recency.len() > 4 * self.capacity.max(16) {
-            let map = &self.map;
-            self.recency.retain(|(k, s)| map.get(k).is_some_and(|e| e.stamp == *s));
-        }
-    }
-}
-
-/// Cache-traffic metrics exported through `churnlab-obs`.
+/// Route-lookup metrics exported through `churnlab-obs`.
 struct RouteMetrics {
     trees_computed: churnlab_obs::Counter,
     cache_hit: churnlab_obs::Counter,
@@ -202,7 +206,10 @@ struct RouteMetrics {
 pub struct RoutingSim<'t> {
     topo: &'t Topology,
     churn: ChurnTimeline,
-    shards: Vec<Mutex<CacheShard>>,
+    /// The trees `&self` lookups route through.
+    set: Mutex<TreeSet>,
+    /// The most trees `set` holds.
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -211,27 +218,26 @@ pub struct RoutingSim<'t> {
 
 impl<'t> RoutingSim<'t> {
     /// Build a simulator over `topo` with churn per `cfg` and automatic
-    /// cache capacity (see [`auto_cache_capacity`]).
+    /// capacity (see [`auto_cache_capacity`]).
     pub fn new(topo: &'t Topology, cfg: &ChurnConfig) -> Self {
         RoutingSim::with_cache_capacity(topo, cfg, 0)
     }
 
-    /// Like [`RoutingSim::new`] with an explicit total tree capacity
-    /// (`0` = automatic). Worlds carry their preferred value in
-    /// `WorldConfig::tree_cache_capacity`.
+    /// Like [`RoutingSim::new`] with an explicit bound on the trees the
+    /// simulator's own `&self` lookups hold (`0` = automatic). Worlds
+    /// carry their preferred value in `WorldConfig::tree_cache_capacity`.
     pub fn with_cache_capacity(topo: &'t Topology, cfg: &ChurnConfig, capacity: usize) -> Self {
         let churn = ChurnTimeline::build(topo, cfg);
-        let total = if capacity == 0 {
+        let capacity = if capacity == 0 {
             auto_cache_capacity(topo.n_ases(), topo.n_links())
         } else {
             capacity
         };
-        let per_shard = total.div_ceil(N_SHARDS).max(1);
-        let shards = (0..N_SHARDS).map(|_| Mutex::new(CacheShard::new(per_shard))).collect();
         RoutingSim {
             topo,
             churn,
-            shards,
+            set: Mutex::default(),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -270,17 +276,17 @@ impl<'t> RoutingSim<'t> {
             ),
             cache_hit: registry.counter(
                 "churnlab_route_cache_hit",
-                "Route-tree cache lookups served from a stripe",
+                "Route lookups answered by a tree their set already held",
                 &[],
             ),
             cache_miss: registry.counter(
                 "churnlab_route_cache_miss",
-                "Route-tree cache lookups that missed",
+                "Route lookups that built a tree",
                 &[],
             ),
             cache_evict: registry.counter(
                 "churnlab_route_cache_evict",
-                "Route trees evicted to stay within capacity",
+                "Route trees the simulator's own set dropped because it was full",
                 &[],
             ),
             nodes_resolved: registry.counter(
@@ -295,7 +301,7 @@ impl<'t> RoutingSim<'t> {
             ),
             tree_bytes: registry.histogram(
                 "churnlab_route_tree_bytes",
-                "Heap bytes a route tree held when it left the cache (evicted or dropped)",
+                "Heap bytes a route tree held when its set let it go (cleared, full or dropped)",
                 &[],
             ),
         });
@@ -316,26 +322,13 @@ impl<'t> RoutingSim<'t> {
         self.churn.mapper()
     }
 
-    /// Total tree capacity across all cache stripes.
+    /// The most trees the simulator's own `&self` lookups hold.
     pub fn cache_capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().capacity).sum()
+        self.capacity
     }
 
-    /// Heap bytes of the largest tree the cache holds now (0 if none), at
-    /// most [`cached_tree_bytes`].
-    pub fn largest_cached_tree_bytes(&self) -> usize {
-        let mut largest = 0;
-        self.each_cached_tree_bytes(|b| largest = largest.max(b));
-        largest
-    }
-
-    fn each_cached_tree_bytes(&self, mut f: impl FnMut(usize)) {
-        for shard in &self.shards {
-            shard.lock().map.values().for_each(|e| f(e.tree.heap_bytes()));
-        }
-    }
-
-    /// Cumulative cache-traffic counters for this simulator.
+    /// Cumulative lookup counters: the simulator's own lookups, and those
+    /// of every [`Routes`] over it as of the set's last clear.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Relaxed),
@@ -344,74 +337,24 @@ impl<'t> RoutingSim<'t> {
         }
     }
 
-    fn shard_of(&self, dest: AsIdx) -> &Mutex<CacheShard> {
-        let h = crate::mix64(u64::from(dest.0));
-        &self.shards[(h as usize) % N_SHARDS]
-    }
-
-    /// The routing tree toward `dest` at `epoch` (cached).
-    fn route_tree(&self, dest: AsIdx, epoch: Epoch) -> Arc<DemandTree> {
-        let key = (dest, epoch);
-        let shard = self.shard_of(dest);
-        if let Some(t) = shard.lock().get(&key) {
-            self.hits.fetch_add(1, Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.cache_hit.inc();
-            }
-            return t;
+    /// `f` over the simulator's own set, with room made for `(dest,
+    /// epoch)`: a full set that lacks it drops every tree first.
+    fn with_set<R>(&self, dest: AsIdx, epoch: Epoch, f: impl FnOnce(&mut TreeSet) -> R) -> R {
+        let (mut set, metrics) = (self.set.lock(), self.metrics.get());
+        if set.keys.len() >= self.capacity && !set.keys.contains_key(&(dest, epoch)) {
+            self.evictions.fetch_add(set.keys.len() as u64, Relaxed);
+            metrics.inspect(|m| m.cache_evict.add(set.keys.len() as u64));
+            set.clear(metrics);
         }
-        self.misses.fetch_add(1, Relaxed);
-        let metrics = self.metrics.get();
-        if let Some(m) = metrics {
-            m.cache_miss.inc();
-        }
-
-        // Build outside the stripe lock, from this thread's link cursor.
-        let started = std::time::Instant::now();
-        let tree = SCRATCH.with(|s| {
-            let TreeScratch { cursor, cone, levels, .. } = &mut *s.borrow_mut();
-            let up = cursor.seek(&self.churn, epoch);
-            let resolved = metrics.map(|m| m.nodes_resolved.clone());
-            DemandTree::build(self.topo, up, dest, cone, levels, resolved)
-        });
-        if let Some(m) = metrics {
-            m.trees_computed.inc();
-            m.compute_nanos.observe(started.elapsed().as_nanos() as u64);
-        }
-
-        let tree = Arc::new(tree);
-        let evicted = shard.lock().put(key, tree.clone());
-        if !evicted.is_empty() {
-            self.evictions.fetch_add(evicted.len() as u64, Relaxed);
-            if let Some(m) = metrics {
-                m.cache_evict.add(evicted.len() as u64);
-                for t in &evicted {
-                    m.tree_bytes.observe(t.heap_bytes() as u64);
-                }
-            }
-        }
-        tree
-    }
-
-    /// The path from `src` to `dst` at `epoch` into `out`, each AS mapped
-    /// by `map`; `false`, leaving `out` empty, if there is none.
-    fn path_into<T>(
-        &self,
-        src: AsIdx,
-        dst: AsIdx,
-        epoch: Epoch,
-        map: impl Fn(AsIdx) -> T,
-        out: &mut Vec<T>,
-    ) -> bool {
-        let salt = |x| self.churn.te_salt(x, epoch);
-        self.route_tree(dst, epoch).path_into(self.topo, &salt, src, map, out)
+        let out = f(&mut set);
+        set.take_counts(self);
+        out
     }
 
     /// The route `src` selects toward `dst` at `epoch` — class, shortest
     /// valley-free length and tiebroken next hop; `None` if unreachable.
     pub fn route(&self, src: AsIdx, dst: AsIdx, epoch: Epoch) -> Option<SelectedRoute> {
-        let churn = &self.churn;
-        self.route_tree(dst, epoch).route(self.topo, &|x| churn.te_salt(x, epoch), src)
+        self.with_set(dst, epoch, |set| set.route(self, src, dst, epoch))
     }
 
     /// AS-level path (inclusive of both endpoints) from `src` to `dst` at
@@ -431,21 +374,90 @@ impl<'t> RoutingSim<'t> {
     /// the path, returning `false` (and an empty `out`) if unreachable,
     /// or if the selected next hops loop (a provider cycle can close one).
     pub fn as_path_into(&self, src: AsIdx, dst: AsIdx, epoch: Epoch, out: &mut Vec<AsIdx>) -> bool {
-        self.path_into(src, dst, epoch, |x| x, out)
+        self.with_set(dst, epoch, |set| set.path_into(self, src, dst, epoch, |x| x, out))
     }
 
     /// Allocation-free form of [`RoutingSim::asn_path`].
     pub fn asn_path_into(&self, src: AsIdx, dst: AsIdx, epoch: Epoch, out: &mut Vec<Asn>) -> bool {
-        self.path_into(src, dst, epoch, |x| self.topo.asn(x), out)
+        let asn = |x| self.topo.asn(x);
+        self.with_set(dst, epoch, |set| set.path_into(self, src, dst, epoch, asn, out))
     }
 }
 
-/// Trees still cached leave the cache with the simulator.
+/// Trees still held leave with the simulator.
 impl Drop for RoutingSim<'_> {
     fn drop(&mut self) {
-        if let Some(m) = self.metrics.get() {
-            self.each_cached_tree_bytes(|b| m.tree_bytes.observe(b as u64));
-        }
+        self.set.lock().clear(self.metrics.get());
+    }
+}
+
+/// A campaign unit's route trees over one [`RoutingSim`]: each (destination,
+/// epoch) tree is built on first ask and held until [`Routes::clear`],
+/// which keeps its buffers for the trees built next. Lookups take
+/// `&mut self`: nothing is locked or shared. What a set's lookups hit and
+/// missed reaches [`RoutingSim::cache_stats`] when it clears or drops.
+pub struct Routes<'s, 't> {
+    sim: &'s RoutingSim<'t>,
+    set: TreeSet,
+}
+
+impl<'s, 't> Routes<'s, 't> {
+    /// An empty set over `sim`.
+    pub fn new(sim: &'s RoutingSim<'t>) -> Self {
+        Routes { sim, set: TreeSet::default() }
+    }
+
+    /// The simulator the set routes over.
+    pub fn sim(&self) -> &'s RoutingSim<'t> {
+        self.sim
+    }
+
+    /// [`RoutingSim::route`], from this set's trees.
+    pub fn route(&mut self, src: AsIdx, dst: AsIdx, epoch: Epoch) -> Option<SelectedRoute> {
+        self.set.route(self.sim, src, dst, epoch)
+    }
+
+    /// [`RoutingSim::as_path_into`], from this set's trees.
+    pub fn as_path_into(
+        &mut self,
+        src: AsIdx,
+        dst: AsIdx,
+        epoch: Epoch,
+        out: &mut Vec<AsIdx>,
+    ) -> bool {
+        self.set.path_into(self.sim, src, dst, epoch, |x| x, out)
+    }
+
+    /// [`RoutingSim::asn_path_into`], from this set's trees.
+    pub fn asn_path_into(
+        &mut self,
+        src: AsIdx,
+        dst: AsIdx,
+        epoch: Epoch,
+        out: &mut Vec<Asn>,
+    ) -> bool {
+        let topo = self.sim.topo;
+        self.set.path_into(self.sim, src, dst, epoch, |x| topo.asn(x), out)
+    }
+
+    /// Heap bytes of the largest tree the set holds (0 if none), at most
+    /// [`cached_tree_bytes`].
+    pub fn largest_tree_bytes(&self) -> usize {
+        let held = &self.set.trees[..self.set.keys.len()];
+        held.iter().map(DemandTree::heap_bytes).max().unwrap_or(0)
+    }
+
+    /// Let every tree go, keeping their buffers, and add the lookups made
+    /// since the last clear to the simulator's counts.
+    pub fn clear(&mut self) {
+        self.set.take_counts(self.sim);
+        self.set.clear(self.sim.metrics.get());
+    }
+}
+
+impl Drop for Routes<'_, '_> {
+    fn drop(&mut self) {
+        self.clear();
     }
 }
 
@@ -542,24 +554,50 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_residency_and_lru_promotes() {
+    fn a_full_set_drops_every_tree_it_holds() {
         let w = generator::generate(&WorldConfig::preset(WorldScale::Smoke, 1));
-        // Tiny cache: N_SHARDS stripes of 1 tree each.
-        let sim = RoutingSim::with_cache_capacity(&w.topology, &ChurnConfig::default(), N_SHARDS);
-        assert_eq!(sim.cache_capacity(), N_SHARDS);
+        let cfg = ChurnConfig::default();
+        let auto = auto_cache_capacity(w.topology.n_ases(), w.topology.n_links());
+        assert_eq!(RoutingSim::new(&w.topology, &cfg).cache_capacity(), auto);
+        let sim = RoutingSim::with_cache_capacity(&w.topology, &cfg, 3);
+        assert_eq!(sim.cache_capacity(), 3);
         let stubs = w.topology.select(|a| a.role == AsRole::Stub);
-        let d = stubs[0];
-        // Distinct epochs against one dest all land in one stripe of
-        // capacity 1 ⇒ each new epoch evicts the previous tree.
+        let (s, d) = (stubs[1], stubs[0]);
+        // Epochs 0–2 fill the set; epoch 3 finds it full and drops all
+        // three; 3–5 fill it again.
         for e in 0..6 {
-            sim.route_tree(d, e);
+            sim.as_path(s, d, e);
         }
         let stats = sim.cache_stats();
-        assert_eq!(stats.misses, 6);
-        assert_eq!(stats.evictions, 5);
-        // LRU: re-touching the resident epoch keeps it resident.
-        sim.route_tree(d, 5);
-        assert_eq!(sim.cache_stats().hits, 1);
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 6, 3));
+        // A key the full set holds is a hit, and drops nothing.
+        sim.as_path(s, d, 5);
+        assert_eq!(sim.cache_stats(), CacheStats { hits: 1, misses: 6, evictions: 3 });
+        sim.as_path(s, d, 0);
+        assert_eq!(sim.cache_stats(), CacheStats { hits: 1, misses: 7, evictions: 6 });
+    }
+
+    #[test]
+    fn a_unit_set_adds_its_lookups_when_it_clears_and_drops() {
+        let w = generator::generate(&WorldConfig::preset(WorldScale::Smoke, 2));
+        let sim = RoutingSim::new(&w.topology, &ChurnConfig::default());
+        let stubs = w.topology.select(|a| a.role == AsRole::Stub);
+        let mut path = Vec::new();
+        {
+            let mut routes = Routes::new(&sim);
+            // Two trees, four lookups: counted only when the set clears.
+            for (s, e) in [(stubs[1], 4), (stubs[2], 4), (stubs[1], 9), (stubs[3], 9)] {
+                let routed = routes.as_path_into(s, stubs[0], e, &mut path);
+                assert_eq!(routed.then(|| path.clone()), sim.as_path(s, stubs[0], e));
+            }
+            assert_eq!(sim.cache_stats(), CacheStats { hits: 2, misses: 2, evictions: 0 });
+            routes.clear();
+            assert_eq!(sim.cache_stats(), CacheStats { hits: 4, misses: 4, evictions: 0 });
+            // Cleared, the set builds again; dropped, it counts what it made.
+            assert_eq!(routes.route(stubs[0], stubs[0], 4).map(|r| r.len()), Some(0));
+            routes.route(stubs[1], stubs[0], 4);
+        }
+        assert_eq!(sim.cache_stats(), CacheStats { hits: 5, misses: 5, evictions: 0 });
     }
 
     #[test]
@@ -578,24 +616,33 @@ mod tests {
             }
         };
         let stubs = t.select(|a| a.role == AsRole::Stub);
-        let largest = {
-            // One destination over six epochs lands in one stripe of
-            // capacity 1: five evictions, and one tree left to drop.
-            let sim = RoutingSim::with_cache_capacity(t, &ChurnConfig::default(), N_SHARDS);
+        {
+            // Capacity 2, six epochs: two full sets dropped, and one tree
+            // left to drop with the simulator.
+            let sim = RoutingSim::with_cache_capacity(t, &ChurnConfig::default(), 2);
             sim.instrument(&reg);
-            assert_eq!(sim.largest_cached_tree_bytes(), 0);
             for e in 0..6 {
                 sim.asn_path(stubs[0], stubs[1], e);
             }
             let (count, sum) = observed();
-            assert_eq!(count, 5);
-            assert!(sum <= 5 * most);
-            sim.largest_cached_tree_bytes() as u64
-        };
-        assert!((1..=most).contains(&largest), "{largest} of at most {most}");
+            assert_eq!(count, 4);
+            assert!(sum <= 4 * most);
+            // A unit's set observes its trees when it clears, and again
+            // when it drops.
+            let mut routes = Routes::new(&sim);
+            assert_eq!(routes.largest_tree_bytes(), 0);
+            for e in 0..3 {
+                routes.route(stubs[0], stubs[1], e);
+            }
+            let largest = routes.largest_tree_bytes() as u64;
+            assert!((1..=most).contains(&largest), "{largest} of at most {most}");
+            routes.clear();
+            assert_eq!(observed().0, 7);
+            routes.route(stubs[0], stubs[1], 7);
+        }
         let (count, sum) = observed();
-        assert_eq!(count, 6, "the resident tree is observed when the simulator drops");
-        assert!(sum <= 6 * most);
+        assert_eq!(count, 10, "the held trees are observed when their sets drop");
+        assert!(sum <= 10 * most);
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! The demand-driven trees `RoutingSim` caches, held against the full
-//! tree (`RouteTree::compute`, the same resolution asked about every AS)
-//! and the pre-CSR reference, which shares no code with either: whatever
-//! order routes are asked in, every AS's class, length, tiebroken next hop
-//! and forwarding path must be the full tree's, and every full tree's
-//! routes the reference's.
+//! The demand-driven trees, asked through `RoutingSim`'s own set and
+//! through a campaign unit's `Routes`, held against the full tree
+//! (`RouteTree::compute`, the same resolution asked about every AS) and
+//! the pre-CSR reference, which shares no code with either: whatever order
+//! routes are asked in, and whatever trees a set's buffers held before,
+//! every AS's class, length, tiebroken next hop and forwarding path must
+//! be the full tree's, and every full tree's routes the reference's.
 
-use churnlab_bgp::{mix64, ChurnConfig, Epoch, ReferenceRouter, RouteClass, RouteTree, RoutingSim};
+use churnlab_bgp::{
+    mix64, ChurnConfig, Epoch, ReferenceRouter, RouteClass, RouteTree, Routes, RoutingSim,
+};
 use churnlab_topology::asys::{AsClass, AsInfo, AsRole};
 use churnlab_topology::geo::{countries, CountryCode};
 use churnlab_topology::links::{Link, LinkStability};
@@ -62,7 +65,9 @@ fn full_tree(sim: &RoutingSim, router: &ReferenceRouter, dest: AsIdx, epoch: Epo
     tree
 }
 
+/// `sim`'s own lookups, and a fresh unit set's, answer as `full` does.
 fn assert_matches(sim: &RoutingSim, full: &RouteTree, epoch: Epoch, order: &[AsIdx]) {
+    assert_unit_matches(&mut Routes::new(sim), full, epoch, order);
     for &src in order {
         assert_eq!(
             sim.route(src, full.dest, epoch),
@@ -72,6 +77,21 @@ fn assert_matches(sim: &RoutingSim, full: &RouteTree, epoch: Epoch, order: &[AsI
         );
         assert_eq!(sim.as_path(src, full.dest, epoch), full.path_from(src));
         assert_eq!(sim.asn_path(src, full.dest, epoch), full.asn_path_from(sim.topology(), src));
+    }
+}
+
+/// `routes` answers as `full` does: route, path and ASN path of every AS
+/// in `order`.
+fn assert_unit_matches(routes: &mut Routes, full: &RouteTree, epoch: Epoch, order: &[AsIdx]) {
+    let topo = routes.sim().topology();
+    let (mut path, mut asns) = (Vec::new(), Vec::new());
+    for &src in order {
+        let dest = full.dest;
+        assert_eq!(routes.route(src, dest, epoch), full.route(src), "{src:?} toward {dest:?}");
+        let routed = routes.as_path_into(src, dest, epoch, &mut path);
+        assert_eq!(routed.then(|| path.clone()), full.path_from(src));
+        let routed = routes.asn_path_into(src, dest, epoch, &mut asns);
+        assert_eq!(routed.then(|| asns.clone()), full.asn_path_from(topo, src));
     }
 }
 
@@ -103,6 +123,49 @@ fn random_subsets_in_two_orders_agree() {
             assert_matches(&a, &full, epoch, &subset);
             subset.reverse();
             assert_matches(&b, &full, epoch, &subset);
+        }
+    }
+}
+
+/// How many ASes `dest`'s provider cone could hold: every AS above it
+/// over provider edges, link state aside.
+fn cone_bound(topo: &Topology, dest: AsIdx) -> usize {
+    let mut seen = std::collections::HashSet::from([dest]);
+    let mut queue = vec![dest];
+    while let Some(x) = queue.pop() {
+        for adj in topo.provider_edges(x) {
+            if seen.insert(adj.peer) {
+                queue.push(adj.peer);
+            }
+        }
+    }
+    seen.len()
+}
+
+#[test]
+fn one_unit_set_cleared_between_keys_answers_as_fresh_full_trees() {
+    // A cleared set rebuilds its next tree in the buffers of the last:
+    // a large cone after a small one and back, epochs forward and
+    // backward (and one past the period's end), must leave nothing stale.
+    let smoke = (0..3).map(|seed| WorldConfig::preset(WorldScale::Smoke, seed));
+    let small = (0..2).map(|seed| WorldConfig::preset(WorldScale::Small, seed));
+    for (w, cfg) in smoke.chain(small).enumerate() {
+        let topo = generator::generate(&cfg).topology;
+        let churn = ChurnConfig { seed: 90 + w as u64, ..ChurnConfig::default() };
+        let sim = RoutingSim::new(&topo, &churn);
+        let router = ReferenceRouter::build(&topo);
+        let mut by_cone: Vec<AsIdx> = (0..topo.n_ases() as u32).map(AsIdx).collect();
+        by_cone.sort_by_key(|&x| (cone_bound(&topo, x), mix64(u64::from(x.0))));
+        let (narrow, wide) = (&by_cone[..4], &by_cone[by_cone.len() - 4..]);
+        assert!(cone_bound(&topo, wide[0]) > 2 * cone_bound(&topo, narrow[3]));
+        let total = sim.churn().total_epochs();
+        let epochs = [5, 2, total - 1, 0, total / 2, total, 1, total / 3];
+        let mut routes = Routes::new(&sim);
+        for (i, epoch) in epochs.into_iter().enumerate() {
+            let dest = if i % 2 == 0 { narrow[i / 2] } else { wide[i / 2] };
+            let full = full_tree(&sim, &router, dest, epoch);
+            assert_unit_matches(&mut routes, &full, epoch, &scrambled(&topo, i as u64));
+            routes.clear();
         }
     }
 }
@@ -413,11 +476,22 @@ fn a_route_past_the_u16_length_panics_in_both_tree_forms() {
             });
             assert!(msg.contains("65535 AS hops") && msg.contains("u16"), "{msg}");
         }
+        // So does a unit's set, which holds the tree without a lock.
+        let mut routes = Routes::new(&sim);
+        for _ in 0..2 {
+            let msg = panic_message(|| {
+                routes.route(src, dest, 0);
+            });
+            assert!(msg.contains("65535 AS hops") && msg.contains("u16"), "{msg}");
+        }
         if dest == peak {
             // Only the provider stage overflowed: the AS one hop below
-            // the top still routes, whole.
+            // the top still routes, whole, in both sets.
             let near = too_tall.idx(Asn(top)).unwrap();
             assert_eq!(sim.as_path(near, dest, 0), Some(vec![near, dest]));
+            let mut path = Vec::new();
+            assert!(routes.as_path_into(near, dest, 0, &mut path));
+            assert_eq!(path, [near, dest]);
         }
         let msg = panic_message(|| {
             RouteTree::compute(&too_tall, dest, &|_| true, &|_| 0);

@@ -68,7 +68,7 @@ fn exposition_format_is_stable() {
     }
     let b = reg.histogram(
         "churnlab_route_tree_bytes",
-        "Heap bytes a route tree held when it left the cache (evicted or dropped)",
+        "Heap bytes a route tree held when its set let it go (cleared, full or dropped)",
         &[],
     );
     b.observe(2_400);
@@ -165,7 +165,7 @@ churnlab_route_timeline_build_nanos 25900000
 # TYPE churnlab_route_timeline_events gauge
 churnlab_route_timeline_events{kind=\"link\"} 402117
 churnlab_route_timeline_events{kind=\"te\"} 2731446
-# HELP churnlab_route_tree_bytes Heap bytes a route tree held when it left the cache (evicted or dropped)
+# HELP churnlab_route_tree_bytes Heap bytes a route tree held when its set let it go (cleared, full or dropped)
 # TYPE churnlab_route_tree_bytes histogram
 churnlab_route_tree_bytes_bucket{le=\"0\"} 0
 churnlab_route_tree_bytes_bucket{le=\"1\"} 0

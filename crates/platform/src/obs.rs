@@ -7,8 +7,8 @@
 //! packet flow to reach their verdict, and each worker's on-CPU generation
 //! time (the campaign-side analogue of the engine's `EngineBusy`). The
 //! routing simulator the campaign is handed is instrumented on the same
-//! registry (`churnlab_route_*`: tree-cache traffic, and what its churn
-//! timeline took to build).
+//! registry (`churnlab_route_*`: route lookups and tree builds, and what
+//! its churn timeline took to build).
 
 use churnlab_obs::{Counter, Registry};
 

@@ -44,7 +44,7 @@ use crate::schedule::{FleetSchedule, UrlFleetPlan};
 use crate::stats::{DatasetStats, StatsAccumulator};
 use crate::urls::{UrlCorpus, UrlEntry};
 use crate::vantage::{self, VantagePoint};
-use churnlab_bgp::RoutingSim;
+use churnlab_bgp::{Routes, RoutingSim};
 use churnlab_censor::{ActiveCensor, CensorshipScenario, CompiledCensor, FlowNames, TestContext};
 use churnlab_net::{
     Capture, DnsMessage, FlowConfig, FlowSimulator, HopPath, HttpRequest, HttpResponse,
@@ -60,7 +60,7 @@ use std::time::Instant;
 
 /// Reusable AS-path buffers for the measurement loop: one campaign runs
 /// millions of tests, and the routing layer can fill paths in place
-/// ([`RoutingSim::asn_path_into`]) instead of allocating per test.
+/// ([`Routes::asn_path_into`]) instead of allocating per test.
 #[derive(Default)]
 struct PathBuffers {
     /// The test's primary path at its epoch.
@@ -462,14 +462,15 @@ impl<'w> Platform<'w> {
     }
 
     /// Run one unit of work: the `j`-th testing day of `url`'s cadence,
-    /// the scheduled vantage subset, `tests_per_testing_day` tests each.
-    /// The serial and the parallel runner share it, and all randomness is
-    /// derived from (seed, url, day), so a unit's stream is identical no
-    /// matter which worker runs it, or what it ran before.
+    /// the scheduled vantage subset, `tests_per_testing_day` tests each,
+    /// routed through `routes`, which it leaves cleared. The serial and the
+    /// parallel runner share it, and all randomness is derived from (seed,
+    /// url, day), so a unit's stream is identical no matter which worker
+    /// runs it, or what it ran before.
     #[allow(clippy::too_many_arguments)]
     fn run_unit<'p>(
         &'p self,
-        sim: &RoutingSim,
+        routes: &mut Routes,
         url: &UrlEntry,
         j: u32,
         schedule: &FleetSchedule,
@@ -503,7 +504,7 @@ impl<'w> Platform<'w> {
             o.scheduled.add(ctx.day_vps.len() as u64 * u64::from(k));
             o.sampled_out.add((schedule.fleet() - ctx.day_vps.len()) as u64 * u64::from(k));
         }
-        let epochs_per_day = sim.mapper().epochs_per_day;
+        let epochs_per_day = routes.sim().mapper().epochs_per_day;
         let mut rng =
             StdRng::seed_from_u64(mix64(self.cfg.seed ^ (u64::from(url.id) << 32) ^ u64::from(day)));
         for &vi in &ctx.day_vps {
@@ -514,7 +515,7 @@ impl<'w> Platform<'w> {
                 // route changes are observable.
                 let seg = (epochs_per_day * t / k, (epochs_per_day * (t + 1) / k).max(epochs_per_day * t / k + 1));
                 let slot = rng.gen_range(seg.0..seg.1.min(epochs_per_day));
-                let (m, quiet) = self.run_test(sim, vp, url, day, slot, &mut rng, &mut ctx.test);
+                let (m, quiet) = self.run_test(routes, vp, url, day, slot, &mut rng, &mut ctx.test);
                 ctx.acc.add(&m);
                 if let Some(o) = obs {
                     o.run.inc();
@@ -525,6 +526,9 @@ impl<'w> Platform<'w> {
                 sink(m);
             }
         }
+        // The unit's (destination, epoch)s are the next unit's only by
+        // chance: its trees go, their buffers stay.
+        routes.clear();
     }
 
     /// Worker `worker` of `workers`: run every `workers`-th unit —
@@ -546,8 +550,10 @@ impl<'w> Platform<'w> {
         // fills is reused by the next (the routing layer fills paths in
         // place, the flow simulator captures in place — no
         // per-measurement Vec), and a URL's wire bytes and fleet plan are
-        // rebuilt only when the worker's next unit is another URL's.
+        // rebuilt only when the worker's next unit is another URL's. The
+        // route trees belong to the unit that asks for them.
         let mut ctx = WorkerCtx::default();
+        let mut routes = Routes::new(sim);
         let entries = self.corpus.entries();
         // Testing days a URL's cadence can hold: unit `u` is testing day
         // `u % days` of URL `u / days`.
@@ -555,7 +561,7 @@ impl<'w> Platform<'w> {
         for unit in (worker..entries.len() * days).step_by(workers) {
             let url = &entries[unit / days];
             let j = (unit % days) as u32;
-            self.run_unit(sim, url, j, schedule, &mut ctx, obs.as_ref(), &mut sink);
+            self.run_unit(&mut routes, url, j, schedule, &mut ctx, obs.as_ref(), &mut sink);
         }
         // Flush buffering sinks (e.g. engine feeders) before the clock
         // stops: the flush is part of this worker's generation work.
@@ -673,7 +679,7 @@ impl<'w> Platform<'w> {
     #[allow(clippy::too_many_arguments)]
     fn run_test<'p>(
         &'p self,
-        sim: &RoutingSim,
+        routes: &mut Routes,
         vp: &VantagePoint,
         url: &UrlEntry,
         day: u32,
@@ -685,11 +691,11 @@ impl<'w> Platform<'w> {
             paths, wire, hops, alt_hops, armed, dns_cap, http_cap, reassembly, detect: scratch,
         } = bufs;
         let url_id = url.id;
-        let epoch = sim.mapper().epoch(day, slot);
+        let epoch = routes.sim().mapper().epoch(day, slot);
         let topo = &self.world.topology;
         let vp_idx = topo.idx(vp.asn).expect("vantage AS exists");
         let dest_idx = topo.idx(url.server_asn).expect("dest AS exists");
-        if !sim.asn_path_into(vp_idx, dest_idx, epoch, &mut paths.main) {
+        if !routes.asn_path_into(vp_idx, dest_idx, epoch, &mut paths.main) {
             let failed = Measurement {
                 vp_id: vp.id,
                 vp_asn: vp.public_asn,
@@ -806,7 +812,7 @@ impl<'w> Platform<'w> {
             let shifted = i == 2
                 && rng.gen_bool(self.cfg.noise.intra_test_shift_prob.clamp(0.0, 1.0));
             let record = if shifted {
-                let changed = sim.asn_path_into(vp_idx, dest_idx, epoch + 1, &mut paths.alt)
+                let changed = routes.asn_path_into(vp_idx, dest_idx, epoch + 1, &mut paths.alt)
                     && paths.alt != asn_path;
                 if changed {
                     alt_hops.expand_into(
@@ -848,6 +854,7 @@ impl<'w> Platform<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use churnlab_bgp::sim::CacheStats;
     use churnlab_bgp::ChurnConfig;
     use churnlab_censor::CensorConfig;
     use churnlab_topology::{generator, WorldConfig, WorldScale};
@@ -1143,6 +1150,41 @@ mod tests {
             registry.scrape().counter("churnlab_campaign_tests_run_total", &[]),
             Some(run_total + serial.measurements)
         );
+    }
+
+    #[test]
+    fn cache_stats_count_every_lookup_and_the_trees_each_unit_built() {
+        // A test makes one lookup and, when it routed and its last
+        // traceroute catches a route change, one at `epoch + 1`: with the
+        // shift never drawn and always drawn, the lookups are known.
+        for shift in [0.0, 1.0] {
+            let (s, scenario, mut pcfg) = smoke_setup(5);
+            pcfg.noise.intra_test_shift_prob = shift;
+            let platform = Platform::new(&s.world, &scenario, pcfg.clone());
+            let topo = &s.world.topology;
+            // The trees a unit builds: its distinct (destination, epoch)s.
+            let mut unit_keys = std::collections::HashSet::new();
+            let sim = RoutingSim::new(topo, &churn_cfg(pcfg.total_days));
+            let serial = platform.run(&sim, |m| {
+                let dest = topo.idx(m.dest_asn).expect("dest AS exists");
+                unit_keys.insert((m.url_id, m.day, dest, m.epoch));
+                if shift > 0.0 && !m.failed {
+                    unit_keys.insert((m.url_id, m.day, dest, m.epoch + 1));
+                }
+            });
+            let routed = serial.measurements - serial.failed;
+            let lookups = serial.measurements + if shift > 0.0 { routed } else { 0 };
+            let trees = unit_keys.len() as u64;
+            let want = CacheStats { hits: lookups - trees, misses: trees, evictions: 0 };
+            assert_eq!(sim.cache_stats(), want, "serial, shift {shift}");
+            // However workers race, each unit builds its own trees.
+            for threads in [1, 2, 3] {
+                let sim = RoutingSim::new(topo, &churn_cfg(pcfg.total_days));
+                let run = platform.run_parallel(&sim, threads, |_| |_m| {});
+                assert_eq!(run.stats, serial);
+                assert_eq!(sim.cache_stats(), want, "{threads} threads, shift {shift}");
+            }
+        }
     }
 
     /// The noise settings the oracle is held at: the realistic default,

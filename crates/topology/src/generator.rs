@@ -120,9 +120,10 @@ pub struct WorldConfig {
     /// Peering links drawn between random transit pairs in the
     /// preferential-attachment family (ignored when `pa_transits == 0`).
     pub pa_peering_links: usize,
-    /// Route-tree cache capacity for simulators built over this world
-    /// (trees, not bytes). `0` = auto-size from a fixed memory budget and
-    /// the world's AS count.
+    /// The most route trees a simulator built over this world holds for
+    /// its own `&self` lookups (trees, not bytes; a campaign unit's trees
+    /// are its own). `0` = auto-size from a fixed memory budget and the
+    /// world's AS count.
     pub tree_cache_capacity: usize,
 }
 
