@@ -50,3 +50,31 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     churnlab_bench::cli::main(&argv)
 }
+
+#[cfg(test)]
+mod tests {
+    use churnlab_bench::routebench::counting_allocs;
+    use churnlab_bench::Bench;
+    use churnlab_platform::Platform;
+    use churnlab_topology::WorldScale;
+
+    /// What a measurement owns, counted by this binary's allocator: a
+    /// routed test's record is one heap block — cloning it is one
+    /// allocation — and a test with no route owns none. The only test in
+    /// this binary, since the counter sees every thread's allocations.
+    #[test]
+    fn a_measurement_is_one_allocation() {
+        let bench = Bench::assemble(WorldScale::Smoke, 42);
+        let platform = Platform::new(&bench.world, &bench.scenario, bench.platform_cfg.clone());
+        let mut ms = Vec::new();
+        platform.run(&bench.sim(), |m| ms.push(m));
+        let no_route = ms.iter().filter(|m| m.failed).count();
+        let tests = ms.len();
+        assert!(no_route > 0 && no_route < tests, "{no_route} of {tests} tests had no route");
+        for m in &ms {
+            let (copy, allocs) = counting_allocs(|| m.clone());
+            assert_eq!(copy, *m);
+            assert_eq!(allocs, u64::from(!m.failed), "{m:?}");
+        }
+    }
+}

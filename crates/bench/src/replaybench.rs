@@ -381,3 +381,24 @@ fn run(args: &Args) -> ExitCode {
     }
     ExitCode::SUCCESS
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use churnlab_topology::fnv1a;
+
+    /// The native JSONL wire is pinned byte for byte: the seed-42 Smoke
+    /// study exported as `bench replay --export` writes it. Whatever
+    /// shape a `Measurement` takes in memory, what it exports must not
+    /// move.
+    #[test]
+    fn the_smoke_export_is_pinned() {
+        let bench = Bench::assemble(WorldScale::Smoke, 42);
+        let platform = Platform::new(&bench.world, &bench.scenario, bench.platform_cfg.clone());
+        let mut dump = Vec::new();
+        let (records, _) = export_study(&platform, &bench.sim(), &mut dump).expect("export");
+        let digest = fnv1a(dump.iter().copied());
+        assert_eq!((records, dump.len()), (9_216, 4_495_573));
+        assert_eq!(digest, 0xce56_e3c0_2964_0ae1, "{digest:#018x}");
+    }
+}

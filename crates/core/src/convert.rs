@@ -20,13 +20,13 @@
 //! caller-owned [`ConvertScratch`], the second and third compared
 //! against it in place. No per-hop vector, no per-traceroute path, no
 //! sort to learn that three paths agree, and — with the scratch reused —
-//! no allocation. The pass reads *borrowed* hop slices, so it runs the
-//! same over a [`Measurement`]'s own vectors ([`convert_into`]) and over
-//! a flat hop arena that holds many measurements' traceroutes end to end
+//! no allocation. The pass reads each run as a stream of hops, so it runs
+//! the same over a [`Measurement`]'s own record ([`convert_into`]) and
+//! over a flat buffer that holds many measurements' records end to end
 //! (the engine's wire block). [`convert_measurement`] is the same pass
 //! handing back an owned path.
 
-use churnlab_platform::Measurement;
+use churnlab_platform::{Measurement, TraceroutesRef};
 use churnlab_topology::{Asn, Ip2AsDb};
 use serde::{Deserialize, Serialize};
 
@@ -126,19 +126,21 @@ impl ConvertScratch {
 /// otherwise, as is an unknown final hop — the destination server,
 /// without which the path has no endpoint.
 fn collapse(
-    hops: &[Option<u32>],
+    hops: impl IntoIterator<Item = Option<u32>>,
     errored: bool,
     vp_asn: Asn,
     db: &Ip2AsDb,
     mut emit: impl FnMut(Asn),
 ) -> Result<(), DiscardReason> {
-    if errored || hops.is_empty() {
+    if errored {
         return Err(DiscardReason::TracerouteError);
     }
     let mut last = vp_asn;
+    let mut any_hop = false;
     let mut any_mapped = false;
     let mut pending_gap = false;
     for hop in hops {
+        any_hop = true;
         match hop.and_then(|ip| db.lookup(ip)) {
             None => pending_gap = true,
             Some(asn) => {
@@ -156,7 +158,9 @@ fn collapse(
             }
         }
     }
-    if !any_mapped {
+    if !any_hop {
+        Err(DiscardReason::TracerouteError)
+    } else if !any_mapped {
         Err(DiscardReason::MappingImpossible)
     } else if pending_gap {
         Err(DiscardReason::InferenceAmbiguous) // the final hop is unknown
@@ -166,19 +170,20 @@ fn collapse(
 }
 
 /// Convert one test — whether it `failed` outright, its vantage AS and
-/// its traceroutes, each as (hops, errored) — under the paper's rules,
-/// into `scratch`: the first traceroute that converts is written to the
-/// scratch buffer, and every later one is checked against it hop by hop
-/// as it streams past — nothing else is stored, sorted or compared.
+/// its traceroutes, each as (hops in order, `None` for a `*`; errored) —
+/// under the paper's rules, into `scratch`: the first traceroute that
+/// converts is written to the scratch buffer, and every later one is
+/// checked against it hop by hop as it streams past — nothing else is
+/// stored, sorted or compared.
 /// Returns the AS-level path, vantage AS first, borrowed from `scratch`
 /// until the next call; `None` (with the reason counted in `stats`) when
 /// a rule discards the test. This is the one conversion;
-/// [`convert_into`], [`convert_measurement`] and
+/// [`convert_record`], [`convert_into`], [`convert_measurement`] and
 /// [`crate::obs::ConvertedObs::from_measurement`] wrap it.
-pub fn convert_traceroutes<'t, 's>(
+pub fn convert_traceroutes<'s, H: IntoIterator<Item = Option<u32>>>(
     failed: bool,
     vp_asn: Asn,
-    traceroutes: impl IntoIterator<Item = (&'t [Option<u32>], bool)>,
+    traceroutes: impl IntoIterator<Item = (H, bool)>,
     db: &Ip2AsDb,
     stats: &mut ConversionStats,
     scratch: &'s mut ConvertScratch,
@@ -227,15 +232,28 @@ pub fn convert_traceroutes<'t, 's>(
     Some(path)
 }
 
-/// [`convert_traceroutes`] over a [`Measurement`]'s own vectors.
+/// [`convert_traceroutes`] over a [`Measurement`]'s own record.
 pub fn convert_into<'s>(
     m: &Measurement,
     db: &Ip2AsDb,
     stats: &mut ConversionStats,
     scratch: &'s mut ConvertScratch,
 ) -> Option<&'s [Asn]> {
-    let traceroutes = m.traceroutes.iter().map(|tr| (tr.hops.as_slice(), tr.error.is_some()));
-    convert_traceroutes(m.failed, m.vp_asn, traceroutes, db, stats, scratch)
+    convert_record(m.failed, m.vp_asn, m.traceroutes.view(), db, stats, scratch)
+}
+
+/// [`convert_traceroutes`] over a borrowed traceroute record, wherever it
+/// lives.
+pub fn convert_record<'s>(
+    failed: bool,
+    vp_asn: Asn,
+    traceroutes: TraceroutesRef<'_>,
+    db: &Ip2AsDb,
+    stats: &mut ConversionStats,
+    scratch: &'s mut ConvertScratch,
+) -> Option<&'s [Asn]> {
+    let runs = traceroutes.iter().map(|run| (run.hops(), run.error().is_some()));
+    convert_traceroutes(failed, vp_asn, runs, db, stats, scratch)
 }
 
 /// [`convert_into`] for callers that want the path owned.
@@ -253,7 +271,7 @@ pub fn convert_measurement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use churnlab_platform::{AnomalySet, TracerouteRecord};
+    use churnlab_platform::{AnomalySet, TracerouteError, Traceroutes};
     use churnlab_topology::Ipv4Prefix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -271,11 +289,26 @@ mod tests {
         u32::from_be_bytes([top, 0, 0, low])
     }
 
+    /// A traceroute in the record's old shape — a vector of hops per run
+    /// — which the oracle reads and [`measurement`] packs.
+    #[derive(Debug, Clone)]
+    struct TracerouteRecord {
+        hops: Vec<Option<u32>>,
+        error: Option<TracerouteError>,
+    }
+
+    impl TracerouteRecord {
+        fn failed() -> Self {
+            TracerouteRecord { hops: Vec::new(), error: Some(TracerouteError::Failed) }
+        }
+    }
+
     fn tr(hops: Vec<Option<u32>>) -> TracerouteRecord {
         TracerouteRecord { hops, error: None }
     }
 
     fn measurement(trs: Vec<TracerouteRecord>) -> Measurement {
+        let runs = trs.into_iter().map(|t| (t.hops, t.error));
         Measurement {
             vp_id: 0,
             vp_asn: Asn(10),
@@ -284,7 +317,7 @@ mod tests {
             day: 0,
             epoch: 0,
             detected: AnomalySet::empty(),
-            traceroutes: trs,
+            traceroutes: Traceroutes::from_runs(runs).unwrap(),
             failed: false,
         }
     }
@@ -465,20 +498,22 @@ mod tests {
             Ok(path)
         }
 
-        /// Convert a full measurement (three traceroutes) under the paper's rules.
+        /// Convert a full measurement (three traceroutes) under the
+        /// paper's rules: whether it failed, its vantage AS and its runs.
         pub fn convert_measurement(
-            m: &Measurement,
+            (failed, vp_asn): (bool, Asn),
+            traceroutes: &[TracerouteRecord],
             db: &Ip2AsDb,
             stats: &mut ConversionStats,
         ) -> Option<Vec<Asn>> {
-            if m.failed {
+            if failed {
                 stats.discard(DiscardReason::TracerouteError);
                 return None;
             }
             let mut paths: Vec<Vec<Asn>> = Vec::with_capacity(3);
             let mut first_err: Option<DiscardReason> = None;
-            for tr in &m.traceroutes {
-                match convert_one(tr, m.vp_asn, db) {
+            for tr in traceroutes {
+                match convert_one(tr, vp_asn, db) {
                     Ok(p) => paths.push(p),
                     Err(e) => first_err = first_err.or(Some(e)),
                 }
@@ -540,37 +575,27 @@ mod tests {
         let db = db();
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let (mut stats, mut want_stats) = (ConversionStats::default(), ConversionStats::default());
-        let mut flat_stats = ConversionStats::default();
+        let mut old_stats = ConversionStats::default();
         let mut scratch = ConvertScratch::default();
-        // Every case's hops end to end in one arena, the way a wire block
-        // carries them: the conversion reads slices wherever they live.
-        let mut arena: Vec<Option<u32>> = Vec::new();
         for case in 0..4_000 {
             let n = rng.gen_range(0..=3);
-            let mut m = measurement((0..n).map(|_| arb_traceroute(&mut rng)).collect());
+            let runs: Vec<TracerouteRecord> = (0..n).map(|_| arb_traceroute(&mut rng)).collect();
+            let mut m = measurement(runs.clone());
             m.failed = rng.gen_range(0..20) == 0;
-            let want = oracle::convert_measurement(&m, &db, &mut want_stats);
+            let test = (m.failed, m.vp_asn);
+            let want = oracle::convert_measurement(test, &runs, &db, &mut want_stats);
             let got = convert_into(&m, &db, &mut stats, &mut scratch);
             assert_eq!(got, want.as_deref(), "case {case}: {m:?}");
             assert_eq!(stats, want_stats, "case {case}: {m:?}");
             assert_eq!(convert_measurement(&m, &db, &mut ConversionStats::default()), want);
 
-            let mut start = arena.len();
-            let ends: Vec<(usize, bool)> = (m.traceroutes.iter())
-                .map(|tr| {
-                    arena.extend_from_slice(&tr.hops);
-                    (arena.len(), tr.error.is_some())
-                })
-                .collect();
-            let borrowed = ends.iter().map(|&(end, errored)| {
-                let hops = &arena[start..end];
-                start = end;
-                (hops, errored)
-            });
+            // The same pass over the runs as separate hop vectors, the
+            // record's old shape.
+            let old = runs.iter().map(|tr| (tr.hops.iter().copied(), tr.error.is_some()));
             let (failed, vp) = (m.failed, m.vp_asn);
-            let flat = convert_traceroutes(failed, vp, borrowed, &db, &mut flat_stats, &mut scratch);
-            assert_eq!(flat, want.as_deref(), "case {case}, off the arena: {m:?}");
-            assert_eq!(flat_stats, want_stats, "case {case}, off the arena: {m:?}");
+            let got = convert_traceroutes(failed, vp, old, &db, &mut old_stats, &mut scratch);
+            assert_eq!(got, want.as_deref(), "case {case}, over hop vectors: {m:?}");
+            assert_eq!(old_stats, want_stats, "case {case}, over hop vectors: {m:?}");
         }
         // The mix reached every outcome.
         assert!(stats.converted > 500, "{stats:?}");

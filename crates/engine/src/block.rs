@@ -1,30 +1,30 @@
 //! The feeder→shard wire: a flat, recycled [`Block`] of measurements.
 //!
-//! A [`Measurement`] is four heap blocks — its traceroute vector and
-//! three hop vectors — and handing one to another thread to free is what
-//! costs: glibc's cross-thread free path showed up as a third of the
-//! fused generator's on-CPU time, while the same allocations freed on
-//! the thread that made them are nearly free. So a measurement does not
-//! cross the channel. A feeder *copies* it into its current block — the
-//! scalar fields into one vector of [`Head`]s, every hop of every
-//! traceroute into one arena, with an end offset (and the run's error)
-//! per traceroute and a traceroute end per measurement — and drops it
-//! right there. A full block is the one ingest message; the shard
-//! converts straight off the arena
-//! ([`churnlab_core::convert::convert_traceroutes`] reads borrowed hop
-//! slices), folds, clears the block and returns it to the engine's
-//! [`BlockPool`], from which the feeder draws its next one. In steady
-//! state nothing on the wire is allocated or freed at all.
+//! A [`Measurement`] owns one heap block — all its traceroute runs,
+//! packed ([`churnlab_platform::Traceroutes`]) — and handing it to
+//! another thread to free is what costs: glibc's cross-thread free path
+//! showed up as a third of the fused generator's on-CPU time, while the
+//! same allocations freed on the thread that made them are nearly free.
+//! So a measurement does not cross the channel. A feeder *copies* it into
+//! its current block — the scalar fields and the record's status word
+//! into one vector of [`Head`]s, the record's packed words onto the end
+//! of one arena in a single contiguous copy, with an end offset per
+//! measurement — and drops it right there. A full block is the one
+//! ingest message; the shard converts straight off the arena
+//! ([`churnlab_core::convert::convert_record`] reads a borrowed record
+//! wherever it lives), folds, clears the block and returns it to the
+//! engine's [`BlockPool`], from which the feeder draws its next one. In
+//! steady state nothing on the wire is allocated or freed at all.
 //!
 //! A block is lossless — [`Block::drain_into`] gives back the
-//! measurements pushed, `==` and in order, whatever their shape (0, 1 or
-//! 3 traceroutes, empty hop lists, errored runs) — which is what
-//! [`crate::Feeder::take_pending`] hands a checkpointing caller. Blocks
-//! are never serialised.
+//! measurements pushed, `==` and in order, whatever their shape (any
+//! number of runs, empty hop lists, `*` hops, errored runs) — which is
+//! what [`crate::Feeder::take_pending`] hands a checkpointing caller.
+//! Blocks are never serialised.
 
-use churnlab_core::convert::{convert_traceroutes, ConversionStats, ConvertScratch};
+use churnlab_core::convert::{convert_record, ConversionStats, ConvertScratch};
 use churnlab_obs::Counter;
-use churnlab_platform::{AnomalySet, Measurement, TracerouteError, TracerouteRecord};
+use churnlab_platform::{AnomalySet, Measurement, TraceroutesRef};
 use churnlab_topology::{Asn, Ip2AsDb};
 use std::sync::Mutex;
 
@@ -39,21 +39,20 @@ pub(crate) struct Head {
     pub epoch: u32,
     pub detected: AnomalySet,
     pub failed: bool,
-    /// Where this measurement's traceroutes end in
-    /// [`Block::traceroutes`] (they start where the previous head's end).
-    traceroutes_end: u32,
+    /// The traceroute record's status word.
+    traceroutes: u32,
+    /// Where the record's words end in [`Block::words`] (they start where
+    /// the previous head's end).
+    words_end: u32,
 }
 
-/// Measurements flattened into three vectors that keep their capacity
+/// Measurements flattened into two vectors that keep their capacity
 /// from one trip over the wire to the next.
 #[derive(Debug, Default)]
 pub(crate) struct Block {
     heads: Vec<Head>,
-    /// Per traceroute: where its hops end in `hops` (they start where the
-    /// previous traceroute's end) and the run's error.
-    traceroutes: Vec<(u32, Option<TracerouteError>)>,
-    /// Every hop of every traceroute, end to end.
-    hops: Vec<Option<u32>>,
+    /// Every measurement's packed traceroute words, end to end.
+    words: Vec<u32>,
 }
 
 /// Offsets into a block are `u32`: a count that does not fit is a loud
@@ -76,10 +75,8 @@ impl Block {
     /// Copy `m` in. The caller still owns `m` — and drops it on its own
     /// thread, which is the point.
     pub(crate) fn push(&mut self, m: &Measurement) {
-        for tr in &m.traceroutes {
-            self.hops.extend_from_slice(&tr.hops);
-            self.traceroutes.push((offset(self.hops.len(), "hops"), tr.error));
-        }
+        let (traceroutes, words) = m.traceroutes.view().parts();
+        self.words.extend_from_slice(words);
         self.heads.push(Head {
             vp_id: m.vp_id,
             vp_asn: m.vp_asn,
@@ -89,15 +86,15 @@ impl Block {
             epoch: m.epoch,
             detected: m.detected,
             failed: m.failed,
-            traceroutes_end: offset(self.traceroutes.len(), "traceroutes"),
+            traceroutes,
+            words_end: offset(self.words.len(), "traceroute words"),
         });
     }
 
     /// Forget the contents, keep the capacity.
     pub(crate) fn clear(&mut self) {
         self.heads.clear();
-        self.traceroutes.clear();
-        self.hops.clear();
+        self.words.clear();
     }
 
     /// The `i`-th measurement's scalar fields.
@@ -107,21 +104,12 @@ impl Block {
 
     /// The measurements, in push order, each a borrowed view.
     pub(crate) fn rows(&self) -> impl Iterator<Item = Row<'_>> {
-        let mut first_traceroute = 0;
-        let mut first_hop = 0;
+        let mut start = 0;
         self.heads.iter().map(move |head| {
-            let end = head.traceroutes_end as usize;
-            let row = Row {
-                head,
-                traceroutes: &self.traceroutes[first_traceroute..end],
-                hops: &self.hops,
-                first_hop,
-            };
-            first_traceroute = end;
-            if let Some(&(hops_end, _)) = row.traceroutes.last() {
-                first_hop = hops_end as usize;
-            }
-            row
+            let end = head.words_end as usize;
+            let words = &self.words[start..end];
+            start = end;
+            Row { head, traceroutes: TraceroutesRef::from_parts(head.traceroutes, words) }
         })
     }
 
@@ -136,13 +124,11 @@ impl Block {
 /// One measurement inside a [`Block`].
 pub(crate) struct Row<'b> {
     pub head: &'b Head,
-    traceroutes: &'b [(u32, Option<TracerouteError>)],
-    /// The whole block's arena; `traceroutes` holds offsets into it.
-    hops: &'b [Option<u32>],
-    first_hop: usize,
+    /// The record, borrowed from the block's arena.
+    traceroutes: TraceroutesRef<'b>,
 }
 
-impl<'b> Row<'b> {
+impl Row<'_> {
     /// Convert the measurement (the §3.1 rules) straight off the block's
     /// arena: [`churnlab_core::convert::convert_into`]'s result, without
     /// the [`Measurement`].
@@ -152,29 +138,13 @@ impl<'b> Row<'b> {
         stats: &mut ConversionStats,
         scratch: &'s mut ConvertScratch,
     ) -> Option<&'s [Asn]> {
-        let traceroutes = self.traceroutes().map(|(hops, error)| (hops, error.is_some()));
-        convert_traceroutes(self.head.failed, self.head.vp_asn, traceroutes, db, stats, scratch)
-    }
-
-    /// The measurement's traceroutes: each run's hops and its error.
-    fn traceroutes(
-        &self,
-    ) -> impl Iterator<Item = (&'b [Option<u32>], Option<TracerouteError>)> + 'b {
-        let hops = self.hops;
-        let mut start = self.first_hop;
-        self.traceroutes.iter().map(move |&(end, error)| {
-            let run = &hops[start..end as usize];
-            start = end as usize;
-            (run, error)
-        })
+        let Head { failed, vp_asn, .. } = *self.head;
+        convert_record(failed, vp_asn, self.traceroutes, db, stats, scratch)
     }
 
     fn to_measurement(&self) -> Measurement {
         let Head { vp_id, vp_asn, url_id, dest_asn, day, epoch, detected, failed, .. } = *self.head;
-        let traceroutes = self
-            .traceroutes()
-            .map(|(hops, error)| TracerouteRecord { hops: hops.to_vec(), error })
-            .collect();
+        let traceroutes = self.traceroutes.into();
         Measurement { vp_id, vp_asn, url_id, dest_asn, day, epoch, detected, traceroutes, failed }
     }
 }
@@ -186,7 +156,7 @@ const POOL_BLOCKS: usize = 8;
 
 /// The engine's spent blocks. Shard workers [`give`](BlockPool::give)
 /// back every block they have folded; feeders
-/// [`take`](BlockPool::take) their next one here, so a block's three
+/// [`take`](BlockPool::take) their next one here, so a block's two
 /// vectors are grown once and then reused — also by a feeder that
 /// flushes short blocks every few hundred measurements. One mutex,
 /// touched once a block.
@@ -246,46 +216,57 @@ mod tests {
     use churnlab_core::convert::convert_into;
     use churnlab_core::pipeline::PipelineConfig;
     use churnlab_obs::Registry;
-    use churnlab_platform::{AnomalyType, Platform, PlatformConfig, PlatformScale};
+    use churnlab_core::convert::convert_traceroutes;
+    use churnlab_platform::{
+        AnomalyType, Platform, PlatformConfig, PlatformScale, TracerouteError, Traceroutes,
+    };
     use churnlab_topology::{generator, Ipv4Prefix, WorldConfig, WorldScale};
     use proptest::prelude::*;
 
+    /// A record's runs in its old shape: one vector of hops per run.
+    type Runs = Vec<(Vec<Option<u32>>, Option<TracerouteError>)>;
+
     /// Hops over four /8s, three of them mapped (ASes 10, 20, 30), with
-    /// `None`, `Some(0)` and runs of one AS all likely.
-    fn arb_hops() -> impl Strategy<Value = Vec<Option<u32>>> {
-        let hop = prop_oneof![
+    /// `*`, `0.0.0.0`, `255.255.255.255` and runs of one AS all likely.
+    fn arb_hop() -> impl Strategy<Value = Option<u32>> {
+        prop_oneof![
             Just(None),
             Just(Some(0)),
+            Just(Some(u32::MAX)),
             (1u32..5, 0u32..4).prop_map(|(top, low)| Some(top << 24 | low)),
             (1u32..4, 0u32..4).prop_map(|(top, low)| Some(top << 24 | low)),
-        ];
-        proptest::collection::vec(hop, 0..9)
+        ]
     }
 
-    fn arb_traceroute() -> impl Strategy<Value = TracerouteRecord> {
+    /// 0–4 runs of 0–300 hops, every error: short runs (which convert
+    /// now and then) and long ones (which cross the mask's word bounds).
+    fn arb_runs() -> impl Strategy<Value = Runs> {
+        let hops = prop_oneof![
+            proptest::collection::vec(arb_hop(), 0..9),
+            proptest::collection::vec(arb_hop(), 0..301),
+        ];
         let error = prop_oneof![
-            Just(None),
             Just(None),
             Just(None),
             Just(Some(TracerouteError::Failed)),
             Just(Some(TracerouteError::Truncated)),
         ];
-        (arb_hops(), error).prop_map(|(hops, error)| TracerouteRecord { hops, error })
+        proptest::collection::vec((hops, error), 0..5)
     }
 
-    /// Measurements of every shape an import or the platform produces:
-    /// 0, 1 or 3 traceroutes, empty hop lists, errored runs with and
-    /// without output, tests that failed outright.
-    fn arb_measurement() -> impl Strategy<Value = Measurement> {
-        let traceroutes = prop_oneof![
-            Just(Vec::new()),
-            proptest::collection::vec(arb_traceroute(), 1),
-            proptest::collection::vec(arb_traceroute(), 3),
-        ];
+    /// The runs a record holds, expanded back to the old shape.
+    fn unpack(m: &Measurement) -> Runs {
+        m.traceroutes.iter().map(|run| (run.hops().collect(), run.error())).collect()
+    }
+
+    /// Measurements of every shape an import or the platform produces —
+    /// 0–4 runs, empty hop lists, errored runs with and without output,
+    /// tests that failed outright — each with the runs it was packed from.
+    fn arb_measurement() -> impl Strategy<Value = (Measurement, Runs)> {
         let scalars = (any::<u32>(), 1u32..4, 0u32..6, 0u32..60, any::<u32>(), 0u8..32, 0u32..10);
-        (scalars, traceroutes).prop_map(|(s, traceroutes)| {
+        (scalars, arb_runs()).prop_map(|(s, runs)| {
             let (vp_id, vp_as, url_id, day, epoch, anomalies, failed) = s;
-            Measurement {
+            let m = Measurement {
                 vp_id,
                 vp_asn: Asn(vp_as * 10),
                 url_id,
@@ -295,9 +276,10 @@ mod tests {
                 detected: (AnomalyType::ALL.into_iter().enumerate())
                     .filter_map(|(bit, a)| (anomalies & (1 << bit) != 0).then_some(a))
                     .collect(),
-                traceroutes,
+                traceroutes: Traceroutes::from_runs(runs.clone()).expect("0-4 runs of 0-300 hops"),
                 failed: failed == 0,
-            }
+            };
+            (m, runs)
         })
     }
 
@@ -313,10 +295,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// What goes into a block comes out of it, `==` and in order —
-        /// and the block is empty, capacity kept, for its next trip.
+        /// What goes into a block comes out of it, `==` and in order,
+        /// every run as it was packed — and the block is empty, capacity
+        /// kept, for its next trip.
         #[test]
-        fn a_block_is_lossless(ms in proptest::collection::vec(arb_measurement(), 0..40)) {
+        fn a_block_is_lossless(cases in proptest::collection::vec(arb_measurement(), 0..40)) {
+            let ms: Vec<Measurement> = cases.iter().map(|(m, _)| m.clone()).collect();
             let mut block = Block::default();
             for round in 0..2 {
                 ms.iter().for_each(|m| block.push(m));
@@ -324,28 +308,36 @@ mod tests {
                 let mut back = Vec::new();
                 block.drain_into(&mut back);
                 prop_assert_eq!(&back, &ms, "round {}", round);
+                for (m, (_, runs)) in back.iter().zip(&cases) {
+                    prop_assert_eq!(&unpack(m), runs);
+                }
                 prop_assert!(block.is_empty());
             }
         }
 
         /// Conversion off a block is the conversion of the measurements
-        /// pushed into it: the same path or the same discard, one by one.
+        /// pushed into it, and of the hop vectors they were packed from:
+        /// the same path or the same discard, one by one.
         #[test]
         fn conversion_off_a_block_is_the_same_conversion(
-            ms in proptest::collection::vec(arb_measurement(), 0..40),
+            cases in proptest::collection::vec(arb_measurement(), 0..40),
         ) {
             let db = db();
             let mut block = Block::default();
-            ms.iter().for_each(|m| block.push(m));
-            let mut stats = [ConversionStats::default(); 2];
-            let mut scratch = [ConvertScratch::default(), ConvertScratch::default()];
-            for (m, row) in ms.iter().zip(block.rows()) {
-                let [stats, want_stats] = &mut stats;
-                let [scratch, want_scratch] = &mut scratch;
+            cases.iter().for_each(|(m, _)| block.push(m));
+            let mut stats = [ConversionStats::default(); 3];
+            let mut scratch = [(); 3].map(|()| ConvertScratch::default());
+            for ((m, runs), row) in cases.iter().zip(block.rows()) {
+                let [stats, want_stats, old_stats] = &mut stats;
+                let [scratch, want_scratch, old_scratch] = &mut scratch;
                 let want = convert_into(m, &db, want_stats, want_scratch);
                 let got = row.convert(&db, stats, scratch);
                 prop_assert_eq!(got, want, "{:?}", m);
                 prop_assert_eq!(stats, want_stats, "{:?}", m);
+                let old = runs.iter().map(|(hops, error)| (hops.iter().copied(), error.is_some()));
+                let got = convert_traceroutes(m.failed, m.vp_asn, old, &db, old_stats, old_scratch);
+                prop_assert_eq!(got, want, "{:?}", m);
+                prop_assert_eq!(old_stats, want_stats, "{:?}", m);
             }
         }
     }
@@ -361,7 +353,7 @@ mod tests {
             day: 0,
             epoch: 0,
             detected: AnomalySet::empty(),
-            traceroutes: vec![TracerouteRecord { hops: vec![Some(7); 5], error: None }],
+            traceroutes: Traceroutes::from_runs([(vec![Some(7); 5], None)]).unwrap(),
             failed: false,
         };
         for _ in 0..POOL_BLOCKS + 3 {
@@ -372,7 +364,7 @@ mod tests {
         assert_eq!(pool.spent().len(), POOL_BLOCKS, "a full pool frees what it is given");
         let block = pool.take();
         assert!(block.is_empty(), "a pooled block comes back cleared");
-        assert!(block.hops.capacity() >= 5, "and keeps what it grew");
+        assert!(block.words.capacity() >= 7, "and keeps what it grew");
         assert_eq!(pool.spent().len(), POOL_BLOCKS - 1);
     }
 

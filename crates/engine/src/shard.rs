@@ -550,7 +550,7 @@ impl ShardState {
         }
     }
 
-    /// Convert a block, straight off its hop arena, into `staged`
+    /// Convert a block, straight off its traceroute arena, into `staged`
     /// without folding it in.
     fn convert_block(&mut self, block: &Block, db: &Ip2AsDb, staged: &mut Staged) {
         staged.converted.clear();

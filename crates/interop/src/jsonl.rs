@@ -13,7 +13,7 @@
 //! readers and the multi-feeder [`crate::ingest`] bridge both call them,
 //! so their [`ImportStats`] agree exactly.
 
-use crate::ooni::OoniRecord;
+use crate::ooni::{OoniImportError, OoniRecord};
 use crate::record::NativeRecord;
 use churnlab_platform::Measurement;
 use serde::{Deserialize, Serialize};
@@ -71,31 +71,35 @@ pub fn write_jsonl<'a, W: Write>(
 
 /// Import one native-record line: blank and malformed lines are counted
 /// and yield `None`; a parsed record yields the measurement plus its
-/// domain, with unrecognized anomaly labels counted.
+/// domain, with unrecognized anomaly labels counted. A record with more
+/// traceroute runs or hops than a measurement holds is malformed.
 pub fn import_native_line(line: &str, stats: &mut ImportStats) -> Option<(Measurement, String)> {
     if line.trim().is_empty() {
         stats.blank += 1;
         return None;
     }
-    match serde_json::from_str::<NativeRecord>(line) {
-        Ok(rec) => {
-            let domain = rec.domain.clone();
-            let (m, unknown) = rec.into_measurement();
+    let parsed = serde_json::from_str::<NativeRecord>(line).ok().and_then(|rec| {
+        let domain = rec.domain.clone();
+        rec.into_measurement().ok().map(|(m, unknown)| (m, unknown, domain))
+    });
+    match parsed {
+        Some((m, unknown, domain)) => {
             stats.unknown_anomalies += unknown as u64;
             stats.ok += 1;
             Some((m, domain))
         }
-        Err(_) => {
+        None => {
             stats.malformed += 1;
             None
         }
     }
 }
 
-/// Import one OONI-record line. Parse failures count as `malformed`;
-/// well-formed records missing the annotations tomography needs count as
-/// `rejected`; unrecognized blocking verdicts count as `unknown_verdicts`
-/// while the record is kept (marked failed, so it is inert downstream).
+/// Import one OONI-record line. Parse failures and traceroute annotations
+/// wider than a measurement holds count as `malformed`; well-formed
+/// records missing the annotations tomography needs count as `rejected`;
+/// unrecognized blocking verdicts count as `unknown_verdicts` while the
+/// record is kept (marked failed, so it is inert downstream).
 pub fn import_ooni_line(line: &str, stats: &mut ImportStats) -> Option<(Measurement, String)> {
     if line.trim().is_empty() {
         stats.blank += 1;
@@ -107,6 +111,10 @@ pub fn import_ooni_line(line: &str, stats: &mut ImportStats) -> Option<(Measurem
                 stats.unknown_verdicts += converted.unknown_verdict as u64;
                 stats.ok += 1;
                 Some((converted.measurement, converted.domain))
+            }
+            Err(OoniImportError::TooWide(_)) => {
+                stats.malformed += 1;
+                None
             }
             Err(_) => {
                 stats.rejected += 1;
@@ -246,6 +254,48 @@ mod tests {
         assert!(seen[1].0.failed, "unknown verdict must be inert, not clean");
         assert!(!seen[0].0.failed);
         assert_eq!(seen[0].1, "x.example");
+    }
+
+    /// A record wider than a measurement packs — one run or one hop past
+    /// the widths — is a counted malformed line, never a panic or a
+    /// wrapped offset; at the widths it imports whole.
+    #[test]
+    fn traceroutes_past_the_widths_are_malformed_records() {
+        use churnlab_platform::measurement::{MAX_HOPS, MAX_RUNS};
+        let run = |hops: usize| WireTraceroute {
+            hops: vec![Some("0.0.0.0".into()); hops],
+            error: None,
+        };
+        let native = |runs: Vec<WireTraceroute>| {
+            serde_json::to_string(&NativeRecord { traceroutes: runs, ..rec(0) }).unwrap()
+        };
+        let cases = [
+            (native(vec![run(1); MAX_RUNS]), Some((MAX_RUNS, MAX_RUNS))),
+            (native(vec![run(1); MAX_RUNS + 1]), None),
+            (native(vec![run(MAX_HOPS - 1), run(1)]), Some((2, MAX_HOPS))),
+            (native(vec![run(MAX_HOPS), run(1)]), None),
+            (native(vec![run(0), run(MAX_HOPS + 1)]), None),
+        ];
+        for (line, want) in cases {
+            let mut stats = ImportStats::default();
+            let got = import_native_line(&line, &mut stats).map(|(m, _)| {
+                (m.traceroutes.len(), m.traceroutes.iter().map(|run| run.hops().len()).sum())
+            });
+            assert_eq!(got, want);
+            assert_eq!((stats.ok, stats.malformed), if want.is_some() { (1, 0) } else { (0, 1) });
+        }
+
+        let ooni = |runs: usize| {
+            let runs = vec![r#"{"hops":["9.0.0.1"]}"#; runs].join(",");
+            format!(
+                r#"{{"probe_asn":"AS64512","input":"http://x.example/","day":3,"test_keys":{{}},"annotations":{{"traceroutes":[{runs}],"dest_asn":64999}}}}"#
+            )
+        };
+        let mut stats = ImportStats::default();
+        let fits = import_ooni_line(&ooni(MAX_RUNS), &mut stats).expect("16 runs fit");
+        assert_eq!(fits.0.traceroutes.len(), MAX_RUNS);
+        assert!(import_ooni_line(&ooni(MAX_RUNS + 1), &mut stats).is_none());
+        assert_eq!((stats.ok, stats.malformed, stats.rejected), (1, 1, 0));
     }
 
     #[test]

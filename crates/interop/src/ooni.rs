@@ -15,7 +15,7 @@
 //! not five independent detectors.
 
 use crate::record::WireTraceroute;
-use churnlab_platform::{AnomalySet, AnomalyType, Measurement};
+use churnlab_platform::{AnomalySet, AnomalyType, Measurement, TraceroutesTooWide};
 use churnlab_topology::Asn;
 use serde::{Deserialize, Serialize};
 
@@ -73,6 +73,9 @@ pub enum OoniImportError {
     NoTraceroute,
     /// No destination AS annotation.
     NoDestAsn,
+    /// More traceroute runs or hops than a measurement holds: a malformed
+    /// record, not a missing annotation.
+    TooWide(TraceroutesTooWide),
 }
 
 impl std::fmt::Display for OoniImportError {
@@ -81,6 +84,7 @@ impl std::fmt::Display for OoniImportError {
             OoniImportError::BadProbeAsn(s) => write!(f, "bad probe_asn {s:?}"),
             OoniImportError::NoTraceroute => write!(f, "no traceroute annotation"),
             OoniImportError::NoDestAsn => write!(f, "no dest_asn annotation"),
+            OoniImportError::TooWide(e) => write!(f, "traceroute annotation too wide: {e}"),
         }
     }
 }
@@ -171,12 +175,8 @@ impl OoniRecord {
             day: self.day,
             epoch: self.day, // OONI has no sub-day routing epochs
             detected,
-            traceroutes: self
-                .annotations
-                .traceroutes
-                .into_iter()
-                .map(WireTraceroute::into_record)
-                .collect(),
+            traceroutes: WireTraceroute::pack(&self.annotations.traceroutes)
+                .map_err(OoniImportError::TooWide)?,
             // An unknown verdict makes the record inert (rule-2 discard),
             // not clean — see `ConvertedOoni::unknown_verdict`.
             failed: unknown_verdict,
@@ -313,6 +313,7 @@ mod tests {
         let r: OoniRecord = serde_json::from_str(doc).unwrap();
         let m = r.into_measurement().unwrap().measurement;
         assert!(m.detected.contains(AnomalyType::Reset));
-        assert_eq!(m.traceroutes[0].hops, vec![Some(0x01010101), None, Some(0x02020202)]);
+        let hops: Vec<_> = m.traceroutes.iter().next().unwrap().hops().collect();
+        assert_eq!(hops, vec![Some(0x01010101), None, Some(0x02020202)]);
     }
 }

@@ -8,7 +8,9 @@
 //! tooling can produce it without knowing churnlab's encoding).
 
 use churnlab_net::TracerouteError;
-use churnlab_platform::{AnomalySet, AnomalyType, Measurement, TracerouteRecord};
+use churnlab_platform::{
+    AnomalySet, AnomalyType, Measurement, TracerouteRun, Traceroutes, TraceroutesTooWide,
+};
 use churnlab_topology::Asn;
 use serde::{Deserialize, Serialize};
 
@@ -56,24 +58,27 @@ fn parse_error_label(s: &str) -> Option<TracerouteError> {
 }
 
 impl WireTraceroute {
-    /// Convert from the platform's record form.
-    pub fn from_record(r: &TracerouteRecord) -> Self {
+    /// Convert one run of the platform's record.
+    pub fn from_run(run: TracerouteRun<'_>) -> Self {
         WireTraceroute {
-            hops: r.hops.iter().map(|h| h.map(dotted)).collect(),
-            error: r.error.map(|e| error_label(e).to_string()),
+            hops: run.hops().map(|h| h.map(dotted)).collect(),
+            error: run.error().map(|e| error_label(e).to_string()),
         }
     }
 
-    /// Convert into the platform's record form. Unparseable hop addresses
+    /// Pack runs into the platform's record. Unparseable hop addresses
     /// become non-responsive hops (the conversion rules already treat an
     /// unmappable hop like a `*`); unknown error labels become `Failed`.
-    pub fn into_record(self) -> TracerouteRecord {
-        TracerouteRecord {
-            hops: self.hops.iter().map(|h| h.as_deref().and_then(parse_dotted)).collect(),
-            error: self.error.as_deref().map(|e| {
+    /// More runs or hops than the record holds are an error, which an
+    /// import counts as a malformed record.
+    pub fn pack(runs: &[WireTraceroute]) -> Result<Traceroutes, TraceroutesTooWide> {
+        Traceroutes::from_runs(runs.iter().map(|run| {
+            let hops = run.hops.iter().map(|h| h.as_deref().and_then(parse_dotted));
+            let error = run.error.as_deref().map(|e| {
                 parse_error_label(e).unwrap_or(TracerouteError::Failed)
-            }),
-        }
+            });
+            (hops, error)
+        }))
     }
 }
 
@@ -123,14 +128,15 @@ impl NativeRecord {
             day: m.day,
             epoch: m.epoch,
             anomalies: m.detected.iter().map(|t| t.label().to_string()).collect(),
-            traceroutes: m.traceroutes.iter().map(WireTraceroute::from_record).collect(),
+            traceroutes: m.traceroutes.iter().map(WireTraceroute::from_run).collect(),
             failed: m.failed,
         }
     }
 
     /// Convert into a platform measurement. Returns the measurement plus
-    /// the number of anomaly labels that were not recognized (dropped).
-    pub fn into_measurement(self) -> (Measurement, usize) {
+    /// the number of anomaly labels that were not recognized (dropped),
+    /// or why its traceroutes do not fit a [`Traceroutes`].
+    pub fn into_measurement(self) -> Result<(Measurement, usize), TraceroutesTooWide> {
         let mut detected = AnomalySet::empty();
         let mut unknown = 0;
         for label in &self.anomalies {
@@ -147,10 +153,10 @@ impl NativeRecord {
             day: self.day,
             epoch: self.epoch,
             detected,
-            traceroutes: self.traceroutes.into_iter().map(WireTraceroute::into_record).collect(),
+            traceroutes: WireTraceroute::pack(&self.traceroutes)?,
             failed: self.failed,
         };
-        (m, unknown)
+        Ok((m, unknown))
     }
 }
 
@@ -170,14 +176,12 @@ mod tests {
             day: 120,
             epoch: 961,
             detected,
-            traceroutes: vec![
-                TracerouteRecord {
-                    hops: vec![Some(0x01020304), None, Some(0x05060708)],
-                    error: None,
-                },
-                TracerouteRecord { hops: vec![Some(0x01020304)], error: Some(TracerouteError::Truncated) },
-                TracerouteRecord::failed(),
-            ],
+            traceroutes: Traceroutes::from_runs([
+                (vec![Some(0x01020304), None, Some(0x05060708)], None),
+                (vec![Some(0x01020304)], Some(TracerouteError::Truncated)),
+                (vec![], Some(TracerouteError::Failed)),
+            ])
+            .unwrap(),
             failed: false,
         }
     }
@@ -188,7 +192,7 @@ mod tests {
         let rec = NativeRecord::from_measurement(&m, "shop-x.example");
         assert_eq!(rec.domain, "shop-x.example");
         assert_eq!(rec.anomalies, vec!["dns", "block"]);
-        let (back, unknown) = rec.into_measurement();
+        let (back, unknown) = rec.into_measurement().unwrap();
         assert_eq!(unknown, 0);
         assert_eq!(back, m);
     }
@@ -218,7 +222,7 @@ mod tests {
         let m = sample_measurement();
         let mut rec = NativeRecord::from_measurement(&m, "d.example");
         rec.anomalies.push("quic-tamper".to_string()); // future label
-        let (back, unknown) = rec.into_measurement();
+        let (back, unknown) = rec.into_measurement().unwrap();
         assert_eq!(unknown, 1);
         assert!(back.detected.contains(AnomalyType::Dns));
         assert_eq!(back.detected.len(), 2);
@@ -230,8 +234,9 @@ mod tests {
             hops: vec![Some("1.2.3.4".into()), Some("garbage".into()), None],
             error: None,
         };
-        let rec = wt.into_record();
-        assert_eq!(rec.hops, vec![Some(0x01020304), None, None]);
+        let packed = WireTraceroute::pack(&[wt]).unwrap();
+        let hops: Vec<_> = packed.iter().next().unwrap().hops().collect();
+        assert_eq!(hops, vec![Some(0x01020304), None, None]);
     }
 
     #[test]
@@ -242,6 +247,7 @@ mod tests {
         assert_eq!(parse_error_label("melted"), None);
         // Unknown labels degrade to Failed on import.
         let wt = WireTraceroute { hops: vec![], error: Some("melted".into()) };
-        assert_eq!(wt.into_record().error, Some(TracerouteError::Failed));
+        let packed = WireTraceroute::pack(&[wt]).unwrap();
+        assert_eq!(packed.iter().next().unwrap().error(), Some(TracerouteError::Failed));
     }
 }

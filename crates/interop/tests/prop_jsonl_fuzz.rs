@@ -5,7 +5,7 @@
 //! round-trip cleanly.
 
 use churnlab_interop::{read_jsonl, write_jsonl, ImportStats, NativeRecord};
-use churnlab_platform::{AnomalySet, AnomalyType, Measurement, TracerouteRecord};
+use churnlab_platform::{AnomalySet, AnomalyType, Measurement, Traceroutes};
 use churnlab_topology::Asn;
 use proptest::prelude::*;
 
@@ -14,15 +14,15 @@ fn arb_anomalies() -> impl Strategy<Value = AnomalySet> {
         .prop_map(|idx| idx.into_iter().map(|i| AnomalyType::ALL[i]).collect())
 }
 
-fn arb_traceroute() -> impl Strategy<Value = TracerouteRecord> {
-    (
+fn arb_traceroutes() -> impl Strategy<Value = Traceroutes> {
+    let run = (
         proptest::collection::vec(proptest::option::of(any::<u32>()), 0..8),
         proptest::option::of(prop_oneof![
             Just(churnlab_net::TracerouteError::Failed),
             Just(churnlab_net::TracerouteError::Truncated),
         ]),
-    )
-        .prop_map(|(hops, error)| TracerouteRecord { hops, error })
+    );
+    proptest::collection::vec(run, 0..4).prop_map(|runs| Traceroutes::from_runs(runs).unwrap())
 }
 
 fn arb_measurement() -> impl Strategy<Value = Measurement> {
@@ -34,7 +34,7 @@ fn arb_measurement() -> impl Strategy<Value = Measurement> {
         0u32..365,
         0u32..4096,
         arb_anomalies(),
-        proptest::collection::vec(arb_traceroute(), 0..4),
+        arb_traceroutes(),
         any::<bool>(),
     )
         .prop_map(

@@ -75,7 +75,7 @@ pub use http::{HttpRequest, HttpResponse};
 pub use ip::{Ipv4Packet, Payload};
 pub use shared::SharedBytes;
 pub use tcp::{TcpFlags, TcpSegment, STREAM_WINDOW};
-pub use traceroute::{Traceroute, TracerouteConfig, TracerouteError};
+pub use traceroute::{TracerouteConfig, TracerouteError};
 pub use udp::UdpDatagram;
 
 /// Errors from wire-format parsing.

@@ -43,53 +43,31 @@ impl TracerouteConfig {
     pub fn ideal() -> Self {
         TracerouteConfig { nonresponse_prob: 0.0, failure_prob: 0.0, truncate_prob: 0.0 }
     }
-}
 
-/// The outcome of one traceroute run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Traceroute {
-    /// Per-hop responding address; `None` for a `*` (non-responsive) hop.
-    pub hops: Vec<Option<u32>>,
-    /// Set when the run failed or truncated.
-    pub error: Option<TracerouteError>,
-}
-
-impl Traceroute {
-    /// Run one traceroute over `path`.
-    pub fn run<R: Rng>(path: &HopPath, cfg: &TracerouteConfig, rng: &mut R) -> Self {
-        if rng.gen_bool(cfg.failure_prob.clamp(0.0, 1.0)) {
-            return Traceroute { hops: Vec::new(), error: Some(TracerouteError::Failed) };
+    /// Run one traceroute over `path`, handing each hop it records to
+    /// `hop` in order (`None` for a `*`), and return the run's error.
+    /// The caller keeps the hops where it likes — a measurement packs
+    /// all three runs of a test into one block.
+    pub fn run<R: Rng>(
+        &self,
+        path: &HopPath,
+        rng: &mut R,
+        mut hop: impl FnMut(Option<u32>),
+    ) -> Option<TracerouteError> {
+        if rng.gen_bool(self.failure_prob.clamp(0.0, 1.0)) {
+            return Some(TracerouteError::Failed);
         }
         let total = path.len();
-        let cutoff = if total > 1 && rng.gen_bool(cfg.truncate_prob.clamp(0.0, 1.0)) {
+        let cutoff = if total > 1 && rng.gen_bool(self.truncate_prob.clamp(0.0, 1.0)) {
             Some(rng.gen_range(1..total))
         } else {
             None
         };
-        let mut hops = Vec::with_capacity(total);
-        for (i, hop) in path.hops.iter().enumerate() {
-            if let Some(c) = cutoff {
-                if i >= c {
-                    break;
-                }
-            }
-            if rng.gen_bool(cfg.nonresponse_prob.clamp(0.0, 1.0)) {
-                hops.push(None);
-            } else {
-                hops.push(Some(hop.ip));
-            }
+        for h in &path.hops[..cutoff.unwrap_or(total)] {
+            let answered = !rng.gen_bool(self.nonresponse_prob.clamp(0.0, 1.0));
+            hop(answered.then_some(h.ip));
         }
-        Traceroute {
-            hops,
-            error: cutoff.map(|_| TracerouteError::Truncated),
-        }
-    }
-
-    /// True if the destination responded (last hop present and responsive).
-    pub fn reached_destination(&self, path: &HopPath) -> bool {
-        self.error.is_none()
-            && self.hops.len() == path.len()
-            && self.hops.last().map(|h| *h == Some(path.server_ip)).unwrap_or(false)
+        cutoff.map(|_| TracerouteError::Truncated)
     }
 }
 
@@ -113,60 +91,54 @@ mod tests {
         HopPath::expand(&asns, &prefixes, 7, server, (1, 2), &mut rng)
     }
 
+    /// One run's hops and error.
+    fn run(cfg: &TracerouteConfig, seed: u64) -> (Vec<Option<u32>>, Option<TracerouteError>) {
+        let mut hops = Vec::new();
+        let error = cfg.run(&path(), &mut StdRng::seed_from_u64(seed), |h| hops.push(h));
+        (hops, error)
+    }
+
     #[test]
     fn ideal_traceroute_is_complete() {
         let p = path();
-        let mut rng = StdRng::seed_from_u64(1);
-        let t = Traceroute::run(&p, &TracerouteConfig::ideal(), &mut rng);
-        assert!(t.error.is_none());
-        assert_eq!(t.hops.len(), p.len());
-        assert!(t.hops.iter().all(|h| h.is_some()));
-        assert!(t.reached_destination(&p));
-        // Every hop matches the underlying path.
-        for (i, h) in t.hops.iter().enumerate() {
-            assert_eq!(*h, Some(p.hops[i].ip));
-        }
+        let (hops, error) = run(&TracerouteConfig::ideal(), 1);
+        assert!(error.is_none());
+        // Every hop answers, as the underlying path's router, up to the
+        // server.
+        let want: Vec<_> = p.hops.iter().map(|h| Some(h.ip)).collect();
+        assert_eq!(hops, want);
+        assert_eq!(hops.last(), Some(&Some(p.server_ip)));
     }
 
     #[test]
     fn failure_produces_empty_run() {
-        let p = path();
         let cfg = TracerouteConfig { failure_prob: 1.0, ..TracerouteConfig::ideal() };
-        let mut rng = StdRng::seed_from_u64(2);
-        let t = Traceroute::run(&p, &cfg, &mut rng);
-        assert_eq!(t.error, Some(TracerouteError::Failed));
-        assert!(t.hops.is_empty());
-        assert!(!t.reached_destination(&p));
+        let (hops, error) = run(&cfg, 2);
+        assert_eq!(error, Some(TracerouteError::Failed));
+        assert!(hops.is_empty());
     }
 
     #[test]
     fn nonresponse_shows_stars() {
-        let p = path();
         let cfg = TracerouteConfig { nonresponse_prob: 1.0, ..TracerouteConfig::ideal() };
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = Traceroute::run(&p, &cfg, &mut rng);
-        assert!(t.error.is_none());
-        assert!(t.hops.iter().all(|h| h.is_none()));
-        assert!(!t.reached_destination(&p));
+        let (hops, error) = run(&cfg, 3);
+        assert!(error.is_none());
+        assert_eq!(hops.len(), path().len());
+        assert!(hops.iter().all(|h| h.is_none()));
     }
 
     #[test]
     fn truncation_shortens_run() {
-        let p = path();
         let cfg = TracerouteConfig { truncate_prob: 1.0, ..TracerouteConfig::ideal() };
-        let mut rng = StdRng::seed_from_u64(4);
-        let t = Traceroute::run(&p, &cfg, &mut rng);
-        assert_eq!(t.error, Some(TracerouteError::Truncated));
-        assert!(t.hops.len() < p.len());
-        assert!(!t.hops.is_empty());
+        let (hops, error) = run(&cfg, 4);
+        assert_eq!(error, Some(TracerouteError::Truncated));
+        assert!(hops.len() < path().len());
+        assert!(!hops.is_empty());
     }
 
     #[test]
     fn deterministic_given_rng() {
-        let p = path();
         let cfg = TracerouteConfig::default();
-        let a = Traceroute::run(&p, &cfg, &mut StdRng::seed_from_u64(11));
-        let b = Traceroute::run(&p, &cfg, &mut StdRng::seed_from_u64(11));
-        assert_eq!(a, b);
+        assert_eq!(run(&cfg, 11), run(&cfg, 11));
     }
 }

@@ -50,10 +50,10 @@ pub mod vantage;
 
 pub use anomaly::{AnomalySet, AnomalyType};
 pub use fingerprint::FingerprintSet;
-// A [`TracerouteRecord`] field's type: re-exported so a consumer of
+// A [`TracerouteRun`]'s error type: re-exported so a consumer of
 // measurements can name it without depending on `churnlab-net`.
 pub use churnlab_net::TracerouteError;
-pub use measurement::{Measurement, TracerouteRecord};
+pub use measurement::{Measurement, TracerouteRun, Traceroutes, TraceroutesRef, TraceroutesTooWide};
 pub use noise::NoiseConfig;
 pub use runner::{CampaignBusy, ParallelRun, Platform, PlatformConfig, PlatformScale};
 pub use schedule::{FleetSchedule, UrlFleetPlan};

@@ -37,7 +37,7 @@
 use crate::anomaly::{AnomalySet, AnomalyType};
 use crate::detect::{self, DetectScratch};
 use crate::fingerprint::FingerprintSet;
-use crate::measurement::{Measurement, TracerouteRecord};
+use crate::measurement::{Measurement, Traceroutes, TraceroutesBuilder};
 use crate::noise::NoiseConfig;
 use crate::obs::{CampaignObs, CampaignWorkerObs};
 use crate::schedule::{FleetSchedule, UrlFleetPlan};
@@ -48,7 +48,7 @@ use churnlab_bgp::{Routes, RoutingSim};
 use churnlab_censor::{ActiveCensor, CensorshipScenario, CompiledCensor, FlowNames, TestContext};
 use churnlab_net::{
     Capture, DnsMessage, FlowConfig, FlowSimulator, HopPath, HttpRequest, HttpResponse,
-    Reassembly, SharedBytes, Traceroute,
+    Reassembly, SharedBytes,
 };
 use churnlab_obs::Registry;
 use churnlab_topology::{mix64, Asn, FxMap, GeneratedWorld, Ip2AsDb};
@@ -145,6 +145,9 @@ struct TestBuffers<'p> {
     http_cap: Capture,
     reassembly: Reassembly,
     detect: DetectScratch,
+    /// The test's three traceroute runs, before they are packed into the
+    /// record's one block.
+    traceroutes: TraceroutesBuilder,
 }
 
 /// Per-worker busy-time attribution for a parallel campaign run — the
@@ -688,7 +691,16 @@ impl<'w> Platform<'w> {
         bufs: &mut TestBuffers<'p>,
     ) -> (Measurement, bool) {
         let TestBuffers {
-            paths, wire, hops, alt_hops, armed, dns_cap, http_cap, reassembly, detect: scratch,
+            paths,
+            wire,
+            hops,
+            alt_hops,
+            armed,
+            dns_cap,
+            http_cap,
+            reassembly,
+            detect: scratch,
+            traceroutes,
         } = bufs;
         let url_id = url.id;
         let epoch = routes.sim().mapper().epoch(day, slot);
@@ -704,11 +716,7 @@ impl<'w> Platform<'w> {
                 day,
                 epoch,
                 detected: AnomalySet::empty(),
-                traceroutes: vec![
-                    TracerouteRecord::failed(),
-                    TracerouteRecord::failed(),
-                    TracerouteRecord::failed(),
-                ],
+                traceroutes: Traceroutes::no_route(),
                 failed: true,
             };
             return (failed, false);
@@ -805,36 +813,32 @@ impl<'w> Platform<'w> {
         }
 
         // --- Traceroutes ----------------------------------------------------
-        let mut traceroutes = Vec::with_capacity(3);
+        let tr_cfg = &self.cfg.noise.traceroute;
         for i in 0..3 {
             // With small probability the last traceroute catches a route
             // change (next epoch's path) — the paper's elimination rule 4.
             let shifted = i == 2
                 && rng.gen_bool(self.cfg.noise.intra_test_shift_prob.clamp(0.0, 1.0));
-            let record = if shifted {
-                let changed = routes.asn_path_into(vp_idx, dest_idx, epoch + 1, &mut paths.alt)
-                    && paths.alt != asn_path;
-                if changed {
-                    alt_hops.expand_into(
-                        &paths.alt,
-                        &self.world.prefixes,
-                        vp.ip,
-                        url.server_ip,
-                        self.cfg.routers_per_as,
-                        rng,
-                    );
-                    let t = Traceroute::run(alt_hops, &self.cfg.noise.traceroute, rng);
-                    TracerouteRecord { hops: t.hops, error: t.error }
-                } else {
-                    let t = Traceroute::run(hop_path, &self.cfg.noise.traceroute, rng);
-                    TracerouteRecord { hops: t.hops, error: t.error }
-                }
+            let changed = shifted
+                && routes.asn_path_into(vp_idx, dest_idx, epoch + 1, &mut paths.alt)
+                && paths.alt != asn_path;
+            let path = if changed {
+                alt_hops.expand_into(
+                    &paths.alt,
+                    &self.world.prefixes,
+                    vp.ip,
+                    url.server_ip,
+                    self.cfg.routers_per_as,
+                    rng,
+                );
+                &*alt_hops
             } else {
-                let t = Traceroute::run(hop_path, &self.cfg.noise.traceroute, rng);
-                TracerouteRecord { hops: t.hops, error: t.error }
+                hop_path
             };
-            traceroutes.push(record);
+            let error = tr_cfg.run(path, rng, |hop| traceroutes.hop(hop));
+            traceroutes.end_run(error);
         }
+        let traceroutes = traceroutes.finish().expect("three runs of a ≤ 256-hop path fit");
 
         let m = Measurement {
             vp_id: vp.id,
@@ -961,7 +965,7 @@ mod tests {
         let failed = ms.iter().filter(|m| m.failed).count() as u64;
         assert_eq!(stats.failed, failed);
         for m in ms.iter().filter(|m| m.failed) {
-            assert!(m.traceroutes.iter().all(|t| t.error.is_some()));
+            assert!(m.traceroutes.iter().all(|t| t.error().is_some()));
             assert!(m.detected.is_empty());
         }
     }

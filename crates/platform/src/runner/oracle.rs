@@ -56,7 +56,16 @@ impl<'w> Platform<'w> {
         bufs: &mut TestBuffers<'p>,
     ) -> Measurement {
         let TestBuffers {
-            paths, wire, hops, alt_hops, armed, dns_cap, http_cap, reassembly, detect: scratch,
+            paths,
+            wire,
+            hops,
+            alt_hops,
+            armed,
+            dns_cap,
+            http_cap,
+            reassembly,
+            detect: scratch,
+            traceroutes,
         } = bufs;
         let epoch = sim.mapper().epoch(day, slot);
         let topo = &self.world.topology;
@@ -74,7 +83,7 @@ impl<'w> Platform<'w> {
             failed,
         };
         if !sim.asn_path_into(vp_idx, dest_idx, epoch, &mut paths.main) {
-            return record(AnomalySet::empty(), vec![TracerouteRecord::failed(); 3], true);
+            return record(AnomalySet::empty(), Traceroutes::no_route(), true);
         }
         let asn_path: &[Asn] = &paths.main;
         let (prefixes, routers) = (&self.world.prefixes, self.cfg.routers_per_as);
@@ -129,22 +138,22 @@ impl<'w> Platform<'w> {
                 detected.insert(t);
             }
         }
-        let mut traceroutes = Vec::with_capacity(3);
         for i in 0..3 {
             let shifted =
                 i == 2 && rng.gen_bool(self.cfg.noise.intra_test_shift_prob.clamp(0.0, 1.0));
-            let t = if shifted
+            let path = if shifted
                 && sim.asn_path_into(vp_idx, dest_idx, epoch + 1, &mut paths.alt)
                 && paths.alt != asn_path
             {
                 alt_hops.expand_into(&paths.alt, prefixes, vp.ip, url.server_ip, routers, rng);
-                Traceroute::run(alt_hops, &self.cfg.noise.traceroute, rng)
+                &*alt_hops
             } else {
-                Traceroute::run(hop_path, &self.cfg.noise.traceroute, rng)
+                hop_path
             };
-            traceroutes.push(TracerouteRecord { hops: t.hops, error: t.error });
+            let error = self.cfg.noise.traceroute.run(path, rng, |hop| traceroutes.hop(hop));
+            traceroutes.end_run(error);
         }
-        record(detected, traceroutes, false)
+        record(detected, traceroutes.finish().expect("three runs fit"), false)
     }
 }
 

@@ -177,7 +177,7 @@ mod tests {
             day: 0,
             epoch: 0,
             detected,
-            traceroutes: vec![],
+            traceroutes: Default::default(),
             failed: false,
         });
         acc.add(&Measurement {
@@ -188,7 +188,7 @@ mod tests {
             day: 1,
             epoch: 6,
             detected: AnomalySet::empty(),
-            traceroutes: vec![],
+            traceroutes: Default::default(),
             failed: true,
         });
         let stats = acc.finish(&w.topology);
@@ -224,7 +224,7 @@ mod tests {
                 day: url,
                 epoch: 0,
                 detected,
-                traceroutes: vec![],
+                traceroutes: Default::default(),
                 failed,
             }
         };
