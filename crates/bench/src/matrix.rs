@@ -317,9 +317,17 @@ pub fn run_cell(spec: &CellSpec) -> CellRow {
     let (stats, results) = if spec.engine && spec.scale == WorldScale::Huge {
         // Huge cells fan the generator out: fused sim→engine streaming,
         // one worker per core, 2 shards draining. Everything downstream
-        // is order-independent, so the row is identical to a serial feed.
+        // is order-independent, so the row is identical to a serial feed —
+        // except the first-path ablation, which needs each (URL, vantage
+        // AS) pair in test order. Workers are dealt (URL, day) units
+        // round-robin, so a pair's days would reach its shard from
+        // different workers: the ablation runs one worker.
+        let threads = match spec.churn_mode {
+            ChurnMode::Normal => 0, // one per core
+            ChurnMode::FirstPathOnly => 1,
+        };
         let engine = Engine::new(&platform, EngineConfig::new(pipeline_cfg).with_shards(2));
-        let run = churnlab_engine::campaign::run_fused(&platform, &sim, &engine, 0);
+        let run = churnlab_engine::campaign::run_fused(&platform, &sim, &engine, threads);
         (run.stats, engine.finish())
     } else if spec.engine {
         // One shard per cell: `run_matrix` already spreads cells across

@@ -1,8 +1,6 @@
 //! Batch clause formulation for one URL's observation buffer — the §3.1
-//! splitting logic shared by the streaming [`crate::pipeline::Pipeline`]
-//! and the sharded `churnlab-engine` (which uses it for the deferred
-//! Figure-4 first-path ablation, where "first" is only defined once the
-//! whole stream is known).
+//! splitting logic of the batch [`crate::pipeline::Pipeline`], with its
+//! Figure-4 first-path filter.
 
 use crate::instance::{InstanceBuilder, InstanceKey};
 use crate::obs::ConvertedObs;
@@ -27,37 +25,29 @@ pub fn first_path_filter(buffer: &mut Vec<ConvertedObs>) {
     });
 }
 
-/// Non-destructive [`first_path_filter`]: return references to the kept
-/// observations instead of mutating the buffer. `buffer` must be in test
-/// order, exactly as for the in-place variant. Used by snapshot paths
-/// (the engine's deferred Figure-4 buffers) that must keep the buffer
-/// intact for later, larger snapshots.
-pub fn first_path_refs(buffer: &[ConvertedObs]) -> Vec<&ConvertedObs> {
-    let mut first: HashMap<Asn, &[Asn]> = HashMap::new();
-    buffer
-        .iter()
-        .filter(|o| *first.entry(o.vp_asn).or_insert_with(|| o.path.as_slice()) == o.path)
-        .collect()
-}
-
-/// Split one URL's (already churn-filtered) observation buffer into
-/// instances — one per (granularity window × anomaly type) — and hand each
-/// non-empty builder to `emit`, in the pipeline's deterministic order:
-/// granularities in `granularities` order, windows sorted, anomalies in
-/// [`AnomalyType::ALL`] order. Generic over owned (`&[ConvertedObs]`) and
-/// borrowed (`&[&ConvertedObs]`) buffers so snapshot paths need not clone.
-pub fn for_each_instance<T: std::borrow::Borrow<ConvertedObs>>(
+/// Apply the churn-mode filter to one URL's observation buffer, then
+/// split it into instances — one per (granularity window × anomaly type)
+/// — and hand each non-empty builder to `emit`, in the pipeline's
+/// deterministic order: granularities in `granularities` order, windows
+/// sorted, anomalies in [`AnomalyType::ALL`] order. In
+/// [`ChurnMode::FirstPathOnly`], `buffer` must be in test order (see
+/// [`first_path_filter`]).
+pub fn split_url_buffer(
     url_id: u32,
-    buffer: &[T],
+    mut buffer: Vec<ConvertedObs>,
+    churn_mode: ChurnMode,
     granularities: &[Granularity],
     total_days: u32,
     mut emit: impl FnMut(InstanceBuilder),
 ) {
+    if churn_mode == ChurnMode::FirstPathOnly {
+        first_path_filter(&mut buffer);
+    }
     for &g in granularities {
         // Group observation indices by window.
         let mut windows: HashMap<TimeWindow, Vec<usize>> = HashMap::new();
         for (i, o) in buffer.iter().enumerate() {
-            windows.entry(TimeWindow::of(o.borrow().day, g, total_days)).or_default().push(i);
+            windows.entry(TimeWindow::of(o.day, g, total_days)).or_default().push(i);
         }
         let mut window_keys: Vec<TimeWindow> = windows.keys().copied().collect();
         window_keys.sort();
@@ -67,7 +57,7 @@ pub fn for_each_instance<T: std::borrow::Borrow<ConvertedObs>>(
                 let key = InstanceKey { url_id, anomaly, window: w };
                 let mut builder = InstanceBuilder::new(key);
                 for &i in members {
-                    let o = buffer[i].borrow();
+                    let o = &buffer[i];
                     builder.observe(&o.path, o.detected.contains(anomaly));
                 }
                 if builder.is_empty() {
@@ -77,23 +67,6 @@ pub fn for_each_instance<T: std::borrow::Borrow<ConvertedObs>>(
             }
         }
     }
-}
-
-/// Convenience: apply the churn-mode filter, then split into instances.
-/// In [`ChurnMode::FirstPathOnly`], `buffer` must be in test order (see
-/// [`first_path_filter`]).
-pub fn split_url_buffer(
-    url_id: u32,
-    mut buffer: Vec<ConvertedObs>,
-    churn_mode: ChurnMode,
-    granularities: &[Granularity],
-    total_days: u32,
-    emit: impl FnMut(InstanceBuilder),
-) {
-    if churn_mode == ChurnMode::FirstPathOnly {
-        first_path_filter(&mut buffer);
-    }
-    for_each_instance(url_id, &buffer, granularities, total_days, emit);
 }
 
 #[cfg(test)]
@@ -128,26 +101,11 @@ mod tests {
     }
 
     #[test]
-    fn first_path_refs_agrees_with_in_place_filter() {
-        let buf = vec![
-            obs(1, 0, &[1, 5, 9]),
-            obs(1, 1, &[1, 6, 9]),
-            obs(1, 2, &[1, 5, 9]),
-            obs(2, 0, &[2, 6, 9]),
-        ];
-        let kept: Vec<ConvertedObs> = first_path_refs(&buf).into_iter().cloned().collect();
-        let mut in_place = buf.clone();
-        first_path_filter(&mut in_place);
-        assert_eq!(kept, in_place, "ref filter must keep exactly what the in-place one keeps");
-    }
-
-    #[test]
     fn instances_emitted_in_deterministic_order() {
         let buf = vec![obs(1, 0, &[1, 9]), obs(1, 40, &[1, 9])];
         let mut keys = Vec::new();
-        for_each_instance(7, &buf, &[Granularity::Day, Granularity::Year], 60, |b| {
-            keys.push(b.key());
-        });
+        let gs = [Granularity::Day, Granularity::Year];
+        split_url_buffer(7, buf, ChurnMode::Normal, &gs, 60, |b| keys.push(b.key()));
         // 2 day windows + 1 year window, each × 5 anomaly types.
         assert_eq!(keys.len(), 15);
         assert!(keys.windows(2).all(|w| w[0] < w[1] || w[0].window != w[1].window));

@@ -21,7 +21,9 @@
 //! [`churnlab_core::report::CanonicalReport`] is byte-identical to a
 //! serial `Platform::run` feeding a single-threaded engine
 //! (`crates/engine/tests/fused_campaign.rs` pins this across thread ×
-//! shard × seed grids).
+//! shard × seed grids). The first-path ablation is not order-independent
+//! — it needs each (URL, vantage AS) pair in test order, which only one
+//! worker streams — so it runs with `threads = 1`.
 
 use crate::Engine;
 use churnlab_bgp::RoutingSim;

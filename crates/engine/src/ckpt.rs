@@ -136,16 +136,6 @@ impl Enc {
         self.u8(granularity_tag(w.granularity));
         self.u32(w.index);
     }
-
-    pub(crate) fn anomaly_set(&mut self, set: AnomalySet) {
-        let mut bits = 0u8;
-        for (i, a) in AnomalyType::ALL.into_iter().enumerate() {
-            if set.contains(a) {
-                bits |= 1 << i;
-            }
-        }
-        self.u8(bits);
-    }
 }
 
 /// Decoder over a checkpoint byte slice; every read is bounds-checked.
@@ -494,9 +484,7 @@ mod tests {
         e.u32s(&[1, 2, 3]);
         e.u64s(&[9]);
         e.window(TimeWindow { granularity: Granularity::Week, index: 5 });
-        let mut set = AnomalySet::empty();
-        set.insert(AnomalyType::Dns);
-        e.anomaly_set(set);
+        e.u8(1 << anomaly_tag(AnomalyType::Dns)); // a one-anomaly set
         let mut d = Dec::new(&e.buf);
         assert_eq!(d.u8().unwrap(), 7);
         assert_eq!(d.u32().unwrap(), 0xdead_beef);

@@ -12,7 +12,7 @@ use crate::shard::{
 use churnlab_core::accumulate::FindingsAccumulator;
 use churnlab_core::analyze::InstanceOutcome;
 use churnlab_core::convert::ConversionStats;
-use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
+use churnlab_core::pipeline::{PipelineConfig, PipelineResults};
 use churnlab_core::{ChurnAccumulator, RetiredChurn};
 use churnlab_obs::thread_cpu_nanos;
 use churnlab_topology::{fnv1a, fnv1a_extend};
@@ -166,9 +166,9 @@ pub struct EngineStats {
     pub incremental: IncrementalStats,
     /// Path-interner counters, summed over shards (a path routed to two
     /// shards counts as distinct in each — distinctness is per shard).
-    /// Describes the *ingest* stream: in the deferred
-    /// [`churnlab_core::pipeline::ChurnMode::FirstPathOnly`] ablation,
-    /// where ingestion buffers rather than interns, these stay zero.
+    /// Describes the *ingest* stream: the
+    /// [`churnlab_core::pipeline::ChurnMode::FirstPathOnly`] ablation
+    /// interns every path too, the ones its filter drops included.
     /// Defaults on deserialize so pre-interning stats blobs still parse.
     #[serde(default)]
     pub interner: InternStats,
@@ -188,10 +188,9 @@ pub struct EngineStats {
 }
 
 /// The four SAT-solver work counters checkpoint format v1 stores. Nothing
-/// counts them any more — the incremental re-solve and the first-path
-/// ablation's census are both closed form and run no solver — so they
-/// read zero, or what a restored checkpoint carried, until the format
-/// drops them.
+/// counts them any more — the incremental re-solve is closed form and
+/// runs no solver — so they read zero, or what a restored checkpoint
+/// carried, until the format drops them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SatCounters {
     /// Trail entries processed by unit propagation.
@@ -220,8 +219,9 @@ impl SatCounters {
 ///
 /// Unlike the batch [`churnlab_core::pipeline::Pipeline`], the engine
 /// accepts measurements in **any order** — there is no URL-grouping
-/// contract — and keeps every (URL × window × anomaly) instance
-/// incrementally solved as observations stream in.
+/// contract, and the first-path ablation asks only that each (URL,
+/// vantage AS) pair arrive in test order — and keeps every (URL × window
+/// × anomaly) instance incrementally solved as observations stream in.
 /// [`Engine::ingest_owned`] routes the *raw* measurement to a shard
 /// worker by `hash(url_id)` over a bounded channel; conversion (the
 /// §3.1 elimination rules — the most expensive per-measurement stage)
@@ -352,12 +352,6 @@ impl<'c> Engine<'c> {
         cfg: EngineConfig,
         states: Vec<ShardState>,
     ) -> Self {
-        assert!(
-            cfg.window_horizon.is_none() || cfg.pipeline.churn_mode != ChurnMode::FirstPathOnly,
-            "window_horizon is incompatible with the FirstPathOnly ablation: \
-             \"first path\" is only defined over the whole stream, so its \
-             windows can never retire"
-        );
         let pool = Arc::new(BlockPool::new(cfg.obs.as_ref().map(|o| o.wire_blocks.clone())));
         let mut senders = Vec::with_capacity(states.len());
         let mut block_slots = Vec::with_capacity(states.len());

@@ -14,6 +14,9 @@
 //!
 //! * **Any order** — [`Engine::ingest_owned`] accepts measurements in
 //!   whatever order they arrive; instance state is keyed, not positional.
+//!   (Figure 4's first-path ablation is the exception: "first" is in test
+//!   order, so it needs each (URL, vantage AS) pair's measurements in that
+//!   order, and a shard panics on one that breaks it.)
 //! * **Sharded** — each *raw* measurement is routed by `hash(url_id)`
 //!   to a shard worker over a bounded channel; shards own their
 //!   instances outright (no locks on the hot path) and both **convert**

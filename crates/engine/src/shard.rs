@@ -44,10 +44,20 @@
 //! 4. *observe*: measurement by measurement, in order — watermark,
 //!    late drops, the (URL × window) groups' observe fan-out, retirement.
 //!
-//! Only a path the table has not seen is copied into its arena, and only
-//! the Figure-4 ablation's deferred buffer owns whole observations (the
-//! ablation interns nothing: its pass 2 hashes each path for the churn
-//! batch directly).
+//! Only a path the table has not seen is copied into its arena.
+//!
+//! **The Figure-4 ablation is a filter in front of the groups.** Under
+//! [`ChurnMode::FirstPathOnly`] pass 4 still advances the watermark,
+//! counts the measurement and retires windows, but folds it into its
+//! groups only if its path is the first one its (URL, vantage AS) pair
+//! was seen on — one map entry a pair, the first [`PathId`] beside its
+//! test order. Everything after the filter is the Normal engine: cached
+//! reports, retirement, compaction, checkpoints. "First" is the first in
+//! test order (day, vantage id, epoch — `ConvertedObs::test_order`), so
+//! the ablation needs each pair's measurements in that order, as a serial
+//! campaign streams them; one that arrives before its pair's first panics
+//! the shard instead of answering wrongly. Churn is counted over every
+//! measurement, kept or not.
 //!
 //! **Reports cost what changed.** A deployment reads the report over and
 //! over while data is still arriving, and one ingest step touches a
@@ -105,13 +115,11 @@ use crate::intern::{InternStats, PathTable};
 use crate::obs::ShardObs;
 use churnlab_bgp::TimeWindow;
 use churnlab_core::accumulate::{FindingFacts, FindingsAccumulator, FindingsTally};
-use churnlab_core::analyze::{analyze, InstanceOutcome};
-use churnlab_core::batch::{first_path_refs, for_each_instance};
+use churnlab_core::analyze::InstanceOutcome;
 use churnlab_core::convert::{ConversionStats, ConvertScratch};
 use churnlab_core::instance::InstanceKey;
-use churnlab_core::obs::{ConvertedObs, PathId};
+use churnlab_core::obs::PathId;
 use churnlab_core::pipeline::{ChurnMode, PipelineConfig};
-use churnlab_core::churnstats::path_hash;
 use churnlab_core::{BatchOrder, ChurnAccumulator, ChurnObs, ChurnWindowEntry};
 use churnlab_obs::{BusyTimer, Counter, Stopwatch};
 use churnlab_platform::Measurement;
@@ -366,43 +374,24 @@ pub(crate) struct CompactCut {
     pub findings: FindingsAccumulator,
 }
 
-/// One URL's deferred buffer for the Figure-4 ablation, where "first
-/// path" is only defined once the whole stream is known. Kept sorted
-/// lazily: appends in test order preserve sortedness for free, and a
-/// report sorts at most once per out-of-order batch — repeated snapshots
-/// never re-sort (or clone) an unchanged buffer.
-struct DeferredBuf {
-    obs: Vec<ConvertedObs>,
-    sorted: bool,
-}
+/// A measurement's test order: (day, vantage id, epoch), as
+/// `ConvertedObs::test_order` reads it.
+type TestOrder = (u32, u32, u32);
 
-impl DeferredBuf {
-    fn push(&mut self, o: ConvertedObs) {
-        if self.sorted {
-            if let Some(last) = self.obs.last() {
-                if last.test_order() > o.test_order() {
-                    self.sorted = false;
-                }
-            }
-        }
-        self.obs.push(o);
-    }
+/// Tag of a first-path checkpoint record, in the byte where the per-URL
+/// observation buffers this map replaced wrote their sorted flag (0 or
+/// 1); a blob that still holds such a buffer is refused.
+const FIRST_PATH_TAG: u8 = 2;
 
-    /// Restore the runner's test order so "first distinct path" means
-    /// what the batch pipeline means by it. No-op when already sorted.
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.obs.sort_by_key(ConvertedObs::test_order);
-            self.sorted = true;
-        }
-    }
-}
+/// Bytes a first-path record takes: URL, tag, vantage AS, path id, test
+/// order.
+const FIRST_PATH_BYTES: usize = 4 + 1 + 4 + 4 + 3 * 4;
 
 /// A block between the worker's passes: for each measurement that
 /// converted, its index in the block and the end of its path in one
-/// shared arena (pass 1); its path's id — none under the ablation — and
-/// its row of the churn batch (pass 2); and the order pass 3 folds that
-/// batch in. Worker-lifetime, so a block costs no allocation.
+/// shared arena (pass 1); its path's id and its row of the churn batch
+/// (pass 2); and the order pass 3 folds that batch in. Worker-lifetime,
+/// so a block costs no allocation.
 #[derive(Default)]
 pub(crate) struct Staged {
     converted: Vec<(usize, usize)>,
@@ -422,15 +411,15 @@ pub(crate) struct ShardState {
     /// The shard-local path interner: each distinct path hashed and
     /// copied once, everything downstream id-based.
     table: PathTable,
-    /// Incrementally solved instance groups (Normal churn mode), one per
-    /// live (URL × window), each holding every anomaly cell — plus the
-    /// cached report form of those cells.
+    /// Incrementally solved instance groups, one per live (URL × window),
+    /// each holding every anomaly cell — plus the cached report form of
+    /// those cells.
     groups: FxMap<(u32, TimeWindow), LiveGroup>,
     /// The report the solved live groups and the retired ones add up to.
     counted: Counted,
-    /// Per-URL buffers for the Figure-4 ablation, processed (without
-    /// consuming) at report time over the restored test order.
-    deferred: FxMap<u32, DeferredBuf>,
+    /// The Figure-4 ablation's filter: each (URL, vantage AS) pair's first
+    /// path and its test order. Empty in Normal mode.
+    first_paths: FxMap<(u32, Asn), (PathId, TestOrder)>,
     churn: ChurnAccumulator,
     /// Ids of paths that carried at least one detected anomaly (the
     /// checkpointed form of the observability horizon).
@@ -478,15 +467,14 @@ impl ShardState {
             scratch.set_resolve_obs(o.resolve.clone());
         }
         // The engine merges shard accumulators into one of this very
-        // config (`Engine::empty_churn`). The ablation never retires churn
-        // windows because it never runs with a horizon (`Engine::spawn`).
+        // config (`Engine::empty_churn`).
         let churn = ChurnAccumulator::windowed(&cfg.granularities, cfg.total_days, horizon);
         ShardState {
             horizon,
             table: PathTable::new(),
             groups: FxMap::default(),
             counted: Counted::default(),
-            deferred: FxMap::default(),
+            first_paths: FxMap::default(),
             churn,
             censored_path_ids: FxSet::default(),
             on_censored_path: HashSet::new(),
@@ -565,25 +553,18 @@ impl ShardState {
 
     /// Intern `block`'s staged paths, in conversion order, and lay out
     /// its churn batch — each path hashed once, when the table first sees
-    /// it. The ablation interns nothing and hashes here.
+    /// it.
     fn intern_staged(&mut self, block: &Block, staged: &mut Staged) {
         let Staged { converted, paths, ids, churn, .. } = staged;
-        let ablation = self.cfg.churn_mode == ChurnMode::FirstPathOnly;
         ids.clear();
         churn.clear();
         let mut start = 0;
         for &(i, end) in converted.iter() {
-            let path = &paths[start..end];
+            let pid = self.table.intern(&paths[start..end]);
             start = end;
-            let hash = if ablation {
-                path_hash(path)
-            } else {
-                let pid = self.table.intern(path);
-                ids.push(pid);
-                self.table.churn_hash(pid)
-            };
+            ids.push(pid);
             let o = block.head(i);
-            churn.push((o.vp_asn, o.dest_asn, o.day, hash));
+            churn.push((o.vp_asn, o.dest_asn, o.day, self.table.churn_hash(pid)));
         }
     }
 
@@ -592,7 +573,7 @@ impl ShardState {
     /// order.
     fn observe_staged(&mut self, block: &Block, staged: &Staged) {
         let mut start = 0;
-        for (k, &(i, end)) in staged.converted.iter().enumerate() {
+        for (&(i, end), &pid) in staged.converted.iter().zip(&staged.ids) {
             let (o, path) = (block.head(i), &staged.paths[start..end]);
             start = end;
             self.observations += 1;
@@ -605,34 +586,37 @@ impl ShardState {
             if advanced {
                 self.high_water = Some(o.day);
             }
-            match staged.ids.get(k) {
-                Some(&pid) => self.observe(o, path, pid, advanced),
-                None => self.defer(o, path),
+            if self.cfg.churn_mode == ChurnMode::Normal || self.first_path(o, pid) {
+                self.observe(o, path, pid);
+            }
+            if advanced && self.horizon.is_some() {
+                self.retire_closed();
             }
         }
     }
 
-    /// The ablation's whole fold: keep the observation for report time.
-    fn defer(&mut self, o: &Head, path: &[Asn]) {
-        self.deferred
-            .entry(o.url_id)
-            .or_insert_with(|| DeferredBuf { obs: Vec::new(), sorted: true })
-            .push(ConvertedObs {
-                vp_id: o.vp_id,
-                vp_asn: o.vp_asn,
-                url_id: o.url_id,
-                dest_asn: o.dest_asn,
-                day: o.day,
-                epoch: o.epoch,
-                path: path.to_vec(),
-                detected: o.detected,
-            });
+    /// The ablation's filter: whether `pid` is the first path `o`'s
+    /// (URL, vantage AS) pair was seen on. Panics on a measurement that
+    /// comes before the pair's first in test order — the first path it
+    /// recorded would not be the first.
+    fn first_path(&mut self, o: &Head, pid: PathId) -> bool {
+        let order = (o.day, o.vp_id, o.epoch);
+        let pair = (o.url_id, o.vp_asn);
+        let (first, first_order) = *self.first_paths.entry(pair).or_insert((pid, order));
+        assert!(
+            order >= first_order,
+            "first-path ablation out of test order: URL {} vantage AS {} measured at \
+             (day, vantage id, epoch) {order:?}, before its first path's {first_order:?}",
+            o.url_id,
+            o.vp_asn
+        );
+        pid == first
     }
 
     /// Fold one interned measurement into its (URL × window) groups:
     /// `o`'s scalar fields beside the path it converted to and that
-    /// path's id. `advanced` = it moved the watermark.
-    fn observe(&mut self, o: &Head, path: &[Asn], pid: PathId, advanced: bool) {
+    /// path's id.
+    fn observe(&mut self, o: &Head, path: &[Asn], pid: PathId) {
         // Any censored observation lands in at least one analysed
         // instance (its own anomaly's), so the observability horizon can
         // accumulate here without waiting for the report.
@@ -671,9 +655,6 @@ impl ShardState {
             ) {
                 live.stale = true;
             }
-        }
-        if advanced && self.horizon.is_some() {
-            self.retire_closed();
         }
     }
 
@@ -735,91 +716,39 @@ impl ShardState {
 
     /// Produce a report of everything processed so far. Non-destructive
     /// for the tomography state — the shard keeps ingesting afterwards;
-    /// `&mut` so stale groups can be re-solved and counted, deferred
-    /// ablation buffers sorted in place (at most once per out-of-order
-    /// batch) and the ablation's solver reused. `fin` marks the engine's
-    /// final cut: only then are journal window-closed / cell-solved
-    /// events emitted for *live* groups (retired groups emitted theirs at
-    /// retirement — once per window, once per cell, so the journal
-    /// reconciles exactly with this report).
+    /// `&mut` so stale groups can be re-solved and counted. `fin` marks
+    /// the engine's final cut: only then are journal window-closed /
+    /// cell-solved events emitted for *live* groups (retired groups
+    /// emitted theirs at retirement — once per window, once per cell, so
+    /// the journal reconciles exactly with this report).
     pub(crate) fn report(&mut self, fin: bool) -> ShardReport {
-        let (outcomes, findings, trivial) = match self.cfg.churn_mode {
-            ChurnMode::Normal => {
-                let ShardState { cfg, groups, counted, table, countries, obs, .. } = self;
-                counted.settle();
-                let mut rebuilt = 0u64;
-                for (&(url_id, window), live) in groups.iter_mut() {
-                    let solved = match &mut live.solved {
-                        Some(solved) if !live.stale => solved,
-                        slot => {
-                            let require_positive = cfg.require_positive;
-                            let solved =
-                                SolvedGroup::of(&live.group, require_positive, table, countries);
-                            counted.swap(slot.as_deref(), &solved);
-                            live.stale = false;
-                            rebuilt += 1;
-                            slot.insert(Arc::new(solved))
-                        }
-                    };
-                    if let (true, Some(obs)) = (fin, &*obs) {
-                        solved.journal_close(obs, url_id, window);
-                    }
+        let ShardState { cfg, groups, counted, table, countries, obs, .. } = self;
+        counted.settle();
+        let mut rebuilt = 0u64;
+        for (&(url_id, window), live) in groups.iter_mut() {
+            let solved = match &mut live.solved {
+                Some(solved) if !live.stale => solved,
+                slot => {
+                    let solved = SolvedGroup::of(&live.group, cfg.require_positive, table, countries);
+                    counted.swap(slot.as_deref(), &solved);
+                    live.stale = false;
+                    rebuilt += 1;
+                    slot.insert(Arc::new(solved))
                 }
-                if let Some(obs) = obs {
-                    obs.groups_rebuilt.add(rebuilt);
-                    obs.groups_reused.add(groups.len() as u64 - rebuilt);
-                }
-                let mut findings = counted.tally.materialize();
-                findings.on_censored_path.clone_from(&self.on_censored_path);
-                let outcomes = counted.outcomes.values().cloned().collect();
-                (outcomes, findings, counted.trivial)
+            };
+            if let (true, Some(obs)) = (fin, &*obs) {
+                solved.journal_close(obs, url_id, window);
             }
-            // "First path" is only defined over the whole stream so far,
-            // so the ablation re-derives its cells per report: nothing
-            // here is incremental, nothing is cached, and nothing retires.
-            ChurnMode::FirstPathOnly => {
-                let ShardState { cfg, deferred, countries, .. } = self;
-                let country_of = country_of(countries);
-                let mut outcomes = Vec::new();
-                let mut findings = FindingsAccumulator::new();
-                let mut trivial = 0;
-                for (&url_id, buf) in deferred.iter_mut() {
-                    buf.ensure_sorted();
-                    // Non-destructive first-path filter over the sorted
-                    // buffer: the kept observations are borrowed, never
-                    // cloned, and the buffer survives for later (larger)
-                    // snapshots.
-                    let kept = first_path_refs(&buf.obs);
-                    for_each_instance(
-                        url_id,
-                        &kept,
-                        &cfg.granularities,
-                        cfg.total_days,
-                        |builder| {
-                            if cfg.require_positive && !builder.has_positive() {
-                                trivial += 1;
-                                return;
-                            }
-                            let inst = builder.build().expect("non-empty builder");
-                            let outcome = analyze(&inst, &cfg.solve);
-                            let censored: Vec<&[Asn]> = inst
-                                .observations
-                                .iter()
-                                .filter(|o| o.censored)
-                                .map(|o| o.path.as_slice())
-                                .collect();
-                            findings.record(&outcome, censored, country_of);
-                            outcomes.push(Arc::new(outcome));
-                        },
-                    );
-                }
-                outcomes.sort_by_key(|o| o.key);
-                (outcomes, findings, trivial)
-            }
-        };
+        }
+        if let Some(obs) = obs {
+            obs.groups_rebuilt.add(rebuilt);
+            obs.groups_reused.add(groups.len() as u64 - rebuilt);
+        }
+        let mut findings = counted.tally.materialize();
+        findings.on_censored_path.clone_from(&self.on_censored_path);
         let report = ShardReport {
-            outcomes,
-            trivial,
+            outcomes: counted.outcomes.values().cloned().collect(),
+            trivial: counted.trivial,
             churn: self.churn.clone(),
             findings,
             stats: self.stats,
@@ -966,30 +895,6 @@ fn encode_churn_row(e: &mut Enc, row: &ChurnWindowEntry) {
 /// window, hash count, observation count.
 const CHURN_ROW_MIN: usize = 1 + 3 * 4 + 2 * 8;
 
-fn encode_converted(e: &mut Enc, o: &ConvertedObs) {
-    e.u32(o.vp_id);
-    e.u32(o.vp_asn.0);
-    e.u32(o.url_id);
-    e.u32(o.dest_asn.0);
-    e.u32(o.day);
-    e.u32(o.epoch);
-    e.asns(&o.path);
-    e.anomaly_set(o.detected);
-}
-
-fn decode_converted(d: &mut Dec) -> Result<ConvertedObs, String> {
-    Ok(ConvertedObs {
-        vp_id: d.u32()?,
-        vp_asn: Asn(d.u32()?),
-        url_id: d.u32()?,
-        dest_asn: Asn(d.u32()?),
-        day: d.u32()?,
-        epoch: d.u32()?,
-        path: d.asns()?,
-        detected: d.anomaly_set()?,
-    })
-}
-
 impl ShardState {
     /// Serialize the shard's full state, handing `ship` the blob in
     /// pieces of about [`PIECE`] bytes, in order, as they are written —
@@ -1054,16 +959,14 @@ impl ShardState {
         for cell in self.retired.iter().flat_map(|g| &g.cells) {
             encode_cell(&mut e, cell);
         }
-        let mut urls: Vec<u32> = self.deferred.keys().copied().collect();
-        urls.sort_unstable();
-        e.u64(urls.len() as u64);
-        for url in urls {
-            let buf = &self.deferred[&url];
+        let mut firsts: Vec<_> = self.first_paths.iter().collect();
+        firsts.sort_unstable_by_key(|&(&key, _)| key);
+        e.u64(firsts.len() as u64);
+        for (&(url, vp), &(pid, (day, vp_id, epoch))) in firsts {
             e.u32(url);
-            e.u8(u8::from(buf.sorted));
-            e.u64(buf.obs.len() as u64);
-            for o in &buf.obs {
-                encode_converted(&mut e, o);
+            e.u8(FIRST_PATH_TAG);
+            for word in [vp.0, pid.0, day, vp_id, epoch] {
+                e.u32(word);
             }
         }
         if !e.buf.is_empty() {
@@ -1180,22 +1083,33 @@ impl ShardState {
             state.counted.due.push((None, Arc::clone(&restored)));
             state.retired.push(restored);
         }
-        let n_urls = d.len()?;
-        for _ in 0..n_urls {
+        let n_firsts = d.count(FIRST_PATH_BYTES)?;
+        if n_firsts > 0 && state.cfg.churn_mode == ChurnMode::Normal {
+            return Err("first-path records in a Normal-mode shard".to_string());
+        }
+        let mut last = None;
+        for _ in 0..n_firsts {
             let url = d.u32()?;
-            let sorted = match d.u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(format!("bad sorted flag {t}")),
-            };
-            let n_obs = d.len()?;
-            let mut obs_vec = Vec::with_capacity(n_obs.min(1 << 20));
-            for _ in 0..n_obs {
-                obs_vec.push(decode_converted(&mut d)?);
+            match d.u8()? {
+                FIRST_PATH_TAG => {}
+                0 | 1 => {
+                    return Err(format!(
+                        "url {url} holds a buffered ablation stream, a layout this engine \
+                         no longer reads: re-run the ablation from its stream"
+                    ))
+                }
+                t => return Err(format!("bad first-path tag {t}")),
             }
-            if state.deferred.insert(url, DeferredBuf { obs: obs_vec, sorted }).is_some() {
-                return Err(format!("duplicate deferred buffer for url {url}"));
+            let key = (url, Asn(d.u32()?));
+            let pid = d.u32()?;
+            if pid as usize >= n_paths {
+                return Err(format!("first path of {key:?} is unknown path {pid}"));
             }
+            if last >= Some(key) {
+                return Err(format!("first-path record {key:?} out of order"));
+            }
+            last = Some(key);
+            state.first_paths.insert(key, (PathId(pid), (d.u32()?, d.u32()?, d.u32()?)));
         }
         d.done()?;
         if let Some(o) = &state.obs {
@@ -1333,9 +1247,6 @@ mod tests {
         /// report ships instead of unioning the groups'. Every report a
         /// unit test asks for is audited.
         pub(super) fn audit(&self, report: &ShardReport) {
-            if self.cfg.churn_mode != ChurnMode::Normal {
-                return;
-            }
             let (table, countries) = (&self.table, &self.countries);
             let live: Vec<SolvedGroup> = self
                 .groups
@@ -1662,6 +1573,48 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// An ablation shard's first paths round-trip byte for byte, and the
+    /// map's slot refuses what else could sit there: records in a Normal
+    /// shard, and the per-URL ablation buffer the map replaced
+    /// (its sorted flag, 0 or 1, where a record has its tag).
+    #[test]
+    fn first_paths_round_trip_and_a_buffered_ablation_is_refused() {
+        let shard = RealShard::build();
+        let mut cfg = shard.cfg.clone();
+        cfg.churn_mode = ChurnMode::FirstPathOnly;
+        let fresh = || ShardState::new(cfg.clone(), Some(7), None, Arc::clone(&shard.countries));
+        let decode = |cfg: &PipelineConfig, bytes: &[u8]| {
+            ShardState::decode(cfg.clone(), Some(7), None, Arc::clone(&shard.countries), bytes)
+        };
+        let mut state = fresh();
+        let mut block = Block::default();
+        shard.measurements.iter().for_each(|m| block.push(m));
+        state.ingest_block(&block, &shard.db, &mut Staged::default(), None);
+        assert!(!state.first_paths.is_empty());
+        let blob = state.blob();
+        let restored = decode(&cfg, &blob).expect("the ablation's blob restores");
+        assert_eq!(restored.blob(), blob, "restore → encode reproduces the bytes");
+        let normal = decode(&shard.cfg, &blob).map(|_| ()).unwrap_err();
+        assert!(normal.contains("first-path records in a Normal-mode shard"), "{normal}");
+
+        // A fresh ablation shard's blob ends in its empty map's count.
+        let empty = fresh().blob();
+        for sorted in [0, 1] {
+            let mut e = Enc { buf: empty[..empty.len() - 8].to_vec() };
+            e.u64(1); // one URL's buffer
+            e.u32(3);
+            e.u8(sorted);
+            e.u64(1); // one observation
+            for word in [7, 100, 3, 200, 4, 9] {
+                e.u32(word); // vantage id and AS, URL, destination, day, epoch
+            }
+            e.asns(&[Asn(100), Asn(200)]);
+            e.u8(0); // no anomaly
+            let err = decode(&cfg, &e.buf).map(|_| ()).unwrap_err();
+            assert!(err.contains("url 3 holds a buffered ablation stream"), "{err}");
         }
     }
 

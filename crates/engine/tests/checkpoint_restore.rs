@@ -10,7 +10,7 @@ use std::ops::Range;
 
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
-use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
+use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig, PipelineResults};
 use churnlab_engine::{Engine, EngineConfig, EngineObs, RestoreError};
 use churnlab_obs::{Registry, SampleValue};
 use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
@@ -176,24 +176,27 @@ fn checkpoint_restore_continue_is_digest_identical() {
 
 /// Same matrix point but with retirement active across the checkpoint: a
 /// day-sorted stream and a small horizon so windows genuinely retire on
-/// both sides of the cut, including retired-but-undrained cells and
-/// folded churn state that must survive the round trip.
+/// both sides of the cut, including retired-but-undrained cells, folded
+/// churn state and the ablation's first paths that must survive the
+/// round trip — in both churn modes.
 #[test]
 fn checkpoint_with_retirement_is_digest_identical() {
     for seed in [11u64, 23] {
         let s = study(seed);
         let (platform, mut ms) = measurements(&s);
         ms.sort_by_key(|m| m.day);
-        for shards in [1usize, 4] {
-            let cfg = engine_cfg(&platform, ChurnMode::Normal, shards, Some(2));
-            let expected = uninterrupted(&platform, &s, &ms, cfg.clone());
-            for cut in [ms.len() / 4, ms.len() / 2, ms.len() * 3 / 4] {
-                let cut = cut.clamp(1, ms.len() - 1);
-                let got = interrupted(&platform, &s, &ms, cfg.clone(), cut);
-                assert_eq!(
-                    got, expected,
-                    "seed {seed} shards {shards} cut {cut}: retirement restore diverged"
-                );
+        for mode in [ChurnMode::Normal, ChurnMode::FirstPathOnly] {
+            for shards in [1usize, 4] {
+                let cfg = engine_cfg(&platform, mode, shards, Some(2));
+                let expected = uninterrupted(&platform, &s, &ms, cfg.clone());
+                for cut in [ms.len() / 4, ms.len() / 2, ms.len() * 3 / 4] {
+                    let cut = cut.clamp(1, ms.len() - 1);
+                    let got = interrupted(&platform, &s, &ms, cfg.clone(), cut);
+                    assert_eq!(
+                        got, expected,
+                        "seed {seed} {mode:?} shards {shards} cut {cut}: retirement restore diverged"
+                    );
+                }
             }
         }
     }
@@ -212,6 +215,19 @@ fn horizon_wider_than_stream_changes_nothing() {
         uninterrupted(&platform, &s, &ms, base),
         "a never-triggering horizon must reproduce the no-retirement digest"
     );
+}
+
+/// The ablation under a horizon wider than the stream is the batch
+/// pipeline's ablation, byte for byte: the first-path filter in front of
+/// a retiring engine answers what the pipeline's filter does.
+#[test]
+fn ablation_under_a_wide_horizon_is_the_pipelines() {
+    let s = study(31);
+    let (platform, ms) = measurements(&s);
+    let wide = engine_cfg(&platform, ChurnMode::FirstPathOnly, 2, Some(10_000));
+    let mut pipeline = Pipeline::new(&platform, wide.pipeline.clone());
+    ms.iter().for_each(|m| pipeline.ingest(m));
+    assert_eq!(uninterrupted(&platform, &s, &ms, wide), canonical_json(&pipeline.finish()));
 }
 
 /// Checkpointing with unflushed feeder tails: the caller takes the tail,

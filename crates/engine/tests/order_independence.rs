@@ -3,6 +3,9 @@
 //! [`churnlab_core::report::CanonicalReport`] that is **byte-identical**
 //! to the batch [`Pipeline`] fed the platform runner's URL-grouped order
 //! — across seeds, shard counts, churn modes, and concurrent feeders.
+//! The first-path ablation is the one exception: it needs each (URL,
+//! vantage AS) pair in test order, so it is fed a random interleaving of
+//! the per-URL streams, and a shuffled stream is refused loudly.
 
 use churnlab_bgp::{ChurnConfig, Granularity, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
@@ -14,7 +17,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 struct Study {
     world: GeneratedWorld,
@@ -74,6 +77,30 @@ fn engine_results(
     engine.finish()
 }
 
+/// A seeded random interleaving of `ms`'s per-URL streams, each URL's
+/// measurements kept in their (test) order: the arrival orders the
+/// first-path ablation accepts.
+fn interleave_urls(ms: &[Measurement], seed: u64) -> Vec<Measurement> {
+    let mut by_url: BTreeMap<u32, VecDeque<&Measurement>> = BTreeMap::new();
+    ms.iter().for_each(|m| by_url.entry(m.url_id).or_default().push_back(m));
+    let mut turns: Vec<u32> = ms.iter().map(|m| m.url_id).collect();
+    turns.shuffle(&mut StdRng::seed_from_u64(seed));
+    turns.iter().map(|u| by_url.get_mut(u).and_then(VecDeque::pop_front).unwrap().clone()).collect()
+}
+
+/// `ms` reordered for `mode`: fully shuffled for the Normal engine, a
+/// random interleaving of the per-URL streams for the ablation.
+fn scrambled(ms: &[Measurement], mode: ChurnMode, seed: u64) -> Vec<Measurement> {
+    match mode {
+        ChurnMode::Normal => {
+            let mut shuffled = ms.to_vec();
+            shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+            shuffled
+        }
+        ChurnMode::FirstPathOnly => interleave_urls(ms, seed),
+    }
+}
+
 fn canonical_json(r: &PipelineResults) -> String {
     serde_json::to_string(&r.canonical_report()).expect("canonical report serializes")
 }
@@ -120,12 +147,14 @@ fn shuffled_engine_matches_ordered_pipeline_byte_identically() {
     }
 }
 
-/// The interned-dedup acceptance matrix: shuffled multi-feeder ingest is
+/// The interned-dedup acceptance matrix: scrambled ingest is
 /// byte-identical to the ordered batch pipeline across shard counts
-/// {1, 4, 8} × both churn modes × 3 seeds. This is the end-to-end proof
-/// that the id-based data plane — `PathId` dedup masks, group-shared
-/// variable spaces, snapshot-resolved report cells — changes nothing
-/// observable, whatever the arrival order or shard layout.
+/// {1, 4, 8} × both churn modes × 3 seeds — a full shuffle for the Normal
+/// engine, a random per-URL interleaving for the ablation. This is the
+/// end-to-end proof that the id-based data plane — `PathId` dedup masks,
+/// group-shared variable spaces, snapshot-resolved report cells — and the
+/// ablation's first-path filter change nothing observable, whatever the
+/// arrival order or shard layout.
 #[test]
 fn interned_dedup_matrix_is_byte_identical() {
     for seed in [5u64, 17, 29] {
@@ -134,9 +163,8 @@ fn interned_dedup_matrix_is_byte_identical() {
         for mode in [ChurnMode::Normal, ChurnMode::FirstPathOnly] {
             let expected = canonical_json(&pipeline_results(&platform, &ms, mode));
             for shards in [1usize, 4, 8] {
-                let mut shuffled = ms.clone();
-                shuffled.shuffle(&mut StdRng::seed_from_u64(seed ^ (shards as u64) << 8));
-                let got = canonical_json(&engine_results(&platform, &shuffled, mode, shards));
+                let scrambled = scrambled(&ms, mode, seed ^ (shards as u64) << 8);
+                let got = canonical_json(&engine_results(&platform, &scrambled, mode, shards));
                 assert_eq!(
                     got, expected,
                     "seed {seed}, mode {mode:?}, {shards} shard(s): interned engine diverged"
@@ -147,11 +175,10 @@ fn interned_dedup_matrix_is_byte_identical() {
 }
 
 /// Repeated snapshots are self-consistent: a second snapshot over the
-/// same ingested prefix is byte-identical to the first (the deferred
-/// Figure-4 buffers are sorted once and must not be corrupted by the
-/// sort-tracking), and a later snapshot over more data still matches the
-/// batch pipeline — also proving `PathId`s stay valid across snapshot
-/// boundaries as the shard tables keep growing.
+/// same ingested prefix is byte-identical to the first, and a later
+/// snapshot over more data still matches the batch pipeline — also
+/// proving `PathId`s stay valid across snapshot boundaries as the shard
+/// tables keep growing.
 #[test]
 fn repeated_snapshots_are_stable_in_both_modes() {
     for mode in [ChurnMode::Normal, ChurnMode::FirstPathOnly] {
@@ -160,9 +187,7 @@ fn repeated_snapshots_are_stable_in_both_modes() {
         let mut cfg = PipelineConfig::paper(platform.config().total_days);
         cfg.churn_mode = mode;
         let engine = Engine::new(&platform, EngineConfig::new(cfg).with_shards(2));
-        // Out-of-order ingest so the deferred buffers are genuinely dirty.
-        let mut shuffled = ms.clone();
-        shuffled.shuffle(&mut StdRng::seed_from_u64(7));
+        let shuffled = scrambled(&ms, mode, 7);
         let half = shuffled.len() / 2;
         for m in &shuffled[..half] {
             engine.ingest_owned(m.clone());
@@ -179,17 +204,23 @@ fn repeated_snapshots_are_stable_in_both_modes() {
     }
 }
 
-/// The Figure-4 ablation also survives shuffling: the engine restores the
-/// test order internally before applying the first-path filter.
+/// The Figure-4 ablation refuses a stream that breaks its order rule: a
+/// shuffle brings some (URL, vantage AS) pair's later test before its
+/// first, and the shard that sees it panics, naming the pair and both
+/// test orders, which the engine re-raises with the shard id.
 #[test]
-fn first_path_ablation_is_order_independent_too() {
+fn a_shuffled_ablation_stream_is_refused() {
     let s = study(31);
-    let (platform, ms) = measurements(&s);
-    let expected = canonical_json(&pipeline_results(&platform, &ms, ChurnMode::FirstPathOnly));
-    let mut shuffled = ms.clone();
-    shuffled.shuffle(&mut StdRng::seed_from_u64(99));
-    let got = canonical_json(&engine_results(&platform, &shuffled, ChurnMode::FirstPathOnly, 2));
-    assert_eq!(got, expected, "ablation mode diverged under shuffle");
+    let (platform, mut ms) = measurements(&s);
+    ms.shuffle(&mut StdRng::seed_from_u64(99));
+    let run = || engine_results(&platform, &ms, ChurnMode::FirstPathOnly, 2);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .expect_err("a shuffled ablation stream must panic");
+    let text = payload.downcast_ref::<String>().expect("a formatted panic message");
+    for part in ["shard worker ", "first-path ablation out of test order: URL ", " vantage AS "] {
+        assert!(text.contains(part), "{part:?} missing from {text:?}");
+    }
+    assert!(text.contains(", before its first path's ("), "{text:?}");
 }
 
 /// A worker folds a batch in four passes — convert, intern, churn,
@@ -197,8 +228,7 @@ fn first_path_ablation_is_order_independent_too() {
 /// on its own is a batch of one through the same code.
 /// One study through each gives one digest and one conversion account —
 /// the pipeline's, which converts through the owned-path adapter — in
-/// both churn modes (the ablation is the one consumer that copies the
-/// borrowed path), and every instrumented arm counts each measurement
+/// both churn modes, and every instrumented arm counts each measurement
 /// once.
 #[test]
 fn staged_and_direct_ingest_agree_with_the_pipeline() {

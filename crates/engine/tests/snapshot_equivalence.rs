@@ -218,8 +218,7 @@ impl<'a> Case<'a> {
     }
 }
 
-/// Shards {1, 4} × horizon {None, 7} × 3 seeds × both churn modes (the
-/// first-path ablation cannot retire, so it runs without a horizon).
+/// Shards {1, 4} × horizon {None, 7} × 3 seeds × both churn modes.
 #[test]
 fn every_snapshot_equals_a_fresh_engine_fed_the_same_prefix() {
     for seed in [5u64, 19, 41] {
@@ -234,6 +233,7 @@ fn every_snapshot_equals_a_fresh_engine_fed_the_same_prefix() {
             (ChurnMode::Normal, None),
             (ChurnMode::Normal, Some(7)),
             (ChurnMode::FirstPathOnly, None),
+            (ChurnMode::FirstPathOnly, Some(7)),
         ] {
             for shards in [1usize, 4] {
                 let mut pipeline = PipelineConfig::paper(platform.config().total_days);
