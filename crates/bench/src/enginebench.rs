@@ -1,22 +1,20 @@
-//! `bench engine` — engine throughput: measurements/sec through the batch
-//! [`Pipeline`] vs the sharded [`Engine`] at several shard counts, over
-//! one pre-collected measurement campaign, written as one JSON document
-//! (`BENCH_engine.json`) so CI accumulates a perf trajectory.
+//! `bench engine` — engine throughput: measurements/sec through the
+//! sharded [`Engine`] at several shard counts, over one pre-collected
+//! measurement campaign, written as one JSON document.
 //!
 //! ```text
 //! bench engine                                   # smoke, report on stdout
-//! bench engine --scale small --shards 1,2,4,8 --repeats 5
-//! bench engine --baseline BENCH_engine.json --out BENCH_engine.json --require-gate
-//! bench engine --update-baseline                 # refresh BENCH_engine.json, ungated
+//! bench engine --scale small --shards 1,2,4,8 --repeats 5 --out engine.json
 //! bench engine --shards 1,2,4,8 --assert-scaling
 //! bench engine --assert-overhead --scale smoke --shards 4 --repeats 5
 //! ```
 //!
 //! `--feeders 0` (the default) gives every row one feeder thread per
 //! shard — the supply/demand-matched configuration the scaling gate
-//! reasons about. `--baseline`, `--require-gate`, `--update-baseline`
-//! and `--assert-scaling` are the shared [`crate::gate`]s, over the
-//! speedup-vs-pipeline ratio.
+//! reasons about. `--assert-scaling` is the shared [`crate::gate`]
+//! scaling gate. The sweep has no regression gate: the engine's
+//! end-to-end throughput is `benchmark/`'s `replay-small` `meas_per_s`,
+//! a workload whose critical path is the shard worker.
 //!
 //! Besides wall-clock throughput, each row carries two **scaling
 //! efficiency** figures relative to the 1-shard row:
@@ -38,9 +36,8 @@
 //! same campaign — `convert_ns_per_meas` and `convert_allocs_per_meas`,
 //! one warm [`convert_into`] pass on the calling thread, allocations
 //! counted by the binary's allocator (the one `bench route` audits
-//! with). A run gated against a `--baseline` fails above
-//! [`MAX_CONVERT_ALLOCS_PER_MEAS`]: the shard's conversion runs in its
-//! scratch, not the allocator.
+//! with). A run fails above [`MAX_CONVERT_ALLOCS_PER_MEAS`]: the shard's
+//! conversion runs in its scratch, not the allocator.
 //!
 //! It carries the fold's split — `phase_us_per_meas`, shard on-CPU
 //! microseconds per measurement in each of the four passes a block is
@@ -53,9 +50,12 @@
 //! in a one-shard engine (best of [`SNAPSHOT_REPEATS`]), without a
 //! lateness horizon and with [`SNAPSHOT_HORIZON_DAYS`] over the
 //! day-sorted stream. The time is reported; the allocation count is
-//! deterministic, and a `--baseline`-gated run fails if the retiring
-//! engine's exceeds [`MAX_HORIZON_SNAPSHOT_ALLOCS`] — a report shares the
-//! engine's solved cells and churn windows, it does not copy them.
+//! deterministic, and a run fails if the retiring engine's exceeds
+//! [`MAX_HORIZON_SNAPSHOT_ALLOCS`] — a report shares the engine's solved
+//! cells and churn windows, it does not copy them. Both allocation
+//! ceilings are armed on every run outside `--assert-overhead` (the
+//! counts read zero unless the process runs the `bench` binary's
+//! counting allocator, so a library caller's run passes them trivially).
 //!
 //! `--assert-overhead` is a dedicated mode: the same workload through a
 //! *stripped* engine (no metrics registry — zero atomic ops) and an
@@ -73,13 +73,13 @@
 //! `--journal-out FILE` streams the run's JSONL event journal there —
 //! engine events plus the gates' `gate_armed`/`gate_skipped` outcomes.
 
-use crate::cli::{self, Args, Flag, Kind, Rule, Sub, OUT, REPEATS, SCALE_SMOKE, SEED, UINT};
-use crate::gate::{self, AsSweep, Gate, Plan, Sweep, SweepRow};
+use crate::cli::{Args, Flag, Kind, Rule, Sub, OUT, REPEATS, SCALE_SMOKE, SEED, UINT};
+use crate::gate::{self, AsSweep, Gate, Sweep, SweepRow};
 use crate::obsbench::{BenchObs, MetricsWriter};
 use crate::routebench::counting_allocs;
-use crate::{best_of, scale_label, Bench};
+use crate::{scale_label, Bench};
 use churnlab_core::convert::{convert_into, ConversionStats, ConvertScratch};
-use churnlab_core::pipeline::{Pipeline, PipelineConfig};
+use churnlab_core::pipeline::PipelineConfig;
 use churnlab_engine::{Engine, EngineConfig, EngineStats};
 use churnlab_obs::Journal;
 use churnlab_platform::{Measurement, Platform};
@@ -113,7 +113,7 @@ pub const FOLD_PHASES: [&str; 4] = ["convert", "intern", "churn", "observe"];
 /// `bench engine`.
 pub const SUB: Sub = Sub {
     name: "engine",
-    about: "engine throughput vs the batch pipeline; regression, scaling and overhead gates",
+    about: "engine throughput over a shard sweep; scaling, overhead and allocation gates",
     flags: &[
         SCALE_SMOKE,
         SEED,
@@ -121,9 +121,6 @@ pub const SUB: Sub = Sub {
         Flag::new("--feeders", UINT, "0", "feeder threads per row (0 = one per shard)"),
         REPEATS,
         OUT,
-        gate::BASELINE,
-        gate::REQUIRE_GATE,
-        gate::UPDATE_BASELINE,
         gate::ASSERT_SCALING,
         gate::MIN_EFFICIENCY,
         Flag::new("--assert-overhead", Kind::Switch, "", "stripped-vs-instrumented mode: exit 1 if metrics cost more than 2%"),
@@ -131,23 +128,18 @@ pub const SUB: Sub = Sub {
         Flag::new("--journal-out", Kind::Text, "", "instrument the run; stream its JSONL event journal here"),
     ],
     positional: None,
-    rules: &[
-        gate::REFRESH_IS_UNGATED,
-        Rule::Conflict("--assert-overhead", "--baseline"),
-        Rule::Conflict("--assert-overhead", "--assert-scaling"),
-        Rule::Conflict("--assert-overhead", "--update-baseline"),
-    ],
+    rules: &[Rule::Conflict("--assert-overhead", "--assert-scaling")],
     run,
 };
 
 /// An assembled platform plus its pre-collected measurement campaign —
 /// the fixed workload every contender is timed against.
 pub struct ThroughputHarness<'w> {
-    /// The platform (IP-to-AS context for pipeline/engine construction).
+    /// The platform (IP-to-AS context for engine construction).
     pub platform: Platform<'w>,
     /// The full campaign, in the runner's URL-grouped order.
     pub measurements: Vec<Measurement>,
-    /// Tomography configuration shared by all contenders.
+    /// Tomography configuration every pass runs under.
     pub cfg: PipelineConfig,
 }
 
@@ -159,19 +151,6 @@ impl<'w> ThroughputHarness<'w> {
         let (measurements, _) = platform.run_collect_parallel(&sim, 1);
         let cfg = PipelineConfig::paper(bench.platform_cfg.total_days);
         ThroughputHarness { platform, measurements, cfg }
-    }
-
-    /// Time one batch-pipeline pass (ingest + finish), returning seconds.
-    pub fn time_pipeline(&self) -> f64 {
-        let start = Instant::now();
-        let mut pipeline = Pipeline::new(&self.platform, self.cfg.clone());
-        for m in &self.measurements {
-            pipeline.ingest(m);
-        }
-        let results = pipeline.finish();
-        let secs = start.elapsed().as_secs_f64();
-        assert!(!results.outcomes.is_empty(), "pipeline produced no CNFs");
-        secs
     }
 
     /// What conversion alone costs over the campaign: nanoseconds and
@@ -301,11 +280,9 @@ pub struct ThroughputRow {
     pub secs: f64,
     /// Measurements ingested per second.
     pub meas_per_sec: f64,
-    /// Ratio vs the batch pipeline's measurements/sec.
-    pub speedup_vs_pipeline: f64,
     /// Wall-clock scaling efficiency vs this sweep's 1-shard row:
     /// `(meas_per_sec / 1-shard meas_per_sec) / shards`. `None` when the
-    /// sweep has no 1-shard row (and on pre-efficiency baseline files).
+    /// sweep has no 1-shard row.
     /// Only meaningful when `available_cores >= shards`.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub wallclock_efficiency: Option<f64>,
@@ -320,17 +297,12 @@ pub struct ThroughputRow {
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub model_efficiency: Option<f64>,
     /// Fraction of per-cell observe decisions that were duplicates — the
-    /// distinct-path sparsity the interner exploits. Defaults to 0 so
-    /// pre-interning baseline files still parse (the gate compares
-    /// speedup ratios, which those files have).
-    #[serde(default)]
+    /// distinct-path sparsity the interner exploits.
     pub duplicate_ratio: f64,
     /// Distinct paths interned, summed over shards.
-    #[serde(default)]
     pub distinct_paths: u64,
     /// Fraction of measurement-level interner probes answered from the
     /// table (duplicates at measurement granularity).
-    #[serde(default)]
     pub interner_hit_rate: f64,
     /// Incremental-solve effectiveness counters.
     pub stats: EngineStats,
@@ -348,7 +320,7 @@ pub struct SnapshotCost {
     pub snapshot_allocs: u64,
 }
 
-/// The full throughput report (`BENCH_engine.json`).
+/// The full throughput report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThroughputReport {
     /// Workload scale label.
@@ -359,35 +331,29 @@ pub struct ThroughputReport {
     pub measurements: u64,
     /// Cores visible to the process (context for the shard sweep).
     pub available_cores: usize,
-    /// Batch pipeline best-of-repeats seconds.
-    pub pipeline_secs: f64,
-    /// Batch pipeline measurements/sec.
-    pub pipeline_meas_per_sec: f64,
     /// Conversion alone, nanoseconds per measurement (see
     /// [`ThroughputHarness::convert_cost`]).
-    #[serde(default)]
     pub convert_ns_per_meas: f64,
     /// Conversion alone, heap allocations per measurement, warm.
-    #[serde(default)]
     pub convert_allocs_per_meas: f64,
     /// The fold's split (see [`ThroughputHarness::phase_split`]), keyed
-    /// by phase. Defaults to none so earlier baseline files still parse.
-    #[serde(default)]
+    /// by phase.
     pub phase_us_per_meas: BTreeMap<String, f64>,
     /// The read path: one row without a horizon, one at
-    /// [`SNAPSHOT_HORIZON_DAYS`]. Defaults to none so pre-read-path
-    /// baseline files still parse.
-    #[serde(default)]
+    /// [`SNAPSHOT_HORIZON_DAYS`].
     pub snapshot: Vec<SnapshotCost>,
     /// One row per shard count.
     pub engine: Vec<ThroughputRow>,
 }
 
 impl AsSweep for ThroughputReport {
+    /// A row's speedup is over the sweep's own 1-shard row, its control
+    /// (1 without one); no regression gate reads it.
     fn sweep(&self) -> Sweep {
+        let one = self.engine.iter().find(|r| r.shards == 1).map(|r| r.meas_per_sec);
         let rows = self.engine.iter().map(|r| SweepRow {
             n: r.shards,
-            speedup: r.speedup_vs_pipeline,
+            speedup: one.map_or(1.0, |one| r.meas_per_sec / one),
             wallclock_efficiency: r.wallclock_efficiency,
             model_efficiency: r.model_efficiency,
         });
@@ -401,12 +367,11 @@ impl AsSweep for ThroughputReport {
     }
 }
 
-/// Run the sweep: best-of-`repeats` timing for the pipeline and for the
-/// engine at each shard count. `feeders` is a spec: `0` matches the
-/// row's shard count, anything else is a fixed feeder count. Passing an
-/// observability sink times *instrumented* engines (all repeats
-/// accumulate into the sink's registry) — leave it `None` for timing
-/// runs the regression gate will compare against stripped baselines.
+/// Run the sweep: best-of-`repeats` timing for the engine at each shard
+/// count. `feeders` is a spec: `0` matches the row's shard count,
+/// anything else is a fixed feeder count. Passing an observability sink
+/// times *instrumented* engines (all repeats accumulate into the sink's
+/// registry) — leave it `None` for stripped timing runs.
 pub fn run_throughput(
     harness: &ThroughputHarness<'_>,
     scale_label: &str,
@@ -418,9 +383,6 @@ pub fn run_throughput(
 ) -> ThroughputReport {
     let repeats = repeats.max(1);
     let n = harness.measurements.len() as u64;
-
-    let pipeline_secs = best_of(repeats, || harness.time_pipeline());
-    let pipeline_meas_per_sec = n as f64 / pipeline_secs;
 
     let mut engine = Vec::new();
     let mut min_crit = Vec::new(); // per-row noise-floor critical path
@@ -445,7 +407,6 @@ pub fn run_throughput(
             feeders: row_feeders,
             secs,
             meas_per_sec,
-            speedup_vs_pipeline: meas_per_sec / pipeline_meas_per_sec,
             wallclock_efficiency: None, // filled below, needs the 1-shard row
             model_efficiency: None,
             duplicate_ratio: stats.incremental.duplicate_ratio(),
@@ -472,8 +433,6 @@ pub fn run_throughput(
         seed,
         measurements: n,
         available_cores: std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1),
-        pipeline_secs,
-        pipeline_meas_per_sec,
         convert_ns_per_meas,
         convert_allocs_per_meas,
         phase_us_per_meas: harness.phase_split(),
@@ -624,10 +583,7 @@ pub fn run_overhead(
 }
 
 fn run(args: &Args) -> ExitCode {
-    let plan = match Plan::from_args::<ThroughputReport>(args, "BENCH_engine.json") {
-        Ok(plan) => plan,
-        Err(msg) => return cli::usage_error(&msg),
-    };
+    let out = args.text("--out");
     let scale = args.scale().expect("--scale has a default");
     let (seed, feeders, repeats): (u64, usize, usize) =
         (args.req("--seed"), args.req("--feeders"), args.req("--repeats"));
@@ -667,7 +623,7 @@ fn run(args: &Args) -> ExitCode {
 
     if args.has("--assert-overhead") {
         // Dedicated mode: the stripped-vs-instrumented comparison is the
-        // whole run — no pipeline control, no sweep, no baseline gate.
+        // whole run — no sweep, no allocation ceilings.
         let top = *shards.iter().max().expect("the parser rejects an empty list");
         let report = run_overhead(&harness, scale_label(scale), top, feeders, repeats, sink.as_ref());
         settle(metrics_writer);
@@ -685,7 +641,7 @@ fn run(args: &Args) -> ExitCode {
             report.repeats,
             report.passes,
         );
-        gate::write_report(gate.who, plan.out.as_deref(), &report);
+        gate::write_report(gate.who, out, &report);
         return gate::verdict(gate.who, &judge_overhead(&gate, &report));
     }
 
@@ -693,18 +649,13 @@ fn run(args: &Args) -> ExitCode {
         run_throughput(&harness, scale_label(scale), seed, &shards, feeders, repeats, sink.as_ref());
     settle(metrics_writer);
 
-    eprintln!(
-        "pipeline: {:>10.0} meas/s ({:.3}s)",
-        report.pipeline_meas_per_sec, report.pipeline_secs
-    );
     for row in &report.engine {
         eprintln!(
-            "engine/{:<2} {:>10.0} meas/s ({:.3}s) speedup {:>5.2}x eff wall {} model {}  \
+            "engine/{:<2} {:>10.0} meas/s ({:.3}s) eff wall {} model {}  \
              [direct {} resolve {} unsat-skip {} | dup {:.1}% distinct-paths {} intern-hit {:.1}%]",
             row.shards,
             row.meas_per_sec,
             row.secs,
-            row.speedup_vs_pipeline,
             gate::show_efficiency(row.wallclock_efficiency),
             gate::show_efficiency(row.model_efficiency),
             row.stats.incremental.direct_updates,
@@ -729,25 +680,26 @@ fn run(args: &Args) -> ExitCode {
             cost.horizon.map_or_else(|| "no horizon".to_string(), |h| format!("horizon {h} days")),
         );
     }
-    let mut over_ceiling = Vec::new();
-    if plan.baseline.is_some() {
-        if report.convert_allocs_per_meas > MAX_CONVERT_ALLOCS_PER_MEAS {
-            over_ceiling.push(format!(
-                "conversion allocates {:.3} times per measurement (ceiling {MAX_CONVERT_ALLOCS_PER_MEAS})",
-                report.convert_allocs_per_meas
+    let mut failures = Vec::new();
+    if report.convert_allocs_per_meas > MAX_CONVERT_ALLOCS_PER_MEAS {
+        failures.push(format!(
+            "conversion allocates {:.3} times per measurement (ceiling {MAX_CONVERT_ALLOCS_PER_MEAS})",
+            report.convert_allocs_per_meas
+        ));
+    }
+    for cost in report.snapshot.iter().filter(|c| c.horizon.is_some()) {
+        if cost.snapshot_allocs > MAX_HORIZON_SNAPSHOT_ALLOCS {
+            failures.push(format!(
+                "a quiescent snapshot of the retiring engine allocates {} times \
+                 (ceiling {MAX_HORIZON_SNAPSHOT_ALLOCS})",
+                cost.snapshot_allocs
             ));
         }
-        for cost in report.snapshot.iter().filter(|c| c.horizon.is_some()) {
-            if cost.snapshot_allocs > MAX_HORIZON_SNAPSHOT_ALLOCS {
-                over_ceiling.push(format!(
-                    "a quiescent snapshot of the retiring engine allocates {} times \
-                     (ceiling {MAX_HORIZON_SNAPSHOT_ALLOCS})",
-                    cost.snapshot_allocs
-                ));
-            }
-        }
     }
-    let failures = plan.conclude(&gate, &report.sweep(), &report, over_ceiling);
+    if let Some(min_efficiency) = args.get("--min-efficiency").filter(|_| args.has("--assert-scaling")) {
+        failures.extend(gate::assert_scaling(&gate, &report.sweep(), min_efficiency).err());
+    }
+    gate::write_report(gate.who, out, &report);
     gate::verdict(gate.who, &failures)
 }
 

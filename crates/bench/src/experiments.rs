@@ -22,9 +22,11 @@ use crate::cli::{Args, Flag, Kind, Sub, SCALES, SEED};
 use crate::{gate, Bench};
 use churnlab_bgp::{ChurnConfig, Granularity, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
-use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig, PipelineResults};
+use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
 use churnlab_core::report::CensorshipReport;
 use churnlab_core::validate::validate;
+use churnlab_engine::campaign::run_fused;
+use churnlab_engine::{Engine, EngineConfig};
 use churnlab_platform::{AnomalyType, DatasetStats, NoiseConfig, Platform, PlatformConfig, PlatformScale};
 use churnlab_topology::{generator, WorldConfig, WorldScale};
 use serde_json::json;
@@ -101,7 +103,7 @@ impl Run {
             bench.world.topology.countries().len(),
             bench.scenario.censoring_asns().len(),
         );
-        eprintln!("[experiments] running measurement campaign + pipeline…");
+        eprintln!("[experiments] running measurement campaign + engine…");
         let t0 = std::time::Instant::now();
         let (dataset, results) = bench.run(PipelineConfig::paper(bench.platform_cfg.total_days));
         eprintln!(
@@ -295,7 +297,7 @@ fn validation(run: &Run) {
     run.write_json("validation", &v);
 }
 
-/// One study through the batch pipeline — the ablations' unit of work.
+/// One study through a one-shard engine — the ablations' unit of work.
 fn study(
     world_cfg: &WorldConfig,
     censor_cfg: &CensorConfig,
@@ -307,9 +309,10 @@ fn study(
     let total_days = platform_cfg.total_days;
     let platform = Platform::new(&world, &scenario, platform_cfg);
     let sim = RoutingSim::new(&world.topology, &churn_cfg);
-    let mut pipeline = Pipeline::new(&platform, PipelineConfig::paper(total_days));
-    platform.run(&sim, |m| pipeline.ingest(&m));
-    pipeline.finish()
+    let cfg = EngineConfig::new(PipelineConfig::paper(total_days)).with_shards(1);
+    let engine = Engine::new(&platform, cfg);
+    run_fused(&platform, &sim, &engine, 1);
+    engine.finish()
 }
 
 /// CNF solvability as a function of the churn dial: every edge link's

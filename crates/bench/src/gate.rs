@@ -3,13 +3,14 @@
 //! writer behind every subcommand.
 //!
 //! Both sweeps produce rows keyed by a worker count (shards, generator
-//! threads) that carry a speedup over an in-process control and two
-//! scaling-efficiency figures; [`Sweep`] is that view, and everything
-//! here is written once over it:
+//! threads) that carry a speedup over an in-process control (the serial
+//! campaign; the engine's own 1-shard row) and two scaling-efficiency
+//! figures; [`Sweep`] is that view, and everything here is written once
+//! over it:
 //!
-//! * **Regression gate** (`--baseline FILE`): every count both reports
-//!   cover must keep at least [`REGRESSION_FLOOR`] of the baseline's
-//!   speedup. The *ratio* is compared, not raw measurements/sec, because
+//! * **Regression gate** (`--baseline FILE`, `bench campaign` only):
+//!   every count both reports cover must keep at least
+//!   [`REGRESSION_FLOOR`] of the baseline's speedup. The *ratio* is compared, not raw measurements/sec, because
 //!   machines differ; the control timed in the same process is the
 //!   machine-speed reference. The gate arms only against a comparable
 //!   baseline (same workload, same core count, a shared row) and every

@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | `experiments` | [`experiments`] | the paper's tables and figures, plus the two ablations |
 //! | `matrix` | [`matrix`] | the scenario grid and its invariants |
-//! | `engine` | [`enginebench`] | engine throughput; regression, scaling and overhead gates |
+//! | `engine` | [`enginebench`] | engine throughput; scaling, overhead and allocation gates |
 //! | `campaign` | [`campaignbench`] | fused sim→engine throughput; regression and scaling gates |
 //! | `replay` | [`replaybench`] | JSONL export / replay, verify, checkpoint and resume |
 //! | `longhaul` | [`longhaul`] | 100M-measurement streaming; RSS plateau gate |
@@ -36,7 +36,9 @@ pub mod routebench;
 
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
-use churnlab_core::pipeline::{Pipeline, PipelineConfig, PipelineResults};
+use churnlab_core::pipeline::{PipelineConfig, PipelineResults};
+use churnlab_engine::campaign::run_fused;
+use churnlab_engine::{Engine, EngineConfig};
 use churnlab_platform::{DatasetStats, Platform, PlatformConfig, PlatformScale};
 use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
 
@@ -127,12 +129,14 @@ impl Bench {
         )
     }
 
-    /// Run the measurement campaign through a pipeline config.
+    /// Run the measurement campaign into a one-shard engine under
+    /// `pipeline_cfg`: one generator worker, so each (URL, vantage AS)
+    /// pair arrives in test order, as the first-path ablation needs.
     pub fn run(&self, pipeline_cfg: PipelineConfig) -> (DatasetStats, PipelineResults) {
         let platform = Platform::new(&self.world, &self.scenario, self.platform_cfg.clone());
         let sim = self.sim();
-        let mut pipeline = Pipeline::new(&platform, pipeline_cfg);
-        let stats = platform.run(&sim, |m| pipeline.ingest(&m));
-        (stats, pipeline.finish())
+        let engine = Engine::new(&platform, EngineConfig::new(pipeline_cfg).with_shards(1));
+        let stats = run_fused(&platform, &sim, &engine, 1).stats;
+        (stats, engine.finish())
     }
 }

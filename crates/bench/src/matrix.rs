@@ -1,9 +1,10 @@
 //! Scenario-matrix harness: a seeded, thread-parallel sweep of the full
-//! study pipeline over the cross-product of world scale × censorship
-//! mechanism × churn mode × noise, emitting one JSON row per cell and
+//! study — world, censors, campaign, engine, validation — over the
+//! cross-product of world scale × censorship mechanism × churn mode ×
+//! noise, emitting one JSON row per cell and
 //! checking the paper-shaped invariants every cell must satisfy:
 //!
-//! * **Churn monotonicity** — switching the pipeline from
+//! * **Churn monotonicity** — switching the study from
 //!   [`ChurnMode::FirstPathOnly`] to [`ChurnMode::Normal`] (all other axes
 //!   fixed) never localizes fewer CNFs; noise-free it also never loses an
 //!   identified censor, and under noise it never recalls fewer *true*
@@ -18,11 +19,15 @@
 //! ```text
 //! bench matrix                  # 16-cell Smoke grid
 //! bench matrix --full           # 32 cells (adds Small)
-//! bench matrix --engine         # same grid via churnlab-engine
 //! bench matrix --seed 9 --threads 4 --out grid.jsonl
 //! bench matrix --check grid.jsonl   # re-verify saved rows
 //! bench matrix --huge-smoke --budget-secs 900
 //! ```
+//!
+//! Every cell localizes through `churnlab-engine`: one shard fed by one
+//! generator worker, so each (URL, vantage AS) pair arrives in test
+//! order, as the first-path ablation needs; a Huge cell fans the
+//! generator out (see [`run_cell`]).
 //!
 //! One JSON row per cell goes to stdout (or `--out`), a summary table to
 //! stderr, and any invariant violation exits 1. `--huge-smoke` swaps the
@@ -36,8 +41,9 @@
 use crate::cli::{self, Args, Flag, Kind, Sub, OUT, SEED, UINT};
 use crate::Bench;
 use churnlab_censor::Mechanism;
-use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig};
+use churnlab_core::pipeline::{ChurnMode, PipelineConfig};
 use churnlab_core::validate::validate;
+use churnlab_engine::campaign::run_fused;
 use churnlab_engine::{Engine, EngineConfig};
 use churnlab_platform::{NoiseConfig, Platform, PlatformConfig};
 use churnlab_sat::Solvability;
@@ -106,12 +112,6 @@ pub struct CellSpec {
     pub noise: bool,
     /// Base seed (sub-seeds derive from it exactly like `StudyConfig`).
     pub seed: u64,
-    /// Localize with the sharded `churnlab-engine` instead of the batch
-    /// `Pipeline` (results must be identical; the axis exists so the grid
-    /// invariants re-verify the engine end to end). Defaults off so row
-    /// files saved before the engine existed still `--check` cleanly.
-    #[serde(default)]
-    pub engine: bool,
     /// Campaign-size trim for bounded-time cells. Defaults to `None`
     /// (the scale preset as-is) so pre-trim row files still parse.
     #[serde(default)]
@@ -122,7 +122,7 @@ impl CellSpec {
     /// Compact human label, e.g. `smoke/dns-injection/churn/noisy`.
     pub fn label(&self) -> String {
         format!(
-            "{}/{}/{}/{}{}",
+            "{}/{}/{}/{}",
             crate::scale_label(self.scale),
             self.mechanism.label(),
             match self.churn_mode {
@@ -130,14 +130,13 @@ impl CellSpec {
                 ChurnMode::FirstPathOnly => "no-churn",
             },
             if self.noise { "noisy" } else { "clean" },
-            if self.engine { "/engine" } else { "" },
         )
     }
 
     /// The axes that identify a churn-ablation pair (everything except the
     /// churn mode).
-    fn pair_key(&self) -> (WorldScale, Mechanism, bool, u64, bool, Option<CampaignTrim>) {
-        (self.scale, self.mechanism, self.noise, self.seed, self.engine, self.trim)
+    fn pair_key(&self) -> (WorldScale, Mechanism, bool, u64, Option<CampaignTrim>) {
+        (self.scale, self.mechanism, self.noise, self.seed, self.trim)
     }
 }
 
@@ -202,9 +201,6 @@ pub struct MatrixConfig {
     pub seed: u64,
     /// Worker threads (0 = one per available core).
     pub threads: usize,
-    /// Run every cell through the sharded engine instead of the batch
-    /// pipeline.
-    pub engine: bool,
     /// Campaign trim applied to every cell (bounded-time Huge smoke).
     #[serde(default)]
     pub trim: Option<CampaignTrim>,
@@ -221,7 +217,6 @@ impl MatrixConfig {
             noise: vec![false, true],
             seed,
             threads: 0,
-            engine: false,
             trim: None,
         }
     }
@@ -249,7 +244,6 @@ impl MatrixConfig {
             noise: vec![false],
             seed,
             threads: 1,
-            engine: true,
             trim: Some(CampaignTrim {
                 total_days: Some(60),
                 n_urls: Some(64),
@@ -277,7 +271,6 @@ impl MatrixConfig {
                             churn_mode,
                             noise,
                             seed: self.seed,
-                            engine: self.engine,
                             trim: self.trim,
                         });
                     }
@@ -289,7 +282,7 @@ impl MatrixConfig {
 }
 
 /// Run one cell end to end: world → scenario (restricted to the cell's
-/// mechanism) → measurement campaign → pipeline → validation.
+/// mechanism) → measurement campaign → engine → validation.
 pub fn run_cell(spec: &CellSpec) -> CellRow {
     let start = std::time::Instant::now();
 
@@ -314,36 +307,23 @@ pub fn run_cell(spec: &CellSpec) -> CellRow {
     let sim = bench.sim();
     let mut pipeline_cfg = PipelineConfig::paper(platform_cfg.total_days);
     pipeline_cfg.churn_mode = spec.churn_mode;
-    let (stats, results) = if spec.engine && spec.scale == WorldScale::Huge {
-        // Huge cells fan the generator out: fused sim→engine streaming,
-        // one worker per core, 2 shards draining. Everything downstream
-        // is order-independent, so the row is identical to a serial feed —
-        // except the first-path ablation, which needs each (URL, vantage
-        // AS) pair in test order. Workers are dealt (URL, day) units
-        // round-robin, so a pair's days would reach its shard from
-        // different workers: the ablation runs one worker.
-        let threads = match spec.churn_mode {
-            ChurnMode::Normal => 0, // one per core
-            ChurnMode::FirstPathOnly => 1,
-        };
-        let engine = Engine::new(&platform, EngineConfig::new(pipeline_cfg).with_shards(2));
-        let run = churnlab_engine::campaign::run_fused(&platform, &sim, &engine, threads);
-        (run.stats, engine.finish())
-    } else if spec.engine {
-        // One shard per cell: `run_matrix` already spreads cells across
-        // cores, and shard count cannot change the results (asserted by
-        // `engine_cells_match_pipeline_cells`), so more would only
-        // oversubscribe. The chunked feeder keeps channel traffic cheap.
-        let engine = Engine::new(&platform, EngineConfig::new(pipeline_cfg).with_shards(1));
-        let mut feeder = engine.feeder();
-        let stats = platform.run(&sim, |m| feeder.ingest_owned(m));
-        drop(feeder);
-        (stats, engine.finish())
-    } else {
-        let mut pipeline = Pipeline::new(&platform, pipeline_cfg);
-        let stats = platform.run(&sim, |m| pipeline.ingest(&m));
-        (stats, pipeline.finish())
+    // One shard fed by one generator worker per cell: `run_matrix`
+    // already spreads cells across cores, and neither count changes the
+    // results (the engine's spec tests hold shards and feeders {1, 4} to
+    // one report), so more would only oversubscribe. Huge cells fan the
+    // generator out instead — one worker per core, 2 shards draining —
+    // except the first-path ablation, which needs each (URL, vantage AS)
+    // pair in test order: workers are dealt (URL, day) units
+    // round-robin, so a pair's days would reach its shard from different
+    // workers, and the ablation runs one worker.
+    let (shards, threads) = match (spec.scale, spec.churn_mode) {
+        (WorldScale::Huge, ChurnMode::Normal) => (2, 0), // 0: one worker per core
+        (WorldScale::Huge, ChurnMode::FirstPathOnly) => (2, 1),
+        _ => (1, 1),
     };
+    let engine = Engine::new(&platform, EngineConfig::new(pipeline_cfg).with_shards(shards));
+    let stats = run_fused(&platform, &sim, &engine, threads).stats;
+    let results = engine.finish();
 
     let identified_set: std::collections::HashSet<Asn> =
         results.censor_findings.keys().copied().collect();
@@ -532,7 +512,6 @@ pub const SUB: Sub = Sub {
     about: "sweep the scenario grid, write one JSON row per cell, enforce its invariants",
     flags: &[
         Flag::new("--full", Kind::Switch, "", "32 cells: add the Small scale"),
-        Flag::new("--engine", Kind::Switch, "", "localize through the sharded engine"),
         Flag::new("--huge-smoke", Kind::Switch, "", "the bounded-time Huge churn-ablation pair"),
         SEED,
         Flag::new("--threads", UINT, "0", "cells run in parallel (0 = one per core)"),
@@ -581,7 +560,6 @@ fn run(args: &Args) -> ExitCode {
             };
             if !huge_smoke {
                 cfg.threads = threads;
-                cfg.engine = args.has("--engine");
             } else if threads != 0 {
                 // The Huge pair parallelizes inside each cell (fused
                 // generator workers); honor an explicit --threads only.
@@ -590,13 +568,7 @@ fn run(args: &Args) -> ExitCode {
             eprintln!(
                 "matrix: {} cells, seed {seed}{}",
                 cfg.cells().len(),
-                if huge_smoke {
-                    ", Huge smoke (fused engine, sampled fleet)"
-                } else if cfg.engine {
-                    ", sharded engine"
-                } else {
-                    ""
-                }
+                if huge_smoke { ", Huge smoke (fused engine, sampled fleet)" } else { "" }
             );
             let rows = run_matrix(&cfg);
             // One JSON row per cell.
@@ -675,7 +647,6 @@ mod tests {
             noise: vec![false, true],
             seed: 7,
             threads: 2,
-            engine: false,
             trim: None,
         };
         let rows = run_matrix(&cfg);
@@ -703,7 +674,6 @@ mod tests {
             noise: vec![false],
             seed: 21,
             threads: 2,
-            engine: false,
             trim: None,
         };
         let rows = run_matrix(&cfg);
@@ -723,45 +693,31 @@ mod tests {
         assert!(check_invariants(&rows).is_empty());
     }
 
-    /// The engine axis reproduces the pipeline's rows exactly: same
-    /// CNFs, identifications, and scores on every cell (only the label
-    /// and wall clock may differ).
-    #[test]
-    fn engine_cells_match_pipeline_cells() {
-        let mut cfg = MatrixConfig {
-            scales: vec![WorldScale::Smoke],
-            mechanisms: vec![Mechanism::DnsInjection],
-            churn_modes: vec![ChurnMode::Normal, ChurnMode::FirstPathOnly],
-            noise: vec![true],
-            seed: 13,
-            threads: 2,
-            engine: false,
-            trim: None,
-        };
-        let pipeline_rows = run_matrix(&cfg);
-        cfg.engine = true;
-        let engine_rows = run_matrix(&cfg);
-        assert!(check_invariants(&engine_rows).is_empty());
-        for (p, e) in pipeline_rows.iter().zip(&engine_rows) {
-            assert_eq!(e.spec.label(), format!("{}/engine", p.spec.label()));
-            assert_eq!((p.measurements, p.cnfs, p.localized_cnfs), (e.measurements, e.cnfs, e.localized_cnfs), "{}", p.spec.label());
-            assert_eq!(p.identified, e.identified, "{}", p.spec.label());
-            assert_eq!((p.precision, p.recall, p.false_positives), (e.precision, e.recall, e.false_positives));
-            assert_eq!((p.unsat_frac, p.unique_frac, p.multiple_frac), (e.unsat_frac, e.unique_frac, e.multiple_frac));
-        }
-    }
-
     /// Row files saved before the engine axis existed (no `engine`
-    /// field) still parse — `matrix --check` keeps working on old
-    /// artifacts.
+    /// field) and while it did (`engine` true or false) still parse and
+    /// re-check — `matrix --check` keeps working on old artifacts.
     #[test]
     fn pre_engine_rows_still_deserialize() {
         let spec: CellSpec = serde_json::from_str(
             r#"{"scale":"Smoke","mechanism":"DnsInjection","churn_mode":"Normal","noise":false,"seed":42}"#,
         )
         .expect("old-format spec parses");
-        assert!(!spec.engine, "missing field defaults to the batch pipeline");
         assert!(spec.trim.is_none(), "missing trim defaults to the scale preset");
+        let rows: Vec<CellRow> = [("Normal", "false"), ("FirstPathOnly", "true")]
+            .iter()
+            .map(|(mode, engine)| {
+                let line = format!(
+                    r#"{{"spec":{{"scale":"Smoke","mechanism":"DnsInjection","churn_mode":"{mode}","noise":false,"seed":42,"engine":{engine},"trim":null}},
+                        "measurements":9216,"fleet":24,"sampled_vps":24,"coverage_floor":24,"failed":191,
+                        "cnfs":113,"localized_cnfs":113,"solvable_frac":1.0,"unsat_frac":0.0,"unique_frac":1.0,
+                        "multiple_frac":0.0,"identified":[387,830,1280],"precision":1.0,"recall":0.43,
+                        "false_positives":0,"wall_ms":33}}"#
+                );
+                serde_json::from_str(&line).expect("a row with the engine field parses")
+            })
+            .collect();
+        assert_eq!(rows[0].spec, CellSpec { churn_mode: ChurnMode::Normal, ..rows[1].spec });
+        assert!(check_invariants(&rows).is_empty(), "the saved pair re-checks");
     }
 
     /// Row files saved before the sampling columns existed parse with
@@ -794,7 +750,6 @@ mod tests {
             noise: vec![false],
             seed: 33,
             threads: 2,
-            engine: true,
             trim: Some(CampaignTrim {
                 total_days: None,
                 n_urls: Some(6),

@@ -16,9 +16,11 @@
 //! through `--feeders` parallel threads into an engine with `--shards`
 //! workers, prints the canonical-report digest plus throughput
 //! (records/s and meas/s), and writes `BENCH_replay.json`.
-//! `--verify` additionally re-runs the study in memory through the batch
-//! pipeline and fails (exit 1) unless the replayed `CanonicalReport` is
-//! byte-identical — the round-trip guarantee CI smokes on every push.
+//! `--verify` additionally re-runs the study in memory into a one-shard
+//! engine (no disk, no horizon, one feeder) and fails (exit 1) unless the
+//! replayed `CanonicalReport` is byte-identical — the JSONL round-trip
+//! guarantee CI smokes on every push. (The engine itself is held to the
+//! executable specification by the engine crate's tests.)
 //! `--metrics-out FILE` instruments the replay: engine shard workers and
 //! feeder threads publish live series, a scraper thread keeps FILE
 //! current as Prometheus text (including `churnlab_rss_bytes`), and the
@@ -364,7 +366,7 @@ fn run(args: &Args) -> ExitCode {
 
     if args.has("--verify") {
         // The round-trip guarantee, checked for real: re-simulate the
-        // study in memory, run the batch pipeline over it, and demand the
+        // study in memory into a one-shard engine, and demand the
         // replayed canonical report match byte for byte.
         let expected = bench.run(cfg).1.canonical_report().to_json();
         let got = results.canonical_report().to_json();

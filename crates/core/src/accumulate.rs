@@ -1,11 +1,11 @@
-//! Censor-finding and leakage accumulation, shared by the batch
-//! [`crate::pipeline::Pipeline`] and the sharded `churnlab-engine`.
+//! Censor-finding and leakage accumulation for the sharded
+//! `churnlab-engine`.
 //!
-//! Both consumers produce a stream of analysed instances; what they do
-//! with each outcome is identical — fold backbone-definite censors into
-//! per-AS findings, feed censor-bearing instances to the §3.3 leakage
-//! analysis, and track the observability horizon. [`FindingsAccumulator`]
-//! is that fold, factored out so the two paths cannot drift.
+//! What is done with each analysed instance: fold backbone-definite
+//! censors into per-AS findings, feed censor-bearing instances to the
+//! §3.3 leakage analysis, and track the observability horizon.
+//! [`FindingsAccumulator`] holds that union, and
+//! [`FindingsAccumulator::record`] is the fold of one instance.
 //!
 //! The engine serves the union of its findings over and over while its
 //! instances change, so it keeps the union as counts instead:
@@ -16,12 +16,11 @@
 //! [`FindingsAccumulator`] the contributions' folds would union to.
 
 use crate::analyze::InstanceOutcome;
-use crate::instance::TomographyInstance;
 use crate::leakage::{for_each_leak, LeakageReport};
 use crate::pipeline::CensorFinding;
 use churnlab_platform::AnomalyType;
 use churnlab_topology::geo::CountryCode;
-use churnlab_topology::{Asn, FxMap, Topology};
+use churnlab_topology::{Asn, FxMap};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -58,7 +57,7 @@ impl FindingsAccumulator {
             self.on_censored_path.extend(path.iter().copied());
         }
         // Definite censors (backbone-true) count whether the CNF has one
-        // model or several — see `analyze`.
+        // model or several — see `InstanceOutcome::censors`.
         if outcome.censors.is_empty() {
             return;
         }
@@ -74,23 +73,6 @@ impl FindingsAccumulator {
             f.n_instances += 1;
         }
         self.leakage.ingest_paths(censored_paths, outcome, country_of);
-    }
-
-    /// Fold in one analysed instance straight from its
-    /// [`TomographyInstance`].
-    pub fn record_instance(
-        &mut self,
-        inst: &TomographyInstance,
-        outcome: &InstanceOutcome,
-        topo: &Topology,
-    ) {
-        let censored: Vec<&[Asn]> = inst
-            .observations
-            .iter()
-            .filter(|o| o.censored)
-            .map(|o| o.path.as_slice())
-            .collect();
-        self.record(outcome, censored, |a| topo.info_by_asn(a).map(|i| i.country));
     }
 
     /// Merge another accumulator into this one. Findings and victim sets

@@ -1,8 +1,8 @@
 //! Measured path-churn accounting (Figure 3), memory-bounded for
 //! *unbounded* runs.
 //!
-//! One store, the one the batch pipeline, every shard, every engine merge
-//! and every checkpoint count in: granularities are fixed up front and
+//! One store, the one every shard, every engine merge and every
+//! checkpoint count in: granularities are fixed up front and
 //! each observation folds straight into its per-(granularity × window ×
 //! pair) partial — a distinct-hash list plus an observation count. Closed
 //! windows can then be *retired*: their partials collapse into
@@ -11,8 +11,8 @@
 //! still inside its lateness horizon. Distributions computed from
 //! partials + retired tallies are exactly what a recount of the full
 //! sample set would report, because a window is only folded once it can
-//! receive no further observation. Without a horizon (the batch pipeline)
-//! nothing is ever retired.
+//! receive no further observation. Without a horizon nothing is ever
+//! retired.
 //!
 //! **Storage: one map per open window, copy-on-write.** Each
 //! granularity keeps an ordered index of its *open* windows only — window

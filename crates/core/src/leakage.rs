@@ -12,7 +12,6 @@
 //! by transiting it.
 
 use crate::analyze::InstanceOutcome;
-use crate::instance::TomographyInstance;
 use churnlab_topology::geo::CountryCode;
 use churnlab_topology::{Asn, Topology};
 use serde::{Deserialize, Serialize};
@@ -44,26 +43,11 @@ impl LeakageReport {
         Self::default()
     }
 
-    /// Fold in one solved instance with at least one definite (backbone)
-    /// censor — callers must filter, mirroring the paper.
-    ///
-    /// For every censored (positive) path, every AS strictly before a
-    /// censor on that path, assigned False in every model, and registered
-    /// in a different country, is recorded as that censor's victim.
-    pub fn ingest(
-        &mut self,
-        inst: &TomographyInstance,
-        outcome: &InstanceOutcome,
-        topo: &Topology,
-    ) {
-        let censored: Vec<&[Asn]> =
-            inst.observations.iter().filter(|o| o.censored).map(|o| o.path.as_slice()).collect();
-        self.ingest_paths(censored, outcome, |a| topo.info_by_asn(a).map(|i| i.country));
-    }
-
-    /// [`LeakageReport::ingest`] over bare censored paths and a bare
-    /// AS → registered-country lookup (`None` for an AS the topology does
-    /// not know): [`for_each_leak`]'s facts, folded into sets.
+    /// Fold in one solved instance's leaks, given its censored paths and
+    /// an AS → registered-country lookup (`None` for an AS the topology
+    /// does not know): [`for_each_leak`]'s facts, folded into sets. Only
+    /// instances with at least one definite (backbone) censor leak,
+    /// mirroring the paper.
     ///
     /// The outcome's `censors` and `eliminated` lists are searched, not
     /// hashed: both are strictly ascending, as every producer of an
@@ -243,8 +227,7 @@ pub fn for_each_leak<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{analyze, SolveConfig};
-    use crate::instance::{InstanceBuilder, InstanceKey};
+    use crate::instance::InstanceKey;
     use churnlab_bgp::{Granularity, TimeWindow};
     use churnlab_platform::AnomalyType;
     use churnlab_topology::asys::{AsClass, AsInfo, AsRole};
@@ -279,22 +262,35 @@ mod tests {
         v.iter().map(|x| Asn(*x)).collect()
     }
 
+    /// A solved instance naming `censors` and clearing `eliminated`.
+    fn outcome(censors: &[u32], eliminated: &[u32]) -> InstanceOutcome {
+        InstanceOutcome {
+            key: key(),
+            n_vars: censors.len() + eliminated.len(),
+            n_observations: 2,
+            n_positive: 1,
+            solvability: churnlab_sat::Solvability::Unique,
+            bucket: 1,
+            censors: asns(censors),
+            potential_censors: Vec::new(),
+            eliminated: asns(eliminated),
+            eliminated_frac: 0.0,
+        }
+    }
+
+    /// The topology's registered countries.
+    fn ingest(report: &mut LeakageReport, path: &[u32], out: &InstanceOutcome, t: &Topology) {
+        report.ingest_paths([asns(path).as_slice()], out, |a| t.info_by_asn(a).map(|i| i.country));
+    }
+
     #[test]
     fn upstream_foreign_as_is_victim() {
-        // Path 1(DE) → 2(PL-censor) → 4(PL): censored. Clean path [1, 3]
-        // clears 1 ⇒ unique solution censor = {2}… wait, 4 is downstream of
-        // 2 and untested otherwise: clean [1,3] only clears 1 and 3. Add
-        // clean [4] to clear 4.
-        let mut b = InstanceBuilder::new(key());
-        b.observe(&asns(&[1, 2, 4]), true);
-        b.observe(&asns(&[1, 3]), false);
-        b.observe(&asns(&[4]), false);
-        let inst = b.build().unwrap();
-        let out = analyze(&inst, &SolveConfig::default());
-        assert_eq!(out.censors, vec![Asn(2)]);
+        // Path 1(DE) → 2(PL-censor) → 4(PL) censored; clean paths cleared
+        // 1, 3 and 4, so AS2 is the one censor.
+        let out = outcome(&[2], &[1, 3, 4]);
         let t = topo();
         let mut report = LeakageReport::new();
-        report.ingest(&inst, &out, &t);
+        ingest(&mut report, &[1, 2, 4], &out, &t);
         // AS1 (DE) is upstream of censor AS2 (PL) and foreign: victim.
         assert!(report.victims_by_censor[&Asn(2)].contains(&Asn(1)));
         // AS4 is downstream: not a victim.
@@ -309,15 +305,10 @@ mod tests {
     #[test]
     fn same_country_upstream_counts_as_as_leak_not_country_leak() {
         // Path 4(PL) → 2(PL-censor) → 3: upstream AS4 is same-country.
-        let mut b = InstanceBuilder::new(key());
-        b.observe(&asns(&[4, 2, 3]), true);
-        b.observe(&asns(&[4, 3]), false);
-        let inst = b.build().unwrap();
-        let out = analyze(&inst, &SolveConfig::default());
-        assert_eq!(out.censors, vec![Asn(2)]);
+        let out = outcome(&[2], &[3, 4]);
         let t = topo();
         let mut report = LeakageReport::new();
-        report.ingest(&inst, &out, &t);
+        ingest(&mut report, &[4, 2, 3], &out, &t);
         assert_eq!(report.censors_leaking_to_ases(), 1, "AS-level leak recorded");
         assert_eq!(report.censors_leaking_to_countries(), 0, "no country crossed");
     }
@@ -325,12 +316,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn an_outcome_whose_lists_do_not_ascend_is_refused() {
-        let mut b = InstanceBuilder::new(key());
-        b.observe(&asns(&[1, 3, 2, 4]), true);
-        b.observe(&asns(&[1, 3, 4]), false);
-        let mut out = analyze(&b.build().unwrap(), &SolveConfig::default());
-        assert_eq!(out.eliminated, asns(&[1, 3, 4]));
-        out.eliminated.reverse();
+        let out = outcome(&[2], &[4, 3, 1]);
         LeakageReport::new().ingest_paths([asns(&[1, 3, 2, 4]).as_slice()], &out, |_| None);
     }
 

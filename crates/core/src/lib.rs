@@ -3,7 +3,7 @@
 //! The paper's contribution: **localizing censorship via boolean network
 //! tomography over path churn** (Cho et al., CoNExT 2017).
 //!
-//! Pipeline (§3):
+//! The steps of §3, as this crate defines them:
 //!
 //! 1. [`convert`] — IP-level traceroutes → AS-level paths via the
 //!    (possibly stale) IP-to-AS database, discarding inconclusive tests
@@ -14,26 +14,29 @@
 //!    (URL × time-window × anomaly-type).
 //! 3. [`churnstats`] — distinct-path accounting per (vantage,
 //!    destination) pair and window (Figure 3), computed from the
-//!    *measured* paths in one per-window store: the batch pipeline here
-//!    and every `churnlab-engine` shard, merge and checkpoint count in it.
-//! 4. [`analyze`] — solving and solution analysis: Unsat / Unique /
-//!    Multiple classification, censor extraction from unique models,
-//!    potential-censor sets and candidate-set reduction from backbones
-//!    (Figures 1, 2, 4).
+//!    *measured* paths in one per-window store that every
+//!    `churnlab-engine` shard, merge and checkpoint counts in.
+//! 4. [`analyze`] — what solving yields: Unsat / Unique / Multiple
+//!    classification, censors pinned by the backbone, potential-censor
+//!    sets and candidate-set reduction (Figures 1, 2, 4).
 //! 5. [`leakage`] — §3.3's censorship-leakage identification: upstream,
 //!    False-assigned, foreign ASes on censored paths inherit the censor's
 //!    policy (Tables 3, Figure 5).
-//! 6. [`report`] — Table-2/3-style report rendering.
+//! 6. [`report`] — Table-2/3-style report rendering, and the canonical
+//!    report every equivalence test compares.
 //! 7. [`validate`] — ground-truth precision/recall (possible only because
 //!    our substrate is simulated; the paper could not do this).
-//! 8. [`pipeline`] — the streaming orchestrator gluing 1–7 together.
+//! 8. [`pipeline`] — the configuration a localization runs under and the
+//!    results it produces. The one localizer is `churnlab-engine`'s
+//!    sharded, incremental engine; the repo's `churnlab-oracle` crate is
+//!    an executable specification of these steps that tests hold the
+//!    engine against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accumulate;
 pub mod analyze;
-pub mod batch;
 pub mod churnstats;
 pub mod convert;
 pub mod instance;
@@ -53,9 +56,9 @@ pub use convert::{
     convert_into, convert_measurement, convert_traceroutes, ConversionStats, ConvertScratch,
     DiscardReason,
 };
-pub use instance::{InstanceBuilder, InstanceKey, TomographyInstance};
+pub use instance::InstanceKey;
 pub use leakage::{CountryFlow, LeakageReport};
 pub use obs::{ConvertedObs, PathId};
-pub use pipeline::{CensorFinding, ChurnMode, Pipeline, PipelineConfig, PipelineResults};
+pub use pipeline::{CensorFinding, ChurnMode, PipelineConfig, PipelineResults};
 pub use report::{CanonicalReport, CensorshipReport};
 pub use validate::ValidationReport;

@@ -1,5 +1,5 @@
-//! The converted observation — the unit of work shared by the batch
-//! [`crate::pipeline::Pipeline`] and the sharded `churnlab-engine`.
+//! The converted observation — the unit of work of the sharded
+//! `churnlab-engine`.
 //!
 //! A [`ConvertedObs`] is a [`churnlab_platform::Measurement`] that survived
 //! the §3.1 elimination rules: the traceroutes collapsed to a single

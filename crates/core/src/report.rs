@@ -1,7 +1,7 @@
 //! Report rendering: the paper's Tables 2 and 3 and the Figure-5 flow
 //! summary, from pipeline results — plus the [`CanonicalReport`], the
 //! order-independent serialized form used to prove that the sharded
-//! engine and the batch pipeline compute the same thing.
+//! engine computes what the executable specification of §3 does.
 
 use crate::analyze::InstanceOutcome;
 use crate::convert::ConversionStats;
@@ -142,7 +142,7 @@ impl CensorshipReport {
 /// [`PipelineResults`]: every collection is sorted, hash maps become
 /// sorted vectors, and the churn accumulator is replaced by its derived
 /// distributions. Two results computed from the same measurement *set* —
-/// in any ingestion order, batch or sharded — serialize to byte-identical
+/// in any ingestion order and over any shard count — serialize to byte-identical
 /// JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CanonicalReport {

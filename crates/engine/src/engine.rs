@@ -52,8 +52,7 @@ pub(crate) const QUEUED_BLOCKS: usize = 16;
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// The tomography configuration (identical semantics to the batch
-    /// [`churnlab_core::pipeline::Pipeline`]).
+    /// The tomography configuration.
     pub pipeline: PipelineConfig,
     /// Shard worker count; `0` means one per available core.
     pub shards: usize,
@@ -217,11 +216,10 @@ impl SatCounters {
 
 /// The sharded, order-independent, incremental tomography engine.
 ///
-/// Unlike the batch [`churnlab_core::pipeline::Pipeline`], the engine
-/// accepts measurements in **any order** — there is no URL-grouping
-/// contract, and the first-path ablation asks only that each (URL,
-/// vantage AS) pair arrive in test order — and keeps every (URL × window
-/// × anomaly) instance incrementally solved as observations stream in.
+/// The engine accepts measurements in **any order** — the first-path
+/// ablation asks only that each (URL, vantage AS) pair arrive in test
+/// order — and keeps every (URL × window × anomaly) instance
+/// incrementally solved as observations stream in.
 /// [`Engine::ingest_owned`] routes the *raw* measurement to a shard
 /// worker by `hash(url_id)` over a bounded channel; conversion (the
 /// §3.1 elimination rules — the most expensive per-measurement stage)
@@ -234,12 +232,10 @@ impl SatCounters {
 ///
 /// [`Engine::snapshot`] merges per-shard reports into a
 /// [`PipelineResults`] without stopping ingestion; [`Engine::finish`]
-/// does the same and shuts the workers down. Reports are
-/// `PipelineResults`-compatible, so everything downstream — reports,
-/// validation, the matrix harness — works unchanged, and
+/// does the same and shuts the workers down. Their
 /// [`churnlab_core::report::CanonicalReport`] serializations are
-/// byte-identical to the batch pipeline's over the same measurement
-/// set.
+/// byte-identical to the executable specification's
+/// (`churnlab-oracle`) over the same measurement set.
 pub struct Engine<'c> {
     /// The engine reads the topology once, at construction (the workers'
     /// country table); the borrow is kept in the type so a context
@@ -318,12 +314,12 @@ impl<'c> Engine<'c> {
         Self::with_context(platform.measured_ip2as(), &platform.world().topology, cfg)
     }
 
-    /// New engine over externally supplied context — the entry point for
-    /// imported measurement records, mirroring
-    /// [`churnlab_core::pipeline::Pipeline::with_context`]. The shard
-    /// workers convert on their own threads and outlive the borrow, so
-    /// each holds a handle on the IP-to-AS database's shared table —
-    /// nothing is copied.
+    /// New engine over externally supplied context — an IP-to-AS
+    /// database and a topology for the leakage analysis' countries: the
+    /// entry point for measurement records imported from other platforms
+    /// (see `churnlab-interop`). The shard workers convert on their own
+    /// threads and outlive the borrow, so each holds a handle on the
+    /// IP-to-AS database's shared table — nothing is copied.
     pub fn with_context(
         db: &churnlab_topology::Ip2AsDb,
         topo: &'c churnlab_topology::Topology,

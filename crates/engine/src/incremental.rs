@@ -1,7 +1,8 @@
 //! Incremental per-instance tomography state, interned end to end.
 //!
-//! The batch pipeline buffers a URL's observations and runs the census
-//! per instance, from scratch, at flush time.
+//! A batch localizer would buffer a URL's observations and run the
+//! census per instance, from scratch, once the stream ends — as the
+//! executable specification (`churnlab-oracle`) does.
 //! The engine instead keeps every instance *solved at all times*: each
 //! new observation is folded into a memoized unit-propagation/backbone
 //! state, and in the common cases the update is a constant-time state
@@ -57,12 +58,13 @@
 //! seen a censored one costs that cell one counter — and there is no
 //! per-AS hashing anywhere on the update path.
 //!
-//! The produced [`InstanceOutcome`] is exactly what
-//! [`churnlab_core::analyze::analyze`] computes for the same observation
-//! set, in any arrival order — the engine's order-independence proof
-//! leans on this equivalence (see the crate's property tests, which also
-//! hold every cell's memo against `churnlab_sat::reference`'s census of
-//! the cell's CNF after every observation).
+//! The produced [`InstanceOutcome`] is exactly what the specification's
+//! batch cell (`churnlab_oracle::cell`, the DPLL census of the cell's
+//! CNF) makes of the same observation set, in any arrival order — the
+//! engine's order-independence proof leans on this equivalence (see the
+//! module's property tests, which also hold every cell's memo against
+//! `churnlab_sat::reference`'s census of the cell's CNF after every
+//! observation).
 
 use crate::ckpt::{le_u32, Dec, Enc};
 use crate::intern::PathTable;
@@ -399,7 +401,7 @@ pub struct IncrementalInstance {
     memo: Memo,
 }
 
-/// Saturate a model count at the enumeration cap, mirroring the batch
+/// Saturate a model count at the enumeration cap, mirroring the
 /// census: exact at or below the cap, a lower bound strictly above it.
 fn cap_count(value: u128, cap: u64) -> SolutionCount {
     if value > u128::from(cap) {
@@ -686,9 +688,8 @@ impl IncrementalInstance {
         self.memo = Memo::Solved { count, fate };
     }
 
-    /// The analysed outcome — identical to running
-    /// [`churnlab_core::analyze::analyze`] on the batch-built instance
-    /// over the same observation set. `vars` is the owning group's
+    /// The analysed outcome — identical to the specification's batch cell
+    /// (`churnlab_oracle::cell`) over the same observation set. `vars` is the owning group's
     /// variables in AS order ([`InstanceGroup::vars_by_asn`]); every cell
     /// of a group shares them, since every cell sees every observation.
     /// Walking them in that order is what makes `censors`,
@@ -1069,8 +1070,7 @@ impl Memo {
 mod tests {
     use super::*;
     use churnlab_bgp::Granularity;
-    use churnlab_core::analyze::{analyze, SolveConfig};
-    use churnlab_core::instance::{InstanceBuilder, TomographyInstance};
+    use churnlab_core::analyze::SolveConfig;
     use churnlab_sat::brute;
     use proptest::prelude::*;
 
@@ -1093,18 +1093,22 @@ mod tests {
         v.iter().map(|x| Asn(*x)).collect()
     }
 
+    /// One cell's distinct (path, censored) observations, in order of
+    /// first appearance: what the specification formulates.
+    type Observations = Vec<(Vec<Asn>, bool)>;
+
     /// Drives an [`InstanceGroup`] the way a shard does, and beside it
-    /// the oracle: per cell, the batch [`InstanceBuilder`] fed that
-    /// cell's polarity of every observation, and the work counters that
-    /// follow from those builders alone.
+    /// the oracle: per cell, that cell's polarity of every observation as
+    /// the specification (`churnlab_oracle`) takes it, and the work
+    /// counters that follow from those lists alone.
     struct Harness {
         table: PathTable,
         group: InstanceGroup,
         stats: IncrementalStats,
         scratch: SolveScratch,
         cap: u64,
-        /// Per cell, the builder of its observations.
-        oracle: [InstanceBuilder; N_CELLS],
+        /// Per cell, its distinct observations.
+        oracle: [Observations; N_CELLS],
         /// Per cell, whether its census read no model after the last
         /// observation.
         unsat: [bool; N_CELLS],
@@ -1129,9 +1133,7 @@ mod tests {
                 stats: IncrementalStats::default(),
                 scratch: SolveScratch::new(),
                 cap,
-                oracle: AnomalyType::ALL.map(|anomaly| {
-                    InstanceBuilder::new(InstanceKey { url_id: 3, anomaly, window: window() })
-                }),
+                oracle: std::array::from_fn(|_| Vec::new()),
                 unsat: [false; N_CELLS],
                 expect: IncrementalStats::default(),
             }
@@ -1155,11 +1157,11 @@ mod tests {
             let Harness { table, group, stats, scratch, cap, .. } = self;
             group.observe(pid, table, detected, *cap, stats, scratch);
             for (i, anomaly) in AnomalyType::ALL.into_iter().enumerate() {
-                let before = self.oracle[i].len();
-                self.oracle[i].observe(path, detected.contains(anomaly));
-                if self.oracle[i].len() == before {
+                let seen = (path.to_vec(), detected.contains(anomaly));
+                if self.oracle[i].contains(&seen) {
                     self.expect.duplicates += 1;
                 } else {
+                    self.oracle[i].push(seen);
                     self.expect.updates += 1;
                     self.expect.unsat_skips += u64::from(self.unsat[i]);
                 }
@@ -1171,14 +1173,14 @@ mod tests {
 
         /// Each cell of `group` — the harness's own, or one restored from
         /// it — holds the memo the census makes of the cell's CNF as the
-        /// batch builder makes it: the count, and per variable whether
+        /// specification formulates it: the count, and per variable whether
         /// some model sets it True and whether some sets it False; when
         /// `exhaustive` and the CNF is small, brute-force enumeration
         /// agrees. A cell with no censored observation has unit negations
         /// alone, whose one model is all False; that needs no census.
         /// Every path reaches every cell the first time it is seen, so the
-        /// builders number the variables in the group's first-appearance
-        /// order. Returns the five counts.
+        /// formulations number the variables in the group's
+        /// first-appearance order. Returns the five counts.
         fn check_memos(&self, group: &InstanceGroup, exhaustive: bool) -> [SolutionCount; N_CELLS] {
             let (cap, n) = (self.cap, group.space.vars.len());
             let sides = |b: Option<churnlab_sat::Backbone>| {
@@ -1195,11 +1197,11 @@ mod tests {
                     }
                 };
                 let anomaly = AnomalyType::ALL[i];
-                if !self.oracle[i].has_positive() {
+                if !self.oracle[i].iter().any(|(_, censored)| *censored) {
                     assert_eq!(memo, all_false, "{anomaly:?} cell without a censored observation");
                     return memo.0;
                 }
-                let cnf = self.oracle[i].clone().build().expect("observed").cnf;
+                let cnf = churnlab_oracle::formulate(&self.oracle[i]).cnf;
                 let census = churnlab_sat::reference::census(&cnf, cap);
                 let census = (census.count, sides(census.backbone));
                 assert_eq!(memo, census, "{anomaly:?} cell, reference census, cap {cap}: {cnf:?}");
@@ -1221,13 +1223,12 @@ mod tests {
             assert_eq!(got.resolves + got.direct_updates, want.updates - want.unsat_skips);
         }
 
-        /// Each cell's outcome as the batch analyze makes it, and the
-        /// built instance it is made of.
-        fn batch(&self) -> [(InstanceOutcome, TomographyInstance); N_CELLS] {
-            let cfg = SolveConfig { count_cap: self.cap };
+        /// Each cell's outcome as the specification's batch cell makes
+        /// it, and the observations it is made of.
+        fn batch(&self) -> [(InstanceOutcome, &Observations); N_CELLS] {
             std::array::from_fn(|i| {
-                let inst = self.oracle[i].clone().build().expect("every cell has observed");
-                (analyze(&inst, &cfg), inst)
+                let key = InstanceKey { url_id: 3, anomaly: AnomalyType::ALL[i], window: window() };
+                (churnlab_oracle::cell(key, &self.oracle[i], self.cap), &self.oracle[i])
             })
         }
 
@@ -1240,14 +1241,10 @@ mod tests {
         }
     }
 
-    /// Batch-analyse the same observation sequence with the pipeline's
-    /// builder.
+    /// The same observation sequence through the specification's batch
+    /// cell; `None` when there is none.
     fn batch_outcome(observations: &[(Vec<Asn>, bool)], cap: u64) -> Option<InstanceOutcome> {
-        let mut b = InstanceBuilder::new(key());
-        for (path, censored) in observations {
-            b.observe(path, *censored);
-        }
-        b.build().map(|inst| analyze(&inst, &SolveConfig { count_cap: cap }))
+        (!observations.is_empty()).then(|| churnlab_oracle::cell(key(), observations, cap))
     }
 
     fn incremental_outcome(observations: &[(Vec<Asn>, bool)], cap: u64) -> Option<InstanceOutcome> {
@@ -1421,8 +1418,8 @@ mod tests {
 
         /// The group is its five cells. Any observe sequence — every
         /// one of the 32 anomaly sets, paths that repeat, one path under
-        /// both polarities — leaves each cell what the batch analyze
-        /// makes of that cell's polarity of the stream: the same outcome,
+        /// both polarities — leaves each cell what the specification's
+        /// batch cell makes of that cell's polarity of the stream: the same outcome,
         /// counts and censored paths in arrival order; after every
         /// observation each cell's memo is what the census makes of the
         /// cell's CNF ([`Harness::check_memos`]), and the work counters
@@ -1473,14 +1470,14 @@ mod tests {
             for group in [&h.group, &after] {
                 h.check_memos(group, true);
                 for (i, anomaly) in AnomalyType::ALL.into_iter().enumerate() {
-                    let (cell, (expect, inst)) = (&group.cells[i], &batch[i]);
+                    let (cell, (expect, observations)) = (&group.cells[i], &batch[i]);
                     prop_assert_eq!(cell.len(), expect.n_observations);
                     prop_assert_eq!(cell.has_positive(), expect.n_positive > 0);
                     prop_assert_eq!(&cell.outcome(&group.vars_by_asn()), expect);
                     let paths: Vec<&[Asn]> =
                         group.censored_paths(anomaly).map(|pid| h.table.path(pid)).collect();
-                    let censored = inst.observations.iter().filter(|o| o.censored);
-                    prop_assert_eq!(paths, censored.map(|o| o.path.as_slice()).collect::<Vec<_>>());
+                    let censored = observations.iter().filter(|(_, censored)| *censored);
+                    prop_assert_eq!(paths, censored.map(|(path, _)| path.as_slice()).collect::<Vec<_>>());
                 }
             }
             prop_assert_eq!(&after.space.exonerated, &h.group.space.exonerated);
@@ -1514,8 +1511,8 @@ mod tests {
         prop_oneof![Just(2u64), Just(3), Just(5), Just(8), Just(64)]
     }
 
-    /// The interned state machine agrees with the batch analyze() for the
-    /// same observations — in the given order AND reversed (order
+    /// The interned state machine agrees with the specification's batch
+    /// cell (`churnlab_oracle::cell`) for the same observations — in the given order AND reversed (order
     /// independence) — and after every observation its memos are what
     /// the SAT oracle, `churnlab_sat::reference` (the `reference` of its
     /// name), makes of the same CNFs ([`Harness::check_memos`]); at each

@@ -1,16 +1,17 @@
 //! # churnlab-engine
 //!
 //! A sharded, order-independent, **incremental** tomography engine over
-//! measurement streams — the production-shaped counterpart of the batch
-//! [`churnlab_core::pipeline::Pipeline`].
+//! measurement streams — the repo's one localizer: studies, the scenario
+//! matrix, replays and the benches all run it, a one-shard engine where
+//! a batch answer is wanted.
 //!
-//! The batch pipeline depends on measurements arriving grouped by URL
-//! (the platform runner's iteration order) and solves every
-//! (URL × window × anomaly) CNF from scratch when a URL's buffer
-//! flushes. That contract rules out exactly the regime a deployed
-//! localization service lives in: many vantage feeds arriving
-//! concurrently, interleaved across URLs, with reports wanted *before*
-//! the stream ends. The engine removes both restrictions:
+//! A batch localizer holds the whole stream before it answers: it
+//! buffers every (URL × window × anomaly) CNF and solves it from scratch
+//! at the end, as the executable specification of §3
+//! (`churnlab-oracle`, the repo's end-to-end oracle) does. That rules out
+//! exactly the regime a deployed localization service lives in: many
+//! vantage feeds arriving concurrently, interleaved across URLs, with
+//! reports wanted *before* the stream ends. The engine is built for it:
 //!
 //! * **Any order** — [`Engine::ingest_owned`] accepts measurements in
 //!   whatever order they arrive; instance state is keyed, not positional.
@@ -44,11 +45,12 @@
 //!   the next one; [`Engine::snapshot`] only unions small accumulators.
 //!
 //! [`Engine::snapshot`] / [`Engine::finish`] produce a
-//! [`churnlab_core::pipeline::PipelineResults`], so reports, validation,
-//! and the scenario-matrix harness work unchanged — and the
+//! [`churnlab_core::pipeline::PipelineResults`] for reports, validation
+//! and the scenario-matrix harness — and the
 //! [`churnlab_core::report::CanonicalReport`] serialization is
-//! **byte-identical** to the batch pipeline's over the same measurement
-//! set, which the property tests assert over shuffled streams.
+//! **byte-identical** to the specification's over the same measurement
+//! set, whatever the arrival order or shard count, which the integration
+//! tests assert over shuffled streams.
 //!
 //! ```
 //! use churnlab_engine::{Engine, EngineConfig};

@@ -10,7 +10,7 @@ use std::ops::Range;
 
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
-use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig, PipelineResults};
+use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
 use churnlab_engine::{Engine, EngineConfig, EngineObs, RestoreError};
 use churnlab_obs::{Registry, SampleValue};
 use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
@@ -217,17 +217,16 @@ fn horizon_wider_than_stream_changes_nothing() {
     );
 }
 
-/// The ablation under a horizon wider than the stream is the batch
-/// pipeline's ablation, byte for byte: the first-path filter in front of
-/// a retiring engine answers what the pipeline's filter does.
+/// The ablation under a horizon wider than the stream is the
+/// specification's ablation, byte for byte: the first-path filter in
+/// front of a retiring engine answers what the spec's batch filter does.
 #[test]
 fn ablation_under_a_wide_horizon_is_the_pipelines() {
     let s = study(31);
     let (platform, ms) = measurements(&s);
     let wide = engine_cfg(&platform, ChurnMode::FirstPathOnly, 2, Some(10_000));
-    let mut pipeline = Pipeline::new(&platform, wide.pipeline.clone());
-    ms.iter().for_each(|m| pipeline.ingest(m));
-    assert_eq!(uninterrupted(&platform, &s, &ms, wide), canonical_json(&pipeline.finish()));
+    let spec = churnlab_oracle::report(&ms, platform.measured_ip2as(), &s.world.topology, &wide.pipeline);
+    assert_eq!(uninterrupted(&platform, &s, &ms, wide), spec.to_json());
 }
 
 /// Checkpointing with unflushed feeder tails: the caller takes the tail,

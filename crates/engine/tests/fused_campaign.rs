@@ -1,11 +1,12 @@
-//! Fused sim→engine campaigns are byte-identical to the serial path.
+//! Fused sim→engine campaigns are byte-identical to the specification.
 //!
 //! The tentpole guarantee: `campaign::run_fused` (N generator workers,
 //! each with its own `Engine::feeder`) produces a serialized
-//! [`churnlab_core::report::CanonicalReport`] identical to a serial
-//! `Platform::run` feeding the engine one measurement at a time —
-//! across threads {1, 4} × shards {1, 4} × 3 seeds, with and without
-//! the fleet-sampling schedule, and with identical platform-side stats.
+//! [`churnlab_core::report::CanonicalReport`] identical to the
+//! executable specification's (`churnlab_oracle::report`) over the
+//! serial campaign's measurements — across threads {1, 4} × shards
+//! {1, 4} × 3 seeds, with and without the fleet-sampling schedule, and
+//! with the serial run's platform-side stats.
 
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
@@ -36,14 +37,15 @@ fn study(seed: u64) -> Study {
     Study { world, scenario, platform_cfg, churn_cfg }
 }
 
+/// The spec's report over the serial campaign, and the serial stats.
 fn serial_reference(s: &Study) -> (String, DatasetStats) {
     let platform = Platform::new(&s.world, &s.scenario, s.platform_cfg.clone());
     let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
     let cfg = PipelineConfig::paper(platform.config().total_days);
-    let engine = Engine::new(&platform, EngineConfig::new(cfg));
-    let stats = platform.run(&sim, |m| engine.ingest_owned(m));
-    let report = engine.finish().canonical_report();
-    (serde_json::to_string(&report).expect("report serializes"), stats)
+    let mut ms = Vec::new();
+    let stats = platform.run(&sim, |m| ms.push(m));
+    let report = churnlab_oracle::report(&ms, platform.measured_ip2as(), &s.world.topology, &cfg);
+    (report.to_json(), stats)
 }
 
 fn fused(s: &Study, threads: usize, shards: usize) -> (String, DatasetStats) {

@@ -1,15 +1,17 @@
 //! The engine's headline guarantee, asserted end to end: feeding the
 //! engine a **shuffled** measurement stream produces a serialized
 //! [`churnlab_core::report::CanonicalReport`] that is **byte-identical**
-//! to the batch [`Pipeline`] fed the platform runner's URL-grouped order
-//! — across seeds, shard counts, churn modes, and concurrent feeders.
+//! to the executable specification's (`churnlab_oracle::report`) over
+//! the platform runner's order — across seeds, shard counts, churn
+//! modes, and concurrent feeders.
 //! The first-path ablation is the one exception: it needs each (URL,
 //! vantage AS) pair in test order, so it is fed a random interleaving of
 //! the per-URL streams, and a shuffled stream is refused loudly.
 
 use churnlab_bgp::{ChurnConfig, Granularity, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
-use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig, PipelineResults};
+use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
+use churnlab_core::report::CanonicalReport;
 use churnlab_engine::{Engine, EngineConfig, EngineObs};
 use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
 use churnlab_topology::{generator, Asn, GeneratedWorld, WorldConfig, WorldScale};
@@ -48,18 +50,11 @@ fn measurements(s: &Study) -> (Platform<'_>, Vec<Measurement>) {
     (platform, ms)
 }
 
-fn pipeline_results(
-    platform: &Platform<'_>,
-    ms: &[Measurement],
-    mode: ChurnMode,
-) -> PipelineResults {
+/// The specification's report over `ms` in the runner's order.
+fn spec(platform: &Platform<'_>, ms: &[Measurement], mode: ChurnMode) -> CanonicalReport {
     let mut cfg = PipelineConfig::paper(platform.config().total_days);
     cfg.churn_mode = mode;
-    let mut pipeline = Pipeline::new(platform, cfg);
-    for m in ms {
-        pipeline.ingest(m);
-    }
-    pipeline.finish()
+    churnlab_oracle::report(ms, platform.measured_ip2as(), &platform.world().topology, &cfg)
 }
 
 fn engine_results(
@@ -117,30 +112,32 @@ fn churn_rows(r: &PipelineResults) -> Vec<(Granularity, Asn, Asn, u32, BTreeSet<
 }
 
 /// The satellite acceptance test: shuffled engine ingest is byte-identical
-/// to the ordered batch pipeline, for several seeds and shard counts —
-/// and, both counting path churn in the one store, leaves the same
-/// evidence in it row for row (every window's distinct hashes and
-/// observation count), which is more than the digest's distributions see.
+/// to the specification over the runner's order, for several seeds and
+/// shard counts — and one shard and three, shuffled apart, leave the
+/// same evidence in the churn store row for row (every window's distinct
+/// hashes and observation count), which is more than the digest's
+/// distributions see.
 #[test]
 fn shuffled_engine_matches_ordered_pipeline_byte_identically() {
     for seed in [11u64, 23, 47] {
         let s = study(seed);
         let (platform, ms) = measurements(&s);
-        let expected = pipeline_results(&platform, &ms, ChurnMode::Normal);
-        let expected_rows = churn_rows(&expected);
-        assert!(!expected_rows.is_empty(), "the study observes paths");
+        let expected = spec(&platform, &ms, ChurnMode::Normal).to_json();
+        let mut expected_rows = None;
         for (shards, shuffle_seed) in [(1usize, seed ^ 0xA), (3, seed ^ 0xB)] {
             let mut shuffled = ms.clone();
             shuffled.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
             let got = engine_results(&platform, &shuffled, ChurnMode::Normal, shards);
             assert_eq!(
                 canonical_json(&got),
-                canonical_json(&expected),
-                "seed {seed}, {shards} shard(s): shuffled engine diverged from pipeline"
+                expected,
+                "seed {seed}, {shards} shard(s): shuffled engine diverged from the spec"
             );
+            let rows = churn_rows(&got);
+            assert!(!rows.is_empty(), "the study observes paths");
             assert_eq!(
-                churn_rows(&got),
-                expected_rows,
+                &rows,
+                expected_rows.get_or_insert_with(|| rows.clone()),
                 "seed {seed}, {shards} shard(s): the churn stores hold different evidence"
             );
         }
@@ -148,7 +145,7 @@ fn shuffled_engine_matches_ordered_pipeline_byte_identically() {
 }
 
 /// The interned-dedup acceptance matrix: scrambled ingest is
-/// byte-identical to the ordered batch pipeline across shard counts
+/// byte-identical to the specification across shard counts
 /// {1, 4, 8} × both churn modes × 3 seeds — a full shuffle for the Normal
 /// engine, a random per-URL interleaving for the ablation. This is the
 /// end-to-end proof that the id-based data plane — `PathId` dedup masks,
@@ -161,7 +158,7 @@ fn interned_dedup_matrix_is_byte_identical() {
         let s = study(seed);
         let (platform, ms) = measurements(&s);
         for mode in [ChurnMode::Normal, ChurnMode::FirstPathOnly] {
-            let expected = canonical_json(&pipeline_results(&platform, &ms, mode));
+            let expected = spec(&platform, &ms, mode).to_json();
             for shards in [1usize, 4, 8] {
                 let scrambled = scrambled(&ms, mode, seed ^ (shards as u64) << 8);
                 let got = canonical_json(&engine_results(&platform, &scrambled, mode, shards));
@@ -176,7 +173,7 @@ fn interned_dedup_matrix_is_byte_identical() {
 
 /// Repeated snapshots are self-consistent: a second snapshot over the
 /// same ingested prefix is byte-identical to the first, and a later
-/// snapshot over more data still matches the batch pipeline — also
+/// snapshot over more data still matches the specification — also
 /// proving `PathId`s stay valid across snapshot boundaries as the shard
 /// tables keep growing.
 #[test]
@@ -199,8 +196,8 @@ fn repeated_snapshots_are_stable_in_both_modes() {
             engine.ingest_owned(m.clone());
         }
         let full = canonical_json(&engine.finish());
-        let expected = canonical_json(&pipeline_results(&platform, &ms, mode));
-        assert_eq!(full, expected, "mode {mode:?}: post-snapshot ingest diverged from batch");
+        let expected = spec(&platform, &ms, mode).to_json();
+        assert_eq!(full, expected, "mode {mode:?}: post-snapshot ingest diverged from the spec");
     }
 }
 
@@ -227,15 +224,15 @@ fn a_shuffled_ablation_stream_is_refused() {
 /// observe — timing them apart when instrumented, and a measurement sent
 /// on its own is a batch of one through the same code.
 /// One study through each gives one digest and one conversion account —
-/// the pipeline's, which converts through the owned-path adapter — in
-/// both churn modes, and every instrumented arm counts each measurement
-/// once.
+/// the specification's, which converts through the owned-path adapter —
+/// in both churn modes, and every instrumented arm counts each
+/// measurement once.
 #[test]
 fn staged_and_direct_ingest_agree_with_the_pipeline() {
     let s = study(23);
     let (platform, ms) = measurements(&s);
     for mode in [ChurnMode::Normal, ChurnMode::FirstPathOnly] {
-        let reference = pipeline_results(&platform, &ms, mode);
+        let reference = spec(&platform, &ms, mode);
         assert!(reference.conversion.total_discarded() > 0, "the study exercises the discard rules");
         for (chunked, instrumented) in [(false, false), (false, true), (true, false), (true, true)] {
             let mut cfg = PipelineConfig::paper(platform.config().total_days);
@@ -255,11 +252,7 @@ fn staged_and_direct_ingest_agree_with_the_pipeline() {
             let got = engine.finish();
             let arm = format!("{mode:?}, chunked {chunked}, instrumented {instrumented}");
             assert_eq!(got.conversion, reference.conversion, "{arm}");
-            assert_eq!(
-                got.canonical_report().digest(),
-                reference.canonical_report().digest(),
-                "{arm}"
-            );
+            assert_eq!(got.canonical_report().digest(), reference.digest(), "{arm}");
             if instrumented {
                 let snap = registry.scrape();
                 let measured = snap.counter_sum("churnlab_measurements_total");
@@ -284,12 +277,12 @@ fn staged_and_direct_ingest_agree_with_the_pipeline() {
 }
 
 /// Concurrent feeder threads — the multi-vantage regime — agree with the
-/// single-threaded batch pipeline too.
+/// specification too.
 #[test]
 fn concurrent_feeders_match_pipeline() {
     let s = study(53);
     let (platform, ms) = measurements(&s);
-    let expected = canonical_json(&pipeline_results(&platform, &ms, ChurnMode::Normal));
+    let expected = spec(&platform, &ms, ChurnMode::Normal).to_json();
 
     let cfg = PipelineConfig::paper(platform.config().total_days);
     let engine = Engine::new(&platform, EngineConfig::new(cfg).with_shards(2));
@@ -307,7 +300,7 @@ fn concurrent_feeders_match_pipeline() {
         }
     });
     let got = canonical_json(&engine.finish());
-    assert_eq!(got, expected, "concurrent feeders diverged from pipeline");
+    assert_eq!(got, expected, "concurrent feeders diverged from the spec");
 }
 
 /// The documented snapshot cut semantics around feeder tails, asserted
@@ -334,11 +327,11 @@ fn snapshot_cut_respects_feeder_tails() {
     assert_eq!(before.conversion.converted + before.conversion.total_discarded(), 0);
     assert!(before.outcomes.is_empty(), "unflushed tail leaked into the snapshot");
 
-    // Flushed tail: the cut must equal a batch run over the same prefix.
+    // Flushed tail: the cut must equal the spec over the same prefix.
     feeder.flush();
     let mid = engine.snapshot();
-    let mid_expected = pipeline_results(&platform, &ms[..half], ChurnMode::Normal);
-    assert_eq!(canonical_json(&mid), canonical_json(&mid_expected));
+    let mid_expected = spec(&platform, &ms[..half], ChurnMode::Normal);
+    assert_eq!(canonical_json(&mid), mid_expected.to_json());
     assert_eq!(mid.conversion, mid_expected.conversion);
 
     // Drop implies flush: the rest of the stream arrives via drop alone.
@@ -347,8 +340,8 @@ fn snapshot_cut_respects_feeder_tails() {
     }
     drop(feeder);
     let full = engine.finish();
-    let full_expected = pipeline_results(&platform, &ms, ChurnMode::Normal);
-    assert_eq!(canonical_json(&full), canonical_json(&full_expected));
+    let full_expected = spec(&platform, &ms, ChurnMode::Normal);
+    assert_eq!(canonical_json(&full), full_expected.to_json());
     assert_eq!(full.conversion, full_expected.conversion);
 }
 
@@ -365,16 +358,13 @@ fn snapshot_then_continue() {
         engine.ingest_owned(m.clone());
     }
     let mid = engine.snapshot();
-    // The snapshot equals a batch run over the same prefix (the prefix of
-    // the runner's order is still URL-grouped, so Pipeline accepts it).
-    let mid_expected = pipeline_results(&platform, &ms[..half], ChurnMode::Normal);
-    assert_eq!(canonical_json(&mid), canonical_json(&mid_expected));
+    // The snapshot equals the spec over the same prefix.
+    assert_eq!(canonical_json(&mid), spec(&platform, &ms[..half], ChurnMode::Normal).to_json());
     for m in &ms[half..] {
         engine.ingest_owned(m.clone());
     }
     let full = engine.finish();
-    let full_expected = pipeline_results(&platform, &ms, ChurnMode::Normal);
-    assert_eq!(canonical_json(&full), canonical_json(&full_expected));
+    assert_eq!(canonical_json(&full), spec(&platform, &ms, ChurnMode::Normal).to_json());
 }
 
 proptest! {
@@ -385,7 +375,7 @@ proptest! {
     fn prop_shuffled_stream_is_canonical(shuffle_seed in any::<u64>(), shards in 1usize..5) {
         let s = study(61);
         let (platform, ms) = measurements(&s);
-        let expected = canonical_json(&pipeline_results(&platform, &ms, ChurnMode::Normal));
+        let expected = spec(&platform, &ms, ChurnMode::Normal).to_json();
         let mut shuffled = ms.clone();
         shuffled.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
         let got = canonical_json(&engine_results(&platform, &shuffled, ChurnMode::Normal, shards));

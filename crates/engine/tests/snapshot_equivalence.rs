@@ -11,7 +11,8 @@
 //! (every cache gone). And because a report *shares* those caches — its
 //! outcomes and churn windows are the shard's own allocations — one cut's
 //! report is held to the end of the script and must still read as the
-//! batch pipeline's over its prefix, whatever the engine did afterwards.
+//! executable specification's (`churnlab_oracle::report`) over its
+//! prefix, whatever the engine did afterwards.
 
 use std::io::Cursor;
 use std::sync::Arc;
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
 use churnlab_core::analyze::InstanceOutcome;
-use churnlab_core::pipeline::{ChurnMode, Pipeline, PipelineConfig, PipelineResults};
+use churnlab_core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
 use churnlab_engine::{Engine, EngineConfig};
 use churnlab_platform::{Measurement, Platform, PlatformConfig, PlatformScale};
 use churnlab_topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
@@ -125,20 +126,10 @@ impl<'a> Case<'a> {
         canonical_json(&engine.finish())
     }
 
-    /// The batch pipeline's report of `ms[..cut]`, regrouped by URL in
-    /// the runner's test order as its contract asks.
-    fn batch(&self, cut: usize) -> String {
-        let mut prefix: Vec<&Measurement> = self.ms[..cut].iter().collect();
-        prefix.sort_by_key(|m| (m.url_id, m.day, m.vp_id, m.epoch));
-        let mut pipeline = Pipeline::with_context(
-            self.platform.measured_ip2as(),
-            &self.study.world.topology,
-            self.cfg.pipeline.clone(),
-        );
-        for m in prefix {
-            pipeline.ingest(m);
-        }
-        canonical_json(&pipeline.finish())
+    /// The specification's report of `ms[..cut]`.
+    fn spec(&self, cut: usize) -> String {
+        let (db, topo) = (self.platform.measured_ip2as(), &self.study.world.topology);
+        churnlab_oracle::report(&self.ms[..cut], db, topo, &self.cfg.pipeline).to_json()
     }
 
     /// `engine`'s snapshot with the outcomes `compact()` drained added
@@ -210,8 +201,8 @@ impl<'a> Case<'a> {
         for (cut, snap) in held {
             assert_eq!(
                 canonical_json(&snap),
-                self.batch(cut),
-                "{}: the report held since {cut} no longer equals the batch pipeline's",
+                self.spec(cut),
+                "{}: the report held since {cut} no longer equals the spec's",
                 self.label
             );
         }

@@ -26,8 +26,7 @@
 //!   `CanonicalReport` byte-for-byte.
 //!
 //! Records imported here are fed to
-//! `churnlab_core::pipeline::Pipeline::with_context` or
-//! [`churnlab_engine::Engine::with_context`], which accept any IP-to-AS
+//! [`churnlab_engine::Engine::with_context`], which accepts any IP-to-AS
 //! database and topology rather than a simulated platform.
 
 #![forbid(unsafe_code)]

@@ -1,11 +1,13 @@
 //! End-to-end interop: a simulated measurement campaign exported to JSONL
-//! and re-imported must localize exactly the same censors as the direct
-//! pipeline — the concrete form of the paper's claim that the technique
-//! "carries over to other measurement databases".
+//! and re-imported into a context-only engine must localize exactly what
+//! the executable specification does over the direct campaign — the
+//! concrete form of the paper's claim that the technique "carries over
+//! to other measurement databases".
 
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
-use churnlab_core::pipeline::{Pipeline, PipelineConfig};
+use churnlab_core::pipeline::PipelineConfig;
+use churnlab_engine::{Engine, EngineConfig};
 use churnlab_interop::{parse_prefix2as, read_jsonl, render_prefix2as, write_jsonl, NativeRecord};
 use churnlab_platform::{Platform, PlatformConfig, PlatformScale};
 use churnlab_topology::{generator, WorldConfig, WorldScale};
@@ -23,13 +25,10 @@ fn exported_records_localize_identically() {
         &ChurnConfig { total_days: pcfg.total_days, ..ChurnConfig::default() },
     );
 
-    // Direct run.
-    let mut direct = Pipeline::new(&platform, PipelineConfig::paper(pcfg.total_days));
+    // The spec over the direct campaign.
+    let cfg = PipelineConfig::paper(pcfg.total_days);
     let (measurements, _) = platform.run_collect_parallel(&sim, 1);
-    for m in &measurements {
-        direct.ingest(m);
-    }
-    let direct = direct.finish();
+    let direct = churnlab_oracle::report(&measurements, platform.measured_ip2as(), &world.topology, &cfg);
 
     // Export: measurement records to JSONL, IP-to-AS db to prefix2as text.
     let records: Vec<NativeRecord> = measurements
@@ -41,21 +40,18 @@ fn exported_records_localize_identically() {
     assert_eq!(n as usize, measurements.len());
     let db_text = render_prefix2as(platform.measured_ip2as());
 
-    // Import into a context-only pipeline (no Platform object at all).
+    // Import into a context-only engine (no Platform object at all).
     let (db, db_stats) = parse_prefix2as(db_text.as_bytes()).unwrap();
     assert_eq!(db_stats.malformed, 0);
     assert_eq!(db_stats.conflicts, 0);
-    let mut imported =
-        Pipeline::with_context(&db, &world.topology, PipelineConfig::paper(pcfg.total_days));
-    let stats = read_jsonl(&jsonl[..], |m, _domain| imported.ingest(&m)).unwrap();
+    let engine = Engine::with_context(&db, &world.topology, EngineConfig::new(cfg).with_shards(1));
+    let stats = read_jsonl(&jsonl[..], |m, _domain| engine.ingest_owned(m)).unwrap();
     assert_eq!(stats.ok as usize, measurements.len());
     assert_eq!(stats.malformed, 0);
-    let imported = imported.finish();
+    let imported = engine.finish();
 
     // Identical localization.
-    assert_eq!(direct.identified_censors(), imported.identified_censors());
-    assert_eq!(direct.outcomes.len(), imported.outcomes.len());
-    assert_eq!(direct.conversion, imported.conversion);
+    assert_eq!(imported.canonical_report().to_json(), direct.to_json());
     assert!(
         !imported.censor_findings.is_empty(),
         "roundtrip found no censors — vacuous test"

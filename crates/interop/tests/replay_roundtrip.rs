@@ -2,12 +2,13 @@
 //! re-ingest the dump through the sharded engine at arbitrary
 //! shard/feeder counts and in **shuffled line order** → the
 //! [`churnlab_core::report::CanonicalReport`] is **byte-identical** to
-//! the direct in-memory run. Disk round-trips must be invisible to the
+//! the executable specification's (`churnlab_oracle::report`) over the
+//! direct in-memory campaign. Disk round-trips must be invisible to the
 //! tomography.
 
 use churnlab_bgp::{ChurnConfig, RoutingSim};
 use churnlab_censor::{CensorConfig, CensorshipScenario};
-use churnlab_core::pipeline::{Pipeline, PipelineConfig};
+use churnlab_core::pipeline::PipelineConfig;
 use churnlab_engine::{Engine, EngineConfig};
 use churnlab_interop::{export_study, replay_jsonl, ReplayFormat};
 use churnlab_platform::{Platform, PlatformConfig, PlatformScale};
@@ -60,10 +61,10 @@ fn replayed_dump_matches_direct_run_byte_identically() {
         let sim = RoutingSim::new(&s.world.topology, &s.churn_cfg);
         let cfg = PipelineConfig::paper(s.platform_cfg.total_days);
 
-        // Direct in-memory run (batch pipeline, runner order).
-        let mut direct = Pipeline::new(&platform, cfg.clone());
-        platform.run(&sim, |m| direct.ingest(&m));
-        let expected = direct.finish().canonical_report().to_json();
+        // The spec over the direct in-memory campaign.
+        let (ms, _) = platform.run_collect_parallel(&sim, 1);
+        let expected =
+            churnlab_oracle::report(&ms, platform.measured_ip2as(), &s.world.topology, &cfg).to_json();
 
         // Export the same study to JSONL.
         let mut dump = Vec::new();
@@ -81,7 +82,7 @@ fn replayed_dump_matches_direct_run_byte_identically() {
             let got = engine.finish().canonical_report().to_json();
             assert_eq!(
                 got, expected,
-                "seed {seed}, {shards} shard(s): replayed report diverged from the direct run"
+                "seed {seed}, {shards} shard(s): replayed report diverged from the spec"
             );
             assert_eq!(report.stats.ok, records, "every exported record must re-import");
             assert_eq!(report.lines, records);

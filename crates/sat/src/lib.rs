@@ -18,10 +18,11 @@
 //! keeps one product solver and one oracle:
 //!
 //! * [`monotone`] — the closed form: unit propagation, then H × 2^k
-//!   models (the module doc has the argument). `churnlab-core`'s
-//!   `analyze` and the engine's incremental re-solve both run it.
+//!   models (the module doc has the argument). The engine's
+//!   incremental re-solve runs it.
 //! * [`mod@reference`] — a DPLL solver, AllSAT counter and probe-based
-//!   backbone for *any* CNF: the oracle the closed form is held against,
+//!   backbone for *any* CNF: the oracle the closed form is held against
+//!   (and the census the repo's executable spec of §3 solves with),
 //!   re-exported at the crate root as [`solve`], [`solve_with`],
 //!   [`count_solutions`], [`backbone`] and [`census`].
 //! * [`brute`] — exhaustive evaluation, which holds the oracle itself.

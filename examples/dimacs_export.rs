@@ -5,29 +5,23 @@
 //!
 //! Run with: `cargo run --release --example dimacs_export`
 
-use churnlab::bgp::{Granularity, TimeWindow};
-use churnlab::core::instance::{InstanceBuilder, InstanceKey};
-use churnlab::platform::AnomalyType;
 use churnlab::sat::{census, Cnf};
 use churnlab::topology::Asn;
+use churnlab_oracle::formulate;
 
 fn main() {
-    // The paper's worked example shape: censored path X→Y→Z plus clean
-    // observations from churned paths.
-    let key = InstanceKey {
-        url_id: 7,
-        anomaly: AnomalyType::Dns,
-        window: TimeWindow::of(12, Granularity::Day, 365),
-    };
-    let mut b = InstanceBuilder::new(key);
-    b.observe(&[Asn(701), Asn(1299), Asn(4134)], true); // X→Y→Z censored
-    b.observe(&[Asn(701), Asn(1299), Asn(2914)], false); // clean via another egress
-    b.observe(&[Asn(6453), Asn(1299), Asn(2914)], false);
-    let inst = b.build().expect("non-empty");
+    // The paper's worked example shape: one (URL × window × anomaly)
+    // cell, a censored path X→Y→Z plus clean observations from churned
+    // paths, formulated as §3.1 states it.
+    let inst = formulate(&[
+        (vec![Asn(701), Asn(1299), Asn(4134)], true), // X→Y→Z censored
+        (vec![Asn(701), Asn(1299), Asn(2914)], false), // clean via another egress
+        (vec![Asn(6453), Asn(1299), Asn(2914)], false),
+    ]);
 
     let dimacs = inst.cnf.to_dimacs();
     println!("-- variable map --");
-    for (i, asn) in inst.asn_of.iter().enumerate() {
+    for (i, asn) in inst.asns.iter().enumerate() {
         println!("v{} = {}", i + 1, asn);
     }
     println!("\n-- DIMACS --\n{dimacs}");
@@ -42,7 +36,7 @@ fn main() {
             .iter()
             .enumerate()
             .filter(|(_, t)| **t)
-            .map(|(i, _)| inst.asn_of[i].to_string())
+            .map(|(i, _)| inst.asns[i].to_string())
             .collect();
         println!("unique model names the censor: {}", censors.join(", "));
     }

@@ -4,12 +4,13 @@
 //! databases such as those generated by the OONI and the M-Lab platforms".
 //! This example shows the full path: OONI-flavoured JSON documents (with a
 //! traceroute annotation) are parsed, mapped onto churnlab anomaly types,
-//! fed to a context-only pipeline — no simulated platform object — and
+//! fed to a context-only engine — no simulated platform object — and
 //! localized against a CAIDA-style prefix2as database.
 //!
 //! Run: `cargo run --example ooni_import`
 
-use churnlab::core::pipeline::{Pipeline, PipelineConfig};
+use churnlab::core::pipeline::PipelineConfig;
+use churnlab::engine::{Engine, EngineConfig};
 use churnlab::interop::{parse_prefix2as, OoniRecord};
 use churnlab::topology::Topology;
 
@@ -53,7 +54,8 @@ fn main() {
         ));
     }
 
-    let mut pipeline = Pipeline::with_context(&db, &topo, PipelineConfig::paper(8));
+    let cfg = EngineConfig::new(PipelineConfig::paper(8)).with_shards(1);
+    let engine = Engine::with_context(&db, &topo, cfg);
     let mut imported = 0;
     for doc in &docs {
         let rec: OoniRecord = serde_json::from_str(doc).expect("well-formed demo doc");
@@ -67,12 +69,12 @@ fn main() {
                     domain,
                     if m.detected.is_empty() { "none" } else { "tcp_ip" }
                 );
-                pipeline.ingest(&m);
+                engine.ingest_owned(m);
             }
             Err(e) => println!("  skipped: {e}"),
         }
     }
-    let results = pipeline.finish();
+    let results = engine.finish();
     println!("imported {imported} records; {} CNFs analysed", results.outcomes.len());
     println!("identified censors: {:?}", results.identified_censors());
     assert_eq!(

@@ -29,7 +29,7 @@
 //! * [`sat`] — the closed-form census, its DPLL/AllSAT oracle, DIMACS.
 //! * [`core`] — the tomography pipeline (the paper's contribution).
 //! * [`engine`] — the sharded, order-independent, incremental streaming
-//!   engine (production-shaped counterpart of `core`'s batch pipeline).
+//!   engine that localizes: every study runs it.
 //! * [`interop`] — record import/export (OONI-style JSONL, CAIDA
 //!   prefix2as) feeding external datasets into the same pipeline.
 
@@ -49,9 +49,11 @@ pub mod study {
 
     use crate::bgp::{ChurnConfig, RoutingSim};
     use crate::censor::{CensorConfig, CensorshipScenario};
-    use crate::core::pipeline::{ChurnMode, Pipeline, PipelineConfig, PipelineResults};
+    use crate::core::pipeline::{ChurnMode, PipelineConfig, PipelineResults};
     use crate::core::report::CensorshipReport;
     use crate::core::validate::{validate, ValidationReport};
+    use crate::engine::campaign::run_fused;
+    use crate::engine::{Engine, EngineConfig};
     use crate::platform::{DatasetStats, Platform, PlatformConfig, PlatformScale};
     use crate::topology::{generator, GeneratedWorld, WorldConfig, WorldScale};
     use serde::{Deserialize, Serialize};
@@ -130,7 +132,9 @@ pub mod study {
     }
 
     /// Run a complete study: generate the world and censors, run the
-    /// measurement campaign, localize, validate.
+    /// measurement campaign, localize, validate. The campaign streams on
+    /// one worker into a one-shard engine: each (URL, vantage AS) pair
+    /// in test order, which the first-path ablation needs.
     pub fn run_study(cfg: &StudyConfig) -> StudyOutput {
         let world = generator::generate(&cfg.world);
         let scenario = CensorshipScenario::generate_for_world(&world, &cfg.censor);
@@ -139,9 +143,10 @@ pub mod study {
         {
             let platform = Platform::new(&world, &scenario, cfg.platform.clone());
             let sim = RoutingSim::new(&world.topology, &cfg.churn);
-            let mut pipeline = Pipeline::new(&platform, cfg.pipeline.clone());
-            dataset = platform.run(&sim, |m| pipeline.ingest(&m));
-            results = pipeline.finish();
+            let engine_cfg = EngineConfig::new(cfg.pipeline.clone()).with_shards(1);
+            let engine = Engine::new(&platform, engine_cfg);
+            dataset = run_fused(&platform, &sim, &engine, 1).stats;
+            results = engine.finish();
         }
         let report = CensorshipReport::assemble(&results, &world.topology);
         let identified = results.censor_findings.keys().copied().collect();
@@ -154,6 +159,8 @@ pub mod study {
 #[cfg(test)]
 mod tests {
     use super::study::*;
+    use crate::core::pipeline::PipelineResults;
+    use crate::platform::NoiseConfig;
 
     #[test]
     fn smoke_study_end_to_end() {
@@ -165,5 +172,64 @@ mod tests {
             "precision {} too low",
             out.validation.precision
         );
+    }
+
+    /// A Smoke study with every noise knob at zero and no mid-period
+    /// policy change.
+    fn noise_free(seed: u64) -> StudyConfig {
+        let mut cfg = StudyConfig::preset(StudyScale::Smoke, seed);
+        cfg.platform.noise = NoiseConfig::none();
+        cfg.censor.policy_change_prob = 0.0;
+        cfg
+    }
+
+    /// Noise-free, every identified censor is a true one (ground truth
+    /// projected to registered ASNs: naming a hosting org's public ASN is
+    /// correct when any of its PoPs censor), and one is found.
+    #[test]
+    fn noise_free_identification_is_precise() {
+        let out = run_study(&noise_free(31));
+        assert!(out.dataset.total_anomalies() > 0, "scenario produced no anomalies");
+        assert!(!out.results.outcomes.is_empty(), "no interesting CNFs despite anomalies");
+        let truth: std::collections::HashSet<_> =
+            out.scenario.censoring_asns().iter().map(|a| out.world.public_asn(*a)).collect();
+        for asn in out.results.identified_censors() {
+            assert!(truth.contains(&asn), "{asn} identified but innocent (noise-free run!)");
+        }
+        assert!(!out.results.censor_findings.is_empty(), "no censors identified");
+    }
+
+    /// Figure 4's shape, per seed: without churn fewer CNFs pin a
+    /// definite censor. (Localization power is monotone in the
+    /// observations; the raw unique-model fraction is not, since churn
+    /// can bring in ASes no clean path has exonerated yet.)
+    #[test]
+    fn first_path_only_reduces_solvability() {
+        let localized =
+            |r: &PipelineResults| r.outcomes.iter().filter(|o| !o.censors.is_empty()).count();
+        for seed in [31, 42, 7] {
+            let cfg = noise_free(seed);
+            let with_churn = localized(&run_study(&cfg).results);
+            let without = localized(&run_study(&cfg.without_churn()).results);
+            assert!(
+                with_churn > without,
+                "seed {seed}: churn must localize more CNFs: with={with_churn} without={without}"
+            );
+        }
+    }
+
+    /// Every measurement is converted or discarded by one rule, and with
+    /// realistic noise some are discarded.
+    #[test]
+    fn conversion_stats_accumulate() {
+        let out = run_study(&StudyConfig::preset(StudyScale::Smoke, 31));
+        let conversion = out.results.conversion;
+        assert_eq!(
+            conversion.converted + conversion.total_discarded(),
+            out.dataset.measurements,
+            "every measurement must be converted or discarded"
+        );
+        assert!(conversion.total_discarded() > 0);
+        assert!(conversion.conversion_rate() > 0.5);
     }
 }
