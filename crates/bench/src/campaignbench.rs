@@ -1,74 +1,55 @@
-//! `bench campaign` — end-to-end campaign throughput: measurements/sec
-//! through the **fused** sim→engine path
-//! (`churnlab_engine::campaign::run_fused`) at several generator thread
-//! counts, against a serial `Platform::run` reference, written as one
-//! JSON document (`BENCH_campaign.json`).
+//! `bench campaign` — the fused sim→engine wire
+//! (`churnlab_engine::campaign::run_fused`) swept over generator thread
+//! counts, held to one serial reference, written as one JSON document.
 //!
 //! ```text
 //! bench campaign                                  # smoke, report on stdout
-//! bench campaign --threads 1,2,4,8 --repeats 3 --assert-scaling
-//! bench campaign --baseline BENCH_campaign.json --out BENCH_campaign.json --require-gate
+//! bench campaign --threads 1,2,4,8 --repeats 3 --assert-scaling --out BENCH_campaign.json
 //! ```
 //!
-//! Where `enginebench` times the engine over a *pre-collected* campaign
-//! (isolating tomography cost), this module times the whole wire:
-//! simulation, anomaly detection, noise, channel hop, conversion, and
-//! incremental solving — the number a deployed measurement platform
-//! actually experiences. Correctness rides along: every row's
-//! [`churnlab_core::report::CanonicalReport`] digest must equal the
-//! serial reference's, so the sweep re-proves the parallel runner's
-//! byte-equality claim at every thread count it times, and aborts
-//! before any report is written otherwise.
+//! It gates shapes, not speed: the wire's end-to-end throughput is
+//! `benchmark/`'s `fused-small` `meas_per_s`, judged paired against the
+//! parent commit. What a run holds (exit 1 or a panic otherwise):
+//!
+//! * **Byte-identity.** One untimed serial pass — `Platform::run`
+//!   feeding a one-shard engine — gives the
+//!   [`churnlab_core::report::CanonicalReport`] digest every fused pass,
+//!   at every thread count and repeat, must equal; a divergence panics
+//!   before any report is written.
+//! * **The generator's allocations.** `gen_allocs_per_meas` is heap
+//!   allocations per measurement over one serial `Platform::run` pass
+//!   into a dropping sink, counted by the binary's
+//!   allocator (the one `bench route` audits with). Every run fails above
+//!   [`MAX_GEN_ALLOCS_PER_MEAS`]: the generator's steady state is its
+//!   per-test scratch, not the allocator. The count reads zero unless the
+//!   process runs the `bench` binary, so a library caller's run passes it
+//!   trivially.
+//! * **Scaling** (`--assert-scaling`, the shared [`crate::gate`]). Each
+//!   row carries two efficiency figures relative to the 1-thread row:
+//!   `wallclock_efficiency` — `(meas/s at N threads) / (meas/s at 1) / N`,
+//!   meaningful only when the machine has at least N cores — and
+//!   `model_efficiency` — `C_1 / (N × C_N)` over the runner's per-worker
+//!   busy-time attribution (`C_k` = the slowest worker's busy nanos at
+//!   `k` threads, minimized over repeats), which exposes a serialized
+//!   runner (one worker doing all the generation) even on a box with
+//!   fewer cores than workers. A flat thread curve — workers contending
+//!   on a shared lock, or one worker claiming the whole corpus — fails
+//!   both.
 //!
 //! The corpus is [`URLS`] URLs at every scale. The parallel runner deals
 //! (URL, testing day) units round-robin, so every worker gets a slice of
 //! every URL: a URL whose paths cross an acting censor costs several
 //! times a quiet one, and whole URLs as units would make an 8-thread row
 //! measure which worker drew the costly URLs, not scaling.
-//!
-//! `--baseline`, `--require-gate`, `--update-baseline` and
-//! `--assert-scaling` are the shared [`crate::gate`]s, over the
-//! speedup-vs-serial ratio. Each row carries two **scaling efficiency**
-//! figures relative to the 1-thread fused row:
-//!
-//! * `wallclock_efficiency` — `(meas/s at N threads) / (meas/s at 1) / N`,
-//!   meaningful only when the machine has at least N cores;
-//! * `model_efficiency` — `C_1 / (N × C_N)` over the runner's per-worker
-//!   busy-time attribution (`C_k` = the slowest worker's busy nanos at
-//!   `k` threads, minimized over repeats), which exposes a serialized
-//!   runner (one worker doing all the generation) even on a box with
-//!   fewer cores than workers.
-//!
-//! A flat thread curve — workers contending on a shared lock, or one
-//! worker claiming the whole corpus — fails both.
-//!
-//! The report also carries `gen_allocs_per_meas`: heap allocations per
-//! measurement over one serial `Platform::run` pass on the warm simulator
-//! into a dropping sink, counted by the binary's allocator (the one
-//! `bench route` audits with). A run gated against a `--baseline` fails
-//! above [`MAX_GEN_ALLOCS_PER_MEAS`] — the generator's steady state is
-//! its per-test scratch, not the allocator.
-//!
-//! And `fusion_inflation`: what feeding the engine costs the generator
-//! *on its own thread* — the 1-thread fused row's generator busy time
-//! over the busy time of the same pass into a dropping sink. The wire
-//! hands the shard flat copies and frees each measurement where it was
-//! made, so the ratio should read ~1.0; when measurements crossed the
-//! channel themselves, to be freed by the shard, it read 1.37 on two
-//! cores (glibc's cross-thread free path, paid by the allocating
-//! thread). With both threads on one core (`taskset -c 0`) they share a
-//! cache and the penalty mostly vanishes, so there the number is a
-//! diagnostic; a gated run with two or more cores fails above
-//! `MAX_FUSION_INFLATION` (1.15).
 
-use crate::cli::{self, Args, Flag, Kind, Sub, OUT, POSITIVE, REPEATS, SCALE_SMOKE, SEED};
-use crate::gate::{self, AsSweep, Gate, Plan, Sweep, SweepRow};
+use crate::cli::{Args, Flag, Kind, Sub, OUT, POSITIVE, REPEATS, SCALE_SMOKE, SEED};
+use crate::gate::{self, Gate, Sweep, SweepRow};
 use crate::routebench::counting_allocs;
 use crate::{scale_label, Bench};
 use churnlab_core::pipeline::PipelineConfig;
 use churnlab_engine::{campaign, Engine, EngineConfig};
 use churnlab_platform::{CampaignBusy, Platform, PlatformConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -86,14 +67,10 @@ pub const URLS: usize = 64;
 /// [`Measurement`]: churnlab_platform::Measurement
 pub const MAX_GEN_ALLOCS_PER_MEAS: f64 = 4.0;
 
-/// Ceiling on [`CampaignReport::fusion_inflation`] where the generator
-/// and the shard can run on cores of their own.
-const MAX_FUSION_INFLATION: f64 = 1.15;
-
 /// `bench campaign`.
 pub const SUB: Sub = Sub {
     name: "campaign",
-    about: "fused sim→engine throughput vs a serial reference; regression and scaling gates",
+    about: "fused sim→engine thread sweep: serial-digest, allocation and scaling gates",
     flags: &[
         SCALE_SMOKE,
         SEED,
@@ -101,21 +78,17 @@ pub const SUB: Sub = Sub {
         Flag::new("--shards", POSITIVE, "2", "engine shards (fixed across the sweep)"),
         REPEATS,
         OUT,
-        gate::BASELINE,
-        gate::REQUIRE_GATE,
-        gate::UPDATE_BASELINE,
         gate::ASSERT_SCALING,
         gate::MIN_EFFICIENCY,
     ],
     positional: None,
-    rules: &[gate::REFRESH_IS_UNGATED],
+    rules: &[],
     run,
 };
 
 /// An assembled study plus the fixed tomography config — the workload
-/// every thread count is timed against. The platform and simulator are
-/// built once; each timed pass builds a fresh engine and re-runs the
-/// campaign through it.
+/// every thread count runs. The platform and simulator are built once;
+/// each pass builds a fresh engine and re-runs the campaign through it.
 pub struct CampaignHarness<'w> {
     /// The platform (vantage fleet, URL corpus, schedule).
     pub platform: Platform<'w>,
@@ -135,15 +108,13 @@ impl<'w> CampaignHarness<'w> {
         CampaignHarness { platform, sim, cfg }
     }
 
-    /// Time one serial pass — `Platform::run` feeding a 1-shard engine
-    /// measurement by measurement — returning seconds, the measurement
-    /// count, and the canonical-report digest every fused row must match.
-    pub fn time_serial(&self) -> (f64, u64, u64) {
-        let start = Instant::now();
+    /// One serial pass — `Platform::run` feeding a 1-shard engine
+    /// measurement by measurement — returning the measurement count and
+    /// the canonical-report digest every fused pass must match.
+    pub fn serial(&self) -> (u64, u64) {
         let engine = Engine::new(&self.platform, EngineConfig::new(self.cfg.clone()));
         let stats = self.platform.run(&self.sim, |m| engine.ingest_owned(m));
-        let digest = engine.finish().canonical_report().digest();
-        (start.elapsed().as_secs_f64(), stats.measurements, digest)
+        (stats.measurements, engine.finish().canonical_report().digest())
     }
 
     /// Time one fused pass at `threads` generator workers over a
@@ -158,18 +129,11 @@ impl<'w> CampaignHarness<'w> {
         (start.elapsed().as_secs_f64(), digest, run.busy)
     }
 
-    /// The generator's busy nanoseconds over one pass into a dropping
-    /// sink — the denominator of [`CampaignReport::fusion_inflation`],
-    /// on the clock the fused rows' busy attribution reads. Call it after
-    /// a timed pass, so the simulator's route trees are cached.
-    pub fn gen_alone_nanos(&self) -> u64 {
-        self.platform.run_parallel(&self.sim, 1, |_worker| drop).busy.max_nanos()
-    }
-
     /// Heap allocations per measurement over one serial generator pass
-    /// into a dropping sink. Call it after a timed pass, so the
-    /// simulator's route trees are cached; reads zero unless the process
-    /// runs the `bench` binary's counting allocator.
+    /// into a dropping sink, buffers and route trees included (a pass
+    /// builds its own, so the count does not hang on what ran before);
+    /// reads zero unless the process runs the `bench` binary's counting
+    /// allocator.
     pub fn gen_allocs_per_meas(&self) -> f64 {
         let (stats, allocs) = counting_allocs(|| self.platform.run(&self.sim, drop));
         allocs as f64 / stats.measurements.max(1) as f64
@@ -177,7 +141,7 @@ impl<'w> CampaignHarness<'w> {
 }
 
 /// One fused timing row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignRow {
     /// Generator worker count.
     pub threads: usize,
@@ -187,29 +151,23 @@ pub struct CampaignRow {
     pub secs: f64,
     /// Measurements generated and solved per second, end to end.
     pub meas_per_sec: f64,
-    /// Ratio vs the serial reference's measurements/sec.
-    pub speedup_vs_serial: f64,
     /// Wall-clock scaling efficiency vs the sweep's 1-thread row. Only
     /// meaningful when `available_cores >= threads`.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub wallclock_efficiency: Option<f64>,
     /// Busy-time-model scaling efficiency vs the 1-thread row:
     /// `C_1 / (threads × C_N)`, `C_k` = slowest worker's busy nanos
     /// (minimized over repeats — the noise-floor estimator).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub model_efficiency: Option<f64>,
     /// Slowest worker's busy nanos in the best repeat.
     pub busy_max_nanos: u64,
     /// Sum of all workers' busy nanos in the best repeat.
     pub busy_total_nanos: u64,
-    /// Every repeat's canonical-report digest equalled the serial
-    /// reference's. Anything but `true` is a correctness bug, and
-    /// [`run_campaign_sweep`] panics before writing such a row.
-    pub digest_matches_serial: bool,
 }
 
-/// The full campaign throughput report (`BENCH_campaign.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The sweep's report (what `--out` writes).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignReport {
     /// Workload scale label.
     pub scale: String,
@@ -224,31 +182,20 @@ pub struct CampaignReport {
     /// Whether worker busy time was per-thread on-CPU time rather than
     /// the wall-interval fallback (decides the gate's preferred basis).
     pub busy_cpu_attributed: bool,
-    /// Serial reference best-of-repeats seconds.
-    pub serial_secs: f64,
-    /// Serial reference measurements/sec.
-    pub serial_meas_per_sec: f64,
-    /// The serial reference's canonical-report digest (hex).
+    /// The serial reference's canonical-report digest (hex), which every
+    /// fused pass of every row equalled.
     pub digest: String,
     /// Generator heap allocations per measurement, steady state (see
     /// [`CampaignHarness::gen_allocs_per_meas`]).
-    #[serde(default)]
     pub gen_allocs_per_meas: f64,
-    /// The 1-thread fused row's generator busy time over the busy time of
-    /// a generator pass into a dropping sink, each the least of its
-    /// repeats: what the wire costs the generating thread (see the module
-    /// docs). Absent when the sweep has no 1-thread row.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub fusion_inflation: Option<f64>,
     /// One row per thread count.
     pub rows: Vec<CampaignRow>,
 }
 
-/// Run the sweep: best-of-`repeats` serial reference, then best-of-
-/// `repeats` fused passes at each thread count, asserting digest
-/// identity on **every** pass. Panics on a digest mismatch — a perf
-/// report for a parallel runner that changed the answer is worse than
-/// no report.
+/// Run the sweep: one serial reference, then best-of-`repeats` fused
+/// passes at each thread count, asserting digest identity on **every**
+/// pass. Panics on a digest mismatch — a report for a parallel runner
+/// that changed the answer is worse than no report.
 pub fn run_campaign_sweep(
     harness: &CampaignHarness<'_>,
     scale_label: &str,
@@ -258,12 +205,7 @@ pub fn run_campaign_sweep(
     repeats: usize,
 ) -> CampaignReport {
     let repeats = repeats.max(1);
-
-    let serial: Vec<(f64, u64, u64)> = (0..repeats).map(|_| harness.time_serial()).collect();
-    let n = serial[0].1;
-    let digest = serial[0].2;
-    let serial_secs = serial.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-    let serial_meas_per_sec = n as f64 / serial_secs;
+    let (n, digest) = harness.serial();
 
     let mut rows = Vec::new();
     let mut min_crit = Vec::new(); // per-row noise-floor critical path
@@ -284,18 +226,15 @@ pub fn run_campaign_sweep(
         // repeat's attribution.
         let (secs, _, busy) =
             runs.into_iter().min_by(|a, b| a.0.total_cmp(&b.0)).expect("repeats >= 1");
-        let meas_per_sec = n as f64 / secs;
         rows.push(CampaignRow {
             threads,
             shards,
             secs,
-            meas_per_sec,
-            speedup_vs_serial: meas_per_sec / serial_meas_per_sec,
+            meas_per_sec: n as f64 / secs,
             wallclock_efficiency: None, // filled below, needs the 1-thread row
             model_efficiency: None,
             busy_max_nanos: busy.max_nanos(),
             busy_total_nanos: busy.total_nanos(),
-            digest_matches_serial: true,
         });
     }
 
@@ -309,10 +248,6 @@ pub fn run_campaign_sweep(
         (row.wallclock_efficiency, row.model_efficiency) =
             gate::efficiency(base, row.threads, row.meas_per_sec, crit);
     }
-    let fusion_inflation = base.map(|(_, fused_nanos)| {
-        let alone = (0..repeats).map(|_| harness.gen_alone_nanos()).min().expect("repeats >= 1");
-        fused_nanos as f64 / alone.max(1) as f64
-    });
 
     CampaignReport {
         scale: scale_label.to_string(),
@@ -321,26 +256,22 @@ pub fn run_campaign_sweep(
         measurements: n,
         available_cores: std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1),
         busy_cpu_attributed: cpu_attributed,
-        serial_secs,
-        serial_meas_per_sec,
         digest: format!("{digest:016x}"),
         gen_allocs_per_meas: harness.gen_allocs_per_meas(),
-        fusion_inflation,
         rows,
     }
 }
 
-impl AsSweep for CampaignReport {
-    fn sweep(&self) -> Sweep {
+impl CampaignReport {
+    /// The scaling gate's view of the sweep.
+    pub fn sweep(&self) -> Sweep {
         let rows = self.rows.iter().map(|r| SweepRow {
             n: r.threads,
-            speedup: r.speedup_vs_serial,
             wallclock_efficiency: r.wallclock_efficiency,
             model_efficiency: r.model_efficiency,
         });
         Sweep {
             unit: "thread",
-            workload: format!("{}/{} urls", self.scale, self.urls),
             cores: self.available_cores,
             busy_cpu_attributed: self.busy_cpu_attributed,
             rows: rows.collect(),
@@ -349,10 +280,6 @@ impl AsSweep for CampaignReport {
 }
 
 fn run(args: &Args) -> ExitCode {
-    let plan = match Plan::from_args::<CampaignReport>(args, "BENCH_campaign.json") {
-        Ok(plan) => plan,
-        Err(msg) => return cli::usage_error(&msg),
-    };
     let scale = args.scale().expect("--scale has a default");
     let (seed, shards, repeats): (u64, usize, usize) =
         (args.req("--seed"), args.req("--shards"), args.req("--repeats"));
@@ -366,18 +293,14 @@ fn run(args: &Args) -> ExitCode {
     );
     let report = run_campaign_sweep(&harness, scale_label(scale), seed, &threads, shards, repeats);
 
-    eprintln!(
-        "serial:     {:>10.0} meas/s ({:.3}s, {} measurements, digest {})",
-        report.serial_meas_per_sec, report.serial_secs, report.measurements, report.digest
-    );
+    eprintln!("serial:     {} measurements, digest {}", report.measurements, report.digest);
     for row in &report.rows {
         eprintln!(
-            "fused/{:<2}t  {:>10.0} meas/s ({:.3}s) speedup {:>5.2}x eff wall {} model {}  \
+            "fused/{:<2}t  {:>10.0} meas/s ({:.3}s) eff wall {} model {}  \
              [busy max {:.3}s total {:.3}s]",
             row.threads,
             row.meas_per_sec,
             row.secs,
-            row.speedup_vs_serial,
             gate::show_efficiency(row.wallclock_efficiency),
             gate::show_efficiency(row.model_efficiency),
             row.busy_max_nanos as f64 / 1e9,
@@ -385,31 +308,18 @@ fn run(args: &Args) -> ExitCode {
         );
     }
     eprintln!("generator:  {:>10.2} allocations/measurement, steady state", report.gen_allocs_per_meas);
-    if let Some(inflation) = report.fusion_inflation {
-        eprintln!("wire:       {inflation:>10.2}x generator busy, fused over a dropping sink");
-    }
     let gate = Gate { who: "campaign", journal: None };
-    let mut over_ceiling = Vec::new();
-    if plan.baseline.is_some() {
-        if report.gen_allocs_per_meas > MAX_GEN_ALLOCS_PER_MEAS {
-            over_ceiling.push(format!(
-                "generator allocates {:.2} times per measurement (ceiling {MAX_GEN_ALLOCS_PER_MEAS})",
-                report.gen_allocs_per_meas
-            ));
-        }
-        // On one core the two threads share a cache and the number says
-        // little; off the on-CPU clock it is not a busy ratio at all.
-        let inflation = report
-            .fusion_inflation
-            .filter(|_| report.available_cores >= 2 && report.busy_cpu_attributed);
-        if let Some(inflation) = inflation.filter(|&i| i > MAX_FUSION_INFLATION) {
-            over_ceiling.push(format!(
-                "feeding the engine inflates the generator's busy time {inflation:.2}x \
-                 (ceiling {MAX_FUSION_INFLATION})"
-            ));
-        }
+    let mut failures = Vec::new();
+    if report.gen_allocs_per_meas > MAX_GEN_ALLOCS_PER_MEAS {
+        failures.push(format!(
+            "generator allocates {:.2} times per measurement (ceiling {MAX_GEN_ALLOCS_PER_MEAS})",
+            report.gen_allocs_per_meas
+        ));
     }
-    let failures = plan.conclude(&gate, &report.sweep(), &report, over_ceiling);
+    if let Some(min_efficiency) = args.get("--min-efficiency").filter(|_| args.has("--assert-scaling")) {
+        failures.extend(gate::assert_scaling(&gate, &report.sweep(), min_efficiency).err());
+    }
+    gate::write_report(gate.who, args.text("--out"), &report);
     gate::verdict(gate.who, &failures)
 }
 
@@ -429,8 +339,8 @@ mod tests {
         assert_eq!(report.rows.len(), 2);
         assert!(report.measurements > 0);
         assert_eq!(report.urls, URLS);
+        assert_eq!(report.digest, format!("{:016x}", harness.serial().1));
         for row in &report.rows {
-            assert!(row.digest_matches_serial);
             assert!(row.meas_per_sec > 0.0);
             assert!(row.busy_total_nanos >= row.busy_max_nanos);
             assert!(row.busy_max_nanos > 0);
@@ -439,11 +349,5 @@ mod tests {
         assert_eq!(one.threads, 1);
         assert!((one.wallclock_efficiency.unwrap() - 1.0).abs() < 1e-9);
         assert!((one.model_efficiency.unwrap() - 1.0).abs() < 1e-9);
-        let inflation = report.fusion_inflation.expect("the sweep has a 1-thread row");
-        assert!(inflation > 0.5 && inflation < 3.0, "fused/alone generator busy: {inflation}");
-        // The report round-trips (the regression gate reads it back).
-        let json = serde_json::to_string(&report).expect("report serializes");
-        let back: CampaignReport = serde_json::from_str(&json).expect("report parses");
-        assert_eq!(back, report);
     }
 }

@@ -74,7 +74,7 @@
 //! engine events plus the gates' `gate_armed`/`gate_skipped` outcomes.
 
 use crate::cli::{Args, Flag, Kind, Rule, Sub, OUT, REPEATS, SCALE_SMOKE, SEED, UINT};
-use crate::gate::{self, AsSweep, Gate, Sweep, SweepRow};
+use crate::gate::{self, Gate, Sweep, SweepRow};
 use crate::obsbench::{BenchObs, MetricsWriter};
 use crate::routebench::counting_allocs;
 use crate::{scale_label, Bench};
@@ -346,20 +346,16 @@ pub struct ThroughputReport {
     pub engine: Vec<ThroughputRow>,
 }
 
-impl AsSweep for ThroughputReport {
-    /// A row's speedup is over the sweep's own 1-shard row, its control
-    /// (1 without one); no regression gate reads it.
-    fn sweep(&self) -> Sweep {
-        let one = self.engine.iter().find(|r| r.shards == 1).map(|r| r.meas_per_sec);
+impl ThroughputReport {
+    /// The scaling gate's view of the sweep.
+    pub fn sweep(&self) -> Sweep {
         let rows = self.engine.iter().map(|r| SweepRow {
             n: r.shards,
-            speedup: one.map_or(1.0, |one| r.meas_per_sec / one),
             wallclock_efficiency: r.wallclock_efficiency,
             model_efficiency: r.model_efficiency,
         });
         Sweep {
             unit: "shard",
-            workload: self.scale.clone(),
             cores: self.available_cores,
             busy_cpu_attributed: true,
             rows: rows.collect(),

@@ -1,70 +1,43 @@
-//! The one gate module behind `bench engine` and `bench campaign`, the
-//! baseline handling `bench route` shares with them, and the one report
-//! writer behind every subcommand.
+//! The scaling gate `bench engine` and `bench campaign` share, the
+//! baseline handling `bench route` keeps, and the one report writer
+//! behind every subcommand.
 //!
 //! Both sweeps produce rows keyed by a worker count (shards, generator
-//! threads) that carry a speedup over an in-process control (the serial
-//! campaign; the engine's own 1-shard row) and two scaling-efficiency
-//! figures; [`Sweep`] is that view, and everything here is written once
-//! over it:
+//! threads) that carry two scaling-efficiency figures against the
+//! sweep's own 1-worker row; [`Sweep`] is that view:
 //!
-//! * **Regression gate** (`--baseline FILE`, `bench campaign` only):
-//!   every count both reports cover must keep at least
-//!   [`REGRESSION_FLOOR`] of the baseline's speedup. The *ratio* is compared, not raw measurements/sec, because
-//!   machines differ; the control timed in the same process is the
-//!   machine-speed reference. The gate arms only against a comparable
-//!   baseline (same workload, same core count, a shared row) and every
-//!   skip is announced loudly — a silently skipped gate is how a flat
-//!   shard curve once survived three PRs. `--require-gate` turns a skip
-//!   into a failure.
 //! * **Scaling gate** (`--assert-scaling`): efficiency at the highest
 //!   count must reach `--min-efficiency`, on the wall clock when the
 //!   process sees that many cores and otherwise on the core-count-
 //!   independent busy-time model, so a serialized engine fails on any
 //!   runner.
-//! * **Judge first, write second.** The baseline is read before the run
-//!   and the report is written only after every gate has spoken, and a
-//!   run that failed a gate never replaces the baseline it was read
-//!   from: `--baseline X --out X` (CI's spelling) leaves `X` untouched
-//!   on failure, so running it again cannot compare the regression with
-//!   itself. `--update-baseline` writes the run as the new baseline
-//!   without gating it against the old one.
+//! * **Judge first, write second** (`bench route --baseline`). The
+//!   baseline is read before the run and the report is written only
+//!   after every gate has spoken, and a run that failed a gate never
+//!   replaces the baseline it was read from: `--baseline X --out X`
+//!   leaves `X` untouched on failure.
+//!
+//! End-to-end throughput is not judged here: `benchmark/`'s workloads
+//! time it, paired against the parent commit.
 
-use crate::cli::{Args, Flag, Kind, Rule, FRACTION};
+use crate::cli::{Flag, Kind, FRACTION};
 use churnlab_obs::Journal;
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
 
-/// Fraction of the baseline speedup a run must retain.
-pub const REGRESSION_FLOOR: f64 = 0.8;
-
-// The flag rows (and the rule) a gated sweep's table carries next to
-// its own.
-/// `--baseline FILE`.
-pub const BASELINE: Flag =
-    Flag::new("--baseline", Kind::Text, "", "gate speedups against this committed report");
-/// `--require-gate`.
-pub const REQUIRE_GATE: Flag =
-    Flag::new("--require-gate", Kind::Switch, "", "exit 1 when the regression gate does not arm");
-/// `--update-baseline`.
-pub const UPDATE_BASELINE: Flag =
-    Flag::new("--update-baseline", Kind::Switch, "", "write this run as the new baseline, ungated");
+// The flag rows a scaling sweep's table carries next to its own.
 /// `--assert-scaling`.
 pub const ASSERT_SCALING: Flag =
     Flag::new("--assert-scaling", Kind::Switch, "", "exit 1 unless efficiency at the top count reaches --min-efficiency");
 /// `--min-efficiency X`.
 pub const MIN_EFFICIENCY: Flag =
     Flag::new("--min-efficiency", FRACTION, "0.7", "scaling-efficiency floor, as a fraction of linear");
-/// A refreshed baseline has nothing to be gated against.
-pub const REFRESH_IS_UNGATED: Rule = Rule::Conflict("--update-baseline", "--require-gate");
 
 /// One row of a sweep as the gates see it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepRow {
     /// Worker count the row ran at.
     pub n: usize,
-    /// Throughput over the in-process control.
-    pub speedup: f64,
     /// Wall-clock efficiency against the sweep's 1-worker row.
     pub wallclock_efficiency: Option<f64>,
     /// Busy-time-model efficiency against the sweep's 1-worker row.
@@ -76,20 +49,12 @@ pub struct SweepRow {
 pub struct Sweep {
     /// What a row's count counts (`shard`, `thread`).
     pub unit: &'static str,
-    /// What ran; speedups compare only between equal workloads.
-    pub workload: String,
     /// Cores the process saw.
     pub cores: usize,
     /// Whether busy time was on-CPU time rather than wall intervals.
     pub busy_cpu_attributed: bool,
     /// The rows.
     pub rows: Vec<SweepRow>,
-}
-
-/// A report the gates can judge.
-pub trait AsSweep {
-    /// The gates' view of it.
-    fn sweep(&self) -> Sweep;
 }
 
 /// Wall-clock and busy-model efficiency of a row against the sweep's
@@ -144,67 +109,10 @@ impl Gate<'_> {
         self.emit("gate_armed", gate, "detail", detail);
     }
 
-    /// The gate could not judge the run.
-    pub fn skipped(&self, gate: &str, reason: &str) {
-        self.emit("gate_skipped", gate, "reason", reason);
-        warn_loudly(self.who, &format!("{reason}; {gate} gate NOT armed"));
-    }
-
     /// The gate judges the run, but not on the basis it prefers.
     pub fn fallback(&self, gate: &str, preferred: &str, reason: &str) {
         self.emit("gate_skipped", &format!("{gate}/{preferred}"), "reason", reason);
         warn_loudly(self.who, reason);
-    }
-}
-
-/// What the regression gate made of a run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Regression {
-    /// The baseline is not comparable; why.
-    Skipped(String),
-    /// Every shared count kept its speedup; how many were compared.
-    Passed(usize),
-    /// One message per count that lost more than 20%.
-    Failed(Vec<String>),
-}
-
-/// Hold a run against a baseline report.
-pub fn check_regression(run: &Sweep, baseline: &Sweep) -> Regression {
-    if baseline.workload != run.workload {
-        return Regression::Skipped(format!(
-            "baseline workload `{}` != run workload `{}`",
-            baseline.workload, run.workload
-        ));
-    }
-    // A speedup over the control depends on how many cores the workers
-    // spread over, not only on machine speed: CI pins one lane to the
-    // 1-core baseline and leaves the scaling lane unpinned.
-    if baseline.cores != run.cores {
-        return Regression::Skipped(format!(
-            "baseline has {} core(s), this run {} (pin the run to match, e.g. \
-             `taskset -c 0`, or refresh the baseline)",
-            baseline.cores, run.cores
-        ));
-    }
-    let mut compared = 0;
-    let mut failures = Vec::new();
-    for base in &baseline.rows {
-        let Some(row) = run.rows.iter().find(|r| r.n == base.n) else { continue };
-        compared += 1;
-        let floor = base.speedup * REGRESSION_FLOOR;
-        if row.speedup < floor {
-            failures.push(format!(
-                "{} {}(s): speedup {:.2}x fell more than 20% below baseline {:.2}x (floor {floor:.2}x)",
-                row.n, run.unit, row.speedup, base.speedup
-            ));
-        }
-    }
-    if compared == 0 {
-        Regression::Skipped(format!("baseline shares no {} counts with this run", run.unit))
-    } else if failures.is_empty() {
-        Regression::Passed(compared)
-    } else {
-        Regression::Failed(failures)
     }
 }
 
@@ -273,26 +181,6 @@ pub fn write_report(who: &str, out: Option<&str>, report: &impl Serialize) {
     }
 }
 
-/// Where a run reads its baseline and writes its report: `--baseline`
-/// and `--out` as given, unless `--update-baseline` makes the run the new
-/// baseline — then nothing is read, and the report goes to the file either
-/// flag names, or to `committed` when neither does.
-pub fn targets<'a>(
-    args: &'a Args,
-    committed: &'a str,
-) -> Result<(Option<&'a str>, Option<&'a str>), String> {
-    let (baseline, out) = (args.text("--baseline"), args.text("--out"));
-    if !args.has("--update-baseline") {
-        return Ok((baseline, out));
-    }
-    if baseline.is_some() && out.is_some() && baseline != out {
-        return Err("--update-baseline with --baseline and --out naming different files \
-                    is ambiguous; name the target once"
-            .into());
-    }
-    Ok((None, Some(baseline.or(out).unwrap_or(committed))))
-}
-
 /// Read the report a `--baseline` names.
 pub fn read_baseline<R: Deserialize>(path: &str) -> Result<R, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read baseline {path}: {e}"))?;
@@ -319,86 +207,6 @@ pub fn write_judged(
     write_report(who, out.filter(|_| !protected), report);
 }
 
-/// What a gated sweep was asked to do with its report, settled — and the
-/// baseline read — before the run starts.
-pub struct Plan {
-    /// The baseline to gate against, with the path it was read from.
-    pub baseline: Option<(String, Sweep)>,
-    /// Where the report goes (stdout without).
-    pub out: Option<String>,
-    /// A regression gate that does not arm fails the run.
-    pub require_gate: bool,
-    /// `--assert-scaling`'s floor.
-    pub min_efficiency: Option<f64>,
-}
-
-impl Plan {
-    /// Settle the plan from a table that carries this module's flag rows
-    /// and `--out`; the baseline file holds a report of type `R`.
-    /// `committed` is the baseline `--update-baseline` refreshes when no
-    /// path is named.
-    pub fn from_args<R: AsSweep + Deserialize>(args: &Args, committed: &str) -> Result<Plan, String> {
-        let (baseline, out) = targets(args, committed)?;
-        let baseline = match baseline {
-            Some(path) => Some((path.to_string(), read_baseline::<R>(path)?.sweep())),
-            None => None,
-        };
-        Ok(Plan {
-            baseline,
-            out: out.map(str::to_string),
-            require_gate: args.has("--require-gate"),
-            min_efficiency: args.get("--min-efficiency").filter(|_| args.has("--assert-scaling")),
-        })
-    }
-
-    /// Judge a finished run — `run` is the gates' view of `report` — then
-    /// write the report. `failures` holds what the caller's own checks
-    /// already found; returned with the failures of the gates that were
-    /// asked for added.
-    pub fn conclude(
-        &self,
-        gate: &Gate<'_>,
-        run: &Sweep,
-        report: &impl Serialize,
-        mut failures: Vec<String>,
-    ) -> Vec<String> {
-        let who = gate.who;
-        if let Some(min_efficiency) = self.min_efficiency {
-            failures.extend(assert_scaling(gate, run, min_efficiency).err());
-        }
-
-        let armed = match self.baseline.as_ref().map(|(_, baseline)| check_regression(run, baseline)) {
-            None => false,
-            Some(Regression::Skipped(reason)) => {
-                gate.skipped("regression", &reason);
-                false
-            }
-            Some(Regression::Passed(compared)) => {
-                let detail = format!("{compared} {} count(s) compared", run.unit);
-                gate.armed("regression", &format!("pass — {detail}"));
-                eprintln!("{who}: gate armed — within 20% of baseline speedups ({detail})");
-                true
-            }
-            Some(Regression::Failed(msgs)) => {
-                gate.armed("regression", &format!("fail — {} regression(s)", msgs.len()));
-                failures.extend(msgs);
-                true
-            }
-        };
-        if self.require_gate && !armed {
-            failures.push(format!(
-                "--require-gate set but no regression gate armed{}",
-                if self.baseline.is_none() { " (no --baseline given)" } else { "" }
-            ));
-        }
-
-        // A rejected run never replaces the baseline that rejected it.
-        let baseline = self.baseline.as_ref().map(|(path, _)| path.as_str());
-        write_judged(who, self.out.as_deref(), baseline, !failures.is_empty(), report);
-        failures
-    }
-}
-
 /// The `--min-speedup` check of the in-process ratio benches: the
 /// failure to report when `speedup` is under the floor, if one was set.
 pub fn below_floor(floor: Option<f64>, label: &str, speedup: f64) -> Option<String> {
@@ -420,75 +228,52 @@ pub fn verdict(who: &str, failures: &[String]) -> ExitCode {
 mod tests {
     use super::*;
 
-    /// A sweep on `cores` cores; rows are `(n, speedup, wall-clock
-    /// efficiency, model efficiency)`.
-    fn sweep(workload: &str, cores: usize, rows: &[(usize, f64, f64, f64)]) -> Sweep {
-        let rows = rows.iter().map(|&(n, speedup, wall, model)| SweepRow {
+    /// A sweep on `cores` cores; rows are `(n, wall-clock efficiency,
+    /// model efficiency)`.
+    fn sweep(cores: usize, rows: &[(usize, f64, f64)]) -> Sweep {
+        let rows = rows.iter().map(|&(n, wall, model)| SweepRow {
             n,
-            speedup,
             wallclock_efficiency: Some(wall),
             model_efficiency: Some(model),
         });
-        Sweep { unit: "shard", workload: workload.into(), cores, busy_cpu_attributed: true, rows: rows.collect() }
+        Sweep { unit: "shard", cores, busy_cpu_attributed: true, rows: rows.collect() }
     }
 
     const QUIET: Gate<'static> = Gate { who: "test", journal: None };
 
     #[test]
-    fn regression_gate_arms_only_against_a_comparable_baseline() {
-        let base = sweep("small", 1, &[(1, 4.0, 1.0, 1.0), (8, 5.0, 0.1, 0.9)]);
-        let skipped = |run: &Sweep| matches!(check_regression(run, &base), Regression::Skipped(_));
-        assert!(skipped(&sweep("smoke", 1, &[(1, 4.0, 1.0, 1.0)])), "scale mismatch");
-        assert!(skipped(&sweep("small", 8, &[(1, 4.0, 1.0, 1.0)])), "core-count mismatch");
-        assert!(skipped(&sweep("small", 1, &[(2, 4.0, 1.0, 1.0)])), "no shared rows");
-        // 19% below the baseline passes, 21% below fails — row by row.
-        let run = sweep("small", 1, &[(1, 4.0 * 0.81, 1.0, 1.0), (4, 0.1, 1.0, 1.0), (8, 5.0, 0.1, 0.9)]);
-        assert_eq!(check_regression(&run, &base), Regression::Passed(2));
-        let run = sweep("small", 1, &[(1, 4.0, 1.0, 1.0), (8, 5.0 * 0.79, 0.1, 0.9)]);
-        assert!(matches!(check_regression(&run, &base), Regression::Failed(msgs) if msgs.len() == 1));
-    }
-
-    #[test]
     fn scaling_gate_picks_its_basis_from_the_core_count() {
-        let rows = [(1, 1.0, 1.0, 1.0), (8, 6.0, 0.75, 0.2)];
-        assert_eq!(assert_scaling(&QUIET, &sweep("s", 8, &rows), 0.7), Ok(WALL_CLOCK));
+        let rows = [(1, 1.0, 1.0), (8, 0.75, 0.2)];
+        assert_eq!(assert_scaling(&QUIET, &sweep(8, &rows), 0.7), Ok(WALL_CLOCK));
         // Fewer cores than workers: the model decides, and here it fails.
-        let err = assert_scaling(&QUIET, &sweep("s", 2, &rows), 0.7).unwrap_err();
+        let err = assert_scaling(&QUIET, &sweep(2, &rows), 0.7).unwrap_err();
         assert!(err.starts_with(BUSY_MODEL), "{err}");
-        let rows = [(1, 1.0, 1.0, 1.0), (8, 1.5, 0.2, 0.9)];
-        assert_eq!(assert_scaling(&QUIET, &sweep("s", 2, &rows), 0.7), Ok(BUSY_MODEL));
-        assert!(assert_scaling(&QUIET, &sweep("s", 8, &rows), 0.7).is_err());
-        let no_base = assert_scaling(&QUIET, &sweep("s", 8, &rows[1..]), 0.7).unwrap_err();
+        let rows = [(1, 1.0, 1.0), (8, 0.2, 0.9)];
+        assert_eq!(assert_scaling(&QUIET, &sweep(2, &rows), 0.7), Ok(BUSY_MODEL));
+        assert!(assert_scaling(&QUIET, &sweep(8, &rows), 0.7).is_err());
+        let no_base = assert_scaling(&QUIET, &sweep(8, &rows[1..]), 0.7).unwrap_err();
         assert!(no_base.contains("needs a 1-shard row"), "{no_base}");
-        assert!(assert_scaling(&QUIET, &sweep("s", 8, &rows[..1]), 0.7).is_err());
+        assert!(assert_scaling(&QUIET, &sweep(8, &rows[..1]), 0.7).is_err());
     }
 
-    /// CI spells it `--baseline X --out X`: a rejected run must leave `X`
-    /// byte-identical, or a second run compares the regression with itself.
+    /// `bench route --baseline X --out X`: a rejected run must leave `X`
+    /// byte-identical, or a second run judges against the rejected one.
     #[test]
     fn a_failing_gate_leaves_its_baseline_untouched() {
         let path = std::env::temp_dir().join(format!("churnlab_gate_{}.json", std::process::id()));
         let path = path.to_str().unwrap().to_string();
         std::fs::write(&path, "the committed baseline\n").unwrap();
-        let base = sweep("small", 1, &[(1, 4.0, 1.0, 1.0)]);
-        let plan = Plan {
-            baseline: Some((path.clone(), base.clone())),
-            out: Some(path.clone()),
-            require_gate: true,
-            min_efficiency: None,
-        };
-        let regressed = sweep("small", 1, &[(1, 2.0, 1.0, 1.0)]);
-        assert_eq!(plan.conclude(&QUIET, &regressed, &"rejected", vec![]).len(), 1);
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "the committed baseline\n");
-        // `--require-gate` with nothing armed is a failure too, and protects too.
-        let skipped = plan.conclude(&QUIET, &sweep("smoke", 1, &[(1, 9.0, 1.0, 1.0)]), &"rejected", vec![]);
-        assert!(skipped[0].contains("no regression gate armed"), "{skipped:?}");
+        let (out, baseline) = (Some(path.as_str()), Some(path.as_str()));
+        write_judged("test", out, baseline, true, &"rejected");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "the committed baseline\n");
         // A run that passes replaces it.
-        assert!(plan.conclude(&QUIET, &base, &"accepted", vec![]).is_empty());
+        write_judged("test", out, baseline, false, &"accepted");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "\"accepted\"\n");
+        // A rejected run still writes to a file other than its baseline.
+        let other = format!("{path}.out");
+        write_judged("test", Some(&other), baseline, true, &"rejected");
+        assert_eq!(std::fs::read_to_string(&other).unwrap(), "\"rejected\"\n");
         std::fs::remove_file(&path).unwrap();
-        let ungated = Plan { baseline: None, out: None, ..plan };
-        assert!(ungated.conclude(&QUIET, &base, &"unwritten", vec![])[0].contains("no --baseline given"));
+        std::fs::remove_file(&other).unwrap();
     }
 }

@@ -8,16 +8,17 @@
 //! | `experiments` | [`experiments`] | the paper's tables and figures, plus the two ablations |
 //! | `matrix` | [`matrix`] | the scenario grid and its invariants |
 //! | `engine` | [`enginebench`] | engine throughput; scaling, overhead and allocation gates |
-//! | `campaign` | [`campaignbench`] | fused sim→engine throughput; regression and scaling gates |
+//! | `campaign` | [`campaignbench`] | fused sim→engine thread sweep; serial-digest, allocation and scaling gates |
 //! | `replay` | [`replaybench`] | JSONL export / replay, verify, checkpoint and resume |
 //! | `longhaul` | [`longhaul`] | 100M-measurement streaming; RSS plateau gate |
 //! | `route` | [`routebench`] | a campaign unit's path lookups vs full route trees; speedup and zero-alloc gates |
 //!
 //! Every subcommand declares its flags as a table over the one parser in
-//! [`cli`]; the two sweeps share the gates in [`gate`], and every report
-//! goes through [`gate::write_report`]. End-to-end throughput numbers
-//! live in the repo's `benchmark/` package, not here: the `BENCH_*.json`
-//! files these subcommands write carry ratio, scaling and plateau gates.
+//! [`cli`]; the two sweeps share the scaling gate in [`gate`], and every
+//! report goes through [`gate::write_report`]. End-to-end throughput
+//! numbers live in the repo's `benchmark/` package, not here: the
+//! `BENCH_*.json` files these subcommands write carry ratio, scaling,
+//! allocation and plateau gates.
 //!
 //! The crate root holds the study-assembly helpers the subcommands share.
 

@@ -2,15 +2,16 @@
 //! its gates live in the `churnlab_bench` library (`bench --help` lists
 //! them); this file only adds what a library that forbids `unsafe` cannot
 //! hold: the counting global allocator behind `bench route`'s
-//! zero-allocation steady-state proof.
+//! zero-allocation steady-state proof and the allocation ceilings of
+//! `bench engine` and `bench campaign`.
 
 use churnlab_bench::routebench::{ALLOCS, COUNTING};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::Ordering::Relaxed;
 
-/// The system allocator behind a counter that counts only while
-/// `bench route` has [`COUNTING`] set: otherwise an allocation costs one
+/// The system allocator behind a counter that counts only while a
+/// `counting_allocs` pass has [`COUNTING`] set: otherwise an allocation costs one
 /// relaxed load of a flag nobody writes, so the shard workers of
 /// `bench engine --assert-scaling` never contend on the counter's cache
 /// line.
@@ -53,17 +54,26 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
+    use churnlab_bench::campaignbench::{CampaignHarness, MAX_GEN_ALLOCS_PER_MEAS};
     use churnlab_bench::routebench::counting_allocs;
     use churnlab_bench::Bench;
     use churnlab_platform::Platform;
     use churnlab_topology::WorldScale;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The counter sees every thread's allocations, so the tests of this
+    /// binary run one at a time.
+    fn alone() -> MutexGuard<'static, ()> {
+        static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+        ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     /// What a measurement owns, counted by this binary's allocator: a
     /// routed test's record is one heap block — cloning it is one
-    /// allocation — and a test with no route owns none. The only test in
-    /// this binary, since the counter sees every thread's allocations.
+    /// allocation — and a test with no route owns none.
     #[test]
     fn a_measurement_is_one_allocation() {
+        let _alone = alone();
         let bench = Bench::assemble(WorldScale::Smoke, 42);
         let platform = Platform::new(&bench.world, &bench.scenario, bench.platform_cfg.clone());
         let mut ms = Vec::new();
@@ -76,5 +86,20 @@ mod tests {
             assert_eq!(copy, *m);
             assert_eq!(allocs, u64::from(!m.failed), "{m:?}");
         }
+    }
+
+    /// `bench campaign`'s allocation ceiling on the smoke study: what the
+    /// generator allocates is its per-test scratch and the one block each
+    /// routed record owns.
+    #[test]
+    fn the_generator_stays_under_its_allocation_ceiling() {
+        let _alone = alone();
+        let bench = Bench::assemble(WorldScale::Smoke, 42);
+        let harness = CampaignHarness::assemble(&bench);
+        let per_meas = harness.gen_allocs_per_meas();
+        assert!(
+            per_meas > 0.0 && per_meas <= MAX_GEN_ALLOCS_PER_MEAS,
+            "{per_meas:.2} allocations a measurement (ceiling {MAX_GEN_ALLOCS_PER_MEAS})"
+        );
     }
 }

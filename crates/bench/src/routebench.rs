@@ -10,7 +10,7 @@
 //! bench route --min-speedup 2 --max-steady-allocs 0
 //! bench route --scale huge --min-reachability 0.95
 //! bench route --scale both --baseline BENCH_route.json   # + the timeline-size ceiling
-//! bench route --scale both --update-baseline             # refresh BENCH_route.json
+//! bench route --scale both --out BENCH_route.json        # refresh the committed report
 //! ```
 //!
 //! Two tiers are measured:
@@ -80,8 +80,8 @@ use std::time::Instant;
 
 /// The steady-state allocation audit: while `COUNTING` is set, the `bench`
 /// binary's global allocator adds every allocation to `ALLOCS`. Only
-/// [`SUB`]'s run sets it, around one steady-state pass, so every other
-/// subcommand's allocations cost one relaxed load of a flag nobody writes.
+/// [`counting_allocs`] sets it, around the pass it audits, so every other
+/// allocation costs one relaxed load of a flag nobody writes.
 pub static COUNTING: AtomicBool = AtomicBool::new(false);
 /// See [`COUNTING`].
 pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -110,7 +110,6 @@ pub const SUB: Sub = Sub {
         Flag::new("--min-reachability", FRACTION, "", "exit 1 unless this fraction of lookups routes"),
         Flag::new("--max-steady-allocs", UINT, "", "exit 1 if warm repeated passes allocate more"),
         Flag::new("--baseline", Kind::Text, "", "committed report: must parse, and arms the timeline-size ceiling"),
-        gate::UPDATE_BASELINE,
         OUT,
     ],
     positional: None,
@@ -453,10 +452,7 @@ fn run_tier(
 }
 
 fn run(args: &Args) -> ExitCode {
-    let (baseline, out) = match gate::targets(args, "BENCH_route.json") {
-        Ok(targets) => targets,
-        Err(msg) => return cli::usage_error(&msg),
-    };
+    let (baseline, out) = (args.text("--baseline"), args.text("--out"));
     // Judge first, write second: the baseline is read before the run.
     if let Some(Err(msg)) = baseline.map(gate::read_baseline::<RouteBenchReport>) {
         return cli::usage_error(&msg);

@@ -13,7 +13,6 @@
 //! * no production item sits below a source file's first top-level
 //!   `#[cfg(test)]`, the line the non-test line count stops at.
 
-use churnlab_bench::campaignbench::CampaignReport;
 use churnlab_bench::longhaul::LonghaulReport;
 use churnlab_bench::routebench::RouteBenchReport;
 use churnlab_topology::hash::fnv1a;
@@ -39,12 +38,23 @@ fn files_in(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<PathBuf> {
     files
 }
 
+/// The records that must exist; a deleted one fails by name.
+const RECORDS: [&str; 5] = [
+    "BENCH_longhaul.json",
+    "BENCH_route.json",
+    "benchmark/results/reference.jsonl",
+    "benchmark/results/set-a.jsonl",
+    "benchmark/results/set-b.jsonl",
+];
+
 #[test]
 fn committed_json_rewrites_byte_identically() {
     let root = root();
     let mut files = files_in(&root, |n| n.starts_with("BENCH_") && n.ends_with(".json"));
     files.extend(files_in(&root.join("benchmark/results"), |n| n.ends_with(".jsonl")));
-    assert!(files.len() >= 6, "expected the committed records, found {files:?}");
+    for record in RECORDS {
+        assert!(files.contains(&root.join(record)), "the committed record {record} is missing");
+    }
     for file in &files {
         let text = read(file);
         for (i, line) in text.lines().enumerate() {
@@ -89,17 +99,13 @@ fn count(x: f64) -> String {
     out
 }
 
-/// `x` to `places` decimals; `–` for a figure the record leaves out.
-fn fixed(x: impl Into<Option<f64>>, places: usize) -> String {
-    x.into().map_or_else(|| "–".to_string(), |x| format!("{x:.places$}"))
+/// `x` to `places` decimals.
+fn fixed(x: f64, places: usize) -> String {
+    format!("{x:.places$}")
 }
 
 fn times(x: f64) -> String {
     format!("{x:.2}×")
-}
-
-fn ms(nanos: u64) -> String {
-    format!("{:.1}", nanos as f64 / 1e6)
 }
 
 fn mib(bytes: u64) -> String {
@@ -128,56 +134,12 @@ fn render(root: &Path) -> String {
          are gate baselines; end-to-end throughput lives in `benchmark/`.\n\n",
     );
 
-    let c: CampaignReport = parse(root, "BENCH_campaign.json");
-    writeln!(
-        s,
-        "**Fused campaign.** {}: `{}` study, seed {}, {} URLs, {} measurements, available \
-         cores {}. The serial reference runs {} meas/s to digest `{}`; the generator makes {} heap \
-         allocations a measurement; fusion inflation {}.\n",
-        source(root, "BENCH_campaign.json", "bench campaign"),
-        c.scale,
-        c.seed,
-        c.urls,
-        count(c.measurements as f64),
-        c.available_cores,
-        count(c.serial_meas_per_sec),
-        c.digest,
-        fixed(c.gen_allocs_per_meas, 2),
-        fixed(c.fusion_inflation, 2)
-    )
-    .unwrap();
-    let rows = c.rows.iter().map(|r| {
-        vec![
-            r.threads.to_string(),
-            r.shards.to_string(),
-            count(r.meas_per_sec),
-            times(r.speedup_vs_serial),
-            fixed(r.wallclock_efficiency, 2),
-            fixed(r.model_efficiency, 3),
-            ms(r.busy_max_nanos),
-            ms(r.busy_total_nanos),
-            r.digest_matches_serial.to_string(),
-        ]
-    });
-    let head = [
-        "threads",
-        "shards",
-        "meas/s",
-        "vs serial",
-        "wall-clock efficiency",
-        "model efficiency",
-        "slowest worker busy ms",
-        "all workers busy ms",
-        "digest = serial",
-    ];
-    table(&mut s, &head, rows);
-
     let route: RouteBenchReport = parse(root, "BENCH_route.json");
     let src = source(root, "BENCH_route.json", "bench route");
     writeln!(
         s,
-        "**Routing.** {src}: path lookups through the simulator's cached trees and off full \
-         route trees, seed {}, best of {}:\n",
+        "**Routing.** {src}: path lookups through one `Routes` set, cleared between \
+         (dst, epoch) runs, and off full route trees, seed {}, best of {}:\n",
         route.seed, route.repeats
     )
     .unwrap();
