@@ -27,8 +27,8 @@
 //!   the ASes lookups walk through), cleared when the unit ends.
 //! * [`mod@reference`] — the pre-CSR compute path, retained as the
 //!   independent oracle both tree forms are held against.
-//! * [`stats`] — distinct-path counting over time windows (Figure 3's
-//!   statistic) and churn summaries.
+//! * [`stats`] — [`stats::DistinctPathDist`], Figure 3's distribution
+//!   of distinct paths per pair and window.
 //! * [`time`] — simulation time: epochs, days, and the day/week/month/year
 //!   windows the paper slices CNFs by.
 //!

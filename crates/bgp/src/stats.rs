@@ -1,27 +1,12 @@
-//! Path-churn statistics — the machinery behind Figure 3.
-//!
-//! The paper measures, for every (vantage point, destination) pair, how
-//! many *distinct AS-level paths* appear within each day, week, month, and
-//! the full year, reporting the fraction of pairs with ≥2 (i.e. any
-//! churn) and the distribution of distinct-path counts. These helpers
-//! compute those statistics from any source of timestamped paths — the
-//! platform feeds measured (traceroute-derived) paths; ablations can feed
-//! oracle paths straight from [`crate::RoutingSim`].
+//! Figure 3's statistic: the distribution of distinct AS-level paths a
+//! (vantage point, destination) pair shows within each day, week, month
+//! and the full year. The paper reports the fraction of pairs with ≥2
+//! (i.e. any churn) and the distribution of distinct-path counts;
+//! `churnlab_core::churnstats::ChurnAccumulator` counts them over the
+//! measured (traceroute-derived) paths.
 
-use crate::time::{Day, Granularity, TimeWindow};
+use crate::time::Granularity;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-
-/// One observed path sample: who, when, what.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct PathSample<K> {
-    /// Pair identifier (e.g. `(vantage_asn, dest_asn)`).
-    pub pair: K,
-    /// Day the path was observed.
-    pub day: Day,
-    /// The AS-level path, rendered as a stable key (e.g. the ASN list).
-    pub path: Vec<u32>,
-}
 
 /// Distribution of distinct-path counts per pair for one granularity:
 /// `dist[k]` = number of (pair, window) combos that observed exactly
@@ -51,167 +36,5 @@ impl DistinctPathDist {
     /// observed to change" number (25/30/38/67% in the paper).
     pub fn churn_fraction(&self) -> f64 {
         self.frac_at_least(2)
-    }
-}
-
-/// Compute distinct-path distributions at each granularity.
-///
-/// For sub-year granularities, each (pair, window) combo in which the pair
-/// was observed at least twice counts once; pairs observed once in a
-/// window cannot exhibit churn and are excluded (a pair must be *measured*
-/// repeatedly for churn to be observable — matching how the paper can only
-/// count distinct paths among performed measurements).
-pub fn distinct_path_distributions<K: Eq + std::hash::Hash + Clone>(
-    samples: &[PathSample<K>],
-    granularities: &[Granularity],
-    total_days: u32,
-) -> Vec<DistinctPathDist> {
-    granularities
-        .iter()
-        .map(|&g| {
-            type ComboStats<'a> = (HashSet<&'a [u32]>, u64);
-            let mut per_combo: HashMap<(K, TimeWindow), ComboStats<'_>> = HashMap::new();
-            for s in samples {
-                let w = TimeWindow::of(s.day, g, total_days);
-                let e = per_combo
-                    .entry((s.pair.clone(), w))
-                    .or_insert_with(|| (HashSet::new(), 0));
-                e.0.insert(&s.path);
-                e.1 += 1;
-            }
-            let mut buckets = [0u64; 5];
-            let mut total = 0u64;
-            for (paths, observations) in per_combo.values() {
-                if *observations < 2 {
-                    continue; // churn unobservable from one measurement
-                }
-                let k = paths.len().min(5);
-                buckets[k - 1] += 1;
-                total += 1;
-            }
-            DistinctPathDist { granularity: g, buckets, total }
-        })
-        .collect()
-}
-
-/// Per-pair distinct path count over the whole period (Figure 3's x-axis
-/// at year granularity), exposed separately for per-destination-class
-/// breakdowns.
-pub fn distinct_paths_per_pair<K: Eq + std::hash::Hash + Clone>(
-    samples: &[PathSample<K>],
-) -> HashMap<K, usize> {
-    let mut per_pair: HashMap<K, HashSet<&[u32]>> = HashMap::new();
-    for s in samples {
-        per_pair.entry(s.pair.clone()).or_default().insert(&s.path);
-    }
-    per_pair.into_iter().map(|(k, v)| (k, v.len())).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample(pair: u32, day: Day, path: &[u32]) -> PathSample<u32> {
-        PathSample { pair, day, path: path.to_vec() }
-    }
-
-    #[test]
-    fn stable_pair_counts_one_path() {
-        let samples: Vec<_> = (0..10).map(|d| sample(1, d, &[10, 20, 30])).collect();
-        let dists =
-            distinct_path_distributions(&samples, &[Granularity::Year], 365);
-        assert_eq!(dists[0].buckets, [1, 0, 0, 0, 0]);
-        assert_eq!(dists[0].churn_fraction(), 0.0);
-    }
-
-    #[test]
-    fn churny_pair_counts_multiple() {
-        let mut samples = vec![];
-        for d in 0..10 {
-            samples.push(sample(1, d, &[10, 20, 30]));
-            samples.push(sample(1, d, &[10, 25, 30]));
-        }
-        let dists = distinct_path_distributions(
-            &samples,
-            &[Granularity::Day, Granularity::Year],
-            365,
-        );
-        // Each of the 10 days has 2 distinct paths.
-        assert_eq!(dists[0].buckets, [0, 10, 0, 0, 0]);
-        assert_eq!(dists[0].churn_fraction(), 1.0);
-        // The year window sees 2 distinct paths once.
-        assert_eq!(dists[1].buckets, [0, 1, 0, 0, 0]);
-    }
-
-    #[test]
-    fn single_observation_windows_excluded() {
-        // One observation per day: day-granularity combos are all excluded,
-        // year granularity has 3 observations with 3 distinct paths.
-        let samples = vec![
-            sample(1, 0, &[1, 2]),
-            sample(1, 40, &[1, 3]),
-            sample(1, 80, &[1, 4]),
-        ];
-        let dists = distinct_path_distributions(
-            &samples,
-            &[Granularity::Day, Granularity::Year],
-            365,
-        );
-        assert_eq!(dists[0].total, 0);
-        assert_eq!(dists[1].buckets, [0, 0, 1, 0, 0]);
-    }
-
-    #[test]
-    fn five_plus_bucket_saturates() {
-        let samples: Vec<_> =
-            (0..8).map(|i| sample(1, 0, &[1, 100 + i])).collect();
-        let dists = distinct_path_distributions(&samples, &[Granularity::Day], 365);
-        assert_eq!(dists[0].buckets, [0, 0, 0, 0, 1]);
-        assert_eq!(dists[0].frac_at_least(5), 1.0);
-    }
-
-    #[test]
-    fn per_pair_counts() {
-        let samples = vec![
-            sample(1, 0, &[1, 2]),
-            sample(1, 5, &[1, 3]),
-            sample(2, 0, &[9, 9]),
-        ];
-        let counts = distinct_paths_per_pair(&samples);
-        assert_eq!(counts[&1], 2);
-        assert_eq!(counts[&2], 1);
-    }
-
-    #[test]
-    fn fractions_monotone_in_granularity() {
-        // Coarser windows can only see more distinct paths; verify on a
-        // synthetic flappy pair measured twice per day.
-        let mut samples = vec![];
-        for d in 0..365 {
-            samples.push(sample(1, d, &[10, 20 + (d % 7), 99]));
-            samples.push(sample(1, d, &[10, 20 + ((d + 1) % 7), 99]));
-        }
-        let dists = distinct_path_distributions(
-            &samples,
-            &[Granularity::Day, Granularity::Week, Granularity::Month, Granularity::Year],
-            365,
-        );
-        // Distinct counts: day=2, week≥2, month≥2, year=7; the mean distinct
-        // count is non-decreasing with window size.
-        let means: Vec<f64> = dists
-            .iter()
-            .map(|d| {
-                let weighted: u64 = d
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .map(|(i, n)| (i as u64 + 1) * n)
-                    .sum();
-                weighted as f64 / d.total as f64
-            })
-            .collect();
-        for w in means.windows(2) {
-            assert!(w[1] >= w[0] - 1e-9, "means not monotone: {means:?}");
-        }
     }
 }

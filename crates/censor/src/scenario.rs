@@ -369,11 +369,6 @@ impl CensorshipScenario {
         self.by_asn.get(&asn).map(|&i| &self.policies[i])
     }
 
-    /// True if `asn` is a censor (at any time).
-    pub fn is_censor(&self, asn: Asn) -> bool {
-        self.by_asn.contains_key(&asn)
-    }
-
     /// All censoring ASNs, sorted.
     pub fn censoring_asns(&self) -> Vec<Asn> {
         let mut v: Vec<Asn> = self.by_asn.keys().copied().collect();

@@ -2,18 +2,18 @@
 //! `churnlab-engine`.
 //!
 //! What is done with each analysed instance: fold backbone-definite
-//! censors into per-AS findings, feed censor-bearing instances to the
-//! §3.3 leakage analysis, and track the observability horizon.
-//! [`FindingsAccumulator`] holds that union, and
-//! [`FindingsAccumulator::record`] is the fold of one instance.
+//! censors into per-AS findings and feed censor-bearing instances to
+//! the §3.3 leakage analysis. [`FindingsAccumulator`] holds that union,
+//! and the engine's observability horizon beside it.
 //!
 //! The engine serves the union of its findings over and over while its
-//! instances change, so it keeps the union as counts instead:
+//! instances change, so it keeps the union as counts:
 //! [`FindingFacts`] is what one group of instances contributes, and
 //! [`FindingsTally`] counts the facts of every contribution it holds —
 //! one goes in when its group is solved and out when the group is
-//! re-solved or drained — and materializes the same
-//! [`FindingsAccumulator`] the contributions' folds would union to.
+//! re-solved or drained — and materializes their union as a
+//! [`FindingsAccumulator`]. The executable spec's findings fold
+//! (`churnlab_oracle::findings`) is what both are held against.
 
 use crate::analyze::InstanceOutcome;
 use crate::leakage::{for_each_leak, LeakageReport};
@@ -42,46 +42,12 @@ impl FindingsAccumulator {
         Self::default()
     }
 
-    /// Fold in one analysed instance given its outcome, the censored
-    /// AS-level paths it was built from (deduplicated observation order;
-    /// the set matters, not the order), and the AS → registered-country
-    /// lookup the leakage analysis needs (see
-    /// [`LeakageReport::ingest_paths`]).
-    pub fn record<'a>(
-        &mut self,
-        outcome: &InstanceOutcome,
-        censored_paths: impl IntoIterator<Item = &'a [Asn]> + Clone,
-        country_of: impl Fn(Asn) -> Option<CountryCode>,
-    ) {
-        for path in censored_paths.clone() {
-            self.on_censored_path.extend(path.iter().copied());
-        }
-        // Definite censors (backbone-true) count whether the CNF has one
-        // model or several — see `InstanceOutcome::censors`.
-        if outcome.censors.is_empty() {
-            return;
-        }
-        for asn in &outcome.censors {
-            let f = self.censor_findings.entry(*asn).or_insert_with(|| CensorFinding {
-                asn: *asn,
-                anomalies: BTreeSet::new(),
-                url_ids: BTreeSet::new(),
-                n_instances: 0,
-            });
-            f.anomalies.insert(outcome.key.anomaly);
-            f.url_ids.insert(outcome.key.url_id);
-            f.n_instances += 1;
-        }
-        self.leakage.ingest_paths(censored_paths, outcome, country_of);
-    }
-
     /// Merge another accumulator into this one. Findings and victim sets
-    /// union and instance counts add, so folding disjoint sets of
-    /// instances separately and merging gives exactly what one
-    /// accumulator fed all of them would hold — which is what lets the
-    /// engine fold each (URL × window) group once, where its cells are
-    /// built, and only union the results at report time. By reference:
-    /// the engine's per-group folds are shared with later reports.
+    /// union and instance counts add, so the unions of disjoint sets of
+    /// instances merge to the union of all of them — which is how the
+    /// engine joins its shards' reports, and joins them to what
+    /// compaction drained. By reference: the drained union outlives
+    /// every report.
     pub fn merge(&mut self, other: &FindingsAccumulator) {
         for (asn, f) in &other.censor_findings {
             match self.censor_findings.entry(*asn) {
@@ -116,9 +82,10 @@ pub struct FindingFacts {
 }
 
 impl FindingFacts {
-    /// Add one analysed instance's facts: what
-    /// [`FindingsAccumulator::record`] folds, on the same arguments, less
-    /// the observability horizon.
+    /// Add one analysed instance's facts, given its outcome, the
+    /// censored AS-level paths it was built from (the set matters, not
+    /// the order), and the AS → registered-country lookup
+    /// [`for_each_leak`] needs.
     pub fn record<'a>(
         &mut self,
         outcome: &InstanceOutcome,
@@ -198,122 +165,6 @@ impl FindingsTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::InstanceKey;
-    use churnlab_bgp::{Granularity, TimeWindow};
-    use churnlab_sat::Solvability;
-    use proptest::collection::vec;
-    use proptest::prelude::*;
-
-    /// ASes 1–11 registered in three countries; AS 12 in none.
-    fn country_of(a: Asn) -> Option<CountryCode> {
-        (a.0 < 12).then(|| CountryCode::new(["DE", "PL", "FR"][a.0 as usize % 3]))
-    }
-
-    /// An analysed instance and its censored paths.
-    type Instance = (InstanceOutcome, Vec<Vec<Asn>>);
-
-    /// One analysed instance and its censored paths: ASes 1–12 each a
-    /// definite censor, eliminated, or neither, on paths drawn from them.
-    fn instance() -> impl Strategy<Value = Instance> {
-        let key = (0u32..3, 0usize..AnomalyType::ALL.len(), 0u32..3);
-        let paths = vec(vec(1u32..13, 1..7).prop_map(|p| p.into_iter().map(Asn).collect()), 0..4);
-        (key, vec(0u8..3, 12), paths, any::<bool>()).prop_map(|(key, roles, paths, unique)| {
-            let (url_id, anomaly, window) = key;
-            let with =
-                |role| (1..=12).filter(|&a| roles[a as usize - 1] == role).map(Asn).collect();
-            let outcome = InstanceOutcome {
-                key: InstanceKey {
-                    url_id,
-                    anomaly: AnomalyType::ALL[anomaly],
-                    window: TimeWindow { granularity: Granularity::Week, index: window },
-                },
-                n_vars: 12,
-                n_observations: paths.len(),
-                n_positive: paths.len(),
-                solvability: if unique { Solvability::Unique } else { Solvability::Multiple },
-                bucket: if unique { 1 } else { 2 },
-                censors: with(1),
-                potential_censors: Vec::new(),
-                eliminated: with(2),
-                eliminated_frac: 0.0,
-            };
-            (outcome, paths)
-        })
-    }
-
-    /// One group's instances as the tally counts them and as the batch
-    /// fold folds them, less the observability horizon.
-    fn contribution(instances: &[Instance]) -> (FindingFacts, FindingsAccumulator) {
-        let (mut facts, mut acc) = (FindingFacts::default(), FindingsAccumulator::new());
-        for (outcome, paths) in instances {
-            facts.record(outcome, paths.iter().map(Vec::as_slice), country_of);
-            acc.record(outcome, paths.iter().map(Vec::as_slice), country_of);
-        }
-        acc.on_censored_path.clear();
-        (facts, acc)
-    }
-
-    /// Counting contributions in and out leaves, after every step, what
-    /// merging the batch folds of the ones still in gives: random groups
-    /// of instances (findings that repeat across groups, leaks reached
-    /// along several paths, a victim whose country is the censor's and
-    /// one of no country), each added any number of times and removed in
-    /// random order.
-    fn tally_materializes_the_union(groups: Vec<Vec<Instance>>, ops: Vec<(bool, usize)>) {
-        let contributions: Vec<_> = groups.iter().map(|g| contribution(g)).collect();
-        let mut tally = FindingsTally::default();
-        let mut held: Vec<usize> = Vec::new();
-        for (add, i) in ops {
-            if add || held.is_empty() {
-                let i = i % contributions.len();
-                tally.add(&contributions[i].0);
-                held.push(i);
-            } else {
-                tally.remove(&contributions[held.swap_remove(i % held.len())].0);
-            }
-            let mut union = FindingsAccumulator::new();
-            for &i in &held {
-                union.merge(&contributions[i].1);
-            }
-            assert_eq!(tally.materialize(), union);
-        }
-        for i in held {
-            tally.remove(&contributions[i].0);
-        }
-        assert_eq!(tally.materialize(), FindingsAccumulator::new());
-        assert!(tally.censors.is_empty() && tally.leaks.is_empty(), "nothing counted is left");
-    }
-
-    fn groups() -> impl Strategy<Value = Vec<Vec<Instance>>> {
-        vec(vec(instance(), 0..5), 1..6)
-    }
-
-    fn ops() -> impl Strategy<Value = Vec<(bool, usize)>> {
-        vec((any::<bool>(), 0usize..64), 1..24)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// See [`tally_materializes_the_union`].
-        #[test]
-        fn prop_tally_materializes_the_union_of_batch_folds(groups in groups(), ops in ops()) {
-            tally_materializes_the_union(groups, ops);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(20_000))]
-
-        /// [`prop_tally_materializes_the_union_of_batch_folds`] at 20,000
-        /// cases (`cargo test --release -p churnlab-core --lib --
-        /// --ignored tally_materializes`).
-        #[test]
-        #[ignore = "20,000 cases, run in release"]
-        fn prop_tally_materializes_the_union_of_batch_folds_20k(groups in groups(), ops in ops()) {
-            tally_materializes_the_union(groups, ops);
-        }
-    }
 
     /// Taking out what was never put in is a bug the tally names.
     #[test]

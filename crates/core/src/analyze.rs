@@ -46,7 +46,7 @@ pub struct InstanceOutcome {
     /// solutions only). Strictly ascending.
     pub potential_censors: Vec<Asn>,
     /// Definite non-censors — False in every model. Strictly ascending:
-    /// [`crate::leakage::LeakageReport::ingest_paths`] searches it.
+    /// [`crate::leakage::for_each_leak`] searches it.
     pub eliminated: Vec<Asn>,
     /// Fraction of the CNF's ASes eliminated as definite non-censors
     /// (Figure 2's statistic; meaningful for 2+-solution CNFs).

@@ -876,6 +876,45 @@ mod tests {
     }
 
     #[test]
+    fn five_plus_bucket_saturates() {
+        let mut acc = ChurnAccumulator::windowed(&[Granularity::Day], 365, None);
+        for i in 0..8 {
+            acc.add(Asn(1), Asn(2), 0, &asns(&[1, 100 + i, 2]));
+        }
+        let dist = acc.distributions(&[Granularity::Day]);
+        assert_eq!(dist[0].buckets, [0, 0, 0, 0, 1]);
+        assert_eq!(dist[0].frac_at_least(5), 1.0);
+    }
+
+    /// Figure 3's shape: a coarser window can only see more distinct
+    /// paths. A flappy pair measured twice a day over seven paths sees
+    /// two a day and all seven in the year; the mean distinct count
+    /// never decreases as the window grows.
+    #[test]
+    fn fractions_monotone_in_granularity() {
+        let gs = [Granularity::Day, Granularity::Week, Granularity::Month, Granularity::Year];
+        let mut acc = ChurnAccumulator::windowed(&gs, 365, None);
+        for d in 0..365 {
+            acc.add(Asn(10), Asn(99), d, &asns(&[10, 20 + (d % 7), 99]));
+            acc.add(Asn(10), Asn(99), d, &asns(&[10, 20 + ((d + 1) % 7), 99]));
+        }
+        let dists = acc.distributions(&gs);
+        assert_eq!(dists[0].buckets, [0, 365, 0, 0, 0], "two paths every day");
+        assert_eq!(dists[3].buckets, [0, 0, 0, 0, 1], "seven paths in the year");
+        let means: Vec<f64> = dists
+            .iter()
+            .map(|d| {
+                let weighted: u64 =
+                    d.buckets.iter().enumerate().map(|(i, n)| (i as u64 + 1) * n).sum();
+                weighted as f64 / d.total as f64
+            })
+            .collect();
+        for w in means.windows(2) {
+            assert!(w[1] >= w[0] - 1e-9, "means not monotone: {means:?}");
+        }
+    }
+
+    #[test]
     fn n_pairs_counts_pairs() {
         let mut acc = ChurnAccumulator::windowed(&Granularity::ALL, 365, None);
         acc.add(Asn(1), Asn(2), 0, &asns(&[1, 2]));

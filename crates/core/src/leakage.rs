@@ -10,6 +10,10 @@
 //! registered in a different country than the censor, is a **victim of
 //! censorship leakage** — its traffic inherited a foreign censor's policy
 //! by transiting it.
+//!
+//! [`for_each_leak`] is that rule, the one the product runs: the engine's
+//! findings tally counts its facts, and a [`LeakageReport`] holds their
+//! union. The executable spec states the rule again on its own.
 
 use crate::analyze::InstanceOutcome;
 use churnlab_topology::geo::CountryCode;
@@ -41,30 +45,6 @@ impl LeakageReport {
     /// Fresh empty report.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fold in one solved instance's leaks, given its censored paths and
-    /// an AS → registered-country lookup (`None` for an AS the topology
-    /// does not know): [`for_each_leak`]'s facts, folded into sets. Only
-    /// instances with at least one definite (backbone) censor leak,
-    /// mirroring the paper.
-    ///
-    /// The outcome's `censors` and `eliminated` lists are searched, not
-    /// hashed: both are strictly ascending, as every producer of an
-    /// [`InstanceOutcome`] writes them.
-    ///
-    /// # Panics
-    ///
-    /// If either list is not strictly ascending.
-    pub fn ingest_paths<'a>(
-        &mut self,
-        censored_paths: impl IntoIterator<Item = &'a [Asn]>,
-        outcome: &InstanceOutcome,
-        country_of: impl Fn(Asn) -> Option<CountryCode>,
-    ) {
-        for_each_leak(censored_paths, outcome, country_of, |censor, victim, foreign| {
-            self.insert(censor, victim, foreign)
-        });
     }
 
     /// Record one [`for_each_leak`] fact.
@@ -178,8 +158,8 @@ impl LeakageReport {
 /// `censored_paths`, assigned False in every model and registered in a
 /// known country — `foreign` is that country when it differs from the
 /// censor's. A leak reached along several paths is reported each time.
-/// [`LeakageReport::ingest_paths`] folds these facts into sets;
-/// [`crate::accumulate::FindingsTally`] counts them.
+/// [`crate::accumulate::FindingsTally`] counts these facts and
+/// materializes them into a [`LeakageReport`]'s sets.
 ///
 /// # Panics
 ///
@@ -278,9 +258,13 @@ mod tests {
         }
     }
 
-    /// The topology's registered countries.
+    /// Fold the leaks of one censored path into `report`, with the
+    /// topology's registered countries.
     fn ingest(report: &mut LeakageReport, path: &[u32], out: &InstanceOutcome, t: &Topology) {
-        report.ingest_paths([asns(path).as_slice()], out, |a| t.info_by_asn(a).map(|i| i.country));
+        let country_of = |a| t.info_by_asn(a).map(|i| i.country);
+        for_each_leak([asns(path).as_slice()], out, country_of, |censor, victim, foreign| {
+            report.insert(censor, victim, foreign)
+        });
     }
 
     #[test]
@@ -317,7 +301,7 @@ mod tests {
     #[should_panic(expected = "strictly ascending")]
     fn an_outcome_whose_lists_do_not_ascend_is_refused() {
         let out = outcome(&[2], &[4, 3, 1]);
-        LeakageReport::new().ingest_paths([asns(&[1, 3, 2, 4]).as_slice()], &out, |_| None);
+        ingest(&mut LeakageReport::new(), &[1, 3, 2, 4], &out, &topo());
     }
 
     #[test]

@@ -221,7 +221,7 @@ impl SatCounters {
 /// order — and keeps every (URL × window × anomaly) instance
 /// incrementally solved as observations stream in.
 /// [`Engine::ingest_owned`] routes the *raw* measurement to a shard
-/// worker by `hash(url_id)` over a bounded channel; conversion (the
+/// worker by `url_id % n_shards` over a bounded channel; conversion (the
 /// §3.1 elimination rules — the most expensive per-measurement stage)
 /// runs **on the shard's thread**, so one ingesting caller drives N
 /// shards' worth of conversion in parallel. A [`Feeder`] sends flat,

@@ -18,8 +18,8 @@
 //!   (Figure 4's first-path ablation is the exception: "first" is in test
 //!   order, so it needs each (URL, vantage AS) pair's measurements in that
 //!   order, and a shard panics on one that breaks it.)
-//! * **Sharded** — each *raw* measurement is routed by `hash(url_id)`
-//!   to a shard worker over a bounded channel; shards own their
+//! * **Sharded** — each *raw* measurement is routed by `url_id % n`
+//!   to one of n shard workers over a bounded channel; shards own their
 //!   instances outright (no locks on the hot path) and both **convert**
 //!   (the §3.1 elimination rules — the most expensive per-measurement
 //!   stage) and solve in parallel, so one ingesting thread drives N

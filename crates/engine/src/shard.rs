@@ -1220,6 +1220,7 @@ mod tests {
     use churnlab_censor::{CensorConfig, CensorshipScenario};
     use churnlab_platform::{AnomalyType, Platform, PlatformConfig, PlatformScale};
     use churnlab_topology::{generator, WorldConfig, WorldScale};
+    use std::collections::{BTreeSet, HashMap};
 
     fn row_bytes(row: &ChurnWindowEntry) -> Vec<u8> {
         let mut e = Enc::default();
@@ -1238,14 +1239,26 @@ mod tests {
         out
     }
 
+    /// A findings union in the spec's sorted form, less the horizon.
+    fn sorted(findings: &FindingsAccumulator) -> churnlab_oracle::Findings {
+        fn sets<T: Ord + Clone>(m: &HashMap<Asn, HashSet<T>>) -> BTreeMap<Asn, BTreeSet<T>> {
+            m.iter().map(|(k, v)| (*k, v.iter().cloned().collect())).collect()
+        }
+        churnlab_oracle::Findings {
+            censors: findings.censor_findings.iter().map(|(a, f)| (*a, f.clone())).collect(),
+            victims: sets(&findings.leakage.victims_by_censor),
+            victim_countries: sets(&findings.leakage.victim_countries_by_censor),
+        }
+    }
+
     impl ShardState {
         /// The per-report union the counts replace, from scratch: every
-        /// retired group's cells and every live group solved anew, folded
-        /// through [`FindingsAccumulator::record`], the outcomes sorted.
-        /// Panics unless `report` says the same, or if a group's censored
-        /// paths leave the shard's observability horizon — which the
-        /// report ships instead of unioning the groups'. Every report a
-        /// unit test asks for is audited.
+        /// retired group's cells and every live group solved anew,
+        /// folded through the spec's [`churnlab_oracle::findings`], the
+        /// outcomes sorted. Panics unless `report` says the same, or if a
+        /// group's censored paths leave the shard's observability horizon
+        /// — which the report ships instead of unioning the groups'.
+        /// Every report a unit test asks for is audited.
         pub(super) fn audit(&self, report: &ShardReport) {
             let (table, countries) = (&self.table, &self.countries);
             let live: Vec<SolvedGroup> = self
@@ -1253,29 +1266,33 @@ mod tests {
                 .values()
                 .map(|l| SolvedGroup::of(&l.group, self.cfg.require_positive, table, countries))
                 .collect();
-            let mut findings = FindingsAccumulator::new();
             let mut trivial = 0;
-            let mut outcomes = Vec::new();
+            let mut cells = Vec::new();
             for group in self.retired.iter().map(Arc::as_ref).chain(&live) {
                 trivial += group.trivial;
                 for cell in &group.cells {
-                    let paths = cell.censored_paths.iter().map(|id| table.path(*id));
-                    findings.record(&cell.outcome, paths, country_of(countries));
-                    outcomes.push(cell.outcome.as_ref());
+                    let paths: Vec<&[Asn]> =
+                        cell.censored_paths.iter().map(|id| table.path(*id)).collect();
+                    assert!(
+                        paths.iter().copied().flatten().all(|a| self.on_censored_path.contains(a)),
+                        "a group's censored path has ASes outside the shard's observability horizon"
+                    );
+                    cells.push((cell.outcome.as_ref(), paths));
                 }
             }
-            outcomes.sort_by_key(|o| o.key);
-            assert!(
-                findings.on_censored_path.is_subset(&self.on_censored_path),
-                "a group's censored path has ASes outside the shard's observability horizon"
+            let found = churnlab_oracle::findings(
+                cells.iter().map(|(outcome, paths)| (*outcome, paths.iter().copied())),
+                country_of(countries),
             );
-            findings.on_censored_path.clone_from(&self.on_censored_path);
+            let mut outcomes: Vec<&InstanceOutcome> = cells.iter().map(|(o, _)| *o).collect();
+            outcomes.sort_by_key(|o| o.key);
             assert_eq!(report.trivial, trivial, "the counted trivial cells");
             assert!(
                 report.outcomes.iter().map(Arc::as_ref).eq(outcomes),
                 "the outcomes, in key order"
             );
-            assert_eq!(report.findings, findings, "the findings union");
+            assert_eq!(report.findings.on_censored_path, self.on_censored_path, "the horizon");
+            assert_eq!(sorted(&report.findings), found, "the findings union");
         }
     }
 

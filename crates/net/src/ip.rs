@@ -5,7 +5,6 @@ use crate::udp::UdpDatagram;
 use crate::{internet_checksum, WireError};
 use bytes::{BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
-use std::net::Ipv4Addr;
 
 /// Transport payload of an IPv4 packet.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,16 +72,6 @@ impl Ipv4Packet {
             Payload::Udp(u) => Some(u),
             _ => None,
         }
-    }
-
-    /// Source as dotted quad.
-    pub fn src_addr(&self) -> Ipv4Addr {
-        Ipv4Addr::from(self.src)
-    }
-
-    /// Destination as dotted quad.
-    pub fn dst_addr(&self) -> Ipv4Addr {
-        Ipv4Addr::from(self.dst)
     }
 
     /// Encode to wire bytes: a 20-byte header (no options) with a correct

@@ -37,7 +37,8 @@
 //! 7. *Leakage* (§3.3): on a censored path of a cell with a censor,
 //!    every AS before that censor, eliminated and registered in a known
 //!    country, is the censor's victim; a victim country is one that
-//!    differs from the censor's.
+//!    differs from the censor's. [`findings`] is steps 6–7 on their own,
+//!    which the engine's counted findings tally and shard audit hold to.
 //!
 //! What it takes from the product, and why that is no shared fault:
 //!
@@ -66,8 +67,9 @@ use churnlab_core::convert::ConversionStats;
 use churnlab_core::instance::InstanceKey;
 use churnlab_core::pipeline::{CensorFinding, ChurnMode, PipelineConfig};
 use churnlab_core::report::CanonicalReport;
-use churnlab_core::ConvertedObs;
+use churnlab_core::{ConvertedObs, InstanceOutcome};
 use churnlab_platform::{AnomalyType, Measurement};
+use churnlab_topology::geo::CountryCode;
 use churnlab_topology::{Asn, Ip2AsDb, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -118,13 +120,10 @@ pub fn report(
         }
     }
 
-    // 5–7. Solve each cell; fold its censors and leaks.
+    // 5. Solve each cell.
     let mut trivial_instances = 0;
-    let mut outcomes = Vec::new();
+    let mut solved = Vec::new();
     let mut on_censored_path = BTreeSet::new();
-    let mut findings: BTreeMap<Asn, CensorFinding> = BTreeMap::new();
-    let mut victims: BTreeMap<Asn, BTreeSet<Asn>> = BTreeMap::new();
-    let mut victim_countries: BTreeMap<Asn, BTreeSet<String>> = BTreeMap::new();
     for (key, observations) in cells {
         let censored: Vec<&[Asn]> = observations
             .iter()
@@ -139,63 +138,79 @@ pub fn report(
             .iter()
             .map(|(path, c)| (path.to_vec(), *c))
             .collect();
-        let outcome = cell(key, &observations, cfg.solve.count_cap);
         on_censored_path.extend(censored.iter().flat_map(|path| path.iter().copied()));
-        for &censor in &outcome.censors {
-            let finding = findings.entry(censor).or_insert_with(|| CensorFinding {
-                asn: censor,
-                anomalies: BTreeSet::new(),
-                url_ids: BTreeSet::new(),
-                n_instances: 0,
-            });
-            finding.anomalies.insert(key.anomaly);
-            finding.url_ids.insert(key.url_id);
-            finding.n_instances += 1;
-        }
-        let country = |asn: Asn| topo.info_by_asn(asn).map(|info| info.country);
-        for path in &censored {
-            for (at, censor) in path.iter().enumerate() {
-                if !outcome.censors.contains(censor) {
-                    continue;
-                }
-                let Some(home) = country(*censor) else {
-                    continue;
-                };
-                for upstream in &path[..at] {
-                    if !outcome.eliminated.contains(upstream) {
-                        continue;
-                    }
-                    let Some(there) = country(*upstream) else {
-                        continue;
-                    };
-                    victims.entry(*censor).or_default().insert(*upstream);
-                    if there != home {
-                        let abroad = victim_countries.entry(*censor).or_default();
-                        abroad.insert(there.as_str().to_string());
-                    }
-                }
-            }
-        }
-        outcomes.push(Arc::new(outcome));
+        solved.push((cell(key, &observations, cfg.solve.count_cap), censored));
     }
+
+    // 6–7. Fold the cells' censors and leaks.
+    let country = |asn: Asn| topo.info_by_asn(asn).map(|info| info.country);
+    let cells = solved.iter().map(|(outcome, censored)| (outcome, censored.iter().copied()));
+    let Findings { censors, victims, victim_countries: abroad } = findings(cells, country);
 
     CanonicalReport {
         config: cfg.clone(),
         conversion,
         trivial_instances,
-        outcomes,
-        censor_findings: findings.into_values().collect(),
+        outcomes: solved.into_iter().map(|(o, _)| Arc::new(o)).collect(),
+        censor_findings: censors.into_values().collect(),
         on_censored_path: on_censored_path.into_iter().collect(),
-        leak_victims: victims
-            .into_iter()
-            .map(|(c, v)| (c, v.into_iter().collect()))
-            .collect(),
-        leak_victim_countries: victim_countries
-            .into_iter()
-            .map(|(c, v)| (c, v.into_iter().collect()))
-            .collect(),
+        leak_victims: victims.into_iter().map(|(c, v)| (c, Vec::from_iter(v))).collect(),
+        leak_victim_countries: abroad.into_iter().map(|(c, v)| (c, Vec::from_iter(v))).collect(),
         churn: churn.collect(),
     }
+}
+
+/// Steps 6–7's findings, every collection sorted.
+#[derive(Debug, Default, PartialEq)]
+pub struct Findings {
+    /// Per censor: its anomaly types, its URLs and how many cells name it.
+    pub censors: BTreeMap<Asn, CensorFinding>,
+    /// Per censor: its victim ASes.
+    pub victims: BTreeMap<Asn, BTreeSet<Asn>>,
+    /// Per censor: its victims' countries other than its own.
+    pub victim_countries: BTreeMap<Asn, BTreeSet<String>>,
+}
+
+/// Steps 6–7 over solved cells, each given as its outcome and censored
+/// paths; `country` is an AS's registered country, if it has one.
+pub fn findings<'a, P: IntoIterator<Item = &'a [Asn]>>(
+    cells: impl IntoIterator<Item = (&'a InstanceOutcome, P)>,
+    country: impl Fn(Asn) -> Option<CountryCode>,
+) -> Findings {
+    let mut found = Findings::default();
+    for (outcome, censored) in cells {
+        for &censor in &outcome.censors {
+            let finding = found.censors.entry(censor).or_insert_with(|| CensorFinding {
+                asn: censor,
+                anomalies: BTreeSet::new(),
+                url_ids: BTreeSet::new(),
+                n_instances: 0,
+            });
+            finding.anomalies.insert(outcome.key.anomaly);
+            finding.url_ids.insert(outcome.key.url_id);
+            finding.n_instances += 1;
+        }
+        for path in censored {
+            for (at, censor) in path.iter().enumerate() {
+                if !outcome.censors.contains(censor) {
+                    continue;
+                }
+                let Some(home) = country(*censor) else { continue };
+                for upstream in &path[..at] {
+                    if !outcome.eliminated.contains(upstream) {
+                        continue;
+                    }
+                    let Some(there) = country(*upstream) else { continue };
+                    found.victims.entry(*censor).or_default().insert(*upstream);
+                    if there != home {
+                        let abroad = found.victim_countries.entry(*censor).or_default();
+                        abroad.insert(there.as_str().to_string());
+                    }
+                }
+            }
+        }
+    }
+    found
 }
 
 /// Figure 3 at one granularity: every (window, vantage AS, destination
