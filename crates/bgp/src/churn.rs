@@ -19,9 +19,14 @@
 //!
 //! * a link or AS with **events at some epochs** is a sorted transition
 //!   list in a flat arena (one for links, one for ASes), so a state query
-//!   is `O(log events)`; link flips are also indexed by epoch, so a
-//!   `LinkCursor` moves the whole network's link state between nearby
-//!   epochs in time proportional to what flipped;
+//!   is `O(log events)`. The link arena lists only the links that flip
+//!   (one in ten at Huge), in the ascending order of the `flappy` list;
+//!   a bit per link says whether it flips, and a count per 64 links of
+//!   the flappy links before them turns the bit into the link's place in
+//!   that list, so every other link is up throughout at the cost of one
+//!   bit test. Link flips are also indexed by epoch, so a `LinkCursor`
+//!   moves the whole network's link state between nearby epochs in time
+//!   proportional to what flipped;
 //! * an AS whose per-epoch shift probability saturates (`1 − p ≤ 1e-12`:
 //!   the default wobbly AS, six shifts a day at six epochs a day) shifts
 //!   at **every** epoch. Each of its holding times is exactly 1 whatever
@@ -34,7 +39,8 @@
 //! A holding time is `ceil(ln u / ln q)` for a uniform draw `u` and
 //! `q = 1 − p`. The logarithms of `q` and everything else that depends
 //! only on a link's [`churnlab_topology::LinkStability`] are computed once
-//! per distinct profile (a generated world has three). Nine links in ten
+//! per entry of the topology's profile table (a generated world has a
+//! handful) and read by each link's profile index. Nine links in ten
 //! never flip, and for them the first hold is *squeezed*: with
 //! `T = exp(total_epochs · ln q)`, a draw `u < T` has
 //! `ln u / ln q > total_epochs` in exact arithmetic, while the link stays
@@ -173,7 +179,8 @@ impl ChurnConfig {
 
 /// Sorted flip epochs of many binary timelines in one arena: timeline
 /// `i` flips at each epoch in `epochs[off[i]..off[i + 1]]`. Every timeline
-/// starts `true` (links start up; TE versions start at 0).
+/// starts `true` (links start up; TE versions start at 0). The link
+/// arena's timeline `k` is that of the `k`-th flapping link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FlipArena {
     off: Vec<u32>,
@@ -194,6 +201,7 @@ impl FlipArena {
     }
 
     /// Number of timelines.
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.off.len() - 1
     }
@@ -274,10 +282,17 @@ pub struct ChurnTimeline {
     mapper: EpochMapper,
     /// Identity of this build (clones share it: same content).
     id: u64,
+    /// Flip lists of the links in `flappy`, in its order.
     links: FlipArena,
     te: TeArena,
     /// Links that flip at all, ascending.
     flappy: Vec<u32>,
+    /// Bit `l`: link `l` is in `flappy`.
+    flaps: Vec<u64>,
+    /// `flappy_before[w]`: how many links below `64 · w` flip, so link
+    /// `l`'s place in `flappy` is that of its word plus the set bits
+    /// below it.
+    flappy_before: Vec<u32>,
     /// Per-epoch index of link flips: the links flipping at epoch `e` are
     /// `epoch_links[epoch_off[e]..epoch_off[e + 1]]`.
     epoch_off: Vec<u32>,
@@ -371,31 +386,6 @@ impl LinkLaw {
     }
 }
 
-/// The [`LinkLaw`] of each distinct [`LinkStability`] met so far. A
-/// generated world has three; a loaded AS-REL2 graph may carry any
-/// number, so past [`LinkLaws::MEMOISED`] a profile is computed per link,
-/// as every profile once was.
-struct LinkLaws {
-    per_day: f64,
-    total_epochs: u32,
-    seen: Vec<(LinkStability, Option<LinkLaw>)>,
-}
-
-impl LinkLaws {
-    const MEMOISED: usize = 16;
-
-    fn of(&mut self, stability: &LinkStability) -> Option<LinkLaw> {
-        if let Some((_, law)) = self.seen.iter().find(|(s, _)| s == stability) {
-            return *law;
-        }
-        let law = LinkLaw::of(stability, self.per_day, self.total_epochs);
-        if self.seen.len() < Self::MEMOISED {
-            self.seen.push((*stability, law));
-        }
-        law
-    }
-}
-
 /// How often an AS re-rolls its salt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum ShiftLaw {
@@ -450,29 +440,39 @@ impl ChurnTimeline {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let per_day = f64::from(cfg.epochs_per_day);
 
-        let mut links = FlipArena::with_capacity(topo.n_links());
+        let mut links = FlipArena::with_capacity(0);
         let mut flappy = Vec::new();
         // Link flips per epoch, counted as they are drawn (flips lie in
         // `1..total_epochs`); summed into offsets below.
         let mut epoch_off = vec![0u32; total_epochs.max(1) as usize + 1];
-        let mut laws = LinkLaws { per_day, total_epochs, seen: Vec::new() };
-        for (l, link) in topo.links().iter().enumerate() {
-            if let Some(law) = laws.of(&link.stability) {
-                if let Some(first) = law.first_flip(draw_unit(&mut rng), total_epochs) {
-                    flappy.push(l as u32);
-                    // The two-state chain (it started up) by geometric jumps.
-                    let (mut t, mut up) = (first, true);
-                    while t < u64::from(total_epochs) {
-                        links.epochs.push(t as Epoch);
-                        epoch_off[t as usize + 1] += 1;
-                        up = !up;
-                        let ln_q = if up { law.ln_q_up } else { law.ln_q_down };
-                        t += hold(draw_unit(&mut rng), ln_q);
-                    }
-                }
+        let laws: Vec<Option<LinkLaw>> =
+            topo.profiles().iter().map(|s| LinkLaw::of(s, per_day, total_epochs)).collect();
+        for l in 0..topo.n_links() {
+            let Some(law) = laws[topo.link_profile(LinkId(l as u32))] else { continue };
+            let Some(first) = law.first_flip(draw_unit(&mut rng), total_epochs) else { continue };
+            flappy.push(l as u32);
+            // The two-state chain (it started up) by geometric jumps.
+            let (mut t, mut up) = (first, true);
+            while t < u64::from(total_epochs) {
+                links.epochs.push(t as Epoch);
+                epoch_off[t as usize + 1] += 1;
+                up = !up;
+                let ln_q = if up { law.ln_q_up } else { law.ln_q_down };
+                t += hold(draw_unit(&mut rng), ln_q);
             }
             links.seal();
         }
+        // Sized by what flipped, which was not known up front.
+        links.off.shrink_to_fit();
+        flappy.shrink_to_fit();
+        let mut flaps = vec![0u64; topo.n_links().div_ceil(64)];
+        for &l in &flappy {
+            flaps[l as usize >> 6] |= 1 << (l & 63);
+        }
+        let flappy_before = flaps
+            .iter()
+            .scan(0, |before, w| Some(std::mem::replace(before, *before + w.count_ones())))
+            .collect();
 
         let mut te = TeArena::with_capacity(topo.n_ases(), total_epochs);
         let wobbly = cfg.wobbly_frac.clamp(0.0, 1.0);
@@ -513,8 +513,8 @@ impl ChurnTimeline {
         }
         let mut fill = epoch_off.clone();
         let mut epoch_links = vec![0u32; links.epochs.len()];
-        for &l in &flappy {
-            for &e in links.flips(l as usize) {
+        for (k, &l) in flappy.iter().enumerate() {
+            for &e in links.flips(k) {
                 epoch_links[fill[e as usize] as usize] = l;
                 fill[e as usize] += 1;
             }
@@ -527,6 +527,8 @@ impl ChurnTimeline {
             links,
             te,
             flappy,
+            flaps,
+            flappy_before,
             epoch_off,
             epoch_links,
             total_epochs,
@@ -537,7 +539,21 @@ impl ChurnTimeline {
 
     /// Is `link` usable at `epoch`?
     pub fn link_up(&self, link: LinkId, epoch: Epoch) -> bool {
-        self.links.state_at(link.0 as usize, epoch)
+        self.flappy_index(link).is_none_or(|k| self.links.state_at(k, epoch))
+    }
+
+    /// `link`'s position in `flappy`, if it flips at all.
+    fn flappy_index(&self, link: LinkId) -> Option<usize> {
+        let (w, bit) = (link.0 as usize >> 6, link.0 & 63);
+        let word = self.flaps[w];
+        let below = (word & ((1 << bit) - 1)).count_ones();
+        (word >> bit & 1 == 1).then(|| (self.flappy_before[w] + below) as usize)
+    }
+
+    /// The flip epochs of `link`, ascending (empty if it never flips).
+    #[cfg(test)]
+    fn link_flips(&self, link: usize) -> &[Epoch] {
+        self.flappy_index(LinkId(link as u32)).map_or(&[], |k| self.links.flips(k))
     }
 
     /// Tiebreak salt for an AS at `epoch` (changes at TE-shift events).
@@ -576,7 +592,9 @@ impl ChurnTimeline {
     pub fn heap_bytes(&self) -> usize {
         self.links.heap_bytes()
             + self.te.heap_bytes()
-            + 4 * (self.flappy.capacity() + self.epoch_off.capacity() + self.epoch_links.capacity())
+            + 4 * (self.flappy.capacity() + self.flappy_before.capacity())
+            + 8 * self.flaps.capacity()
+            + 4 * (self.epoch_off.capacity() + self.epoch_links.capacity())
     }
 
     /// Wall nanoseconds [`ChurnTimeline::build`] took (diagnostics).
@@ -628,8 +646,8 @@ impl LinkCursor {
             }
         } else {
             self.all_up(churn);
-            for &l in &churn.flappy {
-                if !churn.links.state_at(l as usize, epoch) {
+            for (k, &l) in churn.flappy.iter().enumerate() {
+                if !churn.links.state_at(k, epoch) {
                     self.up[l as usize >> 6] &= !(1u64 << (l & 63));
                 }
             }
@@ -640,7 +658,7 @@ impl LinkCursor {
 
     fn all_up(&mut self, churn: &ChurnTimeline) {
         self.up.clear();
-        self.up.resize(churn.links.len().div_ceil(64), !0);
+        self.up.resize(churn.flaps.len(), !0);
     }
 }
 
@@ -764,8 +782,12 @@ mod tests {
         let o = oracle::build(topo, cfg);
         assert_eq!(rng, o.rng, "generator end state, {cfg:?}");
         assert_eq!(t.total_epochs, o.total_epochs);
-        assert_eq!(t.links, o.links, "link flip lists, {cfg:?}");
         assert_eq!(t.flappy, o.flappy, "{cfg:?}");
+        assert_eq!(t.links.epochs, o.links.epochs, "link flips, {cfg:?}");
+        assert_eq!((t.flaps.len(), t.links.len()), (o.links.len().div_ceil(64), o.flappy.len()));
+        for l in 0..o.links.len() {
+            assert_eq!(t.link_flips(l), o.links.flips(l), "link {l}, {cfg:?}");
+        }
         assert_eq!((&t.epoch_off, &t.epoch_links), (&o.epoch_off, &o.epoch_links), "{cfg:?}");
         assert_eq!(t.total_link_events(), o.links.epochs.len());
         assert_eq!(t.total_te_events(), o.te.epochs.len(), "TE events, {cfg:?}");
@@ -880,6 +902,35 @@ mod tests {
     }
 
     #[test]
+    fn three_hundred_profiles_match_the_oracle() {
+        // More distinct profiles than any memo of a few would hold, on a
+        // ring whose every other link repeats an earlier profile.
+        let n = 600u32;
+        let mut topo = Topology::new(countries(3));
+        for asn in 1..=n {
+            topo.add_as(AsInfo {
+                asn: Asn(asn),
+                name: format!("AS{asn}"),
+                country: CountryCode::new("US"),
+                class: AsClass::TransitAccess,
+                role: AsRole::NationalTransit,
+            })
+            .unwrap();
+        }
+        for i in 0..n {
+            let k = f64::from(i % 300);
+            let stability =
+                LinkStability { flap_rate: 1e-3 * (1.0 + k), mean_downtime_days: 0.5 + k / 100.0 };
+            topo.add_link(Link::peering(Asn(i + 1), Asn((i + 1) % n + 1), stability)).unwrap();
+        }
+        topo.freeze();
+        assert_eq!(topo.profiles().len(), 300);
+        for total_days in [1, 60, 365] {
+            assert_matches_oracle(&topo, &ChurnConfig { total_days, ..ChurnConfig::default() });
+        }
+    }
+
+    #[test]
     fn saturated_hold_is_one_and_the_squeeze_agrees_with_the_exact_hold() {
         // At the floor of `q` every draw holds for exactly one epoch: the
         // floored draw itself, the smallest generator output above it (a
@@ -975,27 +1026,32 @@ mod tests {
 
     #[test]
     fn build_refuses_a_link_whose_flap_rate_is_not_a_number() {
-        let mut topo = Topology::new(countries(3));
-        for asn in [1, 2] {
-            topo.add_as(AsInfo {
-                asn: Asn(asn),
-                name: format!("AS{asn}"),
-                country: CountryCode::new("US"),
-                class: AsClass::TransitAccess,
-                role: AsRole::NationalTransit,
-            })
-            .unwrap();
+        let bad = [(f64::NAN, "NaN"), (f64::INFINITY, "inf"), (-f64::INFINITY, "-inf")];
+        for (flap_rate, shown) in bad {
+            // The bad profile on the second link, behind a good one.
+            let mut topo = Topology::new(countries(3));
+            for asn in [1, 2, 3] {
+                topo.add_as(AsInfo {
+                    asn: Asn(asn),
+                    name: format!("AS{asn}"),
+                    country: CountryCode::new("US"),
+                    class: AsClass::TransitAccess,
+                    role: AsRole::NationalTransit,
+                })
+                .unwrap();
+            }
+            let stability = LinkStability { flap_rate, mean_downtime_days: 1.0 };
+            topo.add_link(Link::peering(Asn(1), Asn(2), LinkStability::flappy())).unwrap();
+            topo.add_link(Link::peering(Asn(2), Asn(3), stability)).unwrap();
+            topo.freeze();
+            let cfg = ChurnConfig::default();
+            let refusal = std::panic::catch_unwind(|| ChurnTimeline::build(&topo, &cfg))
+                .expect_err("build must refuse");
+            assert_eq!(
+                *refusal.downcast::<String>().unwrap(),
+                format!("churn config: flap_rate is {shown}, need a finite number")
+            );
         }
-        let stability = LinkStability { flap_rate: f64::NAN, mean_downtime_days: 1.0 };
-        topo.add_link(Link::peering(Asn(1), Asn(2), stability)).unwrap();
-        topo.freeze();
-        let cfg = ChurnConfig::default();
-        let refusal = std::panic::catch_unwind(|| ChurnTimeline::build(&topo, &cfg))
-            .expect_err("build must refuse");
-        assert_eq!(
-            *refusal.downcast::<String>().unwrap(),
-            "churn config: flap_rate is NaN, need a finite number"
-        );
     }
 
     #[test]

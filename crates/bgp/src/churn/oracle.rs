@@ -42,7 +42,7 @@ pub(super) fn build(topo: &Topology, cfg: &ChurnConfig) -> OracleTimeline {
 
     let mut links = FlipArena::with_capacity(topo.n_links());
     let mut flappy = Vec::new();
-    for (l, link) in topo.links().iter().enumerate() {
+    for (l, link) in topo.links().enumerate() {
         let p_fail = (link.stability.flap_rate / per_day).min(1.0);
         let p_recover = (link.stability.recovery_rate() / per_day).min(1.0);
         let before = links.epochs.len();

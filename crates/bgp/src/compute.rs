@@ -717,7 +717,6 @@ mod tests {
         // Find the 5→3 link and kill it.
         let dead: Vec<LinkId> = t
             .links()
-            .iter()
             .enumerate()
             .filter(|(_, l)| l.key() == (Asn(3), Asn(5)))
             .map(|(i, _)| LinkId(i as u32))
@@ -739,7 +738,6 @@ mod tests {
         // Kill both of 5's uplinks.
         let dead: Vec<LinkId> = t
             .links()
-            .iter()
             .enumerate()
             .filter(|(_, l)| l.a == Asn(5) || l.b == Asn(5))
             .map(|(i, _)| LinkId(i as u32))
@@ -792,21 +790,8 @@ mod tests {
                 for src in 0..t.n_ases() {
                     let src = AsIdx(src as u32);
                     if let Some(path) = tree.path_from(src) {
-                        let steps: Vec<StepKind> = path
-                            .windows(2)
-                            .map(|w2| {
-                                let adj = t
-                                    .neighbors(w2[0])
-                                    .iter()
-                                    .find(|a| a.peer == w2[1])
-                                    .expect("path uses real edges");
-                                match adj.kind {
-                                    EdgeKind::ToProvider => StepKind::Up,
-                                    EdgeKind::ToPeer => StepKind::Peer,
-                                    EdgeKind::ToCustomer => StepKind::Down,
-                                }
-                            })
-                            .collect();
+                        let steps: Vec<StepKind> =
+                            path.windows(2).map(|w2| step(t, w2[0], w2[1]).0).collect();
                         assert!(
                             is_valley_free(&steps),
                             "valley in path {:?} (seed {seed})",
@@ -816,6 +801,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The step from `x` to its neighbour `y`, read off the run `y` sits
+    /// in among `x`'s adjacency, and the link it takes.
+    fn step(t: &Topology, x: AsIdx, y: AsIdx) -> (crate::policy::StepKind, LinkId) {
+        use crate::policy::StepKind;
+        let runs = t.edge_runs(x).into_iter();
+        let mut hits = runs.flat_map(|(kind, run)| run.iter().map(move |a| (kind, a)));
+        let (kind, adj) = hits.find(|(_, a)| a.peer == y).expect("path uses real edges");
+        let kind = match kind {
+            EdgeKind::ToProvider => StepKind::Up,
+            EdgeKind::ToPeer => StepKind::Peer,
+            EdgeKind::ToCustomer => StepKind::Down,
+        };
+        (kind, adj.link)
     }
 
     /// The Huge preset shrunk ~40x so the preferential-attachment family
@@ -864,17 +864,9 @@ mod tests {
                     let steps: Vec<StepKind> = buf
                         .windows(2)
                         .map(|w2| {
-                            let adj = t
-                                .neighbors(w2[0])
-                                .iter()
-                                .find(|a| a.peer == w2[1])
-                                .expect("path uses real edges");
-                            assert!(adj.link != dead, "path crossed the failed link");
-                            match adj.kind {
-                                EdgeKind::ToProvider => StepKind::Up,
-                                EdgeKind::ToPeer => StepKind::Peer,
-                                EdgeKind::ToCustomer => StepKind::Down,
-                            }
+                            let (kind, link) = step(t, w2[0], w2[1]);
+                            assert!(link != dead, "path crossed the failed link");
+                            kind
                         })
                         .collect();
                     assert!(

@@ -2,7 +2,8 @@
 //! one independent oracle.
 //!
 //! This is the algorithm as it stood before the Internet-scale rework:
-//! adjacency in per-AS `Vec<Vec<Adjacency>>`, every working array
+//! adjacency in per-AS `Vec<Vec<Adjacency>>` with each entry's kind on
+//! it, every working array
 //! allocated per call, the provider stage a binary-heap Dijkstra, and the
 //! link-state / salt closures dyn-dispatched at every edge visit. It
 //! shares no code with `crate::compute`, whose one resolution both the
@@ -19,7 +20,7 @@
 
 use crate::compute::RouteTree;
 use crate::policy::RouteClass;
-use churnlab_topology::graph::{Adjacency, EdgeKind};
+use churnlab_topology::graph::EdgeKind;
 use churnlab_topology::{AsIdx, Asn, LinkId, Topology};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -38,6 +39,15 @@ pub struct ReferenceRoute {
     pub next: Option<AsIdx>,
 }
 
+/// One adjacency entry as the topology stored it before CSR: neighbour,
+/// link and kind.
+#[derive(Debug, Clone, Copy)]
+struct Adjacency {
+    peer: AsIdx,
+    link: LinkId,
+    kind: EdgeKind,
+}
+
 /// Pre-built nested adjacency, as the topology stored it before CSR.
 #[derive(Debug)]
 pub struct ReferenceRouter {
@@ -54,14 +64,17 @@ pub struct ReferenceTree {
 }
 
 impl ReferenceRouter {
-    /// Copy a topology's adjacency into the old nested layout.
+    /// Copy a topology's adjacency into the old nested layout, each
+    /// entry's kind read off the run it sits in.
     pub fn build(topo: &Topology) -> ReferenceRouter {
         let n = topo.n_ases();
         let mut adj = vec![Vec::new(); n];
         let mut asns = Vec::with_capacity(n);
         for x in 0..n {
             let i = AsIdx(x as u32);
-            adj[x].extend_from_slice(topo.neighbors(i));
+            for (kind, run) in topo.edge_runs(i) {
+                adj[x].extend(run.iter().map(|a| Adjacency { peer: a.peer, link: a.link, kind }));
+            }
             asns.push(topo.asn(i));
         }
         ReferenceRouter { adj, asns }

@@ -26,16 +26,18 @@
 //! of a Huge pass. It costs what flips (`crate::churn`): an AS whose shift
 //! probability saturates shifts at every epoch, so it is stored as a rate
 //! (one bit; `te_salt` reads its version as `min(epoch, total − 1)`
-//! without a search) and the generator is stepped past its draws; a
-//! link's logarithms are computed once per distinct stability profile;
-//! and a first draw `u < exp(total · ln q)` — nine links in ten — means
-//! the link outlasts the period without computing `ceil(ln u / ln q)`,
-//! which only has to exceed `total − 1` for that to be so: a whole epoch
-//! of slack against a rounding error of millionths of one. Every flip,
-//! salt and later draw is what listing everything produced (the old
-//! sampler is the tests' oracle), in about a quarter of the time and,
-//! over a year at Huge, a third of the memory (README, *What a timeline
-//! costs*).
+//! without a search) and the generator is stepped past its draws; the
+//! logarithms are computed once per entry of the topology's table of
+//! distinct stability profiles, which every link names by index; a
+//! first draw `u < exp(total · ln q)` — nine links in ten — means the
+//! link outlasts the period without computing `ceil(ln u / ln q)`, which
+//! only has to exceed `total − 1` for that to be so: a whole epoch of
+//! slack against a rounding error of millionths of one; and only a link
+//! that flips — about one in ten at Huge — gets a flip list and its
+//! offset. Every flip, salt and later draw is what
+//! listing everything produced (the old sampler is the tests' oracle),
+//! in about a quarter of the time and, over a year at Huge, a third of
+//! the memory (README, *What a timeline costs*).
 //!
 //! ## Who holds the trees
 //!

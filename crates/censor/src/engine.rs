@@ -506,12 +506,11 @@ mod tests {
     #[test]
     fn a_censor_the_predicate_rules_out_passes_both_flows() {
         use churnlab_net::{Capture, FlowConfig, FlowSimulator, HopPath, HttpResponse, Reassembly};
-        use churnlab_topology::Ipv4Prefix;
+        use churnlab_topology::{Ipv4Prefix, PrefixTable};
         use rand::{rngs::StdRng, SeedableRng};
-        use std::collections::HashMap;
 
         let asns = [Asn(10), Asn(4134), Asn(30), Asn(40)];
-        let prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = asns
+        let prefixes: PrefixTable = asns
             .iter()
             .enumerate()
             .map(|(i, &a)| (a, vec![Ipv4Prefix::new(((i as u32) + 1) << 24, 16).unwrap()]))
@@ -519,8 +518,8 @@ mod tests {
         let path = HopPath::expand(
             &asns,
             &prefixes,
-            prefixes[&Asn(10)][0].nth_host(1),
-            prefixes[&Asn(40)][0].nth_host(1),
+            prefixes.of_asn(Asn(10))[0].nth_host(1),
+            prefixes.of_asn(Asn(40))[0].nth_host(1),
             (1, 3),
             &mut StdRng::seed_from_u64(9),
         );

@@ -602,21 +602,20 @@ impl FlowSimulator {
 mod tests {
     use super::*;
     use crate::ip::Payload;
-    use churnlab_topology::{Asn, Ipv4Prefix};
+    use churnlab_topology::{Asn, Ipv4Prefix, PrefixTable};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
 
     fn path() -> HopPath {
         let asns = [Asn(10), Asn(20), Asn(30)];
-        let prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = asns
+        let prefixes: PrefixTable = asns
             .iter()
             .enumerate()
             .map(|(i, &a)| (a, vec![Ipv4Prefix::new(((i as u32) + 1) << 24, 16).unwrap()]))
             .collect();
         let mut rng = StdRng::seed_from_u64(9);
-        let server = prefixes[&Asn(30)][0].nth_host(1);
-        let client = prefixes[&Asn(10)][0].nth_host(1);
+        let server = prefixes.of_asn(Asn(30))[0].nth_host(1);
+        let client = prefixes.of_asn(Asn(10))[0].nth_host(1);
         HopPath::expand(&asns, &prefixes, client, server, (1, 2), &mut rng)
     }
 

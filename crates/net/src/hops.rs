@@ -5,12 +5,13 @@
 //! path into a hop path: each AS contributes one to three router hops,
 //! each with an interface address drawn from one of that AS's announced
 //! prefixes (so the IP-to-AS database can map hops back — or fail to, when
-//! the database is degraded).
+//! the database is degraded). The campaign expands the AS-index path its
+//! route tree produced ([`HopPath::expand_idx_into`]): each AS's prefixes
+//! are its row of the world's [`PrefixTable`], read without a hash probe.
 
-use churnlab_topology::{Asn, Ipv4Prefix};
+use churnlab_topology::{AsIdx, Asn, Ipv4Prefix, PrefixTable, Topology};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One router-level hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,7 +52,8 @@ impl HopPath {
     /// Expand an AS-level path to router hops.
     ///
     /// * `as_path` — client AS first, server AS last; must be non-empty.
-    /// * `prefixes` — announced prefixes per AS (ground truth).
+    /// * `prefixes` — announced prefixes per AS (ground truth); an AS
+    ///   without a row gets addresses nothing maps.
     /// * `server_ip` — address inside the last AS.
     /// * `routers_per_as` — inclusive range of router hops each transit AS
     ///   contributes (the first AS contributes its egress only; the last
@@ -62,7 +64,7 @@ impl HopPath {
     /// cross (see [`HopPath::expand_into`]).
     pub fn expand<R: Rng>(
         as_path: &[Asn],
-        prefixes: &HashMap<Asn, Vec<Ipv4Prefix>>,
+        prefixes: &PrefixTable,
         client_ip: u32,
         server_ip: u32,
         routers_per_as: (usize, usize),
@@ -83,40 +85,74 @@ impl HopPath {
     pub fn expand_into<R: Rng>(
         &mut self,
         as_path: &[Asn],
-        prefixes: &HashMap<Asn, Vec<Ipv4Prefix>>,
+        prefixes: &PrefixTable,
         client_ip: u32,
         server_ip: u32,
         routers_per_as: (usize, usize),
         rng: &mut R,
     ) {
-        assert!(!as_path.is_empty(), "AS path must be non-empty");
-        let HopPath { hops, delay_us, first_hop, .. } = self;
+        let ases = as_path.iter().map(|&asn| (asn, prefixes.of_asn(asn)));
+        self.fill(ases, client_ip, server_ip, routers_per_as, rng);
+    }
+
+    /// [`HopPath::expand_into`] from a path of AS indices into `topo`,
+    /// whose rows of `prefixes` are the ASes' own (a generated world's
+    /// are): the same hops, from the same draws.
+    ///
+    /// # Panics
+    /// As [`HopPath::expand_into`] does, and if an index has no row.
+    #[allow(clippy::too_many_arguments)]
+    pub fn expand_idx_into<R: Rng>(
+        &mut self,
+        as_path: &[AsIdx],
+        topo: &Topology,
+        prefixes: &PrefixTable,
+        client_ip: u32,
+        server_ip: u32,
+        routers_per_as: (usize, usize),
+        rng: &mut R,
+    ) {
+        let ases = as_path.iter().map(|&x| (topo.asn(x), prefixes.of(x)));
+        self.fill(ases, client_ip, server_ip, routers_per_as, rng);
+    }
+
+    /// Expand the path of `ases` (each with its announced prefixes).
+    fn fill<'p, R: Rng>(
+        &mut self,
+        ases: impl Iterator<Item = (Asn, &'p [Ipv4Prefix])>,
+        client_ip: u32,
+        server_ip: u32,
+        routers_per_as: (usize, usize),
+        rng: &mut R,
+    ) {
+        let HopPath { as_path, hops, delay_us, first_hop, .. } = self;
+        as_path.clear();
         hops.clear();
         first_hop.clear();
-        for (pos, asn) in as_path.iter().enumerate() {
+        for (pos, (asn, announced)) in ases.enumerate() {
             let n = if pos == 0 {
                 1 // client-side egress router
             } else {
                 rng.gen_range(routers_per_as.0.max(1)..=routers_per_as.1.max(1))
             };
+            as_path.push(asn);
             first_hop.push(hops.len() as u32);
-            let announced = prefixes.get(asn).filter(|ps| !ps.is_empty());
             for _ in 0..n {
-                let ip = match announced {
-                    Some(ps) => {
-                        let p = ps[rng.gen_range(0..ps.len())];
-                        p.nth_host(rng.gen::<u32>())
-                    }
+                let ip = if announced.is_empty() {
                     // An AS with no known prefix: fabricate an address in
                     // space the DB won't map (exercises elimination rule 1).
-                    None => 0xc612_0000 | rng.gen::<u16>() as u32, // 198.18/15 benchmark space
+                    0xc612_0000 | rng.gen::<u16>() as u32 // 198.18/15 benchmark space
+                } else {
+                    let p = announced[rng.gen_range(0..announced.len())];
+                    p.nth_host(rng.gen::<u32>())
                 };
-                hops.push(Hop { ip, asn: *asn, as_pos: pos });
+                hops.push(Hop { ip, asn, as_pos: pos });
             }
         }
         // Final hop: the server itself.
-        let last_pos = as_path.len() - 1;
-        hops.push(Hop { ip: server_ip, asn: as_path[last_pos], as_pos: last_pos });
+        let (&server_asn, last_pos) =
+            (as_path.last().expect("AS path must be non-empty"), as_path.len() - 1);
+        hops.push(Hop { ip: server_ip, asn: server_asn, as_pos: last_pos });
         assert!(
             u8::try_from(hops.len() - 1).is_ok(),
             "an AS path of {} ASes expands to {} router hops; a TTL counts at most 255",
@@ -133,8 +169,6 @@ impl HopPath {
             us += if boundary { 6_000 } else { 1_500 };
             delay_us.push(us);
         }
-        self.as_path.clear();
-        self.as_path.extend_from_slice(as_path);
         self.server_ip = server_ip;
         self.client_ip = client_ip;
     }
@@ -203,7 +237,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn prefix_map(asns: &[u32]) -> HashMap<Asn, Vec<Ipv4Prefix>> {
+    fn prefix_map(asns: &[u32]) -> PrefixTable {
         asns.iter()
             .enumerate()
             .map(|(i, &a)| {
@@ -216,8 +250,8 @@ mod tests {
         let asns = [10, 20, 30, 40];
         let prefixes = prefix_map(&asns);
         let mut rng = StdRng::seed_from_u64(1);
-        let server_ip = prefixes[&Asn(40)][0].nth_host(99);
-        let client_ip = prefixes[&Asn(10)][0].nth_host(1);
+        let server_ip = prefixes.of_asn(Asn(40))[0].nth_host(99);
+        let client_ip = prefixes.of_asn(Asn(10))[0].nth_host(1);
         HopPath::expand(
             &asns.map(Asn),
             &prefixes,
@@ -247,7 +281,7 @@ mod tests {
         let p = sample_path();
         let prefixes = prefix_map(&[10, 20, 30, 40]);
         for h in &p.hops {
-            let ps = &prefixes[&h.asn];
+            let ps = prefixes.of_asn(h.asn);
             assert!(
                 ps.iter().any(|px| px.contains(h.ip)),
                 "hop {} not inside {}'s prefixes",
@@ -315,6 +349,38 @@ mod tests {
     }
 
     #[test]
+    fn an_index_path_expands_as_its_asn_path_does() {
+        // A topology whose AS `i` has row `i` of the table, with `i % 4`
+        // prefixes in it: the first and the last AS announce nothing.
+        let mut topo = Topology::new(churnlab_topology::geo::countries(2));
+        let mut prefixes = PrefixTable::default();
+        for (i, asn) in [50, 10, 40, 20, 30].into_iter().enumerate() {
+            topo.add_as(churnlab_topology::AsInfo {
+                asn: Asn(asn),
+                name: format!("AS{asn}"),
+                country: churnlab_topology::CountryCode::new("US"),
+                class: churnlab_topology::AsClass::TransitAccess,
+                role: churnlab_topology::AsRole::NationalTransit,
+            })
+            .unwrap();
+            let i = i as u32;
+            let announced = (0..i % 4).map(|k| Ipv4Prefix::new((i + 1) << 24 | k << 16, 16).unwrap());
+            prefixes.push(Asn(asn), announced).unwrap();
+        }
+        let mut by_idx = HopPath::default();
+        for seed in 0..40u64 {
+            let n = 1 + seed as usize % 5;
+            let idx: Vec<AsIdx> = (0..n).map(|k| AsIdx((seed as u32 + 3 * k as u32) % 5)).collect();
+            let asns: Vec<Asn> = idx.iter().map(|&x| topo.asn(x)).collect();
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            by_idx.expand_idx_into(&idx, &topo, &prefixes, 1, 2, (1, 3), &mut r1);
+            let by_asn = HopPath::expand(&asns, &prefixes, 1, 2, (1, 3), &mut r2);
+            assert_eq!(by_idx, by_asn, "seed {seed}");
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "seed {seed}: the same draws");
+        }
+    }
+
+    #[test]
     fn mimic_ttl_cancels_the_injector_position() {
         let p = sample_path();
         for hop in 0..p.len() {
@@ -326,7 +392,7 @@ mod tests {
     /// `n` ASes at one router each: `n + 1` hops.
     fn straight_path(n: u32) -> HopPath {
         let asns: Vec<Asn> = (1..=n).map(Asn).collect();
-        HopPath::expand(&asns, &HashMap::new(), 1, 2, (1, 1), &mut StdRng::seed_from_u64(1))
+        HopPath::expand(&asns, &PrefixTable::default(), 1, 2, (1, 1), &mut StdRng::seed_from_u64(1))
     }
 
     #[test]

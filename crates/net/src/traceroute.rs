@@ -74,20 +74,19 @@ impl TracerouteConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use churnlab_topology::{Asn, Ipv4Prefix};
+    use churnlab_topology::{Asn, Ipv4Prefix, PrefixTable};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
 
     fn path() -> HopPath {
         let asns = [Asn(1), Asn(2), Asn(3), Asn(4)];
-        let prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = asns
+        let prefixes: PrefixTable = asns
             .iter()
             .enumerate()
             .map(|(i, &a)| (a, vec![Ipv4Prefix::new(((i as u32) + 1) << 24, 16).unwrap()]))
             .collect();
         let mut rng = StdRng::seed_from_u64(5);
-        let server = prefixes[&Asn(4)][0].nth_host(1);
+        let server = prefixes.of_asn(Asn(4))[0].nth_host(1);
         HopPath::expand(&asns, &prefixes, 7, server, (1, 2), &mut rng)
     }
 

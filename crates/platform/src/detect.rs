@@ -285,21 +285,20 @@ mod tests {
         DnsMessage, FlowConfig, FlowSimulator, HopPath, HttpRequest, HttpResponse,
         OnPathObserver,
     };
-    use churnlab_topology::{Asn, Ipv4Prefix};
+    use churnlab_topology::{Asn, Ipv4Prefix, PrefixTable};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
 
     fn path() -> HopPath {
         let asns = [Asn(10), Asn(20), Asn(30), Asn(40)];
-        let prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = asns
+        let prefixes: PrefixTable = asns
             .iter()
             .enumerate()
             .map(|(i, &a)| (a, vec![Ipv4Prefix::new(((i as u32) + 1) << 24, 16).unwrap()]))
             .collect();
         let mut rng = StdRng::seed_from_u64(3);
-        let server = prefixes[&Asn(40)][0].nth_host(1);
-        let client = prefixes[&Asn(10)][0].nth_host(1);
+        let server = prefixes.of_asn(Asn(40))[0].nth_host(1);
+        let client = prefixes.of_asn(Asn(10))[0].nth_host(1);
         HopPath::expand(&asns, &prefixes, client, server, (1, 2), &mut rng)
     }
 
@@ -532,13 +531,13 @@ mod tests {
             id in proptest::prelude::any::<u16>(),
         ) {
             let asns: Vec<Asn> = (1..=n_ases as u32).map(|i| Asn(i * 10)).collect();
-            let prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = asns
+            let prefixes: PrefixTable = asns
                 .iter()
                 .enumerate()
                 .map(|(i, &a)| (a, vec![Ipv4Prefix::new(((i as u32) + 1) << 24, 16).unwrap()]))
                 .collect();
-            let client = prefixes[&asns[0]][0].nth_host(1);
-            let server = prefixes[&asns[n_ases - 1]][0].nth_host(2);
+            let client = prefixes.of_asn(asns[0])[0].nth_host(1);
+            let server = prefixes.of_asn(asns[n_ases - 1])[0].nth_host(2);
             let (lo, extra) = routers;
             let mut rng = StdRng::seed_from_u64(path_seed);
             let p = HopPath::expand(&asns, &prefixes, client, server, (lo, lo + extra), &mut rng);

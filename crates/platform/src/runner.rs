@@ -51,22 +51,23 @@ use churnlab_net::{
     Reassembly, SharedBytes,
 };
 use churnlab_obs::Registry;
-use churnlab_topology::{mix64, Asn, FxMap, GeneratedWorld, Ip2AsDb};
+use churnlab_topology::{mix64, AsIdx, Asn, FxMap, GeneratedWorld, Ip2AsDb};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Reusable AS-path buffers for the measurement loop: one campaign runs
-/// millions of tests, and the routing layer can fill paths in place
-/// ([`Routes::asn_path_into`]) instead of allocating per test.
+/// Reusable AS-index path buffers for the measurement loop: one campaign
+/// runs millions of tests, and the routing layer can fill paths in place
+/// ([`Routes::as_path_into`]) instead of allocating per test. The hop
+/// expander reads each AS's prefixes off its index.
 #[derive(Default)]
 struct PathBuffers {
     /// The test's primary path at its epoch.
-    main: Vec<Asn>,
+    main: Vec<AsIdx>,
     /// The next-epoch path probed by the route-shift traceroute.
-    alt: Vec<Asn>,
+    alt: Vec<AsIdx>,
 }
 
 /// What every test of one URL puts on the wire, built once per URL a
@@ -707,7 +708,7 @@ impl<'w> Platform<'w> {
         let topo = &self.world.topology;
         let vp_idx = topo.idx(vp.asn).expect("vantage AS exists");
         let dest_idx = topo.idx(url.server_asn).expect("dest AS exists");
-        if !routes.asn_path_into(vp_idx, dest_idx, epoch, &mut paths.main) {
+        if !routes.as_path_into(vp_idx, dest_idx, epoch, &mut paths.main) {
             let failed = Measurement {
                 vp_id: vp.id,
                 vp_asn: vp.public_asn,
@@ -721,17 +722,10 @@ impl<'w> Platform<'w> {
             };
             return (failed, false);
         }
-        let asn_path: &[Asn] = &paths.main;
-
-        hops.expand_into(
-            asn_path,
-            &self.world.prefixes,
-            vp.ip,
-            url.server_ip,
-            self.cfg.routers_per_as,
-            rng,
-        );
+        let (prefixes, routers) = (&self.world.prefixes, self.cfg.routers_per_as);
+        hops.expand_idx_into(&paths.main, topo, prefixes, vp.ip, url.server_ip, routers, rng);
         let hop_path: &HopPath = hops;
+        let asn_path: &[Asn] = &hop_path.as_path;
 
         // Arm the censoring ASes on the path that act on this URL today
         // (`FlowNames::acted_on_by` says why the rest would pass every
@@ -820,17 +814,11 @@ impl<'w> Platform<'w> {
             let shifted = i == 2
                 && rng.gen_bool(self.cfg.noise.intra_test_shift_prob.clamp(0.0, 1.0));
             let changed = shifted
-                && routes.asn_path_into(vp_idx, dest_idx, epoch + 1, &mut paths.alt)
-                && paths.alt != asn_path;
+                && routes.as_path_into(vp_idx, dest_idx, epoch + 1, &mut paths.alt)
+                && paths.alt != paths.main;
             let path = if changed {
-                alt_hops.expand_into(
-                    &paths.alt,
-                    &self.world.prefixes,
-                    vp.ip,
-                    url.server_ip,
-                    self.cfg.routers_per_as,
-                    rng,
-                );
+                let (alt, ips) = (&paths.alt, (vp.ip, url.server_ip));
+                alt_hops.expand_idx_into(alt, topo, prefixes, ips.0, ips.1, routers, rng);
                 &*alt_hops
             } else {
                 hop_path
@@ -1267,7 +1255,7 @@ mod tests {
             assert_eq!(FlowNames::read(&stamped, &wire.get), wire.names);
             // No segmentation can show a fingerprint the page lacks.
             assert!(!fingerprints.is_match(&wire.page), "{} carries a fingerprint", url.domain);
-            let client = s.world.prefixes[&url.server_asn][0].nth_host(7);
+            let client = s.world.prefixes.of_asn(url.server_asn)[0].nth_host(7);
             hops.expand_into(&[url.server_asn], &s.world.prefixes, client, url.server_ip, (1, 3), &mut rng);
             let cfg = FlowConfig { mss: rng.gen_range(200..1500), ..FlowConfig::default() };
             let fetched = FlowSimulator::http_get_into(

@@ -43,7 +43,9 @@ impl<'w> Platform<'w> {
         out
     }
 
-    /// One test with every censor on the path armed and every flow built.
+    /// One test with every censor on the path armed and every flow built,
+    /// its hops expanded from the ASN path (the product expands the
+    /// AS-index path).
     #[allow(clippy::too_many_arguments)]
     fn oracle_test<'p>(
         &'p self,
@@ -56,7 +58,7 @@ impl<'w> Platform<'w> {
         bufs: &mut TestBuffers<'p>,
     ) -> Measurement {
         let TestBuffers {
-            paths,
+            paths: _,
             wire,
             hops,
             alt_hops,
@@ -82,12 +84,12 @@ impl<'w> Platform<'w> {
             traceroutes,
             failed,
         };
-        if !sim.asn_path_into(vp_idx, dest_idx, epoch, &mut paths.main) {
+        let (mut asn_path, mut alt) = (Vec::new(), Vec::new());
+        if !sim.asn_path_into(vp_idx, dest_idx, epoch, &mut asn_path) {
             return record(AnomalySet::empty(), Traceroutes::no_route(), true);
         }
-        let asn_path: &[Asn] = &paths.main;
         let (prefixes, routers) = (&self.world.prefixes, self.cfg.routers_per_as);
-        hops.expand_into(asn_path, prefixes, vp.ip, url.server_ip, routers, rng);
+        hops.expand_into(&asn_path, prefixes, vp.ip, url.server_ip, routers, rng);
         let hop_path: &HopPath = hops;
         let flow_cfg = FlowConfig {
             client_port: rng.gen_range(32768..61000),
@@ -142,10 +144,10 @@ impl<'w> Platform<'w> {
             let shifted =
                 i == 2 && rng.gen_bool(self.cfg.noise.intra_test_shift_prob.clamp(0.0, 1.0));
             let path = if shifted
-                && sim.asn_path_into(vp_idx, dest_idx, epoch + 1, &mut paths.alt)
-                && paths.alt != asn_path
+                && sim.asn_path_into(vp_idx, dest_idx, epoch + 1, &mut alt)
+                && alt != asn_path
             {
-                alt_hops.expand_into(&paths.alt, prefixes, vp.ip, url.server_ip, routers, rng);
+                alt_hops.expand_into(&alt, prefixes, vp.ip, url.server_ip, routers, rng);
                 &*alt_hops
             } else {
                 hop_path

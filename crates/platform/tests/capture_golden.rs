@@ -20,10 +20,9 @@ use churnlab_net::{
     OnPathObserver,
 };
 use churnlab_platform::{detect, AnomalyType};
-use churnlab_topology::{Asn, Ipv4Prefix};
+use churnlab_topology::{Asn, Ipv4Prefix, PrefixTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Hash of the whole grid, taken on the commit before payloads became
 /// shared slices.
@@ -51,13 +50,13 @@ fn censor(asn: Asn, mech: Mechanism, profile: MechanismProfile) -> CompiledCenso
 fn measure(h: &mut Fnv, seed: u64, mech: Option<Mechanism>, profile: &MechanismProfile, noise: usize) -> bool {
     let mut rng = StdRng::seed_from_u64(seed);
     let asns: Vec<Asn> = (0..rng.gen_range(3..7u32)).map(|i| Asn(10 * (i + 1))).collect();
-    let prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = asns
+    let prefixes: PrefixTable = asns
         .iter()
         .enumerate()
         .map(|(i, &a)| (a, vec![Ipv4Prefix::new(((i as u32) + 1) << 24, 16).unwrap()]))
         .collect();
-    let server = prefixes[asns.last().unwrap()][0].nth_host(1);
-    let client = prefixes[&asns[0]][0].nth_host(1);
+    let server = prefixes.of_asn(*asns.last().unwrap())[0].nth_host(1);
+    let client = prefixes.of_asn(asns[0])[0].nth_host(1);
     let path = HopPath::expand(&asns, &prefixes, client, server, (1, 3), &mut rng);
     let cfg = FlowConfig {
         client_port: rng.gen_range(32768..61000),

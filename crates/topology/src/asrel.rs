@@ -151,7 +151,6 @@ pub fn load_asrel2(r: impl BufRead) -> io::Result<Topology> {
 pub fn write_asrel2(topo: &Topology, mut w: impl Write) -> io::Result<()> {
     let mut lines: Vec<(u32, u32, i8)> = topo
         .links()
-        .iter()
         .map(|l| match l.rel {
             Relationship::CustomerToProvider => (l.b.0, l.a.0, -1),
             Relationship::PeerToPeer => (l.a.0.min(l.b.0), l.a.0.max(l.b.0), 0),

@@ -25,7 +25,7 @@ use crate::geo::CountryCode;
 use crate::graph::Topology;
 use crate::ip2as::Ip2AsDb;
 use crate::links::{Link, LinkStability};
-use crate::prefix::Ipv4Prefix;
+use crate::prefix::{Ipv4Prefix, PrefixTable};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -279,8 +279,9 @@ pub struct GeneratedWorld {
     /// Ground-truth IP-to-AS database (degrade it with
     /// [`Ip2AsDb::degraded`] for noisy-scenario runs).
     pub ip2as: Ip2AsDb,
-    /// Per-AS announced prefixes (ground truth).
-    pub prefixes: HashMap<Asn, Vec<Ipv4Prefix>>,
+    /// Per-AS announced prefixes (ground truth), a row per AS in the
+    /// topology's [`AsIdx`](crate::AsIdx) order.
+    pub prefixes: PrefixTable,
     /// Multi-country hosting organizations (may be empty).
     pub orgs: Vec<HostingOrg>,
     /// The configuration used.
@@ -297,7 +298,7 @@ impl GeneratedWorld {
     /// One representative host address inside an AS (the `i`-th host of its
     /// first prefix).
     pub fn host_in(&self, asn: Asn, i: u32) -> Option<u32> {
-        self.prefixes.get(&asn).and_then(|ps| ps.first()).map(|p| p.nth_host(i))
+        self.prefixes.of_asn(asn).first().map(|p| p.nth_host(i))
     }
 
     /// The *registered* (public) ASN of a node: the owning organization's
@@ -319,12 +320,10 @@ impl GeneratedWorld {
     /// with every hosting-org PoP prefix attributed to the organization's
     /// public ASN. This — not the ground-truth node mapping — is what a
     /// CAIDA-style database built from registry and BGP data contains.
+    /// The prefixes are the ground truth's, so it is that table with its
+    /// owners mapped through [`GeneratedWorld::public_asn`].
     pub fn registry_ip2as(&self) -> Ip2AsDb {
-        Ip2AsDb::from_entries(self.prefixes.iter().flat_map(|(asn, ps)| {
-            let public = self.public_asn(*asn);
-            ps.iter().map(move |p| (*p, public))
-        }))
-        .expect("generator prefixes are disjoint")
+        self.ip2as.with_owners(|asn| self.public_asn(asn))
     }
 }
 
@@ -369,6 +368,32 @@ impl PrefixAllocator {
     }
 }
 
+/// Every AS's prefixes, a row per AS in index order: `prefixes_per_as`
+/// blocks each (at least one), of the length `len` draws for its role,
+/// from one allocator walking upward.
+fn allocate_prefixes(
+    topology: &Topology,
+    config: &WorldConfig,
+    rng: &mut StdRng,
+    len: impl Fn(AsRole, &mut StdRng) -> u8,
+) -> PrefixTable {
+    let (lo, hi) = config.prefixes_per_as;
+    let mut alloc = PrefixAllocator::new();
+    let mut table = PrefixTable::with_capacity(topology.n_ases(), topology.n_ases() * lo.max(1));
+    for &AsInfo { asn, role, .. } in topology.ases() {
+        let n = rng.gen_range(lo..=hi).max(1);
+        let blocks = (0..n).map(|_| alloc.alloc(len(role, rng)));
+        table.push(asn, blocks).expect("one row per AS of the topology");
+    }
+    table
+}
+
+/// The ground-truth IP-to-AS table of a world's prefixes.
+fn ground_truth_ip2as(prefixes: &PrefixTable) -> Ip2AsDb {
+    Ip2AsDb::from_entries(prefixes.iter().flat_map(|(asn, ps)| ps.iter().map(move |&p| (p, asn))))
+        .expect("allocator never reuses blocks")
+}
+
 /// Generate a world from a config. Panics only on internal invariant
 /// violations (the generator always produces valid topologies).
 ///
@@ -384,8 +409,6 @@ pub fn generate(config: &WorldConfig) -> GeneratedWorld {
     let countries = geo::countries(config.n_countries);
     let mut topology = Topology::new(countries.clone());
     let mut next_asn = 100u32;
-    let mut alloc = PrefixAllocator::new();
-    let mut prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = HashMap::new();
     let mut mk_asn = |rng: &mut StdRng| {
         // Scatter ASNs a little so they look like real allocations.
         next_asn += 1 + rng.gen_range(0..37);
@@ -689,26 +712,14 @@ pub fn generate(config: &WorldConfig) -> GeneratedWorld {
     }
 
     // --- Prefix allocation -------------------------------------------------
-    prefixes.reserve(topology.n_ases());
-    for &AsInfo { asn, role, .. } in topology.ases() {
-        let n = rng.gen_range(config.prefixes_per_as.0..=config.prefixes_per_as.1).max(1);
-        let mut ps = Vec::with_capacity(n);
-        for _ in 0..n {
-            // Transit networks announce bigger blocks.
-            let len = match role {
-                AsRole::Tier1 => 14,
-                AsRole::NationalTransit => rng.gen_range(15..=17),
-                AsRole::RegionalIsp => rng.gen_range(17..=19),
-                AsRole::Stub => rng.gen_range(19..=22),
-            };
-            ps.push(alloc.alloc(len));
-        }
-        prefixes.insert(asn, ps);
-    }
-    let ip2as = Ip2AsDb::from_entries(
-        prefixes.iter().flat_map(|(asn, ps)| ps.iter().map(move |p| (*p, *asn))),
-    )
-    .expect("allocator never reuses blocks");
+    // Transit networks announce bigger blocks.
+    let prefixes = allocate_prefixes(&topology, config, &mut rng, |role, rng| match role {
+        AsRole::Tier1 => 14,
+        AsRole::NationalTransit => rng.gen_range(15..=17),
+        AsRole::RegionalIsp => rng.gen_range(17..=19),
+        AsRole::Stub => rng.gen_range(19..=22),
+    });
+    let ip2as = ground_truth_ip2as(&prefixes);
 
     topology.freeze();
     let world = GeneratedWorld {
@@ -751,8 +762,6 @@ fn generate_pa(config: &WorldConfig) -> GeneratedWorld {
             + config.pa_peering_links,
     );
     let mut next_asn = 100u32;
-    let mut alloc = PrefixAllocator::new();
-    let mut prefixes: HashMap<Asn, Vec<Ipv4Prefix>> = HashMap::new();
     let mut mk_asn = |rng: &mut StdRng| {
         next_asn += 1 + rng.gen_range(0..37);
         Asn(next_asn)
@@ -947,25 +956,13 @@ fn generate_pa(config: &WorldConfig) -> GeneratedWorld {
     }
 
     // --- Prefixes ---------------------------------------------------------
-    prefixes.reserve(topology.n_ases());
-    for &AsInfo { asn, role, .. } in topology.ases() {
-        let n = rng.gen_range(config.prefixes_per_as.0..=config.prefixes_per_as.1).max(1);
-        let mut ps = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = match role {
-                AsRole::Tier1 => 14,
-                AsRole::NationalTransit => rng.gen_range(16..=18),
-                AsRole::RegionalIsp => rng.gen_range(17..=19),
-                AsRole::Stub => rng.gen_range(20..=22),
-            };
-            ps.push(alloc.alloc(len));
-        }
-        prefixes.insert(asn, ps);
-    }
-    let ip2as = Ip2AsDb::from_entries(
-        prefixes.iter().flat_map(|(asn, ps)| ps.iter().map(move |p| (*p, *asn))),
-    )
-    .expect("allocator never reuses blocks");
+    let prefixes = allocate_prefixes(&topology, config, &mut rng, |role, rng| match role {
+        AsRole::Tier1 => 14,
+        AsRole::NationalTransit => rng.gen_range(16..=18),
+        AsRole::RegionalIsp => rng.gen_range(17..=19),
+        AsRole::Stub => rng.gen_range(20..=22),
+    });
+    let ip2as = ground_truth_ip2as(&prefixes);
 
     topology.freeze();
     let world = GeneratedWorld {
@@ -1001,8 +998,8 @@ mod tests {
         let asns_a: Vec<_> = a.asns();
         let asns_b: Vec<_> = b.asns();
         assert_eq!(asns_a, asns_b);
-        let la: Vec<_> = a.topology.links().iter().map(|l| (l.a, l.b)).collect();
-        let lb: Vec<_> = b.topology.links().iter().map(|l| (l.a, l.b)).collect();
+        let la: Vec<_> = a.topology.links().map(|l| (l.a, l.b)).collect();
+        let lb: Vec<_> = b.topology.links().map(|l| (l.a, l.b)).collect();
         assert_eq!(la, lb);
     }
 
@@ -1010,8 +1007,8 @@ mod tests {
     fn different_seeds_differ() {
         let a = generate(&WorldConfig::preset(WorldScale::Smoke, 1));
         let b = generate(&WorldConfig::preset(WorldScale::Smoke, 2));
-        let la: Vec<_> = a.topology.links().iter().map(|l| (l.a, l.b)).collect();
-        let lb: Vec<_> = b.topology.links().iter().map(|l| (l.a, l.b)).collect();
+        let la: Vec<_> = a.topology.links().map(|l| (l.a, l.b)).collect();
+        let lb: Vec<_> = b.topology.links().map(|l| (l.a, l.b)).collect();
         assert_ne!(la, lb);
     }
 
@@ -1037,23 +1034,26 @@ mod tests {
     #[test]
     fn prefixes_unique_and_mapped() {
         let w = generate(&WorldConfig::preset(WorldScale::Small, 5));
-        let mut all: Vec<Ipv4Prefix> = w.prefixes.values().flatten().copied().collect();
+        let mut all: Vec<Ipv4Prefix> = w.prefixes.iter().flat_map(|(_, ps)| ps).copied().collect();
         let n = all.len();
         all.sort();
         all.dedup();
         assert_eq!(all.len(), n, "prefix reuse detected");
-        // Every host of every AS maps back to that AS.
-        for (asn, ps) in &w.prefixes {
+        // Every host of every AS maps back to that AS, whose row is its
+        // topology index.
+        for (asn, ps) in w.prefixes.iter() {
+            assert_eq!(w.prefixes.of(w.topology.idx(asn).unwrap()), ps);
             for p in ps {
-                assert_eq!(w.ip2as.lookup(p.nth_host(12)), Some(*asn));
+                assert_eq!(w.ip2as.lookup(p.nth_host(12)), Some(asn));
             }
         }
+        assert_eq!(w.prefixes.len(), w.topology.n_ases());
     }
 
     #[test]
     fn no_prefixes_in_reserved_space() {
         let w = generate(&WorldConfig::preset(WorldScale::Small, 5));
-        for ps in w.prefixes.values() {
+        for (_, ps) in w.prefixes.iter() {
             for p in ps {
                 let top = p.network() >> 24;
                 assert!(
@@ -1071,7 +1071,6 @@ mod tests {
         let t = &w.topology;
         let cross = t
             .links()
-            .iter()
             .filter(|l| {
                 l.rel == crate::links::Relationship::CustomerToProvider
                     && t.info_by_asn(l.a).unwrap().country != t.info_by_asn(l.b).unwrap().country
@@ -1151,7 +1150,7 @@ mod tests {
         let registry = w.registry_ip2as();
         for org in &w.orgs {
             for pop in &org.pops {
-                for p in &w.prefixes[pop] {
+                for p in w.prefixes.of_asn(*pop) {
                     // Ground truth knows the node; the registry reports the
                     // public ASN.
                     assert_eq!(w.ip2as.lookup(p.nth_host(9)), Some(*pop));
@@ -1160,12 +1159,34 @@ mod tests {
             }
         }
         // Non-org prefixes map identically in both views.
-        for (asn, ps) in &w.prefixes {
-            if w.is_org_pop(*asn) {
+        for (asn, ps) in w.prefixes.iter() {
+            if w.is_org_pop(asn) {
                 continue;
             }
             for p in ps {
-                assert_eq!(registry.lookup(p.nth_host(1)), Some(*asn));
+                assert_eq!(registry.lookup(p.nth_host(1)), Some(asn));
+            }
+        }
+    }
+
+    #[test]
+    fn the_registry_view_is_the_from_entries_build() {
+        for cfg in [
+            WorldConfig::preset(WorldScale::Smoke, 4),
+            WorldConfig::preset(WorldScale::Small, 4),
+            mini_pa(4),
+        ] {
+            let w = generate(&cfg);
+            let public = |asn| w.public_asn(asn);
+            let rows = w.prefixes.iter();
+            let entries = rows.flat_map(|(asn, ps)| ps.iter().map(move |&p| (p, public(asn))));
+            let want = Ip2AsDb::from_entries(entries).unwrap();
+            let got = w.registry_ip2as();
+            assert!(got.entries().eq(want.entries()), "{:?}", cfg.pa_transits);
+            // Every range starts at a prefix's first address or just past
+            // its last.
+            for ip in crate::ip2as::oracle::boundaries(&want) {
+                assert_eq!(got.lookup(ip), want.lookup(ip), "at {ip:#010x}");
             }
         }
     }
@@ -1210,8 +1231,8 @@ mod tests {
         let a = generate(&mini_pa(4));
         let b = generate(&mini_pa(4));
         assert_eq!(a.asns(), b.asns());
-        let la: Vec<_> = a.topology.links().iter().map(|l| (l.a, l.b)).collect();
-        let lb: Vec<_> = b.topology.links().iter().map(|l| (l.a, l.b)).collect();
+        let la: Vec<_> = a.topology.links().map(|l| (l.a, l.b)).collect();
+        let lb: Vec<_> = b.topology.links().map(|l| (l.a, l.b)).collect();
         assert_eq!(la, lb);
         let c = generate(&mini_pa(5));
         assert_ne!(a.asns(), c.asns());
@@ -1277,7 +1298,6 @@ mod tests {
         let max_edge_flap = w
             .topology
             .links()
-            .iter()
             .filter(|l| l.stability.flap_rate > 1e-3)
             .count();
         assert_eq!(max_edge_flap, 0);

@@ -2,21 +2,32 @@
 //! adjacency, and structural validation.
 //!
 //! A topology is built by appending: `add_as` records an AS and
-//! `add_link` a link with its two endpoint indices, while a set of the
-//! linked pairs catches duplicates. Adjacency has one layout, a
-//! kind-grouped CSR — one flat `Adjacency` arena plus per-AS offsets,
-//! each AS's run holding its providers, then its peers, then its
-//! customers, each in link-id order — so the routing layer's passes
-//! stream contiguous memory and walk exactly the edge kind they
-//! propagate. It is made from the link list by a counting sort, either
-//! by [`Topology::freeze`] (which also drops the pair set) or by the
-//! first query after a mutation; a mutation drops it. An `add_link`
-//! after a freeze rebuilds the pair set from the link list, once.
+//! `add_link` a link, while a set of the linked pairs catches duplicates.
+//! A link is stored once, as a 12-byte record: its endpoints' dense
+//! indices, its relationship, and a `u16` index into the table of the
+//! distinct [`LinkStability`] profiles the topology has met (`add_link`
+//! interns them; a generated world has a handful). Readers get a
+//! [`Link`] by value back from [`Topology::link`] and [`Topology::links`].
+//!
+//! Adjacency has one layout, a kind-grouped CSR — one flat arena of
+//! 8-byte `Adjacency` entries (neighbour, link) plus per-AS offsets, each
+//! AS's run holding its providers, then its peers, then its customers,
+//! each in link-id order — so the routing layer's passes stream
+//! contiguous memory and walk exactly the edge kind they propagate. An
+//! entry's kind is the run it sits in ([`Topology::edge_runs`]). The CSR
+//! is made from the link records by a counting sort, either by
+//! [`Topology::freeze`] (which also drops the pair set) or by the first
+//! query after a mutation; a mutation drops it. An `add_link` after a
+//! freeze rebuilds the pair set from the link records, once.
+//!
+//! At Huge (62,169 ASes, 541,948 links) that is 6.5 MB of link records
+//! and 9.4 MB of CSR, against 21.7 MB and 13.0 MB for 32-byte links, a
+//! second copy of their endpoints and 12-byte entries.
 
 use crate::asys::{AsInfo, AsRole, Asn};
 use crate::geo::{Country, CountryCode};
 use crate::hash::{FxMap, FxSet};
-use crate::links::{Link, LinkId, Relationship};
+use crate::links::{Link, LinkId, LinkStability, Relationship};
 use crate::TopologyError;
 use serde::{Deserialize, Serialize};
 use std::mem::size_of;
@@ -36,7 +47,7 @@ impl AsIdx {
 }
 
 /// Direction of an adjacency entry from the perspective of the AS that owns
-/// the entry.
+/// the entry: which of its three runs the entry sits in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EdgeKind {
     /// The neighbour is my provider (I send them money).
@@ -66,15 +77,30 @@ impl EdgeKind {
     }
 }
 
-/// One adjacency entry: neighbour, the link it rides on, and its kind.
+/// One adjacency entry: neighbour and the link it rides on. Its
+/// [`EdgeKind`] is the run it sits in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Adjacency {
     /// Neighbour AS.
     pub peer: AsIdx,
     /// Link identifier (for churn state lookups).
     pub link: LinkId,
-    /// Relationship from this AS's perspective.
-    pub kind: EdgeKind,
+}
+
+/// A link as the topology stores it: 12 bytes, where a [`Link`] is 32.
+#[derive(Debug, Clone, Copy)]
+struct LinkRecord {
+    a: AsIdx,
+    b: AsIdx,
+    /// Index into [`Topology::profiles`].
+    profile: u16,
+    rel: Relationship,
+}
+
+/// The bits of a stability profile, so equal profiles intern to one
+/// entry (a NaN included).
+fn profile_key(s: &LinkStability) -> [u64; 2] {
+    [s.flap_rate.to_bits(), s.mean_downtime_days.to_bits()]
 }
 
 /// `count` as a `u32` index or offset, or [`TopologyError::TooMany`].
@@ -112,14 +138,14 @@ impl Csr {
     /// # Panics
     ///
     /// Panics if two entries a link do not fit a `u32` offset.
-    fn build(n_ases: usize, links: &[Link], ends: &[(AsIdx, AsIdx)]) -> Csr {
+    fn build(n_ases: usize, links: &[LinkRecord]) -> Csr {
         let total = csr_len(links.len()).unwrap_or_else(|e| panic!("cannot build the CSR: {e}"));
         // Per AS and run: first the entry count, then the write cursor.
         let mut at = vec![[0u32; 3]; n_ases];
-        for (l, &(a, b)) in links.iter().zip(ends) {
+        for l in links {
             let (ka, kb) = EdgeKind::of(l.rel);
-            at[a.usize()][ka.run()] += 1;
-            at[b.usize()][kb.run()] += 1;
+            at[l.a.usize()][ka.run()] += 1;
+            at[l.b.usize()][kb.run()] += 1;
         }
         let mut off = Vec::with_capacity(n_ases + 1);
         let mut prov_end = Vec::with_capacity(n_ases);
@@ -137,14 +163,13 @@ impl Csr {
         }
         off.push(next);
         debug_assert_eq!(next, total);
-        let blank = Adjacency { peer: AsIdx(0), link: LinkId(0), kind: EdgeKind::ToPeer };
-        let mut flat = vec![blank; total as usize];
-        for (id, (l, &(a, b))) in links.iter().zip(ends).enumerate() {
+        let mut flat = vec![Adjacency { peer: AsIdx(0), link: LinkId(0) }; total as usize];
+        for (id, l) in links.iter().enumerate() {
             let link = LinkId(id as u32);
             let (ka, kb) = EdgeKind::of(l.rel);
-            for (owner, peer, kind) in [(a, b, ka), (b, a, kb)] {
+            for (owner, peer, kind) in [(l.a, l.b, ka), (l.b, l.a, kb)] {
                 let slot = &mut at[owner.usize()][kind.run()];
-                flat[*slot as usize] = Adjacency { peer, link, kind };
+                flat[*slot as usize] = Adjacency { peer, link };
                 *slot += 1;
             }
         }
@@ -185,9 +210,12 @@ fn pair_key(a: AsIdx, b: AsIdx) -> u64 {
 pub struct Topology {
     ases: Vec<AsInfo>,
     asn_to_idx: FxMap<Asn, AsIdx>,
-    links: Vec<Link>,
-    /// Each link's endpoint indices `(a, b)`, in [`LinkId`] order.
-    ends: Vec<(AsIdx, AsIdx)>,
+    /// The link records, in [`LinkId`] order.
+    links: Vec<LinkRecord>,
+    /// The distinct stability profiles, in order of first use.
+    profiles: Vec<LinkStability>,
+    /// Each profile's index in `profiles`, by [`profile_key`].
+    profile_idx: FxMap<[u64; 2], u16>,
     /// The adjacency, built from `links` on first use after a mutation.
     csr: OnceLock<Csr>,
     /// [`pair_key`]s of the links, for O(1) duplicate detection while
@@ -206,7 +234,8 @@ impl Topology {
             ases: Vec::new(),
             asn_to_idx: FxMap::default(),
             links: Vec::new(),
-            ends: Vec::new(),
+            profiles: Vec::new(),
+            profile_idx: FxMap::default(),
             csr: OnceLock::new(),
             link_keys: None,
             countries,
@@ -230,8 +259,25 @@ impl Topology {
     }
 
     /// All links, in [`LinkId`] order.
-    pub fn links(&self) -> &[Link] {
-        &self.links
+    pub fn links(&self) -> impl ExactSizeIterator<Item = Link> + '_ {
+        self.links.iter().map(|r| self.expand(r))
+    }
+
+    /// The distinct stability profiles of the links, in order of first
+    /// use (see [`Topology::link_profile`]).
+    pub fn profiles(&self) -> &[LinkStability] {
+        &self.profiles
+    }
+
+    /// The index into [`Topology::profiles`] of a link's stability.
+    pub fn link_profile(&self, id: LinkId) -> usize {
+        usize::from(self.links[id.0 as usize].profile)
+    }
+
+    /// A stored record as a [`Link`].
+    fn expand(&self, r: &LinkRecord) -> Link {
+        let stability = self.profiles[usize::from(r.profile)];
+        Link { a: self.asn(r.a), b: self.asn(r.b), rel: r.rel, stability }
     }
 
     /// All countries.
@@ -257,20 +303,32 @@ impl Topology {
     }
 
     /// Add a link. Errors on unknown endpoints, self-links, duplicate
-    /// unordered pairs, and past `u32::MAX` links.
+    /// unordered pairs, past `u32::MAX` links, and past `u16::MAX + 1`
+    /// distinct stability profiles.
     pub fn add_link(&mut self, link: Link) -> Result<LinkId, TopologyError> {
         if link.a == link.b {
             return Err(TopologyError::SelfLink(link.a));
         }
-        let ia = self.idx(link.a).ok_or(TopologyError::UnknownAsn(link.a))?;
-        let ib = self.idx(link.b).ok_or(TopologyError::UnknownAsn(link.b))?;
+        let a = self.idx(link.a).ok_or(TopologyError::UnknownAsn(link.a))?;
+        let b = self.idx(link.b).ok_or(TopologyError::UnknownAsn(link.b))?;
         let id = LinkId(checked_u32(self.links.len(), "links")?);
-        if !self.pair_set().insert(pair_key(ia, ib)) {
+        let key = profile_key(&link.stability);
+        let profile = match self.profile_idx.get(&key) {
+            Some(&p) => p,
+            None => u16::try_from(self.profiles.len()).map_err(|_| TopologyError::TooMany {
+                what: "stability profiles",
+                count: self.profiles.len() + 1,
+            })?,
+        };
+        if !self.pair_set().insert(pair_key(a, b)) {
             return Err(TopologyError::DuplicateLink(link.a, link.b));
         }
+        if usize::from(profile) == self.profiles.len() {
+            self.profiles.push(link.stability);
+            self.profile_idx.insert(key, profile);
+        }
         self.csr.take();
-        self.links.push(link);
-        self.ends.push((ia, ib));
+        self.links.push(LinkRecord { a, b, profile, rel: link.rel });
         Ok(id)
     }
 
@@ -280,15 +338,14 @@ impl Topology {
         self.ases.reserve(ases);
         self.asn_to_idx.reserve(ases);
         self.links.reserve(links);
-        self.ends.reserve(links);
         self.pair_set().reserve(links);
     }
 
     /// The duplicate-pair set, rebuilt from the link list if a freeze
     /// dropped it.
     fn pair_set(&mut self) -> &mut FxSet<u64> {
-        let ends = &self.ends;
-        self.link_keys.get_or_insert_with(|| ends.iter().map(|&(a, b)| pair_key(a, b)).collect())
+        let links = &self.links;
+        self.link_keys.get_or_insert_with(|| links.iter().map(|l| pair_key(l.a, l.b)).collect())
     }
 
     /// Build the CSR adjacency, if no query has since the last mutation,
@@ -298,7 +355,6 @@ impl Topology {
     pub fn freeze(&mut self) {
         self.link_keys = None;
         self.links.shrink_to_fit();
-        self.ends.shrink_to_fit();
         self.csr();
     }
 
@@ -310,19 +366,21 @@ impl Topology {
 
     #[inline]
     fn csr(&self) -> &Csr {
-        self.csr.get_or_init(|| Csr::build(self.ases.len(), &self.links, &self.ends))
+        self.csr.get_or_init(|| Csr::build(self.ases.len(), &self.links))
     }
 
-    /// Bytes held on the heap: the AS table (names included), the links
-    /// and their endpoint indices, the CSR once built, the ASN index, and
-    /// the duplicate-pair set while it exists. Hash tables are counted by
-    /// their bucket arrays; the country table (a few KB) is left out.
+    /// Bytes held on the heap: the AS table (names included), the link
+    /// records and their profile table, the CSR once built, the ASN
+    /// index, and the duplicate-pair set while it exists. Hash tables are
+    /// counted by their bucket arrays; the country table (a few KB) is
+    /// left out.
     pub fn heap_bytes(&self) -> usize {
         let names: usize = self.ases.iter().map(|a| a.name.capacity()).sum();
         vec_bytes(&self.ases)
             + names
             + vec_bytes(&self.links)
-            + vec_bytes(&self.ends)
+            + vec_bytes(&self.profiles)
+            + table_bytes(self.profile_idx.capacity(), size_of::<([u64; 2], u16)>())
             + self.csr.get().map_or(0, Csr::heap_bytes)
             + table_bytes(self.asn_to_idx.capacity(), size_of::<(Asn, AsIdx)>())
             + self.link_keys.as_ref().map_or(0, |k| table_bytes(k.capacity(), size_of::<u64>()))
@@ -349,8 +407,8 @@ impl Topology {
     }
 
     /// Link metadata.
-    pub fn link(&self, id: LinkId) -> &Link {
-        &self.links[id.0 as usize]
+    pub fn link(&self, id: LinkId) -> Link {
+        self.expand(&self.links[id.0 as usize])
     }
 
     /// Adjacency list of an AS: its providers, then its peers, then its
@@ -387,6 +445,16 @@ impl Topology {
         let c = self.csr();
         let i = idx.usize();
         &c.flat[c.peer_end[i] as usize..c.off[i + 1] as usize]
+    }
+
+    /// An AS's three adjacency runs, in [`neighbors`](Self::neighbors)
+    /// order, each with the kind its entries have.
+    pub fn edge_runs(&self, idx: AsIdx) -> [(EdgeKind, &[Adjacency]); 3] {
+        [
+            (EdgeKind::ToProvider, self.provider_edges(idx)),
+            (EdgeKind::ToPeer, self.peer_edges(idx)),
+            (EdgeKind::ToCustomer, self.customer_edges(idx)),
+        ]
     }
 
     /// The providers of an AS.
@@ -594,9 +662,9 @@ mod tests {
             let (p, r, c) =
                 (t.provider_edges(idx), t.peer_edges(idx), t.customer_edges(idx));
             assert_eq!(p.len() + r.len() + c.len(), run.len());
-            assert!(p.iter().all(|a| a.kind == EdgeKind::ToProvider));
-            assert!(r.iter().all(|a| a.kind == EdgeKind::ToPeer));
-            assert!(c.iter().all(|a| a.kind == EdgeKind::ToCustomer));
+            let kinds = t.edge_runs(idx).map(|(kind, run)| (kind, run.len()));
+            let want = [EdgeKind::ToProvider, EdgeKind::ToPeer, EdgeKind::ToCustomer];
+            assert_eq!(kinds, [(want[0], p.len()), (want[1], r.len()), (want[2], c.len())]);
             assert_eq!(run[..p.len()], *p);
             assert_eq!(run[p.len()..p.len() + r.len()], *r);
             assert_eq!(run[p.len() + r.len()..], *c);
@@ -626,6 +694,67 @@ mod tests {
         );
         assert_eq!(t.link_keys.as_ref().map(FxSet::len), Some(t.n_links()));
         assert!(t.is_frozen(), "a rejected link changes nothing");
+    }
+
+    #[test]
+    fn a_link_record_is_12_bytes_and_a_csr_entry_8() {
+        assert_eq!(size_of::<LinkRecord>(), 12);
+        assert_eq!(size_of::<Adjacency>(), 8);
+    }
+
+    #[test]
+    fn links_read_back_as_added_with_one_profile_entry_each() {
+        let t = tiny();
+        let want = [
+            Link::transit(Asn(2), Asn(1), LinkStability::stable()),
+            Link::transit(Asn(3), Asn(2), LinkStability::stable()),
+            Link::transit(Asn(4), Asn(1), LinkStability::stable()),
+            Link::peering(Asn(2), Asn(4), LinkStability::stable()),
+        ];
+        assert_eq!(t.links().collect::<Vec<_>>(), want);
+        assert_eq!(t.link(LinkId(3)), want[3]);
+        assert_eq!(t.profiles(), [LinkStability::stable()]);
+        // A NaN profile interns by its bits, like any other.
+        let mut t = tiny();
+        let nan = LinkStability { flap_rate: f64::NAN, mean_downtime_days: 1.0 };
+        t.add_as(mk_as(5, AsRole::Stub)).unwrap();
+        t.add_link(Link::transit(Asn(5), Asn(2), nan)).unwrap();
+        t.add_link(Link::transit(Asn(5), Asn(4), nan)).unwrap();
+        assert_eq!(t.profiles().len(), 2);
+        assert_eq!(t.link_profile(LinkId(4)), 1);
+        assert_eq!(t.link_profile(LinkId(5)), 1);
+        assert!(t.link(LinkId(5)).stability.flap_rate.is_nan());
+    }
+
+    #[test]
+    fn the_profile_table_refuses_its_65537th_profile() {
+        // 363 ASes have 65,703 pairs: one link each for 65,537 profiles.
+        let mut t = Topology::new(countries(2));
+        for asn in 0..363 {
+            t.add_as(mk_as(asn, AsRole::NationalTransit)).unwrap();
+        }
+        let pairs = (0..363u32).flat_map(|a| (a + 1..363).map(move |b| (Asn(a), Asn(b))));
+        let mut added = 0usize;
+        for (k, (a, b)) in pairs.take(1 << 16).enumerate() {
+            let stability = LinkStability { flap_rate: k as f64, mean_downtime_days: 1.0 };
+            t.add_link(Link::peering(a, b, stability)).unwrap();
+            added += 1;
+        }
+        assert_eq!((added, t.profiles().len()), (1 << 16, 1 << 16));
+        let last = LinkId(added as u32 - 1);
+        assert_eq!(t.link_profile(last), u16::MAX as usize);
+        assert_eq!(t.link(last).stability.flap_rate, (added - 1) as f64);
+        // One more distinct profile does not fit the u16 index ...
+        let fresh = LinkStability { flap_rate: -1.0, mean_downtime_days: 1.0 };
+        assert_eq!(
+            t.add_link(Link::peering(Asn(361), Asn(362), fresh)),
+            Err(TopologyError::TooMany { what: "stability profiles", count: (1 << 16) + 1 })
+        );
+        // ... and changed nothing; a known profile still links.
+        assert_eq!((t.n_links(), t.profiles().len()), (added, 1 << 16));
+        let known = LinkStability { flap_rate: 7.0, mean_downtime_days: 1.0 };
+        assert_eq!(t.add_link(Link::peering(Asn(361), Asn(362), known)), Ok(LinkId(added as u32)));
+        assert_eq!(t.link_profile(LinkId(added as u32)), 7);
     }
 
     #[test]

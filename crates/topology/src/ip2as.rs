@@ -248,6 +248,22 @@ impl Ip2AsDb {
         self.table.entries.iter()
     }
 
+    /// The same prefixes, each owned by `owner` of its owner — what
+    /// [`Ip2AsDb::from_entries`] builds from the remapped entries,
+    /// without sorting them again (the order is the prefixes').
+    pub fn with_owners(&self, owner: impl Fn(Asn) -> Asn) -> Self {
+        Self::from_sorted(self.table.entries.iter().map(|&(p, a)| (p, owner(a))).collect())
+    }
+
+    /// Bytes the table holds on the heap (shared by every clone).
+    pub fn heap_bytes(&self) -> usize {
+        let t = &*self.table;
+        t.entries.capacity() * std::mem::size_of::<(Ipv4Prefix, Asn)>()
+            + t.starts.capacity() * std::mem::size_of::<u32>()
+            + t.owners.capacity() * std::mem::size_of::<Option<Asn>>()
+            + t.index.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Produce a degraded copy of the database, dropping and remapping
     /// entries according to `noise`. `all_asns` supplies the pool of wrong
     /// answers for stale entries. Deterministic given the RNG state.

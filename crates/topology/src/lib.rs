@@ -21,7 +21,7 @@
 //!   swapped with the real inferred AS graph or exported to it.
 //! * [`hash`] — the fast integer-key hasher shared by the hot maps, and
 //!   the run-stable `mix64` / `fnv1a` every layer seeds and digests with.
-//! * [`prefix`] — IPv4 prefixes and per-AS address allocation.
+//! * [`prefix`] — IPv4 prefixes and the flat per-AS prefix table.
 //! * [`ip2as`] — a longest-prefix-match IP-to-AS database (the CAIDA
 //!   mapping substitute), with optional staleness to exercise the paper's
 //!   "IP-to-AS mapping was not possible" elimination rule.
@@ -52,7 +52,7 @@ pub use graph::{AsIdx, Topology};
 pub use hash::{fnv1a, fnv1a_extend, mix64, FxMap, FxSet};
 pub use ip2as::{Ip2AsDb, Ip2AsNoise};
 pub use links::{Link, LinkId, LinkStability, Relationship};
-pub use prefix::Ipv4Prefix;
+pub use prefix::{Ipv4Prefix, PrefixTable};
 
 /// Errors produced while constructing or validating topologies.
 #[derive(Debug, Clone, PartialEq, Eq)]

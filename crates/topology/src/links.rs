@@ -1,5 +1,13 @@
 //! Inter-AS links: business relationships and stability parameters.
 //!
+//! A [`Link`] is how links are built and read: two endpoint ASNs, a
+//! relationship and a stability profile. The topology does not store it
+//! that way. A record there is 12 bytes: the endpoints' dense indices,
+//! the relationship, and a `u16` index into the topology's table of
+//! distinct [`LinkStability`] profiles (a generated world has a handful,
+//! a loaded AS-REL2 graph one), so readers get a [`Link`] by value from
+//! `Topology::link` or `Topology::links`.
+//!
 //! Links carry two pieces of information:
 //!
 //! 1. The **Gao–Rexford relationship** (customer-to-provider or
@@ -84,7 +92,7 @@ impl LinkStability {
 }
 
 /// An undirected inter-AS link with an oriented relationship.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Link {
     /// First endpoint (customer side for [`Relationship::CustomerToProvider`]).
     pub a: Asn,

@@ -6,7 +6,16 @@
 //! ([`crate::ip2as`]) answers longest-prefix-match queries over the
 //! resulting allocation — mirroring how the paper maps traceroute hops to
 //! ASes via CAIDA's routed-prefix dataset.
+//!
+//! A world's announcements are one [`PrefixTable`]: every AS's prefixes
+//! in one flat array, a row per AS in [`AsIdx`] order, so the hop
+//! expander reads an AS's prefixes off the AS-index path the router
+//! produced with two offset loads. At Huge (62,169 ASes, one prefix
+//! each) it holds 1.2 MB, where a hash map of one-prefix vectors held
+//! 4.8 MB.
 
+use crate::asys::Asn;
+use crate::graph::AsIdx;
 use crate::TopologyError;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -140,10 +149,149 @@ impl FromStr for Ipv4Prefix {
     }
 }
 
+/// Every AS's announced prefixes, flat: row `i` — the AS of index
+/// `AsIdx(i)` in the topology the table was built beside — holds
+/// `prefixes[offsets[i]..offsets[i + 1]]`. A sorted `(ASN, row)` index
+/// answers [`PrefixTable::of_asn`] for callers that hold only ASNs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefixTable {
+    offsets: Vec<u32>,
+    prefixes: Vec<Ipv4Prefix>,
+    by_asn: Vec<(Asn, AsIdx)>,
+}
+
+impl Default for PrefixTable {
+    fn default() -> Self {
+        PrefixTable::with_capacity(0, 0)
+    }
+}
+
+impl PrefixTable {
+    /// An empty table with room for `ases` rows and `prefixes` prefixes.
+    pub fn with_capacity(ases: usize, prefixes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(ases + 1);
+        offsets.push(0);
+        let (prefixes, by_asn) = (Vec::with_capacity(prefixes), Vec::with_capacity(ases));
+        PrefixTable { offsets, prefixes, by_asn }
+    }
+
+    /// Append `asn`'s row and return its index. Errors if `asn` already
+    /// has a row, or past `u32::MAX` rows or prefixes (the table is left
+    /// as it was).
+    pub fn push(
+        &mut self,
+        asn: Asn,
+        prefixes: impl IntoIterator<Item = Ipv4Prefix>,
+    ) -> Result<AsIdx, TopologyError> {
+        let Err(at) = self.by_asn.binary_search_by_key(&asn, |&(a, _)| a) else {
+            return Err(TopologyError::DuplicateAsn(asn));
+        };
+        let too_many = |what, count| TopologyError::TooMany { what, count };
+        let row = u32::try_from(self.len()).map_err(|_| too_many("prefix rows", self.len() + 1))?;
+        let before = self.prefixes.len();
+        self.prefixes.extend(prefixes);
+        let Ok(end) = u32::try_from(self.prefixes.len()) else {
+            let count = self.prefixes.len();
+            self.prefixes.truncate(before);
+            return Err(too_many("prefixes", count));
+        };
+        self.offsets.push(end);
+        self.by_asn.insert(at, (asn, AsIdx(row)));
+        Ok(AsIdx(row))
+    }
+
+    /// Number of rows (ASes).
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True if the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The prefixes of row `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no such row.
+    #[inline]
+    pub fn of(&self, idx: AsIdx) -> &[Ipv4Prefix] {
+        let i = idx.usize();
+        &self.prefixes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The prefixes `asn` announces: empty if it has no row.
+    pub fn of_asn(&self, asn: Asn) -> &[Ipv4Prefix] {
+        match self.by_asn.binary_search_by_key(&asn, |&(a, _)| a) {
+            Ok(at) => self.of(self.by_asn[at].1),
+            Err(_) => &[],
+        }
+    }
+
+    /// Every row with its ASN, in ascending ASN order.
+    pub fn iter(&self) -> impl Iterator<Item = (Asn, &[Ipv4Prefix])> + '_ {
+        self.by_asn.iter().map(|&(asn, idx)| (asn, self.of(idx)))
+    }
+
+    /// Bytes the table holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.offsets.capacity() * size_of::<u32>()
+            + self.prefixes.capacity() * size_of::<Ipv4Prefix>()
+            + self.by_asn.capacity() * size_of::<(Asn, AsIdx)>()
+    }
+}
+
+/// Rows in iteration order.
+///
+/// # Panics
+///
+/// Panics where [`PrefixTable::push`] errors.
+impl<P: IntoIterator<Item = Ipv4Prefix>> FromIterator<(Asn, P)> for PrefixTable {
+    fn from_iter<I: IntoIterator<Item = (Asn, P)>>(rows: I) -> Self {
+        let mut table = PrefixTable::default();
+        for (asn, prefixes) in rows {
+            if let Err(e) = table.push(asn, prefixes) {
+                panic!("cannot build the prefix table: {e}");
+            }
+        }
+        table
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn a_prefix_table_reads_back_by_row_and_by_asn() {
+        let px = |s: &str| s.parse::<Ipv4Prefix>().unwrap();
+        let mut t = PrefixTable::default();
+        assert!(t.is_empty());
+        // Rows out of ASN order, one of them empty.
+        assert_eq!(t.push(Asn(30), [px("10.0.0.0/16"), px("10.1.0.0/16")]), Ok(AsIdx(0)));
+        assert_eq!(t.push(Asn(10), []), Ok(AsIdx(1)));
+        assert_eq!(t.push(Asn(20), [px("11.0.0.0/8")]), Ok(AsIdx(2)));
+        assert_eq!(t.push(Asn(20), [px("12.0.0.0/8")]), Err(TopologyError::DuplicateAsn(Asn(20))));
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.of(AsIdx(0)), [px("10.0.0.0/16"), px("10.1.0.0/16")]);
+        assert_eq!(t.of(AsIdx(1)), []);
+        assert_eq!(t.of_asn(Asn(20)), [px("11.0.0.0/8")]);
+        assert_eq!(t.of_asn(Asn(30)), t.of(AsIdx(0)));
+        assert_eq!(t.of_asn(Asn(99)), []);
+        let rows: Vec<(Asn, usize)> = t.iter().map(|(a, ps)| (a, ps.len())).collect();
+        assert_eq!(rows, [(Asn(10), 0), (Asn(20), 1), (Asn(30), 2)]);
+        let collected: PrefixTable = [
+            (Asn(30), vec![px("10.0.0.0/16"), px("10.1.0.0/16")]),
+            (Asn(10), vec![]),
+            (Asn(20), vec![px("11.0.0.0/8")]),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(collected, t);
+    }
 
     #[test]
     fn construction_masks_host_bits() {

@@ -4,21 +4,23 @@
 //! For every AS the oracle walks `links()` in [`LinkId`] order and files
 //! each link under its endpoints by kind. The CSR must hand back exactly
 //! those runs — providers, then peers, then customers, each in link-id
-//! order — through `provider_edges`, `peer_edges`, `customer_edges` and
-//! `neighbors`. The `#[ignore]`d twin pins a digest of the Huge seed-42
-//! world's links and CSR (run it in release:
+//! order — through `provider_edges`, `peer_edges`, `customer_edges`,
+//! `edge_runs` and `neighbors`. The `#[ignore]`d twin pins a digest of the
+//! Huge seed-42 world's links and CSR, its registry IP-to-AS view and the
+//! bytes the world holds (run it in release:
 //! `cargo test --release -q -p churnlab-topology --test csr_oracle -- --ignored`).
 
 use churnlab_topology::graph::{Adjacency, EdgeKind};
 use churnlab_topology::{
     fnv1a, fnv1a_extend, generator, load_asrel2, write_asrel2, AsClass, AsIdx, AsInfo, AsRole, Asn,
-    CountryCode, Link, LinkId, LinkStability, Relationship, Topology, WorldConfig, WorldScale,
+    CountryCode, Ip2AsDb, Link, LinkId, LinkStability, Relationship, Topology, WorldConfig,
+    WorldScale,
 };
 
 /// Per AS: its provider, peer and customer entries, each in link order.
 fn oracle(t: &Topology) -> Vec<[Vec<Adjacency>; 3]> {
     let mut runs = vec![[Vec::new(), Vec::new(), Vec::new()]; t.n_ases()];
-    for (id, l) in t.links().iter().enumerate() {
+    for (id, l) in t.links().enumerate() {
         let (a, b) = (t.idx(l.a).unwrap(), t.idx(l.b).unwrap());
         let link = LinkId(id as u32);
         let (ka, kb) = match l.rel {
@@ -30,8 +32,8 @@ fn oracle(t: &Topology) -> Vec<[Vec<Adjacency>; 3]> {
             EdgeKind::ToPeer => 1,
             EdgeKind::ToCustomer => 2,
         };
-        runs[a.usize()][run(ka)].push(Adjacency { peer: b, link, kind: ka });
-        runs[b.usize()][run(kb)].push(Adjacency { peer: a, link, kind: kb });
+        runs[a.usize()][run(ka)].push(Adjacency { peer: b, link });
+        runs[b.usize()][run(kb)].push(Adjacency { peer: a, link });
     }
     runs
 }
@@ -43,6 +45,9 @@ fn assert_csr_matches_oracle(t: &Topology, what: &str) {
         assert_eq!(t.provider_edges(idx), &prov[..], "{what}: providers of AS index {i}");
         assert_eq!(t.peer_edges(idx), &peer[..], "{what}: peers of AS index {i}");
         assert_eq!(t.customer_edges(idx), &cust[..], "{what}: customers of AS index {i}");
+        let kinds = [EdgeKind::ToProvider, EdgeKind::ToPeer, EdgeKind::ToCustomer];
+        let runs = [&prov[..], &peer[..], &cust[..]];
+        assert_eq!(t.edge_runs(idx), [0, 1, 2].map(|k| (kinds[k], runs[k])), "{what}: runs of {i}");
         let run: Vec<Adjacency> = prov.iter().chain(peer).chain(cust).copied().collect();
         assert_eq!(t.neighbors(idx), &run[..], "{what}: neighbors of AS index {i}");
     }
@@ -127,7 +132,8 @@ fn adding_after_a_freeze_then_refreezing_matches_the_oracle() {
 }
 
 /// FNV-1a over every link (endpoints, relationship, stability bits) and
-/// every AS's three CSR runs (lengths, then each entry).
+/// every AS's three CSR runs (lengths, then each entry with the kind of
+/// its run).
 fn links_and_csr_digest(t: &Topology) -> u64 {
     let mut h = fnv1a([]);
     for l in t.links() {
@@ -139,13 +145,12 @@ fn links_and_csr_digest(t: &Topology) -> u64 {
         h = fnv1a_extend(h, l.stability.mean_downtime_days.to_bits().to_le_bytes());
     }
     for i in 0..t.n_ases() {
-        let idx = AsIdx(i as u32);
-        for run in [t.provider_edges(idx), t.peer_edges(idx), t.customer_edges(idx)] {
+        for (kind, run) in t.edge_runs(AsIdx(i as u32)) {
             h = fnv1a_extend(h, (run.len() as u32).to_le_bytes());
             for a in run {
                 h = fnv1a_extend(h, a.peer.0.to_le_bytes());
                 h = fnv1a_extend(h, a.link.0.to_le_bytes());
-                h = fnv1a_extend(h, [a.kind as u8]);
+                h = fnv1a_extend(h, [kind as u8]);
             }
         }
     }
@@ -159,4 +164,26 @@ fn huge_seed_42_links_and_csr_are_pinned() {
     assert_eq!(w.topology.n_links(), 541_948);
     assert_csr_matches_oracle(&w.topology, "Huge seed 42");
     assert_eq!(links_and_csr_digest(&w.topology), 0xa416_c6a2_b616_ea0a);
+
+    // The registry view is the from-entries build of the registry's
+    // mappings: the same entries, and the same answer wherever a range
+    // can start (a prefix's first address, or just past its last).
+    let registry = w.registry_ip2as();
+    let public = |asn| w.public_asn(asn);
+    let rows = w.prefixes.iter();
+    let entries = rows.flat_map(|(asn, ps)| ps.iter().map(move |&p| (p, public(asn))));
+    let want = Ip2AsDb::from_entries(entries).unwrap();
+    assert!(registry.entries().eq(want.entries()));
+    for &(p, _) in want.entries() {
+        let past = p.network() | !churnlab_topology::Ipv4Prefix::mask(p.len());
+        for ip in [p.network(), past.wrapping_add(1)] {
+            assert_eq!(registry.lookup(ip), want.lookup(ip), "at {ip:#010x}");
+        }
+    }
+
+    // What the world holds, so a return to 32-byte links, a second copy
+    // of their endpoints, 12-byte CSR entries or a map of per-AS vectors
+    // (47.1 MB in all) fails here.
+    let held = w.topology.heap_bytes() + w.prefixes.heap_bytes() + w.ip2as.heap_bytes();
+    assert!(held <= 26_000_000, "the Huge world holds {held} bytes");
 }
